@@ -7,8 +7,6 @@
 //! one [`Span`] per call boundary (round → batch → call) so that each layer's
 //! self time can be computed afterwards.
 
-use std::time::Instant;
-
 /// What a span stands for: the two levels the benchmark itself drives, and
 /// the library layer a timed call enters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +50,7 @@ pub enum LatencyOf {
     Batch,
 }
 
-/// One recorded interval, in nanoseconds since the recorder's origin.
+/// One recorded interval, in nanoseconds of thread CPU time ([`cpu_ns`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     /// Index of the enclosing span within the same round, `None` for the
@@ -69,9 +67,36 @@ impl Span {
     }
 }
 
+/// Nanoseconds this thread has spent on a CPU.
+///
+/// Every timing of the benchmark reads this clock
+/// (`CLOCK_THREAD_CPUTIME_ID`) rather than the wall clock.  The thread is
+/// the only one doing the work, so the two agree except for time the thread
+/// did not run: time other processes held the vCPU, and time the host took
+/// the vCPU away (steal, which the kernel keeps out of task run time).  Both
+/// come from the machine, not from the program.
+pub fn cpu_ns() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, now: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut now = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `now` is a valid, writable `struct timespec` for the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut now) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    now.tv_sec as u64 * 1_000_000_000 + now.tv_nsec as u64
+}
+
 /// The per-round call timer handed to a workload.
 pub struct Calls {
-    origin: Instant,
     latency_of: LatencyOf,
     traced: bool,
     /// Latency samples of the current round, in nanoseconds.
@@ -85,7 +110,6 @@ pub struct Calls {
 impl Calls {
     pub fn new(latency_of: LatencyOf) -> Self {
         Self {
-            origin: Instant::now(),
             latency_of,
             traced: false,
             latencies: Vec::new(),
@@ -95,7 +119,7 @@ impl Calls {
     }
 
     fn now_ns(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        cpu_ns()
     }
 
     /// Starts a round, traced or not; clears the previous round's samples.
@@ -187,22 +211,14 @@ pub fn self_times(spans: &[Span]) -> [u64; 5] {
 }
 
 /// Self time of `kind` in a [`self_times`] result.
-pub fn self_time_of(times: &[u64; 5], kind: Kind) -> u64 {
+pub fn self_time_of<T: Copy>(times: &[T; 5], kind: Kind) -> T {
     times[kind.index()]
 }
 
-/// Indices of the fastest quarter (at least one) of `times`.
-pub fn fastest_quarter(times: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..times.len()).collect();
-    order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-    order.truncate((times.len() / 4).max(1));
-    order
-}
-
 /// Nearest-rank percentile `p` (0–100) of unsorted samples.
-pub fn percentile(samples: &mut [u64], p: f64) -> u64 {
+pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
     assert!(!samples.is_empty(), "percentile of no samples");
-    samples.sort_unstable();
+    samples.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
     samples[rank.clamp(1, samples.len()) - 1]
 }
@@ -235,6 +251,66 @@ pub fn peak_rss_mb() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024.0)
+}
+
+/// Values the speed probe sorts per pass: 8192 random `f64` (64 KiB),
+/// about 0.3 ms on the 2-vCPU host.
+const PROBE_VALUES: usize = 8_192;
+/// Passes per probe; the fastest one counts.
+const PROBE_TRIES: usize = 3;
+/// The probe time every timing is scaled to (see [`SpeedProbe`]).
+pub const PROBE_NOMINAL_S: f64 = 300e-6;
+
+/// A fixed reference kernel that tracks how fast the host runs right now.
+///
+/// A shared host changes speed for seconds to minutes at a time, so whole
+/// runs can read 2× slow.  The probe, which sorts a fixed array of random
+/// floats, is timed just before and just after each round and each set-up.
+/// Its code belongs to the benchmark, never to the library, so a library
+/// change leaves it alone.  A timing `t` is reported as
+/// `t × PROBE_NOMINAL_S / probe`: the time at the speed where one probe
+/// pass takes [`PROBE_NOMINAL_S`].
+///
+/// Sorting random data is made of data-dependent branches and short loads,
+/// like the trees' descents and scans, and its time moved in proportion to
+/// the workloads' own across host phases.  Kernels of plain arithmetic,
+/// vector arithmetic or random reads over 8–32 MiB moved by less than the
+/// workloads and left them 1.1–1.3× apart (see `perfbench/README.md`).
+pub struct SpeedProbe {
+    values: Vec<f64>,
+}
+
+impl SpeedProbe {
+    pub fn new() -> Self {
+        let mut rng = SplitMix(0x5eed);
+        Self {
+            values: (0..PROBE_VALUES).map(|_| rng.next_f64()).collect(),
+        }
+    }
+
+    /// Seconds of the fastest of [`PROBE_TRIES`] passes.
+    pub fn time(&self) -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..PROBE_TRIES {
+            let start = cpu_ns();
+            let mut values = self.values.clone();
+            values.sort_unstable_by(f64::total_cmp);
+            std::hint::black_box(&values);
+            best = best.min((cpu_ns() - start) as f64 * 1e-9);
+        }
+        best
+    }
+
+    /// Times `work` between two probes; returns its result, its seconds
+    /// and the scale that brings them to the nominal speed.
+    pub fn bracket<R>(&self, work: impl FnOnce() -> R) -> (R, f64, f64) {
+        let before = self.time();
+        let start = cpu_ns();
+        let result = work();
+        let secs = (cpu_ns() - start) as f64 * 1e-9;
+        let after = self.time();
+        (result, secs, 2.0 * PROBE_NOMINAL_S / (before + after))
+    }
 }
 
 /// Tiny deterministic generator (SplitMix64) for query noise.
@@ -282,12 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn quarter_and_percentiles() {
-        let times = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0, 7.0, 8.0];
-        assert_eq!(fastest_quarter(&times), vec![1, 3]);
-        let mut samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&mut samples, 50.0), 50);
-        assert_eq!(percentile(&mut samples, 90.0), 90);
+    fn percentiles_and_median() {
+        let mut samples: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(percentile(&mut samples, 50.0), 50.0);
+        assert_eq!(percentile(&mut samples, 90.0), 90.0);
         assert_eq!(median(&[3.0, 1.0, 2.0, 10.0]), 2.5);
     }
 

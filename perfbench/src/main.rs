@@ -8,19 +8,22 @@
 //!
 //! One process, one thread.  After set-up (repeated, see [`MIN_SETUPS`]; the
 //! median is `setup_s`) the run times one untimed warm-up round and then
-//! identical rounds for `--seconds`.  Timing metrics come from the fastest
-//! quarter of the rounds, which keeps slow phases of a shared host out of
-//! the figures.  `--trace 0` prints the end-to-end metrics; `--trace 1`
-//! alternates untraced and traced rounds, prints the per-layer metrics and
-//! writes the spans to `.bench_trace/`.  The last line of standard output
-//! is one JSON object: `correct`, `attempted`, `failed`, `metrics`.
+//! identical rounds for `--seconds`.  Every timing is thread CPU time
+//! ([`harness::cpu_ns`]); every set-up and round is bracketed by a
+//! [`SpeedProbe`] and its timings are scaled to the probe's nominal speed.
+//! Together they keep the host's slow phases out of the figures.  Timing
+//! metrics are medians over all rounds.  `--trace 0` prints the end-to-end
+//! metrics; `--trace 1` alternates untraced and traced rounds, prints the
+//! per-layer metrics and writes the spans to `.bench_trace/`.  The last line
+//! of standard output is one JSON object: `correct`, `attempted`, `failed`,
+//! `metrics`.
 
 mod harness;
 mod workloads;
 
 use harness::{
-    fastest_quarter, median, peak_rss_mb, percentile, ratio, self_time_of, self_times, Calls, Kind,
-    Span,
+    median, peak_rss_mb, percentile, ratio, self_time_of, self_times, Calls, Kind, Span,
+    SpeedProbe, PROBE_NOMINAL_S,
 };
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -132,10 +135,12 @@ impl RegistryCounts {
     }
 }
 
-/// One measured round.
+/// One measured round.  `secs`, `latencies` and `self_ns` are as the clock
+/// read them; `scale` brings them to the probe's nominal speed.
 struct Round {
     traced: bool,
     secs: f64,
+    scale: f64,
     latencies: Vec<u64>,
     report: RoundReport,
     registry: RegistryCounts,
@@ -149,9 +154,13 @@ struct Measured {
     attempted: u64,
     failed: u64,
     quality: f64,
+    /// Peak RSS after the first timed round.  Later rounds repeat the same
+    /// work; only the benchmark's own latency samples keep growing, by as
+    /// much as the host's speed lets rounds run.
+    rss_peak_mb: f64,
 }
 
-fn measure(workload: &mut dyn Workload, seconds: u64, trace: bool) -> Measured {
+fn measure(workload: &mut dyn Workload, probe: &SpeedProbe, seconds: u64, trace: bool) -> Measured {
     let mut calls = Calls::new(workload.latency_of());
     let registry = bt_obs::Registry::global();
     let deadline = Instant::now() + Duration::from_secs(seconds);
@@ -161,17 +170,18 @@ fn measure(workload: &mut dyn Workload, seconds: u64, trace: bool) -> Measured {
         attempted: 0,
         failed: 0,
         quality: 0.0,
+        rss_peak_mb: f64::NAN,
     };
     for index in 0..=MAX_ROUNDS {
         // Round 0 is the warm-up; a traced run alternates after it.
         let traced = trace && index > 0 && index % 2 == 0;
         workload.prepare();
         let before = registry.snapshot();
-        calls.begin_round(traced);
-        let start = Instant::now();
-        workload.run(&mut calls);
-        let secs = start.elapsed().as_secs_f64();
-        let (latencies, spans) = calls.end_round();
+        let ((latencies, spans), secs, scale) = probe.bracket(|| {
+            calls.begin_round(traced);
+            workload.run(&mut calls);
+            calls.end_round()
+        });
         let delta = registry.snapshot().delta_since(&before);
         let report = workload.verify(&delta);
         out.attempted += report.checked;
@@ -180,9 +190,13 @@ fn measure(workload: &mut dyn Workload, seconds: u64, trace: bool) -> Measured {
         if index == 0 {
             continue;
         }
+        if index == 1 {
+            out.rss_peak_mb = peak_rss_mb().unwrap_or(f64::NAN);
+        }
         out.rounds.push(Round {
             traced,
             secs,
+            scale,
             latencies,
             report,
             registry: RegistryCounts::of(&delta),
@@ -203,58 +217,64 @@ fn measure(workload: &mut dyn Workload, seconds: u64, trace: bool) -> Measured {
     out
 }
 
-/// The fastest quarter of the rounds of one mode.
-fn fastest(rounds: &[Round], traced: bool) -> Vec<&Round> {
-    let pool: Vec<&Round> = rounds.iter().filter(|r| r.traced == traced).collect();
-    let secs: Vec<f64> = pool.iter().map(|r| r.secs).collect();
-    fastest_quarter(&secs)
-        .into_iter()
-        .map(|i| pool[i])
-        .collect()
+/// The rounds of one mode.
+fn of_mode(rounds: &[Round], traced: bool) -> Vec<&Round> {
+    rounds.iter().filter(|r| r.traced == traced).collect()
 }
 
-fn ops_per_s(rounds: &[&Round]) -> f64 {
-    let ops: u64 = rounds.iter().map(|r| r.report.ops).sum();
-    let secs: f64 = rounds.iter().map(|r| r.secs).sum();
-    ops as f64 / secs
+/// Median over rounds of each round's ops per second, at nominal speed
+/// (`nominal`) or as the clock read it.
+fn ops_per_s(rounds: &[&Round], nominal: bool) -> f64 {
+    let rates: Vec<f64> = rounds
+        .iter()
+        .map(|r| r.report.ops as f64 / (r.secs * if nominal { r.scale } else { 1.0 }))
+        .collect();
+    median(&rates)
 }
 
 type Metric = (&'static str, f64, &'static str);
 
 fn end_to_end(m: &Measured, setup_s: f64) -> Vec<Metric> {
-    let best = fastest(&m.rounds, false);
-    let mut latencies: Vec<u64> = best
+    let rounds = of_mode(&m.rounds, false);
+    let mut latencies: Vec<f64> = rounds
         .iter()
-        .flat_map(|r| r.latencies.iter().copied())
+        .flat_map(|r| r.latencies.iter().map(|&ns| ns as f64 * r.scale))
         .collect();
+    let speeds: Vec<f64> = rounds.iter().map(|r| 1.0 / r.scale).collect();
     println!("# latency samples: {}", latencies.len());
+    println!(
+        "# host speed: median probe {:.1} us (nominal {:.1} us); ops_per_s by the clock: {:.1}",
+        median(&speeds) * PROBE_NOMINAL_S * 1e6,
+        PROBE_NOMINAL_S * 1e6,
+        ops_per_s(&rounds, false)
+    );
     vec![
         ("setup_s", setup_s, "s"),
-        ("ops_per_s", ops_per_s(&best), "1/s"),
+        ("ops_per_s", ops_per_s(&rounds, true), "1/s"),
         (
             "latency_p50_us",
-            percentile(&mut latencies, 50.0) as f64 / 1e3,
+            percentile(&mut latencies, 50.0) / 1e3,
             "us",
         ),
         (
             "latency_p90_us",
-            percentile(&mut latencies, 90.0) as f64 / 1e3,
+            percentile(&mut latencies, 90.0) / 1e3,
             "us",
         ),
-        ("rss_peak_mb", peak_rss_mb().unwrap_or(f64::NAN), "MB"),
+        ("rss_peak_mb", m.rss_peak_mb, "MB"),
         ("quality", m.quality, "frac"),
     ]
 }
 
 fn per_layer(m: &Measured) -> Vec<Metric> {
-    let best = fastest(&m.rounds, true);
-    let wall_ns: f64 = best.iter().map(|r| r.secs * 1e9).sum();
-    let mut self_ns = [0u64; 5];
+    let rounds = of_mode(&m.rounds, true);
+    let round_ns: f64 = rounds.iter().map(|r| r.secs * 1e9 * r.scale).sum();
+    let mut self_ns = [0f64; 5];
     let mut reg = RegistryCounts::default();
     let mut rep = RoundReport::default();
-    for r in &best {
+    for r in &rounds {
         for (total, ns) in self_ns.iter_mut().zip(r.self_ns) {
-            *total += ns;
+            *total += ns as f64 * r.scale;
         }
         reg.add(&r.registry);
         rep.queries += r.report.queries;
@@ -263,21 +283,21 @@ fn per_layer(m: &Measured) -> Vec<Metric> {
         rep.batches += r.report.batches;
         rep.cow_copies += r.report.cow_copies;
     }
-    let layer = |kind| self_time_of(&self_ns, kind) as f64;
+    let layer = |kind| self_time_of(&self_ns, kind);
     let (descent, query, snapshot) = (
         layer(Kind::Descent),
         layer(Kind::Query),
         layer(Kind::Snapshot),
     );
     let bench = layer(Kind::Round) + layer(Kind::Batch);
-    let accounted: u64 = self_ns.iter().sum();
+    let accounted: f64 = self_ns.iter().sum();
     println!(
-        "# trace.accounted: {:.4} of traced round wall time",
-        accounted as f64 / wall_ns
+        "# trace.accounted: {:.4} of traced round time",
+        accounted / round_ns
     );
     let nodes = m.rounds.last().map_or(0, |r| r.report.nodes);
     vec![
-        ("descent.busy_share", descent / wall_ns, "frac"),
+        ("descent.busy_share", descent / round_ns, "frac"),
         ("descent.ns_per_obj", ratio(descent, reg.objects), "ns"),
         (
             "descent.node_visits_per_obj",
@@ -299,7 +319,7 @@ fn per_layer(m: &Measured) -> Vec<Metric> {
             ratio(reg.parked as f64, reg.objects),
             "frac",
         ),
-        ("query.busy_share", query / wall_ns, "frac"),
+        ("query.busy_share", query / round_ns, "frac"),
         ("query.ns_per_query", ratio(query, rep.queries), "ns"),
         (
             "query.nodes_read_per_query",
@@ -325,7 +345,7 @@ fn per_layer(m: &Measured) -> Vec<Metric> {
             ratio(reg.refine_rounds as f64, rep.queries),
             "count",
         ),
-        ("snapshot.busy_share", snapshot / wall_ns, "frac"),
+        ("snapshot.busy_share", snapshot / round_ns, "frac"),
         ("snapshot.ns_per_pin", ratio(snapshot, rep.pins), "ns"),
         (
             "arena.cow_copies_per_batch",
@@ -333,10 +353,10 @@ fn per_layer(m: &Measured) -> Vec<Metric> {
             "count",
         ),
         ("arena.nodes", nodes as f64, "count"),
-        ("bench.busy_share", bench / wall_ns, "frac"),
+        ("bench.busy_share", bench / round_ns, "frac"),
         (
             "trace.overhead",
-            ops_per_s(&best) / ops_per_s(&fastest(&m.rounds, false)),
+            ops_per_s(&rounds, true) / ops_per_s(&of_mode(&m.rounds, false), true),
             "ratio",
         ),
     ]
@@ -445,18 +465,20 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let knobs = Knobs::default_for(&args.workload);
+    let probe = SpeedProbe::new();
     let mut setup_secs: Vec<f64> = Vec::new();
     let mut workload = None;
     while setup_secs.len() < MIN_SETUPS
         || (setup_secs.len() < MAX_SETUPS && setup_secs.iter().sum::<f64>() < SETUP_SECONDS)
     {
         drop(workload.take());
-        let start = Instant::now();
-        workload = workloads::setup(&args.workload, args.seed, knobs);
-        setup_secs.push(start.elapsed().as_secs_f64());
+        let (built, secs, scale) =
+            probe.bracket(|| workloads::setup(&args.workload, args.seed, knobs));
+        workload = built;
+        setup_secs.push(secs * scale);
     }
     let mut workload = workload.expect("workload name was validated");
-    let measured = measure(workload.as_mut(), args.seconds, args.trace);
+    let measured = measure(workload.as_mut(), &probe, args.seconds, args.trace);
 
     let untraced: Vec<f64> = measured
         .rounds
