@@ -131,8 +131,8 @@ pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, Desce
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};
 pub use query::{
-    BlockCacheRef, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor,
-    QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    with_scratch_cursor, BlockCacheRef, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
+    QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 pub use shard::{
     CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree,

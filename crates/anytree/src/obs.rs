@@ -100,8 +100,9 @@ pub(crate) fn record_query_answer(answer: &QueryAnswer, started: Option<Instant>
 /// The engine's own one-shot helpers (`query_with_budget`, `query_batch`,
 /// `outlier_score`) record themselves; downstream crates that drive
 /// cursors directly through `new_query` + `refine_query` — the k-NN
-/// retrieval in `clustree` does — call this when their loop finishes,
-/// pairing it with [`boundary_timer`] at the start.
+/// retrieval in `clustree` and the Bayes-tree classifier do — call this
+/// when their loop finishes, pairing it with [`boundary_timer`] at the
+/// start, or passing `None` to record the work without reading a clock.
 pub fn record_external_query(delta: &QueryStats, started: Option<Instant>) {
     if !bt_obs::enabled() {
         return;

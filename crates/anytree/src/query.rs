@@ -52,6 +52,7 @@ use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
 use bt_stats::{BlockCacheSlot, BlockPrecision, BlockScratch, CachedBlock, GatheredBlock};
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -1279,12 +1280,15 @@ pub trait TreeView<S: Summary, L> {
         M: QueryModel<S, LeafItem = L>,
     {
         let started = crate::obs::boundary_timer();
-        let mut cursor = self.new_query(model, query);
-        self.refine_query_up_to(model, order, budget, &mut cursor);
-        let answer = cursor.answer();
-        crate::obs::record_query_answer(&answer, started);
-        crate::obs::record_query_stats(cursor.stats());
-        answer
+        with_scratch_cursor(|cursor| {
+            let before = *cursor.stats();
+            self.begin_query(model, query, cursor);
+            self.refine_query_up_to(model, order, budget, cursor);
+            let answer = cursor.answer();
+            crate::obs::record_query_answer(&answer, started);
+            crate::obs::record_query_stats(&cursor.stats().delta_since(&before));
+            answer
+        })
     }
 
     /// Refines a batch of queries through **one reused cursor** (the
@@ -1340,32 +1344,61 @@ pub trait TreeView<S: Summary, L> {
         M: QueryModel<S, LeafItem = L>,
     {
         let started = crate::obs::boundary_timer();
-        let mut cursor = self.new_query(model, query);
-        let mut verdict = cursor.answer().verdict(threshold);
-        let mut round: u32 = 0;
-        while verdict == OutlierVerdict::Undecided
-            && cursor.nodes_read() < budget
-            && self.refine_query(model, RefineOrder::WidestBound, &mut cursor)
-        {
-            round += 1;
-            let answer = cursor.answer();
-            verdict = answer.verdict(threshold);
-            crate::obs::record_refine_step(
-                round,
-                cursor.nodes_read() as u64,
-                answer.uncertainty(),
-                verdict != OutlierVerdict::Undecided,
-            );
-        }
-        let score = OutlierScore {
-            answer: cursor.answer(),
-            verdict,
-        };
-        crate::obs::record_verdict(verdict);
-        crate::obs::record_query_answer(&score.answer, started);
-        crate::obs::record_query_stats(cursor.stats());
-        score
+        with_scratch_cursor(|cursor| {
+            let before = *cursor.stats();
+            self.begin_query(model, query, cursor);
+            let mut verdict = cursor.answer().verdict(threshold);
+            let mut round: u32 = 0;
+            while verdict == OutlierVerdict::Undecided
+                && cursor.nodes_read() < budget
+                && self.refine_query(model, RefineOrder::WidestBound, cursor)
+            {
+                round += 1;
+                let answer = cursor.answer();
+                verdict = answer.verdict(threshold);
+                crate::obs::record_refine_step(
+                    round,
+                    cursor.nodes_read() as u64,
+                    answer.uncertainty(),
+                    verdict != OutlierVerdict::Undecided,
+                );
+            }
+            let score = OutlierScore {
+                answer: cursor.answer(),
+                verdict,
+            };
+            crate::obs::record_verdict(verdict);
+            crate::obs::record_query_answer(&score.answer, started);
+            crate::obs::record_query_stats(&cursor.stats().delta_since(&before));
+            score
+        })
     }
+}
+
+/// Runs `f` on this thread's scratch [`QueryCursor`] — the cursor the
+/// one-shot queries ([`TreeView::query_with_budget`],
+/// [`TreeView::outlier_score`]) run on, so each reuses the frontier, heap
+/// and block-scratch allocations of the previous query instead of
+/// building a fresh cursor.
+///
+/// The cursor is plain scratch: [`TreeView::begin_query`] resets every
+/// per-query field, so answers are identical to a fresh cursor's.  Its
+/// work counters keep accumulating across queries, so a caller records
+/// `stats().delta_since(..)` of its own query.  While `f` runs the scratch
+/// cursor is taken: a nested call — or one during thread teardown — gets
+/// a fresh cursor instead.
+pub fn with_scratch_cursor<R>(f: impl FnOnce(&mut QueryCursor) -> R) -> R {
+    thread_local! {
+        static SCRATCH: Cell<Option<QueryCursor>> = const { Cell::new(None) };
+    }
+    let mut cursor = SCRATCH
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    let result = f(&mut cursor);
+    let _ = SCRATCH.try_with(|slot| slot.set(Some(cursor)));
+    result
 }
 
 impl<S: Summary, L> TreeView<S, L> for AnytimeTree<S, L> {

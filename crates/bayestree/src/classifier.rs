@@ -14,7 +14,7 @@ use crate::frontier::TreeFrontier;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::tree::BayesTree;
-use bt_anytree::TreeView;
+use bt_anytree::{QueryStats, TreeView};
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -354,6 +354,14 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
         // Only the final decision is needed; overwrite the root-level one.
         labels = vec![argmax(&posteriors)];
     }
+    // One registry fold per classification: every frontier's cursor is
+    // fresh, so its stats are exactly this classification's work.  No
+    // latency is observed, so the loop never reads the clock.
+    let mut work = QueryStats::default();
+    for frontier in &frontiers {
+        work.merge(frontier.stats());
+    }
+    bt_anytree::obs::record_external_query(&work, None);
     (
         AnytimeTrace {
             labels,

@@ -20,7 +20,7 @@ use crate::descent::DescentStrategy;
 use crate::node::KernelSummary;
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
-use bt_anytree::{AnytimeTree, QueryAnswer, QueryCursor, TreeView};
+use bt_anytree::{AnytimeTree, QueryAnswer, QueryCursor, QueryStats, TreeView};
 
 /// One element of the frontier: re-exported from the shared query engine.
 ///
@@ -121,6 +121,13 @@ impl<'a, V: TreeView<KernelSummary, Vec<f64>>> TreeFrontier<'a, V> {
     #[must_use]
     pub fn can_refine(&self) -> bool {
         self.cursor.can_refine()
+    }
+
+    /// The query engine's work counters for this frontier: one query begun,
+    /// plus every node read, element scored and block gathered since.
+    #[must_use]
+    pub fn stats(&self) -> &QueryStats {
+        self.cursor.stats()
     }
 
     /// Total weight of the frontier (must equal the number of stored

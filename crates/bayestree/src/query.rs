@@ -28,12 +28,8 @@ use crate::tree::BayesTree;
 use bt_anytree::{
     Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
-use bt_stats::kernel::{
-    box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
-    gaussian_log_terms_block, nearest_point_log_kernels_block, sq_dists_block, GaussianKernel,
-    Kernel,
-};
-use bt_stats::{BlockPrecision, GatheredBlock};
+use bt_stats::kernel::{leaf_scores_block, node_scores_block, GaussianKernel, Kernel};
+use bt_stats::{BlockPrecision, GatheredBlock, KernelBandwidth};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
 /// summary — the single place this arithmetic lives; the incremental
@@ -47,12 +43,16 @@ pub fn summary_mixture_term<S: StoredSummary>(summary: &S, x: &[f64], n: f64) ->
 /// The kernel-density query model: normalises by the global observation
 /// count `n` and evaluates leaf kernels with the tree's bandwidth.
 ///
+/// The model borrows the tree's [`KernelBandwidth`], whose floored `h` and
+/// `ln h` the tree derives once per bandwidth change, so building a model
+/// per query costs nothing and scoring a node computes no logarithm.
+///
 /// For sharded trees every shard must use the *same* global `n`, so the
 /// per-shard partial densities fold by summation.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelQueryModel<'a> {
     n: f64,
-    bandwidth: &'a [f64],
+    bandwidth: &'a KernelBandwidth,
     precision: BlockPrecision,
 }
 
@@ -60,7 +60,7 @@ impl<'a> KernelQueryModel<'a> {
     /// A model normalising by `count` stored observations (clamped to at
     /// least one so empty trees score zero instead of dividing by zero).
     #[must_use]
-    pub fn new(count: usize, bandwidth: &'a [f64]) -> Self {
+    pub fn new(count: usize, bandwidth: &'a KernelBandwidth) -> Self {
         Self {
             n: count.max(1) as f64,
             bandwidth,
@@ -102,12 +102,12 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// arithmetic here is shared.
     fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
         let scale = summary.weight() / self.n;
-        let (farthest, nearest) = summary.bound_log_kernels(query, self.bandwidth);
+        let (farthest, nearest) = summary.bound_log_kernels(query, self.bandwidth.values());
         (scale * farthest.exp(), scale * nearest.exp())
     }
 
     fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        GaussianKernel.density(item, query, self.bandwidth) / self.n
+        GaussianKernel.density(item, query, self.bandwidth.values()) / self.n
     }
 
     fn leaf_sq_dist(&self, query: &[f64], item: &Vec<f64>) -> f64 {
@@ -132,8 +132,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// Block gather: packs the node's entries into the structure-of-arrays
     /// [`bt_stats::SummaryBlock`] (weights, Gaussian means / variances, MBR
     /// corners) so [`QueryModel::score_gathered`] can evaluate every entry
-    /// with the dimension-major batch kernels of `bt_stats::kernel` — one
-    /// vectorized pass per quantity instead of four scalar loops per entry.
+    /// in one fused, vectorized pass over the dimension-major columns
+    /// instead of four scalar loops per entry.
     ///
     /// The per-entry decode lives in [`StoredSummary::gather_into`]:
     /// full-width modes copy/widen, the quantised mode decodes its
@@ -159,12 +159,12 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     }
 
     /// Block scoring over gathered columns: mixture term, MBR bounds and
-    /// geometric priority for all entries at once.  The batch kernels
-    /// accumulate in the same per-dimension order as the scalar methods, so
-    /// in the default [`BlockPrecision::F64`] mode the scores are
-    /// bit-identical to the per-summary reference (the frontier tests
-    /// assert this).  In the opt-in `F32` mode only the *stored* columns
-    /// are quantised.
+    /// geometric priority for all entries in one [`node_scores_block`]
+    /// pass.  The pass accumulates in the same per-dimension order as the
+    /// scalar methods, so in the default [`BlockPrecision::F64`] mode the
+    /// scores are bit-identical to the per-summary reference (the frontier
+    /// tests assert this).  In the opt-in `F32` mode only the *stored*
+    /// columns are quantised.
     fn score_gathered(
         &self,
         query: &[f64],
@@ -175,32 +175,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     ) {
         let block = &gathered.block;
         let len = block.len();
+        node_scores_block(query, self.bandwidth, block, lanes);
         let [contrib, far, near, dist] = lanes;
-        diag_log_pdfs_block(
-            query,
-            block.mean(),
-            block.var(),
-            block.log_vars(),
-            len,
-            contrib,
-        );
-        farthest_point_log_kernels_block(
-            query,
-            self.bandwidth,
-            block.lower(),
-            block.upper(),
-            len,
-            far,
-        );
-        nearest_point_log_kernels_block(
-            query,
-            self.bandwidth,
-            block.lower(),
-            block.upper(),
-            len,
-            near,
-        );
-        box_min_sq_dists_block(query, block.lower(), block.upper(), len, dist);
         out.clear();
         out.reserve(len);
         for i in 0..len {
@@ -238,10 +214,10 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         true
     }
 
-    /// Leaf block scoring: one [`gaussian_log_terms_block`] pass evaluates
-    /// every item's product kernel (the exact sum [`GaussianKernel`] takes,
-    /// in the same dimension order — bit-identical in `F64` mode) and one
-    /// [`sq_dists_block`] pass their geometric priorities.
+    /// Leaf block scoring: one [`leaf_scores_block`] pass evaluates every
+    /// item's product kernel (the exact sum [`GaussianKernel`] takes, in the
+    /// same dimension order — bit-identical in `F64` mode) together with its
+    /// geometric priority.
     fn score_gathered_leaves(
         &self,
         query: &[f64],
@@ -253,8 +229,7 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         let block = &gathered.block;
         let len = block.len();
         let [logk, dist, _, _] = lanes;
-        gaussian_log_terms_block(query, self.bandwidth, block.mean(), None, len, logk);
-        sq_dists_block(query, block.mean(), len, dist);
+        leaf_scores_block(query, self.bandwidth, block.mean(), len, logk, dist);
         out.clear();
         out.reserve(len);
         for i in 0..len {
@@ -294,7 +269,8 @@ impl<E: StoredElement> BayesTree<E> {
     /// the bit-identical block path.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.len(), self.bandwidth()).with_precision(E::GATHER_PRECISION)
+        KernelQueryModel::new(self.len(), self.kernel_bandwidth())
+            .with_precision(E::GATHER_PRECISION)
     }
 
     /// Budget-bracketed anytime density query: refines the frontier with the

@@ -24,7 +24,8 @@ use bt_anytree::{
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
-use bt_stats::kernel::{GaussianKernel, Kernel};
+use bt_stats::kernel::{GaussianKernel, Kernel, KernelBandwidth};
+use std::sync::Arc;
 
 /// A Bayes tree sharded into `K` independently descending subtrees.
 ///
@@ -35,7 +36,9 @@ use bt_stats::kernel::{GaussianKernel, Kernel};
 pub struct ShardedBayesTree<R = CheapestRouter, E: StoredElement = f64> {
     core: ShardedAnytimeTree<E::Summary, Vec<f64>, R>,
     num_points: usize,
-    bandwidth: Vec<f64>,
+    /// The global bandwidth with its cached scoring terms; shared with
+    /// snapshots, replaced (never mutated) when the bandwidth changes.
+    bandwidth: Arc<KernelBandwidth>,
 }
 
 impl<R: Default, E: StoredElement> ShardedBayesTree<R, E> {
@@ -62,7 +65,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         Self {
             core: ShardedAnytimeTree::with_router(dims, geometry, num_shards, router),
             num_points: 0,
-            bandwidth: vec![1.0; dims],
+            bandwidth: Arc::new(KernelBandwidth::new(vec![1.0; dims])),
         }
     }
 
@@ -139,7 +142,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         ShardedBayesTreeSnapshot::from_parts(
             self.core.snapshot(),
             self.num_points,
-            self.bandwidth.clone(),
+            Arc::clone(&self.bandwidth),
         )
     }
 
@@ -217,7 +220,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     /// The per-dimension kernel bandwidth used for leaf-level kernels.
     #[must_use]
     pub fn bandwidth(&self) -> &[f64] {
-        &self.bandwidth
+        self.bandwidth.values()
     }
 
     /// Overrides the kernel bandwidth.
@@ -236,7 +239,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
             bandwidth.iter().all(|h| *h > 0.0),
             "bandwidths must be positive"
         );
-        self.bandwidth = bandwidth;
+        self.bandwidth = Arc::new(KernelBandwidth::new(bandwidth));
     }
 
     /// Recomputes the kernel bandwidth with Silverman's rule over all stored
@@ -244,7 +247,10 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     pub fn fit_bandwidth(&mut self) {
         let points = self.all_points();
         if !points.is_empty() {
-            self.bandwidth = silverman_bandwidth(&points, self.dims());
+            self.bandwidth = Arc::new(KernelBandwidth::new(silverman_bandwidth(
+                &points,
+                self.dims(),
+            )));
         }
     }
 
@@ -277,7 +283,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
             for id in shard.reachable() {
                 if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
                     for p in items {
-                        acc += kernel.density(p, x, &self.bandwidth);
+                        acc += kernel.density(p, x, self.bandwidth.values());
                     }
                 }
             }
@@ -382,7 +388,7 @@ impl<R: ShardRouter<E::Summary>, E: StoredElement> ShardedBayesTree<R, E> {
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
         let n = self.num_points;
-        let bandwidth = self.bandwidth.clone();
+        let bandwidth = Arc::clone(&self.bandwidth);
         self.num_points += points.len();
         self.core.pipelined_batch(
             &|| KernelModel { dims },

@@ -18,7 +18,8 @@ use crate::node::{
 use bt_anytree::{AnytimeTree, Summary};
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
-use bt_stats::kernel::{GaussianKernel, Kernel};
+use bt_stats::kernel::{GaussianKernel, Kernel, KernelBandwidth};
+use std::sync::Arc;
 
 /// The Bayes tree: an R*-tree–style hierarchy of Gaussian mixture models.
 ///
@@ -31,7 +32,9 @@ use bt_stats::kernel::{GaussianKernel, Kernel};
 pub struct BayesTree<E: StoredElement = f64> {
     core: AnytimeTree<E::Summary, Vec<f64>>,
     num_points: usize,
-    bandwidth: Vec<f64>,
+    /// The bandwidth with its cached scoring terms; shared with snapshots,
+    /// replaced (never mutated) when the bandwidth changes.
+    bandwidth: Arc<KernelBandwidth>,
 }
 
 impl<E: StoredElement> BayesTree<E> {
@@ -45,7 +48,7 @@ impl<E: StoredElement> BayesTree<E> {
         Self {
             core: AnytimeTree::new(dims, geometry),
             num_points: 0,
-            bandwidth: vec![1.0; dims],
+            bandwidth: Arc::new(KernelBandwidth::new(vec![1.0; dims])),
         }
     }
 
@@ -104,6 +107,13 @@ impl<E: StoredElement> BayesTree<E> {
     /// The per-dimension kernel bandwidth used for leaf-level kernels.
     #[must_use]
     pub fn bandwidth(&self) -> &[f64] {
+        self.bandwidth.values()
+    }
+
+    /// The bandwidth together with its cached floored `h` and `ln h` — what
+    /// the query model borrows and snapshots share.
+    #[must_use]
+    pub(crate) fn kernel_bandwidth(&self) -> &Arc<KernelBandwidth> {
         &self.bandwidth
     }
 
@@ -123,7 +133,7 @@ impl<E: StoredElement> BayesTree<E> {
             bandwidth.iter().all(|h| *h > 0.0),
             "bandwidths must be positive"
         );
-        self.bandwidth = bandwidth;
+        self.bandwidth = Arc::new(KernelBandwidth::new(bandwidth));
     }
 
     /// Recomputes the kernel bandwidth with Silverman's rule over all stored
@@ -131,7 +141,10 @@ impl<E: StoredElement> BayesTree<E> {
     pub fn fit_bandwidth(&mut self) {
         let points = self.all_points();
         if !points.is_empty() {
-            self.bandwidth = silverman_bandwidth(&points, self.dims());
+            self.bandwidth = Arc::new(KernelBandwidth::new(silverman_bandwidth(
+                &points,
+                self.dims(),
+            )));
         }
     }
 
@@ -204,7 +217,7 @@ impl<E: StoredElement> BayesTree<E> {
         for id in self.core.reachable() {
             if let bt_anytree::NodeKind::Leaf { items } = &self.core.node(id).kind {
                 for p in items {
-                    acc += kernel.density(p, x, &self.bandwidth);
+                    acc += kernel.density(p, x, self.bandwidth.values());
                 }
             }
         }

@@ -20,6 +20,8 @@ use bt_anytree::{
     OutlierScore, QueryAnswer, QueryStats, ShardedQueryAnswer, ShardedTreeSnapshot, TreeSnapshot,
     TreeView,
 };
+use bt_stats::KernelBandwidth;
+use std::sync::Arc;
 
 /// An epoch-pinned, immutable view of a [`BayesTree`]: the core snapshot
 /// plus the density-model parameters (observation count, bandwidth) frozen
@@ -28,14 +30,14 @@ use bt_anytree::{
 pub struct BayesTreeSnapshot<E: StoredElement = f64> {
     core: TreeSnapshot<E::Summary, Vec<f64>>,
     num_points: usize,
-    bandwidth: Vec<f64>,
+    bandwidth: Arc<KernelBandwidth>,
 }
 
 impl<E: StoredElement> BayesTreeSnapshot<E> {
     pub(crate) fn from_parts(
         core: TreeSnapshot<E::Summary, Vec<f64>>,
         num_points: usize,
-        bandwidth: Vec<f64>,
+        bandwidth: Arc<KernelBandwidth>,
     ) -> Self {
         Self {
             core,
@@ -77,7 +79,7 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     /// The kernel bandwidth frozen at snapshot time.
     #[must_use]
     pub fn bandwidth(&self) -> &[f64] {
-        &self.bandwidth
+        self.bandwidth.values()
     }
 
     /// The underlying core snapshot (for frontier construction and
@@ -155,7 +157,7 @@ impl<E: StoredElement> BayesTree<E> {
         BayesTreeSnapshot::from_parts(
             self.core().snapshot(),
             self.len(),
-            self.bandwidth().to_vec(),
+            Arc::clone(self.kernel_bandwidth()),
         )
     }
 }
@@ -167,14 +169,14 @@ impl<E: StoredElement> BayesTree<E> {
 pub struct ShardedBayesTreeSnapshot<E: StoredElement = f64> {
     core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
     num_points: usize,
-    bandwidth: Vec<f64>,
+    bandwidth: Arc<KernelBandwidth>,
 }
 
 impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
     pub(crate) fn from_parts(
         core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
         num_points: usize,
-        bandwidth: Vec<f64>,
+        bandwidth: Arc<KernelBandwidth>,
     ) -> Self {
         Self {
             core,

@@ -19,7 +19,7 @@
 use bayestree::query::KernelQueryModel;
 use bayestree::KernelSummary;
 use bt_anytree::{Entry, QueryModel, Summary, SummaryScore};
-use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock};
+use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock, KernelBandwidth};
 use clustree::{ClusQueryModel, MicroCluster};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -142,7 +142,8 @@ fn best_of_5(reps: usize, mut score: impl FnMut()) -> f64 {
 fn report_block_speedup() {
     let entries = kernel_entries();
     let bandwidth = vec![0.75; DIMS];
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
+    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();
@@ -273,12 +274,13 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
     report_metrics_overhead();
 
     let bandwidth = vec![0.75; DIMS];
+    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();
 
     let entries = kernel_entries();
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let mut group = c.benchmark_group("bayestree_score_node");
     group.bench_function(BenchmarkId::from_parameter("scalar"), |b| {
         b.iter(|| {
@@ -298,7 +300,7 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
         })
     });
     group.bench_function(BenchmarkId::from_parameter("block_f32"), |b| {
-        let narrow = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth)
+        let narrow = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth)
             .with_precision(bt_stats::BlockPrecision::F32);
         let mut scratch = BlockScratch::with_precision(bt_stats::BlockPrecision::F32);
         b.iter(|| {
@@ -353,7 +355,8 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
 fn fma_benchmarks(c: &mut Criterion) {
     let entries = kernel_entries();
     let bandwidth = vec![0.75; DIMS];
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
+    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let query = vec![3.25; DIMS];
     let mut out = Vec::new();
     let mut lanes: [Vec<f64>; 4] = Default::default();
@@ -428,7 +431,8 @@ fn prefetch_benchmarks(c: &mut Criterion) {
 fn cache_hit_benchmarks(c: &mut Criterion) {
     let entries = kernel_entries();
     let bandwidth = vec![0.75; DIMS];
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
+    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();
@@ -485,7 +489,8 @@ fn leaf_block_benchmarks(c: &mut Criterion) {
     let mut rng = SplitMix(0x1eaf);
     let points: Vec<Vec<f64>> = (0..NODE_LEN).map(|i| rng.point((i % 7) as f64)).collect();
     let bandwidth = vec![0.75; DIMS];
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
+    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();

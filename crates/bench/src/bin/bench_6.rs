@@ -13,7 +13,7 @@ use bayestree_bench::record::{best_of_3, BenchRecord, SplitMix};
 use bt_anytree::{Entry, OutlierVerdict, QueryModel, Summary, SummaryScore};
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
-use bt_stats::BlockScratch;
+use bt_stats::{BlockScratch, KernelBandwidth};
 use std::hint::black_box;
 
 const DIMS: usize = 8;
@@ -89,7 +89,7 @@ fn measure_kernel_ratio() -> (f64, f64, f64) {
             Entry::new(summary, i)
         })
         .collect();
-    let bandwidth = vec![0.75; DIMS];
+    let bandwidth = KernelBandwidth::new(vec![0.75; DIMS]);
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();

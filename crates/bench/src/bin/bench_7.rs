@@ -20,6 +20,7 @@ use bt_anytree::{
 };
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
+use bt_stats::KernelBandwidth;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -116,7 +117,7 @@ fn node_entries() -> Vec<Entry<KernelSummary>> {
 /// exact hit path of the query engine.
 fn measure_warm_cache_ratio() -> (f64, f64, f64) {
     let entries = node_entries();
-    let bandwidth = vec![0.75; DIMS];
+    let bandwidth = KernelBandwidth::new(vec![0.75; DIMS]);
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
     let query = vec![3.25; DIMS];
     let mut out: Vec<SummaryScore> = Vec::new();
@@ -181,7 +182,7 @@ fn measure_leaf_ratio() -> (f64, f64, f64) {
             (0..DIMS).map(|_| center + rng.next_f64()).collect()
         })
         .collect();
-    let bandwidth = vec![0.75; DIMS];
+    let bandwidth = KernelBandwidth::new(vec![0.75; DIMS]);
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();

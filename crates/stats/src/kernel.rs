@@ -7,7 +7,7 @@
 //! (Section 4.1); both are provided here behind the [`Kernel`] trait so the
 //! tree is generic over the kernel family.
 
-use crate::block::{ColumnElement, Columns};
+use crate::block::{ColumnElement, Columns, SummaryBlock};
 use crate::{LN_2PI, VARIANCE_FLOOR};
 
 /// The kernel families supported by the workspace.
@@ -55,6 +55,70 @@ pub fn gaussian_log_term(dist: f64, h: f64) -> f64 {
     let h = h.max(VARIANCE_FLOOR.sqrt());
     let u = dist / h;
     -0.5 * (LN_2PI + u * u) - h.ln()
+}
+
+/// A per-dimension kernel bandwidth together with its query-independent
+/// terms: the floored bandwidth `h = max(b, sqrt(VARIANCE_FLOOR))` and
+/// `ln h`, exactly as [`gaussian_log_term`] derives them per call.
+///
+/// The bandwidth changes only when a tree refits or overrides it, so the
+/// trees keep one of these beside their bandwidth and the fused scoring
+/// passes ([`node_scores_block`], [`leaf_scores_block`]) read `h` and
+/// `ln h` instead of recomputing a logarithm per dimension per node.  The
+/// cached values are the same IEEE results the per-call derivation gives,
+/// so substituting them changes no bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelBandwidth {
+    values: Vec<f64>,
+    floored: Vec<f64>,
+    ln_floored: Vec<f64>,
+}
+
+impl KernelBandwidth {
+    /// Derives the floored bandwidth and its logarithm from `values`.
+    #[must_use]
+    pub fn new(values: Vec<f64>) -> Self {
+        let floored: Vec<f64> = values
+            .iter()
+            .map(|b| b.max(VARIANCE_FLOOR.sqrt()))
+            .collect();
+        let ln_floored = floored.iter().map(|h| h.ln()).collect();
+        Self {
+            values,
+            floored,
+            ln_floored,
+        }
+    }
+
+    /// The bandwidth as given (unfloored).
+    #[must_use]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The floored per-dimension bandwidth `h`.
+    #[must_use]
+    pub fn floored(&self) -> &[f64] {
+        &self.floored
+    }
+
+    /// `ln h` of the floored bandwidth.
+    #[must_use]
+    pub fn ln_floored(&self) -> &[f64] {
+        &self.ln_floored
+    }
+
+    /// Number of dimensions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the bandwidth has no dimensions.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
 }
 
 /// Log of the Gaussian product kernel evaluated at the point of the box
@@ -515,6 +579,190 @@ fn box_kernel_impl<
                 dist / h
             };
             out[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused passes: everything one node read needs, in one walk over the block.
+//
+// Scoring a directory node wants four per-entry quantities (the diagonal
+// Gaussian log-pdf, the farthest- and nearest-corner log-kernels and the box
+// minimum squared distance); scoring a leaf wants two (the product
+// log-kernel and the squared distance).  The per-quantity kernels above
+// would walk the block once each and recompute `ln h` per call.  The fused
+// passes read every column once, take `h` / `ln h` from a
+// [`KernelBandwidth`], and fill every output lane — each lane with the
+// exact expression and dimension-ascending accumulation order of its
+// per-quantity kernel, so the outputs equal theirs bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The columns one fused node pass reads: `len` entries, dimension-major.
+pub(crate) struct NodeColumns<'a, E> {
+    pub(crate) len: usize,
+    pub(crate) mean: &'a [E],
+    pub(crate) var: &'a [E],
+    pub(crate) log_var: &'a [f64],
+    pub(crate) lower: &'a [E],
+    pub(crate) upper: &'a [E],
+}
+
+/// The four per-entry output lanes of one fused node pass.
+pub(crate) struct NodeLanes<'a> {
+    pub(crate) log_pdf: &'a mut [f64],
+    pub(crate) farthest: &'a mut [f64],
+    pub(crate) nearest: &'a mut [f64],
+    pub(crate) min_sq: &'a mut [f64],
+}
+
+/// Scores every entry of a gathered directory node in one pass: fills
+/// `lanes` with `[log_pdf, farthest, nearest, min_dist_sq]` — per entry the
+/// results of [`diag_log_pdfs_block`] (with the block's log-variance
+/// column), [`farthest_point_log_kernels_block`],
+/// [`nearest_point_log_kernels_block`] and [`box_min_sq_dists_block`],
+/// bit for bit.
+///
+/// # Panics
+///
+/// Panics if the block lacks its box columns or its log-variance column
+/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`]), or if
+/// the bandwidth's dimensionality differs from the query's.
+pub fn node_scores_block(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    block: &SummaryBlock,
+    lanes: &mut [Vec<f64>; 4],
+) {
+    assert!(block.has_boxes(), "node scoring needs the box columns");
+    let log_var = block
+        .log_vars()
+        .expect("node scoring needs the log-variance column");
+    assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
+    let len = block.len();
+    let [log_pdf, farthest, nearest, min_sq] = lanes;
+    let out = NodeLanes {
+        log_pdf: prep_out(log_pdf, len),
+        farthest: prep_out(farthest, len),
+        nearest: prep_out(nearest, len),
+        min_sq: prep_out(min_sq, len),
+    };
+    match (block.mean(), block.var(), block.lower(), block.upper()) {
+        (Columns::F64(mean), Columns::F64(var), Columns::F64(lower), Columns::F64(upper)) => {
+            let cols = NodeColumns {
+                len,
+                mean,
+                var,
+                log_var,
+                lower,
+                upper,
+            };
+            node_scores_impl(query, bandwidth, &cols, out);
+        }
+        (Columns::F32(mean), Columns::F32(var), Columns::F32(lower), Columns::F32(upper)) => {
+            let cols = NodeColumns {
+                len,
+                mean,
+                var,
+                log_var,
+                lower,
+                upper,
+            };
+            node_scores_impl(query, bandwidth, &cols, out);
+        }
+        _ => unreachable!("a SummaryBlock stores every column at one precision"),
+    }
+}
+
+fn node_scores_impl<E: ColumnElement>(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    cols: &NodeColumns<'_, E>,
+    mut out: NodeLanes<'_>,
+) {
+    let len = cols.len;
+    debug_assert_eq!(cols.mean.len(), query.len() * len);
+    debug_assert_eq!(cols.var.len(), query.len() * len);
+    debug_assert_eq!(cols.log_var.len(), query.len() * len);
+    debug_assert_eq!(cols.lower.len(), query.len() * len);
+    debug_assert_eq!(cols.upper.len(), query.len() * len);
+    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    if crate::simd::node_scores(query, h, ln_h, cols, &mut out) {
+        return;
+    }
+    for (d, &q) in query.iter().enumerate() {
+        let (h, ln_h) = (h[d], ln_h[d]);
+        for i in 0..len {
+            let idx = d * len + i;
+            let diff = q - cols.mean[idx].widen();
+            let var = cols.var[idx].widen();
+            out.log_pdf[i] += -0.5 * (LN_2PI + cols.log_var[idx] + diff * diff / var);
+            let lo = cols.lower[idx].widen();
+            let hi = cols.upper[idx].widen();
+            let far = (q - lo).abs().max((q - hi).abs());
+            let near = if q < lo {
+                lo - q
+            } else if q > hi {
+                q - hi
+            } else {
+                0.0
+            };
+            let u = far / h;
+            out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            let u = near / h;
+            out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            out.min_sq[i] += near * near;
+        }
+    }
+}
+
+/// Scores every item of a gathered leaf in one pass: `log_kernels` gets the
+/// product log-kernel at each of the `len` mean columns and `sq_dists` the
+/// squared distance to it — per item the results of
+/// [`gaussian_log_terms_block`] (without variances) and [`sq_dists_block`],
+/// bit for bit.
+///
+/// # Panics
+///
+/// Panics if the bandwidth's dimensionality differs from the query's.
+pub fn leaf_scores_block(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    means: &Columns,
+    len: usize,
+    log_kernels: &mut Vec<f64>,
+    sq_dists: &mut Vec<f64>,
+) {
+    assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
+    let log_kernels = prep_out(log_kernels, len);
+    let sq_dists = prep_out(sq_dists, len);
+    match means {
+        Columns::F64(m) => leaf_scores_impl(query, bandwidth, m, len, log_kernels, sq_dists),
+        Columns::F32(m) => leaf_scores_impl(query, bandwidth, m, len, log_kernels, sq_dists),
+    }
+}
+
+fn leaf_scores_impl<E: ColumnElement>(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    means: &[E],
+    len: usize,
+    log_kernels: &mut [f64],
+    sq_dists: &mut [f64],
+) {
+    debug_assert_eq!(means.len(), query.len() * len);
+    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    if crate::simd::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) {
+        return;
+    }
+    for (d, &q) in query.iter().enumerate() {
+        let (h, ln_h) = (h[d], ln_h[d]);
+        let col = &means[d * len..(d + 1) * len];
+        for i in 0..len {
+            let m = col[i].widen();
+            let u = (q - m) / h;
+            log_kernels[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            let diff = m - q;
+            sq_dists[i] += diff * diff;
         }
     }
 }

@@ -26,11 +26,13 @@ use proptest::prelude::*;
 use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernel,
     farthest_point_log_kernels_block, gaussian_log_term, gaussian_log_terms_block,
-    nearest_point_log_kernel, nearest_point_log_kernels_block, smoothed_farthest_log_kernel,
-    smoothed_farthest_log_kernels_block, sq_dists_block,
+    leaf_scores_block, nearest_point_log_kernel, nearest_point_log_kernels_block,
+    node_scores_block, smoothed_farthest_log_kernel, smoothed_farthest_log_kernels_block,
+    sq_dists_block,
 };
 use bt_stats::{
-    BlockPrecision, DiagGaussian, GaussianKernel, Kernel, SummaryBlock, VARIANCE_FLOOR,
+    BlockPrecision, DiagGaussian, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock,
+    VARIANCE_FLOOR,
 };
 
 /// One generated node: `len` entries over `dims` dimensions.
@@ -277,6 +279,81 @@ proptest! {
             .map(|i| scalar_box_min_sq(&node.query, &node.lower[i], &node.upper[i]))
             .collect();
         assert_bit_equal(&out, &want);
+    }
+
+    #[test]
+    fn fused_passes_match_scalar_bitwise(node in node_strategy()) {
+        // The Bayes-tree gather: DiagGaussian-clamped variances and the
+        // precomputed log-variance column.
+        let mut block = gather(&node, BlockPrecision::F64);
+        for (i, vars) in node.vars.iter().enumerate() {
+            for (d, &v) in vars.iter().enumerate() {
+                block.set_var(d, i, v.max(VARIANCE_FLOOR));
+            }
+        }
+        block.fill_log_vars();
+        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+        let n = block.len();
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
+        let [log_pdf, far, near, dist] = &lanes;
+        let want: Vec<f64> = node
+            .means
+            .iter()
+            .zip(&node.vars)
+            .map(|(m, v)| DiagGaussian::new(m.clone(), v.clone()).log_pdf(&node.query))
+            .collect();
+        assert_bit_equal(log_pdf, &want);
+        let want: Vec<f64> = (0..n)
+            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .collect();
+        assert_bit_equal(far, &want);
+        let want: Vec<f64> = (0..n)
+            .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .collect();
+        assert_bit_equal(near, &want);
+        let want: Vec<f64> = (0..n)
+            .map(|i| scalar_box_min_sq(&node.query, &node.lower[i], &node.upper[i]))
+            .collect();
+        assert_bit_equal(dist, &want);
+
+        let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+        leaf_scores_block(&node.query, &bandwidth, block.mean(), n, &mut log_k, &mut sq);
+        let k = GaussianKernel;
+        let want: Vec<f64> = node
+            .means
+            .iter()
+            .map(|m| k.log_density(m, &node.query, &node.bandwidth))
+            .collect();
+        assert_bit_equal(&log_k, &want);
+        let want: Vec<f64> = node.means.iter().map(|m| scalar_sq_dist(&node.query, m)).collect();
+        assert_bit_equal(&sq, &want);
+    }
+
+    #[test]
+    fn fused_f32_passes_match_the_f32_kernels_bitwise(node in node_strategy()) {
+        let mut block = gather(&node, BlockPrecision::F32);
+        block.fill_log_vars();
+        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+        let n = block.len();
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
+        let mut want = Vec::new();
+        diag_log_pdfs_block(&node.query, block.mean(), block.var(), block.log_vars(), n, &mut want);
+        assert_bit_equal(&lanes[0], &want);
+        farthest_point_log_kernels_block(&node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut want);
+        assert_bit_equal(&lanes[1], &want);
+        nearest_point_log_kernels_block(&node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut want);
+        assert_bit_equal(&lanes[2], &want);
+        box_min_sq_dists_block(&node.query, block.lower(), block.upper(), n, &mut want);
+        assert_bit_equal(&lanes[3], &want);
+
+        let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+        leaf_scores_block(&node.query, &bandwidth, block.mean(), n, &mut log_k, &mut sq);
+        gaussian_log_terms_block(&node.query, &node.bandwidth, block.mean(), None, n, &mut want);
+        assert_bit_equal(&log_k, &want);
+        sq_dists_block(&node.query, block.mean(), n, &mut want);
+        assert_bit_equal(&sq, &want);
     }
 
     #[test]

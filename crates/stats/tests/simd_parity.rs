@@ -11,10 +11,14 @@
 
 use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
-    gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernels_block,
-    smoothed_farthest_log_kernels_block, sq_dists_block,
+    gaussian_log_term, gaussian_log_terms_block, leaf_scores_block,
+    nearest_point_log_kernels_block, node_scores_block, smoothed_farthest_log_kernels_block,
+    sq_dists_block,
 };
-use bt_stats::{Columns, LN_2PI, VARIANCE_FLOOR};
+use bt_stats::{
+    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, BlockPrecision,
+    Columns, KernelBandwidth, SummaryBlock, LN_2PI, VARIANCE_FLOOR,
+};
 use std::sync::{Mutex, MutexGuard};
 
 /// The FMA opt-in flag is process-global, so every test that dispatches a
@@ -40,8 +44,9 @@ fn pin_fma(on: bool) -> DispatchGuard {
 /// Admission bound for the fused kernels, in ULPs of the final accumulated
 /// value: fusing `a * b + c` to one rounding moves each per-dimension term
 /// by at most 1 ULP of the term, so a `dims`-term accumulation (dims ≤ 6
-/// here) stays within single-digit ULPs of the unfused reference — observed
-/// ≤ 4 on AVX2/FMA hardware with these deterministic cases.  The bound is
+/// for the per-quantity cases, up to 33 for the fused passes) stays within
+/// single-digit ULPs of the unfused reference — observed ≤ 4 on AVX2/FMA
+/// hardware with these deterministic cases.  The bound is
 /// set at 64 (2^6) to absorb accumulation-order slack with margin while
 /// still rejecting algebraic mistakes, which diverge by thousands of ULPs.
 /// `docs/PERF.md` records the rationale.
@@ -527,4 +532,266 @@ fn f32_columns_stay_close_through_the_simd_path() {
         })
         .collect();
     assert_bits_eq(&out, &want, "sq_dists f32");
+}
+
+// ---------------------------------------------------------------------------
+// Fused node / leaf passes: every output lane must equal its per-quantity
+// kernel and the scalar reference bit for bit (FMA off), on every lane tail
+// and at the dimensionalities the trees use.
+// ---------------------------------------------------------------------------
+
+/// Dimensionalities of the fused parity cases: tiny, the benchmark's 16,
+/// and an odd count well past it.
+const FUSED_DIMS: &[usize] = &[1, 2, 16, 33];
+
+/// Entry counts 1..=9: below one lane, one full lane, and every tail length
+/// on top of one and two lanes.
+const FUSED_LENS: std::ops::RangeInclusive<usize> = 1..=9;
+
+/// How a case's values reach the block columns.
+#[derive(Debug, Clone, Copy)]
+enum Stored {
+    /// Plain `f64` columns.
+    F64,
+    /// `f64` columns holding quantised-mode decodes: i16 block-exponent
+    /// means and variances, bf16 outward-rounded box corners.
+    QuantisedDecode,
+    /// `f32` columns.
+    F32,
+}
+
+impl Stored {
+    fn precision(self) -> BlockPrecision {
+        match self {
+            Stored::F64 | Stored::QuantisedDecode => BlockPrecision::F64,
+            Stored::F32 => BlockPrecision::F32,
+        }
+    }
+}
+
+/// Round-trips every value of one entry's column group through the i16
+/// block-exponent code with the group's shared step, as the quantised
+/// summaries store them.
+fn i16_decode(values: &[f64]) -> Vec<f64> {
+    let maxabs = values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let step = block_step(maxabs);
+    values
+        .iter()
+        .map(|&v| dequantize_i16(quantize_i16(v, step), step))
+        .collect()
+}
+
+/// A gathered node of `len` entries over `dims` dimensions with its query
+/// and bandwidth: variances clamped like `DiagGaussian::new`, box and
+/// log-variance columns filled, as the Bayes-tree gather leaves them.
+fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, SummaryBlock) {
+    let c = case(dims, len, seed);
+    let mut block = SummaryBlock::with_precision(stored.precision());
+    block.reset(dims, len);
+    block.enable_boxes();
+    for i in 0..len {
+        block.set_weight(i, 1.0 + i as f64);
+        let column =
+            |cols: &Columns| -> Vec<f64> { (0..dims).map(|d| cols.get(d * len + i)).collect() };
+        let (mut mean, mut var) = (column(&c.means), column(&c.vars));
+        let (mut lower, mut upper) = (column(&c.lower), column(&c.upper));
+        if let Stored::QuantisedDecode = stored {
+            mean = i16_decode(&mean);
+            var = i16_decode(&var);
+            lower = lower.iter().map(|&v| bf16_decode(bf16_floor(v))).collect();
+            upper = upper.iter().map(|&v| bf16_decode(bf16_ceil(v))).collect();
+        }
+        for d in 0..dims {
+            block.set_mean(d, i, mean[d]);
+            block.set_var(d, i, var[d].max(VARIANCE_FLOOR));
+            block.set_lower(d, i, lower[d]);
+            block.set_upper(d, i, upper[d]);
+        }
+    }
+    block.fill_log_vars();
+    (c, block)
+}
+
+/// The scalar reference of the fused node pass, read off the block's
+/// (widened) columns: `[log_pdf, farthest, nearest, min_dist_sq]`.
+fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
+    let mut want: [Vec<f64>; 4] = Default::default();
+    for i in 0..block.len() {
+        let mut acc = [0.0; 4];
+        for (d, &q) in query.iter().enumerate() {
+            let idx = block.col(d, i);
+            let diff = q - block.mean().get(idx);
+            let var = block.var().get(idx);
+            let (lo, hi) = (block.lower().get(idx), block.upper().get(idx));
+            let clamp = if q < lo {
+                lo - q
+            } else if q > hi {
+                q - hi
+            } else {
+                0.0
+            };
+            let farthest = (q - lo).abs().max((q - hi).abs());
+            acc[0] += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
+            acc[1] += gaussian_log_term(farthest, bandwidth[d]);
+            acc[2] += gaussian_log_term(clamp, bandwidth[d]);
+            acc[3] += clamp * clamp;
+        }
+        for (lane, v) in want.iter_mut().zip(acc) {
+            lane.push(v);
+        }
+    }
+    want
+}
+
+/// The four per-quantity kernels the fused node pass replaces.
+fn node_per_quantity(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
+    let len = block.len();
+    let mut got: [Vec<f64>; 4] = Default::default();
+    let [log_pdf, far, near, dist] = &mut got;
+    diag_log_pdfs_block(
+        query,
+        block.mean(),
+        block.var(),
+        block.log_vars(),
+        len,
+        log_pdf,
+    );
+    farthest_point_log_kernels_block(query, bandwidth, block.lower(), block.upper(), len, far);
+    nearest_point_log_kernels_block(query, bandwidth, block.lower(), block.upper(), len, near);
+    box_min_sq_dists_block(query, block.lower(), block.upper(), len, dist);
+    got
+}
+
+/// The scalar reference of the fused leaf pass over `len` mean columns:
+/// `(log_kernel, sq_dist)` per item.
+fn leaf_reference(query: &[f64], bandwidth: &[f64], means: &Columns, len: usize) -> [Vec<f64>; 2] {
+    let mut want: [Vec<f64>; 2] = Default::default();
+    for i in 0..len {
+        let (mut log_k, mut sq) = (0.0, 0.0);
+        for (d, &q) in query.iter().enumerate() {
+            let m = means.get(d * len + i);
+            log_k += gaussian_log_term(q - m, bandwidth[d]);
+            let diff = m - q;
+            sq += diff * diff;
+        }
+        want[0].push(log_k);
+        want[1].push(sq);
+    }
+    want
+}
+
+const LANE_NAMES: [&str; 4] = ["log_pdf", "farthest", "nearest", "min_dist_sq"];
+
+#[test]
+fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
+    let _fma = pin_fma(false);
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS {
+            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+                let seed = 0xF05E_D000 + ((dims as u64) << 8) + len as u64;
+                let (c, block) = node_case(dims, len, seed, stored);
+                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+                let mut fused: [Vec<f64>; 4] = Default::default();
+                node_scores_block(&c.query, &bandwidth, &block, &mut fused);
+                let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
+                for lane in 0..4 {
+                    let what = format!("{stored:?} dims {dims} len {len} {}", LANE_NAMES[lane]);
+                    assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
+                }
+                if !matches!(stored, Stored::F32) {
+                    let want = node_reference(&c.query, &c.bandwidth, &block);
+                    for lane in 0..4 {
+                        let what = format!(
+                            "{stored:?} dims {dims} len {len} {} vs scalar",
+                            LANE_NAMES[lane]
+                        );
+                        assert_bits_eq(&fused[lane], &want[lane], &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
+    let _fma = pin_fma(false);
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS {
+            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+                let seed = 0x1EAF_0000 + ((dims as u64) << 8) + len as u64;
+                let (c, block) = node_case(dims, len, seed, stored);
+                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+                let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+                leaf_scores_block(&c.query, &bandwidth, block.mean(), len, &mut log_k, &mut sq);
+                let (mut want_k, mut want_sq) = (Vec::new(), Vec::new());
+                gaussian_log_terms_block(
+                    &c.query,
+                    &c.bandwidth,
+                    block.mean(),
+                    None,
+                    len,
+                    &mut want_k,
+                );
+                sq_dists_block(&c.query, block.mean(), len, &mut want_sq);
+                let what = format!("{stored:?} dims {dims} len {len}");
+                assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
+                assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
+                if !matches!(stored, Stored::F32) {
+                    let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
+                    assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
+                    assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_passes_keep_the_fma_instantiation_within_the_ulp_bound() {
+    // Forced on, the fused passes run their FMA instantiation: the same
+    // contractions as the per-quantity FMA kernels (so equal to them bit
+    // for bit) and within FMA_MAX_ULPS of the unfused scalar reference.
+    let _fma = pin_fma(true);
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS {
+            let seed = 0xF3A_0000 + ((dims as u64) << 8) + len as u64;
+            let (c, block) = node_case(dims, len, seed, Stored::F64);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let mut fused: [Vec<f64>; 4] = Default::default();
+            node_scores_block(&c.query, &bandwidth, &block, &mut fused);
+            let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
+            let want = node_reference(&c.query, &c.bandwidth, &block);
+            for lane in 0..4 {
+                let what = format!("fma dims {dims} len {len} {}", LANE_NAMES[lane]);
+                assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
+                assert_ulps_within(&fused[lane], &want[lane], &what);
+            }
+            let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+            leaf_scores_block(&c.query, &bandwidth, block.mean(), len, &mut log_k, &mut sq);
+            let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
+            assert_ulps_within(
+                &log_k,
+                &ref_k,
+                &format!("fma dims {dims} len {len} leaf log_kernel"),
+            );
+            assert_ulps_within(
+                &sq,
+                &ref_sq,
+                &format!("fma dims {dims} len {len} leaf sq_dist"),
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_bandwidth_caches_the_per_call_terms() {
+    let values = vec![0.75, 1e-7, 3.0, 0.0];
+    let bandwidth = KernelBandwidth::new(values.clone());
+    assert_eq!(bandwidth.values(), &values[..]);
+    for (d, &b) in values.iter().enumerate() {
+        let h = b.max(VARIANCE_FLOOR.sqrt());
+        assert_eq!(bandwidth.floored()[d].to_bits(), h.to_bits());
+        assert_eq!(bandwidth.ln_floored()[d].to_bits(), h.ln().to_bits());
+    }
 }

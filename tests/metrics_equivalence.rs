@@ -13,13 +13,23 @@
 //!   counters legitimately differ: snapshot and live tree share warm
 //!   `Arc`-shared cache slots, so whoever queries second sees more hits),
 //! * disabling recording freezes every tree counter while answers stay
-//!   bit-identical — the observability layer cannot leak into results.
+//!   bit-identical — the observability layer cannot leak into results,
+//! * one-shot queries on the per-thread scratch cursor answer exactly as a
+//!   fresh cursor does and each adds exactly its own work,
+//! * the live classifier and its pinned snapshot record the same query
+//!   counters for the same classifications.
 //!
 //! All tests in this binary serialise on one lock: they read deltas of the
 //! single process-global registry, so two concurrently recording workloads
 //! would pollute each other's deltas.
 
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
+use anytime_stream_mining::anytree::{
+    with_scratch_cursor, OutlierScore, OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
+};
+use anytime_stream_mining::bayestree::{
+    AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, ShardedBayesTree,
+};
+use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
 use anytime_stream_mining::obs::Snapshot;
@@ -226,4 +236,165 @@ proptest! {
             prop_assert_eq!(value, 0, "{} moved while recording was disabled", name);
         }
     }
+}
+
+/// Deterministic 3-d points in two blobs.
+fn blob_points(n: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| {
+            let t = i as f64;
+            let centre = if i % 2 == 0 { -2.0 } else { 2.5 };
+            vec![
+                centre + (t * 0.37).sin(),
+                centre + (t * 0.71).cos(),
+                (t * 0.13).sin() * 1.5,
+            ]
+        })
+        .collect()
+}
+
+/// The outlier loop of `TreeView::outlier_score`, driven by hand on a
+/// fresh `new_query` cursor — the reference the scratch cursor must match.
+/// (It runs on a snapshot, which answers exactly as the live tree does.)
+fn fresh_outlier_score(tree: &BayesTree, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
+    let snapshot = tree.snapshot();
+    let (view, model) = (snapshot.core(), snapshot.query_model());
+    let mut cursor = view.new_query(&model, x);
+    let mut verdict = cursor.answer().verdict(threshold);
+    while verdict == OutlierVerdict::Undecided
+        && cursor.nodes_read() < budget
+        && view.refine_query(&model, RefineOrder::WidestBound, &mut cursor)
+    {
+        verdict = cursor.answer().verdict(threshold);
+    }
+    OutlierScore {
+        answer: cursor.answer(),
+        verdict,
+    }
+}
+
+/// `anytime_density` on a fresh `new_query` cursor.
+fn fresh_density(tree: &BayesTree, x: &[f64], budget: usize) -> QueryAnswer {
+    let snapshot = tree.snapshot();
+    let (view, model) = (snapshot.core(), snapshot.query_model());
+    let order = DescentStrategy::default().into();
+    let mut cursor = view.new_query(&model, x);
+    view.refine_query_up_to(&model, order, budget, &mut cursor);
+    cursor.answer()
+}
+
+fn answer_bits(a: &QueryAnswer) -> (u64, u64, u64, usize) {
+    (
+        a.estimate.to_bits(),
+        a.lower.to_bits(),
+        a.upper.to_bits(),
+        a.nodes_read,
+    )
+}
+
+/// Checks one one-shot call against its fresh-cursor reference and the
+/// registry delta it left: one query, exactly its own node reads.
+fn assert_one_shot(tree: &BayesTree, x: &[f64], threshold: f64, budget: usize) {
+    let capture = RegistryCapture::begin();
+    let score = tree.outlier_score(x, threshold, budget);
+    let delta = capture.delta();
+    let want = fresh_outlier_score(tree, x, threshold, budget);
+    assert_eq!(answer_bits(&score.answer), answer_bits(&want.answer));
+    assert_eq!(score.verdict, want.verdict);
+    assert_eq!(delta.counter("bt_queries_total"), 1);
+    assert_eq!(
+        delta.counter("bt_query_nodes_read_total"),
+        score.answer.nodes_read as u64
+    );
+
+    let capture = RegistryCapture::begin();
+    let answer = tree.anytime_density(x, DescentStrategy::default(), budget);
+    let delta = capture.delta();
+    assert_eq!(
+        answer_bits(&answer),
+        answer_bits(&fresh_density(tree, x, budget))
+    );
+    assert_eq!(delta.counter("bt_queries_total"), 1);
+    assert_eq!(
+        delta.counter("bt_query_nodes_read_total"),
+        answer.nodes_read as u64
+    );
+}
+
+/// One-shot queries run on the per-thread scratch cursor: repeated calls
+/// on one thread, and calls made while that cursor is already held (which
+/// fall back to a fresh cursor), answer bit-identically to a `new_query`
+/// cursor, and each call adds exactly its own work to the registry.
+#[test]
+fn one_shot_queries_reuse_the_scratch_cursor_exactly() {
+    let _guard = registry_lock();
+    let mut tree: BayesTree = BayesTree::new(3, geometry());
+    for chunk in blob_points(240).chunks(32) {
+        tree.insert_batch(chunk.to_vec());
+    }
+    tree.set_bandwidth(vec![0.6, 0.6, 0.6]);
+    let threshold = 0.2 * tree.full_kernel_density(&[-2.0, -2.0, 0.0]);
+    let queries = [
+        vec![-2.0, -2.0, 0.0],
+        vec![0.3, 0.2, -0.4],
+        vec![2.5, 2.5, 1.0],
+        vec![9.0, -9.0, 4.0],
+    ];
+    for round in 0..2 {
+        for (i, x) in queries.iter().enumerate() {
+            assert_one_shot(&tree, x, threshold, 3 + 7 * i + round);
+        }
+    }
+    with_scratch_cursor(|held| {
+        let before = *held.stats();
+        for (i, x) in queries.iter().enumerate() {
+            assert_one_shot(&tree, x, threshold, 5 + 4 * i);
+        }
+        assert_eq!(*held.stats(), before, "a held scratch cursor is left alone");
+    });
+}
+
+/// The live classifier and its pinned snapshot fold the same per-frontier
+/// query work into the registry for the same classifications: one query
+/// per class frontier, and the same node reads and scored elements.
+#[test]
+fn classifier_snapshot_records_the_live_classifiers_counters() {
+    let _guard = registry_lock();
+    let dataset = BlobConfig::new(3, 3)
+        .samples_per_class(60)
+        .seed(29)
+        .generate();
+    let config = ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 5)),
+        ..ClassifierConfig::default()
+    };
+    let classifier = AnytimeClassifier::train(&dataset, &config);
+    let objects: Vec<Vec<f64>> = dataset.features().iter().step_by(11).cloned().collect();
+
+    let live_capture = RegistryCapture::begin();
+    let live: Vec<usize> = objects
+        .iter()
+        .map(|x| classifier.classify_with_budget(x, 6).label)
+        .collect();
+    let live_delta = live_capture.delta();
+
+    let snapshot = classifier.snapshot();
+    let snap_capture = RegistryCapture::begin();
+    let snap: Vec<usize> = objects
+        .iter()
+        .map(|x| snapshot.classify_with_budget(x, 6).label)
+        .collect();
+    let snap_delta = snap_capture.delta();
+
+    assert_eq!(live, snap);
+    assert_eq!(
+        counter_values(&live_delta, CACHE_INDEPENDENT_COUNTERS),
+        counter_values(&snap_delta, CACHE_INDEPENDENT_COUNTERS)
+    );
+    assert_eq!(
+        live_delta.counter("bt_queries_total"),
+        (objects.len() * classifier.num_classes()) as u64
+    );
+    assert!(live_delta.counter("bt_query_elements_scored_total") > 0);
+    assert!(live_delta.counter("bt_query_nodes_read_total") > 0);
 }
