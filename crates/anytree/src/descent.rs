@@ -705,7 +705,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
             self.push_node(Node::leaf(second))
         } else {
             let entries = std::mem::take(self.node_mut(node_id).entries_mut());
-            let (first, second) = split_entries(entries, &self.geometry());
+            let (first, second) = split_entries(entries, &self.geometry(), self.dims());
             *self.node_mut(node_id).entries_mut() = first;
             self.push_node(Node::inner(second))
         }

@@ -4,7 +4,8 @@
 //! payload ([`Summary::MBR_ROUTED`]):
 //!
 //! * **R\* topological split** over the entries' MBRs (the Bayes tree), via
-//!   [`bt_index::rstar::rstar_split_by`];
+//!   [`bt_index::rstar::rstar_split_corners`], reading each corner through
+//!   [`Summary::mbr_corner`] so no box is copied;
 //! * **polar split** (farthest-pair seeding, closer-seed assignment with
 //!   capacity caps) over the entries' centres (the clustering extension).
 //!
@@ -13,30 +14,26 @@
 
 use crate::node::Entry;
 use crate::summary::Summary;
-use bt_index::rstar::rstar_split_by;
-use bt_index::{Mbr, PageGeometry};
+use bt_index::rstar::rstar_split_corners;
+use bt_index::PageGeometry;
 
-/// Splits the entries of an overfull directory node into the group that
-/// stays and the group that moves to a fresh node.
+/// Splits the entries of an overfull directory node (over `dims`-dimensional
+/// data) into the group that stays and the group that moves to a fresh
+/// node.
 #[must_use]
-pub(crate) fn split_entries<S: Summary>(
+pub fn split_entries<S: Summary>(
     entries: Vec<Entry<S>>,
     geometry: &PageGeometry,
+    dims: usize,
 ) -> (Vec<Entry<S>>, Vec<Entry<S>>) {
     if S::MBR_ROUTED {
         let min = geometry.min_fanout.min(entries.len() / 2).max(1);
-        // Splits are amortised-rare, so materialising full-width copies of
-        // the boxes here (instead of borrowing) keeps the R* split
-        // precision-agnostic at no measurable cost.
-        let boxes: Vec<Mbr> = entries
-            .iter()
-            .map(|e| {
-                e.summary
-                    .owned_mbr()
-                    .expect("MBR-routed payload exposes a box")
-            })
-            .collect();
-        let split = rstar_split_by(&boxes, |b| b, min);
+        let split = rstar_split_corners(
+            entries.len(),
+            dims,
+            |i, d| entries[i].summary.mbr_corner(d),
+            min,
+        );
         // Distribute in original entry order (the membership sets decide,
         // not the sort order), matching the historical Bayes-tree split.
         let in_first: Vec<bool> = membership(entries.len(), &split.first);

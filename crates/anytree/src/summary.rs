@@ -74,8 +74,8 @@ pub trait Summary: Clone {
         (mbr.lower()[d], mbr.upper()[d])
     }
 
-    /// A full-width copy of the routing box, for the amortised-rare paths
-    /// (R* splits, debug reference scans) that want whole rectangles.
+    /// A full-width copy of the routing box, for the rare paths (invariant
+    /// checks, debug reference scans) that want whole rectangles.
     ///
     /// `None` exactly when the payload is not MBR-routed.  The default
     /// clones [`as_mbr`](Summary::as_mbr); narrow-stored payloads override

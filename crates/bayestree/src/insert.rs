@@ -20,8 +20,8 @@
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesTree;
 use bt_anytree::InsertModel;
-use bt_index::rstar::rstar_split;
-use bt_index::{Mbr, PageGeometry};
+use bt_index::rstar::rstar_split_corners;
+use bt_index::PageGeometry;
 
 /// The Bayes tree's insertion policy over the shared core (one impl per
 /// stored summary representation; the split geometry always works over
@@ -62,9 +62,13 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
         items: Vec<Vec<f64>>,
         geometry: &PageGeometry,
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mbrs: Vec<Mbr> = items.iter().map(|p| Mbr::from_point(p)).collect();
         let min = geometry.min_leaf.min(items.len() / 2).max(1);
-        let split = rstar_split(&mbrs, min);
+        let split = rstar_split_corners(
+            items.len(),
+            self.dims,
+            |i, d| (items[i][d], items[i][d]),
+            min,
+        );
         bt_anytree::split::distribute(items, &split.first, &split.second)
     }
 }
@@ -145,6 +149,30 @@ mod tests {
         (0..n)
             .map(|_| (0..dims).map(|_| rng.random::<f64>() * 10.0).collect())
             .collect()
+    }
+
+    #[test]
+    fn leaf_split_over_raw_points_matches_split_over_point_boxes() {
+        use bt_index::rstar::rstar_split;
+        use bt_index::Mbr;
+
+        let geometry = PageGeometry::default_for_dims(16);
+        for (seed, n) in [(5u64, geometry.max_leaf + 1), (6, 64), (7, 94)] {
+            // Coordinates on a coarse grid, so sort keys tie often.
+            let items: Vec<Vec<f64>> = random_points(n, 16, seed)
+                .into_iter()
+                .map(|p| p.into_iter().map(f64::round).collect())
+                .collect();
+            let boxes: Vec<Mbr> = items.iter().map(|p| Mbr::from_point(p)).collect();
+            let min = geometry.min_leaf.min(n / 2).max(1);
+            let reference = rstar_split(&boxes, min);
+            let expected =
+                bt_anytree::split::distribute(items.clone(), &reference.first, &reference.second);
+            let model = KernelModel { dims: 16 };
+            let got =
+                InsertModel::<crate::KernelSummary>::split_leaf_items(&model, items, &geometry);
+            assert_eq!(got, expected, "n = {n}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use bt_anytree::{AnytimeTree, InsertModel, Node, NodeKind, Summary};
 use bt_data::Dataset;
-use bt_index::rstar::rstar_split;
+use bt_index::rstar::rstar_split_corners;
 use bt_index::{Mbr, PageGeometry};
 use bt_stats::bandwidth::silverman_bandwidth;
 use bt_stats::kernel::{GaussianKernel, Kernel};
@@ -137,9 +137,13 @@ impl InsertModel<LabeledSummary> for LabeledModel {
         items: Vec<McPoint>,
         geometry: &PageGeometry,
     ) -> (Vec<McPoint>, Vec<McPoint>) {
-        let mbrs: Vec<Mbr> = items.iter().map(|(p, _)| Mbr::from_point(p)).collect();
         let min = geometry.min_leaf.min(items.len() / 2).max(1);
-        let split = rstar_split(&mbrs, min);
+        let split = rstar_split_corners(
+            items.len(),
+            self.dims,
+            |i, d| (items[i].0[d], items[i].0[d]),
+            min,
+        );
         bt_anytree::distribute(items, &split.first, &split.second)
     }
 }
@@ -582,6 +586,26 @@ mod tests {
             .samples_per_class(70)
             .seed(21)
             .generate()
+    }
+
+    #[test]
+    fn leaf_split_over_raw_points_matches_split_over_point_boxes() {
+        use bt_index::rstar::rstar_split;
+
+        let data = dataset();
+        let geometry = PageGeometry::from_fanout(8, 30);
+        let items: Vec<McPoint> = (0..94)
+            .map(|i| (data.features()[i].clone(), data.labels()[i]))
+            .collect();
+        let boxes: Vec<Mbr> = items.iter().map(|(p, _)| Mbr::from_point(p)).collect();
+        let min = geometry.min_leaf;
+        let reference = rstar_split(&boxes, min);
+        let expected = bt_anytree::distribute(items.clone(), &reference.first, &reference.second);
+        let model = LabeledModel {
+            dims: data.dims(),
+            num_classes: 3,
+        };
+        assert_eq!(model.split_leaf_items(items, &geometry), expected);
     }
 
     #[test]

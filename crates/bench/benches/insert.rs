@@ -1,9 +1,16 @@
 //! Criterion bench: incremental insertion throughput — the "learn from new
-//! training data incrementally and online" requirement of Section 1.
+//! training data incrementally and online" requirement of Section 1 — and
+//! the R* split that dominates it.
+//!
+//! The `rstar_split` group times one split of a 16-d point leaf overflowed
+//! to 31 (one insert), 64 and 94 (a 64-point batch into a full 30-point
+//! leaf) items, and of an overflowing 8-entry directory node, on a 4 KiB
+//! page.  Run `cargo bench --bench insert -- --test` as a smoke check.
 
 use bayestree::BayesTree;
 use bt_data::synth::Benchmark;
-use bt_index::PageGeometry;
+use bt_index::rstar::{rstar_split, rstar_split_corners};
+use bt_index::{Mbr, PageGeometry};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -29,5 +36,53 @@ fn insert_benchmarks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, insert_benchmarks);
+/// Splits per timed iteration, so one sample is well above the clock's
+/// resolution; the printed rate is splits per second.
+const SPLITS_PER_ITER: u64 = 64;
+
+fn split_benchmarks(c: &mut Criterion) {
+    let dims = 16;
+    let geometry = PageGeometry::default_for_dims(dims);
+    let dataset = Benchmark::Pendigits.generate(200, 12);
+    assert_eq!(dataset.dims(), dims);
+    let points = dataset.features();
+
+    let mut group = c.benchmark_group("rstar_split");
+    group.throughput(Throughput::Elements(SPLITS_PER_ITER));
+    for &n in &[31usize, 64, 94] {
+        let leaf: Vec<Vec<f64>> = points[..n].to_vec();
+        let min = geometry.min_leaf.min(n / 2).max(1);
+        group.bench_with_input(BenchmarkId::new("point_leaf", n), &leaf, |b, leaf| {
+            b.iter(|| {
+                for _ in 0..SPLITS_PER_ITER {
+                    let leaf = black_box(leaf);
+                    black_box(rstar_split_corners(
+                        leaf.len(),
+                        dims,
+                        |i, d| (leaf[i][d], leaf[i][d]),
+                        min,
+                    ));
+                }
+            })
+        });
+    }
+    // Directory entries: boxes around disjoint runs of eight points.
+    let n = geometry.max_fanout + 1;
+    let boxes: Vec<Mbr> = points
+        .chunks(8)
+        .take(n)
+        .map(|run| Mbr::from_points(run.iter().map(Vec::as_slice)).expect("non-empty run"))
+        .collect();
+    let min = geometry.min_fanout.min(n / 2).max(1);
+    group.bench_with_input(BenchmarkId::new("directory", n), &boxes, |b, boxes| {
+        b.iter(|| {
+            for _ in 0..SPLITS_PER_ITER {
+                black_box(rstar_split(black_box(boxes), min));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, insert_benchmarks, split_benchmarks);
 criterion_main!(benches);

@@ -41,7 +41,7 @@
 //!   variants for the hot paths.
 //! * **`index`** owns the R*-tree geometry: MBRs, page-derived `(m, M)`
 //!   fanout, and choose-subtree / topological-split algorithms that are
-//!   *payload-generic* (`choose_subtree_by`, `rstar_split_by`).
+//!   *payload-generic* (`choose_subtree_by`, `rstar_split_corners`).
 //! * **`anytree`** is the shared anytime-index core both trees instantiate:
 //!   the **epoch-versioned node arena** ([`anytree::arena`] — versioned,
 //!   `Arc`-shared slots behind stable `NodeId` indices, copy-on-write at
