@@ -131,8 +131,9 @@ pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, Desce
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};
 pub use query::{
-    with_scratch_cursor, BlockCacheRef, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
-    QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    with_scratch_cursor, with_scratch_cursors, BlockCacheRef, ElementOrigin, OutlierScore,
+    OutlierVerdict, QueryAnswer, QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder,
+    SummaryScore, TreeView,
 };
 pub use shard::{
     CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree,

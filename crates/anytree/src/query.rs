@@ -1177,8 +1177,10 @@ pub trait TreeView<S: Summary, L> {
         }
     }
 
-    /// Starts a fresh cursor on `query` (allocating; prefer
-    /// [`TreeView::begin_query`] with a reused cursor on hot paths).
+    /// Starts a fresh cursor on `query`.  It allocates a whole cursor, so
+    /// hot paths instead [`begin_query`](TreeView::begin_query) on a
+    /// pooled cursor from [`with_scratch_cursors`], as the one-shot
+    /// queries, the k-NN retrieval and the classifier do.
     ///
     /// # Panics
     ///
@@ -1375,30 +1377,38 @@ pub trait TreeView<S: Summary, L> {
     }
 }
 
-/// Runs `f` on this thread's scratch [`QueryCursor`] — the cursor the
-/// one-shot queries ([`TreeView::query_with_budget`],
-/// [`TreeView::outlier_score`]) run on, so each reuses the frontier, heap
-/// and block-scratch allocations of the previous query instead of
-/// building a fresh cursor.
+/// Runs `f` on `n` of this thread's pooled scratch [`QueryCursor`]s — the
+/// cursors the one-shot queries ([`TreeView::query_with_budget`],
+/// [`TreeView::outlier_score`]) and multi-frontier loops such as the
+/// per-class anytime classifier run on, so each query reuses the frontier,
+/// heap and block-scratch allocations of the previous one instead of
+/// building fresh cursors.
 ///
-/// The cursor is plain scratch: [`TreeView::begin_query`] resets every
-/// per-query field, so answers are identical to a fresh cursor's.  Its
-/// work counters keep accumulating across queries, so a caller records
-/// `stats().delta_since(..)` of its own query.  While `f` runs the scratch
-/// cursor is taken: a nested call — or one during thread teardown — gets
-/// a fresh cursor instead.
-pub fn with_scratch_cursor<R>(f: impl FnOnce(&mut QueryCursor) -> R) -> R {
+/// The pool grows to the largest `n` this thread has asked for and keeps
+/// those cursors for the thread's lifetime.  The cursors are plain
+/// scratch: [`TreeView::begin_query`] resets every per-query field, so
+/// answers are identical to fresh cursors'.  Their work counters keep
+/// accumulating across queries, so a caller records
+/// `stats().delta_since(..)` of its own work.  While `f` runs the pool is
+/// taken: a nested call — or one during thread teardown — gets fresh
+/// cursors instead.
+pub fn with_scratch_cursors<R>(n: usize, f: impl FnOnce(&mut [QueryCursor]) -> R) -> R {
     thread_local! {
-        static SCRATCH: Cell<Option<QueryCursor>> = const { Cell::new(None) };
+        static POOL: Cell<Vec<QueryCursor>> = const { Cell::new(Vec::new()) };
     }
-    let mut cursor = SCRATCH
-        .try_with(Cell::take)
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    let result = f(&mut cursor);
-    let _ = SCRATCH.try_with(|slot| slot.set(Some(cursor)));
+    let mut pool = POOL.try_with(Cell::take).unwrap_or_default();
+    if pool.len() < n {
+        pool.resize_with(n, QueryCursor::new);
+    }
+    let result = f(&mut pool[..n]);
+    let _ = POOL.try_with(|slot| slot.set(pool));
     result
+}
+
+/// Runs `f` on one cursor of this thread's scratch pool — the `n = 1`
+/// case of [`with_scratch_cursors`].
+pub fn with_scratch_cursor<R>(f: impl FnOnce(&mut QueryCursor) -> R) -> R {
+    with_scratch_cursors(1, |cursors| f(&mut cursors[0]))
 }
 
 impl<S: Summary, L> TreeView<S, L> for AnytimeTree<S, L> {
@@ -1751,5 +1761,40 @@ mod tests {
             ..QueryStats::default()
         };
         assert_eq!(stats.gather_hit_rate(), 0.75);
+    }
+
+    /// The scratch pool grows to the largest `n` asked for, hands the same
+    /// cursors back on later calls (`with_scratch_cursor` is its first
+    /// cursor), and gives a nested call fresh cursors.
+    #[test]
+    fn scratch_pool_grows_and_is_reused() {
+        let tree = sample_tree(80, usize::MAX);
+        std::thread::spawn(move || {
+            let queries_of = |cursors: &[QueryCursor]| -> Vec<u64> {
+                cursors.iter().map(|c| c.stats().queries).collect()
+            };
+            with_scratch_cursors(3, |cursors| {
+                assert_eq!(queries_of(cursors), [0, 0, 0]);
+                for (i, cursor) in cursors.iter_mut().enumerate() {
+                    tree.begin_query(&BlobQueryModel, &[i as f64, 0.0], cursor);
+                }
+            });
+            with_scratch_cursor(|cursor| {
+                assert_eq!(cursor.stats().queries, 1);
+                tree.begin_query(&BlobQueryModel, &[5.0, 5.0], cursor);
+            });
+            with_scratch_cursors(5, |cursors| {
+                assert_eq!(queries_of(cursors), [2, 1, 1, 0, 0]);
+                with_scratch_cursors(2, |nested| {
+                    assert_eq!(queries_of(nested), [0, 0]);
+                });
+                with_scratch_cursor(|nested| assert_eq!(nested.stats().queries, 0));
+            });
+            with_scratch_cursors(2, |cursors| {
+                assert_eq!(queries_of(cursors), [2, 1]);
+            });
+        })
+        .join()
+        .expect("pool thread");
     }
 }

@@ -10,11 +10,11 @@
 
 use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
-use crate::frontier::TreeFrontier;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
+use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
-use bt_anytree::{QueryStats, TreeView};
+use bt_anytree::{with_scratch_cursors, QueryCursor, QueryStats, TreeView};
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -301,10 +301,14 @@ impl AnytimeClassifier {
 
     fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        let frontiers: Vec<TreeFrontier<'_>> =
-            self.trees.iter().map(|t| TreeFrontier::new(t, x)).collect();
+        let classes: Vec<_> = self
+            .trees
+            .iter()
+            .map(|t| (t.core(), t.query_model()))
+            .collect();
         run_anytime_over(
-            frontiers,
+            &classes,
+            x,
             &self.priors,
             self.config.refinement,
             self.config.descent,
@@ -314,79 +318,96 @@ impl AnytimeClassifier {
     }
 }
 
-/// The anytime classification loop over any set of per-class frontiers —
+/// The anytime classification loop over per-class `(view, model)` pairs —
 /// the live classifier and its epoch-pinned snapshot
-/// ([`crate::ClassifierSnapshot`]) run literally this code.  Returns the
-/// trace plus the number of refinements (node reads) actually performed.
+/// ([`crate::ClassifierSnapshot`]) run literally this code.  Each class's
+/// frontier lives on one of this thread's pooled scratch cursors
+/// ([`with_scratch_cursors`]), so a classification builds no cursor of its
+/// own.  Returns the trace plus the number of refinements (node reads)
+/// actually performed.
 pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
-    mut frontiers: Vec<TreeFrontier<'_, V>>,
+    classes: &[(&V, KernelQueryModel<'_>)],
+    x: &[f64],
     priors: &[f64],
     refinement: RefinementStrategy,
     descent: DescentStrategy,
     budget: usize,
     record_all: bool,
 ) -> (AnytimeTrace, usize) {
-    let mut scheduler = RefinementScheduler::new(refinement, frontiers.len());
+    let order = descent.into();
+    with_scratch_cursors(classes.len(), |cursors| {
+        // Pooled cursors keep counting across queries: the registry gets
+        // the work done since `before`, summed over every class.
+        let mut before = QueryStats::default();
+        let mut scores = Vec::with_capacity(classes.len());
+        let mut refinable = Vec::with_capacity(classes.len());
+        for (((view, model), cursor), &prior) in classes.iter().zip(cursors.iter_mut()).zip(priors)
+        {
+            before.merge(cursor.stats());
+            view.begin_query(model, x, cursor);
+            scores.push(class_score(prior, cursor));
+            refinable.push(cursor.can_refine());
+        }
 
-    let mut labels = Vec::new();
-    let mut posteriors = posteriors_over(&frontiers, priors);
-    labels.push(argmax(&posteriors));
-
-    let mut nodes_read = 0usize;
-    for _ in 0..budget {
-        let scores: Vec<f64> = frontiers
-            .iter()
-            .zip(priors)
-            .map(|(f, &p)| p * f.density())
-            .collect();
-        let refinable: Vec<bool> = frontiers.iter().map(TreeFrontier::can_refine).collect();
-        let Some(class) = scheduler.next_class(&scores, &refinable) else {
-            break;
-        };
-        frontiers[class].refine(descent);
-        nodes_read += 1;
-        posteriors = posteriors_over(&frontiers, priors);
+        let mut scheduler = RefinementScheduler::new(refinement, classes.len());
+        let mut labels = Vec::new();
+        let mut posteriors = Vec::new();
         if record_all {
+            normalise_into(&scores, priors, &mut posteriors);
             labels.push(argmax(&posteriors));
         }
-    }
-    if !record_all {
-        // Only the final decision is needed; overwrite the root-level one.
-        labels = vec![argmax(&posteriors)];
-    }
-    // One registry fold per classification: every frontier's cursor is
-    // fresh, so its stats are exactly this classification's work.  No
-    // latency is observed, so the loop never reads the clock.
-    let mut work = QueryStats::default();
-    for frontier in &frontiers {
-        work.merge(frontier.stats());
-    }
-    bt_anytree::obs::record_external_query(&work, None);
-    (
-        AnytimeTrace {
-            labels,
-            final_posteriors: posteriors,
-        },
-        nodes_read,
-    )
+        let mut nodes_read = 0usize;
+        for _ in 0..budget {
+            let Some(class) = scheduler.next_class(&scores, &refinable) else {
+                break;
+            };
+            // Only the refined class's frontier moved: update its entries.
+            let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
+            view.refine_query(model, order, cursor);
+            scores[class] = class_score(priors[class], cursor);
+            refinable[class] = cursor.can_refine();
+            nodes_read += 1;
+            if record_all {
+                normalise_into(&scores, priors, &mut posteriors);
+                labels.push(argmax(&posteriors));
+            }
+        }
+        if !record_all {
+            // Only the final decision is needed.
+            normalise_into(&scores, priors, &mut posteriors);
+            labels.push(argmax(&posteriors));
+        }
+        // One registry fold per classification.  No latency is observed,
+        // so the loop never reads the clock.
+        let mut after = QueryStats::default();
+        for cursor in cursors.iter() {
+            after.merge(cursor.stats());
+        }
+        bt_anytree::obs::record_external_query(&after.delta_since(&before), None);
+        (
+            AnytimeTrace {
+                labels,
+                final_posteriors: posteriors,
+            },
+            nodes_read,
+        )
+    })
 }
 
-/// Normalised posteriors from the current frontier densities.
-fn posteriors_over<V: TreeView<KernelSummary, Vec<f64>>>(
-    frontiers: &[TreeFrontier<'_, V>],
-    priors: &[f64],
-) -> Vec<f64> {
-    let joint: Vec<f64> = frontiers
-        .iter()
-        .zip(priors)
-        .map(|(f, &p)| p * f.density())
-        .collect();
-    let total: f64 = joint.iter().sum();
+/// The unnormalised posterior `P(c) * pdq(x, E_c)` of one class frontier.
+fn class_score(prior: f64, cursor: &QueryCursor) -> f64 {
+    prior * cursor.estimate().max(0.0)
+}
+
+/// Normalises the class scores into `out` (falling back to the priors when
+/// every class density underflowed).
+fn normalise_into(scores: &[f64], priors: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    let total: f64 = scores.iter().sum();
     if total > 0.0 {
-        joint.iter().map(|j| j / total).collect()
+        out.extend(scores.iter().map(|j| j / total));
     } else {
-        // Every class density underflowed: fall back to the priors.
-        priors.to_vec()
+        out.extend_from_slice(priors);
     }
 }
 

@@ -33,9 +33,10 @@ pub type FrontierElement = bt_anytree::QueryElement;
 ///
 /// Generic over the [`TreeView`] it refines against: the live tree (the
 /// default, via [`TreeFrontier::new`]) or an epoch-pinned
-/// [`TreeSnapshot`](bt_anytree::TreeSnapshot) (via [`TreeFrontier::over`]) —
-/// the snapshot classifier refines frontiers against frozen trees while
-/// training batches are in flight.
+/// [`TreeSnapshot`](bt_anytree::TreeSnapshot) (via [`TreeFrontier::over`]).
+/// This is the public single-tree API and owns its cursor; the classifier
+/// runs the same refinement on pooled per-thread cursors instead
+/// ([`bt_anytree::with_scratch_cursors`]).
 #[derive(Debug, Clone)]
 pub struct TreeFrontier<'a, V = AnytimeTree<KernelSummary, Vec<f64>>>
 where

@@ -59,6 +59,8 @@ pub struct RefinementScheduler {
     strategy: RefinementStrategy,
     num_classes: usize,
     turn: usize,
+    /// Reused candidate buffer, so a step allocates nothing.
+    candidates: Vec<usize>,
 }
 
 impl RefinementScheduler {
@@ -69,6 +71,7 @@ impl RefinementScheduler {
             strategy,
             num_classes,
             turn: 0,
+            candidates: Vec::with_capacity(num_classes),
         }
     }
 
@@ -104,15 +107,16 @@ impl RefinementScheduler {
                     .find(|&c| refinable[c])
             }
             RefinementStrategy::MostProbable => {
-                best_refinable(scores, refinable, 1).first().copied()
+                best_refinable(scores, refinable, 1, &mut self.candidates);
+                self.candidates.first().copied()
             }
             RefinementStrategy::Qbk { .. } => {
                 let k = self.effective_k();
-                let candidates = best_refinable(scores, refinable, k);
-                if candidates.is_empty() {
+                best_refinable(scores, refinable, k, &mut self.candidates);
+                if self.candidates.is_empty() {
                     None
                 } else {
-                    Some(candidates[self.turn % candidates.len()])
+                    Some(self.candidates[self.turn % self.candidates.len()])
                 }
             }
         };
@@ -123,9 +127,11 @@ impl RefinementScheduler {
     }
 }
 
-/// The (up to) `k` refinable classes with the highest scores, best first.
-fn best_refinable(scores: &[f64], refinable: &[bool], k: usize) -> Vec<usize> {
-    let mut candidates: Vec<usize> = (0..scores.len()).filter(|&c| refinable[c]).collect();
+/// Fills `candidates` with the (up to) `k` refinable classes with the
+/// highest scores, best first.
+fn best_refinable(scores: &[f64], refinable: &[bool], k: usize, candidates: &mut Vec<usize>) {
+    candidates.clear();
+    candidates.extend((0..scores.len()).filter(|&c| refinable[c]));
     candidates.sort_by(|&a, &b| {
         scores[b]
             .partial_cmp(&scores[a])
@@ -133,7 +139,6 @@ fn best_refinable(scores: &[f64], refinable: &[bool], k: usize) -> Vec<usize> {
             .then(a.cmp(&b))
     });
     candidates.truncate(k.max(1));
-    candidates
 }
 
 #[cfg(test)]

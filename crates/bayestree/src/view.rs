@@ -11,8 +11,7 @@
 
 use crate::classifier::{run_anytime_over, AnytimeClassifier, AnytimeTrace, Classification};
 use crate::descent::DescentStrategy;
-use crate::frontier::TreeFrontier;
-use crate::node::{KernelSummary, StoredElement};
+use crate::node::StoredElement;
 use crate::qbk::RefinementStrategy;
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
@@ -349,13 +348,14 @@ impl ClassifierSnapshot {
 
     fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        let frontiers: Vec<TreeFrontier<'_, TreeSnapshot<KernelSummary, Vec<f64>>>> = self
+        let classes: Vec<_> = self
             .trees
             .iter()
-            .map(|t| TreeFrontier::over(t.core(), t.query_model(), x))
+            .map(|t| (t.core(), t.query_model()))
             .collect();
         run_anytime_over(
-            frontiers,
+            &classes,
+            x,
             &self.priors,
             self.refinement,
             self.descent,

@@ -43,8 +43,8 @@
 use crate::microcluster::MicroCluster;
 use crate::tree::ClusTree;
 use bt_anytree::{
-    ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement,
-    QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    with_scratch_cursor, ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor,
+    QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
@@ -474,6 +474,27 @@ pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
     }
 }
 
+/// One anytime k-NN retrieval over a single tree view (live or pinned),
+/// closest-first on this thread's scratch cursor.  The registry receives
+/// the cursor's work since the retrieval began plus its latency from
+/// `started`.
+pub(crate) fn knn_on_scratch_cursor<V: TreeView<MicroCluster, MicroCluster>>(
+    core: &V,
+    model: &ClusQueryModel,
+    x: &[f64],
+    k: usize,
+    budget: usize,
+    started: Option<std::time::Instant>,
+) -> KnnAnswer {
+    with_scratch_cursor(|cursor| {
+        let before = *cursor.stats();
+        core.begin_query(model, x, cursor);
+        core.refine_query_up_to(model, RefineOrder::ClosestFirst, budget, cursor);
+        bt_anytree::obs::record_external_query(&cursor.stats().delta_since(&before), started);
+        knn_from_cursors(&[core], std::slice::from_ref(cursor), model, k)
+    })
+}
+
 /// Maps a refined cursor's frontier to its `k` closest clusters.
 pub(crate) fn knn_from_cursors<V: TreeView<MicroCluster, MicroCluster>>(
     shards: &[&V],
@@ -586,11 +607,7 @@ impl ClusTree {
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
         let started = bt_anytree::obs::boundary_timer();
         let model = self.query_model(&vec![1.0; self.dims()]);
-        let mut cursor = self.core().new_query(&model, x);
-        self.core()
-            .refine_query_up_to(&model, RefineOrder::ClosestFirst, budget, &mut cursor);
-        bt_anytree::obs::record_external_query(cursor.stats(), started);
-        knn_from_cursors(&[self.core()], std::slice::from_ref(&cursor), &model, k)
+        knn_on_scratch_cursor(self.core(), &model, x, k, budget, started)
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound

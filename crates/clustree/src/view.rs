@@ -8,7 +8,9 @@
 //! tree (writers copy-on-write any node a snapshot still pins).
 
 use crate::microcluster::MicroCluster;
-use crate::query::{knn_from_cursors, stored_weight, ClusQueryModel, KnnAnswer};
+use crate::query::{
+    knn_from_cursors, knn_on_scratch_cursor, stored_weight, ClusQueryModel, KnnAnswer,
+};
 use crate::tree::{collect_micro_clusters, finish_micro_clusters, ClusTree, ClusTreeConfig};
 use bt_anytree::{
     OutlierScore, QueryAnswer, QueryStats, RefineOrder, ShardedQueryAnswer, ShardedTreeSnapshot,
@@ -158,11 +160,7 @@ impl ClusTreeSnapshot {
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
         let started = bt_anytree::obs::boundary_timer();
         let model = self.query_model(&vec![1.0; self.dims()]);
-        let mut cursor = self.core.new_query(&model, x);
-        self.core
-            .refine_query_up_to(&model, RefineOrder::ClosestFirst, budget, &mut cursor);
-        bt_anytree::obs::record_external_query(cursor.stats(), started);
-        knn_from_cursors(&[&self.core], std::slice::from_ref(&cursor), &model, k)
+        knn_on_scratch_cursor(&self.core, &model, x, k, budget, started)
     }
 
     /// Anytime outlier scoring against the frozen tree (see

@@ -17,7 +17,10 @@
 //! * one-shot queries on the per-thread scratch cursor answer exactly as a
 //!   fresh cursor does and each adds exactly its own work,
 //! * the live classifier and its pinned snapshot record the same query
-//!   counters for the same classifications.
+//!   counters for the same classifications,
+//! * a classification or k-NN retrieval on the pooled scratch cursors
+//!   records exactly its own work: repeating it on one thread, or running
+//!   it on a fresh thread (empty pool), records identical deltas.
 //!
 //! All tests in this binary serialise on one lock: they read deltas of the
 //! single process-global registry, so two concurrently recording workloads
@@ -29,6 +32,7 @@ use anytime_stream_mining::anytree::{
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, ShardedBayesTree,
 };
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
@@ -397,4 +401,114 @@ fn classifier_snapshot_records_the_live_classifiers_counters() {
     );
     assert!(live_delta.counter("bt_query_elements_scored_total") > 0);
     assert!(live_delta.counter("bt_query_nodes_read_total") > 0);
+}
+
+/// The query-work counters a classification or k-NN retrieval folds into
+/// the registry.
+const QUERY_WORK_COUNTERS: &[&str] = &[
+    "bt_queries_total",
+    "bt_query_elements_scored_total",
+    "bt_query_nodes_read_total",
+];
+
+/// The query-work deltas `f` records.
+fn query_work(f: impl FnOnce()) -> Vec<(&'static str, u64)> {
+    let capture = RegistryCapture::begin();
+    f();
+    counter_values(&capture.delta(), QUERY_WORK_COUNTERS)
+}
+
+/// The query-work deltas `f` records on a freshly spawned thread, whose
+/// cursor pool is empty.
+fn query_work_on_fresh_thread(f: impl FnOnce() + Send) -> Vec<(&'static str, u64)> {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| query_work(f))
+            .join()
+            .expect("fresh-thread call")
+    })
+}
+
+/// Pooled cursors keep counting across queries, so each classification
+/// must fold only the work done since it began: classifying the same
+/// object twice in a row records identical deltas, equal to a fresh
+/// thread's.  (Double-counting would grow the second delta; the
+/// live-vs-snapshot comparison above cannot see it, since both sides
+/// would double-count alike.)
+#[test]
+fn pooled_classifications_record_only_their_own_work() {
+    let _guard = registry_lock();
+    let dataset = BlobConfig::new(4, 3)
+        .samples_per_class(50)
+        .seed(31)
+        .generate();
+    let config = ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 5)),
+        ..ClassifierConfig::default()
+    };
+    let classifier = AnytimeClassifier::train(&dataset, &config);
+    let snapshot = classifier.snapshot();
+    let classes = classifier.num_classes() as u64;
+    for x in dataset.features().iter().step_by(23) {
+        for budget in [0, 6, 40] {
+            let first = query_work(|| {
+                let _ = snapshot.classify_with_budget(x, budget);
+            });
+            let second = query_work(|| {
+                let _ = snapshot.classify_with_budget(x, budget);
+            });
+            let fresh = query_work_on_fresh_thread(|| {
+                let _ = snapshot.classify_with_budget(x, budget);
+            });
+            assert_eq!(first, second, "budget {budget}");
+            assert_eq!(first, fresh, "budget {budget}");
+            assert_eq!(first[0], ("bt_queries_total", classes));
+
+            let nodes_read = snapshot.classify_with_budget(x, budget).nodes_read as u64;
+            let live = query_work(|| {
+                let _ = classifier.classify_with_budget(x, budget);
+            });
+            assert_eq!(live, first, "budget {budget}");
+            assert_eq!(live[2], ("bt_query_nodes_read_total", nodes_read));
+            let trace = query_work(|| {
+                let _ = classifier.anytime_trace(x, budget);
+            });
+            assert_eq!(trace, first, "budget {budget}");
+        }
+    }
+}
+
+/// The k-NN retrieval folds only its own work, too: one query and exactly
+/// its node reads per call, the same on a repeat and on a fresh thread.
+#[test]
+fn pooled_knn_records_only_its_own_work() {
+    let _guard = registry_lock();
+    let mut tree = ClusTree::new(2, ClusTreeConfig::default());
+    for i in 0..300 {
+        let c = if i % 2 == 0 { 0.0 } else { 20.0 };
+        let jitter = (i % 9) as f64 * 0.1;
+        tree.insert(&[c + jitter, c - jitter], i as f64, 10);
+    }
+    let snapshot = tree.snapshot();
+    for budget in [0, 2, 7, 50] {
+        let x = [0.5 * budget as f64, 1.0];
+        let nodes_read = tree.anytime_knn(&x, 3, budget).nodes_read as u64;
+        let first = query_work(|| {
+            let _ = tree.anytime_knn(&x, 3, budget);
+        });
+        let second = query_work(|| {
+            let _ = tree.anytime_knn(&x, 3, budget);
+        });
+        let fresh = query_work_on_fresh_thread(|| {
+            let _ = snapshot.anytime_knn(&x, 3, budget);
+        });
+        let pinned = query_work(|| {
+            let _ = snapshot.anytime_knn(&x, 3, budget);
+        });
+        assert_eq!(first, second, "budget {budget}");
+        assert_eq!(first, fresh, "budget {budget}");
+        assert_eq!(first, pinned, "budget {budget}");
+        assert_eq!(first[0], ("bt_queries_total", 1));
+        assert_eq!(first[2], ("bt_query_nodes_read_total", nodes_read));
+    }
 }
