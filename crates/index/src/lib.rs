@@ -8,9 +8,9 @@
 //!   geometry (area, margin, overlap, enlargement, MINDIST),
 //! * [`page::PageGeometry`] — derivation of fanout `(m, M)` and leaf capacity
 //!   `(l, L)` from a disk-page-size-like constraint,
-//! * [`rstar`] — choose-subtree and node-split algorithms (R* topological
-//!   split and quadratic split) expressed over anything that exposes an MBR,
-//!   plus a small standalone point R-tree used for range queries,
+//! * [`rstar`] — choose-subtree and the R* topological node split,
+//!   expressed over anything that exposes an MBR, plus a small standalone
+//!   point R-tree used for range queries,
 //! * [`hilbert`] and [`zorder`] — d-dimensional space-filling curves used by
 //!   the Hilbert/Z-curve bulk loads and by the Goldberger initial mapping,
 //! * [`str_pack`] — sort-tile-recursive packing (Leutenegger et al., ICDE

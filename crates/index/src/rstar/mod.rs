@@ -16,4 +16,4 @@ pub mod split;
 
 pub use choose::{choose_subtree, choose_subtree_block, choose_subtree_by};
 pub use point_tree::PointRTree;
-pub use split::{quadratic_split, rstar_split, rstar_split_by, rstar_split_corners, SplitResult};
+pub use split::{rstar_split, rstar_split_by, rstar_split_corners, SplitResult};

@@ -3,17 +3,25 @@
 //! When an insertion overflows a node, its entries are divided into two
 //! groups.  The Bayes tree uses the R* topological split (sort by each axis,
 //! evaluate all allowed distributions, pick the axis with minimal total
-//! margin and the distribution with minimal overlap/area); the quadratic
-//! split of the original R-tree is provided as a baseline.
+//! margin and the distribution with minimal overlap/area).
 //!
 //! The R* split runs as a sweep: every entry's corners are gathered once,
-//! and for each sort order one pass grows the prefix boxes (first groups)
-//! and one pass the suffix boxes (second groups) of all distributions.  A
-//! split of `n` entries in `d` dimensions costs `O(d · n · (d + log n))`
-//! instead of the `O(d² · n²)` of rebuilding both groups' boxes per
+//! one rank table over all entry pairs yields every axis's sort order, and
+//! for each sort order one pass grows the prefix boxes (first groups) and
+//! the suffix boxes (second groups) of all distributions, each box's margin
+//! summed right after it grows.  A split of `n` entries in `d` dimensions
+//! costs `O(d · n · (d + n))`; above `RANK_CUTOFF` entries each axis is
+//! sorted by key instead of ranked, for `O(d · n · (d + log n))`.  Either
+//! replaces the `O(d² · n²)` of rebuilding both groups' boxes per
 //! distribution, and picks the same partition.
+//!
+//! The sweep runs under AVX2 codegen when the CPU has it (the `simd`
+//! feature, detected once by [`bt_stats::simd::avx2_available`]): the
+//! ranking compares and the corner-wise min/max fill whole registers.  The
+//! scalar build runs the same code and picks the same partition.
 
 use crate::mbr::Mbr;
+use bt_stats::simd::LANES;
 
 /// The outcome of a split: indices of the entries assigned to each group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,31 +112,44 @@ where
         len
     );
     assert!(dims > 0, "MBR must have at least one dimension");
-    let mut lo = Vec::with_capacity(len * dims);
-    let mut hi = Vec::with_capacity(len * dims);
-    for i in 0..len {
+    let chunks = dims.div_ceil(LANES);
+    let mut lo = vec![[0.0; LANES]; len * chunks];
+    let mut hi = vec![[0.0; LANES]; len * chunks];
+    let rows = lo.chunks_exact_mut(chunks).zip(hi.chunks_exact_mut(chunks));
+    for (i, (lo, hi)) in rows.enumerate() {
+        let (lo, hi) = (lo.as_flattened_mut(), hi.as_flattened_mut());
         for d in 0..dims {
-            let (l, h) = corner(i, d);
-            lo.push(l);
-            hi.push(h);
+            (lo[d], hi[d]) = corner(i, d);
         }
     }
     Sweep {
         dims,
+        chunks,
         min: min_entries,
         lo: &lo,
         hi: &hi,
     }
-    .split()
+    .run()
 }
 
-/// The entries' corners as item-major rows (`lo[i * dims + d]`), plus the
-/// split parameters.
+/// Splits of at most this many entries order every axis through one rank
+/// table over all entry pairs (`O(n² · d)`, no data-dependent branch);
+/// larger ones sort each axis by key.  It covers a full 16-d leaf
+/// overflowed by a 64-point batch.
+const RANK_CUTOFF: usize = 128;
+
+/// Coordinates of one vector register.
+type Lane = [f64; LANES];
+
+/// The entries' corners as item-major rows of `chunks` lanes (dimension
+/// `d` of entry `i` is `lo[i * chunks + d / LANES][d % LANES]`; the last
+/// lane is padded with zeros), plus the split parameters.
 struct Sweep<'a> {
     dims: usize,
+    chunks: usize,
     min: usize,
-    lo: &'a [f64],
-    hi: &'a [f64],
+    lo: &'a [Lane],
+    hi: &'a [Lane],
 }
 
 /// One sort order of the entries and the boxes of both groups of every
@@ -142,79 +163,141 @@ struct OrderSweep {
     suffix: Boxes,
 }
 
-/// Row-major boxes (`lo[j * dims + d]`) with their margins.
+/// Row-major boxes in the entries' lane layout, with their margins.
 #[derive(Default)]
 struct Boxes {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
+    lo: Vec<Lane>,
+    hi: Vec<Lane>,
     margin: Vec<f64>,
 }
 
 impl Boxes {
-    fn row(&self, j: usize, dims: usize) -> (&[f64], &[f64]) {
-        let span = j * dims..(j + 1) * dims;
-        (&self.lo[span.clone()], &self.hi[span])
+    fn row(&self, j: usize, sweep: &Sweep<'_>) -> (&[f64], &[f64]) {
+        let span = j * sweep.chunks..(j + 1) * sweep.chunks;
+        let dims = ..sweep.dims;
+        let (lo, hi) = (&self.lo[span.clone()], &self.hi[span]);
+        (&lo.as_flattened()[dims], &hi.as_flattened()[dims])
     }
 
-    /// Row 0 becomes the box of the entries `seed`, and each further row
-    /// the row before it grown by the next entry of `steps` (corner-wise
-    /// min/max, as [`Mbr::extend_mbr`] grows a box).  Then every row's
-    /// margin.
-    fn grow_rows(
-        &mut self,
-        sweep: &Sweep<'_>,
-        seed: &[usize],
-        steps: impl ExactSizeIterator<Item = usize>,
-    ) {
-        let dims = sweep.dims;
-        let rows = steps.len() + 1;
-        self.lo.resize(rows * dims, 0.0);
-        self.hi.resize(rows * dims, 0.0);
+    /// Sizes the boxes to `rows` rows and makes row 0 the box of the
+    /// entries `seed` (corner-wise min/max, as [`Mbr::extend_mbr`] grows a
+    /// box), with its margin.
+    #[inline(always)]
+    fn seed(&mut self, sweep: &Sweep<'_>, seed: &[usize], rows: usize) {
+        let chunks = sweep.chunks;
+        self.lo.resize(rows * chunks, [0.0; LANES]);
+        self.hi.resize(rows * chunks, [0.0; LANES]);
+        self.margin.resize(rows, 0.0);
+        let (row_lo, row_hi) = (&mut self.lo[..chunks], &mut self.hi[..chunks]);
         let (lo, hi) = sweep.corners(seed[0]);
-        self.lo[..dims].copy_from_slice(lo);
-        self.hi[..dims].copy_from_slice(hi);
+        row_lo.copy_from_slice(lo);
+        row_hi.copy_from_slice(hi);
         for &i in &seed[1..] {
             let (lo, hi) = sweep.corners(i);
-            grow(&mut self.lo[..dims], &mut self.hi[..dims], lo, hi);
-        }
-        for (j, i) in (1..rows).zip(steps) {
-            let span = (j - 1) * dims..(j + 1) * dims;
-            let (prev_lo, row_lo) = self.lo[span.clone()].split_at_mut(dims);
-            let (prev_hi, row_hi) = self.hi[span].split_at_mut(dims);
-            let (lo, hi) = sweep.corners(i);
-            for ((out, &prev), &x) in row_lo.iter_mut().zip(&*prev_lo).zip(lo) {
-                *out = prev.min(x);
-            }
-            for ((out, &prev), &x) in row_hi.iter_mut().zip(&*prev_hi).zip(hi) {
-                *out = prev.max(x);
+            for c in 0..chunks {
+                row_lo[c] = lane_min(row_lo[c], lo[c]);
+                row_hi[c] = lane_max(row_hi[c], hi[c]);
             }
         }
-        // Row margins side by side: each sums its edges in dimension order
-        // from the neutral element of `f64::sum`, as `Mbr::margin` does,
-        // but the rows' additions are independent and overlap.
-        self.margin.clear();
-        self.margin.resize(rows, std::iter::empty::<f64>().sum());
-        for d in 0..dims {
-            let rows = self.lo.chunks_exact(dims).zip(self.hi.chunks_exact(dims));
-            for (m, (lo, hi)) in self.margin.iter_mut().zip(rows) {
-                *m += hi[d] - lo[d];
+        self.margin[0] = margin(row_lo, row_hi, sweep.dims);
+    }
+
+    /// Makes row `j` the row before it grown by entry `i`, summing its
+    /// margin while each lane is fresh.
+    #[inline(always)]
+    fn grow_row(&mut self, sweep: &Sweep<'_>, j: usize, i: usize) {
+        let chunks = sweep.chunks;
+        let span = (j - 1) * chunks..(j + 1) * chunks;
+        let (prev_lo, row_lo) = self.lo[span.clone()].split_at_mut(chunks);
+        let (prev_hi, row_hi) = self.hi[span].split_at_mut(chunks);
+        let (lo, hi) = sweep.corners(i);
+        let mut margin = Margin::new();
+        for c in 0..chunks {
+            let (l, h) = (lane_min(prev_lo[c], lo[c]), lane_max(prev_hi[c], hi[c]));
+            (row_lo[c], row_hi[c]) = (l, h);
+            margin.add(l, h, c, sweep.dims);
+        }
+        self.margin[j] = margin.0;
+    }
+}
+
+/// Every entry's position in each axis's `(sort_key, index)` order, in the
+/// entries' lane layout: entry `i`'s rank counts the entries before `i`
+/// whose key is at most `i`'s plus the entries after `i` whose key is
+/// below it.  The strict total order makes each axis's ranks a
+/// permutation.
+struct Ranks {
+    rank: Vec<[i64; LANES]>,
+}
+
+impl Ranks {
+    /// Ranks the entries by every axis of `rows` (a corner table of
+    /// `sweep`) in one pass over all ordered entry pairs.
+    #[inline(always)]
+    fn of(sweep: &Sweep<'_>, rows: &[Lane]) -> Self {
+        let chunks = sweep.chunks;
+        let mut keys = vec![[0; LANES]; rows.len()];
+        for (key, x) in keys.iter_mut().zip(rows) {
+            for l in 0..LANES {
+                key[l] = rank_key(x[l]);
             }
+        }
+        let mut rank = vec![[0; LANES]; rows.len()];
+        let own_rows = keys.chunks_exact(chunks).zip(rank.chunks_exact_mut(chunks));
+        for (i, (own, out)) in own_rows.enumerate() {
+            let (before, after) = (&keys[..i * chunks], &keys[(i + 1) * chunks..]);
+            for c in 0..chunks {
+                let own = own[c];
+                let mut acc = [0; LANES];
+                for other in before.chunks_exact(chunks) {
+                    for l in 0..LANES {
+                        acc[l] += i64::from(other[c][l] <= own[l]);
+                    }
+                }
+                for other in after.chunks_exact(chunks) {
+                    for l in 0..LANES {
+                        acc[l] += i64::from(other[c][l] < own[l]);
+                    }
+                }
+                out[c] = acc;
+            }
+        }
+        Ranks { rank }
+    }
+
+    /// Writes the entry indices in ascending rank along `axis` to `order`.
+    #[inline(always)]
+    fn order(&self, chunks: usize, axis: usize, order: &mut Vec<usize>) {
+        order.resize(self.rank.len() / chunks, 0);
+        let (c, l) = (axis / LANES, axis % LANES);
+        for (i, rank) in self.rank.chunks_exact(chunks).enumerate() {
+            order[rank[c][l] as usize] = i;
         }
     }
 }
 
 impl Sweep<'_> {
     fn len(&self) -> usize {
-        self.lo.len() / self.dims
+        self.lo.len() / self.chunks
     }
 
     fn distributions(&self) -> usize {
         self.len() - 2 * self.min + 1
     }
 
-    fn corners(&self, i: usize) -> (&[f64], &[f64]) {
-        let span = i * self.dims..(i + 1) * self.dims;
+    fn corners(&self, i: usize) -> (&[Lane], &[Lane]) {
+        let span = i * self.chunks..(i + 1) * self.chunks;
         (&self.lo[span.clone()], &self.hi[span])
+    }
+
+    /// [`Sweep::split`], compiled for AVX2 when the CPU has it.
+    fn run(&self) -> SplitResult {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if bt_stats::simd::avx2_available() {
+            // SAFETY: AVX2 support was just verified.
+            return unsafe { avx2::split(self) };
+        }
+        self.split()
     }
 
     /// Axis with minimal total margin over all distributions of both
@@ -223,20 +306,33 @@ impl Sweep<'_> {
     /// candidate strictly better than every earlier one wins; if none beats
     /// `+inf` (infinite or NaN coordinates), axis 0 and its first
     /// distribution stand in.
+    #[inline(always)]
     fn split(&self) -> SplitResult {
         // Pure points sort identically by both corners, so the upper-corner
         // order adds the same margins again and can never strictly improve
         // a distribution: one order serves as both.
         let orders = if self.lo == self.hi { 1 } else { 2 };
+        let corners = [self.lo, self.hi];
+        // Plain loops rather than iterator adaptors here and in the
+        // helpers: a closure that runs inside a non-inlined library
+        // function would leave the AVX2 codegen region.
+        let mut ranks = Vec::with_capacity(orders);
+        if self.len() <= RANK_CUTOFF {
+            for rows in &corners[..orders] {
+                ranks.push(Ranks::of(self, rows));
+            }
+        }
         let distributions = self.distributions();
-        let mut keys = Vec::with_capacity(self.len());
+        let mut keys = Vec::new();
         let mut current: [OrderSweep; 2] = Default::default();
         let mut chosen: [OrderSweep; 2] = Default::default();
         let mut best_margin = f64::INFINITY;
         for axis in 0..self.dims {
-            let corners = [self.lo, self.hi].into_iter().zip(&mut current);
-            for (rows, sweep) in corners.take(orders) {
-                self.sort_axis(rows, axis, &mut keys, &mut sweep.order);
+            for (o, sweep) in current[..orders].iter_mut().enumerate() {
+                match ranks.get(o) {
+                    Some(ranks) => ranks.order(self.chunks, axis, &mut sweep.order),
+                    None => self.sort_axis(corners[o], axis, &mut keys, &mut sweep.order),
+                }
                 self.sweep(sweep);
             }
             let mut margin_sum = 0.0;
@@ -261,8 +357,8 @@ impl Sweep<'_> {
         let mut best_area = f64::INFINITY;
         for (o, sweep) in chosen.iter().take(orders).enumerate() {
             for k in 0..distributions {
-                let (p_lo, p_hi) = sweep.prefix.row(k, self.dims);
-                let (s_lo, s_hi) = sweep.suffix.row(distributions - 1 - k, self.dims);
+                let (p_lo, p_hi) = sweep.prefix.row(k, self);
+                let (s_lo, s_hi) = sweep.suffix.row(distributions - 1 - k, self);
                 let overlap = overlap(p_lo, p_hi, s_lo, s_hi);
                 let area = area(p_lo, p_hi) + area(s_lo, s_hi);
                 if overlap < best_overlap || (overlap == best_overlap && area < best_area) {
@@ -280,33 +376,54 @@ impl Sweep<'_> {
         }
     }
 
-    /// Sorts the entry indices by `rows[i * dims + axis]` under
+    /// Sorts the entry indices by their `axis` coordinate in `rows` under
     /// [`sort_key`], ties by index: a strict total order, so the unstable
     /// sort is deterministic.
-    fn sort_axis(&self, rows: &[f64], axis: usize, keys: &mut Vec<u128>, order: &mut Vec<usize>) {
+    fn sort_axis(&self, rows: &[Lane], axis: usize, keys: &mut Vec<u128>, order: &mut Vec<usize>) {
+        let (c, l) = (axis / LANES, axis % LANES);
         keys.clear();
-        keys.extend(
-            (0..self.len())
-                .map(|i| (u128::from(sort_key(rows[i * self.dims + axis])) << 64) | i as u128),
-        );
+        for (i, row) in rows.chunks_exact(self.chunks).enumerate() {
+            keys.push((u128::from(sort_key(row[c][l])) << 64) | i as u128);
+        }
         keys.sort_unstable();
         order.clear();
         order.extend(keys.iter().map(|&key| key as u64 as usize));
     }
 
     /// Fills the prefix and suffix boxes of every distribution of
-    /// `sweep.order` in one pass each: each row grows the one before it by
-    /// the one entry that differs.
+    /// `sweep.order` in one pass: each row grows the one before it by the
+    /// one entry that differs.  A prefix row and a suffix row are
+    /// independent, so growing them side by side overlaps their margin
+    /// sums.
+    #[inline(always)]
     fn sweep(&self, sweep: &mut OrderSweep) {
-        let (min, n) = (self.min, self.len());
-        let order = &sweep.order;
-        let moving = &order[min..n - min];
-        let prefix_steps = moving.iter().copied();
-        sweep.prefix.grow_rows(self, &order[..min], prefix_steps);
-        let suffix_steps = moving.iter().rev().copied();
-        sweep
-            .suffix
-            .grow_rows(self, &order[n - min..], suffix_steps);
+        let (min, n, rows) = (self.min, self.len(), self.distributions());
+        let OrderSweep {
+            order,
+            prefix,
+            suffix,
+        } = sweep;
+        prefix.seed(self, &order[..min], rows);
+        suffix.seed(self, &order[n - min..], rows);
+        for j in 1..rows {
+            prefix.grow_row(self, j, order[min + j - 1]);
+            suffix.grow_row(self, j, order[n - min - j]);
+        }
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx2 {
+    use super::{SplitResult, Sweep};
+
+    /// [`Sweep::split`] in an AVX2 codegen region: the rank compares and
+    /// the corner-wise min/max run four lanes to a register.
+    ///
+    /// # Safety
+    /// The executing CPU must support AVX2 (`avx2_available()`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn split(sweep: &Sweep<'_>) -> SplitResult {
+        sweep.split()
     }
 }
 
@@ -323,15 +440,71 @@ fn sort_key(x: f64) -> u64 {
     }
 }
 
-/// Grows the box `(acc_lo, acc_hi)` to contain the box `(lo, hi)`, as
-/// [`Mbr::extend_mbr`] does.
-fn grow(acc_lo: &mut [f64], acc_hi: &mut [f64], lo: &[f64], hi: &[f64]) {
-    for (a, &x) in acc_lo.iter_mut().zip(lo) {
-        *a = a.min(x);
+/// [`sort_key`] with its top bit flipped: the same order under signed
+/// comparison, which vector units do natively.
+#[inline(always)]
+fn rank_key(x: f64) -> i64 {
+    (sort_key(x) ^ (1 << 63)) as i64
+}
+
+/// Lane-wise `f64::min`, as [`Mbr::extend_mbr`] grows a lower corner.
+#[inline(always)]
+fn lane_min(a: Lane, b: Lane) -> Lane {
+    let mut out = a;
+    for l in 0..LANES {
+        out[l] = a[l].min(b[l]);
     }
-    for (a, &x) in acc_hi.iter_mut().zip(hi) {
-        *a = a.max(x);
+    out
+}
+
+/// Lane-wise `f64::max`, as [`Mbr::extend_mbr`] grows an upper corner.
+#[inline(always)]
+fn lane_max(a: Lane, b: Lane) -> Lane {
+    let mut out = a;
+    for l in 0..LANES {
+        out[l] = a[l].max(b[l]);
     }
+    out
+}
+
+/// A box's margin summed lane by lane: the edges in dimension order from
+/// the neutral element of `f64::sum`, exactly as [`Mbr::margin`] sums them.
+struct Margin(f64);
+
+impl Margin {
+    #[inline(always)]
+    fn new() -> Self {
+        Margin(std::iter::empty::<f64>().sum())
+    }
+
+    /// Adds the edges of lane `c` (dimensions `c * LANES..`) that lie below
+    /// `dims`.
+    #[inline(always)]
+    fn add(&mut self, lo: Lane, hi: Lane, c: usize, dims: usize) {
+        let mut edge = hi;
+        for l in 0..LANES {
+            edge[l] = hi[l] - lo[l];
+        }
+        if (c + 1) * LANES <= dims {
+            for e in edge {
+                self.0 += e;
+            }
+        } else {
+            for &e in &edge[..dims - c * LANES] {
+                self.0 += e;
+            }
+        }
+    }
+}
+
+/// The margin of the box `(lo, hi)` over its first `dims` dimensions.
+#[inline(always)]
+fn margin(lo: &[Lane], hi: &[Lane], dims: usize) -> f64 {
+    let mut margin = Margin::new();
+    for c in 0..lo.len() {
+        margin.add(lo[c], hi[c], c, dims);
+    }
+    margin.0
 }
 
 /// [`Mbr::area`] over corner slices.
@@ -351,86 +524,6 @@ fn overlap(a_lo: &[f64], a_hi: &[f64], b_lo: &[f64], b_hi: &[f64]) -> f64 {
         acc *= hi - lo;
     }
     acc
-}
-
-/// Quadratic split of the original R-tree (Guttman, SIGMOD 1984): pick the
-/// pair of entries that would waste the most area together as seeds, then
-/// greedily assign the rest by least enlargement.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`rstar_split`].
-#[must_use]
-pub fn quadratic_split(mbrs: &[Mbr], min_entries: usize) -> SplitResult {
-    assert!(min_entries > 0, "minimum entries must be positive");
-    assert!(
-        mbrs.len() >= 2 * min_entries,
-        "need at least 2 * min_entries entries"
-    );
-    let n = mbrs.len();
-
-    // Pick seeds.
-    let mut seed_a = 0;
-    let mut seed_b = 1;
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let waste = mbrs[i].union(&mbrs[j]).area() - mbrs[i].area() - mbrs[j].area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-
-    let mut first = vec![seed_a];
-    let mut second = vec![seed_b];
-    let mut mbr_a = mbrs[seed_a].clone();
-    let mut mbr_b = mbrs[seed_b].clone();
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
-
-    while let Some(&_next) = remaining.first() {
-        // If one group must take all remaining entries to reach the minimum,
-        // assign them wholesale.
-        if first.len() + remaining.len() == min_entries {
-            first.append(&mut remaining);
-            break;
-        }
-        if second.len() + remaining.len() == min_entries {
-            second.append(&mut remaining);
-            break;
-        }
-        // Pick the entry with the largest preference difference.
-        let mut best_idx = 0;
-        let mut best_diff = f64::NEG_INFINITY;
-        for (pos, &i) in remaining.iter().enumerate() {
-            let d1 = mbr_a.enlargement_for_mbr(&mbrs[i]);
-            let d2 = mbr_b.enlargement_for_mbr(&mbrs[i]);
-            let diff = (d1 - d2).abs();
-            if diff > best_diff {
-                best_diff = diff;
-                best_idx = pos;
-            }
-        }
-        let i = remaining.swap_remove(best_idx);
-        let d1 = mbr_a.enlargement_for_mbr(&mbrs[i]);
-        let d2 = mbr_b.enlargement_for_mbr(&mbrs[i]);
-        let to_first = match d1.partial_cmp(&d2) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => mbr_a.area() <= mbr_b.area(),
-        };
-        if to_first {
-            first.push(i);
-            mbr_a.extend_mbr(&mbrs[i]);
-        } else {
-            second.push(i);
-            mbr_b.extend_mbr(&mbrs[i]);
-        }
-    }
-
-    SplitResult { first, second }
 }
 
 #[cfg(test)]
@@ -482,34 +575,12 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_split_separates_clusters() {
-        let mbrs = two_cluster_mbrs();
-        let result = quadratic_split(&mbrs, 2);
-        assert_valid_partition(&result, 8, 2);
-        let in_first = result.first.contains(&0);
-        let group = if in_first {
-            &result.first
-        } else {
-            &result.second
-        };
-        assert!(group.iter().all(|&i| i < 4));
-    }
-
-    #[test]
     fn rstar_split_respects_min_entries_on_skewed_data() {
         // Seven identical boxes plus one far outlier: the outlier's group
         // must still receive at least min_entries entries.
         let mut mbrs = vec![Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]); 7];
         mbrs.push(Mbr::new(vec![100.0, 100.0], vec![101.0, 101.0]));
         let result = rstar_split(&mbrs, 3);
-        assert_valid_partition(&result, 8, 3);
-    }
-
-    #[test]
-    fn quadratic_split_respects_min_entries_on_skewed_data() {
-        let mut mbrs = vec![Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]); 7];
-        mbrs.push(Mbr::new(vec![100.0, 100.0], vec![101.0, 101.0]));
-        let result = quadratic_split(&mbrs, 3);
         assert_valid_partition(&result, 8, 3);
     }
 
@@ -531,7 +602,10 @@ mod tests {
     /// rebuilt through [`Mbr::union_all`] for every distribution of every
     /// sort order.  Where that formulation found no candidate below `+inf`
     /// (infinite coordinates) and panicked, it takes axis 0 and its first
-    /// distribution, as the sweep does; everything else is unchanged.
+    /// distribution, as the sweep does.  It sorts by [`sort_key`], ties by
+    /// index: on NaN-free input that is the old `partial_cmp` order, and
+    /// with NaNs it is still a total order, so NaN partitions are pinned
+    /// too.
     fn naive_rstar_split(mbrs: &[Mbr], min_entries: usize) -> SplitResult {
         let dims = mbrs[0].dims();
         let total = mbrs.len();
@@ -541,12 +615,7 @@ mod tests {
         };
         let sorted_indices = |key: &dyn Fn(usize) -> f64| {
             let mut idx: Vec<usize> = (0..total).collect();
-            idx.sort_by(|&a, &b| {
-                key(a)
-                    .partial_cmp(&key(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
+            idx.sort_by(|&a, &b| sort_key(key(a)).cmp(&sort_key(key(b))).then(a.cmp(&b)));
             idx
         };
 
@@ -635,14 +704,18 @@ mod tests {
         SignedZeros,
         /// Finite values with occasional `±inf`.
         Infinite,
+        /// Finite values with occasional `±NaN` and `±inf`: points only,
+        /// since [`Mbr::new`] rejects NaN corners.
+        Nan,
     }
 
     impl Coords {
-        const ALL: [Coords; 4] = [
+        const ALL: [Coords; 5] = [
             Coords::Uniform,
             Coords::Duplicates,
             Coords::SignedZeros,
             Coords::Infinite,
+            Coords::Nan,
         ];
 
         fn draw(self, rng: &mut Rng) -> f64 {
@@ -653,6 +726,13 @@ mod tests {
                 Coords::Infinite => {
                     if rng.below(8) == 0 {
                         rng.pick(&[f64::NEG_INFINITY, f64::INFINITY])
+                    } else {
+                        rng.unit()
+                    }
+                }
+                Coords::Nan => {
+                    if rng.below(4) == 0 {
+                        rng.pick(&[f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
                     } else {
                         rng.unit()
                     }
@@ -718,6 +798,9 @@ mod tests {
         for dims in [1usize, 2, 16, 33] {
             for coords in Coords::ALL {
                 for points in [true, false] {
+                    if !points && matches!(coords, Coords::Nan) {
+                        continue;
+                    }
                     // Leaf-sized splits (min 12, up to a 30-point leaf plus
                     // a 64-point batch), directory-sized ones (min 3) and
                     // the smallest legal splits.
@@ -743,7 +826,27 @@ mod tests {
                 }
             }
         }
-        assert!(cases > 150);
+        assert!(cases > 190);
+    }
+
+    #[test]
+    fn ranked_and_sorted_orders_match_naive_split_at_the_cutoff() {
+        let mut rng = Rng(0x5eed_0003);
+        for dims in [16usize, 33] {
+            for points in [true, false] {
+                // The largest split that ranks and the smallest that sorts.
+                for n in [RANK_CUTOFF, RANK_CUTOFF + 1] {
+                    // Duplicates make the index tie-break decide most
+                    // positions; a large minimum keeps the oracle cheap.
+                    for coords in [Coords::Uniform, Coords::Duplicates] {
+                        let min_entries = n / 2 - 4;
+                        let mbrs = entries(&mut rng, coords, n, dims, points);
+                        let case = format!("dims {dims}, {coords:?}, points {points}, n {n}");
+                        assert_matches_oracle(&mbrs, min_entries, &case);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -761,6 +864,9 @@ mod tests {
         assert_matches_oracle(&whole_line, 2, "infinite boxes");
     }
 
+    /// Points with NaN and infinite coordinates split exactly as the
+    /// oracle does.  Boxes with NaN corners cannot be built as [`Mbr`]s for
+    /// the oracle, so they only have to partition validly.
     #[test]
     fn non_finite_coordinates_give_a_valid_partition() {
         let mut rng = Rng(0x5eed_0002);
@@ -783,7 +889,7 @@ mod tests {
                 })
                 .collect();
             let mbrs: Vec<Mbr> = points.iter().map(|p| Mbr::from_point(p)).collect();
-            assert_valid_partition(&rstar_split(&mbrs, min_entries), n, min_entries);
+            assert_matches_oracle(&mbrs, min_entries, &format!("trial {trial}"));
             let boxes = rstar_split_corners(
                 n,
                 dims,
@@ -796,7 +902,16 @@ mod tests {
             assert_valid_partition(&boxes, n, min_entries);
         }
         let all_nan = vec![Mbr::from_point(&[f64::NAN, f64::NAN]); 10];
-        assert_valid_partition(&rstar_split(&all_nan, 4), 10, 4);
+        assert_matches_oracle(&all_nan, 4, "all NaN");
+    }
+
+    #[test]
+    fn split_dispatch_follows_the_simd_feature() {
+        // Without the feature the oracle tests above pin the scalar sweep,
+        // even on a CPU with AVX2.
+        if !cfg!(feature = "simd") {
+            assert!(!bt_stats::simd::avx2_available());
+        }
     }
 
     #[test]
