@@ -176,22 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn one_large_batch_into_an_empty_tree_splits_quickly_and_stays_valid() {
+    fn one_large_batch_into_an_empty_tree_stays_valid() {
         // The batch lands in the root leaf, which then splits at 4,096
-        // entries and below, far past the split's rank cutoff.  Ranking
-        // such splits over all entry pairs instead of sorting them takes
-        // about 26 s in a debug build, against about 4 s.
+        // entries and below, far past the split's rank cutoff (bt-index
+        // tests that such splits build no rank table).
         let geometry = PageGeometry::default_for_dims(16);
         let mut tree: BayesTree = BayesTree::new(16, geometry);
-        let started = std::time::Instant::now();
         tree.insert_batch(random_points(4_096, 16, 8));
-        let elapsed = started.elapsed();
         assert_eq!(tree.len(), 4_096);
         assert!(tree.validate(true).is_ok());
-        assert!(
-            elapsed < std::time::Duration::from_secs(15),
-            "one 4,096-point batch took {elapsed:?}"
-        );
     }
 
     #[test]

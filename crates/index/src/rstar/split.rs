@@ -10,15 +10,17 @@
 //! for each sort order one pass grows the prefix boxes (first groups) and
 //! the suffix boxes (second groups) of all distributions, each box's margin
 //! summed right after it grows.  A split of `n` entries in `d` dimensions
-//! costs `O(d · n · (d + n))`; above `RANK_CUTOFF` entries each axis is
-//! sorted by key instead of ranked, for `O(d · n · (d + log n))`.  Either
+//! costs `O(d · n · (d + n))`; above a small constant `n` (`RANK_CUTOFF`
+//! under AVX2, `SCALAR_RANK_CUTOFF` otherwise) each axis is sorted by key
+//! instead of ranked, for `O(d · n · (d + log n))`.  Either
 //! replaces the `O(d² · n²)` of rebuilding both groups' boxes per
 //! distribution, and picks the same partition.
 //!
-//! The sweep runs under AVX2 codegen when the CPU has it (the `simd`
-//! feature, detected once by [`bt_stats::simd::avx2_available`]): the
-//! ranking compares and the corner-wise min/max fill whole registers.  The
-//! scalar build runs the same code and picks the same partition.
+//! On x86_64 the sweep runs under AVX2 codegen whenever
+//! [`bt_stats::simd::avx2_available`] holds (the CPU has AVX2 and
+//! bt-stats' `simd` feature is on): the ranking compares and the
+//! corner-wise min/max fill whole registers.  Otherwise the same code runs
+//! as plain scalar code and picks the same partition.
 
 use crate::mbr::Mbr;
 use bt_stats::simd::LANES;
@@ -112,6 +114,20 @@ where
         len
     );
     assert!(dims > 0, "MBR must have at least one dimension");
+    with_sweep(len, dims, corner, min_entries, |sweep| sweep.run())
+}
+
+/// Gathers the entries' corners into a [`Sweep`] and hands it to `f`.
+fn with_sweep<F, R>(
+    len: usize,
+    dims: usize,
+    corner: F,
+    min_entries: usize,
+    f: impl FnOnce(&Sweep<'_>) -> R,
+) -> R
+where
+    F: Fn(usize, usize) -> (f64, f64),
+{
     let chunks = dims.div_ceil(LANES);
     let mut lo = vec![[0.0; LANES]; len * chunks];
     let mut hi = vec![[0.0; LANES]; len * chunks];
@@ -122,21 +138,27 @@ where
             (lo[d], hi[d]) = corner(i, d);
         }
     }
-    Sweep {
+    f(&Sweep {
         dims,
         chunks,
         min: min_entries,
         lo: &lo,
         hi: &hi,
-    }
-    .run()
+    })
 }
 
-/// Splits of at most this many entries order every axis through one rank
-/// table over all entry pairs (`O(n² · d)`, no data-dependent branch);
-/// larger ones sort each axis by key.  It covers a full 16-d leaf
-/// overflowed by a 64-point batch.
-const RANK_CUTOFF: usize = 128;
+/// Under AVX2, splits of at most this many entries order every axis
+/// through one rank table over all entry pairs (`O(n² · d)`, no
+/// data-dependent branch); larger ones sort each axis by key.  Measured
+/// per split in 16 and 33 dimensions, the table beats the sorts by 1.1–1.4×
+/// at 64 entries, breaks even around 96 and loses at 128 (docs/PERF.md).
+/// 96 covers a full 16-d leaf overflowed by a 64-point batch.
+const RANK_CUTOFF: usize = 96;
+
+/// [`RANK_CUTOFF`] without AVX2.  Baseline x86-64 has no 64-bit integer
+/// vector compare, so the table is scalar and breaks even with the sorts
+/// at about 24–31 entries.
+const SCALAR_RANK_CUTOFF: usize = 24;
 
 /// Coordinates of one vector register.
 type Lane = [f64; LANES];
@@ -292,12 +314,12 @@ impl Sweep<'_> {
 
     /// [`Sweep::split`], compiled for AVX2 when the CPU has it.
     fn run(&self) -> SplitResult {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if bt_stats::simd::avx2_available() {
             // SAFETY: AVX2 support was just verified.
             return unsafe { avx2::split(self) };
         }
-        self.split()
+        self.split(SCALAR_RANK_CUTOFF)
     }
 
     /// Axis with minimal total margin over all distributions of both
@@ -307,21 +329,13 @@ impl Sweep<'_> {
     /// `+inf` (infinite or NaN coordinates), axis 0 and its first
     /// distribution stand in.
     #[inline(always)]
-    fn split(&self) -> SplitResult {
+    fn split(&self, rank_cutoff: usize) -> SplitResult {
         // Pure points sort identically by both corners, so the upper-corner
         // order adds the same margins again and can never strictly improve
         // a distribution: one order serves as both.
         let orders = if self.lo == self.hi { 1 } else { 2 };
         let corners = [self.lo, self.hi];
-        // Plain loops rather than iterator adaptors here and in the
-        // helpers: a closure that runs inside a non-inlined library
-        // function would leave the AVX2 codegen region.
-        let mut ranks = Vec::with_capacity(orders);
-        if self.len() <= RANK_CUTOFF {
-            for rows in &corners[..orders] {
-                ranks.push(Ranks::of(self, rows));
-            }
-        }
+        let ranks = self.ranks(orders, rank_cutoff);
         let distributions = self.distributions();
         let mut keys = Vec::new();
         let mut current: [OrderSweep; 2] = Default::default();
@@ -376,6 +390,23 @@ impl Sweep<'_> {
         }
     }
 
+    /// The rank tables of the first `orders` corner tables (lower, then
+    /// upper), or none above `rank_cutoff` entries, whose axes are sorted
+    /// by key instead.
+    #[inline(always)]
+    fn ranks(&self, orders: usize, rank_cutoff: usize) -> Vec<Ranks> {
+        // Plain loops rather than iterator adaptors here and in the other
+        // helpers of `split`: a closure that runs inside a non-inlined
+        // library function would leave the AVX2 codegen region.
+        let mut ranks = Vec::with_capacity(orders);
+        if self.len() <= rank_cutoff {
+            for rows in &[self.lo, self.hi][..orders] {
+                ranks.push(Ranks::of(self, rows));
+            }
+        }
+        ranks
+    }
+
     /// Sorts the entry indices by their `axis` coordinate in `rows` under
     /// [`sort_key`], ties by index: a strict total order, so the unstable
     /// sort is deterministic.
@@ -412,18 +443,19 @@ impl Sweep<'_> {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{SplitResult, Sweep};
 
-    /// [`Sweep::split`] in an AVX2 codegen region: the rank compares and
+    /// [`Sweep::split`] in an AVX2 codegen region, ranking up to
+    /// [`RANK_CUTOFF`](super::RANK_CUTOFF) entries: the rank compares and
     /// the corner-wise min/max run four lanes to a register.
     ///
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn split(sweep: &Sweep<'_>) -> SplitResult {
-        sweep.split()
+        sweep.split(super::RANK_CUTOFF)
     }
 }
 
@@ -789,6 +821,23 @@ mod tests {
             min_entries,
         );
         assert_eq!(corners, expected, "rstar_split_corners: {case}");
+        assert_eq!(
+            scalar_split(mbrs, min_entries),
+            expected,
+            "scalar sweep: {case}"
+        );
+    }
+
+    /// [`Sweep::split`] outside the AVX2 codegen region, as it runs on a
+    /// CPU without AVX2 or with bt-stats' `simd` feature off.
+    fn scalar_split(mbrs: &[Mbr], min_entries: usize) -> SplitResult {
+        with_sweep(
+            mbrs.len(),
+            mbrs[0].dims(),
+            |i, d| (mbrs[i].lower()[d], mbrs[i].upper()[d]),
+            min_entries,
+            |sweep| sweep.split(SCALAR_RANK_CUTOFF),
+        )
     }
 
     #[test]
@@ -834,8 +883,14 @@ mod tests {
         let mut rng = Rng(0x5eed_0003);
         for dims in [16usize, 33] {
             for points in [true, false] {
-                // The largest split that ranks and the smallest that sorts.
-                for n in [RANK_CUTOFF, RANK_CUTOFF + 1] {
+                // The largest split that ranks and the smallest that sorts,
+                // with AVX2 and without.
+                for n in [
+                    SCALAR_RANK_CUTOFF,
+                    SCALAR_RANK_CUTOFF + 1,
+                    RANK_CUTOFF,
+                    RANK_CUTOFF + 1,
+                ] {
                     // Duplicates make the index tie-break decide most
                     // positions; a large minimum keeps the oracle cheap.
                     for coords in [Coords::Uniform, Coords::Duplicates] {
@@ -866,7 +921,8 @@ mod tests {
 
     /// Points with NaN and infinite coordinates split exactly as the
     /// oracle does.  Boxes with NaN corners cannot be built as [`Mbr`]s for
-    /// the oracle, so they only have to partition validly.
+    /// the oracle, so they only have to partition validly, and the same
+    /// way in both dispatch states.
     #[test]
     fn non_finite_coordinates_give_a_valid_partition() {
         let mut rng = Rng(0x5eed_0002);
@@ -890,27 +946,31 @@ mod tests {
                 .collect();
             let mbrs: Vec<Mbr> = points.iter().map(|p| Mbr::from_point(p)).collect();
             assert_matches_oracle(&mbrs, min_entries, &format!("trial {trial}"));
-            let boxes = rstar_split_corners(
-                n,
-                dims,
-                |i, d| {
-                    let x = points[i][d];
-                    (x, if x.is_nan() { x } else { x + 1.0 })
-                },
-                min_entries,
-            );
+            let corner = |i: usize, d: usize| {
+                let x = points[i][d];
+                (x, if x.is_nan() { x } else { x + 1.0 })
+            };
+            let boxes = rstar_split_corners(n, dims, corner, min_entries);
             assert_valid_partition(&boxes, n, min_entries);
+            let scalar = with_sweep(n, dims, corner, min_entries, |sweep| {
+                sweep.split(SCALAR_RANK_CUTOFF)
+            });
+            assert_eq!(scalar, boxes, "scalar sweep: trial {trial}");
         }
         let all_nan = vec![Mbr::from_point(&[f64::NAN, f64::NAN]); 10];
         assert_matches_oracle(&all_nan, 4, "all NaN");
     }
 
     #[test]
-    fn split_dispatch_follows_the_simd_feature() {
-        // Without the feature the oracle tests above pin the scalar sweep,
-        // even on a CPU with AVX2.
-        if !cfg!(feature = "simd") {
-            assert!(!bt_stats::simd::avx2_available());
+    fn only_splits_up_to_the_cutoff_build_rank_tables() {
+        // The table costs O(n² · d): a large split (one big batch into an
+        // empty leaf) must sort instead.
+        for cutoff in [RANK_CUTOFF, SCALAR_RANK_CUTOFF] {
+            for (n, tables) in [(cutoff, 2), (cutoff + 1, 0), (4_096, 0)] {
+                let corner = |i: usize, d: usize| (i as f64, (i + d) as f64);
+                let built = with_sweep(n, 3, corner, 1, |s| s.ranks(2, cutoff).len());
+                assert_eq!(built, tables, "cutoff {cutoff}, n {n}");
+            }
         }
     }
 
