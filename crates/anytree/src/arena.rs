@@ -791,16 +791,12 @@ mod tests {
 
     #[test]
     fn restamping_a_node_drops_its_cached_block() {
-        use bt_stats::BlockPrecision;
         let mut arena: NodeArena<W, u32> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         let version = arena.version(0);
         arena.cache_slot(0).store(cached(version));
-        assert!(arena
-            .cache_slot(0)
-            .lookup_scored(version, BlockPrecision::F64)
-            .is_some());
+        assert!(arena.cache_slot(0).lookup_scored(version).is_some());
         // Same-stamp writes within one batch keep the slot...
         arena.node_mut(0).items_mut().push(2);
         assert!(arena.cache_slot(0).peek().is_none());
@@ -815,7 +811,6 @@ mod tests {
 
     #[test]
     fn retiring_a_node_leaves_the_snapshot_block_warm() {
-        use bt_stats::BlockPrecision;
         let mut arena: NodeArena<W, u32> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
@@ -824,18 +819,12 @@ mod tests {
         spine.cache_slot(0).store(cached(pinned_version));
         // The slot is page-shared: the live arena sees the warm block until
         // it mutates the node.
-        assert!(arena
-            .cache_slot(0)
-            .lookup_scored(pinned_version, BlockPrecision::F64)
-            .is_some());
+        assert!(arena.cache_slot(0).lookup_scored(pinned_version).is_some());
         // Copy-on-write retire: the live copy starts with an empty slot, the
         // spine keeps reading its warm block.
         arena.node_mut(0).items_mut().push(2);
         assert!(arena.cache_slot(0).peek().is_none());
-        assert!(spine
-            .cache_slot(0)
-            .lookup_scored(pinned_version, BlockPrecision::F64)
-            .is_some());
+        assert!(spine.cache_slot(0).lookup_scored(pinned_version).is_some());
     }
 
     #[test]

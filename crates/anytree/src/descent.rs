@@ -40,7 +40,7 @@ use crate::tree::{AnytimeTree, InsertOutcome};
 use bt_index::rstar::{choose_subtree_block, choose_subtree_by};
 use bt_index::Mbr;
 use bt_stats::kernel::sq_dists_block;
-use bt_stats::{BlockCacheSlot, CachedBlock, Columns, GatheredBlock};
+use bt_stats::{BlockCacheSlot, CachedBlock, GatheredBlock};
 use std::sync::Arc;
 
 /// The complete state of one in-flight insertion.
@@ -720,7 +720,7 @@ pub(crate) struct RouteScratch {
     point: Vec<f64>,
     cols_lo: Vec<f64>,
     cols_hi: Vec<f64>,
-    centers: Columns,
+    centers: Vec<f64>,
     lane_a: Vec<f64>,
     lane_b: Vec<f64>,
 }
@@ -766,22 +766,20 @@ where
             if let Some(hit) = slot.get_at_owned(stamp) {
                 let block = &hit.gathered.block;
                 if block.has_boxes() && block.len() == len && block.dims() == dims {
-                    if let (Some(lo), Some(hi)) = (block.lower().as_f64(), block.upper().as_f64()) {
-                        let best = choose_subtree_block(
-                            point,
-                            lo,
-                            hi,
-                            len,
-                            &mut scratch.lane_a,
-                            &mut scratch.lane_b,
-                        );
-                        debug_assert_eq!(
-                            scalar_mbr_route(entries, point),
-                            best,
-                            "cached block routing diverged from the scalar reference"
-                        );
-                        return best;
-                    }
+                    let best = choose_subtree_block(
+                        point,
+                        block.lower(),
+                        block.upper(),
+                        len,
+                        &mut scratch.lane_a,
+                        &mut scratch.lane_b,
+                    );
+                    debug_assert_eq!(
+                        scalar_mbr_route(entries, point),
+                        best,
+                        "cached block routing diverged from the scalar reference"
+                    );
+                    return best;
                 }
             }
             // First object through this node in the batch: gather the boxes
@@ -798,8 +796,8 @@ where
             }
             let best = choose_subtree_block(
                 point,
-                gathered.block.lower().as_f64().expect("gathered at f64"),
-                gathered.block.upper().as_f64().expect("gathered at f64"),
+                gathered.block.lower(),
+                gathered.block.upper(),
                 len,
                 &mut scratch.lane_a,
                 &mut scratch.lane_b,
@@ -852,7 +850,7 @@ where
         if let Some((slot, stamp)) = cache {
             if let Some(hit) = slot.get_at_owned(stamp) {
                 let centers = &hit.gathered.centers;
-                if centers.len() == dims * len && centers.as_f64().is_some() {
+                if centers.len() == dims * len {
                     sq_dists_block(point, centers, len, &mut scratch.lane_a);
                     let best = argmin_first(&scratch.lane_a);
                     debug_assert_eq!(
@@ -864,12 +862,12 @@ where
                 }
             }
             let mut gathered = GatheredBlock::new();
-            gathered.centers.reset(dims * len);
+            gathered.centers.resize(dims * len, 0.0);
             for (i, entry) in entries.iter().enumerate() {
                 entry.summary.center_into(&mut scratch.cols_hi);
                 debug_assert_eq!(scratch.cols_hi.len(), dims);
                 for d in 0..dims {
-                    gathered.centers.set(d * len + i, scratch.cols_hi[d]);
+                    gathered.centers[d * len + i] = scratch.cols_hi[d];
                 }
             }
             sq_dists_block(point, &gathered.centers, len, &mut scratch.lane_a);
@@ -886,12 +884,13 @@ where
             }));
             return best;
         }
-        scratch.centers.reset(dims * len);
+        scratch.centers.clear();
+        scratch.centers.resize(dims * len, 0.0);
         for (i, entry) in entries.iter().enumerate() {
             entry.summary.center_into(&mut scratch.cols_hi);
             debug_assert_eq!(scratch.cols_hi.len(), dims);
             for d in 0..dims {
-                scratch.centers.set(d * len + i, scratch.cols_hi[d]);
+                scratch.centers[d * len + i] = scratch.cols_hi[d];
             }
         }
         sq_dists_block(point, &scratch.centers, len, &mut scratch.lane_a);
@@ -971,7 +970,7 @@ fn refresh_routing_entry<S: Summary>(
         let dims = scratch.cols_hi.len();
         let len = centers.len() / dims;
         for d in 0..dims {
-            centers.set(d * len + idx, scratch.cols_hi[d]);
+            centers[d * len + idx] = scratch.cols_hi[d];
         }
     }
 }

@@ -69,10 +69,9 @@
 //!   columns and runs the batch kernels of `bt_stats::kernel` over all
 //!   entries in one autovectorizable pass ([`QueryModel::score_entries`],
 //!   [`Summary::CENTER_ROUTED`]).  The scalar per-entry path remains the
-//!   behavioural reference: block overrides are bit-identical in the
-//!   default `f64` column mode (property-tested), and the opt-in
-//!   [`BlockPrecision::F32`] mode narrows only the stored columns while
-//!   every accumulation stays scalar `f64`,
+//!   behavioural reference: columns are always `f64` (narrow stored
+//!   summaries widen into them at gather time) and block overrides are
+//!   bit-identical to the scalar path (property-tested),
 //! * the **sharding layer** ([`shard`]): a [`ShardedAnytimeTree`] partitions
 //!   the object space into `K` independent shard trees behind a pluggable
 //!   [`ShardRouter`] and descends every shard's share of a mini-batch in
@@ -124,9 +123,7 @@ pub use arena::{
     SLOT_CHUNK,
 };
 pub use bt_obs;
-pub use bt_stats::{
-    BlockCacheSlot, BlockPrecision, BlockScratch, CachedBlock, Columns, GatheredBlock, SummaryBlock,
-};
+pub use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock, SummaryBlock};
 pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, DescentStats};
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};

@@ -51,7 +51,7 @@
 use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
-use bt_stats::{BlockCacheSlot, BlockPrecision, BlockScratch, CachedBlock, GatheredBlock};
+use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -120,22 +120,6 @@ pub trait QueryModel<S: Summary> {
     /// the frontier when the root itself is a leaf.
     fn summarize_leaf_items(&self, items: &[Self::LeafItem]) -> S;
 
-    /// The column precision this model gathers blocks at.  Cached blocks
-    /// are only reused by a model gathering at the same precision.
-    fn block_precision(&self) -> BlockPrecision {
-        BlockPrecision::F64
-    }
-
-    /// The column precision this model gathers **leaf item** blocks at —
-    /// the precision the leaf cache lookups key on.  Defaults to
-    /// [`block_precision`](QueryModel::block_precision); models whose leaf
-    /// items are exact full-width observations (rather than stored
-    /// summaries) gather leaves at `F64` regardless of the directory
-    /// precision and must say so here, or every leaf lookup misses.
-    fn leaf_block_precision(&self) -> BlockPrecision {
-        self.block_precision()
-    }
-
     /// Gathers one directory node's entries into `out`'s columns and returns
     /// `true`; a model with no block representation returns `false` (the
     /// default) and is scored through the per-summary scalar loop.
@@ -177,7 +161,7 @@ pub trait QueryModel<S: Summary> {
     /// delegates to the per-summary methods — which stay the behavioural
     /// reference: a block path may only change *how* the scores are computed
     /// (structure-of-arrays batch kernels of `bt_stats::kernel`), never
-    /// their values beyond the model's documented precision mode.
+    /// their values.
     fn score_entries(
         &self,
         query: &[f64],
@@ -957,10 +941,7 @@ impl QueryCursor {
         M: QueryModel<S>,
     {
         if let Some(cache) = cache {
-            if let Some(hit) = cache
-                .slot
-                .lookup_scored(cache.version, model.block_precision())
-            {
+            if let Some(hit) = cache.slot.lookup_scored(cache.version) {
                 self.stats.gathers_avoided += 1;
                 bt_obs::trace(|| bt_obs::TraceEvent::Gather {
                     node: node as u64,
@@ -1034,10 +1015,7 @@ impl QueryCursor {
         M: QueryModel<S>,
     {
         if let Some(cache) = cache {
-            if let Some(hit) = cache
-                .slot
-                .lookup_scored(cache.version, model.leaf_block_precision())
-            {
+            if let Some(hit) = cache.slot.lookup_scored(cache.version) {
                 self.stats.gathers_avoided += 1;
                 bt_obs::trace(|| bt_obs::TraceEvent::Gather {
                     node: node as u64,

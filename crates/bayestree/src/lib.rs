@@ -38,8 +38,8 @@
 //! [`BayesTree`] (and [`ShardedBayesTree`], and their snapshots) carry a
 //! stored-precision parameter `E` defaulting to `f64`.  [`BayesTreeF32`]
 //! stores every directory summary — CF linear/squared sums and MBR corners —
-//! as `f32`, halving the resident bytes per entry and the memory bandwidth
-//! of the block-scoring hot path.  [`BayesTreeQuantized`] goes further:
+//! as `f32`, halving the resident bytes per entry and roughly doubling the
+//! directory fanout per page.  [`BayesTreeQuantized`] goes further:
 //! CF components become 16-bit mantissas against a shared per-summary
 //! block exponent and MBR corners become outward-rounded 16-bit floats,
 //! roughly quadrupling the directory fanout per page relative to `f64`.
@@ -47,7 +47,9 @@
 //! MBR corners round *outward* so the stored boxes always enclose the
 //! exact ones and the certified `[lower, upper]` density intervals remain
 //! sound (leaf kernels are exact `f64` in all modes, so a fully refined
-//! answer is exact regardless of stored precision).  See
+//! answer is exact regardless of stored precision).  Gathers widen the
+//! stored values into full-width `f64` block columns, so every mode's
+//! block scoring equals its scalar reference bit for bit.  See
 //! [`node::StoredElement`] for the contract and `docs/PERF.md` for measured
 //! effects.
 //!

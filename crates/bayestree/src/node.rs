@@ -24,7 +24,9 @@
 //!   `f64` and is quantised on write: round-to-nearest for the CF sums,
 //!   *outward* for the MBR corners, so a narrowed box always encloses the
 //!   exact one and the MBR-derived density bounds stay sound (see
-//!   `bt_index::mbr`).
+//!   `bt_index::mbr`).  Gathers widen the stored values into full-width
+//!   [`bt_stats::SummaryBlock`] columns (exact), like the quantised mode
+//!   below.
 //! * **[`Quantized`]**: 16-bit storage ([`QuantizedSummary`]) — CF
 //!   linear/squared sums as `i16` mantissas against a per-summary
 //!   power-of-two block step (the "block exponent", chosen from the
@@ -36,8 +38,12 @@
 //!   `[lower, upper]` bounds sound and monotone.  Decoding happens once per
 //!   gather into full-width [`bt_stats::SummaryBlock`] columns (mantissa
 //!   times power-of-two is *exact* in `f64`), so the epoch-stamped block
-//!   cache amortises decode across query batches and the SIMD/FMA batch
+//!   cache amortises decode across query batches and the SIMD batch
 //!   kernels run on decoded columns untouched.
+//!
+//! Narrowing therefore happens only when a summary is written: in every
+//! mode the block path scores exactly the values the scalar
+//! [`StoredSummary`] methods read, bit for bit.
 //!
 //! Every mode routes through the same R* MINDIST/enlargement machinery: the
 //! anytime core streams boxes through the per-corner
@@ -52,9 +58,7 @@ use bt_stats::kernel::{farthest_point_log_kernel, nearest_point_log_kernel};
 use bt_stats::quant::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16,
 };
-use bt_stats::{
-    BlockPrecision, ClusterFeature, ColumnElement, DiagGaussian, SummaryBlock, VARIANCE_FLOOR,
-};
+use bt_stats::{ClusterFeature, ColumnElement, DiagGaussian, SummaryBlock, VARIANCE_FLOOR};
 
 /// Arena index of a node within its tree.
 pub type NodeId = bt_anytree::NodeId;
@@ -124,8 +128,8 @@ pub trait StoredSummary:
     /// Decodes this summary into row `i` of a structure-of-arrays block:
     /// weight, Gaussian mean/variance and MBR corner columns, replicating
     /// `ClusterFeature::variance` and the `DiagGaussian` clamp exactly so
-    /// the `f64`-precision block kernels stay bit-identical to the scalar
-    /// reference.  `block` has already been reset with boxes enabled.
+    /// the block kernels stay bit-identical to the scalar reference.
+    /// `block` has already been reset with boxes enabled.
     fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize);
 
     /// The log product-kernel at the farthest and nearest point of this
@@ -150,12 +154,6 @@ pub trait StoredElement: Send + Sync + 'static {
     /// epoch page.
     const SCALAR_BYTES: usize;
 
-    /// The column precision block gathers decode into.  Quantised summaries
-    /// decode to `F64` (mantissa times power-of-two is exact there), so
-    /// their block path inherits the bit-exactness contract of the `f64`
-    /// kernels.
-    const GATHER_PRECISION: BlockPrecision;
-
     /// Human-readable mode name for reports and bench records.
     const MODE: &'static str;
 }
@@ -163,14 +161,12 @@ pub trait StoredElement: Send + Sync + 'static {
 impl StoredElement for f64 {
     type Summary = KernelSummary<f64>;
     const SCALAR_BYTES: usize = 8;
-    const GATHER_PRECISION: BlockPrecision = BlockPrecision::F64;
     const MODE: &'static str = "f64";
 }
 
 impl StoredElement for f32 {
     type Summary = KernelSummary<f32>;
     const SCALAR_BYTES: usize = 4;
-    const GATHER_PRECISION: BlockPrecision = BlockPrecision::F32;
     const MODE: &'static str = "f32";
 }
 
@@ -183,7 +179,6 @@ pub struct Quantized;
 impl StoredElement for Quantized {
     type Summary = QuantizedSummary;
     const SCALAR_BYTES: usize = 2;
-    const GATHER_PRECISION: BlockPrecision = BlockPrecision::F64;
     const MODE: &'static str = "quantized";
 }
 
@@ -614,7 +609,7 @@ impl StoredSummary for QuantizedSummary {
 
     fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize) {
         // Mirrors the full-width gather on the decoded values (decode is
-        // exact in f64), so the F64 block kernels stay bit-identical to the
+        // exact in f64), so the block kernels stay bit-identical to the
         // scalar reference on this mode too.
         block.set_weight(i, self.n);
         if self.n <= f64::EPSILON {

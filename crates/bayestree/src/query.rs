@@ -29,7 +29,7 @@ use bt_anytree::{
     Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{leaf_scores_block, node_scores_block, GaussianKernel, Kernel};
-use bt_stats::{BlockPrecision, GatheredBlock, KernelBandwidth};
+use bt_stats::{GatheredBlock, KernelBandwidth};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
 /// summary — the single place this arithmetic lives; the incremental
@@ -53,7 +53,6 @@ pub fn summary_mixture_term<S: StoredSummary>(summary: &S, x: &[f64], n: f64) ->
 pub struct KernelQueryModel<'a> {
     n: f64,
     bandwidth: &'a KernelBandwidth,
-    precision: BlockPrecision,
 }
 
 impl<'a> KernelQueryModel<'a> {
@@ -64,20 +63,7 @@ impl<'a> KernelQueryModel<'a> {
         Self {
             n: count.max(1) as f64,
             bandwidth,
-            precision: BlockPrecision::F64,
         }
-    }
-
-    /// Opts the block scoring path into a column precision —
-    /// [`BlockPrecision::F32`] halves the memory bandwidth of the batch
-    /// kernels at the cost of quantising the gathered means, variances and
-    /// MBR corners to `f32` (query, bandwidth, weights and all accumulation
-    /// stay `f64`).  The default `F64` path is bit-identical to the scalar
-    /// reference.
-    #[must_use]
-    pub fn with_precision(mut self, precision: BlockPrecision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// The global normaliser `n`.
@@ -118,17 +104,6 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         S::from_points(items, items[0].len()).expect("cannot summarise an empty leaf")
     }
 
-    fn block_precision(&self) -> BlockPrecision {
-        self.precision
-    }
-
-    fn leaf_block_precision(&self) -> BlockPrecision {
-        // Leaf items are raw observations gathered at full width whatever
-        // the stored precision (see `gather_leaf_items`), so leaf cache
-        // lookups must key on `F64` or they would never hit.
-        BlockPrecision::F64
-    }
-
     /// Block gather: packs the node's entries into the structure-of-arrays
     /// [`bt_stats::SummaryBlock`] (weights, Gaussian means / variances, MBR
     /// corners) so [`QueryModel::score_gathered`] can evaluate every entry
@@ -136,8 +111,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// instead of four scalar loops per entry.
     ///
     /// The per-entry decode lives in [`StoredSummary::gather_into`]:
-    /// full-width modes copy/widen, the quantised mode decodes its
-    /// mantissas (exactly, in `f64`) — each replicates
+    /// the `f64` mode copies, the `f32` mode widens and the quantised mode
+    /// decodes its mantissas (all exact, in `f64`) — each replicates
     /// `ClusterFeature::variance` and the `DiagGaussian` variance clamp, and
     /// the gather is a pure function of `entries`, so the engine caches it
     /// per node keyed by the node's version stamp.
@@ -145,7 +120,6 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         let dims = self.bandwidth.len();
         let len = entries.len();
         let block = &mut out.block;
-        block.set_precision(self.precision);
         block.reset(dims, len);
         block.enable_boxes();
         for (i, entry) in entries.iter().enumerate() {
@@ -161,10 +135,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// Block scoring over gathered columns: mixture term, MBR bounds and
     /// geometric priority for all entries in one [`node_scores_block`]
     /// pass.  The pass accumulates in the same per-dimension order as the
-    /// scalar methods, so in the default [`BlockPrecision::F64`] mode the
-    /// scores are bit-identical to the per-summary reference (the frontier
-    /// tests assert this).  In the opt-in `F32` mode only the *stored*
-    /// columns are quantised.
+    /// scalar methods, so in every stored mode the scores are bit-identical
+    /// to the per-summary reference (the frontier tests assert this).
     fn score_gathered(
         &self,
         query: &[f64],
@@ -198,12 +170,6 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         let dims = self.bandwidth.len();
         let len = items.len();
         let block = &mut out.block;
-        // Leaf items are raw observations, exact `f64` regardless of the
-        // stored summary precision — narrowing them here would quantise the
-        // converged answer, so leaf blocks always gather at full width.
-        // (`self.precision` only governs directory-entry blocks, where the
-        // stored values are already that narrow and the gather is lossless.)
-        block.set_precision(BlockPrecision::F64);
         block.reset(dims, len);
         for (i, item) in items.iter().enumerate() {
             block.set_weight(i, 1.0);
@@ -216,8 +182,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
 
     /// Leaf block scoring: one [`leaf_scores_block`] pass evaluates every
     /// item's product kernel (the exact sum [`GaussianKernel`] takes, in the
-    /// same dimension order — bit-identical in `F64` mode) together with its
-    /// geometric priority.
+    /// same dimension order, bit-identical) together with its geometric
+    /// priority.
     fn score_gathered_leaves(
         &self,
         query: &[f64],
@@ -260,17 +226,12 @@ impl<E: StoredElement> BayesTree<E> {
     /// The kernel-density query model of this tree (normalised by the stored
     /// observation count, kernels evaluated with the tree's bandwidth).
     ///
-    /// The block-scoring precision follows the stored mode
-    /// ([`StoredElement::GATHER_PRECISION`]): an `f32` stored tree gathers
-    /// `f32` columns (its summaries hold nothing wider, so the narrowed
-    /// columns equal the stored values exactly and the bound intervals stay
-    /// sound), while the `f64` *and* quantised trees gather full-width
-    /// columns — quantised mantissas decode exactly in `f64`, so both keep
-    /// the bit-identical block path.
+    /// Every stored mode gathers full-width columns: `f32` summaries widen
+    /// and quantised mantissas decode exactly in `f64`, so each mode's block
+    /// path equals its scalar reference bit for bit.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
         KernelQueryModel::new(self.len(), self.kernel_bandwidth())
-            .with_precision(E::GATHER_PRECISION)
     }
 
     /// Budget-bracketed anytime density query: refines the frontier with the
@@ -419,9 +380,12 @@ mod tests {
         assert!((by_terms - crate::pdq::pdq(&entries, &x)).abs() < 1e-12);
     }
 
-    #[test]
-    fn block_scores_match_the_scalar_reference_bitwise() {
-        let tree: BayesTree = sample_tree(300, 6);
+    /// Scores every inner node of `tree` through the block path and checks
+    /// each score against the scalar `StoredSummary` reference bit for bit.
+    /// Every stored mode gathers into full-width `f64` columns (`f32`
+    /// widens and the quantised decode `q * step` is exact), so all three
+    /// are held to the same contract.
+    fn assert_block_scores_match_the_scalar_reference<E: StoredElement>(tree: &BayesTree<E>) {
         let model = tree.query_model();
         let mut scratch = BlockScratch::new();
         let mut scores = Vec::new();
@@ -457,82 +421,25 @@ mod tests {
             }
         }
         assert!(inner_nodes > 0, "tree too small to exercise the block path");
+    }
+
+    #[test]
+    fn block_scores_match_the_scalar_reference_bitwise() {
+        assert_block_scores_match_the_scalar_reference(&sample_tree(300, 6));
     }
 
     #[test]
     fn quantized_block_scores_match_the_scalar_reference_bitwise() {
-        // The quantised gather decodes into full-width f64 columns (the
-        // decode `q * step` is exact), so the block path must agree with the
-        // scalar StoredSummary reference bit for bit — same contract the
-        // f64 mode is held to above.
         let tree: BayesTree<crate::node::Quantized> =
             BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
-        let model = tree.query_model();
-        let mut scratch = BlockScratch::new();
-        let mut scores = Vec::new();
-        let mut inner_nodes = 0;
-        for query in [[0.5, 0.5], [8.3, 8.3], [4.0, 4.0], [-30.0, 55.0]] {
-            for id in TreeView::reachable(tree.core()) {
-                let node = tree.core().node(id);
-                let bt_anytree::NodeKind::Inner { entries } = &node.kind else {
-                    continue;
-                };
-                inner_nodes += 1;
-                model.score_entries(&query, entries, &mut scratch, &mut scores);
-                assert_eq!(scores.len(), entries.len());
-                for (entry, score) in entries.iter().zip(&scores) {
-                    let summary = &entry.summary;
-                    let (lower, upper) = model.summary_bounds(&query, summary);
-                    let expected = SummaryScore {
-                        weight: summary.weight(),
-                        contribution: model.summary_contribution(&query, summary),
-                        lower,
-                        upper,
-                        min_dist_sq: model.summary_sq_dist(&query, summary),
-                    };
-                    assert_eq!(score.weight.to_bits(), expected.weight.to_bits());
-                    assert_eq!(
-                        score.contribution.to_bits(),
-                        expected.contribution.to_bits()
-                    );
-                    assert_eq!(score.lower.to_bits(), expected.lower.to_bits());
-                    assert_eq!(score.upper.to_bits(), expected.upper.to_bits());
-                    assert_eq!(score.min_dist_sq.to_bits(), expected.min_dist_sq.to_bits());
-                }
-            }
-        }
-        assert!(inner_nodes > 0, "tree too small to exercise the block path");
+        assert_block_scores_match_the_scalar_reference(&tree);
     }
 
     #[test]
-    fn f32_column_mode_stays_close_to_the_f64_scores() {
-        let tree: BayesTree = sample_tree(300, 7);
-        let exact = tree.query_model();
-        let narrow = tree
-            .query_model()
-            .with_precision(bt_stats::BlockPrecision::F32);
-        let mut scratch64 = BlockScratch::new();
-        let mut scratch32 = BlockScratch::new();
-        let (mut s64, mut s32) = (Vec::new(), Vec::new());
-        let query = [4.2, 3.9];
-        for id in TreeView::reachable(tree.core()) {
-            let node = tree.core().node(id);
-            let bt_anytree::NodeKind::Inner { entries } = &node.kind else {
-                continue;
-            };
-            exact.score_entries(&query, entries, &mut scratch64, &mut s64);
-            narrow.score_entries(&query, entries, &mut scratch32, &mut s32);
-            for (a, b) in s64.iter().zip(&s32) {
-                assert_eq!(a.weight, b.weight, "weights stay f64");
-                assert!(
-                    (a.contribution - b.contribution).abs() <= 1e-3 * a.contribution.abs() + 1e-9,
-                    "f32 contribution drifted: {} vs {}",
-                    a.contribution,
-                    b.contribution
-                );
-                assert!((a.min_dist_sq - b.min_dist_sq).abs() <= 1e-3 * (1.0 + a.min_dist_sq));
-            }
-        }
+    fn f32_block_scores_match_the_scalar_reference_bitwise() {
+        let tree: BayesTree<f32> =
+            BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
+        assert_block_scores_match_the_scalar_reference(&tree);
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             x,
             strategy.into(),
             budget,
@@ -191,7 +191,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             queries,
             strategy.into(),
             budget,
@@ -210,7 +210,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             x,
             threshold,
             budget,
@@ -394,7 +394,7 @@ impl<R: ShardRouter<E::Summary>, E: StoredElement> ShardedBayesTree<R, E> {
             &|| KernelModel { dims },
             points,
             usize::MAX,
-            &|| KernelQueryModel::new(n, &bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, &bandwidth),
             queries,
             strategy.into(),
             query_budget,

@@ -93,7 +93,7 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     /// tree).
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.num_points, &self.bandwidth).with_precision(E::GATHER_PRECISION)
+        KernelQueryModel::new(self.num_points, &self.bandwidth)
     }
 
     /// Budget-bracketed anytime density query against the frozen tree —
@@ -230,7 +230,7 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             x,
             strategy.into(),
             budget,
@@ -252,7 +252,7 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             queries,
             strategy.into(),
             budget,
@@ -269,7 +269,7 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         let n = self.num_points;
         let bandwidth = &self.bandwidth;
         self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
+            &|| KernelQueryModel::new(n, bandwidth),
             x,
             threshold,
             budget,

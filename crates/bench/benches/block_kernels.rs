@@ -299,20 +299,6 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
             out.len()
         })
     });
-    group.bench_function(BenchmarkId::from_parameter("block_f32"), |b| {
-        let narrow = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth)
-            .with_precision(bt_stats::BlockPrecision::F32);
-        let mut scratch = BlockScratch::with_precision(bt_stats::BlockPrecision::F32);
-        b.iter(|| {
-            narrow.score_entries(
-                black_box(&query),
-                black_box(&entries),
-                &mut scratch,
-                &mut out,
-            );
-            out.len()
-        })
-    });
     group.finish();
 
     let entries = clus_entries();
@@ -340,50 +326,8 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
 
     cache_hit_benchmarks(c);
     leaf_block_benchmarks(c);
-    fma_benchmarks(c);
     prefetch_benchmarks(c);
     metrics_overhead_benchmarks(c);
-}
-
-/// FMA group: block scoring with the default unfused kernels versus the
-/// opt-in fused-multiply-add variants, on the same warm gathered block.
-/// Identical inputs — fusion changes only the rounding of each `a * b + c`
-/// accumulation (admitted through the ULP-bounded parity suite in
-/// `crates/stats/tests/simd_parity.rs`).  On machines without FMA the
-/// "fused" side silently runs the unfused kernels, so the pair reads as
-/// parity there rather than failing.
-fn fma_benchmarks(c: &mut Criterion) {
-    let entries = kernel_entries();
-    let bandwidth = vec![0.75; DIMS];
-    let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
-    let query = vec![3.25; DIMS];
-    let mut out = Vec::new();
-    let mut lanes: [Vec<f64>; 4] = Default::default();
-
-    let mut gathered =
-        GatheredBlock::with_precision(QueryModel::<KernelSummary>::block_precision(&model));
-    assert!(model.gather_entries(&entries, &mut gathered));
-
-    let mut group = c.benchmark_group("block_fma");
-    for (label, fused) in [("unfused", false), ("fused", true)] {
-        bt_stats::simd::set_fma_enabled(Some(fused));
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                model.score_gathered(
-                    black_box(&query),
-                    black_box(&entries),
-                    &gathered,
-                    &mut lanes,
-                    &mut out,
-                );
-                out.len()
-            })
-        });
-    }
-    // Restore the process-default dispatch (env var / detection driven).
-    bt_stats::simd::set_fma_enabled(None);
-    group.finish();
 }
 
 /// Prefetch group: the two hot loops that now issue software prefetches for
@@ -439,8 +383,7 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
 
     let version = 7;
     let slot = BlockCacheSlot::new();
-    let mut gathered =
-        GatheredBlock::with_precision(QueryModel::<KernelSummary>::block_precision(&model));
+    let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
     slot.store(Arc::new(CachedBlock {
         version,
@@ -463,12 +406,7 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
     let mut lanes: [Vec<f64>; 4] = Default::default();
     group.bench_function(BenchmarkId::from_parameter("warm_hit"), |b| {
         b.iter(|| {
-            let cached = slot
-                .lookup_scored(
-                    version,
-                    QueryModel::<KernelSummary>::block_precision(&model),
-                )
-                .expect("warm slot hits");
+            let cached = slot.lookup_scored(version).expect("warm slot hits");
             model.score_gathered(
                 black_box(&query),
                 black_box(&entries),

@@ -144,8 +144,7 @@ fn measure_warm_cache_ratio() -> (f64, f64, f64) {
 
     let version = 7;
     let slot = BlockCacheSlot::new();
-    let mut gathered =
-        GatheredBlock::with_precision(QueryModel::<KernelSummary>::block_precision(&model));
+    let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
     slot.store(Arc::new(CachedBlock {
         version,
@@ -155,12 +154,7 @@ fn measure_warm_cache_ratio() -> (f64, f64, f64) {
     let mut lanes: [Vec<f64>; 4] = Default::default();
     let warm = best_of_3(|| {
         for _ in 0..reps {
-            let cached = slot
-                .lookup_scored(
-                    version,
-                    QueryModel::<KernelSummary>::block_precision(&model),
-                )
-                .expect("warm slot hits");
+            let cached = slot.lookup_scored(version).expect("warm slot hits");
             model.score_gathered(&query, &entries, &cached.gathered, &mut lanes, &mut out);
             black_box(&out);
         }

@@ -82,10 +82,9 @@ fn query_pass<E: StoredElement>(
 
 /// The bytes one block-scored directory entry streams out of its epoch
 /// page: the stored CF sums (LS + SS) and MBR corners at the stored width,
-/// plus the full-width weight.  This is the per-entry payload of both the
-/// stored representation and the gathered scoring columns (block precision
-/// follows stored precision), i.e. the memory traffic the `f32` mode
-/// halves.
+/// plus the full-width weight.  This is the per-entry payload of the stored
+/// representation (gathers widen it into `f64` scoring columns), i.e. the
+/// page traffic the `f32` mode halves.
 fn bytes_per_scored_entry<E: StoredElement>() -> usize {
     std::mem::size_of::<f64>() + DIMS * 4 * E::SCALAR_BYTES
 }

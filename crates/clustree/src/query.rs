@@ -51,7 +51,7 @@ use bt_stats::kernel::{
     nearest_point_log_kernels_block, smoothed_farthest_log_kernel,
     smoothed_farthest_log_kernels_block, sq_dists_block,
 };
-use bt_stats::{BlockPrecision, GatheredBlock};
+use bt_stats::GatheredBlock;
 
 /// The micro-cluster query model: a smoothed Gaussian kernel score with
 /// certain, monotone bounds computable from cluster features alone.
@@ -63,7 +63,6 @@ pub struct ClusQueryModel {
     total_weight: f64,
     bandwidth: Vec<f64>,
     lambda: f64,
-    precision: BlockPrecision,
 }
 
 impl ClusQueryModel {
@@ -83,20 +82,7 @@ impl ClusQueryModel {
             total_weight: total_weight.max(f64::MIN_POSITIVE),
             bandwidth,
             lambda,
-            precision: BlockPrecision::F64,
         }
-    }
-
-    /// Opts the block scoring path into a column precision —
-    /// [`BlockPrecision::F32`] halves the memory bandwidth of the batch
-    /// kernels at the cost of quantising the gathered means, variances,
-    /// centres and MBR corners to `f32` (query, bandwidth, weights and all
-    /// accumulation stay `f64`).  The default `F64` path is bit-identical
-    /// to the scalar reference.
-    #[must_use]
-    pub fn with_precision(mut self, precision: BlockPrecision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// The global weight normaliser.
@@ -211,10 +197,6 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         summary
     }
 
-    fn block_precision(&self) -> BlockPrecision {
-        self.precision
-    }
-
     /// Block gather: packs the node's entries into the structure-of-arrays
     /// block (weights, smoothed means / variances, routing centres, MBR
     /// corners) so [`QueryModel::score_gathered`] can evaluate the Jensen
@@ -232,10 +214,9 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         let dims = self.bandwidth.len();
         let len = entries.len();
         let block = &mut out.block;
-        block.set_precision(self.precision);
         block.reset(dims, len);
-        out.centers.set_precision(self.precision);
-        out.centers.reset(dims * len);
+        out.centers.clear();
+        out.centers.resize(dims * len, 0.0);
         let all_boxes = entries.iter().all(|e| e.summary.mbr().is_some());
         if all_boxes {
             block.enable_boxes();
@@ -253,14 +234,10 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
                 block.set_mean(d, i, mean);
                 block.set_var(d, i, var);
             }
-            if cf.is_empty() {
-                for d in 0..dims {
-                    out.centers.set(d * len + i, 0.0);
-                }
-            } else {
+            if !cf.is_empty() {
                 let inv_n = 1.0 / cf.weight();
                 for (d, &l) in ls.iter().enumerate() {
-                    out.centers.set(d * len + i, l * inv_n);
+                    out.centers[d * len + i] = l * inv_n;
                 }
             }
             if all_boxes {
@@ -276,10 +253,10 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     }
 
     /// Block scoring over gathered columns: Jensen kernel, MBR-sharpened
-    /// bounds and geometric priority for all entries at once.  In the
-    /// default [`BlockPrecision::F64`] mode the scores are bit-identical to
-    /// the per-summary reference; box-less nodes (no box columns gathered)
-    /// compute their bounds through the per-entry scalar fallback.
+    /// bounds and geometric priority for all entries at once, bit-identical
+    /// to the per-summary reference; box-less nodes (no box columns
+    /// gathered) compute their bounds through the per-entry scalar
+    /// fallback.
     fn score_gathered(
         &self,
         query: &[f64],
@@ -350,10 +327,9 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         let dims = self.bandwidth.len();
         let len = items.len();
         let block = &mut out.block;
-        block.set_precision(self.precision);
         block.reset(dims, len);
-        out.centers.set_precision(self.precision);
-        out.centers.reset(dims * len);
+        out.centers.clear();
+        out.centers.resize(dims * len, 0.0);
         for (i, mc) in items.iter().enumerate() {
             let cf = mc.cf();
             block.set_weight(i, mc.weight());
@@ -366,14 +342,10 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
                 block.set_mean(d, i, mean);
                 block.set_var(d, i, var);
             }
-            if cf.is_empty() {
-                for d in 0..dims {
-                    out.centers.set(d * len + i, 0.0);
-                }
-            } else {
+            if !cf.is_empty() {
                 let inv_n = 1.0 / cf.weight();
                 for (d, &l) in ls.iter().enumerate() {
-                    out.centers.set(d * len + i, l * inv_n);
+                    out.centers[d * len + i] = l * inv_n;
                 }
             }
         }
@@ -381,8 +353,8 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     }
 
     /// Leaf block scoring: one Jensen-kernel pass and one centre-distance
-    /// pass score every leaf micro-cluster at once, bit-identically (in
-    /// `F64` mode) to the per-item scalar loop.
+    /// pass score every leaf micro-cluster at once, bit-identically to the
+    /// per-item scalar loop.
     fn score_gathered_leaves(
         &self,
         query: &[f64],

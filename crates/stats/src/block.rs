@@ -15,37 +15,22 @@
 //! log) out of the entry loop, and accumulate all `n` results in
 //! autovectorizable inner loops.
 //!
-//! **Precision.** Columns store `f64` by default.  The opt-in
-//! [`BlockPrecision::F32`] mode halves the memory bandwidth of every column
-//! stream; values are widened back to `f64` element by element before any
-//! arithmetic, so **accumulation is always scalar `f64`** — only the stored
-//! operands are quantised.  The entry-major scalar path remains the
-//! property-tested reference (see `crates/stats/tests/block_kernels.rs`):
-//! `f64` columns reproduce it bit for bit, `f32` columns within the
-//! quantisation tolerance documented there.
+//! **Precision.**  Every column is `f64`.  Summaries stored narrower (the
+//! `f32` and quantised stored modes) decode into these columns at gather
+//! time, so narrowing happens only when a summary is written and every
+//! block kernel does its arithmetic on exactly the values the scalar path
+//! reads.  The entry-major scalar path remains the property-tested
+//! reference (see `crates/stats/tests/block_kernels.rs`): the block kernels
+//! reproduce it bit for bit.
 //!
 //! A block is plain reusable scratch: gather a node with [`SummaryBlock::
 //! reset`] + the `set_*` writers, evaluate, reuse for the next node.  The
 //! per-entry values can be read back out ([`SummaryBlock::entry_mean_into`]
 //! and friends), so the block is convertible in both directions.
 
-/// Storage precision of a block's value columns.
-///
-/// Weights and all kernel outputs stay `f64` in either mode; `F32` only
-/// narrows the stored mean / variance / box columns (2× memory bandwidth on
-/// the column streams).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BlockPrecision {
-    /// Full-precision columns — bit-identical to the scalar reference.
-    #[default]
-    F64,
-    /// Narrowed columns — operands quantised to `f32` at gather time,
-    /// widened to `f64` before every arithmetic operation.
-    F32,
-}
-
-/// An element type a column (or a stored summary) may hold; widened to `f64`
-/// before arithmetic.
+/// An element type a stored summary may hold (`f64` or `f32`); widened to
+/// `f64` before arithmetic.  Block columns are always `f64`: a narrow
+/// summary widens into them when it is gathered.
 ///
 /// Besides the round-to-nearest [`ColumnElement::narrow`] used for plain
 /// value storage, the trait provides the two *directed* quantisations the
@@ -55,8 +40,6 @@ pub enum BlockPrecision {
 /// ([`ColumnElement::narrow_up`]).  For `f64` all three are the identity, so
 /// full-precision storage is bit-identical by construction.
 pub trait ColumnElement: Copy {
-    /// The [`BlockPrecision`] tag matching this storage type.
-    const PRECISION: BlockPrecision;
     /// The value as `f64`.
     fn widen(self) -> f64;
     /// Quantises an `f64` into this storage type (round to nearest).
@@ -68,7 +51,6 @@ pub trait ColumnElement: Copy {
 }
 
 impl ColumnElement for f64 {
-    const PRECISION: BlockPrecision = BlockPrecision::F64;
     #[inline(always)]
     fn widen(self) -> f64 {
         self
@@ -88,7 +70,6 @@ impl ColumnElement for f64 {
 }
 
 impl ColumnElement for f32 {
-    const PRECISION: BlockPrecision = BlockPrecision::F32;
     #[inline(always)]
     fn widen(self) -> f64 {
         f64::from(self)
@@ -117,162 +98,37 @@ impl ColumnElement for f32 {
     }
 }
 
-/// One dimension-major column group, stored at the block's precision.
-///
-/// Logical index `(dim, entry)` maps to flat index `dim * len + entry`,
-/// where `len` is the number of entries in the block.
-#[derive(Debug, Clone)]
-pub enum Columns {
-    /// Full-precision storage.
-    F64(Vec<f64>),
-    /// Narrowed storage (widened to `f64` before arithmetic).
-    F32(Vec<f32>),
-}
-
-impl Default for Columns {
-    fn default() -> Self {
-        Columns::F64(Vec::new())
-    }
-}
-
-impl Columns {
-    fn with_precision(precision: BlockPrecision) -> Self {
-        match precision {
-            BlockPrecision::F64 => Columns::F64(Vec::new()),
-            BlockPrecision::F32 => Columns::F32(Vec::new()),
-        }
-    }
-
-    /// Switches the storage precision, clearing the values if it changes.
-    pub fn set_precision(&mut self, precision: BlockPrecision) {
-        if self.precision() != precision {
-            *self = Self::with_precision(precision);
-        }
-    }
-
-    /// Clears and zero-fills the columns to `n` values.
-    pub fn reset(&mut self, n: usize) {
-        match self {
-            Columns::F64(v) => {
-                v.clear();
-                v.resize(n, 0.0);
-            }
-            Columns::F32(v) => {
-                v.clear();
-                v.resize(n, 0.0);
-            }
-        }
-    }
-
-    /// Number of stored values.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Columns::F64(v) => v.len(),
-            Columns::F32(v) => v.len(),
-        }
-    }
-
-    /// Whether no values are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stores `value` at flat index `idx` (quantising in `F32` mode).
-    #[inline]
-    pub fn set(&mut self, idx: usize, value: f64) {
-        match self {
-            Columns::F64(v) => v[idx] = value,
-            Columns::F32(v) => v[idx] = value as f32,
-        }
-    }
-
-    /// Reads the value at flat index `idx`, widened to `f64`.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, idx: usize) -> f64 {
-        match self {
-            Columns::F64(v) => v[idx],
-            Columns::F32(v) => f64::from(v[idx]),
-        }
-    }
-
-    /// The storage precision of these columns.
-    #[must_use]
-    pub fn precision(&self) -> BlockPrecision {
-        match self {
-            Columns::F64(_) => BlockPrecision::F64,
-            Columns::F32(_) => BlockPrecision::F32,
-        }
-    }
-
-    /// The raw `f64` storage, or `None` in `F32` mode — used by consumers
-    /// that require full-precision slices (e.g. bit-exact routing).
-    #[must_use]
-    pub fn as_f64(&self) -> Option<&[f64]> {
-        match self {
-            Columns::F64(v) => Some(v),
-            Columns::F32(_) => None,
-        }
-    }
+/// Clears `col` and zero-fills it to `n` values.
+pub(crate) fn zero_fill(col: &mut Vec<f64>, n: usize) {
+    col.clear();
+    col.resize(n, 0.0);
 }
 
 /// A structure-of-arrays gather of one node's entry summaries: per-entry
 /// weights plus dimension-major mean / variance columns and (optionally)
 /// MBR lower / upper columns.
 ///
-/// See the [module docs](crate::block) for the layout and precision story.
+/// See the [module docs](crate::block) for the layout.
 #[derive(Debug, Clone, Default)]
 pub struct SummaryBlock {
     len: usize,
     dims: usize,
     weight: Vec<f64>,
-    mean: Columns,
-    var: Columns,
-    /// Precomputed `ln` of each (widened) variance column value, filled on
-    /// demand by [`Self::fill_log_vars`]; empty until then.  Always `f64`:
-    /// it caches the *result* of the transcendental, not an operand.
+    mean: Vec<f64>,
+    var: Vec<f64>,
+    /// Precomputed `ln` of each variance column value, filled on demand by
+    /// [`Self::fill_log_vars`]; empty until then.
     log_var: Vec<f64>,
-    lower: Columns,
-    upper: Columns,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
     has_boxes: bool,
 }
 
 impl SummaryBlock {
-    /// An empty full-precision block.
+    /// An empty block.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty block storing its columns at `precision`.
-    #[must_use]
-    pub fn with_precision(precision: BlockPrecision) -> Self {
-        Self {
-            len: 0,
-            dims: 0,
-            weight: Vec::new(),
-            mean: Columns::with_precision(precision),
-            var: Columns::with_precision(precision),
-            log_var: Vec::new(),
-            lower: Columns::with_precision(precision),
-            upper: Columns::with_precision(precision),
-            has_boxes: false,
-        }
-    }
-
-    /// The precision new columns are stored at.
-    #[must_use]
-    pub fn precision(&self) -> BlockPrecision {
-        self.mean.precision()
-    }
-
-    /// Switches the column precision (clearing any gathered data).
-    pub fn set_precision(&mut self, precision: BlockPrecision) {
-        if self.precision() != precision {
-            *self = Self::with_precision(precision);
-        }
     }
 
     /// Clears the block and sizes it for `len` entries over `dims`
@@ -281,21 +137,20 @@ impl SummaryBlock {
     pub fn reset(&mut self, dims: usize, len: usize) {
         self.dims = dims;
         self.len = len;
-        self.weight.clear();
-        self.weight.resize(len, 0.0);
-        self.mean.reset(dims * len);
-        self.var.reset(dims * len);
+        zero_fill(&mut self.weight, len);
+        zero_fill(&mut self.mean, dims * len);
+        zero_fill(&mut self.var, dims * len);
         self.log_var.clear();
-        self.lower.reset(0);
-        self.upper.reset(0);
+        self.lower.clear();
+        self.upper.clear();
         self.has_boxes = false;
     }
 
     /// Enables the MBR lower / upper columns (zero-filled) for the current
     /// shape.
     pub fn enable_boxes(&mut self) {
-        self.lower.reset(self.dims * self.len);
-        self.upper.reset(self.dims * self.len);
+        zero_fill(&mut self.lower, self.dims * self.len);
+        zero_fill(&mut self.upper, self.dims * self.len);
         self.has_boxes = true;
     }
 
@@ -346,7 +201,7 @@ impl SummaryBlock {
     #[inline]
     pub fn set_mean(&mut self, dim: usize, i: usize, v: f64) {
         let idx = self.col(dim, i);
-        self.mean.set(idx, v);
+        self.mean[idx] = v;
     }
 
     /// Sets the variance of entry `i` along `dim` (and drops any
@@ -354,7 +209,7 @@ impl SummaryBlock {
     #[inline]
     pub fn set_var(&mut self, dim: usize, i: usize, v: f64) {
         let idx = self.col(dim, i);
-        self.var.set(idx, v);
+        self.var[idx] = v;
         self.log_var.clear();
     }
 
@@ -362,31 +217,30 @@ impl SummaryBlock {
     #[inline]
     pub fn set_lower(&mut self, dim: usize, i: usize, v: f64) {
         let idx = self.col(dim, i);
-        self.lower.set(idx, v);
+        self.lower[idx] = v;
     }
 
     /// Sets the box upper bound of entry `i` along `dim`.
     #[inline]
     pub fn set_upper(&mut self, dim: usize, i: usize, v: f64) {
         let idx = self.col(dim, i);
-        self.upper.set(idx, v);
+        self.upper[idx] = v;
     }
 
     /// The dimension-major mean columns.
     #[must_use]
-    pub fn mean(&self) -> &Columns {
+    pub fn mean(&self) -> &[f64] {
         &self.mean
     }
 
     /// The dimension-major variance columns.
     #[must_use]
-    pub fn var(&self) -> &Columns {
+    pub fn var(&self) -> &[f64] {
         &self.var
     }
 
     /// Precomputes the log-variance column: `ln` of every variance value,
-    /// read back widened — so in `F32` mode it is the `ln` of the quantised
-    /// operand, exactly what the scoring loop would compute per call.
+    /// exactly what the scoring loop would compute per call.
     ///
     /// `ln(var)` is query-independent, so hoisting it to gather time (where
     /// the result rides along in the per-node block cache) removes the only
@@ -394,12 +248,8 @@ impl SummaryBlock {
     /// unlocks its SIMD path.  Call after *all* variances are set; any later
     /// [`Self::set_var`] drops the column again.
     pub fn fill_log_vars(&mut self) {
-        let n = self.dims * self.len;
         self.log_var.clear();
-        self.log_var.reserve(n);
-        for idx in 0..n {
-            self.log_var.push(self.var.get(idx).ln());
-        }
+        self.log_var.extend(self.var.iter().map(|v| v.ln()));
     }
 
     /// The dimension-major log-variance column, or `None` until
@@ -411,13 +261,13 @@ impl SummaryBlock {
 
     /// The dimension-major box lower-bound columns.
     #[must_use]
-    pub fn lower(&self) -> &Columns {
+    pub fn lower(&self) -> &[f64] {
         &self.lower
     }
 
     /// The dimension-major box upper-bound columns.
     #[must_use]
-    pub fn upper(&self) -> &Columns {
+    pub fn upper(&self) -> &[f64] {
         &self.upper
     }
 
@@ -426,7 +276,7 @@ impl SummaryBlock {
     pub fn entry_mean_into(&self, i: usize, out: &mut Vec<f64>) {
         out.clear();
         for d in 0..self.dims {
-            out.push(self.mean.get(self.col(d, i)));
+            out.push(self.mean[self.col(d, i)]);
         }
     }
 
@@ -434,7 +284,7 @@ impl SummaryBlock {
     pub fn entry_var_into(&self, i: usize, out: &mut Vec<f64>) {
         out.clear();
         for d in 0..self.dims {
-            out.push(self.var.get(self.col(d, i)));
+            out.push(self.var[self.col(d, i)]);
         }
     }
 
@@ -443,8 +293,8 @@ impl SummaryBlock {
         lower.clear();
         upper.clear();
         for d in 0..self.dims {
-            lower.push(self.lower.get(self.col(d, i)));
-            upper.push(self.upper.get(self.col(d, i)));
+            lower.push(self.lower[self.col(d, i)]);
+            upper.push(self.upper[self.col(d, i)]);
         }
     }
 }
@@ -463,23 +313,14 @@ pub struct GatheredBlock {
     pub block: SummaryBlock,
     /// Dimension-major routing-centre columns (flat index `dim * len +
     /// entry`); empty when the model routes by box or mean.
-    pub centers: Columns,
+    pub centers: Vec<f64>,
 }
 
 impl GatheredBlock {
-    /// An empty gather at full column precision.
+    /// An empty gather.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty gather storing its columns at `precision`.
-    #[must_use]
-    pub fn with_precision(precision: BlockPrecision) -> Self {
-        Self {
-            block: SummaryBlock::with_precision(precision),
-            centers: Columns::with_precision(precision),
-        }
     }
 }
 
@@ -524,21 +365,13 @@ impl BlockCacheSlot {
         Self::default()
     }
 
-    /// Shared-read lookup of a **scored** block taken at `version` whose
-    /// columns are stored at `precision`.  Anything else — stale stamp,
-    /// routing-only block, precision mismatch — is a miss.
+    /// Shared-read lookup of a **scored** block taken at `version`.
+    /// Anything else — stale stamp, routing-only block — is a miss.
     #[must_use]
-    pub fn lookup_scored(
-        &self,
-        version: u64,
-        precision: BlockPrecision,
-    ) -> Option<std::sync::Arc<CachedBlock>> {
+    pub fn lookup_scored(&self, version: u64) -> Option<std::sync::Arc<CachedBlock>> {
         let guard = self.slot.lock().ok()?;
         let cached = guard.as_ref()?;
-        (cached.version == version
-            && cached.scored
-            && cached.gathered.block.precision() == precision)
-            .then(|| std::sync::Arc::clone(cached))
+        (cached.version == version && cached.scored).then(|| std::sync::Arc::clone(cached))
     }
 
     /// Publishes `cached`, replacing whatever the slot held.
@@ -599,19 +432,10 @@ pub struct BlockScratch {
 }
 
 impl BlockScratch {
-    /// An empty scratch at full column precision.
+    /// An empty scratch.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty scratch whose block stores columns at `precision`.
-    #[must_use]
-    pub fn with_precision(precision: BlockPrecision) -> Self {
-        Self {
-            gathered: GatheredBlock::with_precision(precision),
-            lanes: Default::default(),
-        }
     }
 }
 
@@ -647,21 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_mode_quantises_but_keeps_f64_reads() {
-        let mut block = SummaryBlock::with_precision(BlockPrecision::F32);
-        block.reset(1, 1);
-        let v = 0.1f64;
-        block.set_mean(0, 0, v);
-        let got = block.mean().get(0);
-        assert_eq!(got, f64::from(0.1f32));
-        assert!((got - v).abs() < 1e-7);
-    }
-
-    #[test]
     fn cache_slot_hits_only_on_matching_scored_blocks() {
         use std::sync::Arc;
         let slot = BlockCacheSlot::new();
-        assert!(slot.lookup_scored(3, BlockPrecision::F64).is_none());
+        assert!(slot.lookup_scored(3).is_none());
         let mut gathered = GatheredBlock::new();
         gathered.block.reset(2, 4);
         slot.store(Arc::new(CachedBlock {
@@ -669,17 +482,16 @@ mod tests {
             scored: true,
             gathered,
         }));
-        assert!(slot.lookup_scored(3, BlockPrecision::F64).is_some());
-        // Stale stamp, precision mismatch: both miss.
-        assert!(slot.lookup_scored(4, BlockPrecision::F64).is_none());
-        assert!(slot.lookup_scored(3, BlockPrecision::F32).is_none());
+        assert!(slot.lookup_scored(3).is_some());
+        // A stale stamp misses.
+        assert!(slot.lookup_scored(4).is_none());
         // Routing-only blocks are never returned to scorers.
         slot.store(Arc::new(CachedBlock {
             version: 3,
             scored: false,
             gathered: GatheredBlock::new(),
         }));
-        assert!(slot.lookup_scored(3, BlockPrecision::F64).is_none());
+        assert!(slot.lookup_scored(3).is_none());
         assert!(slot.peek().is_some());
         slot.clear();
         assert!(slot.peek().is_none());
@@ -701,7 +513,7 @@ mod tests {
         if let Some(held) = slot.get_at_owned(1) {
             Arc::make_mut(held).scored = true;
         }
-        assert!(slot.lookup_scored(1, BlockPrecision::F64).is_some());
+        assert!(slot.lookup_scored(1).is_some());
         slot.clear_owned();
         assert!(slot.peek().is_none());
     }
@@ -720,7 +532,7 @@ mod tests {
         let lv = block.log_vars().expect("filled").to_vec();
         assert_eq!(lv.len(), 6);
         for (idx, &l) in lv.iter().enumerate() {
-            assert_eq!(l.to_bits(), block.var().get(idx).ln().to_bits());
+            assert_eq!(l.to_bits(), block.var()[idx].ln().to_bits());
         }
         // Any variance write stales the column, so it is dropped.
         block.set_var(0, 0, 2.0);
@@ -729,15 +541,5 @@ mod tests {
         block.fill_log_vars();
         block.reset(2, 3);
         assert!(block.log_vars().is_none());
-    }
-
-    #[test]
-    fn set_precision_switches_storage() {
-        let mut block = SummaryBlock::new();
-        assert_eq!(block.precision(), BlockPrecision::F64);
-        block.set_precision(BlockPrecision::F32);
-        assert_eq!(block.precision(), BlockPrecision::F32);
-        block.reset(1, 2);
-        assert_eq!(block.mean().precision(), BlockPrecision::F32);
     }
 }

@@ -7,7 +7,7 @@
 //! (Section 4.1); both are provided here behind the [`Kernel`] trait so the
 //! tree is generic over the kernel family.
 
-use crate::block::{ColumnElement, Columns, SummaryBlock};
+use crate::block::{zero_fill, ColumnElement, SummaryBlock};
 use crate::{LN_2PI, VARIANCE_FLOOR};
 
 /// The kernel families supported by the workspace.
@@ -221,14 +221,14 @@ pub fn smoothed_farthest_log_kernel<E: ColumnElement>(
 //
 // Each function below is the structure-of-arrays counterpart of one scalar
 // formula above (or in `gaussian` / `cluster_feature`): columns are
-// dimension-major (`dim * len + entry`, see [`crate::block`]), the outer loop
-// walks dimensions so per-dimension constants (floored bandwidth, its log)
-// are hoisted once, and the inner loop streams one cache-resident column per
-// entry — the shape LLVM autovectorizes.  The accumulation order per entry is
-// identical to the scalar reference (terms added dimension-ascending, all
-// arithmetic in `f64`), so `f64` columns reproduce the scalar results bit for
-// bit; `f32` columns quantise only the stored operands (see the property
-// tests in `crates/stats/tests/block_kernels.rs`).
+// dimension-major `f64` (`dim * len + entry`, see [`crate::block`]), the
+// outer loop walks dimensions so per-dimension constants (floored bandwidth,
+// its log) are hoisted once, and the inner loop streams one cache-resident
+// column per entry — the shape LLVM autovectorizes.  The accumulation order
+// per entry is identical to the scalar reference (terms added
+// dimension-ascending, all arithmetic in `f64`), so the results equal the
+// scalar ones bit for bit (see the property tests in
+// `crates/stats/tests/block_kernels.rs`).
 //
 // The hottest loops additionally dispatch to the explicit-SIMD variants in
 // [`crate::simd`] (runtime AVX2 check, `simd` cargo feature): same IEEE
@@ -239,8 +239,7 @@ pub fn smoothed_farthest_log_kernel<E: ColumnElement>(
 
 #[inline]
 fn prep_out(out: &mut Vec<f64>, len: usize) -> &mut [f64] {
-    out.clear();
-    out.resize(len, 0.0);
+    zero_fill(out, len);
     &mut out[..]
 }
 
@@ -250,15 +249,8 @@ fn prep_out(out: &mut Vec<f64>, len: usize) -> &mut [f64] {
 ///
 /// `means` holds dimension-major mean columns; `out` is cleared and refilled
 /// with one squared distance per entry.
-pub fn sq_dists_block(query: &[f64], means: &Columns, len: usize, out: &mut Vec<f64>) {
+pub fn sq_dists_block(query: &[f64], means: &[f64], len: usize, out: &mut Vec<f64>) {
     let out = prep_out(out, len);
-    match means {
-        Columns::F64(m) => sq_dists_impl(query, m, len, out),
-        Columns::F32(m) => sq_dists_impl(query, m, len, out),
-    }
-}
-
-fn sq_dists_impl<M: ColumnElement>(query: &[f64], means: &[M], len: usize, out: &mut [f64]) {
     debug_assert_eq!(means.len(), query.len() * len);
     if crate::simd::sq_dists(query, means, len, out) {
         return;
@@ -266,7 +258,7 @@ fn sq_dists_impl<M: ColumnElement>(query: &[f64], means: &[M], len: usize, out: 
     for (d, &q) in query.iter().enumerate() {
         let col = &means[d * len..(d + 1) * len];
         for (o, &m) in out.iter_mut().zip(col) {
-            let diff = m.widen() - q;
+            let diff = m - q;
             *o += diff * diff;
         }
     }
@@ -282,41 +274,12 @@ fn sq_dists_impl<M: ColumnElement>(query: &[f64], means: &[M], len: usize, out: 
 pub fn gaussian_log_terms_block(
     query: &[f64],
     bandwidth: &[f64],
-    means: &Columns,
-    vars: Option<&Columns>,
+    means: &[f64],
+    vars: Option<&[f64]>,
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    match (means, vars) {
-        (Columns::F64(m), None) => gaussian_log_terms_impl(query, bandwidth, m, NO_VARS, len, out),
-        (Columns::F32(m), None) => gaussian_log_terms_impl(query, bandwidth, m, NO_VARS, len, out),
-        (Columns::F64(m), Some(Columns::F64(v))) => {
-            gaussian_log_terms_impl(query, bandwidth, m, Some(&v[..]), len, out);
-        }
-        (Columns::F64(m), Some(Columns::F32(v))) => {
-            gaussian_log_terms_impl(query, bandwidth, m, Some(&v[..]), len, out);
-        }
-        (Columns::F32(m), Some(Columns::F64(v))) => {
-            gaussian_log_terms_impl(query, bandwidth, m, Some(&v[..]), len, out);
-        }
-        (Columns::F32(m), Some(Columns::F32(v))) => {
-            gaussian_log_terms_impl(query, bandwidth, m, Some(&v[..]), len, out);
-        }
-    }
-}
-
-/// Type hint for the variance-free arms of the dispatch matches.
-const NO_VARS: Option<&[f64]> = None;
-
-fn gaussian_log_terms_impl<M: ColumnElement, V: ColumnElement>(
-    query: &[f64],
-    bandwidth: &[f64],
-    means: &[M],
-    vars: Option<&[V]>,
-    len: usize,
-    out: &mut [f64],
-) {
     debug_assert_eq!(means.len(), query.len() * len);
     debug_assert_eq!(bandwidth.len(), query.len());
     if crate::simd::gaussian_log_terms(query, bandwidth, means, vars, len, out) {
@@ -329,14 +292,14 @@ fn gaussian_log_terms_impl<M: ColumnElement, V: ColumnElement>(
         if let Some(vars) = vars {
             let vcol = &vars[d * len..(d + 1) * len];
             for i in 0..len {
-                let diff = q - mcol[i].widen();
-                let t = diff * diff + vcol[i].widen();
+                let diff = q - mcol[i];
+                let t = diff * diff + vcol[i];
                 let u = t.sqrt() / h;
                 out[i] += -0.5 * (LN_2PI + u * u) - ln_h;
             }
         } else {
             for (o, &m) in out.iter_mut().zip(mcol) {
-                let u = (q - m.widen()) / h;
+                let u = (q - m) / h;
                 *o += -0.5 * (LN_2PI + u * u) - ln_h;
             }
         }
@@ -349,40 +312,24 @@ fn gaussian_log_terms_impl<M: ColumnElement, V: ColumnElement>(
 /// The gather is responsible for replicating `DiagGaussian::new`'s variance
 /// clamp (finite variances floored at [`VARIANCE_FLOOR`], non-finite ones
 /// replaced by it) so the per-entry results match the scalar path bit for
-/// bit in `f64` mode.
+/// bit.
 ///
-/// `log_vars` is the optional precomputed `ln` of each (widened) variance
-/// column value — [`crate::SummaryBlock::fill_log_vars`] produces it at
-/// gather time.  Substituting the stored `ln` into the unchanged scalar
-/// expression is bit-identical (same input, same function, same
-/// accumulation order), and with the transcendental gone the remaining
-/// add/mul/div arithmetic dispatches to the explicit-SIMD kernel.  Without
-/// it the loop computes `var.ln()` inline, scalar only.
+/// `log_vars` is the optional precomputed `ln` of each variance column
+/// value — [`crate::SummaryBlock::fill_log_vars`] produces it at gather
+/// time.  Substituting the stored `ln` into the unchanged scalar expression
+/// is bit-identical (same input, same function, same accumulation order),
+/// and with the transcendental gone the remaining add/mul/div arithmetic
+/// dispatches to the explicit-SIMD kernel.  Without it the loop computes
+/// `var.ln()` inline, scalar only.
 pub fn diag_log_pdfs_block(
     query: &[f64],
-    means: &Columns,
-    vars: &Columns,
+    means: &[f64],
+    vars: &[f64],
     log_vars: Option<&[f64]>,
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    match (means, vars) {
-        (Columns::F64(m), Columns::F64(v)) => diag_log_pdfs_impl(query, m, v, log_vars, len, out),
-        (Columns::F64(m), Columns::F32(v)) => diag_log_pdfs_impl(query, m, v, log_vars, len, out),
-        (Columns::F32(m), Columns::F64(v)) => diag_log_pdfs_impl(query, m, v, log_vars, len, out),
-        (Columns::F32(m), Columns::F32(v)) => diag_log_pdfs_impl(query, m, v, log_vars, len, out),
-    }
-}
-
-fn diag_log_pdfs_impl<M: ColumnElement, V: ColumnElement>(
-    query: &[f64],
-    means: &[M],
-    vars: &[V],
-    log_vars: Option<&[f64]>,
-    len: usize,
-    out: &mut [f64],
-) {
     debug_assert_eq!(means.len(), query.len() * len);
     debug_assert_eq!(vars.len(), query.len() * len);
     if let Some(log_vars) = log_vars {
@@ -395,9 +342,8 @@ fn diag_log_pdfs_impl<M: ColumnElement, V: ColumnElement>(
             let vcol = &vars[d * len..(d + 1) * len];
             let lcol = &log_vars[d * len..(d + 1) * len];
             for i in 0..len {
-                let diff = q - mcol[i].widen();
-                let var = vcol[i].widen();
-                out[i] += -0.5 * (LN_2PI + lcol[i] + diff * diff / var);
+                let diff = q - mcol[i];
+                out[i] += -0.5 * (LN_2PI + lcol[i] + diff * diff / vcol[i]);
             }
         }
         return;
@@ -406,8 +352,8 @@ fn diag_log_pdfs_impl<M: ColumnElement, V: ColumnElement>(
         let mcol = &means[d * len..(d + 1) * len];
         let vcol = &vars[d * len..(d + 1) * len];
         for i in 0..len {
-            let diff = q - mcol[i].widen();
-            let var = vcol[i].widen();
+            let diff = q - mcol[i];
+            let var = vcol[i];
             out[i] += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
         }
     }
@@ -418,13 +364,13 @@ fn diag_log_pdfs_impl<M: ColumnElement, V: ColumnElement>(
 pub fn nearest_point_log_kernels_block(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &Columns,
-    upper: &Columns,
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    dispatch_box_kernel::<false, false>(query, bandwidth, lower, upper, len, out);
+    box_kernel_impl::<false, false>(query, bandwidth, lower, upper, len, out);
 }
 
 /// Per-entry [`farthest_point_log_kernel`]s over `len` boxes — the shared
@@ -432,13 +378,13 @@ pub fn nearest_point_log_kernels_block(
 pub fn farthest_point_log_kernels_block(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &Columns,
-    upper: &Columns,
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    dispatch_box_kernel::<true, false>(query, bandwidth, lower, upper, len, out);
+    box_kernel_impl::<true, false>(query, bandwidth, lower, upper, len, out);
 }
 
 /// Per-entry [`smoothed_farthest_log_kernel`]s over `len` boxes — the
@@ -447,13 +393,13 @@ pub fn farthest_point_log_kernels_block(
 pub fn smoothed_farthest_log_kernels_block(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &Columns,
-    upper: &Columns,
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    dispatch_box_kernel::<true, true>(query, bandwidth, lower, upper, len, out);
+    box_kernel_impl::<true, true>(query, bandwidth, lower, upper, len, out);
 }
 
 /// Per-entry box-to-query minimum squared distances over `len` boxes — the
@@ -461,27 +407,12 @@ pub fn smoothed_farthest_log_kernels_block(
 /// measure).
 pub fn box_min_sq_dists_block(
     query: &[f64],
-    lower: &Columns,
-    upper: &Columns,
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut Vec<f64>,
 ) {
     let out = prep_out(out, len);
-    match (lower, upper) {
-        (Columns::F64(lo), Columns::F64(hi)) => box_min_sq_dists_impl(query, lo, hi, len, out),
-        (Columns::F64(lo), Columns::F32(hi)) => box_min_sq_dists_impl(query, lo, hi, len, out),
-        (Columns::F32(lo), Columns::F64(hi)) => box_min_sq_dists_impl(query, lo, hi, len, out),
-        (Columns::F32(lo), Columns::F32(hi)) => box_min_sq_dists_impl(query, lo, hi, len, out),
-    }
-}
-
-fn box_min_sq_dists_impl<L: ColumnElement, U: ColumnElement>(
-    query: &[f64],
-    lower: &[L],
-    upper: &[U],
-    len: usize,
-    out: &mut [f64],
-) {
     debug_assert_eq!(lower.len(), query.len() * len);
     debug_assert_eq!(upper.len(), query.len() * len);
     if crate::simd::box_min_sq_dists(query, lower, upper, len, out) {
@@ -491,8 +422,7 @@ fn box_min_sq_dists_impl<L: ColumnElement, U: ColumnElement>(
         let lcol = &lower[d * len..(d + 1) * len];
         let ucol = &upper[d * len..(d + 1) * len];
         for i in 0..len {
-            let lo = lcol[i].widen();
-            let hi = ucol[i].widen();
+            let (lo, hi) = (lcol[i], ucol[i]);
             let diff = if q < lo {
                 lo - q
             } else if q > hi {
@@ -505,53 +435,22 @@ fn box_min_sq_dists_impl<L: ColumnElement, U: ColumnElement>(
     }
 }
 
-/// Monomorphises the shared box-kernel loop over the column storage types.
-fn dispatch_box_kernel<const FARTHEST: bool, const SMOOTHED: bool>(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &Columns,
-    upper: &Columns,
-    len: usize,
-    out: &mut [f64],
-) {
-    match (lower, upper) {
-        (Columns::F64(lo), Columns::F64(hi)) => {
-            box_kernel_impl::<_, _, FARTHEST, SMOOTHED>(query, bandwidth, lo, hi, len, out);
-        }
-        (Columns::F64(lo), Columns::F32(hi)) => {
-            box_kernel_impl::<_, _, FARTHEST, SMOOTHED>(query, bandwidth, lo, hi, len, out);
-        }
-        (Columns::F32(lo), Columns::F64(hi)) => {
-            box_kernel_impl::<_, _, FARTHEST, SMOOTHED>(query, bandwidth, lo, hi, len, out);
-        }
-        (Columns::F32(lo), Columns::F32(hi)) => {
-            box_kernel_impl::<_, _, FARTHEST, SMOOTHED>(query, bandwidth, lo, hi, len, out);
-        }
-    }
-}
-
 /// Shared box-kernel loop: `FARTHEST` picks the farthest- vs nearest-corner
 /// per-dimension distance, `SMOOTHED` adds the `(width/2)^2` variance-cap
 /// term under the square root (the ClusTree bound; only used with
 /// `FARTHEST`).
-fn box_kernel_impl<
-    L: ColumnElement,
-    U: ColumnElement,
-    const FARTHEST: bool,
-    const SMOOTHED: bool,
->(
+fn box_kernel_impl<const FARTHEST: bool, const SMOOTHED: bool>(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &[L],
-    upper: &[U],
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut [f64],
 ) {
     debug_assert_eq!(lower.len(), query.len() * len);
     debug_assert_eq!(upper.len(), query.len() * len);
     debug_assert_eq!(bandwidth.len(), query.len());
-    if crate::simd::box_kernel::<L, U, FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out)
-    {
+    if crate::simd::box_kernel::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out) {
         return;
     }
     for (d, &q) in query.iter().enumerate() {
@@ -560,8 +459,7 @@ fn box_kernel_impl<
         let lcol = &lower[d * len..(d + 1) * len];
         let ucol = &upper[d * len..(d + 1) * len];
         for i in 0..len {
-            let lo = lcol[i].widen();
-            let hi = ucol[i].widen();
+            let (lo, hi) = (lcol[i], ucol[i]);
             let dist = if FARTHEST {
                 (q - lo).abs().max((q - hi).abs())
             } else if q < lo {
@@ -598,13 +496,13 @@ fn box_kernel_impl<
 // ---------------------------------------------------------------------------
 
 /// The columns one fused node pass reads: `len` entries, dimension-major.
-pub(crate) struct NodeColumns<'a, E> {
+pub(crate) struct NodeColumns<'a> {
     pub(crate) len: usize,
-    pub(crate) mean: &'a [E],
-    pub(crate) var: &'a [E],
+    pub(crate) mean: &'a [f64],
+    pub(crate) var: &'a [f64],
     pub(crate) log_var: &'a [f64],
-    pub(crate) lower: &'a [E],
-    pub(crate) upper: &'a [E],
+    pub(crate) lower: &'a [f64],
+    pub(crate) upper: &'a [f64],
 }
 
 /// The four per-entry output lanes of one fused node pass.
@@ -640,64 +538,36 @@ pub fn node_scores_block(
     assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
     let len = block.len();
     let [log_pdf, farthest, nearest, min_sq] = lanes;
-    let out = NodeLanes {
+    let mut out = NodeLanes {
         log_pdf: prep_out(log_pdf, len),
         farthest: prep_out(farthest, len),
         nearest: prep_out(nearest, len),
         min_sq: prep_out(min_sq, len),
     };
-    match (block.mean(), block.var(), block.lower(), block.upper()) {
-        (Columns::F64(mean), Columns::F64(var), Columns::F64(lower), Columns::F64(upper)) => {
-            let cols = NodeColumns {
-                len,
-                mean,
-                var,
-                log_var,
-                lower,
-                upper,
-            };
-            node_scores_impl(query, bandwidth, &cols, out);
-        }
-        (Columns::F32(mean), Columns::F32(var), Columns::F32(lower), Columns::F32(upper)) => {
-            let cols = NodeColumns {
-                len,
-                mean,
-                var,
-                log_var,
-                lower,
-                upper,
-            };
-            node_scores_impl(query, bandwidth, &cols, out);
-        }
-        _ => unreachable!("a SummaryBlock stores every column at one precision"),
-    }
-}
-
-fn node_scores_impl<E: ColumnElement>(
-    query: &[f64],
-    bandwidth: &KernelBandwidth,
-    cols: &NodeColumns<'_, E>,
-    mut out: NodeLanes<'_>,
-) {
-    let len = cols.len;
+    let cols = NodeColumns {
+        len,
+        mean: block.mean(),
+        var: block.var(),
+        log_var,
+        lower: block.lower(),
+        upper: block.upper(),
+    };
     debug_assert_eq!(cols.mean.len(), query.len() * len);
     debug_assert_eq!(cols.var.len(), query.len() * len);
     debug_assert_eq!(cols.log_var.len(), query.len() * len);
     debug_assert_eq!(cols.lower.len(), query.len() * len);
     debug_assert_eq!(cols.upper.len(), query.len() * len);
     let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
-    if crate::simd::node_scores(query, h, ln_h, cols, &mut out) {
+    if crate::simd::node_scores(query, h, ln_h, &cols, &mut out) {
         return;
     }
     for (d, &q) in query.iter().enumerate() {
         let (h, ln_h) = (h[d], ln_h[d]);
         for i in 0..len {
             let idx = d * len + i;
-            let diff = q - cols.mean[idx].widen();
-            let var = cols.var[idx].widen();
-            out.log_pdf[i] += -0.5 * (LN_2PI + cols.log_var[idx] + diff * diff / var);
-            let lo = cols.lower[idx].widen();
-            let hi = cols.upper[idx].widen();
+            let diff = q - cols.mean[idx];
+            out.log_pdf[i] += -0.5 * (LN_2PI + cols.log_var[idx] + diff * diff / cols.var[idx]);
+            let (lo, hi) = (cols.lower[idx], cols.upper[idx]);
             let far = (q - lo).abs().max((q - hi).abs());
             let near = if q < lo {
                 lo - q
@@ -727,7 +597,7 @@ fn node_scores_impl<E: ColumnElement>(
 pub fn leaf_scores_block(
     query: &[f64],
     bandwidth: &KernelBandwidth,
-    means: &Columns,
+    means: &[f64],
     len: usize,
     log_kernels: &mut Vec<f64>,
     sq_dists: &mut Vec<f64>,
@@ -735,20 +605,6 @@ pub fn leaf_scores_block(
     assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
     let log_kernels = prep_out(log_kernels, len);
     let sq_dists = prep_out(sq_dists, len);
-    match means {
-        Columns::F64(m) => leaf_scores_impl(query, bandwidth, m, len, log_kernels, sq_dists),
-        Columns::F32(m) => leaf_scores_impl(query, bandwidth, m, len, log_kernels, sq_dists),
-    }
-}
-
-fn leaf_scores_impl<E: ColumnElement>(
-    query: &[f64],
-    bandwidth: &KernelBandwidth,
-    means: &[E],
-    len: usize,
-    log_kernels: &mut [f64],
-    sq_dists: &mut [f64],
-) {
     debug_assert_eq!(means.len(), query.len() * len);
     let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
     if crate::simd::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) {
@@ -758,7 +614,7 @@ fn leaf_scores_impl<E: ColumnElement>(
         let (h, ln_h) = (h[d], ln_h[d]);
         let col = &means[d * len..(d + 1) * len];
         for i in 0..len {
-            let m = col[i].widen();
+            let m = col[i];
             let u = (q - m) / h;
             log_kernels[i] += -0.5 * (LN_2PI + u * u) - ln_h;
             let diff = m - q;

@@ -38,8 +38,7 @@ pub mod vector;
 
 pub use bandwidth::silverman_bandwidth;
 pub use block::{
-    BlockCacheSlot, BlockPrecision, BlockScratch, CachedBlock, ColumnElement, Columns,
-    GatheredBlock, SummaryBlock,
+    BlockCacheSlot, BlockScratch, CachedBlock, ColumnElement, GatheredBlock, SummaryBlock,
 };
 pub use cluster_feature::ClusterFeature;
 pub use em::{EmConfig, EmResult, KMeans, KMeansConfig};

@@ -1,13 +1,13 @@
 //! Explicit-SIMD variants of the hot block kernels.
 //!
 //! The batch kernels in [`crate::kernel`] are written so LLVM *can*
-//! autovectorize them, but autovectorization of the widening (`f32` →
-//! `f64`), mixed-arm loops is brittle — a missed vectorization silently
-//! costs 2–4×.  This module makes the vector shape explicit: a small local
-//! shim type ([`F64x4`]) models one 256-bit lane of four `f64`s as a plain
+//! autovectorize them, but autovectorization of the branchy box and
+//! log-kernel loops is brittle — a missed vectorization silently costs
+//! 2–4×.  This module makes the vector shape explicit: a small local shim
+//! type ([`F64x4`]) models one 256-bit lane of four `f64`s as a plain
 //! `[f64; 4]` with element-wise IEEE operations, and the kernel bodies walk
 //! the entry dimension four entries at a time (scalar tail).  The bodies are
-//! monomorphised behind `#[target_feature(enable = "avx2")]` wrappers and
+//! compiled inside `#[target_feature(enable = "avx2")]` wrappers and
 //! selected at runtime ([`avx2_available`]), so a binary built for the
 //! baseline target still uses AVX2 registers on machines that have them.
 //!
@@ -16,19 +16,9 @@
 //! `f64::max` — never a fused multiply-add, which would change rounding),
 //! and each entry's accumulator still receives its per-dimension terms in
 //! ascending-dimension order.  The SIMD path is therefore bit-identical to
-//! the scalar reference in both column precisions; the parity tests in
-//! `crates/stats/tests/block_kernels.rs` assert it with `to_bits`.
-//!
-//! **FMA variants.**  Each kernel body is additionally monomorphised with
-//! `const FMA: bool`: the `FMA = true` instantiation replaces every
-//! `a * b + c` accumulation with `mul_add` and is compiled behind
-//! `#[target_feature(enable = "avx2,fma")]`, so the contraction is a single
-//! rounding (`vfmadd*`) instead of two.  Fusion *changes* results, so the
-//! FMA path is **opt-in** ([`set_fma_enabled`] / the `BT_STATS_FMA` env
-//! var) and off by default: the default dispatch keeps the bit-exactness
-//! contract above, and the FMA variants are admitted only through the
-//! ULP-bounded parity suite in `crates/stats/tests/simd_parity.rs` (bound
-//! documented there and in `docs/PERF.md`).
+//! the scalar reference; the parity tests in
+//! `crates/stats/tests/block_kernels.rs` and
+//! `crates/stats/tests/simd_parity.rs` assert it with `to_bits`.
 //!
 //! **Scope (measure first).**  Only the kernels where the explicit lanes
 //! demonstrably win are dispatched here: squared distances, Gaussian
@@ -49,17 +39,15 @@
 //! registers for the whole dimension walk, and end a block with a chunk
 //! that overlaps its predecessor instead of a scalar tail loop (only a
 //! block under one lane pads).  Each output equals its per-quantity
-//! kernel bit for bit within one `FMA` instantiation.  On a 16-d node of
-//! 4–9 entries the node pass takes about a third of the time of the four
-//! per-quantity calls it replaces, which also computed 32 logarithms per
-//! node.  The per-quantity kernels stay for the ClusTree model, the
-//! descent and as parity references.
+//! kernel bit for bit.  On a 16-d node of 4–9 entries the node pass takes
+//! about a third of the time of the four per-quantity calls it replaces,
+//! which also computed 32 logarithms per node.  The per-quantity kernels
+//! stay for the ClusTree model, the descent and as parity references.
 //!
 //! Everything degrades gracefully: with the `simd` cargo feature off, on
 //! non-`x86_64` targets, or on CPUs without AVX2, [`avx2_available`] is
 //! `false` and callers fall through to the scalar reference loops.
 
-use crate::block::ColumnElement;
 use crate::kernel::{NodeColumns, NodeLanes};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::{LN_2PI, VARIANCE_FLOOR};
@@ -86,70 +74,6 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Whether the FMA kernel variants *could* run on this machine: the `simd`
-/// feature is on, the target is `x86_64` and the CPU reports both AVX2 and
-/// FMA.  Detected once and cached.  Availability alone does not select the
-/// FMA path — see [`fma_active`].
-#[must_use]
-pub fn fma_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static FMA: OnceLock<bool> = OnceLock::new();
-        *FMA.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// FMA opt-in state: 0 = follow the `BT_STATS_FMA` env var, 1 = forced off,
-/// 2 = forced on.  Fused kernels change rounding, so they must never engage
-/// silently — the default (env var unset) is **off**, preserving the f64
-/// bit-exactness contract of the plain AVX2 path.
-static FMA_ENABLED: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Overrides the FMA opt-in: `Some(true)` forces the fused kernels on (when
-/// [`fma_available`]), `Some(false)` forces them off, `None` reverts to the
-/// `BT_STATS_FMA` environment variable (`1`/`true`/`on` enables).
-pub fn set_fma_enabled(on: Option<bool>) {
-    let state = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    FMA_ENABLED.store(state, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn fma_env_opt_in() -> bool {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BT_STATS_FMA")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
-
-/// Whether the runtime dispatch will actually take the FMA path: the CPU
-/// supports it ([`fma_available`]) *and* it was opted in via
-/// [`set_fma_enabled`] or `BT_STATS_FMA`.
-#[must_use]
-pub fn fma_active() -> bool {
-    if !fma_available() {
-        return false;
-    }
-    match FMA_ENABLED.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => fma_env_opt_in(),
-    }
-}
-
 /// One 256-bit lane of four `f64`s, modelled portably as `[f64; 4]`.
 ///
 /// All operations are element-wise scalar IEEE expressions; compiled inside
@@ -171,16 +95,11 @@ impl F64x4 {
         Self([v; 4])
     }
 
-    /// Widening load of four consecutive column elements.
+    /// Load of four consecutive column values.
     #[inline(always)]
     #[must_use]
-    pub fn load<E: ColumnElement>(col: &[E]) -> Self {
-        Self([
-            col[0].widen(),
-            col[1].widen(),
-            col[2].widen(),
-            col[3].widen(),
-        ])
+    pub fn load(col: &[f64]) -> Self {
+        Self([col[0], col[1], col[2], col[3]])
     }
 
     /// Stores the four lanes into `out[..4]`.
@@ -252,67 +171,17 @@ impl F64x4 {
     pub fn max(self, other: Self) -> Self {
         self.zip(other, f64::max)
     }
-
-    /// Lane-wise fused multiply-add `self * b + c` with a single rounding.
-    ///
-    /// Compiled inside an `avx2,fma` `#[target_feature]` region this lowers
-    /// to one `vfmadd` per lane; it must only appear in `FMA = true` kernel
-    /// instantiations, because the single rounding is *not* bit-identical
-    /// to `mul` + `add`.
-    #[inline(always)]
-    #[must_use]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Self([
-            self.0[0].mul_add(b.0[0], c.0[0]),
-            self.0[1].mul_add(b.0[1], c.0[1]),
-            self.0[2].mul_add(b.0[2], c.0[2]),
-            self.0[3].mul_add(b.0[3], c.0[3]),
-        ])
-    }
-}
-
-/// `a * b + c`, fused to a single rounding when `FMA` is true.
-///
-/// The kernel bodies are written once against this helper so the `FMA =
-/// false` instantiation stays expression-for-expression identical to the
-/// scalar reference (two roundings, bit-exact) while the `FMA = true`
-/// instantiation contracts to `vfmadd`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn fmadd<const FMA: bool>(a: F64x4, b: F64x4, c: F64x4) -> F64x4 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a.mul(b).add(c)
-    }
-}
-
-/// Scalar companion of [`fmadd`] for the lane tails, so a tail entry rounds
-/// the same way as its in-lane neighbours within one instantiation.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn fmadd_s<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Kernel bodies: `#[inline(always)]` so the `#[target_feature]` wrappers can
 // absorb them into their AVX2-enabled codegen region.  Each body mirrors one
-// scalar `_impl` loop in `crate::kernel` expression for expression.
+// scalar loop in `crate::kernel` expression for expression.
 // ---------------------------------------------------------------------------
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn sq_dists_body<M: ColumnElement, const FMA: bool>(
-    query: &[f64],
-    means: &[M],
-    len: usize,
-    out: &mut [f64],
-) {
+fn sq_dists_body(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
     let chunks = len - len % LANES;
     for (d, &q) in query.iter().enumerate() {
         let col = &means[d * len..(d + 1) * len];
@@ -320,13 +189,13 @@ fn sq_dists_body<M: ColumnElement, const FMA: bool>(
         let mut i = 0;
         while i < chunks {
             let diff = F64x4::load(&col[i..]).sub(qv);
-            let acc = fmadd::<FMA>(diff, diff, F64x4::load(&out[i..]));
+            let acc = diff.mul(diff).add(F64x4::load(&out[i..]));
             acc.store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
-            let diff = col[i].widen() - q;
-            out[i] = fmadd_s::<FMA>(diff, diff, out[i]);
+            let diff = col[i] - q;
+            out[i] += diff * diff;
             i += 1;
         }
     }
@@ -334,11 +203,11 @@ fn sq_dists_body<M: ColumnElement, const FMA: bool>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
+fn gaussian_log_terms_body(
     query: &[f64],
     bandwidth: &[f64],
-    means: &[M],
-    vars: Option<&[V]>,
+    means: &[f64],
+    vars: Option<&[f64]>,
     len: usize,
     out: &mut [f64],
 ) {
@@ -357,32 +226,31 @@ fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
             let mut i = 0;
             while i < chunks {
                 let diff = qv.sub(F64x4::load(&mcol[i..]));
-                let t = fmadd::<FMA>(diff, diff, F64x4::load(&vcol[i..]));
+                let t = diff.mul(diff).add(F64x4::load(&vcol[i..]));
                 let u = t.sqrt().div(hv);
-                // -0.5 * (LN_2PI + u * u) - ln_h, same op order as scalar;
-                // FMA fuses the `u * u + LN_2PI` contraction.
-                let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+                // -0.5 * (LN_2PI + u * u) - ln_h, same op order as scalar.
+                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
                 F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
                 i += LANES;
             }
             while i < len {
-                let diff = q - mcol[i].widen();
-                let t = fmadd_s::<FMA>(diff, diff, vcol[i].widen());
+                let diff = q - mcol[i];
+                let t = diff * diff + vcol[i];
                 let u = t.sqrt() / h;
-                out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
                 i += 1;
             }
         } else {
             let mut i = 0;
             while i < chunks {
                 let u = qv.sub(F64x4::load(&mcol[i..])).div(hv);
-                let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
                 F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
                 i += LANES;
             }
             while i < len {
-                let u = (q - mcol[i].widen()) / h;
-                out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+                let u = (q - mcol[i]) / h;
+                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
                 i += 1;
             }
         }
@@ -391,10 +259,10 @@ fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
+fn diag_log_pdfs_body(
     query: &[f64],
-    means: &[M],
-    vars: &[V],
+    means: &[f64],
+    vars: &[f64],
     log_vars: &[f64],
     len: usize,
     out: &mut [f64],
@@ -413,18 +281,16 @@ fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
             let var = F64x4::load(&vcol[i..]);
             let lv = F64x4::load(&lcol[i..]);
             // -0.5 * ((LN_2PI + ln(var)) + diff * diff / var), the ln
-            // precomputed at gather time, same op order as scalar; FMA
-            // fuses the `-0.5 * sum + out` accumulation.
+            // precomputed at gather time, same op order as scalar.
             let sum = ln_2pi.add(lv).add(diff.mul(diff).div(var));
-            let acc = fmadd::<FMA>(neg_half, sum, F64x4::load(&out[i..]));
+            let acc = neg_half.mul(sum).add(F64x4::load(&out[i..]));
             acc.store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
-            let diff = q - mcol[i].widen();
-            let var = vcol[i].widen();
-            let sum = LN_2PI + lcol[i] + diff * diff / var;
-            out[i] = fmadd_s::<FMA>(-0.5, sum, out[i]);
+            let diff = q - mcol[i];
+            let sum = LN_2PI + lcol[i] + diff * diff / vcol[i];
+            out[i] += -0.5 * sum;
             i += 1;
         }
     }
@@ -432,17 +298,11 @@ fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn box_kernel_body<
-    L: ColumnElement,
-    U: ColumnElement,
-    const FARTHEST: bool,
-    const SMOOTHED: bool,
-    const FMA: bool,
->(
+fn box_kernel_body<const FARTHEST: bool, const SMOOTHED: bool>(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &[L],
-    upper: &[U],
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut [f64],
 ) {
@@ -473,17 +333,16 @@ fn box_kernel_body<
             };
             let u = if SMOOTHED {
                 let half = half_f.mul(hi.sub(lo));
-                fmadd::<FMA>(dist, dist, half.mul(half)).sqrt().div(hv)
+                dist.mul(dist).add(half.mul(half)).sqrt().div(hv)
             } else {
                 dist.div(hv)
             };
-            let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+            let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
             F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
-            let lo = lcol[i].widen();
-            let hi = ucol[i].widen();
+            let (lo, hi) = (lcol[i], ucol[i]);
             let dist = if FARTHEST {
                 (q - lo).abs().max((q - hi).abs())
             } else if q < lo {
@@ -495,12 +354,12 @@ fn box_kernel_body<
             };
             let u = if SMOOTHED {
                 let half = 0.5 * (hi - lo);
-                let t = fmadd_s::<FMA>(dist, dist, half * half);
+                let t = dist * dist + half * half;
                 t.sqrt() / h
             } else {
                 dist / h
             };
-            out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+            out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
             i += 1;
         }
     }
@@ -508,13 +367,7 @@ fn box_kernel_body<
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
-    query: &[f64],
-    lower: &[L],
-    upper: &[U],
-    len: usize,
-    out: &mut [f64],
-) {
+fn box_min_sq_dists_body(query: &[f64], lower: &[f64], upper: &[f64], len: usize, out: &mut [f64]) {
     let chunks = len - len % LANES;
     for (d, &q) in query.iter().enumerate() {
         let lcol = &lower[d * len..(d + 1) * len];
@@ -526,12 +379,13 @@ fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
             let lo = F64x4::load(&lcol[i..]);
             let hi = F64x4::load(&ucol[i..]);
             let diff = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
-            fmadd::<FMA>(diff, diff, F64x4::load(&out[i..])).store(&mut out[i..]);
+            diff.mul(diff)
+                .add(F64x4::load(&out[i..]))
+                .store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
-            let lo = lcol[i].widen();
-            let hi = ucol[i].widen();
+            let (lo, hi) = (lcol[i], ucol[i]);
             let diff = if q < lo {
                 lo - q
             } else if q > hi {
@@ -539,7 +393,7 @@ fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
             } else {
                 0.0
             };
-            out[i] = fmadd_s::<FMA>(diff, diff, out[i]);
+            out[i] += diff * diff;
             i += 1;
         }
     }
@@ -563,11 +417,11 @@ fn chunk_starts(len: usize) -> impl Iterator<Item = usize> {
 /// lanes with `pad`; a padded lane's result is never stored.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn load_padded<E: ColumnElement>(col: &[E], at: usize, n: usize, pad: f64) -> F64x4 {
+fn load_padded(col: &[f64], at: usize, n: usize, pad: f64) -> F64x4 {
     if n == LANES {
         F64x4::load(&col[at..at + LANES])
     } else {
-        let lane = |k: usize| if k < n { col[at + k].widen() } else { pad };
+        let lane = |k: usize| if k < n { col[at + k] } else { pad };
         F64x4([lane(0), lane(1), lane(2), lane(3)])
     }
 }
@@ -588,21 +442,45 @@ fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 /// entry the terms still arrive dimension-ascending, each lane evaluating
 /// the expression of its per-quantity body (`diag_log_pdfs_body`, the two
 /// `box_kernel_body` corners, `box_min_sq_dists_body`), so every output is
-/// bit-identical to that body's within one `FMA` instantiation.
+/// bit-identical to that body's.
+///
+/// A block of at least one lane runs the `FULL` instantiation, where every
+/// chunk is a plain full-lane load and store; only shorter blocks pay for
+/// padding.  Deciding this once per block instead of per load keeps the
+/// common 4–9 entry nodes on straight-line vector code (`docs/PERF.md`,
+/// "Removed: opt-in FMA and f32 columns", has the measurement).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn node_scores_body<E: ColumnElement, const FMA: bool>(
+fn node_scores_body(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
-    cols: &NodeColumns<'_, E>,
+    cols: &NodeColumns<'_>,
+    out: &mut NodeLanes<'_>,
+) {
+    if cols.len >= LANES {
+        node_scores_chunks::<true>(query, h, ln_h, cols, out);
+    } else {
+        node_scores_chunks::<false>(query, h, ln_h, cols, out);
+    }
+}
+
+/// The chunk loop of [`node_scores_body`]; `FULL` promises `cols.len >=
+/// LANES`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+fn node_scores_chunks<const FULL: bool>(
+    query: &[f64],
+    h: &[f64],
+    ln_h: &[f64],
+    cols: &NodeColumns<'_>,
     out: &mut NodeLanes<'_>,
 ) {
     let len = cols.len;
     let zero = F64x4::splat(0.0);
     let ln_2pi = F64x4::splat(LN_2PI);
     let neg_half = F64x4::splat(-0.5);
-    let n = len.min(LANES);
+    let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
         let (mut log_pdf, mut farthest, mut nearest, mut min_sq) = (zero, zero, zero, zero);
         for (d, &q) in query.iter().enumerate() {
@@ -619,16 +497,16 @@ fn node_scores_body<E: ColumnElement, const FMA: bool>(
 
             let diff = qv.sub(mean);
             let sum = ln_2pi.add(log_var).add(diff.mul(diff).div(var));
-            log_pdf = fmadd::<FMA>(neg_half, sum, log_pdf);
+            log_pdf = neg_half.mul(sum).add(log_pdf);
 
             let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
             let u = far.div(hv);
-            farthest = farthest.add(neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v));
+            farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
 
             let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
             let u = near.div(hv);
-            nearest = nearest.add(neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v));
-            min_sq = fmadd::<FMA>(near, near, min_sq);
+            nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+            min_sq = near.mul(near).add(min_sq);
         }
         store_first(log_pdf, out.log_pdf, i, n);
         store_first(farthest, out.farthest, i, n);
@@ -642,11 +520,11 @@ fn node_scores_body<E: ColumnElement, const FMA: bool>(
 /// chunks outermost as in [`node_scores_body`].
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn leaf_scores_body<E: ColumnElement, const FMA: bool>(
+fn leaf_scores_body(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
-    means: &[E],
+    means: &[f64],
     len: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
@@ -662,11 +540,11 @@ fn leaf_scores_body<E: ColumnElement, const FMA: bool>(
             let mean = load_padded(means, d * len + i, n, 0.0);
             let u = qv.sub(mean).div(F64x4::splat(h[d]));
             let term = neg_half
-                .mul(fmadd::<FMA>(u, u, ln_2pi))
+                .mul(u.mul(u).add(ln_2pi))
                 .sub(F64x4::splat(ln_h[d]));
             log_k = log_k.add(term);
             let diff = mean.sub(qv);
-            dist = fmadd::<FMA>(diff, diff, dist);
+            dist = diff.mul(diff).add(dist);
         }
         store_first(log_k, log_kernels, i, n);
         store_first(dist, sq_dists, i, n);
@@ -674,8 +552,8 @@ fn leaf_scores_body<E: ColumnElement, const FMA: bool>(
 }
 
 // ---------------------------------------------------------------------------
-// AVX2-enabled wrappers: same signatures as the scalar `_impl` loops, unsafe
-// only because the caller must have verified `avx2_available()`.
+// AVX2-enabled wrappers: same signatures as the bodies, unsafe only because
+// the caller must have verified `avx2_available()`.
 // ---------------------------------------------------------------------------
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -685,230 +563,100 @@ mod avx2 {
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq_dists<M: ColumnElement>(
-        query: &[f64],
-        means: &[M],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        sq_dists_body::<M, false>(query, means, len, out);
+    pub unsafe fn sq_dists(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
+        sq_dists_body(query, means, len, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
+    pub unsafe fn gaussian_log_terms(
         query: &[f64],
         bandwidth: &[f64],
-        means: &[M],
-        vars: Option<&[V]>,
+        means: &[f64],
+        vars: Option<&[f64]>,
         len: usize,
         out: &mut [f64],
     ) {
-        gaussian_log_terms_body::<M, V, false>(query, bandwidth, means, vars, len, out);
+        gaussian_log_terms_body(query, bandwidth, means, vars, len, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
+    pub unsafe fn diag_log_pdfs(
         query: &[f64],
-        means: &[M],
-        vars: &[V],
+        means: &[f64],
+        vars: &[f64],
         log_vars: &[f64],
         len: usize,
         out: &mut [f64],
     ) {
-        diag_log_pdfs_body::<M, V, false>(query, means, vars, log_vars, len, out);
+        diag_log_pdfs_body(query, means, vars, log_vars, len, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn box_kernel<
-        L: ColumnElement,
-        U: ColumnElement,
-        const FARTHEST: bool,
-        const SMOOTHED: bool,
-    >(
+    pub unsafe fn box_kernel<const FARTHEST: bool, const SMOOTHED: bool>(
         query: &[f64],
         bandwidth: &[f64],
-        lower: &[L],
-        upper: &[U],
+        lower: &[f64],
+        upper: &[f64],
         len: usize,
         out: &mut [f64],
     ) {
-        box_kernel_body::<L, U, FARTHEST, SMOOTHED, false>(
-            query, bandwidth, lower, upper, len, out,
-        );
+        box_kernel_body::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
+    pub unsafe fn box_min_sq_dists(
         query: &[f64],
-        lower: &[L],
-        upper: &[U],
+        lower: &[f64],
+        upper: &[f64],
         len: usize,
         out: &mut [f64],
     ) {
-        box_min_sq_dists_body::<L, U, false>(query, lower, upper, len, out);
+        box_min_sq_dists_body(query, lower, upper, len, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn node_scores<E: ColumnElement>(
+    pub unsafe fn node_scores(
         query: &[f64],
         h: &[f64],
         ln_h: &[f64],
-        cols: &NodeColumns<'_, E>,
+        cols: &NodeColumns<'_>,
         out: &mut NodeLanes<'_>,
     ) {
-        node_scores_body::<E, false>(query, h, ln_h, cols, out);
+        node_scores_body(query, h, ln_h, cols, out);
     }
 
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn leaf_scores<E: ColumnElement>(
+    pub unsafe fn leaf_scores(
         query: &[f64],
         h: &[f64],
         ln_h: &[f64],
-        means: &[E],
+        means: &[f64],
         len: usize,
         log_kernels: &mut [f64],
         sq_dists: &mut [f64],
     ) {
-        leaf_scores_body::<E, false>(query, h, ln_h, means, len, log_kernels, sq_dists);
-    }
-}
-
-// Fused variants: the same bodies with `FMA = true`, compiled in an
-// `avx2,fma` codegen region so every `fmadd` lowers to `vfmadd*`.  Reached
-// only when [`fma_active`] — never by default.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod fma {
-    use super::*;
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq_dists<M: ColumnElement>(
-        query: &[f64],
-        means: &[M],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        sq_dists_body::<M, true>(query, means, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
-        query: &[f64],
-        bandwidth: &[f64],
-        means: &[M],
-        vars: Option<&[V]>,
-        len: usize,
-        out: &mut [f64],
-    ) {
-        gaussian_log_terms_body::<M, V, true>(query, bandwidth, means, vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
-        query: &[f64],
-        means: &[M],
-        vars: &[V],
-        log_vars: &[f64],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        diag_log_pdfs_body::<M, V, true>(query, means, vars, log_vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn box_kernel<
-        L: ColumnElement,
-        U: ColumnElement,
-        const FARTHEST: bool,
-        const SMOOTHED: bool,
-    >(
-        query: &[f64],
-        bandwidth: &[f64],
-        lower: &[L],
-        upper: &[U],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_kernel_body::<L, U, FARTHEST, SMOOTHED, true>(query, bandwidth, lower, upper, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
-        query: &[f64],
-        lower: &[L],
-        upper: &[U],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_min_sq_dists_body::<L, U, true>(query, lower, upper, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn node_scores<E: ColumnElement>(
-        query: &[f64],
-        h: &[f64],
-        ln_h: &[f64],
-        cols: &NodeColumns<'_, E>,
-        out: &mut NodeLanes<'_>,
-    ) {
-        node_scores_body::<E, true>(query, h, ln_h, cols, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn leaf_scores<E: ColumnElement>(
-        query: &[f64],
-        h: &[f64],
-        ln_h: &[f64],
-        means: &[E],
-        len: usize,
-        log_kernels: &mut [f64],
-        sq_dists: &mut [f64],
-    ) {
-        leaf_scores_body::<E, true>(query, h, ln_h, means, len, log_kernels, sq_dists);
+        leaf_scores_body(query, h, ln_h, means, len, log_kernels, sq_dists);
     }
 }
 
 /// Runtime-dispatched squared-distance kernel; returns `false` when the
 /// SIMD path is unavailable and the caller must run the scalar reference.
 #[inline]
-pub(crate) fn sq_dists<M: ColumnElement>(
-    query: &[f64],
-    means: &[M],
-    len: usize,
-    out: &mut [f64],
-) -> bool {
+pub(crate) fn sq_dists(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::sq_dists(query, means, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::sq_dists(query, means, len, out) };
@@ -921,21 +669,16 @@ pub(crate) fn sq_dists<M: ColumnElement>(
 
 /// Runtime-dispatched Gaussian log-term kernel (see [`sq_dists`]).
 #[inline]
-pub(crate) fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
+pub(crate) fn gaussian_log_terms(
     query: &[f64],
     bandwidth: &[f64],
-    means: &[M],
-    vars: Option<&[V]>,
+    means: &[f64],
+    vars: Option<&[f64]>,
     len: usize,
     out: &mut [f64],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::gaussian_log_terms(query, bandwidth, means, vars, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::gaussian_log_terms(query, bandwidth, means, vars, len, out) };
@@ -949,21 +692,16 @@ pub(crate) fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
 /// Runtime-dispatched diagonal-Gaussian log-pdf kernel for gathers that
 /// precomputed their log-variance column (see [`sq_dists`]).
 #[inline]
-pub(crate) fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
+pub(crate) fn diag_log_pdfs(
     query: &[f64],
-    means: &[M],
-    vars: &[V],
+    means: &[f64],
+    vars: &[f64],
     log_vars: &[f64],
     len: usize,
     out: &mut [f64],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::diag_log_pdfs(query, means, vars, log_vars, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::diag_log_pdfs(query, means, vars, log_vars, len, out) };
@@ -976,36 +714,20 @@ pub(crate) fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
 
 /// Runtime-dispatched box-bound kernel (see [`sq_dists`]).
 #[inline]
-pub(crate) fn box_kernel<
-    L: ColumnElement,
-    U: ColumnElement,
-    const FARTHEST: bool,
-    const SMOOTHED: bool,
->(
+pub(crate) fn box_kernel<const FARTHEST: bool, const SMOOTHED: bool>(
     query: &[f64],
     bandwidth: &[f64],
-    lower: &[L],
-    upper: &[U],
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut [f64],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe {
-                fma::box_kernel::<L, U, FARTHEST, SMOOTHED>(
-                    query, bandwidth, lower, upper, len, out,
-                );
-            }
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe {
-                avx2::box_kernel::<L, U, FARTHEST, SMOOTHED>(
-                    query, bandwidth, lower, upper, len, out,
-                );
+                avx2::box_kernel::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out);
             }
             return true;
         }
@@ -1017,20 +739,15 @@ pub(crate) fn box_kernel<
 /// Runtime-dispatched box minimum-squared-distance kernel (see
 /// [`sq_dists`]).
 #[inline]
-pub(crate) fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
+pub(crate) fn box_min_sq_dists(
     query: &[f64],
-    lower: &[L],
-    upper: &[U],
+    lower: &[f64],
+    upper: &[f64],
     len: usize,
     out: &mut [f64],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::box_min_sq_dists(query, lower, upper, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::box_min_sq_dists(query, lower, upper, len, out) };
@@ -1044,20 +761,15 @@ pub(crate) fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
 /// Runtime-dispatched fused directory-node pass (see [`sq_dists`]); `h`
 /// and `ln_h` are the floored bandwidth and its logarithm.
 #[inline]
-pub(crate) fn node_scores<E: ColumnElement>(
+pub(crate) fn node_scores(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
-    cols: &NodeColumns<'_, E>,
+    cols: &NodeColumns<'_>,
     out: &mut NodeLanes<'_>,
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::node_scores(query, h, ln_h, cols, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::node_scores(query, h, ln_h, cols, out) };
@@ -1070,22 +782,17 @@ pub(crate) fn node_scores<E: ColumnElement>(
 
 /// Runtime-dispatched fused leaf pass (see [`node_scores`]).
 #[inline]
-pub(crate) fn leaf_scores<E: ColumnElement>(
+pub(crate) fn leaf_scores(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
-    means: &[E],
+    means: &[f64],
     len: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) };

@@ -2,21 +2,24 @@
 //!
 //! **Tolerances.**
 //!
-//! * `f64` columns: every per-entry result must match the scalar reference
-//!   **bit for bit** (0 ULP — asserted with `to_bits()` equality modulo the
-//!   `-0.0` case).  The block kernels deliberately replicate the scalar
-//!   operation order (terms added dimension-ascending, per-element division
-//!   by the floored bandwidth, constants hoisted but recomputed identically),
-//!   so this is an equality test, stronger than the issue's 1-ULP budget.
-//! * `f32` columns quantise only the *stored operands* (means, variances,
-//!   box bounds) to `f32`; all arithmetic and accumulation stay `f64`.  A
-//!   quantised operand `x` differs from its `f64` value by at most
-//!   `|x| * 2^-24`, so squared-distance-style results drift by a relative
-//!   `~2^-23` per term; log-kernels add an absolute error of order
-//!   `|diff| * 2^-23 / h^2` through the `u^2` term.  The generators below
-//!   keep coordinates in `[-50, 50]` and bandwidths above `1e-3`, for which
-//!   an absolute tolerance of `1e-2` on log values and a relative `1e-4` on
-//!   distances is conservative; the tests assert those bounds.
+//! * Block kernels against the scalar reference on the same values: every
+//!   per-entry result must match **bit for bit** (0 ULP — asserted with
+//!   `to_bits()` equality modulo the `-0.0` case).  The block kernels
+//!   deliberately replicate the scalar operation order (terms added
+//!   dimension-ascending, per-element division by the floored bandwidth,
+//!   constants hoisted but recomputed identically), so this is an equality
+//!   test.
+//! * `f32` stored values against the exact `f64` ones: the `f32` stored
+//!   mode quantises only the *stored operands* (means, variances, box
+//!   bounds) and widens them into `f64` columns; all arithmetic and
+//!   accumulation stay `f64`.  A quantised operand `x` differs from its
+//!   `f64` value by at most `|x| * 2^-24`, so squared-distance-style results
+//!   drift by a relative `~2^-23` per term; log-kernels add an absolute
+//!   error of order `|diff| * 2^-23 / h^2` through the `u^2` term.  The
+//!   generators below keep coordinates in `[-50, 50]` and bandwidths above
+//!   `1e-3`, for which an absolute tolerance of `1e-2` on log values and a
+//!   relative `1e-4` on distances is conservative; the tests assert those
+//!   bounds.
 //!
 //! Edge cases covered explicitly: bandwidths at / below the variance-floor
 //! square root, zero variances, empty blocks, and degenerate (point) boxes.
@@ -31,7 +34,7 @@ use bt_stats::kernel::{
     sq_dists_block,
 };
 use bt_stats::{
-    BlockPrecision, DiagGaussian, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock,
+    ColumnElement, DiagGaussian, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock,
     VARIANCE_FLOOR,
 };
 
@@ -85,9 +88,9 @@ fn node_strategy() -> impl Strategy<Value = Node> {
     })
 }
 
-/// Gathers the node into a block at the given precision.
-fn gather(node: &Node, precision: BlockPrecision) -> SummaryBlock {
-    let mut block = SummaryBlock::with_precision(precision);
+/// Gathers the node into a block.
+fn gather(node: &Node) -> SummaryBlock {
+    let mut block = SummaryBlock::new();
     block.reset(node.dims, node.means.len());
     block.enable_boxes();
     for (i, mean) in node.means.iter().enumerate() {
@@ -100,6 +103,23 @@ fn gather(node: &Node, precision: BlockPrecision) -> SummaryBlock {
         }
     }
     block
+}
+
+/// The node's values as the `f32` stored mode keeps them: means and
+/// variances rounded to nearest, box corners rounded outward, widened back.
+fn narrowed(node: &Node) -> Node {
+    let round = |rows: &[Vec<f64>], narrow: fn(f64) -> f32| -> Vec<Vec<f64>> {
+        rows.iter()
+            .map(|row| row.iter().map(|&v| narrow(v).widen()).collect())
+            .collect()
+    };
+    Node {
+        means: round(&node.means, f32::narrow),
+        vars: round(&node.vars, f32::narrow),
+        lower: round(&node.lower, f32::narrow_down),
+        upper: round(&node.upper, f32::narrow_up),
+        ..node.clone()
+    }
 }
 
 fn assert_bit_equal(got: &[f64], want: &[f64]) {
@@ -166,7 +186,7 @@ proptest! {
 
     #[test]
     fn sq_dists_match_scalar_bitwise(node in node_strategy()) {
-        let block = gather(&node, BlockPrecision::F64);
+        let block = gather(&node);
         let mut out = Vec::new();
         sq_dists_block(&node.query, block.mean(), block.len(), &mut out);
         let want: Vec<f64> = node.means.iter().map(|m| scalar_sq_dist(&node.query, m)).collect();
@@ -175,7 +195,7 @@ proptest! {
 
     #[test]
     fn gaussian_log_terms_match_scalar_bitwise(node in node_strategy()) {
-        let block = gather(&node, BlockPrecision::F64);
+        let block = gather(&node);
         let mut out = Vec::new();
         // Without variances: the product log-kernel at each mean.
         gaussian_log_terms_block(&node.query, &node.bandwidth, block.mean(), None, block.len(), &mut out);
@@ -208,7 +228,7 @@ proptest! {
     fn diag_log_pdfs_match_scalar_bitwise(node in node_strategy()) {
         // The gather must replicate DiagGaussian::new's clamp.
         let block = {
-            let mut block = gather(&node, BlockPrecision::F64);
+            let mut block = gather(&node);
             for (i, vars) in node.vars.iter().enumerate() {
                 for (d, &v) in vars.iter().enumerate() {
                     let clamped = if v.is_finite() { v.max(VARIANCE_FLOOR) } else { VARIANCE_FLOOR };
@@ -246,7 +266,7 @@ proptest! {
 
     #[test]
     fn box_kernels_match_scalar_bitwise(node in node_strategy()) {
-        let block = gather(&node, BlockPrecision::F64);
+        let block = gather(&node);
         let mut out = Vec::new();
         let n = block.len();
 
@@ -285,7 +305,7 @@ proptest! {
     fn fused_passes_match_scalar_bitwise(node in node_strategy()) {
         // The Bayes-tree gather: DiagGaussian-clamped variances and the
         // precomputed log-variance column.
-        let mut block = gather(&node, BlockPrecision::F64);
+        let mut block = gather(&node);
         for (i, vars) in node.vars.iter().enumerate() {
             for (d, &v) in vars.iter().enumerate() {
                 block.set_var(d, i, v.max(VARIANCE_FLOOR));
@@ -332,7 +352,7 @@ proptest! {
 
     #[test]
     fn fused_f32_passes_match_the_f32_kernels_bitwise(node in node_strategy()) {
-        let mut block = gather(&node, BlockPrecision::F32);
+        let mut block = gather(&narrowed(&node));
         block.fill_log_vars();
         let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
         let n = block.len();
@@ -358,7 +378,7 @@ proptest! {
 
     #[test]
     fn f32_mode_is_within_documented_tolerance(node in node_strategy()) {
-        let block = gather(&node, BlockPrecision::F32);
+        let block = gather(&narrowed(&node));
         let mut out = Vec::new();
         let n = block.len();
 

@@ -1,5 +1,5 @@
 //! SIMD-vs-scalar parity: the runtime-dispatched AVX2 kernel variants must
-//! reproduce the scalar reference loops **bit for bit** in `f64` mode.
+//! reproduce the scalar reference loops **bit for bit**.
 //!
 //! The property tests in `block_kernels.rs` already pin the block kernels to
 //! the entry-major scalar formulas; this file is the explicit, deterministic
@@ -16,66 +16,9 @@ use bt_stats::kernel::{
     sq_dists_block,
 };
 use bt_stats::{
-    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, BlockPrecision,
-    Columns, KernelBandwidth, SummaryBlock, LN_2PI, VARIANCE_FLOOR,
+    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, ColumnElement,
+    KernelBandwidth, SummaryBlock, LN_2PI, VARIANCE_FLOOR,
 };
-use std::sync::{Mutex, MutexGuard};
-
-/// The FMA opt-in flag is process-global, so every test that dispatches a
-/// kernel pins the state it needs under this lock (tests run concurrently).
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-struct DispatchGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for DispatchGuard {
-    fn drop(&mut self) {
-        // Revert to the env-var default so the binary's final state matches
-        // how it was launched.
-        bt_stats::simd::set_fma_enabled(None);
-    }
-}
-
-fn pin_fma(on: bool) -> DispatchGuard {
-    let guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    bt_stats::simd::set_fma_enabled(Some(on));
-    DispatchGuard(guard)
-}
-
-/// Admission bound for the fused kernels, in ULPs of the final accumulated
-/// value: fusing `a * b + c` to one rounding moves each per-dimension term
-/// by at most 1 ULP of the term, so a `dims`-term accumulation (dims ≤ 6
-/// for the per-quantity cases, up to 33 for the fused passes) stays within
-/// single-digit ULPs of the unfused reference — observed ≤ 4 on AVX2/FMA
-/// hardware with these deterministic cases.  The bound is
-/// set at 64 (2^6) to absorb accumulation-order slack with margin while
-/// still rejecting algebraic mistakes, which diverge by thousands of ULPs.
-/// `docs/PERF.md` records the rationale.
-const FMA_MAX_ULPS: u64 = 64;
-
-/// ULP distance via the usual monotonic bit mapping (sign-magnitude to
-/// biased), so the distance across ±0.0 is 1.
-fn ulps_between(a: f64, b: f64) -> u64 {
-    fn monotonic(x: f64) -> u64 {
-        let bits = x.to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
-        }
-    }
-    monotonic(a).abs_diff(monotonic(b))
-}
-
-fn assert_ulps_within(got: &[f64], want: &[f64], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let ulps = ulps_between(*g, *w);
-        assert!(
-            ulps <= FMA_MAX_ULPS,
-            "{what}: entry {i} off by {ulps} ULPs ({g} vs {w})"
-        );
-    }
-}
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
 struct SplitMix(u64);
@@ -99,10 +42,10 @@ struct Case {
     len: usize,
     query: Vec<f64>,
     bandwidth: Vec<f64>,
-    means: Columns,
-    vars: Columns,
-    lower: Columns,
-    upper: Columns,
+    means: Vec<f64>,
+    vars: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
 }
 
 fn case(dims: usize, len: usize, seed: u64) -> Case {
@@ -118,27 +61,20 @@ fn case(dims: usize, len: usize, seed: u64) -> Case {
             }
         })
         .collect();
-    let mut means = Columns::F64(Vec::new());
-    let mut vars = Columns::F64(Vec::new());
-    let mut lower = Columns::F64(Vec::new());
-    let mut upper = Columns::F64(Vec::new());
-    means.reset(dims * len);
-    vars.reset(dims * len);
-    lower.reset(dims * len);
-    upper.reset(dims * len);
+    let mut means = vec![0.0; dims * len];
+    let mut vars = vec![0.0; dims * len];
+    let mut lower = vec![0.0; dims * len];
+    let mut upper = vec![0.0; dims * len];
     for d in 0..dims {
         for i in 0..len {
             let idx = d * len + i;
-            means.set(idx, rng.coord());
+            means[idx] = rng.coord();
             // Zero variances every few entries: the smoothing degenerate.
-            vars.set(
-                idx,
-                if i % 5 == 0 {
-                    0.0
-                } else {
-                    rng.next_f64() * 4.0
-                },
-            );
+            vars[idx] = if i % 5 == 0 {
+                0.0
+            } else {
+                rng.next_f64() * 4.0
+            };
             let lo = rng.coord();
             // Point boxes (width 0) every few entries.
             let width = if i % 4 == 0 {
@@ -146,8 +82,8 @@ fn case(dims: usize, len: usize, seed: u64) -> Case {
             } else {
                 rng.next_f64() * 8.0
             };
-            lower.set(idx, lo);
-            upper.set(idx, lo + width);
+            lower[idx] = lo;
+            upper[idx] = lo + width;
         }
     }
     Case {
@@ -177,7 +113,6 @@ const LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 65];
 
 #[test]
 fn sq_dists_block_matches_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(5, len, 0x51ED * (len as u64 + 1));
         let mut out = Vec::new();
@@ -186,7 +121,7 @@ fn sq_dists_block_matches_scalar_bitwise() {
             .map(|i| {
                 let mut acc = 0.0;
                 for (d, &q) in c.query.iter().enumerate() {
-                    let diff = c.means.get(d * len + i) - q;
+                    let diff = c.means[d * len + i] - q;
                     acc += diff * diff;
                 }
                 acc
@@ -198,21 +133,20 @@ fn sq_dists_block_matches_scalar_bitwise() {
 
 #[test]
 fn gaussian_log_terms_block_matches_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(6, len, 0xBEEF + len as u64);
         for with_vars in [false, true] {
             let mut out = Vec::new();
-            let vars = with_vars.then_some(&c.vars);
+            let vars = with_vars.then_some(&c.vars[..]);
             gaussian_log_terms_block(&c.query, &c.bandwidth, &c.means, vars, c.len, &mut out);
             let want: Vec<f64> = (0..len)
                 .map(|i| {
                     let mut acc = 0.0;
                     for (d, &q) in c.query.iter().enumerate() {
-                        let m = c.means.get(d * len + i);
+                        let m = c.means[d * len + i];
                         let dist = if with_vars {
                             let diff = q - m;
-                            (diff * diff + c.vars.get(d * len + i)).sqrt()
+                            (diff * diff + c.vars[d * len + i]).sqrt()
                         } else {
                             q - m
                         };
@@ -231,17 +165,12 @@ fn diag_log_pdfs_block_matches_scalar_bitwise() {
     // The SIMD diag path only exists for gathers that precomputed their
     // log-variance column; substituting the stored `ln` must not move a bit
     // against the inline-`ln` scalar reference.
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(5, len, 0xD1A6 + ((len as u64) << 2));
         // Floor the variances like a real gather would (DiagGaussian's
         // clamp), so `ln` and the division stay finite.
-        let mut vars = Columns::F64(Vec::new());
-        vars.reset(5 * len);
-        for idx in 0..5 * len {
-            vars.set(idx, c.vars.get(idx).max(VARIANCE_FLOOR));
-        }
-        let log_vars: Vec<f64> = (0..5 * len).map(|idx| vars.get(idx).ln()).collect();
+        let vars: Vec<f64> = c.vars.iter().map(|v| v.max(VARIANCE_FLOOR)).collect();
+        let log_vars: Vec<f64> = vars.iter().map(|v| v.ln()).collect();
         let mut with_column = Vec::new();
         diag_log_pdfs_block(
             &c.query,
@@ -257,8 +186,8 @@ fn diag_log_pdfs_block_matches_scalar_bitwise() {
             .map(|i| {
                 let mut acc = 0.0;
                 for (d, &q) in c.query.iter().enumerate() {
-                    let diff = q - c.means.get(d * len + i);
-                    let var = vars.get(d * len + i);
+                    let diff = q - c.means[d * len + i];
+                    let var = vars[d * len + i];
                     acc += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
                 }
                 acc
@@ -271,7 +200,6 @@ fn diag_log_pdfs_block_matches_scalar_bitwise() {
 
 #[test]
 fn box_kernels_match_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(4, len, 0xB0CE5 ^ (len as u64) << 3);
         let mut near = Vec::new();
@@ -295,8 +223,8 @@ fn box_kernels_match_scalar_bitwise() {
         let mut want_dist = vec![0.0; len];
         for (d, &q) in c.query.iter().enumerate() {
             for i in 0..len {
-                let lo = c.lower.get(d * len + i);
-                let hi = c.upper.get(d * len + i);
+                let lo = c.lower[d * len + i];
+                let hi = c.upper[d * len + i];
                 let clamp = if q < lo {
                     lo - q
                 } else if q > hi {
@@ -323,209 +251,29 @@ fn box_kernels_match_scalar_bitwise() {
 #[test]
 fn dispatch_reports_consistent_availability() {
     let available = bt_stats::simd::avx2_available();
-    let fma = bt_stats::simd::fma_available();
     if cfg!(not(all(feature = "simd", target_arch = "x86_64"))) {
         assert!(!available, "SIMD must be off without the feature/arch");
-        assert!(!fma, "FMA must be off without the feature/arch");
     }
-    // Either way the answer must be stable across calls (cached detection),
-    // and FMA availability implies AVX2 availability (the fused wrappers
-    // enable both features).
+    // Either way the answer must be stable across calls (cached detection).
     assert_eq!(available, bt_stats::simd::avx2_available());
-    assert_eq!(fma, bt_stats::simd::fma_available());
-    assert!(!fma || available, "fma_available must imply avx2_available");
-}
-
-#[test]
-fn fma_opt_in_state_is_explicit() {
-    let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let available = bt_stats::simd::fma_available();
-    bt_stats::simd::set_fma_enabled(Some(false));
-    assert!(!bt_stats::simd::fma_active(), "forced off must stay off");
-    bt_stats::simd::set_fma_enabled(Some(true));
-    assert_eq!(
-        bt_stats::simd::fma_active(),
-        available,
-        "forced on engages exactly when the CPU supports it"
-    );
-    bt_stats::simd::set_fma_enabled(None);
-    let env_on = std::env::var("BT_STATS_FMA")
-        .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-        .unwrap_or(false);
-    assert_eq!(
-        bt_stats::simd::fma_active(),
-        available && env_on,
-        "env default must follow BT_STATS_FMA"
-    );
-}
-
-#[test]
-fn fma_kernels_match_scalar_within_ulp_bound() {
-    // The admission gate for the fused variants: with FMA dispatch forced
-    // on, every kernel must stay within FMA_MAX_ULPS of the scalar
-    // reference on the same lane-exercising cases the bitwise tests use.
-    // On hosts without FMA the dispatch falls back to AVX2/scalar and the
-    // bound holds trivially (distance 0) — so the test is meaningful
-    // everywhere and strict where it matters.
-    let _fma = pin_fma(true);
-    for &len in LENS {
-        let c = case(5, len, 0xF0A + ((len as u64) << 4));
-        let mut sq = Vec::new();
-        sq_dists_block(&c.query, &c.means, c.len, &mut sq);
-        let want_sq: Vec<f64> = (0..len)
-            .map(|i| {
-                let mut acc = 0.0;
-                for (d, &q) in c.query.iter().enumerate() {
-                    let diff = c.means.get(d * len + i) - q;
-                    acc += diff * diff;
-                }
-                acc
-            })
-            .collect();
-        assert_ulps_within(&sq, &want_sq, "fma sq_dists");
-
-        for with_vars in [false, true] {
-            let mut out = Vec::new();
-            let vars = with_vars.then_some(&c.vars);
-            gaussian_log_terms_block(&c.query, &c.bandwidth, &c.means, vars, c.len, &mut out);
-            let want: Vec<f64> = (0..len)
-                .map(|i| {
-                    let mut acc = 0.0;
-                    for (d, &q) in c.query.iter().enumerate() {
-                        let m = c.means.get(d * len + i);
-                        let dist = if with_vars {
-                            let diff = q - m;
-                            (diff * diff + c.vars.get(d * len + i)).sqrt()
-                        } else {
-                            q - m
-                        };
-                        acc += gaussian_log_term(dist, c.bandwidth[d]);
-                    }
-                    acc
-                })
-                .collect();
-            assert_ulps_within(&out, &want, "fma gaussian_log_terms");
-        }
-
-        let mut vars = Columns::F64(Vec::new());
-        vars.reset(5 * len);
-        for idx in 0..5 * len {
-            vars.set(idx, c.vars.get(idx).max(VARIANCE_FLOOR));
-        }
-        let log_vars: Vec<f64> = (0..5 * len).map(|idx| vars.get(idx).ln()).collect();
-        let mut diag = Vec::new();
-        diag_log_pdfs_block(&c.query, &c.means, &vars, Some(&log_vars), len, &mut diag);
-        let want_diag: Vec<f64> = (0..len)
-            .map(|i| {
-                let mut acc = 0.0;
-                for (d, &q) in c.query.iter().enumerate() {
-                    let diff = q - c.means.get(d * len + i);
-                    let var = vars.get(d * len + i);
-                    acc += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
-                }
-                acc
-            })
-            .collect();
-        assert_ulps_within(&diag, &want_diag, "fma diag_log_pdfs");
-
-        let mut near = Vec::new();
-        let mut far = Vec::new();
-        let mut smooth = Vec::new();
-        let mut dist_sq = Vec::new();
-        nearest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut near);
-        farthest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut far);
-        smoothed_farthest_log_kernels_block(
-            &c.query,
-            &c.bandwidth,
-            &c.lower,
-            &c.upper,
-            len,
-            &mut smooth,
-        );
-        box_min_sq_dists_block(&c.query, &c.lower, &c.upper, len, &mut dist_sq);
-        let mut want_near = vec![0.0; len];
-        let mut want_far = vec![0.0; len];
-        let mut want_smooth = vec![0.0; len];
-        let mut want_dist = vec![0.0; len];
-        for (d, &q) in c.query.iter().enumerate() {
-            for i in 0..len {
-                let lo = c.lower.get(d * len + i);
-                let hi = c.upper.get(d * len + i);
-                let clamp = if q < lo {
-                    lo - q
-                } else if q > hi {
-                    q - hi
-                } else {
-                    0.0
-                };
-                let farthest = (q - lo).abs().max((q - hi).abs());
-                let half = 0.5 * (hi - lo);
-                let t = farthest * farthest + half * half;
-                want_near[i] += gaussian_log_term(clamp, c.bandwidth[d]);
-                want_far[i] += gaussian_log_term(farthest, c.bandwidth[d]);
-                want_smooth[i] += gaussian_log_term(t.sqrt(), c.bandwidth[d]);
-                want_dist[i] += clamp * clamp;
-            }
-        }
-        assert_ulps_within(&near, &want_near, "fma nearest");
-        assert_ulps_within(&far, &want_far, "fma farthest");
-        assert_ulps_within(&smooth, &want_smooth, "fma smoothed_farthest");
-        assert_ulps_within(&dist_sq, &want_dist, "fma box_min_sq_dists");
-    }
-}
-
-#[test]
-fn fma_dispatch_really_takes_the_fused_path() {
-    // When the fused path is active it must actually fuse: on a 64-entry,
-    // 5-dim case at least one accumulated squared distance rounds
-    // differently than the two-rounding reference.  (Deterministic inputs,
-    // so this is a stable property, not a probabilistic one.)  Skipped on
-    // hosts without FMA, where the dispatch legitimately falls back.
-    let _fma = pin_fma(true);
-    if !bt_stats::simd::fma_active() {
-        return;
-    }
-    let len = 64;
-    let c = case(5, len, 0xF05ED);
-    let mut out = Vec::new();
-    sq_dists_block(&c.query, &c.means, c.len, &mut out);
-    let want: Vec<f64> = (0..len)
-        .map(|i| {
-            let mut acc = 0.0;
-            for (d, &q) in c.query.iter().enumerate() {
-                let diff = c.means.get(d * len + i) - q;
-                acc += diff * diff;
-            }
-            acc
-        })
-        .collect();
-    let diverged = out
-        .iter()
-        .zip(&want)
-        .any(|(g, w)| g.to_bits() != w.to_bits());
-    assert!(diverged, "forced-on FMA produced bitwise-unfused results");
 }
 
 #[test]
 fn f32_columns_stay_close_through_the_simd_path() {
-    // In f32 mode only the stored operands are quantised; the SIMD path
-    // must widen exactly like the scalar path, so the result must equal the
-    // scalar recomputation on the *quantised* values bit for bit.
-    let _fma = pin_fma(false);
+    // The f32 stored mode quantises only on write and widens its values
+    // into f64 columns at gather time, so the SIMD result on those columns
+    // must equal the scalar recomputation on the quantised values bit for
+    // bit.
     let len = 13;
     let c = case(3, len, 0xF32F32);
-    let mut means32 = Columns::F32(Vec::new());
-    means32.reset(3 * len);
-    for idx in 0..3 * len {
-        means32.set(idx, c.means.get(idx));
-    }
+    let means32: Vec<f64> = c.means.iter().map(|&m| f32::narrow(m).widen()).collect();
     let mut out = Vec::new();
     sq_dists_block(&c.query, &means32, len, &mut out);
     let want: Vec<f64> = (0..len)
         .map(|i| {
             let mut acc = 0.0;
             for (d, &q) in c.query.iter().enumerate() {
-                let diff = means32.get(d * len + i) - q;
+                let diff = means32[d * len + i] - q;
                 acc += diff * diff;
             }
             acc
@@ -536,8 +284,8 @@ fn f32_columns_stay_close_through_the_simd_path() {
 
 // ---------------------------------------------------------------------------
 // Fused node / leaf passes: every output lane must equal its per-quantity
-// kernel and the scalar reference bit for bit (FMA off), on every lane tail
-// and at the dimensionalities the trees use.
+// kernel and the scalar reference bit for bit, on every lane tail and at
+// the dimensionalities the trees use.
 // ---------------------------------------------------------------------------
 
 /// Dimensionalities of the fused parity cases: tiny, the benchmark's 16,
@@ -548,25 +296,17 @@ const FUSED_DIMS: &[usize] = &[1, 2, 16, 33];
 /// on top of one and two lanes.
 const FUSED_LENS: std::ops::RangeInclusive<usize> = 1..=9;
 
-/// How a case's values reach the block columns.
+/// How a case's values reach the (always `f64`) block columns.
 #[derive(Debug, Clone, Copy)]
 enum Stored {
-    /// Plain `f64` columns.
+    /// The values as generated.
     F64,
-    /// `f64` columns holding quantised-mode decodes: i16 block-exponent
-    /// means and variances, bf16 outward-rounded box corners.
+    /// Quantised-mode decodes: i16 block-exponent means and variances, bf16
+    /// outward-rounded box corners.
     QuantisedDecode,
-    /// `f32` columns.
+    /// `f32` stored-mode values: means and variances rounded to nearest,
+    /// box corners rounded outward.
     F32,
-}
-
-impl Stored {
-    fn precision(self) -> BlockPrecision {
-        match self {
-            Stored::F64 | Stored::QuantisedDecode => BlockPrecision::F64,
-            Stored::F32 => BlockPrecision::F32,
-        }
-    }
 }
 
 /// Round-trips every value of one entry's column group through the i16
@@ -586,20 +326,31 @@ fn i16_decode(values: &[f64]) -> Vec<f64> {
 /// log-variance columns filled, as the Bayes-tree gather leaves them.
 fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, SummaryBlock) {
     let c = case(dims, len, seed);
-    let mut block = SummaryBlock::with_precision(stored.precision());
+    let mut block = SummaryBlock::new();
     block.reset(dims, len);
     block.enable_boxes();
     for i in 0..len {
         block.set_weight(i, 1.0 + i as f64);
-        let column =
-            |cols: &Columns| -> Vec<f64> { (0..dims).map(|d| cols.get(d * len + i)).collect() };
+        let column = |cols: &[f64]| -> Vec<f64> { (0..dims).map(|d| cols[d * len + i]).collect() };
         let (mut mean, mut var) = (column(&c.means), column(&c.vars));
         let (mut lower, mut upper) = (column(&c.lower), column(&c.upper));
-        if let Stored::QuantisedDecode = stored {
-            mean = i16_decode(&mean);
-            var = i16_decode(&var);
-            lower = lower.iter().map(|&v| bf16_decode(bf16_floor(v))).collect();
-            upper = upper.iter().map(|&v| bf16_decode(bf16_ceil(v))).collect();
+        match stored {
+            Stored::F64 => {}
+            Stored::QuantisedDecode => {
+                mean = i16_decode(&mean);
+                var = i16_decode(&var);
+                lower = lower.iter().map(|&v| bf16_decode(bf16_floor(v))).collect();
+                upper = upper.iter().map(|&v| bf16_decode(bf16_ceil(v))).collect();
+            }
+            Stored::F32 => {
+                let round = |v: &mut Vec<f64>, narrow: fn(f64) -> f32| {
+                    v.iter_mut().for_each(|x| *x = narrow(*x).widen());
+                };
+                round(&mut mean, f32::narrow);
+                round(&mut var, f32::narrow);
+                round(&mut lower, f32::narrow_down);
+                round(&mut upper, f32::narrow_up);
+            }
         }
         for d in 0..dims {
             block.set_mean(d, i, mean[d]);
@@ -613,16 +364,16 @@ fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, Summa
 }
 
 /// The scalar reference of the fused node pass, read off the block's
-/// (widened) columns: `[log_pdf, farthest, nearest, min_dist_sq]`.
+/// columns: `[log_pdf, farthest, nearest, min_dist_sq]`.
 fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
     let mut want: [Vec<f64>; 4] = Default::default();
     for i in 0..block.len() {
         let mut acc = [0.0; 4];
         for (d, &q) in query.iter().enumerate() {
             let idx = block.col(d, i);
-            let diff = q - block.mean().get(idx);
-            let var = block.var().get(idx);
-            let (lo, hi) = (block.lower().get(idx), block.upper().get(idx));
+            let diff = q - block.mean()[idx];
+            let var = block.var()[idx];
+            let (lo, hi) = (block.lower()[idx], block.upper()[idx]);
             let clamp = if q < lo {
                 lo - q
             } else if q > hi {
@@ -664,12 +415,12 @@ fn node_per_quantity(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> 
 
 /// The scalar reference of the fused leaf pass over `len` mean columns:
 /// `(log_kernel, sq_dist)` per item.
-fn leaf_reference(query: &[f64], bandwidth: &[f64], means: &Columns, len: usize) -> [Vec<f64>; 2] {
+fn leaf_reference(query: &[f64], bandwidth: &[f64], means: &[f64], len: usize) -> [Vec<f64>; 2] {
     let mut want: [Vec<f64>; 2] = Default::default();
     for i in 0..len {
         let (mut log_k, mut sq) = (0.0, 0.0);
         for (d, &q) in query.iter().enumerate() {
-            let m = means.get(d * len + i);
+            let m = means[d * len + i];
             log_k += gaussian_log_term(q - m, bandwidth[d]);
             let diff = m - q;
             sq += diff * diff;
@@ -684,7 +435,6 @@ const LANE_NAMES: [&str; 4] = ["log_pdf", "farthest", "nearest", "min_dist_sq"];
 
 #[test]
 fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
-    let _fma = pin_fma(false);
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS {
             for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
@@ -694,19 +444,12 @@ fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
                 let mut fused: [Vec<f64>; 4] = Default::default();
                 node_scores_block(&c.query, &bandwidth, &block, &mut fused);
                 let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
+                let want = node_reference(&c.query, &c.bandwidth, &block);
                 for lane in 0..4 {
                     let what = format!("{stored:?} dims {dims} len {len} {}", LANE_NAMES[lane]);
                     assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
-                }
-                if !matches!(stored, Stored::F32) {
-                    let want = node_reference(&c.query, &c.bandwidth, &block);
-                    for lane in 0..4 {
-                        let what = format!(
-                            "{stored:?} dims {dims} len {len} {} vs scalar",
-                            LANE_NAMES[lane]
-                        );
-                        assert_bits_eq(&fused[lane], &want[lane], &what);
-                    }
+                    let what = format!("{what} vs scalar");
+                    assert_bits_eq(&fused[lane], &want[lane], &what);
                 }
             }
         }
@@ -715,7 +458,6 @@ fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
 
 #[test]
 fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
-    let _fma = pin_fma(false);
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS {
             for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
@@ -737,49 +479,10 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let what = format!("{stored:?} dims {dims} len {len}");
                 assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
                 assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
-                if !matches!(stored, Stored::F32) {
-                    let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
-                    assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
-                    assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
-                }
+                let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
+                assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
+                assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
             }
-        }
-    }
-}
-
-#[test]
-fn fused_passes_keep_the_fma_instantiation_within_the_ulp_bound() {
-    // Forced on, the fused passes run their FMA instantiation: the same
-    // contractions as the per-quantity FMA kernels (so equal to them bit
-    // for bit) and within FMA_MAX_ULPS of the unfused scalar reference.
-    let _fma = pin_fma(true);
-    for &dims in FUSED_DIMS {
-        for len in FUSED_LENS {
-            let seed = 0xF3A_0000 + ((dims as u64) << 8) + len as u64;
-            let (c, block) = node_case(dims, len, seed, Stored::F64);
-            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-            let mut fused: [Vec<f64>; 4] = Default::default();
-            node_scores_block(&c.query, &bandwidth, &block, &mut fused);
-            let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
-            let want = node_reference(&c.query, &c.bandwidth, &block);
-            for lane in 0..4 {
-                let what = format!("fma dims {dims} len {len} {}", LANE_NAMES[lane]);
-                assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
-                assert_ulps_within(&fused[lane], &want[lane], &what);
-            }
-            let (mut log_k, mut sq) = (Vec::new(), Vec::new());
-            leaf_scores_block(&c.query, &bandwidth, block.mean(), len, &mut log_k, &mut sq);
-            let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
-            assert_ulps_within(
-                &log_k,
-                &ref_k,
-                &format!("fma dims {dims} len {len} leaf log_kernel"),
-            );
-            assert_ulps_within(
-                &sq,
-                &ref_sq,
-                &format!("fma dims {dims} len {len} leaf sq_dist"),
-            );
         }
     }
 }

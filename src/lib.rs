@@ -161,14 +161,14 @@
 //!   `f64` in every mode, and the page-size fanout derivation
 //!   (`index::PageGeometry::from_page_size_for_scalar`) converts the
 //!   narrower entries into ~2× fanout per fixed-size page — the capacity
-//!   effect `BENCH_8.json` measures.  The batch kernels gain
-//!   runtime-dispatched **FMA** variants admitted only by a ULP-bounded
-//!   parity suite (`bt_stats::simd`, forced on/off via `BT_STATS_FMA`),
-//!   and descent/refinement issue **software prefetches** for the next
-//!   frontier candidate's page slot (counted in `QueryStats::prefetches` /
+//!   effect `BENCH_8.json` measures.  Narrowing happens only on write:
+//!   every mode gathers into full-width block columns, so each mode's
+//!   block path equals its scalar reference bit for bit.  Descent and
+//!   refinement issue **software prefetches** for the next frontier
+//!   candidate's page slot (counted in `QueryStats::prefetches` /
 //!   `DescentStats::prefetches` and surfaced by the `eval` report tables).
 //!   `docs/PERF.md` tabulates the measured BENCH_6→7→8→9 trajectory and
-//!   records the precision contract and the FMA ULP-gate rationale.
+//!   records the precision contract.
 //!
 //!   **The observability boundary.**  Every layer reports into one
 //!   process-global [`obs`] registry without ever putting an atomic on a
