@@ -57,8 +57,8 @@
 //!   alongside [`DescentStats`]), partial answers carry certain
 //!   `[lower, upper]` bounds that can only tighten with budget, and
 //!   insert-free workloads such as anytime **outlier scoring**
-//!   ([`TreeView::outlier_score`]) plug in with just a
-//!   `Summary` + `QueryModel`.  The whole engine runs on the [`TreeView`]
+//!   ([`outlier_score_over`]) plug in with just a `Summary` +
+//!   `QueryModel`.  The per-view primitives run on the [`TreeView`]
 //!   abstraction, so live trees and pinned [`TreeSnapshot`]s answer
 //!   through literally the same code,
 //! * the **structure-of-arrays scoring layout** ([`SummaryBlock`],
@@ -78,10 +78,15 @@
 //!   parallel on scoped threads — one cursor per shard as the concurrency
 //!   unit, each shard's `finish_batch` its single synchronisation point,
 //!   per-shard reports merged via [`DepthHistogram::merge`] and
-//!   [`DescentStats::merge`], and runs the query engine the same way:
-//!   per-shard frontiers refined concurrently
-//!   ([`ShardedAnytimeTree::query_batch`]) and folded into one global
-//!   mixture whose bounds inherit each shard's monotonicity.  On top sits
+//!   [`DescentStats::merge`].  It also holds the **one query engine**:
+//!   every whole query — one-shot ([`query_over`]), batched
+//!   ([`query_batch_over`]), outlier scoring ([`outlier_score_over`]) and
+//!   the frontier refinement k-NN retrieval ranks
+//!   ([`refine_frontiers_over`]) — is a fold over a slice of views, refined
+//!   concurrently per view and summed into one [`QueryAnswer`] whose bounds
+//!   inherit each view's monotonicity.  A plain tree or snapshot is the
+//!   one-view slice (`std::slice::from_ref`), so it answers exactly as a
+//!   one-shard sharded tree does.  On top sits
 //!   the **pipelined mode** ([`ShardedAnytimeTree::pipelined_batch`]):
 //!   writer threads drain a mini-batch per shard while reader threads
 //!   refine query frontiers against the pre-batch
@@ -128,13 +133,13 @@ pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, Desce
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};
 pub use query::{
-    with_scratch_cursor, with_scratch_cursors, BlockCacheRef, ElementOrigin, OutlierScore,
-    OutlierVerdict, QueryAnswer, QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder,
-    SummaryScore, TreeView,
+    with_scratch_cursors, BlockCacheRef, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
+    QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 pub use shard::{
-    CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree,
-    ShardedBatchOutcome, ShardedQueryAnswer, ShardedTreeSnapshot,
+    outlier_score_over, query_batch_over, query_over, refine_frontiers_over, CheapestRouter,
+    FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome,
+    ShardedTreeSnapshot,
 };
 pub use snapshot::TreeSnapshot;
 pub use split::{distribute, merge_closest_pair, polar_partition};

@@ -93,17 +93,15 @@ pub(crate) fn record_query_answer(answer: &QueryAnswer, started: Option<Instant>
     }
 }
 
-/// Folds an externally driven refinement loop into the registry as one
-/// query boundary: the cursors' [`QueryStats`] delta plus the loop's
-/// wall-clock latency.
+/// Folds a refinement loop into the registry as one query boundary: the
+/// cursors' [`QueryStats`] delta plus the loop's wall-clock latency.
 ///
-/// The engine's own one-shot helpers (`query_with_budget`, `query_batch`,
-/// `outlier_score`) record themselves; downstream crates that drive
-/// cursors directly through `begin_query` + `refine_query` — the k-NN
-/// retrieval in `clustree` and the Bayes-tree classifier do — call this
-/// when their loop finishes, pairing it with [`boundary_timer`] at the
-/// start, or passing `None` to record the work without reading a clock.
-/// Pooled cursors keep counting across queries, so `delta` is
+/// The query fold ([`crate::shard::refine_frontiers_over`]) records its
+/// frontiers through this; downstream crates that drive cursors directly
+/// through `begin_query` + `refine_query` — the Bayes-tree classifier does
+/// — call it when their loop finishes, pairing it with [`boundary_timer`]
+/// at the start, or passing `None` to record the work without reading a
+/// clock.  Pooled cursors keep counting across queries, so `delta` is
 /// `stats().delta_since(..)` of the loop's own work.
 pub fn record_external_query(delta: &QueryStats, started: Option<Instant>) {
     if !bt_obs::enabled() {

@@ -42,11 +42,14 @@
 //! so a fully refined cursor has zero uncertainty (up to unrefinable
 //! buffered mass, whose interval is frozen).
 //!
-//! Insert-free workloads plug in here without touching the insertion path:
-//! anytime **outlier scoring** ([`TreeView::outlier_score`]) needs only a
-//! `Summary` + `QueryModel` — the score *is* the refinable density interval,
-//! and the verdict against a threshold becomes certain as soon as the
-//! interval clears it.
+//! Whole queries are folds over a slice of views, in [`crate::shard`]: a
+//! plain tree or snapshot is the one-view slice, a sharded tree its shards.
+//! Insert-free workloads plug in there without touching the insertion
+//! path: anytime **outlier scoring**
+//! ([`crate::shard::outlier_score_over`]) needs only a `Summary` +
+//! `QueryModel` — the score *is* the refinable density interval, and the
+//! verdict against a threshold becomes certain as soon as the interval
+//! clears it.
 
 use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
@@ -443,7 +446,11 @@ pub struct BlockCacheRef<'a> {
 
 /// The answer of one (possibly interrupted) query: the current mixture
 /// estimate with its certain bounds and the budget actually spent.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// One type serves every view: a plain tree's answer and a sharded
+/// tree's fold over its shards ([`crate::shard::query_over`]) alike, with
+/// `nodes_read` summed over the views.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryAnswer {
     /// Point estimate of the answer under the current frontier.
     pub estimate: f64,
@@ -1067,11 +1074,13 @@ impl QueryCursor {
 /// zero-copy view of the current epoch, used when no batch is in flight)
 /// and the **pinned snapshot** ([`crate::TreeSnapshot`] — an owned,
 /// `Send + Sync`, point-in-time view that stays bit-stable while later
-/// batches mutate the tree).  Every query-engine entry point
-/// ([`TreeView::begin_query`], [`TreeView::refine_query`],
-/// [`TreeView::query_batch`], [`TreeView::outlier_score`], …) is a provided
-/// method of this trait, so both views answer queries through literally the
-/// same code.
+/// batches mutate the tree).  The trait's provided methods are the
+/// per-view primitives ([`TreeView::begin_query`],
+/// [`TreeView::refine_query`], [`TreeView::refine_query_up_to`],
+/// [`TreeView::query_batch`]), so both views answer through literally the
+/// same code.  Whole queries — one-shot, batched, outlier scoring, k-NN —
+/// are folds over a slice of views in [`crate::shard`]; a single view
+/// passes `std::slice::from_ref(view)`.
 pub trait TreeView<S: Summary, L> {
     /// Dimensionality of the indexed data.
     fn dims(&self) -> usize;
@@ -1157,8 +1166,8 @@ pub trait TreeView<S: Summary, L> {
 
     /// Starts a fresh cursor on `query`.  It allocates a whole cursor, so
     /// hot paths instead [`begin_query`](TreeView::begin_query) on a
-    /// pooled cursor from [`with_scratch_cursors`], as the one-shot
-    /// queries, the k-NN retrieval and the classifier do.
+    /// pooled cursor from [`with_scratch_cursors`], as the query fold and
+    /// the classifier do.
     ///
     /// # Panics
     ///
@@ -1242,35 +1251,6 @@ pub trait TreeView<S: Summary, L> {
         done
     }
 
-    /// One-shot query: starts a cursor, refines up to `budget` node reads
-    /// and returns the answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    fn query_with_budget<M>(
-        &self,
-        model: &M,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> QueryAnswer
-    where
-        M: QueryModel<S, LeafItem = L>,
-    {
-        let started = crate::obs::boundary_timer();
-        with_scratch_cursor(|cursor| {
-            let before = *cursor.stats();
-            self.begin_query(model, query, cursor);
-            self.refine_query_up_to(model, order, budget, cursor);
-            let answer = cursor.answer();
-            crate::obs::record_query_answer(&answer, started);
-            crate::obs::record_query_stats(&cursor.stats().delta_since(&before));
-            answer
-        })
-    }
-
     /// Refines a batch of queries through **one reused cursor** (the
     /// frontier allocation is shared scratch), each up to `budget` node
     /// reads, and returns the per-query answers plus the batch's merged
@@ -1303,64 +1283,14 @@ pub trait TreeView<S: Summary, L> {
         recorder.finish(cursor.stats());
         (answers, *cursor.stats())
     }
-
-    /// Anytime outlier scoring: refines the density bounds (widest interval
-    /// first) until the verdict against `threshold` is certain or `budget`
-    /// node reads are spent — the first insert-free workload over the same
-    /// index, needing only a [`Summary`] + [`QueryModel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    fn outlier_score<M>(
-        &self,
-        model: &M,
-        query: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore
-    where
-        M: QueryModel<S, LeafItem = L>,
-    {
-        let started = crate::obs::boundary_timer();
-        with_scratch_cursor(|cursor| {
-            let before = *cursor.stats();
-            self.begin_query(model, query, cursor);
-            let mut verdict = cursor.answer().verdict(threshold);
-            let mut round: u32 = 0;
-            while verdict == OutlierVerdict::Undecided
-                && cursor.nodes_read() < budget
-                && self.refine_query(model, RefineOrder::WidestBound, cursor)
-            {
-                round += 1;
-                let answer = cursor.answer();
-                verdict = answer.verdict(threshold);
-                crate::obs::record_refine_step(
-                    round,
-                    cursor.nodes_read() as u64,
-                    answer.uncertainty(),
-                    verdict != OutlierVerdict::Undecided,
-                );
-            }
-            let score = OutlierScore {
-                answer: cursor.answer(),
-                verdict,
-            };
-            crate::obs::record_verdict(verdict);
-            crate::obs::record_query_answer(&score.answer, started);
-            crate::obs::record_query_stats(&cursor.stats().delta_since(&before));
-            score
-        })
-    }
 }
 
 /// Runs `f` on `n` of this thread's pooled scratch [`QueryCursor`]s — the
-/// cursors the one-shot queries ([`TreeView::query_with_budget`],
-/// [`TreeView::outlier_score`]) and multi-frontier loops such as the
-/// per-class anytime classifier run on, so each query reuses the frontier,
-/// heap and block-scratch allocations of the previous one instead of
-/// building fresh cursors.
+/// cursors the query fold ([`crate::shard::refine_frontiers_over`],
+/// [`crate::shard::outlier_score_over`]) and multi-frontier loops such as
+/// the per-class anytime classifier run on, so each query reuses the
+/// frontier, heap and block-scratch allocations of the previous one instead
+/// of building fresh cursors.
 ///
 /// The pool grows to the largest `n` this thread has asked for and keeps
 /// those cursors for the thread's lifetime.  The cursors are plain
@@ -1381,12 +1311,6 @@ pub fn with_scratch_cursors<R>(n: usize, f: impl FnOnce(&mut [QueryCursor]) -> R
     let result = f(&mut pool[..n]);
     let _ = POOL.try_with(|slot| slot.set(pool));
     result
-}
-
-/// Runs `f` on one cursor of this thread's scratch pool — the `n = 1`
-/// case of [`with_scratch_cursors`].
-pub fn with_scratch_cursor<R>(f: impl FnOnce(&mut QueryCursor) -> R) -> R {
-    with_scratch_cursors(1, |cursors| f(&mut cursors[0]))
 }
 
 impl<S: Summary, L> TreeView<S, L> for AnytimeTree<S, L> {
@@ -1430,6 +1354,7 @@ impl<S: Summary, L> TreeView<S, L> for AnytimeTree<S, L> {
 mod tests {
     use super::*;
     use crate::model::InsertModel;
+    use crate::shard::outlier_score_over;
     use bt_index::PageGeometry;
 
     /// A minimal distance-routed payload: (weight, component sums) — same
@@ -1705,10 +1630,11 @@ mod tests {
         let tree = sample_tree(200, usize::MAX);
         // A point far from both clusters: certainly an outlier at any
         // reasonable threshold.
-        let far = tree.outlier_score(&BlobQueryModel, &[400.0, -400.0], 1e-3, 1_000);
+        let views = std::slice::from_ref(&tree);
+        let far = outlier_score_over(views, &BlobQueryModel, &[400.0, -400.0], 1e-3, 1_000);
         assert_eq!(far.verdict, OutlierVerdict::Outlier);
         // A point in the middle of the dense cluster: certainly an inlier.
-        let near = tree.outlier_score(&BlobQueryModel, &[0.2, 0.2], 1e-3, 1_000);
+        let near = outlier_score_over(views, &BlobQueryModel, &[0.2, 0.2], 1e-3, 1_000);
         assert_eq!(near.verdict, OutlierVerdict::Inlier);
         // The outlier decision needed fewer reads than exhausting the tree.
         assert!(far.answer.nodes_read < tree.num_nodes());
@@ -1742,8 +1668,8 @@ mod tests {
     }
 
     /// The scratch pool grows to the largest `n` asked for, hands the same
-    /// cursors back on later calls (`with_scratch_cursor` is its first
-    /// cursor), and gives a nested call fresh cursors.
+    /// cursors back on later calls (a call for one cursor gets its first),
+    /// and gives a nested call fresh cursors.
     #[test]
     fn scratch_pool_grows_and_is_reused() {
         let tree = sample_tree(80, usize::MAX);
@@ -1757,16 +1683,16 @@ mod tests {
                     tree.begin_query(&BlobQueryModel, &[i as f64, 0.0], cursor);
                 }
             });
-            with_scratch_cursor(|cursor| {
-                assert_eq!(cursor.stats().queries, 1);
-                tree.begin_query(&BlobQueryModel, &[5.0, 5.0], cursor);
+            with_scratch_cursors(1, |cursors| {
+                assert_eq!(queries_of(cursors), [1]);
+                tree.begin_query(&BlobQueryModel, &[5.0, 5.0], &mut cursors[0]);
             });
             with_scratch_cursors(5, |cursors| {
                 assert_eq!(queries_of(cursors), [2, 1, 1, 0, 0]);
                 with_scratch_cursors(2, |nested| {
                     assert_eq!(queries_of(nested), [0, 0]);
                 });
-                with_scratch_cursor(|nested| assert_eq!(nested.stats().queries, 0));
+                with_scratch_cursors(1, |nested| assert_eq!(queries_of(nested), [0]));
             });
             with_scratch_cursors(2, |cursors| {
                 assert_eq!(queries_of(cursors), [2, 1]);

@@ -27,21 +27,34 @@
 //! is a histogram fold.  A sharded tree with one shard performs exactly the
 //! plain tree's steps, which the equivalence property tests lock down.
 //!
-//! Since PR 5 the layer also runs **pipelined**:
-//! [`ShardedAnytimeTree::snapshot`] pins every shard's published epoch into
-//! one `Send + Sync`
+//! The layer also owns the **one query engine**: every read of the index
+//! — a plain tree, its snapshot, the shards of a sharded tree or of its
+//! snapshot — is a fold over a slice of [`TreeView`]s, and a plain tree or
+//! snapshot is simply the one-view slice `std::slice::from_ref(view)`.
+//! [`query_over`], [`query_batch_over`], [`outlier_score_over`] and
+//! [`refine_frontiers_over`] (which the clustering crate's k-NN retrieval
+//! ranks) refine one frontier per view — inline for one view, on scoped
+//! threads for several busy ones — and sum the per-view partials into one
+//! [`QueryAnswer`].  On one view the sum is that view's answer bit for bit,
+//! so a plain tree and a one-shard sharded tree answer identically.  Every
+//! fold checks the query's dimensionality once at its entry, before any
+//! dispatch.
+//!
+//! The layer also runs **pipelined**: [`ShardedAnytimeTree::snapshot`]
+//! pins every shard's published epoch into one `Send + Sync`
 //! [`ShardedTreeSnapshot`], and [`ShardedAnytimeTree::pipelined_batch`]
-//! drains a mini-batch through the per-shard writers *while* reader threads
-//! refine a query batch against that pre-batch snapshot — reads and writes
-//! overlap on the same index without locks, and the readers' answers are
-//! exactly the pre-batch answers (`tests/snapshot_isolation.rs`).
+//! drains a mini-batch through the per-shard writers *while* the
+//! coordinator refines a query batch against that pre-batch snapshot —
+//! reads and writes overlap on the same index without locks, and the
+//! readers' answers are exactly the pre-batch answers
+//! (`tests/snapshot_isolation.rs`).
 
 use crate::arena::SnapshotRefresh;
 use crate::descent::{BatchOutcome, DepthHistogram, DescentStats};
 use crate::model::InsertModel;
 use crate::query::{
-    OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor, QueryModel, QueryStats, RefineOrder,
-    TreeView,
+    with_scratch_cursors, OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor, QueryModel,
+    QueryStats, RefineOrder, TreeView,
 };
 use crate::snapshot::TreeSnapshot;
 use crate::summary::Summary;
@@ -111,34 +124,33 @@ impl<S: Summary> ShardRouter<S> for FixedPartitionRouter {
 }
 
 /// The sharded tree's single concurrency dispatch: runs `run` over the
-/// selected `(shard, state)` pairs — inline when at most one pair is
+/// `(shard, state)` pairs `busy` selects — inline when at most one is
 /// selected (so a 1-shard tree performs exactly the plain tree's steps,
-/// with no thread overhead), on one scoped thread per pair otherwise.
-/// Every parallel path (batched insertion, frontier refinement, batched
+/// with no thread overhead and no allocation), on one scoped thread per
+/// pair otherwise — and returns whether any pair was selected.  Every
+/// parallel path (batched insertion, frontier refinement, batched
 /// queries, outlier rounds) goes through here, so the dispatch policy
 /// exists exactly once.
 fn dispatch_busy<A: Send, B: Send>(
-    pairs: Vec<(A, B)>,
+    pairs: impl Iterator<Item = (A, B)>,
     busy: impl Fn(&A, &B) -> bool,
     run: impl Fn(A, B) + Sync,
-) {
-    let count = pairs.iter().filter(|(a, b)| busy(a, b)).count();
-    if count <= 1 {
-        for (a, b) in pairs {
-            if busy(&a, &b) {
-                run(a, b);
-            }
+) -> bool {
+    let mut selected = pairs.filter(|(a, b)| busy(a, b));
+    let Some(first) = selected.next() else {
+        return false;
+    };
+    let Some(second) = selected.next() else {
+        run(first.0, first.1);
+        return true;
+    };
+    std::thread::scope(|scope| {
+        let run = &run;
+        for (a, b) in [first, second].into_iter().chain(selected) {
+            scope.spawn(move || run(a, b));
         }
-    } else {
-        std::thread::scope(|scope| {
-            let run = &run;
-            for (a, b) in pairs {
-                if busy(&a, &b) {
-                    scope.spawn(move || run(a, b));
-                }
-            }
-        });
-    }
+    });
+    true
 }
 
 /// A routed batch, ready for the per-shard writers: the per-shard object
@@ -270,18 +282,15 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     /// published epoch (one [`TreeSnapshot`] per shard, each pinning its
     /// shard's epoch registry).
     ///
-    /// The snapshot answers the full sharded query surface
-    /// ([`ShardedTreeSnapshot::query_with_budget`],
-    /// [`ShardedTreeSnapshot::query_batch`],
-    /// [`ShardedTreeSnapshot::outlier_score`]) bit-identically to querying
-    /// this tree at snapshot time, and it is `Send + Sync`, so reader
-    /// threads can refine against it while writers drain later batches into
-    /// the live shards — the pipelined mode below does exactly that.
+    /// The fold functions ([`query_over`], [`query_batch_over`],
+    /// [`outlier_score_over`]) answer over the snapshot's shards
+    /// bit-identically to this tree's at snapshot time, and the snapshot is
+    /// `Send + Sync`, so reader threads can refine against it while writers
+    /// drain later batches into the live shards — the pipelined mode below
+    /// does exactly that.
     #[must_use]
     pub fn snapshot(&self) -> ShardedTreeSnapshot<S, L> {
-        ShardedTreeSnapshot {
-            shards: self.shards.iter().map(AnytimeTree::snapshot).collect(),
-        }
+        ShardedTreeSnapshot::new(&self.shards)
     }
 
     /// Total number of reachable nodes across all shards.
@@ -423,8 +432,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         dispatch_busy(
             self.shards
                 .iter_mut()
-                .zip(per_shard_objs.into_iter().zip(results.iter_mut()))
-                .collect(),
+                .zip(per_shard_objs.into_iter().zip(results.iter_mut())),
             |_, (objs, _)| !objs.is_empty(),
             |shard, (objs, slot)| {
                 let mut model = make_model();
@@ -455,33 +463,34 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     }
 
     /// The **pipelined mode**: drains a mini-batch through the per-shard
-    /// writers *while* reader threads refine a query batch against the
-    /// pre-batch snapshot — inserts and queries overlap on the same index
-    /// without locks.
+    /// writers *while* readers refine a query batch against the pre-batch
+    /// snapshot — inserts and queries overlap on the same index without
+    /// locks.
     ///
     /// Concretely: the coordinator pins a [`ShardedTreeSnapshot`] (the
     /// pre-batch epochs), routes the whole batch, then one scoped writer
-    /// thread per busy shard drains its share (exactly
-    /// [`Self::insert_batch`]) while one scoped reader thread per non-empty
-    /// snapshot shard refines the entire query batch against its frozen
-    /// shard view.  Writers copy-on-write any node the snapshot still pins,
-    /// so the returned answers are **exactly the pre-batch answers** —
-    /// bit-identical to calling [`Self::query_batch`] before the batch
+    /// thread drains it through the per-shard writers (exactly
+    /// [`Self::insert_batch`]) while the coordinator runs
+    /// [`query_batch_over`] on the frozen shard views.  Writers
+    /// copy-on-write any node the snapshot still pins, so the returned
+    /// answers are **exactly the pre-batch answers** — bit-identical to
+    /// calling [`query_batch_over`] on the shards before the batch
     /// (property-tested in `tests/snapshot_isolation.rs`).
     ///
-    /// `make_query_model` must use the *pre-batch* global normaliser for
-    /// that equivalence to extend across shards.
+    /// `query_model` must use the *pre-batch* global normaliser for that
+    /// equivalence to extend across shards.
     ///
     /// # Panics
     ///
-    /// Panics if any query has the wrong dimensionality.
+    /// Panics if any query has the wrong dimensionality (checked before
+    /// any object is routed).
     #[allow(clippy::too_many_arguments)]
-    pub fn pipelined_batch<M, F, Q, G>(
+    pub fn pipelined_batch<M, F, Q>(
         &mut self,
         make_model: &F,
         objs: Vec<M::Object>,
         budget: usize,
-        make_query_model: &G,
+        query_model: &Q,
         queries: &[Vec<f64>],
         order: RefineOrder,
         query_budget: usize,
@@ -492,17 +501,16 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         S: Send + Sync,
         L: Send + Sync + Clone,
         R: Send,
-        Q: QueryModel<S, LeafItem = L>,
+        Q: QueryModel<S, LeafItem = L> + Sync,
         F: Fn() -> M + Sync,
-        G: Fn() -> Q + Sync,
     {
         let snapshot = self.snapshot();
+        for query in queries {
+            assert_query_dims(snapshot.shards(), query);
+        }
         let (per_shard_objs, per_shard_idx, total) = self.route_batch(make_model, objs);
-        let num_shards = snapshot.num_shards();
         let mut insert_slot: Option<ShardedBatchOutcome> = None;
-        let mut per_shard_answers: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
-            (0..num_shards).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let (answers, query_stats) = std::thread::scope(|scope| {
             let writer = &mut *self;
             let insert_slot = &mut insert_slot;
             scope.spawn(move || {
@@ -514,93 +522,13 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
                     budget,
                 ));
             });
-            for (shard, slot) in snapshot.shards().iter().zip(per_shard_answers.iter_mut()) {
-                if shard.node(shard.root()).is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    let model = make_query_model();
-                    *slot = Some(shard.query_batch(&model, queries, order, query_budget));
-                });
-            }
+            query_batch_over(snapshot.shards(), query_model, queries, order, query_budget)
         });
-        let (answers, query_stats) = fold_query_partials(per_shard_answers, queries.len());
         PipelinedOutcome {
             insert: insert_slot.expect("writer thread completed"),
             answers,
             query_stats,
         }
-    }
-}
-
-/// The folded result of one sharded anytime query: per-shard frontier
-/// partials summed into one global mixture answer.
-///
-/// The fold is plain summation, so it requires every shard's [`QueryModel`]
-/// to use the same *global* normaliser (e.g. the total object count across
-/// shards).  Because each shard's `[lower, upper]` interval can only tighten
-/// with budget (the [`query`](crate::query) module's nesting contract), the
-/// folded interval inherits the monotonicity guarantee: more per-shard
-/// budget never worsens the global bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedQueryAnswer {
-    /// Point estimate of the global answer (sum of the shard estimates).
-    pub estimate: f64,
-    /// Certain lower bound on the fully refined global answer.
-    pub lower: f64,
-    /// Certain upper bound on the fully refined global answer.
-    pub upper: f64,
-    /// Total refinement steps (node reads) across all shards.
-    pub nodes_read: usize,
-    /// Refinement steps each shard spent.
-    pub per_shard_nodes: Vec<usize>,
-}
-
-impl ShardedQueryAnswer {
-    /// Width of the folded bound interval (non-increasing in budget).
-    #[must_use]
-    pub fn uncertainty(&self) -> f64 {
-        (self.upper - self.lower).max(0.0)
-    }
-
-    /// The single-tree shape of this answer (dropping the per-shard split).
-    #[must_use]
-    pub fn as_answer(&self) -> QueryAnswer {
-        QueryAnswer {
-            estimate: self.estimate,
-            lower: self.lower,
-            upper: self.upper,
-            nodes_read: self.nodes_read,
-        }
-    }
-
-    fn empty(num_shards: usize) -> Self {
-        ShardedQueryAnswer {
-            estimate: 0.0,
-            lower: 0.0,
-            upper: 0.0,
-            nodes_read: 0,
-            per_shard_nodes: vec![0; num_shards],
-        }
-    }
-
-    /// Adds shard `k`'s partial answer into the fold — the single place the
-    /// fold arithmetic lives, shared by the one-shot, batched and
-    /// outlier-scoring paths.
-    fn accumulate(&mut self, k: usize, partial: &QueryAnswer) {
-        self.estimate += partial.estimate;
-        self.lower += partial.lower;
-        self.upper += partial.upper;
-        self.nodes_read += partial.nodes_read;
-        self.per_shard_nodes[k] += partial.nodes_read;
-    }
-
-    fn fold(cursors: &[QueryCursor]) -> Self {
-        let mut answer = ShardedQueryAnswer::empty(cursors.len());
-        for (k, cursor) in cursors.iter().enumerate() {
-            answer.accumulate(k, &cursor.answer());
-        }
-        answer
     }
 }
 
@@ -612,121 +540,240 @@ pub struct PipelinedOutcome {
     /// The insert-side report (identical in shape to
     /// [`ShardedAnytimeTree::insert_batch`]'s).
     pub insert: ShardedBatchOutcome,
-    /// Per-query folded answers — **exactly** what
-    /// [`ShardedAnytimeTree::query_batch`] would have returned before the
-    /// batch.
-    pub answers: Vec<ShardedQueryAnswer>,
+    /// Per-query folded answers — **exactly** what [`query_batch_over`]
+    /// over the shards would have returned before the batch.
+    pub answers: Vec<QueryAnswer>,
     /// The readers' merged work counters.
     pub query_stats: QueryStats,
 }
 
-/// Folds per-shard `(answers, stats)` partials into per-query global
-/// answers — shared by the batched, snapshot and pipelined query paths.
-fn fold_query_partials(
-    per_shard: Vec<Option<(Vec<QueryAnswer>, QueryStats)>>,
-    num_queries: usize,
-) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-    let num_shards = per_shard.len();
-    let mut stats = QueryStats::default();
-    let mut answers: Vec<ShardedQueryAnswer> = (0..num_queries)
-        .map(|_| ShardedQueryAnswer::empty(num_shards))
-        .collect();
-    for (k, slot) in per_shard.into_iter().enumerate() {
-        let Some((partials, shard_stats)) = slot else {
-            continue;
-        };
-        stats.merge(&shard_stats);
-        for (answer, partial) in answers.iter_mut().zip(partials) {
-            answer.accumulate(k, &partial);
+/// Rejects a query whose dimensionality differs from the views' — checked
+/// at the fold's entry, before any dispatch, so neither an empty view
+/// (which reads nothing) nor a worker thread (whose panic would reach the
+/// caller as "a scoped thread panicked") can hide the mismatch.
+fn assert_query_dims<S: Summary, L, V: TreeView<S, L>>(views: &[V], query: &[f64]) {
+    for view in views {
+        assert_eq!(query.len(), view.dims(), "query dimensionality mismatch");
+    }
+}
+
+/// Adds one view's partial answer into the fold — the fold's only
+/// arithmetic, shared by the one-shot, batched and outlier paths.
+fn accumulate(sum: &mut QueryAnswer, part: &QueryAnswer) {
+    sum.estimate += part.estimate;
+    sum.lower += part.lower;
+    sum.upper += part.upper;
+    sum.nodes_read += part.nodes_read;
+}
+
+/// The global answer of a set of refined frontiers.  The first cursor's
+/// answer is the starting sum, so a one-view fold returns that view's
+/// answer bit for bit.
+fn fold_cursors(cursors: &[QueryCursor]) -> QueryAnswer {
+    let Some((first, rest)) = cursors.split_first() else {
+        return QueryAnswer::default();
+    };
+    let mut sum = first.answer();
+    for cursor in rest {
+        accumulate(&mut sum, &cursor.answer());
+    }
+    sum
+}
+
+/// Runs `f` on one pooled scratch cursor per view
+/// ([`with_scratch_cursors`]), each begun on `query` — an empty view's
+/// frontier is empty — and returns `f`'s result with the work the cursors
+/// did meanwhile.
+fn with_seeded_frontiers<S, L, V, M, R>(
+    views: &[V],
+    model: &M,
+    query: &[f64],
+    f: impl FnOnce(&mut [QueryCursor]) -> R,
+) -> (R, QueryStats)
+where
+    S: Summary,
+    V: TreeView<S, L>,
+    M: QueryModel<S, LeafItem = L>,
+{
+    assert_query_dims(views, query);
+    with_scratch_cursors(views.len(), |cursors| {
+        let mut before = QueryStats::default();
+        for (view, cursor) in views.iter().zip(cursors.iter_mut()) {
+            before.merge(cursor.stats());
+            view.begin_query(model, query, cursor);
+        }
+        let result = f(cursors);
+        let mut after = QueryStats::default();
+        for cursor in cursors.iter() {
+            after.merge(cursor.stats());
+        }
+        (result, after.delta_since(&before))
+    })
+}
+
+/// One refinement round: every frontier that can still refine reads up to
+/// `step` more nodes in `order` — inline for a lone view, on one scoped
+/// thread per refinable view otherwise.  Returns whether any frontier
+/// refined.
+fn refine_round<S, L, V, M>(
+    views: &[V],
+    model: &M,
+    order: RefineOrder,
+    step: usize,
+    cursors: &mut [QueryCursor],
+) -> bool
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+    V: TreeView<S, L> + Sync,
+    M: QueryModel<S, LeafItem = L> + Sync,
+{
+    if let ([view], [cursor]) = (views, &mut *cursors) {
+        return view.refine_query_up_to(model, order, step, cursor) > 0;
+    }
+    step > 0
+        && dispatch_busy(
+            views.iter().zip(cursors.iter_mut()),
+            |_, cursor| cursor.can_refine(),
+            |view, cursor| {
+                view.refine_query_up_to(model, order, step, cursor);
+            },
+        )
+}
+
+/// Refines one query over a slice of views and hands the refined cursors
+/// to `f`: every view's frontier is begun on a pooled scratch cursor and
+/// refined up to `budget` node reads in `order` — inline when one view can
+/// refine, on scoped threads otherwise — and the cursors' work plus the
+/// wall-clock latency are folded into the registry as one query boundary.
+///
+/// A plain tree or snapshot passes `std::slice::from_ref(view)`, the
+/// sharded trees and snapshots their `shards()`; the clustering crate's
+/// k-NN retrieval ranks the cursors' frontier elements in `f`.  `model`
+/// must use one global normaliser for every view, so partial answers fold
+/// by summation.
+///
+/// # Panics
+///
+/// Panics if the query has the wrong dimensionality.
+pub fn refine_frontiers_over<S, L, V, M, R>(
+    views: &[V],
+    model: &M,
+    query: &[f64],
+    order: RefineOrder,
+    budget: usize,
+    f: impl FnOnce(&[QueryCursor]) -> R,
+) -> R
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+    V: TreeView<S, L> + Sync,
+    M: QueryModel<S, LeafItem = L> + Sync,
+{
+    let started = crate::obs::boundary_timer();
+    let (result, delta) = with_seeded_frontiers(views, model, query, |cursors| {
+        refine_round(views, model, order, budget, cursors);
+        f(cursors)
+    });
+    crate::obs::record_external_query(&delta, started);
+    result
+}
+
+/// One-shot query over a slice of views: every frontier refines up to
+/// `budget` node reads ([`refine_frontiers_over`]) and the partials fold
+/// into one global mixture answer.  Each view's `[lower, upper]` interval
+/// can only tighten with budget, so the folded interval inherits the
+/// monotonicity guarantee.
+///
+/// # Panics
+///
+/// Panics if the query has the wrong dimensionality.
+#[must_use]
+pub fn query_over<S, L, V, M>(
+    views: &[V],
+    model: &M,
+    query: &[f64],
+    order: RefineOrder,
+    budget: usize,
+) -> QueryAnswer
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+    V: TreeView<S, L> + Sync,
+    M: QueryModel<S, LeafItem = L> + Sync,
+{
+    let answer = refine_frontiers_over(views, model, query, order, budget, fold_cursors);
+    crate::obs::record_query_answer(&answer, None);
+    answer
+}
+
+/// Refines a batch of queries over a slice of views: each view processes
+/// the **whole batch** through one reused cursor
+/// ([`TreeView::query_batch`]) — inline for one view, one scoped thread per
+/// view otherwise, so thread-spawn cost amortises over the batch — and the
+/// per-view partials fold per query.  Returns the per-query global answers
+/// plus the merged [`QueryStats`].
+///
+/// # Panics
+///
+/// Panics if any query has the wrong dimensionality.
+#[must_use]
+pub fn query_batch_over<S, L, V, M>(
+    views: &[V],
+    model: &M,
+    queries: &[Vec<f64>],
+    order: RefineOrder,
+    budget: usize,
+) -> (Vec<QueryAnswer>, QueryStats)
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+    V: TreeView<S, L> + Sync,
+    M: QueryModel<S, LeafItem = L> + Sync,
+{
+    for query in queries {
+        assert_query_dims(views, query);
+    }
+    let mut per_view: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
+        views.iter().map(|_| None).collect();
+    dispatch_busy(
+        views.iter().zip(per_view.iter_mut()),
+        |_, _| true,
+        |view, slot| *slot = Some(view.query_batch(model, queries, order, budget)),
+    );
+    // The first view's partials are the starting sums, as in `fold_cursors`.
+    let mut parts = per_view.into_iter().flatten();
+    let (mut answers, mut stats) = parts.next().unwrap_or_default();
+    for (partials, view_stats) in parts {
+        stats.merge(&view_stats);
+        for (sum, part) in answers.iter_mut().zip(&partials) {
+            accumulate(sum, part);
         }
     }
     (answers, stats)
 }
 
-/// Refines one query's per-shard frontiers **in parallel** over any set of
-/// tree views — the live shards and the pinned snapshot shards run exactly
-/// this code.
-fn refine_frontiers_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
-    query: &[f64],
-    order: RefineOrder,
-    budget: usize,
-) -> Vec<QueryCursor>
-where
-    S: Summary + Send + Sync,
-    L: Send + Sync,
-    V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
-{
-    let mut cursors: Vec<QueryCursor> = (0..shards.len()).map(|_| QueryCursor::new()).collect();
-    dispatch_busy(
-        shards.iter().zip(cursors.iter_mut()).collect(),
-        |shard, _| !shard.node(shard.root()).is_empty(),
-        |shard, cursor| {
-            let model = make_model();
-            shard.begin_query(&model, query, cursor);
-            shard.refine_query_up_to(&model, order, budget, cursor);
-        },
-    );
-    cursors
-}
-
-/// Per-shard whole-batch refinement folded per query — the generic body of
-/// the live and snapshot `query_batch`s.
-fn query_batch_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
-    queries: &[Vec<f64>],
-    order: RefineOrder,
-    budget: usize,
-) -> (Vec<ShardedQueryAnswer>, QueryStats)
-where
-    S: Summary + Send + Sync,
-    L: Send + Sync,
-    V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
-{
-    let mut per_shard: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
-        (0..shards.len()).map(|_| None).collect();
-    dispatch_busy(
-        shards.iter().zip(per_shard.iter_mut()).collect(),
-        |shard, _| !shard.node(shard.root()).is_empty(),
-        |shard, slot| {
-            let model = make_model();
-            *slot = Some(shard.query_batch(&model, queries, order, budget));
-        },
-    );
-    fold_query_partials(per_shard, queries.len())
-}
-
-/// Folds freshly refined one-shot cursors into the global answer and
-/// flushes the query's observations (summed per-shard work counters,
-/// folded bound width, wall-clock latency) into the registry — shared by
-/// the live and snapshot `query_with_budget`s.
-fn fold_one_shot(
-    cursors: &[QueryCursor],
-    started: Option<std::time::Instant>,
-) -> ShardedQueryAnswer {
-    let folded = ShardedQueryAnswer::fold(cursors);
-    if started.is_some() {
-        let mut stats = QueryStats::default();
-        for cursor in cursors {
-            stats.merge(cursor.stats());
-        }
-        crate::obs::record_query_answer(&folded.as_answer(), started);
-        crate::obs::record_query_stats(&stats);
-    }
-    folded
-}
-
-/// Round-doubling sharded outlier scoring — the generic body of the live
-/// and snapshot `outlier_score`s.
-fn outlier_score_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
+/// Anytime outlier scoring over a slice of views: the density bounds
+/// refine (widest interval first) until the folded interval's verdict
+/// against `threshold` is certain or `budget` node reads are spent.
+///
+/// The one refinement loop of the engine.  One view refines one read at a
+/// time and checks the verdict after every read, so a clear-cut verdict
+/// costs exactly the reads it needs; several views refine in doubling
+/// per-view rounds (1, 2, 4, … reads each) with a fold-and-check between
+/// rounds, so each round's thread dispatch amortises over more reads.
+/// How early either stops depends on the model's bound tightness:
+/// MBR-backed bounds decide far-away outliers almost immediately, while a
+/// distance-blind peak upper bound resolves inlier verdicts quickly but
+/// needs deep refinement to certify an outlier.
+///
+/// # Panics
+///
+/// Panics if the query has the wrong dimensionality.
+#[must_use]
+pub fn outlier_score_over<S, L, V, M>(
+    views: &[V],
+    model: &M,
     query: &[f64],
     threshold: f64,
     budget: usize,
@@ -735,188 +782,75 @@ where
     S: Summary + Send + Sync,
     L: Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
+    M: QueryModel<S, LeafItem = L> + Sync,
 {
-    // Seed every non-empty shard's frontier without spending budget.
     let started = crate::obs::boundary_timer();
-    let mut cursors = refine_frontiers_over(shards, make_model, query, RefineOrder::WidestBound, 0);
-    let mut spent = 0usize;
-    let mut round = 1usize;
-    let mut rounds_done: u32 = 0;
-    loop {
-        let folded = ShardedQueryAnswer::fold(&cursors);
-        let answer = folded.as_answer();
-        let verdict = answer.verdict(threshold);
-        if rounds_done > 0 {
-            crate::obs::record_refine_step(
-                rounds_done,
-                spent as u64,
-                answer.uncertainty(),
-                verdict != OutlierVerdict::Undecided,
-            );
-        }
-        let refinable = cursors.iter().any(QueryCursor::can_refine);
-        if verdict != OutlierVerdict::Undecided || spent >= budget || !refinable {
-            if started.is_some() {
-                let mut stats = QueryStats::default();
-                for cursor in &cursors {
-                    stats.merge(cursor.stats());
-                }
-                crate::obs::record_verdict(verdict);
-                crate::obs::record_query_answer(&answer, started);
-                crate::obs::record_query_stats(&stats);
+    let (score, delta) = with_seeded_frontiers(views, model, query, |cursors| {
+        let mut spent = 0usize;
+        let mut round = 1usize;
+        let mut rounds_done: u32 = 0;
+        loop {
+            let answer = fold_cursors(cursors);
+            let verdict = answer.verdict(threshold);
+            if rounds_done > 0 {
+                crate::obs::record_refine_step(
+                    rounds_done,
+                    spent as u64,
+                    answer.uncertainty(),
+                    verdict != OutlierVerdict::Undecided,
+                );
             }
-            return OutlierScore { answer, verdict };
+            let step = if views.len() == 1 {
+                1
+            } else {
+                round.min(budget.saturating_sub(spent))
+            };
+            if verdict != OutlierVerdict::Undecided
+                || spent >= budget
+                || !refine_round(views, model, RefineOrder::WidestBound, step, cursors)
+            {
+                return OutlierScore { answer, verdict };
+            }
+            spent += step;
+            round = round.saturating_mul(2);
+            rounds_done += 1;
         }
-        let step = round.min(budget - spent);
-        dispatch_busy(
-            shards.iter().zip(cursors.iter_mut()).collect(),
-            |_, cursor| cursor.can_refine(),
-            |shard, cursor| {
-                let model = make_model();
-                shard.refine_query_up_to(&model, RefineOrder::WidestBound, step, cursor);
-            },
-        );
-        spent += step;
-        round = round.saturating_mul(2);
-        rounds_done += 1;
-    }
+    });
+    crate::obs::record_verdict(score.verdict);
+    crate::obs::record_query_answer(&score.answer, started);
+    crate::obs::record_query_stats(&delta);
+    score
 }
 
-impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
-    /// Refines one query's per-shard frontiers **in parallel** on scoped
-    /// threads (each shard up to `budget` node reads) and returns the
-    /// per-shard cursors for the caller to fold.
-    ///
-    /// `make_model` constructs one query model per worker; every model must
-    /// share the same global normaliser so partial answers fold by
-    /// summation.  Shards that hold no data are skipped (their cursors stay
-    /// empty), and when at most one shard holds data the refinement runs
-    /// inline — a 1-shard tree performs exactly the single tree's steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn refine_frontiers<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> Vec<QueryCursor>
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        refine_frontiers_over(&self.shards, make_model, query, order, budget)
-    }
-
-    /// One-shot sharded query: refines every shard's frontier in parallel
-    /// (each up to `budget` node reads) and folds the partials into one
-    /// global mixture answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_with_budget<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> ShardedQueryAnswer
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        let started = crate::obs::boundary_timer();
-        fold_one_shot(
-            &self.refine_frontiers(make_model, query, order, budget),
-            started,
-        )
-    }
-
-    /// Refines a batch of queries across all shards: one scoped thread per
-    /// shard processes the **whole batch** through one reused cursor (so
-    /// thread-spawn cost amortises over the batch and the frontier
-    /// allocation is per-shard scratch), then the per-shard partials are
-    /// folded per query.  Returns the per-query global answers plus the
-    /// merged [`QueryStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_batch<M, F>(
-        &self,
-        make_model: &F,
-        queries: &[Vec<f64>],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats)
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        query_batch_over(&self.shards, make_model, queries, order, budget)
-    }
-
-    /// Anytime outlier scoring over the sharded index: every shard refines
-    /// its density bounds in parallel (widest interval first), the intervals
-    /// are folded, and the verdict is taken from the folded global bound.
-    ///
-    /// Like the single-tree path, this stops early: refinement proceeds in
-    /// doubling per-shard rounds with a fold-and-check between rounds, so a
-    /// clear-cut verdict costs far less than the full `budget`.  How early
-    /// depends on the model's bound tightness: MBR-backed bounds (Bayes
-    /// tree, and since PR 5 the micro-cluster's optional MBR) decide
-    /// far-away outliers almost immediately, while a distance-blind peak
-    /// upper bound resolves inlier verdicts quickly but needs deep
-    /// refinement to certify an outlier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        outlier_score_over(&self.shards, make_model, query, threshold, budget)
-    }
-}
-
-/// A point-in-time view of a whole [`ShardedAnytimeTree`]: one pinned
-/// [`TreeSnapshot`] per shard, taken together by
-/// [`ShardedAnytimeTree::snapshot`].
+/// A point-in-time view of a set of trees — the shards of a
+/// [`ShardedAnytimeTree`], or one plain [`AnytimeTree`] as a one-shard
+/// snapshot: one pinned [`TreeSnapshot`] per tree, taken together.
 ///
-/// `Send + Sync` whenever the payloads are, and answers the full sharded
-/// query surface through the same generic engine the live tree uses — the
-/// pipelined mode's readers run against exactly this type.
+/// `Send + Sync` whenever the payloads are; its [`shards`](Self::shards)
+/// are the views the fold functions read — the pipelined mode's readers run
+/// against exactly this type.
 #[derive(Debug, Clone)]
 pub struct ShardedTreeSnapshot<S: Summary, L> {
     shards: Vec<TreeSnapshot<S, L>>,
 }
 
 impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
+    /// Pins every tree of `shards` at its current published epoch
+    /// ([`AnytimeTree::snapshot`]); a plain tree passes
+    /// `std::slice::from_ref(tree)`.
+    #[must_use]
+    pub fn new(shards: &[AnytimeTree<S, L>]) -> Self {
+        Self {
+            shards: shards.iter().map(AnytimeTree::snapshot).collect(),
+        }
+    }
+
+    /// Dimensionality of the indexed data.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.shards[0].dims()
+    }
+
     /// Number of shards captured.
     #[must_use]
     pub fn num_shards(&self) -> usize {
@@ -968,103 +902,6 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
             total.pages_refreshed += report.pages_refreshed;
         }
         total
-    }
-
-    /// Refines one query's per-shard frontiers in parallel against the
-    /// frozen shard views and returns the per-shard cursors for the caller
-    /// to fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn refine_frontiers<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> Vec<QueryCursor>
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        refine_frontiers_over(&self.shards, make_model, query, order, budget)
-    }
-
-    /// One-shot sharded query against the snapshot (see
-    /// [`ShardedAnytimeTree::query_with_budget`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_with_budget<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> ShardedQueryAnswer
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        let started = crate::obs::boundary_timer();
-        fold_one_shot(
-            &self.refine_frontiers(make_model, query, order, budget),
-            started,
-        )
-    }
-
-    /// Batched sharded queries against the snapshot (see
-    /// [`ShardedAnytimeTree::query_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_batch<M, F>(
-        &self,
-        make_model: &F,
-        queries: &[Vec<f64>],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats)
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        query_batch_over(&self.shards, make_model, queries, order, budget)
-    }
-
-    /// Anytime outlier scoring against the snapshot (see
-    /// [`ShardedAnytimeTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        outlier_score_over(&self.shards, make_model, query, threshold, budget)
     }
 }
 
@@ -1362,22 +1199,12 @@ mod tests {
             let _ = plain.insert_batch(&mut model, chunk.to_vec(), 3);
             let _ = sharded.insert_batch(&|| BlobModel, chunk.to_vec(), 3);
         }
-        let query = [1.0, 1.0];
+        let (query, best) = ([1.0, 1.0], RefineOrder::BestFirst);
+        let model = BlobQueryModel { n: 150.0 };
         for budget in [0usize, 1, 3, 8, usize::MAX] {
-            let reference = plain.query_with_budget(
-                &BlobQueryModel { n: 150.0 },
-                &query,
-                RefineOrder::BestFirst,
-                budget,
-            );
-            let folded = sharded.query_with_budget(
-                &|| BlobQueryModel { n: 150.0 },
-                &query,
-                RefineOrder::BestFirst,
-                budget,
-            );
-            assert_eq!(folded.as_answer(), reference, "budget {budget}");
-            assert_eq!(folded.per_shard_nodes, vec![reference.nodes_read]);
+            let reference = query_over(std::slice::from_ref(&plain), &model, &query, best, budget);
+            let folded = query_over(sharded.shards(), &model, &query, best, budget);
+            assert_eq!(folded, reference, "budget {budget}");
         }
     }
 
@@ -1393,12 +1220,12 @@ mod tests {
             let _ = plain.insert_batch(&mut model, chunk.to_vec(), usize::MAX);
             let _ = sharded.insert_batch(&|| BlobModel, chunk.to_vec(), usize::MAX);
         }
-        let make_model = || BlobQueryModel { n: 200.0 };
+        let model = BlobQueryModel { n: 200.0 };
+        let (plain, shards) = (std::slice::from_ref(&plain), sharded.shards());
+        let best = RefineOrder::BestFirst;
         for query in [[0.1, 0.2], [20.0, 20.1], [10.0, 10.0]] {
-            let reference =
-                plain.query_with_budget(&make_model(), &query, RefineOrder::BestFirst, usize::MAX);
-            let folded =
-                sharded.query_with_budget(&make_model, &query, RefineOrder::BestFirst, usize::MAX);
+            let reference = query_over(plain, &model, &query, best, usize::MAX);
+            let folded = query_over(shards, &model, &query, best, usize::MAX);
             assert!(
                 (folded.estimate - reference.estimate).abs() <= 1e-12 * (1.0 + reference.estimate),
                 "estimate mismatch at {query:?}"
@@ -1407,13 +1234,11 @@ mod tests {
         }
         // Batched multi-query path agrees with the one-shot path.
         let queries: Vec<Vec<f64>> = vec![vec![0.1, 0.2], vec![20.0, 20.1]];
-        let (answers, stats) =
-            sharded.query_batch(&make_model, &queries, RefineOrder::BestFirst, 5);
+        let (answers, stats) = query_batch_over(shards, &model, &queries, best, 5);
         assert_eq!(answers.len(), 2);
-        assert_eq!(stats.queries, 2 * 4); // every busy shard begins every query
+        assert_eq!(stats.queries, 2 * 4); // every shard begins every query
         for (answer, query) in answers.iter().zip(&queries) {
-            let one_shot = sharded.query_with_budget(&make_model, query, RefineOrder::BestFirst, 5);
-            assert_eq!(answer, &one_shot);
+            assert_eq!(answer, &query_over(shards, &model, query, best, 5));
         }
     }
 

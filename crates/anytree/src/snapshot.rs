@@ -181,7 +181,9 @@ impl<S: Summary, L> TreeView<S, L> for TreeSnapshot<S, L> {
 #[cfg(test)]
 mod tests {
     use crate::model::InsertModel;
+    use crate::query::QueryAnswer;
     use crate::query::{QueryModel, RefineOrder, TreeView};
+    use crate::shard::query_over;
     use crate::summary::Summary;
     use crate::tree::AnytimeTree;
     use bt_index::PageGeometry;
@@ -292,6 +294,22 @@ mod tests {
         }
     }
 
+    /// The one-shot density answer of `view` alone.
+    fn density<V: TreeView<Blob, Blob> + Sync>(
+        view: &V,
+        query: &[f64],
+        order: RefineOrder,
+        budget: usize,
+    ) -> QueryAnswer {
+        query_over(
+            std::slice::from_ref(view),
+            &BlobQueryModel,
+            query,
+            order,
+            budget,
+        )
+    }
+
     fn blob(x: f64, y: f64) -> Blob {
         Blob {
             weight: 1.0,
@@ -376,17 +394,15 @@ mod tests {
                 RefineOrder::WidestBound,
             ] {
                 for budget in [0usize, 1, 5, usize::MAX] {
-                    let expected =
-                        pre_batch.query_with_budget(&BlobQueryModel, query, order, budget);
-                    let got = snapshot.query_with_budget(&BlobQueryModel, query, order, budget);
+                    let expected = density(&pre_batch, query, order, budget);
+                    let got = density(&snapshot, query, order, budget);
                     assert_eq!(got, expected, "query {i}, {order:?}, budget {budget}");
                 }
             }
         }
         // The live tree has genuinely moved past the snapshot.
-        let live = tree.query_with_budget(&BlobQueryModel, &[0.3, 0.1], RefineOrder::BestFirst, 0);
-        let frozen =
-            snapshot.query_with_budget(&BlobQueryModel, &[0.3, 0.1], RefineOrder::BestFirst, 0);
+        let live = density(&tree, &[0.3, 0.1], RefineOrder::BestFirst, 0);
+        let frozen = density(&snapshot, &[0.3, 0.1], RefineOrder::BestFirst, 0);
         assert!((live.estimate - frozen.estimate).abs() > 1e-12);
     }
 
@@ -431,14 +447,8 @@ mod tests {
         assert_eq!(tree.oldest_pinned_epoch(), Some(tree.epoch()));
         // The refreshed snapshot answers exactly like the live tree.
         for query in [[0.3, 0.1], [20.0, 20.2], [10.0, 10.0]] {
-            let live =
-                tree.query_with_budget(&BlobQueryModel, &query, RefineOrder::BestFirst, usize::MAX);
-            let fresh = snapshot.query_with_budget(
-                &BlobQueryModel,
-                &query,
-                RefineOrder::BestFirst,
-                usize::MAX,
-            );
+            let live = density(&tree, &query, RefineOrder::BestFirst, usize::MAX);
+            let fresh = density(&snapshot, &query, RefineOrder::BestFirst, usize::MAX);
             assert_eq!(fresh, live);
         }
         // A refresh right after catching up reuses everything.

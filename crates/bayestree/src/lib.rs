@@ -25,7 +25,10 @@
 //!   `[lower, upper]` bounds ([`BayesTree::anytime_density`]) and the
 //!   insert-free anytime outlier scoring workload
 //!   ([`BayesTree::outlier_score`]); [`ShardedBayesTree`] refines per-shard
-//!   frontiers in parallel and folds them into one global mixture,
+//!   frontiers in parallel and folds them into one global mixture — the
+//!   same fold a plain tree runs over its one view, so both answer with one
+//!   [`bt_anytree::QueryAnswer`] type and share one [`BayesTreeSnapshot`]
+//!   type (one shard for a plain tree),
 //! * [`classifier::AnytimeClassifier`] — one tree per class, the qbk
 //!   refinement strategy and budgeted classification,
 //! * [`bulk`] — the bulk-loading strategies of Section 3 (Hilbert, Z-curve,
@@ -35,7 +38,7 @@
 //!
 //! ## Stored precision
 //!
-//! [`BayesTree`] (and [`ShardedBayesTree`], and their snapshots) carry a
+//! [`BayesTree`] (and [`ShardedBayesTree`], and their snapshot) carry a
 //! stored-precision parameter `E` defaulting to `f64`.  [`BayesTreeF32`]
 //! stores every directory summary — CF linear/squared sums and MBR corners —
 //! as `f32`, halving the resident bytes per entry and roughly doubling the
@@ -108,7 +111,7 @@ pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
 pub use sharded::ShardedBayesTree;
 pub use tree::BayesTree;
-pub use view::{BayesTreeSnapshot, ClassifierSnapshot, ShardedBayesTreeSnapshot};
+pub use view::{BayesTreeSnapshot, ClassifierSnapshot};
 
 /// A Bayes tree whose stored summaries (CF sums, MBR corners) are quantised
 /// to `f32` — half the resident bytes per directory entry; all accumulation

@@ -20,13 +20,17 @@
 //! density queries ([`BayesTree::anytime_density`],
 //! [`BayesTree::density_batch`]) and the first insert-free workload over the
 //! same index: anytime outlier scoring ([`BayesTree::outlier_score`]), whose
-//! score *is* the refinable density interval.
+//! score *is* the refinable density interval.  Each is the shared query
+//! fold ([`bt_anytree::shard`]) over the one-view slice of the tree's core,
+//! so the plain tree, its snapshot and the sharded variants answer through
+//! one engine.
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesTree;
 use bt_anytree::{
-    Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    outlier_score_over, query_batch_over, query_over, AnytimeTree, Entry, OutlierScore,
+    QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore,
 };
 use bt_stats::kernel::{leaf_scores_block, node_scores_block, GaussianKernel, Kernel};
 use bt_stats::{GatheredBlock, KernelBandwidth};
@@ -223,6 +227,11 @@ impl From<DescentStrategy> for RefineOrder {
 }
 
 impl<E: StoredElement> BayesTree<E> {
+    /// The tree as the one-view slice the query fold reads.
+    fn views(&self) -> &[AnytimeTree<E::Summary, Vec<f64>>] {
+        std::slice::from_ref(self.core())
+    }
+
     /// The kernel-density query model of this tree (normalised by the stored
     /// observation count, kernels evaluated with the tree's bandwidth).
     ///
@@ -248,8 +257,8 @@ impl<E: StoredElement> BayesTree<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> QueryAnswer {
-        self.core()
-            .query_with_budget(&self.query_model(), x, strategy.into(), budget)
+        let model = self.query_model();
+        query_over(self.views(), &model, x, strategy.into(), budget)
     }
 
     /// Refines a batch of density queries through one reused cursor, each up
@@ -266,8 +275,8 @@ impl<E: StoredElement> BayesTree<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core()
-            .query_batch(&self.query_model(), queries, strategy.into(), budget)
+        let model = self.query_model();
+        query_batch_over(self.views(), &model, queries, strategy.into(), budget)
     }
 
     /// Anytime outlier scoring: refines the density bounds (widest interval
@@ -280,15 +289,15 @@ impl<E: StoredElement> BayesTree<E> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        self.core()
-            .outlier_score(&self.query_model(), x, threshold, budget)
+        let model = self.query_model();
+        outlier_score_over(self.views(), &model, x, threshold, budget)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_anytree::{OutlierVerdict, Summary as _};
+    use bt_anytree::{OutlierVerdict, Summary as _, TreeView};
     use bt_index::PageGeometry;
     use bt_stats::BlockScratch;
     use rand::rngs::StdRng;

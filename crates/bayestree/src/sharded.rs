@@ -17,10 +17,11 @@ use crate::descent::DescentStrategy;
 use crate::insert::KernelModel;
 use crate::node::StoredElement;
 use crate::query::KernelQueryModel;
-use crate::view::ShardedBayesTreeSnapshot;
+use crate::view::BayesTreeSnapshot;
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryStats,
-    ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer,
+    outlier_score_over, query_batch_over, query_over, AnytimeTree, CheapestRouter, DescentStats,
+    OutlierScore, PipelinedOutcome, QueryAnswer, QueryStats, ShardRouter, ShardedAnytimeTree,
+    ShardedBatchOutcome,
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -138,12 +139,20 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     /// bit-identically to this moment while later batches drain into the
     /// live shards.
     #[must_use]
-    pub fn snapshot(&self) -> ShardedBayesTreeSnapshot<E> {
-        ShardedBayesTreeSnapshot::from_parts(
+    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
+        BayesTreeSnapshot::from_parts(
             self.core.snapshot(),
             self.num_points,
             Arc::clone(&self.bandwidth),
         )
+    }
+
+    /// The kernel-density query model of this sharded tree: every shard
+    /// normalises by the same **global** observation count, so per-shard
+    /// partial densities fold by summation.
+    #[must_use]
+    pub fn query_model(&self) -> KernelQueryModel<'_> {
+        KernelQueryModel::new(self.num_points, &self.bandwidth)
     }
 
     /// Budget-bracketed anytime density query over all shards: every shard
@@ -163,15 +172,9 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         x: &[f64],
         strategy: DescentStrategy,
         budget: usize,
-    ) -> ShardedQueryAnswer {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth),
-            x,
-            strategy.into(),
-            budget,
-        )
+    ) -> QueryAnswer {
+        let model = self.query_model();
+        query_over(self.core.shards(), &model, x, strategy.into(), budget)
     }
 
     /// Refines a batch of density queries across all shards (one worker per
@@ -187,15 +190,9 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         queries: &[Vec<f64>],
         strategy: DescentStrategy,
         budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth),
-            queries,
-            strategy.into(),
-            budget,
-        )
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        let model = self.query_model();
+        query_batch_over(self.core.shards(), &model, queries, strategy.into(), budget)
     }
 
     /// Anytime outlier scoring over the sharded index: the per-shard density
@@ -207,14 +204,8 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth),
-            x,
-            threshold,
-            budget,
-        )
+        let model = self.query_model();
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
     }
 
     /// The per-dimension kernel bandwidth used for leaf-level kernels.
@@ -387,14 +378,13 @@ impl<R: ShardRouter<E::Summary>, E: StoredElement> ShardedBayesTree<R, E> {
         );
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
-        let n = self.num_points;
-        let bandwidth = Arc::clone(&self.bandwidth);
+        let query_model = KernelQueryModel::new(self.num_points, &self.bandwidth);
         self.num_points += points.len();
         self.core.pipelined_batch(
             &|| KernelModel { dims },
             points,
             usize::MAX,
-            &|| KernelQueryModel::new(n, &bandwidth),
+            &query_model,
             queries,
             strategy.into(),
             query_budget,
@@ -507,7 +497,7 @@ mod tests {
             for q in random_points(5, 2, 7) {
                 let reference = single.anytime_density(&q, DescentStrategy::default(), budget);
                 let folded = sharded.anytime_density(&q, DescentStrategy::default(), budget);
-                assert_eq!(folded.as_answer(), reference, "budget {budget} at {q:?}");
+                assert_eq!(folded, reference, "budget {budget} at {q:?}");
             }
         }
     }

@@ -8,6 +8,11 @@
 //! concurrently (writers copy-on-write any node a snapshot still pins).
 //! This is what lets a stream processor keep serving density / outlier /
 //! classification queries *while* inserts are flowing.
+//!
+//! One snapshot type serves both trees: a [`BayesTreeSnapshot`] holds a
+//! [`ShardedTreeSnapshot`] — one shard for a plain [`BayesTree`], `K` for a
+//! [`ShardedBayesTree`](crate::ShardedBayesTree) — and answers through the
+//! same query fold the live trees use.
 
 use crate::classifier::{run_anytime_over, AnytimeClassifier, AnytimeTrace, Classification};
 use crate::descent::DescentStrategy;
@@ -16,25 +21,26 @@ use crate::qbk::RefinementStrategy;
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
 use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, ShardedQueryAnswer, ShardedTreeSnapshot, TreeSnapshot,
-    TreeView,
+    outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryStats,
+    ShardedTreeSnapshot,
 };
 use bt_stats::KernelBandwidth;
 use std::sync::Arc;
 
-/// An epoch-pinned, immutable view of a [`BayesTree`]: the core snapshot
-/// plus the density-model parameters (observation count, bandwidth) frozen
-/// at snapshot time.
+/// An epoch-pinned, immutable view of a [`BayesTree`] or a
+/// [`ShardedBayesTree`](crate::ShardedBayesTree): one pinned core snapshot
+/// per shard (a plain tree is one shard) plus the density-model parameters
+/// (global observation count, bandwidth) frozen at snapshot time.
 #[derive(Debug, Clone)]
 pub struct BayesTreeSnapshot<E: StoredElement = f64> {
-    core: TreeSnapshot<E::Summary, Vec<f64>>,
+    core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
     num_points: usize,
     bandwidth: Arc<KernelBandwidth>,
 }
 
 impl<E: StoredElement> BayesTreeSnapshot<E> {
     pub(crate) fn from_parts(
-        core: TreeSnapshot<E::Summary, Vec<f64>>,
+        core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
         num_points: usize,
         bandwidth: Arc<KernelBandwidth>,
     ) -> Self {
@@ -49,145 +55,6 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     #[must_use]
     pub fn dims(&self) -> usize {
         self.core.dims()
-    }
-
-    /// Number of observations stored at snapshot time.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_points
-    }
-
-    /// Whether the snapshot holds no observations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_points == 0
-    }
-
-    /// Height of the tree at snapshot time.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.core.height()
-    }
-
-    /// The published epoch this snapshot pins.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// The kernel bandwidth frozen at snapshot time.
-    #[must_use]
-    pub fn bandwidth(&self) -> &[f64] {
-        self.bandwidth.values()
-    }
-
-    /// The underlying core snapshot (for frontier construction and
-    /// inspection through [`TreeView`]).
-    #[must_use]
-    pub fn core(&self) -> &TreeSnapshot<E::Summary, Vec<f64>> {
-        &self.core
-    }
-
-    /// The kernel-density query model frozen at snapshot time (block
-    /// precision follows the stored precision, exactly as on the live
-    /// tree).
-    #[must_use]
-    pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.num_points, &self.bandwidth)
-    }
-
-    /// Budget-bracketed anytime density query against the frozen tree —
-    /// exactly what [`BayesTree::anytime_density`] returned at snapshot
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_density(
-        &self,
-        x: &[f64],
-        strategy: DescentStrategy,
-        budget: usize,
-    ) -> QueryAnswer {
-        self.core
-            .query_with_budget(&self.query_model(), x, strategy.into(), budget)
-    }
-
-    /// Batched density queries through one reused cursor (see
-    /// [`BayesTree::density_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    pub fn density_batch(
-        &self,
-        queries: &[Vec<f64>],
-        strategy: DescentStrategy,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core
-            .query_batch(&self.query_model(), queries, strategy.into(), budget)
-    }
-
-    /// Anytime outlier scoring against the frozen tree (see
-    /// [`BayesTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        self.core
-            .outlier_score(&self.query_model(), x, threshold, budget)
-    }
-}
-
-impl<E: StoredElement> BayesTree<E> {
-    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned
-    /// (`O(nodes)` pointer copies), the published epoch is pinned, and the
-    /// density-model parameters (count, bandwidth) are frozen alongside.
-    ///
-    /// The snapshot is `Send + Sync` and keeps answering queries
-    /// bit-identically to this moment while later inserts mutate the tree.
-    #[must_use]
-    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
-        BayesTreeSnapshot::from_parts(
-            self.core().snapshot(),
-            self.len(),
-            Arc::clone(self.kernel_bandwidth()),
-        )
-    }
-}
-
-/// An epoch-pinned, immutable view of a
-/// [`ShardedBayesTree`](crate::ShardedBayesTree): one pinned core snapshot
-/// per shard plus the frozen global density-model parameters.
-#[derive(Debug, Clone)]
-pub struct ShardedBayesTreeSnapshot<E: StoredElement = f64> {
-    core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
-    num_points: usize,
-    bandwidth: Arc<KernelBandwidth>,
-}
-
-impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
-        num_points: usize,
-        bandwidth: Arc<KernelBandwidth>,
-    ) -> Self {
-        Self {
-            core,
-            num_points,
-            bandwidth,
-        }
-    }
-
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.core.num_shards()
     }
 
     /// Number of observations stored at snapshot time (across all shards).
@@ -208,14 +75,29 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         self.core.epochs()
     }
 
-    /// The underlying per-shard core snapshots.
+    /// The kernel bandwidth frozen at snapshot time.
+    #[must_use]
+    pub fn bandwidth(&self) -> &[f64] {
+        self.bandwidth.values()
+    }
+
+    /// The underlying per-shard core snapshots (for frontier construction
+    /// and inspection through [`bt_anytree::TreeView`]).
     #[must_use]
     pub fn core(&self) -> &ShardedTreeSnapshot<E::Summary, Vec<f64>> {
         &self.core
     }
 
-    /// Folded anytime density query against the frozen shards — exactly
-    /// what the live sharded tree answered at snapshot time.
+    /// The kernel-density query model frozen at snapshot time, normalised
+    /// by the global observation count.
+    #[must_use]
+    pub fn query_model(&self) -> KernelQueryModel<'_> {
+        KernelQueryModel::new(self.num_points, &self.bandwidth)
+    }
+
+    /// Budget-bracketed anytime density query against the frozen shards —
+    /// exactly what the live tree's `anytime_density` returned at snapshot
+    /// time.
     ///
     /// # Panics
     ///
@@ -226,18 +108,13 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         x: &[f64],
         strategy: DescentStrategy,
         budget: usize,
-    ) -> ShardedQueryAnswer {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth),
-            x,
-            strategy.into(),
-            budget,
-        )
+    ) -> QueryAnswer {
+        let model = self.query_model();
+        query_over(self.core.shards(), &model, x, strategy.into(), budget)
     }
 
-    /// Batched folded density queries against the frozen shards.
+    /// Batched density queries against the frozen shards (see
+    /// [`BayesTree::density_batch`]).
     ///
     /// # Panics
     ///
@@ -248,31 +125,38 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         queries: &[Vec<f64>],
         strategy: DescentStrategy,
         budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth),
-            queries,
-            strategy.into(),
-            budget,
-        )
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        let model = self.query_model();
+        query_batch_over(self.core.shards(), &model, queries, strategy.into(), budget)
     }
 
-    /// Anytime outlier scoring against the frozen shards.
+    /// Anytime outlier scoring against the frozen shards (see
+    /// [`BayesTree::outlier_score`]).
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth),
-            x,
-            threshold,
-            budget,
+        let model = self.query_model();
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
+    }
+}
+
+impl<E: StoredElement> BayesTree<E> {
+    /// Takes an epoch-pinned one-shard snapshot: the versioned arena spine
+    /// is cloned (`O(nodes)` pointer copies), the published epoch is
+    /// pinned, and the density-model parameters (count, bandwidth) are
+    /// frozen alongside.
+    ///
+    /// The snapshot is `Send + Sync` and keeps answering queries
+    /// bit-identically to this moment while later inserts mutate the tree.
+    #[must_use]
+    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
+        BayesTreeSnapshot::from_parts(
+            ShardedTreeSnapshot::new(std::slice::from_ref(self.core())),
+            self.len(),
+            Arc::clone(self.kernel_bandwidth()),
         )
     }
 }
@@ -351,7 +235,7 @@ impl ClassifierSnapshot {
         let classes: Vec<_> = self
             .trees
             .iter()
-            .map(|t| (t.core(), t.query_model()))
+            .map(|t| (t.core().shard(0), t.query_model()))
             .collect();
         run_anytime_over(
             &classes,
@@ -443,24 +327,25 @@ mod tests {
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BayesTreeSnapshot>();
-        assert_send_sync::<ShardedBayesTreeSnapshot>();
         assert_send_sync::<ClassifierSnapshot>();
     }
 
     #[test]
     fn bulk_loaded_trees_publish_an_epoch_covering_their_nodes() {
         use crate::bulk::{build_tree, BulkLoadMethod};
+        use bt_anytree::TreeView;
         let points = sample_points(120);
         for method in BulkLoadMethod::all() {
             let tree = build_tree(&points, 2, PageGeometry::from_fanout(4, 4), method, 7);
             let snapshot = tree.snapshot();
+            let core = snapshot.core().shard(0);
             assert!(
-                snapshot.epoch() >= 1,
+                core.epoch() >= 1,
                 "{method:?}: bulk build must publish an epoch"
             );
-            for id in snapshot.core().reachable() {
+            for id in core.reachable() {
                 assert!(
-                    snapshot.core().node_version(id) <= snapshot.epoch(),
+                    core.node_version(id) <= core.epoch(),
                     "{method:?}: node {id} stamped past the published epoch"
                 );
             }

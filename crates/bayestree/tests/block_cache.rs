@@ -74,7 +74,7 @@ fn reference_batch(
     queries: &[Vec<f64>],
 ) -> (Vec<QueryAnswer>, bt_anytree::QueryStats) {
     let snapshot = tree.snapshot();
-    NoCache(snapshot.core()).query_batch(
+    NoCache(snapshot.core().shard(0)).query_batch(
         &snapshot.query_model(),
         queries,
         DescentStrategy::default().into(),
@@ -143,7 +143,7 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
     );
     assert_eq!(bits(&frozen), bits(&again), "snapshot answers are frozen");
 
-    let (reference, _) = NoCache(snapshot.core()).query_batch(
+    let (reference, _) = NoCache(snapshot.core().shard(0)).query_batch(
         &snapshot.query_model(),
         &queries,
         DescentStrategy::default().into(),
@@ -175,7 +175,7 @@ fn quantized_decode_path_is_cache_invisible_and_matches_the_reference() {
     assert_eq!(bits(&cold), bits(&warm), "cached decodes change nothing");
 
     let snapshot = tree.snapshot();
-    let (reference, ref_stats) = NoCache(snapshot.core()).query_batch(
+    let (reference, ref_stats) = NoCache(snapshot.core().shard(0)).query_batch(
         &snapshot.query_model(),
         &queries,
         DescentStrategy::default().into(),

@@ -24,7 +24,10 @@
 //!   ([`ClusTree::anytime_knn`]), budget-bracketed density scores with
 //!   certain bounds ([`ClusTree::anytime_density`]) and anytime outlier
 //!   scoring ([`ClusTree::outlier_score`]); [`ShardedClusTree`] refines
-//!   per-shard frontiers in parallel and folds them.
+//!   per-shard frontiers in parallel and folds them — the same fold (and
+//!   the same k-NN ranking) a plain tree runs over its one view, so both
+//!   trees share one [`ClusTreeSnapshot`] type (one shard for a plain
+//!   tree).
 //!
 //! Because the index is the shared [`bt_anytree::AnytimeTree`] core, every
 //! [`ClusTree`] also inherits the `bt-obs` instrumentation: budgeted
@@ -62,4 +65,4 @@ pub use query::{ClusQueryModel, ClusterNeighbor, KnnAnswer};
 pub use sharded::ShardedClusTree;
 pub use snapshot::SnapshotStore;
 pub use tree::{BatchOutcome, ClusTree, ClusTreeConfig, DepthHistogram, InsertOutcome};
-pub use view::{ClusTreeSnapshot, ShardedClusTreeSnapshot};
+pub use view::ClusTreeSnapshot;

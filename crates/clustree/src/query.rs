@@ -43,8 +43,9 @@
 use crate::microcluster::MicroCluster;
 use crate::tree::ClusTree;
 use bt_anytree::{
-    with_scratch_cursor, ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor,
-    QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    outlier_score_over, query_batch_over, query_over, refine_frontiers_over, AnytimeTree,
+    ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement,
+    QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
@@ -422,11 +423,35 @@ pub struct KnnAnswer {
 /// Total stored weight at root level of one core tree view (entry summaries
 /// cover their subtrees *and* their buffers, so this is everything) — live
 /// trees and pinned snapshots alike.
-pub(crate) fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
+fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
     match &core.node(core.root()).kind {
         NodeKind::Inner { entries } => entries.iter().map(|e| e.summary.weight()).sum(),
         NodeKind::Leaf { items } => items.iter().map(MicroCluster::weight).sum(),
     }
+}
+
+/// The micro-cluster query model over a slice of views — a plain tree's one
+/// view or a sharded tree's shards, live or pinned: normalised by the
+/// **global** stored weight across the views (so per-view partial scores
+/// fold by summation), smoothing with `bandwidth`, merging with decay rate
+/// `lambda`.
+///
+/// # Panics
+///
+/// Panics if the bandwidth has the wrong dimensionality or a non-positive
+/// component.
+pub(crate) fn model_over<V: TreeView<MicroCluster, MicroCluster>>(
+    views: &[V],
+    bandwidth: &[f64],
+    lambda: f64,
+) -> ClusQueryModel {
+    assert_eq!(
+        bandwidth.len(),
+        views[0].dims(),
+        "bandwidth dimensionality mismatch"
+    );
+    let total: f64 = views.iter().map(stored_weight).sum();
+    ClusQueryModel::new(total, bandwidth.to_vec(), lambda)
 }
 
 /// Materialises the micro-cluster behind a frontier element.
@@ -446,68 +471,64 @@ pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
     }
 }
 
-/// One anytime k-NN retrieval over a single tree view (live or pinned),
-/// closest-first on this thread's scratch cursor.  The registry receives
-/// the cursor's work since the retrieval began plus its latency from
-/// `started`.
-pub(crate) fn knn_on_scratch_cursor<V: TreeView<MicroCluster, MicroCluster>>(
-    core: &V,
+/// Anytime k-NN micro-cluster retrieval over a slice of views — the one
+/// k-NN fold every tree runs (live or pinned, a plain tree as the one-view
+/// slice, a sharded tree over its shards): each view's frontier refines
+/// closest-first for up to `budget` node reads
+/// ([`refine_frontiers_over`]), then the frontier elements of all views
+/// are ranked together and the `k` closest clusters returned.
+pub(crate) fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+    views: &[V],
     model: &ClusQueryModel,
     x: &[f64],
     k: usize,
     budget: usize,
-    started: Option<std::time::Instant>,
 ) -> KnnAnswer {
-    with_scratch_cursor(|cursor| {
-        let before = *cursor.stats();
-        core.begin_query(model, x, cursor);
-        core.refine_query_up_to(model, RefineOrder::ClosestFirst, budget, cursor);
-        bt_anytree::obs::record_external_query(&cursor.stats().delta_since(&before), started);
-        knn_from_cursors(&[core], std::slice::from_ref(cursor), model, k)
-    })
-}
-
-/// Maps a refined cursor's frontier to its `k` closest clusters.
-pub(crate) fn knn_from_cursors<V: TreeView<MicroCluster, MicroCluster>>(
-    shards: &[&V],
-    cursors: &[QueryCursor],
-    model: &ClusQueryModel,
-    k: usize,
-) -> KnnAnswer {
-    let mut ranked: Vec<(usize, usize)> = Vec::new();
-    for (shard_idx, cursor) in cursors.iter().enumerate() {
-        for element_idx in 0..cursor.elements().len() {
-            ranked.push((shard_idx, element_idx));
-        }
-    }
-    ranked.sort_by(|a, b| {
-        let da = cursors[a.0].elements()[a.1].min_dist_sq;
-        let db = cursors[b.0].elements()[b.1].min_dist_sq;
-        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    ranked.truncate(k);
-    let neighbors = ranked
-        .into_iter()
-        .map(|(shard_idx, element_idx)| {
-            let element = &cursors[shard_idx].elements()[element_idx];
-            let mc = element_cluster(shards[shard_idx], model, element);
-            ClusterNeighbor {
-                center: mc.center(),
-                weight: mc.weight(),
-                radius: mc.radius(),
-                sq_dist: element.min_dist_sq,
-                depth: element.depth,
-                refinable: element.is_refinable(),
+    refine_frontiers_over(
+        views,
+        model,
+        x,
+        RefineOrder::ClosestFirst,
+        budget,
+        |cursors| {
+            let mut ranked: Vec<(&V, &QueryElement)> = views
+                .iter()
+                .zip(cursors)
+                .flat_map(|(view, cursor)| cursor.elements().iter().map(move |e| (view, e)))
+                .collect();
+            ranked.sort_by(|a, b| {
+                let (da, db) = (a.1.min_dist_sq, b.1.min_dist_sq);
+                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            ranked.truncate(k);
+            let neighbors = ranked
+                .into_iter()
+                .map(|(view, element)| {
+                    let mc = element_cluster(view, model, element);
+                    ClusterNeighbor {
+                        center: mc.center(),
+                        weight: mc.weight(),
+                        radius: mc.radius(),
+                        sq_dist: element.min_dist_sq,
+                        depth: element.depth,
+                        refinable: element.is_refinable(),
+                    }
+                })
+                .collect();
+            KnnAnswer {
+                neighbors,
+                nodes_read: cursors.iter().map(QueryCursor::nodes_read).sum(),
             }
-        })
-        .collect();
-    KnnAnswer {
-        neighbors,
-        nodes_read: cursors.iter().map(QueryCursor::nodes_read).sum(),
-    }
+        },
+    )
 }
 
 impl ClusTree {
+    /// The tree as the one-view slice the query fold reads.
+    fn views(&self) -> &[AnytimeTree<MicroCluster, MicroCluster>] {
+        std::slice::from_ref(self.core())
+    }
+
     /// The micro-cluster query model of this tree: normalised by the stored
     /// total weight, smoothing with `bandwidth`, merging with the tree's
     /// decay rate.
@@ -518,16 +539,7 @@ impl ClusTree {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        ClusQueryModel::new(
-            stored_weight(self.core()),
-            bandwidth.to_vec(),
-            self.config().decay_lambda,
-        )
+        model_over(self.views(), bandwidth, self.config().decay_lambda)
     }
 
     /// Budget-bracketed anytime density score: refines the frontier in the
@@ -545,8 +557,8 @@ impl ClusTree {
         order: RefineOrder,
         budget: usize,
     ) -> QueryAnswer {
-        self.core()
-            .query_with_budget(&self.query_model(bandwidth), x, order, budget)
+        let model = self.query_model(bandwidth);
+        query_over(self.views(), &model, x, order, budget)
     }
 
     /// Refines a batch of density queries through one reused cursor.
@@ -562,8 +574,8 @@ impl ClusTree {
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core()
-            .query_batch(&self.query_model(bandwidth), queries, order, budget)
+        let model = self.query_model(bandwidth);
+        query_batch_over(self.views(), &model, queries, order, budget)
     }
 
     /// Anytime k-NN micro-cluster retrieval: refines the frontier closest
@@ -577,9 +589,8 @@ impl ClusTree {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
         let model = self.query_model(&vec![1.0; self.dims()]);
-        knn_on_scratch_cursor(self.core(), &model, x, k, budget, started)
+        knn_over(self.views(), &model, x, k, budget)
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound
@@ -596,8 +607,8 @@ impl ClusTree {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        self.core()
-            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
+        let model = self.query_model(bandwidth);
+        outlier_score_over(self.views(), &model, x, threshold, budget)
     }
 }
 

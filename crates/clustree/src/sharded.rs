@@ -15,32 +15,17 @@
 
 use crate::microcluster::MicroCluster;
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
-use crate::query::{knn_from_cursors, stored_weight, ClusQueryModel, KnnAnswer};
+use crate::query::{knn_over, model_over, ClusQueryModel, KnnAnswer};
 use crate::snapshot::SnapshotStore;
 use crate::tree::{
     collect_micro_clusters, finish_micro_clusters, validate_node, ClusModel, ClusTreeConfig,
 };
-use crate::view::ShardedClusTreeSnapshot;
+use crate::view::ClusTreeSnapshot;
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryCursor,
-    QueryStats, RefineOrder, ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome,
-    ShardedQueryAnswer,
+    outlier_score_over, query_batch_over, query_over, AnytimeTree, CheapestRouter, DescentStats,
+    OutlierScore, PipelinedOutcome, QueryAnswer, QueryStats, RefineOrder, ShardRouter,
+    ShardedAnytimeTree, ShardedBatchOutcome,
 };
-
-/// Folds a finished sharded k-NN refinement into the registry: the merged
-/// [`QueryStats`] delta across the per-shard cursors plus the retrieval's
-/// wall-clock latency, recorded at the fold boundary like every other
-/// query path.
-pub(crate) fn record_sharded_knn(cursors: &[QueryCursor], started: Option<std::time::Instant>) {
-    if started.is_none() {
-        return;
-    }
-    let mut stats = QueryStats::default();
-    for cursor in cursors {
-        stats.merge(cursor.stats());
-    }
-    bt_anytree::obs::record_external_query(&stats, started);
-}
 
 /// An anytime clustering index sharded into `K` independently descending
 /// subtrees.
@@ -218,8 +203,8 @@ impl<R> ShardedClusTree<R> {
     /// answers the folded density / k-NN / outlier surface bit-identically
     /// to this moment while later batches drain into the live shards.
     #[must_use]
-    pub fn snapshot(&self) -> ShardedClusTreeSnapshot {
-        ShardedClusTreeSnapshot::from_parts(
+    pub fn snapshot(&self) -> ClusTreeSnapshot {
+        ClusTreeSnapshot::from_parts(
             self.core.snapshot(),
             self.config.clone(),
             self.current_time,
@@ -237,13 +222,7 @@ impl<R> ShardedClusTree<R> {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        let total: f64 = self.core.shards().iter().map(stored_weight).sum();
-        ClusQueryModel::new(total, bandwidth.to_vec(), self.config.decay_lambda)
+        model_over(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
     /// Budget-bracketed anytime density score over all shards: per-shard
@@ -261,10 +240,9 @@ impl<R> ShardedClusTree<R> {
         bandwidth: &[f64],
         order: RefineOrder,
         budget: usize,
-    ) -> ShardedQueryAnswer {
+    ) -> QueryAnswer {
         let model = self.query_model(bandwidth);
-        self.core
-            .query_with_budget(&|| model.clone(), x, order, budget)
+        query_over(self.core.shards(), &model, x, order, budget)
     }
 
     /// Refines a batch of density queries across all shards (one worker per
@@ -280,10 +258,9 @@ impl<R> ShardedClusTree<R> {
         bandwidth: &[f64],
         order: RefineOrder,
         budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
+    ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model(bandwidth);
-        self.core
-            .query_batch(&|| model.clone(), queries, order, budget)
+        query_batch_over(self.core.shards(), &model, queries, order, budget)
     }
 
     /// Anytime k-NN micro-cluster retrieval over all shards: per-shard
@@ -296,15 +273,8 @@ impl<R> ShardedClusTree<R> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
         let model = self.query_model(&vec![1.0; self.dims()]);
-        let cursors =
-            self.core
-                .refine_frontiers(&|| model.clone(), x, RefineOrder::ClosestFirst, budget);
-        record_sharded_knn(&cursors, started);
-        let shards: Vec<&AnytimeTree<MicroCluster, MicroCluster>> =
-            self.core.shards().iter().collect();
-        knn_from_cursors(&shards, &cursors, &model, k)
+        knn_over(self.core.shards(), &model, x, k, budget)
     }
 
     /// Anytime outlier scoring over the sharded index: per-shard density
@@ -323,8 +293,7 @@ impl<R> ShardedClusTree<R> {
         budget: usize,
     ) -> OutlierScore {
         let model = self.query_model(bandwidth);
-        self.core
-            .outlier_score(&|| model.clone(), x, threshold, budget)
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
     }
 }
 
@@ -442,7 +411,7 @@ impl<R: ShardRouter<MicroCluster>> ShardedClusTree<R> {
             },
             payloads,
             node_budget,
-            &|| query_model.clone(),
+            &query_model,
             queries,
             order,
             query_budget,
@@ -581,7 +550,7 @@ mod tests {
                 plain.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, budget);
             let folded =
                 sharded.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, budget);
-            assert_eq!(folded.as_answer(), reference, "budget {budget}");
+            assert_eq!(folded, reference, "budget {budget}");
         }
         let plain_knn = plain.anytime_knn(&query, 3, 20);
         let sharded_knn = sharded.anytime_knn(&query, 3, 20);

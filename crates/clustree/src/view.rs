@@ -1,27 +1,31 @@
 //! Epoch-pinned snapshots of the clustering index and its sharded variant.
 //!
 //! Not to be confused with [`crate::snapshot`] (the pyramidal *time-frame*
-//! store of micro-cluster sets): the types here are **isolation** snapshots
-//! over the shared core's versioned arena — cheap, owned, `Send + Sync`
-//! views whose density / k-NN / outlier answers stay bit-identical to the
-//! moment they were taken, while later mini-batches keep mutating the live
-//! tree (writers copy-on-write any node a snapshot still pins).
+//! store of micro-cluster sets): [`ClusTreeSnapshot`] is an **isolation**
+//! snapshot over the shared core's versioned arena — a cheap, owned,
+//! `Send + Sync` view whose density / k-NN / outlier answers stay
+//! bit-identical to the moment it was taken, while later mini-batches keep
+//! mutating the live tree (writers copy-on-write any node a snapshot still
+//! pins).  One type serves both trees: it holds a [`ShardedTreeSnapshot`]
+//! — one shard for a plain [`ClusTree`], `K` for a
+//! [`ShardedClusTree`](crate::ShardedClusTree) — and answers through the
+//! same query fold the live trees use.
 
 use crate::microcluster::MicroCluster;
-use crate::query::{
-    knn_from_cursors, knn_on_scratch_cursor, stored_weight, ClusQueryModel, KnnAnswer,
-};
+use crate::query::{knn_over, model_over, ClusQueryModel, KnnAnswer};
 use crate::tree::{collect_micro_clusters, finish_micro_clusters, ClusTree, ClusTreeConfig};
 use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, RefineOrder, ShardedQueryAnswer, ShardedTreeSnapshot,
-    TreeSnapshot, TreeView,
+    outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryStats,
+    RefineOrder, ShardedTreeSnapshot,
 };
 
-/// An epoch-pinned, immutable view of a [`ClusTree`]: the core snapshot plus
-/// the model parameters (decay rate, current time) frozen at snapshot time.
+/// An epoch-pinned, immutable view of a [`ClusTree`] or a
+/// [`ShardedClusTree`](crate::ShardedClusTree): one pinned core snapshot
+/// per shard (a plain tree is one shard) plus the model parameters (decay
+/// rate, current time) frozen at snapshot time.
 #[derive(Debug, Clone)]
 pub struct ClusTreeSnapshot {
-    core: TreeSnapshot<MicroCluster, MicroCluster>,
+    core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
     config: ClusTreeConfig,
     current_time: f64,
     num_inserted: usize,
@@ -29,7 +33,7 @@ pub struct ClusTreeSnapshot {
 
 impl ClusTreeSnapshot {
     pub(crate) fn from_parts(
-        core: TreeSnapshot<MicroCluster, MicroCluster>,
+        core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
         config: ClusTreeConfig,
         current_time: f64,
         num_inserted: usize,
@@ -46,189 +50,6 @@ impl ClusTreeSnapshot {
     #[must_use]
     pub fn dims(&self) -> usize {
         self.core.dims()
-    }
-
-    /// Number of objects inserted at snapshot time.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_inserted
-    }
-
-    /// Whether the snapshot holds no objects.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_inserted == 0
-    }
-
-    /// Height of the tree at snapshot time.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.core.height()
-    }
-
-    /// The published epoch this snapshot pins.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// The latest timestamp seen at snapshot time.
-    #[must_use]
-    pub fn current_time(&self) -> f64 {
-        self.current_time
-    }
-
-    /// The underlying core snapshot.
-    #[must_use]
-    pub fn core(&self) -> &TreeSnapshot<MicroCluster, MicroCluster> {
-        &self.core
-    }
-
-    /// All micro-clusters as of snapshot time (leaf entries plus non-empty
-    /// hitchhiker buffers, decayed to the frozen current time).
-    #[must_use]
-    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        collect_micro_clusters(&self.core, &mut out);
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
-    }
-
-    /// The micro-cluster query model frozen at snapshot time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth has the wrong dimensionality or a
-    /// non-positive component.
-    #[must_use]
-    pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        ClusQueryModel::new(
-            stored_weight(&self.core),
-            bandwidth.to_vec(),
-            self.config.decay_lambda,
-        )
-    }
-
-    /// Budget-bracketed anytime density score against the frozen tree (see
-    /// [`ClusTree::anytime_density`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_density(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> QueryAnswer {
-        self.core
-            .query_with_budget(&self.query_model(bandwidth), x, order, budget)
-    }
-
-    /// Batched density queries through one reused cursor (see
-    /// [`ClusTree::density_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query or the bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn density_batch(
-        &self,
-        queries: &[Vec<f64>],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core
-            .query_batch(&self.query_model(bandwidth), queries, order, budget)
-    }
-
-    /// Anytime k-NN micro-cluster retrieval against the frozen tree (see
-    /// [`ClusTree::anytime_knn`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        knn_on_scratch_cursor(&self.core, &model, x, k, budget, started)
-    }
-
-    /// Anytime outlier scoring against the frozen tree (see
-    /// [`ClusTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore {
-        self.core
-            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
-    }
-}
-
-impl ClusTree {
-    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned,
-    /// the published epoch pinned, and the model parameters (decay rate,
-    /// current time, insert count) frozen alongside.  `Send + Sync`; keeps
-    /// answering queries bit-identically to this moment while later batches
-    /// mutate the tree.
-    #[must_use]
-    pub fn snapshot(&self) -> ClusTreeSnapshot {
-        ClusTreeSnapshot::from_parts(
-            self.core().snapshot(),
-            self.config().clone(),
-            self.current_time(),
-            self.len(),
-        )
-    }
-}
-
-/// An epoch-pinned, immutable view of a
-/// [`ShardedClusTree`](crate::ShardedClusTree): one pinned core snapshot per
-/// shard plus the frozen model parameters.
-#[derive(Debug, Clone)]
-pub struct ShardedClusTreeSnapshot {
-    core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-    config: ClusTreeConfig,
-    current_time: f64,
-    num_inserted: usize,
-}
-
-impl ShardedClusTreeSnapshot {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-        config: ClusTreeConfig,
-        current_time: f64,
-        num_inserted: usize,
-    ) -> Self {
-        Self {
-            core,
-            config,
-            current_time,
-            num_inserted,
-        }
-    }
-
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.core.num_shards()
     }
 
     /// Number of objects inserted at snapshot time (across all shards).
@@ -255,6 +76,25 @@ impl ShardedClusTreeSnapshot {
         self.current_time
     }
 
+    /// The underlying per-shard core snapshots.
+    #[must_use]
+    pub fn core(&self) -> &ShardedTreeSnapshot<MicroCluster, MicroCluster> {
+        &self.core
+    }
+
+    /// All micro-clusters as of snapshot time, folded over the shards (leaf
+    /// entries plus non-empty hitchhiker buffers, decayed to the frozen
+    /// current time).
+    #[must_use]
+    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
+        let mut out = Vec::new();
+        for shard in self.core.shards() {
+            collect_micro_clusters(shard, &mut out);
+        }
+        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
+        out
+    }
+
     /// The micro-cluster query model frozen at snapshot time, normalised by
     /// the **global** stored weight across the frozen shards.
     ///
@@ -264,14 +104,11 @@ impl ShardedClusTreeSnapshot {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        let dims = self.core.shard(0).dims();
-        assert_eq!(bandwidth.len(), dims, "bandwidth dimensionality mismatch");
-        let total: f64 = self.core.shards().iter().map(stored_weight).sum();
-        ClusQueryModel::new(total, bandwidth.to_vec(), self.config.decay_lambda)
+        model_over(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
-    /// Folded anytime density score against the frozen shards (see
-    /// [`crate::ShardedClusTree::anytime_density`]).
+    /// Budget-bracketed anytime density score against the frozen shards
+    /// (see [`ClusTree::anytime_density`]).
     ///
     /// # Panics
     ///
@@ -283,13 +120,13 @@ impl ShardedClusTreeSnapshot {
         bandwidth: &[f64],
         order: RefineOrder,
         budget: usize,
-    ) -> ShardedQueryAnswer {
+    ) -> QueryAnswer {
         let model = self.query_model(bandwidth);
-        self.core
-            .query_with_budget(&|| model.clone(), x, order, budget)
+        query_over(self.core.shards(), &model, x, order, budget)
     }
 
-    /// Batched folded density queries against the frozen shards.
+    /// Batched density queries against the frozen shards (see
+    /// [`ClusTree::density_batch`]).
     ///
     /// # Panics
     ///
@@ -301,33 +138,25 @@ impl ShardedClusTreeSnapshot {
         bandwidth: &[f64],
         order: RefineOrder,
         budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
+    ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model(bandwidth);
-        self.core
-            .query_batch(&|| model.clone(), queries, order, budget)
+        query_batch_over(self.core.shards(), &model, queries, order, budget)
     }
 
-    /// Anytime k-NN retrieval folded across the frozen shards (see
-    /// [`crate::ShardedClusTree::anytime_knn`]).
+    /// Anytime k-NN micro-cluster retrieval against the frozen shards (see
+    /// [`ClusTree::anytime_knn`]).
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let dims = self.core.shard(0).dims();
-        let model = self.query_model(&vec![1.0; dims]);
-        let cursors =
-            self.core
-                .refine_frontiers(&|| model.clone(), x, RefineOrder::ClosestFirst, budget);
-        crate::sharded::record_sharded_knn(&cursors, started);
-        let shards: Vec<&TreeSnapshot<MicroCluster, MicroCluster>> =
-            self.core.shards().iter().collect();
-        knn_from_cursors(&shards, &cursors, &model, k)
+        let model = self.query_model(&vec![1.0; self.dims()]);
+        knn_over(self.core.shards(), &model, x, k, budget)
     }
 
-    /// Anytime outlier scoring against the frozen shards.
+    /// Anytime outlier scoring against the frozen shards (see
+    /// [`ClusTree::outlier_score`]).
     ///
     /// # Panics
     ///
@@ -341,8 +170,24 @@ impl ShardedClusTreeSnapshot {
         budget: usize,
     ) -> OutlierScore {
         let model = self.query_model(bandwidth);
-        self.core
-            .outlier_score(&|| model.clone(), x, threshold, budget)
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
+    }
+}
+
+impl ClusTree {
+    /// Takes an epoch-pinned one-shard snapshot: the versioned arena spine
+    /// is cloned, the published epoch pinned, and the model parameters
+    /// (decay rate, current time, insert count) frozen alongside.
+    /// `Send + Sync`; keeps answering queries bit-identically to this
+    /// moment while later batches mutate the tree.
+    #[must_use]
+    pub fn snapshot(&self) -> ClusTreeSnapshot {
+        ClusTreeSnapshot::from_parts(
+            ShardedTreeSnapshot::new(std::slice::from_ref(self.core())),
+            self.config().clone(),
+            self.current_time(),
+            self.len(),
+        )
     }
 }
 
@@ -413,6 +258,5 @@ mod tests {
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ClusTreeSnapshot>();
-        assert_send_sync::<ShardedClusTreeSnapshot>();
     }
 }

@@ -144,7 +144,7 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
     );
     assert_eq!(bits(&frozen), bits(&again), "snapshot answers are frozen");
 
-    let (reference, _) = NoCache(snapshot.core()).query_batch(
+    let (reference, _) = NoCache(snapshot.core().shard(0)).query_batch(
         &snapshot.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,

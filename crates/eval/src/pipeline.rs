@@ -113,7 +113,7 @@ pub fn pipelined_sweep(
                 uncertainty_sum += outcome
                     .answers
                     .iter()
-                    .map(bt_anytree::ShardedQueryAnswer::uncertainty)
+                    .map(bt_anytree::QueryAnswer::uncertainty)
                     .sum::<f64>();
                 reader_stats.merge(&outcome.query_stats);
             }

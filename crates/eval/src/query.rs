@@ -214,7 +214,7 @@ pub fn sharded_query_sweep(
             let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
             let mean_uncertainty = answers
                 .iter()
-                .map(bt_anytree::ShardedQueryAnswer::uncertainty)
+                .map(bt_anytree::QueryAnswer::uncertainty)
                 .sum::<f64>()
                 / answers.len() as f64;
             ShardedQueryThroughput {

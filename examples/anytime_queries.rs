@@ -117,10 +117,10 @@ fn main() {
     println!("folded batch of {} queries ({stats}):", answers.len());
     for (answer, q) in answers.iter().zip(&queries).take(3) {
         println!(
-            "  q[0]={:>6.2}: estimate {:.5}, per-shard reads {:?}, uncertainty {:.2e}",
+            "  q[0]={:>6.2}: estimate {:.5}, {} reads across shards, uncertainty {:.2e}",
             q[0],
             answer.estimate,
-            answer.per_shard_nodes,
+            answer.nodes_read,
             answer.uncertainty()
         );
     }

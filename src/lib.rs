@@ -87,11 +87,13 @@
 //!   cursor per shard as the concurrency unit, each shard's `finish_batch`
 //!   its single synchronisation point), and merges the per-shard reports
 //!   ([`anytree::DepthHistogram::merge`], [`anytree::DescentStats::merge`]).
-//!   The query path is sharded the same way: per-shard frontiers refine
-//!   concurrently ([`anytree::ShardedAnytimeTree::query_batch`], one worker
-//!   per shard over the whole batch) and fold into one global mixture
-//!   answer ([`anytree::ShardedQueryAnswer`]) whose bounds inherit each
-//!   shard's monotonicity; per-shard object counts
+//!   The query path is one engine: every query is a fold over a slice of
+//!   tree views ([`anytree::query_over`], [`anytree::query_batch_over`],
+//!   [`anytree::outlier_score_over`]) whose per-view frontiers refine
+//!   concurrently and sum into one [`anytree::QueryAnswer`] whose bounds
+//!   inherit each view's monotonicity — a plain tree is the one-view slice,
+//!   so it answers exactly like a one-shard sharded tree; per-shard object
+//!   counts
 //!   ([`anytree::ShardedAnytimeTree::shard_sizes`]) make router skew
 //!   observable ahead of the planned work-stealing layer.  The core is
 //!   `Send`/`Sync`-clean by construction — static assertions in
@@ -115,12 +117,14 @@
 //!   extra dependency is involved.  The whole query engine runs on the
 //!   [`anytree::TreeView`] abstraction, so live trees and snapshots answer
 //!   through the same code; frontier selection runs on a **per-order lazy
-//!   heap** property-tested against the reference scan.  On the sharded
-//!   layer, [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a
-//!   mini-batch through per-shard writer threads *while* reader threads
-//!   refine query batches against the pre-batch
-//!   [`anytree::ShardedTreeSnapshot`] — property-tested to return exactly
-//!   the pre-batch answers (`tests/snapshot_isolation.rs`).
+//!   heap** property-tested against the reference scan.  A plain tree's
+//!   snapshot is a one-shard [`anytree::ShardedTreeSnapshot`], so each tree
+//!   family has one snapshot type.  On the sharded layer,
+//!   [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a mini-batch
+//!   through per-shard writer threads *while* readers refine query batches
+//!   against the pre-batch [`anytree::ShardedTreeSnapshot`] —
+//!   property-tested to return exactly the pre-batch answers
+//!   (`tests/snapshot_isolation.rs`).
 //!
 //!   **The block-cache layer.**  The hot "score every entry of this node"
 //!   step gathers a node's summaries into dimension-major
@@ -216,15 +220,17 @@
 //! (`BayesTree::anytime_density` / `density_batch`) plus anytime outlier
 //! scoring (`BayesTree::outlier_score`); `clustree` adds anytime k-NN
 //! micro-cluster retrieval at any tree level (`ClusTree::anytime_knn`) and
-//! the same density/outlier scores; both sharded trees answer queries by
-//! refining per-shard frontiers in parallel and folding one global mixture;
+//! the same density/outlier scores; plain and sharded trees answer queries
+//! through one fold that refines per-shard frontiers in parallel and sums
+//! one global mixture;
 //! `eval::query` sweeps bound width versus budget (non-increasing, the
 //! monotone contract) and sharded query throughput at shards 1/2/4/8; and
 //! the `anytime_query` criterion bench asserts refinement convergence plus
 //! the ≥1.5× 4-shard query-throughput smoke threshold on ≥4-CPU runners.
 //! Snapshot reads are in on every layer: `BayesTree::snapshot`,
-//! `ClusTree::snapshot`, both sharded variants and
-//! `AnytimeClassifier::snapshot` return epoch-pinned `Send + Sync` views
+//! `ClusTree::snapshot`, both sharded variants (one snapshot type per
+//! family) and `AnytimeClassifier::snapshot` return epoch-pinned
+//! `Send + Sync` views
 //! (answers bit-identical to pin time — `tests/snapshot_isolation.rs`),
 //! both sharded trees expose `pipelined_batch` (inserts overlapped with
 //! snapshot queries), `clustree` stores an optional MBR alongside each

@@ -5,9 +5,9 @@
 //! from the start, while a snapshot pinned before the change keeps
 //! answering with the old terms.
 
-use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer, ShardedQueryAnswer};
+use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer};
 use anytime_stream_mining::bayestree::{
-    BayesTree, BayesTreeSnapshot, DescentStrategy, ShardedBayesTree, ShardedBayesTreeSnapshot,
+    BayesTree, BayesTreeSnapshot, DescentStrategy, ShardedBayesTree,
 };
 use anytime_stream_mining::index::PageGeometry;
 
@@ -78,82 +78,47 @@ fn bits(a: &QueryAnswer) -> Bits {
     )
 }
 
-fn sharded_bits(a: &ShardedQueryAnswer) -> Bits {
-    bits(&a.as_answer())
-}
-
-fn outlier_bits(s: &OutlierScore) -> Bits {
-    bits(&s.answer)
-}
-
 /// Density (budgets 0, 3, full), batched density and outlier answers of
-/// the query set.
-fn live_answers(tree: &BayesTree) -> Vec<Bits> {
+/// the query set, through one tree's or snapshot's three query methods.
+fn answers(
+    density: impl Fn(&[f64], usize) -> QueryAnswer,
+    outlier: impl Fn(&[f64]) -> OutlierScore,
+    batch: impl Fn(&[Vec<f64>]) -> Vec<QueryAnswer>,
+) -> Vec<Bits> {
     let mut out = Vec::new();
     for x in &queries() {
         for budget in [0, 3, usize::MAX] {
-            out.push(bits(&tree.anytime_density(
-                x,
-                DescentStrategy::default(),
-                budget,
-            )));
+            out.push(bits(&density(x, budget)));
         }
-        out.push(outlier_bits(&tree.outlier_score(x, 1e-3, 12)));
+        out.push(bits(&outlier(x).answer));
     }
-    let (batch, _) = tree.density_batch(&queries(), DescentStrategy::default(), 5);
-    out.extend(batch.iter().map(bits));
+    out.extend(batch(&queries()).iter().map(bits));
     out
 }
 
+fn live_answers(tree: &BayesTree) -> Vec<Bits> {
+    answers(
+        |x, budget| tree.anytime_density(x, DescentStrategy::default(), budget),
+        |x| tree.outlier_score(x, 1e-3, 12),
+        |qs| tree.density_batch(qs, DescentStrategy::default(), 5).0,
+    )
+}
+
+/// One snapshot type serves the plain and the sharded trees.
 fn snapshot_answers(snapshot: &BayesTreeSnapshot) -> Vec<Bits> {
-    let mut out = Vec::new();
-    for x in &queries() {
-        for budget in [0, 3, usize::MAX] {
-            out.push(bits(&snapshot.anytime_density(
-                x,
-                DescentStrategy::default(),
-                budget,
-            )));
-        }
-        out.push(outlier_bits(&snapshot.outlier_score(x, 1e-3, 12)));
-    }
-    let (batch, _) = snapshot.density_batch(&queries(), DescentStrategy::default(), 5);
-    out.extend(batch.iter().map(bits));
-    out
+    answers(
+        |x, budget| snapshot.anytime_density(x, DescentStrategy::default(), budget),
+        |x| snapshot.outlier_score(x, 1e-3, 12),
+        |qs| snapshot.density_batch(qs, DescentStrategy::default(), 5).0,
+    )
 }
 
 fn sharded_answers(tree: &ShardedBayesTree) -> Vec<Bits> {
-    let mut out = Vec::new();
-    for x in &queries() {
-        for budget in [0, 3, usize::MAX] {
-            out.push(sharded_bits(&tree.anytime_density(
-                x,
-                DescentStrategy::default(),
-                budget,
-            )));
-        }
-        out.push(outlier_bits(&tree.outlier_score(x, 1e-3, 12)));
-    }
-    let (batch, _) = tree.density_batch(&queries(), DescentStrategy::default(), 5);
-    out.extend(batch.iter().map(sharded_bits));
-    out
-}
-
-fn sharded_snapshot_answers(snapshot: &ShardedBayesTreeSnapshot) -> Vec<Bits> {
-    let mut out = Vec::new();
-    for x in &queries() {
-        for budget in [0, 3, usize::MAX] {
-            out.push(sharded_bits(&snapshot.anytime_density(
-                x,
-                DescentStrategy::default(),
-                budget,
-            )));
-        }
-        out.push(outlier_bits(&snapshot.outlier_score(x, 1e-3, 12)));
-    }
-    let (batch, _) = snapshot.density_batch(&queries(), DescentStrategy::default(), 5);
-    out.extend(batch.iter().map(sharded_bits));
-    out
+    answers(
+        |x, budget| tree.anytime_density(x, DescentStrategy::default(), budget),
+        |x| tree.outlier_score(x, 1e-3, 12),
+        |qs| tree.density_batch(qs, DescentStrategy::default(), 5).0,
+    )
 }
 
 #[test]
@@ -198,20 +163,20 @@ fn sharded_bandwidth_changes_refresh_every_shards_terms() {
     let changed = [0.6, 1.1, 0.35];
     let mut subject = sharded(None);
     let pinned = subject.snapshot();
-    let before = sharded_snapshot_answers(&pinned);
+    let before = snapshot_answers(&pinned);
     assert_eq!(before, sharded_answers(&subject));
 
     subject.set_bandwidth(changed.to_vec());
     let want = sharded_answers(&sharded(Some(&changed)));
     assert_ne!(want, before, "the bandwidth change must move the answers");
     assert_eq!(sharded_answers(&subject), want);
-    assert_eq!(sharded_snapshot_answers(&subject.snapshot()), want);
-    assert_eq!(sharded_snapshot_answers(&pinned), before);
+    assert_eq!(snapshot_answers(&subject.snapshot()), want);
+    assert_eq!(snapshot_answers(&pinned), before);
 
     subject.fit_bandwidth();
     let fitted = subject.bandwidth().to_vec();
     let want = sharded_answers(&sharded(Some(&fitted)));
     assert_eq!(sharded_answers(&subject), want);
-    assert_eq!(sharded_snapshot_answers(&subject.snapshot()), want);
-    assert_eq!(sharded_snapshot_answers(&pinned), before);
+    assert_eq!(snapshot_answers(&subject.snapshot()), want);
+    assert_eq!(snapshot_answers(&pinned), before);
 }

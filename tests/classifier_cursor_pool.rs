@@ -93,7 +93,7 @@ impl Classify for Snapshot {
             .snapshot
             .trees()
             .iter()
-            .map(|t| TreeFrontier::over(t.core(), t.query_model(), x))
+            .map(|t| TreeFrontier::over(t.core().shard(0), t.query_model(), x))
             .collect();
         reference_loop(frontiers, self.snapshot.priors(), &self.config, budget)
     }

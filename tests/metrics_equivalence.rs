@@ -7,7 +7,9 @@
 //!
 //! * a `ShardedBayesTree` with **one shard** folds exactly the metric
 //!   deltas the plain tree records — the sharding-equivalence suite
-//!   extended to the registry (insert, batched-density and outlier paths),
+//!   extended to the registry (insert, batched-density and outlier paths;
+//!   both sides run the one outlier loop, a plain tree as its one-view
+//!   slice, so every counter and histogram matches exactly),
 //! * a pinned snapshot answering the same query batch records the same
 //!   *cache-independent* query counters as the live tree (the block-cache
 //!   counters legitimately differ: snapshot and live tree share warm
@@ -27,7 +29,7 @@
 //! would pollute each other's deltas.
 
 use anytime_stream_mining::anytree::{
-    with_scratch_cursor, OutlierScore, OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
+    with_scratch_cursors, OutlierScore, OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
 };
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, ShardedBayesTree,
@@ -36,7 +38,7 @@ use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
-use anytime_stream_mining::obs::Snapshot;
+use anytime_stream_mining::obs::{Snapshot, ValueSnapshot};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -82,6 +84,18 @@ fn counter_values(delta: &Snapshot, names: &[&'static str]) -> Vec<(&'static str
     names.iter().map(|n| (*n, delta.counter(n))).collect()
 }
 
+/// A histogram's exact tallies: its count and every bucket count.
+fn histogram_tallies(delta: &Snapshot, name: &str) -> Option<(u64, Vec<u64>)> {
+    delta
+        .metrics
+        .iter()
+        .find(|m| m.name == name)
+        .and_then(|m| match &m.value {
+            ValueSnapshot::Histogram { count, buckets, .. } => Some((*count, buckets.clone())),
+            _ => None,
+        })
+}
+
 /// Strategy producing a bounded set of 3-d points.
 fn stream_strategy(max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-5.0f64..5.0, 3), 12..max_len)
@@ -101,10 +115,7 @@ struct Workload {
 
 impl Workload {
     /// Returns the registry deltas of the two phases separately: the
-    /// insert + batched-density phase (step-equivalent between plain and
-    /// one-shard, so every counter is comparable) and the outlier phase
-    /// (the sharded loop refines in doubling rounds, so only the verdict
-    /// counters are comparable there).
+    /// insert + batched-density phase and the outlier phase.
     fn run_plain(&self) -> (Snapshot, Snapshot) {
         let capture = RegistryCapture::begin();
         let mut tree: BayesTree = BayesTree::new(3, geometry());
@@ -167,13 +178,26 @@ proptest! {
                 "{} sums: plain {} vs one-shard {}", hist, plain_sum, sharded_sum
             );
         }
-        // The outlier loops spend budget differently (per-read vs
-        // doubling rounds) but must agree on what they certified.
-        for name in ["bt_queries_total", "bt_queries_certified_total", "bt_queries_uncertain_total"] {
+        // One outlier loop serves both sides: every counter, both
+        // refinement histograms (the per-read bound widths and the budget
+        // spent) and the final bound width match exactly — count and every
+        // bucket.  Only the sums carry a tolerance: they are differences
+        // of one global float accumulator read at different baselines.
+        prop_assert_eq!(
+            counter_values(&plain_outlier, TREE_COUNTERS),
+            counter_values(&sharded_outlier, TREE_COUNTERS)
+        );
+        for hist in ["bt_refine_bound_width", "bt_refine_budget_spent", "bt_query_bound_width"] {
             prop_assert_eq!(
-                plain_outlier.counter(name),
-                sharded_outlier.counter(name),
-                "{}", name
+                histogram_tallies(&plain_outlier, hist),
+                histogram_tallies(&sharded_outlier, hist),
+                "{}", hist
+            );
+            let (_, plain_sum) = plain_outlier.histogram_totals(hist);
+            let (_, sharded_sum) = sharded_outlier.histogram_totals(hist);
+            prop_assert!(
+                (plain_sum - sharded_sum).abs() <= 1e-9 * (1.0 + plain_sum.abs()),
+                "{} sums: plain {} vs one-shard {}", hist, plain_sum, sharded_sum
             );
         }
     }
@@ -257,12 +281,12 @@ fn blob_points(n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The outlier loop of `TreeView::outlier_score`, driven by hand on a
+/// The one-view outlier loop of `outlier_score_over`, driven by hand on a
 /// fresh `new_query` cursor — the reference the scratch cursor must match.
 /// (It runs on a snapshot, which answers exactly as the live tree does.)
 fn fresh_outlier_score(tree: &BayesTree, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
     let snapshot = tree.snapshot();
-    let (view, model) = (snapshot.core(), snapshot.query_model());
+    let (view, model) = (snapshot.core().shard(0), snapshot.query_model());
     let mut cursor = view.new_query(&model, x);
     let mut verdict = cursor.answer().verdict(threshold);
     while verdict == OutlierVerdict::Undecided
@@ -280,7 +304,7 @@ fn fresh_outlier_score(tree: &BayesTree, x: &[f64], threshold: f64, budget: usiz
 /// `anytime_density` on a fresh `new_query` cursor.
 fn fresh_density(tree: &BayesTree, x: &[f64], budget: usize) -> QueryAnswer {
     let snapshot = tree.snapshot();
-    let (view, model) = (snapshot.core(), snapshot.query_model());
+    let (view, model) = (snapshot.core().shard(0), snapshot.query_model());
     let order = DescentStrategy::default().into();
     let mut cursor = view.new_query(&model, x);
     view.refine_query_up_to(&model, order, budget, &mut cursor);
@@ -349,12 +373,16 @@ fn one_shot_queries_reuse_the_scratch_cursor_exactly() {
             assert_one_shot(&tree, x, threshold, 3 + 7 * i + round);
         }
     }
-    with_scratch_cursor(|held| {
-        let before = *held.stats();
+    with_scratch_cursors(1, |held| {
+        let before = *held[0].stats();
         for (i, x) in queries.iter().enumerate() {
             assert_one_shot(&tree, x, threshold, 5 + 4 * i);
         }
-        assert_eq!(*held.stats(), before, "a held scratch cursor is left alone");
+        assert_eq!(
+            *held[0].stats(),
+            before,
+            "a held scratch cursor is left alone"
+        );
     });
 }
 

@@ -4,14 +4,18 @@
 //! Locked down for both instantiations (Bayes tree and ClusTree):
 //!
 //! * a `Sharded*Tree` with **one shard** answers every anytime query
-//!   exactly like the plain tree — estimates, certain bounds, node reads
-//!   and retrieved neighbours,
+//!   exactly like the plain tree — estimates, certain bounds, node reads,
+//!   outlier scores and retrieved neighbours (both run the one query fold,
+//!   a plain tree as its one-view slice),
 //! * at **any shard count** the fully refined folded answer equals the
 //!   plain tree's fully refined answer (the mixture sum does not care how
 //!   the kernels are partitioned), and the folded bound interval is
-//!   monotone in the per-shard budget.
+//!   monotone in the per-shard budget,
+//! * every query kind rejects a query of the wrong dimensionality with the
+//!   same message on an empty sharded tree and on one with two busy
+//!   shards — the fold checks at its entry, before any dispatch.
 
-use anytime_stream_mining::anytree::RefineOrder;
+use anytime_stream_mining::anytree::{FixedPartitionRouter, RefineOrder};
 use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
 use anytime_stream_mining::index::PageGeometry;
@@ -48,11 +52,11 @@ proptest! {
         for strategy in DescentStrategy::all() {
             let reference = plain.anytime_density(&query, strategy, budget);
             let folded = sharded.anytime_density(&query, strategy, budget);
-            prop_assert_eq!(folded.as_answer(), reference, "strategy {:?}", strategy);
+            prop_assert_eq!(folded, reference, "strategy {:?}", strategy);
         }
         let score_plain = plain.outlier_score(&query, 1e-3, 30);
         let score_sharded = sharded.outlier_score(&query, 1e-3, 30);
-        prop_assert_eq!(score_plain.verdict, score_sharded.verdict);
+        prop_assert_eq!(score_plain, score_sharded);
     }
 
     #[test]
@@ -106,7 +110,10 @@ proptest! {
         let query = vec![qx, qx * 0.5, -qx];
         let reference = plain.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, query_budget);
         let folded = sharded.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, query_budget);
-        prop_assert_eq!(folded.as_answer(), reference);
+        prop_assert_eq!(folded, reference);
+        let score_plain = plain.outlier_score(&query, &bandwidth, 1e-3, query_budget);
+        let score_sharded = sharded.outlier_score(&query, &bandwidth, 1e-3, query_budget);
+        prop_assert_eq!(score_plain, score_sharded);
         let knn_plain = plain.anytime_knn(&query, 3, query_budget);
         let knn_sharded = sharded.anytime_knn(&query, 3, query_budget);
         prop_assert_eq!(knn_plain.nodes_read, knn_sharded.nodes_read);
@@ -153,13 +160,13 @@ proptest! {
         let model = snapshot.query_model();
         let query = vec![qx, -qx, qx * 0.5];
         for order in ALL_ORDERS {
-            let mut cursor = snapshot.core().new_query(&model, &query);
+            let mut cursor = snapshot.core().shard(0).new_query(&model, &query);
             let mut steps = 0usize;
             loop {
                 let scan = cursor.peek_next_scan(order);
                 let heap = cursor.peek_next(order);
                 prop_assert_eq!(heap, scan, "{:?} diverged at step {}", order, steps);
-                if !snapshot.core().refine_query(&model, order, &mut cursor) {
+                if !snapshot.core().shard(0).refine_query(&model, order, &mut cursor) {
                     prop_assert!(scan.is_none());
                     break;
                 }
@@ -213,13 +220,13 @@ proptest! {
         let snapshot = tree.snapshot();
         let model = snapshot.query_model();
         let query = vec![qx, qx, qx];
-        let mut cursor = snapshot.core().new_query(&model, &query);
+        let mut cursor = snapshot.core().shard(0).new_query(&model, &query);
         let mut order = ALL_ORDERS[switch % ALL_ORDERS.len()];
         let mut step = 0usize;
         loop {
             let scan = cursor.peek_next_scan(order);
             prop_assert_eq!(cursor.peek_next(order), scan, "{:?} at step {}", order, step);
-            if !snapshot.core().refine_query(&model, order, &mut cursor) {
+            if !snapshot.core().shard(0).refine_query(&model, order, &mut cursor) {
                 break;
             }
             step += 1;
@@ -228,4 +235,51 @@ proptest! {
             }
         }
     }
+}
+
+/// A 2-d sharded Bayes tree dealt `points` points round-robin (two points
+/// or more leave both of two shards busy).
+fn bayes_2d(shards: usize, points: usize) -> ShardedBayesTree<FixedPartitionRouter> {
+    let mut tree = ShardedBayesTree::new(2, geometry(), shards);
+    let _ = tree.insert_batch((0..points).map(|i| vec![i as f64, 1.0]).collect());
+    tree
+}
+
+/// The ClusTree counterpart of [`bayes_2d`].
+fn clus_2d(shards: usize, points: usize) -> ShardedClusTree<FixedPartitionRouter> {
+    let mut tree = ShardedClusTree::new(2, ClusTreeConfig::default(), shards);
+    let batch: Vec<Vec<f64>> = (0..points).map(|i| vec![i as f64, 1.0]).collect();
+    let _ = tree.insert_batch(&batch, 0.0, 8);
+    tree
+}
+
+/// One `should_panic` test per case: a 3-d query against a 2-d tree.
+macro_rules! wrong_query_dims_panic {
+    ($($name:ident: $call:expr;)*) => {$(
+        #[test]
+        #[should_panic(expected = "query dimensionality mismatch")]
+        fn $name() {
+            let _ = $call;
+        }
+    )*};
+}
+
+const Q3: [f64; 3] = [1.0, 2.0, 3.0];
+const BW: [f64; 2] = [1.0, 1.0];
+
+wrong_query_dims_panic! {
+    empty_bayes_density: bayes_2d(4, 0).anytime_density(&Q3, DescentStrategy::default(), 8);
+    empty_bayes_batch: bayes_2d(4, 0).density_batch(&[Q3.to_vec()], DescentStrategy::default(), 8);
+    empty_bayes_outlier: bayes_2d(4, 0).outlier_score(&[1.0], 1e-3, 8);
+    busy_bayes_density: bayes_2d(2, 40).anytime_density(&Q3, DescentStrategy::default(), 8);
+    busy_bayes_batch: bayes_2d(2, 40).density_batch(&[Q3.to_vec()], DescentStrategy::default(), 8);
+    busy_bayes_outlier: bayes_2d(2, 40).outlier_score(&Q3, 1e-3, 8);
+    empty_clus_density: clus_2d(2, 0).anytime_density(&Q3, &BW, RefineOrder::BestFirst, 8);
+    empty_clus_batch: clus_2d(2, 0).density_batch(&[Q3.to_vec()], &BW, RefineOrder::BestFirst, 8);
+    empty_clus_outlier: clus_2d(2, 0).outlier_score(&Q3, &BW, 1e-3, 8);
+    empty_clus_knn: clus_2d(2, 0).anytime_knn(&Q3, 3, 8);
+    busy_clus_density: clus_2d(2, 40).anytime_density(&Q3, &BW, RefineOrder::BestFirst, 8);
+    busy_clus_batch: clus_2d(2, 40).density_batch(&[Q3.to_vec()], &BW, RefineOrder::BestFirst, 8);
+    busy_clus_outlier: clus_2d(2, 40).outlier_score(&Q3, &BW, 1e-3, 8);
+    busy_clus_knn: clus_2d(2, 40).anytime_knn(&Q3, 3, 8);
 }

@@ -9,11 +9,9 @@ use anytime_stream_mining::anytree::{
 };
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, BayesTreeSnapshot, ClassifierSnapshot, KernelSummary,
-    ShardedBayesTree, ShardedBayesTreeSnapshot,
+    ShardedBayesTree,
 };
-use anytime_stream_mining::clustree::{
-    ClusTree, ClusTreeSnapshot, MicroCluster, ShardedClusTree, ShardedClusTreeSnapshot,
-};
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeSnapshot, MicroCluster, ShardedClusTree};
 use anytime_stream_mining::data::Dataset;
 
 fn assert_send<T: Send>() {}
@@ -28,7 +26,8 @@ fn the_shared_core_is_send() {
     // live on worker threads).
     assert_send::<DescentCursor<Vec<f64>>>();
     assert_send::<DescentCursor<MicroCluster>>();
-    // Query cursors are per-shard worker state of the parallel query path.
+    // Query cursors are per-shard worker state of the parallel query path:
+    // the fold lends this thread's pooled cursors to its scoped workers.
     assert_send::<QueryCursor>();
 }
 
@@ -72,9 +71,9 @@ fn snapshots_are_send_and_sync() {
     assert_send_sync::<TreeSnapshot<MicroCluster, MicroCluster>>();
     assert_send_sync::<ShardedTreeSnapshot<KernelSummary, Vec<f64>>>();
     assert_send_sync::<ShardedTreeSnapshot<MicroCluster, MicroCluster>>();
+    // One snapshot type per family covers the plain (one-shard) and the
+    // sharded trees.
     assert_send_sync::<BayesTreeSnapshot>();
-    assert_send_sync::<ShardedBayesTreeSnapshot>();
     assert_send_sync::<ClassifierSnapshot>();
     assert_send_sync::<ClusTreeSnapshot>();
-    assert_send_sync::<ShardedClusTreeSnapshot>();
 }

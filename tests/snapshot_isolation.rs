@@ -196,7 +196,7 @@ fn no_reader_fast_path_never_copies_and_pins_release() {
 
     let snapshot = tree.snapshot();
     assert_eq!(tree.pinned_snapshots(), 1);
-    assert_eq!(snapshot.epoch(), tree.epoch());
+    assert_eq!(snapshot.epochs(), vec![tree.epoch()]);
     tree.insert_batch(points[..40].to_vec());
     let copied = tree.retired_nodes();
     assert!(copied > 0, "pinned snapshot forces copy-on-write");
