@@ -78,15 +78,18 @@
 //!   parallel on scoped threads — one cursor per shard as the concurrency
 //!   unit, each shard's `finish_batch` its single synchronisation point,
 //!   per-shard reports merged via [`DepthHistogram::merge`] and
-//!   [`DescentStats::merge`].  It also holds the **one query engine**:
+//!   [`DescentStats::merge`].  It is the **one writer**: each index family
+//!   owns one `ShardedAnytimeTree`, and a plain tree is a one-shard tree
+//!   whose batches go to shard 0 without routing.  It also holds the **one
+//!   query engine**:
 //!   every whole query — one-shot ([`query_over`]), batched
 //!   ([`query_batch_over`]), outlier scoring ([`outlier_score_over`]) and
 //!   the frontier refinement k-NN retrieval ranks
 //!   ([`refine_frontiers_over`]) — is a fold over a slice of views, refined
 //!   concurrently per view and summed into one [`QueryAnswer`] whose bounds
-//!   inherit each view's monotonicity.  A plain tree or snapshot is the
-//!   one-view slice (`std::slice::from_ref`), so it answers exactly as a
-//!   one-shard sharded tree does.  On top sits
+//!   inherit each view's monotonicity.  A directly driven [`AnytimeTree`]
+//!   is the one-view slice (`std::slice::from_ref`), so it answers exactly
+//!   as a one-shard tree does.  On top sits
 //!   the **pipelined mode** ([`ShardedAnytimeTree::pipelined_batch`]):
 //!   writer threads drain a mini-batch per shard while reader threads
 //!   refine query frontiers against the pre-batch
@@ -138,8 +141,7 @@ pub use query::{
 };
 pub use shard::{
     outlier_score_over, query_batch_over, query_over, refine_frontiers_over, CheapestRouter,
-    FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome,
-    ShardedTreeSnapshot,
+    FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree, ShardedTreeSnapshot,
 };
 pub use snapshot::TreeSnapshot;
 pub use split::{distribute, merge_closest_pair, polar_partition};

@@ -43,7 +43,8 @@
 //! buffered mass, whose interval is frozen).
 //!
 //! Whole queries are folds over a slice of views, in [`crate::shard`]: a
-//! plain tree or snapshot is the one-view slice, a sharded tree its shards.
+//! tree or snapshot passes its shards (one for a plain tree), a directly
+//! driven [`AnytimeTree`] the one-view slice.
 //! Insert-free workloads plug in there without touching the insertion
 //! path: anytime **outlier scoring**
 //! ([`crate::shard::outlier_score_over`]) needs only a `Summary` +
@@ -447,9 +448,9 @@ pub struct BlockCacheRef<'a> {
 /// The answer of one (possibly interrupted) query: the current mixture
 /// estimate with its certain bounds and the budget actually spent.
 ///
-/// One type serves every view: a plain tree's answer and a sharded
-/// tree's fold over its shards ([`crate::shard::query_over`]) alike, with
-/// `nodes_read` summed over the views.
+/// One type serves every view: one view's answer and a fold over several
+/// ([`crate::shard::query_over`]) alike, with `nodes_read` summed over the
+/// views.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryAnswer {
     /// Point estimate of the answer under the current frontier.

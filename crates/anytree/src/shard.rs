@@ -20,25 +20,33 @@
 //! * each shard's `finish_batch` is its single synchronisation point for
 //!   structural changes, and the per-shard [`BatchOutcome`]s are merged
 //!   ([`DepthHistogram::merge`], [`DescentStats::merge`]) into one
-//!   [`ShardedBatchOutcome`] in input order.
+//!   [`BatchOutcome`] in input order.
 //!
 //! Because shards never share nodes, no locking is needed: the coordinator
 //! routes (cheap, one distance per shard), the shards descend, and the merge
-//! is a histogram fold.  A sharded tree with one shard performs exactly the
-//! plain tree's steps, which the equivalence property tests lock down.
+//! is a histogram fold.
+//!
+//! **A plain tree is a one-shard tree.**  The index families
+//! (`bayestree::BayesTree`, `clustree::ClusTree`) each own one
+//! `ShardedAnytimeTree` and build one shard unless asked for more.  With one
+//! shard the coordinator never consults the router: a batch goes to shard 0
+//! untouched and that shard's [`BatchOutcome`] is returned as is, so a
+//! one-shard tree performs exactly the steps of a directly driven
+//! [`AnytimeTree`] at the same cost.  That branch lives in the routing
+//! helpers (`route_object`, `route_batch`); no facade looks at the shard
+//! count.
 //!
 //! The layer also owns the **one query engine**: every read of the index
-//! — a plain tree, its snapshot, the shards of a sharded tree or of its
-//! snapshot — is a fold over a slice of [`TreeView`]s, and a plain tree or
-//! snapshot is simply the one-view slice `std::slice::from_ref(view)`.
+//! — the shards of a live tree or of its snapshot, or one directly driven
+//! [`AnytimeTree`] — is a fold over a slice of [`TreeView`]s, and a lone
+//! view is simply the one-view slice `std::slice::from_ref(view)`.
 //! [`query_over`], [`query_batch_over`], [`outlier_score_over`] and
 //! [`refine_frontiers_over`] (which the clustering crate's k-NN retrieval
 //! ranks) refine one frontier per view — inline for one view, on scoped
 //! threads for several busy ones — and sum the per-view partials into one
-//! [`QueryAnswer`].  On one view the sum is that view's answer bit for bit,
-//! so a plain tree and a one-shard sharded tree answer identically.  Every
-//! fold checks the query's dimensionality once at its entry, before any
-//! dispatch.
+//! [`QueryAnswer`].  On one view the sum is that view's answer bit for bit.
+//! Every fold checks the query's dimensionality once at its entry, before
+//! any dispatch.
 //!
 //! The layer also runs **pipelined**: [`ShardedAnytimeTree::snapshot`]
 //! pins every shard's published epoch into one `Send + Sync`
@@ -125,9 +133,9 @@ impl<S: Summary> ShardRouter<S> for FixedPartitionRouter {
 
 /// The sharded tree's single concurrency dispatch: runs `run` over the
 /// `(shard, state)` pairs `busy` selects — inline when at most one is
-/// selected (so a 1-shard tree performs exactly the plain tree's steps,
-/// with no thread overhead and no allocation), on one scoped thread per
-/// pair otherwise — and returns whether any pair was selected.  Every
+/// selected (no thread overhead and no allocation for a lone busy shard or
+/// view), on one scoped thread per pair otherwise — and returns whether any
+/// pair was selected.  Every
 /// parallel path (batched insertion, frontier refinement, batched
 /// queries, outlier rounds) goes through here, so the dispatch policy
 /// exists exactly once.
@@ -153,24 +161,17 @@ fn dispatch_busy<A: Send, B: Send>(
     true
 }
 
-/// A routed batch, ready for the per-shard writers: the per-shard object
-/// lists, the per-shard input indices (to restore input order in the merged
-/// report) and the batch size.
-type RoutedBatch<O> = (Vec<Vec<O>>, Vec<Vec<usize>>, usize);
-
-/// The merged result of one [`ShardedAnytimeTree::insert_batch`] call.
-#[derive(Debug, Clone)]
-pub struct ShardedBatchOutcome {
-    /// Per-object outcomes, in input order (regardless of which shard an
-    /// object descended).
-    pub outcomes: Vec<InsertOutcome>,
-    /// Reached-leaf vs. parked-at-depth histogram merged over all shards.
-    pub depths: DepthHistogram,
-    /// Descent-engine work merged over all shards (summed refreshes, node
-    /// visits, splits) for this batch alone.
-    pub stats: DescentStats,
-    /// How many of the batch's objects each shard received.
-    pub objects_per_shard: Vec<usize>,
+/// A batch the coordinator has routed, ready for the per-shard writers.
+enum RoutedBatch<O> {
+    /// A one-shard tree's batch: shard 0 takes it whole, in input order.
+    Whole(Vec<O>),
+    /// Each shard's objects with their input indices, which restore input
+    /// order in the merged report.
+    Split {
+        objs: Vec<Vec<O>>,
+        indices: Vec<Vec<usize>>,
+        total: usize,
+    },
 }
 
 /// `K` independent anytime trees behind one insertion facade.
@@ -178,13 +179,15 @@ pub struct ShardedBatchOutcome {
 /// Shards never share nodes, so each one can run the full batched descent
 /// engine on its own thread without synchronisation; the coordinator only
 /// routes objects (one [`ShardRouter`] decision per object) and merges the
-/// per-shard reports.  See the [module docs](crate::shard) for the design.
+/// per-shard reports.  With one shard it neither routes nor merges.  See
+/// the [module docs](crate::shard) for the design.
 #[derive(Debug, Clone)]
 pub struct ShardedAnytimeTree<S: Summary, L, R = CheapestRouter> {
     shards: Vec<AnytimeTree<S, L>>,
     /// Running aggregate of everything routed to each shard — routing state
     /// only (never refreshed/decayed), not a substitute for the shard trees'
-    /// own summaries.
+    /// own summaries.  Never filled on a one-shard tree, which does not
+    /// route.
     aggregates: Vec<Option<S>>,
     /// Objects routed to each shard so far (router-skew observability).
     sizes: Vec<usize>,
@@ -255,11 +258,11 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
         &self.shards[k]
     }
 
-    /// The routing aggregates: everything ever routed to each shard, merged
-    /// (`None` for still-empty shards).  Routing state, not refreshed.
-    #[must_use]
-    pub fn aggregates(&self) -> &[Option<S>] {
-        &self.aggregates
+    /// Write access to one shard tree, for building it node by node (the
+    /// bulk loaders).  Objects placed this way bypass the router, so
+    /// [`Self::shard_sizes`] does not count them.
+    pub fn shard_mut(&mut self, k: usize) -> &mut AnytimeTree<S, L> {
+        &mut self.shards[k]
     }
 
     /// Objects routed to each shard so far — the direct skew measure for the
@@ -291,6 +294,32 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     #[must_use]
     pub fn snapshot(&self) -> ShardedTreeSnapshot<S, L> {
         ShardedTreeSnapshot::new(&self.shards)
+    }
+
+    /// The published epoch of every shard (batches each has committed), in
+    /// shard order — what a [`Self::snapshot`] taken now pins.
+    #[must_use]
+    pub fn epochs(&self) -> Vec<u64> {
+        self.shards.iter().map(AnytimeTree::epoch).collect()
+    }
+
+    /// Retired node copies created by copy-on-write, summed over the shards
+    /// — zero as long as no snapshot (and no clone, which shares the arena
+    /// slots the same way) overlaps a write.
+    #[must_use]
+    pub fn retired_nodes(&self) -> u64 {
+        self.shards.iter().map(AnytimeTree::retired_nodes).sum()
+    }
+
+    /// Live snapshots pinning this tree.  A whole-tree snapshot pins every
+    /// shard once, so this is the most pins any one shard holds.
+    #[must_use]
+    pub fn pinned_snapshots(&self) -> usize {
+        self.shards
+            .iter()
+            .map(AnytimeTree::pinned_snapshots)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total number of reachable nodes across all shards.
@@ -328,18 +357,24 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
 
 impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// Routes one object: asks the router for a shard and folds the object
-    /// into that shard's running aggregate.
+    /// into that shard's running aggregate.  A one-shard tree skips both
+    /// and only counts the object.
     fn route_object<M>(&mut self, model: &M, obj: &M::Object) -> usize
     where
         M: InsertModel<S, LeafItem = L>,
     {
-        let point = model.route_point(obj, &mut self.route_scratch);
-        let shard = self.router.route(point, &self.aggregates);
-        assert!(shard < self.shards.len(), "router chose shard {shard}");
-        match &mut self.aggregates[shard] {
-            Some(agg) => model.absorb_into(agg, obj),
-            slot @ None => *slot = Some(model.summary_of(obj)),
-        }
+        let shard = if self.shards.len() == 1 {
+            0
+        } else {
+            let point = model.route_point(obj, &mut self.route_scratch);
+            let shard = self.router.route(point, &self.aggregates);
+            assert!(shard < self.shards.len(), "router chose shard {shard}");
+            match &mut self.aggregates[shard] {
+                Some(agg) => model.absorb_into(agg, obj),
+                slot @ None => *slot = Some(model.summary_of(obj)),
+            }
+            shard
+        };
         self.sizes[shard] += 1;
         shard
     }
@@ -361,21 +396,22 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     ///
     /// The coordinator routes the whole batch first (objects keep their
     /// relative order within a shard, so hitchhiker pickup behaves exactly
-    /// as the plain tree's batched insertion does), then every shard with
-    /// work runs [`AnytimeTree::insert_batch`] concurrently; each shard's
-    /// `finish_batch` is its single synchronisation point for structural
-    /// changes.  `make_model` constructs one insertion model per worker —
-    /// models are per-shard scratch state and never cross threads.
+    /// as a directly driven tree's batched insertion does), then every
+    /// shard with work runs [`AnytimeTree::insert_batch`] concurrently; each
+    /// shard's `finish_batch` is its single synchronisation point for
+    /// structural changes.  `make_model` constructs one insertion model per
+    /// worker — models are per-shard scratch state and never cross threads.
+    /// The returned outcomes are in input order.
     ///
-    /// When only one shard receives work the batch runs inline on the
-    /// calling thread, so a 1-shard tree performs exactly the plain tree's
-    /// steps.
+    /// A one-shard tree hands the batch to shard 0 on the calling thread
+    /// and returns that shard's report as is; when only one shard of
+    /// several receives work, it too runs inline.
     pub fn insert_batch<M, F>(
         &mut self,
         make_model: &F,
         objs: Vec<M::Object>,
         budget: usize,
-    ) -> ShardedBatchOutcome
+    ) -> BatchOutcome
     where
         M: InsertModel<S, LeafItem = L>,
         M::Object: Send,
@@ -383,42 +419,47 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         L: Send + Sync + Clone,
         F: Fn() -> M + Sync,
     {
-        let (per_shard_objs, per_shard_idx, total) = self.route_batch(make_model, objs);
-        self.descend_routed(make_model, per_shard_objs, per_shard_idx, total, budget)
+        let routed = self.route_batch(make_model, objs);
+        self.descend_routed(make_model, routed, budget)
     }
 
-    /// Routes a whole batch through the coordinator: returns the per-shard
-    /// object lists, the per-shard input indices (to restore input order in
-    /// the merged report) and the batch size.
+    /// Routes a whole batch through the coordinator.  A one-shard tree
+    /// keeps the batch whole.
     fn route_batch<M, F>(&mut self, make_model: &F, objs: Vec<M::Object>) -> RoutedBatch<M::Object>
     where
         M: InsertModel<S, LeafItem = L>,
         F: Fn() -> M + Sync,
     {
+        if self.shards.len() == 1 {
+            self.sizes[0] += objs.len();
+            return RoutedBatch::Whole(objs);
+        }
         let total = objs.len();
         let num_shards = self.shards.len();
         let mut per_shard_objs: Vec<Vec<M::Object>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut per_shard_idx: Vec<Vec<usize>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut indices: Vec<Vec<usize>> = (0..num_shards).map(|_| Vec::new()).collect();
         let router_model = make_model();
         for (i, obj) in objs.into_iter().enumerate() {
             let shard = self.route_object(&router_model, &obj);
-            per_shard_idx[shard].push(i);
+            indices[shard].push(i);
             per_shard_objs[shard].push(obj);
         }
-        (per_shard_objs, per_shard_idx, total)
+        RoutedBatch::Split {
+            objs: per_shard_objs,
+            indices,
+            total,
+        }
     }
 
-    /// Descends an already-routed batch: every busy shard drains its share
-    /// on its own scoped thread and the per-shard reports are merged in
-    /// input order.
+    /// Descends an already-routed batch: a whole batch drains into shard 0;
+    /// a split one drains every busy shard's share on its own scoped thread
+    /// and the per-shard reports are merged in input order.
     fn descend_routed<M, F>(
         &mut self,
         make_model: &F,
-        per_shard_objs: Vec<Vec<M::Object>>,
-        per_shard_idx: Vec<Vec<usize>>,
-        total: usize,
+        routed: RoutedBatch<M::Object>,
         budget: usize,
-    ) -> ShardedBatchOutcome
+    ) -> BatchOutcome
     where
         M: InsertModel<S, LeafItem = L>,
         M::Object: Send,
@@ -426,9 +467,17 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         L: Send + Sync + Clone,
         F: Fn() -> M + Sync,
     {
-        let num_shards = self.shards.len();
-        let objects_per_shard: Vec<usize> = per_shard_objs.iter().map(Vec::len).collect();
-        let mut results: Vec<Option<BatchOutcome>> = (0..num_shards).map(|_| None).collect();
+        let (per_shard_objs, per_shard_idx, total) = match routed {
+            RoutedBatch::Whole(objs) => {
+                return self.shards[0].insert_batch(&mut make_model(), objs, budget);
+            }
+            RoutedBatch::Split {
+                objs,
+                indices,
+                total,
+            } => (objs, indices, total),
+        };
+        let mut results: Vec<Option<BatchOutcome>> = self.shards.iter().map(|_| None).collect();
         dispatch_busy(
             self.shards
                 .iter_mut()
@@ -454,11 +503,10 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
                 outcomes[i] = outcome;
             }
         }
-        ShardedBatchOutcome {
+        BatchOutcome {
             outcomes,
             depths,
             stats,
-            objects_per_shard,
         }
     }
 
@@ -508,19 +556,13 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         for query in queries {
             assert_query_dims(snapshot.shards(), query);
         }
-        let (per_shard_objs, per_shard_idx, total) = self.route_batch(make_model, objs);
-        let mut insert_slot: Option<ShardedBatchOutcome> = None;
+        let routed = self.route_batch(make_model, objs);
+        let mut insert_slot: Option<BatchOutcome> = None;
         let (answers, query_stats) = std::thread::scope(|scope| {
             let writer = &mut *self;
             let insert_slot = &mut insert_slot;
             scope.spawn(move || {
-                *insert_slot = Some(writer.descend_routed(
-                    make_model,
-                    per_shard_objs,
-                    per_shard_idx,
-                    total,
-                    budget,
-                ));
+                *insert_slot = Some(writer.descend_routed(make_model, routed, budget));
             });
             query_batch_over(snapshot.shards(), query_model, queries, order, query_budget)
         });
@@ -539,7 +581,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
 pub struct PipelinedOutcome {
     /// The insert-side report (identical in shape to
     /// [`ShardedAnytimeTree::insert_batch`]'s).
-    pub insert: ShardedBatchOutcome,
+    pub insert: BatchOutcome,
     /// Per-query folded answers — **exactly** what [`query_batch_over`]
     /// over the shards would have returned before the batch.
     pub answers: Vec<QueryAnswer>,
@@ -647,9 +689,9 @@ where
 /// refine, on scoped threads otherwise — and the cursors' work plus the
 /// wall-clock latency are folded into the registry as one query boundary.
 ///
-/// A plain tree or snapshot passes `std::slice::from_ref(view)`, the
-/// sharded trees and snapshots their `shards()`; the clustering crate's
-/// k-NN retrieval ranks the cursors' frontier elements in `f`.  `model`
+/// Trees and snapshots pass their `shards()` (one for a plain tree), a
+/// directly driven tree `std::slice::from_ref(view)`; the clustering
+/// crate's k-NN retrieval ranks the cursors' frontier elements in `f`.  `model`
 /// must use one global normaliser for every view, so partial answers fold
 /// by summation.
 ///
@@ -836,7 +878,7 @@ pub struct ShardedTreeSnapshot<S: Summary, L> {
 
 impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
     /// Pins every tree of `shards` at its current published epoch
-    /// ([`AnytimeTree::snapshot`]); a plain tree passes
+    /// ([`AnytimeTree::snapshot`]); a lone tree passes
     /// `std::slice::from_ref(tree)`.
     #[must_use]
     pub fn new(shards: &[AnytimeTree<S, L>]) -> Self {
@@ -1032,6 +1074,37 @@ mod tests {
         tree.shards().iter().map(tree_weight).sum()
     }
 
+    /// Objects routed to each shard since `before` was read.
+    fn size_deltas<R>(before: &[usize], tree: &ShardedAnytimeTree<Blob, Blob, R>) -> Vec<usize> {
+        tree.shard_sizes()
+            .iter()
+            .zip(before)
+            .map(|(after, before)| after - before)
+            .collect()
+    }
+
+    /// A router that must never be asked: a one-shard tree does not route.
+    #[derive(Default)]
+    struct UnreachableRouter;
+
+    impl ShardRouter<Blob> for UnreachableRouter {
+        fn route(&mut self, _point: &[f64], _aggregates: &[Option<Blob>]) -> usize {
+            unreachable!("a one-shard tree consulted its router")
+        }
+    }
+
+    #[test]
+    fn one_shard_tree_never_routes() {
+        let mut sharded: ShardedAnytimeTree<Blob, Blob, UnreachableRouter> =
+            ShardedAnytimeTree::new(2, geometry(), 1);
+        let mut model = BlobModel;
+        let _ = sharded.insert(&mut model, blob(1.0, 1.0), usize::MAX);
+        let _ = sharded.insert_batch(&|| BlobModel, stream(40), usize::MAX);
+        assert_eq!(sharded.shard_sizes(), &[41]);
+        assert!(sharded.aggregates[0].is_none(), "no routing state is kept");
+        assert!((sharded_weight(&sharded) - 41.0).abs() < 1e-9);
+    }
+
     #[test]
     fn single_shard_matches_the_plain_tree() {
         let points = stream(150);
@@ -1039,12 +1112,13 @@ mod tests {
         let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 1);
         let mut model = BlobModel;
         for chunk in points.chunks(16) {
+            let before = sharded.shard_sizes().to_vec();
             let a = plain.insert_batch(&mut model, chunk.to_vec(), 3);
             let b = sharded.insert_batch(&|| BlobModel, chunk.to_vec(), 3);
             assert_eq!(a.outcomes, b.outcomes);
             assert_eq!(a.depths, b.depths);
             assert_eq!(a.stats, b.stats);
-            assert_eq!(b.objects_per_shard, vec![chunk.len()]);
+            assert_eq!(size_deltas(&before, &sharded), vec![chunk.len()]);
         }
         assert_eq!(plain.num_nodes(), sharded.num_nodes());
         assert_eq!(plain.height(), sharded.height());
@@ -1057,12 +1131,13 @@ mod tests {
         let mut sharded: ShardedAnytimeTree<Blob, Blob, FixedPartitionRouter> =
             ShardedAnytimeTree::new(2, geometry(), 3);
         let result = sharded.insert_batch(&|| BlobModel, stream(31), usize::MAX);
-        assert_eq!(result.objects_per_shard, vec![11, 10, 10]);
+        assert_eq!(sharded.shard_sizes(), &[11, 10, 10]);
         assert_eq!(result.outcomes.len(), 31);
         assert_eq!(result.depths.total(), 31);
         // The next batch continues the rotation where the last one stopped.
-        let result = sharded.insert_batch(&|| BlobModel, stream(2), usize::MAX);
-        assert_eq!(result.objects_per_shard, vec![0, 1, 1]);
+        let before = sharded.shard_sizes().to_vec();
+        let _ = sharded.insert_batch(&|| BlobModel, stream(2), usize::MAX);
+        assert_eq!(size_deltas(&before, &sharded), vec![0, 1, 1]);
     }
 
     #[test]
@@ -1075,7 +1150,7 @@ mod tests {
         // From now on distance decides.
         assert_eq!(sharded.route_object(&model, &blob(1.0, 1.0)), 0);
         assert_eq!(sharded.route_object(&model, &blob(19.0, 19.0)), 1);
-        assert!(sharded.aggregates().iter().all(Option::is_some));
+        assert!(sharded.aggregates.iter().all(Option::is_some));
     }
 
     #[test]
@@ -1084,11 +1159,15 @@ mod tests {
         let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 4);
         let mut total_stats = DescentStats::default();
         for chunk in points.chunks(64) {
+            let before = sharded.shard_sizes().to_vec();
             let result = sharded.insert_batch(&|| BlobModel, chunk.to_vec(), usize::MAX);
             assert_eq!(result.outcomes.len(), chunk.len());
             assert_eq!(result.depths.total(), chunk.len());
             assert_eq!(result.depths.reached_leaf, chunk.len());
-            assert_eq!(result.objects_per_shard.iter().sum::<usize>(), chunk.len());
+            assert_eq!(
+                size_deltas(&before, &sharded).iter().sum::<usize>(),
+                chunk.len()
+            );
             total_stats.merge(&result.stats);
         }
         assert!((sharded_weight(&sharded) - 320.0).abs() < 1e-9);

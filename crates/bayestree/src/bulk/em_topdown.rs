@@ -11,8 +11,8 @@
 //! and observes that it is not a drawback but even improves anytime
 //! accuracy.
 
-use crate::node::{Entry, NodeId};
-use crate::tree::BayesTree;
+use crate::node::{Entry, KernelSummary, NodeId};
+use crate::tree::{summarise, BayesCore, BayesTree};
 use bt_index::PageGeometry;
 use bt_stats::em::{fit_gmm, EmConfig, KMeans, KMeansConfig};
 use bt_stats::vector;
@@ -32,19 +32,13 @@ pub fn build_em_topdown(
         return tree;
     }
     let mut rng = StdRng::seed_from_u64(seed);
-
-    if points.len() <= geometry.max_leaf {
-        // Everything fits into the root leaf.
-        let root = tree.push_node(bt_anytree::Node::leaf(points.to_vec()));
-        tree.set_root(root, 1);
-    } else {
-        let owned: Vec<Vec<f64>> = points.to_vec();
-        let (root_id, depth) = build_recursive(&mut tree, owned, &mut rng);
-        tree.set_root(root_id, depth);
-    }
-    tree.set_num_points(points.len());
+    let core = tree.shard_mut(0);
+    // Everything may fit into the root leaf.
+    let (root, depth) = build_recursive(core, points.to_vec(), &mut rng);
+    core.set_root(root, depth);
     // The single commit point of the EM top-down load.
-    tree.publish_bulk_epoch();
+    core.publish_epoch();
+    tree.set_num_points(points.len());
     tree.fit_bandwidth();
     tree
 }
@@ -52,14 +46,13 @@ pub fn build_em_topdown(
 /// Recursively builds the subtree over `points`; returns the node id and the
 /// height of that subtree.
 fn build_recursive(
-    tree: &mut BayesTree,
+    core: &mut BayesCore<KernelSummary>,
     points: Vec<Vec<f64>>,
     rng: &mut StdRng,
 ) -> (NodeId, usize) {
-    let geometry = tree.geometry();
+    let geometry = core.geometry();
     if points.len() <= geometry.max_leaf {
-        let node = tree.push_node(bt_anytree::Node::leaf(points));
-        return (node, 1);
+        return (core.push_node(bt_anytree::Node::leaf(points)), 1);
     }
 
     let clusters = cluster_points(&points, &geometry, rng);
@@ -71,17 +64,15 @@ fn build_recursive(
             continue;
         }
         let cluster_points: Vec<Vec<f64>> = cluster.iter().map(|&i| points[i].clone()).collect();
-        let (child, child_height) = if cluster_points.len() > geometry.max_leaf {
-            build_recursive(tree, cluster_points, rng)
-        } else {
-            (tree.push_node(bt_anytree::Node::leaf(cluster_points)), 1)
-        };
+        let (child, child_height) = build_recursive(core, cluster_points, rng);
         max_child_height = max_child_height.max(child_height);
-        entries.push(tree.summarise(child));
+        entries.push(summarise(core, child));
     }
 
-    let node = tree.push_node(bt_anytree::Node::inner(entries));
-    (node, max_child_height + 1)
+    (
+        core.push_node(bt_anytree::Node::inner(entries)),
+        max_child_height + 1,
+    )
 }
 
 /// Clusters `points` into at most `M` groups following the paper's rules.

@@ -14,9 +14,9 @@
 //! highest-variance dimension, members re-assigned by KL divergence) and
 //! merges under-full groups into their KL-closest neighbour.
 
-use crate::bulk::finish_bottom_up;
-use crate::node::Entry;
-use crate::tree::BayesTree;
+use crate::bulk::{finish_bottom_up, push_entry};
+use crate::node::{Entry, KernelSummary};
+use crate::tree::{BayesCore, BayesTree};
 use bt_index::{z_order_sort_order, PageGeometry};
 use bt_stats::bandwidth::silverman_bandwidth;
 use bt_stats::goldberger::{chunked_mapping, reduce_mixture, GoldbergerConfig};
@@ -85,19 +85,19 @@ pub fn build_goldberger(
         geometry.min_leaf,
         config,
     );
+    let core = tree.shard_mut(0);
     let entries: Vec<Entry> = leaf_groups
         .into_iter()
         .filter(|g| !g.is_empty())
         .map(|group| {
             let leaf_points: Vec<Vec<f64>> = group.iter().map(|&i| points[i].clone()).collect();
-            let node = tree.push_node(bt_anytree::Node::leaf(leaf_points));
-            tree.summarise(node)
+            push_entry(core, bt_anytree::Node::leaf(leaf_points))
         })
         .collect();
 
     // Stack directory levels, partitioning the entry Gaussians the same way.
-    let entries = build_directory_levels(&mut tree, entries, config);
-    finish_bottom_up(&mut tree, entries, points.len(), &|reps, capacity| {
+    let entries = build_directory_levels(core, entries, config);
+    finish_bottom_up(core, entries, &|reps, capacity| {
         // Final fallback grouping when a single root-level pass is still
         // needed: plain z-curve chunks (only reached for tiny inputs).
         let order = z_order_sort_order(reps, config.curve_bits);
@@ -106,6 +106,7 @@ pub fn build_goldberger(
             .map(<[usize]>::to_vec)
             .collect()
     });
+    tree.set_num_points(points.len());
     tree.set_bandwidth(bandwidth);
     tree
 }
@@ -113,11 +114,11 @@ pub fn build_goldberger(
 /// Builds directory levels with Goldberger partitioning until the remaining
 /// entries fit into a single root node.
 fn build_directory_levels(
-    tree: &mut BayesTree,
+    core: &mut BayesCore<KernelSummary>,
     mut entries: Vec<Entry>,
     config: &GoldbergerBulkConfig,
 ) -> Vec<Entry> {
-    let geometry = tree.geometry();
+    let geometry = core.geometry();
     while entries.len() > geometry.max_fanout {
         let total_weight: f64 = entries.iter().map(|e| e.weight()).sum();
         let components: Vec<Component> = entries
@@ -139,8 +140,7 @@ fn build_directory_levels(
                 continue;
             }
             let node_entries: Vec<Entry> = group.iter().map(|&i| entries[i].clone()).collect();
-            let node = tree.push_node(bt_anytree::Node::inner(node_entries));
-            next.push(tree.summarise(node));
+            next.push(push_entry(core, bt_anytree::Node::inner(node_entries)));
         }
         // Guard against a degenerate partition that failed to reduce the
         // entry count (cannot normally happen, but protects against an

@@ -19,8 +19,8 @@ pub mod em_topdown;
 pub mod goldberger;
 pub mod spacefilling;
 
-use crate::node::Entry;
-use crate::tree::BayesTree;
+use crate::node::{Entry, KernelSummary, Node};
+use crate::tree::{summarise, BayesCore, BayesTree};
 use bt_index::PageGeometry;
 
 pub use goldberger::GoldbergerBulkConfig;
@@ -139,44 +139,45 @@ where
     if points.is_empty() {
         return tree;
     }
+    let core = tree.shard_mut(0);
 
     // Leaf level.
     let leaf_groups = group_fn(points, geometry.max_leaf);
-    let mut entries: Vec<Entry> = leaf_groups
+    let entries: Vec<Entry> = leaf_groups
         .into_iter()
         .filter(|g| !g.is_empty())
         .map(|group| {
             let leaf_points: Vec<Vec<f64>> = group.iter().map(|&i| points[i].clone()).collect();
-            let node = tree.push_node(bt_anytree::Node::leaf(leaf_points));
-            tree.summarise(node)
+            push_entry(core, bt_anytree::Node::leaf(leaf_points))
         })
         .collect();
 
-    finish_bottom_up(
-        &mut tree,
-        std::mem::take(&mut entries),
-        points.len(),
-        &group_fn,
-    );
+    finish_bottom_up(core, entries, &group_fn);
+    tree.set_num_points(points.len());
     tree.fit_bandwidth();
     tree
 }
 
-/// Stacks directory levels over already-built leaf entries and installs the
-/// root.  Shared by the packed loads and the Goldberger load.
+/// Adds `node` to the shard under construction and returns the entry (MBR
+/// + CF + pointer) describing it.
+pub(crate) fn push_entry(core: &mut BayesCore<KernelSummary>, node: Node) -> Entry {
+    let id = core.push_node(node);
+    summarise(core, id)
+}
+
+/// Stacks directory levels over already-built leaf entries of `core` and
+/// installs the root.  Shared by the packed loads and the Goldberger load.
 pub(crate) fn finish_bottom_up<G>(
-    tree: &mut BayesTree,
+    core: &mut BayesCore<KernelSummary>,
     mut entries: Vec<Entry>,
-    num_points: usize,
     group_fn: &G,
 ) where
     G: Fn(&[Vec<f64>], usize) -> Vec<Vec<usize>>,
 {
-    let geometry = tree.geometry();
-    if entries.len() == 1 && tree.node(entries[0].child).is_leaf() {
+    let geometry = core.geometry();
+    if entries.len() == 1 && core.node(entries[0].child).is_leaf() {
         // Special case: everything fits into one leaf — make it the root.
-        let root = entries[0].child;
-        tree.set_root(root, 1);
+        core.set_root(entries[0].child, 1);
     } else if !entries.is_empty() {
         while entries.len() > geometry.max_fanout {
             let reps: Vec<Vec<f64>> = entries.iter().map(|e| e.cf.mean()).collect();
@@ -187,8 +188,7 @@ pub(crate) fn finish_bottom_up<G>(
                     continue;
                 }
                 let node_entries: Vec<Entry> = group.iter().map(|&i| entries[i].clone()).collect();
-                let node = tree.push_node(bt_anytree::Node::inner(node_entries));
-                next.push(tree.summarise(node));
+                next.push(push_entry(core, bt_anytree::Node::inner(node_entries)));
             }
             // A grouping that fails to reduce the entry count would loop
             // forever; fall back to a single extra level holding everything.
@@ -198,14 +198,13 @@ pub(crate) fn finish_bottom_up<G>(
             }
             entries = next;
         }
-        let root = tree.push_node(bt_anytree::Node::inner(entries));
-        let height = tree.measure_depth(root);
-        tree.set_root(root, height);
+        let root = core.push_node(bt_anytree::Node::inner(entries));
+        let height = core.measure_depth(root);
+        core.set_root(root, height);
     }
-    tree.set_num_points(num_points);
     // The single commit point of every bottom-up bulk load: whatever the
     // branch above assembled is published as an epoch.
-    tree.publish_bulk_epoch();
+    core.publish_epoch();
 }
 
 #[cfg(test)]

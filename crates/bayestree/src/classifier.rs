@@ -301,10 +301,12 @@ impl AnytimeClassifier {
 
     fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
+        // `build_tree` builds every class tree with one shard, so each class
+        // refines one frontier.
         let classes: Vec<_> = self
             .trees
             .iter()
-            .map(|t| (t.core(), t.query_model()))
+            .map(|t| (t.shard(0), t.query_model()))
             .collect();
         run_anytime_over(
             &classes,

@@ -54,12 +54,18 @@ impl<'a> TreeFrontier<'a> {
     /// model at all); [`Self::nodes_read`] therefore starts at 0 and counts
     /// refinement steps, matching the x-axis of the paper's figures.
     ///
+    /// A frontier covers one tree, so `tree` must have one shard; a tree of
+    /// several shards answers through its folded queries
+    /// ([`BayesTree::anytime_density`]).
+    ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or `tree` has more
+    /// than one shard.
     #[must_use]
     pub fn new(tree: &'a BayesTree, query: &[f64]) -> Self {
-        Self::over(tree.core(), tree.query_model(), query)
+        assert_eq!(tree.num_shards(), 1, "a frontier covers a one-shard tree");
+        Self::over(tree.shard(0), tree.query_model(), query)
     }
 }
 

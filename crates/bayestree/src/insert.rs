@@ -13,22 +13,36 @@
 //! [`bt_anytree::descent`]); this module only supplies the kernel-specific
 //! [`InsertModel`]: raw points as leaf items, R* leaf splits over per-point
 //! MBRs, no hitchhiker buffering (every insertion descends to a leaf, i.e.
-//! an unbounded budget).  [`BayesTree::insert_batch`] routes a mini-batch
-//! through the core's batched engine, sharing summary refreshes and split
-//! handling across the batch.
+//! an unbounded budget).  [`BayesTree::insert_batch`] hands a mini-batch to
+//! the shared sharding layer, which drains it into the one shard of a plain
+//! tree (or routes it across `K` shards descending in parallel) through the
+//! core's batched engine, sharing summary refreshes and split handling
+//! across the batch.
 
+use crate::descent::DescentStrategy;
 use crate::node::{StoredElement, StoredSummary};
+use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
-use bt_anytree::InsertModel;
+use bt_anytree::{BatchOutcome, InsertModel, PipelinedOutcome, ShardRouter};
 use bt_index::rstar::rstar_split_corners;
 use bt_index::PageGeometry;
 
 /// The Bayes tree's insertion policy over the shared core (one impl per
 /// stored summary representation; the split geometry always works over
 /// exact per-point `f64` boxes regardless of how the node summaries are
-/// stored).
-pub(crate) struct KernelModel {
-    pub(crate) dims: usize,
+/// stored).  Public so a [`bt_anytree::AnytimeTree`] can be driven
+/// directly with the Bayes tree's policy, as the equivalence tests do.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelModel {
+    dims: usize,
+}
+
+impl KernelModel {
+    /// The policy for `dims`-dimensional kernels.
+    #[must_use]
+    pub fn new(dims: usize) -> Self {
+        Self { dims }
+    }
 }
 
 impl<S: StoredSummary> InsertModel<S> for KernelModel {
@@ -73,18 +87,19 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
     }
 }
 
-impl<E: StoredElement> BayesTree<E> {
-    /// Inserts one observation into the tree.
+impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
+    /// Inserts one observation into the shard the router assigns it (the
+    /// one shard of a plain tree).
     ///
     /// # Panics
     ///
     /// Panics if the point has the wrong dimensionality.
     pub fn insert(&mut self, point: Vec<f64>) {
         assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
-        let mut model = KernelModel { dims: self.dims() };
+        let mut model = KernelModel::new(self.dims());
         // The Bayes tree always descends to a leaf: an unbounded budget.
         let _ = self.core_mut().insert(&mut model, point, usize::MAX);
-        self.increment_points();
+        self.add_points(1);
     }
 
     /// Inserts every observation of an iterator in order.
@@ -99,25 +114,72 @@ impl<E: StoredElement> BayesTree<E> {
     /// summaries once, and overflowing nodes split once after the whole
     /// batch has drained.  Structurally equivalent to sequential insertion
     /// for a batch of one; larger batches may group splits differently (both
-    /// are valid trees covering the same data).
+    /// are valid trees covering the same data).  A tree of several shards
+    /// descends every shard's share in parallel on scoped threads.
+    ///
+    /// The Bayes tree always descends to a leaf (unbounded budget); the
+    /// report carries the per-object outcomes in input order and the work
+    /// counters summed over the shards.
     ///
     /// # Panics
     ///
     /// Panics if any point has the wrong dimensionality.
-    pub fn insert_batch(&mut self, points: Vec<Vec<f64>>) {
+    pub fn insert_batch(&mut self, points: Vec<Vec<f64>>) -> BatchOutcome {
         let dims = self.dims();
         assert!(
             points.iter().all(|p| p.len() == dims),
             "point dimensionality mismatch"
         );
-        let count = points.len();
-        let mut model = KernelModel { dims };
-        let _ = self.core_mut().insert_batch(&mut model, points, usize::MAX);
-        self.add_points(count);
+        self.add_points(points.len());
+        self.core_mut()
+            .insert_batch(&|| KernelModel::new(dims), points, usize::MAX)
     }
 
-    /// Builds a tree by inserting `points` one at a time (the paper's
-    /// "Iterativ" baseline).
+    /// The pipelined mode: drains `points` through the per-shard writers
+    /// **while** reader threads answer `queries` against the pre-batch
+    /// snapshot — the returned answers are exactly what
+    /// [`Self::density_batch`] would have returned *before* this batch
+    /// (pre-batch observation count, pre-batch epochs; property-tested in
+    /// `tests/snapshot_isolation.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point or query has the wrong dimensionality.
+    pub fn pipelined_batch(
+        &mut self,
+        points: Vec<Vec<f64>>,
+        queries: &[Vec<f64>],
+        strategy: DescentStrategy,
+        query_budget: usize,
+    ) -> PipelinedOutcome
+    where
+        R: Send,
+    {
+        let dims = self.dims();
+        assert!(
+            points.iter().all(|p| p.len() == dims),
+            "point dimensionality mismatch"
+        );
+        // The readers answer against the pre-batch state, so they normalise
+        // by the pre-batch observation count.
+        let bandwidth = std::sync::Arc::clone(self.kernel_bandwidth());
+        let query_model = KernelQueryModel::new(self.len(), &bandwidth);
+        self.add_points(points.len());
+        self.core_mut().pipelined_batch(
+            &|| KernelModel::new(dims),
+            points,
+            usize::MAX,
+            &query_model,
+            queries,
+            strategy.into(),
+            query_budget,
+        )
+    }
+}
+
+impl<E: StoredElement> BayesTree<E> {
+    /// Builds a one-shard tree by inserting `points` one at a time (the
+    /// paper's "Iterativ" baseline).
     #[must_use]
     pub fn build_iterative(
         points: &[Vec<f64>],
@@ -168,7 +230,7 @@ mod tests {
             let reference = rstar_split(&boxes, min);
             let expected =
                 bt_anytree::split::distribute(items.clone(), &reference.first, &reference.second);
-            let model = KernelModel { dims: 16 };
+            let model = KernelModel::new(16);
             let got =
                 InsertModel::<crate::KernelSummary>::split_leaf_items(&model, items, &geometry);
             assert_eq!(got, expected, "n = {n}");

@@ -16,7 +16,11 @@
 //! The main entry points are:
 //!
 //! * [`tree::BayesTree`] — the index itself (incremental insertion via
-//!   [`insert`], bulk construction via [`bulk`]),
+//!   [`insert`], bulk construction via [`bulk`]).  It owns one shard
+//!   ([`BayesTree::new`]) or `K` ([`BayesTree::sharded`]) behind the shared
+//!   sharding layer of [`bt_anytree::shard`]: a plain tree is a one-shard
+//!   tree, whose batches go straight to its shard, while `K` shards split
+//!   each batch by router and descend in parallel,
 //! * [`frontier::TreeFrontier`] — the anytime probability density query
 //!   (Definition 3) with the descent strategies of Section 2.2, a thin
 //!   instantiation of the shared query engine in [`bt_anytree::query`],
@@ -24,11 +28,10 @@
 //!   the frontier: budget-bracketed density queries with certain
 //!   `[lower, upper]` bounds ([`BayesTree::anytime_density`]) and the
 //!   insert-free anytime outlier scoring workload
-//!   ([`BayesTree::outlier_score`]); [`ShardedBayesTree`] refines per-shard
-//!   frontiers in parallel and folds them into one global mixture — the
-//!   same fold a plain tree runs over its one view, so both answer with one
-//!   [`bt_anytree::QueryAnswer`] type and share one [`BayesTreeSnapshot`]
-//!   type (one shard for a plain tree),
+//!   ([`BayesTree::outlier_score`]).  Every query refines the per-shard
+//!   frontiers (in parallel when several are busy) and folds them into one
+//!   global mixture answer, [`bt_anytree::QueryAnswer`]; the
+//!   [`BayesTreeSnapshot`] answers through the same fold,
 //! * [`classifier::AnytimeClassifier`] — one tree per class, the qbk
 //!   refinement strategy and budgeted classification,
 //! * [`bulk`] — the bulk-loading strategies of Section 3 (Hilbert, Z-curve,
@@ -38,8 +41,8 @@
 //!
 //! ## Stored precision
 //!
-//! [`BayesTree`] (and [`ShardedBayesTree`], and their snapshot) carry a
-//! stored-precision parameter `E` defaulting to `f64`.  [`BayesTreeF32`]
+//! [`BayesTree`] (and its snapshot) carry a stored-precision parameter `E`
+//! defaulting to `f64`.  [`BayesTreeF32`]
 //! stores every directory summary — CF linear/squared sums and MBR corners —
 //! as `f32`, halving the resident bytes per entry and roughly doubling the
 //! directory fanout per page.  [`BayesTreeQuantized`] goes further:
@@ -63,8 +66,8 @@
 //! snapshot refreshes record `bt_*` counters and histograms into the
 //! process-global registry at batch/query boundaries (including the
 //! per-round refinement trace behind the paper's quality-over-time curve),
-//! with nothing added to the hot loops.  [`ShardedBayesTree`] buffers per
-//! shard and folds at the query boundary.  See `docs/OBSERVABILITY.md` for
+//! with nothing added to the hot loops.  A tree of several shards buffers
+//! per shard and folds at the query boundary.  See `docs/OBSERVABILITY.md` for
 //! the catalogue, switches and cost contract.
 //!
 //! ```
@@ -94,7 +97,8 @@ pub mod node;
 pub mod pdq;
 pub mod qbk;
 pub mod query;
-pub mod sharded;
+#[cfg(test)]
+mod sharded;
 pub mod tree;
 pub mod view;
 
@@ -109,8 +113,7 @@ pub use node::{
 };
 pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
-pub use sharded::ShardedBayesTree;
-pub use tree::BayesTree;
+pub use tree::{BayesCore, BayesTree};
 pub use view::{BayesTreeSnapshot, ClassifierSnapshot};
 
 /// A Bayes tree whose stored summaries (CF sums, MBR corners) are quantised

@@ -21,16 +21,15 @@
 //! [`BayesTree::density_batch`]) and the first insert-free workload over the
 //! same index: anytime outlier scoring ([`BayesTree::outlier_score`]), whose
 //! score *is* the refinable density interval.  Each is the shared query
-//! fold ([`bt_anytree::shard`]) over the one-view slice of the tree's core,
-//! so the plain tree, its snapshot and the sharded variants answer through
-//! one engine.
+//! fold ([`bt_anytree::shard`]) over the tree's shards — one for a plain
+//! tree — so every tree and its snapshot answer through one engine.
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesTree;
 use bt_anytree::{
-    outlier_score_over, query_batch_over, query_over, AnytimeTree, Entry, OutlierScore,
-    QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore,
+    outlier_score_over, query_batch_over, query_over, Entry, OutlierScore, QueryAnswer, QueryModel,
+    QueryStats, RefineOrder, SummaryScore,
 };
 use bt_stats::kernel::{leaf_scores_block, node_scores_block, GaussianKernel, Kernel};
 use bt_stats::{GatheredBlock, KernelBandwidth};
@@ -226,14 +225,10 @@ impl From<DescentStrategy> for RefineOrder {
     }
 }
 
-impl<E: StoredElement> BayesTree<E> {
-    /// The tree as the one-view slice the query fold reads.
-    fn views(&self) -> &[AnytimeTree<E::Summary, Vec<f64>>] {
-        std::slice::from_ref(self.core())
-    }
-
-    /// The kernel-density query model of this tree (normalised by the stored
-    /// observation count, kernels evaluated with the tree's bandwidth).
+impl<E: StoredElement, R> BayesTree<E, R> {
+    /// The kernel-density query model of this tree: normalised by the
+    /// **global** observation count, so per-shard partial densities fold by
+    /// summation; kernels evaluated with the tree's bandwidth.
     ///
     /// Every stored mode gathers full-width columns: `f32` summaries widen
     /// and quantised mantissas decode exactly in `f64`, so each mode's block
@@ -243,9 +238,11 @@ impl<E: StoredElement> BayesTree<E> {
         KernelQueryModel::new(self.len(), self.kernel_bandwidth())
     }
 
-    /// Budget-bracketed anytime density query: refines the frontier with the
-    /// given descent strategy for up to `budget` node reads and returns the
-    /// mixture estimate with its certain `[lower, upper]` bounds.
+    /// Budget-bracketed anytime density query: refines every shard's
+    /// frontier with the given descent strategy for up to `budget` node
+    /// reads (in parallel across busy shards) and returns the folded mixture
+    /// estimate with its certain `[lower, upper]` bounds.  Each shard's
+    /// interval can only tighten with budget, so the folded one does too.
     ///
     /// # Panics
     ///
@@ -258,12 +255,12 @@ impl<E: StoredElement> BayesTree<E> {
         budget: usize,
     ) -> QueryAnswer {
         let model = self.query_model();
-        query_over(self.views(), &model, x, strategy.into(), budget)
+        query_over(self.shards(), &model, x, strategy.into(), budget)
     }
 
-    /// Refines a batch of density queries through one reused cursor, each up
-    /// to `budget` node reads; returns the per-query answers plus the merged
-    /// [`QueryStats`].
+    /// Refines a batch of density queries through one reused cursor per
+    /// shard, each up to `budget` node reads; returns the per-query folded
+    /// answers plus the merged [`QueryStats`].
     ///
     /// # Panics
     ///
@@ -276,7 +273,7 @@ impl<E: StoredElement> BayesTree<E> {
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model();
-        query_batch_over(self.views(), &model, queries, strategy.into(), budget)
+        query_batch_over(self.shards(), &model, queries, strategy.into(), budget)
     }
 
     /// Anytime outlier scoring: refines the density bounds (widest interval
@@ -290,7 +287,7 @@ impl<E: StoredElement> BayesTree<E> {
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
         let model = self.query_model();
-        outlier_score_over(self.views(), &model, x, threshold, budget)
+        outlier_score_over(self.shards(), &model, x, threshold, budget)
     }
 }
 
@@ -400,8 +397,8 @@ mod tests {
         let mut scores = Vec::new();
         let mut inner_nodes = 0;
         for query in [[0.5, 0.5], [8.3, 8.3], [4.0, 4.0], [-30.0, 55.0]] {
-            for id in TreeView::reachable(tree.core()) {
-                let node = tree.core().node(id);
+            for id in TreeView::reachable(tree.shard(0)) {
+                let node = tree.shard(0).node(id);
                 let bt_anytree::NodeKind::Inner { entries } = &node.kind else {
                     continue;
                 };

@@ -1,5 +1,4 @@
-//! Epoch-pinned snapshots of the Bayes tree, its sharded variant and the
-//! anytime classifier.
+//! Epoch-pinned snapshots of the Bayes tree and the anytime classifier.
 //!
 //! A snapshot is a cheap, owned, `Send + Sync` point-in-time view over the
 //! shared core's versioned arena ([`bt_anytree::snapshot`]): queries
@@ -9,10 +8,9 @@
 //! This is what lets a stream processor keep serving density / outlier /
 //! classification queries *while* inserts are flowing.
 //!
-//! One snapshot type serves both trees: a [`BayesTreeSnapshot`] holds a
-//! [`ShardedTreeSnapshot`] — one shard for a plain [`BayesTree`], `K` for a
-//! [`ShardedBayesTree`](crate::ShardedBayesTree) — and answers through the
-//! same query fold the live trees use.
+//! A [`BayesTreeSnapshot`] holds a [`ShardedTreeSnapshot`] — one pinned
+//! shard per shard of the [`BayesTree`], one for a plain tree — and answers
+//! through the same query fold the live tree uses.
 
 use crate::classifier::{run_anytime_over, AnytimeClassifier, AnytimeTrace, Classification};
 use crate::descent::DescentStrategy;
@@ -27,10 +25,10 @@ use bt_anytree::{
 use bt_stats::KernelBandwidth;
 use std::sync::Arc;
 
-/// An epoch-pinned, immutable view of a [`BayesTree`] or a
-/// [`ShardedBayesTree`](crate::ShardedBayesTree): one pinned core snapshot
-/// per shard (a plain tree is one shard) plus the density-model parameters
-/// (global observation count, bandwidth) frozen at snapshot time.
+/// An epoch-pinned, immutable view of a [`BayesTree`]: one pinned core
+/// snapshot per shard (a plain tree is one shard) plus the density-model
+/// parameters (global observation count, bandwidth) frozen at snapshot
+/// time.
 #[derive(Debug, Clone)]
 pub struct BayesTreeSnapshot<E: StoredElement = f64> {
     core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
@@ -39,18 +37,6 @@ pub struct BayesTreeSnapshot<E: StoredElement = f64> {
 }
 
 impl<E: StoredElement> BayesTreeSnapshot<E> {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
-        num_points: usize,
-        bandwidth: Arc<KernelBandwidth>,
-    ) -> Self {
-        Self {
-            core,
-            num_points,
-            bandwidth,
-        }
-    }
-
     /// Dimensionality of the stored kernels.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -143,21 +129,21 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     }
 }
 
-impl<E: StoredElement> BayesTree<E> {
-    /// Takes an epoch-pinned one-shard snapshot: the versioned arena spine
-    /// is cloned (`O(nodes)` pointer copies), the published epoch is
-    /// pinned, and the density-model parameters (count, bandwidth) are
-    /// frozen alongside.
+impl<E: StoredElement, R> BayesTree<E, R> {
+    /// Takes an epoch-pinned snapshot of every shard: each shard's
+    /// versioned arena spine is cloned (`O(nodes)` pointer copies), its
+    /// published epoch is pinned, and the density-model parameters (global
+    /// count, bandwidth) are frozen alongside.
     ///
     /// The snapshot is `Send + Sync` and keeps answering queries
     /// bit-identically to this moment while later inserts mutate the tree.
     #[must_use]
     pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
-        BayesTreeSnapshot::from_parts(
-            ShardedTreeSnapshot::new(std::slice::from_ref(self.core())),
-            self.len(),
-            Arc::clone(self.kernel_bandwidth()),
-        )
+        BayesTreeSnapshot {
+            core: ShardedTreeSnapshot::new(self.shards()),
+            num_points: self.len(),
+            bandwidth: Arc::clone(self.kernel_bandwidth()),
+        }
     }
 }
 
@@ -295,7 +281,7 @@ mod tests {
         );
         // The live tree genuinely moved on.
         assert_ne!(tree.len(), snapshot.len());
-        assert!(tree.core().retired_nodes() > 0);
+        assert!(tree.retired_nodes() > 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! variant — and a node's stale block is never reused after a mutation
 //! restamps it.
 
-use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy, ShardedBayesTree};
+use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy};
 use bt_anytree::{Node, NodeId, QueryAnswer, Summary, TreeView};
 use bt_index::PageGeometry;
 
@@ -188,8 +188,7 @@ fn quantized_decode_path_is_cache_invisible_and_matches_the_reference() {
 #[test]
 fn sharded_warm_cache_is_bit_identical_to_the_cold_pass() {
     let points = stream(400, 0);
-    let mut tree: ShardedBayesTree =
-        ShardedBayesTree::new(DIMS, PageGeometry::from_fanout(3, 5), 3);
+    let mut tree: BayesTree = BayesTree::sharded(DIMS, PageGeometry::from_fanout(3, 5), 3);
     for chunk in points.chunks(64) {
         let _ = tree.insert_batch(chunk.to_vec());
     }

@@ -13,7 +13,7 @@
 //!   ≥ 1.5× (on smaller runners it is reported but not asserted, since
 //!   queries cannot beat the core count).
 
-use bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
+use bayestree::{BayesTree, DescentStrategy};
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
 use clustree::{ClusTree, ClusTreeConfig};
@@ -50,8 +50,8 @@ fn build_single(points: &[Vec<f64>]) -> BayesTree {
     tree
 }
 
-fn build_sharded(points: &[Vec<f64>], shards: usize) -> ShardedBayesTree {
-    let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), shards);
+fn build_sharded(points: &[Vec<f64>], shards: usize) -> BayesTree {
+    let mut tree: BayesTree = BayesTree::sharded(3, geometry(), shards);
     for chunk in points.chunks(256) {
         let _ = tree.insert_batch(chunk.to_vec());
     }

@@ -11,7 +11,7 @@
 //! (`>= 0.8x` solo).  On smaller runners the ratio is reported but not
 //! asserted, since the threads would contend for the same core.
 
-use bayestree::{DescentStrategy, ShardedBayesTree};
+use bayestree::{BayesTree, DescentStrategy};
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -38,8 +38,8 @@ fn geometry() -> PageGeometry {
     PageGeometry::from_fanout(4, 8)
 }
 
-fn build_tree(points: &[Vec<f64>], shards: usize) -> ShardedBayesTree {
-    let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), shards);
+fn build_tree(points: &[Vec<f64>], shards: usize) -> BayesTree {
+    let mut tree: BayesTree = BayesTree::sharded(3, geometry(), shards);
     for chunk in points.chunks(BATCH_SIZE) {
         let _ = tree.insert_batch(chunk.to_vec());
     }
@@ -144,7 +144,7 @@ fn pipelined_benchmarks(c: &mut Criterion) {
     group.throughput(Throughput::Elements(STREAM_LEN as u64));
     group.bench_function("solo_insert", |b| {
         b.iter(|| {
-            let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), 4);
+            let mut tree: BayesTree = BayesTree::sharded(3, geometry(), 4);
             for chunk in points.chunks(BATCH_SIZE) {
                 black_box(tree.insert_batch(chunk.to_vec()));
             }
@@ -153,7 +153,7 @@ fn pipelined_benchmarks(c: &mut Criterion) {
     });
     group.bench_function("pipelined_insert_query", |b| {
         b.iter(|| {
-            let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), 4);
+            let mut tree: BayesTree = BayesTree::sharded(3, geometry(), 4);
             let mut answered = 0usize;
             for chunk in points.chunks(BATCH_SIZE) {
                 let outcome = tree.pipelined_batch(

@@ -9,11 +9,11 @@
 //! smoke threshold (on smaller runners the ratio is reported but not
 //! asserted, since sharding cannot beat the core count).
 
-use bayestree::ShardedBayesTree;
+use bayestree::BayesTree;
 use bt_data::stream::DriftingStream;
 use bt_data::synth::Benchmark;
 use bt_index::PageGeometry;
-use clustree::{ClusTreeConfig, ShardedClusTree};
+use clustree::{ClusTree, ClusTreeConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,17 +33,17 @@ fn clustree_stream(len: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn build_sharded_clustree(points: &[Vec<f64>], shards: usize) -> ShardedClusTree {
-    let mut tree: ShardedClusTree = ShardedClusTree::new(3, ClusTreeConfig::default(), shards);
+fn build_sharded_clustree(points: &[Vec<f64>], shards: usize) -> ClusTree {
+    let mut tree: ClusTree = ClusTree::sharded(3, ClusTreeConfig::default(), shards);
     for (batch_idx, chunk) in points.chunks(BATCH_SIZE).enumerate() {
         let _ = tree.insert_batch(chunk, (batch_idx * BATCH_SIZE) as f64, NODE_BUDGET);
     }
     tree
 }
 
-fn build_sharded_bayestree(points: &[Vec<f64>], dims: usize, shards: usize) -> ShardedBayesTree {
+fn build_sharded_bayestree(points: &[Vec<f64>], dims: usize, shards: usize) -> BayesTree {
     let geometry = PageGeometry::default_for_dims(dims);
-    let mut tree: ShardedBayesTree = ShardedBayesTree::new(dims, geometry, shards);
+    let mut tree: BayesTree = BayesTree::sharded(dims, geometry, shards);
     for chunk in points.chunks(BATCH_SIZE) {
         let _ = tree.insert_batch(chunk.to_vec());
     }

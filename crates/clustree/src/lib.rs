@@ -14,7 +14,11 @@
 //!   timestamp,
 //! * [`tree::ClusTree`] — the anytime index: budgeted insertion with
 //!   hitchhiker buffers, exponential decay, irrelevance-based entry reuse and
-//!   R*-style splits when time permits,
+//!   R*-style splits when time permits.  It owns one shard
+//!   ([`ClusTree::new`]) or `K` ([`ClusTree::sharded`]) behind the shared
+//!   sharding layer of [`bt_anytree::shard`]: a plain tree is a one-shard
+//!   tree, whose batches go straight to its shard, while `K` shards split
+//!   each batch by router and descend in parallel,
 //! * [`snapshot::SnapshotStore`] — the pyramidal time frame,
 //! * [`offline::weighted_dbscan`] — the offline macro-clustering component
 //!   over micro-clusters,
@@ -23,11 +27,10 @@
 //!   micro-cluster retrieval at any tree level
 //!   ([`ClusTree::anytime_knn`]), budget-bracketed density scores with
 //!   certain bounds ([`ClusTree::anytime_density`]) and anytime outlier
-//!   scoring ([`ClusTree::outlier_score`]); [`ShardedClusTree`] refines
-//!   per-shard frontiers in parallel and folds them — the same fold (and
-//!   the same k-NN ranking) a plain tree runs over its one view, so both
-//!   trees share one [`ClusTreeSnapshot`] type (one shard for a plain
-//!   tree).
+//!   scoring ([`ClusTree::outlier_score`]).  Every query refines the
+//!   per-shard frontiers (in parallel when several are busy) and folds
+//!   them, k-NN ranking included ([`knn_over`]); the [`ClusTreeSnapshot`]
+//!   answers through the same fold.
 //!
 //! Because the index is the shared [`bt_anytree::AnytimeTree`] core, every
 //! [`ClusTree`] also inherits the `bt-obs` instrumentation: budgeted
@@ -54,15 +57,17 @@
 pub mod microcluster;
 pub mod offline;
 pub mod query;
-pub mod sharded;
+#[cfg(test)]
+mod sharded;
 pub mod snapshot;
 pub mod tree;
 pub mod view;
 
 pub use microcluster::{DecayCtx, MicroCluster};
 pub use offline::{weighted_dbscan, DbscanConfig, MacroClustering};
-pub use query::{ClusQueryModel, ClusterNeighbor, KnnAnswer};
-pub use sharded::ShardedClusTree;
+pub use query::{knn_over, ClusQueryModel, ClusterNeighbor, KnnAnswer};
 pub use snapshot::SnapshotStore;
-pub use tree::{BatchOutcome, ClusTree, ClusTreeConfig, DepthHistogram, InsertOutcome};
+pub use tree::{
+    BatchOutcome, ClusCore, ClusModel, ClusTree, ClusTreeConfig, DepthHistogram, InsertOutcome,
+};
 pub use view::ClusTreeSnapshot;

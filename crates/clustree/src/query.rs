@@ -43,9 +43,9 @@
 use crate::microcluster::MicroCluster;
 use crate::tree::ClusTree;
 use bt_anytree::{
-    outlier_score_over, query_batch_over, query_over, refine_frontiers_over, AnytimeTree,
-    ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement,
-    QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    outlier_score_over, query_batch_over, query_over, refine_frontiers_over, ElementOrigin, Entry,
+    NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement, QueryModel, QueryStats,
+    RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
@@ -72,18 +72,43 @@ impl ClusQueryModel {
     ///
     /// # Panics
     ///
-    /// Panics if any bandwidth component is non-positive.
+    /// Panics if any bandwidth component is not finite and positive.
     #[must_use]
     pub fn new(total_weight: f64, bandwidth: Vec<f64>, lambda: f64) -> Self {
         assert!(
-            bandwidth.iter().all(|h| *h > 0.0),
-            "bandwidths must be positive"
+            bandwidth.iter().all(|h| h.is_finite() && *h > 0.0),
+            "bandwidths must be finite and positive"
         );
         Self {
             total_weight: total_weight.max(f64::MIN_POSITIVE),
             bandwidth,
             lambda,
         }
+    }
+
+    /// The model over a slice of core views — a tree's shards, live or
+    /// pinned, or one directly driven core: normalised by the **global**
+    /// stored weight across the views (so per-view partial scores fold by
+    /// summation), smoothing with `bandwidth`, merging with decay rate
+    /// `lambda`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bandwidth has the wrong dimensionality or a component
+    /// that is not finite and positive.
+    #[must_use]
+    pub fn over<V: TreeView<MicroCluster, MicroCluster>>(
+        views: &[V],
+        bandwidth: &[f64],
+        lambda: f64,
+    ) -> Self {
+        assert_eq!(
+            bandwidth.len(),
+            views[0].dims(),
+            "bandwidth dimensionality mismatch"
+        );
+        let total: f64 = views.iter().map(stored_weight).sum();
+        Self::new(total, bandwidth.to_vec(), lambda)
     }
 
     /// The global weight normaliser.
@@ -430,30 +455,6 @@ fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
     }
 }
 
-/// The micro-cluster query model over a slice of views — a plain tree's one
-/// view or a sharded tree's shards, live or pinned: normalised by the
-/// **global** stored weight across the views (so per-view partial scores
-/// fold by summation), smoothing with `bandwidth`, merging with decay rate
-/// `lambda`.
-///
-/// # Panics
-///
-/// Panics if the bandwidth has the wrong dimensionality or a non-positive
-/// component.
-pub(crate) fn model_over<V: TreeView<MicroCluster, MicroCluster>>(
-    views: &[V],
-    bandwidth: &[f64],
-    lambda: f64,
-) -> ClusQueryModel {
-    assert_eq!(
-        bandwidth.len(),
-        views[0].dims(),
-        "bandwidth dimensionality mismatch"
-    );
-    let total: f64 = views.iter().map(stored_weight).sum();
-    ClusQueryModel::new(total, bandwidth.to_vec(), lambda)
-}
-
 /// Materialises the micro-cluster behind a frontier element.
 pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
     core: &V,
@@ -472,12 +473,17 @@ pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
 }
 
 /// Anytime k-NN micro-cluster retrieval over a slice of views — the one
-/// k-NN fold every tree runs (live or pinned, a plain tree as the one-view
-/// slice, a sharded tree over its shards): each view's frontier refines
-/// closest-first for up to `budget` node reads
+/// k-NN fold every tree runs, live or pinned, over its shards (or over one
+/// directly driven core as the one-view slice): each view's frontier
+/// refines closest-first for up to `budget` node reads
 /// ([`refine_frontiers_over`]), then the frontier elements of all views
 /// are ranked together and the `k` closest clusters returned.
-pub(crate) fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+///
+/// # Panics
+///
+/// Panics if the query has the wrong dimensionality.
+#[must_use]
+pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     views: &[V],
     model: &ClusQueryModel,
     x: &[f64],
@@ -523,28 +529,25 @@ pub(crate) fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     )
 }
 
-impl ClusTree {
-    /// The tree as the one-view slice the query fold reads.
-    fn views(&self) -> &[AnytimeTree<MicroCluster, MicroCluster>] {
-        std::slice::from_ref(self.core())
-    }
-
-    /// The micro-cluster query model of this tree: normalised by the stored
-    /// total weight, smoothing with `bandwidth`, merging with the tree's
-    /// decay rate.
+impl<R> ClusTree<R> {
+    /// The micro-cluster query model of this tree: normalised by the
+    /// **global** stored weight across all shards (so per-shard partial
+    /// scores fold by summation), smoothing with `bandwidth`, merging with
+    /// the tree's decay rate.
     ///
     /// # Panics
     ///
-    /// Panics if the bandwidth has the wrong dimensionality or a
-    /// non-positive component.
+    /// Panics if the bandwidth has the wrong dimensionality or a component
+    /// that is not finite and positive.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        model_over(self.views(), bandwidth, self.config().decay_lambda)
+        ClusQueryModel::over(self.shards(), bandwidth, self.config().decay_lambda)
     }
 
-    /// Budget-bracketed anytime density score: refines the frontier in the
-    /// given order for up to `budget` node reads and returns the smoothed
-    /// kernel score with its certain `[lower, upper]` bounds.
+    /// Budget-bracketed anytime density score: refines every shard's
+    /// frontier in the given order for up to `budget` node reads (in
+    /// parallel across busy shards) and returns the folded smoothed-kernel
+    /// score with its certain `[lower, upper]` bounds.
     ///
     /// # Panics
     ///
@@ -558,10 +561,11 @@ impl ClusTree {
         budget: usize,
     ) -> QueryAnswer {
         let model = self.query_model(bandwidth);
-        query_over(self.views(), &model, x, order, budget)
+        query_over(self.shards(), &model, x, order, budget)
     }
 
-    /// Refines a batch of density queries through one reused cursor.
+    /// Refines a batch of density queries through one reused cursor per
+    /// shard and folds the partials per query.
     ///
     /// # Panics
     ///
@@ -575,14 +579,14 @@ impl ClusTree {
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model(bandwidth);
-        query_batch_over(self.views(), &model, queries, order, budget)
+        query_batch_over(self.shards(), &model, queries, order, budget)
     }
 
-    /// Anytime k-NN micro-cluster retrieval: refines the frontier closest
-    /// -first for up to `budget` node reads and returns the `k` clusters
-    /// nearest to `x` at the reached granularity — root-level aggregates at
-    /// budget 0, leaf micro-clusters once the neighbourhood is fully
-    /// refined.
+    /// Anytime k-NN micro-cluster retrieval: refines every shard's frontier
+    /// closest-first for up to `budget` node reads, ranks the shards'
+    /// frontiers together and returns the `k` clusters nearest to `x` at
+    /// the reached granularity — root-level aggregates at budget 0, leaf
+    /// micro-clusters once the neighbourhood is fully refined.
     ///
     /// # Panics
     ///
@@ -590,11 +594,12 @@ impl ClusTree {
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
         let model = self.query_model(&vec![1.0; self.dims()]);
-        knn_over(self.views(), &model, x, k, budget)
+        knn_over(self.shards(), &model, x, k, budget)
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound
-    /// first, early exit once the verdict is certain).
+    /// first, early exit once the verdict of the folded interval is
+    /// certain).
     ///
     /// # Panics
     ///
@@ -608,7 +613,7 @@ impl ClusTree {
         budget: usize,
     ) -> OutlierScore {
         let model = self.query_model(bandwidth);
-        outlier_score_over(self.views(), &model, x, threshold, budget)
+        outlier_score_over(self.shards(), &model, x, threshold, budget)
     }
 }
 
@@ -696,9 +701,9 @@ mod tests {
         // Insert with tiny budgets so hitchhiker buffers hold real mass.
         let tree = two_cluster_tree(300, 1);
         let model = tree.query_model(&[1.0, 1.0]);
-        let mut cursor = tree.core().new_query(&model, &[0.0, 0.0]);
+        let mut cursor = tree.shard(0).new_query(&model, &[0.0, 0.0]);
         while tree
-            .core()
+            .shard(0)
             .refine_query(&model, RefineOrder::BreadthFirst, &mut cursor)
         {}
         assert!((cursor.total_weight() - 300.0).abs() < 1e-6);
@@ -722,8 +727,8 @@ mod tests {
         let mut scores = Vec::new();
         let mut inner_nodes = 0;
         for query in [[0.4, -0.2], [20.0, 19.5], [10.0, 10.0], [-80.0, 120.0]] {
-            for id in TreeView::reachable(tree.core()) {
-                let node = tree.core().node(id);
+            for id in TreeView::reachable(tree.shard(0)) {
+                let node = tree.shard(0).node(id);
                 let NodeKind::Inner { entries } = &node.kind else {
                     continue;
                 };
@@ -772,6 +777,26 @@ mod tests {
                 assert!(partial.upper + 1e-12 >= exact.estimate);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidths must be finite and positive")]
+    fn infinite_bandwidth_is_rejected_by_the_model() {
+        let _ = ClusQueryModel::new(10.0, vec![f64::INFINITY, 1.0], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidths must be finite and positive")]
+    fn infinite_bandwidth_is_rejected_by_the_tree_queries() {
+        // An infinite bandwidth scores an estimate outside the certified
+        // interval.
+        let tree = two_cluster_tree(50, 10);
+        let _ = tree.anytime_density(
+            &[0.0, 0.0],
+            &[f64::INFINITY, 1.0],
+            RefineOrder::BestFirst,
+            2,
+        );
     }
 
     #[test]

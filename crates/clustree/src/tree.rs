@@ -26,9 +26,24 @@
 //! on.  This module only supplies the micro-cluster payload policy: nearest
 //! -centre routing, absorb-or-reuse leaf insertion, the polar split, and the
 //! merge-closest fallback when there is no time to split.
+//!
+//! The tree owns its core through the shared sharding layer
+//! ([`bt_anytree::shard`]): [`ClusTree::new`] builds one shard, the paper's
+//! single tree, whose batches go straight to it; [`ClusTree::sharded`]
+//! builds `K`, each mini-batch split by router and descended in parallel
+//! so the per-object budget is spent on `K` cores at once.  Micro-clusters
+//! are additive, so the offline step folds the shards' micro-clusters
+//! ([`ClusTree::micro_clusters`]) before running
+//! [`weighted_dbscan`] or recording a pyramidal
+//! snapshot, exactly as over a single tree.
 
 use crate::microcluster::{DecayCtx, MicroCluster};
-use bt_anytree::{AnytimeTree, InsertModel, Node, NodeId, NodeKind};
+use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
+use crate::snapshot::SnapshotStore;
+use bt_anytree::{
+    AnytimeTree, CheapestRouter, DescentStats, InsertModel, Node, NodeId, NodeKind,
+    PipelinedOutcome, RefineOrder, ShardRouter, ShardedAnytimeTree,
+};
 use bt_index::PageGeometry;
 
 pub use bt_anytree::{BatchOutcome, DepthHistogram, InsertOutcome};
@@ -63,13 +78,12 @@ impl Default for ClusTreeConfig {
 }
 
 impl ClusTreeConfig {
-    /// Asserts the configuration's invariants (shared by the plain and
-    /// sharded constructors, so both reject exactly the same configs).
+    /// Asserts the configuration's invariants.
     ///
     /// # Panics
     ///
     /// Panics if the configuration cannot support a node split.
-    pub(crate) fn validate(&self) {
+    fn validate(&self) {
         assert!(self.max_entries >= 2, "need at least two entries per node");
         assert!(
             self.min_entries >= 1 && self.min_entries * 2 <= self.max_entries + 1,
@@ -78,8 +92,10 @@ impl ClusTreeConfig {
     }
 
     /// The `(min, max)` fanout this configuration induces on the shared
-    /// core (the same capacity governs inner and leaf nodes).
-    pub(crate) fn geometry(&self) -> PageGeometry {
+    /// core (the same capacity governs inner and leaf nodes) — the geometry
+    /// of every shard, and of a directly driven [`ClusCore`].
+    #[must_use]
+    pub fn geometry(&self) -> PageGeometry {
         PageGeometry {
             min_fanout: self.min_entries,
             max_fanout: self.max_entries,
@@ -89,14 +105,23 @@ impl ClusTreeConfig {
     }
 }
 
-/// The micro-cluster insertion policy over the shared core (also driven by
-/// the sharded tree in [`crate::sharded`]).
-pub(crate) struct ClusModel<'a> {
-    pub(crate) config: &'a ClusTreeConfig,
-    pub(crate) now: f64,
+/// The micro-cluster insertion policy over the shared core: objects
+/// observed at `now` under `config`.  Public so a [`bt_anytree::AnytimeTree`]
+/// can be driven directly with the ClusTree's policy, as the equivalence
+/// tests do.
+#[derive(Debug, Clone, Copy)]
+pub struct ClusModel<'a> {
+    config: &'a ClusTreeConfig,
+    now: f64,
 }
 
-impl ClusModel<'_> {
+impl<'a> ClusModel<'a> {
+    /// The policy for objects observed at `now`.
+    #[must_use]
+    pub fn new(config: &'a ClusTreeConfig, now: f64) -> Self {
+        Self { config, now }
+    }
+
     fn lambda(&self) -> f64 {
         self.config.decay_lambda
     }
@@ -191,26 +216,57 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
     }
 }
 
-/// The anytime stream-clustering index.
+/// One shard of a ClusTree: the shared arena-tree core over micro-clusters.
+pub type ClusCore = AnytimeTree<MicroCluster, MicroCluster>;
+
+/// The anytime stream-clustering index over `K` shards (one unless built
+/// with [`ClusTree::sharded`] or [`ClusTree::with_router`]), routed by `R`.
 #[derive(Debug, Clone)]
-pub struct ClusTree {
+pub struct ClusTree<R = CheapestRouter> {
     config: ClusTreeConfig,
-    core: AnytimeTree<MicroCluster, MicroCluster>,
+    core: ShardedAnytimeTree<MicroCluster, MicroCluster, R>,
     num_inserted: usize,
     current_time: f64,
 }
 
 impl ClusTree {
-    /// Creates an empty tree for `dims`-dimensional points.
+    /// Creates an empty one-shard tree for `dims`-dimensional points.
     ///
     /// # Panics
     ///
     /// Panics if `dims == 0` or the configuration is inconsistent.
     #[must_use]
     pub fn new(dims: usize, config: ClusTreeConfig) -> Self {
+        Self::sharded(dims, config, 1)
+    }
+}
+
+impl<R: Default> ClusTree<R> {
+    /// Creates `num_shards` empty shards for `dims`-dimensional points with
+    /// a default-constructed router.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims == 0`, `num_shards == 0` or the configuration is
+    /// inconsistent.
+    #[must_use]
+    pub fn sharded(dims: usize, config: ClusTreeConfig, num_shards: usize) -> Self {
+        Self::with_router(dims, config, num_shards, R::default())
+    }
+}
+
+impl<R> ClusTree<R> {
+    /// Creates `num_shards` empty shards routed by `router`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims == 0`, `num_shards == 0` or the configuration is
+    /// inconsistent.
+    #[must_use]
+    pub fn with_router(dims: usize, config: ClusTreeConfig, num_shards: usize, router: R) -> Self {
         assert!(dims > 0, "dimensionality must be positive");
         config.validate();
-        let core = AnytimeTree::new(dims, config.geometry());
+        let core = ShardedAnytimeTree::with_router(dims, config.geometry(), num_shards, router);
         Self {
             config,
             core,
@@ -225,7 +281,13 @@ impl ClusTree {
         self.core.dims()
     }
 
-    /// Number of objects inserted so far.
+    /// Number of shards.
+    #[must_use]
+    pub fn num_shards(&self) -> usize {
+        self.core.num_shards()
+    }
+
+    /// Number of objects inserted so far (across all shards).
     #[must_use]
     pub fn len(&self) -> usize {
         self.num_inserted
@@ -243,7 +305,7 @@ impl ClusTree {
         &self.config
     }
 
-    /// Height of the tree (a single leaf root has height 1).
+    /// Height of the tallest shard (a single leaf root has height 1).
     #[must_use]
     pub fn height(&self) -> usize {
         self.core.height()
@@ -255,87 +317,54 @@ impl ClusTree {
         self.current_time
     }
 
-    /// Read access to the underlying shared arena tree (for inspection and
-    /// invariant tests).
+    /// The shard trees, for per-node inspection through
+    /// [`bt_anytree::TreeView`] and for the query folds.
     #[must_use]
-    pub fn core(&self) -> &AnytimeTree<MicroCluster, MicroCluster> {
-        &self.core
+    pub fn shards(&self) -> &[ClusCore] {
+        self.core.shards()
     }
 
-    /// Inserts an object observed at `timestamp` with a budget of
-    /// `node_budget` node reads.
-    ///
-    /// A budget of 0 parks the object at the root level immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point has the wrong dimensionality.
-    pub fn insert(&mut self, point: &[f64], timestamp: f64, node_budget: usize) -> InsertOutcome {
-        assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
-        self.current_time = self.current_time.max(timestamp);
-        self.num_inserted += 1;
-        let payload = MicroCluster::from_point(point, timestamp);
-        let mut model = ClusModel {
-            config: &self.config,
-            now: timestamp,
-        };
-        self.core.insert(&mut model, payload, node_budget)
+    /// One shard tree: its `root()`, `node(id)` and reachable set.
+    #[must_use]
+    pub fn shard(&self, k: usize) -> &ClusCore {
+        self.core.shard(k)
     }
 
-    /// Inserts a mini-batch of objects observed at `timestamp`, each with a
-    /// budget of `node_budget` node reads, through the core's batched
-    /// descent engine ([`bt_anytree::descent`]).
-    ///
-    /// Within the batch every visited node refreshes (decays) its entry
-    /// summaries once instead of once per object — observably equivalent for
-    /// objects sharing a timestamp, since decay is idempotent at a fixed
-    /// instant — and overflowing nodes split once after the batch drains.
-    /// Objects are routed in input order, so a later object picks up
-    /// hitchhikers parked by an earlier one exactly as sequential insertion
-    /// would.  The returned [`BatchOutcome`] carries the per-object outcomes
-    /// plus the reached-leaf vs. parked-at-depth histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any point has the wrong dimensionality.
-    pub fn insert_batch(
-        &mut self,
-        points: &[Vec<f64>],
-        timestamp: f64,
-        node_budget: usize,
-    ) -> BatchOutcome {
-        let dims = self.dims();
-        assert!(
-            points.iter().all(|p| p.len() == dims),
-            "point dimensionality mismatch"
-        );
-        self.current_time = self.current_time.max(timestamp);
-        self.num_inserted += points.len();
-        let payloads: Vec<MicroCluster> = points
-            .iter()
-            .map(|p| MicroCluster::from_point(p, timestamp))
-            .collect();
-        let mut model = ClusModel {
-            config: &self.config,
-            now: timestamp,
-        };
-        self.core.insert_batch(&mut model, payloads, node_budget)
+    /// Objects routed to each shard so far — the direct skew measure for
+    /// the configured router.  Counted at routing time: during a
+    /// [`Self::pipelined_batch`] the sizes already include the in-flight
+    /// batch while any pre-batch snapshot still reflects the old epochs.
+    #[must_use]
+    pub fn shard_sizes(&self) -> &[usize] {
+        self.core.shard_sizes()
+    }
+
+    /// Number of reachable nodes across all shards.
+    #[must_use]
+    pub fn num_nodes(&self) -> usize {
+        self.core.num_nodes()
+    }
+
+    /// The descent-engine work counters merged over all shards.
+    #[must_use]
+    pub fn stats(&self) -> DescentStats {
+        self.core.stats()
     }
 
     /// Number of payload-summary refresh (decay) operations performed by
-    /// descents so far.  Batched insertion refreshes each visited node once
-    /// per batch, so it grows this counter strictly slower than sequential
-    /// insertion.
+    /// descents so far, over all shards.  Batched insertion refreshes each
+    /// visited node once per batch, so it grows this counter strictly slower
+    /// than sequential insertion.
     #[must_use]
     pub fn summary_refreshes(&self) -> u64 {
         self.core.summary_refreshes()
     }
 
-    /// The published epoch of the versioned arena (batches committed so
-    /// far); [`ClusTree::snapshot`](crate::view) pins this value.
+    /// The published epoch of every shard (batches committed so far);
+    /// [`ClusTree::snapshot`](crate::view) pins these values.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
+    pub fn epochs(&self) -> Vec<u64> {
+        self.core.epochs()
     }
 
     /// Retired node copies created by copy-on-write so far — zero as long
@@ -352,14 +381,14 @@ impl ClusTree {
         self.core.pinned_snapshots()
     }
 
-    /// All current micro-clusters: the leaf entries plus any non-empty
-    /// hitchhiker buffers, decayed to the tree's current time.
+    /// All current micro-clusters, **folded over the shards**: every
+    /// shard's leaf entries plus non-empty hitchhiker buffers, decayed to
+    /// the tree's current time.  This fold is the input to the offline step
+    /// — macro clustering and snapshots do not care how the model was
+    /// partitioned.
     #[must_use]
     pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        collect_micro_clusters(&self.core, &mut out);
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
+        fold_micro_clusters(self.shards(), self.current_time, self.config.decay_lambda)
     }
 
     /// Number of current micro-clusters.
@@ -374,29 +403,165 @@ impl ClusTree {
         self.micro_clusters().iter().map(MicroCluster::weight).sum()
     }
 
-    /// Number of nodes in the tree.
+    /// Runs the offline density-based macro clustering over the current
+    /// micro-clusters.
     #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.core.num_nodes()
+    pub fn offline_clustering(&self, dbscan: &DbscanConfig) -> MacroClustering {
+        weighted_dbscan(&self.micro_clusters(), dbscan)
     }
 
-    /// Validates internal consistency: every node within capacity (plus the
-    /// bounded directory slack a deferred split may leave behind) and all
-    /// aggregated weights non-negative.
+    /// Records the current micro-clusters as one pyramidal snapshot at
+    /// integer tick `tick`.
+    pub fn record_snapshot(&self, store: &mut SnapshotStore, tick: u64) {
+        store.record(tick, self.micro_clusters());
+    }
+
+    /// Validates internal consistency, shard by shard: every node within
+    /// capacity (plus the bounded directory slack a deferred split may
+    /// leave behind) and all aggregated weights non-negative.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        validate_node(&self.core, &self.config, self.core.root())
+        for (k, shard) in self.shards().iter().enumerate() {
+            validate_node(shard, &self.config, shard.root())
+                .map_err(|e| format!("shard {k}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Admits `points` observed at `timestamp`: checks their
+    /// dimensionality, advances the clock and the insert count, and returns
+    /// their payloads.
+    fn admit(&mut self, points: &[Vec<f64>], timestamp: f64) -> Vec<MicroCluster> {
+        let dims = self.dims();
+        assert!(
+            points.iter().all(|p| p.len() == dims),
+            "point dimensionality mismatch"
+        );
+        self.current_time = self.current_time.max(timestamp);
+        self.num_inserted += points.len();
+        points
+            .iter()
+            .map(|p| MicroCluster::from_point(p, timestamp))
+            .collect()
     }
 }
 
+impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
+    /// Inserts an object observed at `timestamp` with a budget of
+    /// `node_budget` node reads into the shard the router assigns it.
+    ///
+    /// A budget of 0 parks the object at the root level immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the point has the wrong dimensionality.
+    pub fn insert(&mut self, point: &[f64], timestamp: f64, node_budget: usize) -> InsertOutcome {
+        assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
+        self.current_time = self.current_time.max(timestamp);
+        self.num_inserted += 1;
+        let payload = MicroCluster::from_point(point, timestamp);
+        let mut model = ClusModel::new(&self.config, timestamp);
+        self.core.insert(&mut model, payload, node_budget)
+    }
+
+    /// Inserts a mini-batch of objects observed at `timestamp`, each with a
+    /// budget of `node_budget` node reads, through the core's batched
+    /// descent engine ([`bt_anytree::descent`]).
+    ///
+    /// Within the batch every visited node refreshes (decays) its entry
+    /// summaries once instead of once per object — observably equivalent for
+    /// objects sharing a timestamp, since decay is idempotent at a fixed
+    /// instant — and overflowing nodes split once after the batch drains.
+    /// Objects are routed in input order, so a later object picks up
+    /// hitchhikers parked by an earlier one exactly as sequential insertion
+    /// would.  A tree of several shards descends every shard's share in
+    /// parallel on scoped threads.  The returned [`BatchOutcome`] carries
+    /// the per-object outcomes in input order plus the reached-leaf vs.
+    /// parked-at-depth histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point has the wrong dimensionality.
+    pub fn insert_batch(
+        &mut self,
+        points: &[Vec<f64>],
+        timestamp: f64,
+        node_budget: usize,
+    ) -> BatchOutcome {
+        let payloads = self.admit(points, timestamp);
+        let config = &self.config;
+        self.core
+            .insert_batch(&|| ClusModel::new(config, timestamp), payloads, node_budget)
+    }
+
+    /// The pipelined mode: drains a mini-batch through the per-shard
+    /// writers **while** reader threads answer `queries` (density scores
+    /// smoothed with `bandwidth`, refined in `order`) against the pre-batch
+    /// snapshot — the returned answers are exactly what
+    /// [`Self::density_batch`] would have returned *before* this batch
+    /// (pre-batch total weight, pre-batch epochs; property-tested in
+    /// `tests/snapshot_isolation.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point, query or the bandwidth has the wrong
+    /// dimensionality.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pipelined_batch(
+        &mut self,
+        points: &[Vec<f64>],
+        timestamp: f64,
+        node_budget: usize,
+        queries: &[Vec<f64>],
+        bandwidth: &[f64],
+        order: RefineOrder,
+        query_budget: usize,
+    ) -> PipelinedOutcome
+    where
+        R: Send,
+    {
+        // The readers answer against the pre-batch state, so they normalise
+        // by the pre-batch global stored weight.
+        let query_model = self.query_model(bandwidth);
+        let payloads = self.admit(points, timestamp);
+        let config = &self.config;
+        self.core.pipelined_batch(
+            &|| ClusModel::new(config, timestamp),
+            payloads,
+            node_budget,
+            &query_model,
+            queries,
+            order,
+            query_budget,
+        )
+    }
+}
+
+/// The micro-clusters of a slice of core views (a live tree's shards or a
+/// snapshot's), decayed to `now` with rate `lambda`, weightless ones
+/// dropped.
+pub(crate) fn fold_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
+    views: &[V],
+    now: f64,
+    lambda: f64,
+) -> Vec<MicroCluster> {
+    let mut out = Vec::new();
+    for view in views {
+        collect_micro_clusters(view, &mut out);
+    }
+    for mc in &mut out {
+        mc.decay_to(now, lambda);
+    }
+    out.retain(|mc| mc.weight() > f64::EPSILON);
+    out
+}
+
 /// Gathers the raw (undecayed) micro-clusters of one core tree view: leaf
-/// items plus any non-empty hitchhiker buffers.  Shared by [`ClusTree`], the
-/// sharded tree (whose snapshot/offline step folds the shards' collections)
-/// and the epoch-pinned snapshots in [`crate::view`].
-pub(crate) fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
+/// items plus any non-empty hitchhiker buffers.
+fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
     core: &V,
     out: &mut Vec<MicroCluster>,
 ) {
@@ -410,22 +575,10 @@ pub(crate) fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, Micro
     }
 }
 
-/// Decays a collected micro-cluster set to `now` and drops the weightless.
-pub(crate) fn finish_micro_clusters(out: &mut Vec<MicroCluster>, now: f64, lambda: f64) {
-    for mc in out.iter_mut() {
-        mc.decay_to(now, lambda);
-    }
-    out.retain(|mc| mc.weight() > f64::EPSILON);
-}
-
 /// Validates one core (sub)tree: every node within capacity (plus the
 /// bounded directory slack a deferred split may leave behind) and all
-/// aggregated weights non-negative.  Shared by the plain and sharded trees.
-pub(crate) fn validate_node(
-    core: &AnytimeTree<MicroCluster, MicroCluster>,
-    config: &ClusTreeConfig,
-    node_id: NodeId,
-) -> Result<(), String> {
+/// aggregated weights non-negative.
+fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> Result<(), String> {
     let node: &Node<MicroCluster, MicroCluster> = core.node(node_id);
     // Inner nodes may temporarily exceed capacity by one when a split was
     // deferred for lack of time; anything beyond that is a bug.

@@ -1,4 +1,4 @@
-//! Epoch-pinned snapshots of the clustering index and its sharded variant.
+//! Epoch-pinned snapshots of the clustering index.
 //!
 //! Not to be confused with [`crate::snapshot`] (the pyramidal *time-frame*
 //! store of micro-cluster sets): [`ClusTreeSnapshot`] is an **isolation**
@@ -6,23 +6,21 @@
 //! `Send + Sync` view whose density / k-NN / outlier answers stay
 //! bit-identical to the moment it was taken, while later mini-batches keep
 //! mutating the live tree (writers copy-on-write any node a snapshot still
-//! pins).  One type serves both trees: it holds a [`ShardedTreeSnapshot`]
-//! — one shard for a plain [`ClusTree`], `K` for a
-//! [`ShardedClusTree`](crate::ShardedClusTree) — and answers through the
-//! same query fold the live trees use.
+//! pins).  It holds a [`ShardedTreeSnapshot`] — one pinned shard per shard
+//! of the [`ClusTree`], one for a plain tree — and answers through the same
+//! query fold the live tree uses.
 
 use crate::microcluster::MicroCluster;
-use crate::query::{knn_over, model_over, ClusQueryModel, KnnAnswer};
-use crate::tree::{collect_micro_clusters, finish_micro_clusters, ClusTree, ClusTreeConfig};
+use crate::query::{knn_over, ClusQueryModel, KnnAnswer};
+use crate::tree::{fold_micro_clusters, ClusTree, ClusTreeConfig};
 use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryStats,
     RefineOrder, ShardedTreeSnapshot,
 };
 
-/// An epoch-pinned, immutable view of a [`ClusTree`] or a
-/// [`ShardedClusTree`](crate::ShardedClusTree): one pinned core snapshot
-/// per shard (a plain tree is one shard) plus the model parameters (decay
-/// rate, current time) frozen at snapshot time.
+/// An epoch-pinned, immutable view of a [`ClusTree`]: one pinned core
+/// snapshot per shard (a plain tree is one shard) plus the model parameters
+/// (decay rate, current time) frozen at snapshot time.
 #[derive(Debug, Clone)]
 pub struct ClusTreeSnapshot {
     core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
@@ -32,20 +30,6 @@ pub struct ClusTreeSnapshot {
 }
 
 impl ClusTreeSnapshot {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-        config: ClusTreeConfig,
-        current_time: f64,
-        num_inserted: usize,
-    ) -> Self {
-        Self {
-            core,
-            config,
-            current_time,
-            num_inserted,
-        }
-    }
-
     /// Dimensionality of the clustered points.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -87,12 +71,11 @@ impl ClusTreeSnapshot {
     /// current time).
     #[must_use]
     pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        for shard in self.core.shards() {
-            collect_micro_clusters(shard, &mut out);
-        }
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
+        fold_micro_clusters(
+            self.core.shards(),
+            self.current_time,
+            self.config.decay_lambda,
+        )
     }
 
     /// The micro-cluster query model frozen at snapshot time, normalised by
@@ -104,7 +87,7 @@ impl ClusTreeSnapshot {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        model_over(self.core.shards(), bandwidth, self.config.decay_lambda)
+        ClusQueryModel::over(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
     /// Budget-bracketed anytime density score against the frozen shards
@@ -174,20 +157,21 @@ impl ClusTreeSnapshot {
     }
 }
 
-impl ClusTree {
-    /// Takes an epoch-pinned one-shard snapshot: the versioned arena spine
-    /// is cloned, the published epoch pinned, and the model parameters
-    /// (decay rate, current time, insert count) frozen alongside.
-    /// `Send + Sync`; keeps answering queries bit-identically to this
-    /// moment while later batches mutate the tree.
+impl<R> ClusTree<R> {
+    /// Takes an epoch-pinned snapshot of every shard: each shard's
+    /// versioned arena spine is cloned, its published epoch pinned, and the
+    /// model parameters (decay rate, current time, insert count) frozen
+    /// alongside.  `Send + Sync`; keeps answering the folded density /
+    /// k-NN / outlier surface bit-identically to this moment while later
+    /// batches mutate the tree.
     #[must_use]
     pub fn snapshot(&self) -> ClusTreeSnapshot {
-        ClusTreeSnapshot::from_parts(
-            ShardedTreeSnapshot::new(std::slice::from_ref(self.core())),
-            self.config().clone(),
-            self.current_time(),
-            self.len(),
-        )
+        ClusTreeSnapshot {
+            core: ShardedTreeSnapshot::new(self.shards()),
+            config: self.config().clone(),
+            current_time: self.current_time(),
+            num_inserted: self.len(),
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! stay frozen while the live cache churns.
 
 use bt_anytree::{Node, NodeId, QueryAnswer, RefineOrder, Summary, TreeView};
-use clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
+use clustree::{ClusTree, ClusTreeConfig};
 
 /// Delegating view whose `block_cache` stays at the default `None` — the
 /// gather-every-time reference every cached answer must reproduce.
@@ -85,7 +85,7 @@ fn warm_cache_answers_match_the_gather_every_time_reference() {
     );
     assert_eq!(bits(&cold), bits(&warm), "hits change nothing");
 
-    let (reference, ref_stats) = NoCache(tree.core()).query_batch(
+    let (reference, ref_stats) = NoCache(tree.shard(0)).query_batch(
         &tree.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,
@@ -105,7 +105,7 @@ fn mutation_restamps_the_slot_so_stale_blocks_are_never_reused() {
     tree.insert_batch(&stream(200, 1000), 50.0, NODE_BUDGET);
 
     let (after, _) = tree.density_batch(&queries, &bw, RefineOrder::BestFirst, BUDGET);
-    let (reference, _) = NoCache(tree.core()).query_batch(
+    let (reference, _) = NoCache(tree.shard(0)).query_batch(
         &tree.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,
@@ -156,7 +156,7 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
 #[test]
 fn sharded_warm_cache_is_bit_identical_to_the_cold_pass() {
     let points = stream(400, 0);
-    let mut tree: ShardedClusTree = ShardedClusTree::new(DIMS, ClusTreeConfig::default(), 3);
+    let mut tree: ClusTree = ClusTree::sharded(DIMS, ClusTreeConfig::default(), 3);
     for (batch, chunk) in points.chunks(64).enumerate() {
         let _ = tree.insert_batch(chunk, batch as f64, NODE_BUDGET);
     }

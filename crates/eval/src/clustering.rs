@@ -122,7 +122,7 @@ pub fn evaluate_stream_clustering_batched(
             macro_clusters: macro_result.num_clusters,
         },
         depths,
-        stats: *tree.core().stats(),
+        stats: tree.stats(),
     }
 }
 

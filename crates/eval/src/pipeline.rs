@@ -8,16 +8,16 @@
 //! node still pinned.  This sweep measures both sides of that trade at
 //! shard counts 1/2/4/8:
 //!
-//! * the **solo** insert throughput (plain [`ShardedBayesTree::insert_batch`]
+//! * the **solo** insert throughput (plain [`BayesTree::insert_batch`]
 //!   with nobody reading),
 //! * the **pipelined** insert throughput (the same stream through
-//!   [`ShardedBayesTree::pipelined_batch`] with a query batch refining
+//!   [`BayesTree::pipelined_batch`] with a query batch refining
 //!   against the pre-batch snapshot during every mini-batch),
 //! * the queries answered per second while inserting, and the writer's
 //!   throughput ratio (pipelined / solo — ≥ 0.8 is the bench's smoke
 //!   threshold on multi-core runners).
 
-use bayestree::{DescentStrategy, ShardedBayesTree};
+use bayestree::{BayesTree, DescentStrategy};
 use bt_anytree::QueryStats;
 use bt_index::PageGeometry;
 use std::time::Instant;
@@ -88,7 +88,7 @@ pub fn pipelined_sweep(
         .iter()
         .map(|&shards| {
             // Solo baseline: same stream, nobody reading.
-            let mut solo: ShardedBayesTree = ShardedBayesTree::new(dims, geometry, shards);
+            let mut solo: BayesTree = BayesTree::sharded(dims, geometry, shards);
             let start = Instant::now();
             for chunk in points.chunks(batch_size) {
                 let _ = solo.insert_batch(chunk.to_vec());
@@ -97,7 +97,7 @@ pub fn pipelined_sweep(
 
             // Pipelined: every mini-batch overlaps with the query workload
             // refining against the pre-batch snapshot.
-            let mut tree: ShardedBayesTree = ShardedBayesTree::new(dims, geometry, shards);
+            let mut tree: BayesTree = BayesTree::sharded(dims, geometry, shards);
             let mut answered = 0usize;
             let mut uncertainty_sum = 0.0;
             let mut reader_stats = QueryStats::default();

@@ -14,7 +14,7 @@
 //!   sharded query at shard counts 1/2/4/8 (same per-shard budget, so the
 //!   shards do proportionally more refinement in the same wall-clock).
 
-use bayestree::{BayesTree, DescentStrategy, Quantized, ShardedBayesTree, StoredElement};
+use bayestree::{BayesTree, DescentStrategy, Quantized, StoredElement};
 use bt_anytree::QueryStats;
 use bt_index::PageGeometry;
 use std::time::Instant;
@@ -182,7 +182,7 @@ pub struct ShardedQueryThroughput {
     pub shard_sizes: Vec<usize>,
 }
 
-/// Runs a batch of anytime density queries against a [`ShardedBayesTree`]
+/// Runs a batch of anytime density queries against a [`BayesTree`]
 /// at each shard count (same per-shard budget) and measures folded
 /// throughput plus answer quality.
 ///
@@ -203,7 +203,7 @@ pub fn sharded_query_sweep(
     shard_counts
         .iter()
         .map(|&shards| {
-            let mut tree: ShardedBayesTree = ShardedBayesTree::new(dims, geometry, shards);
+            let mut tree: BayesTree = BayesTree::sharded(dims, geometry, shards);
             for chunk in points.chunks(256) {
                 let _ = tree.insert_batch(chunk.to_vec());
             }

@@ -12,7 +12,7 @@ use crate::clustering::{micro_cluster_purity, ssq_per_object};
 use bayestree::{AnytimeClassifier, ClassifierConfig};
 use bt_anytree::DescentStats;
 use bt_data::Dataset;
-use clustree::{ClusTreeConfig, DbscanConfig, ShardedClusTree};
+use clustree::{ClusTree, ClusTreeConfig, DbscanConfig};
 use std::time::Instant;
 
 /// Quality and throughput of one sharded stream-clustering run.
@@ -60,7 +60,7 @@ impl ShardedClusteringQuality {
     }
 }
 
-/// Inserts a labelled stream into a [`ShardedClusTree`] at each shard count
+/// Inserts a labelled stream into a [`ClusTree`] at each shard count
 /// and measures clustering quality plus wall-clock insertion throughput.
 ///
 /// The stream is inserted in mini-batches of `batch_size` (each batch
@@ -85,7 +85,7 @@ pub fn clustering_shard_sweep(
     shard_counts
         .iter()
         .map(|&shards| {
-            let mut tree: ShardedClusTree = ShardedClusTree::new(dims, config.clone(), shards);
+            let mut tree: ClusTree = ClusTree::sharded(dims, config.clone(), shards);
             let mut parked = 0usize;
             let start = Instant::now();
             for (batch_idx, chunk) in stream.chunks(batch_size).enumerate() {

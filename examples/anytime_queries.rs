@@ -8,13 +8,14 @@
 //! 1. budget-bracketed density queries on a Bayes tree (bounds narrowing),
 //! 2. anytime outlier scoring (verdicts certain after a handful of reads),
 //! 3. anytime k-NN micro-cluster retrieval on a ClusTree (coarse → fine),
-//! 4. the sharded parallel query path (per-shard frontiers, one folded
-//!    mixture).
+//! 4. the sharded parallel query path: the same trees built with `K` shards
+//!    (`BayesTree::sharded`, `ClusTree::sharded`) refine per-shard
+//!    frontiers and fold them into one mixture.
 //!
 //! Run with `cargo run --release --example anytime_queries`.
 
 use anytime_stream_mining::anytree::OutlierVerdict;
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
+use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy};
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::stream::DriftingStream;
 use anytime_stream_mining::index::PageGeometry;
@@ -102,7 +103,7 @@ fn main() {
     // 4. Sharded parallel queries: per-shard frontiers refine concurrently
     //    and fold into one global mixture with the same guarantees.
     // ------------------------------------------------------------------
-    let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry, 4);
+    let mut sharded: BayesTree = BayesTree::sharded(3, geometry, 4);
     for chunk in points.chunks(256) {
         let _ = sharded.insert_batch(chunk.to_vec());
     }
@@ -126,8 +127,7 @@ fn main() {
     }
     // The anytime k-NN workload folds across shards, too.
     let sharded_clus = {
-        let mut t: anytime_stream_mining::clustree::ShardedClusTree =
-            anytime_stream_mining::clustree::ShardedClusTree::new(3, ClusTreeConfig::default(), 4);
+        let mut t: ClusTree = ClusTree::sharded(3, ClusTreeConfig::default(), 4);
         for (i, chunk) in points.chunks(64).enumerate() {
             let _ = t.insert_batch(chunk, i as f64, 8);
         }

@@ -17,8 +17,7 @@
 //! 3. **Readers are cheap for writers**: the sweep compares solo insert
 //!    throughput against insert-with-concurrent-readers at shards 1/2/4/8.
 
-use anytime_stream_mining::anytree::AnytimeTree;
-use anytime_stream_mining::bayestree::{DescentStrategy, ShardedBayesTree};
+use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy};
 use anytime_stream_mining::data::stream::DriftingStream;
 use anytime_stream_mining::eval::pipeline::{format_pipelined_sweep, pipelined_sweep};
 use anytime_stream_mining::index::PageGeometry;
@@ -36,7 +35,7 @@ fn main() {
     let geometry = PageGeometry::from_fanout(4, 8);
 
     // 1. A pinned snapshot stays frozen while the writer moves on.
-    let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry, 4);
+    let mut tree: BayesTree = BayesTree::sharded(3, geometry, 4);
     for chunk in stream[..3_000].chunks(256) {
         let _ = tree.insert_batch(chunk.to_vec());
     }
@@ -57,7 +56,7 @@ fn main() {
         assert_eq!(outcome.insert.outcomes.len(), chunk.len());
         answered += outcome.answers.len();
     }
-    let retired: u64 = tree.shards().iter().map(AnytimeTree::retired_nodes).sum();
+    let retired = tree.retired_nodes();
     println!(
         "pipelined {} more points while answering {answered} snapshot queries \
          ({retired} nodes copied-on-write for the pinned snapshot)",

@@ -1,23 +1,23 @@
 //! Sharded quickstart: the same anytime trees, spread over `K` shards that
-//! descend in parallel.
+//! descend in parallel.  `BayesTree::new` / `ClusTree::new` build one
+//! shard; `BayesTree::sharded` / `ClusTree::sharded` build `K` of the same
+//! type.
 //!
 //! Run with `cargo run --release --example sharded_quickstart`.
 //!
 //! Three things to see here:
 //!
-//! 1. **Stream clustering scales out**: a `ShardedClusTree` inserts each
-//!    mini-batch across all shards on scoped threads; purity holds while
-//!    throughput follows the core count.
+//! 1. **Stream clustering scales out**: a `ClusTree` of `K` shards inserts
+//!    each mini-batch across all shards on scoped threads; purity holds
+//!    while throughput follows the core count.
 //! 2. **Classifier training scales out**: the per-class Bayes trees are
 //!    independent, so `train_sharded` builds them on worker threads and the
 //!    result is bit-identical to sequential training.
 //! 3. **The density model does not care about sharding**: kernel densities
-//!    are sums over kernels, so a `ShardedBayesTree`'s full-model estimate
-//!    equals the single tree's.
+//!    are sums over kernels, so a `BayesTree` of `K` shards has the
+//!    full-model estimate of a one-shard tree.
 
-use anytime_stream_mining::bayestree::{
-    AnytimeClassifier, BayesTree, ClassifierConfig, ShardedBayesTree,
-};
+use anytime_stream_mining::bayestree::{AnytimeClassifier, BayesTree, ClassifierConfig};
 use anytime_stream_mining::clustree::ClusTreeConfig;
 use anytime_stream_mining::clustree::DbscanConfig;
 use anytime_stream_mining::data::stream::DriftingStream;
@@ -66,7 +66,7 @@ fn main() {
     let geometry = PageGeometry::from_fanout(4, 8);
     let points: Vec<Vec<f64>> = dataset.features().to_vec();
     let mut single: BayesTree = BayesTree::new(dataset.dims(), geometry);
-    let mut sharded: ShardedBayesTree = ShardedBayesTree::new(dataset.dims(), geometry, 4);
+    let mut sharded: BayesTree = BayesTree::sharded(dataset.dims(), geometry, 4);
     for chunk in points.chunks(128) {
         single.insert_batch(chunk.to_vec());
         let _ = sharded.insert_batch(chunk.to_vec());

@@ -91,9 +91,11 @@
 //!   tree views ([`anytree::query_over`], [`anytree::query_batch_over`],
 //!   [`anytree::outlier_score_over`]) whose per-view frontiers refine
 //!   concurrently and sum into one [`anytree::QueryAnswer`] whose bounds
-//!   inherit each view's monotonicity — a plain tree is the one-view slice,
-//!   so it answers exactly like a one-shard sharded tree; per-shard object
-//!   counts
+//!   inherit each view's monotonicity.  The write side is one writer too:
+//!   each tree family owns one sharded tree, and a plain tree is simply a
+//!   one-shard tree whose batches go to its shard without routing, so it
+//!   inserts and answers exactly like a directly driven core; per-shard
+//!   object counts
 //!   ([`anytree::ShardedAnytimeTree::shard_sizes`]) make router skew
 //!   observable ahead of the planned work-stealing layer.  The core is
 //!   `Send`/`Sync`-clean by construction — static assertions in
@@ -117,9 +119,10 @@
 //!   extra dependency is involved.  The whole query engine runs on the
 //!   [`anytree::TreeView`] abstraction, so live trees and snapshots answer
 //!   through the same code; frontier selection runs on a **per-order lazy
-//!   heap** property-tested against the reference scan.  A plain tree's
-//!   snapshot is a one-shard [`anytree::ShardedTreeSnapshot`], so each tree
-//!   family has one snapshot type.  On the sharded layer,
+//!   heap** property-tested against the reference scan.  A tree's snapshot
+//!   is an [`anytree::ShardedTreeSnapshot`] of its shards (one for a plain
+//!   tree), so each tree family has one snapshot type.  On the sharded
+//!   layer,
 //!   [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a mini-batch
 //!   through per-shard writer threads *while* readers refine query batches
 //!   against the pre-batch [`anytree::ShardedTreeSnapshot`] —
@@ -207,8 +210,8 @@
 //! `AnytimeClassifier::learn_batch`, `SingleTreeClassifier::insert_batch` /
 //! `train_batched`, `ClusTree::insert_batch`), and `eval` measures
 //! accuracy/purity versus budget at batch sizes 1/8/64.  Sharding is in
-//! too: both trees instantiate the sharded layer
-//! (`bayestree::ShardedBayesTree`, `clustree::ShardedClusTree` — whose
+//! too: both trees own the sharded layer, one shard by default and `K`
+//! through `BayesTree::sharded` / `ClusTree::sharded` (the clustering
 //! snapshot/offline step simply folds the per-shard micro-clusters),
 //! `AnytimeClassifier::train_sharded` builds the per-class trees on worker
 //! threads bit-identically to sequential training, `eval::sharding` sweeps
@@ -220,19 +223,18 @@
 //! (`BayesTree::anytime_density` / `density_batch`) plus anytime outlier
 //! scoring (`BayesTree::outlier_score`); `clustree` adds anytime k-NN
 //! micro-cluster retrieval at any tree level (`ClusTree::anytime_knn`) and
-//! the same density/outlier scores; plain and sharded trees answer queries
-//! through one fold that refines per-shard frontiers in parallel and sums
-//! one global mixture;
+//! the same density/outlier scores; every tree answers queries through one
+//! fold that refines per-shard frontiers in parallel and sums one global
+//! mixture;
 //! `eval::query` sweeps bound width versus budget (non-increasing, the
 //! monotone contract) and sharded query throughput at shards 1/2/4/8; and
 //! the `anytime_query` criterion bench asserts refinement convergence plus
 //! the ≥1.5× 4-shard query-throughput smoke threshold on ≥4-CPU runners.
 //! Snapshot reads are in on every layer: `BayesTree::snapshot`,
-//! `ClusTree::snapshot`, both sharded variants (one snapshot type per
-//! family) and `AnytimeClassifier::snapshot` return epoch-pinned
-//! `Send + Sync` views
-//! (answers bit-identical to pin time — `tests/snapshot_isolation.rs`),
-//! both sharded trees expose `pipelined_batch` (inserts overlapped with
+//! `ClusTree::snapshot` (one snapshot type per family, at any shard count)
+//! and `AnytimeClassifier::snapshot` return epoch-pinned `Send + Sync`
+//! views (answers bit-identical to pin time — `tests/snapshot_isolation.rs`),
+//! both trees expose `pipelined_batch` (inserts overlapped with
 //! snapshot queries), `clustree` stores an optional MBR alongside each
 //! micro-cluster CF for distance-aware *upper* density bounds (nested, so
 //! the monotone-refinement property tests cover them), `eval::pipeline`

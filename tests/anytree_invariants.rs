@@ -8,7 +8,7 @@
 //! insertion at any batch size.
 
 use anytime_stream_mining::anytree::{NodeId, NodeKind};
-use anytime_stream_mining::bayestree::BayesTree;
+use anytime_stream_mining::bayestree::{BayesCore, BayesTree, KernelSummary};
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, InsertOutcome, MicroCluster};
 use anytime_stream_mining::index::PageGeometry;
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 /// Walks the tree and asserts, for every inner entry, that its summary is
 /// exactly the merge of its child's entries (or leaf points).
 fn assert_bayes_aggregation(tree: &BayesTree) {
-    fn visit(tree: &BayesTree, id: NodeId) {
+    fn visit(tree: &BayesCore<KernelSummary>, id: NodeId) {
         let node = tree.node(id);
         if let NodeKind::Inner { entries } = &node.kind {
             for entry in entries {
@@ -61,7 +61,9 @@ fn assert_bayes_aggregation(tree: &BayesTree) {
             }
         }
     }
-    visit(tree, tree.root());
+    for shard in tree.shards() {
+        visit(shard, shard.root());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -79,13 +81,7 @@ fn weight_at(mc: &MicroCluster, now: f64, lambda: f64) -> f64 {
 fn assert_clustree_aggregation(tree: &ClusTree) {
     let now = tree.current_time();
     let lambda = tree.config().decay_lambda;
-    let core = tree.core();
-    fn visit(
-        core: &anytime_stream_mining::anytree::AnytimeTree<MicroCluster, MicroCluster>,
-        id: NodeId,
-        now: f64,
-        lambda: f64,
-    ) {
+    fn visit(core: &anytime_stream_mining::clustree::ClusCore, id: NodeId, now: f64, lambda: f64) {
         if let NodeKind::Inner { entries } = &core.node(id).kind {
             for entry in entries {
                 let child_total: f64 = match &core.node(entry.child).kind {
@@ -110,7 +106,9 @@ fn assert_clustree_aggregation(tree: &ClusTree) {
             }
         }
     }
-    visit(core, core.root(), now, lambda);
+    for core in tree.shards() {
+        visit(core, core.root(), now, lambda);
+    }
 }
 
 /// The pre-refactor outcome contract of the budgeted descent: with all

@@ -6,9 +6,7 @@
 //! answering with the old terms.
 
 use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer};
-use anytime_stream_mining::bayestree::{
-    BayesTree, BayesTreeSnapshot, DescentStrategy, ShardedBayesTree,
-};
+use anytime_stream_mining::bayestree::{BayesTree, BayesTreeSnapshot, DescentStrategy};
 use anytime_stream_mining::index::PageGeometry;
 
 const DIMS: usize = 3;
@@ -55,8 +53,8 @@ fn tree(bandwidth: Option<&[f64]>) -> BayesTree {
     tree
 }
 
-fn sharded(bandwidth: Option<&[f64]>) -> ShardedBayesTree {
-    let mut tree: ShardedBayesTree = ShardedBayesTree::new(DIMS, geometry(), SHARDS);
+fn sharded(bandwidth: Option<&[f64]>) -> BayesTree {
+    let mut tree: BayesTree = BayesTree::sharded(DIMS, geometry(), SHARDS);
     if let Some(b) = bandwidth {
         tree.set_bandwidth(b.to_vec());
     }
@@ -113,7 +111,7 @@ fn snapshot_answers(snapshot: &BayesTreeSnapshot) -> Vec<Bits> {
     )
 }
 
-fn sharded_answers(tree: &ShardedBayesTree) -> Vec<Bits> {
+fn sharded_answers(tree: &BayesTree) -> Vec<Bits> {
     answers(
         |x, budget| tree.anytime_density(x, DescentStrategy::default(), budget),
         |x| tree.outlier_score(x, 1e-3, 12),

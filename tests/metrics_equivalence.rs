@@ -5,11 +5,11 @@
 //! Locked down here (the histogram/registry merge algebra itself is
 //! property-tested inside `bt-obs`):
 //!
-//! * a `ShardedBayesTree` with **one shard** folds exactly the metric
-//!   deltas the plain tree records — the sharding-equivalence suite
+//! * a one-shard `BayesTree` records exactly the metric deltas of one
+//!   directly driven `AnytimeTree` core — the sharding-equivalence suite
 //!   extended to the registry (insert, batched-density and outlier paths;
-//!   both sides run the one outlier loop, a plain tree as its one-view
-//!   slice, so every counter and histogram matches exactly),
+//!   both sides run the one outlier loop, the core as its one-view slice,
+//!   so every counter and histogram matches exactly),
 //! * a pinned snapshot answering the same query batch records the same
 //!   *cache-independent* query counters as the live tree (the block-cache
 //!   counters legitimately differ: snapshot and live tree share warm
@@ -29,16 +29,20 @@
 //! would pollute each other's deltas.
 
 use anytime_stream_mining::anytree::{
-    with_scratch_cursors, OutlierScore, OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
+    outlier_score_over, query_batch_over, with_scratch_cursors, AnytimeTree, OutlierScore,
+    OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
 };
+use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{
-    AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, ShardedBayesTree,
+    AnytimeClassifier, BayesCore, BayesTree, ClassifierConfig, DescentStrategy, KernelQueryModel,
+    KernelSummary,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
 use anytime_stream_mining::obs::{Snapshot, ValueSnapshot};
+use anytime_stream_mining::stats::KernelBandwidth;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -116,23 +120,28 @@ struct Workload {
 impl Workload {
     /// Returns the registry deltas of the two phases separately: the
     /// insert + batched-density phase and the outlier phase.
+    /// The reference side: one core driven directly with the Bayes tree's
+    /// insertion policy and read through the fold as a one-view slice.
     fn run_plain(&self) -> (Snapshot, Snapshot) {
         let capture = RegistryCapture::begin();
-        let mut tree: BayesTree = BayesTree::new(3, geometry());
+        let mut core: BayesCore<KernelSummary> = AnytimeTree::new(3, geometry());
         for chunk in self.points.chunks(16) {
-            tree.insert_batch(chunk.to_vec());
+            let _ = core.insert_batch(&mut KernelModel::new(3), chunk.to_vec(), usize::MAX);
         }
-        tree.set_bandwidth(vec![0.8, 0.8, 0.8]);
-        let _ = tree.density_batch(&self.queries, DescentStrategy::default(), self.budget);
+        let bandwidth = KernelBandwidth::new(vec![0.8, 0.8, 0.8]);
+        let model = KernelQueryModel::new(self.points.len(), &bandwidth);
+        let views = std::slice::from_ref(&core);
+        let order = RefineOrder::from(DescentStrategy::default());
+        let _ = query_batch_over(views, &model, &self.queries, order, self.budget);
         let density = capture.delta();
         let capture = RegistryCapture::begin();
-        let _ = tree.outlier_score(&self.queries[0], 1e-3, 30);
+        let _ = outlier_score_over(views, &model, &self.queries[0], 1e-3, 30);
         (density, capture.delta())
     }
 
     fn run_one_shard(&self) -> (Snapshot, Snapshot) {
         let capture = RegistryCapture::begin();
-        let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), 1);
+        let mut sharded: BayesTree = BayesTree::new(3, geometry());
         for chunk in self.points.chunks(16) {
             let _ = sharded.insert_batch(chunk.to_vec());
         }

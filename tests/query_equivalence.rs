@@ -3,22 +3,30 @@
 //!
 //! Locked down for both instantiations (Bayes tree and ClusTree):
 //!
-//! * a `Sharded*Tree` with **one shard** answers every anytime query
-//!   exactly like the plain tree — estimates, certain bounds, node reads,
-//!   outlier scores and retrieved neighbours (both run the one query fold,
-//!   a plain tree as its one-view slice),
+//! * a tree with **one shard** answers every anytime query exactly like
+//!   one directly driven [`AnytimeTree`] core read through the fold as its
+//!   one-view slice — estimates, certain bounds, node reads, outlier
+//!   scores and retrieved neighbours,
 //! * at **any shard count** the fully refined folded answer equals the
-//!   plain tree's fully refined answer (the mixture sum does not care how
-//!   the kernels are partitioned), and the folded bound interval is
+//!   one-shard tree's fully refined answer (the mixture sum does not care
+//!   how the kernels are partitioned), and the folded bound interval is
 //!   monotone in the per-shard budget,
 //! * every query kind rejects a query of the wrong dimensionality with the
 //!   same message on an empty sharded tree and on one with two busy
 //!   shards — the fold checks at its entry, before any dispatch.
 
-use anytime_stream_mining::anytree::{FixedPartitionRouter, RefineOrder};
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
-use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
+use anytime_stream_mining::anytree::{
+    outlier_score_over, query_over, AnytimeTree, FixedPartitionRouter, RefineOrder,
+};
+use anytime_stream_mining::bayestree::insert::KernelModel;
+use anytime_stream_mining::bayestree::{
+    BayesCore, BayesTree, DescentStrategy, KernelQueryModel, KernelSummary,
+};
+use anytime_stream_mining::clustree::{
+    knn_over, ClusCore, ClusModel, ClusQueryModel, ClusTree, ClusTreeConfig, MicroCluster,
+};
 use anytime_stream_mining::index::PageGeometry;
+use anytime_stream_mining::stats::KernelBandwidth;
 use proptest::prelude::*;
 
 /// Strategy producing a bounded set of 3-d points.
@@ -39,22 +47,24 @@ proptest! {
         qx in -6.0f64..6.0,
         budget in 0usize..40,
     ) {
-        let mut plain: BayesTree = BayesTree::new(3, geometry());
-        let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), 1);
+        let mut plain: BayesCore<KernelSummary> = AnytimeTree::new(3, geometry());
+        let mut sharded: BayesTree = BayesTree::new(3, geometry());
         for chunk in points.chunks(16) {
-            plain.insert_batch(chunk.to_vec());
+            let _ = plain.insert_batch(&mut KernelModel::new(3), chunk.to_vec(), usize::MAX);
             let _ = sharded.insert_batch(chunk.to_vec());
         }
         let bandwidth = vec![0.8, 0.8, 0.8];
-        plain.set_bandwidth(bandwidth.clone());
+        let plain_bandwidth = KernelBandwidth::new(bandwidth.clone());
+        let model = KernelQueryModel::new(points.len(), &plain_bandwidth);
+        let plain = std::slice::from_ref(&plain);
         sharded.set_bandwidth(bandwidth);
         let query = vec![qx, -qx, qx * 0.5];
         for strategy in DescentStrategy::all() {
-            let reference = plain.anytime_density(&query, strategy, budget);
+            let reference = query_over(plain, &model, &query, strategy.into(), budget);
             let folded = sharded.anytime_density(&query, strategy, budget);
             prop_assert_eq!(folded, reference, "strategy {:?}", strategy);
         }
-        let score_plain = plain.outlier_score(&query, 1e-3, 30);
+        let score_plain = outlier_score_over(plain, &model, &query, 1e-3, 30);
         let score_sharded = sharded.outlier_score(&query, 1e-3, 30);
         prop_assert_eq!(score_plain, score_sharded);
     }
@@ -66,9 +76,9 @@ proptest! {
         qx in -6.0f64..6.0,
     ) {
         let mut plain: BayesTree = BayesTree::new(3, geometry());
-        let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), shards);
+        let mut sharded: BayesTree = BayesTree::sharded(3, geometry(), shards);
         for chunk in points.chunks(16) {
-            plain.insert_batch(chunk.to_vec());
+            let _ = plain.insert_batch(chunk.to_vec());
             let _ = sharded.insert_batch(chunk.to_vec());
         }
         let bandwidth = vec![0.6, 0.9, 0.7];
@@ -100,21 +110,27 @@ proptest! {
         qx in -6.0f64..6.0,
         query_budget in 0usize..30,
     ) {
-        let mut plain = ClusTree::new(3, ClusTreeConfig::default());
-        let mut sharded: ShardedClusTree = ShardedClusTree::new(3, ClusTreeConfig::default(), 1);
+        let config = ClusTreeConfig::default();
+        let mut plain: ClusCore = AnytimeTree::new(3, config.geometry());
+        let mut sharded = ClusTree::new(3, config.clone());
         for (batch_idx, chunk) in points.chunks(12).enumerate() {
-            let _ = plain.insert_batch(chunk, batch_idx as f64, insert_budget);
-            let _ = sharded.insert_batch(chunk, batch_idx as f64, insert_budget);
+            let now = batch_idx as f64;
+            let payloads = chunk.iter().map(|p| MicroCluster::from_point(p, now)).collect();
+            let _ = plain.insert_batch(&mut ClusModel::new(&config, now), payloads, insert_budget);
+            let _ = sharded.insert_batch(chunk, now, insert_budget);
         }
+        let plain = std::slice::from_ref(&plain);
         let bandwidth = [1.5, 1.5, 1.5];
+        let model = ClusQueryModel::over(plain, &bandwidth, config.decay_lambda);
         let query = vec![qx, qx * 0.5, -qx];
-        let reference = plain.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, query_budget);
+        let reference = query_over(plain, &model, &query, RefineOrder::BestFirst, query_budget);
         let folded = sharded.anytime_density(&query, &bandwidth, RefineOrder::BestFirst, query_budget);
         prop_assert_eq!(folded, reference);
-        let score_plain = plain.outlier_score(&query, &bandwidth, 1e-3, query_budget);
+        let score_plain = outlier_score_over(plain, &model, &query, 1e-3, query_budget);
         let score_sharded = sharded.outlier_score(&query, &bandwidth, 1e-3, query_budget);
         prop_assert_eq!(score_plain, score_sharded);
-        let knn_plain = plain.anytime_knn(&query, 3, query_budget);
+        let knn_model = ClusQueryModel::over(plain, &[1.0; 3], config.decay_lambda);
+        let knn_plain = knn_over(plain, &knn_model, &query, 3, query_budget);
         let knn_sharded = sharded.anytime_knn(&query, 3, query_budget);
         prop_assert_eq!(knn_plain.nodes_read, knn_sharded.nodes_read);
         prop_assert_eq!(knn_plain.neighbors.len(), knn_sharded.neighbors.len());
@@ -189,13 +205,13 @@ proptest! {
         let model = tree.query_model(&[1.3, 1.3, 1.3]);
         let query = vec![qx * 0.5, qx, -qx];
         for order in ALL_ORDERS {
-            let mut cursor = tree.core().new_query(&model, &query);
+            let mut cursor = tree.shard(0).new_query(&model, &query);
             let mut steps = 0usize;
             loop {
                 let scan = cursor.peek_next_scan(order);
                 let heap = cursor.peek_next(order);
                 prop_assert_eq!(heap, scan, "{:?} diverged at step {}", order, steps);
-                if !tree.core().refine_query(&model, order, &mut cursor) {
+                if !tree.shard(0).refine_query(&model, order, &mut cursor) {
                     prop_assert!(scan.is_none());
                     break;
                 }
@@ -239,15 +255,15 @@ proptest! {
 
 /// A 2-d sharded Bayes tree dealt `points` points round-robin (two points
 /// or more leave both of two shards busy).
-fn bayes_2d(shards: usize, points: usize) -> ShardedBayesTree<FixedPartitionRouter> {
-    let mut tree = ShardedBayesTree::new(2, geometry(), shards);
+fn bayes_2d(shards: usize, points: usize) -> BayesTree<f64, FixedPartitionRouter> {
+    let mut tree = BayesTree::sharded(2, geometry(), shards);
     let _ = tree.insert_batch((0..points).map(|i| vec![i as f64, 1.0]).collect());
     tree
 }
 
 /// The ClusTree counterpart of [`bayes_2d`].
-fn clus_2d(shards: usize, points: usize) -> ShardedClusTree<FixedPartitionRouter> {
-    let mut tree = ShardedClusTree::new(2, ClusTreeConfig::default(), shards);
+fn clus_2d(shards: usize, points: usize) -> ClusTree<FixedPartitionRouter> {
+    let mut tree = ClusTree::sharded(2, ClusTreeConfig::default(), shards);
     let batch: Vec<Vec<f64>> = (0..points).map(|i| vec![i as f64, 1.0]).collect();
     let _ = tree.insert_batch(&batch, 0.0, 8);
     tree

@@ -9,9 +9,8 @@ use anytime_stream_mining::anytree::{
 };
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, BayesTreeSnapshot, ClassifierSnapshot, KernelSummary,
-    ShardedBayesTree,
 };
-use anytime_stream_mining::clustree::{ClusTree, ClusTreeSnapshot, MicroCluster, ShardedClusTree};
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeSnapshot, MicroCluster};
 use anytime_stream_mining::data::Dataset;
 
 fn assert_send<T: Send>() {}
@@ -35,8 +34,8 @@ fn the_shared_core_is_send() {
 fn the_sharded_trees_are_send() {
     assert_send::<ShardedAnytimeTree<KernelSummary, Vec<f64>, CheapestRouter>>();
     assert_send::<ShardedAnytimeTree<MicroCluster, MicroCluster, FixedPartitionRouter>>();
-    assert_send::<ShardedBayesTree>();
-    assert_send::<ShardedClusTree>();
+    assert_send::<BayesTree<f64, FixedPartitionRouter>>();
+    assert_send::<ClusTree<FixedPartitionRouter>>();
 }
 
 #[test]
@@ -57,8 +56,8 @@ fn shared_read_state_is_sync() {
     assert_sync::<anytime_stream_mining::clustree::ClusTreeConfig>();
     assert_sync::<AnytimeTree<KernelSummary, Vec<f64>>>();
     assert_sync::<AnytimeTree<MicroCluster, MicroCluster>>();
-    assert_sync::<ShardedBayesTree>();
-    assert_sync::<ShardedClusTree>();
+    assert_sync::<BayesTree<f64, FixedPartitionRouter>>();
+    assert_sync::<ClusTree<FixedPartitionRouter>>();
 }
 
 #[test]

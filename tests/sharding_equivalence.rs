@@ -2,19 +2,26 @@
 //! *organisational* change, never an observable one.
 //!
 //! Two equivalences are locked down for both instantiations (Bayes tree and
-//! ClusTree):
+//! ClusTree), each against directly driven [`AnytimeTree`] cores running
+//! the tree's own insertion policy ([`KernelModel`], [`ClusModel`]):
 //!
-//! * a `Sharded*Tree` with **one shard** behaves exactly like the plain
-//!   tree — per-object outcomes, node counts, heights, aggregate mass and
+//! * a tree with **one shard** behaves exactly like one directly driven
+//!   core — per-object outcomes, node counts, heights, aggregate mass and
 //!   work counters,
-//! * a `Sharded*Tree` with the data-independent [`FixedPartitionRouter`] at
-//!   **any shard count K** behaves exactly like K plain trees fed the same
-//!   round-robin partition — the parallel path performs precisely the steps
-//!   the sequential simulation performs, shard by shard.
+//! * a tree with the data-independent [`FixedPartitionRouter`] at **any
+//!   shard count K** behaves exactly like K cores fed the same round-robin
+//!   partition — the parallel path performs precisely the steps the
+//!   sequential simulation performs, shard by shard.
+//!
+//! Every property also runs the tree's full structural validation after
+//! every batch, at every shard count.
 
-use anytime_stream_mining::anytree::FixedPartitionRouter;
-use anytime_stream_mining::bayestree::{BayesTree, ShardedBayesTree};
-use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
+use anytime_stream_mining::anytree::{AnytimeTree, FixedPartitionRouter, NodeKind, TreeView};
+use anytime_stream_mining::bayestree::insert::KernelModel;
+use anytime_stream_mining::bayestree::{BayesCore, BayesTree, KernelSummary};
+use anytime_stream_mining::clustree::{
+    ClusCore, ClusModel, ClusTree, ClusTreeConfig, MicroCluster,
+};
 use anytime_stream_mining::index::PageGeometry;
 use proptest::prelude::*;
 
@@ -56,6 +63,67 @@ fn round_robin_deal(points: &[Vec<f64>], k: usize, next: &mut usize) -> Vec<Vec<
     parts
 }
 
+/// A directly driven Bayes core for 3-d kernels.
+fn bayes_core() -> BayesCore<KernelSummary> {
+    AnytimeTree::new(3, geometry())
+}
+
+/// A directly driven ClusTree core under `config`.
+fn clus_core(config: &ClusTreeConfig) -> ClusCore {
+    AnytimeTree::new(3, config.geometry())
+}
+
+/// Drives `core` with the ClusTree's policy: `points` observed at `now`.
+fn clus_insert(
+    core: &mut ClusCore,
+    config: &ClusTreeConfig,
+    points: &[Vec<f64>],
+    now: f64,
+    budget: usize,
+) -> anytime_stream_mining::anytree::BatchOutcome {
+    let payloads = points
+        .iter()
+        .map(|p| MicroCluster::from_point(p, now))
+        .collect();
+    core.insert_batch(&mut ClusModel::new(config, now), payloads, budget)
+}
+
+/// Every kernel stored at leaf level of a Bayes core.
+fn core_points(core: &BayesCore<KernelSummary>) -> Vec<Vec<f64>> {
+    let mut out = Vec::new();
+    for id in TreeView::reachable(core) {
+        if let NodeKind::Leaf { items } = &core.node(id).kind {
+            out.extend(items.iter().cloned());
+        }
+    }
+    out
+}
+
+/// The micro-clusters of a ClusTree core: leaf items plus hitchhiker
+/// buffers that carry weight (no decay: the properties run with
+/// `lambda == 0`).
+fn core_micro_clusters(core: &ClusCore) -> Vec<MicroCluster> {
+    let mut out = Vec::new();
+    for id in TreeView::reachable(core) {
+        match &core.node(id).kind {
+            NodeKind::Leaf { items } => out.extend(items.iter().cloned()),
+            NodeKind::Inner { entries } => {
+                out.extend(entries.iter().filter_map(|e| e.buffer.clone()));
+            }
+        }
+    }
+    out.retain(|mc| mc.weight() > f64::EPSILON);
+    out
+}
+
+/// Total stored weight of a ClusTree core.
+fn core_weight(core: &ClusCore) -> f64 {
+    core_micro_clusters(core)
+        .iter()
+        .map(MicroCluster::weight)
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -65,22 +133,26 @@ proptest! {
         batch_size in 1usize..24,
     ) {
         let points = two_clusters(points);
-        let mut plain: BayesTree = BayesTree::new(3, geometry());
-        let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), 1);
+        let mut plain = bayes_core();
+        let mut tree: BayesTree = BayesTree::new(3, geometry());
         for chunk in points.chunks(batch_size) {
-            plain.insert_batch(chunk.to_vec());
-            let result = sharded.insert_batch(chunk.to_vec());
-            prop_assert_eq!(result.objects_per_shard.clone(), vec![chunk.len()]);
+            let routed = tree.shard_sizes()[0];
+            let a = plain.insert_batch(&mut KernelModel::new(3), chunk.to_vec(), usize::MAX);
+            let b = tree.insert_batch(chunk.to_vec());
+            prop_assert_eq!(tree.shard_sizes()[0] - routed, chunk.len());
+            prop_assert_eq!(a.outcomes, b.outcomes);
+            prop_assert_eq!(a.depths, b.depths);
+            prop_assert_eq!(a.stats, b.stats);
+            prop_assert!(tree.validate(true).is_ok());
         }
-        prop_assert_eq!(plain.len(), sharded.len());
-        prop_assert_eq!(plain.num_nodes(), sharded.num_nodes());
-        prop_assert_eq!(plain.height(), sharded.height());
-        prop_assert_eq!(plain.summary_refreshes(), sharded.summary_refreshes());
+        prop_assert_eq!(tree.len(), points.len());
+        prop_assert_eq!(plain.num_nodes(), tree.num_nodes());
+        prop_assert_eq!(plain.height(), tree.height());
+        prop_assert_eq!(plain.summary_refreshes(), tree.summary_refreshes());
         prop_assert_eq!(
-            sorted_points(plain.all_points()),
-            sorted_points(sharded.all_points())
+            sorted_points(core_points(&plain)),
+            sorted_points(tree.all_points())
         );
-        prop_assert!(sharded.validate().is_ok());
     }
 
     #[test]
@@ -90,41 +162,36 @@ proptest! {
         shards in 2usize..5,
     ) {
         let points = two_clusters(points);
-        let mut sharded: ShardedBayesTree<FixedPartitionRouter> =
-            ShardedBayesTree::new(3, geometry(), shards);
-        let mut plain: Vec<BayesTree> =
-            (0..shards).map(|_| BayesTree::new(3, geometry())).collect();
+        let mut sharded: BayesTree<f64, FixedPartitionRouter> =
+            BayesTree::sharded(3, geometry(), shards);
+        let mut plain: Vec<BayesCore<KernelSummary>> = (0..shards).map(|_| bayes_core()).collect();
         let mut next = 0usize;
         for chunk in points.chunks(batch_size) {
             let parts = round_robin_deal(chunk, shards, &mut next);
-            let result = sharded.insert_batch(chunk.to_vec());
+            let before = sharded.shard_sizes().to_vec();
+            let _ = sharded.insert_batch(chunk.to_vec());
             for (k, part) in parts.into_iter().enumerate() {
-                prop_assert_eq!(result.objects_per_shard[k], part.len());
-                if !part.is_empty() {
-                    plain[k].insert_batch(part);
-                }
+                prop_assert_eq!(sharded.shard_sizes()[k] - before[k], part.len());
+                let _ = plain[k].insert_batch(&mut KernelModel::new(3), part, usize::MAX);
             }
+            prop_assert!(sharded.validate(true).is_ok());
         }
-        // Shard k of the sharded tree is observably the plain tree fed
-        // partition k: same nodes, same height, same points, same work.
+        // Shard k of the sharded tree is observably the core fed partition
+        // k: same nodes, same height, same points, same work.
         for (k, reference) in plain.iter().enumerate() {
-            let shard = &sharded.shards()[k];
+            let shard = sharded.shard(k);
             prop_assert_eq!(shard.num_nodes(), reference.num_nodes());
             prop_assert_eq!(shard.height(), reference.height());
-            prop_assert_eq!(
-                shard.stats().summary_refreshes,
-                reference.summary_refreshes()
-            );
+            prop_assert_eq!(shard.stats(), reference.stats());
         }
         prop_assert_eq!(
             sharded.num_nodes(),
-            plain.iter().map(BayesTree::num_nodes).sum::<usize>()
+            plain.iter().map(AnytimeTree::num_nodes).sum::<usize>()
         );
         prop_assert_eq!(
             sorted_points(sharded.all_points()),
-            sorted_points(plain.iter().flat_map(BayesTree::all_points).collect())
+            sorted_points(plain.iter().flat_map(core_points).collect())
         );
-        prop_assert!(sharded.validate().is_ok());
     }
 
     #[test]
@@ -134,23 +201,25 @@ proptest! {
         budget in 0usize..12,
     ) {
         let points = two_clusters(points);
-        let mut plain = ClusTree::new(3, ClusTreeConfig::default());
-        let mut sharded: ShardedClusTree =
-            ShardedClusTree::new(3, ClusTreeConfig::default(), 1);
+        let config = ClusTreeConfig::default();
+        let mut plain = clus_core(&config);
+        let mut tree = ClusTree::new(3, config.clone());
         for (batch_idx, chunk) in points.chunks(batch_size).enumerate() {
             let timestamp = batch_idx as f64;
-            let a = plain.insert_batch(chunk, timestamp, budget);
-            let b = sharded.insert_batch(chunk, timestamp, budget);
+            let a = clus_insert(&mut plain, &config, chunk, timestamp, budget);
+            let b = tree.insert_batch(chunk, timestamp, budget);
             prop_assert_eq!(a.outcomes, b.outcomes);
             prop_assert_eq!(a.depths, b.depths);
+            prop_assert_eq!(a.stats, b.stats);
+            prop_assert!(tree.validate().is_ok());
         }
-        prop_assert_eq!(plain.len(), sharded.len());
-        prop_assert_eq!(plain.num_nodes(), sharded.num_nodes());
-        prop_assert_eq!(plain.height(), sharded.height());
-        prop_assert_eq!(plain.num_micro_clusters(), sharded.num_micro_clusters());
-        prop_assert_eq!(plain.summary_refreshes(), sharded.summary_refreshes());
-        prop_assert!((plain.total_weight() - sharded.total_weight()).abs() < 1e-9);
-        prop_assert!(sharded.validate().is_ok());
+        prop_assert_eq!(tree.len(), points.len());
+        prop_assert_eq!(tree.shard_sizes(), &[points.len()]);
+        prop_assert_eq!(plain.num_nodes(), tree.num_nodes());
+        prop_assert_eq!(plain.height(), tree.height());
+        prop_assert_eq!(plain.summary_refreshes(), tree.summary_refreshes());
+        prop_assert_eq!(core_micro_clusters(&plain).len(), tree.num_micro_clusters());
+        prop_assert!((core_weight(&plain) - tree.total_weight()).abs() < 1e-9);
     }
 
     #[test]
@@ -162,10 +231,9 @@ proptest! {
     ) {
         let points = two_clusters(points);
         let config = ClusTreeConfig::default();
-        let mut sharded: ShardedClusTree<FixedPartitionRouter> =
-            ShardedClusTree::new(3, config.clone(), shards);
-        let mut plain: Vec<ClusTree> =
-            (0..shards).map(|_| ClusTree::new(3, config.clone())).collect();
+        let mut sharded: ClusTree<FixedPartitionRouter> =
+            ClusTree::sharded(3, config.clone(), shards);
+        let mut plain: Vec<ClusCore> = (0..shards).map(|_| clus_core(&config)).collect();
         let mut next = 0usize;
         for (batch_idx, chunk) in points.chunks(batch_size).enumerate() {
             let timestamp = batch_idx as f64;
@@ -173,29 +241,26 @@ proptest! {
             let parts = round_robin_deal(chunk, shards, &mut next);
             let result = sharded.insert_batch(chunk, timestamp, budget);
             for (k, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let reference = plain[k].insert_batch(&part, timestamp, budget);
+                let reference = clus_insert(&mut plain[k], &config, &part, timestamp, budget);
                 // Map each per-shard outcome back to its input position.
                 let positions = (0..chunk.len()).filter(|i| (start + i) % shards == k);
                 for (pos, expected) in positions.zip(reference.outcomes) {
                     prop_assert_eq!(result.outcomes[pos], expected);
                 }
             }
+            prop_assert!(sharded.validate().is_ok());
         }
         for (k, reference) in plain.iter().enumerate() {
-            let shard = &sharded.shards()[k];
+            let shard = sharded.shard(k);
             prop_assert_eq!(shard.num_nodes(), reference.num_nodes());
             prop_assert_eq!(shard.height(), reference.height());
         }
-        let plain_weight: f64 = plain.iter().map(ClusTree::total_weight).sum();
+        let plain_weight: f64 = plain.iter().map(core_weight).sum();
         prop_assert!((sharded.total_weight() - plain_weight).abs() < 1e-9);
         prop_assert_eq!(
             sharded.num_micro_clusters(),
-            plain.iter().map(ClusTree::num_micro_clusters).sum::<usize>()
+            plain.iter().map(|core| core_micro_clusters(core).len()).sum::<usize>()
         );
-        prop_assert!(sharded.validate().is_ok());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   snapshot unpins its epoch.
 
 use anytime_stream_mining::anytree::RefineOrder;
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
-use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
+use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy};
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::index::PageGeometry;
 use proptest::prelude::*;
 
@@ -128,7 +128,7 @@ proptest! {
         shards in 1usize..5,
         budget in 0usize..30,
     ) {
-        let mut tree: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), shards);
+        let mut tree: BayesTree = BayesTree::sharded(3, geometry(), shards);
         for chunk in points.chunks(16) {
             let _ = tree.insert_batch(chunk.to_vec());
         }
@@ -148,7 +148,7 @@ proptest! {
         prop_assert_eq!(&from_snapshot, &expected);
         // The live tree has moved on to the post-batch state.
         prop_assert_eq!(tree.len(), points.len() + extra.len());
-        tree.validate().expect("valid after pipelined batch");
+        tree.validate(true).expect("valid after pipelined batch");
     }
 
     #[test]
@@ -158,7 +158,7 @@ proptest! {
         shards in 1usize..4,
         budget in 0usize..25,
     ) {
-        let mut tree: ShardedClusTree = ShardedClusTree::new(3, ClusTreeConfig::default(), shards);
+        let mut tree: ClusTree = ClusTree::sharded(3, ClusTreeConfig::default(), shards);
         for (i, chunk) in points.chunks(12).enumerate() {
             let _ = tree.insert_batch(chunk, i as f64, 4);
         }
@@ -196,7 +196,7 @@ fn no_reader_fast_path_never_copies_and_pins_release() {
 
     let snapshot = tree.snapshot();
     assert_eq!(tree.pinned_snapshots(), 1);
-    assert_eq!(snapshot.epochs(), vec![tree.epoch()]);
+    assert_eq!(snapshot.epochs(), tree.epochs());
     tree.insert_batch(points[..40].to_vec());
     let copied = tree.retired_nodes();
     assert!(copied > 0, "pinned snapshot forces copy-on-write");
@@ -217,7 +217,7 @@ fn clustree_counters_mirror_the_bayes_tree() {
         tree.insert(&[(i % 11) as f64, (i % 7) as f64], i as f64, 6);
     }
     assert_eq!(tree.retired_nodes(), 0);
-    assert_eq!(tree.epoch(), 120);
+    assert_eq!(tree.epochs(), vec![120]);
     let snapshot = tree.snapshot();
     assert_eq!(tree.pinned_snapshots(), 1);
     tree.insert(&[0.0, 0.0], 121.0, 6);

@@ -19,10 +19,9 @@
 //! sharded variant, mirroring the structure of `tests/query_equivalence.rs`
 //! for the full-width mode.
 
-use anytime_stream_mining::anytree::CheapestRouter;
 use anytime_stream_mining::bayestree::{
     BayesTree, BayesTreeF32, BayesTreeQuantized, DescentStrategy, Quantized, QuantizedSummary,
-    ShardedBayesTree, StoredElement, StoredSummary,
+    StoredElement, StoredSummary,
 };
 use anytime_stream_mining::index::PageGeometry;
 use anytime_stream_mining::stats::ClusterFeature;
@@ -182,13 +181,13 @@ proptest! {
     /// interval, and its converged estimate matches the flat exact density.
     #[test]
     fn sharded_f32_bounds_stay_sound(points in points_strategy(80), q in prop::collection::vec(-45.0f64..45.0, 3)) {
-        let mut sharded: ShardedBayesTree<CheapestRouter, f32> =
-            ShardedBayesTree::new(3, geometry(), 3);
+        let mut sharded: BayesTree<f32> =
+            BayesTree::sharded(3, geometry(), 3);
         for chunk in points.chunks(16) {
             let _ = sharded.insert_batch(chunk.to_vec());
         }
         sharded.set_bandwidth(vec![1.25, 0.8, 1.5]);
-        sharded.validate().expect("sharded f32 invariants hold");
+        sharded.validate(true).expect("sharded f32 invariants hold");
         let truth = sharded.full_kernel_density(&q);
         let mut last = f64::INFINITY;
         for budget in [0usize, 2, 8, usize::MAX] {
@@ -320,13 +319,13 @@ proptest! {
     /// density.
     #[test]
     fn sharded_quantized_bounds_stay_sound(points in points_strategy(80), q in prop::collection::vec(-45.0f64..45.0, 3)) {
-        let mut sharded: ShardedBayesTree<CheapestRouter, Quantized> =
-            ShardedBayesTree::new(3, geometry(), 3);
+        let mut sharded: BayesTree<Quantized> =
+            BayesTree::sharded(3, geometry(), 3);
         for chunk in points.chunks(16) {
             let _ = sharded.insert_batch(chunk.to_vec());
         }
         sharded.set_bandwidth(vec![1.25, 0.8, 1.5]);
-        sharded.validate().expect("sharded quantised invariants hold");
+        sharded.validate(true).expect("sharded quantised invariants hold");
         let truth = sharded.full_kernel_density(&q);
         let mut last = f64::INFINITY;
         for budget in [0usize, 2, 8, usize::MAX] {
