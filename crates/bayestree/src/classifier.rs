@@ -282,6 +282,11 @@ impl AnytimeClassifier {
     }
 
     /// Classifies `x` spending at most `budget` node reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn classify_with_budget(&self, x: &[f64], budget: usize) -> Classification {
         let (trace, nodes_read) = self.run_anytime(x, budget, false);
@@ -294,6 +299,11 @@ impl AnytimeClassifier {
 
     /// Produces the full anytime trace: the decision after every node read up
     /// to `max_nodes` (or until every frontier is exhausted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_trace(&self, x: &[f64], max_nodes: usize) -> AnytimeTrace {
         self.run_anytime(x, max_nodes, true).0
@@ -327,6 +337,10 @@ impl AnytimeClassifier {
 /// ([`with_scratch_cursors`]), so a classification builds no cursor of its
 /// own.  Returns the trace plus the number of refinements (node reads)
 /// actually performed.
+///
+/// A NaN coordinate is rejected: it would score 0 in every class, so the
+/// decision would silently fall back to the priors.  ±inf is a valid
+/// far-away query.
 pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
     classes: &[(&V, KernelQueryModel<'_>)],
     x: &[f64],
@@ -336,6 +350,10 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
     budget: usize,
     record_all: bool,
 ) -> (AnytimeTrace, usize) {
+    assert!(
+        x.iter().all(|v| !v.is_nan()),
+        "query coordinates must not be NaN"
+    );
     let order = descent.into();
     with_scratch_cursors(classes.len(), |cursors| {
         // Pooled cursors keep counting across queries: the registry gets
@@ -520,10 +538,88 @@ mod tests {
     fn far_away_query_falls_back_to_priors() {
         let data = easy_dataset();
         let clf = AnytimeClassifier::train(&data, &ClassifierConfig::default());
-        let far = vec![1e6; 4];
-        let c = clf.classify_with_budget(&far, 5);
-        let sum: f64 = c.posteriors.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
+        for far in [[1e6; 4], [f64::INFINITY, 0.0, f64::NEG_INFINITY, 0.0]] {
+            let c = clf.classify_with_budget(&far, 5);
+            assert_eq!(c.posteriors, clf.priors());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn nan_query_panics() {
+        let data = easy_dataset();
+        let clf = AnytimeClassifier::train(&data, &ClassifierConfig::default());
+        let _ = clf.classify_with_budget(&[f64::NAN, 10.3, 0.0, 0.0], 4);
+    }
+
+    /// A Letter stand-in (16-d, 26 classes) split into a training set and a
+    /// labelled stream, with a classifier trained on a small page geometry
+    /// so the per-class trees are several levels deep.
+    fn letter_stream() -> (AnytimeClassifier, Vec<(Vec<f64>, usize)>) {
+        let data = bt_data::synth::letter::generate(900, 4).shuffled(4);
+        let train: Vec<usize> = (0..600).collect();
+        let config = ClassifierConfig {
+            geometry: Some(PageGeometry::from_fanout(4, 6)),
+            bulk_load: BulkLoadMethod::Hilbert,
+            ..ClassifierConfig::default()
+        };
+        let clf = AnytimeClassifier::train(&data.subset(&train), &config);
+        let stream = (600..data.len())
+            .map(|i| (data.feature(i).to_vec(), data.label(i)))
+            .collect();
+        (clf, stream)
+    }
+
+    #[test]
+    fn learn_batch_of_one_matches_learn_one() {
+        let (mut one, stream) = letter_stream();
+        let mut batched = one.clone();
+        for (point, label) in &stream {
+            one.learn_one(point.clone(), *label);
+            batched.learn_batch(vec![(point.clone(), *label)]);
+        }
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(one.priors()), bits(batched.priors()));
+        for (x, _) in stream.iter().step_by(15) {
+            for budget in [0, 3, 10, 40] {
+                let (a, b) = (
+                    one.anytime_trace(x, budget),
+                    batched.anytime_trace(x, budget),
+                );
+                assert_eq!(a.labels, b.labels, "budget {budget}");
+                assert_eq!(bits(&a.final_posteriors), bits(&b.final_posteriors));
+            }
+        }
+    }
+
+    #[test]
+    fn learn_batch_grows_every_class_and_keeps_trees_valid() {
+        let (mut clf, stream) = letter_stream();
+        for batch in stream.chunks(64) {
+            let mut expected: Vec<usize> = clf.trees().iter().map(BayesTree::len).collect();
+            for (_, label) in batch {
+                expected[*label] += 1;
+            }
+            clf.learn_batch(batch.to_vec());
+            let lens: Vec<usize> = clf.trees().iter().map(BayesTree::len).collect();
+            assert_eq!(lens, expected);
+            for tree in clf.trees() {
+                tree.validate(true).expect("tree invariants hold");
+            }
+            let prior_sum: f64 = clf.priors().iter().sum();
+            assert!((prior_sum - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "label out of range")]
+    fn learn_batch_rejects_out_of_range_labels() {
+        let data = easy_dataset();
+        let mut clf = AnytimeClassifier::train(&data, &ClassifierConfig::default());
+        clf.learn_batch(vec![
+            (data.feature(0).to_vec(), 0),
+            (data.feature(1).to_vec(), 3),
+        ]);
     }
 
     #[test]

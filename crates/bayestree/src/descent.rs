@@ -13,9 +13,8 @@
 //! *insertion-side* descent — the budgeted root-to-leaf walk that builds and
 //! maintains the tree — is the shared iterative cursor engine in
 //! [`bt_anytree::descent`], which [`crate::insert`] and the batched entry
-//! points ([`crate::BayesTree::insert_batch`],
-//! [`crate::AnytimeClassifier::learn_batch`],
-//! [`crate::SingleTreeClassifier::insert_batch`]) drive.
+//! points ([`crate::BayesTree::insert_batch`] and
+//! [`crate::AnytimeClassifier::learn_batch`]) drive.
 
 /// Priority measure used by global-best descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -33,11 +33,12 @@
 //!   global mixture answer, [`bt_anytree::QueryAnswer`]; the
 //!   [`BayesTreeSnapshot`] answers through the same fold,
 //! * [`classifier::AnytimeClassifier`] — one tree per class, the qbk
-//!   refinement strategy and budgeted classification,
+//!   refinement strategy and budgeted classification.  The single
+//!   multi-class tree that Section 4.1 sketches as future work is less
+//!   accurate than this forest at equal CPU time on all four stand-ins
+//!   (`docs/PERF.md`, "One classifier"),
 //! * [`bulk`] — the bulk-loading strategies of Section 3 (Hilbert, Z-curve,
-//!   STR, Goldberger, EM top-down) and the iterative baseline,
-//! * [`multiclass::SingleTreeClassifier`] — the single-tree multi-class
-//!   variant sketched as future work in Section 4.1.
+//!   STR, Goldberger, EM top-down) and the iterative baseline.
 //!
 //! ## Stored precision
 //!
@@ -92,7 +93,6 @@ pub mod classifier;
 pub mod descent;
 pub mod frontier;
 pub mod insert;
-pub mod multiclass;
 pub mod node;
 pub mod pdq;
 pub mod qbk;
@@ -106,7 +106,6 @@ pub use bulk::{build_tree, BulkLoadMethod};
 pub use classifier::{AnytimeClassifier, AnytimeTrace, Classification, ClassifierConfig};
 pub use descent::{DescentStrategy, PriorityMeasure};
 pub use frontier::{FrontierElement, TreeFrontier};
-pub use multiclass::{SingleTreeClassifier, SingleTreeConfig};
 pub use node::{
     Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
     StoredScalar, StoredSummary,

@@ -42,8 +42,7 @@ pub fn density_at_level(tree: &BayesTree, x: &[f64], level: usize) -> f64 {
 }
 
 /// Evaluates the posterior-style score `P(c) * p(x | c)` given a prior and a
-/// class-conditional density.  Kept as a free function so the per-class and
-/// single-tree classifiers share the same arithmetic.
+/// class-conditional density.
 #[must_use]
 pub fn joint_score(prior: f64, class_density: f64) -> f64 {
     prior * class_density

@@ -194,7 +194,8 @@ impl ClassifierSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn classify_with_budget(&self, x: &[f64], budget: usize) -> Classification {
         let (trace, nodes_read) = self.run_anytime(x, budget, false);
@@ -210,7 +211,8 @@ impl ClassifierSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_trace(&self, x: &[f64], max_nodes: usize) -> AnytimeTrace {
         self.run_anytime(x, max_nodes, true).0
@@ -307,6 +309,17 @@ mod tests {
         for (q, expected) in queries.iter().zip(&frozen) {
             assert_eq!(&snapshot.classify_with_budget(q, 15), expected);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn classifier_snapshot_rejects_a_nan_query() {
+        let data = BlobConfig::new(3, 2)
+            .samples_per_class(40)
+            .seed(3)
+            .generate();
+        let snapshot = AnytimeClassifier::train(&data, &ClassifierConfig::default()).snapshot();
+        let _ = snapshot.classify_with_budget(&[f64::NAN, 10.3], 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use bayestree::BulkLoadMethod;
 use bayestree_bench::RunOptions;
 use bt_data::synth::Benchmark;
-use bt_eval::ablation::{descent_ablation, multiclass_comparison, qbk_ablation};
+use bt_eval::ablation::{descent_ablation, qbk_ablation};
 use bt_eval::ascii_chart;
 
 fn benchmark_by_name(name: &str) -> Benchmark {
@@ -52,9 +52,4 @@ fn main() {
             c.final_accuracy
         );
     }
-
-    println!("\nPer-class forest vs single multi-class tree (Section 4.1), budget 30 nodes:");
-    let (forest, single) = multiclass_comparison(&dataset, 30, &config);
-    println!("  per-class forest:   accuracy {forest:.3}");
-    println!("  single tree (pooled variance): accuracy {single:.3}");
 }

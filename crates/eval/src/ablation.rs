@@ -1,12 +1,10 @@
-//! Ablation experiments over the design choices called out in DESIGN.md:
-//! descent strategy, qbk parameter, page geometry (fanout) and the
-//! single-tree multi-class variant of Section 4.1.
+//! Ablation experiments over the classifier's design choices: descent
+//! strategy, qbk parameter and page geometry (fanout).  The
+//! `ablation_descent` bin prints the first two.
 
 use crate::curve::{anytime_accuracy_curve, AccuracyCurve, CurveConfig};
-use bayestree::{
-    BulkLoadMethod, DescentStrategy, RefinementStrategy, SingleTreeClassifier, SingleTreeConfig,
-};
-use bt_data::{stratified_folds, Dataset};
+use bayestree::{BulkLoadMethod, DescentStrategy, RefinementStrategy};
+use bt_data::Dataset;
 use bt_index::PageGeometry;
 
 /// Measures one accuracy curve per descent strategy (bft, dft, glo-geo, glo).
@@ -82,59 +80,6 @@ pub fn fanout_ablation(
         .collect()
 }
 
-/// Compares the per-class forest against the single-tree multi-class variant
-/// of Section 4.1 at a fixed node budget.  Returns `(forest, single_tree)`
-/// accuracies.
-#[must_use]
-pub fn multiclass_comparison(dataset: &Dataset, budget: usize, config: &CurveConfig) -> (f64, f64) {
-    let folds = stratified_folds(dataset, config.folds, config.seed);
-    let mut forest_correct = 0usize;
-    let mut single_correct = 0usize;
-    let mut total = 0usize;
-
-    for fold in &folds {
-        let train = fold.train_set(dataset);
-        let test = fold.test_set(dataset);
-
-        let forest = bayestree::AnytimeClassifier::train(
-            &train,
-            &bayestree::ClassifierConfig {
-                geometry: config.geometry,
-                bulk_load: BulkLoadMethod::Iterative,
-                descent: config.descent,
-                refinement: config.refinement,
-                per_class_bandwidth: true,
-                seed: config.seed,
-            },
-        );
-        let single = SingleTreeClassifier::train(
-            &train,
-            &SingleTreeConfig {
-                geometry: config.geometry,
-                descent: config.descent,
-                entropy_weighted_descent: false,
-            },
-        );
-
-        let limit = config
-            .max_test_queries
-            .unwrap_or(test.len())
-            .min(test.len());
-        for i in 0..limit {
-            let truth = test.label(i);
-            if forest.classify_with_budget(test.feature(i), budget).label == truth {
-                forest_correct += 1;
-            }
-            if single.classify_with_budget(test.feature(i), budget).label == truth {
-                single_correct += 1;
-            }
-            total += 1;
-        }
-    }
-    let total = total.max(1) as f64;
-    (forest_correct as f64 / total, single_correct as f64 / total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +135,5 @@ mod tests {
         );
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].label, "M=4");
-    }
-
-    #[test]
-    fn multiclass_comparison_yields_sane_accuracies() {
-        let (forest, single) = multiclass_comparison(&dataset(), 10, &fast_config());
-        assert!(forest > 0.6, "forest accuracy {forest}");
-        assert!(single > 0.6, "single-tree accuracy {single}");
     }
 }

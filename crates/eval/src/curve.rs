@@ -8,7 +8,6 @@
 
 use bayestree::{
     AnytimeClassifier, BulkLoadMethod, ClassifierConfig, DescentStrategy, RefinementStrategy,
-    SingleTreeClassifier, SingleTreeConfig,
 };
 use bt_data::{stratified_folds, Dataset};
 use bt_index::PageGeometry;
@@ -180,76 +179,6 @@ pub fn figure4_curves(dataset: &Dataset, config: &CurveConfig) -> Vec<AccuracyCu
     curves
 }
 
-/// Measures the anytime accuracy curve of the single-tree multi-class
-/// classifier when its tree is *constructed in mini-batches* of
-/// `batch_size` through the batched descent engine
-/// ([`bayestree::SingleTreeClassifier::train_batched`]), under k-fold cross
-/// validation.  A batch size of 1 reproduces the sequential construction
-/// exactly; larger batches amortise summary refreshes and splits and may
-/// group leaves differently.
-#[must_use]
-pub fn batched_construction_curve(
-    dataset: &Dataset,
-    batch_size: usize,
-    config: &CurveConfig,
-) -> AccuracyCurve {
-    let single_config = SingleTreeConfig {
-        geometry: config.geometry,
-        descent: config.descent,
-        entropy_weighted_descent: false,
-    };
-    let folds = stratified_folds(dataset, config.folds, config.seed);
-
-    let mut correct = vec![0usize; config.max_nodes + 1];
-    let mut total = 0usize;
-    let mut final_correct = 0usize;
-
-    for fold in &folds {
-        let train = fold.train_set(dataset);
-        let test = fold.test_set(dataset);
-        let classifier = SingleTreeClassifier::train_batched(&train, &single_config, batch_size);
-        let limit = config
-            .max_test_queries
-            .unwrap_or(test.len())
-            .min(test.len());
-        for i in 0..limit {
-            let trace = classifier.anytime_trace(test.feature(i), config.max_nodes);
-            let truth = test.label(i);
-            let label_after = |t: usize| trace[t.min(trace.len() - 1)];
-            for (t, c) in correct.iter_mut().enumerate() {
-                if label_after(t) == truth {
-                    *c += 1;
-                }
-            }
-            if *trace.last().expect("non-empty trace") == truth {
-                final_correct += 1;
-            }
-            total += 1;
-        }
-    }
-
-    let total = total.max(1);
-    AccuracyCurve {
-        label: format!("single-tree batch {batch_size}"),
-        accuracy: correct.iter().map(|&c| c as f64 / total as f64).collect(),
-        final_accuracy: final_correct as f64 / total as f64,
-    }
-}
-
-/// Batched-construction curves at several mini-batch sizes (the engine's
-/// batching axis; 1/8/64 is the canonical sweep).
-#[must_use]
-pub fn batched_construction_curves(
-    dataset: &Dataset,
-    batch_sizes: &[usize],
-    config: &CurveConfig,
-) -> Vec<AccuracyCurve> {
-    batch_sizes
-        .iter()
-        .map(|&b| batched_construction_curve(dataset, b, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,21 +234,6 @@ mod tests {
         assert!(curves.iter().any(|c| c.label == "EMTopDown glo"));
         assert!(curves.iter().any(|c| c.label == "EMTopDown bft"));
         assert!(curves.iter().any(|c| c.label == "Iterativ glo"));
-    }
-
-    #[test]
-    fn batched_construction_curves_cover_the_batch_sizes() {
-        let curves = batched_construction_curves(&small_dataset(), &[1, 8, 64], &fast_config());
-        assert_eq!(curves.len(), 3);
-        for curve in &curves {
-            assert_eq!(curve.accuracy.len(), 13);
-            assert!(curve.accuracy.iter().all(|a| (0.0..=1.0).contains(a)));
-            // Blobs are easy: any construction should classify well with
-            // full budget.
-            assert!(curve.final_accuracy > 0.6, "{}", curve.label);
-        }
-        assert_eq!(curves[0].label, "single-tree batch 1");
-        assert_eq!(curves[2].label, "single-tree batch 64");
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //!   global-best descent against breadth-first traversal
 //!   ([`curve::figure4_curves`]),
 //! * the **"up to 13 %" improvement claim** ([`report::improvement_summary`]),
-//! * ablations over descent strategies, the qbk parameter, the page geometry
-//!   and the single-tree multi-class variant ([`ablation`]),
+//! * ablations over descent strategies, the qbk parameter and the page
+//!   geometry ([`ablation`]),
 //! * the anytime-clustering extension's speed-adaptation experiment
 //!   ([`clustering`]),
-//! * the **mini-batch construction sweeps** over the shared core's batched
-//!   descent engine: accuracy curves with the single-tree classifier built
-//!   at batch sizes 1/8/64 ([`curve::batched_construction_curves`]) and the
-//!   clustering budget × batch-size sweep reporting parking-depth histograms
-//!   and shared refresh counts ([`clustering::batched_budget_sweep`]),
+//! * the **mini-batch construction sweep** over the shared core's batched
+//!   descent engine: the clustering budget × batch-size sweep reporting
+//!   parking-depth histograms and shared refresh counts
+//!   ([`clustering::batched_budget_sweep`]),
 //! * the **shard-count sweeps** over the sharded concurrent trees: quality
 //!   (purity/accuracy, which sharding must not hurt) and wall-clock
 //!   insertion/training throughput at shards 1/2/4/8
@@ -42,8 +41,9 @@
 //!   the refinement histograms.
 //!
 //! The bench crate's binaries (`figure2`, `figure3`, `figure4`, `table1`,
-//! `improvement`, `ablation_descent`, `clustree_speed`) are thin wrappers
-//! around these functions; `EXPERIMENTS.md` records the outputs.
+//! `improvement`, `ablation_descent`, `clustree_speed`, `calibrate`) are
+//! thin wrappers around these functions that print their results;
+//! `docs/PERF.md` records the measured comparisons.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -58,7 +58,7 @@ pub mod report;
 pub mod sharding;
 
 pub use clustering::{batched_budget_sweep, BatchedClusteringQuality};
-pub use curve::{anytime_accuracy_curve, batched_construction_curves, AccuracyCurve, CurveConfig};
+pub use curve::{anytime_accuracy_curve, AccuracyCurve, CurveConfig};
 pub use obs::{certified_queries_per_sec, format_metrics_table, RegistryCapture};
 pub use pipeline::{pipelined_sweep, PipelinedThroughput};
 pub use query::{

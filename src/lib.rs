@@ -207,9 +207,9 @@
 //! (write side) or `Summary` + `QueryModel` (read side) rather than
 //! re-implementing a tree.  Batching is already in: every layer exposes
 //! mini-batch entry points over the core engine (`BayesTree::insert_batch`,
-//! `AnytimeClassifier::learn_batch`, `SingleTreeClassifier::insert_batch` /
-//! `train_batched`, `ClusTree::insert_batch`), and `eval` measures
-//! accuracy/purity versus budget at batch sizes 1/8/64.  Sharding is in
+//! `AnytimeClassifier::learn_batch`, `ClusTree::insert_batch`), and `eval`
+//! measures clustering purity versus budget and batch size
+//! (`eval::batched_budget_sweep`).  Sharding is in
 //! too: both trees own the sharded layer, one shard by default and `K`
 //! through `BayesTree::sharded` / `ClusTree::sharded` (the clustering
 //! snapshot/offline step simply folds the per-shard micro-clusters),
