@@ -530,8 +530,8 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     ///
     /// # Panics
     ///
-    /// Panics if any query has the wrong dimensionality (checked before
-    /// any object is routed).
+    /// Panics if any query has the wrong dimensionality or a NaN
+    /// coordinate (checked before any object is routed).
     #[allow(clippy::too_many_arguments)]
     pub fn pipelined_batch<M, F, Q>(
         &mut self,
@@ -589,14 +589,22 @@ pub struct PipelinedOutcome {
     pub query_stats: QueryStats,
 }
 
-/// Rejects a query whose dimensionality differs from the views' — checked
-/// at the fold's entry, before any dispatch, so neither an empty view
-/// (which reads nothing) nor a worker thread (whose panic would reach the
-/// caller as "a scoped thread panicked") can hide the mismatch.
+/// Rejects a query whose dimensionality differs from the views', or that
+/// has a NaN coordinate — checked at the fold's entry, before any
+/// dispatch, so neither an empty view (which reads nothing) nor a worker
+/// thread (whose panic would reach the caller as "a scoped thread
+/// panicked") can hide the mismatch.  A NaN coordinate would score every
+/// element NaN or zero, so an outlier test would certify a verdict from a
+/// meaningless interval and k-NN would rank NaN distances; ±inf is a valid
+/// far-away query.
 fn assert_query_dims<S: Summary, L, V: TreeView<S, L>>(views: &[V], query: &[f64]) {
     for view in views {
         assert_eq!(query.len(), view.dims(), "query dimensionality mismatch");
     }
+    assert!(
+        query.iter().all(|v| !v.is_nan()),
+        "query coordinates must not be NaN"
+    );
 }
 
 /// Adds one view's partial answer into the fold — the fold's only
@@ -697,7 +705,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the query has the wrong dimensionality.
+/// Panics if the query has the wrong dimensionality or a NaN coordinate.
 pub fn refine_frontiers_over<S, L, V, M, R>(
     views: &[V],
     model: &M,
@@ -729,7 +737,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the query has the wrong dimensionality.
+/// Panics if the query has the wrong dimensionality or a NaN coordinate.
 #[must_use]
 pub fn query_over<S, L, V, M>(
     views: &[V],
@@ -758,7 +766,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if any query has the wrong dimensionality.
+/// Panics if any query has the wrong dimensionality or a NaN
+/// coordinate.
 #[must_use]
 pub fn query_batch_over<S, L, V, M>(
     views: &[V],
@@ -811,7 +820,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the query has the wrong dimensionality.
+/// Panics if the query has the wrong dimensionality or a NaN coordinate.
 #[must_use]
 pub fn outlier_score_over<S, L, V, M>(
     views: &[V],

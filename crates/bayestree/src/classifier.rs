@@ -12,9 +12,9 @@ use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
-use crate::query::KernelQueryModel;
+use crate::query::{EstimateModel, KernelQueryModel};
 use crate::tree::BayesTree;
-use bt_anytree::{with_scratch_cursors, QueryCursor, QueryStats, TreeView};
+use bt_anytree::{with_scratch_cursors, QueryCursor, QueryStats, RefineOrder, TreeView};
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -338,6 +338,12 @@ impl AnytimeClassifier {
 /// own.  Returns the trace plus the number of refinements (node reads)
 /// actually performed.
 ///
+/// The loop reads each frontier's point estimate and nothing of its
+/// bounds, so every class scores through its model's estimate-only form
+/// ([`EstimateModel`]): directory nodes skip the two box log-kernels, and
+/// the estimates — hence every decision — equal the full model's bit for
+/// bit.
+///
 /// A NaN coordinate is rejected: it would score 0 in every class, so the
 /// decision would silently fall back to the priors.  ±inf is a valid
 /// far-away query.
@@ -354,7 +360,11 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
         x.iter().all(|v| !v.is_nan()),
         "query coordinates must not be NaN"
     );
-    let order = descent.into();
+    let order: RefineOrder = descent.into();
+    debug_assert!(
+        order != RefineOrder::WidestBound,
+        "no descent strategy maps to WidestBound, the only order that reads the bounds EstimateModel skips"
+    );
     with_scratch_cursors(classes.len(), |cursors| {
         // Pooled cursors keep counting across queries: the registry gets
         // the work done since `before`, summed over every class.
@@ -364,7 +374,7 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
         for (((view, model), cursor), &prior) in classes.iter().zip(cursors.iter_mut()).zip(priors)
         {
             before.merge(cursor.stats());
-            view.begin_query(model, x, cursor);
+            view.begin_query(&EstimateModel(*model), x, cursor);
             scores.push(class_score(prior, cursor));
             refinable.push(cursor.can_refine());
         }
@@ -383,7 +393,7 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
             };
             // Only the refined class's frontier moved: update its entries.
             let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
-            view.refine_query(model, order, cursor);
+            view.refine_query(&EstimateModel(*model), order, cursor);
             scores[class] = class_score(priors[class], cursor);
             refinable[class] = cursor.can_refine();
             nodes_read += 1;

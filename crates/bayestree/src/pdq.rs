@@ -41,13 +41,6 @@ pub fn density_at_level(tree: &BayesTree, x: &[f64], level: usize) -> f64 {
     pdq(&tree.level_entries(level), x)
 }
 
-/// Evaluates the posterior-style score `P(c) * p(x | c)` given a prior and a
-/// class-conditional density.
-#[must_use]
-pub fn joint_score(prior: f64, class_density: f64) -> f64 {
-    prior * class_density
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,10 +96,5 @@ mod tests {
         let near = density_at_level(&tree, &[2.0, 2.0], 1);
         let far = density_at_level(&tree, &[1000.0, 1000.0], 1);
         assert!(far < near);
-    }
-
-    #[test]
-    fn joint_score_multiplies() {
-        assert_eq!(joint_score(0.25, 4.0), 1.0);
     }
 }

@@ -31,7 +31,9 @@ use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, Entry, OutlierScore, QueryAnswer, QueryModel,
     QueryStats, RefineOrder, SummaryScore,
 };
-use bt_stats::kernel::{leaf_scores_block, node_scores_block, GaussianKernel, Kernel};
+use bt_stats::kernel::{
+    leaf_scores_block, node_estimates_block, node_scores_block, GaussianKernel, Kernel,
+};
 use bt_stats::{GatheredBlock, KernelBandwidth};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
@@ -214,6 +216,93 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     }
 }
 
+/// The classifier's scoring model: [`KernelQueryModel`] computing only what
+/// a classification reads — each element's mixture term (the frontier's
+/// point estimate) and its geometric priority.
+///
+/// A classification ranks classes by [`bt_anytree::QueryCursor::estimate`]
+/// and refines in a [`DescentStrategy`] order, none of which reads a bound
+/// ([`RefineOrder::WidestBound`] is the only order that does, and no
+/// strategy maps to it).  So a directory node runs
+/// [`node_estimates_block`] instead of the full fused pass, skipping both
+/// box log-kernels and their two `exp` per entry, and every element's
+/// interval collapses onto its estimate.  Estimates and priorities equal
+/// the full model's bit for bit, so classifications do too.  The gathers
+/// are the full model's, so cached blocks serve both.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EstimateModel<'a>(pub(crate) KernelQueryModel<'a>);
+
+impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
+    type LeafItem = Vec<f64>;
+
+    fn summary_contribution(&self, query: &[f64], summary: &S) -> f64 {
+        summary_mixture_term(summary, query, self.0.n)
+    }
+
+    fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
+        let contribution = self.summary_contribution(query, summary);
+        (contribution, contribution)
+    }
+
+    fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
+        QueryModel::<S>::leaf_contribution(&self.0, query, item)
+    }
+
+    fn leaf_sq_dist(&self, query: &[f64], item: &Vec<f64>) -> f64 {
+        QueryModel::<S>::leaf_sq_dist(&self.0, query, item)
+    }
+
+    fn summarize_leaf_items(&self, items: &[Vec<f64>]) -> S {
+        self.0.summarize_leaf_items(items)
+    }
+
+    fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
+        self.0.gather_entries(entries, out)
+    }
+
+    fn score_gathered(
+        &self,
+        query: &[f64],
+        _entries: &[Entry<S>],
+        gathered: &GatheredBlock,
+        lanes: &mut [Vec<f64>; 4],
+        out: &mut Vec<SummaryScore>,
+    ) {
+        let block = &gathered.block;
+        let [log_pdf, dist, _, _] = lanes;
+        node_estimates_block(query, self.0.bandwidth, block, log_pdf, dist);
+        out.clear();
+        out.reserve(block.len());
+        for (i, &weight) in block.weights().iter().enumerate() {
+            let contribution = weight / self.0.n * log_pdf[i].exp();
+            out.push(SummaryScore {
+                weight,
+                contribution,
+                lower: contribution,
+                upper: contribution,
+                min_dist_sq: dist[i],
+            });
+        }
+    }
+
+    fn gather_leaf_items(&self, items: &[Vec<f64>], out: &mut GatheredBlock) -> bool {
+        QueryModel::<S>::gather_leaf_items(&self.0, items, out)
+    }
+
+    /// Leaves are exact, so the full model's leaf pass already computes
+    /// only the estimate and the priority.
+    fn score_gathered_leaves(
+        &self,
+        query: &[f64],
+        items: &[Vec<f64>],
+        gathered: &GatheredBlock,
+        lanes: &mut [Vec<f64>; 4],
+        out: &mut Vec<SummaryScore>,
+    ) {
+        QueryModel::<S>::score_gathered_leaves(&self.0, query, items, gathered, lanes, out);
+    }
+}
+
 impl From<DescentStrategy> for RefineOrder {
     fn from(strategy: DescentStrategy) -> RefineOrder {
         match strategy {
@@ -246,7 +335,8 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_density(
         &self,
@@ -264,7 +354,8 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     ///
     /// # Panics
     ///
-    /// Panics if any query has the wrong dimensionality.
+    /// Panics if any query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn density_batch(
         &self,
@@ -283,7 +374,8 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
         let model = self.query_model();
@@ -462,5 +554,24 @@ mod tests {
             RefineOrder::from(DescentStrategy::GlobalBest(PriorityMeasure::Geometric)),
             RefineOrder::ClosestFirst
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn nan_query_is_rejected_by_outlier_scoring() {
+        // A NaN query scores every bound NaN or zero: without the check the
+        // verdict came back as a certain `Outlier` after 0 reads.
+        let tree: BayesTree = sample_tree(100, 7);
+        let _ = tree.outlier_score(&[f64::NAN, 1.0], 1.0, 8);
+    }
+
+    #[test]
+    fn infinite_query_is_a_certain_outlier() {
+        let tree: BayesTree = sample_tree(100, 7);
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            let score = tree.outlier_score(&[x, 1.0], 1e-6, 8);
+            assert_eq!(score.verdict, OutlierVerdict::Outlier);
+            assert_eq!(score.answer.upper, 0.0);
+        }
     }
 }

@@ -87,7 +87,8 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_density(
         &self,
@@ -104,7 +105,8 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     ///
     /// # Panics
     ///
-    /// Panics if any query has the wrong dimensionality.
+    /// Panics if any query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn density_batch(
         &self,
@@ -121,7 +123,8 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
         let model = self.query_model();

@@ -8,7 +8,9 @@
 //!   cluster summaries; every node read splits the frontier element closest
 //!   to the query into finer clusters, so the returned neighbours sharpen
 //!   from coarse inner aggregates to leaf micro-clusters as budget grows —
-//!   retrieval *at any tree level*.
+//!   retrieval *at any tree level*.  The ranking reads only centre
+//!   distances, so its frontiers score through a distance-only model: one
+//!   squared-distance pass per node, no kernel, no `exp`.
 //! * **Anytime density scoring / outlier detection**
 //!   ([`ClusTree::anytime_density`], [`ClusTree::outlier_score`]) — the
 //!   [`ClusQueryModel`] scores a micro-cluster by the Gaussian product
@@ -35,6 +37,10 @@
 //! With the MBR bound, far-away outliers are certified after few reads
 //! instead of needing refinement down to leaf granularity.
 //!
+//! Both models gather a node into the same columns (`gather_clusters`),
+//! so the engine's per-node block cache serves density, outlier and k-NN
+//! reads alike.
+//!
 //! Decay caveat: summaries are scored as stored (queries never mutate the
 //! tree), so with a non-zero decay rate the bounds are exact only up to the
 //! usual temporal-multiplicity approximation; with `lambda == 0` they are
@@ -53,6 +59,7 @@ use bt_stats::kernel::{
     smoothed_farthest_log_kernels_block, sq_dists_block,
 };
 use bt_stats::GatheredBlock;
+use std::borrow::Cow;
 
 /// The micro-cluster query model: a smoothed Gaussian kernel score with
 /// certain, monotone bounds computable from cluster features alone.
@@ -216,65 +223,19 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     }
 
     fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
-        let mut summary = items[0].clone();
-        for mc in &items[1..] {
-            summary.merge(mc, self.lambda);
-        }
-        summary
+        summarize_clusters(items, self.lambda)
     }
 
-    /// Block gather: packs the node's entries into the structure-of-arrays
-    /// block (weights, smoothed means / variances, routing centres, MBR
-    /// corners) so [`QueryModel::score_gathered`] can evaluate the Jensen
+    /// Block gather (`gather_clusters`): weights, smoothed means and
+    /// variances, routing centres and — when every entry stores one — MBR
+    /// corners, so [`QueryModel::score_gathered`] can evaluate the Jensen
     /// kernel, both bounds and the geometric priority with the
     /// dimension-major batch kernels — one vectorized pass per quantity.
-    ///
-    /// The gather replicates the scalar arithmetic exactly (`ls / n` for
-    /// the smoothed mean, `ls * (1/n)` for the routing centre — different
-    /// roundings, hence two column sets; variance floored at `0.0`, not the
-    /// Gaussian floor), and it is a pure function of `entries` — the engine
-    /// caches it per node, keyed by the node's version stamp.  Nodes with a
-    /// box-less entry gather without box columns; scoring falls back to
-    /// scalar bounds for such nodes, keeping the values unchanged.
+    /// Nodes with a box-less entry gather without box columns; scoring
+    /// falls back to scalar bounds for such nodes, keeping the values
+    /// unchanged.
     fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
-        let dims = self.bandwidth.len();
-        let len = entries.len();
-        let block = &mut out.block;
-        block.reset(dims, len);
-        out.centers.clear();
-        out.centers.resize(dims * len, 0.0);
-        let all_boxes = entries.iter().all(|e| e.summary.mbr().is_some());
-        if all_boxes {
-            block.enable_boxes();
-        }
-        for (i, entry) in entries.iter().enumerate() {
-            let mc = &entry.summary;
-            let cf = mc.cf();
-            block.set_weight(i, mc.weight());
-            let n = cf.weight().max(f64::MIN_POSITIVE);
-            let ls = cf.linear_sum();
-            let ss = cf.squared_sum();
-            for d in 0..dims {
-                let mean = ls[d] / n;
-                let var = (ss[d] / n - mean * mean).max(0.0);
-                block.set_mean(d, i, mean);
-                block.set_var(d, i, var);
-            }
-            if !cf.is_empty() {
-                let inv_n = 1.0 / cf.weight();
-                for (d, &l) in ls.iter().enumerate() {
-                    out.centers[d * len + i] = l * inv_n;
-                }
-            }
-            if all_boxes {
-                let mbr = mc.mbr().expect("all entries carry a box");
-                let (lo, hi) = (mbr.lower(), mbr.upper());
-                for d in 0..dims {
-                    block.set_lower(d, i, lo[d]);
-                    block.set_upper(d, i, hi[d]);
-                }
-            }
-        }
+        gather_entry_clusters(self.bandwidth.len(), entries, out);
         true
     }
 
@@ -350,31 +311,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     /// the entry gather minus the box columns — leaves are exact, their
     /// bounds collapse onto the contribution and never touch a box kernel.
     fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
-        let dims = self.bandwidth.len();
-        let len = items.len();
-        let block = &mut out.block;
-        block.reset(dims, len);
-        out.centers.clear();
-        out.centers.resize(dims * len, 0.0);
-        for (i, mc) in items.iter().enumerate() {
-            let cf = mc.cf();
-            block.set_weight(i, mc.weight());
-            let n = cf.weight().max(f64::MIN_POSITIVE);
-            let ls = cf.linear_sum();
-            let ss = cf.squared_sum();
-            for d in 0..dims {
-                let mean = ls[d] / n;
-                let var = (ss[d] / n - mean * mean).max(0.0);
-                block.set_mean(d, i, mean);
-                block.set_var(d, i, var);
-            }
-            if !cf.is_empty() {
-                let inv_n = 1.0 / cf.weight();
-                for (d, &l) in ls.iter().enumerate() {
-                    out.centers[d * len + i] = l * inv_n;
-                }
-            }
-        }
+        gather_clusters(self.bandwidth.len(), items.iter(), false, out);
         true
     }
 
@@ -417,6 +354,175 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     }
 }
 
+/// The summary of a whole leaf: its micro-clusters merged with decay rate
+/// `lambda`.
+fn summarize_clusters(items: &[MicroCluster], lambda: f64) -> MicroCluster {
+    let mut summary = items[0].clone();
+    for mc in &items[1..] {
+        summary.merge(mc, lambda);
+    }
+    summary
+}
+
+/// Gathers a directory node's entry summaries, with box columns when every
+/// entry stores an MBR.
+fn gather_entry_clusters(dims: usize, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) {
+    let boxes = entries.iter().all(|e| e.summary.mbr().is_some());
+    gather_clusters(dims, entries.iter().map(|e| &e.summary), boxes, out);
+}
+
+/// Packs micro-clusters into the structure-of-arrays block: weights,
+/// smoothed means and variances, routing centres and, with `boxes`, MBR
+/// corners — the one gather every micro-cluster model shares, so a cached
+/// block serves density, outlier and k-NN reads alike.
+///
+/// The gather replicates the scalar arithmetic exactly (`ls / n` for the
+/// smoothed mean, `ls * (1/n)` for the routing centre — different
+/// roundings, hence two column sets; variance floored at `0.0`, not the
+/// Gaussian floor), and it is a pure function of the clusters — the engine
+/// caches it per node, keyed by the node's version stamp.
+fn gather_clusters<'a>(
+    dims: usize,
+    clusters: impl ExactSizeIterator<Item = &'a MicroCluster>,
+    boxes: bool,
+    out: &mut GatheredBlock,
+) {
+    let len = clusters.len();
+    let block = &mut out.block;
+    block.reset(dims, len);
+    out.centers.clear();
+    out.centers.resize(dims * len, 0.0);
+    if boxes {
+        block.enable_boxes();
+    }
+    for (i, mc) in clusters.enumerate() {
+        let cf = mc.cf();
+        block.set_weight(i, mc.weight());
+        let n = cf.weight().max(f64::MIN_POSITIVE);
+        let ls = cf.linear_sum();
+        let ss = cf.squared_sum();
+        for d in 0..dims {
+            let mean = ls[d] / n;
+            let var = (ss[d] / n - mean * mean).max(0.0);
+            block.set_mean(d, i, mean);
+            block.set_var(d, i, var);
+        }
+        if !cf.is_empty() {
+            let inv_n = 1.0 / cf.weight();
+            for (d, &l) in ls.iter().enumerate() {
+                out.centers[d * len + i] = l * inv_n;
+            }
+        }
+        if boxes {
+            let mbr = mc.mbr().expect("all entries carry a box");
+            let (lo, hi) = (mbr.lower(), mbr.upper());
+            for d in 0..dims {
+                block.set_lower(d, i, lo[d]);
+                block.set_upper(d, i, hi[d]);
+            }
+        }
+    }
+}
+
+/// The k-NN scoring model: every element's score is its weight and its
+/// centre distance, the only lanes [`knn_over`] ranks by.
+///
+/// A closest-first refinement reads no estimate and no bound, so this model
+/// skips [`ClusQueryModel`]'s Jensen kernel, both box kernels and their
+/// `exp`s — and needs no bandwidth and no weight normaliser.  Contributions
+/// and bounds are `0.0`.  Its gathers are [`ClusQueryModel`]'s, so a block
+/// cached by a density read serves a k-NN read and vice versa, and its
+/// centre distances are that model's bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct DistanceModel {
+    dims: usize,
+    lambda: f64,
+}
+
+impl DistanceModel {
+    /// Scores a gathered block by centre distance alone.
+    fn score_centres(
+        query: &[f64],
+        gathered: &GatheredBlock,
+        dist: &mut Vec<f64>,
+        out: &mut Vec<SummaryScore>,
+    ) {
+        let weights = gathered.block.weights();
+        sq_dists_block(query, &gathered.centers, weights.len(), dist);
+        out.clear();
+        out.extend(
+            weights
+                .iter()
+                .zip(dist.iter())
+                .map(|(&weight, &min_dist_sq)| SummaryScore {
+                    weight,
+                    min_dist_sq,
+                    ..SummaryScore::default()
+                }),
+        );
+    }
+}
+
+impl QueryModel<MicroCluster> for DistanceModel {
+    type LeafItem = MicroCluster;
+
+    fn summary_contribution(&self, _query: &[f64], _summary: &MicroCluster) -> f64 {
+        0.0
+    }
+
+    fn summary_bounds(&self, _query: &[f64], _summary: &MicroCluster) -> (f64, f64) {
+        (0.0, 0.0)
+    }
+
+    fn leaf_contribution(&self, _query: &[f64], _item: &MicroCluster) -> f64 {
+        0.0
+    }
+
+    fn leaf_sq_dist(&self, query: &[f64], item: &MicroCluster) -> f64 {
+        item.sq_dist_to(query)
+    }
+
+    fn leaf_weight(&self, item: &MicroCluster) -> f64 {
+        item.weight()
+    }
+
+    fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
+        summarize_clusters(items, self.lambda)
+    }
+
+    fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
+        gather_entry_clusters(self.dims, entries, out);
+        true
+    }
+
+    fn score_gathered(
+        &self,
+        query: &[f64],
+        _entries: &[Entry<MicroCluster>],
+        gathered: &GatheredBlock,
+        lanes: &mut [Vec<f64>; 4],
+        out: &mut Vec<SummaryScore>,
+    ) {
+        Self::score_centres(query, gathered, &mut lanes[0], out);
+    }
+
+    fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
+        gather_clusters(self.dims, items.iter(), false, out);
+        true
+    }
+
+    fn score_gathered_leaves(
+        &self,
+        query: &[f64],
+        _items: &[MicroCluster],
+        gathered: &GatheredBlock,
+        lanes: &mut [Vec<f64>; 4],
+        out: &mut Vec<SummaryScore>,
+    ) {
+        Self::score_centres(query, gathered, &mut lanes[0], out);
+    }
+}
+
 /// One retrieved neighbour: a micro-cluster (or inner aggregate) at the
 /// frontier's current granularity.
 #[derive(Debug, Clone)]
@@ -455,20 +561,28 @@ fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
     }
 }
 
-/// Materialises the micro-cluster behind a frontier element.
-pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
-    core: &V,
-    model: &ClusQueryModel,
+/// The micro-cluster behind a frontier element, borrowed from the view —
+/// only a root that is itself a leaf has no stored summary, and gets one
+/// merged with decay rate `lambda`.
+fn element_cluster<'v, V: TreeView<MicroCluster, MicroCluster>>(
+    core: &'v V,
+    lambda: f64,
     element: &QueryElement,
-) -> MicroCluster {
+) -> Cow<'v, MicroCluster> {
     match element.origin {
-        ElementOrigin::Entry { node, index } => core.node(node).entries()[index].summary.clone(),
-        ElementOrigin::Buffer { node, index } => core.node(node).entries()[index]
-            .buffer
-            .clone()
-            .expect("buffer element refers to an occupied buffer"),
-        ElementOrigin::LeafItem { node, index } => core.node(node).items()[index].clone(),
-        ElementOrigin::RootLeaf => model.summarize_leaf_items(core.node(core.root()).items()),
+        ElementOrigin::Entry { node, index } => {
+            Cow::Borrowed(&core.node(node).entries()[index].summary)
+        }
+        ElementOrigin::Buffer { node, index } => Cow::Borrowed(
+            core.node(node).entries()[index]
+                .buffer
+                .as_ref()
+                .expect("buffer element refers to an occupied buffer"),
+        ),
+        ElementOrigin::LeafItem { node, index } => Cow::Borrowed(&core.node(node).items()[index]),
+        ElementOrigin::RootLeaf => {
+            Cow::Owned(summarize_clusters(core.node(core.root()).items(), lambda))
+        }
     }
 }
 
@@ -479,9 +593,15 @@ pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
 /// ([`refine_frontiers_over`]), then the frontier elements of all views
 /// are ranked together and the `k` closest clusters returned.
 ///
+/// The ranking reads nothing but centre distances, so the frontiers score
+/// through a distance-only model: of `model` only the decay rate is used
+/// (to summarise a root that is itself a leaf), and its bandwidth and
+/// normaliser do not change the answer.  The model's gathers are shared, so
+/// k-NN and density reads reuse each other's cached blocks.
+///
 /// # Panics
 ///
-/// Panics if the query has the wrong dimensionality.
+/// Panics if the query has the wrong dimensionality or a NaN coordinate.
 #[must_use]
 pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     views: &[V],
@@ -490,9 +610,27 @@ pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     k: usize,
     budget: usize,
 ) -> KnnAnswer {
+    knn_with_decay(views, model.lambda, x, k, budget)
+}
+
+/// [`knn_over`] for a tree's own decay rate — what `anytime_knn` runs,
+/// without building a density model.
+pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+    views: &[V],
+    lambda: f64,
+    x: &[f64],
+    k: usize,
+    budget: usize,
+) -> KnnAnswer {
+    // The fold checks the query against every view before the first
+    // gather, so the query's length is the gather's dimensionality.
+    let model = DistanceModel {
+        dims: x.len(),
+        lambda,
+    };
     refine_frontiers_over(
         views,
-        model,
+        &model,
         x,
         RefineOrder::ClosestFirst,
         budget,
@@ -510,7 +648,7 @@ pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
             let neighbors = ranked
                 .into_iter()
                 .map(|(view, element)| {
-                    let mc = element_cluster(view, model, element);
+                    let mc = element_cluster(view, lambda, element);
                     ClusterNeighbor {
                         center: mc.center(),
                         weight: mc.weight(),
@@ -551,7 +689,8 @@ impl<R> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
+    /// Panics if the query or bandwidth has the wrong dimensionality, or if
+    /// the query has a NaN coordinate.
     #[must_use]
     pub fn anytime_density(
         &self,
@@ -569,7 +708,8 @@ impl<R> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if any query or the bandwidth has the wrong dimensionality.
+    /// Panics if any query or the bandwidth has the wrong dimensionality,
+    /// or if a query has a NaN coordinate.
     #[must_use]
     pub fn density_batch(
         &self,
@@ -590,11 +730,11 @@ impl<R> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        knn_over(self.shards(), &model, x, k, budget)
+        knn_with_decay(self.shards(), self.config().decay_lambda, x, k, budget)
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound
@@ -603,7 +743,8 @@ impl<R> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
+    /// Panics if the query or bandwidth has the wrong dimensionality, or if
+    /// the query has a NaN coordinate.
     #[must_use]
     pub fn outlier_score(
         &self,
@@ -812,5 +953,38 @@ mod tests {
                 tree.anytime_density(q, &bandwidth, RefineOrder::BestFirst, 6)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn nan_query_is_rejected_by_outlier_scoring() {
+        let tree = two_cluster_tree(200, 10);
+        let _ = tree.outlier_score(&[f64::NAN, 1.0], &[1.0, 1.0], 1.0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn nan_query_is_rejected_by_knn() {
+        // Without the check the retrieval spent its whole budget and
+        // returned neighbours at `sq_dist: NaN`.
+        let tree = two_cluster_tree(200, 10);
+        let _ = tree.anytime_knn(&[f64::NAN, 1.0], 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn one_nan_query_rejects_a_density_batch() {
+        let tree = two_cluster_tree(200, 10);
+        let queries = vec![vec![0.0, 0.0], vec![1.0, f64::NAN], vec![20.0, 20.0]];
+        let _ = tree.density_batch(&queries, &[1.5, 1.5], RefineOrder::BestFirst, 6);
+    }
+
+    #[test]
+    fn infinite_query_stays_valid() {
+        let tree = two_cluster_tree(200, 10);
+        let score = tree.outlier_score(&[f64::NEG_INFINITY, 1.0], &[1.0, 1.0], 1e-6, 8);
+        assert_eq!(score.verdict, OutlierVerdict::Outlier);
+        let knn = tree.anytime_knn(&[f64::INFINITY, 1.0], 2, 8);
+        assert!(knn.neighbors.iter().all(|n| n.sq_dist == f64::INFINITY));
     }
 }

@@ -188,4 +188,14 @@ mod tests {
         assert!(fine.uncertainty() <= coarse.uncertainty() + 1e-12);
         assert!(fine.lower >= coarse.lower - 1e-12);
     }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn sharded_tree_rejects_a_nan_query() {
+        let mut tree: ClusTree = ClusTree::sharded(2, ClusTreeConfig::default(), 2);
+        for (p, t) in two_cluster_stream(100) {
+            tree.insert(&p, t, 8);
+        }
+        let _ = tree.outlier_score(&[f64::NAN, 0.0], &[1.0, 1.0], 1.0, 8);
+    }
 }

@@ -11,7 +11,7 @@
 //! query fold the live tree uses.
 
 use crate::microcluster::MicroCluster;
-use crate::query::{knn_over, ClusQueryModel, KnnAnswer};
+use crate::query::{knn_with_decay, ClusQueryModel, KnnAnswer};
 use crate::tree::{fold_micro_clusters, ClusTree, ClusTreeConfig};
 use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryStats,
@@ -95,7 +95,8 @@ impl ClusTreeSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
+    /// Panics if the query or bandwidth has the wrong dimensionality, or if
+    /// the query has a NaN coordinate.
     #[must_use]
     pub fn anytime_density(
         &self,
@@ -113,7 +114,8 @@ impl ClusTreeSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if any query or the bandwidth has the wrong dimensionality.
+    /// Panics if any query or the bandwidth has the wrong dimensionality,
+    /// or if a query has a NaN coordinate.
     #[must_use]
     pub fn density_batch(
         &self,
@@ -131,11 +133,11 @@ impl ClusTreeSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the query has the wrong dimensionality.
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        knn_over(self.core.shards(), &model, x, k, budget)
+        knn_with_decay(self.core.shards(), self.config.decay_lambda, x, k, budget)
     }
 
     /// Anytime outlier scoring against the frozen shards (see
@@ -143,7 +145,8 @@ impl ClusTreeSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
+    /// Panics if the query or bandwidth has the wrong dimensionality, or if
+    /// the query has a NaN coordinate.
     #[must_use]
     pub fn outlier_score(
         &self,
@@ -242,5 +245,15 @@ mod tests {
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ClusTreeSnapshot>();
+    }
+
+    #[test]
+    #[should_panic(expected = "query coordinates must not be NaN")]
+    fn snapshot_rejects_a_nan_query() {
+        let mut tree = ClusTree::new(2, ClusTreeConfig::default());
+        for (p, t) in two_cluster_stream(100) {
+            tree.insert(&p, t, 8);
+        }
+        let _ = tree.snapshot().anytime_knn(&[0.0, f64::NAN], 3, 8);
     }
 }

@@ -3,8 +3,7 @@
 //! The paper sets the bandwidth of its `d`-dimensional Gaussian kernel
 //! estimators with "a common data independent method according to
 //! [Silverman, 1986]" (Section 2.1).  This module implements Silverman's
-//! rule of thumb, generalised per dimension, plus Scott's rule as an
-//! alternative for ablation.
+//! rule of thumb, generalised per dimension.
 
 use crate::summary::RunningStats;
 
@@ -24,25 +23,6 @@ pub fn silverman_bandwidth(points: &[Vec<f64>], dims: usize) -> Vec<f64> {
     let n = points.len().max(1) as f64;
     let d = dims as f64;
     let factor = (4.0 / (d + 2.0)).powf(1.0 / (d + 4.0)) * n.powf(-1.0 / (d + 4.0));
-    per_dimension_sigma(points, dims)
-        .into_iter()
-        .map(|sigma| {
-            let h = sigma * factor;
-            if h > 0.0 {
-                h
-            } else {
-                DEGENERATE_BANDWIDTH
-            }
-        })
-        .collect()
-}
-
-/// Scott's rule bandwidth: `h_j = sigma_j * n^(-1/(d+4))`.
-#[must_use]
-pub fn scott_bandwidth(points: &[Vec<f64>], dims: usize) -> Vec<f64> {
-    let n = points.len().max(1) as f64;
-    let d = dims as f64;
-    let factor = n.powf(-1.0 / (d + 4.0));
     per_dimension_sigma(points, dims)
         .into_iter()
         .map(|sigma| {
@@ -99,16 +79,6 @@ mod tests {
         let pts = vec![vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]];
         let h = silverman_bandwidth(&pts, 2);
         assert!(h[1] > 0.0);
-    }
-
-    #[test]
-    fn scott_and_silverman_are_close() {
-        let pts = unit_cube_points();
-        let s = silverman_bandwidth(&pts, 2);
-        let c = scott_bandwidth(&pts, 2);
-        for (a, b) in s.iter().zip(&c) {
-            assert!((a / b - (4.0 / 4.0f64).powf(0.0)).abs() < 1.0);
-        }
     }
 
     #[test]

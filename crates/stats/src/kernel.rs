@@ -492,7 +492,9 @@ fn box_kernel_impl<const FARTHEST: bool, const SMOOTHED: bool>(
 // passes read every column once, take `h` / `ln h` from a
 // [`KernelBandwidth`], and fill every output lane — each lane with the
 // exact expression and dimension-ascending accumulation order of its
-// per-quantity kernel, so the outputs equal theirs bit for bit.
+// per-quantity kernel, so the outputs equal theirs bit for bit.  A caller
+// that reads no bound (the classifier's point estimates) runs the node pass
+// without its two box log-kernels.
 // ---------------------------------------------------------------------------
 
 /// The columns one fused node pass reads: `len` entries, dimension-major.
@@ -505,7 +507,8 @@ pub(crate) struct NodeColumns<'a> {
     pub(crate) upper: &'a [f64],
 }
 
-/// The four per-entry output lanes of one fused node pass.
+/// The per-entry output lanes of one fused node pass.  An estimate-only
+/// pass (`BOUNDS == false`) leaves `farthest` and `nearest` empty.
 pub(crate) struct NodeLanes<'a> {
     pub(crate) log_pdf: &'a mut [f64],
     pub(crate) farthest: &'a mut [f64],
@@ -531,19 +534,56 @@ pub fn node_scores_block(
     block: &SummaryBlock,
     lanes: &mut [Vec<f64>; 4],
 ) {
+    let len = block.len();
+    let [log_pdf, farthest, nearest, min_sq] = lanes;
+    let out = NodeLanes {
+        log_pdf: prep_out(log_pdf, len),
+        farthest: prep_out(farthest, len),
+        nearest: prep_out(nearest, len),
+        min_sq: prep_out(min_sq, len),
+    };
+    node_pass::<true>(query, bandwidth, block, out);
+}
+
+/// The estimate half of [`node_scores_block`]: fills `log_pdfs` and
+/// `min_sq_dists` with exactly the `log_pdf` and `min_dist_sq` lanes that
+/// pass computes, bit for bit, and skips both box log-kernels — for callers
+/// that read only the point estimate and the geometric priority.
+///
+/// # Panics
+///
+/// As [`node_scores_block`].
+pub fn node_estimates_block(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    block: &SummaryBlock,
+    log_pdfs: &mut Vec<f64>,
+    min_sq_dists: &mut Vec<f64>,
+) {
+    let len = block.len();
+    let out = NodeLanes {
+        log_pdf: prep_out(log_pdfs, len),
+        farthest: &mut [],
+        nearest: &mut [],
+        min_sq: prep_out(min_sq_dists, len),
+    };
+    node_pass::<false>(query, bandwidth, block, out);
+}
+
+/// The one body of both fused node passes; `BOUNDS` adds the farthest- and
+/// nearest-corner log-kernels.
+fn node_pass<const BOUNDS: bool>(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    block: &SummaryBlock,
+    mut out: NodeLanes<'_>,
+) {
     assert!(block.has_boxes(), "node scoring needs the box columns");
     let log_var = block
         .log_vars()
         .expect("node scoring needs the log-variance column");
     assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
     let len = block.len();
-    let [log_pdf, farthest, nearest, min_sq] = lanes;
-    let mut out = NodeLanes {
-        log_pdf: prep_out(log_pdf, len),
-        farthest: prep_out(farthest, len),
-        nearest: prep_out(nearest, len),
-        min_sq: prep_out(min_sq, len),
-    };
     let cols = NodeColumns {
         len,
         mean: block.mean(),
@@ -558,7 +598,7 @@ pub fn node_scores_block(
     debug_assert_eq!(cols.lower.len(), query.len() * len);
     debug_assert_eq!(cols.upper.len(), query.len() * len);
     let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
-    if crate::simd::node_scores(query, h, ln_h, &cols, &mut out) {
+    if crate::simd::node_scores::<BOUNDS>(query, h, ln_h, &cols, &mut out) {
         return;
     }
     for (d, &q) in query.iter().enumerate() {
@@ -568,7 +608,6 @@ pub fn node_scores_block(
             let diff = q - cols.mean[idx];
             out.log_pdf[i] += -0.5 * (LN_2PI + cols.log_var[idx] + diff * diff / cols.var[idx]);
             let (lo, hi) = (cols.lower[idx], cols.upper[idx]);
-            let far = (q - lo).abs().max((q - hi).abs());
             let near = if q < lo {
                 lo - q
             } else if q > hi {
@@ -576,10 +615,13 @@ pub fn node_scores_block(
             } else {
                 0.0
             };
-            let u = far / h;
-            out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-            let u = near / h;
-            out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            if BOUNDS {
+                let far = (q - lo).abs().max((q - hi).abs());
+                let u = far / h;
+                out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+                let u = near / h;
+                out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            }
             out.min_sq[i] += near * near;
         }
     }

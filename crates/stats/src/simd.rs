@@ -39,7 +39,9 @@
 //! registers for the whole dimension walk, and end a block with a chunk
 //! that overlaps its predecessor instead of a scalar tail loop (only a
 //! block under one lane pads).  Each output equals its per-quantity
-//! kernel bit for bit.  On a 16-d node of 4–9 entries the node pass takes
+//! kernel bit for bit.  The node pass also runs without its two corner
+//! lanes (`BOUNDS == false`) for the classifier, which reads no bound.
+//! On a 16-d node of 4–9 entries the node pass takes
 //! about a third of the time of the four per-quantity calls it replaces,
 //! which also computed 32 logarithms per node.  The per-quantity kernels
 //! stay for the ClusTree model, the descent and as parity references.
@@ -442,7 +444,8 @@ fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 /// entry the terms still arrive dimension-ascending, each lane evaluating
 /// the expression of its per-quantity body (`diag_log_pdfs_body`, the two
 /// `box_kernel_body` corners, `box_min_sq_dists_body`), so every output is
-/// bit-identical to that body's.
+/// bit-identical to that body's.  Without `BOUNDS` the two corner lanes
+/// are neither computed nor stored; the other two are unchanged.
 ///
 /// A block of at least one lane runs the `FULL` instantiation, where every
 /// chunk is a plain full-lane load and store; only shorter blocks pay for
@@ -451,7 +454,7 @@ fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 /// "Removed: opt-in FMA and f32 columns", has the measurement).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn node_scores_body(
+fn node_scores_body<const BOUNDS: bool>(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
@@ -459,9 +462,9 @@ fn node_scores_body(
     out: &mut NodeLanes<'_>,
 ) {
     if cols.len >= LANES {
-        node_scores_chunks::<true>(query, h, ln_h, cols, out);
+        node_scores_chunks::<true, BOUNDS>(query, h, ln_h, cols, out);
     } else {
-        node_scores_chunks::<false>(query, h, ln_h, cols, out);
+        node_scores_chunks::<false, BOUNDS>(query, h, ln_h, cols, out);
     }
 }
 
@@ -469,7 +472,7 @@ fn node_scores_body(
 /// LANES`.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn node_scores_chunks<const FULL: bool>(
+fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
@@ -499,18 +502,21 @@ fn node_scores_chunks<const FULL: bool>(
             let sum = ln_2pi.add(log_var).add(diff.mul(diff).div(var));
             log_pdf = neg_half.mul(sum).add(log_pdf);
 
-            let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
-            let u = far.div(hv);
-            farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
-
             let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
-            let u = near.div(hv);
-            nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+            if BOUNDS {
+                let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
+                let u = far.div(hv);
+                farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                let u = near.div(hv);
+                nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+            }
             min_sq = near.mul(near).add(min_sq);
         }
         store_first(log_pdf, out.log_pdf, i, n);
-        store_first(farthest, out.farthest, i, n);
-        store_first(nearest, out.nearest, i, n);
+        if BOUNDS {
+            store_first(farthest, out.farthest, i, n);
+            store_first(nearest, out.nearest, i, n);
+        }
         store_first(min_sq, out.min_sq, i, n);
     }
 }
@@ -625,14 +631,14 @@ mod avx2 {
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn node_scores(
+    pub unsafe fn node_scores<const BOUNDS: bool>(
         query: &[f64],
         h: &[f64],
         ln_h: &[f64],
         cols: &NodeColumns<'_>,
         out: &mut NodeLanes<'_>,
     ) {
-        node_scores_body(query, h, ln_h, cols, out);
+        node_scores_body::<BOUNDS>(query, h, ln_h, cols, out);
     }
 
     /// # Safety
@@ -759,9 +765,10 @@ pub(crate) fn box_min_sq_dists(
 }
 
 /// Runtime-dispatched fused directory-node pass (see [`sq_dists`]); `h`
-/// and `ln_h` are the floored bandwidth and its logarithm.
+/// and `ln_h` are the floored bandwidth and its logarithm, `BOUNDS` as in
+/// [`node_scores_body`].
 #[inline]
-pub(crate) fn node_scores(
+pub(crate) fn node_scores<const BOUNDS: bool>(
     query: &[f64],
     h: &[f64],
     ln_h: &[f64],
@@ -772,7 +779,7 @@ pub(crate) fn node_scores(
     {
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::node_scores(query, h, ln_h, cols, out) };
+            unsafe { avx2::node_scores::<BOUNDS>(query, h, ln_h, cols, out) };
             return true;
         }
     }

@@ -30,8 +30,8 @@ use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernel,
     farthest_point_log_kernels_block, gaussian_log_term, gaussian_log_terms_block,
     leaf_scores_block, nearest_point_log_kernel, nearest_point_log_kernels_block,
-    node_scores_block, smoothed_farthest_log_kernel, smoothed_farthest_log_kernels_block,
-    sq_dists_block,
+    node_estimates_block, node_scores_block, smoothed_farthest_log_kernel,
+    smoothed_farthest_log_kernels_block, sq_dists_block,
 };
 use bt_stats::{
     ColumnElement, DiagGaussian, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock,
@@ -348,6 +348,24 @@ proptest! {
         assert_bit_equal(&log_k, &want);
         let want: Vec<f64> = node.means.iter().map(|m| scalar_sq_dist(&node.query, m)).collect();
         assert_bit_equal(&sq, &want);
+    }
+
+    #[test]
+    fn estimate_pass_equals_the_full_node_pass_bitwise(node in node_strategy()) {
+        let mut block = gather(&node);
+        for (i, vars) in node.vars.iter().enumerate() {
+            for (d, &v) in vars.iter().enumerate() {
+                block.set_var(d, i, v.max(VARIANCE_FLOOR));
+            }
+        }
+        block.fill_log_vars();
+        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
+        let (mut log_pdf, mut min_sq) = (Vec::new(), Vec::new());
+        node_estimates_block(&node.query, &bandwidth, &block, &mut log_pdf, &mut min_sq);
+        assert_bit_equal(&log_pdf, &lanes[0]);
+        assert_bit_equal(&min_sq, &lanes[3]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
     gaussian_log_term, gaussian_log_terms_block, leaf_scores_block,
-    nearest_point_log_kernels_block, node_scores_block, smoothed_farthest_log_kernels_block,
-    sq_dists_block,
+    nearest_point_log_kernels_block, node_estimates_block, node_scores_block,
+    smoothed_farthest_log_kernels_block, sq_dists_block,
 };
 use bt_stats::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, ColumnElement,
@@ -451,6 +451,32 @@ fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
                     let what = format!("{what} vs scalar");
                     assert_bits_eq(&fused[lane], &want[lane], &what);
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn estimate_node_pass_matches_the_full_pass_bitwise() {
+    // Lengths 1..=9 cover the padded chunk and every overlap of the full
+    // one; 64 is a wide node.  Under AVX2 this checks the dispatched pass,
+    // in the `--no-default-features` build the scalar loop.
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS.chain([64]) {
+            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+                let seed = 0xE571_0000 + ((dims as u64) << 8) + len as u64;
+                let (c, block) = node_case(dims, len, seed, stored);
+                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+                let mut full: [Vec<f64>; 4] = Default::default();
+                node_scores_block(&c.query, &bandwidth, &block, &mut full);
+                let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
+                node_estimates_block(&c.query, &bandwidth, &block, &mut log_pdf, &mut min_sq);
+                let want = node_reference(&c.query, &c.bandwidth, &block);
+                let what = format!("{stored:?} dims {dims} len {len}");
+                assert_bits_eq(&log_pdf, &full[0], &format!("{what} log_pdf"));
+                assert_bits_eq(&min_sq, &full[3], &format!("{what} min_dist_sq"));
+                assert_bits_eq(&log_pdf, &want[0], &format!("{what} log_pdf vs scalar"));
+                assert_bits_eq(&min_sq, &want[3], &format!("{what} min_dist_sq vs scalar"));
             }
         }
     }
