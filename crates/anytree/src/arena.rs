@@ -19,6 +19,10 @@
 //!   node),
 //! * every node carries a **version stamp**: the epoch of the batch that
 //!   last mutated it ([`VersionedNode::version`]),
+//! * every node carries a **block-cache slot** ([`VersionedNode::cache`])
+//!   that [`NodeArena::node_mut`] empties on *every* write — the one cache
+//!   rule: a filled slot describes the node as it is now, so readers use it
+//!   with a plain load and no stamp check ([`bt_stats::BlockCacheSlot`]),
 //! * mutation is **copy-on-write at node granularity** with page-level
 //!   sharing checks: writing a node whose page is unshared (no snapshot, no
 //!   cloned tree) mutates in place — one atomic load, zero copies.  Writing
@@ -59,19 +63,17 @@ pub struct VersionedNode<S, L> {
     pub version: u64,
     /// The node payload.
     pub node: Node<S, L>,
-    /// The node's cached column gather, stored page-side next to the version
-    /// stamp so snapshots sharing the page share the warm block too.  The
-    /// stamp of the [`bt_stats::CachedBlock`] inside is compared against
-    /// [`VersionedNode::version`] by every consumer — a stale stamp *is* the
-    /// invalidation signal.
+    /// The node's cached column gather, stored page-side so snapshots
+    /// sharing the page share the warm block too.  Every write to the node
+    /// empties it ([`NodeArena::node_mut`]), so a filled slot always
+    /// describes this node as it is.
     pub cache: BlockCacheSlot,
 }
 
 impl<S: Clone, L: Clone> Clone for VersionedNode<S, L> {
     /// Cloning (the copy-on-write retire path) starts with an **empty**
-    /// cache slot: the copy is about to be mutated under a fresh stamp, so
-    /// carrying the old block over would only delay its reclamation — the
-    /// sharer keeps the warm block in the original page.
+    /// cache slot: the copy is about to be written, which would empty it
+    /// anyway — the sharer keeps the warm block in the original page.
     fn clone(&self) -> Self {
         Self {
             version: self.version,
@@ -92,7 +94,7 @@ type Page<S, L> = Arc<Vec<VersionedNode<S, L>>>;
 type SlotChunkArc = Arc<Vec<SlotRef>>;
 
 /// Issues a best-effort T0 prefetch of the cache lines holding one
-/// epoch-page slot (node header, version stamp and block-cache pointer).
+/// epoch-page slot (node header, version stamp and block-cache slot).
 ///
 /// Computing `&page[idx]` touches only the page's `Vec` header; the slot
 /// memory itself is not demand-loaded — that is the whole point.  A pure
@@ -289,9 +291,11 @@ impl<S: Summary, L> ArenaSpine<S, L> {
     /// The block-cache slot of a node as of capture time.
     ///
     /// The slot lives in the (possibly shared) epoch page, so a warm block
-    /// stored through one spine is visible to every other holder of the
+    /// filled through one spine is visible to every other holder of the
     /// page — including the live arena, as long as it has not retired the
-    /// node.
+    /// node.  The arena never writes a node on a shared page (it retires a
+    /// copy instead), so the block stays valid for as long as the spine
+    /// holds the page.
     #[must_use]
     pub fn cache_slot(&self, id: NodeId) -> &BlockCacheSlot {
         let slot = self.slot(id);
@@ -566,19 +570,12 @@ impl<S: Summary + Clone, L: Clone> NodeArena<S, L> {
     /// repointed, and the page's live count drops — reaching zero releases
     /// the arena's reference, leaving the page to its snapshots.  Either way
     /// the node is stamped with the in-flight epoch (`published + 1`), and
-    /// the first stamping of a batch drops the node's cached block (the
-    /// sharers keep theirs — the copy-on-write retire path starts the new
-    /// copy with an empty slot).
+    /// its block-cache slot is emptied — on **every** call, which is the
+    /// whole cache rule: this is the only way to change a node, so a filled
+    /// slot always describes the node as it is now (the sharers keep their
+    /// blocks — the copy-on-write retire path leaves the shared page alone).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node<S, L> {
         &mut self.versioned_mut(id).node
-    }
-
-    /// Like [`NodeArena::node_mut`], but also hands out the node's cache
-    /// slot — the insertion descent uses it to keep a routing-only block
-    /// warm across the objects of one batch.
-    pub fn node_mut_and_cache(&mut self, id: NodeId) -> (&mut Node<S, L>, &mut BlockCacheSlot) {
-        let versioned = self.versioned_mut(id);
-        (&mut versioned.node, &mut versioned.cache)
     }
 
     fn versioned_mut(&mut self, id: NodeId) -> &mut VersionedNode<S, L> {
@@ -614,13 +611,7 @@ impl<S: Summary + Clone, L: Clone> NodeArena<S, L> {
             .expect("target page is present");
         let versioned =
             &mut Arc::get_mut(page).expect("target page is unshared")[slot.idx as usize];
-        if versioned.version != stamp {
-            // First mutation of this batch: whatever block was cached is
-            // about to go stale, so drop it eagerly rather than letting the
-            // stale stamp linger (correct either way, cheaper to reclaim
-            // now).
-            versioned.cache.clear_owned();
-        }
+        versioned.cache.clear();
         versioned.version = stamp;
         versioned
     }
@@ -781,12 +772,8 @@ mod tests {
         assert_eq!(leaf_items(&arena, 0), vec![1, 2]);
     }
 
-    fn cached(version: u64) -> std::sync::Arc<bt_stats::CachedBlock> {
-        std::sync::Arc::new(bt_stats::CachedBlock {
-            version,
-            scored: true,
-            gathered: bt_stats::GatheredBlock::new(),
-        })
+    fn warm(slot: &BlockCacheSlot) {
+        slot.fill(Box::new(bt_stats::GatheredBlock::new()));
     }
 
     #[test]
@@ -794,19 +781,20 @@ mod tests {
         let mut arena: NodeArena<W, u32> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
-        let version = arena.version(0);
-        arena.cache_slot(0).store(cached(version));
-        assert!(arena.cache_slot(0).lookup_scored(version).is_some());
-        // Same-stamp writes within one batch keep the slot...
+        warm(arena.cache_slot(0));
+        assert!(arena.cache_slot(0).get().is_some());
+        // The first write of a batch empties the slot...
         arena.node_mut(0).items_mut().push(2);
-        assert!(arena.cache_slot(0).peek().is_none());
-        arena.cache_slot(0).store(cached(arena.version(0)));
+        assert!(arena.cache_slot(0).get().is_none());
+        // ...and so does every later write at the same stamp: a block
+        // filled between two writes of one batch never outlives the next.
+        warm(arena.cache_slot(0));
         arena.node_mut(0).items_mut().push(3);
-        assert!(arena.cache_slot(0).peek().is_some());
-        // ...but the first touch of the *next* batch restamps and clears.
+        assert!(arena.cache_slot(0).get().is_none());
         arena.publish();
+        warm(arena.cache_slot(0));
         arena.node_mut(0).items_mut().push(4);
-        assert!(arena.cache_slot(0).peek().is_none());
+        assert!(arena.cache_slot(0).get().is_none());
     }
 
     #[test]
@@ -815,16 +803,15 @@ mod tests {
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         let spine = arena.snapshot_spine();
-        let pinned_version = spine.version(0);
-        spine.cache_slot(0).store(cached(pinned_version));
+        warm(spine.cache_slot(0));
         // The slot is page-shared: the live arena sees the warm block until
         // it mutates the node.
-        assert!(arena.cache_slot(0).lookup_scored(pinned_version).is_some());
+        assert!(arena.cache_slot(0).get().is_some());
         // Copy-on-write retire: the live copy starts with an empty slot, the
         // spine keeps reading its warm block.
         arena.node_mut(0).items_mut().push(2);
-        assert!(arena.cache_slot(0).peek().is_none());
-        assert!(spine.cache_slot(0).lookup_scored(pinned_version).is_some());
+        assert!(arena.cache_slot(0).get().is_none());
+        assert!(spine.cache_slot(0).get().is_some());
     }
 
     #[test]

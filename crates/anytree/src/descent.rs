@@ -19,7 +19,11 @@
 //!   idempotent at a fixed timestamp, so this is observably equivalent to
 //!   refreshing per object),
 //! * one per-tree scratch allocation serves every routing computation
-//!   instead of a fresh `Vec` per insert,
+//!   instead of a fresh `Vec` per insert, and a directory node's routing
+//!   columns (boxes or centres) are gathered once per batch, on the node's
+//!   first visit, into that scratch — never into the node's block-cache
+//!   slot, which belongs to readers — then repaired entry by entry after
+//!   each absorb and dropped by `finish_batch`,
 //! * splits and overflow handling are **deferred and resolved once per node**
 //!   after the batch drains: `finish_batch` walks the dirty (visited)
 //!   subtrees bottom-up, repeatedly splitting any node left over capacity
@@ -40,8 +44,6 @@ use crate::tree::{AnytimeTree, InsertOutcome};
 use bt_index::rstar::{choose_subtree_block, choose_subtree_by};
 use bt_index::Mbr;
 use bt_stats::kernel::sq_dists_block;
-use bt_stats::{BlockCacheSlot, CachedBlock, GatheredBlock};
-use std::sync::Arc;
 
 /// The complete state of one in-flight insertion.
 ///
@@ -254,13 +256,20 @@ impl std::fmt::Display for DescentStats {
 }
 
 /// Reusable per-tree scratch state of the descent engine: the routing-point
-/// buffer, the refresh / dirty stamps of the current batch, and the repair
+/// buffer, the refresh / dirty stamps of the current batch, the routing
+/// columns of the directory nodes the batch visits, and the repair
 /// worklists.  Stamps are epoch-based so clearing a batch is a single
 /// counter increment instead of a sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct DescentScratch<S> {
     route: RouteScratch,
     refreshed: Vec<u64>,
+    /// Where each directory node's columns start in `route_cols`; valid
+    /// where `refreshed[id]` carries this batch's stamp.
+    route_at: Vec<usize>,
+    /// Routing columns of the directory nodes visited this batch, back to
+    /// back ([`route_width`] columns per node), dropped by `finish_batch`.
+    route_cols: Vec<f64>,
     dirty: Vec<u64>,
     dirty_has_time: Vec<bool>,
     epoch: u64,
@@ -275,6 +284,8 @@ impl<S> DescentScratch<S> {
         Self {
             route: RouteScratch::default(),
             refreshed: Vec::new(),
+            route_at: Vec::new(),
+            route_cols: Vec::new(),
             dirty: Vec::new(),
             dirty_has_time: Vec::new(),
             epoch: 0,
@@ -290,6 +301,7 @@ impl<S> DescentScratch<S> {
         self.in_batch = true;
         if self.refreshed.len() < num_nodes {
             self.refreshed.resize(num_nodes, 0);
+            self.route_at.resize(num_nodes, 0);
             self.dirty.resize(num_nodes, 0);
             self.dirty_has_time.resize(num_nodes, false);
         }
@@ -324,6 +336,23 @@ impl<S> DescentScratch<S> {
 
     fn in_batch(&self) -> bool {
         self.in_batch
+    }
+}
+
+impl<S: Summary> DescentScratch<S> {
+    /// Gathers directory node `id`'s routing columns for the rest of the
+    /// batch — the one gather per routing kind, run on the node's first
+    /// visit right after its refresh.
+    fn gather_route(&mut self, id: NodeId, entries: &[Entry<S>], dims: usize) {
+        let at = self.route_cols.len();
+        let len = entries.len();
+        self.route_at[id] = at;
+        self.route_cols
+            .resize(at + route_width::<S>() * dims * len, 0.0);
+        let cols = &mut self.route_cols[at..];
+        for (i, entry) in entries.iter().enumerate() {
+            set_route_entry(cols, len, i, &entry.summary, &mut self.route.center);
+        }
     }
 }
 
@@ -371,7 +400,10 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         let node_id = cursor.node;
         let ctx = model.ctx();
 
-        // Refresh this node's payload once per batch.
+        // Refresh this node's payload once per batch, and gather a directory
+        // node's routing columns from the refreshed summaries: later objects
+        // of the batch route off them (the repair after each absorb below
+        // keeps them exact).
         if self.scratch_mut().stamp_refreshed(node_id) {
             let refreshed = match &mut self.node_mut(node_id).kind {
                 NodeKind::Leaf { items } => {
@@ -389,6 +421,11 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
                 }
             };
             self.stats_mut().summary_refreshes += refreshed;
+            let dims = self.dims();
+            let (arena, scratch) = self.arena_and_scratch_mut();
+            if let NodeKind::Inner { entries } = &arena.node(node_id).kind {
+                scratch.gather_route(node_id, entries, dims);
+            }
         }
 
         let has_time = cursor.budget > 0;
@@ -407,29 +444,27 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         }
 
         // Directory node: route, absorb, then park or descend.
+        let dims = self.dims();
         let (arena, scratch) = self.arena_and_scratch_mut();
-        // Routing columns are cached in the node's block-cache slot at the
-        // in-flight stamp: the first object of the batch through this node
-        // gathers them, later objects reuse them (with the O(dims) per-entry
-        // repair below keeping them exact across absorbs).
-        let stamp = arena.epoch() + 1;
-        let (node, cache) = arena.node_mut_and_cache(node_id);
-        let entries = node.entries_mut();
+        let entries = arena.node_mut(node_id).entries_mut();
         let obj = cursor
             .obj
             .as_mut()
             .expect("unfinished cursor carries an object");
-        let idx = route(
-            entries,
-            model,
-            obj,
-            &mut scratch.route,
-            Some((&mut *cache, stamp)),
-        );
+        let (at, len) = (scratch.route_at[node_id], entries.len());
+        let cols = &mut scratch.route_cols[at..at + route_width::<S>() * dims * len];
+        let idx = route(entries, model, obj, &mut scratch.route, cols);
         // The object ends up somewhere below this entry either way, so the
-        // aggregate absorbs it now.
+        // aggregate absorbs it now; repairing its columns (O(dims) instead
+        // of a regather) keeps the rest of the batch routing exactly.
         model.absorb_into(&mut entries[idx].summary, obj);
-        refresh_routing_entry(cache, stamp, idx, &entries[idx].summary, &mut scratch.route);
+        set_route_entry(
+            cols,
+            len,
+            idx,
+            &entries[idx].summary,
+            &mut scratch.route.center,
+        );
 
         if M::BUFFERED && !has_time {
             // Out of time: park the object in the hitchhiker buffer.
@@ -574,6 +609,8 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         scratch.dfs = dfs;
         scratch.order = order;
         scratch.pending = pending;
+        // Free the batch's routing columns: an idle tree holds none.
+        scratch.route_cols = Vec::new();
         scratch.in_batch = false;
         self.arena_mut().publish();
     }
@@ -712,17 +749,50 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
     }
 }
 
-/// Reusable buffers of the block routing path: the routing-point buffer plus
-/// dimension-major gather columns and per-entry output lanes (see
-/// `bt_stats::block` for the layout).
+/// Reusable buffers of the block routing path: the routing-point buffer, a
+/// centre buffer and per-entry output lanes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteScratch {
     point: Vec<f64>,
-    cols_lo: Vec<f64>,
-    cols_hi: Vec<f64>,
-    centers: Vec<f64>,
+    center: Vec<f64>,
     lane_a: Vec<f64>,
     lane_b: Vec<f64>,
+}
+
+/// Routing columns per node and dimension: box corners (lower, upper) for
+/// MBR-routed payloads, centres for [`Summary::CENTER_ROUTED`] ones, none
+/// otherwise.
+fn route_width<S: Summary>() -> usize {
+    if S::MBR_ROUTED {
+        2
+    } else {
+        usize::from(S::CENTER_ROUTED)
+    }
+}
+
+/// Writes entry `i`'s routing columns from its summary into one node's
+/// `cols` (dimension-major, flat index `dim * len + entry`, as in
+/// `bt_stats::block`; an MBR node's upper corners follow its lower ones).
+fn set_route_entry<S: Summary>(
+    cols: &mut [f64],
+    len: usize,
+    i: usize,
+    summary: &S,
+    center: &mut Vec<f64>,
+) {
+    if S::MBR_ROUTED {
+        let dims = cols.len() / (2 * len);
+        for d in 0..dims {
+            let (lo, hi) = summary.mbr_corner(d);
+            cols[d * len + i] = lo;
+            cols[(dims + d) * len + i] = hi;
+        }
+    } else if S::CENTER_ROUTED {
+        summary.center_into(center);
+        for (d, &c) in center.iter().enumerate() {
+            cols[d * len + i] = c;
+        }
+    }
 }
 
 /// Chooses the entry the object descends into: by R* least enlargement for
@@ -730,25 +800,18 @@ pub(crate) struct RouteScratch {
 ///
 /// Both MBR routing and (for payloads opting into
 /// [`Summary::CENTER_ROUTED`]) distance routing run on the
-/// structure-of-arrays block path: the node's boxes or centres are gathered
-/// once into dimension-major columns and all children are scored in one
+/// structure-of-arrays block path over the node's routing columns, gathered
+/// on its first visit of the batch: all children are scored in one
 /// vectorized pass ([`choose_subtree_block`] / [`sq_dists_block`]).  Both
 /// replicate the scalar arithmetic and tie-breaking exactly (first minimal
 /// wins, `NaN` never displaces the incumbent), so the chosen child is always
 /// the one the per-entry path would pick.
-///
-/// With `cache` in reach, the gathered columns live in the node's
-/// block-cache slot as a routing-only block (`scored: false` — queries
-/// never consume it) stamped with the in-flight version: the first object
-/// of a batch through the node pays the O(len·dims) gather, every later
-/// object reuses it, and [`refresh_routing_entry`] repairs the one entry an
-/// absorb touches.
 pub(crate) fn route<S, M>(
     entries: &[Entry<S>],
     model: &M,
     obj: &M::Object,
     scratch: &mut RouteScratch,
-    cache: Option<(&mut BlockCacheSlot, u64)>,
+    cols: &[f64],
 ) -> usize
 where
     S: Summary,
@@ -761,139 +824,25 @@ where
         if len == 1 {
             return 0;
         }
-        let dims = point.len();
-        if let Some((slot, stamp)) = cache {
-            if let Some(hit) = slot.get_at_owned(stamp) {
-                let block = &hit.gathered.block;
-                if block.has_boxes() && block.len() == len && block.dims() == dims {
-                    let best = choose_subtree_block(
-                        point,
-                        block.lower(),
-                        block.upper(),
-                        len,
-                        &mut scratch.lane_a,
-                        &mut scratch.lane_b,
-                    );
-                    debug_assert_eq!(
-                        scalar_mbr_route(entries, point),
-                        best,
-                        "cached block routing diverged from the scalar reference"
-                    );
-                    return best;
-                }
-            }
-            // First object through this node in the batch: gather the boxes
-            // into a routing-only block and park it at the in-flight stamp.
-            let mut gathered = GatheredBlock::new();
-            gathered.block.reset(dims, len);
-            gathered.block.enable_boxes();
-            for (i, entry) in entries.iter().enumerate() {
-                for d in 0..dims {
-                    let (lo, hi) = entry.summary.mbr_corner(d);
-                    gathered.block.set_lower(d, i, lo);
-                    gathered.block.set_upper(d, i, hi);
-                }
-            }
-            let best = choose_subtree_block(
-                point,
-                gathered.block.lower(),
-                gathered.block.upper(),
-                len,
-                &mut scratch.lane_a,
-                &mut scratch.lane_b,
-            );
-            debug_assert_eq!(
-                scalar_mbr_route(entries, point),
-                best,
-                "block routing diverged from the scalar reference"
-            );
-            slot.store_owned(Arc::new(CachedBlock {
-                version: stamp,
-                scored: false,
-                gathered,
-            }));
-            return best;
-        }
-        scratch.cols_lo.clear();
-        scratch.cols_lo.resize(dims * len, 0.0);
-        scratch.cols_hi.clear();
-        scratch.cols_hi.resize(dims * len, 0.0);
-        for (i, entry) in entries.iter().enumerate() {
-            for d in 0..dims {
-                let (lo, hi) = entry.summary.mbr_corner(d);
-                scratch.cols_lo[d * len + i] = lo;
-                scratch.cols_hi[d * len + i] = hi;
-            }
-        }
-        debug_assert_eq!(
-            scalar_mbr_route(entries, point),
-            choose_subtree_block(
-                point,
-                &scratch.cols_lo,
-                &scratch.cols_hi,
-                len,
-                &mut scratch.lane_a.clone(),
-                &mut scratch.lane_b.clone(),
-            ),
-            "block routing diverged from the scalar reference"
-        );
-        choose_subtree_block(
+        debug_assert_eq!(cols.len(), 2 * point.len() * len);
+        let (lower, upper) = cols.split_at(cols.len() / 2);
+        let best = choose_subtree_block(
             point,
-            &scratch.cols_lo,
-            &scratch.cols_hi,
+            lower,
+            upper,
             len,
             &mut scratch.lane_a,
             &mut scratch.lane_b,
-        )
+        );
+        debug_assert_eq!(
+            scalar_mbr_route(entries, point),
+            best,
+            "block routing diverged from the scalar reference"
+        );
+        best
     } else if S::CENTER_ROUTED && len > 1 {
-        let dims = point.len();
-        if let Some((slot, stamp)) = cache {
-            if let Some(hit) = slot.get_at_owned(stamp) {
-                let centers = &hit.gathered.centers;
-                if centers.len() == dims * len {
-                    sq_dists_block(point, centers, len, &mut scratch.lane_a);
-                    let best = argmin_first(&scratch.lane_a);
-                    debug_assert_eq!(
-                        scalar_route(entries, point),
-                        best,
-                        "cached block routing diverged from the scalar reference"
-                    );
-                    return best;
-                }
-            }
-            let mut gathered = GatheredBlock::new();
-            gathered.centers.resize(dims * len, 0.0);
-            for (i, entry) in entries.iter().enumerate() {
-                entry.summary.center_into(&mut scratch.cols_hi);
-                debug_assert_eq!(scratch.cols_hi.len(), dims);
-                for d in 0..dims {
-                    gathered.centers[d * len + i] = scratch.cols_hi[d];
-                }
-            }
-            sq_dists_block(point, &gathered.centers, len, &mut scratch.lane_a);
-            let best = argmin_first(&scratch.lane_a);
-            debug_assert_eq!(
-                scalar_route(entries, point),
-                best,
-                "block routing diverged from the scalar reference"
-            );
-            slot.store_owned(Arc::new(CachedBlock {
-                version: stamp,
-                scored: false,
-                gathered,
-            }));
-            return best;
-        }
-        scratch.centers.clear();
-        scratch.centers.resize(dims * len, 0.0);
-        for (i, entry) in entries.iter().enumerate() {
-            entry.summary.center_into(&mut scratch.cols_hi);
-            debug_assert_eq!(scratch.cols_hi.len(), dims);
-            for d in 0..dims {
-                scratch.centers[d * len + i] = scratch.cols_hi[d];
-            }
-        }
-        sq_dists_block(point, &scratch.centers, len, &mut scratch.lane_a);
+        debug_assert_eq!(cols.len(), point.len() * len);
+        sq_dists_block(point, cols, len, &mut scratch.lane_a);
         let best = argmin_first(&scratch.lane_a);
         debug_assert_eq!(
             scalar_route(entries, point),
@@ -932,47 +881,6 @@ fn argmin_first(dists: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// After an absorb mutates `entries[idx]`'s summary, repairs that entry's
-/// columns in the node's cached routing block (O(dims) instead of a full
-/// regather) so the rest of the batch keeps routing off the cache.  Also
-/// demotes the block to routing-only: whatever scored reading it may have
-/// had no longer matches the node.
-fn refresh_routing_entry<S: Summary>(
-    cache: &mut BlockCacheSlot,
-    stamp: u64,
-    idx: usize,
-    summary: &S,
-    scratch: &mut RouteScratch,
-) {
-    let Some(hit) = cache.get_at_owned(stamp) else {
-        return;
-    };
-    let cached = Arc::make_mut(hit);
-    cached.scored = false;
-    if S::MBR_ROUTED {
-        let block = &mut cached.gathered.block;
-        if block.is_empty() {
-            return;
-        }
-        for d in 0..block.dims() {
-            let (lo, hi) = summary.mbr_corner(d);
-            block.set_lower(d, idx, lo);
-            block.set_upper(d, idx, hi);
-        }
-    } else if S::CENTER_ROUTED {
-        let centers = &mut cached.gathered.centers;
-        if centers.is_empty() {
-            return;
-        }
-        summary.center_into(&mut scratch.cols_hi);
-        let dims = scratch.cols_hi.len();
-        let len = centers.len() / dims;
-        for d in 0..dims {
-            centers[d * len + idx] = scratch.cols_hi[d];
-        }
-    }
 }
 
 /// The per-entry distance routing scan (the block path's reference).

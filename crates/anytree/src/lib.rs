@@ -8,8 +8,9 @@
 //! * the **node arena** ([`AnytimeTree`], [`arena`]): versioned nodes laid
 //!   out in contiguous **epoch pages** (`Arc`-shared arrays of up to
 //!   [`PAGE_CAP`] nodes) behind a slot table that keeps [`NodeId`]s stable.
-//!   Every node carries the epoch of the batch that last mutated it, and
-//!   mutation is **copy-on-write at node granularity with page-granular
+//!   Every node carries the epoch of the batch that last mutated it and a
+//!   block-cache slot that every write empties (so a filled slot always
+//!   describes the node as it is — the one cache rule), and mutation is **copy-on-write at node granularity with page-granular
 //!   sharing detection**: a write mutates in place while no pinned snapshot
 //!   shares the page (one reference-count check — the no-reader fast path
 //!   never copies) and otherwise retires the old version by appending the
@@ -71,7 +72,11 @@
 //!   [`Summary::CENTER_ROUTED`]).  The scalar per-entry path remains the
 //!   behavioural reference: columns are always `f64` (narrow stored
 //!   summaries widen into them at gather time) and block overrides are
-//!   bit-identical to the scalar path (property-tested),
+//!   bit-identical to the scalar path (property-tested).  A query's gather
+//!   is cached in the node's set-once [`BlockCacheSlot`] under one rule:
+//!   every write empties the slot, so a cached read is a plain load with no
+//!   stamp, flag or lock; the descent keeps its routing columns in its own
+//!   per-batch scratch,
 //! * the **sharding layer** ([`shard`]): a [`ShardedAnytimeTree`] partitions
 //!   the object space into `K` independent shard trees behind a pluggable
 //!   [`ShardRouter`] and descends every shard's share of a mini-batch in
@@ -131,13 +136,13 @@ pub use arena::{
     SLOT_CHUNK,
 };
 pub use bt_obs;
-pub use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock, SummaryBlock};
+pub use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, SummaryBlock};
 pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, DescentStats};
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};
 pub use query::{
-    with_scratch_cursors, BlockCacheRef, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
-    QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    with_scratch_cursors, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor,
+    QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 pub use shard::{
     outlier_score_over, query_batch_over, query_over, refine_frontiers_over, CheapestRouter,

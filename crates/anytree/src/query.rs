@@ -26,7 +26,13 @@
 //!   elements scored) alongside the insertion path's
 //!   [`DescentStats`](crate::DescentStats),
 //! * [`TreeView::query_batch`] refines many queries through **one reused
-//!   cursor** — the frontier allocation is per-tree scratch, not per-query.
+//!   cursor** — the frontier allocation is per-tree scratch, not per-query,
+//! * every node a view exposes a cache slot for ([`TreeView::block_cache`])
+//!   is scored from its cached gather when the slot is filled, and fills
+//!   the slot after gathering when it is empty.  Every write to a node
+//!   empties its slot ([`crate::arena`]), so the engine trusts a filled
+//!   slot without any check — live tree, snapshot, or a live tree read
+//!   between two cursor steps of a batch alike.
 //!
 //! ## The monotonicity contract
 //!
@@ -55,10 +61,9 @@
 use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
-use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock};
+use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// The complete score of one directory summary against a query point — what
 /// the frontier needs to admit the summary as an element.
@@ -129,8 +134,9 @@ pub trait QueryModel<S: Summary> {
     /// default) and is scored through the per-summary scalar loop.
     ///
     /// The gather must be a pure function of `entries`: the engine caches
-    /// the result per node (keyed by the node's version stamp) and replays
-    /// it through [`QueryModel::score_gathered`] on later visits.
+    /// the result in the node's block-cache slot (emptied by every write to
+    /// the node) and replays it through [`QueryModel::score_gathered`] on
+    /// later visits.
     fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
         let _ = (entries, out);
         false
@@ -362,8 +368,8 @@ pub struct QueryStats {
     /// Nodes whose columns were gathered into a block (a cache miss on the
     /// block path, or a model without a cache slot in reach).
     pub block_gathers: u64,
-    /// Nodes scored straight from an epoch-valid cached block — gathers the
-    /// cache made unnecessary.
+    /// Nodes scored straight from a cached block — gathers the cache made
+    /// unnecessary.
     pub gathers_avoided: u64,
     /// Software prefetches issued for the upcoming frontier candidate's
     /// epoch-page slot (see [`TreeView::prefetch_node`]).
@@ -422,27 +428,6 @@ impl std::fmt::Display for QueryStats {
             self.prefetches
         )
     }
-}
-
-/// Borrowed handle to one node's block-cache slot, as resolved by a
-/// [`TreeView`]: the slot itself, the version stamp the view observes the
-/// node at, and whether fresh gathers may be stored back at that stamp.
-///
-/// A cached block is the model-gathered structure-of-arrays image of a
-/// node ([`GatheredBlock`]) stamped with the node's mutation version; the
-/// stale stamp *is* the invalidation — no flags, no generation counters.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockCacheRef<'a> {
-    /// The node's cache slot (lives page-side next to the node's version).
-    pub slot: &'a BlockCacheSlot,
-    /// The node's version stamp as seen through this view; a cached block
-    /// is reused only while its stamp equals this.
-    pub version: u64,
-    /// Whether a freshly gathered block may be stored at `version`.  Live
-    /// trees refuse to cache nodes stamped past the published epoch — an
-    /// in-flight batch may still mutate them *at the same stamp* — while
-    /// snapshot pages are copy-on-write immutable and always cache.
-    pub cacheable: bool,
 }
 
 /// The answer of one (possibly interrupted) query: the current mixture
@@ -908,14 +893,14 @@ impl QueryCursor {
 
     /// Scores all entries of directory node `node` in one block-scoring
     /// call and admits them to the frontier — the entry point used by
-    /// [`TreeView::begin_query`] and [`TreeView::refine_query`].  A cached
-    /// block at the node's current stamp skips the gather entirely.
+    /// [`TreeView::begin_query`] and [`TreeView::refine_query`].  A filled
+    /// cache slot skips the gather entirely.
     fn push_entries<S, M>(
         &mut self,
         model: &M,
         node: NodeId,
         entries: &[Entry<S>],
-        cache: Option<BlockCacheRef<'_>>,
+        cache: Option<&BlockCacheSlot>,
         depth: usize,
     ) where
         S: Summary,
@@ -935,35 +920,33 @@ impl QueryCursor {
         self.scores = scores;
     }
 
-    /// Fills `self.scores` with one score per entry: cached block if the
-    /// node's slot holds one at the observed stamp, else gather (storing
-    /// the result back when the view allows it), else the scalar loop.
+    /// Fills `self.scores` with one score per entry: the cached block if
+    /// the node's slot holds one, else gather (filling the slot), else the
+    /// scalar loop.
     fn score_node_entries<S, M>(
         &mut self,
         model: &M,
         node: NodeId,
         entries: &[Entry<S>],
-        cache: Option<BlockCacheRef<'_>>,
+        cache: Option<&BlockCacheSlot>,
     ) where
         S: Summary,
         M: QueryModel<S>,
     {
-        if let Some(cache) = cache {
-            if let Some(hit) = cache.slot.lookup_scored(cache.version) {
-                self.stats.gathers_avoided += 1;
-                bt_obs::trace(|| bt_obs::TraceEvent::Gather {
-                    node: node as u64,
-                    cached: true,
-                });
-                model.score_gathered(
-                    &self.query,
-                    entries,
-                    &hit.gathered,
-                    &mut self.block.lanes,
-                    &mut self.scores,
-                );
-                return;
-            }
+        if let Some(hit) = cache.and_then(BlockCacheSlot::get) {
+            self.stats.gathers_avoided += 1;
+            bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+                node: node as u64,
+                cached: true,
+            });
+            model.score_gathered(
+                &self.query,
+                entries,
+                hit,
+                &mut self.block.lanes,
+                &mut self.scores,
+            );
+            return;
         }
         let BlockScratch { gathered, lanes } = &mut self.block;
         if model.gather_entries(entries, gathered) {
@@ -973,14 +956,8 @@ impl QueryCursor {
                 cached: false,
             });
             model.score_gathered(&self.query, entries, gathered, lanes, &mut self.scores);
-            if let Some(cache) = cache {
-                if cache.cacheable {
-                    cache.slot.store(Arc::new(CachedBlock {
-                        version: cache.version,
-                        scored: true,
-                        gathered: std::mem::take(&mut self.block.gathered),
-                    }));
-                }
+            if let Some(slot) = cache {
+                slot.fill(Box::new(std::mem::take(gathered)));
             }
             return;
         }
@@ -995,7 +972,7 @@ impl QueryCursor {
         model: &M,
         node: NodeId,
         items: &[M::LeafItem],
-        cache: Option<BlockCacheRef<'_>>,
+        cache: Option<&BlockCacheSlot>,
         depth: usize,
     ) where
         S: Summary,
@@ -1017,27 +994,25 @@ impl QueryCursor {
         model: &M,
         node: NodeId,
         items: &[M::LeafItem],
-        cache: Option<BlockCacheRef<'_>>,
+        cache: Option<&BlockCacheSlot>,
     ) where
         S: Summary,
         M: QueryModel<S>,
     {
-        if let Some(cache) = cache {
-            if let Some(hit) = cache.slot.lookup_scored(cache.version) {
-                self.stats.gathers_avoided += 1;
-                bt_obs::trace(|| bt_obs::TraceEvent::Gather {
-                    node: node as u64,
-                    cached: true,
-                });
-                model.score_gathered_leaves(
-                    &self.query,
-                    items,
-                    &hit.gathered,
-                    &mut self.block.lanes,
-                    &mut self.scores,
-                );
-                return;
-            }
+        if let Some(hit) = cache.and_then(BlockCacheSlot::get) {
+            self.stats.gathers_avoided += 1;
+            bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+                node: node as u64,
+                cached: true,
+            });
+            model.score_gathered_leaves(
+                &self.query,
+                items,
+                hit,
+                &mut self.block.lanes,
+                &mut self.scores,
+            );
+            return;
         }
         let BlockScratch { gathered, lanes } = &mut self.block;
         if model.gather_leaf_items(items, gathered) {
@@ -1047,14 +1022,8 @@ impl QueryCursor {
                 cached: false,
             });
             model.score_gathered_leaves(&self.query, items, gathered, lanes, &mut self.scores);
-            if let Some(cache) = cache {
-                if cache.cacheable {
-                    cache.slot.store(Arc::new(CachedBlock {
-                        version: cache.version,
-                        scored: true,
-                        gathered: std::mem::take(&mut self.block.gathered),
-                    }));
-                }
+            if let Some(slot) = cache {
+                slot.fill(Box::new(std::mem::take(gathered)));
             }
             return;
         }
@@ -1095,11 +1064,12 @@ pub trait TreeView<S: Summary, L> {
     /// Height of the tree (a single leaf root has height 1).
     fn height(&self) -> usize;
 
-    /// The block-cache slot of node `id`, if this view exposes one — the
-    /// slot plus the version stamp the view observes the node at, and
-    /// whether fresh gathers may be stored back.  The default (`None`)
+    /// The block-cache slot of node `id`, if this view exposes one.  A
+    /// filled slot describes the node as this view sees it (every write to
+    /// a node empties its slot), so the engine scores from it without a
+    /// check and fills an empty one after gathering.  The default (`None`)
     /// disables caching: every block-scored visit gathers anew.
-    fn block_cache(&self, id: NodeId) -> Option<BlockCacheRef<'_>> {
+    fn block_cache(&self, id: NodeId) -> Option<&BlockCacheSlot> {
         let _ = id;
         None
     }
@@ -1331,19 +1301,8 @@ impl<S: Summary, L> TreeView<S, L> for AnytimeTree<S, L> {
         AnytimeTree::height(self)
     }
 
-    fn block_cache(&self, id: NodeId) -> Option<BlockCacheRef<'_>> {
-        let arena = self.arena();
-        let version = arena.version(id);
-        Some(BlockCacheRef {
-            slot: arena.cache_slot(id),
-            version,
-            // A node stamped past the published epoch belongs to an
-            // in-flight batch that may still mutate it at the same stamp:
-            // reuse what the batch cached for routing is fine elsewhere,
-            // but a *query* must not store a scored block it could later
-            // mistake for current.
-            cacheable: version <= arena.epoch(),
-        })
+    fn block_cache(&self, id: NodeId) -> Option<&BlockCacheSlot> {
+        Some(self.arena().cache_slot(id))
     }
 
     fn prefetch_node(&self, id: NodeId) {

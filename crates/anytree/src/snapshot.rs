@@ -17,6 +17,13 @@
 //! (`tests/snapshot_isolation.rs` locks this down for both tree
 //! instantiations and their sharded variants).
 //!
+//! **Warm blocks**: a node's block-cache slot lives on its epoch page, so
+//! a snapshot shares the live tree's warm blocks for every node the
+//! writer has not touched since the pin, and keeps the blocks it fills
+//! for as long as it holds the page.  The writer never writes a node on a
+//! page a snapshot holds (it retires a copy with an empty slot), so a
+//! filled slot always describes the pinned node.
+//!
 //! **Reclamation rule**: a retired node version lives on an epoch page
 //! owned only by the snapshot spines that reference it, so its memory is
 //! freed exactly when the last snapshot taken before the version was
@@ -32,9 +39,10 @@
 
 use crate::arena::{ArenaSpine, EpochPin, EpochRegistry, SnapshotRefresh};
 use crate::node::{Node, NodeId};
-use crate::query::{BlockCacheRef, TreeView};
+use crate::query::TreeView;
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
+use bt_stats::BlockCacheSlot;
 use std::sync::Arc;
 
 /// A cheap, immutable, point-in-time view of an [`AnytimeTree`]
@@ -162,15 +170,8 @@ impl<S: Summary, L> TreeView<S, L> for TreeSnapshot<S, L> {
         TreeSnapshot::height(self)
     }
 
-    fn block_cache(&self, id: NodeId) -> Option<BlockCacheRef<'_>> {
-        Some(BlockCacheRef {
-            slot: self.spine.cache_slot(id),
-            version: self.spine.version(id),
-            // Snapshot pages are copy-on-write immutable: any later live
-            // mutation retires the node onto a fresh page first, so a block
-            // gathered here can never go stale at this stamp.
-            cacheable: true,
-        })
+    fn block_cache(&self, id: NodeId) -> Option<&BlockCacheSlot> {
+        Some(self.spine.cache_slot(id))
     }
 
     fn prefetch_node(&self, id: NodeId) {

@@ -97,7 +97,8 @@ impl BulkLoadMethod {
 ///
 /// # Panics
 ///
-/// Panics if any point has a dimensionality other than `dims`.
+/// Panics if any point has a dimensionality other than `dims` or a
+/// non-finite coordinate.
 #[must_use]
 pub fn build_tree(
     points: &[Vec<f64>],
@@ -110,6 +111,7 @@ pub fn build_tree(
         points.iter().all(|p| p.len() == dims),
         "all points must have dimensionality {dims}"
     );
+    crate::insert::assert_finite(points);
     match method {
         BulkLoadMethod::Iterative => BayesTree::build_iterative(points, dims, geometry),
         BulkLoadMethod::Hilbert => spacefilling::build_hilbert(points, dims, geometry),

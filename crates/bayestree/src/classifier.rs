@@ -236,7 +236,7 @@ impl AnytimeClassifier {
     /// # Panics
     ///
     /// Panics if the label is out of range or the point has the wrong
-    /// dimensionality.
+    /// dimensionality or a non-finite coordinate.
     pub fn learn_one(&mut self, point: Vec<f64>, label: usize) {
         assert!(label < self.trees.len(), "label out of range");
         self.trees[label].insert(point);
@@ -251,7 +251,8 @@ impl AnytimeClassifier {
     /// # Panics
     ///
     /// Panics if any label is out of range or any point has the wrong
-    /// dimensionality.
+    /// dimensionality or a non-finite coordinate — checked over the whole
+    /// batch before grouping, so no class tree is half-written.
     pub fn learn_batch(&mut self, batch: Vec<(Vec<f64>, usize)>) {
         assert!(
             batch.iter().all(|(_, l)| *l < self.trees.len()),
@@ -261,6 +262,7 @@ impl AnytimeClassifier {
             batch.iter().all(|(p, _)| p.len() == self.dims),
             "point dimensionality mismatch"
         );
+        crate::insert::assert_finite(batch.iter().map(|(p, _)| p));
         let mut per_class: Vec<Vec<Vec<f64>>> = vec![Vec::new(); self.trees.len()];
         for (point, label) in batch {
             per_class[label].push(point);

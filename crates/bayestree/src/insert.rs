@@ -87,15 +87,32 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
     }
 }
 
+/// Rejects a non-finite coordinate at a write entry, before any state
+/// changes: one NaN or infinity folded into a summary voids every certified
+/// bound of its shard.
+///
+/// # Panics
+///
+/// Panics with "point coordinates must be finite" on a NaN or infinite
+/// coordinate.
+pub(crate) fn assert_finite<'a>(points: impl IntoIterator<Item = &'a Vec<f64>>) {
+    assert!(
+        points.into_iter().all(|p| p.iter().all(|v| v.is_finite())),
+        "point coordinates must be finite"
+    );
+}
+
 impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     /// Inserts one observation into the shard the router assigns it (the
     /// one shard of a plain tree).
     ///
     /// # Panics
     ///
-    /// Panics if the point has the wrong dimensionality.
+    /// Panics if the point has the wrong dimensionality or a non-finite
+    /// coordinate.
     pub fn insert(&mut self, point: Vec<f64>) {
         assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
+        assert_finite([&point]);
         let mut model = KernelModel::new(self.dims());
         // The Bayes tree always descends to a leaf: an unbounded budget.
         let _ = self.core_mut().insert(&mut model, point, usize::MAX);
@@ -123,13 +140,15 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     ///
     /// # Panics
     ///
-    /// Panics if any point has the wrong dimensionality.
+    /// Panics if any point has the wrong dimensionality or a non-finite
+    /// coordinate; the tree is left untouched.
     pub fn insert_batch(&mut self, points: Vec<Vec<f64>>) -> BatchOutcome {
         let dims = self.dims();
         assert!(
             points.iter().all(|p| p.len() == dims),
             "point dimensionality mismatch"
         );
+        assert_finite(&points);
         self.add_points(points.len());
         self.core_mut()
             .insert_batch(&|| KernelModel::new(dims), points, usize::MAX)
@@ -144,7 +163,8 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     ///
     /// # Panics
     ///
-    /// Panics if any point or query has the wrong dimensionality.
+    /// Panics if any point or query has the wrong dimensionality, or a
+    /// point has a non-finite coordinate (before any state changes).
     pub fn pipelined_batch(
         &mut self,
         points: Vec<Vec<f64>>,
@@ -160,6 +180,7 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
             points.iter().all(|p| p.len() == dims),
             "point dimensionality mismatch"
         );
+        assert_finite(&points);
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
         let bandwidth = std::sync::Arc::clone(self.kernel_bandwidth());
@@ -180,12 +201,18 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
 impl<E: StoredElement> BayesTree<E> {
     /// Builds a one-shard tree by inserting `points` one at a time (the
     /// paper's "Iterativ" baseline).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point has the wrong dimensionality or a non-finite
+    /// coordinate.
     #[must_use]
     pub fn build_iterative(
         points: &[Vec<f64>],
         dims: usize,
         geometry: bt_index::PageGeometry,
     ) -> BayesTree<E> {
+        assert_finite(points);
         let mut tree = BayesTree::<E>::new(dims, geometry);
         for p in points {
             tree.insert(p.clone());

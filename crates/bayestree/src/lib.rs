@@ -21,11 +21,12 @@
 //!   sharding layer of [`bt_anytree::shard`]: a plain tree is a one-shard
 //!   tree, whose batches go straight to its shard, while `K` shards split
 //!   each batch by router and descend in parallel,
-//! * [`frontier::TreeFrontier`] — the anytime probability density query
-//!   (Definition 3) with the descent strategies of Section 2.2, a thin
-//!   instantiation of the shared query engine in [`bt_anytree::query`],
-//! * [`query::KernelQueryModel`] — the kernel-density query model behind
-//!   the frontier: budget-bracketed density queries with certain
+//! * [`query::KernelQueryModel`] — the anytime probability density query
+//!   (Definition 3) as a model of the shared query engine in
+//!   [`bt_anytree::query`], refined in the descent strategies of
+//!   Section 2.2 (a frontier is a [`bt_anytree::QueryCursor`] over one
+//!   shard, `tree.shard(0).new_query(&tree.query_model(), x)`):
+//!   budget-bracketed density queries with certain
 //!   `[lower, upper]` bounds ([`BayesTree::anytime_density`]) and the
 //!   insert-free anytime outlier scoring workload
 //!   ([`BayesTree::outlier_score`]).  Every query refines the per-shard
@@ -91,7 +92,8 @@
 pub mod bulk;
 pub mod classifier;
 pub mod descent;
-pub mod frontier;
+#[cfg(test)]
+mod frontier;
 pub mod insert;
 pub mod node;
 pub mod pdq;
@@ -105,7 +107,6 @@ pub mod view;
 pub use bulk::{build_tree, BulkLoadMethod};
 pub use classifier::{AnytimeClassifier, AnytimeTrace, Classification, ClassifierConfig};
 pub use descent::{DescentStrategy, PriorityMeasure};
-pub use frontier::{FrontierElement, TreeFrontier};
 pub use node::{
     Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
     StoredScalar, StoredSummary,

@@ -37,7 +37,7 @@
 //!   argument as the `f32` mode, which is what keeps the anytime
 //!   `[lower, upper]` bounds sound and monotone.  Decoding happens once per
 //!   gather into full-width [`bt_stats::SummaryBlock`] columns (mantissa
-//!   times power-of-two is *exact* in `f64`), so the epoch-stamped block
+//!   times power-of-two is *exact* in `f64`), so the per-node block
 //!   cache amortises decode across query batches and the SIMD batch
 //!   kernels run on decoded columns untouched.
 //!

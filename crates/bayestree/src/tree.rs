@@ -467,6 +467,9 @@ fn validate_node<S: StoredSummary>(
             if items.iter().any(|p| p.len() != dims) {
                 return Err(format!("leaf {id} holds a point of wrong dimensionality"));
             }
+            if !items.iter().all(|p| all_finite(p)) {
+                return Err(format!("leaf {id} holds a non-finite coordinate"));
+            }
             Ok(())
         }
         NodeKind::Inner { entries } => {
@@ -490,6 +493,18 @@ fn validate_node<S: StoredSummary>(
                 if entry.buffer.is_some() {
                     return Err(format!(
                         "entry {i} of node {id} has a hitchhiker buffer (unused here)"
+                    ));
+                }
+                let entry_cf = entry.exact_cf();
+                let finite_box = entry
+                    .owned_mbr()
+                    .is_none_or(|b| all_finite(b.lower()) && all_finite(b.upper()));
+                if !(finite_box
+                    && all_finite(entry_cf.linear_sum())
+                    && all_finite(entry_cf.squared_sum()))
+                {
+                    return Err(format!(
+                        "entry {i} of node {id} has a non-finite MBR corner or CF sum"
                     ));
                 }
                 let child = shard.node(entry.child);
@@ -520,7 +535,6 @@ fn validate_node<S: StoredSummary>(
                 // Decoded LS must agree with the child's decoded fold up
                 // to the representations' declared quantisation slack
                 // (zero for the lossless-accumulation modes).
-                let entry_cf = entry.exact_cf();
                 let slack = entry.ls_slack() + node_ls_slack(child);
                 for d in 0..dims {
                     let entry_ls = entry_cf.linear_sum()[d];
@@ -543,6 +557,10 @@ fn validate_node<S: StoredSummary>(
             Ok(())
         }
     }
+}
+
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().all(|v| v.is_finite())
 }
 
 /// Total declared LS quantisation slack of a node's own entries (zero for
@@ -637,5 +655,32 @@ mod tests {
         // num_points deliberately not incremented.
         let err = tree.validate(true).unwrap_err();
         assert!(err.contains("reachable"));
+    }
+
+    #[test]
+    fn validate_rejects_a_planted_non_finite_value() {
+        let points: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 7) as f64, (i % 3) as f64])
+            .collect();
+        let tree: BayesTree = BayesTree::build_iterative(&points, 2, geometry());
+        tree.validate(true).expect("valid before planting");
+        let root = tree.shard(0).root();
+        let leaf = bt_anytree::TreeView::reachable(tree.shard(0))
+            .into_iter()
+            .find(|&id| tree.shard(0).node(id).is_leaf())
+            .expect("a leaf");
+
+        let mut planted = tree.clone();
+        planted.shard_mut(0).node_mut(leaf).items_mut()[0][1] = f64::NAN;
+        let err = planted.validate(true).unwrap_err();
+        assert!(err.contains("non-finite coordinate"), "{err}");
+
+        // An entry whose CF sums and MBR corners are non-finite.
+        let mut planted = tree.clone();
+        let bad =
+            crate::KernelSummary::from_points(&[vec![f64::INFINITY, 0.0]], 2).expect("one point");
+        planted.shard_mut(0).node_mut(root).entries_mut()[0].summary = bad;
+        let err = planted.validate(true).unwrap_err();
+        assert!(err.contains("non-finite MBR corner or CF sum"), "{err}");
     }
 }

@@ -1,10 +1,10 @@
 //! Cache-epoch interaction properties for the per-node block cache.
 //!
-//! The epoch-stamped block cache must be *invisible* in `f64` mode: warm
-//! slots, cold slots and no slots at all produce bit-identical density
-//! answers — across the live tree, epoch-pinned snapshots and the sharded
-//! variant — and a node's stale block is never reused after a mutation
-//! restamps it.
+//! The block cache must be *invisible* in `f64` mode: warm slots, cold
+//! slots and no slots at all produce bit-identical density answers —
+//! across the live tree, epoch-pinned snapshots and the sharded variant —
+//! and a node's block is never reused after a write changes the node
+//! (every write empties the node's slot).
 
 use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy};
 use bt_anytree::{Node, NodeId, QueryAnswer, Summary, TreeView};

@@ -19,11 +19,10 @@
 use bayestree::query::KernelQueryModel;
 use bayestree::KernelSummary;
 use bt_anytree::{Entry, QueryModel, Summary, SummaryScore};
-use bt_stats::{BlockCacheSlot, BlockScratch, CachedBlock, GatheredBlock, KernelBandwidth};
+use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, KernelBandwidth};
 use clustree::{ClusQueryModel, MicroCluster};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 const DIMS: usize = 8;
@@ -370,7 +369,7 @@ fn prefetch_benchmarks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cache-hit group: gather + score (the cold miss) versus an epoch-stamped
+/// Cache-hit group: gather + score (the cold miss) versus an filled
 /// [`BlockCacheSlot`] lookup + score (the warm hit that skips the gather).
 fn cache_hit_benchmarks(c: &mut Criterion) {
     let entries = kernel_entries();
@@ -381,15 +380,10 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();
 
-    let version = 7;
     let slot = BlockCacheSlot::new();
     let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
-    slot.store(Arc::new(CachedBlock {
-        version,
-        scored: true,
-        gathered,
-    }));
+    slot.fill(Box::new(gathered));
 
     let mut group = c.benchmark_group("block_cache");
     group.bench_function(BenchmarkId::from_parameter("cold_gather"), |b| {
@@ -406,11 +400,11 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
     let mut lanes: [Vec<f64>; 4] = Default::default();
     group.bench_function(BenchmarkId::from_parameter("warm_hit"), |b| {
         b.iter(|| {
-            let cached = slot.lookup_scored(version).expect("warm slot hits");
+            let cached = slot.get().expect("warm slot hits");
             model.score_gathered(
                 black_box(&query),
                 black_box(&entries),
-                &cached.gathered,
+                cached,
                 &mut lanes,
                 &mut out,
             );

@@ -1,7 +1,8 @@
 //! Criterion bench: per-step cost of the descent strategies of Section 2.2
 //! (breadth-first, depth-first, global-best geometric/probabilistic).
 
-use bayestree::{build_tree, BulkLoadMethod, DescentStrategy, TreeFrontier};
+use bayestree::{build_tree, BulkLoadMethod, DescentStrategy};
+use bt_anytree::TreeView;
 use bt_data::synth::Benchmark;
 use bt_index::PageGeometry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,6 +21,7 @@ fn descent_benchmarks(c: &mut Criterion) {
     );
     let query = dataset.feature(2).to_vec();
 
+    let (view, model) = (tree.shard(0), tree.query_model());
     let mut group = c.benchmark_group("descent_strategies");
     for strategy in DescentStrategy::all() {
         group.bench_with_input(
@@ -27,9 +29,9 @@ fn descent_benchmarks(c: &mut Criterion) {
             &strategy,
             |b, &strategy| {
                 b.iter(|| {
-                    let mut frontier = TreeFrontier::new(&tree, black_box(&query));
-                    frontier.refine_up_to(40, strategy);
-                    black_box(frontier.density())
+                    let mut frontier = view.new_query(&model, black_box(&query));
+                    view.refine_query_up_to(&model, strategy.into(), 40, &mut frontier);
+                    black_box(frontier.estimate().max(0.0))
                 })
             },
         );

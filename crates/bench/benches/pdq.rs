@@ -3,7 +3,8 @@
 //! cheap) and of full probability density queries at different levels.
 
 use bayestree::pdq::density_at_level;
-use bayestree::{build_tree, BulkLoadMethod, DescentStrategy, TreeFrontier};
+use bayestree::{build_tree, BulkLoadMethod, DescentStrategy};
+use bt_anytree::TreeView;
 use bt_data::synth::Benchmark;
 use bt_index::PageGeometry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,12 +23,13 @@ fn pdq_benchmarks(c: &mut Criterion) {
     );
     let query = dataset.feature(1).to_vec();
 
+    let (view, model) = (tree.shard(0), tree.query_model());
     let mut group = c.benchmark_group("pdq");
     group.bench_function("refine_50_nodes", |b| {
         b.iter(|| {
-            let mut frontier = TreeFrontier::new(&tree, black_box(&query));
-            frontier.refine_up_to(50, DescentStrategy::default());
-            black_box(frontier.density())
+            let mut frontier = view.new_query(&model, black_box(&query));
+            view.refine_query_up_to(&model, DescentStrategy::default().into(), 50, &mut frontier);
+            black_box(frontier.estimate().max(0.0))
         })
     });
     for level in [0usize, 1, 2] {

@@ -1,4 +1,4 @@
-//! Perf-trajectory recorder for the epoch-stamped block cache and the
+//! Perf-trajectory recorder for the per-node block cache and the
 //! explicit-SIMD kernels.
 //!
 //! Measures the numbers the block-cache PR is gated on and writes them to
@@ -15,14 +15,13 @@ use bayestree::query::KernelQueryModel;
 use bayestree::{BayesTree, DescentStrategy, KernelSummary};
 use bayestree_bench::record::{best_of_3, BenchRecord, SplitMix};
 use bt_anytree::{
-    BlockCacheSlot, BlockScratch, CachedBlock, Entry, GatheredBlock, OutlierVerdict, QueryModel,
-    Summary, SummaryScore,
+    BlockCacheSlot, BlockScratch, Entry, GatheredBlock, OutlierVerdict, QueryModel, Summary,
+    SummaryScore,
 };
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
 use bt_stats::KernelBandwidth;
 use std::hint::black_box;
-use std::sync::Arc;
 
 const DIMS: usize = 8;
 const NODE_LEN: usize = 64;
@@ -90,7 +89,7 @@ fn measure_certified_queries(
 
 /// Block-cache hit rate of a real batched query workload: every query in
 /// the batch walks the same tree, so each node's block is gathered once and
-/// served from its epoch-stamped slot afterwards.
+/// served from its filled slot afterwards.
 fn measure_hit_rate(tree: &BayesTree, queries: &[Vec<f64>]) -> f64 {
     let (_, stats) = tree.density_batch(queries, DescentStrategy::default(), QUERY_BUDGET);
     stats.gather_hit_rate()
@@ -112,7 +111,7 @@ fn node_entries() -> Vec<Entry<KernelSummary>> {
 
 /// Scalar-vs-warm-cache wall-clock ratio for scoring one 64-entry node: the
 /// scalar path rebuilds per-entry Gaussians, the warm path looks the
-/// gathered block up in an epoch-stamped [`BlockCacheSlot`] (a hit, so no
+/// gathered block up in an filled [`BlockCacheSlot`] (a hit, so no
 /// gather) and runs the SIMD batch kernels over the cached columns — the
 /// exact hit path of the query engine.
 fn measure_warm_cache_ratio() -> (f64, f64, f64) {
@@ -142,20 +141,15 @@ fn measure_warm_cache_ratio() -> (f64, f64, f64) {
         out.len()
     });
 
-    let version = 7;
     let slot = BlockCacheSlot::new();
     let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
-    slot.store(Arc::new(CachedBlock {
-        version,
-        scored: true,
-        gathered,
-    }));
+    slot.fill(Box::new(gathered));
     let mut lanes: [Vec<f64>; 4] = Default::default();
     let warm = best_of_3(|| {
         for _ in 0..reps {
-            let cached = slot.lookup_scored(version).expect("warm slot hits");
-            model.score_gathered(&query, &entries, &cached.gathered, &mut lanes, &mut out);
+            let cached = slot.get().expect("warm slot hits");
+            model.score_gathered(&query, &entries, cached, &mut lanes, &mut out);
             black_box(&out);
         }
         out.len()

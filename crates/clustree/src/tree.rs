@@ -418,7 +418,8 @@ impl<R> ClusTree<R> {
 
     /// Validates internal consistency, shard by shard: every node within
     /// capacity (plus the bounded directory slack a deferred split may
-    /// leave behind) and all aggregated weights non-negative.
+    /// leave behind), all aggregated weights non-negative, and every CF
+    /// sum and MBR corner finite.
     ///
     /// # Errors
     ///
@@ -432,14 +433,15 @@ impl<R> ClusTree<R> {
     }
 
     /// Admits `points` observed at `timestamp`: checks their
-    /// dimensionality, advances the clock and the insert count, and returns
-    /// their payloads.
+    /// dimensionality and finiteness (before any state changes), advances
+    /// the clock and the insert count, and returns their payloads.
     fn admit(&mut self, points: &[Vec<f64>], timestamp: f64) -> Vec<MicroCluster> {
         let dims = self.dims();
         assert!(
             points.iter().all(|p| p.len() == dims),
             "point dimensionality mismatch"
         );
+        assert_finite(points.iter().map(Vec::as_slice), timestamp);
         self.current_time = self.current_time.max(timestamp);
         self.num_inserted += points.len();
         points
@@ -457,9 +459,11 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the point has the wrong dimensionality.
+    /// Panics if the point has the wrong dimensionality, or a coordinate or
+    /// the timestamp is not finite.
     pub fn insert(&mut self, point: &[f64], timestamp: f64, node_budget: usize) -> InsertOutcome {
         assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
+        assert_finite([point], timestamp);
         self.current_time = self.current_time.max(timestamp);
         self.num_inserted += 1;
         let payload = MicroCluster::from_point(point, timestamp);
@@ -484,7 +488,8 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     ///
     /// # Panics
     ///
-    /// Panics if any point has the wrong dimensionality.
+    /// Panics if any point has the wrong dimensionality, or a coordinate or
+    /// the timestamp is not finite; the tree is left untouched.
     pub fn insert_batch(
         &mut self,
         points: &[Vec<f64>],
@@ -508,7 +513,7 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     /// # Panics
     ///
     /// Panics if any point, query or the bandwidth has the wrong
-    /// dimensionality.
+    /// dimensionality, or a coordinate or the timestamp is not finite.
     #[allow(clippy::too_many_arguments)]
     pub fn pipelined_batch(
         &mut self,
@@ -538,6 +543,33 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
             query_budget,
         )
     }
+}
+
+/// Rejects a non-finite coordinate or timestamp at a write entry, before
+/// any state changes: one NaN or infinity folded into a cluster feature
+/// voids every certified bound of its shard.
+///
+/// # Panics
+///
+/// Panics with "point coordinates must be finite" or "timestamps must be
+/// finite".
+fn assert_finite<'a>(points: impl IntoIterator<Item = &'a [f64]>, timestamp: f64) {
+    assert!(timestamp.is_finite(), "timestamps must be finite");
+    assert!(
+        points.into_iter().all(|p| p.iter().all(|v| v.is_finite())),
+        "point coordinates must be finite"
+    );
+}
+
+/// Whether the CF (weight and sums) and MBR corners of `mc` are finite.
+fn finite_cluster(mc: &MicroCluster) -> bool {
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    mc.weight().is_finite()
+        && finite(mc.cf().linear_sum())
+        && finite(mc.cf().squared_sum())
+        && mc
+            .mbr()
+            .is_none_or(|b| finite(b.lower()) && finite(b.upper()))
 }
 
 /// The micro-clusters of a slice of core views (a live tree's shards or a
@@ -596,12 +628,24 @@ fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> R
                 if mc.weight() < 0.0 {
                     return Err(format!("leaf {node_id} has a negative weight"));
                 }
+                if !finite_cluster(mc) {
+                    return Err(format!(
+                        "leaf {node_id} has a non-finite CF sum or MBR corner"
+                    ));
+                }
             }
         }
         NodeKind::Inner { entries } => {
             for entry in entries {
                 if entry.weight() < 0.0 || entry.buffered_weight() < 0.0 {
                     return Err(format!("node {node_id} has a negative weight"));
+                }
+                if !(finite_cluster(&entry.summary)
+                    && entry.buffer.as_ref().is_none_or(finite_cluster))
+                {
+                    return Err(format!(
+                        "node {node_id} has a non-finite CF sum or MBR corner"
+                    ));
                 }
                 validate_node(core, config, entry.child)?;
             }
@@ -835,5 +879,31 @@ mod tests {
             batched.summary_refreshes(),
             sequential.summary_refreshes()
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_planted_non_finite_value() {
+        let mut tree = ClusTree::new(2, ClusTreeConfig::default());
+        for (p, t) in two_cluster_stream(300) {
+            tree.insert(&p, t, 10);
+        }
+        tree.validate().expect("valid before planting");
+        let shard = tree.shard(0);
+        let root = shard.root();
+        let leaf = bt_anytree::TreeView::reachable(shard)
+            .into_iter()
+            .find(|&id| shard.node(id).is_leaf() && !shard.node(id).items().is_empty())
+            .expect("a leaf");
+        let bad = MicroCluster::from_point(&[f64::NAN, 0.0], 1.0);
+
+        let mut planted = tree.clone();
+        planted.core.shard_mut(0).node_mut(leaf).items_mut()[0] = bad.clone();
+        let err = planted.validate().unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+
+        let mut planted = tree.clone();
+        planted.core.shard_mut(0).node_mut(root).entries_mut()[0].summary = bad;
+        let err = planted.validate().unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
     }
 }

@@ -2,9 +2,10 @@
 //! micro-cluster tree.
 //!
 //! Mirrors the Bayes-tree suite: warm slots, cold slots and cache-less
-//! views produce bit-identical density answers, stale blocks are never
-//! consumed after a mutation restamps the node, and epoch-pinned snapshots
-//! stay frozen while the live cache churns.
+//! views produce bit-identical density answers, a node's block is never
+//! consumed after a write changes the node (every write empties the
+//! node's slot), and epoch-pinned snapshots stay frozen while the live
+//! cache churns.
 
 use bt_anytree::{Node, NodeId, QueryAnswer, RefineOrder, Summary, TreeView};
 use clustree::{ClusTree, ClusTreeConfig};

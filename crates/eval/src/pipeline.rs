@@ -42,7 +42,7 @@ pub struct PipelinedThroughput {
     /// shards (zero in the solo run).
     pub retired_nodes: u64,
     /// Fraction of node-block scorings the snapshot readers served from the
-    /// epoch-stamped block cache, merged over every shard and mini-batch
+    /// per-node block cache, merged over every shard and mini-batch
     /// (0.0 when no blocks were gathered at all).
     pub gather_hit_rate: f64,
     /// Software prefetches the snapshot readers issued for upcoming

@@ -172,7 +172,7 @@ pub struct ShardedQueryThroughput {
     pub nodes_per_sec: f64,
     /// Mean bound width of the folded answers.
     pub mean_uncertainty: f64,
-    /// Fraction of node-block scorings served from the epoch-stamped block
+    /// Fraction of node-block scorings served from the per-node block
     /// cache instead of re-gathering columns (merged over every shard).
     pub gather_hit_rate: f64,
     /// Software prefetches issued for upcoming frontier candidates, merged

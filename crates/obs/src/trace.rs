@@ -51,7 +51,7 @@ pub enum TraceEvent {
     Gather {
         /// Arena index of the gathered node.
         node: u64,
-        /// Whether the epoch-stamped block cache served the gather.
+        /// Whether the per-node block cache served the gather.
         cached: bool,
     },
     /// One refinement round of an anytime query completed.

@@ -48,7 +48,7 @@ pub struct TreeMetrics {
     pub query_elements_scored: Counter,
     /// Node-column gathers into scoring blocks (block-cache misses).
     pub query_block_gathers: Counter,
-    /// Gathers served from the epoch-stamped block cache.
+    /// Gathers served from the per-node block cache.
     pub query_gathers_avoided: Counter,
     /// Software prefetches issued for upcoming frontier candidates.
     pub query_prefetches: Counter,
@@ -139,7 +139,7 @@ impl TreeMetrics {
             ),
             query_gathers_avoided: registry.counter(
                 "bt_query_gathers_avoided_total",
-                "Gathers served from the epoch-stamped block cache",
+                "Gathers served from the per-node block cache",
             ),
             query_prefetches: registry.counter(
                 "bt_query_prefetches_total",

@@ -27,6 +27,13 @@
 //! reset`] + the `set_*` writers, evaluate, reuse for the next node.  The
 //! per-entry values can be read back out ([`SummaryBlock::entry_mean_into`]
 //! and friends), so the block is convertible in both directions.
+//!
+//! **The per-node cache.**  A gather is query-independent, so the query
+//! engine keeps one [`GatheredBlock`] per node in a [`BlockCacheSlot`] and
+//! scores later visits straight from it.  The slot has one rule: its
+//! owner empties it on every write to the node.  A filled slot therefore
+//! always describes the node as it is now, and reading it is a plain load
+//! with no version stamp, flag or lock.
 
 /// An element type a stored summary may hold (`f64` or `f32`); widened to
 /// `f64` before arithmetic.  Block columns are always `f64`: a narrow
@@ -304,9 +311,9 @@ impl SummaryBlock {
 /// geometric priority uses a centre whose rounding differs from the block's
 /// Gaussian mean (e.g. `ls * (1/n)` versus `ls / n`).
 ///
-/// This is the unit the per-node block cache stores: one `GatheredBlock`
-/// behind an `Arc` serves scoring *and* routing for as long as the node's
-/// version stamp is unchanged.
+/// This is the unit the per-node block cache stores: one boxed
+/// `GatheredBlock` in a [`BlockCacheSlot`] serves every later scoring of
+/// the node for as long as the node is unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct GatheredBlock {
     /// The gathered column block (weights, means, variances, boxes).
@@ -324,39 +331,17 @@ impl GatheredBlock {
     }
 }
 
-/// One cached gather of one node, stamped with the node's mutation epoch.
+/// A per-node cache slot: empty, or the one [`GatheredBlock`] a reader
+/// gathered from the node as it is now.
 ///
-/// The stamp *is* the invalidation signal: a consumer compares
-/// [`CachedBlock::version`] against the node's current version stamp and a
-/// mismatch means the node has mutated since the gather — the block is
-/// simply ignored (and overwritten by the next store).  Copy-on-write keeps
-/// old blocks valid for old snapshots, so no flags or epochs-of-death are
-/// needed.
-#[derive(Debug, Clone)]
-pub struct CachedBlock {
-    /// The node version stamp the gather was taken at.
-    pub version: u64,
-    /// Whether the block carries a full scoring gather (weights, means,
-    /// variances).  Routing-only blocks — maintained incrementally by the
-    /// insertion descent, which only knows the geometry — set this `false`
-    /// so queries never consume them.
-    pub scored: bool,
-    /// The gathered columns.
-    pub gathered: GatheredBlock,
-}
-
-/// A per-node cache slot holding at most one [`CachedBlock`].
-///
-/// Stored page-side next to the node's version stamp and `Arc`-shared with
-/// snapshots, so pinned readers reuse warm blocks for free.  The slot is a
-/// single-value replacement cache behind a `Mutex`: lookups clone the `Arc`
-/// out (shared readers never block each other for long), stores replace
-/// whatever is held.  Owners with `&mut` access (the insertion descent) use
-/// the `_owned` accessors, which skip the lock entirely.
+/// **The cache rule.**  A node changes only through its owner's `&mut`
+/// access, and that access empties the slot every time ([`Self::clear`]).
+/// So a filled slot always describes the node's current content: readers
+/// need no version stamp, no flag and no lock — [`Self::get`] is a plain
+/// load, and [`Self::fill`] is set-once.  Readers racing to fill a cold
+/// slot gathered the same node, so whichever block wins serves them all.
 #[derive(Debug, Default)]
-pub struct BlockCacheSlot {
-    slot: std::sync::Mutex<Option<std::sync::Arc<CachedBlock>>>,
-}
+pub struct BlockCacheSlot(std::sync::OnceLock<Box<GatheredBlock>>);
 
 impl BlockCacheSlot {
     /// An empty slot.
@@ -365,57 +350,22 @@ impl BlockCacheSlot {
         Self::default()
     }
 
-    /// Shared-read lookup of a **scored** block taken at `version`.
-    /// Anything else — stale stamp, routing-only block — is a miss.
+    /// The cached block, if a reader has filled the slot since the node's
+    /// last write.
     #[must_use]
-    pub fn lookup_scored(&self, version: u64) -> Option<std::sync::Arc<CachedBlock>> {
-        let guard = self.slot.lock().ok()?;
-        let cached = guard.as_ref()?;
-        (cached.version == version && cached.scored).then(|| std::sync::Arc::clone(cached))
+    pub fn get(&self) -> Option<&GatheredBlock> {
+        self.0.get().map(|b| &**b)
     }
 
-    /// Publishes `cached`, replacing whatever the slot held.
-    pub fn store(&self, cached: std::sync::Arc<CachedBlock>) {
-        if let Ok(mut guard) = self.slot.lock() {
-            *guard = Some(cached);
-        }
+    /// Caches `block` unless another reader filled the slot first (the
+    /// first filler wins; both gathered the same node).
+    pub fn fill(&self, block: Box<GatheredBlock>) {
+        let _ = self.0.set(block);
     }
 
-    /// Empties the slot through the lock.
-    pub fn clear(&self) {
-        if let Ok(mut guard) = self.slot.lock() {
-            *guard = None;
-        }
-    }
-
-    /// Whatever the slot currently holds, regardless of version — test and
-    /// introspection hook.
-    #[must_use]
-    pub fn peek(&self) -> Option<std::sync::Arc<CachedBlock>> {
-        self.slot.lock().ok()?.clone()
-    }
-
-    /// Lock-free (owner) access to the held block **if** it was taken at
-    /// `version`; `None` on empty or stale.
-    pub fn get_at_owned(&mut self, version: u64) -> Option<&mut std::sync::Arc<CachedBlock>> {
-        match self.slot.get_mut() {
-            Ok(held) => held.as_mut().filter(|c| c.version == version),
-            Err(_) => None,
-        }
-    }
-
-    /// Lock-free (owner) store.
-    pub fn store_owned(&mut self, cached: std::sync::Arc<CachedBlock>) {
-        if let Ok(held) = self.slot.get_mut() {
-            *held = Some(cached);
-        }
-    }
-
-    /// Lock-free (owner) clear.
-    pub fn clear_owned(&mut self) {
-        if let Ok(held) = self.slot.get_mut() {
-            *held = None;
-        }
+    /// Empties the slot — the owner calls this on every write to the node.
+    pub fn clear(&mut self) {
+        self.0.take();
     }
 }
 
@@ -471,51 +421,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_slot_hits_only_on_matching_scored_blocks() {
-        use std::sync::Arc;
-        let slot = BlockCacheSlot::new();
-        assert!(slot.lookup_scored(3).is_none());
-        let mut gathered = GatheredBlock::new();
-        gathered.block.reset(2, 4);
-        slot.store(Arc::new(CachedBlock {
-            version: 3,
-            scored: true,
-            gathered,
-        }));
-        assert!(slot.lookup_scored(3).is_some());
-        // A stale stamp misses.
-        assert!(slot.lookup_scored(4).is_none());
-        // Routing-only blocks are never returned to scorers.
-        slot.store(Arc::new(CachedBlock {
-            version: 3,
-            scored: false,
-            gathered: GatheredBlock::new(),
-        }));
-        assert!(slot.lookup_scored(3).is_none());
-        assert!(slot.peek().is_some());
-        slot.clear();
-        assert!(slot.peek().is_none());
-    }
-
-    #[test]
-    fn cache_slot_owner_accessors_skip_the_lock() {
-        use std::sync::Arc;
+    fn cache_slot_fills_once_and_clears_through_the_owner() {
         let mut slot = BlockCacheSlot::new();
-        assert!(slot.get_at_owned(1).is_none());
-        slot.store_owned(Arc::new(CachedBlock {
-            version: 1,
-            scored: false,
-            gathered: GatheredBlock::new(),
-        }));
-        assert!(slot.get_at_owned(1).is_some());
-        assert!(slot.get_at_owned(2).is_none());
-        // Owner mutation through `Arc::make_mut` sticks.
-        if let Some(held) = slot.get_at_owned(1) {
-            Arc::make_mut(held).scored = true;
-        }
-        assert!(slot.lookup_scored(1).is_some());
-        slot.clear_owned();
-        assert!(slot.peek().is_none());
+        assert!(slot.get().is_none());
+        let mut first = GatheredBlock::new();
+        first.block.reset(2, 4);
+        slot.fill(Box::new(first));
+        assert_eq!(slot.get().map(|g| g.block.len()), Some(4));
+        // A second filler loses: the slot keeps the first block.
+        let mut second = GatheredBlock::new();
+        second.block.reset(2, 7);
+        slot.fill(Box::new(second));
+        assert_eq!(slot.get().map(|g| g.block.len()), Some(4));
+        slot.clear();
+        assert!(slot.get().is_none());
+        slot.fill(Box::new(GatheredBlock::new()));
+        assert!(slot.get().is_some(), "a cleared slot fills again");
     }
 
     #[test]

@@ -136,25 +136,25 @@
 //!   SIMD-vectorised (portable 4-lane `f64` kernels with a
 //!   runtime-dispatched AVX2 path and the scalar loop kept as the
 //!   bit-exactness reference; `--no-default-features` on `bt-stats` turns
-//!   the whole layer off).  On top of the gather sits the **epoch-stamped
-//!   per-node block cache**: every arena node carries a
-//!   [`anytree::BlockCacheSlot`] page-side next to its version stamp,
-//!   holding at most one `Arc`-shared [`anytree::CachedBlock`] of gathered
-//!   columns.  The **invalidation rule is the version stamp itself**: a
-//!   cached block records the node version it was gathered at, a consumer
-//!   compares that stamp against the node's current version, and any
-//!   mismatch is simply a miss — mutating a node restamps it (and clears
-//!   the slot), so stale blocks are never consumed and no epochs-of-death
-//!   bookkeeping is needed.  Copy-on-write completes the picture: retired
-//!   node versions keep their slots, so pinned snapshots reuse warm blocks
-//!   for free while the live tree repopulates fresh slots at newer epochs.
-//!   Scoring hits skip the gather entirely ([`anytree::QueryStats`] counts
-//!   `gathers_avoided`), insertion descent reuses the same slot for routing
-//!   (repairing the one absorbed entry's columns in place, flagged
-//!   routing-only so queries never consume it), and leaf nodes get the same
-//!   treatment through [`anytree::QueryModel::score_leaf_items`] — all
-//!   bit-identical to the gather-every-time scalar reference in `f64` mode
-//!   (`tests/block_cache.rs` in both tree crates).
+//!   the whole layer off).  On top of the gather sits the **per-node
+//!   block cache** with one rule: every arena node carries a set-once
+//!   [`anytree::BlockCacheSlot`] page-side, and the arena's one write path
+//!   (`node_mut`, which needs `&mut`) empties it on *every* call.  A filled
+//!   slot therefore always describes the node as it is now, so a read is a
+//!   plain load — no version stamp, no flag, no lock — and the first
+//!   reader to gather a cold node fills the slot (racing readers gathered
+//!   the same node, so either block serves).  Copy-on-write completes the
+//!   picture: the arena never writes a node on a page a snapshot holds (it
+//!   retires a copy with an empty slot), so pinned snapshots keep their
+//!   warm blocks while the live tree refills its own.  Scoring hits skip
+//!   the gather entirely ([`anytree::QueryStats`] counts
+//!   `gathers_avoided`); the insertion descent never fills a reader slot
+//!   (its routing columns live in its own per-batch scratch), and leaf
+//!   nodes get the same treatment through
+//!   [`anytree::QueryModel::score_leaf_items`] — all bit-identical to the
+//!   gather-every-time scalar reference in `f64` mode
+//!   (`tests/block_cache.rs` in both tree crates,
+//!   `tests/block_cache_rule.rs`).
 //!
 //!   **The half-width hot path.**  The Bayes tree's stored summaries are
 //!   generic over a scalar element (`bayestree::node::StoredElement`):
@@ -218,8 +218,8 @@
 //! quality and wall-clock throughput over shard counts 1/2/4/8, and the
 //! `shard_scaling` criterion bench asserts the ≥1.5× 4-shard speedup as a
 //! smoke threshold on runners with ≥4 CPUs.  The query layer is in as well:
-//! `bayestree` rebases its frontier (`TreeFrontier`) and `pdq` reference on
-//! the shared engine and adds budget-bracketed density queries
+//! `bayestree` rebases its frontier (a `QueryCursor` over the
+//! `KernelQueryModel`) and `pdq` reference on the shared engine and adds budget-bracketed density queries
 //! (`BayesTree::anytime_density` / `density_batch`) plus anytime outlier
 //! scoring (`BayesTree::outlier_score`); `clustree` adds anytime k-NN
 //! micro-cluster retrieval at any tree level (`ClusTree::anytime_knn`) and

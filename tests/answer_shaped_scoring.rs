@@ -14,7 +14,7 @@
 //!   reuse each other's cached blocks and answer as on a cold twin.
 //!
 //! The classifier's estimate-only model is locked by
-//! `tests/classifier_cursor_pool.rs` (answers equal the `TreeFrontier`
+//! `tests/classifier_cursor_pool.rs` (answers equal a fresh-cursor
 //! loop over the full model) and by the kernel parity suites.
 //!
 //! Every test serialises on one lock: work counters are read as deltas of

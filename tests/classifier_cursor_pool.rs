@@ -5,15 +5,15 @@
 //! retrievals — a classification must answer bit-identically to:
 //!
 //! * the same call on a freshly spawned thread, whose pool is empty,
-//! * the reference loop over freshly built `TreeFrontier`s, posteriors
-//!   renormalised after every node read,
+//! * the reference loop over fresh query cursors running the full
+//!   `KernelQueryModel`, posteriors renormalised after every node read,
 //! * the same call made while the pool is held (a nested call runs on
 //!   fresh cursors and leaves the held ones alone).
 
-use anytime_stream_mining::anytree::{with_scratch_cursors, TreeView};
+use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, TreeView};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, AnytimeTrace, BayesTree, Classification, ClassifierConfig,
-    ClassifierSnapshot, KernelSummary, RefinementScheduler, TreeFrontier,
+    ClassifierSnapshot, KernelQueryModel, KernelSummary, RefinementScheduler,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ClusTreeSnapshot, KnnAnswer};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -65,7 +65,7 @@ impl Classify for AnytimeClassifier {
         let frontiers = self
             .trees()
             .iter()
-            .map(|t| TreeFrontier::new(t, x))
+            .map(|t| fresh(t.shard(0), t.query_model(), x))
             .collect();
         reference_loop(frontiers, self.priors(), self.config(), budget)
     }
@@ -93,26 +93,45 @@ impl Classify for Snapshot {
             .snapshot
             .trees()
             .iter()
-            .map(|t| TreeFrontier::over(t.core().shard(0), t.query_model(), x))
+            .map(|t| fresh(t.core().shard(0), t.query_model(), x))
             .collect();
         reference_loop(frontiers, self.snapshot.priors(), &self.config, budget)
     }
+}
+
+/// One class's fresh frontier: the view it refines, the full kernel model
+/// (bounds included, unlike the classifier's estimate-only model) and a
+/// cursor of its own.
+type Frontier<'a, V> = (&'a V, KernelQueryModel<'a>, QueryCursor);
+
+fn fresh<'a, V: TreeView<KernelSummary, Vec<f64>>>(
+    view: &'a V,
+    model: KernelQueryModel<'a>,
+    x: &[f64],
+) -> Frontier<'a, V> {
+    let cursor = view.new_query(&model, x);
+    (view, model, cursor)
+}
+
+/// The frontier's mixture density `pdq(x, E)`.
+fn density<V>(frontier: &Frontier<'_, V>) -> f64 {
+    frontier.2.estimate().max(0.0)
 }
 
 /// The anytime classification loop over one freshly built frontier per
 /// class, recomputing every class score and the posteriors after every
 /// node read.
 fn reference_loop<V: TreeView<KernelSummary, Vec<f64>>>(
-    mut frontiers: Vec<TreeFrontier<'_, V>>,
+    mut frontiers: Vec<Frontier<'_, V>>,
     priors: &[f64],
     config: &ClassifierConfig,
     budget: usize,
 ) -> (Vec<usize>, Vec<f64>, usize) {
-    let posteriors_of = |frontiers: &[TreeFrontier<'_, V>]| -> Vec<f64> {
+    let posteriors_of = |frontiers: &[Frontier<'_, V>]| -> Vec<f64> {
         let joint: Vec<f64> = frontiers
             .iter()
             .zip(priors)
-            .map(|(f, &p)| p * f.density())
+            .map(|(f, &p)| p * density(f))
             .collect();
         let total: f64 = joint.iter().sum();
         if total > 0.0 {
@@ -129,13 +148,14 @@ fn reference_loop<V: TreeView<KernelSummary, Vec<f64>>>(
         let scores: Vec<f64> = frontiers
             .iter()
             .zip(priors)
-            .map(|(f, &p)| p * f.density())
+            .map(|(f, &p)| p * density(f))
             .collect();
-        let refinable: Vec<bool> = frontiers.iter().map(TreeFrontier::can_refine).collect();
+        let refinable: Vec<bool> = frontiers.iter().map(|f| f.2.can_refine()).collect();
         let Some(class) = scheduler.next_class(&scores, &refinable) else {
             break;
         };
-        frontiers[class].refine(config.descent);
+        let (view, model, cursor) = &mut frontiers[class];
+        view.refine_query(&*model, config.descent.into(), cursor);
         reads += 1;
         posteriors = posteriors_of(&frontiers);
         labels.push(argmax(&posteriors));

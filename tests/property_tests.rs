@@ -8,11 +8,11 @@
 //! observable equivalence of full-budget cursor classification with the
 //! flat-density reference.
 
-use anytime_stream_mining::anytree::{DepthHistogram, RefineOrder};
+use anytime_stream_mining::anytree::{DepthHistogram, QueryCursor, RefineOrder, TreeView};
 use anytime_stream_mining::bayestree::pdq::pdq;
 use anytime_stream_mining::bayestree::BayesTree;
 use anytime_stream_mining::bayestree::{
-    build_tree, AnytimeClassifier, BulkLoadMethod, ClassifierConfig, DescentStrategy, TreeFrontier,
+    build_tree, AnytimeClassifier, BulkLoadMethod, ClassifierConfig, DescentStrategy,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, InsertOutcome};
 use anytime_stream_mining::index::{
@@ -21,6 +21,21 @@ use anytime_stream_mining::index::{
 use anytime_stream_mining::stats::kl::kl_diag_gaussian;
 use anytime_stream_mining::stats::{ClusterFeature, DiagGaussian};
 use proptest::prelude::*;
+
+/// The initial frontier of `query` over `tree`'s one shard: the root's
+/// entries.
+fn start(tree: &BayesTree, query: &[f64]) -> QueryCursor {
+    tree.shard(0).new_query(&tree.query_model(), query)
+}
+
+/// One refinement step (one node read) in the default descent strategy.
+fn refine(tree: &BayesTree, cursor: &mut QueryCursor) -> bool {
+    tree.shard(0).refine_query(
+        &tree.query_model(),
+        DescentStrategy::default().into(),
+        cursor,
+    )
+}
 
 /// Strategy producing a small set of bounded 3-d points.
 fn points_strategy(max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -99,19 +114,19 @@ proptest! {
     fn frontier_density_matches_reference_pdq_at_root(points in points_strategy(80), qx in -50.0f64..50.0) {
         let tree = build_tree(&points, 3, PageGeometry::from_fanout(4, 6), BulkLoadMethod::Hilbert, 0);
         let query = vec![qx, 0.0, 0.0];
-        let frontier = TreeFrontier::new(&tree, &query);
+        let frontier = start(&tree, &query);
         let reference = pdq(&tree.root_entries(), &query);
-        prop_assert!((frontier.density() - reference).abs() <= 1e-9 * (1.0 + reference));
+        prop_assert!((frontier.estimate().max(0.0) - reference).abs() <= 1e-9 * (1.0 + reference));
     }
 
     #[test]
     fn full_refinement_reaches_kernel_density(points in points_strategy(60), qx in -50.0f64..50.0) {
         let tree = build_tree(&points, 3, PageGeometry::from_fanout(4, 6), BulkLoadMethod::Str, 0);
         let query = vec![qx, qx * 0.5, -qx];
-        let mut frontier = TreeFrontier::new(&tree, &query);
-        while frontier.refine(DescentStrategy::default()) {}
+        let mut frontier = start(&tree, &query);
+        while refine(&tree, &mut frontier) {}
         let expected = tree.full_kernel_density(&query);
-        prop_assert!((frontier.density() - expected).abs() <= 1e-9 * (1.0 + expected));
+        prop_assert!((frontier.estimate().max(0.0) - expected).abs() <= 1e-9 * (1.0 + expected));
     }
 
     #[test]
@@ -214,13 +229,13 @@ proptest! {
         let tree = build_tree(&points, 3, PageGeometry::from_fanout(4, 6), BulkLoadMethod::Hilbert, 1);
         let query = vec![qx, -qx * 0.5, qx * 0.25];
         let truth = tree.full_kernel_density(&query);
-        let mut frontier = TreeFrontier::new(&tree, &query);
+        let mut frontier = start(&tree, &query);
         let mut last = frontier.uncertainty();
         loop {
-            let (lower, upper) = frontier.density_bounds();
+            let (lower, upper) = frontier.bounds();
             prop_assert!(lower <= truth + 1e-12 && truth <= upper + 1e-12,
                 "bounds [{lower}, {upper}] miss the fully refined density {truth}");
-            if !frontier.refine(DescentStrategy::default()) {
+            if !refine(&tree, &mut frontier) {
                 break;
             }
             prop_assert!(frontier.uncertainty() <= last + 1e-12, "refinement widened the bound");
