@@ -496,14 +496,43 @@ pub struct OutlierScore {
 /// (near-zero variance, astronomically peaked density) passing through a
 /// plain `f64` sum would permanently shave low-order bits off the answer.
 /// The compensation term keeps the running sums as accurate as re-summing
-/// the frontier from scratch, at O(1) per update.
+/// the frontier from scratch, at O(1) per update — as long as the sum does
+/// not cancel.
+///
+/// **Cancellation.**  The compensation is itself a plain sum of rounding
+/// errors of the size of the largest terms.  A small term added while a
+/// large one is live lands in it, below its own rounding, and is lost when
+/// the large terms leave again: fully refined, an exact density of
+/// `1.1e-94` read as an upper bound of `0`, and an exact `0` as an
+/// estimate of `-7.2e-43`.  So the accumulator
+/// also tracks `peak`, the largest term taken out ([`Self::sub`]) since it
+/// was last (re)built, and [`Self::cancelled`] reports a value that fell
+/// more than [`CANCELLATION`] below it; the cursor then re-sums that total
+/// from its frontier ([`QueryCursor::resum_cancelled`]).  Frontier terms
+/// are never negative, so a term still in the sum is at most its value:
+/// only terms taken out can leave the value far below them.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accumulator {
     sum: f64,
     compensation: f64,
+    peak: f64,
 }
 
+/// How far (relative to the largest term taken out) a running sum may fall
+/// before the cursor re-sums it from the frontier: `2^-40`.  Above it the
+/// compensated sum's error — at most a few `ε² · peak` per update, `ε =
+/// 2^-53` — stays many orders of magnitude below `1e-12` of the value; at
+/// or below it the value may be mostly rounding error.
+const CANCELLATION: f64 = 1.0 / (1u64 << 40) as f64;
+
 impl Accumulator {
+    /// The compensated sum of `values`, built from scratch.
+    fn over(values: impl Iterator<Item = f64>) -> Self {
+        let mut acc = Self::default();
+        values.for_each(|v| acc.add(v));
+        acc
+    }
+
     fn add(&mut self, value: f64) {
         let t = self.sum + value;
         if self.sum.abs() >= value.abs() {
@@ -515,6 +544,7 @@ impl Accumulator {
     }
 
     fn sub(&mut self, value: f64) {
+        self.peak = self.peak.max(value.abs());
         self.add(-value);
     }
 
@@ -522,9 +552,10 @@ impl Accumulator {
         self.sum + self.compensation
     }
 
-    fn reset(&mut self) {
-        self.sum = 0.0;
-        self.compensation = 0.0;
+    /// Whether the value fell so far below the largest term taken out that
+    /// the compensation may no longer hold it.
+    fn cancelled(&self) -> bool {
+        self.value().abs() < self.peak * CANCELLATION
     }
 }
 
@@ -704,9 +735,9 @@ impl QueryCursor {
         self.query.clear();
         self.query.extend_from_slice(query);
         self.elements.clear();
-        self.estimate.reset();
-        self.lower.reset();
-        self.upper.reset();
+        self.estimate = Accumulator::default();
+        self.lower = Accumulator::default();
+        self.upper = Accumulator::default();
         self.nodes_read = 0;
         self.next_seq = 0;
         self.stats.queries += 1;
@@ -837,6 +868,67 @@ impl QueryCursor {
                 })
                 .map(|(i, _)| i),
         }
+    }
+
+    /// Re-sums from the frontier every running total that cancelled (see
+    /// [`Accumulator`]), each on its own: a total that did not cancel keeps
+    /// its bits.  [`TreeView::refine_query`] calls this after every step.
+    fn resum_cancelled(&mut self) {
+        if self.estimate.cancelled() {
+            self.estimate = Accumulator::over(self.elements.iter().map(|e| e.contribution));
+        }
+        if self.lower.cancelled() {
+            self.lower = Accumulator::over(self.elements.iter().map(|e| e.lower));
+        }
+        if self.upper.cancelled() {
+            self.upper = Accumulator::over(self.elements.iter().map(|e| e.upper));
+        }
+    }
+
+    /// (Re)starts the cursor on `query` with a root frontier scored by the
+    /// caller: one element per `(child, origin, score)`, admitted in order
+    /// at depth 1.  Fed the scores [`TreeView::begin_query`] computes for
+    /// `root`, in entry order (or the one [`ElementOrigin::RootLeaf`]
+    /// element), this replays that call's admissions exactly — the same
+    /// elements, sequence numbers and running sums — so refinement carries
+    /// on as if `begin_query` had run.
+    ///
+    /// This is the entry point for callers that score many roots in one
+    /// block pass (the per-class classifier).  The root read counts as one
+    /// block-scored visit of `root`: a gather when `gathered` (the caller
+    /// gathered the root's columns for this query), otherwise a gather
+    /// avoided.  An empty frontier counts nothing, as an empty root reads
+    /// nothing.
+    pub fn begin_scored(
+        &mut self,
+        query: &[f64],
+        root: NodeId,
+        gathered: bool,
+        elements: impl IntoIterator<Item = (Option<NodeId>, ElementOrigin, SummaryScore)>,
+    ) {
+        self.reset(query);
+        for (child, origin, score) in elements {
+            self.push_scored(child, &score, origin, 1);
+        }
+        if self.elements.is_empty() {
+            return;
+        }
+        if gathered {
+            self.stats.block_gathers += 1;
+        } else {
+            self.stats.gathers_avoided += 1;
+        }
+        bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+            node: root as u64,
+            cached: !gathered,
+        });
+    }
+
+    /// The cursor's reusable per-entry output lanes, lent to callers that
+    /// score outside the engine (take them with `std::mem::take` and put
+    /// them back) so their scratch rides along with the pooled cursor.
+    pub fn scratch_lanes(&mut self) -> &mut [Vec<f64>; 4] {
+        &mut self.block.lanes
     }
 
     fn push_summary<S, M>(
@@ -1191,6 +1283,7 @@ pub trait TreeView<S: Summary, L> {
                 cursor.push_leaf_items(model, child, items, self.block_cache(child), child_depth);
             }
         }
+        cursor.resum_cancelled();
         cursor.nodes_read += 1;
         cursor.stats.nodes_read += 1;
         // Overlap the next candidate's page load with the caller's work on

@@ -20,6 +20,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Builds a Bayes tree with the EM top-down bulk load.
+///
+/// # Panics
+///
+/// Panics if any point has a non-finite coordinate.
 #[must_use]
 pub fn build_em_topdown(
     points: &[Vec<f64>],
@@ -27,6 +31,7 @@ pub fn build_em_topdown(
     geometry: PageGeometry,
     seed: u64,
 ) -> BayesTree {
+    crate::insert::assert_finite(points);
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;

@@ -54,6 +54,10 @@ struct Component {
 }
 
 /// Builds a Bayes tree with the Goldberger bulk load.
+///
+/// # Panics
+///
+/// Panics if any point has a non-finite coordinate.
 #[must_use]
 pub fn build_goldberger(
     points: &[Vec<f64>],
@@ -61,6 +65,7 @@ pub fn build_goldberger(
     geometry: PageGeometry,
     config: &GoldbergerBulkConfig,
 ) -> BayesTree {
+    crate::insert::assert_finite(points);
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;

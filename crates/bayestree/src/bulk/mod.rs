@@ -111,7 +111,6 @@ pub fn build_tree(
         points.iter().all(|p| p.len() == dims),
         "all points must have dimensionality {dims}"
     );
-    crate::insert::assert_finite(points);
     match method {
         BulkLoadMethod::Iterative => BayesTree::build_iterative(points, dims, geometry),
         BulkLoadMethod::Hilbert => spacefilling::build_hilbert(points, dims, geometry),

@@ -14,24 +14,39 @@ use bt_index::{hilbert_sort_order, str_partition, z_order_sort_order, PageGeomet
 const CURVE_BITS: u32 = 16;
 
 /// Hilbert-curve bulk load.
+///
+/// # Panics
+///
+/// Panics if any point has a non-finite coordinate.
 #[must_use]
 pub fn build_hilbert(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
+    crate::insert::assert_finite(points);
     build_packed(points, dims, geometry, |pts, capacity| {
         chunk_order(&hilbert_sort_order(pts, CURVE_BITS), capacity)
     })
 }
 
 /// Z-order (Morton) bulk load.
+///
+/// # Panics
+///
+/// Panics if any point has a non-finite coordinate.
 #[must_use]
 pub fn build_zorder(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
+    crate::insert::assert_finite(points);
     build_packed(points, dims, geometry, |pts, capacity| {
         chunk_order(&z_order_sort_order(pts, CURVE_BITS), capacity)
     })
 }
 
 /// Sort-tile-recursive bulk load.
+///
+/// # Panics
+///
+/// Panics if any point has a non-finite coordinate.
 #[must_use]
 pub fn build_str(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
+    crate::insert::assert_finite(points);
     build_packed(points, dims, geometry, |pts, capacity| {
         str_partition(pts, capacity)
     })

@@ -7,6 +7,17 @@
 //! refinement strategy (qbk by default) selects a class whose frontier is
 //! refined by one node read, and the decision at any interruption point is
 //! `argmax_c P(c) * pdq(x, E_c)`.
+//!
+//! Every classification starts from the 0-read root mixture of every
+//! class.  The roots are scored together: a [`RootBlock`] stacks every
+//! class root's entries (a leaf root's one summary) into one column block,
+//! gathered by the first classification, and each classification scores
+//! it with one estimate pass.  Each class frontier is then seeded from its
+//! own lanes ([`QueryCursor::begin_scored`]) exactly as
+//! [`TreeView::begin_query`] would have seeded it.  The block follows the
+//! node cache rule one level up: the classifier's only writers
+//! ([`AnytimeClassifier::learn_one`], [`AnytimeClassifier::learn_batch`])
+//! empty it, and a snapshot fills its own.
 
 use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
@@ -14,10 +25,18 @@ use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::query::{EstimateModel, KernelQueryModel};
 use crate::tree::BayesTree;
-use bt_anytree::{with_scratch_cursors, QueryCursor, QueryStats, RefineOrder, TreeView};
+use crate::StoredSummary;
+use bt_anytree::{
+    with_scratch_cursors, ElementOrigin, NodeId, NodeKind, QueryCursor, QueryModel, QueryStats,
+    RefineOrder, TreeView,
+};
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
+use bt_stats::kernel::node_estimates_block;
+use bt_stats::SummaryBlock;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Configuration of the anytime classifier.
 #[derive(Debug, Clone)]
@@ -103,6 +122,9 @@ pub struct AnytimeClassifier {
     class_names: Vec<String>,
     config: ClassifierConfig,
     dims: usize,
+    /// The class roots' stacked block, gathered by the first
+    /// classification since the last write.
+    roots: OnceLock<RootBlock>,
 }
 
 impl AnytimeClassifier {
@@ -191,6 +213,7 @@ impl AnytimeClassifier {
             class_names: dataset.class_names().to_vec(),
             config: config.clone(),
             dims,
+            roots: OnceLock::new(),
         }
     }
 
@@ -240,6 +263,7 @@ impl AnytimeClassifier {
     pub fn learn_one(&mut self, point: Vec<f64>, label: usize) {
         assert!(label < self.trees.len(), "label out of range");
         self.trees[label].insert(point);
+        self.roots.take();
         self.refresh_priors();
     }
 
@@ -272,6 +296,7 @@ impl AnytimeClassifier {
                 tree.insert_batch(points);
             }
         }
+        self.roots.take();
         self.refresh_priors();
     }
 
@@ -320,25 +345,113 @@ impl AnytimeClassifier {
             .iter()
             .map(|t| (t.shard(0), t.query_model()))
             .collect();
-        run_anytime_over(
-            &classes,
-            x,
-            &self.priors,
-            self.config.refinement,
-            self.config.descent,
-            budget,
-            record_all,
-        )
+        let forest = ClassForest {
+            classes,
+            roots: &self.roots,
+            priors: &self.priors,
+            refinement: self.config.refinement,
+            descent: self.config.descent,
+        };
+        run_anytime_over(&forest, x, budget, record_all)
     }
 }
 
-/// The anytime classification loop over per-class `(view, model)` pairs —
-/// the live classifier and its epoch-pinned snapshot
+/// What a classification reads of a classifier or of its snapshot.
+pub(crate) struct ClassForest<'a, V> {
+    /// Per class: the view its frontier refines and its query model.
+    pub(crate) classes: Vec<(&'a V, KernelQueryModel<'a>)>,
+    /// The class roots' stacked block, gathered on first use.
+    pub(crate) roots: &'a OnceLock<RootBlock>,
+    /// The class priors `P(c)`.
+    pub(crate) priors: &'a [f64],
+    /// Which class refines next.
+    pub(crate) refinement: RefinementStrategy,
+    /// Which element of a class frontier refines next.
+    pub(crate) descent: DescentStrategy,
+}
+
+/// Every class root's frontier elements in one column block, class after
+/// class: an inner root adds one lane per entry, a leaf root one lane (the
+/// summary [`TreeView::begin_query`] builds for it, origin
+/// [`ElementOrigin::RootLeaf`]), an empty class none.
+///
+/// The block is a pure function of the class roots, so the classifier and
+/// each snapshot keep one in a [`OnceLock`]: the first classification
+/// gathers it and every later one scores it.  The classifier's writers
+/// empty it.
+#[derive(Debug, Clone)]
+pub(crate) struct RootBlock {
+    /// The stacked columns, one lane per root element.
+    block: SummaryBlock,
+    /// Per class: its root and its range of lanes.
+    spans: Vec<(NodeId, Range<usize>)>,
+    /// Per lane: the element's child and origin.
+    lanes: Vec<(Option<NodeId>, ElementOrigin)>,
+}
+
+impl RootBlock {
+    /// Gathers every class root, in class order.
+    fn gather<V: TreeView<KernelSummary, Vec<f64>>>(
+        classes: &[(&V, KernelQueryModel<'_>)],
+    ) -> Self {
+        let len = classes
+            .iter()
+            .map(|(view, _)| match &view.node(view.root()).kind {
+                NodeKind::Inner { entries } => entries.len(),
+                NodeKind::Leaf { items } => usize::from(!items.is_empty()),
+            })
+            .sum();
+        let dims = classes.first().map_or(0, |(view, _)| view.dims());
+        let mut block = SummaryBlock::new();
+        block.reset(dims, len);
+        block.enable_boxes();
+        let mut spans = Vec::with_capacity(classes.len());
+        let mut lanes = Vec::with_capacity(len);
+        for (view, model) in classes {
+            let root = view.root();
+            let start = lanes.len();
+            match &view.node(root).kind {
+                NodeKind::Inner { entries } => {
+                    for (index, entry) in entries.iter().enumerate() {
+                        entry.summary.gather_into(&mut block, lanes.len(), dims);
+                        let origin = ElementOrigin::Entry { node: root, index };
+                        lanes.push((Some(entry.child), origin));
+                    }
+                }
+                NodeKind::Leaf { items } if !items.is_empty() => {
+                    let summary: KernelSummary = model.summarize_leaf_items(items);
+                    summary.gather_into(&mut block, start, dims);
+                    lanes.push((Some(root), ElementOrigin::RootLeaf));
+                }
+                NodeKind::Leaf { .. } => {}
+            }
+            spans.push((root, start..lanes.len()));
+        }
+        block.fill_log_vars();
+        Self {
+            block,
+            spans,
+            lanes,
+        }
+    }
+}
+
+/// The anytime classification loop over a [`ClassForest`]'s per-class
+/// `(view, model)` pairs — the live classifier and its epoch-pinned snapshot
 /// ([`crate::ClassifierSnapshot`]) run literally this code.  Each class's
 /// frontier lives on one of this thread's pooled scratch cursors
 /// ([`with_scratch_cursors`]), so a classification builds no cursor of its
 /// own.  Returns the trace plus the number of refinements (node reads)
 /// actually performed.
+///
+/// The 0-read root mixture is one pass: the forest's `roots` (gathered on
+/// first use) holds every class root's lanes, one [`node_estimates_block`]
+/// call scores them all, and each class cursor is seeded from its own
+/// lanes by [`QueryCursor::begin_scored`] with the score its own model
+/// gives — `weight / n_c * exp(log_pdf)` — so every frontier equals the
+/// one [`TreeView::begin_query`] builds.  Each class root counts as one
+/// block gather when this call gathered `roots`, else as one gather
+/// avoided.
 ///
 /// The loop reads each frontier's point estimate and nothing of its
 /// bounds, so every class scores through its model's estimate-only form
@@ -350,14 +463,18 @@ impl AnytimeClassifier {
 /// decision would silently fall back to the priors.  ±inf is a valid
 /// far-away query.
 pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
-    classes: &[(&V, KernelQueryModel<'_>)],
+    forest: &ClassForest<'_, V>,
     x: &[f64],
-    priors: &[f64],
-    refinement: RefinementStrategy,
-    descent: DescentStrategy,
     budget: usize,
     record_all: bool,
 ) -> (AnytimeTrace, usize) {
+    let ClassForest {
+        ref classes,
+        roots,
+        priors,
+        refinement,
+        descent,
+    } = *forest;
     assert!(
         x.iter().all(|v| !v.is_nan()),
         "query coordinates must not be NaN"
@@ -367,19 +484,42 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
         order != RefineOrder::WidestBound,
         "no descent strategy maps to WidestBound, the only order that reads the bounds EstimateModel skips"
     );
+    let mut gathered = false;
+    let roots = roots.get_or_init(|| {
+        gathered = true;
+        RootBlock::gather(classes)
+    });
     with_scratch_cursors(classes.len(), |cursors| {
         // Pooled cursors keep counting across queries: the registry gets
         // the work done since `before`, summed over every class.
         let mut before = QueryStats::default();
+        for cursor in cursors.iter() {
+            before.merge(cursor.stats());
+        }
+        // The root pass borrows the first cursor's output lanes.
+        let mut lanes = std::mem::take(cursors[0].scratch_lanes());
+        let [log_pdf, dist, _, _] = &mut lanes;
+        node_estimates_block(x, &roots.block, log_pdf, dist);
+        let weights = roots.block.weights();
         let mut scores = Vec::with_capacity(classes.len());
         let mut refinable = Vec::with_capacity(classes.len());
-        for (((view, model), cursor), &prior) in classes.iter().zip(cursors.iter_mut()).zip(priors)
+        for ((((_, model), (root, span)), cursor), &prior) in classes
+            .iter()
+            .zip(&roots.spans)
+            .zip(cursors.iter_mut())
+            .zip(priors)
         {
-            before.merge(cursor.stats());
-            view.begin_query(&EstimateModel(*model), x, cursor);
+            let model = EstimateModel(*model);
+            let elements = span.clone().map(|lane| {
+                let (child, origin) = roots.lanes[lane];
+                let score = model.lane_score(weights[lane], log_pdf[lane], dist[lane]);
+                (child, origin, score)
+            });
+            cursor.begin_scored(x, *root, gathered, elements);
             scores.push(class_score(prior, cursor));
             refinable.push(cursor.can_refine());
         }
+        *cursors[0].scratch_lanes() = lanes;
 
         let mut scheduler = RefinementScheduler::new(refinement, classes.len());
         let mut labels = Vec::new();

@@ -54,6 +54,11 @@ impl RefinementStrategy {
 /// The scheduler is fed the current per-class posterior scores and which
 /// class trees can still be refined, and answers with the class whose tree
 /// should spend the next node read.
+///
+/// A step is one pass over the classes: qbk and most-probable keep the
+/// best `k` refinable classes as they go (score descending, then class
+/// index ascending) instead of sorting all of them, and round robin walks
+/// from its turn to the next refinable class.  A step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RefinementScheduler {
     strategy: RefinementStrategy,
@@ -128,17 +133,27 @@ impl RefinementScheduler {
 }
 
 /// Fills `candidates` with the (up to) `k` refinable classes with the
-/// highest scores, best first.
+/// highest scores, best first; equal scores rank by class index.
+///
+/// One pass over the classes keeps the best `k` so far in order, so a
+/// step costs `O(classes * k)` instead of a sort of every refinable class.
+/// Class scores are `prior * estimate.max(0.0)`, never NaN, so score
+/// descending then index ascending is a total order and the result equals
+/// sorting every refinable class under it and keeping the first `k`.
 fn best_refinable(scores: &[f64], refinable: &[bool], k: usize, candidates: &mut Vec<usize>) {
+    let k = k.max(1);
     candidates.clear();
-    candidates.extend((0..scores.len()).filter(|&c| refinable[c]));
-    candidates.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    candidates.truncate(k.max(1));
+    for c in (0..scores.len()).filter(|&c| refinable[c]) {
+        // Classes arrive in index order, so `c` ranks behind every kept
+        // class of equal score.
+        let at = candidates.partition_point(|&kept| scores[kept] >= scores[c]);
+        if at < k {
+            if candidates.len() == k {
+                candidates.pop();
+            }
+            candidates.insert(at, c);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +215,54 @@ mod tests {
     fn no_refinable_class_returns_none() {
         let mut sched = RefinementScheduler::new(RefinementStrategy::default(), 2);
         assert_eq!(sched.next_class(&[0.5, 0.5], &[false, false]), None);
+    }
+
+    /// The reference: sort every refinable class by score descending,
+    /// then index ascending, and keep the first `k`.
+    fn sorted_top_k(scores: &[f64], refinable: &[bool], k: usize) -> Vec<usize> {
+        let mut all: Vec<usize> = (0..scores.len()).filter(|&c| refinable[c]).collect();
+        all.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        all.truncate(k.max(1));
+        all
+    }
+
+    /// The one-pass top `k` equals sort-then-truncate over random scores
+    /// drawn from a few values (so ties are common), with zeros and `+inf`,
+    /// random refinable masks and every `k` from 1 to `n + 1`.
+    #[test]
+    fn linear_top_k_equals_sort_then_truncate() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9B4);
+        let palette = [0.0, 0.0, 1e-300, 0.25, 0.25, 0.5, 3.0, f64::INFINITY];
+        let mut candidates = Vec::new();
+        for _ in 0..2_000 {
+            let n = rng.random_range(0..30usize);
+            let scores: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.random::<f64>() < 0.5 {
+                        palette[rng.random_range(0..palette.len())]
+                    } else {
+                        rng.random::<f64>()
+                    }
+                })
+                .collect();
+            let p_refinable = rng.random::<f64>();
+            let refinable: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < p_refinable).collect();
+            for k in 1..=n + 1 {
+                best_refinable(&scores, &refinable, k, &mut candidates);
+                assert_eq!(
+                    candidates,
+                    sorted_top_k(&scores, &refinable, k),
+                    "scores {scores:?}, refinable {refinable:?}, k {k}"
+                );
+            }
+        }
     }
 
     #[test]

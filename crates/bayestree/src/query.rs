@@ -232,6 +232,24 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EstimateModel<'a>(pub(crate) KernelQueryModel<'a>);
 
+impl EstimateModel<'_> {
+    /// The score of one lane of a [`node_estimates_block`] pass: the
+    /// mixture term `weight / n * exp(log_pdf)` as the element's estimate
+    /// and collapsed interval, and its geometric priority.  Shared by node
+    /// scoring and the classifier's stacked root block, so both admit the
+    /// same bits.
+    pub(crate) fn lane_score(&self, weight: f64, log_pdf: f64, min_dist_sq: f64) -> SummaryScore {
+        let contribution = weight / self.0.n * log_pdf.exp();
+        SummaryScore {
+            weight,
+            contribution,
+            lower: contribution,
+            upper: contribution,
+            min_dist_sq,
+        }
+    }
+}
+
 impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
     type LeafItem = Vec<f64>;
 
@@ -270,19 +288,15 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
     ) {
         let block = &gathered.block;
         let [log_pdf, dist, _, _] = lanes;
-        node_estimates_block(query, self.0.bandwidth, block, log_pdf, dist);
+        node_estimates_block(query, block, log_pdf, dist);
         out.clear();
-        out.reserve(block.len());
-        for (i, &weight) in block.weights().iter().enumerate() {
-            let contribution = weight / self.0.n * log_pdf[i].exp();
-            out.push(SummaryScore {
-                weight,
-                contribution,
-                lower: contribution,
-                upper: contribution,
-                min_dist_sq: dist[i],
-            });
-        }
+        out.extend(
+            block
+                .weights()
+                .iter()
+                .zip(log_pdf.iter().zip(dist.iter()))
+                .map(|(&weight, (&log_pdf, &dist))| self.lane_score(weight, log_pdf, dist)),
+        );
     }
 
     fn gather_leaf_items(&self, items: &[Vec<f64>], out: &mut GatheredBlock) -> bool {

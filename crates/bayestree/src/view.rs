@@ -12,7 +12,9 @@
 //! shard per shard of the [`BayesTree`], one for a plain tree — and answers
 //! through the same query fold the live tree uses.
 
-use crate::classifier::{run_anytime_over, AnytimeClassifier, AnytimeTrace, Classification};
+use crate::classifier::{
+    run_anytime_over, AnytimeClassifier, AnytimeTrace, ClassForest, Classification, RootBlock,
+};
 use crate::descent::DescentStrategy;
 use crate::node::StoredElement;
 use crate::qbk::RefinementStrategy;
@@ -23,7 +25,7 @@ use bt_anytree::{
     ShardedTreeSnapshot,
 };
 use bt_stats::KernelBandwidth;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An epoch-pinned, immutable view of a [`BayesTree`]: one pinned core
 /// snapshot per shard (a plain tree is one shard) plus the density-model
@@ -163,6 +165,9 @@ pub struct ClassifierSnapshot {
     refinement: RefinementStrategy,
     descent: DescentStrategy,
     dims: usize,
+    /// The frozen class roots' stacked block, gathered by the snapshot's
+    /// first classification.
+    roots: OnceLock<RootBlock>,
 }
 
 impl ClassifierSnapshot {
@@ -228,15 +233,14 @@ impl ClassifierSnapshot {
             .iter()
             .map(|t| (t.core().shard(0), t.query_model()))
             .collect();
-        run_anytime_over(
-            &classes,
-            x,
-            &self.priors,
-            self.refinement,
-            self.descent,
-            budget,
-            record_all,
-        )
+        let forest = ClassForest {
+            classes,
+            roots: &self.roots,
+            priors: &self.priors,
+            refinement: self.refinement,
+            descent: self.descent,
+        };
+        run_anytime_over(&forest, x, budget, record_all)
     }
 }
 
@@ -253,6 +257,7 @@ impl AnytimeClassifier {
             refinement: self.config().refinement,
             descent: self.config().descent,
             dims: self.dims(),
+            roots: OnceLock::new(),
         }
     }
 }

@@ -534,6 +534,7 @@ pub fn node_scores_block(
     block: &SummaryBlock,
     lanes: &mut [Vec<f64>; 4],
 ) {
+    assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
     let len = block.len();
     let [log_pdf, farthest, nearest, min_sq] = lanes;
     let out = NodeLanes {
@@ -542,7 +543,8 @@ pub fn node_scores_block(
         nearest: prep_out(nearest, len),
         min_sq: prep_out(min_sq, len),
     };
-    node_pass::<true>(query, bandwidth, block, out);
+    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    node_pass::<true>(query, h, ln_h, block, out);
 }
 
 /// The estimate half of [`node_scores_block`]: fills `log_pdfs` and
@@ -550,12 +552,18 @@ pub fn node_scores_block(
 /// pass computes, bit for bit, and skips both box log-kernels — for callers
 /// that read only the point estimate and the geometric priority.
 ///
+/// Those two lanes read the mean, variance, log-variance and box columns
+/// and never a bandwidth, so the pass takes none: one call may score a
+/// block whose lanes come from trees with different bandwidths.  Each lane
+/// depends only on its own columns, so a lane's value does not depend on
+/// the block it sits in.
+///
 /// # Panics
 ///
-/// As [`node_scores_block`].
+/// Panics if the block lacks its box columns or its log-variance column
+/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`]).
 pub fn node_estimates_block(
     query: &[f64],
-    bandwidth: &KernelBandwidth,
     block: &SummaryBlock,
     log_pdfs: &mut Vec<f64>,
     min_sq_dists: &mut Vec<f64>,
@@ -567,14 +575,16 @@ pub fn node_estimates_block(
         nearest: &mut [],
         min_sq: prep_out(min_sq_dists, len),
     };
-    node_pass::<false>(query, bandwidth, block, out);
+    node_pass::<false>(query, &[], &[], block, out);
 }
 
 /// The one body of both fused node passes; `BOUNDS` adds the farthest- and
-/// nearest-corner log-kernels.
+/// nearest-corner log-kernels, the only terms that read `h` and `ln_h`
+/// (the floored bandwidth and its logarithm; empty without `BOUNDS`).
 fn node_pass<const BOUNDS: bool>(
     query: &[f64],
-    bandwidth: &KernelBandwidth,
+    h: &[f64],
+    ln_h: &[f64],
     block: &SummaryBlock,
     mut out: NodeLanes<'_>,
 ) {
@@ -582,7 +592,6 @@ fn node_pass<const BOUNDS: bool>(
     let log_var = block
         .log_vars()
         .expect("node scoring needs the log-variance column");
-    assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
     let len = block.len();
     let cols = NodeColumns {
         len,
@@ -597,12 +606,10 @@ fn node_pass<const BOUNDS: bool>(
     debug_assert_eq!(cols.log_var.len(), query.len() * len);
     debug_assert_eq!(cols.lower.len(), query.len() * len);
     debug_assert_eq!(cols.upper.len(), query.len() * len);
-    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
     if crate::simd::node_scores::<BOUNDS>(query, h, ln_h, &cols, &mut out) {
         return;
     }
     for (d, &q) in query.iter().enumerate() {
-        let (h, ln_h) = (h[d], ln_h[d]);
         for i in 0..len {
             let idx = d * len + i;
             let diff = q - cols.mean[idx];
@@ -616,6 +623,7 @@ fn node_pass<const BOUNDS: bool>(
                 0.0
             };
             if BOUNDS {
+                let (h, ln_h) = (h[d], ln_h[d]);
                 let far = (q - lo).abs().max((q - hi).abs());
                 let u = far / h;
                 out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;

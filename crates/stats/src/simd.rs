@@ -489,8 +489,6 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
         for (d, &q) in query.iter().enumerate() {
             let at = d * len + i;
             let qv = F64x4::splat(q);
-            let hv = F64x4::splat(h[d]);
-            let ln_h_v = F64x4::splat(ln_h[d]);
             // Pads keep the unused lanes finite: var 1, everything else 0.
             let mean = load_padded(cols.mean, at, n, 0.0);
             let var = load_padded(cols.var, at, n, 1.0);
@@ -504,6 +502,7 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
 
             let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
             if BOUNDS {
+                let (hv, ln_h_v) = (F64x4::splat(h[d]), F64x4::splat(ln_h[d]));
                 let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
                 let u = far.div(hv);
                 farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));

@@ -363,7 +363,7 @@ proptest! {
         let mut lanes: [Vec<f64>; 4] = Default::default();
         node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
         let (mut log_pdf, mut min_sq) = (Vec::new(), Vec::new());
-        node_estimates_block(&node.query, &bandwidth, &block, &mut log_pdf, &mut min_sq);
+        node_estimates_block(&node.query, &block, &mut log_pdf, &mut min_sq);
         assert_bit_equal(&log_pdf, &lanes[0]);
         assert_bit_equal(&min_sq, &lanes[3]);
     }

@@ -470,7 +470,7 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
                 let mut full: [Vec<f64>; 4] = Default::default();
                 node_scores_block(&c.query, &bandwidth, &block, &mut full);
                 let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
-                node_estimates_block(&c.query, &bandwidth, &block, &mut log_pdf, &mut min_sq);
+                node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
                 let want = node_reference(&c.query, &c.bandwidth, &block);
                 let what = format!("{stored:?} dims {dims} len {len}");
                 assert_bits_eq(&log_pdf, &full[0], &format!("{what} log_pdf"));

@@ -9,13 +9,23 @@
 //!   `KernelQueryModel`, posteriors renormalised after every node read,
 //! * the same call made while the pool is held (a nested call runs on
 //!   fresh cursors and leaves the held ones alone).
+//!
+//! The classifier scores every class root in one stacked block and seeds
+//! each class cursor from its lanes instead of calling `begin_query`.  The
+//! reference loop still runs `begin_query`, so matching it bit for bit —
+//! under every refinement and descent strategy, with a class whose root is
+//! a leaf and a class with no training objects — locks the stacked path to
+//! the per-root one.  Learning empties the stacked block: a classifier that
+//! classified before learning answers like one that never did.
 
 use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, TreeView};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, AnytimeTrace, BayesTree, Classification, ClassifierConfig,
-    ClassifierSnapshot, KernelQueryModel, KernelSummary, RefinementScheduler,
+    ClassifierSnapshot, DescentStrategy, KernelQueryModel, KernelSummary, RefinementScheduler,
+    RefinementStrategy,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ClusTreeSnapshot, KnnAnswer};
+use anytime_stream_mining::data::dataset::generic_class_names;
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::data::synth::letter;
 use anytime_stream_mining::data::Dataset;
@@ -412,5 +422,130 @@ fn pooled_knn_matches_a_fresh_thread() {
             on_fresh_thread(&others.clus_snapshot, move |s| s.anytime_knn(&x, 4, budget));
         assert_eq!(snap, knn_bits(&fresh_snap));
         assert_eq!(live, snap);
+    }
+}
+
+/// Five 3-d classes covering every root shape: classes 0–2 are blobs deep
+/// enough for many reads, class 3 holds three points (its root is a leaf)
+/// and class 4 none (its root is empty).
+fn mixed_roots_data() -> Dataset {
+    let blobs = BlobConfig::new(3, 3)
+        .samples_per_class(40)
+        .seed(23)
+        .generate();
+    let mut data = Dataset::new("mixed-roots", 3, generic_class_names(5));
+    for (x, &y) in blobs.iter() {
+        data.push(x.to_vec(), y);
+    }
+    for i in 0..3 {
+        let t = i as f64;
+        data.push(vec![0.5 + 0.1 * t, -0.3 * t, 1.0 - 0.2 * t], 3);
+    }
+    data
+}
+
+fn mixed_roots_config(
+    refinement: RefinementStrategy,
+    descent: DescentStrategy,
+) -> ClassifierConfig {
+    ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 5)),
+        refinement,
+        descent,
+        ..ClassifierConfig::default()
+    }
+}
+
+/// Objects spread over every class, plus one near the leaf-root class.
+fn mixed_roots_objects(data: &Dataset) -> Vec<Vec<f64>> {
+    let mut objects: Vec<Vec<f64>> = data.features().iter().step_by(19).cloned().collect();
+    objects.push(vec![0.55, -0.2, 0.9]);
+    objects
+}
+
+/// Live and snapshot answers equal the `begin_query` reference loop bit
+/// for bit under every refinement strategy (qbk with `k` 1–3, round robin,
+/// most probable) and every descent strategy, at budgets 0, 1, 6 and 32
+/// and along a 32-read trace, with a leaf root and an empty root among the
+/// classes.
+#[test]
+fn stacked_roots_match_the_reference_under_every_strategy() {
+    let data = mixed_roots_data();
+    let objects = mixed_roots_objects(&data);
+    let refinements = [
+        RefinementStrategy::Qbk { k: Some(1) },
+        RefinementStrategy::Qbk { k: Some(2) },
+        RefinementStrategy::Qbk { k: Some(3) },
+        RefinementStrategy::RoundRobin,
+        RefinementStrategy::MostProbable,
+    ];
+    for refinement in refinements {
+        for descent in DescentStrategy::all() {
+            let config = mixed_roots_config(refinement, descent);
+            let live = AnytimeClassifier::train(&data, &config);
+            let (leaf, empty) = (&live.trees()[3], &live.trees()[4]);
+            assert_eq!((leaf.len(), leaf.shard(0).height()), (3, 1));
+            assert!(empty.is_empty());
+            assert!(live.trees()[..3].iter().all(|t| t.shard(0).height() > 1));
+            let snapshot = Snapshot {
+                snapshot: live.snapshot(),
+                config,
+            };
+            for x in &objects {
+                let what = format!("{refinement:?}, {descent:?}, x {x:?}");
+                let want = reference_answers(&live, x);
+                assert_eq!(answers(&live, x), want, "live: {what}");
+                assert_eq!(answers(&snapshot, x), want, "snapshot: {what}");
+                assert_eq!(reference_answers(&snapshot, x), want, "reference: {what}");
+            }
+        }
+    }
+}
+
+/// The stacked root block follows the cache rule: `learn_one` and
+/// `learn_batch` empty it, so a classifier that classified (and built its
+/// block) before learning answers exactly like a clone that never
+/// classified before the same learning.  The learning reaches the leaf
+/// root and the empty root, so a stale block would answer differently.
+#[test]
+fn learning_empties_the_stacked_root_block() {
+    let data = mixed_roots_data();
+    let objects = mixed_roots_objects(&data);
+    let trained = AnytimeClassifier::train(
+        &data,
+        &mixed_roots_config(Default::default(), Default::default()),
+    );
+    let stream: Vec<(Vec<f64>, usize)> = (0..12)
+        .map(|i| {
+            let t = i as f64 * 0.05;
+            (vec![0.4 + t, -0.1 - t, 0.8 + t], 3 + i % 2)
+        })
+        .collect();
+    let learn_one = |c: &mut AnytimeClassifier| {
+        for (point, label) in &stream {
+            c.learn_one(point.clone(), *label);
+        }
+    };
+    let learn_batch = |c: &mut AnytimeClassifier| c.learn_batch(stream.clone());
+    for (name, learn) in [
+        ("learn_one", &learn_one as &dyn Fn(&mut AnytimeClassifier)),
+        ("learn_batch", &learn_batch),
+    ] {
+        let mut warm = trained.clone();
+        let mut cold = trained.clone();
+        for x in &objects {
+            let _ = answers(&warm, x);
+        }
+        learn(&mut warm);
+        learn(&mut cold);
+        assert!(
+            !cold.trees()[4].is_empty(),
+            "{name} reached the empty class"
+        );
+        for x in &objects {
+            let want = answers(&cold, x);
+            assert_eq!(answers(&warm, x), want, "{name}: x {x:?}");
+            assert_eq!(reference_answers(&warm, x), want, "{name}: x {x:?}");
+        }
     }
 }

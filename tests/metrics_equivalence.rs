@@ -19,7 +19,9 @@
 //! * one-shot queries on the per-thread scratch cursor answer exactly as a
 //!   fresh cursor does and each adds exactly its own work,
 //! * the live classifier and its pinned snapshot record the same query
-//!   counters for the same classifications,
+//!   counters for the same classifications, equal to fresh `begin_query`
+//!   cursors', with each class root counted once as a block gather or a
+//!   gather avoided,
 //! * a classification or k-NN retrieval on the pooled scratch cursors
 //!   records exactly its own work: repeating it on one thread, or running
 //!   it on a fresh thread (empty pool), records identical deltas.
@@ -30,12 +32,12 @@
 
 use anytime_stream_mining::anytree::{
     outlier_score_over, query_batch_over, with_scratch_cursors, AnytimeTree, OutlierScore,
-    OutlierVerdict, QueryAnswer, RefineOrder, TreeView,
+    OutlierVerdict, QueryAnswer, QueryCursor, QueryStats, RefineOrder, TreeView,
 };
 use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesCore, BayesTree, ClassifierConfig, DescentStrategy, KernelQueryModel,
-    KernelSummary,
+    KernelSummary, RefinementScheduler,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -438,6 +440,113 @@ fn classifier_snapshot_records_the_live_classifiers_counters() {
     );
     assert!(live_delta.counter("bt_query_elements_scored_total") > 0);
     assert!(live_delta.counter("bt_query_nodes_read_total") > 0);
+}
+
+/// The query work the classifier's loop does for `x`, replayed on fresh
+/// cursors through `begin_query` with the full kernel model: one cursor per
+/// class, the same scheduler, one node read per step.  Returns the summed
+/// `(queries, nodes_read, elements_scored)`.
+fn reference_query_work(classifier: &AnytimeClassifier, x: &[f64], budget: usize) -> [u64; 3] {
+    let config = classifier.config();
+    let mut frontiers: Vec<_> = classifier
+        .trees()
+        .iter()
+        .map(|t| {
+            (
+                t,
+                t.query_model(),
+                t.shard(0).new_query(&t.query_model(), x),
+            )
+        })
+        .collect();
+    let score =
+        |f: &(&BayesTree, KernelQueryModel<'_>, QueryCursor), &p: &f64| p * f.2.estimate().max(0.0);
+    let mut scheduler = RefinementScheduler::new(config.refinement, frontiers.len());
+    for _ in 0..budget {
+        let scores: Vec<f64> = frontiers
+            .iter()
+            .zip(classifier.priors())
+            .map(|(f, p)| score(f, p))
+            .collect();
+        let refinable: Vec<bool> = frontiers.iter().map(|f| f.2.can_refine()).collect();
+        let Some(class) = scheduler.next_class(&scores, &refinable) else {
+            break;
+        };
+        let (tree, model, cursor) = &mut frontiers[class];
+        tree.shard(0)
+            .refine_query(&*model, config.descent.into(), cursor);
+    }
+    let mut stats = QueryStats::default();
+    for (_, _, cursor) in &frontiers {
+        stats.merge(cursor.stats());
+    }
+    [stats.queries, stats.nodes_read, stats.elements_scored]
+}
+
+/// The classifier scores every class root in one stacked block instead of
+/// one `begin_query` per class, and that changes none of its query work:
+/// the registry's queries, node reads and scored elements equal the fresh
+/// `begin_query` reference, live and pinned.  Each class root counts once
+/// per classification — a block gather when the classification built the
+/// stacked block, a gather avoided after that — so every classification
+/// records `block_gathers + gathers_avoided == classes + nodes_read`.
+#[test]
+fn classification_counts_each_class_root_once() {
+    let _guard = registry_lock();
+    let dataset = BlobConfig::new(3, 3)
+        .samples_per_class(60)
+        .seed(37)
+        .generate();
+    let config = ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 5)),
+        ..ClassifierConfig::default()
+    };
+    let mut classifier = AnytimeClassifier::train(&dataset, &config);
+    let classes = classifier.num_classes() as u64;
+    let objects: Vec<Vec<f64>> = dataset.features().iter().step_by(17).cloned().collect();
+    let record = |classify: &dyn Fn() -> usize| {
+        let capture = RegistryCapture::begin();
+        let nodes_read = classify() as u64;
+        let delta = capture.delta();
+        let work = [
+            delta.counter("bt_queries_total"),
+            delta.counter("bt_query_nodes_read_total"),
+            delta.counter("bt_query_elements_scored_total"),
+        ];
+        let gathers = delta.counter("bt_query_block_gathers_total");
+        let avoided = delta.counter("bt_query_gathers_avoided_total");
+        assert_eq!(gathers + avoided, classes + nodes_read);
+        (work, gathers, avoided)
+    };
+    for round in 0..2 {
+        let snapshot = classifier.snapshot();
+        for (i, x) in objects.iter().enumerate() {
+            for budget in [0, 6, 40] {
+                let want = reference_query_work(&classifier, x, budget);
+                let (live, live_gathers, _) =
+                    record(&|| classifier.classify_with_budget(x, budget).nodes_read);
+                let (pinned, pinned_gathers, _) =
+                    record(&|| snapshot.classify_with_budget(x, budget).nodes_read);
+                assert_eq!(live, want, "round {round}, budget {budget}");
+                assert_eq!(pinned, want, "round {round}, budget {budget}");
+                // The first classification builds each stacked block and
+                // gathers every root; later ones find them built.
+                if i == 0 && budget == 0 {
+                    assert_eq!(live_gathers, classes);
+                    assert_eq!(pinned_gathers, classes);
+                }
+                // A repeat reads only warm nodes and the built block.
+                let (_, repeat_gathers, repeat_avoided) =
+                    record(&|| snapshot.classify_with_budget(x, budget).nodes_read);
+                assert_eq!(repeat_gathers, 0, "round {round}, budget {budget}");
+                assert_eq!(repeat_avoided, classes + live[1]);
+            }
+        }
+        // Learning empties the live classifier's block: the next round
+        // builds it again.
+        let batch = objects.iter().map(|x| (x.clone(), 1)).collect();
+        classifier.learn_batch(batch);
+    }
 }
 
 /// The query-work counters a classification or k-NN retrieval folds into

@@ -2,11 +2,13 @@
 //! coordinate (or ClusTree timestamp) panics with a clear message *before*
 //! any state changes, at every write entry of both trees and the
 //! classifier.  Without the check one bad point was accepted, `validate`
-//! passed, and every density answer of its shard came back `NaN`.
+//! passed, and every density answer of its shard came back `NaN`.  Every
+//! public bulk loader checks its input too, not only `build_tree`.
 
 use anytime_stream_mining::anytree::RefineOrder;
 use anytime_stream_mining::bayestree::{
-    build_tree, AnytimeClassifier, BayesTree, BulkLoadMethod, ClassifierConfig, DescentStrategy,
+    build_tree, bulk, AnytimeClassifier, BayesTree, BulkLoadMethod, ClassifierConfig,
+    DescentStrategy,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -77,6 +79,50 @@ fn build_tree_rejects_a_non_finite_coordinate() {
         PageGeometry::from_fanout(4, 4),
         BulkLoadMethod::Hilbert,
         0,
+    );
+}
+
+/// The 50-point 2-d set with one `[NaN, 2.0]` that every public bulk
+/// loader used to accept: the tree failed `validate(true)` and answered
+/// `NaN` densities.
+fn nan_set() -> Vec<Vec<f64>> {
+    let mut input = points(50);
+    input[23] = vec![f64::NAN, 2.0];
+    input
+}
+
+#[test]
+#[should_panic(expected = "point coordinates must be finite")]
+fn build_hilbert_rejects_a_nan_coordinate() {
+    let _ = bulk::spacefilling::build_hilbert(&nan_set(), 2, PageGeometry::from_fanout(4, 4));
+}
+
+#[test]
+#[should_panic(expected = "point coordinates must be finite")]
+fn build_zorder_rejects_a_nan_coordinate() {
+    let _ = bulk::spacefilling::build_zorder(&nan_set(), 2, PageGeometry::from_fanout(4, 4));
+}
+
+#[test]
+#[should_panic(expected = "point coordinates must be finite")]
+fn build_str_rejects_a_nan_coordinate() {
+    let _ = bulk::spacefilling::build_str(&nan_set(), 2, PageGeometry::from_fanout(4, 4));
+}
+
+#[test]
+#[should_panic(expected = "point coordinates must be finite")]
+fn build_em_topdown_rejects_a_nan_coordinate() {
+    let _ = bulk::em_topdown::build_em_topdown(&nan_set(), 2, PageGeometry::from_fanout(4, 4), 7);
+}
+
+#[test]
+#[should_panic(expected = "point coordinates must be finite")]
+fn build_goldberger_rejects_a_nan_coordinate() {
+    let _ = bulk::goldberger::build_goldberger(
+        &nan_set(),
+        2,
+        PageGeometry::from_fanout(4, 4),
+        &bulk::GoldbergerBulkConfig::default(),
     );
 }
 
