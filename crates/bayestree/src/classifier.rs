@@ -32,13 +32,13 @@ use bt_anytree::{
 };
 use bt_data::Dataset;
 use bt_index::PageGeometry;
-use bt_stats::bandwidth::silverman_bandwidth;
 use bt_stats::kernel::node_estimates_block;
 use bt_stats::SummaryBlock;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Configuration of the anytime classifier.
+/// Configuration of the anytime classifier.  Each class's tree carries the
+/// Silverman bandwidth of its own class, the paper's setting.
 #[derive(Debug, Clone)]
 pub struct ClassifierConfig {
     /// Fanout / leaf-capacity parameters; `None` derives them from a 4 KiB
@@ -50,10 +50,6 @@ pub struct ClassifierConfig {
     pub descent: DescentStrategy,
     /// Strategy deciding which class refines next.
     pub refinement: RefinementStrategy,
-    /// Whether to fit one kernel bandwidth per class (`true`, the paper's
-    /// setting: each tree carries the Silverman bandwidth of its own class)
-    /// or one global bandwidth shared by all trees.
-    pub per_class_bandwidth: bool,
     /// Seed for the randomised bulk loads.
     pub seed: u64,
 }
@@ -65,7 +61,6 @@ impl Default for ClassifierConfig {
             bulk_load: BulkLoadMethod::EmTopDown,
             descent: DescentStrategy::default(),
             refinement: RefinementStrategy::default(),
-            per_class_bandwidth: true,
             seed: 0,
         }
     }
@@ -160,31 +155,19 @@ impl AnytimeClassifier {
             .geometry
             .unwrap_or_else(|| PageGeometry::default_for_dims(dims));
 
-        let global_bandwidth = if config.per_class_bandwidth {
-            None
-        } else {
-            Some(silverman_bandwidth(dataset.features(), dims))
-        };
-
         let num_classes = dataset.num_classes();
         let workers = num_workers.clamp(1, num_classes);
         let chunk = num_classes.div_ceil(workers);
         let mut slots: Vec<Option<BayesTree>> = (0..num_classes).map(|_| None).collect();
         let build_class = |class: usize, slot: &mut Option<BayesTree>| {
             let points = dataset.features_of_class(class);
-            let mut tree = build_tree(
+            *slot = Some(build_tree(
                 &points,
                 dims,
                 geometry,
                 config.bulk_load,
                 config.seed.wrapping_add(class as u64),
-            );
-            if let Some(bandwidth) = &global_bandwidth {
-                if !tree.is_empty() {
-                    tree.set_bandwidth(bandwidth.clone());
-                }
-            }
-            *slot = Some(tree);
+            ));
         };
         if workers <= 1 {
             for (class, slot) in slots.iter_mut().enumerate() {

@@ -8,66 +8,42 @@
 use bt_index::Mbr;
 use bt_stats::{ClusterFeature, DiagGaussian};
 
-/// A cluster feature plus the timestamp of its last update — and, since
-/// PR 5, an **optional MBR** covering every point the cluster ever
-/// absorbed.
+/// A cluster feature plus the timestamp of its last update and the MBR of
+/// every point the cluster ever absorbed.
 ///
-/// The MBR exists for the query side: a bare cluster feature only supports
-/// the distance-blind per-weight kernel *peak* as an upper density bound,
-/// while a bounding box yields the distance-aware
-/// `weight * K(nearest point of box)` bound — and because a merged
-/// cluster's box is the union of its parts, the boxes **nest** up the tree,
-/// which is exactly the monotonicity contract the anytime query engine
-/// requires.  The box never shrinks (decay fades weights, not extents), so
-/// it stays a conservative superset of the remaining mass — sound for an
-/// upper bound, never used for the lower one.  Clusters reconstructed from
-/// a bare CF ([`MicroCluster::from_cf`]) have no box and fall back to the
-/// peak bound.
+/// The MBR exists for the query side: a bounding box yields the
+/// distance-aware `weight * K(nearest point of box)` upper density bound and
+/// the smoothing-aware farthest-corner lower bound.  Every micro-cluster is
+/// built from a point ([`MicroCluster::from_point`]) and grows only by
+/// absorbing points and merging with other micro-clusters, so a cluster's
+/// box is the union of its parts and the boxes **nest** up the tree —
+/// exactly the monotonicity contract the anytime query engine requires
+/// (`ClusTree::validate` checks it).  The box never shrinks (decay fades
+/// weights, not extents), so it stays a conservative superset of the
+/// remaining mass.
 #[derive(Debug, Clone)]
 pub struct MicroCluster {
     cf: ClusterFeature,
     last_update: f64,
-    mbr: Option<Mbr>,
+    mbr: Mbr,
 }
 
 impl MicroCluster {
-    /// Creates an empty micro-cluster of the given dimensionality.
-    #[must_use]
-    pub fn empty(dims: usize, now: f64) -> Self {
-        Self {
-            cf: ClusterFeature::empty(dims),
-            last_update: now,
-            mbr: None,
-        }
-    }
-
     /// Creates a micro-cluster summarising a single point observed at `now`.
     #[must_use]
     pub fn from_point(point: &[f64], now: f64) -> Self {
         Self {
             cf: ClusterFeature::from_point(point),
             last_update: now,
-            mbr: Some(Mbr::from_point(point)),
+            mbr: Mbr::from_point(point),
         }
     }
 
-    /// Creates a micro-cluster from an existing cluster feature (no MBR —
-    /// the point support is unknown, so queries fall back to the peak
-    /// upper bound).
+    /// The bounding box of every point this cluster ever absorbed.
+    /// Conservative under decay (never shrinks).
     #[must_use]
-    pub fn from_cf(cf: ClusterFeature, now: f64) -> Self {
-        Self {
-            cf,
-            last_update: now,
-            mbr: None,
-        }
-    }
-
-    /// The bounding box of every point this cluster ever absorbed, if
-    /// known.  Conservative under decay (never shrinks).
-    #[must_use]
-    pub fn mbr(&self) -> Option<&Mbr> {
-        self.mbr.as_ref()
+    pub fn mbr(&self) -> &Mbr {
+        &self.mbr
     }
 
     /// The underlying (not yet decayed) cluster feature.
@@ -101,13 +77,21 @@ impl MicroCluster {
             self.last_update = self.last_update.max(now);
             return;
         }
-        let dt = now - self.last_update;
-        if dt <= 0.0 {
-            return;
+        if let Some(factor) = self.decay_factor(now, lambda) {
+            self.cf.decay(factor);
+            self.last_update = now;
         }
-        let factor = (2.0f64).powf(-lambda * dt);
-        self.cf.decay(factor);
-        self.last_update = now;
+    }
+
+    /// The factor decaying this cluster to `now` would scale its CF by, or
+    /// `None` when it would not change (no decay, or `now` not later than
+    /// the last update).
+    fn decay_factor(&self, now: f64, lambda: f64) -> Option<f64> {
+        let dt = now - self.last_update;
+        if lambda <= 0.0 || dt <= 0.0 {
+            return None;
+        }
+        Some((2.0f64).powf(-lambda * dt))
     }
 
     /// The weight the micro-cluster would have after decaying to `now`
@@ -146,32 +130,28 @@ impl MicroCluster {
     }
 
     /// Absorbs a single point observed at `now`, decaying first with
-    /// `lambda`.  A known box extends to cover the point; a cluster with
-    /// unknown support ([`MicroCluster::from_cf`]) **stays** box-less — a
-    /// box covering only the new point would exclude the pre-existing mass
-    /// and make the MBR upper bound unsound.
+    /// `lambda`; the box extends to cover the point.
     pub fn insert(&mut self, point: &[f64], now: f64, lambda: f64) {
         self.decay_to(now, lambda);
         self.cf.insert(point);
-        if let Some(mbr) = &mut self.mbr {
-            mbr.extend_point(point);
-        }
+        self.mbr.extend_point(point);
     }
 
     /// Merges another micro-cluster into this one; both are decayed to the
-    /// later of the two timestamps first.  The boxes union (a merged box
-    /// covers both parts — the nesting the query bounds rely on); if either
-    /// side has no box the result has none.
+    /// later of the two timestamps first.  The box grows in place to the
+    /// union of both parts (the nesting the query bounds rely on).
     pub fn merge(&mut self, other: &MicroCluster, lambda: f64) {
         let now = self.last_update.max(other.last_update);
         self.decay_to(now, lambda);
-        let mut o = other.clone();
-        o.decay_to(now, lambda);
-        self.cf.merge(o.cf());
-        self.mbr = match (self.mbr.take(), &other.mbr) {
-            (Some(a), Some(b)) => Some(a.union(b)),
-            _ => None,
-        };
+        match other.decay_factor(now, lambda) {
+            Some(factor) => {
+                let mut cf = other.cf.clone();
+                cf.decay(factor);
+                self.cf.merge(&cf);
+            }
+            None => self.cf.merge(&other.cf),
+        }
+        self.mbr.extend_mbr(&other.mbr);
     }
 
     /// Squared Euclidean distance from the centre to a point, computed
@@ -303,41 +283,30 @@ mod tests {
     fn mbr_tracks_every_absorbed_point_and_unions_on_merge() {
         let mut a = MicroCluster::from_point(&[0.0, 0.0], 0.0);
         a.insert(&[2.0, -1.0], 0.0, 0.0);
-        let mbr = a.mbr().expect("point-built clusters carry a box");
-        assert_eq!(mbr.lower(), &[0.0, -1.0]);
-        assert_eq!(mbr.upper(), &[2.0, 0.0]);
+        assert_eq!(a.mbr().lower(), &[0.0, -1.0]);
+        assert_eq!(a.mbr().upper(), &[2.0, 0.0]);
 
         let b = MicroCluster::from_point(&[-3.0, 5.0], 1.0);
         let mut merged = a.clone();
         merged.merge(&b, 0.0);
-        let union = merged.mbr().expect("merged boxes union");
+        let union = merged.mbr();
         assert_eq!(union.lower(), &[-3.0, -1.0]);
         assert_eq!(union.upper(), &[2.0, 5.0]);
         // The merged box contains both parts — the nesting the query
         // engine's monotone upper bound relies on.
-        assert!(union.contains_mbr(a.mbr().unwrap()));
-        assert!(union.contains_mbr(b.mbr().unwrap()));
+        assert!(union.contains_mbr(a.mbr()));
+        assert!(union.contains_mbr(b.mbr()));
     }
 
     #[test]
     fn mbr_survives_decay_and_is_absent_for_bare_cfs() {
+        // Every micro-cluster is built from a point and carries its box, so
+        // a box-less (bare-CF) cluster cannot be constructed at all; what is
+        // left to check is that decay keeps the box.
         let mut mc = MicroCluster::from_point(&[1.0, 2.0], 0.0);
         mc.decay_to(10.0, 1.0);
         // Decay fades weight, never the extent: the box stays a superset.
         assert!(mc.weight() < 1e-2);
-        assert_eq!(mc.mbr().unwrap().lower(), &[1.0, 2.0]);
-
-        let bare = MicroCluster::from_cf(mc.cf().clone(), 10.0);
-        assert!(bare.mbr().is_none(), "bare CFs fall back to the peak bound");
-        let mut merged = MicroCluster::from_point(&[0.0, 0.0], 10.0);
-        merged.merge(&bare, 0.0);
-        assert!(merged.mbr().is_none(), "unknown support poisons the union");
-
-        // Inserting into a bare-CF cluster must NOT fabricate a box that
-        // covers only the new point — the pre-existing mass would escape it
-        // and the upper bound would exclude the true contribution.
-        let mut grown = MicroCluster::from_cf(mc.cf().clone(), 10.0);
-        grown.insert(&[100.0, 100.0], 10.0, 0.0);
-        assert!(grown.mbr().is_none(), "unknown support stays unbounded");
+        assert_eq!(mc.mbr().lower(), &[1.0, 2.0]);
     }
 }

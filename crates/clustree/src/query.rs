@@ -20,22 +20,25 @@
 //!   this is a Jensen lower bound on the raw-point kernel sum, and the bound
 //!   sums over any partition of the points: refining an element can only
 //!   *raise* the score toward the leaf-granularity value.  Together with the
-//!   trivial per-weight peak upper bound this gives the nested
-//!   `[lower, upper]` interval the engine's monotonicity contract asks for.
+//!   box upper bound below this gives the nested `[lower, upper]` interval
+//!   the engine's monotonicity contract asks for.
 //!
-//! Upper-bound tightness: micro-clusters carry an **optional MBR** alongside
-//! the CF ([`MicroCluster::mbr`]), so the upper bound is the distance-aware
+//! The upper bound: every micro-cluster carries an MBR alongside the CF
+//! ([`MicroCluster::mbr`]), so the upper bound is the distance-aware
 //! `weight * K(nearest point of box)` — every summarised point (and hence
 //! every child mean, by convexity) lies inside the box, the product kernel
 //! decreases with per-dimension distance, and a merged cluster's box is the
 //! union of its parts, so the boxes *nest* up the tree exactly as the
-//! monotonicity contract requires.  Clusters without a box (reconstructed
-//! from a bare CF) fall back to the distance-blind per-weight kernel peak —
-//! the only sound nested choice a bare CF offers.  (A deviation-box bound
-//! from `sqrt(n·var)` looks tempting but is *not* nested: a small child's
-//! box can stick out past its parent's, which would break the contract.)
+//! monotonicity contract requires.  (A deviation-box bound from
+//! `sqrt(n·var)` looks tempting but is *not* nested: a small child's box
+//! can stick out past its parent's, which would break the contract.)
 //! With the MBR bound, far-away outliers are certified after few reads
 //! instead of needing refinement down to leaf granularity.
+//!
+//! A node read is one fused pass ([`cluster_scores_block`]): the Jensen
+//! kernel, both box bounds and the centre distance of every entry in one
+//! walk over the gathered columns; a leaf read runs it without the box
+//! lanes.
 //!
 //! Both models gather a node into the same columns (`gather_clusters`),
 //! so the engine's per-node block cache serves density, outlier and k-NN
@@ -54,11 +57,10 @@ use bt_anytree::{
     RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
-    gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
-    nearest_point_log_kernels_block, smoothed_farthest_log_kernel,
-    smoothed_farthest_log_kernels_block, sq_dists_block,
+    cluster_scores_block, gaussian_log_term, nearest_point_log_kernel,
+    smoothed_farthest_log_kernel, sq_dists_block,
 };
-use bt_stats::GatheredBlock;
+use bt_stats::{GatheredBlock, KernelBandwidth};
 use std::borrow::Cow;
 
 /// The micro-cluster query model: a smoothed Gaussian kernel score with
@@ -69,7 +71,7 @@ use std::borrow::Cow;
 #[derive(Debug, Clone)]
 pub struct ClusQueryModel {
     total_weight: f64,
-    bandwidth: Vec<f64>,
+    bandwidth: KernelBandwidth,
     lambda: f64,
 }
 
@@ -88,7 +90,7 @@ impl ClusQueryModel {
         );
         Self {
             total_weight: total_weight.max(f64::MIN_POSITIVE),
-            bandwidth,
+            bandwidth: KernelBandwidth::new(bandwidth),
             lambda,
         }
     }
@@ -127,71 +129,59 @@ impl ClusQueryModel {
     /// Log of the smoothed kernel: the Gaussian product kernel evaluated at
     /// the cluster's exact per-dimension root-mean-squared distance to the
     /// query, via the same per-dimension [`gaussian_log_term`] every other
-    /// kernel evaluation in the workspace uses.
+    /// kernel evaluation in the workspace uses.  This and the two bound
+    /// methods below are the scalar reference the fused block pass
+    /// reproduces bit for bit.
     fn smoothed_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
         let cf = mc.cf();
         let n = cf.weight().max(f64::MIN_POSITIVE);
         let ls = cf.linear_sum();
         let ss = cf.squared_sum();
+        let bandwidth = self.bandwidth.values();
         let mut acc = 0.0;
         for d in 0..query.len() {
             let mean = ls[d] / n;
             let var = (ss[d] / n - mean * mean).max(0.0);
             let t = (query[d] - mean) * (query[d] - mean) + var;
-            acc += gaussian_log_term(t.sqrt(), self.bandwidth[d]);
+            acc += gaussian_log_term(t.sqrt(), bandwidth[d]);
         }
         acc
     }
 
-    /// Log of the kernel's peak value (distance 0, zero variance) — the
-    /// per-unit-weight upper bound for clusters without a bounding box.
-    fn peak_log_kernel(&self) -> f64 {
-        self.bandwidth
-            .iter()
-            .map(|h| gaussian_log_term(0.0, *h))
-            .sum()
-    }
-
     /// Log of the per-unit-weight upper bound: the product kernel at the
-    /// nearest point of the cluster's MBR when one is stored (distance-aware
-    /// and nested, since child boxes lie inside their parent's — the shared
-    /// [`nearest_point_log_kernel`] the Bayes-tree bounds also use), the
-    /// kernel peak otherwise.
+    /// nearest point of the cluster's MBR (distance-aware and nested, since
+    /// child boxes lie inside their parent's — the shared
+    /// [`nearest_point_log_kernel`] the Bayes-tree bounds also use).
     fn upper_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
-        let Some(mbr) = mc.mbr() else {
-            return self.peak_log_kernel();
-        };
-        nearest_point_log_kernel(query, mbr.lower(), mbr.upper(), &self.bandwidth)
+        let mbr = mc.mbr();
+        nearest_point_log_kernel(query, mbr.lower(), mbr.upper(), self.bandwidth.values())
     }
 
     /// Log of the per-unit-weight lower bound: the Jensen bound
-    /// ([`Self::smoothed_log_kernel`]) sharpened — when a box is stored —
-    /// with the **smoothing-aware MBR floor**
-    /// ([`smoothed_farthest_log_kernel`]): every summarised point lies in
-    /// the box, so its distance is at most the farthest-corner distance and
-    /// any descendant cluster's per-dimension variance is at most the
-    /// box-confined maximum `(width/2)²`.  Both floors are certain and both
-    /// nest (child boxes lie inside their parent's), so the max keeps the
-    /// engine's monotone-refinement contract.
+    /// ([`Self::smoothed_log_kernel`]) sharpened with the
+    /// **smoothing-aware MBR floor** ([`smoothed_farthest_log_kernel`]):
+    /// every summarised point lies in the box, so its distance is at most
+    /// the farthest-corner distance and any descendant cluster's
+    /// per-dimension variance is at most the box-confined maximum
+    /// `(width/2)²`.  Both floors are certain and both nest (child boxes lie
+    /// inside their parent's), so the max keeps the engine's
+    /// monotone-refinement contract.
     ///
     /// Honesty note: for a cluster whose CF is *consistent* with its box
     /// (all mass inside, as with `lambda == 0`), the Jensen bound already
     /// dominates the MBR floor — the exact mean distance and variance are
     /// never worse than the corner/width caps.  The floor earns its keep as
-    /// a certain backstop when CF arithmetic has drifted (entry moves
-    /// subtract features; decay fades weights while boxes never shrink), at
-    /// the cost of one more batch kernel pass.
+    /// a certain backstop when decay has faded weights while the box never
+    /// shrinks; it costs one more lane of the fused pass.
     fn lower_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
+        let mbr = mc.mbr();
         let jensen = self.smoothed_log_kernel(query, mc);
-        match mc.mbr() {
-            Some(mbr) => jensen.max(smoothed_farthest_log_kernel(
-                query,
-                mbr.lower(),
-                mbr.upper(),
-                &self.bandwidth,
-            )),
-            None => jensen,
-        }
+        jensen.max(smoothed_farthest_log_kernel(
+            query,
+            mbr.lower(),
+            mbr.upper(),
+            self.bandwidth.values(),
+        ))
     }
 }
 
@@ -227,97 +217,52 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     }
 
     /// Block gather (`gather_clusters`): weights, smoothed means and
-    /// variances, routing centres and — when every entry stores one — MBR
-    /// corners, so [`QueryModel::score_gathered`] can evaluate the Jensen
-    /// kernel, both bounds and the geometric priority with the
-    /// dimension-major batch kernels — one vectorized pass per quantity.
-    /// Nodes with a box-less entry gather without box columns; scoring
-    /// falls back to scalar bounds for such nodes, keeping the values
-    /// unchanged.
+    /// variances, routing centres and MBR corners, so
+    /// [`QueryModel::score_gathered`] scores the node in one fused pass.
     fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
-        gather_entry_clusters(self.bandwidth.len(), entries, out);
+        gather_entry_clusters(entries, out);
         true
     }
 
-    /// Block scoring over gathered columns: Jensen kernel, MBR-sharpened
-    /// bounds and geometric priority for all entries at once, bit-identical
-    /// to the per-summary reference; box-less nodes (no box columns
-    /// gathered) compute their bounds through the per-entry scalar
-    /// fallback.
+    /// Block scoring over gathered columns: one fused pass
+    /// ([`cluster_scores_block`]) yields the Jensen kernel, both MBR bounds
+    /// and the geometric priority of every entry, bit-identical to the
+    /// per-summary reference.
     fn score_gathered(
         &self,
         query: &[f64],
-        entries: &[Entry<MicroCluster>],
+        _entries: &[Entry<MicroCluster>],
         gathered: &GatheredBlock,
         lanes: &mut [Vec<f64>; 4],
         out: &mut Vec<SummaryScore>,
     ) {
-        let block = &gathered.block;
-        let len = block.len();
-        let all_boxes = block.has_boxes();
-        let [jensen, far, near, dist] = lanes;
-        gaussian_log_terms_block(
-            query,
-            &self.bandwidth,
-            block.mean(),
-            Some(block.var()),
-            len,
-            jensen,
-        );
-        sq_dists_block(query, &gathered.centers, len, dist);
-        if all_boxes {
-            smoothed_farthest_log_kernels_block(
-                query,
-                &self.bandwidth,
-                block.lower(),
-                block.upper(),
-                len,
-                far,
-            );
-            nearest_point_log_kernels_block(
-                query,
-                &self.bandwidth,
-                block.lower(),
-                block.upper(),
-                len,
-                near,
-            );
-        }
+        cluster_scores_block::<true>(query, &self.bandwidth, gathered, lanes);
+        let [jensen, far, near, dist] = &*lanes;
+        let weights = gathered.block.weights();
         out.clear();
-        out.reserve(len);
-        for (i, entry) in entries.iter().enumerate() {
-            let weight = block.weights()[i];
+        out.extend(weights.iter().enumerate().map(|(i, &weight)| {
             let scale = weight / self.total_weight;
-            let (lower, upper) = if all_boxes {
-                (scale * jensen[i].max(far[i]).exp(), scale * near[i].exp())
-            } else {
-                let mc = &entry.summary;
-                (
-                    scale * self.lower_log_kernel(query, mc).exp(),
-                    scale * self.upper_log_kernel(query, mc).exp(),
-                )
-            };
-            out.push(SummaryScore {
+            SummaryScore {
                 weight,
                 contribution: scale * jensen[i].exp(),
-                lower,
-                upper,
+                lower: scale * jensen[i].max(far[i]).exp(),
+                upper: scale * near[i].exp(),
                 min_dist_sq: dist[i],
-            });
-        }
+            }
+        }));
     }
 
     /// Leaf block gather: leaf items are micro-clusters, so the gather is
     /// the entry gather minus the box columns — leaves are exact, their
     /// bounds collapse onto the contribution and never touch a box kernel.
     fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
-        gather_clusters(self.bandwidth.len(), items.iter(), false, out);
+        gather_clusters(items.iter(), false, out);
         true
     }
 
-    /// Leaf block scoring: one Jensen-kernel pass and one centre-distance
-    /// pass score every leaf micro-cluster at once, bit-identically to the
-    /// per-item scalar loop.
+    /// Leaf block scoring: the fused pass without its box lanes scores
+    /// every leaf micro-cluster at once, bit-identically to the per-item
+    /// scalar loop.
     fn score_gathered_leaves(
         &self,
         query: &[f64],
@@ -326,31 +271,20 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         lanes: &mut [Vec<f64>; 4],
         out: &mut Vec<SummaryScore>,
     ) {
-        let block = &gathered.block;
-        let len = block.len();
-        let [jensen, dist, _, _] = lanes;
-        gaussian_log_terms_block(
-            query,
-            &self.bandwidth,
-            block.mean(),
-            Some(block.var()),
-            len,
-            jensen,
-        );
-        sq_dists_block(query, &gathered.centers, len, dist);
+        cluster_scores_block::<false>(query, &self.bandwidth, gathered, lanes);
+        let [jensen, _, _, dist] = &*lanes;
+        let weights = gathered.block.weights();
         out.clear();
-        out.reserve(len);
-        for i in 0..len {
-            let weight = block.weights()[i];
+        out.extend(weights.iter().enumerate().map(|(i, &weight)| {
             let contribution = weight / self.total_weight * jensen[i].exp();
-            out.push(SummaryScore {
+            SummaryScore {
                 weight,
                 contribution,
                 lower: contribution,
                 upper: contribution,
                 min_dist_sq: dist[i],
-            });
-        }
+            }
+        }));
     }
 }
 
@@ -364,30 +298,29 @@ fn summarize_clusters(items: &[MicroCluster], lambda: f64) -> MicroCluster {
     summary
 }
 
-/// Gathers a directory node's entry summaries, with box columns when every
-/// entry stores an MBR.
-fn gather_entry_clusters(dims: usize, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) {
-    let boxes = entries.iter().all(|e| e.summary.mbr().is_some());
-    gather_clusters(dims, entries.iter().map(|e| &e.summary), boxes, out);
+/// Gathers a directory node's entry summaries with their box columns.
+fn gather_entry_clusters(entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) {
+    gather_clusters(entries.iter().map(|e| &e.summary), true, out);
 }
 
 /// Packs micro-clusters into the structure-of-arrays block: weights,
 /// smoothed means and variances, routing centres and, with `boxes`, MBR
 /// corners — the one gather every micro-cluster model shares, so a cached
-/// block serves density, outlier and k-NN reads alike.
+/// block serves density, outlier and k-NN reads alike.  The block takes
+/// the clusters' own dimensionality, never a model's.
 ///
 /// The gather replicates the scalar arithmetic exactly (`ls / n` for the
 /// smoothed mean, `ls * (1/n)` for the routing centre — different
 /// roundings, hence two column sets; variance floored at `0.0`, not the
 /// Gaussian floor), and it is a pure function of the clusters — the engine
-/// caches it per node, keyed by the node's version stamp.
+/// caches it per node until the node's next write.
 fn gather_clusters<'a>(
-    dims: usize,
-    clusters: impl ExactSizeIterator<Item = &'a MicroCluster>,
+    clusters: impl ExactSizeIterator<Item = &'a MicroCluster> + Clone,
     boxes: bool,
     out: &mut GatheredBlock,
 ) {
     let len = clusters.len();
+    let dims = clusters.clone().next().map_or(0, MicroCluster::dims);
     let block = &mut out.block;
     block.reset(dims, len);
     out.centers.clear();
@@ -414,8 +347,7 @@ fn gather_clusters<'a>(
             }
         }
         if boxes {
-            let mbr = mc.mbr().expect("all entries carry a box");
-            let (lo, hi) = (mbr.lower(), mbr.upper());
+            let (lo, hi) = (mc.mbr().lower(), mc.mbr().upper());
             for d in 0..dims {
                 block.set_lower(d, i, lo[d]);
                 block.set_upper(d, i, hi[d]);
@@ -435,7 +367,6 @@ fn gather_clusters<'a>(
 /// centre distances are that model's bit for bit.
 #[derive(Debug, Clone, Copy)]
 struct DistanceModel {
-    dims: usize,
     lambda: f64,
 }
 
@@ -491,7 +422,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
     }
 
     fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
-        gather_entry_clusters(self.dims, entries, out);
+        gather_entry_clusters(entries, out);
         true
     }
 
@@ -507,7 +438,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
     }
 
     fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
-        gather_clusters(self.dims, items.iter(), false, out);
+        gather_clusters(items.iter(), false, out);
         true
     }
 
@@ -622,12 +553,7 @@ pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     k: usize,
     budget: usize,
 ) -> KnnAnswer {
-    // The fold checks the query against every view before the first
-    // gather, so the query's length is the gather's dimensionality.
-    let model = DistanceModel {
-        dims: x.len(),
-        lambda,
-    };
+    let model = DistanceModel { lambda };
     refine_frontiers_over(
         views,
         &model,
@@ -937,6 +863,37 @@ mod tests {
             &[f64::INFINITY, 1.0],
             RefineOrder::BestFirst,
             2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth dimensionality")]
+    fn too_long_bandwidth_is_rejected_by_a_direct_model() {
+        // The third component used to be ignored silently: the answer was
+        // the two-component bandwidth's.
+        let tree = two_cluster_tree(300, 10);
+        let model = ClusQueryModel::new(tree.total_weight(), vec![1.0, 1.0, 5.0], 0.0);
+        let _ = query_over(
+            tree.shards(),
+            &model,
+            &[1.0, 1.0],
+            RefineOrder::WidestBound,
+            5,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth dimensionality")]
+    fn too_short_bandwidth_is_rejected_by_a_direct_model() {
+        // This one used to panic with an index error.
+        let tree = two_cluster_tree(300, 10);
+        let model = ClusQueryModel::new(tree.total_weight(), vec![1.0], 0.0);
+        let _ = query_over(
+            tree.shards(),
+            &model,
+            &[1.0, 1.0],
+            RefineOrder::WidestBound,
+            5,
         );
     }
 

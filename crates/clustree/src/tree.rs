@@ -41,7 +41,7 @@ use crate::microcluster::{DecayCtx, MicroCluster};
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 use crate::snapshot::SnapshotStore;
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, InsertModel, Node, NodeId, NodeKind,
+    AnytimeTree, CheapestRouter, DescentStats, Entry, InsertModel, Node, NodeId, NodeKind,
     PipelinedOutcome, RefineOrder, ShardRouter, ShardedAnytimeTree,
 };
 use bt_index::PageGeometry;
@@ -418,8 +418,9 @@ impl<R> ClusTree<R> {
 
     /// Validates internal consistency, shard by shard: every node within
     /// capacity (plus the bounded directory slack a deferred split may
-    /// leave behind), all aggregated weights non-negative, and every CF
-    /// sum and MBR corner finite.
+    /// leave behind), all aggregated weights non-negative, every CF sum and
+    /// MBR corner finite, and every inner entry's box containing the boxes
+    /// of its buffer and of everything in its child.
     ///
     /// # Errors
     ///
@@ -567,9 +568,21 @@ fn finite_cluster(mc: &MicroCluster) -> bool {
     mc.weight().is_finite()
         && finite(mc.cf().linear_sum())
         && finite(mc.cf().squared_sum())
-        && mc
-            .mbr()
-            .is_none_or(|b| finite(b.lower()) && finite(b.upper()))
+        && finite(mc.mbr().lower())
+        && finite(mc.mbr().upper())
+}
+
+/// Whether `entry`'s box contains the box of its hitchhiker buffer and of
+/// every entry or item in its child — the nesting the MBR density bounds
+/// rest on (a refined element's parts must lie inside its box).
+fn boxes_nest(core: &ClusCore, entry: &Entry<MicroCluster>) -> bool {
+    let outer = entry.summary.mbr();
+    let contained = |mc: &MicroCluster| outer.contains_mbr(mc.mbr());
+    let children = match &core.node(entry.child).kind {
+        NodeKind::Leaf { items } => items.iter().all(contained),
+        NodeKind::Inner { entries } => entries.iter().all(|e| contained(&e.summary)),
+    };
+    children && entry.buffer.as_ref().is_none_or(contained)
 }
 
 /// The micro-clusters of a slice of core views (a live tree's shards or a
@@ -608,8 +621,9 @@ fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
 }
 
 /// Validates one core (sub)tree: every node within capacity (plus the
-/// bounded directory slack a deferred split may leave behind) and all
-/// aggregated weights non-negative.
+/// bounded directory slack a deferred split may leave behind), all
+/// aggregated weights non-negative, every cluster finite and every box
+/// nested in its parent entry's.
 fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> Result<(), String> {
     let node: &Node<MicroCluster, MicroCluster> = core.node(node_id);
     // Inner nodes may temporarily exceed capacity by one when a split was
@@ -648,6 +662,12 @@ fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> R
                     ));
                 }
                 validate_node(core, config, entry.child)?;
+                if !boxes_nest(core, entry) {
+                    return Err(format!(
+                        "node {node_id}: a box in child {} or in the entry's buffer is not nested in the entry's box",
+                        entry.child
+                    ));
+                }
             }
         }
     }
@@ -905,5 +925,38 @@ mod tests {
         planted.core.shard_mut(0).node_mut(root).entries_mut()[0].summary = bad;
         let err = planted.validate().unwrap_err();
         assert!(err.contains("non-finite"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_box_outside_its_parent_entry() {
+        let mut tree = ClusTree::new(2, ClusTreeConfig::default());
+        for (p, t) in two_cluster_stream(300) {
+            tree.insert(&p, t, 10);
+        }
+        tree.validate().expect("valid before planting");
+        let shard = tree.shard(0);
+        let leaf = bt_anytree::TreeView::reachable(shard)
+            .into_iter()
+            .find(|&id| shard.node(id).is_leaf() && !shard.node(id).items().is_empty())
+            .expect("a leaf");
+        assert_ne!(leaf, shard.root(), "the tree must have a directory level");
+
+        // A finite cluster far outside every box above it: its parent
+        // entry's box no longer contains it.
+        let mut planted = tree.clone();
+        planted.core.shard_mut(0).node_mut(leaf).items_mut()[0] =
+            MicroCluster::from_point(&[1e6, -1e6], 1.0);
+        let err = planted.validate().unwrap_err();
+        assert!(err.contains("not nested"), "{err}");
+
+        // A root entry whose box shrank to a point inside its subtree's
+        // extent is caught the same way.
+        let mut planted = tree.clone();
+        let root = planted.shard(0).root();
+        let entry = &mut planted.core.shard_mut(0).node_mut(root).entries_mut()[0];
+        let point = entry.summary.mbr().lower().to_vec();
+        entry.summary = MicroCluster::from_point(&point, 1.0);
+        let err = planted.validate().unwrap_err();
+        assert!(err.contains("not nested"), "{err}");
     }
 }

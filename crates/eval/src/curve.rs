@@ -97,7 +97,6 @@ pub fn anytime_accuracy_curve(
         bulk_load: method,
         descent: config.descent,
         refinement: config.refinement,
-        per_class_bandwidth: true,
         seed: config.seed,
     };
     let folds = stratified_folds(dataset, config.folds, config.seed);

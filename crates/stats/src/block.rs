@@ -7,13 +7,12 @@
 //! evaluations are one scattered dot product per entry.  A [`SummaryBlock`]
 //! regathers the node into **dimension-major columns** — for a node of `n`
 //! entries over `d` dimensions, column value `(dim, entry)` lives at index
-//! `dim * n + entry` — so the batch kernels in [`crate::kernel`]
-//! ([`crate::kernel::gaussian_log_terms_block`],
-//! [`crate::kernel::sq_dists_block`],
-//! [`crate::kernel::nearest_point_log_kernels_block`], …) stream each
-//! column once, hoist the per-dimension constants (floored bandwidth, its
-//! log) out of the entry loop, and accumulate all `n` results in
-//! autovectorizable inner loops.
+//! `dim * n + entry` — so the block kernels in [`crate::kernel`]
+//! ([`crate::kernel::node_scores_block`],
+//! [`crate::kernel::cluster_scores_block`],
+//! [`crate::kernel::sq_dists_block`], …) stream each column once, hoist the
+//! per-dimension constants (floored bandwidth, its log) out of the entry
+//! loop, and accumulate all `n` results in vectorized inner loops.
 //!
 //! **Precision.**  Every column is `f64`.  Summaries stored narrower (the
 //! `f32` and quantised stored modes) decode into these columns at gather
@@ -251,9 +250,10 @@ impl SummaryBlock {
     ///
     /// `ln(var)` is query-independent, so hoisting it to gather time (where
     /// the result rides along in the per-node block cache) removes the only
-    /// transcendental from `kernel::diag_log_pdfs_block`'s inner loop and
-    /// unlocks its SIMD path.  Call after *all* variances are set; any later
-    /// [`Self::set_var`] drops the column again.
+    /// transcendental from the log-pdf lane of
+    /// [`crate::kernel::node_scores_block`] and unlocks its SIMD path.
+    /// Call after *all* variances are set; any later [`Self::set_var`]
+    /// drops the column again.
     pub fn fill_log_vars(&mut self) {
         self.log_var.clear();
         self.log_var.extend(self.var.iter().map(|v| v.ln()));

@@ -3,22 +3,12 @@
 //! The Bayes tree stores the raw training observations in its leaves and
 //! treats each of them as a *kernel*: a small density bump centred at the
 //! observation.  The paper uses Gaussian kernels with a Silverman bandwidth
-//! (Section 2.1) and lists Epanechnikov kernels as a planned variation
-//! (Section 4.1); both are provided here behind the [`Kernel`] trait so the
-//! tree is generic over the kernel family.
+//! (Section 2.1); the [`Kernel`] trait and its one implementation,
+//! [`GaussianKernel`], are that kernel, and the scalar formulas and fused
+//! block passes below evaluate it (and its box bounds) over tree nodes.
 
-use crate::block::{zero_fill, ColumnElement, SummaryBlock};
+use crate::block::{zero_fill, ColumnElement, GatheredBlock, SummaryBlock};
 use crate::{LN_2PI, VARIANCE_FLOOR};
-
-/// The kernel families supported by the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// Gaussian kernel — the paper's default.
-    #[default]
-    Gaussian,
-    /// Epanechnikov (parabolic) kernel — listed as future work in §4.1.
-    Epanechnikov,
-}
 
 /// A product kernel over `d` dimensions with a per-dimension bandwidth.
 pub trait Kernel {
@@ -30,9 +20,6 @@ pub trait Kernel {
     fn density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
         self.log_density(center, x, bandwidth).exp()
     }
-
-    /// Which kernel family this is.
-    fn kind(&self) -> KernelKind;
 }
 
 /// Gaussian product kernel `K(u) = (2 pi)^(-d/2) exp(-||u||^2 / 2)` with
@@ -63,7 +50,8 @@ pub fn gaussian_log_term(dist: f64, h: f64) -> f64 {
 ///
 /// The bandwidth changes only when a tree refits or overrides it, so the
 /// trees keep one of these beside their bandwidth and the fused scoring
-/// passes ([`node_scores_block`], [`leaf_scores_block`]) read `h` and
+/// passes ([`node_scores_block`], [`leaf_scores_block`],
+/// [`cluster_scores_block`]) read `h` and
 /// `ln h` instead of recomputing a logarithm per dimension per node.  The
 /// cached values are the same IEEE results the per-call derivation gives,
 /// so substituting them changes no bit.
@@ -219,22 +207,16 @@ pub fn smoothed_farthest_log_kernel<E: ColumnElement>(
 // ---------------------------------------------------------------------------
 // Block kernels: evaluate all entries of one node in a single pass.
 //
-// Each function below is the structure-of-arrays counterpart of one scalar
-// formula above (or in `gaussian` / `cluster_feature`): columns are
-// dimension-major `f64` (`dim * len + entry`, see [`crate::block`]), the
-// outer loop walks dimensions so per-dimension constants (floored bandwidth,
-// its log) are hoisted once, and the inner loop streams one cache-resident
-// column per entry — the shape LLVM autovectorizes.  The accumulation order
-// per entry is identical to the scalar reference (terms added
-// dimension-ascending, all arithmetic in `f64`), so the results equal the
-// scalar ones bit for bit (see the property tests in
-// `crates/stats/tests/block_kernels.rs`).
-//
-// The hottest loops additionally dispatch to the explicit-SIMD variants in
-// [`crate::simd`] (runtime AVX2 check, `simd` cargo feature): same IEEE
-// expressions evaluated four entries per lane, bit-identical by
-// construction, with the loops below retained as the scalar reference and
-// fallback.
+// Each function below is the structure-of-arrays counterpart of scalar
+// formulas above (or in `gaussian` / `cluster_feature`): columns are
+// dimension-major `f64` (`dim * len + entry`, see [`crate::block`]) and the
+// accumulation order per entry is identical to the scalar reference (terms
+// added dimension-ascending, all arithmetic in `f64`), so the results equal
+// the scalar ones bit for bit (see the property tests in
+// `crates/stats/tests/block_kernels.rs`).  Each also dispatches to an
+// explicit-SIMD variant in [`crate::simd`] (runtime AVX2 check, `simd` cargo
+// feature): the same IEEE expressions evaluated four entries per lane, with
+// the loops below retained as the scalar reference and fallback.
 // ---------------------------------------------------------------------------
 
 #[inline]
@@ -264,237 +246,21 @@ pub fn sq_dists_block(query: &[f64], means: &[f64], len: usize, out: &mut Vec<f6
     }
 }
 
-/// Sums of [`gaussian_log_term`]s from `query` to each of `len` entry means,
-/// optionally smoothed by per-entry variances.
-///
-/// Without `vars` this is the block counterpart of
-/// [`GaussianKernel::log_density`] at each mean; with `vars` it is the
-/// ClusTree smoothed kernel `sum_d gaussian_log_term(sqrt((q_d - m_d)^2 +
-/// v_d), h_d)` (Jensen bound over the cluster's points).
-pub fn gaussian_log_terms_block(
-    query: &[f64],
-    bandwidth: &[f64],
-    means: &[f64],
-    vars: Option<&[f64]>,
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    debug_assert_eq!(means.len(), query.len() * len);
-    debug_assert_eq!(bandwidth.len(), query.len());
-    if crate::simd::gaussian_log_terms(query, bandwidth, means, vars, len, out) {
-        return;
-    }
-    for (d, &q) in query.iter().enumerate() {
-        let h = bandwidth[d].max(VARIANCE_FLOOR.sqrt());
-        let ln_h = h.ln();
-        let mcol = &means[d * len..(d + 1) * len];
-        if let Some(vars) = vars {
-            let vcol = &vars[d * len..(d + 1) * len];
-            for i in 0..len {
-                let diff = q - mcol[i];
-                let t = diff * diff + vcol[i];
-                let u = t.sqrt() / h;
-                out[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-            }
-        } else {
-            for (o, &m) in out.iter_mut().zip(mcol) {
-                let u = (q - m) / h;
-                *o += -0.5 * (LN_2PI + u * u) - ln_h;
-            }
-        }
-    }
-}
-
-/// Diagonal-Gaussian log densities of `query` under each of `len` entry
-/// Gaussians — the block counterpart of `DiagGaussian::log_pdf`.
-///
-/// The gather is responsible for replicating `DiagGaussian::new`'s variance
-/// clamp (finite variances floored at [`VARIANCE_FLOOR`], non-finite ones
-/// replaced by it) so the per-entry results match the scalar path bit for
-/// bit.
-///
-/// `log_vars` is the optional precomputed `ln` of each variance column
-/// value — [`crate::SummaryBlock::fill_log_vars`] produces it at gather
-/// time.  Substituting the stored `ln` into the unchanged scalar expression
-/// is bit-identical (same input, same function, same accumulation order),
-/// and with the transcendental gone the remaining add/mul/div arithmetic
-/// dispatches to the explicit-SIMD kernel.  Without it the loop computes
-/// `var.ln()` inline, scalar only.
-pub fn diag_log_pdfs_block(
-    query: &[f64],
-    means: &[f64],
-    vars: &[f64],
-    log_vars: Option<&[f64]>,
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    debug_assert_eq!(means.len(), query.len() * len);
-    debug_assert_eq!(vars.len(), query.len() * len);
-    if let Some(log_vars) = log_vars {
-        debug_assert_eq!(log_vars.len(), query.len() * len);
-        if crate::simd::diag_log_pdfs(query, means, vars, log_vars, len, out) {
-            return;
-        }
-        for (d, &q) in query.iter().enumerate() {
-            let mcol = &means[d * len..(d + 1) * len];
-            let vcol = &vars[d * len..(d + 1) * len];
-            let lcol = &log_vars[d * len..(d + 1) * len];
-            for i in 0..len {
-                let diff = q - mcol[i];
-                out[i] += -0.5 * (LN_2PI + lcol[i] + diff * diff / vcol[i]);
-            }
-        }
-        return;
-    }
-    for (d, &q) in query.iter().enumerate() {
-        let mcol = &means[d * len..(d + 1) * len];
-        let vcol = &vars[d * len..(d + 1) * len];
-        for i in 0..len {
-            let diff = q - mcol[i];
-            let var = vcol[i];
-            out[i] += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
-        }
-    }
-}
-
-/// Per-entry [`nearest_point_log_kernel`]s over `len` boxes — the shared
-/// upper-bound formula evaluated for a whole node in one pass.
-pub fn nearest_point_log_kernels_block(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    box_kernel_impl::<false, false>(query, bandwidth, lower, upper, len, out);
-}
-
-/// Per-entry [`farthest_point_log_kernel`]s over `len` boxes — the shared
-/// lower-bound formula evaluated for a whole node in one pass.
-pub fn farthest_point_log_kernels_block(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    box_kernel_impl::<true, false>(query, bandwidth, lower, upper, len, out);
-}
-
-/// Per-entry [`smoothed_farthest_log_kernel`]s over `len` boxes — the
-/// ClusTree smoothing-aware lower bound evaluated for a whole node in one
-/// pass.
-pub fn smoothed_farthest_log_kernels_block(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    box_kernel_impl::<true, true>(query, bandwidth, lower, upper, len, out);
-}
-
-/// Per-entry box-to-query minimum squared distances over `len` boxes — the
-/// block counterpart of `Mbr::min_dist_sq` (query priority / pruning
-/// measure).
-pub fn box_min_sq_dists_block(
-    query: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut Vec<f64>,
-) {
-    let out = prep_out(out, len);
-    debug_assert_eq!(lower.len(), query.len() * len);
-    debug_assert_eq!(upper.len(), query.len() * len);
-    if crate::simd::box_min_sq_dists(query, lower, upper, len, out) {
-        return;
-    }
-    for (d, &q) in query.iter().enumerate() {
-        let lcol = &lower[d * len..(d + 1) * len];
-        let ucol = &upper[d * len..(d + 1) * len];
-        for i in 0..len {
-            let (lo, hi) = (lcol[i], ucol[i]);
-            let diff = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            out[i] += diff * diff;
-        }
-    }
-}
-
-/// Shared box-kernel loop: `FARTHEST` picks the farthest- vs nearest-corner
-/// per-dimension distance, `SMOOTHED` adds the `(width/2)^2` variance-cap
-/// term under the square root (the ClusTree bound; only used with
-/// `FARTHEST`).
-fn box_kernel_impl<const FARTHEST: bool, const SMOOTHED: bool>(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(lower.len(), query.len() * len);
-    debug_assert_eq!(upper.len(), query.len() * len);
-    debug_assert_eq!(bandwidth.len(), query.len());
-    if crate::simd::box_kernel::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out) {
-        return;
-    }
-    for (d, &q) in query.iter().enumerate() {
-        let h = bandwidth[d].max(VARIANCE_FLOOR.sqrt());
-        let ln_h = h.ln();
-        let lcol = &lower[d * len..(d + 1) * len];
-        let ucol = &upper[d * len..(d + 1) * len];
-        for i in 0..len {
-            let (lo, hi) = (lcol[i], ucol[i]);
-            let dist = if FARTHEST {
-                (q - lo).abs().max((q - hi).abs())
-            } else if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            let u = if SMOOTHED {
-                let half = 0.5 * (hi - lo);
-                let t = dist * dist + half * half;
-                t.sqrt() / h
-            } else {
-                dist / h
-            };
-            out[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fused passes: everything one node read needs, in one walk over the block.
 //
-// Scoring a directory node wants four per-entry quantities (the diagonal
-// Gaussian log-pdf, the farthest- and nearest-corner log-kernels and the box
-// minimum squared distance); scoring a leaf wants two (the product
-// log-kernel and the squared distance).  The per-quantity kernels above
-// would walk the block once each and recompute `ln h` per call.  The fused
-// passes read every column once, take `h` / `ln h` from a
-// [`KernelBandwidth`], and fill every output lane — each lane with the
-// exact expression and dimension-ascending accumulation order of its
-// per-quantity kernel, so the outputs equal theirs bit for bit.  A caller
-// that reads no bound (the classifier's point estimates) runs the node pass
-// without its two box log-kernels.
+// Every node read is one of these passes, or `sq_dists_block` for reads
+// that need only distances.  Scoring a Bayes-tree directory node wants four
+// per-entry quantities (the diagonal Gaussian log-pdf, the farthest- and
+// nearest-corner log-kernels and the box minimum squared distance); scoring
+// a leaf wants two (the product log-kernel and the squared distance); a
+// ClusTree node wants the Jensen-smoothed kernel, its two box bounds and
+// the centre distance.  Each pass reads every column once, takes `h` /
+// `ln h` from a [`KernelBandwidth`], and fills every output lane — each lane
+// with the exact expression and dimension-ascending accumulation order of
+// its scalar formula, so the outputs equal the formulas' bit for bit.  A
+// caller that reads no bound (the classifier's point estimates, ClusTree
+// leaves) runs its pass without the box log-kernels (`BOUNDS == false`).
 // ---------------------------------------------------------------------------
 
 /// The columns one fused node pass reads: `len` entries, dimension-major.
@@ -517,11 +283,10 @@ pub(crate) struct NodeLanes<'a> {
 }
 
 /// Scores every entry of a gathered directory node in one pass: fills
-/// `lanes` with `[log_pdf, farthest, nearest, min_dist_sq]` — per entry the
-/// results of [`diag_log_pdfs_block`] (with the block's log-variance
-/// column), [`farthest_point_log_kernels_block`],
-/// [`nearest_point_log_kernels_block`] and [`box_min_sq_dists_block`],
-/// bit for bit.
+/// `lanes` with `[log_pdf, farthest, nearest, min_dist_sq]` — per entry
+/// `DiagGaussian::log_pdf` (with the block's log-variance column in place
+/// of the inline `ln`), [`farthest_point_log_kernel`],
+/// [`nearest_point_log_kernel`] and `Mbr::min_dist_sq`, bit for bit.
 ///
 /// # Panics
 ///
@@ -637,9 +402,8 @@ fn node_pass<const BOUNDS: bool>(
 
 /// Scores every item of a gathered leaf in one pass: `log_kernels` gets the
 /// product log-kernel at each of the `len` mean columns and `sq_dists` the
-/// squared distance to it — per item the results of
-/// [`gaussian_log_terms_block`] (without variances) and [`sq_dists_block`],
-/// bit for bit.
+/// squared distance to it — per item [`GaussianKernel::log_density`] and
+/// the result of [`sq_dists_block`], bit for bit.
 ///
 /// # Panics
 ///
@@ -673,6 +437,109 @@ pub fn leaf_scores_block(
     }
 }
 
+/// The columns one fused micro-cluster pass reads: `len` entries,
+/// dimension-major.  `lower` and `upper` are empty without `BOUNDS`.
+pub(crate) struct ClusterColumns<'a> {
+    pub(crate) len: usize,
+    pub(crate) mean: &'a [f64],
+    pub(crate) var: &'a [f64],
+    pub(crate) lower: &'a [f64],
+    pub(crate) upper: &'a [f64],
+    pub(crate) center: &'a [f64],
+}
+
+/// The per-entry output lanes of one fused micro-cluster pass.  A pass
+/// without `BOUNDS` leaves `farthest` and `nearest` empty.
+pub(crate) struct ClusterLanes<'a> {
+    pub(crate) jensen: &'a mut [f64],
+    pub(crate) farthest: &'a mut [f64],
+    pub(crate) nearest: &'a mut [f64],
+    pub(crate) center_sq: &'a mut [f64],
+}
+
+/// Scores every micro-cluster of a gathered ClusTree node in one pass.
+///
+/// With `BOUNDS` (directory nodes) it fills `lanes` with `[jensen,
+/// smoothed_farthest, nearest, centre_sq_dist]` — per entry the Jensen
+/// kernel `sum_d gaussian_log_term(sqrt((q_d - m_d)^2 + v_d), h_d)` over the
+/// block's mean and variance columns, [`smoothed_farthest_log_kernel`] and
+/// [`nearest_point_log_kernel`] of its box, and the squared distance to its
+/// routing centre (`gathered.centers`, as [`sq_dists_block`]), bit for bit.
+/// Without `BOUNDS` (leaves, whose bounds collapse onto the estimate) it
+/// fills only `jensen` and `centre_sq_dist`, leaves the two box lanes empty
+/// and reads no box column.
+///
+/// # Panics
+///
+/// Panics if the bandwidth's dimensionality differs from the query's, or if
+/// `BOUNDS` is set and the block lacks its box columns.
+pub fn cluster_scores_block<const BOUNDS: bool>(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    gathered: &GatheredBlock,
+    lanes: &mut [Vec<f64>; 4],
+) {
+    assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
+    let block = &gathered.block;
+    assert!(
+        !BOUNDS || block.has_boxes(),
+        "cluster scoring needs the box columns"
+    );
+    let len = block.len();
+    let cols = ClusterColumns {
+        len,
+        mean: block.mean(),
+        var: block.var(),
+        lower: if BOUNDS { block.lower() } else { &[] },
+        upper: if BOUNDS { block.upper() } else { &[] },
+        center: &gathered.centers,
+    };
+    debug_assert_eq!(cols.mean.len(), query.len() * len);
+    debug_assert_eq!(cols.var.len(), query.len() * len);
+    debug_assert_eq!(cols.center.len(), query.len() * len);
+    let bounds_len = if BOUNDS { len } else { 0 };
+    let [jensen, farthest, nearest, center_sq] = lanes;
+    let mut out = ClusterLanes {
+        jensen: prep_out(jensen, len),
+        farthest: prep_out(farthest, bounds_len),
+        nearest: prep_out(nearest, bounds_len),
+        center_sq: prep_out(center_sq, len),
+    };
+    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    if crate::simd::cluster_scores::<BOUNDS>(query, h, ln_h, &cols, &mut out) {
+        return;
+    }
+    for (d, &q) in query.iter().enumerate() {
+        let (h, ln_h) = (h[d], ln_h[d]);
+        for i in 0..len {
+            let idx = d * len + i;
+            let diff = q - cols.mean[idx];
+            let t = diff * diff + cols.var[idx];
+            let u = t.sqrt() / h;
+            out.jensen[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            if BOUNDS {
+                let (lo, hi) = (cols.lower[idx], cols.upper[idx]);
+                let far = (q - lo).abs().max((q - hi).abs());
+                let half = 0.5 * (hi - lo);
+                let t = far * far + half * half;
+                let u = t.sqrt() / h;
+                out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+                let near = if q < lo {
+                    lo - q
+                } else if q > hi {
+                    q - hi
+                } else {
+                    0.0
+                };
+                let u = near / h;
+                out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            }
+            let diff = cols.center[idx] - q;
+            out.center_sq[i] += diff * diff;
+        }
+    }
+}
+
 impl Kernel for GaussianKernel {
     fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
         debug_assert_eq!(center.len(), x.len());
@@ -683,67 +550,6 @@ impl Kernel for GaussianKernel {
         }
         acc
     }
-
-    fn kind(&self) -> KernelKind {
-        KernelKind::Gaussian
-    }
-}
-
-/// Epanechnikov product kernel `K(u) = 0.75 (1 - u^2)` for `|u| <= 1`.
-///
-/// Has compact support, so a query far from a leaf observation contributes
-/// exactly zero density — which is why the paper flags it as an interesting
-/// robustness test for the tree's descent heuristics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpanechnikovKernel;
-
-impl Kernel for EpanechnikovKernel {
-    fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
-        self.density(center, x, bandwidth)
-            .max(f64::MIN_POSITIVE)
-            .ln()
-    }
-
-    fn density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
-        debug_assert_eq!(center.len(), x.len());
-        debug_assert_eq!(center.len(), bandwidth.len());
-        let mut acc = 1.0;
-        for d in 0..x.len() {
-            let h = bandwidth[d].max(VARIANCE_FLOOR.sqrt());
-            let u = (x[d] - center[d]) / h;
-            if u.abs() > 1.0 {
-                return 0.0;
-            }
-            acc *= 0.75 * (1.0 - u * u) / h;
-        }
-        acc
-    }
-
-    fn kind(&self) -> KernelKind {
-        KernelKind::Epanechnikov
-    }
-}
-
-/// Full kernel density estimate over a set of centers: the equally weighted
-/// average of the per-center kernel densities.
-///
-/// This is the "flat" estimator the Bayes tree converges to once every leaf
-/// kernel is on the frontier; it is used as the reference model in tests.
-#[must_use]
-pub fn kernel_density_estimate<K: Kernel>(
-    kernel: &K,
-    centers: &[Vec<f64>],
-    x: &[f64],
-    bandwidth: &[f64],
-) -> f64 {
-    if centers.is_empty() {
-        return 0.0;
-    }
-    let inv_n = 1.0 / centers.len() as f64;
-    centers
-        .iter()
-        .map(|c| kernel.density(c, x, bandwidth) * inv_n)
-        .sum()
 }
 
 #[cfg(test)]
@@ -767,42 +573,6 @@ mod tests {
         let d = k.density(&[0.0], &[0.0], &[2.0]);
         let expected = 1.0 / (2.0 * std::f64::consts::PI).sqrt() / 2.0;
         assert!((d - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epanechnikov_has_compact_support() {
-        let k = EpanechnikovKernel;
-        assert_eq!(k.density(&[0.0], &[2.0], &[1.0]), 0.0);
-        assert!(k.density(&[0.0], &[0.5], &[1.0]) > 0.0);
-    }
-
-    #[test]
-    fn epanechnikov_integrates_to_one_univariate() {
-        let k = EpanechnikovKernel;
-        // Numerically integrate over the support [-1, 1] with h = 1.
-        let n = 10_000;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let x = -1.0 + 2.0 * (i as f64 + 0.5) / n as f64;
-            acc += k.density(&[0.0], &[x], &[1.0]) * 2.0 / n as f64;
-        }
-        assert!((acc - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn kde_averages_kernels() {
-        let k = GaussianKernel;
-        let centers = vec![vec![-1.0], vec![1.0]];
-        let h = [1.0];
-        let at_zero = kernel_density_estimate(&k, &centers, &[0.0], &h);
-        let single = k.density(&[-1.0], &[0.0], &h);
-        assert!((at_zero - single).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kde_of_empty_set_is_zero() {
-        let k = GaussianKernel;
-        assert_eq!(kernel_density_estimate(&k, &[], &[0.0], &[1.0]), 0.0);
     }
 
     #[test]

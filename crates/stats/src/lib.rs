@@ -42,7 +42,7 @@ pub use cluster_feature::ClusterFeature;
 pub use em::{EmConfig, EmResult, KMeans, KMeansConfig};
 pub use gaussian::DiagGaussian;
 pub use goldberger::{GoldbergerConfig, GoldbergerResult};
-pub use kernel::{GaussianKernel, Kernel, KernelBandwidth, KernelKind};
+pub use kernel::{GaussianKernel, Kernel, KernelBandwidth};
 pub use kl::{kl_diag_gaussian, mixture_distance};
 pub use mixture::{GaussianMixture, WeightedComponent};
 pub use quant::{bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16};

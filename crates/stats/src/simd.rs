@@ -6,7 +6,7 @@
 //! 2–4×.  This module makes the vector shape explicit: a small local shim
 //! type ([`F64x4`]) models one 256-bit lane of four `f64`s as a plain
 //! `[f64; 4]` with element-wise IEEE operations, and the kernel bodies walk
-//! the entry dimension four entries at a time (scalar tail).  The bodies are
+//! the entry dimension four entries at a time.  The bodies are
 //! compiled inside `#[target_feature(enable = "avx2")]` wrappers and
 //! selected at runtime ([`avx2_available`]), so a binary built for the
 //! baseline target still uses AVX2 registers on machines that have them.
@@ -20,39 +20,38 @@
 //! `crates/stats/tests/block_kernels.rs` and
 //! `crates/stats/tests/simd_parity.rs` assert it with `to_bits`.
 //!
-//! **Scope (measure first).**  Only the kernels where the explicit lanes
-//! demonstrably win are dispatched here: squared distances, Gaussian
-//! log-terms (plain and variance-smoothed), the three box-bound kernels and
-//! the diagonal-Gaussian log-pdf *with a precomputed log-variance column*.
-//! The diag kernel's per-element `ln` has no vector form without a
-//! vector-libm dependency — but `ln(var)` is query-independent, so the
-//! gather hoists it into [`crate::SummaryBlock::fill_log_vars`] (cached
-//! with the block) and the remaining add/mul/div arithmetic vectorizes
-//! here.  Without that column the diag kernel stays scalar.
+//! **Scope.**  Every node read is one of four kernels, all dispatched here:
+//! the squared-distance pass (descent routing and k-NN, which need only
+//! distances) and three **fused passes**, one per node shape.  The
+//! Bayes-tree node pass fills the diagonal-Gaussian log-pdf, both box
+//! corners' log-kernels and the box minimum squared distance; the leaf
+//! pass the product log-kernel and the squared distance; the micro-cluster
+//! pass the Jensen-smoothed kernel, the smoothed farthest-corner and
+//! nearest-point log-kernels and the centre distance.  The log-pdf's
+//! per-element `ln` has no vector form without a vector-libm dependency —
+//! but `ln(var)` is query-independent, so the gather hoists it into
+//! [`crate::SummaryBlock::fill_log_vars`] (cached with the block) and the
+//! remaining add/mul/div arithmetic vectorizes here.
 //!
-//! The Bayes-tree query model scores through two **fused passes** built
-//! from those bodies' expressions: the node pass (diag log-pdf, both box
-//! corners and the box minimum squared distance) and the leaf pass
-//! (product log-kernel and squared distance).  They take the floored
-//! bandwidth and its `ln` precomputed ([`crate::kernel::KernelBandwidth`]),
-//! run entry chunks outermost so each chunk's accumulators stay in
-//! registers for the whole dimension walk, and end a block with a chunk
-//! that overlaps its predecessor instead of a scalar tail loop (only a
-//! block under one lane pads).  Each output equals its per-quantity
-//! kernel bit for bit.  The node pass also runs without its two corner
-//! lanes (`BOUNDS == false`) for the classifier, which reads no bound.
-//! On a 16-d node of 4–9 entries the node pass takes
-//! about a third of the time of the four per-quantity calls it replaces,
-//! which also computed 32 logarithms per node.  The per-quantity kernels
-//! stay for the ClusTree model, the descent and as parity references.
+//! The fused passes take the floored bandwidth and its `ln` precomputed
+//! ([`crate::kernel::KernelBandwidth`]), run entry chunks outermost so each
+//! chunk's accumulators stay in registers for the whole dimension walk, and
+//! end a block with a chunk that overlaps its predecessor instead of a
+//! scalar tail loop (only a block under one lane pads).  The node and
+//! micro-cluster passes also run without their box lanes (`BOUNDS ==
+//! false`): for the classifier, which reads no bound, and for ClusTree
+//! leaves, whose bounds collapse onto the estimate.  On a 16-d node of 4–9
+//! entries the node pass takes about a third of the time of the four
+//! per-quantity calls it replaced, which also computed 32 logarithms per
+//! node (`docs/PERF.md`, "Fused node scoring").
 //!
 //! Everything degrades gracefully: with the `simd` cargo feature off, on
 //! non-`x86_64` targets, or on CPUs without AVX2, [`avx2_available`] is
 //! `false` and callers fall through to the scalar reference loops.
 
-use crate::kernel::{NodeColumns, NodeLanes};
+use crate::kernel::{ClusterColumns, ClusterLanes, NodeColumns, NodeLanes};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::{LN_2PI, VARIANCE_FLOOR};
+use crate::LN_2PI;
 
 /// Lanes per vector: one AVX2 register holds four `f64`s.
 pub const LANES: usize = 4;
@@ -203,204 +202,6 @@ fn sq_dists_body(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn gaussian_log_terms_body(
-    query: &[f64],
-    bandwidth: &[f64],
-    means: &[f64],
-    vars: Option<&[f64]>,
-    len: usize,
-    out: &mut [f64],
-) {
-    let chunks = len - len % LANES;
-    for (d, &q) in query.iter().enumerate() {
-        let h = bandwidth[d].max(VARIANCE_FLOOR.sqrt());
-        let ln_h = h.ln();
-        let mcol = &means[d * len..(d + 1) * len];
-        let qv = F64x4::splat(q);
-        let hv = F64x4::splat(h);
-        let ln_2pi = F64x4::splat(LN_2PI);
-        let ln_h_v = F64x4::splat(ln_h);
-        let neg_half = F64x4::splat(-0.5);
-        if let Some(vars) = vars {
-            let vcol = &vars[d * len..(d + 1) * len];
-            let mut i = 0;
-            while i < chunks {
-                let diff = qv.sub(F64x4::load(&mcol[i..]));
-                let t = diff.mul(diff).add(F64x4::load(&vcol[i..]));
-                let u = t.sqrt().div(hv);
-                // -0.5 * (LN_2PI + u * u) - ln_h, same op order as scalar.
-                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
-                F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
-                i += LANES;
-            }
-            while i < len {
-                let diff = q - mcol[i];
-                let t = diff * diff + vcol[i];
-                let u = t.sqrt() / h;
-                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
-                i += 1;
-            }
-        } else {
-            let mut i = 0;
-            while i < chunks {
-                let u = qv.sub(F64x4::load(&mcol[i..])).div(hv);
-                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
-                F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
-                i += LANES;
-            }
-            while i < len {
-                let u = (q - mcol[i]) / h;
-                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
-                i += 1;
-            }
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn diag_log_pdfs_body(
-    query: &[f64],
-    means: &[f64],
-    vars: &[f64],
-    log_vars: &[f64],
-    len: usize,
-    out: &mut [f64],
-) {
-    let chunks = len - len % LANES;
-    for (d, &q) in query.iter().enumerate() {
-        let mcol = &means[d * len..(d + 1) * len];
-        let vcol = &vars[d * len..(d + 1) * len];
-        let lcol = &log_vars[d * len..(d + 1) * len];
-        let qv = F64x4::splat(q);
-        let ln_2pi = F64x4::splat(LN_2PI);
-        let neg_half = F64x4::splat(-0.5);
-        let mut i = 0;
-        while i < chunks {
-            let diff = qv.sub(F64x4::load(&mcol[i..]));
-            let var = F64x4::load(&vcol[i..]);
-            let lv = F64x4::load(&lcol[i..]);
-            // -0.5 * ((LN_2PI + ln(var)) + diff * diff / var), the ln
-            // precomputed at gather time, same op order as scalar.
-            let sum = ln_2pi.add(lv).add(diff.mul(diff).div(var));
-            let acc = neg_half.mul(sum).add(F64x4::load(&out[i..]));
-            acc.store(&mut out[i..]);
-            i += LANES;
-        }
-        while i < len {
-            let diff = q - mcol[i];
-            let sum = LN_2PI + lcol[i] + diff * diff / vcol[i];
-            out[i] += -0.5 * sum;
-            i += 1;
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn box_kernel_body<const FARTHEST: bool, const SMOOTHED: bool>(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut [f64],
-) {
-    let chunks = len - len % LANES;
-    for (d, &q) in query.iter().enumerate() {
-        let h = bandwidth[d].max(VARIANCE_FLOOR.sqrt());
-        let ln_h = h.ln();
-        let lcol = &lower[d * len..(d + 1) * len];
-        let ucol = &upper[d * len..(d + 1) * len];
-        let qv = F64x4::splat(q);
-        let hv = F64x4::splat(h);
-        let zero = F64x4::splat(0.0);
-        let half_f = F64x4::splat(0.5);
-        let ln_2pi = F64x4::splat(LN_2PI);
-        let ln_h_v = F64x4::splat(ln_h);
-        let neg_half = F64x4::splat(-0.5);
-        let mut i = 0;
-        while i < chunks {
-            let lo = F64x4::load(&lcol[i..]);
-            let hi = F64x4::load(&ucol[i..]);
-            let dist = if FARTHEST {
-                qv.sub(lo).abs().max(qv.sub(hi).abs())
-            } else {
-                // max(lo - q, 0) + max(q - hi, 0): at most one term is
-                // positive and the other is exactly 0.0, so the sum equals
-                // the branchy clamp bit for bit.
-                lo.sub(qv).max(zero).add(qv.sub(hi).max(zero))
-            };
-            let u = if SMOOTHED {
-                let half = half_f.mul(hi.sub(lo));
-                dist.mul(dist).add(half.mul(half)).sqrt().div(hv)
-            } else {
-                dist.div(hv)
-            };
-            let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
-            F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
-            i += LANES;
-        }
-        while i < len {
-            let (lo, hi) = (lcol[i], ucol[i]);
-            let dist = if FARTHEST {
-                (q - lo).abs().max((q - hi).abs())
-            } else if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            let u = if SMOOTHED {
-                let half = 0.5 * (hi - lo);
-                let t = dist * dist + half * half;
-                t.sqrt() / h
-            } else {
-                dist / h
-            };
-            out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
-            i += 1;
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn box_min_sq_dists_body(query: &[f64], lower: &[f64], upper: &[f64], len: usize, out: &mut [f64]) {
-    let chunks = len - len % LANES;
-    for (d, &q) in query.iter().enumerate() {
-        let lcol = &lower[d * len..(d + 1) * len];
-        let ucol = &upper[d * len..(d + 1) * len];
-        let qv = F64x4::splat(q);
-        let zero = F64x4::splat(0.0);
-        let mut i = 0;
-        while i < chunks {
-            let lo = F64x4::load(&lcol[i..]);
-            let hi = F64x4::load(&ucol[i..]);
-            let diff = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
-            diff.mul(diff)
-                .add(F64x4::load(&out[i..]))
-                .store(&mut out[i..]);
-            i += LANES;
-        }
-        while i < len {
-            let (lo, hi) = (lcol[i], ucol[i]);
-            let diff = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            out[i] += diff * diff;
-            i += 1;
-        }
-    }
-}
-
 /// Chunk starts of the fused passes: `0, 4, 8, …`, except that the last
 /// chunk of a block holding at least one full lane is moved back to end
 /// exactly at `len`.  It then overlaps its predecessor and recomputes the
@@ -442,10 +243,11 @@ fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 /// Fused directory-node pass.  Entry chunks run outermost so each chunk's
 /// four accumulators stay in registers across the dimension walk; per
 /// entry the terms still arrive dimension-ascending, each lane evaluating
-/// the expression of its per-quantity body (`diag_log_pdfs_body`, the two
-/// `box_kernel_body` corners, `box_min_sq_dists_body`), so every output is
-/// bit-identical to that body's.  Without `BOUNDS` the two corner lanes
-/// are neither computed nor stored; the other two are unchanged.
+/// the expression of its scalar formula (the diagonal log-pdf with the
+/// stored `ln var`, the two box corners' log-kernels, the box minimum
+/// squared distance), so every output is bit-identical to the scalar
+/// loop's.  Without `BOUNDS` the two corner lanes are neither computed nor
+/// stored; the other two are unchanged.
 ///
 /// A block of at least one lane runs the `FULL` instantiation, where every
 /// chunk is a plain full-lane load and store; only shorter blocks pay for
@@ -520,9 +322,9 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
     }
 }
 
-/// Fused leaf pass: the product log-kernel of `gaussian_log_terms_body`
-/// (no variances) and the squared distance of `sq_dists_body`, entry
-/// chunks outermost as in [`node_scores_body`].
+/// Fused leaf pass: the product log-kernel at each mean and the squared
+/// distance of `sq_dists_body`, entry chunks outermost as in
+/// [`node_scores_body`].
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
 fn leaf_scores_body(
@@ -556,6 +358,86 @@ fn leaf_scores_body(
     }
 }
 
+/// Fused micro-cluster pass, laid out as [`node_scores_body`]: per entry
+/// the Jensen kernel over the mean and variance columns, with `BOUNDS` the
+/// smoothed farthest-corner and nearest-point log-kernels of the box, and
+/// the squared centre distance — each lane the exact expression of the
+/// scalar loop in `kernel::cluster_scores_block`, terms added
+/// dimension-ascending.  Without `BOUNDS` no box column is loaded.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+fn cluster_scores_body<const BOUNDS: bool>(
+    query: &[f64],
+    h: &[f64],
+    ln_h: &[f64],
+    cols: &ClusterColumns<'_>,
+    out: &mut ClusterLanes<'_>,
+) {
+    if cols.len >= LANES {
+        cluster_scores_chunks::<true, BOUNDS>(query, h, ln_h, cols, out);
+    } else {
+        cluster_scores_chunks::<false, BOUNDS>(query, h, ln_h, cols, out);
+    }
+}
+
+/// The chunk loop of [`cluster_scores_body`]; `FULL` promises `cols.len >=
+/// LANES`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+fn cluster_scores_chunks<const FULL: bool, const BOUNDS: bool>(
+    query: &[f64],
+    h: &[f64],
+    ln_h: &[f64],
+    cols: &ClusterColumns<'_>,
+    out: &mut ClusterLanes<'_>,
+) {
+    let len = cols.len;
+    let zero = F64x4::splat(0.0);
+    let half_f = F64x4::splat(0.5);
+    let ln_2pi = F64x4::splat(LN_2PI);
+    let neg_half = F64x4::splat(-0.5);
+    let n = if FULL { LANES } else { len };
+    for i in chunk_starts(len) {
+        let (mut jensen, mut farthest, mut nearest, mut center_sq) = (zero, zero, zero, zero);
+        for (d, &q) in query.iter().enumerate() {
+            let at = d * len + i;
+            let qv = F64x4::splat(q);
+            let (hv, ln_h_v) = (F64x4::splat(h[d]), F64x4::splat(ln_h[d]));
+            // Pads keep the unused lanes finite.
+            let mean = load_padded(cols.mean, at, n, 0.0);
+            let var = load_padded(cols.var, at, n, 0.0);
+
+            let diff = qv.sub(mean);
+            let u = diff.mul(diff).add(var).sqrt().div(hv);
+            jensen = jensen.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+
+            if BOUNDS {
+                let lo = load_padded(cols.lower, at, n, 0.0);
+                let hi = load_padded(cols.upper, at, n, 0.0);
+                let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
+                let half = half_f.mul(hi.sub(lo));
+                let u = far.mul(far).add(half.mul(half)).sqrt().div(hv);
+                farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                // max(lo - q, 0) + max(q - hi, 0): at most one term is
+                // positive and the other is exactly 0.0, so the sum equals
+                // the branchy clamp bit for bit.
+                let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
+                let u = near.div(hv);
+                nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+            }
+
+            let diff = load_padded(cols.center, at, n, 0.0).sub(qv);
+            center_sq = diff.mul(diff).add(center_sq);
+        }
+        store_first(jensen, out.jensen, i, n);
+        if BOUNDS {
+            store_first(farthest, out.farthest, i, n);
+            store_first(nearest, out.nearest, i, n);
+        }
+        store_first(center_sq, out.center_sq, i, n);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2-enabled wrappers: same signatures as the bodies, unsafe only because
 // the caller must have verified `avx2_available()`.
@@ -575,61 +457,6 @@ mod avx2 {
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gaussian_log_terms(
-        query: &[f64],
-        bandwidth: &[f64],
-        means: &[f64],
-        vars: Option<&[f64]>,
-        len: usize,
-        out: &mut [f64],
-    ) {
-        gaussian_log_terms_body(query, bandwidth, means, vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn diag_log_pdfs(
-        query: &[f64],
-        means: &[f64],
-        vars: &[f64],
-        log_vars: &[f64],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        diag_log_pdfs_body(query, means, vars, log_vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn box_kernel<const FARTHEST: bool, const SMOOTHED: bool>(
-        query: &[f64],
-        bandwidth: &[f64],
-        lower: &[f64],
-        upper: &[f64],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_kernel_body::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn box_min_sq_dists(
-        query: &[f64],
-        lower: &[f64],
-        upper: &[f64],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_min_sq_dists_body(query, lower, upper, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
     pub unsafe fn node_scores<const BOUNDS: bool>(
         query: &[f64],
         h: &[f64],
@@ -638,6 +465,19 @@ mod avx2 {
         out: &mut NodeLanes<'_>,
     ) {
         node_scores_body::<BOUNDS>(query, h, ln_h, cols, out);
+    }
+
+    /// # Safety
+    /// The executing CPU must support AVX2 (`avx2_available()`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn cluster_scores<const BOUNDS: bool>(
+        query: &[f64],
+        h: &[f64],
+        ln_h: &[f64],
+        cols: &ClusterColumns<'_>,
+        out: &mut ClusterLanes<'_>,
+    ) {
+        cluster_scores_body::<BOUNDS>(query, h, ln_h, cols, out);
     }
 
     /// # Safety
@@ -669,97 +509,6 @@ pub(crate) fn sq_dists(query: &[f64], means: &[f64], len: usize, out: &mut [f64]
         }
     }
     let _ = (query, means, len, out);
-    false
-}
-
-/// Runtime-dispatched Gaussian log-term kernel (see [`sq_dists`]).
-#[inline]
-pub(crate) fn gaussian_log_terms(
-    query: &[f64],
-    bandwidth: &[f64],
-    means: &[f64],
-    vars: Option<&[f64]>,
-    len: usize,
-    out: &mut [f64],
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::gaussian_log_terms(query, bandwidth, means, vars, len, out) };
-            return true;
-        }
-    }
-    let _ = (query, bandwidth, means, vars, len, out);
-    false
-}
-
-/// Runtime-dispatched diagonal-Gaussian log-pdf kernel for gathers that
-/// precomputed their log-variance column (see [`sq_dists`]).
-#[inline]
-pub(crate) fn diag_log_pdfs(
-    query: &[f64],
-    means: &[f64],
-    vars: &[f64],
-    log_vars: &[f64],
-    len: usize,
-    out: &mut [f64],
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::diag_log_pdfs(query, means, vars, log_vars, len, out) };
-            return true;
-        }
-    }
-    let _ = (query, means, vars, log_vars, len, out);
-    false
-}
-
-/// Runtime-dispatched box-bound kernel (see [`sq_dists`]).
-#[inline]
-pub(crate) fn box_kernel<const FARTHEST: bool, const SMOOTHED: bool>(
-    query: &[f64],
-    bandwidth: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut [f64],
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified.
-            unsafe {
-                avx2::box_kernel::<FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out);
-            }
-            return true;
-        }
-    }
-    let _ = (query, bandwidth, lower, upper, len, out);
-    false
-}
-
-/// Runtime-dispatched box minimum-squared-distance kernel (see
-/// [`sq_dists`]).
-#[inline]
-pub(crate) fn box_min_sq_dists(
-    query: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    len: usize,
-    out: &mut [f64],
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::box_min_sq_dists(query, lower, upper, len, out) };
-            return true;
-        }
-    }
-    let _ = (query, lower, upper, len, out);
     false
 }
 
@@ -806,5 +555,26 @@ pub(crate) fn leaf_scores(
         }
     }
     let _ = (query, h, ln_h, means, len, log_kernels, sq_dists);
+    false
+}
+
+/// Runtime-dispatched fused micro-cluster pass (see [`node_scores`]).
+#[inline]
+pub(crate) fn cluster_scores<const BOUNDS: bool>(
+    query: &[f64],
+    h: &[f64],
+    ln_h: &[f64],
+    cols: &ClusterColumns<'_>,
+    out: &mut ClusterLanes<'_>,
+) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        if avx2_available() {
+            // SAFETY: AVX2 support was just verified.
+            unsafe { avx2::cluster_scores::<BOUNDS>(query, h, ln_h, cols, out) };
+            return true;
+        }
+    }
+    let _ = (query, h, ln_h, cols, out);
     false
 }

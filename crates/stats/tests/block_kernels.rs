@@ -27,15 +27,13 @@
 use proptest::prelude::*;
 
 use bt_stats::kernel::{
-    box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernel,
-    farthest_point_log_kernels_block, gaussian_log_term, gaussian_log_terms_block,
-    leaf_scores_block, nearest_point_log_kernel, nearest_point_log_kernels_block,
-    node_estimates_block, node_scores_block, smoothed_farthest_log_kernel,
-    smoothed_farthest_log_kernels_block, sq_dists_block,
+    cluster_scores_block, farthest_point_log_kernel, gaussian_log_term, leaf_scores_block,
+    nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
-    ColumnElement, DiagGaussian, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock,
-    VARIANCE_FLOOR,
+    ColumnElement, DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth,
+    SummaryBlock, VARIANCE_FLOOR,
 };
 
 /// One generated node: `len` entries over `dims` dimensions.
@@ -48,6 +46,9 @@ struct Node {
     vars: Vec<Vec<f64>>,
     lower: Vec<Vec<f64>>,
     upper: Vec<Vec<f64>>,
+    /// Routing centres (micro-cluster nodes only), drawn independently of
+    /// the means.
+    centers: Vec<Vec<f64>>,
 }
 
 fn node_strategy() -> impl Strategy<Value = Node> {
@@ -67,8 +68,9 @@ fn node_strategy() -> impl Strategy<Value = Node> {
                 prop::collection::vec((coord.clone(), 0.0f64..10.0), dims),
                 len,
             ),
+            prop::collection::vec(prop::collection::vec(coord.clone(), dims), len),
         )
-            .prop_map(move |(query, bandwidth, means, vars, boxes)| {
+            .prop_map(move |(query, bandwidth, means, vars, boxes, centers)| {
                 let mut lower = Vec::with_capacity(boxes.len());
                 let mut upper = Vec::with_capacity(boxes.len());
                 for entry in &boxes {
@@ -83,6 +85,7 @@ fn node_strategy() -> impl Strategy<Value = Node> {
                     vars,
                     lower,
                     upper,
+                    centers,
                 }
             })
     })
@@ -105,6 +108,22 @@ fn gather(node: &Node) -> SummaryBlock {
     block
 }
 
+/// Gathers the node as a micro-cluster node: [`gather`]'s columns plus the
+/// routing centres.
+fn gather_clusters(node: &Node) -> GatheredBlock {
+    let len = node.means.len();
+    let mut centers = vec![0.0; node.dims * len];
+    for (i, center) in node.centers.iter().enumerate() {
+        for (d, &c) in center.iter().enumerate() {
+            centers[d * len + i] = c;
+        }
+    }
+    GatheredBlock {
+        block: gather(node),
+        centers,
+    }
+}
+
 /// The node's values as the `f32` stored mode keeps them: means and
 /// variances rounded to nearest, box corners rounded outward, widened back.
 fn narrowed(node: &Node) -> Node {
@@ -116,6 +135,7 @@ fn narrowed(node: &Node) -> Node {
     Node {
         means: round(&node.means, f32::narrow),
         vars: round(&node.vars, f32::narrow),
+        centers: round(&node.centers, f32::narrow),
         lower: round(&node.lower, f32::narrow_down),
         upper: round(&node.upper, f32::narrow_up),
         ..node.clone()
@@ -143,7 +163,8 @@ fn assert_close(got: &[f64], want: &[f64], abs_tol: f64, rel_tol: f64) {
     }
 }
 
-/// The scalar ClusTree smoothed kernel term the `vars` mode must reproduce.
+/// The scalar ClusTree smoothed (Jensen) kernel term the micro-cluster pass
+/// must reproduce.
 fn scalar_smoothed(query: &[f64], mean: &[f64], var: &[f64], bandwidth: &[f64]) -> f64 {
     let mut acc = 0.0;
     for d in 0..query.len() {
@@ -181,6 +202,118 @@ fn scalar_box_min_sq(query: &[f64], lower: &[f64], upper: &[f64]) -> f64 {
     acc
 }
 
+/// Asserts that both Bayes-tree fused passes equal the scalar formulas on
+/// `node`'s values: the node pass over DiagGaussian-clamped variances and
+/// the precomputed log-variance column (the Bayes-tree gather), and the
+/// leaf pass over the means.
+fn check_fused_passes(node: &Node) {
+    let mut block = gather(node);
+    for (i, vars) in node.vars.iter().enumerate() {
+        for (d, &v) in vars.iter().enumerate() {
+            block.set_var(d, i, v.max(VARIANCE_FLOOR));
+        }
+    }
+    block.fill_log_vars();
+    let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+    let n = block.len();
+    let mut lanes: [Vec<f64>; 4] = Default::default();
+    node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
+    let [log_pdf, far, near, dist] = &lanes;
+    let want: Vec<f64> = node
+        .means
+        .iter()
+        .zip(&node.vars)
+        .map(|(m, v)| DiagGaussian::new(m.clone(), v.clone()).log_pdf(&node.query))
+        .collect();
+    assert_bit_equal(log_pdf, &want);
+    let want: Vec<f64> = (0..n)
+        .map(|i| {
+            farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
+        })
+        .collect();
+    assert_bit_equal(far, &want);
+    let want: Vec<f64> = (0..n)
+        .map(|i| {
+            nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
+        })
+        .collect();
+    assert_bit_equal(near, &want);
+    let want: Vec<f64> = (0..n)
+        .map(|i| scalar_box_min_sq(&node.query, &node.lower[i], &node.upper[i]))
+        .collect();
+    assert_bit_equal(dist, &want);
+
+    let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+    leaf_scores_block(
+        &node.query,
+        &bandwidth,
+        block.mean(),
+        n,
+        &mut log_k,
+        &mut sq,
+    );
+    let k = GaussianKernel;
+    let want: Vec<f64> = node
+        .means
+        .iter()
+        .map(|m| k.log_density(m, &node.query, &node.bandwidth))
+        .collect();
+    assert_bit_equal(&log_k, &want);
+    let want: Vec<f64> = node
+        .means
+        .iter()
+        .map(|m| scalar_sq_dist(&node.query, m))
+        .collect();
+    assert_bit_equal(&sq, &want);
+}
+
+/// Asserts that the micro-cluster pass equals the scalar formulas on
+/// `node`'s values in both `BOUNDS` states: the Jensen term over the raw
+/// variances (the ClusTree gather floors them at `0.0`), the smoothed
+/// farthest-corner and nearest-point log-kernels, and the centre distance.
+fn check_cluster_pass(node: &Node) {
+    let gathered = gather_clusters(node);
+    let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+    let n = node.means.len();
+    let jensen: Vec<f64> = node
+        .means
+        .iter()
+        .zip(&node.vars)
+        .map(|(m, v)| scalar_smoothed(&node.query, m, v, &node.bandwidth))
+        .collect();
+    let center_sq: Vec<f64> = node
+        .centers
+        .iter()
+        .map(|c| scalar_sq_dist(&node.query, c))
+        .collect();
+    let mut lanes: [Vec<f64>; 4] = Default::default();
+    cluster_scores_block::<true>(&node.query, &bandwidth, &gathered, &mut lanes);
+    assert_bit_equal(&lanes[0], &jensen);
+    let want: Vec<f64> = (0..n)
+        .map(|i| {
+            smoothed_farthest_log_kernel(
+                &node.query,
+                &node.lower[i],
+                &node.upper[i],
+                &node.bandwidth,
+            )
+        })
+        .collect();
+    assert_bit_equal(&lanes[1], &want);
+    let want: Vec<f64> = (0..n)
+        .map(|i| {
+            nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
+        })
+        .collect();
+    assert_bit_equal(&lanes[2], &want);
+    assert_bit_equal(&lanes[3], &center_sq);
+
+    cluster_scores_block::<false>(&node.query, &bandwidth, &gathered, &mut lanes);
+    assert_bit_equal(&lanes[0], &jensen);
+    assert!(lanes[1].is_empty() && lanes[2].is_empty());
+    assert_bit_equal(&lanes[3], &center_sq);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -195,10 +328,12 @@ proptest! {
 
     #[test]
     fn gaussian_log_terms_match_scalar_bitwise(node in node_strategy()) {
+        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+        // Without variances: the product log-kernel at each mean, the leaf
+        // pass's first lane.
         let block = gather(&node);
-        let mut out = Vec::new();
-        // Without variances: the product log-kernel at each mean.
-        gaussian_log_terms_block(&node.query, &node.bandwidth, block.mean(), None, block.len(), &mut out);
+        let (mut out, mut sq) = (Vec::new(), Vec::new());
+        leaf_scores_block(&node.query, &bandwidth, block.mean(), block.len(), &mut out, &mut sq);
         let k = GaussianKernel;
         let want: Vec<f64> = node
             .means
@@ -206,148 +341,85 @@ proptest! {
             .map(|m| k.log_density(m, &node.query, &node.bandwidth))
             .collect();
         assert_bit_equal(&out, &want);
-        // With variances: the smoothed (Jensen) kernel.
-        gaussian_log_terms_block(
-            &node.query,
-            &node.bandwidth,
-            block.mean(),
-            Some(block.var()),
-            block.len(),
-            &mut out,
-        );
+        // With variances: the smoothed (Jensen) kernel, the micro-cluster
+        // pass's first lane.
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        cluster_scores_block::<false>(&node.query, &bandwidth, &gather_clusters(&node), &mut lanes);
         let want: Vec<f64> = node
             .means
             .iter()
             .zip(&node.vars)
             .map(|(m, v)| scalar_smoothed(&node.query, m, v, &node.bandwidth))
             .collect();
-        assert_bit_equal(&out, &want);
+        assert_bit_equal(&lanes[0], &want);
     }
 
     #[test]
     fn diag_log_pdfs_match_scalar_bitwise(node in node_strategy()) {
-        // The gather must replicate DiagGaussian::new's clamp.
-        let block = {
-            let mut block = gather(&node);
-            for (i, vars) in node.vars.iter().enumerate() {
-                for (d, &v) in vars.iter().enumerate() {
-                    let clamped = if v.is_finite() { v.max(VARIANCE_FLOOR) } else { VARIANCE_FLOOR };
-                    block.set_var(d, i, clamped);
-                }
+        // The gather must replicate DiagGaussian::new's clamp; the log-pdf
+        // lane reads the precomputed log-variance column (the cached-gather
+        // fast path, SIMD-dispatched) and must not move a bit against the
+        // inline-`ln` scalar reference.
+        let mut block = gather(&node);
+        for (i, vars) in node.vars.iter().enumerate() {
+            for (d, &v) in vars.iter().enumerate() {
+                let clamped = if v.is_finite() { v.max(VARIANCE_FLOOR) } else { VARIANCE_FLOOR };
+                block.set_var(d, i, clamped);
             }
-            block
-        };
-        let mut out = Vec::new();
-        diag_log_pdfs_block(&node.query, block.mean(), block.var(), None, block.len(), &mut out);
+        }
+        block.fill_log_vars();
         let want: Vec<f64> = node
             .means
             .iter()
             .zip(&node.vars)
             .map(|(m, v)| DiagGaussian::new(m.clone(), v.clone()).log_pdf(&node.query))
             .collect();
-        assert_bit_equal(&out, &want);
-        // With the precomputed log-variance column (the cached-gather fast
-        // path, SIMD-dispatched) the results must not move a bit.
-        let block = {
-            let mut block = block;
-            block.fill_log_vars();
-            block
-        };
-        diag_log_pdfs_block(
-            &node.query,
-            block.mean(),
-            block.var(),
-            block.log_vars(),
-            block.len(),
-            &mut out,
-        );
+        let (mut out, mut min_sq) = (Vec::new(), Vec::new());
+        node_estimates_block(&node.query, &block, &mut out, &mut min_sq);
         assert_bit_equal(&out, &want);
     }
 
     #[test]
     fn box_kernels_match_scalar_bitwise(node in node_strategy()) {
-        let block = gather(&node);
-        let mut out = Vec::new();
-        let n = block.len();
-
-        nearest_point_log_kernels_block(
-            &node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut out,
-        );
-        let want: Vec<f64> = (0..n)
-            .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
-            .collect();
-        assert_bit_equal(&out, &want);
-
-        farthest_point_log_kernels_block(
-            &node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut out,
-        );
-        let want: Vec<f64> = (0..n)
-            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
-            .collect();
-        assert_bit_equal(&out, &want);
-
-        smoothed_farthest_log_kernels_block(
-            &node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut out,
-        );
-        let want: Vec<f64> = (0..n)
-            .map(|i| smoothed_farthest_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
-            .collect();
-        assert_bit_equal(&out, &want);
-
-        box_min_sq_dists_block(&node.query, block.lower(), block.upper(), n, &mut out);
-        let want: Vec<f64> = (0..n)
-            .map(|i| scalar_box_min_sq(&node.query, &node.lower[i], &node.upper[i]))
-            .collect();
-        assert_bit_equal(&out, &want);
-    }
-
-    #[test]
-    fn fused_passes_match_scalar_bitwise(node in node_strategy()) {
-        // The Bayes-tree gather: DiagGaussian-clamped variances and the
-        // precomputed log-variance column.
         let mut block = gather(&node);
-        for (i, vars) in node.vars.iter().enumerate() {
-            for (d, &v) in vars.iter().enumerate() {
-                block.set_var(d, i, v.max(VARIANCE_FLOOR));
-            }
-        }
         block.fill_log_vars();
         let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
         let n = block.len();
         let mut lanes: [Vec<f64>; 4] = Default::default();
         node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
-        let [log_pdf, far, near, dist] = &lanes;
-        let want: Vec<f64> = node
-            .means
-            .iter()
-            .zip(&node.vars)
-            .map(|(m, v)| DiagGaussian::new(m.clone(), v.clone()).log_pdf(&node.query))
-            .collect();
-        assert_bit_equal(log_pdf, &want);
-        let want: Vec<f64> = (0..n)
-            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
-            .collect();
-        assert_bit_equal(far, &want);
+        let mut cluster: [Vec<f64>; 4] = Default::default();
+        cluster_scores_block::<true>(&node.query, &bandwidth, &gather_clusters(&node), &mut cluster);
+
         let want: Vec<f64> = (0..n)
             .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
             .collect();
-        assert_bit_equal(near, &want);
+        assert_bit_equal(&lanes[2], &want);
+        assert_bit_equal(&cluster[2], &want);
+
+        let want: Vec<f64> = (0..n)
+            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .collect();
+        assert_bit_equal(&lanes[1], &want);
+
+        let want: Vec<f64> = (0..n)
+            .map(|i| smoothed_farthest_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .collect();
+        assert_bit_equal(&cluster[1], &want);
+
         let want: Vec<f64> = (0..n)
             .map(|i| scalar_box_min_sq(&node.query, &node.lower[i], &node.upper[i]))
             .collect();
-        assert_bit_equal(dist, &want);
+        assert_bit_equal(&lanes[3], &want);
+    }
 
-        let (mut log_k, mut sq) = (Vec::new(), Vec::new());
-        leaf_scores_block(&node.query, &bandwidth, block.mean(), n, &mut log_k, &mut sq);
-        let k = GaussianKernel;
-        let want: Vec<f64> = node
-            .means
-            .iter()
-            .map(|m| k.log_density(m, &node.query, &node.bandwidth))
-            .collect();
-        assert_bit_equal(&log_k, &want);
-        let want: Vec<f64> = node.means.iter().map(|m| scalar_sq_dist(&node.query, m)).collect();
-        assert_bit_equal(&sq, &want);
+    #[test]
+    fn fused_passes_match_scalar_bitwise(node in node_strategy()) {
+        check_fused_passes(&node);
+    }
+
+    #[test]
+    fn cluster_pass_matches_scalar_bitwise(node in node_strategy()) {
+        check_cluster_pass(&node);
     }
 
     #[test]
@@ -370,33 +442,18 @@ proptest! {
 
     #[test]
     fn fused_f32_passes_match_the_f32_kernels_bitwise(node in node_strategy()) {
-        let mut block = gather(&narrowed(&node));
-        block.fill_log_vars();
-        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
-        let n = block.len();
-        let mut lanes: [Vec<f64>; 4] = Default::default();
-        node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
-        let mut want = Vec::new();
-        diag_log_pdfs_block(&node.query, block.mean(), block.var(), block.log_vars(), n, &mut want);
-        assert_bit_equal(&lanes[0], &want);
-        farthest_point_log_kernels_block(&node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut want);
-        assert_bit_equal(&lanes[1], &want);
-        nearest_point_log_kernels_block(&node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut want);
-        assert_bit_equal(&lanes[2], &want);
-        box_min_sq_dists_block(&node.query, block.lower(), block.upper(), n, &mut want);
-        assert_bit_equal(&lanes[3], &want);
-
-        let (mut log_k, mut sq) = (Vec::new(), Vec::new());
-        leaf_scores_block(&node.query, &bandwidth, block.mean(), n, &mut log_k, &mut sq);
-        gaussian_log_terms_block(&node.query, &node.bandwidth, block.mean(), None, n, &mut want);
-        assert_bit_equal(&log_k, &want);
-        sq_dists_block(&node.query, block.mean(), n, &mut want);
-        assert_bit_equal(&sq, &want);
+        // The f32 stored mode widens its narrowed values into the same f64
+        // columns, so every fused lane must equal the scalar formulas on
+        // those narrowed values.
+        let narrow = narrowed(&node);
+        check_fused_passes(&narrow);
+        check_cluster_pass(&narrow);
     }
 
     #[test]
     fn f32_mode_is_within_documented_tolerance(node in node_strategy()) {
-        let block = gather(&narrowed(&node));
+        let gathered = gather_clusters(&narrowed(&node));
+        let block = &gathered.block;
         let mut out = Vec::new();
         let n = block.len();
 
@@ -407,9 +464,9 @@ proptest! {
         // per-dim errors of that size.
         assert_close(&out, &want, 1e-2, 1e-4);
 
-        gaussian_log_terms_block(
-            &node.query, &node.bandwidth, block.mean(), Some(block.var()), n, &mut out,
-        );
+        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        cluster_scores_block::<true>(&node.query, &bandwidth, &gathered, &mut lanes);
         let want: Vec<f64> = node
             .means
             .iter()
@@ -419,15 +476,12 @@ proptest! {
         // Log-kernel error scales with |u| * delta_u; with the floored
         // bandwidth >= 3.16e-5 and |diff| <= 100 the u^2 term stays finite
         // and the relative bound below holds with wide margin.
-        assert_close(&out, &want, 1e-2, 1e-3);
+        assert_close(&lanes[0], &want, 1e-2, 1e-3);
 
-        nearest_point_log_kernels_block(
-            &node.query, &node.bandwidth, block.lower(), block.upper(), n, &mut out,
-        );
         let want: Vec<f64> = (0..n)
             .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
             .collect();
-        assert_close(&out, &want, 1e-2, 1e-3);
+        assert_close(&lanes[2], &want, 1e-2, 1e-3);
     }
 
     #[test]
@@ -437,13 +491,21 @@ proptest! {
         block.enable_boxes();
         let query = vec![0.5; dims];
         let bandwidth = vec![1.0; dims];
+        let bandwidth = KernelBandwidth::new(bandwidth);
         let mut out = vec![123.0];
         sq_dists_block(&query, block.mean(), 0, &mut out);
         prop_assert!(out.is_empty());
-        gaussian_log_terms_block(&query, &bandwidth, block.mean(), None, 0, &mut out);
-        prop_assert!(out.is_empty());
-        nearest_point_log_kernels_block(&query, &bandwidth, block.lower(), block.upper(), 0, &mut out);
-        prop_assert!(out.is_empty());
+        let mut sq = vec![123.0];
+        leaf_scores_block(&query, &bandwidth, block.mean(), 0, &mut out, &mut sq);
+        prop_assert!(out.is_empty() && sq.is_empty());
+        block.fill_log_vars();
+        let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| vec![123.0]);
+        node_scores_block(&query, &bandwidth, &block, &mut lanes);
+        prop_assert!(lanes.iter().all(Vec::is_empty));
+        let gathered = GatheredBlock { block, centers: Vec::new() };
+        let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| vec![123.0]);
+        cluster_scores_block::<true>(&query, &bandwidth, &gathered, &mut lanes);
+        prop_assert!(lanes.iter().all(Vec::is_empty));
     }
 }
 

@@ -4,20 +4,20 @@
 //! The property tests in `block_kernels.rs` already pin the block kernels to
 //! the entry-major scalar formulas; this file is the explicit, deterministic
 //! smoke for the SIMD dispatch itself: odd lengths (lane tails), lengths
-//! below one lane, degenerate bandwidths and inverted/point boxes.  With the
+//! below one lane, degenerate bandwidths and point boxes.  With the
 //! `simd` feature off (or on a non-AVX2 host) the dispatched path *is* the
 //! scalar loop and the assertions are trivially true — which is exactly the
 //! property CI's feature-off build checks.
 
 use bt_stats::kernel::{
-    box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
-    gaussian_log_term, gaussian_log_terms_block, leaf_scores_block,
-    nearest_point_log_kernels_block, node_estimates_block, node_scores_block,
-    smoothed_farthest_log_kernels_block, sq_dists_block,
+    cluster_scores_block, farthest_point_log_kernel, gaussian_log_term, leaf_scores_block,
+    nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, ColumnElement,
-    KernelBandwidth, SummaryBlock, LN_2PI, VARIANCE_FLOOR,
+    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock, LN_2PI,
+    VARIANCE_FLOOR,
 };
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
@@ -131,92 +131,117 @@ fn sq_dists_block_matches_scalar_bitwise() {
     }
 }
 
+/// A gathered micro-cluster node over the case's columns: means and
+/// variances as generated (zero variances included, as the ClusTree gather
+/// floors them at `0.0`), box columns with `boxes`, and routing centres
+/// drawn independently of the means so a lane that read the wrong column
+/// would show.
+fn cluster_block(c: &Case, boxes: bool, seed: u64) -> GatheredBlock {
+    let (dims, len) = (c.query.len(), c.len);
+    let mut gathered = GatheredBlock::new();
+    let block = &mut gathered.block;
+    block.reset(dims, len);
+    if boxes {
+        block.enable_boxes();
+    }
+    for d in 0..dims {
+        for i in 0..len {
+            let idx = d * len + i;
+            block.set_mean(d, i, c.means[idx]);
+            block.set_var(d, i, c.vars[idx]);
+            if boxes {
+                block.set_lower(d, i, c.lower[idx]);
+                block.set_upper(d, i, c.upper[idx]);
+            }
+        }
+    }
+    let mut rng = SplitMix(seed ^ 0xC3A7_E125);
+    gathered.centers = (0..dims * len).map(|_| rng.coord()).collect();
+    gathered
+}
+
+/// The scalar Jensen term of entry `i`, as `ClusQueryModel`'s per-entry
+/// reference evaluates it: `sum_d gaussian_log_term(sqrt((q_d - m_d)^2 +
+/// v_d), h_d)`.
+fn scalar_jensen(c: &Case, i: usize) -> f64 {
+    let len = c.len;
+    let mut acc = 0.0;
+    for (d, &q) in c.query.iter().enumerate() {
+        let diff = q - c.means[d * len + i];
+        let t = diff * diff + c.vars[d * len + i];
+        acc += gaussian_log_term(t.sqrt(), c.bandwidth[d]);
+    }
+    acc
+}
+
 #[test]
-fn gaussian_log_terms_block_matches_scalar_bitwise() {
+fn gaussian_log_terms_match_scalar_bitwise() {
+    // The plain product log-kernel is the leaf pass's first lane; the
+    // variance-smoothed (Jensen) one is the micro-cluster pass's.
     for &len in LENS {
         let c = case(6, len, 0xBEEF + len as u64);
-        for with_vars in [false, true] {
-            let mut out = Vec::new();
-            let vars = with_vars.then_some(&c.vars[..]);
-            gaussian_log_terms_block(&c.query, &c.bandwidth, &c.means, vars, c.len, &mut out);
-            let want: Vec<f64> = (0..len)
-                .map(|i| {
-                    let mut acc = 0.0;
-                    for (d, &q) in c.query.iter().enumerate() {
-                        let m = c.means[d * len + i];
-                        let dist = if with_vars {
-                            let diff = q - m;
-                            (diff * diff + c.vars[d * len + i]).sqrt()
-                        } else {
-                            q - m
-                        };
-                        acc += gaussian_log_term(dist, c.bandwidth[d]);
-                    }
-                    acc
-                })
-                .collect();
-            assert_bits_eq(&out, &want, "gaussian_log_terms");
-        }
+        let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+        let (mut plain, mut sq) = (Vec::new(), Vec::new());
+        leaf_scores_block(&c.query, &bandwidth, &c.means, len, &mut plain, &mut sq);
+        let mut lanes: [Vec<f64>; 4] = Default::default();
+        let gathered = cluster_block(&c, false, len as u64);
+        cluster_scores_block::<false>(&c.query, &bandwidth, &gathered, &mut lanes);
+        let want_plain: Vec<f64> = (0..len)
+            .map(|i| {
+                let mut acc = 0.0;
+                for (d, &q) in c.query.iter().enumerate() {
+                    acc += gaussian_log_term(q - c.means[d * len + i], c.bandwidth[d]);
+                }
+                acc
+            })
+            .collect();
+        let want_smoothed: Vec<f64> = (0..len).map(|i| scalar_jensen(&c, i)).collect();
+        assert_bits_eq(&plain, &want_plain, "gaussian_log_terms");
+        assert_bits_eq(&lanes[0], &want_smoothed, "gaussian_log_terms smoothed");
     }
 }
 
 #[test]
-fn diag_log_pdfs_block_matches_scalar_bitwise() {
-    // The SIMD diag path only exists for gathers that precomputed their
-    // log-variance column; substituting the stored `ln` must not move a bit
-    // against the inline-`ln` scalar reference.
+fn diag_log_pdfs_match_scalar_bitwise() {
+    // The SIMD log-pdf lane reads the gather's log-variance column;
+    // substituting the stored `ln` must not move a bit against the
+    // inline-`ln` scalar reference, in the full and the estimate pass.
     for &len in LENS {
-        let c = case(5, len, 0xD1A6 + ((len as u64) << 2));
-        // Floor the variances like a real gather would (DiagGaussian's
-        // clamp), so `ln` and the division stay finite.
-        let vars: Vec<f64> = c.vars.iter().map(|v| v.max(VARIANCE_FLOOR)).collect();
-        let log_vars: Vec<f64> = vars.iter().map(|v| v.ln()).collect();
-        let mut with_column = Vec::new();
-        diag_log_pdfs_block(
-            &c.query,
-            &c.means,
-            &vars,
-            Some(&log_vars),
-            len,
-            &mut with_column,
-        );
-        let mut inline_ln = Vec::new();
-        diag_log_pdfs_block(&c.query, &c.means, &vars, None, len, &mut inline_ln);
+        let (c, block) = node_case(5, len, 0xD1A6 + ((len as u64) << 2), Stored::F64);
+        let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+        let mut full: [Vec<f64>; 4] = Default::default();
+        node_scores_block(&c.query, &bandwidth, &block, &mut full);
+        let (mut estimate, mut min_sq) = (Vec::new(), Vec::new());
+        node_estimates_block(&c.query, &block, &mut estimate, &mut min_sq);
         let want: Vec<f64> = (0..len)
             .map(|i| {
                 let mut acc = 0.0;
                 for (d, &q) in c.query.iter().enumerate() {
                     let diff = q - c.means[d * len + i];
-                    let var = vars[d * len + i];
+                    let var = c.vars[d * len + i].max(VARIANCE_FLOOR);
                     acc += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
                 }
                 acc
             })
             .collect();
-        assert_bits_eq(&inline_ln, &want, "diag inline-ln");
-        assert_bits_eq(&with_column, &want, "diag log-var column");
+        assert_bits_eq(&full[0], &want, "diag log-var column");
+        assert_bits_eq(&estimate, &want, "diag log-var column, estimate pass");
     }
 }
 
 #[test]
 fn box_kernels_match_scalar_bitwise() {
+    // The box lanes of the node pass (both corners, minimum distance) and
+    // of the micro-cluster pass (smoothed farthest corner, nearest point).
     for &len in LENS {
-        let c = case(4, len, 0xB0CE5 ^ (len as u64) << 3);
-        let mut near = Vec::new();
-        let mut far = Vec::new();
-        let mut smooth = Vec::new();
-        let mut dist_sq = Vec::new();
-        nearest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut near);
-        farthest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut far);
-        smoothed_farthest_log_kernels_block(
-            &c.query,
-            &c.bandwidth,
-            &c.lower,
-            &c.upper,
-            len,
-            &mut smooth,
-        );
-        box_min_sq_dists_block(&c.query, &c.lower, &c.upper, len, &mut dist_sq);
+        let seed = 0xB0CE5 ^ (len as u64) << 3;
+        let (c, block) = node_case(4, len, seed, Stored::F64);
+        let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+        let mut node: [Vec<f64>; 4] = Default::default();
+        node_scores_block(&c.query, &bandwidth, &block, &mut node);
+        let mut cluster: [Vec<f64>; 4] = Default::default();
+        let gathered = cluster_block(&c, true, seed);
+        cluster_scores_block::<true>(&c.query, &bandwidth, &gathered, &mut cluster);
         let mut want_near = vec![0.0; len];
         let mut want_far = vec![0.0; len];
         let mut want_smooth = vec![0.0; len];
@@ -241,10 +266,11 @@ fn box_kernels_match_scalar_bitwise() {
                 want_dist[i] += clamp * clamp;
             }
         }
-        assert_bits_eq(&near, &want_near, "nearest");
-        assert_bits_eq(&far, &want_far, "farthest");
-        assert_bits_eq(&smooth, &want_smooth, "smoothed_farthest");
-        assert_bits_eq(&dist_sq, &want_dist, "box_min_sq_dists");
+        assert_bits_eq(&node[2], &want_near, "nearest");
+        assert_bits_eq(&node[1], &want_far, "farthest");
+        assert_bits_eq(&node[3], &want_dist, "box_min_sq_dists");
+        assert_bits_eq(&cluster[1], &want_smooth, "smoothed_farthest");
+        assert_bits_eq(&cluster[2], &want_near, "cluster nearest");
     }
 }
 
@@ -283,9 +309,9 @@ fn f32_columns_stay_close_through_the_simd_path() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused node / leaf passes: every output lane must equal its per-quantity
-// kernel and the scalar reference bit for bit, on every lane tail and at
-// the dimensionalities the trees use.
+// Fused node / leaf / micro-cluster passes: every output lane must equal its
+// per-quantity scalar kernel and the column-wise scalar reference bit for
+// bit, on every lane tail and at the dimensionalities the trees use.
 // ---------------------------------------------------------------------------
 
 /// Dimensionalities of the fused parity cases: tiny, the benchmark's 16,
@@ -394,22 +420,32 @@ fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Ve
     want
 }
 
-/// The four per-quantity kernels the fused node pass replaces.
+/// The per-quantity scalar kernels, entry by entry, that the fused node
+/// pass must equal: `DiagGaussian::log_pdf`, [`farthest_point_log_kernel`],
+/// [`nearest_point_log_kernel`] and the box minimum squared distance.
 fn node_per_quantity(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
-    let len = block.len();
     let mut got: [Vec<f64>; 4] = Default::default();
-    let [log_pdf, far, near, dist] = &mut got;
-    diag_log_pdfs_block(
-        query,
-        block.mean(),
-        block.var(),
-        block.log_vars(),
-        len,
-        log_pdf,
-    );
-    farthest_point_log_kernels_block(query, bandwidth, block.lower(), block.upper(), len, far);
-    nearest_point_log_kernels_block(query, bandwidth, block.lower(), block.upper(), len, near);
-    box_min_sq_dists_block(query, block.lower(), block.upper(), len, dist);
+    let (mut mean, mut var, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for i in 0..block.len() {
+        block.entry_mean_into(i, &mut mean);
+        block.entry_var_into(i, &mut var);
+        block.entry_box_into(i, &mut lo, &mut hi);
+        got[0].push(DiagGaussian::new(mean.clone(), var.clone()).log_pdf(query));
+        got[1].push(farthest_point_log_kernel(query, &lo, &hi, bandwidth));
+        got[2].push(nearest_point_log_kernel(query, &lo, &hi, bandwidth));
+        let mut min_sq = 0.0;
+        for (d, &q) in query.iter().enumerate() {
+            let near = if q < lo[d] {
+                lo[d] - q
+            } else if q > hi[d] {
+                q - hi[d]
+            } else {
+                0.0
+            };
+            min_sq += near * near;
+        }
+        got[3].push(min_sq);
+    }
     got
 }
 
@@ -492,15 +528,14 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
                 let (mut log_k, mut sq) = (Vec::new(), Vec::new());
                 leaf_scores_block(&c.query, &bandwidth, block.mean(), len, &mut log_k, &mut sq);
-                let (mut want_k, mut want_sq) = (Vec::new(), Vec::new());
-                gaussian_log_terms_block(
-                    &c.query,
-                    &c.bandwidth,
-                    block.mean(),
-                    None,
-                    len,
-                    &mut want_k,
-                );
+                let mut mean = Vec::new();
+                let want_k: Vec<f64> = (0..len)
+                    .map(|i| {
+                        block.entry_mean_into(i, &mut mean);
+                        GaussianKernel.log_density(&mean, &c.query, &c.bandwidth)
+                    })
+                    .collect();
+                let mut want_sq = Vec::new();
                 sq_dists_block(&c.query, block.mean(), len, &mut want_sq);
                 let what = format!("{stored:?} dims {dims} len {len}");
                 assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
@@ -509,6 +544,57 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
                 assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
             }
+        }
+    }
+}
+
+#[test]
+fn fused_cluster_pass_matches_scalar_bitwise() {
+    // Lengths 1..=9 cover the padded chunk and every overlap of the full
+    // one; 64 is a wide node.  Under AVX2 this checks the dispatched pass,
+    // in the `--no-default-features` build the scalar loop.
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS.chain([64]) {
+            let seed = 0xC105_7000 + ((dims as u64) << 8) + len as u64;
+            let c = case(dims, len, seed);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let gathered = cluster_block(&c, true, seed);
+            let mut want: [Vec<f64>; 4] = Default::default();
+            let (mut lo, mut hi, mut center) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..len {
+                gathered.block.entry_box_into(i, &mut lo, &mut hi);
+                center.clear();
+                center.extend((0..dims).map(|d| gathered.centers[d * len + i]));
+                want[0].push(scalar_jensen(&c, i));
+                want[1].push(smoothed_farthest_log_kernel(
+                    &c.query,
+                    &lo,
+                    &hi,
+                    &c.bandwidth,
+                ));
+                want[2].push(nearest_point_log_kernel(&c.query, &lo, &hi, &c.bandwidth));
+                let mut sq = 0.0;
+                for (d, &q) in c.query.iter().enumerate() {
+                    let diff = center[d] - q;
+                    sq += diff * diff;
+                }
+                want[3].push(sq);
+            }
+            let names = ["jensen", "smoothed_farthest", "nearest", "centre_sq_dist"];
+            let mut bounds: [Vec<f64>; 4] = Default::default();
+            cluster_scores_block::<true>(&c.query, &bandwidth, &gathered, &mut bounds);
+            for lane in 0..4 {
+                let what = format!("dims {dims} len {len} {}", names[lane]);
+                assert_bits_eq(&bounds[lane], &want[lane], &what);
+            }
+            // Without BOUNDS: the box lanes stay empty (stale contents are
+            // dropped), the other two are unchanged.
+            let mut estimate: [Vec<f64>; 4] = [vec![1.0], vec![f64::NAN; 3], vec![2.0], vec![]];
+            cluster_scores_block::<false>(&c.query, &bandwidth, &gathered, &mut estimate);
+            let what = format!("dims {dims} len {len} without bounds");
+            assert_bits_eq(&estimate[0], &want[0], &format!("{what} jensen"));
+            assert_bits_eq(&estimate[3], &want[3], &format!("{what} centre_sq_dist"));
+            assert!(estimate[1].is_empty() && estimate[2].is_empty(), "{what}");
         }
     }
 }

@@ -235,9 +235,10 @@
 //! and `AnytimeClassifier::snapshot` return epoch-pinned `Send + Sync`
 //! views (answers bit-identical to pin time — `tests/snapshot_isolation.rs`),
 //! both trees expose `pipelined_batch` (inserts overlapped with
-//! snapshot queries), `clustree` stores an optional MBR alongside each
-//! micro-cluster CF for distance-aware *upper* density bounds (nested, so
-//! the monotone-refinement property tests cover them), `eval::pipeline`
+//! snapshot queries), `clustree` stores an MBR alongside every
+//! micro-cluster CF for distance-aware density bounds (nested up the tree,
+//! which `ClusTree::validate` checks and the monotone-refinement property
+//! tests rely on), `eval::pipeline`
 //! sweeps concurrent insert+query throughput at shards 1/2/4/8, and the
 //! `pipelined` criterion bench asserts that two concurrent readers cost
 //! the writer ≤20% insert throughput on ≥4-CPU runners.
