@@ -688,19 +688,9 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         }
         if !model.may_split(has_time) {
             if is_leaf {
-                // Merge down until the leaf fits again (models whose
-                // collapse is a no-op make no progress and keep the bounded
-                // overflow instead).
-                loop {
-                    let before = self.node(node_id).len();
-                    if before <= cap || before < 2 {
-                        break;
-                    }
-                    model.collapse_leaf_items(self.node_mut(node_id).items_mut());
-                    if self.node(node_id).len() >= before {
-                        break;
-                    }
-                }
+                // One call brings the leaf back within capacity (models
+                // whose collapse is a no-op keep the bounded overflow).
+                model.collapse_leaf_items(self.node_mut(node_id).items_mut(), cap);
             }
             // Directory overflow without permission to split is tolerated:
             // it is bounded by the batch size and resolved by a later

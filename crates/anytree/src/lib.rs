@@ -149,6 +149,6 @@ pub use shard::{
     FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree, ShardedTreeSnapshot,
 };
 pub use snapshot::TreeSnapshot;
-pub use split::{distribute, merge_closest_pair, polar_partition};
+pub use split::{distribute, polar_partition};
 pub use summary::Summary;
 pub use tree::{AnytimeTree, InsertOutcome};

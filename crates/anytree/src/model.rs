@@ -68,9 +68,12 @@ pub trait InsertModel<S: Summary> {
         geometry: &PageGeometry,
     ) -> (Vec<Self::LeafItem>, Vec<Self::LeafItem>);
 
-    /// Brings an overfull leaf back within capacity when splitting is not
-    /// allowed (e.g. by merging the closest pair of micro-clusters).
-    fn collapse_leaf_items(&self, _items: &mut Vec<Self::LeafItem>) {}
+    /// Brings an overfull leaf back within `cap` items when splitting is
+    /// not allowed (e.g. by merging closest pairs of micro-clusters until
+    /// `cap` remain).  The core calls it once per overflow, with every
+    /// item the batch added to the leaf; the default does nothing, and the
+    /// leaf keeps its bounded overflow.
+    fn collapse_leaf_items(&self, _items: &mut Vec<Self::LeafItem>, _cap: usize) {}
 
     /// Whether an overflowing node may split right now.  `has_time` reports
     /// whether the insertion still had budget at that node.

@@ -1,4 +1,4 @@
-//! Split and overflow-fallback algorithms shared by the tree instantiations.
+//! Split algorithms shared by the tree instantiations.
 //!
 //! Directory nodes split in one of two ways, chosen statically by the
 //! payload ([`Summary::MBR_ROUTED`]):
@@ -9,8 +9,8 @@
 //! * **polar split** (farthest-pair seeding, closer-seed assignment with
 //!   capacity caps) over the entries' centres (the clustering extension).
 //!
-//! The polar partition and the closest-pair merge fallback are exposed so
-//!   models can reuse them for their leaf items as well.
+//! The polar partition is exposed so models can reuse it for their leaf
+//! items as well.
 
 use crate::node::Entry;
 use crate::summary::Summary;
@@ -127,29 +127,6 @@ pub fn polar_partition(centers: &[Vec<f64>], cap: usize) -> (Vec<usize>, Vec<usi
         group_b.push(group_a.pop().expect("group A has entries"));
     }
     (group_a, group_b)
-}
-
-/// Merges the closest pair of summaries in place, reducing the collection's
-/// size by one — the overflow fallback when a node may not split.
-///
-/// # Panics
-///
-/// Panics if fewer than two summaries are given.
-pub fn merge_closest_pair<S: Summary>(items: &mut Vec<S>, ctx: S::Ctx) {
-    assert!(items.len() >= 2, "cannot merge fewer than two entries");
-    let mut best = (0usize, 1usize, f64::INFINITY);
-    let centers: Vec<Vec<f64>> = items.iter().map(Summary::center).collect();
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            let d = sq_dist(&centers[i], &centers[j]);
-            if d < best.2 {
-                best = (i, j, d);
-            }
-        }
-    }
-    let (i, j, _) = best;
-    let absorbed = items.swap_remove(j);
-    items[i].merge(&absorbed, ctx);
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {

@@ -47,7 +47,13 @@ pub trait Summary: Clone {
     /// routing measure for payloads without an MBR.
     fn sq_dist_to(&self, point: &[f64]) -> f64;
 
-    /// Representative centre, used by the distance-based split.
+    /// Representative centre, used by the distance-based split and the
+    /// closest-pair collapse of a leaf that may not split.
+    ///
+    /// Routing reads [`center_into`](Summary::center_into) instead.  The
+    /// two may differ in the last bit (a micro-cluster computes `ls / n`
+    /// here and `ls * (1/n)` there), so swapping one for the other changes
+    /// which pairs split or merge, and with them the partitions.
     fn center(&self) -> Vec<f64>;
 
     /// The minimum bounding rectangle, for MBR-routed payloads that store

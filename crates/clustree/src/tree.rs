@@ -25,7 +25,7 @@
 //! [`bt_anytree::AnytimeTree`] core — the same core the Bayes tree is built
 //! on.  This module only supplies the micro-cluster payload policy: nearest
 //! -centre routing, absorb-or-reuse leaf insertion, the polar split, and the
-//! merge-closest fallback when there is no time to split.
+//! closest-pair collapse when there is no time to split.
 //!
 //! The tree owns its core through the shared sharding layer
 //! ([`bt_anytree::shard`]): [`ClusTree::new`] builds one shard, the paper's
@@ -45,6 +45,7 @@ use bt_anytree::{
     PipelinedOutcome, RefineOrder, ShardRouter, ShardedAnytimeTree,
 };
 use bt_index::PageGeometry;
+use bt_stats::vector::sq_dist;
 
 pub use bt_anytree::{BatchOutcome, DepthHistogram, InsertOutcome};
 
@@ -207,12 +208,79 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
         bt_anytree::distribute(items, &first, &second)
     }
 
-    fn collapse_leaf_items(&self, items: &mut Vec<MicroCluster>) {
-        bt_anytree::merge_closest_pair(items, self.ctx());
+    fn collapse_leaf_items(&self, items: &mut Vec<MicroCluster>, cap: usize) {
+        merge_closest_pairs(items, cap, self.lambda());
     }
 
     fn may_split(&self, has_time: bool) -> bool {
         self.config.allow_splits && has_time
+    }
+}
+
+/// Merges the closest pair of `items` (squared centre distance; the first
+/// pair `(i, j > i)` in row order wins ties) until at most `cap` remain —
+/// the collapse of a leaf that may not split, one call per overflow.
+///
+/// Centres come from [`MicroCluster::center`] (`ls / n`), as in the polar
+/// split, not from the routing [`MicroCluster::center_into`]
+/// (`ls * (1/n)`), which can differ in the last bit and then pick another
+/// pair.  They are built once into one flat row-major buffer and their
+/// pair distances once into an upper-triangular matrix.  A merge
+/// `swap_remove`s the absorbed item, so the last row moves into its slot,
+/// and the merged row is recomputed; every other distance keeps its
+/// value.  Distances are symmetric bit for bit (`x - y == -(y - x)`), so
+/// each merge picks the pair a full rescan of fresh centres would.
+fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
+    // Merging stops at one item, whatever the capacity.
+    let cap = cap.max(1);
+    let mut n = items.len();
+    if n <= cap {
+        return;
+    }
+    let dims = items[0].dims();
+    let stride = n;
+    let mut centers = Vec::with_capacity(n * dims);
+    for mc in items.iter() {
+        centers.extend_from_slice(&mc.center());
+    }
+    let dist_of = |centers: &[f64], i: usize, j: usize| {
+        sq_dist(
+            &centers[i * dims..(i + 1) * dims],
+            &centers[j * dims..(j + 1) * dims],
+        )
+    };
+    // `dist[i * stride + j]` for `i < j`.
+    let mut dist = vec![0.0; n * stride];
+    for i in 0..n {
+        for j in i + 1..n {
+            dist[i * stride + j] = dist_of(&centers, i, j);
+        }
+    }
+    let at = |i: usize, j: usize| i.min(j) * stride + i.max(j);
+    while n > cap {
+        let (mut first, mut second, mut best) = (0usize, 1usize, f64::INFINITY);
+        for i in 0..n {
+            for j in i + 1..n {
+                let d = dist[i * stride + j];
+                if d < best {
+                    (first, second, best) = (i, j, d);
+                }
+            }
+        }
+        let absorbed = items.swap_remove(second);
+        items[first].merge(&absorbed, lambda);
+        n -= 1;
+        if second != n {
+            centers.copy_within(n * dims..(n + 1) * dims, second * dims);
+            for k in (0..n).filter(|&k| k != second) {
+                dist[at(second, k)] = dist[at(n, k)];
+            }
+        }
+        centers.truncate(n * dims);
+        centers[first * dims..(first + 1) * dims].copy_from_slice(&items[first].center());
+        for k in (0..n).filter(|&k| k != first) {
+            dist[at(first, k)] = dist_of(&centers, first.min(k), first.max(k));
+        }
     }
 }
 

@@ -34,10 +34,14 @@
 //! remaining add/mul/div arithmetic vectorizes here.
 //!
 //! The fused passes take the floored bandwidth and its `ln` precomputed
-//! ([`crate::kernel::KernelBandwidth`]), run entry chunks outermost so each
-//! chunk's accumulators stay in registers for the whole dimension walk, and
-//! end a block with a chunk that overlaps its predecessor instead of a
-//! scalar tail loop (only a block under one lane pads).  The node and
+//! ([`crate::kernel::KernelBandwidth`]).  All four kernels, the distance
+//! pass included, run entry chunks outermost so each chunk's accumulators
+//! stay in registers for the whole dimension walk, and end a block with a
+//! chunk that overlaps its predecessor instead of a scalar tail loop (only
+//! a block under one lane pads).  The distance pass used to walk
+//! dimensions outermost, storing and reloading every entry's running sum
+//! once per dimension; the register form speeds up ClusTree routing and
+//! k-NN reads (`docs/PERF.md`, "Routing distances in registers").  The node and
 //! micro-cluster passes also run without their box lanes (`BOUNDS ==
 //! false`): for the classifier, which reads no bound, and for ClusTree
 //! leaves, whose bounds collapse onto the estimate.  On a 16-d node of 4–9
@@ -172,6 +176,13 @@ impl F64x4 {
     pub fn max(self, other: Self) -> Self {
         self.zip(other, f64::max)
     }
+
+    /// Lane-wise `f64::min` (same NaN semantics as the scalar reference).
+    #[inline(always)]
+    #[must_use]
+    pub fn min(self, other: Self) -> Self {
+        self.zip(other, f64::min)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,25 +191,33 @@ impl F64x4 {
 // scalar loop in `crate::kernel` expression for expression.
 // ---------------------------------------------------------------------------
 
+/// Squared-distance pass, laid out as the fused passes: entry chunks run
+/// outermost over [`chunk_starts`], each chunk's four sums stay in one
+/// register across the dimension walk, and per entry the terms arrive
+/// dimension-ascending, so every distance is bit-identical to the scalar
+/// loop in `kernel::sq_dists_block`.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
 fn sq_dists_body(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
-    let chunks = len - len % LANES;
-    for (d, &q) in query.iter().enumerate() {
-        let col = &means[d * len..(d + 1) * len];
-        let qv = F64x4::splat(q);
-        let mut i = 0;
-        while i < chunks {
-            let diff = F64x4::load(&col[i..]).sub(qv);
-            let acc = diff.mul(diff).add(F64x4::load(&out[i..]));
-            acc.store(&mut out[i..]);
-            i += LANES;
+    if len >= LANES {
+        sq_dists_chunks::<true>(query, means, len, out);
+    } else {
+        sq_dists_chunks::<false>(query, means, len, out);
+    }
+}
+
+/// The chunk loop of [`sq_dists_body`]; `FULL` promises `len >= LANES`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+fn sq_dists_chunks<const FULL: bool>(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
+    let n = if FULL { LANES } else { len };
+    for i in chunk_starts(len) {
+        let mut acc = F64x4::splat(0.0);
+        for (d, &q) in query.iter().enumerate() {
+            let diff = load_padded(means, d * len + i, n, 0.0).sub(F64x4::splat(q));
+            acc = diff.mul(diff).add(acc);
         }
-        while i < len {
-            let diff = col[i] - q;
-            out[i] += diff * diff;
-            i += 1;
-        }
+        store_first(acc, out, i, n);
     }
 }
 
@@ -208,9 +227,11 @@ fn sq_dists_body(query: &[f64], means: &[f64], len: usize, out: &mut [f64]) {
 /// shared entries bit-identically (lanes are independent), so every chunk
 /// of such a block loads and stores full lanes — no tail loop.  A block
 /// shorter than one lane is one padded chunk (see [`load_padded`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+///
+/// Plain code, so other crates' chunked bodies (the R* choose-subtree
+/// pass in `bt_index`) share it inside and outside their AVX2 regions.
 #[inline(always)]
-fn chunk_starts(len: usize) -> impl Iterator<Item = usize> {
+pub fn chunk_starts(len: usize) -> impl Iterator<Item = usize> {
     (0..len)
         .step_by(LANES)
         .map(move |i| i.min(len.saturating_sub(LANES)))
@@ -218,9 +239,9 @@ fn chunk_starts(len: usize) -> impl Iterator<Item = usize> {
 
 /// Loads lanes `at..at + n` of a column (`n <= LANES`), padding the unused
 /// lanes with `pad`; a padded lane's result is never stored.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn load_padded(col: &[f64], at: usize, n: usize, pad: f64) -> F64x4 {
+#[must_use]
+pub fn load_padded(col: &[f64], at: usize, n: usize, pad: f64) -> F64x4 {
     if n == LANES {
         F64x4::load(&col[at..at + LANES])
     } else {
@@ -230,9 +251,8 @@ fn load_padded(col: &[f64], at: usize, n: usize, pad: f64) -> F64x4 {
 }
 
 /// Stores the first `n` lanes into `out[at..at + n]`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
+pub fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
     if n == LANES {
         v.store(&mut out[at..at + LANES]);
     } else {
