@@ -13,7 +13,7 @@
 //!   page, while it is unshared and not full), so a batch's delta occupies a
 //!   handful of contiguous runs instead of one `Arc` allocation per node,
 //! * a [`NodeId`] is still a stable dense index; the **slot table** (chunked
-//!   `Arc`-shared arrays of `(page, index)` [`SlotRef`]s) maps it to the
+//!   `Arc`-shared arrays of `(page, index)` `SlotRef`s) maps it to the
 //!   node's current home.  Child pointers never move; only the small slot
 //!   chunk holding a rewritten id is copied (never counted as a retired
 //!   node),
@@ -34,7 +34,7 @@
 //!   [`EpochRegistry`] so writers (and tests) can observe which epochs are
 //!   still read,
 //! * **reclamation**: the arena counts, per page, how many slots still point
-//!   into it ([`NodeArena::live`] bookkeeping).  When the last slot leaves a
+//!   into it (`NodeArena::live` bookkeeping).  When the last slot leaves a
 //!   page the arena drops its reference; the page's memory is freed exactly
 //!   when the last snapshot spine ([`ArenaSpine`]) holding it is dropped —
 //!   the epoch registry records the pins, the `Arc` drop does the freeing,

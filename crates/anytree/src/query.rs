@@ -61,7 +61,7 @@
 use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
-use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock};
+use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, ScoreLanes};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 
@@ -155,7 +155,7 @@ pub trait QueryModel<S: Summary> {
         query: &[f64],
         entries: &[Entry<S>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         let _ = (query, entries, gathered, lanes);
@@ -219,7 +219,7 @@ pub trait QueryModel<S: Summary> {
         query: &[f64],
         items: &[Self::LeafItem],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         let _ = (query, items, gathered, lanes);
@@ -824,7 +824,7 @@ impl QueryCursor {
     /// The child node the next refinement in `order` would read, if any —
     /// the prefetch target of [`TreeView::refine_query`].  Peeking reuses
     /// (and warms) the selection heap, so it does not disturb the order and
-    /// the following [`select`](Self::select) call finds its work done.
+    /// the following `select` call finds its work done.
     pub fn next_refinable_child(&mut self, order: RefineOrder) -> Option<NodeId> {
         let idx = self.select(order)?;
         self.elements[idx].child
@@ -927,7 +927,7 @@ impl QueryCursor {
     /// The cursor's reusable per-entry output lanes, lent to callers that
     /// score outside the engine (take them with `std::mem::take` and put
     /// them back) so their scratch rides along with the pooled cursor.
-    pub fn scratch_lanes(&mut self) -> &mut [Vec<f64>; 4] {
+    pub fn scratch_lanes(&mut self) -> &mut ScoreLanes {
         &mut self.block.lanes
     }
 

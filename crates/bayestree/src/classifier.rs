@@ -9,7 +9,7 @@
 //! `argmax_c P(c) * pdq(x, E_c)`.
 //!
 //! Every classification starts from the 0-read root mixture of every
-//! class.  The roots are scored together: a [`RootBlock`] stacks every
+//! class.  The roots are scored together: a `RootBlock` stacks every
 //! class root's entries (a leaf root's one summary) into one column block,
 //! gathered by the first classification, and each classification scores
 //! it with one estimate pass.  Each class frontier is then seeded from its
@@ -481,7 +481,7 @@ pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
         }
         // The root pass borrows the first cursor's output lanes.
         let mut lanes = std::mem::take(cursors[0].scratch_lanes());
-        let [log_pdf, dist, _, _] = &mut lanes;
+        let [log_pdf, dist, ..] = &mut lanes;
         node_estimates_block(x, &roots.block, log_pdf, dist);
         let weights = roots.block.weights();
         let mut scores = Vec::with_capacity(classes.len());

@@ -54,11 +54,14 @@ use std::cell::RefCell;
 
 use bt_anytree::Summary;
 use bt_index::{Mbr, MbrElement};
-use bt_stats::kernel::{farthest_point_log_kernel, nearest_point_log_kernel};
+use bt_stats::cluster_feature::raw_moments;
+use bt_stats::kernel::{cf_log_terms, farthest_point_log_kernel, nearest_point_log_kernel};
 use bt_stats::quant::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16,
 };
-use bt_stats::{ClusterFeature, ColumnElement, DiagGaussian, SummaryBlock, VARIANCE_FLOOR};
+use bt_stats::{
+    ClusterFeature, ColumnElement, DiagGaussian, KernelBandwidth, SummaryBlock, VARIANCE_FLOOR,
+};
 
 /// Arena index of a node within its tree.
 pub type NodeId = bt_anytree::NodeId;
@@ -71,6 +74,11 @@ pub type NodeId = bt_anytree::NodeId;
 /// representational difference the trait surfaces is whether a stored box
 /// can be *borrowed* at full width or must be widened per corner.
 pub trait StoredScalar: ColumnElement + MbrElement + Send + Sync + 'static {
+    /// Whether the type stores an `f64` as is: `true` for `f64`, `false`
+    /// for `f32`, whose rounded cluster features keep the box bounds (see
+    /// [`StoredSummary::CF_BOUNDS`]).
+    const FULL_WIDTH: bool;
+
     /// The full-width view of a stored box, when one can be borrowed
     /// without conversion: `Some(identity)` for `f64`, `None` for `f32`
     /// (whose boxes are widened per corner via [`Summary::mbr_corner`]
@@ -79,6 +87,8 @@ pub trait StoredScalar: ColumnElement + MbrElement + Send + Sync + 'static {
 }
 
 impl StoredScalar for f64 {
+    const FULL_WIDTH: bool = true;
+
     #[inline(always)]
     fn full_width_mbr(mbr: &Mbr<Self>) -> Option<&Mbr> {
         Some(mbr)
@@ -86,6 +96,8 @@ impl StoredScalar for f64 {
 }
 
 impl StoredScalar for f32 {
+    const FULL_WIDTH: bool = false;
+
     #[inline(always)]
     fn full_width_mbr(_mbr: &Mbr<Self>) -> Option<&Mbr> {
         None
@@ -94,11 +106,19 @@ impl StoredScalar for f32 {
 
 /// The operations the Bayes tree needs from a stored summary beyond the
 /// engine-facing [`Summary`] contract — construction from raw points, the
-/// Gaussian view, and the two hot decode hooks (block gather, MBR kernel
-/// bounds) that let each representation own its decode arithmetic.
+/// Gaussian view, and the decode hooks (block gather, box and
+/// cluster-feature bound terms) that let each representation own its
+/// decode arithmetic.
 pub trait StoredSummary:
     Summary<Ctx = ()> + Clone + std::fmt::Debug + Send + Sync + 'static
 {
+    /// Whether the certified density bounds use this representation's
+    /// cluster feature ([`bt_stats::kernel::certified_bounds`]) or its box
+    /// alone.  Only the full-width `f64` mode stores its CF as the running
+    /// floating sums the CF margin is derived for; `f32` and the quantised
+    /// mode store a rounded CF and keep the box bounds.
+    const CF_BOUNDS: bool;
+
     /// The summary of a single kernel centre.
     fn from_point(point: &[f64]) -> Self;
 
@@ -126,17 +146,27 @@ pub trait StoredSummary:
     }
 
     /// Decodes this summary into row `i` of a structure-of-arrays block:
-    /// weight, Gaussian mean/variance and MBR corner columns, replicating
-    /// `ClusterFeature::variance` and the `DiagGaussian` clamp exactly so
-    /// the block kernels stay bit-identical to the scalar reference.
-    /// `block` has already been reset with boxes enabled.
+    /// weight, mean / raw variance ([`raw_moments`]) and MBR corner
+    /// columns.  The node passes floor the variance as the `DiagGaussian`
+    /// clamp does, so the block kernels stay bit-identical to the scalar
+    /// reference.  `block` has already been reset with boxes enabled.
     fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize);
 
     /// The log product-kernel at the farthest and nearest point of this
-    /// summary's box — `(farthest, nearest)`, the two sides of the certain
+    /// summary's box — `(farthest, nearest)`, the box sides of the certain
     /// bound interval.  Each representation decodes its own corners so the
     /// full-width modes stay allocation-free borrows.
     fn bound_log_kernels(&self, query: &[f64], bandwidth: &[f64]) -> (f64, f64);
+
+    /// The `(jensen, magnitude)` cluster-feature log terms
+    /// ([`cf_log_terms`]) of the gathered mean and raw variance — what the
+    /// fused node pass computes for this summary, bit for bit.  Read only
+    /// when [`Self::CF_BOUNDS`] holds; the default, `(NaN, NaN)`, is "no
+    /// usable CF", which `certified_bounds` turns into the box bounds.
+    fn cf_log_terms(&self, query: &[f64], bandwidth: &KernelBandwidth) -> (f64, f64) {
+        let _ = (query, bandwidth);
+        (f64::NAN, f64::NAN)
+    }
 }
 
 /// A stored-summary *mode* of the Bayes tree: picks the summary
@@ -281,6 +311,8 @@ impl<E: StoredScalar> Summary for KernelSummary<E> {
 }
 
 impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
+    const CF_BOUNDS: bool = E::FULL_WIDTH;
+
     fn from_point(point: &[f64]) -> Self {
         KernelSummary::from_point(point)
     }
@@ -302,24 +334,10 @@ impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
     }
 
     fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize) {
-        let cf = &self.cf;
-        block.set_weight(i, cf.weight());
-        if cf.is_empty() {
-            for d in 0..dims {
-                block.set_mean(d, i, 0.0);
-                block.set_var(d, i, VARIANCE_FLOOR);
-            }
-        } else {
-            let n = cf.weight();
-            let ls = cf.linear_sum();
-            let ss = cf.squared_sum();
-            for d in 0..dims {
-                let mean = ColumnElement::widen(ls[d]) / n;
-                let var = (ColumnElement::widen(ss[d]) / n - mean * mean).max(VARIANCE_FLOOR);
-                let var = if var.is_finite() { var } else { VARIANCE_FLOOR };
-                block.set_mean(d, i, mean);
-                block.set_var(d, i, var);
-            }
+        block.set_weight(i, self.cf.weight());
+        for (d, (mean, var)) in self.cf.raw_moments().take(dims).enumerate() {
+            block.set_mean(d, i, mean);
+            block.set_var(d, i, var);
         }
         let (lo, hi) = (self.mbr.lower(), self.mbr.upper());
         for d in 0..dims {
@@ -335,6 +353,10 @@ impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
             farthest_point_log_kernel(query, lower, upper, bandwidth),
             nearest_point_log_kernel(query, lower, upper, bandwidth),
         )
+    }
+
+    fn cf_log_terms(&self, query: &[f64], bandwidth: &KernelBandwidth) -> (f64, f64) {
+        cf_log_terms(query, self.cf.raw_moments(), bandwidth)
     }
 }
 
@@ -456,6 +478,16 @@ impl QuantizedSummary {
         bf16_decode(self.corners[self.dims() + d])
     }
 
+    /// The decoded `(mean, raw variance)` along dimension `d`
+    /// ([`raw_moments`]); `(0, VARIANCE_FLOOR)` for an empty summary.
+    fn raw_moments_at(&self, d: usize) -> (f64, f64) {
+        if self.n <= f64::EPSILON {
+            (0.0, VARIANCE_FLOOR)
+        } else {
+            raw_moments(self.linear_sum_at(d), self.squared_sum_at(d), self.n)
+        }
+    }
+
     fn decode_cf_into(&self, ls: &mut Vec<f64>, ss: &mut Vec<f64>) {
         let dims = self.dims();
         ls.clear();
@@ -546,6 +578,8 @@ impl Summary for QuantizedSummary {
 }
 
 impl StoredSummary for QuantizedSummary {
+    const CF_BOUNDS: bool = false;
+
     fn from_point(point: &[f64]) -> Self {
         QUANT_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
@@ -612,19 +646,10 @@ impl StoredSummary for QuantizedSummary {
         // exact in f64), so the block kernels stay bit-identical to the
         // scalar reference on this mode too.
         block.set_weight(i, self.n);
-        if self.n <= f64::EPSILON {
-            for d in 0..dims {
-                block.set_mean(d, i, 0.0);
-                block.set_var(d, i, VARIANCE_FLOOR);
-            }
-        } else {
-            for d in 0..dims {
-                let mean = self.linear_sum_at(d) / self.n;
-                let var = (self.squared_sum_at(d) / self.n - mean * mean).max(VARIANCE_FLOOR);
-                let var = if var.is_finite() { var } else { VARIANCE_FLOOR };
-                block.set_mean(d, i, mean);
-                block.set_var(d, i, var);
-            }
+        for d in 0..dims {
+            let (mean, var) = self.raw_moments_at(d);
+            block.set_mean(d, i, mean);
+            block.set_var(d, i, var);
         }
         for d in 0..dims {
             block.set_lower(d, i, self.lower_at(d));

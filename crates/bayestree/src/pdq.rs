@@ -7,8 +7,8 @@
 //! pdq(x, E) = sum_{e_s in E} (n_es / n) * g(x, mu_es, sigma_es)
 //! ```
 //!
-//! The anytime classifier uses the incremental [`crate::frontier`] machinery;
-//! the free functions here evaluate the same quantity non-incrementally for
+//! The anytime classifier uses the incremental [`bt_anytree::query`]
+//! machinery; the free functions here evaluate the same quantity non-incrementally for
 //! whole levels of the tree, which is useful for tests, for the "model at
 //! granularity k" inspection API, and as a reference implementation the
 //! incremental path is validated against.  The per-entry mixture term itself

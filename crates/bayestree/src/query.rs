@@ -10,11 +10,35 @@
 //!   with the non-incremental [`crate::pdq`] reference),
 //! * a leaf kernel contributes `K_h(x - x_i) / n` exactly,
 //! * the certain `[lower, upper]` bounds on an entry's fully refined
-//!   contribution come from its MBR: every kernel below lies inside the
-//!   box, and the product kernel decreases with per-dimension distance, so
-//!   `weight * K(farthest corner) <= contribution <= weight * K(nearest
-//!   point)`.  Child MBRs nest inside their parent's, so refinement can only
-//!   tighten the interval — the engine's monotonicity contract.
+//!   contribution `weight * mean_j K(x - x_j)` come from its box and its
+//!   cluster feature ([`bt_stats::kernel::certified_bounds`]).  Write `a_j`
+//!   for the scaled squared distance `sum_d (x_d - x_jd)^2 / (2 h_d^2)` of
+//!   the entry's point `j`.  The box gives `a_min <= a_j <= a_max` (its
+//!   nearest point and farthest corner); the CF gives their exact mean `ā
+//!   = sum_d ((x_d - m_d)^2 + v_d) / (2 h_d^2)` from `m = LS/n` and `v =
+//!   SS/n - m^2`.  Because `exp(-a)` is convex, the mean kernel is at least
+//!   `K` at `ā` (Jensen) and at most the chord of `exp(-a)` over `[a_min,
+//!   a_max]` at `ā` (Edmundson–Madansky); the box alone gives `K(farthest
+//!   corner)` and `K(nearest point)`, and each side takes the tighter of
+//!   the two.  A child's box lies in its parent's and a parent's `ā` is the
+//!   weighted mean of its children's (law of total variance), so
+//!   refinement can only tighten the interval — the engine's monotonicity
+//!   contract.
+//!
+//!   In `f64` the CF terms are sound through two choices.  `ā` reads the
+//!   raw variance `SS/n - m^2`, not the floored one the Gaussian reads: a
+//!   floor would raise `ā` (too high a lower bound is unsound, too low an
+//!   upper one too) and break nesting on near-duplicate data.  And a
+//!   margin absolute in `m^2 + v` ([`bt_stats::kernel::cf_margin`]) moves
+//!   the lower bound down and the upper bound up by the rounding `ā` can
+//!   carry: `SS/n - m^2` cancels when the spread is far below the mean.
+//!   The `f32` and quantised modes store a rounded CF, which this margin
+//!   does not cover, so they keep the box bounds
+//!   ([`StoredSummary::CF_BOUNDS`]).
+//! * The point estimate is the Definition 3 mixture, a different model
+//!   from the kernel density the bounds enclose.  With CF bounds it may
+//!   lie outside `[lower, upper]`; it is not clamped, so every estimate
+//!   and every classification keeps its bits.
 //!
 //! On top of the model this module gives [`BayesTree`] budget-bracketed
 //! density queries ([`BayesTree::anytime_density`],
@@ -32,9 +56,10 @@ use bt_anytree::{
     QueryStats, RefineOrder, SummaryScore,
 };
 use bt_stats::kernel::{
-    leaf_scores_block, node_estimates_block, node_scores_block, GaussianKernel, Kernel,
+    certified_bounds, cf_margin, leaf_scores_block, node_estimates_block, node_scores_block,
+    GaussianKernel, Kernel,
 };
-use bt_stats::{GatheredBlock, KernelBandwidth};
+use bt_stats::{GatheredBlock, KernelBandwidth, ScoreLanes};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
 /// summary — the single place this arithmetic lives; the incremental
@@ -76,6 +101,29 @@ impl<'a> KernelQueryModel<'a> {
     pub fn n(&self) -> f64 {
         self.n
     }
+
+    /// The certain bounds of an entry of `weight` points from its log
+    /// terms: the CF bounds ([`certified_bounds`]) when the stored mode
+    /// keeps an exact CF, else the box's `weight * K(farthest corner)` and
+    /// `weight * K(nearest point)`.  `jensen` and `magnitude` are read only
+    /// in the first case.  The block path and the scalar reference both
+    /// end here.
+    fn entry_bounds<S: StoredSummary>(
+        &self,
+        weight: f64,
+        far: f64,
+        near: f64,
+        jensen: f64,
+        magnitude: f64,
+    ) -> (f64, f64) {
+        let scale = weight / self.n;
+        if S::CF_BOUNDS {
+            let margin = cf_margin(weight, self.bandwidth.len(), magnitude);
+            certified_bounds(scale, far, near, jensen, margin)
+        } else {
+            (scale * far.exp(), scale * near.exp())
+        }
+    }
 }
 
 impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
@@ -85,16 +133,20 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         summary_mixture_term(summary, query, self.n)
     }
 
-    /// Certain bounds from the summary's box: every kernel below lies inside
-    /// it and the product kernel decreases with per-dimension distance, so
-    /// the farthest/nearest box points bracket the contribution.  The log
-    /// kernels come from [`StoredSummary::bound_log_kernels`] — each stored
-    /// representation decodes its own corners, the `scale * exp(log)`
-    /// arithmetic here is shared.
+    /// Certain bounds from the summary's box and, in the `f64` mode, its
+    /// cluster feature (see the [module docs](self)).  The log terms come
+    /// from [`StoredSummary::bound_log_kernels`] and
+    /// [`StoredSummary::cf_log_terms`] — each stored representation
+    /// decodes its own corners and sums; the arithmetic that turns them
+    /// into bounds is shared with the block path.
     fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
-        let scale = summary.weight() / self.n;
-        let (farthest, nearest) = summary.bound_log_kernels(query, self.bandwidth.values());
-        (scale * farthest.exp(), scale * nearest.exp())
+        let (far, near) = summary.bound_log_kernels(query, self.bandwidth.values());
+        let (jensen, magnitude) = if S::CF_BOUNDS {
+            summary.cf_log_terms(query, self.bandwidth)
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        self.entry_bounds::<S>(summary.weight(), far, near, jensen, magnitude)
     }
 
     fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
@@ -137,8 +189,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         true
     }
 
-    /// Block scoring over gathered columns: mixture term, MBR bounds and
-    /// geometric priority for all entries in one [`node_scores_block`]
+    /// Block scoring over gathered columns: mixture term, certain bounds
+    /// and geometric priority for all entries in one [`node_scores_block`]
     /// pass.  The pass accumulates in the same per-dimension order as the
     /// scalar methods, so in every stored mode the scores are bit-identical
     /// to the per-summary reference (the frontier tests assert this).
@@ -147,23 +199,24 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         query: &[f64],
         _entries: &[Entry<S>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         let block = &gathered.block;
         let len = block.len();
         node_scores_block(query, self.bandwidth, block, lanes);
-        let [contrib, far, near, dist] = lanes;
+        let [contrib, far, near, dist, jensen, magnitude] = lanes;
         out.clear();
         out.reserve(len);
         for i in 0..len {
             let weight = block.weights()[i];
-            let scale = weight / self.n;
+            let (lower, upper) =
+                self.entry_bounds::<S>(weight, far[i], near[i], jensen[i], magnitude[i]);
             out.push(SummaryScore {
                 weight,
-                contribution: scale * contrib[i].exp(),
-                lower: scale * far[i].exp(),
-                upper: scale * near[i].exp(),
+                contribution: weight / self.n * contrib[i].exp(),
+                lower,
+                upper,
                 min_dist_sq: dist[i],
             });
         }
@@ -194,12 +247,12 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         query: &[f64],
         _items: &[Vec<f64>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         let block = &gathered.block;
         let len = block.len();
-        let [logk, dist, _, _] = lanes;
+        let [logk, dist, ..] = lanes;
         leaf_scores_block(query, self.bandwidth, block.mean(), len, logk, dist);
         out.clear();
         out.reserve(len);
@@ -224,8 +277,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
 /// and refines in a [`DescentStrategy`] order, none of which reads a bound
 /// ([`RefineOrder::WidestBound`] is the only order that does, and no
 /// strategy maps to it).  So a directory node runs
-/// [`node_estimates_block`] instead of the full fused pass, skipping both
-/// box log-kernels and their two `exp` per entry, and every element's
+/// [`node_estimates_block`] instead of the full fused pass, skipping its
+/// four bound lanes and their `exp`s per entry, and every element's
 /// interval collapses onto its estimate.  Estimates and priorities equal
 /// the full model's bit for bit, so classifications do too.  The gathers
 /// are the full model's, so cached blocks serve both.
@@ -283,11 +336,11 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         query: &[f64],
         _entries: &[Entry<S>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         let block = &gathered.block;
-        let [log_pdf, dist, _, _] = lanes;
+        let [log_pdf, dist, ..] = lanes;
         node_estimates_block(query, block, log_pdf, dist);
         out.clear();
         out.extend(
@@ -310,7 +363,7 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         query: &[f64],
         items: &[Vec<f64>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         QueryModel::<S>::score_gathered_leaves(&self.0, query, items, gathered, lanes, out);
@@ -496,9 +549,13 @@ mod tests {
     /// each score against the scalar `StoredSummary` reference bit for bit.
     /// Every stored mode gathers into full-width `f64` columns (`f32`
     /// widens and the quantised decode `q * step` is exact), so all three
-    /// are held to the same contract.
+    /// are held to the same contract.  The expected bounds are derived
+    /// here from the summary's log terms: through `certified_bounds` when
+    /// the mode keeps an exact CF (`f64`), as the box's `scale * exp(log
+    /// kernel)` pair otherwise (`f32`, quantised).
     fn assert_block_scores_match_the_scalar_reference<E: StoredElement>(tree: &BayesTree<E>) {
         let model = tree.query_model();
+        let bandwidth = tree.kernel_bandwidth();
         let mut scratch = BlockScratch::new();
         let mut scores = Vec::new();
         let mut inner_nodes = 0;
@@ -513,7 +570,18 @@ mod tests {
                 assert_eq!(scores.len(), entries.len());
                 for (entry, score) in entries.iter().zip(&scores) {
                     let summary = &entry.summary;
-                    let (lower, upper) = model.summary_bounds(&query, summary);
+                    let scale = summary.weight() / model.n();
+                    let (far, near) = summary.bound_log_kernels(&query, bandwidth.values());
+                    let (lower, upper) = if E::Summary::CF_BOUNDS {
+                        let (jensen, magnitude) = summary.cf_log_terms(&query, bandwidth);
+                        let margin = cf_margin(summary.weight(), query.len(), magnitude);
+                        certified_bounds(scale, far, near, jensen, margin)
+                    } else {
+                        (scale * far.exp(), scale * near.exp())
+                    };
+                    let reference = model.summary_bounds(&query, summary);
+                    assert_eq!(reference.0.to_bits(), lower.to_bits());
+                    assert_eq!(reference.1.to_bits(), upper.to_bits());
                     let expected = SummaryScore {
                         weight: summary.weight(),
                         contribution: model.summary_contribution(&query, summary),
@@ -537,11 +605,13 @@ mod tests {
 
     #[test]
     fn block_scores_match_the_scalar_reference_bitwise() {
+        const { assert!(<f64 as StoredElement>::Summary::CF_BOUNDS) };
         assert_block_scores_match_the_scalar_reference(&sample_tree(300, 6));
     }
 
     #[test]
     fn quantized_block_scores_match_the_scalar_reference_bitwise() {
+        const { assert!(!<crate::node::Quantized as StoredElement>::Summary::CF_BOUNDS) };
         let tree: BayesTree<crate::node::Quantized> =
             BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
         assert_block_scores_match_the_scalar_reference(&tree);
@@ -549,9 +619,41 @@ mod tests {
 
     #[test]
     fn f32_block_scores_match_the_scalar_reference_bitwise() {
+        const { assert!(!<f32 as StoredElement>::Summary::CF_BOUNDS) };
         let tree: BayesTree<f32> =
             BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
         assert_block_scores_match_the_scalar_reference(&tree);
+    }
+
+    #[test]
+    fn cf_bounds_are_never_looser_than_the_box_bounds() {
+        // Every f64 entry's interval lies inside its box interval, and on
+        // ordinary data the cluster feature tightens most of them.
+        let tree: BayesTree = sample_tree(300, 8);
+        let model = tree.query_model();
+        let (mut entries_seen, mut tightened) = (0, 0);
+        for query in [[0.5, 0.5], [8.3, 8.9], [4.0, 4.0], [1.7, -0.4]] {
+            for id in TreeView::reachable(tree.shard(0)) {
+                let bt_anytree::NodeKind::Inner { entries } = &tree.shard(0).node(id).kind else {
+                    continue;
+                };
+                for entry in entries {
+                    let summary = &entry.summary;
+                    let scale = summary.weight() / model.n();
+                    let (far, near) = summary.bound_log_kernels(&query, tree.bandwidth());
+                    let (lower, upper) = model.summary_bounds(&query, summary);
+                    assert!(lower >= scale * far.exp() && upper <= scale * near.exp());
+                    entries_seen += 1;
+                    if lower > scale * far.exp() && upper < scale * near.exp() {
+                        tightened += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            2 * tightened > entries_seen,
+            "{tightened} of {entries_seen} tightened"
+        );
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!
 //! Structurally each shard of the tree is a thin instantiation of the
 //! shared [`bt_anytree::AnytimeTree`] core (node arena, descent, split
-//! propagation) with the [`KernelSummary`] payload and raw kernel centres as
-//! leaf items, and the tree owns its shards through the shared sharding
-//! layer ([`bt_anytree::ShardedAnytimeTree`]) — one shard for the paper's
-//! single tree.  The structure is built either incrementally
-//! ([`crate::insert`]) or by one of the bulk loaders ([`crate::bulk`]).
+//! propagation) with the [`KernelSummary`](crate::KernelSummary) payload
+//! and raw kernel centres as leaf items, and the tree owns its shards
+//! through the shared sharding layer ([`bt_anytree::ShardedAnytimeTree`])
+//! — one shard for the paper's single tree.  The structure is built
+//! either incrementally ([`crate::insert`]) or by one of the bulk loaders
+//! ([`crate::bulk`]).
 
 use crate::node::{node_cluster_feature, node_mbr, Entry, NodeId, StoredElement, StoredSummary};
 use bt_anytree::{AnytimeTree, CheapestRouter, DescentStats, NodeKind, ShardedAnytimeTree};

@@ -19,7 +19,7 @@
 use bayestree::query::KernelQueryModel;
 use bayestree::KernelSummary;
 use bt_anytree::{Entry, QueryModel, Summary, SummaryScore};
-use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, KernelBandwidth};
+use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
 use clustree::{ClusQueryModel, MicroCluster};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -397,7 +397,7 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
             out.len()
         })
     });
-    let mut lanes: [Vec<f64>; 4] = Default::default();
+    let mut lanes: ScoreLanes = Default::default();
     group.bench_function(BenchmarkId::from_parameter("warm_hit"), |b| {
         b.iter(|| {
             let cached = slot.get().expect("warm slot hits");

@@ -20,7 +20,7 @@ use bt_anytree::{
 };
 use bt_data::stream::DriftingStream;
 use bt_index::PageGeometry;
-use bt_stats::KernelBandwidth;
+use bt_stats::{KernelBandwidth, ScoreLanes};
 use std::hint::black_box;
 
 const DIMS: usize = 8;
@@ -145,7 +145,7 @@ fn measure_warm_cache_ratio() -> (f64, f64, f64) {
     let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
     slot.fill(Box::new(gathered));
-    let mut lanes: [Vec<f64>; 4] = Default::default();
+    let mut lanes: ScoreLanes = Default::default();
     let warm = best_of_3(|| {
         for _ in 0..reps {
             let cached = slot.get().expect("warm slot hits");

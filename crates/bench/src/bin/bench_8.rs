@@ -1,8 +1,8 @@
 //! Perf-trajectory recorder for the half-width stored-summary mode.
 //!
 //! Runs the same streaming workload twice — once on a `f64`-stored
-//! [`BayesTree`] and once on the opt-in `f32`-stored [`BayesTreeF32`] —
-//! and writes the numbers the stored-precision PR is gated on to
+//! [`BayesTree`] and once on the opt-in `f32`-stored
+//! [`BayesTreeF32`](bayestree::BayesTreeF32) — and writes the numbers the stored-precision PR is gated on to
 //! `BENCH_8.json` (in the current directory, repo root when run via
 //! `cargo run`): batched insert throughput, certified anytime outlier
 //! queries per second, and the bytes each block-scored directory entry

@@ -60,7 +60,7 @@ use bt_stats::kernel::{
     cluster_scores_block, gaussian_log_term, nearest_point_log_kernel,
     smoothed_farthest_log_kernel, sq_dists_block,
 };
-use bt_stats::{GatheredBlock, KernelBandwidth};
+use bt_stats::{GatheredBlock, KernelBandwidth, ScoreLanes};
 use std::borrow::Cow;
 
 /// The micro-cluster query model: a smoothed Gaussian kernel score with
@@ -233,9 +233,10 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         query: &[f64],
         _entries: &[Entry<MicroCluster>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
+        let lanes = lanes.first_chunk_mut().expect("six score lanes");
         cluster_scores_block::<true>(query, &self.bandwidth, gathered, lanes);
         let [jensen, far, near, dist] = &*lanes;
         let weights = gathered.block.weights();
@@ -268,9 +269,10 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         query: &[f64],
         _items: &[MicroCluster],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
+        let lanes = lanes.first_chunk_mut().expect("six score lanes");
         cluster_scores_block::<false>(query, &self.bandwidth, gathered, lanes);
         let [jensen, _, _, dist] = &*lanes;
         let weights = gathered.block.weights();
@@ -431,7 +433,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
         query: &[f64],
         _entries: &[Entry<MicroCluster>],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         Self::score_centres(query, gathered, &mut lanes[0], out);
@@ -447,7 +449,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
         query: &[f64],
         _items: &[MicroCluster],
         gathered: &GatheredBlock,
-        lanes: &mut [Vec<f64>; 4],
+        lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
         Self::score_centres(query, gathered, &mut lanes[0], out);

@@ -1,6 +1,6 @@
 //! Pyramidal time frame for micro-cluster snapshots.
 //!
-//! Section 4.2: "Applying a pyramidal time frame as in [CluStream] guarantees
+//! Section 4.2: "Applying a pyramidal time frame as in \[CluStream\] guarantees
 //! a moderate memory consumption even for long running applications."  The
 //! store keeps snapshots at geometrically coarser granularities: order `i`
 //! holds snapshots taken at times divisible by `alpha^i`, and at most

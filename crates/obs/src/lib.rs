@@ -16,7 +16,7 @@
 //!   accumulates counter increments and histogram observations locally and
 //!   merges them into the global registry with one atomic op per metric at
 //!   batch/query boundaries.
-//! * [`trace`] — structured span events for the batch-insert and
+//! * [`trace`](mod@trace) — structured span events for the batch-insert and
 //!   query-refinement lifecycles (`descend`, `finish_batch`, `split`,
 //!   `gather`, `refine_step`, `snapshot_refresh`) delivered to a pluggable
 //!   [`TraceSubscriber`]; the default subscriber is a bounded in-memory
@@ -25,7 +25,7 @@
 //! * [`expo`] — exposition: a point-in-time [`Snapshot`] of the registry
 //!   rendered as Prometheus text format or JSON (with a round-trip
 //!   parser), plus [`Snapshot::delta_since`] for interval accounting.
-//! * [`tree_metrics`] — the metric catalogue the tree layers record into
+//! * [`tree_metrics`](mod@tree_metrics) — the metric catalogue the tree layers record into
 //!   (see `docs/OBSERVABILITY.md` for the full list and naming rules).
 //!
 //! ## Cost contract

@@ -1,6 +1,6 @@
 //! The metric catalogue the tree layers record into.
 //!
-//! Every metric lives in the global [`Registry`](crate::Registry) under a
+//! Every metric lives in the global [`Registry`] under a
 //! `bt_` prefix; counters end in `_total`, histograms name their unit
 //! (`_ns`) or quantity.  The full catalogue with semantics is documented
 //! in `docs/OBSERVABILITY.md`.  Layers obtain the catalogue through

@@ -239,14 +239,23 @@ impl SummaryBlock {
         &self.mean
     }
 
-    /// The dimension-major variance columns.
+    /// The dimension-major variance columns, as gathered.
+    ///
+    /// The fused node passes floor each value at [`crate::VARIANCE_FLOOR`]
+    /// wherever a Gaussian reads it (as does [`Self::fill_log_vars`]), so a
+    /// gatherer may store a variance below the floor.  The Bayes tree
+    /// stores the raw cluster-feature variance `SS/n - m^2` — its certified
+    /// bounds need it unfloored — and NaN when that is not finite, which
+    /// the floor turns into [`crate::VARIANCE_FLOOR`], as `DiagGaussian`
+    /// does.
     #[must_use]
     pub fn var(&self) -> &[f64] {
         &self.var
     }
 
-    /// Precomputes the log-variance column: `ln` of every variance value,
-    /// exactly what the scoring loop would compute per call.
+    /// Precomputes the log-variance column: `ln` of every variance value
+    /// floored at [`crate::VARIANCE_FLOOR`], exactly what the scoring loop
+    /// would compute per call.
     ///
     /// `ln(var)` is query-independent, so hoisting it to gather time (where
     /// the result rides along in the per-node block cache) removes the only
@@ -256,7 +265,8 @@ impl SummaryBlock {
     /// drops the column again.
     pub fn fill_log_vars(&mut self) {
         self.log_var.clear();
-        self.log_var.extend(self.var.iter().map(|v| v.ln()));
+        self.log_var
+            .extend(self.var.iter().map(|v| v.max(crate::VARIANCE_FLOOR).ln()));
     }
 
     /// The dimension-major log-variance column, or `None` until
@@ -369,16 +379,19 @@ impl BlockCacheSlot {
     }
 }
 
-/// Engine-owned scratch for block scoring: one [`GatheredBlock`] plus
-/// reusable per-entry `f64` output lanes for the batch kernels (log-kernels,
-/// bound kernels, squared distances — up to four concurrent results per
-/// node).
+/// Reusable per-entry `f64` output lanes for the fused passes of
+/// [`crate::kernel`]: up to six concurrent results per node (log-kernels,
+/// bound kernels, squared distances, cluster-feature terms).
+pub type ScoreLanes = [Vec<f64>; 6];
+
+/// Engine-owned scratch for block scoring: one [`GatheredBlock`] plus the
+/// [`ScoreLanes`] the batch kernels write.
 #[derive(Debug, Clone, Default)]
 pub struct BlockScratch {
     /// The gathered columns (block + routing centres).
     pub gathered: GatheredBlock,
     /// Reusable per-entry output buffers.
-    pub lanes: [Vec<f64>; 4],
+    pub lanes: ScoreLanes,
 }
 
 impl BlockScratch {

@@ -26,6 +26,21 @@ use crate::block::ColumnElement;
 use crate::gaussian::DiagGaussian;
 use crate::VARIANCE_FLOOR;
 
+/// The mean `LS/n` and the raw variance `SS/n - (LS/n)^2` of one dimension
+/// of a cluster feature: unfloored (it may round below zero), and NaN when
+/// it is not finite.
+///
+/// The one decode of a dimension that the Bayes-tree gathers and the
+/// scalar reference of its cluster-feature bounds share, so the two agree
+/// bit for bit.  Flooring it at [`VARIANCE_FLOOR`] (NaN to the floor) gives
+/// the variance the summary's [`DiagGaussian`] reads.
+#[must_use]
+pub fn raw_moments(ls: f64, ss: f64, n: f64) -> (f64, f64) {
+    let mean = ls / n;
+    let var = ss / n - mean * mean;
+    (mean, if var.is_finite() { var } else { f64::NAN })
+}
+
 /// Additive sufficient statistics of a set of points, stored at element
 /// precision `E` (see the [module docs](self) for the precision contract).
 #[derive(Debug, Clone, PartialEq)]
@@ -230,6 +245,20 @@ impl<E: ColumnElement> ClusterFeature<E> {
                 (ss.widen() / self.n - mean * mean).max(VARIANCE_FLOOR)
             })
             .collect()
+    }
+
+    /// Per-dimension `(mean, raw variance)` of the summarised points, the
+    /// variance unfloored ([`raw_moments`]); `(0, VARIANCE_FLOOR)` in every
+    /// dimension of an empty feature.
+    pub fn raw_moments(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let empty = self.is_empty();
+        self.ls.iter().zip(&self.ss).map(move |(ls, ss)| {
+            if empty {
+                (0.0, VARIANCE_FLOOR)
+            } else {
+                raw_moments(ls.widen(), ss.widen(), self.n)
+            }
+        })
     }
 
     /// The Gaussian `N(LS/n, SS/n - (LS/n)^2)` represented by this feature.

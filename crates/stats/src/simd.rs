@@ -24,7 +24,8 @@
 //! the squared-distance pass (descent routing and k-NN, which need only
 //! distances) and three **fused passes**, one per node shape.  The
 //! Bayes-tree node pass fills the diagonal-Gaussian log-pdf, both box
-//! corners' log-kernels and the box minimum squared distance; the leaf
+//! corners' log-kernels, the box minimum squared distance and the Jensen
+//! and magnitude terms of each entry's cluster feature; the leaf
 //! pass the product log-kernel and the squared distance; the micro-cluster
 //! pass the Jensen-smoothed kernel, the smoothed farthest-corner and
 //! nearest-point log-kernels and the centre distance.  The log-pdf's
@@ -42,7 +43,7 @@
 //! dimensions outermost, storing and reloading every entry's running sum
 //! once per dimension; the register form speeds up ClusTree routing and
 //! k-NN reads (`docs/PERF.md`, "Routing distances in registers").  The node and
-//! micro-cluster passes also run without their box lanes (`BOUNDS ==
+//! micro-cluster passes also run without their bound lanes (`BOUNDS ==
 //! false`): for the classifier, which reads no bound, and for ClusTree
 //! leaves, whose bounds collapse onto the estimate.  On a 16-d node of 4–9
 //! entries the node pass takes about a third of the time of the four
@@ -53,9 +54,9 @@
 //! non-`x86_64` targets, or on CPUs without AVX2, [`avx2_available`] is
 //! `false` and callers fall through to the scalar reference loops.
 
-use crate::kernel::{ClusterColumns, ClusterLanes, NodeColumns, NodeLanes};
+use crate::kernel::{ClusterColumns, ClusterLanes, KernelBandwidth, NodeColumns, NodeLanes};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::LN_2PI;
+use crate::{LN_2PI, VARIANCE_FLOOR};
 
 /// Lanes per vector: one AVX2 register holds four `f64`s.
 pub const LANES: usize = 4;
@@ -261,13 +262,15 @@ pub fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 }
 
 /// Fused directory-node pass.  Entry chunks run outermost so each chunk's
-/// four accumulators stay in registers across the dimension walk; per
+/// six accumulators stay in registers across the dimension walk; per
 /// entry the terms still arrive dimension-ascending, each lane evaluating
 /// the expression of its scalar formula (the diagonal log-pdf with the
 /// stored `ln var`, the two box corners' log-kernels, the box minimum
-/// squared distance), so every output is bit-identical to the scalar
-/// loop's.  Without `BOUNDS` the two corner lanes are neither computed nor
-/// stored; the other two are unchanged.
+/// squared distance, the Jensen and magnitude terms of the entry's
+/// cluster feature), so every output is bit-identical to the scalar
+/// loop's.  The two CF lanes reuse the log-pdf's `diff * diff` and
+/// variance load.  Without `BOUNDS` the four bound lanes are neither
+/// computed nor stored; the other two are unchanged.
 ///
 /// A block of at least one lane runs the `FULL` instantiation, where every
 /// chunk is a plain full-lane load and store; only shorter blocks pay for
@@ -278,15 +281,14 @@ pub fn store_first(v: F64x4, out: &mut [f64], at: usize, n: usize) {
 #[inline(always)]
 fn node_scores_body<const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &NodeColumns<'_>,
     out: &mut NodeLanes<'_>,
 ) {
     if cols.len >= LANES {
-        node_scores_chunks::<true, BOUNDS>(query, h, ln_h, cols, out);
+        node_scores_chunks::<true, BOUNDS>(query, bandwidth, cols, out);
     } else {
-        node_scores_chunks::<false, BOUNDS>(query, h, ln_h, cols, out);
+        node_scores_chunks::<false, BOUNDS>(query, bandwidth, cols, out);
     }
 }
 
@@ -296,18 +298,22 @@ fn node_scores_body<const BOUNDS: bool>(
 #[inline(always)]
 fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &NodeColumns<'_>,
     out: &mut NodeLanes<'_>,
 ) {
     let len = cols.len;
     let zero = F64x4::splat(0.0);
+    let floor = F64x4::splat(VARIANCE_FLOOR);
     let ln_2pi = F64x4::splat(LN_2PI);
     let neg_half = F64x4::splat(-0.5);
+    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    let (inv_sq, neg_half_inv_sq) = (bandwidth.inv_sq(), bandwidth.neg_half_inv_sq());
     let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
         let (mut log_pdf, mut farthest, mut nearest, mut min_sq) = (zero, zero, zero, zero);
+        let mut jensen = F64x4::splat(bandwidth.log_peak());
+        let mut magnitude = F64x4::splat(bandwidth.log_scale());
         for (d, &q) in query.iter().enumerate() {
             let at = d * len + i;
             let qv = F64x4::splat(q);
@@ -319,7 +325,8 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
             let hi = load_padded(cols.upper, at, n, 0.0);
 
             let diff = qv.sub(mean);
-            let sum = ln_2pi.add(log_var).add(diff.mul(diff).div(var));
+            let dd = diff.mul(diff);
+            let sum = ln_2pi.add(log_var).add(dd.div(var.max(floor)));
             log_pdf = neg_half.mul(sum).add(log_pdf);
 
             let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
@@ -330,6 +337,10 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
                 farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
                 let u = near.div(hv);
                 nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                let t = dd.add(var);
+                jensen = t.mul(F64x4::splat(neg_half_inv_sq[d])).add(jensen);
+                let m2 = mean.mul(mean).add(var).add(t);
+                magnitude = m2.mul(F64x4::splat(inv_sq[d])).add(magnitude);
             }
             min_sq = near.mul(near).add(min_sq);
         }
@@ -337,6 +348,8 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
         if BOUNDS {
             store_first(farthest, out.farthest, i, n);
             store_first(nearest, out.nearest, i, n);
+            store_first(jensen, out.jensen, i, n);
+            store_first(magnitude, out.magnitude, i, n);
         }
         store_first(min_sq, out.min_sq, i, n);
     }
@@ -479,12 +492,11 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn node_scores<const BOUNDS: bool>(
         query: &[f64],
-        h: &[f64],
-        ln_h: &[f64],
+        bandwidth: &KernelBandwidth,
         cols: &NodeColumns<'_>,
         out: &mut NodeLanes<'_>,
     ) {
-        node_scores_body::<BOUNDS>(query, h, ln_h, cols, out);
+        node_scores_body::<BOUNDS>(query, bandwidth, cols, out);
     }
 
     /// # Safety
@@ -532,14 +544,12 @@ pub(crate) fn sq_dists(query: &[f64], means: &[f64], len: usize, out: &mut [f64]
     false
 }
 
-/// Runtime-dispatched fused directory-node pass (see [`sq_dists`]); `h`
-/// and `ln_h` are the floored bandwidth and its logarithm, `BOUNDS` as in
-/// [`node_scores_body`].
+/// Runtime-dispatched fused directory-node pass (see [`sq_dists`]);
+/// `BOUNDS` as in [`node_scores_body`], which alone reads `bandwidth`.
 #[inline]
 pub(crate) fn node_scores<const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &NodeColumns<'_>,
     out: &mut NodeLanes<'_>,
 ) -> bool {
@@ -547,11 +557,11 @@ pub(crate) fn node_scores<const BOUNDS: bool>(
     {
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::node_scores::<BOUNDS>(query, h, ln_h, cols, out) };
+            unsafe { avx2::node_scores::<BOUNDS>(query, bandwidth, cols, out) };
             return true;
         }
     }
-    let _ = (query, h, ln_h, cols, out);
+    let _ = (query, bandwidth, cols, out);
     false
 }
 

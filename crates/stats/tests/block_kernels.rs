@@ -27,13 +27,13 @@
 use proptest::prelude::*;
 
 use bt_stats::kernel::{
-    cluster_scores_block, farthest_point_log_kernel, gaussian_log_term, leaf_scores_block,
-    nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, gaussian_log_term,
+    leaf_scores_block, nearest_point_log_kernel, node_estimates_block, node_scores_block,
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
     ColumnElement, DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth,
-    SummaryBlock, VARIANCE_FLOOR,
+    ScoreLanes, SummaryBlock, VARIANCE_FLOOR,
 };
 
 /// One generated node: `len` entries over `dims` dimensions.
@@ -203,22 +203,33 @@ fn scalar_box_min_sq(query: &[f64], lower: &[f64], upper: &[f64]) -> f64 {
 }
 
 /// Asserts that both Bayes-tree fused passes equal the scalar formulas on
-/// `node`'s values: the node pass over DiagGaussian-clamped variances and
-/// the precomputed log-variance column (the Bayes-tree gather), and the
-/// leaf pass over the means.
+/// `node`'s values: the node pass over the raw (unfloored, zero and
+/// sub-floor included) variances and the precomputed log-variance column
+/// (the Bayes-tree gather) — its log-pdf lane against the
+/// DiagGaussian-clamped reference, its CF lanes against [`cf_log_terms`]
+/// — and the leaf pass over the means.
 fn check_fused_passes(node: &Node) {
     let mut block = gather(node);
-    for (i, vars) in node.vars.iter().enumerate() {
-        for (d, &v) in vars.iter().enumerate() {
-            block.set_var(d, i, v.max(VARIANCE_FLOOR));
-        }
-    }
     block.fill_log_vars();
     let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
     let n = block.len();
-    let mut lanes: [Vec<f64>; 4] = Default::default();
+    let mut lanes: ScoreLanes = Default::default();
     node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
-    let [log_pdf, far, near, dist] = &lanes;
+    let [log_pdf, far, near, dist, jensen, magnitude] = &lanes;
+    let (want_jensen, want_magnitude): (Vec<f64>, Vec<f64>) = node
+        .means
+        .iter()
+        .zip(&node.vars)
+        .map(|(m, v)| {
+            cf_log_terms(
+                &node.query,
+                m.iter().copied().zip(v.iter().copied()),
+                &bandwidth,
+            )
+        })
+        .unzip();
+    assert_bit_equal(jensen, &want_jensen);
+    assert_bit_equal(magnitude, &want_magnitude);
     let want: Vec<f64> = node
         .means
         .iter()
@@ -385,7 +396,7 @@ proptest! {
         block.fill_log_vars();
         let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
         let n = block.len();
-        let mut lanes: [Vec<f64>; 4] = Default::default();
+        let mut lanes: ScoreLanes = Default::default();
         node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
         let mut cluster: [Vec<f64>; 4] = Default::default();
         cluster_scores_block::<true>(&node.query, &bandwidth, &gather_clusters(&node), &mut cluster);
@@ -424,15 +435,12 @@ proptest! {
 
     #[test]
     fn estimate_pass_equals_the_full_node_pass_bitwise(node in node_strategy()) {
+        // Raw variances, as the Bayes-tree gather stores them: both passes
+        // floor them identically.
         let mut block = gather(&node);
-        for (i, vars) in node.vars.iter().enumerate() {
-            for (d, &v) in vars.iter().enumerate() {
-                block.set_var(d, i, v.max(VARIANCE_FLOOR));
-            }
-        }
         block.fill_log_vars();
         let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
-        let mut lanes: [Vec<f64>; 4] = Default::default();
+        let mut lanes: ScoreLanes = Default::default();
         node_scores_block(&node.query, &bandwidth, &block, &mut lanes);
         let (mut log_pdf, mut min_sq) = (Vec::new(), Vec::new());
         node_estimates_block(&node.query, &block, &mut log_pdf, &mut min_sq);
@@ -499,7 +507,7 @@ proptest! {
         leaf_scores_block(&query, &bandwidth, block.mean(), 0, &mut out, &mut sq);
         prop_assert!(out.is_empty() && sq.is_empty());
         block.fill_log_vars();
-        let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| vec![123.0]);
+        let mut lanes: ScoreLanes = std::array::from_fn(|_| vec![123.0]);
         node_scores_block(&query, &bandwidth, &block, &mut lanes);
         prop_assert!(lanes.iter().all(Vec::is_empty));
         let gathered = GatheredBlock { block, centers: Vec::new() };

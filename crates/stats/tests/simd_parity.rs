@@ -10,14 +10,14 @@
 //! property CI's feature-off build checks.
 
 use bt_stats::kernel::{
-    cluster_scores_block, farthest_point_log_kernel, gaussian_log_term, leaf_scores_block,
-    nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, gaussian_log_term,
+    leaf_scores_block, nearest_point_log_kernel, node_estimates_block, node_scores_block,
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, ColumnElement,
-    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, SummaryBlock, LN_2PI,
-    VARIANCE_FLOOR,
+    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock,
+    LN_2PI, VARIANCE_FLOOR,
 };
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
@@ -209,7 +209,7 @@ fn diag_log_pdfs_match_scalar_bitwise() {
     for &len in LENS {
         let (c, block) = node_case(5, len, 0xD1A6 + ((len as u64) << 2), Stored::F64);
         let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-        let mut full: [Vec<f64>; 4] = Default::default();
+        let mut full: ScoreLanes = Default::default();
         node_scores_block(&c.query, &bandwidth, &block, &mut full);
         let (mut estimate, mut min_sq) = (Vec::new(), Vec::new());
         node_estimates_block(&c.query, &block, &mut estimate, &mut min_sq);
@@ -237,7 +237,7 @@ fn box_kernels_match_scalar_bitwise() {
         let seed = 0xB0CE5 ^ (len as u64) << 3;
         let (c, block) = node_case(4, len, seed, Stored::F64);
         let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-        let mut node: [Vec<f64>; 4] = Default::default();
+        let mut node: ScoreLanes = Default::default();
         node_scores_block(&c.query, &bandwidth, &block, &mut node);
         let mut cluster: [Vec<f64>; 4] = Default::default();
         let gathered = cluster_block(&c, true, seed);
@@ -477,7 +477,7 @@ fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
                 let seed = 0xF05E_D000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-                let mut fused: [Vec<f64>; 4] = Default::default();
+                let mut fused: ScoreLanes = Default::default();
                 node_scores_block(&c.query, &bandwidth, &block, &mut fused);
                 let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
                 let want = node_reference(&c.query, &c.bandwidth, &block);
@@ -503,7 +503,7 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
                 let seed = 0xE571_0000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-                let mut full: [Vec<f64>; 4] = Default::default();
+                let mut full: ScoreLanes = Default::default();
                 node_scores_block(&c.query, &bandwidth, &block, &mut full);
                 let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
                 node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
@@ -513,6 +513,84 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
                 assert_bits_eq(&min_sq, &full[3], &format!("{what} min_dist_sq"));
                 assert_bits_eq(&log_pdf, &want[0], &format!("{what} log_pdf vs scalar"));
                 assert_bits_eq(&min_sq, &want[3], &format!("{what} min_dist_sq vs scalar"));
+            }
+        }
+    }
+}
+
+/// A gathered node as the Bayes-tree gather leaves it: raw cluster-feature
+/// variances — positive, zero, sub-floor, rounded below zero by
+/// cancellation, and NaN (a non-finite `SS/n - m^2`) — beside the case's
+/// means and boxes.  Returns the variances it stored, dimension-major.
+fn raw_variance_node(c: &Case) -> (SummaryBlock, Vec<f64>) {
+    let (dims, len) = (c.query.len(), c.len);
+    let mut rng = SplitMix(0x2A7 ^ (dims as u64) << 16 ^ len as u64);
+    let mut block = SummaryBlock::new();
+    block.reset(dims, len);
+    block.enable_boxes();
+    let mut vars = vec![0.0; dims * len];
+    for d in 0..dims {
+        for i in 0..len {
+            let idx = d * len + i;
+            vars[idx] = match (i + d) % 6 {
+                0 => 0.0,
+                1 => 1e-12 * rng.next_f64(),
+                2 => -1e-13 * rng.next_f64(),
+                3 if i % 4 == 3 => f64::NAN,
+                _ => c.vars[idx],
+            };
+            block.set_weight(i, 1.0 + i as f64);
+            block.set_mean(d, i, c.means[idx]);
+            block.set_var(d, i, vars[idx]);
+            block.set_lower(d, i, c.lower[idx]);
+            block.set_upper(d, i, c.upper[idx]);
+        }
+    }
+    block.fill_log_vars();
+    (block, vars)
+}
+
+#[test]
+fn cf_lanes_match_the_shared_formula_bitwise() {
+    // The Jensen and magnitude lanes of the node pass against
+    // `cf_log_terms` on raw variances, at lengths 1..=9 (the padded chunk
+    // and every overlap of the full one), 26 and 64.  Under AVX2 this
+    // checks the dispatched pass, in the `--no-default-features` build the
+    // scalar loop; the log-pdf lane must still floor each raw variance as
+    // `DiagGaussian` does.
+    for &dims in FUSED_DIMS {
+        for len in FUSED_LENS.chain([26, 64]) {
+            let seed = 0xCF1A_0000 + ((dims as u64) << 8) + len as u64;
+            let c = case(dims, len, seed);
+            let (block, vars) = raw_variance_node(&c);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let mut lanes: ScoreLanes = Default::default();
+            node_scores_block(&c.query, &bandwidth, &block, &mut lanes);
+            let (means, vars) = (&c.means, &vars);
+            let moments =
+                |i: usize| (0..dims).map(move |d| (means[d * len + i], vars[d * len + i]));
+            let (want_jensen, want_magnitude): (Vec<f64>, Vec<f64>) = (0..len)
+                .map(|i| cf_log_terms(&c.query, moments(i), &bandwidth))
+                .unzip();
+            let what = format!("dims {dims} len {len}");
+            assert_bits_eq(&lanes[4], &want_jensen, &format!("{what} jensen"));
+            assert_bits_eq(&lanes[5], &want_magnitude, &format!("{what} magnitude"));
+            let want_log_pdf: Vec<f64> = (0..len)
+                .map(|i| {
+                    let (mean, var): (Vec<f64>, Vec<f64>) = moments(i).unzip();
+                    DiagGaussian::new(mean, var).log_pdf(&c.query)
+                })
+                .collect();
+            assert_bits_eq(&lanes[0], &want_log_pdf, &format!("{what} floored log_pdf"));
+            let (mut log_pdf, mut min_sq) = (Vec::new(), Vec::new());
+            node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
+            assert_bits_eq(&log_pdf, &want_log_pdf, &format!("{what} estimate log_pdf"));
+            let nan_jensen = (0..len).filter(|&i| moments(i).any(|(_, v)| v.is_nan()));
+            for i in nan_jensen {
+                assert!(
+                    lanes[4][i].is_nan() && lanes[5][i].is_nan(),
+                    "{what}: NaN variance"
+                );
             }
         }
     }
@@ -604,9 +682,20 @@ fn kernel_bandwidth_caches_the_per_call_terms() {
     let values = vec![0.75, 1e-7, 3.0, 0.0];
     let bandwidth = KernelBandwidth::new(values.clone());
     assert_eq!(bandwidth.values(), &values[..]);
+    let (mut log_peak, mut log_scale) = (0.0, 0.0);
     for (d, &b) in values.iter().enumerate() {
         let h = b.max(VARIANCE_FLOOR.sqrt());
         assert_eq!(bandwidth.floored()[d].to_bits(), h.to_bits());
         assert_eq!(bandwidth.ln_floored()[d].to_bits(), h.ln().to_bits());
+        let inv_sq = 1.0 / (h * h);
+        assert_eq!(bandwidth.inv_sq()[d].to_bits(), inv_sq.to_bits());
+        assert_eq!(
+            bandwidth.neg_half_inv_sq()[d].to_bits(),
+            (-0.5 * inv_sq).to_bits()
+        );
+        log_peak += -0.5 * LN_2PI - h.ln();
+        log_scale += 1.0 + h.ln().abs();
     }
+    assert!((bandwidth.log_peak() - log_peak).abs() <= 1e-12 * log_peak.abs());
+    assert!((bandwidth.log_scale() - log_scale).abs() <= 1e-12 * log_scale);
 }

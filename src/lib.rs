@@ -73,7 +73,7 @@
 //!   `[lower, upper]` bounds that can only tighten with budget — the
 //!   monotone anytime contract, property-tested for both trees.
 //!   Insert-free workloads plug in with just a `Summary` + `QueryModel`:
-//!   anytime **outlier scoring** ([`anytree::AnytimeTree::outlier_score`])
+//!   anytime **outlier scoring** ([`anytree::outlier_score_over`])
 //!   refines the density interval until a threshold verdict is certain.
 //!   On top of the engines sits the
 //!   **sharding layer** ([`anytree::shard`]): a
