@@ -387,6 +387,7 @@ impl RootBlock {
         let dims = classes.first().map_or(0, |(view, _)| view.dims());
         let mut block = SummaryBlock::new();
         block.reset(dims, len);
+        block.enable_vars();
         block.enable_boxes();
         let mut spans = Vec::with_capacity(classes.len());
         let mut lanes = Vec::with_capacity(len);

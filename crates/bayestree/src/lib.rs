@@ -44,20 +44,17 @@
 //! ## Stored precision
 //!
 //! [`BayesTree`] (and its snapshot) carry a stored-precision parameter `E`
-//! defaulting to `f64`.  [`BayesTreeF32`]
-//! stores every directory summary — CF linear/squared sums and MBR corners —
-//! as `f32`, halving the resident bytes per entry and roughly doubling the
-//! directory fanout per page.  [`BayesTreeQuantized`] goes further:
-//! CF components become 16-bit mantissas against a shared per-summary
-//! block exponent and MBR corners become outward-rounded 16-bit floats,
-//! roughly quadrupling the directory fanout per page relative to `f64`.
-//! In every mode all accumulation stays `f64` and is quantised on write;
-//! MBR corners round *outward* so the stored boxes always enclose the
-//! exact ones and the certified `[lower, upper]` density intervals remain
-//! sound (leaf kernels are exact `f64` in all modes, so a fully refined
-//! answer is exact regardless of stored precision).  Gathers widen the
-//! stored values into full-width `f64` block columns, so every mode's
-//! block scoring equals its scalar reference bit for bit.  See
+//! defaulting to `f64`.  [`BayesTreeQuantized`] stores every directory
+//! summary at 16 bits: CF components become mantissas against a shared
+//! per-summary block exponent and MBR corners become outward-rounded
+//! 16-bit floats, roughly quadrupling the directory fanout per page
+//! relative to `f64`.  All accumulation stays `f64` and is quantised on
+//! write; MBR corners round *outward* so the stored boxes always enclose
+//! the exact ones and the certified `[lower, upper]` density intervals
+//! remain sound (leaf kernels are exact `f64` in both modes, so a fully
+//! refined answer is exact regardless of stored precision).  Gathers
+//! decode the stored values into full-width `f64` block columns, so both
+//! modes' block scoring equals their scalar reference bit for bit.  See
 //! [`node::StoredElement`] for the contract and `docs/PERF.md` for measured
 //! effects.
 //!
@@ -109,21 +106,12 @@ pub use classifier::{AnytimeClassifier, AnytimeTrace, Classification, Classifier
 pub use descent::{DescentStrategy, PriorityMeasure};
 pub use node::{
     Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
-    StoredScalar, StoredSummary,
+    StoredSummary,
 };
 pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
 pub use tree::{BayesCore, BayesTree};
 pub use view::{BayesTreeSnapshot, ClassifierSnapshot};
-
-/// A Bayes tree whose stored summaries (CF sums, MBR corners) are quantised
-/// to `f32` — half the resident bytes per directory entry; all accumulation
-/// and every leaf kernel stay `f64`.  See the [crate docs](self) for the
-/// precision contract.
-pub type BayesTreeF32 = BayesTree<f32>;
-
-/// The epoch-pinned snapshot of a [`BayesTreeF32`].
-pub type BayesTreeF32Snapshot = BayesTreeSnapshot<f32>;
 
 /// A Bayes tree whose stored summaries are block-exponent quantised: CF
 /// linear/squared sums as 16-bit mantissas against a shared per-summary

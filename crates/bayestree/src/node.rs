@@ -10,99 +10,54 @@
 //! Here that payload is [`KernelSummary`]; the arena, entries and nodes are
 //! the generic ones of [`bt_anytree`], specialised to it.  An [`Entry`]
 //! dereferences to its summary, so the familiar `entry.mbr` / `entry.cf`
-//! field access keeps working in the full-width modes.
+//! field access keeps working in the `f64` mode.
 //!
 //! # Stored precision
 //!
 //! The tree is parameterised by a [`StoredElement`] *mode* — the
 //! representation its MBR corners and CF components are *stored* at:
 //!
-//! * **`f64`** (the default): full width, the bit-exact reference every
-//!   other mode is audited against.
-//! * **`f32`**: [`KernelSummary<f32>`] halves the resident bytes of every
-//!   directory entry.  All accumulation (insert, merge, decay) happens in
-//!   `f64` and is quantised on write: round-to-nearest for the CF sums,
-//!   *outward* for the MBR corners, so a narrowed box always encloses the
-//!   exact one and the MBR-derived density bounds stay sound (see
-//!   `bt_index::mbr`).  Gathers widen the stored values into full-width
-//!   [`bt_stats::SummaryBlock`] columns (exact), like the quantised mode
-//!   below.
+//! * **`f64`** (the default): full width ([`KernelSummary`]), the bit-exact
+//!   reference the other mode is audited against, and the only mode whose
+//!   certified bounds read the cluster feature
+//!   ([`StoredSummary::CF_BOUNDS`]).
 //! * **[`Quantized`]**: 16-bit storage ([`QuantizedSummary`]) — CF
 //!   linear/squared sums as `i16` mantissas against a per-summary
 //!   power-of-two block step (the "block exponent", chosen from the
 //!   column's magnitude at quantise-on-write; see `bt_stats::quant`), MBR
-//!   corners as `bf16`-style halves rounded outward.  The outward corner
+//!   corners as `bf16`-style halves rounded outward.  All accumulation
+//!   happens in `f64` and is quantised on write.  The outward corner
 //!   rounding is value-deterministic and monotone, so parent boxes keep
-//!   enclosing child boxes under independent re-encodes — the same nesting
-//!   argument as the `f32` mode, which is what keeps the anytime
-//!   `[lower, upper]` bounds sound and monotone.  Decoding happens once per
-//!   gather into full-width [`bt_stats::SummaryBlock`] columns (mantissa
-//!   times power-of-two is *exact* in `f64`), so the per-node block
-//!   cache amortises decode across query batches and the SIMD batch
-//!   kernels run on decoded columns untouched.
+//!   enclosing child boxes under independent re-encodes, which is what
+//!   keeps the anytime `[lower, upper]` bounds sound and monotone.
+//!   Decoding happens once per gather into full-width
+//!   [`bt_stats::SummaryBlock`] columns (mantissa times power-of-two is
+//!   *exact* in `f64`), so the per-node block cache amortises decode
+//!   across query batches and the SIMD batch kernels run on decoded
+//!   columns untouched.
 //!
-//! Narrowing therefore happens only when a summary is written: in every
-//! mode the block path scores exactly the values the scalar
+//! Narrowing therefore happens only when a summary is written: in both
+//! modes the block path scores exactly the values the scalar
 //! [`StoredSummary`] methods read, bit for bit.
 //!
-//! Every mode routes through the same R* MINDIST/enlargement machinery: the
+//! Both modes route through the same R* MINDIST/enlargement machinery: the
 //! anytime core streams boxes through the per-corner
-//! [`Summary::mbr_corner`] accessor (an exact widening for narrowed
+//! [`Summary::mbr_corner`] accessor (an exact decode for quantised
 //! summaries, a plain read for `f64`), so routing quality does not depend on
 //! the stored width — only the boxes' outward-rounded slack does.
 use std::cell::RefCell;
 
 use bt_anytree::Summary;
-use bt_index::{Mbr, MbrElement};
+use bt_index::Mbr;
 use bt_stats::cluster_feature::raw_moments;
 use bt_stats::kernel::{cf_log_terms, farthest_point_log_kernel, nearest_point_log_kernel};
 use bt_stats::quant::{
     bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16,
 };
-use bt_stats::{
-    ClusterFeature, ColumnElement, DiagGaussian, KernelBandwidth, SummaryBlock, VARIANCE_FLOOR,
-};
+use bt_stats::{ClusterFeature, DiagGaussian, KernelBandwidth, SummaryBlock, VARIANCE_FLOOR};
 
 /// Arena index of a node within its tree.
 pub type NodeId = bt_anytree::NodeId;
-
-/// A scalar type [`KernelSummary`] can store its components at.
-///
-/// Combines the two quantisation traits of the lower layers (CF components
-/// are [`ColumnElement`]s, MBR corners are [`MbrElement`]s).  Every stored
-/// precision routes through the same R* MBR machinery — the only
-/// representational difference the trait surfaces is whether a stored box
-/// can be *borrowed* at full width or must be widened per corner.
-pub trait StoredScalar: ColumnElement + MbrElement + Send + Sync + 'static {
-    /// Whether the type stores an `f64` as is: `true` for `f64`, `false`
-    /// for `f32`, whose rounded cluster features keep the box bounds (see
-    /// [`StoredSummary::CF_BOUNDS`]).
-    const FULL_WIDTH: bool;
-
-    /// The full-width view of a stored box, when one can be borrowed
-    /// without conversion: `Some(identity)` for `f64`, `None` for `f32`
-    /// (whose boxes are widened per corner via [`Summary::mbr_corner`]
-    /// instead).
-    fn full_width_mbr(mbr: &Mbr<Self>) -> Option<&Mbr>;
-}
-
-impl StoredScalar for f64 {
-    const FULL_WIDTH: bool = true;
-
-    #[inline(always)]
-    fn full_width_mbr(mbr: &Mbr<Self>) -> Option<&Mbr> {
-        Some(mbr)
-    }
-}
-
-impl StoredScalar for f32 {
-    const FULL_WIDTH: bool = false;
-
-    #[inline(always)]
-    fn full_width_mbr(_mbr: &Mbr<Self>) -> Option<&Mbr> {
-        None
-    }
-}
 
 /// The operations the Bayes tree needs from a stored summary beyond the
 /// engine-facing [`Summary`] contract — construction from raw points, the
@@ -115,8 +70,8 @@ pub trait StoredSummary:
     /// Whether the certified density bounds use this representation's
     /// cluster feature ([`bt_stats::kernel::certified_bounds`]) or its box
     /// alone.  Only the full-width `f64` mode stores its CF as the running
-    /// floating sums the CF margin is derived for; `f32` and the quantised
-    /// mode store a rounded CF and keep the box bounds.
+    /// floating sums the CF margin is derived for; the quantised mode
+    /// stores a rounded CF and keeps the box bounds.
     const CF_BOUNDS: bool;
 
     /// The summary of a single kernel centre.
@@ -155,7 +110,7 @@ pub trait StoredSummary:
     /// The log product-kernel at the farthest and nearest point of this
     /// summary's box — `(farthest, nearest)`, the box sides of the certain
     /// bound interval.  Each representation decodes its own corners so the
-    /// full-width modes stay allocation-free borrows.
+    /// full-width mode stays an allocation-free borrow.
     fn bound_log_kernels(&self, query: &[f64], bandwidth: &[f64]) -> (f64, f64);
 
     /// The `(jensen, magnitude)` cluster-feature log terms
@@ -172,9 +127,8 @@ pub trait StoredSummary:
 /// A stored-summary *mode* of the Bayes tree: picks the summary
 /// representation and describes its storage geometry.
 ///
-/// `f64` is the bit-exact reference, `f32` the half-width mode, and
-/// [`Quantized`] the 16-bit block-exponent mode (see the
-/// [module docs](self)).
+/// `f64` is the bit-exact reference and [`Quantized`] the 16-bit
+/// block-exponent mode (see the [module docs](self)).
 pub trait StoredElement: Send + Sync + 'static {
     /// The summary representation entries store in this mode.
     type Summary: StoredSummary;
@@ -189,15 +143,9 @@ pub trait StoredElement: Send + Sync + 'static {
 }
 
 impl StoredElement for f64 {
-    type Summary = KernelSummary<f64>;
+    type Summary = KernelSummary;
     const SCALAR_BYTES: usize = 8;
     const MODE: &'static str = "f64";
-}
-
-impl StoredElement for f32 {
-    type Summary = KernelSummary<f32>;
-    const SCALAR_BYTES: usize = 4;
-    const MODE: &'static str = "f32";
 }
 
 /// Marker for the 16-bit quantised stored mode: CF components as `i16`
@@ -212,18 +160,17 @@ impl StoredElement for Quantized {
     const MODE: &'static str = "quantized";
 }
 
-/// The Bayes tree's payload: the MBR and cluster feature of one subtree
-/// (Definition 1), stored at scalar precision `E` (see the
-/// [module docs](self)).
+/// The Bayes tree's payload in the `f64` mode: the MBR and cluster feature
+/// of one subtree (Definition 1).
 #[derive(Debug, Clone)]
-pub struct KernelSummary<E: StoredScalar = f64> {
+pub struct KernelSummary {
     /// Minimum bounding rectangle of all objects stored below.
-    pub mbr: Mbr<E>,
+    pub mbr: Mbr,
     /// Cluster feature `(n, LS, SS)` of all objects stored below.
-    pub cf: ClusterFeature<E>,
+    pub cf: ClusterFeature,
 }
 
-impl<E: StoredScalar> KernelSummary<E> {
+impl KernelSummary {
     /// The summary of a single kernel centre.
     #[must_use]
     pub fn from_point(point: &[f64]) -> Self {
@@ -254,19 +201,9 @@ impl<E: StoredScalar> KernelSummary<E> {
         self.mbr.extend_point(point);
         self.cf.insert(point);
     }
-
-    /// Re-quantises into another stored precision (boxes round outward, CF
-    /// sums to nearest); the identity for `E == F == f64`.
-    #[must_use]
-    pub fn to_precision<F: StoredScalar>(&self) -> KernelSummary<F> {
-        KernelSummary {
-            mbr: self.mbr.to_precision(),
-            cf: self.cf.to_precision(),
-        }
-    }
 }
 
-impl<E: StoredScalar> Summary for KernelSummary<E> {
+impl Summary for KernelSummary {
     type Ctx = ();
     const MBR_ROUTED: bool = true;
 
@@ -280,9 +217,8 @@ impl<E: StoredScalar> Summary for KernelSummary<E> {
     }
 
     fn sq_dist_to(&self, point: &[f64]) -> f64 {
-        // MINDIST to the stored box (widened per corner, so `f32` and
-        // `f64` summaries agree whenever the corners do) — keeps shard
-        // routing and refinement ordering consistent with descent.
+        // MINDIST to the stored box — keeps shard routing and refinement
+        // ordering consistent with descent.
         self.mbr.min_dist_sq(point)
     }
 
@@ -295,23 +231,20 @@ impl<E: StoredScalar> Summary for KernelSummary<E> {
     }
 
     fn as_mbr(&self) -> Option<&Mbr> {
-        E::full_width_mbr(&self.mbr)
+        Some(&self.mbr)
     }
 
     fn mbr_corner(&self, d: usize) -> (f64, f64) {
-        (
-            MbrElement::widen(self.mbr.lower()[d]),
-            MbrElement::widen(self.mbr.upper()[d]),
-        )
+        (self.mbr.lower()[d], self.mbr.upper()[d])
     }
 
     fn owned_mbr(&self) -> Option<Mbr> {
-        Some(self.mbr.to_precision())
+        Some(self.mbr.clone())
     }
 }
 
-impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
-    const CF_BOUNDS: bool = E::FULL_WIDTH;
+impl StoredSummary for KernelSummary {
+    const CF_BOUNDS: bool = true;
 
     fn from_point(point: &[f64]) -> Self {
         KernelSummary::from_point(point)
@@ -330,7 +263,7 @@ impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
     }
 
     fn exact_cf(&self) -> ClusterFeature {
-        self.cf.to_precision()
+        self.cf.clone()
     }
 
     fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize) {
@@ -341,8 +274,8 @@ impl<E: StoredScalar> StoredSummary for KernelSummary<E> {
         }
         let (lo, hi) = (self.mbr.lower(), self.mbr.upper());
         for d in 0..dims {
-            block.set_lower(d, i, MbrElement::widen(lo[d]));
-            block.set_upper(d, i, MbrElement::widen(hi[d]));
+            block.set_lower(d, i, lo[d]);
+            block.set_upper(d, i, hi[d]);
         }
     }
 
@@ -532,7 +465,7 @@ impl Summary for QuantizedSummary {
     fn sq_dist_to(&self, point: &[f64]) -> f64 {
         // MINDIST to the decoded box, replicating `Mbr::min_dist_sq`'s
         // per-dimension arithmetic exactly so routing and refinement
-        // ordering agree with the full-width modes whenever corners do.
+        // ordering agree with the full-width mode whenever corners do.
         let mut acc = 0.0;
         for (d, &x) in point.iter().enumerate().take(self.dims()) {
             let lo = self.lower_at(d);
@@ -672,7 +605,7 @@ impl StoredSummary for QuantizedSummary {
 
 /// A directory entry: the aggregated description of one subtree
 /// (Definition 1).  Dereferences to its stored summary (`entry.mbr`,
-/// `entry.cf` in the full-width modes, `entry.gaussian()` everywhere).
+/// `entry.cf` in the `f64` mode, `entry.gaussian()` in both).
 pub type Entry<E = f64> = bt_anytree::Entry<<E as StoredElement>::Summary>;
 
 /// The payload of a node: either raw observations (leaf) or entries (inner).
@@ -681,14 +614,10 @@ pub type NodeKind<E = f64> = bt_anytree::NodeKind<<E as StoredElement>::Summary,
 /// One node of the Bayes tree.
 pub type Node<E = f64> = bt_anytree::Node<<E as StoredElement>::Summary, Vec<f64>>;
 
-/// Builds a full-width-stored [`Entry`] from its parts (the Definition 1
+/// Builds an `f64`-mode [`Entry`] from its parts (the Definition 1
 /// triple).
 #[must_use]
-pub fn make_entry<E: StoredScalar>(
-    mbr: Mbr<E>,
-    cf: ClusterFeature<E>,
-    child: NodeId,
-) -> bt_anytree::Entry<KernelSummary<E>> {
+pub fn make_entry(mbr: Mbr, cf: ClusterFeature, child: NodeId) -> Entry {
     bt_anytree::Entry::new(KernelSummary { mbr, cf }, child)
 }
 
@@ -816,55 +745,6 @@ mod tests {
         let node: Node = bt_anytree::Node::empty_leaf();
         assert!(node.is_empty());
         assert!(node_mbr(&node).is_none());
-    }
-
-    #[test]
-    fn f32_summary_routes_by_mbr_through_widened_corners() {
-        let mut s: KernelSummary<f32> = KernelSummary::from_point(&[0.0, 0.0]);
-        s.absorb_point(&[2.0, 2.0]);
-        // A narrowed summary cannot lend a full-width reference...
-        assert!(s.as_mbr().is_none());
-        // ...but it is still MBR-routed through the per-corner widening
-        // accessors, so both stored widths share the R* machinery.
-        const {
-            assert!(<KernelSummary<f32> as Summary>::MBR_ROUTED);
-            assert!(!<KernelSummary<f32> as Summary>::CENTER_ROUTED);
-        }
-        let owned = s.owned_mbr().expect("owned full-width box");
-        for d in 0..2 {
-            let (lo, hi) = Summary::mbr_corner(&s, d);
-            assert_eq!(lo.to_bits(), owned.lower()[d].to_bits());
-            assert_eq!(hi.to_bits(), owned.upper()[d].to_bits());
-        }
-        // sq_dist_to is MINDIST: zero anywhere inside the box, positive out.
-        assert_eq!(s.sq_dist_to(&[0.5, 0.5]), 0.0);
-        assert!(s.sq_dist_to(&[3.0, 3.0]) > 0.0);
-    }
-
-    #[test]
-    fn f32_summary_boxes_stay_outward_of_exact_points() {
-        let pts = vec![vec![0.1, -0.3], vec![2.7, 1.9], vec![-1.4, 0.6]];
-        let s: KernelSummary<f32> = KernelSummary::from_points(&pts, 2).unwrap();
-        for p in &pts {
-            assert!(
-                s.mbr.contains_point(p),
-                "narrowed box must contain exact point {p:?}"
-            );
-        }
-        let exact: KernelSummary = KernelSummary::from_points(&pts, 2).unwrap();
-        let widened: Mbr = s.mbr.to_precision();
-        assert!(widened.contains_mbr(&exact.mbr));
-    }
-
-    #[test]
-    fn to_precision_round_trips_exactly_on_representable_values() {
-        let pts = vec![vec![1.0, 2.0], vec![3.5, -0.25]];
-        let narrow: KernelSummary<f32> = KernelSummary::from_points(&pts, 2).unwrap();
-        let wide: KernelSummary = narrow.to_precision();
-        let back: KernelSummary<f32> = wide.to_precision();
-        assert_eq!(narrow.mbr, back.mbr);
-        assert_eq!(narrow.cf.linear_sum(), back.cf.linear_sum());
-        assert_eq!(narrow.cf.squared_sum(), back.cf.squared_sum());
     }
 
     #[test]

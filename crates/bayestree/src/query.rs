@@ -32,9 +32,8 @@
 //!   margin absolute in `m^2 + v` ([`bt_stats::kernel::cf_margin`]) moves
 //!   the lower bound down and the upper bound up by the rounding `ā` can
 //!   carry: `SS/n - m^2` cancels when the spread is far below the mean.
-//!   The `f32` and quantised modes store a rounded CF, which this margin
-//!   does not cover, so they keep the box bounds
-//!   ([`StoredSummary::CF_BOUNDS`]).
+//!   The quantised mode stores a rounded CF, which this margin does not
+//!   cover, so it keeps the box bounds ([`StoredSummary::CF_BOUNDS`]).
 //! * The point estimate is the Definition 3 mixture, a different model
 //!   from the kernel density the bounds enclose.  With CF bounds it may
 //!   lie outside `[lower, upper]`; it is not clamped, so every estimate
@@ -168,8 +167,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// instead of four scalar loops per entry.
     ///
     /// The per-entry decode lives in [`StoredSummary::gather_into`]:
-    /// the `f64` mode copies, the `f32` mode widens and the quantised mode
-    /// decodes its mantissas (all exact, in `f64`) — each replicates
+    /// the `f64` mode copies and the quantised mode decodes its mantissas
+    /// (exactly, in `f64`) — each replicates
     /// `ClusterFeature::variance` and the `DiagGaussian` variance clamp, and
     /// the gather is a pure function of `entries`, so the engine caches it
     /// per node keyed by the node's version stamp.
@@ -178,6 +177,7 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         let len = entries.len();
         let block = &mut out.block;
         block.reset(dims, len);
+        block.enable_vars();
         block.enable_boxes();
         for (i, entry) in entries.iter().enumerate() {
             entry.summary.gather_into(block, i, dims);
@@ -223,7 +223,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     }
 
     /// Leaf block gather: a leaf's items are raw points, so their
-    /// coordinates *are* the mean columns — nothing else is needed.
+    /// coordinates *are* the mean columns — nothing else is needed, and
+    /// the variance and box columns stay empty.
     fn gather_leaf_items(&self, items: &[Vec<f64>], out: &mut GatheredBlock) -> bool {
         let dims = self.bandwidth.len();
         let len = items.len();
@@ -386,9 +387,9 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// **global** observation count, so per-shard partial densities fold by
     /// summation; kernels evaluated with the tree's bandwidth.
     ///
-    /// Every stored mode gathers full-width columns: `f32` summaries widen
-    /// and quantised mantissas decode exactly in `f64`, so each mode's block
-    /// path equals its scalar reference bit for bit.
+    /// Both stored modes gather full-width columns: quantised mantissas
+    /// decode exactly in `f64`, so each mode's block path equals its scalar
+    /// reference bit for bit.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
         KernelQueryModel::new(self.len(), self.kernel_bandwidth())
@@ -547,12 +548,12 @@ mod tests {
 
     /// Scores every inner node of `tree` through the block path and checks
     /// each score against the scalar `StoredSummary` reference bit for bit.
-    /// Every stored mode gathers into full-width `f64` columns (`f32`
-    /// widens and the quantised decode `q * step` is exact), so all three
-    /// are held to the same contract.  The expected bounds are derived
-    /// here from the summary's log terms: through `certified_bounds` when
-    /// the mode keeps an exact CF (`f64`), as the box's `scale * exp(log
-    /// kernel)` pair otherwise (`f32`, quantised).
+    /// Both stored modes gather into full-width `f64` columns (the
+    /// quantised decode `q * step` is exact), so both are held to the same
+    /// contract.  The expected bounds are derived here from the summary's
+    /// log terms: through `certified_bounds` when the mode keeps an exact
+    /// CF (`f64`), as the box's `scale * exp(log kernel)` pair otherwise
+    /// (quantised).
     fn assert_block_scores_match_the_scalar_reference<E: StoredElement>(tree: &BayesTree<E>) {
         let model = tree.query_model();
         let bandwidth = tree.kernel_bandwidth();
@@ -613,14 +614,6 @@ mod tests {
     fn quantized_block_scores_match_the_scalar_reference_bitwise() {
         const { assert!(!<crate::node::Quantized as StoredElement>::Summary::CF_BOUNDS) };
         let tree: BayesTree<crate::node::Quantized> =
-            BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
-        assert_block_scores_match_the_scalar_reference(&tree);
-    }
-
-    #[test]
-    fn f32_block_scores_match_the_scalar_reference_bitwise() {
-        const { assert!(!<f32 as StoredElement>::Summary::CF_BOUNDS) };
-        let tree: BayesTree<f32> =
             BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
         assert_block_scores_match_the_scalar_reference(&tree);
     }

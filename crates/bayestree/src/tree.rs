@@ -30,8 +30,7 @@ pub type BayesCore<S> = AnytimeTree<S, Vec<f64>>;
 ///
 /// The stored-mode parameter `E` (default `f64`) selects how entry
 /// summaries are *stored*; see [`crate::node`] for the precision contract.
-/// [`BayesTreeF32`](crate::BayesTreeF32) is the half-width alias and
-/// [`BayesTreeQuantized`](crate::BayesTreeQuantized) the 16-bit
+/// [`BayesTreeQuantized`](crate::BayesTreeQuantized) is the 16-bit
 /// block-exponent alias.
 ///
 /// The tree owns `K` shards behind the shared sharding layer of
@@ -65,9 +64,9 @@ impl<E: StoredElement> BayesTree<E> {
 
     /// The 4 KiB-page geometry at this tree's *stored* mode: inner entries
     /// narrow with the stored scalar width
-    /// ([`StoredElement::SCALAR_BYTES`]), so an `f32` tree packs roughly
-    /// twice — and a [`Quantized`](crate::node::Quantized) tree roughly
-    /// four times — the fanout into the same physical page: a shallower
+    /// ([`StoredElement::SCALAR_BYTES`]), so a
+    /// [`Quantized`](crate::node::Quantized) tree packs roughly four times
+    /// the fanout into the same physical page: a shallower
     /// tree where every budgeted node read covers that much more summary
     /// mass.  Leaves hold exact full-width observations in every mode, so
     /// the leaf capacity is unchanged.

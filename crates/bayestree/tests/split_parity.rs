@@ -1,9 +1,9 @@
 //! Directory splits read each entry's box through `Summary::mbr_corner`.
 //!
-//! Every stored mode must split exactly as the R* split over full-width
+//! Both stored modes must split exactly as the R* split over full-width
 //! `owned_mbr()` copies does: same groups, entries in their original order.
-//! `f32` and quantised boxes are widened per corner, and both accessors
-//! must agree bit for bit, so the partitions must too.
+//! Quantised boxes are decoded per corner, and both accessors must agree
+//! bit for bit, so the partitions must too.
 
 use bayestree::{Entry, Quantized, StoredElement, StoredSummary};
 use bt_anytree::split::{distribute, split_entries};
@@ -89,11 +89,6 @@ fn check_mode<E: StoredElement>() {
 #[test]
 fn f64_directory_split_matches_owned_mbr_split() {
     check_mode::<f64>();
-}
-
-#[test]
-fn f32_directory_split_matches_owned_mbr_split() {
-    check_mode::<f32>();
 }
 
 #[test]

@@ -15,8 +15,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod record;
-
 use bayestree::{DescentStrategy, RefinementStrategy};
 use bt_eval::CurveConfig;
 use bt_index::PageGeometry;

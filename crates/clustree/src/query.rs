@@ -325,6 +325,7 @@ fn gather_clusters<'a>(
     let dims = clusters.clone().next().map_or(0, MicroCluster::dims);
     let block = &mut out.block;
     block.reset(dims, len);
+    block.enable_vars();
     out.centers.clear();
     out.centers.resize(dims * len, 0.0);
     if boxes {

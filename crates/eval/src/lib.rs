@@ -59,7 +59,7 @@ pub mod sharding;
 
 pub use clustering::{batched_budget_sweep, BatchedClusteringQuality};
 pub use curve::{anytime_accuracy_curve, AccuracyCurve, CurveConfig};
-pub use obs::{certified_queries_per_sec, format_metrics_table, RegistryCapture};
+pub use obs::RegistryCapture;
 pub use pipeline::{pipelined_sweep, PipelinedThroughput};
 pub use query::{
     bytes_per_scored_entry, density_budget_sweep, density_budget_sweep_for,

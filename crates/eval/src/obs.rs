@@ -6,13 +6,11 @@
 //!   block-cache economics (`hit-rate  prefetch`), which every sweep table
 //!   that surfaces cache behaviour uses so the columns stay aligned and
 //!   the zero-gather guard is applied in exactly one place, and
-//! * the **registry capture helpers**: bracket a workload with
+//! * the **registry capture helper**: bracket a workload with
 //!   [`RegistryCapture`] to read back the [`bt_obs`] metric delta the run
-//!   produced, derive certified-query throughput from the refinement
-//!   histograms ([`certified_queries_per_sec`]) and render the delta as an
-//!   aligned table ([`format_metrics_table`]).
+//!   produced.
 
-use bt_obs::{Registry, Snapshot, ValueSnapshot};
+use bt_obs::{Registry, Snapshot};
 
 /// Header fragment for the shared reader-side cache columns.
 pub const CACHE_COLUMNS_HEADER: &str = "hit-rate  prefetch";
@@ -53,56 +51,6 @@ impl RegistryCapture {
     }
 }
 
-/// Certified queries per second derived from a registry delta: the
-/// `bt_queries_certified_total` verdict count over the wall-clock seconds
-/// the `bt_query_latency_ns` histogram accumulated.  Returns `None` when
-/// the delta holds no timed queries (recording disabled, or no
-/// certification workload ran).
-#[must_use]
-pub fn certified_queries_per_sec(delta: &Snapshot) -> Option<f64> {
-    let certified = delta.counter("bt_queries_certified_total");
-    let (count, sum_ns) = delta.histogram_totals("bt_query_latency_ns");
-    if count == 0 || sum_ns <= 0.0 {
-        return None;
-    }
-    Some(certified as f64 / (sum_ns / 1e9))
-}
-
-/// Renders a registry snapshot (usually a delta) as an aligned
-/// `metric / value` table: counters and gauges print their value,
-/// histograms print `count` and `mean`.  Zero-valued counters are kept so
-/// a table row's absence always means "metric not registered", never
-/// "nothing happened".
-#[must_use]
-pub fn format_metrics_table(snapshot: &Snapshot) -> String {
-    let width = snapshot
-        .metrics
-        .iter()
-        .map(|m| m.name.len())
-        .max()
-        .unwrap_or(6)
-        .max("metric".len());
-    let mut out = format!(
-        "{:<width$}  {:>14}\n{:-<width$}  {:->14}\n",
-        "metric", "value", "", ""
-    );
-    for m in &snapshot.metrics {
-        match &m.value {
-            ValueSnapshot::Counter(v) => {
-                out.push_str(&format!("{:<width$}  {v:>14}\n", m.name));
-            }
-            ValueSnapshot::Gauge(v) => {
-                out.push_str(&format!("{:<width$}  {v:>14.3}\n", m.name));
-            }
-            ValueSnapshot::Histogram { count, sum, .. } => {
-                let mean = if *count > 0 { sum / *count as f64 } else { 0.0 };
-                out.push_str(&format!("{:<width$}  {count:>6} x {mean:>9.1}\n", m.name));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,68 +60,5 @@ mod tests {
         assert_eq!(CACHE_COLUMNS_HEADER.len(), CACHE_COLUMNS_RULE.len());
         assert_eq!(cache_columns(0.87, 42).len(), CACHE_COLUMNS_HEADER.len());
         assert_eq!(cache_columns(0.0, 0), "    0.00         0");
-    }
-
-    #[test]
-    fn certified_qps_derives_from_the_refinement_histograms() {
-        let mut snapshot = Snapshot {
-            metrics: Vec::new(),
-        };
-        assert_eq!(certified_queries_per_sec(&snapshot), None);
-        snapshot.metrics.push(bt_obs::MetricSnapshot {
-            name: "bt_queries_certified_total".into(),
-            help: String::new(),
-            value: ValueSnapshot::Counter(500),
-        });
-        snapshot.metrics.push(bt_obs::MetricSnapshot {
-            name: "bt_query_latency_ns".into(),
-            help: String::new(),
-            value: ValueSnapshot::Histogram {
-                spec: bt_obs::HistogramSpec::new(6, 36),
-                count: 1000,
-                sum: 2e9,
-                buckets: vec![1000],
-            },
-        });
-        // 500 certified over 2 seconds of query wall-clock.
-        let qps = certified_queries_per_sec(&snapshot).unwrap();
-        assert!((qps - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_table_prints_every_kind() {
-        let snapshot = Snapshot {
-            metrics: vec![
-                bt_obs::MetricSnapshot {
-                    name: "bt_insert_objects_total".into(),
-                    help: String::new(),
-                    value: ValueSnapshot::Counter(64),
-                },
-                bt_obs::MetricSnapshot {
-                    name: "bt_tree_height".into(),
-                    help: String::new(),
-                    value: ValueSnapshot::Gauge(3.0),
-                },
-                bt_obs::MetricSnapshot {
-                    name: "bt_batch_latency_ns".into(),
-                    help: String::new(),
-                    value: ValueSnapshot::Histogram {
-                        spec: bt_obs::HistogramSpec::new(6, 36),
-                        count: 4,
-                        sum: 4000.0,
-                        buckets: vec![4],
-                    },
-                },
-            ],
-        };
-        let table = format_metrics_table(&snapshot);
-        assert!(table.starts_with("metric"));
-        assert!(table.contains("bt_insert_objects_total"));
-        assert!(table.contains("64"));
-        assert!(table.contains("3.000"));
-        assert!(
-            table.contains("4 x"),
-            "histograms print count x mean: {table}"
-        );
     }
 }

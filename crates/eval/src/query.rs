@@ -55,7 +55,7 @@ pub fn density_budget_sweep(
 }
 
 /// [`density_budget_sweep`] generalised over the stored-summary mode `E`
-/// (`f64`, `f32` or [`Quantized`]): the tree is built and queried with
+/// (`f64` or [`Quantized`]): the tree is built and queried with
 /// summaries stored at that precision, while the error reference stays the
 /// exact flat kernel density (leaves are exact `f64` in every mode).
 ///
@@ -108,7 +108,7 @@ pub fn density_budget_sweep_for<E: StoredElement>(
 /// One stored-summary mode's quality rows in a [`stored_mode_sweep`].
 #[derive(Debug, Clone)]
 pub struct StoredModeQuality {
-    /// Stored-mode label (`"f64"`, `"f32"`, `"quantized"`).
+    /// Stored-mode label (`"f64"` or `"quantized"`).
     pub mode: &'static str,
     /// Resident bytes one scored directory entry costs in this mode: the
     /// exact `f64` weight plus four `dims`-wide stored columns (CF LS/SS
@@ -126,7 +126,7 @@ pub const fn bytes_per_scored_entry<E: StoredElement>(dims: usize) -> usize {
 }
 
 /// Runs [`density_budget_sweep_for`] once per stored-summary mode (`f64`,
-/// `f32`, quantised) over the same workload, pairing each mode's quality
+/// quantised) over the same workload, pairing each mode's quality
 /// rows with its per-entry footprint — the data behind the
 /// bytes-versus-bound-width trade-off table in `docs/PERF.md`.
 ///
@@ -146,11 +146,6 @@ pub fn stored_mode_sweep(
             mode: <f64 as StoredElement>::MODE,
             bytes_per_scored_entry: bytes_per_scored_entry::<f64>(dims),
             rows: density_budget_sweep_for::<f64>(points, queries, budgets, geometry),
-        },
-        StoredModeQuality {
-            mode: <f32 as StoredElement>::MODE,
-            bytes_per_scored_entry: bytes_per_scored_entry::<f32>(dims),
-            rows: density_budget_sweep_for::<f32>(points, queries, budgets, geometry),
         },
         StoredModeQuality {
             mode: Quantized::MODE,
@@ -369,15 +364,13 @@ mod tests {
             &[0, 8, 64],
             PageGeometry::from_fanout(4, 6),
         );
-        assert_eq!(modes.len(), 3);
+        assert_eq!(modes.len(), 2);
         let dims = points[0].len();
         // 8-byte weight + 4 stored columns of dims scalars each.
         assert_eq!(modes[0].mode, "f64");
         assert_eq!(modes[0].bytes_per_scored_entry, 8 + dims * 4 * 8);
-        assert_eq!(modes[1].mode, "f32");
-        assert_eq!(modes[1].bytes_per_scored_entry, 8 + dims * 4 * 4);
-        assert_eq!(modes[2].mode, "quantized");
-        assert_eq!(modes[2].bytes_per_scored_entry, 8 + dims * 4 * 2);
+        assert_eq!(modes[1].mode, "quantized");
+        assert_eq!(modes[1].bytes_per_scored_entry, 8 + dims * 4 * 2);
         for m in &modes {
             assert_eq!(m.rows.len(), 3);
             // Monotone refinement holds within every stored mode.
@@ -389,7 +382,7 @@ mod tests {
             assert!(m.rows[2].mean_abs_error <= m.rows[0].mean_abs_error + 1e-12);
         }
         let text = format_stored_mode_sweep(&modes);
-        assert_eq!(text.lines().count(), 2 + 3 * 3);
+        assert_eq!(text.lines().count(), 2 + 2 * 3);
         assert!(text.contains("bytes/entry") && text.contains("bound-width"));
         assert!(text.contains("quantized"));
     }

@@ -27,7 +27,7 @@ pub mod str_pack;
 pub mod zorder;
 
 pub use hilbert::{hilbert_index, hilbert_sort_order};
-pub use mbr::{Mbr, MbrElement};
+pub use mbr::Mbr;
 pub use page::PageGeometry;
 pub use str_pack::str_partition;
 pub use zorder::{z_order_index, z_order_sort_order};

@@ -5,81 +5,15 @@
 //! ones: area, margin, overlap, enlargement needed to include a point or
 //! rectangle, and MINDIST (the geometric descent priority evaluated in the
 //! paper's global-best strategy).
-//!
-//! **Stored precision.**  The corners are generic over an [`MbrElement`]
-//! storage type (default `f64`, bit-identical to the historical behaviour).
-//! An `Mbr<f32>` stores its corners half-width; every growth operation
-//! quantises **outward** — lower corners round toward `-∞`, upper corners
-//! toward `+∞` — so a narrowed box always *encloses* the exact box it
-//! approximates.  That containment is what keeps the anytime query bounds
-//! sound in `f32` stored mode: a nearest-point kernel over a superset box is
-//! still an upper bound, a farthest-point kernel still a lower bound.  All
-//! geometric measures widen to `f64` before arithmetic.
 
-/// An element type MBR corners may be stored as.
-///
-/// Mirrors `bt_stats::ColumnElement` (this crate is dependency-free, so the
-/// trait is defined here too): widen to `f64` for arithmetic, quantise
-/// *outward* on write so narrowed boxes enclose the exact ones.  For `f64`
-/// every method is the identity.
-pub trait MbrElement: Copy + PartialEq + std::fmt::Debug + 'static {
-    /// The value as `f64`.
-    fn widen(self) -> f64;
-    /// Quantises rounding toward `-∞`: the result, widened back, is `<= v`.
-    fn narrow_down(v: f64) -> Self;
-    /// Quantises rounding toward `+∞`: the result, widened back, is `>= v`.
-    fn narrow_up(v: f64) -> Self;
-}
-
-impl MbrElement for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn narrow_down(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn narrow_up(v: f64) -> Self {
-        v
-    }
-}
-
-impl MbrElement for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-    #[inline(always)]
-    fn narrow_down(v: f64) -> Self {
-        let r = v as f32;
-        if f64::from(r) > v {
-            r.next_down()
-        } else {
-            r
-        }
-    }
-    #[inline(always)]
-    fn narrow_up(v: f64) -> Self {
-        let r = v as f32;
-        if f64::from(r) < v {
-            r.next_up()
-        } else {
-            r
-        }
-    }
-}
-
-/// An axis-aligned minimum bounding rectangle in `d` dimensions, with
-/// corners stored at element precision `E` (see the [module docs](self)).
+/// An axis-aligned minimum bounding rectangle in `d` dimensions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mbr<E: MbrElement = f64> {
-    lower: Vec<E>,
-    upper: Vec<E>,
+pub struct Mbr {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
 }
 
-impl<E: MbrElement> Mbr<E> {
+impl Mbr {
     /// Creates an MBR from explicit lower and upper corners.
     ///
     /// # Panics
@@ -87,26 +21,22 @@ impl<E: MbrElement> Mbr<E> {
     /// Panics if the corners have different lengths, are empty, or any lower
     /// coordinate exceeds the corresponding upper coordinate.
     #[must_use]
-    pub fn new(lower: Vec<E>, upper: Vec<E>) -> Self {
+    pub fn new(lower: Vec<f64>, upper: Vec<f64>) -> Self {
         assert_eq!(lower.len(), upper.len(), "corner dimensionality mismatch");
         assert!(!lower.is_empty(), "MBR must have at least one dimension");
         assert!(
-            lower
-                .iter()
-                .zip(&upper)
-                .all(|(l, u)| l.widen() <= u.widen()),
+            lower.iter().zip(&upper).all(|(l, u)| l <= u),
             "lower corner must not exceed upper corner"
         );
         Self { lower, upper }
     }
 
-    /// Creates a degenerate MBR containing a single point (quantised
-    /// outward, so the stored box still contains the exact point).
+    /// Creates a degenerate MBR containing a single point.
     #[must_use]
     pub fn from_point(point: &[f64]) -> Self {
         Self {
-            lower: point.iter().map(|x| E::narrow_down(*x)).collect(),
-            upper: point.iter().map(|x| E::narrow_up(*x)).collect(),
+            lower: point.to_vec(),
+            upper: point.to_vec(),
         }
     }
 
@@ -133,7 +63,7 @@ impl<E: MbrElement> Mbr<E> {
     #[must_use]
     pub fn union_all<'a, I>(mbrs: I) -> Option<Self>
     where
-        I: IntoIterator<Item = &'a Mbr<E>>,
+        I: IntoIterator<Item = &'a Mbr>,
     {
         let mut iter = mbrs.into_iter();
         let mut acc = iter.next()?.clone();
@@ -143,70 +73,55 @@ impl<E: MbrElement> Mbr<E> {
         Some(acc)
     }
 
-    /// Re-quantises into another storage precision.  Corners round outward,
-    /// so the converted box always contains the original; the identity when
-    /// `E == F == f64`, and lossless when widening `f32` corners to `f64`.
-    #[must_use]
-    pub fn to_precision<F: MbrElement>(&self) -> Mbr<F> {
-        Mbr {
-            lower: self
-                .lower
-                .iter()
-                .map(|x| F::narrow_down(x.widen()))
-                .collect(),
-            upper: self.upper.iter().map(|x| F::narrow_up(x.widen())).collect(),
-        }
-    }
-
     /// Dimensionality of the rectangle.
     #[must_use]
     pub fn dims(&self) -> usize {
         self.lower.len()
     }
 
-    /// Lower corner (at storage precision).
+    /// Lower corner.
     #[must_use]
-    pub fn lower(&self) -> &[E] {
+    pub fn lower(&self) -> &[f64] {
         &self.lower
     }
 
-    /// Upper corner (at storage precision).
+    /// Upper corner.
     #[must_use]
-    pub fn upper(&self) -> &[E] {
+    pub fn upper(&self) -> &[f64] {
         &self.upper
     }
 
-    /// Centre point of the rectangle (always `f64`).
+    /// Centre point of the rectangle.
     #[must_use]
     pub fn center(&self) -> Vec<f64> {
         self.lower
             .iter()
             .zip(&self.upper)
-            .map(|(l, u)| 0.5 * (l.widen() + u.widen()))
+            .map(|(l, u)| 0.5 * (l + u))
             .collect()
     }
 
-    /// Grows the rectangle to contain `point` (outward quantisation).
+    /// Grows the rectangle to contain `point`.
     pub fn extend_point(&mut self, point: &[f64]) {
         debug_assert_eq!(point.len(), self.dims());
         for ((lo, hi), &p) in self.lower.iter_mut().zip(&mut self.upper).zip(point) {
-            *lo = E::narrow_down(lo.widen().min(p));
-            *hi = E::narrow_up(hi.widen().max(p));
+            *lo = lo.min(p);
+            *hi = hi.max(p);
         }
     }
 
     /// Grows the rectangle to contain `other`.
-    pub fn extend_mbr(&mut self, other: &Mbr<E>) {
+    pub fn extend_mbr(&mut self, other: &Mbr) {
         debug_assert_eq!(other.dims(), self.dims());
         for d in 0..self.dims() {
-            self.lower[d] = E::narrow_down(self.lower[d].widen().min(other.lower[d].widen()));
-            self.upper[d] = E::narrow_up(self.upper[d].widen().max(other.upper[d].widen()));
+            self.lower[d] = self.lower[d].min(other.lower[d]);
+            self.upper[d] = self.upper[d].max(other.upper[d]);
         }
     }
 
     /// The union of this rectangle and `other` as a new rectangle.
     #[must_use]
-    pub fn union(&self, other: &Mbr<E>) -> Mbr<E> {
+    pub fn union(&self, other: &Mbr) -> Mbr {
         let mut m = self.clone();
         m.extend_mbr(other);
         m
@@ -219,25 +134,19 @@ impl<E: MbrElement> Mbr<E> {
         point
             .iter()
             .enumerate()
-            .all(|(d, x)| *x >= self.lower[d].widen() && *x <= self.upper[d].widen())
+            .all(|(d, x)| *x >= self.lower[d] && *x <= self.upper[d])
     }
 
     /// Whether `other` is fully contained in this rectangle.
     #[must_use]
-    pub fn contains_mbr(&self, other: &Mbr<E>) -> bool {
-        (0..self.dims()).all(|d| {
-            other.lower[d].widen() >= self.lower[d].widen()
-                && other.upper[d].widen() <= self.upper[d].widen()
-        })
+    pub fn contains_mbr(&self, other: &Mbr) -> bool {
+        (0..self.dims()).all(|d| other.lower[d] >= self.lower[d] && other.upper[d] <= self.upper[d])
     }
 
     /// Whether the two rectangles intersect.
     #[must_use]
-    pub fn intersects(&self, other: &Mbr<E>) -> bool {
-        (0..self.dims()).all(|d| {
-            self.lower[d].widen() <= other.upper[d].widen()
-                && other.lower[d].widen() <= self.upper[d].widen()
-        })
+    pub fn intersects(&self, other: &Mbr) -> bool {
+        (0..self.dims()).all(|d| self.lower[d] <= other.upper[d] && other.lower[d] <= self.upper[d])
     }
 
     /// Volume (area in 2-d) of the rectangle.
@@ -246,27 +155,23 @@ impl<E: MbrElement> Mbr<E> {
         self.lower
             .iter()
             .zip(&self.upper)
-            .map(|(l, u)| u.widen() - l.widen())
+            .map(|(l, u)| u - l)
             .product()
     }
 
     /// Margin: the sum of the edge lengths (the R* split criterion).
     #[must_use]
     pub fn margin(&self) -> f64 {
-        self.lower
-            .iter()
-            .zip(&self.upper)
-            .map(|(l, u)| u.widen() - l.widen())
-            .sum()
+        self.lower.iter().zip(&self.upper).map(|(l, u)| u - l).sum()
     }
 
     /// Volume of the intersection with `other` (0 when disjoint).
     #[must_use]
-    pub fn overlap(&self, other: &Mbr<E>) -> f64 {
+    pub fn overlap(&self, other: &Mbr) -> f64 {
         let mut acc = 1.0;
         for d in 0..self.dims() {
-            let lo = self.lower[d].widen().max(other.lower[d].widen());
-            let hi = self.upper[d].widen().min(other.upper[d].widen());
+            let lo = self.lower[d].max(other.lower[d]);
+            let hi = self.upper[d].min(other.upper[d]);
             if hi <= lo {
                 return 0.0;
             }
@@ -285,7 +190,7 @@ impl<E: MbrElement> Mbr<E> {
 
     /// Increase in area needed to include `other`.
     #[must_use]
-    pub fn enlargement_for_mbr(&self, other: &Mbr<E>) -> f64 {
+    pub fn enlargement_for_mbr(&self, other: &Mbr) -> f64 {
         self.union(other).area() - self.area()
     }
 
@@ -297,9 +202,7 @@ impl<E: MbrElement> Mbr<E> {
     pub fn min_dist_sq(&self, point: &[f64]) -> f64 {
         debug_assert_eq!(point.len(), self.dims());
         let mut acc = 0.0;
-        for ((lo, hi), &x) in self.lower.iter().zip(&self.upper).zip(point) {
-            let lo = lo.widen();
-            let hi = hi.widen();
+        for ((&lo, &hi), &x) in self.lower.iter().zip(&self.upper).zip(point) {
             let diff = if x < lo {
                 lo - x
             } else if x > hi {
@@ -315,7 +218,7 @@ impl<E: MbrElement> Mbr<E> {
     /// Edge length along dimension `d`.
     #[must_use]
     pub fn extent(&self, d: usize) -> f64 {
-        self.upper[d].widen() - self.lower[d].widen()
+        self.upper[d] - self.lower[d]
     }
 }
 
@@ -340,7 +243,7 @@ mod tests {
 
     #[test]
     fn from_points_empty_is_none() {
-        assert!(Mbr::<f64>::from_points(std::iter::empty()).is_none());
+        assert!(Mbr::from_points(std::iter::empty()).is_none());
     }
 
     #[test]
@@ -411,27 +314,5 @@ mod tests {
         assert_eq!(m.area(), 0.0);
         assert!(m.contains_point(&[1.0, 2.0]));
         assert_eq!(m.min_dist_sq(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn f32_boxes_quantise_outward_and_enclose_the_exact_box() {
-        // Coordinates chosen to not be f32-representable.
-        let pts: Vec<Vec<f64>> = vec![vec![0.1, -0.3], vec![1.0 / 3.0, 0.7]];
-        let exact: Mbr = Mbr::from_points(pts.iter().map(Vec::as_slice)).unwrap();
-        let narrow: Mbr<f32> = Mbr::from_points(pts.iter().map(Vec::as_slice)).unwrap();
-        for d in 0..2 {
-            assert!(narrow.lower()[d].widen() <= exact.lower()[d]);
-            assert!(narrow.upper()[d].widen() >= exact.upper()[d]);
-        }
-        for p in &pts {
-            assert!(narrow.contains_point(p));
-        }
-        // Conversion rounds outward too: the round trip keeps containment.
-        let converted: Mbr<f32> = exact.to_precision();
-        for p in &pts {
-            assert!(converted.contains_point(p));
-        }
-        let widened: Mbr = narrow.to_precision();
-        assert!(widened.contains_mbr(&exact));
     }
 }

@@ -5,8 +5,8 @@
 //! and copies every metric, so renders and diffs never hold the lock.
 //! The JSON form round-trips through [`Snapshot::from_json`] (a small
 //! parser for exactly the format [`Snapshot::to_json`] emits), which is
-//! what `bench_9` and the interval-accounting tests build on, together
-//! with [`Snapshot::delta_since`].
+//! what the interval-accounting tests build on, together with
+//! [`Snapshot::delta_since`].
 
 use std::fmt::Write as _;
 

@@ -15,10 +15,9 @@
 //! loop, and accumulate all `n` results in vectorized inner loops.
 //!
 //! **Precision.**  Every column is `f64`.  Summaries stored narrower (the
-//! `f32` and quantised stored modes) decode into these columns at gather
-//! time, so narrowing happens only when a summary is written and every
-//! block kernel does its arithmetic on exactly the values the scalar path
-//! reads.  The entry-major scalar path remains the property-tested
+//! quantised stored mode) decode into these columns at gather time, so
+//! narrowing happens only when a summary is written and every block kernel
+//! does its arithmetic on exactly the values the scalar path reads.  The entry-major scalar path remains the property-tested
 //! reference (see `crates/stats/tests/block_kernels.rs`): the block kernels
 //! reproduce it bit for bit.
 //!
@@ -34,76 +33,6 @@
 //! always describes the node as it is now, and reading it is a plain load
 //! with no version stamp, flag or lock.
 
-/// An element type a stored summary may hold (`f64` or `f32`); widened to
-/// `f64` before arithmetic.  Block columns are always `f64`: a narrow
-/// summary widens into them when it is gathered.
-///
-/// Besides the round-to-nearest [`ColumnElement::narrow`] used for plain
-/// value storage, the trait provides the two *directed* quantisations the
-/// stored-precision summaries need for interval soundness: a quantised MBR
-/// must **enclose** the exact box, so lower corners round toward `-∞`
-/// ([`ColumnElement::narrow_down`]) and upper corners toward `+∞`
-/// ([`ColumnElement::narrow_up`]).  For `f64` all three are the identity, so
-/// full-precision storage is bit-identical by construction.
-pub trait ColumnElement: Copy {
-    /// The value as `f64`.
-    fn widen(self) -> f64;
-    /// Quantises an `f64` into this storage type (round to nearest).
-    fn narrow(v: f64) -> Self;
-    /// Quantises rounding toward `-∞`: the result, widened back, is `<= v`.
-    fn narrow_down(v: f64) -> Self;
-    /// Quantises rounding toward `+∞`: the result, widened back, is `>= v`.
-    fn narrow_up(v: f64) -> Self;
-}
-
-impl ColumnElement for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn narrow(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn narrow_down(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn narrow_up(v: f64) -> Self {
-        v
-    }
-}
-
-impl ColumnElement for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-    #[inline(always)]
-    fn narrow(v: f64) -> Self {
-        v as f32
-    }
-    #[inline(always)]
-    fn narrow_down(v: f64) -> Self {
-        let r = v as f32;
-        if f64::from(r) > v {
-            r.next_down()
-        } else {
-            r
-        }
-    }
-    #[inline(always)]
-    fn narrow_up(v: f64) -> Self {
-        let r = v as f32;
-        if f64::from(r) < v {
-            r.next_up()
-        } else {
-            r
-        }
-    }
-}
-
 /// Clears `col` and zero-fills it to `n` values.
 pub(crate) fn zero_fill(col: &mut Vec<f64>, n: usize) {
     col.clear();
@@ -111,7 +40,7 @@ pub(crate) fn zero_fill(col: &mut Vec<f64>, n: usize) {
 }
 
 /// A structure-of-arrays gather of one node's entry summaries: per-entry
-/// weights plus dimension-major mean / variance columns and (optionally)
+/// weights and dimension-major mean columns, plus (optionally) variance and
 /// MBR lower / upper columns.
 ///
 /// See the [module docs](crate::block) for the layout.
@@ -138,18 +67,26 @@ impl SummaryBlock {
     }
 
     /// Clears the block and sizes it for `len` entries over `dims`
-    /// dimensions (weights and mean / variance columns zero-filled, box
-    /// columns disabled until [`Self::enable_boxes`]).
+    /// dimensions (weights and mean columns zero-filled; the variance
+    /// columns stay empty until [`Self::enable_vars`], the box columns
+    /// until [`Self::enable_boxes`]).
     pub fn reset(&mut self, dims: usize, len: usize) {
         self.dims = dims;
         self.len = len;
         zero_fill(&mut self.weight, len);
         zero_fill(&mut self.mean, dims * len);
-        zero_fill(&mut self.var, dims * len);
+        self.var.clear();
         self.log_var.clear();
         self.lower.clear();
         self.upper.clear();
         self.has_boxes = false;
+    }
+
+    /// Enables the variance columns (zero-filled) for the current shape.
+    /// A gather whose scoring reads only the means (a leaf of raw points)
+    /// leaves them empty.
+    pub fn enable_vars(&mut self) {
+        zero_fill(&mut self.var, self.dims * self.len);
     }
 
     /// Enables the MBR lower / upper columns (zero-filled) for the current
@@ -239,7 +176,8 @@ impl SummaryBlock {
         &self.mean
     }
 
-    /// The dimension-major variance columns, as gathered.
+    /// The dimension-major variance columns, as gathered; empty unless
+    /// [`Self::enable_vars`] ran for the current shape.
     ///
     /// The fused node passes floor each value at [`crate::VARIANCE_FLOOR`]
     /// wherever a Gaussian reads it (as does [`Self::fill_log_vars`]), so a
@@ -410,6 +348,7 @@ mod tests {
     fn block_round_trips_entries() {
         let mut block = SummaryBlock::new();
         block.reset(2, 3);
+        block.enable_vars();
         block.enable_boxes();
         for i in 0..3 {
             block.set_weight(i, i as f64 + 1.0);
@@ -456,6 +395,7 @@ mod tests {
     fn log_var_column_tracks_the_variances() {
         let mut block = SummaryBlock::new();
         block.reset(2, 3);
+        block.enable_vars();
         for i in 0..3 {
             for d in 0..2 {
                 block.set_var(d, i, 0.5 + (d * 3 + i) as f64);
@@ -471,9 +411,10 @@ mod tests {
         // Any variance write stales the column, so it is dropped.
         block.set_var(0, 0, 2.0);
         assert!(block.log_vars().is_none());
-        // A reset drops it too.
+        // A reset drops it too, and the variances with it.
         block.fill_log_vars();
         block.reset(2, 3);
         assert!(block.log_vars().is_none());
+        assert!(block.var().is_empty());
     }
 }

@@ -12,17 +12,7 @@
 //! For the stream-clustering extension (Section 4.2) the CF additionally
 //! supports *exponential decay*: multiplying `n`, `LS` and `SS` by a factor
 //! `2^(-lambda * dt)` ages the statistics without touching their additivity.
-//!
-//! **Stored precision.**  The `LS` / `SS` components are generic over a
-//! [`ColumnElement`] storage type (default `f64`, bit-identical to the
-//! historical behaviour).  A `ClusterFeature<f32>` stores the sums
-//! half-width — halving the entry's memory footprint and the bytes every
-//! gather, copy-on-write and snapshot pin streams — while **every arithmetic
-//! operation still runs in `f64`**: operands are widened on read and results
-//! quantised (round to nearest) on write.  The count `n` always stays `f64`
-//! so weights, and therefore mixture normalisation, never lose precision.
 
-use crate::block::ColumnElement;
 use crate::gaussian::DiagGaussian;
 use crate::VARIANCE_FLOOR;
 
@@ -41,26 +31,25 @@ pub fn raw_moments(ls: f64, ss: f64, n: f64) -> (f64, f64) {
     (mean, if var.is_finite() { var } else { f64::NAN })
 }
 
-/// Additive sufficient statistics of a set of points, stored at element
-/// precision `E` (see the [module docs](self) for the precision contract).
+/// Additive sufficient statistics of a set of points.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterFeature<E: ColumnElement = f64> {
+pub struct ClusterFeature {
     /// Number of summarised objects (fractional once decay is applied).
     n: f64,
     /// Per-dimension linear sum of the objects.
-    ls: Vec<E>,
+    ls: Vec<f64>,
     /// Per-dimension sum of squares of the objects.
-    ss: Vec<E>,
+    ss: Vec<f64>,
 }
 
-impl<E: ColumnElement> ClusterFeature<E> {
+impl ClusterFeature {
     /// Creates an empty cluster feature of the given dimensionality.
     #[must_use]
     pub fn empty(dims: usize) -> Self {
         Self {
             n: 0.0,
-            ls: vec![E::narrow(0.0); dims],
-            ss: vec![E::narrow(0.0); dims],
+            ls: vec![0.0; dims],
+            ss: vec![0.0; dims],
         }
     }
 
@@ -69,8 +58,8 @@ impl<E: ColumnElement> ClusterFeature<E> {
     pub fn from_point(point: &[f64]) -> Self {
         Self {
             n: 1.0,
-            ls: point.iter().map(|x| E::narrow(*x)).collect(),
-            ss: point.iter().map(|x| E::narrow(x * x)).collect(),
+            ls: point.to_vec(),
+            ss: point.iter().map(|x| x * x).collect(),
         }
     }
 
@@ -80,7 +69,7 @@ impl<E: ColumnElement> ClusterFeature<E> {
     ///
     /// Panics if `ls` and `ss` have different lengths or `n` is negative.
     #[must_use]
-    pub fn from_parts(n: f64, ls: Vec<E>, ss: Vec<E>) -> Self {
+    pub fn from_parts(n: f64, ls: Vec<f64>, ss: Vec<f64>) -> Self {
         assert_eq!(
             ls.len(),
             ss.len(),
@@ -103,17 +92,6 @@ impl<E: ColumnElement> ClusterFeature<E> {
         cf
     }
 
-    /// Re-quantises into another storage precision (widen, then narrow; the
-    /// identity when `E == F`).
-    #[must_use]
-    pub fn to_precision<F: ColumnElement>(&self) -> ClusterFeature<F> {
-        ClusterFeature {
-            n: self.n,
-            ls: self.ls.iter().map(|x| F::narrow(x.widen())).collect(),
-            ss: self.ss.iter().map(|x| F::narrow(x.widen())).collect(),
-        }
-    }
-
     /// Dimensionality of the summarised points.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -126,15 +104,15 @@ impl<E: ColumnElement> ClusterFeature<E> {
         self.n
     }
 
-    /// The linear-sum component `LS` (at storage precision).
+    /// The linear-sum component `LS`.
     #[must_use]
-    pub fn linear_sum(&self) -> &[E] {
+    pub fn linear_sum(&self) -> &[f64] {
         &self.ls
     }
 
-    /// The squared-sum component `SS` (at storage precision).
+    /// The squared-sum component `SS`.
     #[must_use]
-    pub fn squared_sum(&self) -> &[E] {
+    pub fn squared_sum(&self) -> &[f64] {
         &self.ss
     }
 
@@ -144,14 +122,13 @@ impl<E: ColumnElement> ClusterFeature<E> {
         self.n <= f64::EPSILON
     }
 
-    /// Adds a single point to the summary (accumulation in `f64`, quantised
-    /// on write).
+    /// Adds a single point to the summary.
     pub fn insert(&mut self, point: &[f64]) {
         debug_assert_eq!(point.len(), self.dims());
         self.n += 1.0;
         for ((ls, ss), p) in self.ls.iter_mut().zip(&mut self.ss).zip(point) {
-            *ls = E::narrow(ls.widen() + p);
-            *ss = E::narrow(ss.widen() + p * p);
+            *ls += p;
+            *ss += p * p;
         }
     }
 
@@ -160,8 +137,8 @@ impl<E: ColumnElement> ClusterFeature<E> {
         debug_assert_eq!(other.dims(), self.dims());
         self.n += other.n;
         for d in 0..self.ls.len() {
-            self.ls[d] = E::narrow(self.ls[d].widen() + other.ls[d].widen());
-            self.ss[d] = E::narrow(self.ss[d].widen() + other.ss[d].widen());
+            self.ls[d] += other.ls[d];
+            self.ss[d] += other.ss[d];
         }
     }
 
@@ -173,12 +150,12 @@ impl<E: ColumnElement> ClusterFeature<E> {
         debug_assert_eq!(other.dims(), self.dims());
         self.n = (self.n - other.n).max(0.0);
         for d in 0..self.ls.len() {
-            self.ls[d] = E::narrow(self.ls[d].widen() - other.ls[d].widen());
-            self.ss[d] = E::narrow(self.ss[d].widen() - other.ss[d].widen());
+            self.ls[d] -= other.ls[d];
+            self.ss[d] -= other.ss[d];
         }
     }
 
-    /// Mean vector `LS / n` of the summarised points (always `f64`).
+    /// Mean vector `LS / n` of the summarised points.
     ///
     /// Returns a zero vector for an empty feature.
     #[must_use]
@@ -186,7 +163,7 @@ impl<E: ColumnElement> ClusterFeature<E> {
         if self.is_empty() {
             return vec![0.0; self.dims()];
         }
-        self.ls.iter().map(|x| x.widen() / self.n).collect()
+        self.ls.iter().map(|x| x / self.n).collect()
     }
 
     /// Writes the mean vector into `out` (cleared and refilled), so the
@@ -204,7 +181,7 @@ impl<E: ColumnElement> ClusterFeature<E> {
         // contract in `bt_anytree`).
         let inv_n = 1.0 / self.n;
         out.clear();
-        out.extend(self.ls.iter().map(|x| x.widen() * inv_n));
+        out.extend(self.ls.iter().map(|x| x * inv_n));
     }
 
     /// Squared Euclidean distance from the mean to `point`, computed without
@@ -221,14 +198,13 @@ impl<E: ColumnElement> ClusterFeature<E> {
             .iter()
             .zip(point)
             .map(|(ls, p)| {
-                let diff = ls.widen() * inv_n - p;
+                let diff = ls * inv_n - p;
                 diff * diff
             })
             .sum()
     }
 
-    /// Per-dimension variance `SS / n - (LS / n)^2` of the summarised points
-    /// (always `f64`).
+    /// Per-dimension variance `SS / n - (LS / n)^2` of the summarised points.
     ///
     /// Clamped below at [`VARIANCE_FLOOR`]; returns the floor for an empty
     /// feature.
@@ -241,8 +217,8 @@ impl<E: ColumnElement> ClusterFeature<E> {
             .iter()
             .zip(&self.ss)
             .map(|(ls, ss)| {
-                let mean = ls.widen() / self.n;
-                (ss.widen() / self.n - mean * mean).max(VARIANCE_FLOOR)
+                let mean = ls / self.n;
+                (ss / self.n - mean * mean).max(VARIANCE_FLOOR)
             })
             .collect()
     }
@@ -252,11 +228,11 @@ impl<E: ColumnElement> ClusterFeature<E> {
     /// dimension of an empty feature.
     pub fn raw_moments(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let empty = self.is_empty();
-        self.ls.iter().zip(&self.ss).map(move |(ls, ss)| {
+        self.ls.iter().zip(&self.ss).map(move |(&ls, &ss)| {
             if empty {
                 (0.0, VARIANCE_FLOOR)
             } else {
-                raw_moments(ls.widen(), ss.widen(), self.n)
+                raw_moments(ls, ss, self.n)
             }
         })
     }
@@ -274,8 +250,8 @@ impl<E: ColumnElement> ClusterFeature<E> {
         debug_assert!((0.0..=1.0).contains(&factor));
         self.n *= factor;
         for d in 0..self.ls.len() {
-            self.ls[d] = E::narrow(self.ls[d].widen() * factor);
-            self.ss[d] = E::narrow(self.ss[d].widen() * factor);
+            self.ls[d] *= factor;
+            self.ss[d] *= factor;
         }
     }
 
@@ -394,34 +370,5 @@ mod tests {
         let wide: ClusterFeature =
             ClusterFeature::from_points([vec![0.0], vec![10.0]].iter().map(Vec::as_slice), 1);
         assert!(wide.radius() > tight.radius());
-    }
-
-    #[test]
-    fn f32_storage_accumulates_in_f64_and_quantises_on_write() {
-        let pts: Vec<Vec<f64>> = (0..100)
-            .map(|i| vec![0.1 * i as f64, 1.0 - 0.01 * i as f64])
-            .collect();
-        let wide: ClusterFeature = ClusterFeature::from_points(pts.iter().map(Vec::as_slice), 2);
-        let narrow: ClusterFeature<f32> =
-            ClusterFeature::from_points(pts.iter().map(Vec::as_slice), 2);
-        // Weights are always full precision.
-        assert_eq!(narrow.weight(), wide.weight());
-        // Means and variances agree to f32 relative accuracy.
-        for d in 0..2 {
-            let rel = (narrow.mean()[d] - wide.mean()[d]).abs() / (1.0 + wide.mean()[d].abs());
-            assert!(rel < 1e-5, "mean[{d}] rel err {rel}");
-            let rel =
-                (narrow.variance()[d] - wide.variance()[d]).abs() / (1.0 + wide.variance()[d]);
-            assert!(rel < 1e-4, "var[{d}] rel err {rel}");
-        }
-    }
-
-    #[test]
-    fn precision_round_trip_is_lossless_from_f32() {
-        let pts: Vec<Vec<f64>> = vec![vec![0.1, 0.7], vec![2.3, -1.9]];
-        let narrow: ClusterFeature<f32> =
-            ClusterFeature::from_points(pts.iter().map(Vec::as_slice), 2);
-        let back: ClusterFeature<f32> = narrow.to_precision::<f64>().to_precision::<f32>();
-        assert_eq!(narrow, back);
     }
 }

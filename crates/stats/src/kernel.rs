@@ -8,7 +8,7 @@
 //! block passes below evaluate it (and its box and cluster-feature bounds)
 //! over tree nodes.
 
-use crate::block::{zero_fill, ColumnElement, GatheredBlock, ScoreLanes, SummaryBlock};
+use crate::block::{zero_fill, GatheredBlock, ScoreLanes, SummaryBlock};
 use crate::{LN_2PI, VARIANCE_FLOOR};
 
 /// A product kernel over `d` dimensions with a per-dimension bandwidth.
@@ -175,10 +175,10 @@ impl KernelBandwidth {
 /// the Bayes-tree MBR bounds and the micro-cluster MBR bounds can never
 /// drift apart.
 #[must_use]
-pub fn nearest_point_log_kernel<E: ColumnElement>(
+pub fn nearest_point_log_kernel(
     query: &[f64],
-    lower: &[E],
-    upper: &[E],
+    lower: &[f64],
+    upper: &[f64],
     bandwidth: &[f64],
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
@@ -186,7 +186,7 @@ pub fn nearest_point_log_kernel<E: ColumnElement>(
     debug_assert_eq!(query.len(), bandwidth.len());
     let mut acc = 0.0;
     for d in 0..query.len() {
-        let (lo, hi) = (lower[d].widen(), upper[d].widen());
+        let (lo, hi) = (lower[d], upper[d]);
         let dist = if query[d] < lo {
             lo - query[d]
         } else if query[d] > hi {
@@ -205,10 +205,10 @@ pub fn nearest_point_log_kernel<E: ColumnElement>(
 /// distance away per dimension, so `weight * exp(farthest_point_log_kernel)`
 /// bounds the box's refined contribution from below.
 #[must_use]
-pub fn farthest_point_log_kernel<E: ColumnElement>(
+pub fn farthest_point_log_kernel(
     query: &[f64],
-    lower: &[E],
-    upper: &[E],
+    lower: &[f64],
+    upper: &[f64],
     bandwidth: &[f64],
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
@@ -216,7 +216,7 @@ pub fn farthest_point_log_kernel<E: ColumnElement>(
     debug_assert_eq!(query.len(), bandwidth.len());
     let mut acc = 0.0;
     for d in 0..query.len() {
-        let (lo, hi) = (lower[d].widen(), upper[d].widen());
+        let (lo, hi) = (lower[d], upper[d]);
         let dist = (query[d] - lo).abs().max((query[d] - hi).abs());
         acc += gaussian_log_term(dist, bandwidth[d]);
     }
@@ -240,10 +240,10 @@ pub fn farthest_point_log_kernel<E: ColumnElement>(
 /// box is contained in its parent's, the bound is nested and the anytime
 /// lower bound stays monotone under refinement.
 #[must_use]
-pub fn smoothed_farthest_log_kernel<E: ColumnElement>(
+pub fn smoothed_farthest_log_kernel(
     query: &[f64],
-    lower: &[E],
-    upper: &[E],
+    lower: &[f64],
+    upper: &[f64],
     bandwidth: &[f64],
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
@@ -251,7 +251,7 @@ pub fn smoothed_farthest_log_kernel<E: ColumnElement>(
     debug_assert_eq!(query.len(), bandwidth.len());
     let mut acc = 0.0;
     for d in 0..query.len() {
-        let (lo, hi) = (lower[d].widen(), upper[d].widen());
+        let (lo, hi) = (lower[d], upper[d]);
         let far = (query[d] - lo).abs().max((query[d] - hi).abs());
         let half = 0.5 * (hi - lo);
         let t = far * far + half * half;
@@ -357,8 +357,9 @@ pub(crate) struct NodeLanes<'a> {
 /// # Panics
 ///
 /// Panics if the block lacks its box columns or its log-variance column
-/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`]), or if
-/// the bandwidth's dimensionality differs from the query's.
+/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`] over
+/// the columns [`SummaryBlock::enable_vars`] sized), or if the bandwidth's
+/// dimensionality differs from the query's.
 pub fn node_scores_block(
     query: &[f64],
     bandwidth: &KernelBandwidth,
@@ -393,7 +394,8 @@ pub fn node_scores_block(
 /// # Panics
 ///
 /// Panics if the block lacks its box columns or its log-variance column
-/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`]).
+/// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`] over
+/// the columns [`SummaryBlock::enable_vars`] sized).
 pub fn node_estimates_block(
     query: &[f64],
     block: &SummaryBlock,
@@ -637,8 +639,9 @@ pub(crate) struct ClusterLanes<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the bandwidth's dimensionality differs from the query's, or if
-/// `BOUNDS` is set and the block lacks its box columns.
+/// Panics if the bandwidth's dimensionality differs from the query's, if
+/// the block lacks its variance columns ([`SummaryBlock::enable_vars`]), or
+/// if `BOUNDS` is set and the block lacks its box columns.
 pub fn cluster_scores_block<const BOUNDS: bool>(
     query: &[f64],
     bandwidth: &KernelBandwidth,

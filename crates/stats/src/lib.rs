@@ -37,9 +37,7 @@ pub mod summary;
 pub mod vector;
 
 pub use bandwidth::silverman_bandwidth;
-pub use block::{
-    BlockCacheSlot, BlockScratch, ColumnElement, GatheredBlock, ScoreLanes, SummaryBlock,
-};
+pub use block::{BlockCacheSlot, BlockScratch, GatheredBlock, ScoreLanes, SummaryBlock};
 pub use cluster_feature::ClusterFeature;
 pub use em::{EmConfig, EmResult, KMeans, KMeansConfig};
 pub use gaussian::DiagGaussian;

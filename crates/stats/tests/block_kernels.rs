@@ -1,25 +1,12 @@
 //! Property tests: the block kernels match their scalar references.
 //!
-//! **Tolerances.**
-//!
-//! * Block kernels against the scalar reference on the same values: every
-//!   per-entry result must match **bit for bit** (0 ULP — asserted with
-//!   `to_bits()` equality modulo the `-0.0` case).  The block kernels
-//!   deliberately replicate the scalar operation order (terms added
-//!   dimension-ascending, per-element division by the floored bandwidth,
-//!   constants hoisted but recomputed identically), so this is an equality
-//!   test.
-//! * `f32` stored values against the exact `f64` ones: the `f32` stored
-//!   mode quantises only the *stored operands* (means, variances, box
-//!   bounds) and widens them into `f64` columns; all arithmetic and
-//!   accumulation stay `f64`.  A quantised operand `x` differs from its
-//!   `f64` value by at most `|x| * 2^-24`, so squared-distance-style results
-//!   drift by a relative `~2^-23` per term; log-kernels add an absolute
-//!   error of order `|diff| * 2^-23 / h^2` through the `u^2` term.  The
-//!   generators below keep coordinates in `[-50, 50]` and bandwidths above
-//!   `1e-3`, for which an absolute tolerance of `1e-2` on log values and a
-//!   relative `1e-4` on distances is conservative; the tests assert those
-//!   bounds.
+//! **Tolerance.**  Block kernels against the scalar reference on the same
+//! values: every per-entry result must match **bit for bit** (0 ULP —
+//! asserted with `to_bits()` equality modulo the `-0.0` case).  The block
+//! kernels deliberately replicate the scalar operation order (terms added
+//! dimension-ascending, per-element division by the floored bandwidth,
+//! constants hoisted but recomputed identically), so this is an equality
+//! test.
 //!
 //! Edge cases covered explicitly: bandwidths at / below the variance-floor
 //! square root, zero variances, empty blocks, and degenerate (point) boxes.
@@ -32,8 +19,8 @@ use bt_stats::kernel::{
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
-    ColumnElement, DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth,
-    ScoreLanes, SummaryBlock, VARIANCE_FLOOR,
+    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock,
+    VARIANCE_FLOOR,
 };
 
 /// One generated node: `len` entries over `dims` dimensions.
@@ -95,6 +82,7 @@ fn node_strategy() -> impl Strategy<Value = Node> {
 fn gather(node: &Node) -> SummaryBlock {
     let mut block = SummaryBlock::new();
     block.reset(node.dims, node.means.len());
+    block.enable_vars();
     block.enable_boxes();
     for (i, mean) in node.means.iter().enumerate() {
         block.set_weight(i, i as f64 + 1.0);
@@ -124,24 +112,6 @@ fn gather_clusters(node: &Node) -> GatheredBlock {
     }
 }
 
-/// The node's values as the `f32` stored mode keeps them: means and
-/// variances rounded to nearest, box corners rounded outward, widened back.
-fn narrowed(node: &Node) -> Node {
-    let round = |rows: &[Vec<f64>], narrow: fn(f64) -> f32| -> Vec<Vec<f64>> {
-        rows.iter()
-            .map(|row| row.iter().map(|&v| narrow(v).widen()).collect())
-            .collect()
-    };
-    Node {
-        means: round(&node.means, f32::narrow),
-        vars: round(&node.vars, f32::narrow),
-        centers: round(&node.centers, f32::narrow),
-        lower: round(&node.lower, f32::narrow_down),
-        upper: round(&node.upper, f32::narrow_up),
-        ..node.clone()
-    }
-}
-
 fn assert_bit_equal(got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -151,15 +121,6 @@ fn assert_bit_equal(got: &[f64], want: &[f64]) {
             g.to_bits(),
             w.to_bits()
         );
-    }
-}
-
-fn assert_close(got: &[f64], want: &[f64], abs_tol: f64, rel_tol: f64) {
-    assert_eq!(got.len(), want.len());
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let err = (g - w).abs();
-        let bound = abs_tol + rel_tol * w.abs();
-        assert!(err <= bound, "entry {i}: |{g} - {w}| = {err} > {bound}");
     }
 }
 
@@ -446,50 +407,6 @@ proptest! {
         node_estimates_block(&node.query, &block, &mut log_pdf, &mut min_sq);
         assert_bit_equal(&log_pdf, &lanes[0]);
         assert_bit_equal(&min_sq, &lanes[3]);
-    }
-
-    #[test]
-    fn fused_f32_passes_match_the_f32_kernels_bitwise(node in node_strategy()) {
-        // The f32 stored mode widens its narrowed values into the same f64
-        // columns, so every fused lane must equal the scalar formulas on
-        // those narrowed values.
-        let narrow = narrowed(&node);
-        check_fused_passes(&narrow);
-        check_cluster_pass(&narrow);
-    }
-
-    #[test]
-    fn f32_mode_is_within_documented_tolerance(node in node_strategy()) {
-        let gathered = gather_clusters(&narrowed(&node));
-        let block = &gathered.block;
-        let mut out = Vec::new();
-        let n = block.len();
-
-        sq_dists_block(&node.query, block.mean(), n, &mut out);
-        let want: Vec<f64> = node.means.iter().map(|m| scalar_sq_dist(&node.query, m)).collect();
-        // Quantising a coordinate in [-50, 50] moves it by <= 50 * 2^-24
-        // ~ 3e-6; a squared distance of magnitude D picks up ~2 sqrt(D)
-        // per-dim errors of that size.
-        assert_close(&out, &want, 1e-2, 1e-4);
-
-        let bandwidth = KernelBandwidth::new(node.bandwidth.clone());
-        let mut lanes: [Vec<f64>; 4] = Default::default();
-        cluster_scores_block::<true>(&node.query, &bandwidth, &gathered, &mut lanes);
-        let want: Vec<f64> = node
-            .means
-            .iter()
-            .zip(&node.vars)
-            .map(|(m, v)| scalar_smoothed(&node.query, m, v, &node.bandwidth))
-            .collect();
-        // Log-kernel error scales with |u| * delta_u; with the floored
-        // bandwidth >= 3.16e-5 and |diff| <= 100 the u^2 term stays finite
-        // and the relative bound below holds with wide margin.
-        assert_close(&lanes[0], &want, 1e-2, 1e-3);
-
-        let want: Vec<f64> = (0..n)
-            .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
-            .collect();
-        assert_close(&lanes[2], &want, 1e-2, 1e-3);
     }
 
     #[test]

@@ -15,9 +15,9 @@ use bt_stats::kernel::{
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
-    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, ColumnElement,
-    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock,
-    LN_2PI, VARIANCE_FLOOR,
+    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, DiagGaussian,
+    GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock, LN_2PI,
+    VARIANCE_FLOOR,
 };
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
@@ -141,6 +141,7 @@ fn cluster_block(c: &Case, boxes: bool, seed: u64) -> GatheredBlock {
     let mut gathered = GatheredBlock::new();
     let block = &mut gathered.block;
     block.reset(dims, len);
+    block.enable_vars();
     if boxes {
         block.enable_boxes();
     }
@@ -284,30 +285,6 @@ fn dispatch_reports_consistent_availability() {
     assert_eq!(available, bt_stats::simd::avx2_available());
 }
 
-#[test]
-fn f32_columns_stay_close_through_the_simd_path() {
-    // The f32 stored mode quantises only on write and widens its values
-    // into f64 columns at gather time, so the SIMD result on those columns
-    // must equal the scalar recomputation on the quantised values bit for
-    // bit.
-    let len = 13;
-    let c = case(3, len, 0xF32F32);
-    let means32: Vec<f64> = c.means.iter().map(|&m| f32::narrow(m).widen()).collect();
-    let mut out = Vec::new();
-    sq_dists_block(&c.query, &means32, len, &mut out);
-    let want: Vec<f64> = (0..len)
-        .map(|i| {
-            let mut acc = 0.0;
-            for (d, &q) in c.query.iter().enumerate() {
-                let diff = means32[d * len + i] - q;
-                acc += diff * diff;
-            }
-            acc
-        })
-        .collect();
-    assert_bits_eq(&out, &want, "sq_dists f32");
-}
-
 // ---------------------------------------------------------------------------
 // Fused node / leaf / micro-cluster passes: every output lane must equal its
 // per-quantity scalar kernel and the column-wise scalar reference bit for
@@ -330,9 +307,6 @@ enum Stored {
     /// Quantised-mode decodes: i16 block-exponent means and variances, bf16
     /// outward-rounded box corners.
     QuantisedDecode,
-    /// `f32` stored-mode values: means and variances rounded to nearest,
-    /// box corners rounded outward.
-    F32,
 }
 
 /// Round-trips every value of one entry's column group through the i16
@@ -354,6 +328,7 @@ fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, Summa
     let c = case(dims, len, seed);
     let mut block = SummaryBlock::new();
     block.reset(dims, len);
+    block.enable_vars();
     block.enable_boxes();
     for i in 0..len {
         block.set_weight(i, 1.0 + i as f64);
@@ -367,15 +342,6 @@ fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, Summa
                 var = i16_decode(&var);
                 lower = lower.iter().map(|&v| bf16_decode(bf16_floor(v))).collect();
                 upper = upper.iter().map(|&v| bf16_decode(bf16_ceil(v))).collect();
-            }
-            Stored::F32 => {
-                let round = |v: &mut Vec<f64>, narrow: fn(f64) -> f32| {
-                    v.iter_mut().for_each(|x| *x = narrow(*x).widen());
-                };
-                round(&mut mean, f32::narrow);
-                round(&mut var, f32::narrow);
-                round(&mut lower, f32::narrow_down);
-                round(&mut upper, f32::narrow_up);
             }
         }
         for d in 0..dims {
@@ -473,7 +439,7 @@ const LANE_NAMES: [&str; 4] = ["log_pdf", "farthest", "nearest", "min_dist_sq"];
 fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS {
-            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+            for stored in [Stored::F64, Stored::QuantisedDecode] {
                 let seed = 0xF05E_D000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
@@ -499,7 +465,7 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
     // in the `--no-default-features` build the scalar loop.
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS.chain([64]) {
-            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+            for stored in [Stored::F64, Stored::QuantisedDecode] {
                 let seed = 0xE571_0000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
@@ -527,6 +493,7 @@ fn raw_variance_node(c: &Case) -> (SummaryBlock, Vec<f64>) {
     let mut rng = SplitMix(0x2A7 ^ (dims as u64) << 16 ^ len as u64);
     let mut block = SummaryBlock::new();
     block.reset(dims, len);
+    block.enable_vars();
     block.enable_boxes();
     let mut vars = vec![0.0; dims * len];
     for d in 0..dims {
@@ -600,7 +567,7 @@ fn cf_lanes_match_the_shared_formula_bitwise() {
 fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS {
-            for stored in [Stored::F64, Stored::QuantisedDecode, Stored::F32] {
+            for stored in [Stored::F64, Stored::QuantisedDecode] {
                 let seed = 0x1EAF_0000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());

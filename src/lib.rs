@@ -156,26 +156,25 @@
 //!   (`tests/block_cache.rs` in both tree crates,
 //!   `tests/block_cache_rule.rs`).
 //!
-//!   **The half-width hot path.**  The Bayes tree's stored summaries are
-//!   generic over a scalar element (`bayestree::node::StoredElement`):
-//!   `f64` is the bit-exact reference mode, `f32` stores MBR corners and
-//!   cluster features at half width — accumulating in `f64`, quantising on
-//!   write with **outward-rounded** box corners so every stored rectangle
-//!   still encloses its subtree and the certain `[lower, upper]` density
-//!   bounds stay sound (property-tested in `tests/stored_precision.rs`).
-//!   Both modes route through the same R* MINDIST/enlargement machinery via
-//!   precision-agnostic corner accessors, leaf observations stay exact
-//!   `f64` in every mode, and the page-size fanout derivation
-//!   (`index::PageGeometry::from_page_size_for_scalar`) converts the
-//!   narrower entries into ~2× fanout per fixed-size page — the capacity
-//!   effect `BENCH_8.json` measures.  Narrowing happens only on write:
-//!   every mode gathers into full-width block columns, so each mode's
-//!   block path equals its scalar reference bit for bit.  Descent and
-//!   refinement issue **software prefetches** for the next frontier
-//!   candidate's page slot (counted in `QueryStats::prefetches` /
-//!   `DescentStats::prefetches` and surfaced by the `eval` report tables).
-//!   `docs/PERF.md` tabulates the measured BENCH_6→7→8→9 trajectory and
-//!   records the precision contract.
+//!   **The 16-bit stored mode.**  The Bayes tree's stored summaries are
+//!   parameterised by a stored mode (`bayestree::node::StoredElement`):
+//!   `f64` is the bit-exact reference mode, `Quantized` stores MBR corners
+//!   and cluster features at 16 bits — accumulating in `f64`, quantising
+//!   on write with **outward-rounded** box corners so every stored
+//!   rectangle still encloses its subtree and the certain `[lower, upper]`
+//!   density bounds stay sound (property-tested in
+//!   `tests/stored_precision.rs`).  Both modes route through the same R*
+//!   MINDIST/enlargement machinery via per-corner accessors, leaf
+//!   observations stay exact `f64` in both, and the page-size fanout
+//!   derivation (`index::PageGeometry::from_page_size_for_scalar`) converts
+//!   the narrower entries into ~4× fanout per fixed-size page.  Narrowing
+//!   happens only on write: both modes gather into full-width block
+//!   columns, so each mode's block path equals its scalar reference bit
+//!   for bit.  Descent and refinement issue **software prefetches** for
+//!   the next frontier candidate's page slot (counted in
+//!   `QueryStats::prefetches` / `DescentStats::prefetches` and surfaced by
+//!   the `eval` report tables).  `docs/PERF.md` records the precision
+//!   contract and the measurements.
 //!
 //!   **The observability boundary.**  Every layer reports into one
 //!   process-global [`obs`] registry without ever putting an atomic on a
@@ -191,8 +190,7 @@
 //!   `snapshot_refresh`) into a bounded ring or a pluggable subscriber,
 //!   and the registry exposes itself as Prometheus text or a JSON snapshot
 //!   ([`obs::Snapshot`]) — `eval::obs` brackets workloads with
-//!   capture-deltas, `BENCH_9.json` derives certified-queries/sec from the
-//!   registry histograms, and `docs/OBSERVABILITY.md` catalogues the
+//!   capture-deltas, and `docs/OBSERVABILITY.md` catalogues the
 //!   metric names and the cost contract
 //!   (`tests/metrics_equivalence.rs` pins recording equivalence across
 //!   the live, snapshot and sharded paths).

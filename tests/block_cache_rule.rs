@@ -10,7 +10,9 @@
 //! * threads racing to fill one cold pinned snapshot's slots answer like
 //!   the cache-less reference, and every scored node is either gathered or
 //!   served from the cache,
-//! * the writer never fills a reader slot.
+//! * the writer never fills a reader slot,
+//! * a cached block carries only the columns its node's pass reads: a
+//!   Bayes-tree leaf of raw points gathers no variance column.
 
 use anytime_stream_mining::anytree::{
     AnytimeTree, CursorStep, DescentCursor, Node, NodeId, QueryAnswer, QueryModel, QueryStats,
@@ -209,4 +211,48 @@ fn the_writer_never_fills_a_reader_slot() {
         .shard(0)
         .block_cache(root)
         .is_some_and(|s| s.get().is_none()));
+}
+
+/// Every cached block a read left in `view`'s slots, as `(leaf?, entries,
+/// variance values)`.
+fn cached_var_columns<S: Summary, L, V: TreeView<S, L>>(view: &V) -> Vec<(bool, usize, usize)> {
+    view.reachable()
+        .into_iter()
+        .filter_map(|id| {
+            let gathered = view.block_cache(id)?.get()?;
+            let block = &gathered.block;
+            Some((view.node(id).is_leaf(), block.len(), block.var().len()))
+        })
+        .collect()
+}
+
+#[test]
+fn only_gathers_that_read_variances_carry_a_variance_column() {
+    let mut bayes: BayesTree = BayesTree::new(DIMS, geometry());
+    let mut clus = ClusTree::new(DIMS, ClusTreeConfig::default());
+    for (batch, chunk) in stream(300, 0).chunks(64).enumerate() {
+        let _ = bayes.insert_batch(chunk.to_vec());
+        let _ = clus.insert_batch(chunk, batch as f64, 8);
+    }
+    let queries = stream(8, 5);
+    let _ = bayes.density_batch(&queries, DescentStrategy::default(), usize::MAX);
+    let _ = clus.density_batch(&queries, &[0.8; DIMS], order(), usize::MAX);
+
+    // Bayes leaves score their raw points by the means alone; directory
+    // nodes read every entry's variance.
+    let blocks = cached_var_columns(bayes.shard(0));
+    assert!(blocks.iter().any(|b| b.0) && blocks.iter().any(|b| !b.0));
+    for (leaf, len, vars) in blocks {
+        assert!(len > 0);
+        assert_eq!(vars, if leaf { 0 } else { DIMS * len });
+    }
+
+    // ClusTree leaves hold micro-clusters, whose smoothed kernel reads the
+    // variances too.
+    let blocks = cached_var_columns(clus.shard(0));
+    assert!(blocks.iter().any(|b| b.0) && blocks.iter().any(|b| !b.0));
+    for (_, len, vars) in blocks {
+        assert!(len > 0);
+        assert_eq!(vars, DIMS * len);
+    }
 }
