@@ -356,8 +356,8 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
 }
 
 /// Fused leaf pass: the product log-kernel at each mean and the squared
-/// distance of `sq_dists_body`, entry chunks outermost as in
-/// [`node_scores_body`].
+/// distance of `sq_dists_body`, entry chunks outermost and split into a
+/// `FULL` and a padded instantiation as in [`node_scores_body`].
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
 fn leaf_scores_body(
@@ -369,10 +369,29 @@ fn leaf_scores_body(
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) {
+    if len >= LANES {
+        leaf_scores_chunks::<true>(query, h, ln_h, means, len, log_kernels, sq_dists);
+    } else {
+        leaf_scores_chunks::<false>(query, h, ln_h, means, len, log_kernels, sq_dists);
+    }
+}
+
+/// The chunk loop of [`leaf_scores_body`]; `FULL` promises `len >= LANES`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+fn leaf_scores_chunks<const FULL: bool>(
+    query: &[f64],
+    h: &[f64],
+    ln_h: &[f64],
+    means: &[f64],
+    len: usize,
+    log_kernels: &mut [f64],
+    sq_dists: &mut [f64],
+) {
     let zero = F64x4::splat(0.0);
     let ln_2pi = F64x4::splat(LN_2PI);
     let neg_half = F64x4::splat(-0.5);
-    let n = len.min(LANES);
+    let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
         let (mut log_k, mut dist) = (zero, zero);
         for (d, &q) in query.iter().enumerate() {

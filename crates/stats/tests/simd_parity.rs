@@ -565,8 +565,13 @@ fn cf_lanes_match_the_shared_formula_bitwise() {
 
 #[test]
 fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
+    // Lengths 1..=9 cover the padded chunk and every overlap of the full
+    // one; 25 and 26 are leaf-sized blocks with a one- and a two-entry
+    // overlap, 64 a wide one.  Under AVX2 this checks both instantiations
+    // of the dispatched pass, in the `--no-default-features` build the
+    // scalar loop.
     for &dims in FUSED_DIMS {
-        for len in FUSED_LENS {
+        for len in FUSED_LENS.chain([25, 26, 64]) {
             for stored in [Stored::F64, Stored::QuantisedDecode] {
                 let seed = 0x1EAF_0000 + ((dims as u64) << 8) + len as u64;
                 let (c, block) = node_case(dims, len, seed, stored);
