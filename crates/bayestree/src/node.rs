@@ -111,7 +111,7 @@ pub trait StoredSummary:
     /// summary's box — `(farthest, nearest)`, the box sides of the certain
     /// bound interval.  Each representation decodes its own corners so the
     /// full-width mode stays an allocation-free borrow.
-    fn bound_log_kernels(&self, query: &[f64], bandwidth: &[f64]) -> (f64, f64);
+    fn bound_log_kernels(&self, query: &[f64], bandwidth: &KernelBandwidth) -> (f64, f64);
 
     /// The `(jensen, magnitude)` cluster-feature log terms
     /// ([`cf_log_terms`]) of the gathered mean and raw variance — what the
@@ -279,7 +279,7 @@ impl StoredSummary for KernelSummary {
         }
     }
 
-    fn bound_log_kernels(&self, query: &[f64], bandwidth: &[f64]) -> (f64, f64) {
+    fn bound_log_kernels(&self, query: &[f64], bandwidth: &KernelBandwidth) -> (f64, f64) {
         let lower = self.mbr.lower();
         let upper = self.mbr.upper();
         (
@@ -590,7 +590,7 @@ impl StoredSummary for QuantizedSummary {
         }
     }
 
-    fn bound_log_kernels(&self, query: &[f64], bandwidth: &[f64]) -> (f64, f64) {
+    fn bound_log_kernels(&self, query: &[f64], bandwidth: &KernelBandwidth) -> (f64, f64) {
         QUANT_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let QuantScratch { lo, hi, .. } = &mut *scratch;

@@ -72,9 +72,10 @@ pub fn summary_mixture_term<S: StoredSummary>(summary: &S, x: &[f64], n: f64) ->
 /// The kernel-density query model: normalises by the global observation
 /// count `n` and evaluates leaf kernels with the tree's bandwidth.
 ///
-/// The model borrows the tree's [`KernelBandwidth`], whose floored `h` and
-/// `ln h` the tree derives once per bandwidth change, so building a model
-/// per query costs nothing and scoring a node computes no logarithm.
+/// The model borrows the tree's [`KernelBandwidth`], whose kernel terms
+/// (`-1 / (2 h^2)` and the log-kernel's peak) the tree derives once per
+/// bandwidth change, so building a model per query costs nothing and
+/// scoring a node computes no logarithm and no division by `h`.
 ///
 /// For sharded trees every shard must use the *same* global `n`, so the
 /// per-shard partial densities fold by summation.
@@ -139,7 +140,7 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// decodes its own corners and sums; the arithmetic that turns them
     /// into bounds is shared with the block path.
     fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
-        let (far, near) = summary.bound_log_kernels(query, self.bandwidth.values());
+        let (far, near) = summary.bound_log_kernels(query, self.bandwidth);
         let (jensen, magnitude) = if S::CF_BOUNDS {
             summary.cf_log_terms(query, self.bandwidth)
         } else {
@@ -149,7 +150,7 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     }
 
     fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        GaussianKernel.density(item, query, self.bandwidth.values()) / self.n
+        GaussianKernel.density(item, query, self.bandwidth) / self.n
     }
 
     fn leaf_sq_dist(&self, query: &[f64], item: &Vec<f64>) -> f64 {
@@ -572,7 +573,7 @@ mod tests {
                 for (entry, score) in entries.iter().zip(&scores) {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
-                    let (far, near) = summary.bound_log_kernels(&query, bandwidth.values());
+                    let (far, near) = summary.bound_log_kernels(&query, bandwidth);
                     let (lower, upper) = if E::Summary::CF_BOUNDS {
                         let (jensen, magnitude) = summary.cf_log_terms(&query, bandwidth);
                         let margin = cf_margin(summary.weight(), query.len(), magnitude);
@@ -633,7 +634,7 @@ mod tests {
                 for entry in entries {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
-                    let (far, near) = summary.bound_log_kernels(&query, tree.bandwidth());
+                    let (far, near) = summary.bound_log_kernels(&query, tree.kernel_bandwidth());
                     let (lower, upper) = model.summary_bounds(&query, summary);
                     assert!(lower >= scale * far.exp() && upper <= scale * near.exp());
                     entries_seen += 1;

@@ -231,8 +231,8 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         self.bandwidth.values()
     }
 
-    /// The bandwidth together with its cached floored `h` and `ln h` — what
-    /// the query model borrows and snapshots share.
+    /// The bandwidth together with its cached kernel terms — what the
+    /// query model borrows and snapshots share.
     #[must_use]
     pub(crate) fn kernel_bandwidth(&self) -> &Arc<KernelBandwidth> {
         &self.bandwidth
@@ -342,7 +342,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         }
         let kernel = GaussianKernel;
         let mut acc = 0.0;
-        self.for_each_point(|p| acc += kernel.density(p, x, self.bandwidth.values()));
+        self.for_each_point(|p| acc += kernel.density(p, x, &self.bandwidth));
         acc / self.num_points as f64
     }
 
@@ -644,7 +644,7 @@ mod tests {
         tree.set_bandwidth(vec![1.0]);
         let d = tree.full_kernel_density(&[0.0]);
         let kernel = GaussianKernel;
-        let expected = kernel.density(&[-1.0], &[0.0], &[1.0]);
+        let expected = kernel.density(&[-1.0], &[0.0], &KernelBandwidth::new(vec![1.0]));
         assert!((d - expected).abs() < 1e-12);
     }
 

@@ -57,8 +57,8 @@ use bt_anytree::{
     RefineOrder, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
-    cluster_scores_block, gaussian_log_term, nearest_point_log_kernel,
-    smoothed_farthest_log_kernel, sq_dists_block,
+    cluster_scores_block, log_kernel_at, nearest_point_log_kernel, smoothed_farthest_log_kernel,
+    sq_dists_block,
 };
 use bt_stats::{GatheredBlock, KernelBandwidth, ScoreLanes};
 use std::borrow::Cow;
@@ -127,25 +127,23 @@ impl ClusQueryModel {
     }
 
     /// Log of the smoothed kernel: the Gaussian product kernel evaluated at
-    /// the cluster's exact per-dimension root-mean-squared distance to the
-    /// query, via the same per-dimension [`gaussian_log_term`] every other
+    /// the cluster's exact per-dimension mean squared distance to the
+    /// query, `(q - m)^2 + v`, via the same [`log_kernel_at`] every other
     /// kernel evaluation in the workspace uses.  This and the two bound
     /// methods below are the scalar reference the fused block pass
     /// reproduces bit for bit.
     fn smoothed_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
         let cf = mc.cf();
         let n = cf.weight().max(f64::MIN_POSITIVE);
-        let ls = cf.linear_sum();
-        let ss = cf.squared_sum();
-        let bandwidth = self.bandwidth.values();
-        let mut acc = 0.0;
-        for d in 0..query.len() {
-            let mean = ls[d] / n;
-            let var = (ss[d] / n - mean * mean).max(0.0);
-            let t = (query[d] - mean) * (query[d] - mean) + var;
-            acc += gaussian_log_term(t.sqrt(), bandwidth[d]);
-        }
-        acc
+        let (ls, ss) = (cf.linear_sum(), cf.squared_sum());
+        log_kernel_at(
+            &self.bandwidth,
+            (0..query.len()).map(|d| {
+                let mean = ls[d] / n;
+                let var = (ss[d] / n - mean * mean).max(0.0);
+                (query[d] - mean) * (query[d] - mean) + var
+            }),
+        )
     }
 
     /// Log of the per-unit-weight upper bound: the product kernel at the
@@ -154,7 +152,7 @@ impl ClusQueryModel {
     /// [`nearest_point_log_kernel`] the Bayes-tree bounds also use).
     fn upper_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
         let mbr = mc.mbr();
-        nearest_point_log_kernel(query, mbr.lower(), mbr.upper(), self.bandwidth.values())
+        nearest_point_log_kernel(query, mbr.lower(), mbr.upper(), &self.bandwidth)
     }
 
     /// Log of the per-unit-weight lower bound: the Jensen bound
@@ -180,7 +178,7 @@ impl ClusQueryModel {
             query,
             mbr.lower(),
             mbr.upper(),
-            self.bandwidth.values(),
+            &self.bandwidth,
         ))
     }
 }

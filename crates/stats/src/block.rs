@@ -11,7 +11,7 @@
 //! ([`crate::kernel::node_scores_block`],
 //! [`crate::kernel::cluster_scores_block`],
 //! [`crate::kernel::sq_dists_block`], …) stream each column once, hoist the
-//! per-dimension constants (floored bandwidth, its log) out of the entry
+//! per-dimension constants (`-1 / (2 h^2)`, the kernel's peak) out of the entry
 //! loop, and accumulate all `n` results in vectorized inner loops.
 //!
 //! **Precision.**  Every column is `f64`.  Summaries stored narrower (the

@@ -7,6 +7,22 @@
 //! [`GaussianKernel`], are that kernel, and the scalar formulas and fused
 //! block passes below evaluate it (and its box and cluster-feature bounds)
 //! over tree nodes.
+//!
+//! Every Gaussian product log-kernel here has one shape: it starts at the
+//! log-kernel's peak and adds one product per dimension,
+//!
+//! ```text
+//! log_peak + sum_d s_d * c_d,    c_d = -1 / (2 h_d^2)
+//! ```
+//!
+//! with `s_d` the squared distance the formula evaluates it at: `(q - x)^2`
+//! for a leaf kernel, the squared farthest-corner or nearest-point distance
+//! of a box, `(q - m)^2 + v` for a cluster feature's Jensen term and
+//! `far^2 + half^2` for the smoothed farthest corner.  [`KernelBandwidth`]
+//! caches `log_peak` and every `c_d`, so no lane divides, takes a root or a
+//! logarithm.  The shared shape is also what keeps the box bounds sound in
+//! floating point: the box lanes and the leaf kernels they bracket run the
+//! same monotone operations in the same order from the same start.
 
 use crate::block::{zero_fill, GatheredBlock, ScoreLanes, SummaryBlock};
 use crate::{LN_2PI, VARIANCE_FLOOR};
@@ -15,10 +31,10 @@ use crate::{LN_2PI, VARIANCE_FLOOR};
 pub trait Kernel {
     /// Log density contribution of a kernel centred at `center` evaluated at
     /// `x`, with per-dimension bandwidth `bandwidth`.
-    fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64;
+    fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &KernelBandwidth) -> f64;
 
     /// Density contribution (non-log).
-    fn density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
+    fn density(&self, center: &[f64], x: &[f64], bandwidth: &KernelBandwidth) -> f64 {
         self.log_density(center, x, bandwidth).exp()
     }
 }
@@ -28,42 +44,22 @@ pub trait Kernel {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GaussianKernel;
 
-/// One dimension's contribution to the Gaussian product log-kernel at
-/// (signed) distance `dist` with bandwidth `h`, including the shared
-/// variance flooring.
-///
-/// This is *the* per-dimension term: [`GaussianKernel::log_density`] sums it
-/// over `x - center`, and the anytime query models evaluate it at nearest /
-/// farthest MBR distances (Bayes-tree bounds) and at cluster-feature mean
-/// squared distances (ClusTree Jensen bounds).  Keeping it in one place
-/// guarantees the bound arithmetic can never drift from the leaf-kernel
-/// arithmetic it must bracket.
-#[must_use]
-pub fn gaussian_log_term(dist: f64, h: f64) -> f64 {
-    let h = h.max(VARIANCE_FLOOR.sqrt());
-    let u = dist / h;
-    -0.5 * (LN_2PI + u * u) - h.ln()
-}
-
-/// A per-dimension kernel bandwidth together with its query-independent
-/// terms: the floored bandwidth `h = max(b, sqrt(VARIANCE_FLOOR))` and
-/// `ln h`, exactly as [`gaussian_log_term`] derives them per call, plus the
-/// terms of the cluster-feature lanes ([`cf_log_terms`]): `1 / h^2`,
-/// `-1 / (2 h^2)`, the log-kernel at distance zero and the rounding scale
-/// of its sum.
+/// A per-dimension kernel bandwidth together with the query-independent
+/// terms of the product log-kernel (see the [module docs](self)): for the
+/// floored bandwidth `h = max(b, sqrt(VARIANCE_FLOOR))`, the factors
+/// `1 / h^2` and `c = -1 / (2 h^2)`, the log-kernel at distance zero
+/// (`log_peak`) and the rounding scale of its sum (`log_scale`).
 ///
 /// The bandwidth changes only when a tree refits or overrides it, so the
-/// trees keep one of these beside their bandwidth and the fused scoring
-/// passes ([`node_scores_block`], [`leaf_scores_block`],
-/// [`cluster_scores_block`]) read `h` and
-/// `ln h` instead of recomputing a logarithm per dimension per node.  The
-/// cached values are the same IEEE results the per-call derivation gives,
-/// so substituting them changes no bit.
+/// trees keep one of these beside their bandwidth, and every kernel lane,
+/// scalar or fused ([`node_scores_block`], [`leaf_scores_block`],
+/// [`cluster_scores_block`]), reads its terms from here.  `1 / h^2` is
+/// taken as `(1 / h) / h`: it stays positive past `h = 1e160`, long after
+/// `h * h` overflows (from about `1.3e154`), and a zero factor would turn
+/// an infinite query coordinate's `inf * 0` into NaN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBandwidth {
     values: Vec<f64>,
-    floored: Vec<f64>,
-    ln_floored: Vec<f64>,
     inv_sq: Vec<f64>,
     neg_half_inv_sq: Vec<f64>,
     log_peak: f64,
@@ -74,8 +70,6 @@ pub struct KernelBandwidth {
 /// bandwidth term, hands the shared pass body.
 static NO_BANDWIDTH: KernelBandwidth = KernelBandwidth {
     values: Vec::new(),
-    floored: Vec::new(),
-    ln_floored: Vec::new(),
     inv_sq: Vec::new(),
     neg_half_inv_sq: Vec::new(),
     log_peak: 0.0,
@@ -83,23 +77,16 @@ static NO_BANDWIDTH: KernelBandwidth = KernelBandwidth {
 };
 
 impl KernelBandwidth {
-    /// Derives the floored bandwidth and its per-dimension terms from
-    /// `values`.
+    /// Derives the floored bandwidth's per-dimension terms from `values`.
     #[must_use]
     pub fn new(values: Vec<f64>) -> Self {
-        let floored: Vec<f64> = values
-            .iter()
-            .map(|b| b.max(VARIANCE_FLOOR.sqrt()))
-            .collect();
-        let ln_floored: Vec<f64> = floored.iter().map(|h| h.ln()).collect();
-        let inv_sq: Vec<f64> = floored.iter().map(|h| 1.0 / (h * h)).collect();
+        let floored = || values.iter().map(|b| b.max(VARIANCE_FLOOR.sqrt()));
+        let inv_sq: Vec<f64> = floored().map(|h| 1.0 / h / h).collect();
         let neg_half_inv_sq = inv_sq.iter().map(|i| -0.5 * i).collect();
-        let log_peak = ln_floored.iter().map(|ln_h| -0.5 * LN_2PI - ln_h).sum();
-        let log_scale = ln_floored.iter().map(|ln_h| 1.0 + ln_h.abs()).sum();
+        let log_peak = floored().map(|h| -0.5 * LN_2PI - h.ln()).sum();
+        let log_scale = floored().map(|h| 1.0 + h.ln().abs()).sum();
         Self {
             values,
-            floored,
-            ln_floored,
             inv_sq,
             neg_half_inv_sq,
             log_peak,
@@ -113,32 +100,21 @@ impl KernelBandwidth {
         &self.values
     }
 
-    /// The floored per-dimension bandwidth `h`.
-    #[must_use]
-    pub fn floored(&self) -> &[f64] {
-        &self.floored
-    }
-
-    /// `ln h` of the floored bandwidth.
-    #[must_use]
-    pub fn ln_floored(&self) -> &[f64] {
-        &self.ln_floored
-    }
-
     /// `1 / h^2` of the floored bandwidth.
     #[must_use]
     pub fn inv_sq(&self) -> &[f64] {
         &self.inv_sq
     }
 
-    /// `-1 / (2 h^2)` of the floored bandwidth.
+    /// `c = -1 / (2 h^2)` of the floored bandwidth: each dimension's
+    /// factor on its squared distance.
     #[must_use]
     pub fn neg_half_inv_sq(&self) -> &[f64] {
         &self.neg_half_inv_sq
     }
 
     /// The product log-kernel at distance zero, `sum_d (-ln(2 pi) / 2 -
-    /// ln h_d)`: where the Jensen lane starts.
+    /// ln h_d)`: where every kernel lane starts.
     #[must_use]
     pub fn log_peak(&self) -> f64 {
         self.log_peak
@@ -165,38 +141,55 @@ impl KernelBandwidth {
     }
 }
 
+/// The product log-kernel at per-dimension squared distances `sq`: the one
+/// term of the [module docs](self), `log_peak + sum_d s_d * c_d`, summed
+/// dimension-ascending.  Every scalar formula below evaluates it, and each
+/// fused pass evaluates the same expression per lane.
+#[inline]
+#[must_use]
+pub fn log_kernel_at(bandwidth: &KernelBandwidth, sq: impl Iterator<Item = f64>) -> f64 {
+    sq.zip(bandwidth.neg_half_inv_sq())
+        .fold(bandwidth.log_peak(), |acc, (s, &c)| s * c + acc)
+}
+
 /// Log of the Gaussian product kernel evaluated at the point of the box
 /// `[lower, upper]` nearest to `query` — the shared *upper-bound* formula
 /// of the anytime query models: every point inside the box (and every
 /// subtree mean, by convexity) is at least the nearest-point distance away
 /// per dimension, and the product kernel decreases with distance, so
 /// `weight * exp(nearest_point_log_kernel(..))` bounds the box's refined
-/// contribution from above.  Kept here, next to [`gaussian_log_term`], so
-/// the Bayes-tree MBR bounds and the micro-cluster MBR bounds can never
-/// drift apart.
+/// contribution from above.  Shared by the Bayes-tree and the
+/// micro-cluster MBR bounds.
 #[must_use]
 pub fn nearest_point_log_kernel(
     query: &[f64],
     lower: &[f64],
     upper: &[f64],
-    bandwidth: &[f64],
+    bandwidth: &KernelBandwidth,
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
     debug_assert_eq!(query.len(), upper.len());
     debug_assert_eq!(query.len(), bandwidth.len());
-    let mut acc = 0.0;
-    for d in 0..query.len() {
-        let (lo, hi) = (lower[d], upper[d]);
-        let dist = if query[d] < lo {
-            lo - query[d]
-        } else if query[d] > hi {
-            query[d] - hi
-        } else {
-            0.0
-        };
-        acc += gaussian_log_term(dist, bandwidth[d]);
+    log_kernel_at(
+        bandwidth,
+        (0..query.len()).map(|d| {
+            let near = nearest_dist(query[d], lower[d], upper[d]);
+            near * near
+        }),
+    )
+}
+
+/// The distance from `q` to the interval `[lo, hi]`: the box's
+/// nearest-point offset in one dimension.
+#[inline]
+fn nearest_dist(q: f64, lo: f64, hi: f64) -> f64 {
+    if q < lo {
+        lo - q
+    } else if q > hi {
+        q - hi
+    } else {
+        0.0
     }
-    acc
 }
 
 /// Log of the Gaussian product kernel evaluated at the point of the box
@@ -209,55 +202,54 @@ pub fn farthest_point_log_kernel(
     query: &[f64],
     lower: &[f64],
     upper: &[f64],
-    bandwidth: &[f64],
+    bandwidth: &KernelBandwidth,
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
     debug_assert_eq!(query.len(), upper.len());
     debug_assert_eq!(query.len(), bandwidth.len());
-    let mut acc = 0.0;
-    for d in 0..query.len() {
-        let (lo, hi) = (lower[d], upper[d]);
-        let dist = (query[d] - lo).abs().max((query[d] - hi).abs());
-        acc += gaussian_log_term(dist, bandwidth[d]);
-    }
-    acc
+    log_kernel_at(
+        bandwidth,
+        (0..query.len()).map(|d| {
+            let far = (query[d] - lower[d]).abs().max((query[d] - upper[d]).abs());
+            far * far
+        }),
+    )
 }
 
 /// Smoothing-aware farthest-point log-kernel: the ClusTree lower bound for a
 /// box of *micro-clusters* rather than raw points.
 ///
 /// The ClusTree density term for a micro-cluster at mean `m` with
-/// per-dimension variance `v` is `gaussian_log_term(sqrt((q-m)^2 + v), h)`
-/// (Jensen smoothing).  For every cluster whose mean lies in `[lower,
-/// upper]` *and whose summarised points all lie in the box too*,
-/// `(q_d - m_d)^2 <= far_d^2` with `far_d` the farthest-corner distance, and
-/// the variance of a variable confined to an interval of width `w` is at
-/// most `(w/2)^2` (attained by the two-endpoint distribution), so
-/// `v_d <= half_d^2` with `half_d = (upper_d - lower_d) / 2`.  The kernel
-/// decreases in its distance argument, hence
-/// `gaussian_log_term(sqrt(far_d^2 + half_d^2), h_d)` summed over dimensions
-/// bounds every such cluster's smoothed term from below.  Because a child
-/// box is contained in its parent's, the bound is nested and the anytime
-/// lower bound stays monotone under refinement.
+/// per-dimension variance `v` is the product log-kernel at squared
+/// distances `(q - m)^2 + v` (Jensen smoothing).  For every cluster whose
+/// mean lies in `[lower, upper]` *and whose summarised points all lie in
+/// the box too*, `(q_d - m_d)^2 <= far_d^2` with `far_d` the
+/// farthest-corner distance, and the variance of a variable confined to an
+/// interval of width `w` is at most `(w/2)^2` (attained by the two-endpoint
+/// distribution), so `v_d <= half_d^2` with `half_d = (upper_d - lower_d) /
+/// 2`.  The kernel decreases in its squared distance, hence the log-kernel
+/// at `far_d^2 + half_d^2` bounds every such cluster's smoothed term from
+/// below.  Because a child box is contained in its parent's, the bound is
+/// nested and the anytime lower bound stays monotone under refinement.
 #[must_use]
 pub fn smoothed_farthest_log_kernel(
     query: &[f64],
     lower: &[f64],
     upper: &[f64],
-    bandwidth: &[f64],
+    bandwidth: &KernelBandwidth,
 ) -> f64 {
     debug_assert_eq!(query.len(), lower.len());
     debug_assert_eq!(query.len(), upper.len());
     debug_assert_eq!(query.len(), bandwidth.len());
-    let mut acc = 0.0;
-    for d in 0..query.len() {
-        let (lo, hi) = (lower[d], upper[d]);
-        let far = (query[d] - lo).abs().max((query[d] - hi).abs());
-        let half = 0.5 * (hi - lo);
-        let t = far * far + half * half;
-        acc += gaussian_log_term(t.sqrt(), bandwidth[d]);
-    }
-    acc
+    log_kernel_at(
+        bandwidth,
+        (0..query.len()).map(|d| {
+            let (lo, hi) = (lower[d], upper[d]);
+            let far = (query[d] - lo).abs().max((query[d] - hi).abs());
+            let half = 0.5 * (hi - lo);
+            far * far + half * half
+        }),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +436,9 @@ fn node_pass<const BOUNDS: bool>(
         return;
     }
     if BOUNDS {
-        out.jensen.fill(bandwidth.log_peak());
+        for lane in [&mut out.farthest, &mut out.nearest, &mut out.jensen] {
+            lane.fill(bandwidth.log_peak());
+        }
         out.magnitude.fill(bandwidth.log_scale());
     }
     for (d, &q) in query.iter().enumerate() {
@@ -455,25 +449,18 @@ fn node_pass<const BOUNDS: bool>(
             let dd = diff * diff;
             out.log_pdf[i] += -0.5 * (LN_2PI + cols.log_var[idx] + dd / var.max(VARIANCE_FLOOR));
             let (lo, hi) = (cols.lower[idx], cols.upper[idx]);
-            let near = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
+            let near = nearest_dist(q, lo, hi);
+            let near_sq = near * near;
             if BOUNDS {
-                let (h, ln_h) = (bandwidth.floored()[d], bandwidth.ln_floored()[d]);
+                let c = bandwidth.neg_half_inv_sq()[d];
                 let far = (q - lo).abs().max((q - hi).abs());
-                let u = far / h;
-                out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-                let u = near / h;
-                out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+                out.farthest[i] += far * far * c;
+                out.nearest[i] += near_sq * c;
                 let t = dd + var;
-                out.jensen[i] += t * bandwidth.neg_half_inv_sq()[d];
+                out.jensen[i] += t * c;
                 out.magnitude[i] += (mean * mean + var + t) * bandwidth.inv_sq()[d];
             }
-            out.min_sq[i] += near * near;
+            out.min_sq[i] += near_sq;
         }
     }
 }
@@ -522,9 +509,15 @@ const CF_ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
 /// sums of the entry's `count` points (at most `count` roundings each,
 /// relative to `sum |x|` and `sum x^2`); the gather's `SS/n - m^2` cancels
 /// when the spread is far below the mean, so its error is absolute in
-/// `m^2 + v`, not relative to `v`; and the pass (and the leaf kernels the
-/// exact density is summed from) accumulate `dims` terms onto constants of
-/// size `log_scale`.  To first order the error of `jensen` is at most
+/// `m^2 + v`, not relative to `v`; and the pass adds `dims` products onto
+/// `log_peak`, whose size `log_scale` bounds.  The leaf kernels the exact
+/// density is summed from have the same shape: a leaf kernel at true
+/// scaled distance `a_j` is off by at most `(dims + 4) u (|log_peak| +
+/// a_j)` (3 roundings in the square, 1 in the product, `dims` in the sum),
+/// and since `exp(-a)` is convex that moves the density's log by at most
+/// `(dims + 4) u (|log_peak| + ā)` either way.  The box lanes need no
+/// margin: they bracket every computed leaf kernel exactly.  To first
+/// order the error of `jensen` against the computed leaves is at most
 /// `2 (count + dims + 4) u * magnitude` with `u = 2^-53`; the margin is
 /// four times that.  It is absolute in `m^2 + v`, so an offset of `1e4`
 /// with a spread of `1e-4` widens the bound instead of breaking it.
@@ -588,19 +581,18 @@ pub fn leaf_scores_block(
     let log_kernels = prep_out(log_kernels, len);
     let sq_dists = prep_out(sq_dists, len);
     debug_assert_eq!(means.len(), query.len() * len);
-    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
-    if crate::simd::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) {
+    if crate::simd::leaf_scores(query, bandwidth, means, len, log_kernels, sq_dists) {
         return;
     }
+    log_kernels.fill(bandwidth.log_peak());
     for (d, &q) in query.iter().enumerate() {
-        let (h, ln_h) = (h[d], ln_h[d]);
+        let c = bandwidth.neg_half_inv_sq()[d];
         let col = &means[d * len..(d + 1) * len];
         for i in 0..len {
-            let m = col[i];
-            let u = (q - m) / h;
-            log_kernels[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-            let diff = m - q;
-            sq_dists[i] += diff * diff;
+            let diff = col[i] - q;
+            let s = diff * diff;
+            log_kernels[i] += s * c;
+            sq_dists[i] += s;
         }
     }
 }
@@ -629,8 +621,8 @@ pub(crate) struct ClusterLanes<'a> {
 ///
 /// With `BOUNDS` (directory nodes) it fills `lanes` with `[jensen,
 /// smoothed_farthest, nearest, centre_sq_dist]` — per entry the Jensen
-/// kernel `sum_d gaussian_log_term(sqrt((q_d - m_d)^2 + v_d), h_d)` over the
-/// block's mean and variance columns, [`smoothed_farthest_log_kernel`] and
+/// kernel, the product log-kernel at squared distances `(q_d - m_d)^2 +
+/// v_d` over the block's mean and variance columns, [`smoothed_farthest_log_kernel`] and
 /// [`nearest_point_log_kernel`] of its box, and the squared distance to its
 /// routing centre (`gathered.centers`, as [`sq_dists_block`]), bit for bit.
 /// Without `BOUNDS` (leaves, whose bounds collapse onto the estimate) it
@@ -673,34 +665,25 @@ pub fn cluster_scores_block<const BOUNDS: bool>(
         nearest: prep_out(nearest, bounds_len),
         center_sq: prep_out(center_sq, cols.len),
     };
-    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
-    if crate::simd::cluster_scores::<BOUNDS>(query, h, ln_h, &cols, &mut out) {
+    if crate::simd::cluster_scores::<BOUNDS>(query, bandwidth, &cols, &mut out) {
         return;
     }
+    for lane in [&mut out.jensen, &mut out.farthest, &mut out.nearest] {
+        lane.fill(bandwidth.log_peak());
+    }
     for (d, &q) in query.iter().enumerate() {
-        let (h, ln_h) = (h[d], ln_h[d]);
+        let c = bandwidth.neg_half_inv_sq()[d];
         for i in 0..cols.len {
             let idx = d * cols.len + i;
             let diff = q - cols.mean[idx];
-            let t = diff * diff + cols.var[idx];
-            let u = t.sqrt() / h;
-            out.jensen[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+            out.jensen[i] += (diff * diff + cols.var[idx]) * c;
             if BOUNDS {
                 let (lo, hi) = (cols.lower[idx], cols.upper[idx]);
                 let far = (q - lo).abs().max((q - hi).abs());
                 let half = 0.5 * (hi - lo);
-                let t = far * far + half * half;
-                let u = t.sqrt() / h;
-                out.farthest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
-                let near = if q < lo {
-                    lo - q
-                } else if q > hi {
-                    q - hi
-                } else {
-                    0.0
-                };
-                let u = near / h;
-                out.nearest[i] += -0.5 * (LN_2PI + u * u) - ln_h;
+                out.farthest[i] += (far * far + half * half) * c;
+                let near = nearest_dist(q, lo, hi);
+                out.nearest[i] += near * near * c;
             }
             let diff = cols.center[idx] - q;
             out.center_sq[i] += diff * diff;
@@ -709,14 +692,16 @@ pub fn cluster_scores_block<const BOUNDS: bool>(
 }
 
 impl Kernel for GaussianKernel {
-    fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &[f64]) -> f64 {
+    fn log_density(&self, center: &[f64], x: &[f64], bandwidth: &KernelBandwidth) -> f64 {
         debug_assert_eq!(center.len(), x.len());
         debug_assert_eq!(center.len(), bandwidth.len());
-        let mut acc = 0.0;
-        for d in 0..x.len() {
-            acc += gaussian_log_term(x[d] - center[d], bandwidth[d]);
-        }
-        acc
+        log_kernel_at(
+            bandwidth,
+            x.iter().zip(center).map(|(x, c)| {
+                let diff = x - c;
+                diff * diff
+            }),
+        )
     }
 }
 
@@ -728,7 +713,7 @@ mod tests {
     fn gaussian_kernel_peaks_at_center() {
         let k = GaussianKernel;
         let c = [1.0, 2.0];
-        let h = [0.5, 0.5];
+        let h = KernelBandwidth::new(vec![0.5, 0.5]);
         let at_center = k.density(&c, &c, &h);
         let off_center = k.density(&c, &[1.4, 2.4], &h);
         assert!(at_center > off_center);
@@ -738,7 +723,7 @@ mod tests {
     fn gaussian_kernel_matches_univariate_normal() {
         let k = GaussianKernel;
         // Bandwidth h acts as standard deviation of a normal centred at c.
-        let d = k.density(&[0.0], &[0.0], &[2.0]);
+        let d = k.density(&[0.0], &[0.0], &KernelBandwidth::new(vec![2.0]));
         let expected = 1.0 / (2.0 * std::f64::consts::PI).sqrt() / 2.0;
         assert!((d - expected).abs() < 1e-12);
     }
@@ -752,8 +737,8 @@ mod tests {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
                 (lo.min(x), hi.max(x))
             });
-        let far = farthest_point_log_kernel(&[q], &[lo], &[hi], &[h]);
-        let near = nearest_point_log_kernel(&[q], &[lo], &[hi], &[h]);
+        let far = farthest_point_log_kernel(&[q], &[lo], &[hi], &bandwidth);
+        let near = nearest_point_log_kernel(&[q], &[lo], &[hi], &bandwidth);
         let n = points.len() as f64;
         let (ls, ss) = points
             .iter()
@@ -763,7 +748,7 @@ mod tests {
         let margin = cf_margin(n, 1, magnitude);
         let exact = points
             .iter()
-            .map(|&x| GaussianKernel.density(&[x], &[q], &[h]))
+            .map(|&x| GaussianKernel.density(&[x], &[q], &bandwidth))
             .sum::<f64>()
             / n;
         ([far, near, jensen, margin], exact)
@@ -830,8 +815,9 @@ mod tests {
     #[test]
     fn gaussian_log_density_consistent_with_density() {
         let k = GaussianKernel;
-        let ld = k.log_density(&[0.3, 0.7], &[0.1, 0.9], &[0.2, 0.3]);
-        let d = k.density(&[0.3, 0.7], &[0.1, 0.9], &[0.2, 0.3]);
+        let h = KernelBandwidth::new(vec![0.2, 0.3]);
+        let ld = k.log_density(&[0.3, 0.7], &[0.1, 0.9], &h);
+        let d = k.density(&[0.3, 0.7], &[0.1, 0.9], &h);
         assert!((ld.exp() - d).abs() < 1e-12);
     }
 }

@@ -12,8 +12,9 @@
 //! baseline target still uses AVX2 registers on machines that have them.
 //!
 //! **Bit-exactness.**  Every lane op is the *same* IEEE-754 scalar
-//! expression the reference loop uses (add, sub, mul, div, sqrt, abs,
-//! `f64::max` — never a fused multiply-add, which would change rounding),
+//! expression the reference loop uses (add, sub, mul, abs, `f64::max`, and
+//! one div in the log-pdf lane — never a fused multiply-add, which would
+//! change rounding),
 //! and each entry's accumulator still receives its per-dimension terms in
 //! ascending-dimension order.  The SIMD path is therefore bit-identical to
 //! the scalar reference; the parity tests in
@@ -32,10 +33,15 @@
 //! per-element `ln` has no vector form without a vector-libm dependency —
 //! but `ln(var)` is query-independent, so the gather hoists it into
 //! [`crate::SummaryBlock::fill_log_vars`] (cached with the block) and the
-//! remaining add/mul/div arithmetic vectorizes here.
+//! remaining arithmetic vectorizes here.
 //!
-//! The fused passes take the floored bandwidth and its `ln` precomputed
-//! ([`crate::kernel::KernelBandwidth`]).  All four kernels, the distance
+//! Every kernel lane has the one shape of [`crate::kernel`]: it starts at
+//! `log_peak` and adds a squared distance times `-1 / (2 h^2)` per
+//! dimension, both read from [`crate::kernel::KernelBandwidth`], so the
+//! leaf, box and micro-cluster lanes are sub, mul, add and max only — no
+//! division and no root (`docs/PERF.md`, "Division-free kernel lanes").
+//! The diagonal-Gaussian log-pdf keeps its division by the variance: EM's
+//! bulk load shares `DiagGaussian::log_pdf`.  All four kernels, the distance
 //! pass included, run entry chunks outermost so each chunk's accumulators
 //! stay in registers for the whole dimension walk, and end a block with a
 //! chunk that overlaps its predecessor instead of a scalar tail loop (only
@@ -155,13 +161,6 @@ impl F64x4 {
     #[must_use]
     pub fn div(self, other: Self) -> Self {
         self.zip(other, |a, b| a / b)
-    }
-
-    /// Lane-wise square root.
-    #[inline(always)]
-    #[must_use]
-    pub fn sqrt(self) -> Self {
-        self.map(f64::sqrt)
     }
 
     /// Lane-wise absolute value.
@@ -307,12 +306,12 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
     let floor = F64x4::splat(VARIANCE_FLOOR);
     let ln_2pi = F64x4::splat(LN_2PI);
     let neg_half = F64x4::splat(-0.5);
-    let (h, ln_h) = (bandwidth.floored(), bandwidth.ln_floored());
+    let peak = F64x4::splat(bandwidth.log_peak());
     let (inv_sq, neg_half_inv_sq) = (bandwidth.inv_sq(), bandwidth.neg_half_inv_sq());
     let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
-        let (mut log_pdf, mut farthest, mut nearest, mut min_sq) = (zero, zero, zero, zero);
-        let mut jensen = F64x4::splat(bandwidth.log_peak());
+        let (mut log_pdf, mut min_sq) = (zero, zero);
+        let (mut farthest, mut nearest, mut jensen) = (peak, peak, peak);
         let mut magnitude = F64x4::splat(bandwidth.log_scale());
         for (d, &q) in query.iter().enumerate() {
             let at = d * len + i;
@@ -330,19 +329,18 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
             log_pdf = neg_half.mul(sum).add(log_pdf);
 
             let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
+            let near_sq = near.mul(near);
             if BOUNDS {
-                let (hv, ln_h_v) = (F64x4::splat(h[d]), F64x4::splat(ln_h[d]));
+                let c = F64x4::splat(neg_half_inv_sq[d]);
                 let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
-                let u = far.div(hv);
-                farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
-                let u = near.div(hv);
-                nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                farthest = far.mul(far).mul(c).add(farthest);
+                nearest = near_sq.mul(c).add(nearest);
                 let t = dd.add(var);
-                jensen = t.mul(F64x4::splat(neg_half_inv_sq[d])).add(jensen);
+                jensen = t.mul(c).add(jensen);
                 let m2 = mean.mul(mean).add(var).add(t);
                 magnitude = m2.mul(F64x4::splat(inv_sq[d])).add(magnitude);
             }
-            min_sq = near.mul(near).add(min_sq);
+            min_sq = near_sq.add(min_sq);
         }
         store_first(log_pdf, out.log_pdf, i, n);
         if BOUNDS {
@@ -362,17 +360,16 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
 #[inline(always)]
 fn leaf_scores_body(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) {
     if len >= LANES {
-        leaf_scores_chunks::<true>(query, h, ln_h, means, len, log_kernels, sq_dists);
+        leaf_scores_chunks::<true>(query, bandwidth, means, len, log_kernels, sq_dists);
     } else {
-        leaf_scores_chunks::<false>(query, h, ln_h, means, len, log_kernels, sq_dists);
+        leaf_scores_chunks::<false>(query, bandwidth, means, len, log_kernels, sq_dists);
     }
 }
 
@@ -381,29 +378,22 @@ fn leaf_scores_body(
 #[inline(always)]
 fn leaf_scores_chunks<const FULL: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) {
-    let zero = F64x4::splat(0.0);
-    let ln_2pi = F64x4::splat(LN_2PI);
-    let neg_half = F64x4::splat(-0.5);
+    let peak = F64x4::splat(bandwidth.log_peak());
+    let neg_half_inv_sq = bandwidth.neg_half_inv_sq();
     let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
-        let (mut log_k, mut dist) = (zero, zero);
+        let (mut log_k, mut dist) = (peak, F64x4::splat(0.0));
         for (d, &q) in query.iter().enumerate() {
-            let qv = F64x4::splat(q);
-            let mean = load_padded(means, d * len + i, n, 0.0);
-            let u = qv.sub(mean).div(F64x4::splat(h[d]));
-            let term = neg_half
-                .mul(u.mul(u).add(ln_2pi))
-                .sub(F64x4::splat(ln_h[d]));
-            log_k = log_k.add(term);
-            let diff = mean.sub(qv);
-            dist = diff.mul(diff).add(dist);
+            let diff = load_padded(means, d * len + i, n, 0.0).sub(F64x4::splat(q));
+            let s = diff.mul(diff);
+            log_k = s.mul(F64x4::splat(neg_half_inv_sq[d])).add(log_k);
+            dist = s.add(dist);
         }
         store_first(log_k, log_kernels, i, n);
         store_first(dist, sq_dists, i, n);
@@ -420,15 +410,14 @@ fn leaf_scores_chunks<const FULL: bool>(
 #[inline(always)]
 fn cluster_scores_body<const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &ClusterColumns<'_>,
     out: &mut ClusterLanes<'_>,
 ) {
     if cols.len >= LANES {
-        cluster_scores_chunks::<true, BOUNDS>(query, h, ln_h, cols, out);
+        cluster_scores_chunks::<true, BOUNDS>(query, bandwidth, cols, out);
     } else {
-        cluster_scores_chunks::<false, BOUNDS>(query, h, ln_h, cols, out);
+        cluster_scores_chunks::<false, BOUNDS>(query, bandwidth, cols, out);
     }
 }
 
@@ -438,44 +427,41 @@ fn cluster_scores_body<const BOUNDS: bool>(
 #[inline(always)]
 fn cluster_scores_chunks<const FULL: bool, const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &ClusterColumns<'_>,
     out: &mut ClusterLanes<'_>,
 ) {
     let len = cols.len;
     let zero = F64x4::splat(0.0);
     let half_f = F64x4::splat(0.5);
-    let ln_2pi = F64x4::splat(LN_2PI);
-    let neg_half = F64x4::splat(-0.5);
+    let peak = F64x4::splat(bandwidth.log_peak());
+    let neg_half_inv_sq = bandwidth.neg_half_inv_sq();
     let n = if FULL { LANES } else { len };
     for i in chunk_starts(len) {
-        let (mut jensen, mut farthest, mut nearest, mut center_sq) = (zero, zero, zero, zero);
+        let (mut jensen, mut farthest, mut nearest) = (peak, peak, peak);
+        let mut center_sq = zero;
         for (d, &q) in query.iter().enumerate() {
             let at = d * len + i;
             let qv = F64x4::splat(q);
-            let (hv, ln_h_v) = (F64x4::splat(h[d]), F64x4::splat(ln_h[d]));
+            let c = F64x4::splat(neg_half_inv_sq[d]);
             // Pads keep the unused lanes finite.
             let mean = load_padded(cols.mean, at, n, 0.0);
             let var = load_padded(cols.var, at, n, 0.0);
 
             let diff = qv.sub(mean);
-            let u = diff.mul(diff).add(var).sqrt().div(hv);
-            jensen = jensen.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+            jensen = diff.mul(diff).add(var).mul(c).add(jensen);
 
             if BOUNDS {
                 let lo = load_padded(cols.lower, at, n, 0.0);
                 let hi = load_padded(cols.upper, at, n, 0.0);
                 let far = qv.sub(lo).abs().max(qv.sub(hi).abs());
                 let half = half_f.mul(hi.sub(lo));
-                let u = far.mul(far).add(half.mul(half)).sqrt().div(hv);
-                farthest = farthest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                farthest = far.mul(far).add(half.mul(half)).mul(c).add(farthest);
                 // max(lo - q, 0) + max(q - hi, 0): at most one term is
                 // positive and the other is exactly 0.0, so the sum equals
                 // the branchy clamp bit for bit.
                 let near = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
-                let u = near.div(hv);
-                nearest = nearest.add(neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v));
+                nearest = near.mul(near).mul(c).add(nearest);
             }
 
             let diff = load_padded(cols.center, at, n, 0.0).sub(qv);
@@ -523,12 +509,11 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn cluster_scores<const BOUNDS: bool>(
         query: &[f64],
-        h: &[f64],
-        ln_h: &[f64],
+        bandwidth: &KernelBandwidth,
         cols: &ClusterColumns<'_>,
         out: &mut ClusterLanes<'_>,
     ) {
-        cluster_scores_body::<BOUNDS>(query, h, ln_h, cols, out);
+        cluster_scores_body::<BOUNDS>(query, bandwidth, cols, out);
     }
 
     /// # Safety
@@ -536,14 +521,13 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn leaf_scores(
         query: &[f64],
-        h: &[f64],
-        ln_h: &[f64],
+        bandwidth: &KernelBandwidth,
         means: &[f64],
         len: usize,
         log_kernels: &mut [f64],
         sq_dists: &mut [f64],
     ) {
-        leaf_scores_body(query, h, ln_h, means, len, log_kernels, sq_dists);
+        leaf_scores_body(query, bandwidth, means, len, log_kernels, sq_dists);
     }
 }
 
@@ -588,8 +572,7 @@ pub(crate) fn node_scores<const BOUNDS: bool>(
 #[inline]
 pub(crate) fn leaf_scores(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
     log_kernels: &mut [f64],
@@ -599,11 +582,11 @@ pub(crate) fn leaf_scores(
     {
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::leaf_scores(query, h, ln_h, means, len, log_kernels, sq_dists) };
+            unsafe { avx2::leaf_scores(query, bandwidth, means, len, log_kernels, sq_dists) };
             return true;
         }
     }
-    let _ = (query, h, ln_h, means, len, log_kernels, sq_dists);
+    let _ = (query, bandwidth, means, len, log_kernels, sq_dists);
     false
 }
 
@@ -611,8 +594,7 @@ pub(crate) fn leaf_scores(
 #[inline]
 pub(crate) fn cluster_scores<const BOUNDS: bool>(
     query: &[f64],
-    h: &[f64],
-    ln_h: &[f64],
+    bandwidth: &KernelBandwidth,
     cols: &ClusterColumns<'_>,
     out: &mut ClusterLanes<'_>,
 ) -> bool {
@@ -620,10 +602,10 @@ pub(crate) fn cluster_scores<const BOUNDS: bool>(
     {
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::cluster_scores::<BOUNDS>(query, h, ln_h, cols, out) };
+            unsafe { avx2::cluster_scores::<BOUNDS>(query, bandwidth, cols, out) };
             return true;
         }
     }
-    let _ = (query, h, ln_h, cols, out);
+    let _ = (query, bandwidth, cols, out);
     false
 }

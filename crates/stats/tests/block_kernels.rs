@@ -3,9 +3,9 @@
 //! **Tolerance.**  Block kernels against the scalar reference on the same
 //! values: every per-entry result must match **bit for bit** (0 ULP —
 //! asserted with `to_bits()` equality modulo the `-0.0` case).  The block
-//! kernels deliberately replicate the scalar operation order (terms added
-//! dimension-ascending, per-element division by the floored bandwidth,
-//! constants hoisted but recomputed identically), so this is an equality
+//! kernels deliberately replicate the scalar operation order (each kernel
+//! lane starts at the cached `log_peak` and adds its squared distances times
+//! the cached `-1 / (2 h^2)` dimension-ascending), so this is an equality
 //! test.
 //!
 //! Edge cases covered explicitly: bandwidths at / below the variance-floor
@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 
 use bt_stats::kernel::{
-    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, gaussian_log_term,
-    leaf_scores_block, nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, leaf_scores_block,
+    log_kernel_at, nearest_point_log_kernel, node_estimates_block, node_scores_block,
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
@@ -125,13 +125,13 @@ fn assert_bit_equal(got: &[f64], want: &[f64]) {
 }
 
 /// The scalar ClusTree smoothed (Jensen) kernel term the micro-cluster pass
-/// must reproduce.
-fn scalar_smoothed(query: &[f64], mean: &[f64], var: &[f64], bandwidth: &[f64]) -> f64 {
-    let mut acc = 0.0;
+/// must reproduce: `log_peak + sum_d ((q_d - m_d)^2 + v_d) * c_d`.
+fn scalar_smoothed(query: &[f64], mean: &[f64], var: &[f64], bandwidth: &KernelBandwidth) -> f64 {
+    let mut acc = bandwidth.log_peak();
     for d in 0..query.len() {
         let diff = query[d] - mean[d];
         let t = diff * diff + var[d];
-        acc += gaussian_log_term(t.sqrt(), bandwidth[d]);
+        acc += t * bandwidth.neg_half_inv_sq()[d];
     }
     acc
 }
@@ -199,15 +199,11 @@ fn check_fused_passes(node: &Node) {
         .collect();
     assert_bit_equal(log_pdf, &want);
     let want: Vec<f64> = (0..n)
-        .map(|i| {
-            farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
-        })
+        .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
         .collect();
     assert_bit_equal(far, &want);
     let want: Vec<f64> = (0..n)
-        .map(|i| {
-            nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
-        })
+        .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
         .collect();
     assert_bit_equal(near, &want);
     let want: Vec<f64> = (0..n)
@@ -228,7 +224,7 @@ fn check_fused_passes(node: &Node) {
     let want: Vec<f64> = node
         .means
         .iter()
-        .map(|m| k.log_density(m, &node.query, &node.bandwidth))
+        .map(|m| k.log_density(m, &node.query, &bandwidth))
         .collect();
     assert_bit_equal(&log_k, &want);
     let want: Vec<f64> = node
@@ -251,7 +247,7 @@ fn check_cluster_pass(node: &Node) {
         .means
         .iter()
         .zip(&node.vars)
-        .map(|(m, v)| scalar_smoothed(&node.query, m, v, &node.bandwidth))
+        .map(|(m, v)| scalar_smoothed(&node.query, m, v, &bandwidth))
         .collect();
     let center_sq: Vec<f64> = node
         .centers
@@ -263,19 +259,12 @@ fn check_cluster_pass(node: &Node) {
     assert_bit_equal(&lanes[0], &jensen);
     let want: Vec<f64> = (0..n)
         .map(|i| {
-            smoothed_farthest_log_kernel(
-                &node.query,
-                &node.lower[i],
-                &node.upper[i],
-                &node.bandwidth,
-            )
+            smoothed_farthest_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth)
         })
         .collect();
     assert_bit_equal(&lanes[1], &want);
     let want: Vec<f64> = (0..n)
-        .map(|i| {
-            nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth)
-        })
+        .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
         .collect();
     assert_bit_equal(&lanes[2], &want);
     assert_bit_equal(&lanes[3], &center_sq);
@@ -310,7 +299,7 @@ proptest! {
         let want: Vec<f64> = node
             .means
             .iter()
-            .map(|m| k.log_density(m, &node.query, &node.bandwidth))
+            .map(|m| k.log_density(m, &node.query, &bandwidth))
             .collect();
         assert_bit_equal(&out, &want);
         // With variances: the smoothed (Jensen) kernel, the micro-cluster
@@ -321,7 +310,7 @@ proptest! {
             .means
             .iter()
             .zip(&node.vars)
-            .map(|(m, v)| scalar_smoothed(&node.query, m, v, &node.bandwidth))
+            .map(|(m, v)| scalar_smoothed(&node.query, m, v, &bandwidth))
             .collect();
         assert_bit_equal(&lanes[0], &want);
     }
@@ -363,18 +352,18 @@ proptest! {
         cluster_scores_block::<true>(&node.query, &bandwidth, &gather_clusters(&node), &mut cluster);
 
         let want: Vec<f64> = (0..n)
-            .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .map(|i| nearest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
             .collect();
         assert_bit_equal(&lanes[2], &want);
         assert_bit_equal(&cluster[2], &want);
 
         let want: Vec<f64> = (0..n)
-            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .map(|i| farthest_point_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
             .collect();
         assert_bit_equal(&lanes[1], &want);
 
         let want: Vec<f64> = (0..n)
-            .map(|i| smoothed_farthest_log_kernel(&node.query, &node.lower[i], &node.upper[i], &node.bandwidth))
+            .map(|i| smoothed_farthest_log_kernel(&node.query, &node.lower[i], &node.upper[i], &bandwidth))
             .collect();
         assert_bit_equal(&cluster[1], &want);
 
@@ -439,7 +428,7 @@ fn smoothed_farthest_is_a_lower_bound_on_member_clusters() {
     // Any cluster whose mean and mass sit inside the box has a smoothed
     // kernel value >= the smoothed farthest-point bound.
     let query = [0.0, 3.0];
-    let bandwidth = [0.7, 1.3];
+    let bandwidth = KernelBandwidth::new(vec![0.7, 1.3]);
     let lower = [1.0, -2.0];
     let upper = [4.0, 1.5];
     let floor = smoothed_farthest_log_kernel(&query, &lower, &upper, &bandwidth);
@@ -454,12 +443,10 @@ fn smoothed_farthest_is_a_lower_bound_on_member_clusters() {
             (0.5 * (upper[0] - lower[0])).powi(2) * fx,
             (0.5 * (upper[1] - lower[1])).powi(2) * (1.0 - fx),
         ];
-        let mut acc = 0.0;
-        for d in 0..2 {
-            let diff = query[d] - mean[d];
-            let t = diff * diff + var[d];
-            acc += gaussian_log_term(t.sqrt(), bandwidth[d]);
-        }
+        let acc = log_kernel_at(
+            &bandwidth,
+            (0..2).map(|d| (query[d] - mean[d]) * (query[d] - mean[d]) + var[d]),
+        );
         assert!(
             acc >= floor - 1e-12,
             "member cluster {mean:?}/{var:?} below floor: {acc} < {floor}"
@@ -473,7 +460,7 @@ fn smoothed_farthest_never_exceeds_plain_farthest() {
     // tighter-or-equal from below than... actually *smaller* or equal:
     // sqrt(far^2 + half^2) >= far, and the kernel decreases with distance.
     let query = [2.0];
-    let bandwidth = [0.9];
+    let bandwidth = KernelBandwidth::new(vec![0.9]);
     let lower = [4.0];
     let upper = [9.0];
     let smoothed = smoothed_farthest_log_kernel(&query, &lower, &upper, &bandwidth);

@@ -10,8 +10,8 @@
 //! property CI's feature-off build checks.
 
 use bt_stats::kernel::{
-    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, gaussian_log_term,
-    leaf_scores_block, nearest_point_log_kernel, node_estimates_block, node_scores_block,
+    cf_log_terms, cluster_scores_block, farthest_point_log_kernel, leaf_scores_block,
+    nearest_point_log_kernel, node_estimates_block, node_scores_block,
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
@@ -162,15 +162,15 @@ fn cluster_block(c: &Case, boxes: bool, seed: u64) -> GatheredBlock {
 }
 
 /// The scalar Jensen term of entry `i`, as `ClusQueryModel`'s per-entry
-/// reference evaluates it: `sum_d gaussian_log_term(sqrt((q_d - m_d)^2 +
-/// v_d), h_d)`.
-fn scalar_jensen(c: &Case, i: usize) -> f64 {
+/// reference evaluates it: `log_peak + sum_d ((q_d - m_d)^2 + v_d) * c_d`
+/// with `c_d = -1 / (2 h_d^2)`.
+fn scalar_jensen(c: &Case, bandwidth: &KernelBandwidth, i: usize) -> f64 {
     let len = c.len;
-    let mut acc = 0.0;
+    let mut acc = bandwidth.log_peak();
     for (d, &q) in c.query.iter().enumerate() {
         let diff = q - c.means[d * len + i];
         let t = diff * diff + c.vars[d * len + i];
-        acc += gaussian_log_term(t.sqrt(), c.bandwidth[d]);
+        acc += t * bandwidth.neg_half_inv_sq()[d];
     }
     acc
 }
@@ -189,14 +189,15 @@ fn gaussian_log_terms_match_scalar_bitwise() {
         cluster_scores_block::<false>(&c.query, &bandwidth, &gathered, &mut lanes);
         let want_plain: Vec<f64> = (0..len)
             .map(|i| {
-                let mut acc = 0.0;
+                let mut acc = bandwidth.log_peak();
                 for (d, &q) in c.query.iter().enumerate() {
-                    acc += gaussian_log_term(q - c.means[d * len + i], c.bandwidth[d]);
+                    let diff = q - c.means[d * len + i];
+                    acc += diff * diff * bandwidth.neg_half_inv_sq()[d];
                 }
                 acc
             })
             .collect();
-        let want_smoothed: Vec<f64> = (0..len).map(|i| scalar_jensen(&c, i)).collect();
+        let want_smoothed: Vec<f64> = (0..len).map(|i| scalar_jensen(&c, &bandwidth, i)).collect();
         assert_bits_eq(&plain, &want_plain, "gaussian_log_terms");
         assert_bits_eq(&lanes[0], &want_smoothed, "gaussian_log_terms smoothed");
     }
@@ -243,11 +244,12 @@ fn box_kernels_match_scalar_bitwise() {
         let mut cluster: [Vec<f64>; 4] = Default::default();
         let gathered = cluster_block(&c, true, seed);
         cluster_scores_block::<true>(&c.query, &bandwidth, &gathered, &mut cluster);
-        let mut want_near = vec![0.0; len];
-        let mut want_far = vec![0.0; len];
-        let mut want_smooth = vec![0.0; len];
+        let mut want_near = vec![bandwidth.log_peak(); len];
+        let mut want_far = vec![bandwidth.log_peak(); len];
+        let mut want_smooth = vec![bandwidth.log_peak(); len];
         let mut want_dist = vec![0.0; len];
         for (d, &q) in c.query.iter().enumerate() {
+            let k = bandwidth.neg_half_inv_sq()[d];
             for i in 0..len {
                 let lo = c.lower[d * len + i];
                 let hi = c.upper[d * len + i];
@@ -261,9 +263,9 @@ fn box_kernels_match_scalar_bitwise() {
                 let farthest = (q - lo).abs().max((q - hi).abs());
                 let half = 0.5 * (hi - lo);
                 let t = farthest * farthest + half * half;
-                want_near[i] += gaussian_log_term(clamp, c.bandwidth[d]);
-                want_far[i] += gaussian_log_term(farthest, c.bandwidth[d]);
-                want_smooth[i] += gaussian_log_term(t.sqrt(), c.bandwidth[d]);
+                want_near[i] += clamp * clamp * k;
+                want_far[i] += farthest * farthest * k;
+                want_smooth[i] += t * k;
                 want_dist[i] += clamp * clamp;
             }
         }
@@ -357,11 +359,17 @@ fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, Summa
 
 /// The scalar reference of the fused node pass, read off the block's
 /// columns: `[log_pdf, farthest, nearest, min_dist_sq]`.
-fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
+fn node_reference(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    block: &SummaryBlock,
+) -> [Vec<f64>; 4] {
     let mut want: [Vec<f64>; 4] = Default::default();
     for i in 0..block.len() {
-        let mut acc = [0.0; 4];
+        let peak = bandwidth.log_peak();
+        let mut acc = [0.0, peak, peak, 0.0];
         for (d, &q) in query.iter().enumerate() {
+            let k = bandwidth.neg_half_inv_sq()[d];
             let idx = block.col(d, i);
             let diff = q - block.mean()[idx];
             let var = block.var()[idx];
@@ -375,8 +383,8 @@ fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Ve
             };
             let farthest = (q - lo).abs().max((q - hi).abs());
             acc[0] += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
-            acc[1] += gaussian_log_term(farthest, bandwidth[d]);
-            acc[2] += gaussian_log_term(clamp, bandwidth[d]);
+            acc[1] += farthest * farthest * k;
+            acc[2] += clamp * clamp * k;
             acc[3] += clamp * clamp;
         }
         for (lane, v) in want.iter_mut().zip(acc) {
@@ -389,7 +397,11 @@ fn node_reference(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Ve
 /// The per-quantity scalar kernels, entry by entry, that the fused node
 /// pass must equal: `DiagGaussian::log_pdf`, [`farthest_point_log_kernel`],
 /// [`nearest_point_log_kernel`] and the box minimum squared distance.
-fn node_per_quantity(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> [Vec<f64>; 4] {
+fn node_per_quantity(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    block: &SummaryBlock,
+) -> [Vec<f64>; 4] {
     let mut got: [Vec<f64>; 4] = Default::default();
     let (mut mean, mut var, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for i in 0..block.len() {
@@ -417,13 +429,19 @@ fn node_per_quantity(query: &[f64], bandwidth: &[f64], block: &SummaryBlock) -> 
 
 /// The scalar reference of the fused leaf pass over `len` mean columns:
 /// `(log_kernel, sq_dist)` per item.
-fn leaf_reference(query: &[f64], bandwidth: &[f64], means: &[f64], len: usize) -> [Vec<f64>; 2] {
+fn leaf_reference(
+    query: &[f64],
+    bandwidth: &KernelBandwidth,
+    means: &[f64],
+    len: usize,
+) -> [Vec<f64>; 2] {
     let mut want: [Vec<f64>; 2] = Default::default();
     for i in 0..len {
-        let (mut log_k, mut sq) = (0.0, 0.0);
+        let (mut log_k, mut sq) = (bandwidth.log_peak(), 0.0);
         for (d, &q) in query.iter().enumerate() {
             let m = means[d * len + i];
-            log_k += gaussian_log_term(q - m, bandwidth[d]);
+            let diff = q - m;
+            log_k += diff * diff * bandwidth.neg_half_inv_sq()[d];
             let diff = m - q;
             sq += diff * diff;
         }
@@ -445,8 +463,8 @@ fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
                 let mut fused: ScoreLanes = Default::default();
                 node_scores_block(&c.query, &bandwidth, &block, &mut fused);
-                let per_quantity = node_per_quantity(&c.query, &c.bandwidth, &block);
-                let want = node_reference(&c.query, &c.bandwidth, &block);
+                let per_quantity = node_per_quantity(&c.query, &bandwidth, &block);
+                let want = node_reference(&c.query, &bandwidth, &block);
                 for lane in 0..4 {
                     let what = format!("{stored:?} dims {dims} len {len} {}", LANE_NAMES[lane]);
                     assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
@@ -473,7 +491,7 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
                 node_scores_block(&c.query, &bandwidth, &block, &mut full);
                 let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
                 node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
-                let want = node_reference(&c.query, &c.bandwidth, &block);
+                let want = node_reference(&c.query, &bandwidth, &block);
                 let what = format!("{stored:?} dims {dims} len {len}");
                 assert_bits_eq(&log_pdf, &full[0], &format!("{what} log_pdf"));
                 assert_bits_eq(&min_sq, &full[3], &format!("{what} min_dist_sq"));
@@ -582,7 +600,7 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let want_k: Vec<f64> = (0..len)
                     .map(|i| {
                         block.entry_mean_into(i, &mut mean);
-                        GaussianKernel.log_density(&mean, &c.query, &c.bandwidth)
+                        GaussianKernel.log_density(&mean, &c.query, &bandwidth)
                     })
                     .collect();
                 let mut want_sq = Vec::new();
@@ -590,7 +608,7 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let what = format!("{stored:?} dims {dims} len {len}");
                 assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
                 assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
-                let [ref_k, ref_sq] = leaf_reference(&c.query, &c.bandwidth, block.mean(), len);
+                let [ref_k, ref_sq] = leaf_reference(&c.query, &bandwidth, block.mean(), len);
                 assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
                 assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
             }
@@ -615,14 +633,9 @@ fn fused_cluster_pass_matches_scalar_bitwise() {
                 gathered.block.entry_box_into(i, &mut lo, &mut hi);
                 center.clear();
                 center.extend((0..dims).map(|d| gathered.centers[d * len + i]));
-                want[0].push(scalar_jensen(&c, i));
-                want[1].push(smoothed_farthest_log_kernel(
-                    &c.query,
-                    &lo,
-                    &hi,
-                    &c.bandwidth,
-                ));
-                want[2].push(nearest_point_log_kernel(&c.query, &lo, &hi, &c.bandwidth));
+                want[0].push(scalar_jensen(&c, &bandwidth, i));
+                want[1].push(smoothed_farthest_log_kernel(&c.query, &lo, &hi, &bandwidth));
+                want[2].push(nearest_point_log_kernel(&c.query, &lo, &hi, &bandwidth));
                 let mut sq = 0.0;
                 for (d, &q) in c.query.iter().enumerate() {
                     let diff = center[d] - q;
@@ -651,15 +664,16 @@ fn fused_cluster_pass_matches_scalar_bitwise() {
 
 #[test]
 fn kernel_bandwidth_caches_the_per_call_terms() {
-    let values = vec![0.75, 1e-7, 3.0, 0.0];
+    let values = vec![0.75, 1e-7, 3.0, 0.0, 1e160];
     let bandwidth = KernelBandwidth::new(values.clone());
     assert_eq!(bandwidth.values(), &values[..]);
     let (mut log_peak, mut log_scale) = (0.0, 0.0);
     for (d, &b) in values.iter().enumerate() {
         let h = b.max(VARIANCE_FLOOR.sqrt());
-        assert_eq!(bandwidth.floored()[d].to_bits(), h.to_bits());
-        assert_eq!(bandwidth.ln_floored()[d].to_bits(), h.ln().to_bits());
-        let inv_sq = 1.0 / (h * h);
+        let inv_sq = 1.0 / h / h;
+        // Positive even where `h * h` overflows: a zero factor would make
+        // an infinite query coordinate's term NaN.
+        assert!(inv_sq > 0.0 && bandwidth.neg_half_inv_sq()[d] < 0.0);
         assert_eq!(bandwidth.inv_sq()[d].to_bits(), inv_sq.to_bits());
         assert_eq!(
             bandwidth.neg_half_inv_sq()[d].to_bits(),

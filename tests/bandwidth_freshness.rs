@@ -1,9 +1,9 @@
-//! The trees cache their bandwidth's scoring terms (floored `h`, `ln h`)
-//! beside the bandwidth.  These tests pin that the cache can never go
-//! stale: after `set_bandwidth` or `fit_bandwidth`, live, snapshot and
-//! sharded queries answer bit for bit like a tree that had that bandwidth
-//! from the start, while a snapshot pinned before the change keeps
-//! answering with the old terms.
+//! The trees cache their bandwidth's scoring terms (`-1 / (2 h^2)`, the
+//! log-kernel's peak) beside the bandwidth.  These tests pin that the cache
+//! can never go stale: after `set_bandwidth` or `fit_bandwidth`, live,
+//! snapshot and sharded queries answer bit for bit like a tree that had
+//! that bandwidth from the start, while a snapshot pinned before the change
+//! keeps answering with the old terms.
 
 use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer};
 use anytime_stream_mining::bayestree::{BayesTree, BayesTreeSnapshot, DescentStrategy};
