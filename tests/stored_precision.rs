@@ -29,10 +29,28 @@ use anytime_stream_mining::index::PageGeometry;
 use anytime_stream_mining::stats::ClusterFeature;
 use proptest::prelude::*;
 
-/// Bounded 3-d point sets, two loose clusters to force real tree structure.
+/// Bounded 3-d point sets in two loose clusters, centred at `-2.5` and
+/// `2.5` on every axis with a spread of `±1.5`, to force real tree
+/// structure.  The spread is of the order of the bandwidth (see
+/// [`BANDWIDTH`]), so an entry's box bounds are far from 0 and its
+/// farthest-corner bound is a sizeable share of its nearest-point bound: a
+/// box bound that is too high or too low shows in the enclosure checks.
 fn points_strategy(max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(-40.0f64..40.0, 3), 8..max_len)
+    let point = (
+        prop_oneof![Just(-2.5f64), Just(2.5f64)],
+        prop::collection::vec(-1.5f64..1.5, 3),
+    )
+        .prop_map(|(centre, offsets)| offsets.into_iter().map(|x| centre + x).collect());
+    prop::collection::vec(point, 8..max_len)
 }
+
+/// Query coordinates: over the clusters and a little beyond them.
+fn query_strategy() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(-5.0f64..5.0, 3)
+}
+
+/// The per-dimension bandwidth every test tree uses.
+const BANDWIDTH: [f64; 3] = [1.25, 0.8, 1.5];
 
 fn geometry() -> PageGeometry {
     PageGeometry::from_fanout(4, 4)
@@ -43,7 +61,7 @@ fn build_f64(points: &[Vec<f64>]) -> BayesTree {
     for p in points {
         tree.insert(p.clone());
     }
-    tree.set_bandwidth(vec![1.25, 0.8, 1.5]);
+    tree.set_bandwidth(BANDWIDTH.to_vec());
     tree
 }
 
@@ -52,7 +70,7 @@ fn build_quantized(points: &[Vec<f64>]) -> BayesTreeQuantized {
     for p in points {
         tree.insert(p.clone());
     }
-    tree.set_bandwidth(vec![1.25, 0.8, 1.5]);
+    tree.set_bandwidth(BANDWIDTH.to_vec());
     tree
 }
 
@@ -113,7 +131,7 @@ proptest! {
     /// `[lower, upper]` interval brackets the *exact* kernel density, and
     /// the interval only tightens with budget.
     #[test]
-    fn quantized_bounds_bracket_the_exact_density(points in points_strategy(60), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn quantized_bounds_bracket_the_exact_density(points in points_strategy(60), q in query_strategy()) {
         let tree = build_quantized(&points);
         let truth = tree.full_kernel_density(&q);
         let mut last = f64::INFINITY;
@@ -133,7 +151,7 @@ proptest! {
     /// directory summaries, never the converged result (up to summation
     /// order across the two tree shapes).
     #[test]
-    fn quantized_full_refinement_is_exact(points in points_strategy(60), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn quantized_full_refinement_is_exact(points in points_strategy(60), q in query_strategy()) {
         let narrow = build_quantized(&points);
         let wide = build_f64(&points);
         let exact = wide.full_kernel_density(&q);
@@ -171,14 +189,14 @@ proptest! {
     /// Outlier verdicts from the quantised tree are trustworthy: at every
     /// budget a *certain* verdict agrees with the exact density's side.
     #[test]
-    fn quantized_certain_outlier_verdicts_match_the_exact_density(points in points_strategy(60), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn quantized_certain_outlier_verdicts_match_the_exact_density(points in points_strategy(60), q in query_strategy()) {
         check_certain_verdicts(&build_quantized(&points), &q);
     }
 
     /// The same check on the full-width tree, whose bounds also read the
     /// cluster feature.
     #[test]
-    fn f64_certain_outlier_verdicts_match_the_exact_density(points in points_strategy(60), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn f64_certain_outlier_verdicts_match_the_exact_density(points in points_strategy(60), q in query_strategy()) {
         check_certain_verdicts(&build_f64(&points), &q);
     }
 
@@ -206,7 +224,7 @@ proptest! {
     /// the live tree at snapshot time, and stay frozen while the live tree
     /// keeps ingesting.
     #[test]
-    fn quantized_snapshots_freeze_the_answer(points in points_strategy(60), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn quantized_snapshots_freeze_the_answer(points in points_strategy(60), q in query_strategy()) {
         let mut tree = build_quantized(&points);
         let snapshot = tree.snapshot();
         let live = tree.anytime_density(&q, DescentStrategy::default(), 8);
@@ -223,13 +241,13 @@ proptest! {
     /// global interval, and its converged estimate matches the flat exact
     /// density.
     #[test]
-    fn sharded_quantized_bounds_stay_sound(points in points_strategy(80), q in prop::collection::vec(-45.0f64..45.0, 3)) {
+    fn sharded_quantized_bounds_stay_sound(points in points_strategy(80), q in query_strategy()) {
         let mut sharded: BayesTree<Quantized> =
             BayesTree::sharded(3, geometry(), 3);
         for chunk in points.chunks(16) {
             let _ = sharded.insert_batch(chunk.to_vec());
         }
-        sharded.set_bandwidth(vec![1.25, 0.8, 1.5]);
+        sharded.set_bandwidth(BANDWIDTH.to_vec());
         sharded.validate(true).expect("sharded quantised invariants hold");
         let truth = sharded.full_kernel_density(&q);
         let mut last = f64::INFINITY;
