@@ -14,9 +14,8 @@
 //! **Bit-exactness.**  Every lane op is the *same* IEEE-754 scalar
 //! expression the reference loop uses (add, sub, mul, abs, `f64::max`, and
 //! one div in the log-pdf lane — never a fused multiply-add, which would
-//! change rounding),
-//! and each entry's accumulator still receives its per-dimension terms in
-//! ascending-dimension order.  The SIMD path is therefore bit-identical to
+//! change rounding), and each entry's accumulator still receives its
+//! per-dimension terms in ascending-dimension order.  The SIMD path is therefore bit-identical to
 //! the scalar reference; the parity tests in
 //! `crates/stats/tests/block_kernels.rs` and
 //! `crates/stats/tests/simd_parity.rs` assert it with `to_bits`.
