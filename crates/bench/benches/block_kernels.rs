@@ -129,8 +129,9 @@ fn score_leaf_scalar<S, M>(
 
 /// Timed (scalar, block) pairs of the speedup gate.
 const SPEEDUP_PAIRS: usize = 15;
-/// Node scorings per timed sample, so one sample runs for about 15 ms
-/// (block) to 25 ms (scalar) on a 2-vCPU x86-64 host.
+/// Node scorings per timed sample, so one sample runs for tens of
+/// milliseconds: a single scoring of a few microseconds cannot resolve
+/// the ratio on a shared host.
 const SPEEDUP_REPS: usize = 2_000;
 
 /// Speedup gate: the block-over-scalar ratio of scoring a 64-entry node,
