@@ -146,7 +146,8 @@ pub use query::{
 };
 pub use shard::{
     outlier_score_over, query_batch_over, query_over, refine_frontiers_over, CheapestRouter,
-    FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree, ShardedTreeSnapshot,
+    FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardSet, ShardedAnytimeTree,
+    ShardedTreeSnapshot,
 };
 pub use snapshot::TreeSnapshot;
 pub use split::{distribute, polar_partition};

@@ -56,6 +56,11 @@
 //! reads and writes overlap on the same index without locks, and the
 //! readers' answers are exactly the pre-batch answers
 //! (`tests/snapshot_isolation.rs`).
+//!
+//! Both shard sets — live and pinned — implement [`ShardSet`]: the shard
+//! views plus `dims`, `num_shards`, `shard(k)` and `epochs`, each defined
+//! once.  An index family is one struct generic over its shard set, so
+//! every read it offers is written once, against this trait.
 
 use crate::arena::SnapshotRefresh;
 use crate::descent::{BatchOutcome, DepthHistogram, DescentStats};
@@ -228,34 +233,10 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Dimensionality of the indexed data.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.shards[0].dims()
-    }
-
     /// Fanout / leaf-capacity parameters shared by every shard.
     #[must_use]
     pub fn geometry(&self) -> PageGeometry {
         self.shards[0].geometry()
-    }
-
-    /// Read access to the shard trees.
-    #[must_use]
-    pub fn shards(&self) -> &[AnytimeTree<S, L>] {
-        &self.shards
-    }
-
-    /// Read access to one shard tree.
-    #[must_use]
-    pub fn shard(&self, k: usize) -> &AnytimeTree<S, L> {
-        &self.shards[k]
     }
 
     /// Write access to one shard tree, for building it node by node (the
@@ -294,13 +275,6 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     #[must_use]
     pub fn snapshot(&self) -> ShardedTreeSnapshot<S, L> {
         ShardedTreeSnapshot::new(&self.shards)
-    }
-
-    /// The published epoch of every shard (batches each has committed), in
-    /// shard order — what a [`Self::snapshot`] taken now pins.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(AnytimeTree::epoch).collect()
     }
 
     /// Retired node copies created by copy-on-write, summed over the shards
@@ -896,36 +870,6 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
         }
     }
 
-    /// Dimensionality of the indexed data.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.shards[0].dims()
-    }
-
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard snapshots.
-    #[must_use]
-    pub fn shards(&self) -> &[TreeSnapshot<S, L>] {
-        &self.shards
-    }
-
-    /// One shard's snapshot.
-    #[must_use]
-    pub fn shard(&self, k: usize) -> &TreeSnapshot<S, L> {
-        &self.shards[k]
-    }
-
-    /// The per-shard epochs this snapshot pins.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(TreeSnapshot::epoch).collect()
-    }
-
     /// Incrementally moves every shard's snapshot forward to `tree`'s
     /// current state ([`TreeSnapshot::refresh`]) and returns the summed
     /// [`SnapshotRefresh`] counters: only the slot chunks and epoch pages
@@ -953,6 +897,78 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
             total.pages_refreshed += report.pages_refreshed;
         }
         total
+    }
+}
+
+/// The shard set an index reads: the live shards of a
+/// [`ShardedAnytimeTree`] or the pinned ones of a [`ShardedTreeSnapshot`].
+///
+/// An index family is one struct generic over its shard set, so each of its
+/// reads is written once against this trait and serves the live tree and
+/// its snapshot alike; writes and `snapshot()` stay on the live
+/// instantiation.
+pub trait ShardSet<S: Summary, L> {
+    /// The per-shard view the query folds read.
+    type View: TreeView<S, L> + Sync;
+
+    /// The shard views, in shard order.
+    fn shards(&self) -> &[Self::View];
+
+    /// The published epoch `view` reads (a live tree's current one, a
+    /// snapshot's pinned one).
+    fn epoch_of(view: &Self::View) -> u64;
+
+    /// One shard's view: its `root()`, `node(id)` and reachable set.
+    fn shard(&self, k: usize) -> &Self::View {
+        &self.shards()[k]
+    }
+
+    /// Dimensionality of the indexed data.
+    fn dims(&self) -> usize {
+        self.shards()[0].dims()
+    }
+
+    /// Number of shards.
+    fn num_shards(&self) -> usize {
+        self.shards().len()
+    }
+
+    /// Every shard's epoch, in shard order — what a snapshot taken of a
+    /// live set now pins, or what a snapshot set pins.
+    fn epochs(&self) -> Vec<u64> {
+        self.shards().iter().map(Self::epoch_of).collect()
+    }
+}
+
+impl<S, L, R> ShardSet<S, L> for ShardedAnytimeTree<S, L, R>
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+{
+    type View = AnytimeTree<S, L>;
+
+    fn shards(&self) -> &[AnytimeTree<S, L>] {
+        &self.shards
+    }
+
+    fn epoch_of(view: &AnytimeTree<S, L>) -> u64 {
+        view.epoch()
+    }
+}
+
+impl<S, L> ShardSet<S, L> for ShardedTreeSnapshot<S, L>
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+{
+    type View = TreeSnapshot<S, L>;
+
+    fn shards(&self) -> &[TreeSnapshot<S, L>] {
+        &self.shards
+    }
+
+    fn epoch_of(view: &TreeSnapshot<S, L>) -> u64 {
+        view.epoch()
     }
 }
 

@@ -43,7 +43,7 @@ pub fn build_em_topdown(
     core.set_root(root, depth);
     // The single commit point of the EM top-down load.
     core.publish_epoch();
-    tree.set_num_points(points.len());
+    tree.num_points = points.len();
     tree.fit_bandwidth();
     tree
 }

@@ -111,7 +111,7 @@ pub fn build_goldberger(
             .map(<[usize]>::to_vec)
             .collect()
     });
-    tree.set_num_points(points.len());
+    tree.num_points = points.len();
     tree.set_bandwidth(bandwidth);
     tree
 }

@@ -154,7 +154,7 @@ where
         .collect();
 
     finish_bottom_up(core, entries, &group_fn);
-    tree.set_num_points(points.len());
+    tree.num_points = points.len();
     tree.fit_bandwidth();
     tree
 }

@@ -24,18 +24,18 @@ use crate::descent::DescentStrategy;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::query::{EstimateModel, KernelQueryModel};
-use crate::tree::BayesTree;
+use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
 use crate::StoredSummary;
 use bt_anytree::{
     with_scratch_cursors, ElementOrigin, NodeId, NodeKind, QueryCursor, QueryModel, QueryStats,
-    RefineOrder, TreeView,
+    RefineOrder, ShardSet, TreeView,
 };
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::kernel::node_estimates_block;
 use bt_stats::SummaryBlock;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the anytime classifier.  Each class's tree carries the
 /// Silverman bandwidth of its own class, the paper's setting.
@@ -109,17 +109,213 @@ impl AnytimeTrace {
     }
 }
 
-/// An anytime Bayesian classifier: one Bayes tree per class.
+/// An anytime Bayesian classifier over the per-class trees `T`: one Bayes
+/// tree per class.  Two instantiations exist, each named by an alias:
+/// [`AnytimeClassifier`] learns into live trees, and [`ClassifierSnapshot`]
+/// classifies against trees pinned by [`AnytimeClassifier::snapshot`]
+/// (`crate::view`).  Every read is written once, for both; learning and
+/// `snapshot()` exist on the live classifier only.
 #[derive(Debug, Clone)]
-pub struct AnytimeClassifier {
-    trees: Vec<BayesTree>,
-    priors: Vec<f64>,
-    class_names: Vec<String>,
-    config: ClassifierConfig,
-    dims: usize,
+pub struct Classifier<T> {
+    pub(crate) trees: Vec<T>,
+    pub(crate) priors: Vec<f64>,
+    /// Shared with snapshots, which take it without a copy.
+    pub(crate) class_names: Arc<[String]>,
+    pub(crate) config: ClassifierConfig,
+    pub(crate) dims: usize,
     /// The class roots' stacked block, gathered by the first
     /// classification since the last write.
-    roots: OnceLock<RootBlock>,
+    pub(crate) roots: OnceLock<RootBlock>,
+}
+
+/// The live classifier: one [`BayesTree`] per class.
+pub type AnytimeClassifier = Classifier<BayesTree>;
+
+/// An epoch-pinned, immutable view of an [`AnytimeClassifier`]: one
+/// per-class [`BayesTreeSnapshot`] plus the priors frozen at snapshot time.
+///
+/// `Send + Sync`, so classification keeps running on reader threads while
+/// [`AnytimeClassifier::learn_batch`] drains new labelled observations into
+/// the live per-class trees.
+pub type ClassifierSnapshot = Classifier<BayesTreeSnapshot>;
+
+impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
+    /// Number of classes.
+    #[must_use]
+    pub fn num_classes(&self) -> usize {
+        self.trees.len()
+    }
+
+    /// Feature dimensionality.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// The per-class trees.
+    #[must_use]
+    pub fn trees(&self) -> &[BayesIndex<f64, C>] {
+        &self.trees
+    }
+
+    /// The class priors `P(c)`.
+    #[must_use]
+    pub fn priors(&self) -> &[f64] {
+        &self.priors
+    }
+
+    /// Classifies `x` spending at most `budget` node reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
+    #[must_use]
+    pub fn classify_with_budget(&self, x: &[f64], budget: usize) -> Classification {
+        let (trace, nodes_read) = self.run_anytime(x, budget, false);
+        Classification {
+            label: *trace.labels.last().expect("trace is never empty"),
+            posteriors: trace.final_posteriors,
+            nodes_read,
+        }
+    }
+
+    /// Produces the full anytime trace: the decision after every node read up
+    /// to `max_nodes` (or until every frontier is exhausted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has the wrong dimensionality or a NaN
+    /// coordinate.
+    #[must_use]
+    pub fn anytime_trace(&self, x: &[f64], max_nodes: usize) -> AnytimeTrace {
+        self.run_anytime(x, max_nodes, true).0
+    }
+
+    /// The anytime classification loop over the per-class `(view, model)`
+    /// pairs.  Each class's frontier lives on one of this thread's pooled
+    /// scratch cursors ([`with_scratch_cursors`]), so a classification
+    /// builds no cursor of its own.  Returns the trace plus the number of
+    /// refinements (node reads) actually performed.
+    ///
+    /// The 0-read root mixture is one pass: `roots` (gathered on first use)
+    /// holds every class root's lanes, one [`node_estimates_block`] call
+    /// scores them all, and each class cursor is seeded from its own lanes
+    /// by [`QueryCursor::begin_scored`] with the score its own model gives
+    /// — `weight / n_c * exp(log_pdf)` — so every frontier equals the one
+    /// [`TreeView::begin_query`] builds.  Each class root counts as one
+    /// block gather when this call gathered `roots`, else as one gather
+    /// avoided.
+    ///
+    /// The loop reads each frontier's point estimate and nothing of its
+    /// bounds, so every class scores through its model's estimate-only form
+    /// ([`EstimateModel`]): directory nodes skip the two box log-kernels,
+    /// and the estimates — hence every decision — equal the full model's
+    /// bit for bit.
+    ///
+    /// A NaN coordinate is rejected: it would score 0 in every class, so
+    /// the decision would silently fall back to the priors.  ±inf is a
+    /// valid far-away query.
+    fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
+        assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
+        assert!(
+            x.iter().all(|v| !v.is_nan()),
+            "query coordinates must not be NaN"
+        );
+        // `build_tree` builds every class tree with one shard, so each class
+        // refines one frontier.
+        let classes: Vec<_> = self
+            .trees
+            .iter()
+            .map(|t| (t.core().shard(0), t.query_model()))
+            .collect();
+        let priors = &self.priors;
+        let order: RefineOrder = self.config.descent.into();
+        debug_assert!(
+            order != RefineOrder::WidestBound,
+            "no descent strategy maps to WidestBound, the only order that reads the bounds EstimateModel skips"
+        );
+        let mut gathered = false;
+        let roots = self.roots.get_or_init(|| {
+            gathered = true;
+            RootBlock::gather(&classes)
+        });
+        with_scratch_cursors(classes.len(), |cursors| {
+            // Pooled cursors keep counting across queries: the registry gets
+            // the work done since `before`, summed over every class.
+            let mut before = QueryStats::default();
+            for cursor in cursors.iter() {
+                before.merge(cursor.stats());
+            }
+            // The root pass borrows the first cursor's output lanes.
+            let mut lanes = std::mem::take(cursors[0].scratch_lanes());
+            let [log_pdf, dist, ..] = &mut lanes;
+            node_estimates_block(x, &roots.block, log_pdf, dist);
+            let weights = roots.block.weights();
+            let mut scores = Vec::with_capacity(classes.len());
+            let mut refinable = Vec::with_capacity(classes.len());
+            for ((((_, model), (root, span)), cursor), &prior) in classes
+                .iter()
+                .zip(&roots.spans)
+                .zip(cursors.iter_mut())
+                .zip(priors)
+            {
+                let model = EstimateModel(*model);
+                let elements = span.clone().map(|lane| {
+                    let (child, origin) = roots.lanes[lane];
+                    let score = model.lane_score(weights[lane], log_pdf[lane], dist[lane]);
+                    (child, origin, score)
+                });
+                cursor.begin_scored(x, *root, gathered, elements);
+                scores.push(class_score(prior, cursor));
+                refinable.push(cursor.can_refine());
+            }
+            *cursors[0].scratch_lanes() = lanes;
+
+            let mut scheduler = RefinementScheduler::new(self.config.refinement, classes.len());
+            let mut labels = Vec::new();
+            let mut posteriors = Vec::new();
+            if record_all {
+                normalise_into(&scores, priors, &mut posteriors);
+                labels.push(argmax(&posteriors));
+            }
+            let mut nodes_read = 0usize;
+            for _ in 0..budget {
+                let Some(class) = scheduler.next_class(&scores, &refinable) else {
+                    break;
+                };
+                // Only the refined class's frontier moved: update its entries.
+                let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
+                view.refine_query(&EstimateModel(*model), order, cursor);
+                scores[class] = class_score(priors[class], cursor);
+                refinable[class] = cursor.can_refine();
+                nodes_read += 1;
+                if record_all {
+                    normalise_into(&scores, priors, &mut posteriors);
+                    labels.push(argmax(&posteriors));
+                }
+            }
+            if !record_all {
+                // Only the final decision is needed.
+                normalise_into(&scores, priors, &mut posteriors);
+                labels.push(argmax(&posteriors));
+            }
+            // One registry fold per classification.  No latency is observed,
+            // so the loop never reads the clock.
+            let mut after = QueryStats::default();
+            for cursor in cursors.iter() {
+                after.merge(cursor.stats());
+            }
+            bt_anytree::obs::record_external_query(&after.delta_since(&before), None);
+            (
+                AnytimeTrace {
+                    labels,
+                    final_posteriors: posteriors,
+                },
+                nodes_read,
+            )
+        })
+    }
 }
 
 impl AnytimeClassifier {
@@ -193,35 +389,11 @@ impl AnytimeClassifier {
         Self {
             trees,
             priors: dataset.class_priors(),
-            class_names: dataset.class_names().to_vec(),
+            class_names: Arc::from(dataset.class_names()),
             config: config.clone(),
             dims,
             roots: OnceLock::new(),
         }
-    }
-
-    /// Number of classes.
-    #[must_use]
-    pub fn num_classes(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Feature dimensionality.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The per-class trees.
-    #[must_use]
-    pub fn trees(&self) -> &[BayesTree] {
-        &self.trees
-    }
-
-    /// The class priors `P(c)`.
-    #[must_use]
-    pub fn priors(&self) -> &[f64] {
-        &self.priors
     }
 
     /// Class names, indexed by label.
@@ -290,67 +462,6 @@ impl AnytimeClassifier {
             *prior = tree.len() as f64 / total;
         }
     }
-
-    /// Classifies `x` spending at most `budget` node reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality or a NaN
-    /// coordinate.
-    #[must_use]
-    pub fn classify_with_budget(&self, x: &[f64], budget: usize) -> Classification {
-        let (trace, nodes_read) = self.run_anytime(x, budget, false);
-        Classification {
-            label: *trace.labels.last().expect("trace is never empty"),
-            posteriors: trace.final_posteriors,
-            nodes_read,
-        }
-    }
-
-    /// Produces the full anytime trace: the decision after every node read up
-    /// to `max_nodes` (or until every frontier is exhausted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality or a NaN
-    /// coordinate.
-    #[must_use]
-    pub fn anytime_trace(&self, x: &[f64], max_nodes: usize) -> AnytimeTrace {
-        self.run_anytime(x, max_nodes, true).0
-    }
-
-    fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
-        assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        // `build_tree` builds every class tree with one shard, so each class
-        // refines one frontier.
-        let classes: Vec<_> = self
-            .trees
-            .iter()
-            .map(|t| (t.shard(0), t.query_model()))
-            .collect();
-        let forest = ClassForest {
-            classes,
-            roots: &self.roots,
-            priors: &self.priors,
-            refinement: self.config.refinement,
-            descent: self.config.descent,
-        };
-        run_anytime_over(&forest, x, budget, record_all)
-    }
-}
-
-/// What a classification reads of a classifier or of its snapshot.
-pub(crate) struct ClassForest<'a, V> {
-    /// Per class: the view its frontier refines and its query model.
-    pub(crate) classes: Vec<(&'a V, KernelQueryModel<'a>)>,
-    /// The class roots' stacked block, gathered on first use.
-    pub(crate) roots: &'a OnceLock<RootBlock>,
-    /// The class priors `P(c)`.
-    pub(crate) priors: &'a [f64],
-    /// Which class refines next.
-    pub(crate) refinement: RefinementStrategy,
-    /// Which element of a class frontier refines next.
-    pub(crate) descent: DescentStrategy,
 }
 
 /// Every class root's frontier elements in one column block, class after
@@ -418,136 +529,6 @@ impl RootBlock {
             lanes,
         }
     }
-}
-
-/// The anytime classification loop over a [`ClassForest`]'s per-class
-/// `(view, model)` pairs — the live classifier and its epoch-pinned snapshot
-/// ([`crate::ClassifierSnapshot`]) run literally this code.  Each class's
-/// frontier lives on one of this thread's pooled scratch cursors
-/// ([`with_scratch_cursors`]), so a classification builds no cursor of its
-/// own.  Returns the trace plus the number of refinements (node reads)
-/// actually performed.
-///
-/// The 0-read root mixture is one pass: the forest's `roots` (gathered on
-/// first use) holds every class root's lanes, one [`node_estimates_block`]
-/// call scores them all, and each class cursor is seeded from its own
-/// lanes by [`QueryCursor::begin_scored`] with the score its own model
-/// gives — `weight / n_c * exp(log_pdf)` — so every frontier equals the
-/// one [`TreeView::begin_query`] builds.  Each class root counts as one
-/// block gather when this call gathered `roots`, else as one gather
-/// avoided.
-///
-/// The loop reads each frontier's point estimate and nothing of its
-/// bounds, so every class scores through its model's estimate-only form
-/// ([`EstimateModel`]): directory nodes skip the two box log-kernels, and
-/// the estimates — hence every decision — equal the full model's bit for
-/// bit.
-///
-/// A NaN coordinate is rejected: it would score 0 in every class, so the
-/// decision would silently fall back to the priors.  ±inf is a valid
-/// far-away query.
-pub(crate) fn run_anytime_over<V: TreeView<KernelSummary, Vec<f64>>>(
-    forest: &ClassForest<'_, V>,
-    x: &[f64],
-    budget: usize,
-    record_all: bool,
-) -> (AnytimeTrace, usize) {
-    let ClassForest {
-        ref classes,
-        roots,
-        priors,
-        refinement,
-        descent,
-    } = *forest;
-    assert!(
-        x.iter().all(|v| !v.is_nan()),
-        "query coordinates must not be NaN"
-    );
-    let order: RefineOrder = descent.into();
-    debug_assert!(
-        order != RefineOrder::WidestBound,
-        "no descent strategy maps to WidestBound, the only order that reads the bounds EstimateModel skips"
-    );
-    let mut gathered = false;
-    let roots = roots.get_or_init(|| {
-        gathered = true;
-        RootBlock::gather(classes)
-    });
-    with_scratch_cursors(classes.len(), |cursors| {
-        // Pooled cursors keep counting across queries: the registry gets
-        // the work done since `before`, summed over every class.
-        let mut before = QueryStats::default();
-        for cursor in cursors.iter() {
-            before.merge(cursor.stats());
-        }
-        // The root pass borrows the first cursor's output lanes.
-        let mut lanes = std::mem::take(cursors[0].scratch_lanes());
-        let [log_pdf, dist, ..] = &mut lanes;
-        node_estimates_block(x, &roots.block, log_pdf, dist);
-        let weights = roots.block.weights();
-        let mut scores = Vec::with_capacity(classes.len());
-        let mut refinable = Vec::with_capacity(classes.len());
-        for ((((_, model), (root, span)), cursor), &prior) in classes
-            .iter()
-            .zip(&roots.spans)
-            .zip(cursors.iter_mut())
-            .zip(priors)
-        {
-            let model = EstimateModel(*model);
-            let elements = span.clone().map(|lane| {
-                let (child, origin) = roots.lanes[lane];
-                let score = model.lane_score(weights[lane], log_pdf[lane], dist[lane]);
-                (child, origin, score)
-            });
-            cursor.begin_scored(x, *root, gathered, elements);
-            scores.push(class_score(prior, cursor));
-            refinable.push(cursor.can_refine());
-        }
-        *cursors[0].scratch_lanes() = lanes;
-
-        let mut scheduler = RefinementScheduler::new(refinement, classes.len());
-        let mut labels = Vec::new();
-        let mut posteriors = Vec::new();
-        if record_all {
-            normalise_into(&scores, priors, &mut posteriors);
-            labels.push(argmax(&posteriors));
-        }
-        let mut nodes_read = 0usize;
-        for _ in 0..budget {
-            let Some(class) = scheduler.next_class(&scores, &refinable) else {
-                break;
-            };
-            // Only the refined class's frontier moved: update its entries.
-            let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
-            view.refine_query(&EstimateModel(*model), order, cursor);
-            scores[class] = class_score(priors[class], cursor);
-            refinable[class] = cursor.can_refine();
-            nodes_read += 1;
-            if record_all {
-                normalise_into(&scores, priors, &mut posteriors);
-                labels.push(argmax(&posteriors));
-            }
-        }
-        if !record_all {
-            // Only the final decision is needed.
-            normalise_into(&scores, priors, &mut posteriors);
-            labels.push(argmax(&posteriors));
-        }
-        // One registry fold per classification.  No latency is observed,
-        // so the loop never reads the clock.
-        let mut after = QueryStats::default();
-        for cursor in cursors.iter() {
-            after.merge(cursor.stats());
-        }
-        bt_anytree::obs::record_external_query(&after.delta_since(&before), None);
-        (
-            AnytimeTrace {
-                labels,
-                final_posteriors: posteriors,
-            },
-            nodes_read,
-        )
-    })
 }
 
 /// The unnormalised posterior `P(c) * pdq(x, E_c)` of one class frontier.

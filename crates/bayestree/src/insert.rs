@@ -115,8 +115,8 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
         assert_finite([&point]);
         let mut model = KernelModel::new(self.dims());
         // The Bayes tree always descends to a leaf: an unbounded budget.
-        let _ = self.core_mut().insert(&mut model, point, usize::MAX);
-        self.add_points(1);
+        let _ = self.core.insert(&mut model, point, usize::MAX);
+        self.num_points += 1;
     }
 
     /// Inserts every observation of an iterator in order.
@@ -149,8 +149,8 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
             "point dimensionality mismatch"
         );
         assert_finite(&points);
-        self.add_points(points.len());
-        self.core_mut()
+        self.num_points += points.len();
+        self.core
             .insert_batch(&|| KernelModel::new(dims), points, usize::MAX)
     }
 
@@ -183,10 +183,10 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
         assert_finite(&points);
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
-        let bandwidth = std::sync::Arc::clone(self.kernel_bandwidth());
+        let bandwidth = std::sync::Arc::clone(&self.bandwidth);
         let query_model = KernelQueryModel::new(self.len(), &bandwidth);
-        self.add_points(points.len());
-        self.core_mut().pipelined_batch(
+        self.num_points += points.len();
+        self.core.pipelined_batch(
             &|| KernelModel::new(dims),
             points,
             usize::MAX,

@@ -31,8 +31,13 @@
 //!   insert-free anytime outlier scoring workload
 //!   ([`BayesTree::outlier_score`]).  Every query refines the per-shard
 //!   frontiers (in parallel when several are busy) and folds them into one
-//!   global mixture answer, [`bt_anytree::QueryAnswer`]; the
-//!   [`BayesTreeSnapshot`] answers through the same fold,
+//!   global mixture answer, [`bt_anytree::QueryAnswer`],
+//! * [`tree::BayesIndex`] — the one struct behind [`BayesTree`] and
+//!   [`BayesTreeSnapshot`]: it is generic over its shard set
+//!   ([`bt_anytree::ShardSet`]), live or pinned, so each read method is
+//!   written once and the snapshot runs exactly the live tree's code
+//!   (writes and `snapshot()` exist on the live tree only; the classifier
+//!   does the same through [`classifier::Classifier`]),
 //! * [`classifier::AnytimeClassifier`] — one tree per class, the qbk
 //!   refinement strategy and budgeted classification.  The single
 //!   multi-class tree that Section 4.1 sketches as future work is less
@@ -43,7 +48,7 @@
 //!
 //! ## Stored precision
 //!
-//! [`BayesTree`] (and its snapshot) carry a stored-precision parameter `E`
+//! [`BayesTree`] and its snapshot carry a stored-precision parameter `E`
 //! defaulting to `f64`.  [`BayesTreeQuantized`] stores every directory
 //! summary at 16 bits: CF components become mantissas against a shared
 //! per-summary block exponent and MBR corners become outward-rounded
@@ -102,7 +107,10 @@ pub mod tree;
 pub mod view;
 
 pub use bulk::{build_tree, BulkLoadMethod};
-pub use classifier::{AnytimeClassifier, AnytimeTrace, Classification, ClassifierConfig};
+pub use classifier::{
+    AnytimeClassifier, AnytimeTrace, Classification, Classifier, ClassifierConfig,
+    ClassifierSnapshot,
+};
 pub use descent::{DescentStrategy, PriorityMeasure};
 pub use node::{
     Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
@@ -110,8 +118,7 @@ pub use node::{
 };
 pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
-pub use tree::{BayesCore, BayesTree};
-pub use view::{BayesTreeSnapshot, ClassifierSnapshot};
+pub use tree::{BayesCore, BayesIndex, BayesTree, BayesTreeSnapshot};
 
 /// A Bayes tree whose stored summaries are block-exponent quantised: CF
 /// linear/squared sums as 16-bit mantissas against a shared per-summary

@@ -39,20 +39,21 @@
 //!   lie outside `[lower, upper]`; it is not clamped, so every estimate
 //!   and every classification keeps its bits.
 //!
-//! On top of the model this module gives [`BayesTree`] budget-bracketed
-//! density queries ([`BayesTree::anytime_density`],
-//! [`BayesTree::density_batch`]) and the first insert-free workload over the
-//! same index: anytime outlier scoring ([`BayesTree::outlier_score`]), whose
-//! score *is* the refinable density interval.  Each is the shared query
-//! fold ([`bt_anytree::shard`]) over the tree's shards — one for a plain
-//! tree — so every tree and its snapshot answer through one engine.
+//! On top of the model this module gives every [`BayesIndex`] — the live
+//! [`BayesTree`](crate::BayesTree) and its snapshot alike —
+//! budget-bracketed density queries ([`BayesIndex::anytime_density`],
+//! [`BayesIndex::density_batch`]) and the first insert-free workload over
+//! the same index: anytime outlier scoring ([`BayesIndex::outlier_score`]),
+//! whose score *is* the refinable density interval.  Each is written once,
+//! as the shared query fold ([`bt_anytree::shard`]) over the shard set's
+//! views — one for a plain tree.
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::node::{StoredElement, StoredSummary};
-use crate::tree::BayesTree;
+use crate::tree::BayesIndex;
 use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, Entry, OutlierScore, QueryAnswer, QueryModel,
-    QueryStats, RefineOrder, SummaryScore,
+    QueryStats, RefineOrder, ShardSet, SummaryScore,
 };
 use bt_stats::kernel::{
     certified_bounds, cf_margin, leaf_scores_block, node_estimates_block, node_scores_block,
@@ -383,7 +384,7 @@ impl From<DescentStrategy> for RefineOrder {
     }
 }
 
-impl<E: StoredElement, R> BayesTree<E, R> {
+impl<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>> BayesIndex<E, C> {
     /// The kernel-density query model of this tree: normalised by the
     /// **global** observation count, so per-shard partial densities fold by
     /// summation; kernels evaluated with the tree's bandwidth.
@@ -393,7 +394,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// reference bit for bit.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.len(), self.kernel_bandwidth())
+        KernelQueryModel::new(self.num_points, &self.bandwidth)
     }
 
     /// Budget-bracketed anytime density query: refines every shard's
@@ -414,7 +415,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         budget: usize,
     ) -> QueryAnswer {
         let model = self.query_model();
-        query_over(self.shards(), &model, x, strategy.into(), budget)
+        query_over(self.core.shards(), &model, x, strategy.into(), budget)
     }
 
     /// Refines a batch of density queries through one reused cursor per
@@ -433,7 +434,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model();
-        query_batch_over(self.shards(), &model, queries, strategy.into(), budget)
+        query_batch_over(self.core.shards(), &model, queries, strategy.into(), budget)
     }
 
     /// Anytime outlier scoring: refines the density bounds (widest interval
@@ -448,13 +449,14 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
         let model = self.query_model();
-        outlier_score_over(self.shards(), &model, x, threshold, budget)
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BayesTree;
     use bt_anytree::{OutlierVerdict, Summary as _, TreeView};
     use bt_index::PageGeometry;
     use bt_stats::BlockScratch;
@@ -557,7 +559,7 @@ mod tests {
     /// (quantised).
     fn assert_block_scores_match_the_scalar_reference<E: StoredElement>(tree: &BayesTree<E>) {
         let model = tree.query_model();
-        let bandwidth = tree.kernel_bandwidth();
+        let bandwidth = &tree.bandwidth;
         let mut scratch = BlockScratch::new();
         let mut scores = Vec::new();
         let mut inner_nodes = 0;
@@ -634,7 +636,7 @@ mod tests {
                 for entry in entries {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
-                    let (far, near) = summary.bound_log_kernels(&query, tree.kernel_bandwidth());
+                    let (far, near) = summary.bound_log_kernels(&query, &tree.bandwidth);
                     let (lower, upper) = model.summary_bounds(&query, summary);
                     assert!(lower >= scale * far.exp() && upper <= scale * near.exp());
                     entries_seen += 1;

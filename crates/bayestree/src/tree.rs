@@ -16,17 +16,26 @@
 //! ([`crate::bulk`]).
 
 use crate::node::{node_cluster_feature, node_mbr, Entry, NodeId, StoredElement, StoredSummary};
-use bt_anytree::{AnytimeTree, CheapestRouter, DescentStats, NodeKind, ShardedAnytimeTree};
+use bt_anytree::{
+    AnytimeTree, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
+    ShardedTreeSnapshot,
+};
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
 use bt_stats::kernel::{GaussianKernel, Kernel, KernelBandwidth};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// One shard of a Bayes tree: the shared arena-tree core over the stored
 /// summaries `S` with raw kernel centres as leaf items.
 pub type BayesCore<S> = AnytimeTree<S, Vec<f64>>;
 
-/// The Bayes tree: an R*-tree–style hierarchy of Gaussian mixture models.
+/// The Bayes tree over the shard set `C`: an R*-tree–style hierarchy of
+/// Gaussian mixture models.  Two instantiations exist, each named by an
+/// alias: [`BayesTree`] reads and writes the live shards, and
+/// [`BayesTreeSnapshot`] reads shards pinned by [`BayesTree::snapshot`]
+/// (`crate::view`).  Every read is written once, over any [`ShardSet`];
+/// the writes and `snapshot()` exist on the live tree only.
 ///
 /// The stored-mode parameter `E` (default `f64`) selects how entry
 /// summaries are *stored*; see [`crate::node`] for the precision contract.
@@ -39,16 +48,72 @@ pub type BayesCore<S> = AnytimeTree<S, Vec<f64>>;
 /// build `K`, routed by `R` (default [`CheapestRouter`]), whose batches
 /// descend in parallel.  Kernel density estimates are sums over kernels, so
 /// the full-model density is the same however the kernels are partitioned:
-/// `p(x) = (1/N) Σ_shards Σ_kernels K_h(x - x_i)`.  Every reader below
-/// folds over [`BayesTree::shards`]; per-node inspection goes through
+/// `p(x) = (1/N) Σ_shards Σ_kernels K_h(x - x_i)`.  Every reader folds over
+/// the shard set's views; per-node inspection goes through
 /// [`BayesTree::shard`].
 #[derive(Debug, Clone)]
-pub struct BayesTree<E: StoredElement = f64, R = CheapestRouter> {
-    core: ShardedAnytimeTree<E::Summary, Vec<f64>, R>,
-    num_points: usize,
+pub struct BayesIndex<E, C> {
+    pub(crate) core: C,
+    pub(crate) num_points: usize,
     /// The bandwidth with its cached scoring terms; shared with snapshots,
     /// replaced (never mutated) when the bandwidth changes.
-    bandwidth: Arc<KernelBandwidth>,
+    pub(crate) bandwidth: Arc<KernelBandwidth>,
+    /// The stored mode, a type-level choice: no `E` value is stored.
+    pub(crate) mode: PhantomData<E>,
+}
+
+/// The live Bayes tree: reads, writes and snapshots over its own shards.
+pub type BayesTree<E = f64, R = CheapestRouter> =
+    BayesIndex<E, ShardedAnytimeTree<<E as StoredElement>::Summary, Vec<f64>, R>>;
+
+/// An epoch-pinned, immutable view of a [`BayesTree`]: one pinned core
+/// snapshot per shard (a plain tree is one shard) plus the density-model
+/// parameters (global observation count, bandwidth) frozen at snapshot
+/// time.  `Send + Sync`; it answers every read bit-identically to the
+/// live tree at snapshot time.
+pub type BayesTreeSnapshot<E = f64> =
+    BayesIndex<E, ShardedTreeSnapshot<<E as StoredElement>::Summary, Vec<f64>>>;
+
+impl<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>> BayesIndex<E, C> {
+    /// Dimensionality of the stored kernels.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.core.dims()
+    }
+
+    /// Number of stored observations across all shards.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.num_points
+    }
+
+    /// Whether the tree stores no observations.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.num_points == 0
+    }
+
+    /// The epoch of every shard: the batches committed so far on a live
+    /// tree, the pinned ones on a snapshot.  A snapshot taken now pins the
+    /// live tree's values.
+    #[must_use]
+    pub fn epochs(&self) -> Vec<u64> {
+        self.core.epochs()
+    }
+
+    /// The per-dimension kernel bandwidth used for leaf-level kernels.
+    #[must_use]
+    pub fn bandwidth(&self) -> &[f64] {
+        self.bandwidth.values()
+    }
+
+    /// The shard set: the live [`ShardedAnytimeTree`] or the pinned
+    /// [`ShardedTreeSnapshot`], whose views the query folds read (and
+    /// frontier construction starts from, `core().shard(0)`).
+    #[must_use]
+    pub fn core(&self) -> &C {
+        &self.core
+    }
 }
 
 impl<E: StoredElement> BayesTree<E> {
@@ -110,13 +175,8 @@ impl<E: StoredElement, R> BayesTree<E, R> {
             core: ShardedAnytimeTree::with_router(dims, geometry, num_shards, router),
             num_points: 0,
             bandwidth: Arc::new(KernelBandwidth::new(vec![1.0; dims])),
+            mode: PhantomData,
         }
-    }
-
-    /// Dimensionality of the stored kernels.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.core.dims()
     }
 
     /// Fanout / leaf-capacity parameters shared by every shard.
@@ -129,18 +189,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.core.num_shards()
-    }
-
-    /// Number of stored observations across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_points
-    }
-
-    /// Whether the tree stores no observations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_points == 0
     }
 
     /// Height of the tallest shard (a single leaf root has height 1).
@@ -174,11 +222,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         self.core.shard_mut(k)
     }
 
-    /// The shared sharding layer (crate-internal: insertion drives it).
-    pub(crate) fn core_mut(&mut self) -> &mut ShardedAnytimeTree<E::Summary, Vec<f64>, R> {
-        &mut self.core
-    }
-
     /// Observations routed to each shard so far — the direct skew measure
     /// for the configured router.  Counted at routing time: during a
     /// [`Self::pipelined_batch`] the sizes already include the in-flight
@@ -204,13 +247,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         self.core.summary_refreshes()
     }
 
-    /// The published epoch of every shard (batches committed so far);
-    /// [`BayesTree::snapshot`](crate::view) pins these values.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.core.epochs()
-    }
-
     /// Retired node copies created by copy-on-write so far — zero as long
     /// as no snapshot (and no cloned tree, which shares the arena slots the
     /// same way) overlaps a write.
@@ -223,19 +259,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     #[must_use]
     pub fn pinned_snapshots(&self) -> usize {
         self.core.pinned_snapshots()
-    }
-
-    /// The per-dimension kernel bandwidth used for leaf-level kernels.
-    #[must_use]
-    pub fn bandwidth(&self) -> &[f64] {
-        self.bandwidth.values()
-    }
-
-    /// The bandwidth together with its cached kernel terms — what the
-    /// query model borrows and snapshots share.
-    #[must_use]
-    pub(crate) fn kernel_bandwidth(&self) -> &Arc<KernelBandwidth> {
-        &self.bandwidth
     }
 
     /// Overrides the kernel bandwidth.
@@ -373,16 +396,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
             ));
         }
         Ok(())
-    }
-
-    /// Sets the stored observation count (used by bulk loaders).
-    pub(crate) fn set_num_points(&mut self, n: usize) {
-        self.num_points = n;
-    }
-
-    /// Adds `count` to the stored observation count (used by insertion).
-    pub(crate) fn add_points(&mut self, count: usize) {
-        self.num_points += count;
     }
 }
 
@@ -628,7 +641,7 @@ mod tests {
         let mut tree: BayesTree = BayesTree::new(1, geometry());
         tree.shard_mut(0).node_mut(0).items_mut().push(vec![1.0]);
         tree.shard_mut(0).node_mut(0).items_mut().push(vec![3.0]);
-        tree.set_num_points(2);
+        tree.num_points = 2;
         let entries = tree.root_entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].weight(), 2.0);
@@ -640,7 +653,7 @@ mod tests {
         let mut tree: BayesTree = BayesTree::new(1, geometry());
         tree.shard_mut(0).node_mut(0).items_mut().push(vec![-1.0]);
         tree.shard_mut(0).node_mut(0).items_mut().push(vec![1.0]);
-        tree.set_num_points(2);
+        tree.num_points = 2;
         tree.set_bandwidth(vec![1.0]);
         let d = tree.full_kernel_density(&[0.0]);
         let kernel = GaussianKernel;

@@ -7,7 +7,7 @@
 //! (every write empties the node's slot).
 
 use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy};
-use bt_anytree::{Node, NodeId, QueryAnswer, Summary, TreeView};
+use bt_anytree::{Node, NodeId, QueryAnswer, ShardSet, Summary, TreeView};
 use bt_index::PageGeometry;
 
 /// Delegating view whose `block_cache` stays at the default `None` — the

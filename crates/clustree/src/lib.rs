@@ -29,8 +29,12 @@
 //!   certain bounds ([`ClusTree::anytime_density`]) and anytime outlier
 //!   scoring ([`ClusTree::outlier_score`]).  Every query refines the
 //!   per-shard frontiers (in parallel when several are busy) and folds
-//!   them, k-NN ranking included ([`knn_over`]); the [`ClusTreeSnapshot`]
-//!   answers through the same fold.
+//!   them, k-NN ranking included ([`knn_over`]),
+//! * [`tree::ClusIndex`] — the one struct behind [`ClusTree`] and
+//!   [`ClusTreeSnapshot`]: it is generic over its shard set
+//!   ([`bt_anytree::ShardSet`]), live or pinned, so each read method is
+//!   written once and the snapshot runs exactly the live tree's code
+//!   (writes and `snapshot()` exist on the live tree only).
 //!
 //! Because the index is the shared [`bt_anytree::AnytimeTree`] core, every
 //! [`ClusTree`] also inherits the `bt-obs` instrumentation: budgeted
@@ -68,6 +72,6 @@ pub use offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 pub use query::{knn_over, ClusQueryModel, ClusterNeighbor, KnnAnswer};
 pub use snapshot::SnapshotStore;
 pub use tree::{
-    BatchOutcome, ClusCore, ClusModel, ClusTree, ClusTreeConfig, DepthHistogram, InsertOutcome,
+    BatchOutcome, ClusCore, ClusIndex, ClusModel, ClusTree, ClusTreeConfig, ClusTreeSnapshot,
+    DepthHistogram, InsertOutcome,
 };
-pub use view::ClusTreeSnapshot;

@@ -4,7 +4,7 @@
 //! Two insert-free workloads run over the same index the stream writes to:
 //!
 //! * **Anytime k-NN micro-cluster retrieval**
-//!   ([`ClusTree::anytime_knn`]) — at budget 0 the answer is the root-level
+//!   ([`ClusIndex::anytime_knn`]) — at budget 0 the answer is the root-level
 //!   cluster summaries; every node read splits the frontier element closest
 //!   to the query into finer clusters, so the returned neighbours sharpen
 //!   from coarse inner aggregates to leaf micro-clusters as budget grows —
@@ -12,7 +12,7 @@
 //!   distances, so its frontiers score through a distance-only model: one
 //!   squared-distance pass per node, no kernel, no `exp`.
 //! * **Anytime density scoring / outlier detection**
-//!   ([`ClusTree::anytime_density`], [`ClusTree::outlier_score`]) — the
+//!   ([`ClusIndex::anytime_density`], [`ClusIndex::outlier_score`]) — the
 //!   [`ClusQueryModel`] scores a micro-cluster by the Gaussian product
 //!   kernel evaluated at the cluster's *exact* per-dimension mean squared
 //!   distance to the query, `E[(x_d - q_d)²] = (c_d - q_d)² + var_d`, which
@@ -50,11 +50,11 @@
 //! exact.
 
 use crate::microcluster::MicroCluster;
-use crate::tree::ClusTree;
+use crate::tree::ClusIndex;
 use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, refine_frontiers_over, ElementOrigin, Entry,
     NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement, QueryModel, QueryStats,
-    RefineOrder, SummaryScore, TreeView,
+    RefineOrder, ShardSet, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     cluster_scores_block, log_kernel_at, nearest_point_log_kernel, smoothed_farthest_log_kernel,
@@ -594,7 +594,7 @@ pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     )
 }
 
-impl<R> ClusTree<R> {
+impl<C: ShardSet<MicroCluster, MicroCluster>> ClusIndex<C> {
     /// The micro-cluster query model of this tree: normalised by the
     /// **global** stored weight across all shards (so per-shard partial
     /// scores fold by summation), smoothing with `bandwidth`, merging with
@@ -606,7 +606,7 @@ impl<R> ClusTree<R> {
     /// that is not finite and positive.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        ClusQueryModel::over(self.shards(), bandwidth, self.config().decay_lambda)
+        ClusQueryModel::over(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
     /// Budget-bracketed anytime density score: refines every shard's
@@ -627,7 +627,7 @@ impl<R> ClusTree<R> {
         budget: usize,
     ) -> QueryAnswer {
         let model = self.query_model(bandwidth);
-        query_over(self.shards(), &model, x, order, budget)
+        query_over(self.core.shards(), &model, x, order, budget)
     }
 
     /// Refines a batch of density queries through one reused cursor per
@@ -646,7 +646,7 @@ impl<R> ClusTree<R> {
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
         let model = self.query_model(bandwidth);
-        query_batch_over(self.shards(), &model, queries, order, budget)
+        query_batch_over(self.core.shards(), &model, queries, order, budget)
     }
 
     /// Anytime k-NN micro-cluster retrieval: refines every shard's frontier
@@ -661,7 +661,7 @@ impl<R> ClusTree<R> {
     /// coordinate.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        knn_with_decay(self.shards(), self.config().decay_lambda, x, k, budget)
+        knn_with_decay(self.core.shards(), self.config.decay_lambda, x, k, budget)
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound
@@ -681,13 +681,14 @@ impl<R> ClusTree<R> {
         budget: usize,
     ) -> OutlierScore {
         let model = self.query_model(bandwidth);
-        outlier_score_over(self.shards(), &model, x, threshold, budget)
+        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::ClusTree;
     use crate::tree::ClusTreeConfig;
     use bt_anytree::OutlierVerdict;
     use bt_stats::BlockScratch;

@@ -42,7 +42,7 @@ use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 use crate::snapshot::SnapshotStore;
 use bt_anytree::{
     AnytimeTree, CheapestRouter, DescentStats, Entry, InsertModel, Node, NodeId, NodeKind,
-    PipelinedOutcome, RefineOrder, ShardRouter, ShardedAnytimeTree,
+    PipelinedOutcome, RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree, ShardedTreeSnapshot,
 };
 use bt_index::PageGeometry;
 use bt_stats::vector::sq_dist;
@@ -287,14 +287,91 @@ fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
 /// One shard of a ClusTree: the shared arena-tree core over micro-clusters.
 pub type ClusCore = AnytimeTree<MicroCluster, MicroCluster>;
 
-/// The anytime stream-clustering index over `K` shards (one unless built
-/// with [`ClusTree::sharded`] or [`ClusTree::with_router`]), routed by `R`.
+/// The anytime stream-clustering index over the shard set `C`.  Two
+/// instantiations exist, each named by an alias: [`ClusTree`] reads and
+/// writes the live shards, and [`ClusTreeSnapshot`] reads shards pinned by
+/// [`ClusTree::snapshot`] (`crate::view`).  Every read is written once, over
+/// any [`ShardSet`]; the writes and `snapshot()` exist on the live tree
+/// only.
 #[derive(Debug, Clone)]
-pub struct ClusTree<R = CheapestRouter> {
-    config: ClusTreeConfig,
-    core: ShardedAnytimeTree<MicroCluster, MicroCluster, R>,
-    num_inserted: usize,
-    current_time: f64,
+pub struct ClusIndex<C> {
+    pub(crate) config: ClusTreeConfig,
+    pub(crate) core: C,
+    pub(crate) num_inserted: usize,
+    pub(crate) current_time: f64,
+}
+
+/// The live anytime stream-clustering index over `K` shards (one unless
+/// built with [`ClusTree::sharded`] or [`ClusTree::with_router`]), routed
+/// by `R`.
+pub type ClusTree<R = CheapestRouter> =
+    ClusIndex<ShardedAnytimeTree<MicroCluster, MicroCluster, R>>;
+
+/// An epoch-pinned, immutable view of a [`ClusTree`]: one pinned core
+/// snapshot per shard (a plain tree is one shard) plus the model parameters
+/// (decay rate, current time, insert count) frozen at snapshot time.
+/// `Send + Sync`; it answers every read bit-identically to the live tree
+/// at snapshot time.
+pub type ClusTreeSnapshot = ClusIndex<ShardedTreeSnapshot<MicroCluster, MicroCluster>>;
+
+impl<C: ShardSet<MicroCluster, MicroCluster>> ClusIndex<C> {
+    /// Dimensionality of the clustered points.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.core.dims()
+    }
+
+    /// Number of objects inserted so far (across all shards).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.num_inserted
+    }
+
+    /// Whether no objects have been inserted yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.num_inserted == 0
+    }
+
+    /// The latest timestamp seen.
+    #[must_use]
+    pub fn current_time(&self) -> f64 {
+        self.current_time
+    }
+
+    /// The epoch of every shard: the batches committed so far on a live
+    /// tree, the pinned ones on a snapshot.  A snapshot taken now pins the
+    /// live tree's values.
+    #[must_use]
+    pub fn epochs(&self) -> Vec<u64> {
+        self.core.epochs()
+    }
+
+    /// The shard set: the live [`ShardedAnytimeTree`] or the pinned
+    /// [`ShardedTreeSnapshot`], whose views the query folds read.
+    #[must_use]
+    pub fn core(&self) -> &C {
+        &self.core
+    }
+
+    /// All current micro-clusters, **folded over the shards**: every
+    /// shard's leaf entries plus non-empty hitchhiker buffers, decayed to
+    /// the tree's current time (frozen on a snapshot), weightless ones
+    /// dropped.  This fold is the
+    /// input to the offline step — macro clustering and snapshots do not
+    /// care how the model was partitioned.
+    #[must_use]
+    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
+        let mut out = Vec::new();
+        for view in self.core.shards() {
+            collect_micro_clusters(view, &mut out);
+        }
+        for mc in &mut out {
+            mc.decay_to(self.current_time, self.config.decay_lambda);
+        }
+        out.retain(|mc| mc.weight() > f64::EPSILON);
+        out
+    }
 }
 
 impl ClusTree {
@@ -343,28 +420,10 @@ impl<R> ClusTree<R> {
         }
     }
 
-    /// Dimensionality of the clustered points.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.core.dims()
-    }
-
     /// Number of shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.core.num_shards()
-    }
-
-    /// Number of objects inserted so far (across all shards).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_inserted
-    }
-
-    /// Whether no objects have been inserted yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_inserted == 0
     }
 
     /// The configuration the tree was created with.
@@ -377,12 +436,6 @@ impl<R> ClusTree<R> {
     #[must_use]
     pub fn height(&self) -> usize {
         self.core.height()
-    }
-
-    /// The latest timestamp seen.
-    #[must_use]
-    pub fn current_time(&self) -> f64 {
-        self.current_time
     }
 
     /// The shard trees, for per-node inspection through
@@ -428,13 +481,6 @@ impl<R> ClusTree<R> {
         self.core.summary_refreshes()
     }
 
-    /// The published epoch of every shard (batches committed so far);
-    /// [`ClusTree::snapshot`](crate::view) pins these values.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.core.epochs()
-    }
-
     /// Retired node copies created by copy-on-write so far — zero as long
     /// as no snapshot (and no cloned tree, which shares the arena slots the
     /// same way) overlaps a write.
@@ -447,16 +493,6 @@ impl<R> ClusTree<R> {
     #[must_use]
     pub fn pinned_snapshots(&self) -> usize {
         self.core.pinned_snapshots()
-    }
-
-    /// All current micro-clusters, **folded over the shards**: every
-    /// shard's leaf entries plus non-empty hitchhiker buffers, decayed to
-    /// the tree's current time.  This fold is the input to the offline step
-    /// — macro clustering and snapshots do not care how the model was
-    /// partitioned.
-    #[must_use]
-    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        fold_micro_clusters(self.shards(), self.current_time, self.config.decay_lambda)
     }
 
     /// Number of current micro-clusters.
@@ -651,25 +687,6 @@ fn boxes_nest(core: &ClusCore, entry: &Entry<MicroCluster>) -> bool {
         NodeKind::Inner { entries } => entries.iter().all(|e| contained(&e.summary)),
     };
     children && entry.buffer.as_ref().is_none_or(contained)
-}
-
-/// The micro-clusters of a slice of core views (a live tree's shards or a
-/// snapshot's), decayed to `now` with rate `lambda`, weightless ones
-/// dropped.
-pub(crate) fn fold_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
-    views: &[V],
-    now: f64,
-    lambda: f64,
-) -> Vec<MicroCluster> {
-    let mut out = Vec::new();
-    for view in views {
-        collect_micro_clusters(view, &mut out);
-    }
-    for mc in &mut out {
-        mc.decay_to(now, lambda);
-    }
-    out.retain(|mc| mc.weight() > f64::EPSILON);
-    out
 }
 
 /// Gathers the raw (undecayed) micro-clusters of one core tree view: leaf

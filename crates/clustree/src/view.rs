@@ -6,159 +6,15 @@
 //! `Send + Sync` view whose density / k-NN / outlier answers stay
 //! bit-identical to the moment it was taken, while later mini-batches keep
 //! mutating the live tree (writers copy-on-write any node a snapshot still
-//! pins).  It holds a [`ShardedTreeSnapshot`] — one pinned shard per shard
-//! of the [`ClusTree`], one for a plain tree — and answers through the same
-//! query fold the live tree uses.
+//! pins).
+//!
+//! A snapshot is not a type of its own: [`ClusTreeSnapshot`] is the
+//! [`ClusIndex`] over a [`ShardedTreeSnapshot`] — one pinned shard per
+//! shard of the [`ClusTree`] — so it answers through the very read methods
+//! the live tree runs.  This module holds only its constructor.
 
-use crate::microcluster::MicroCluster;
-use crate::query::{knn_with_decay, ClusQueryModel, KnnAnswer};
-use crate::tree::{fold_micro_clusters, ClusTree, ClusTreeConfig};
-use bt_anytree::{
-    outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryStats,
-    RefineOrder, ShardedTreeSnapshot,
-};
-
-/// An epoch-pinned, immutable view of a [`ClusTree`]: one pinned core
-/// snapshot per shard (a plain tree is one shard) plus the model parameters
-/// (decay rate, current time) frozen at snapshot time.
-#[derive(Debug, Clone)]
-pub struct ClusTreeSnapshot {
-    core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-    config: ClusTreeConfig,
-    current_time: f64,
-    num_inserted: usize,
-}
-
-impl ClusTreeSnapshot {
-    /// Dimensionality of the clustered points.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.core.dims()
-    }
-
-    /// Number of objects inserted at snapshot time (across all shards).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_inserted
-    }
-
-    /// Whether the snapshot holds no objects.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_inserted == 0
-    }
-
-    /// The per-shard epochs this snapshot pins.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.core.epochs()
-    }
-
-    /// The latest timestamp seen at snapshot time.
-    #[must_use]
-    pub fn current_time(&self) -> f64 {
-        self.current_time
-    }
-
-    /// The underlying per-shard core snapshots.
-    #[must_use]
-    pub fn core(&self) -> &ShardedTreeSnapshot<MicroCluster, MicroCluster> {
-        &self.core
-    }
-
-    /// All micro-clusters as of snapshot time, folded over the shards (leaf
-    /// entries plus non-empty hitchhiker buffers, decayed to the frozen
-    /// current time).
-    #[must_use]
-    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        fold_micro_clusters(
-            self.core.shards(),
-            self.current_time,
-            self.config.decay_lambda,
-        )
-    }
-
-    /// The micro-cluster query model frozen at snapshot time, normalised by
-    /// the **global** stored weight across the frozen shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth has the wrong dimensionality or a
-    /// non-positive component.
-    #[must_use]
-    pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        ClusQueryModel::over(self.core.shards(), bandwidth, self.config.decay_lambda)
-    }
-
-    /// Budget-bracketed anytime density score against the frozen shards
-    /// (see [`ClusTree::anytime_density`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality, or if
-    /// the query has a NaN coordinate.
-    #[must_use]
-    pub fn anytime_density(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> QueryAnswer {
-        let model = self.query_model(bandwidth);
-        query_over(self.core.shards(), &model, x, order, budget)
-    }
-
-    /// Batched density queries against the frozen shards (see
-    /// [`ClusTree::density_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query or the bandwidth has the wrong dimensionality,
-    /// or if a query has a NaN coordinate.
-    #[must_use]
-    pub fn density_batch(
-        &self,
-        queries: &[Vec<f64>],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        let model = self.query_model(bandwidth);
-        query_batch_over(self.core.shards(), &model, queries, order, budget)
-    }
-
-    /// Anytime k-NN micro-cluster retrieval against the frozen shards (see
-    /// [`ClusTree::anytime_knn`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality or a NaN
-    /// coordinate.
-    #[must_use]
-    pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        knn_with_decay(self.core.shards(), self.config.decay_lambda, x, k, budget)
-    }
-
-    /// Anytime outlier scoring against the frozen shards (see
-    /// [`ClusTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality, or if
-    /// the query has a NaN coordinate.
-    #[must_use]
-    pub fn outlier_score(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore {
-        let model = self.query_model(bandwidth);
-        outlier_score_over(self.core.shards(), &model, x, threshold, budget)
-    }
-}
+use crate::tree::{ClusIndex, ClusTree, ClusTreeSnapshot};
+use bt_anytree::ShardedTreeSnapshot;
 
 impl<R> ClusTree<R> {
     /// Takes an epoch-pinned snapshot of every shard: each shard's
@@ -169,11 +25,11 @@ impl<R> ClusTree<R> {
     /// batches mutate the tree.
     #[must_use]
     pub fn snapshot(&self) -> ClusTreeSnapshot {
-        ClusTreeSnapshot {
+        ClusIndex {
+            config: self.config.clone(),
             core: ShardedTreeSnapshot::new(self.shards()),
-            config: self.config().clone(),
-            current_time: self.current_time(),
-            num_inserted: self.len(),
+            num_inserted: self.num_inserted,
+            current_time: self.current_time,
         }
     }
 }
@@ -181,7 +37,8 @@ impl<R> ClusTree<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_anytree::OutlierVerdict;
+    use crate::tree::ClusTreeConfig;
+    use bt_anytree::{OutlierVerdict, RefineOrder};
 
     fn two_cluster_stream(n: usize) -> Vec<(Vec<f64>, f64)> {
         (0..n)

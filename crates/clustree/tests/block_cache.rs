@@ -7,7 +7,7 @@
 //! node's slot), and epoch-pinned snapshots stay frozen while the live
 //! cache churns.
 
-use bt_anytree::{Node, NodeId, QueryAnswer, RefineOrder, Summary, TreeView};
+use bt_anytree::{Node, NodeId, QueryAnswer, RefineOrder, ShardSet, Summary, TreeView};
 use clustree::{ClusTree, ClusTreeConfig};
 
 /// Delegating view whose `block_cache` stays at the default `None` — the

@@ -26,10 +26,6 @@
 //!   ([`sharding::clustering_shard_sweep`],
 //!   [`sharding::classifier_shard_sweep`]), with per-shard object counts
 //!   surfaced so router skew is observable,
-//! * the **query budget-vs-quality sweeps** over the anytime query engine:
-//!   mean bound width (non-increasing in budget) and estimate error per
-//!   node-read budget ([`query::density_budget_sweep`]), and folded sharded
-//!   query throughput at shards 1/2/4/8 ([`query::sharded_query_sweep`]),
 //! * the **pipelined insert+query sweeps** over the epoch-versioned
 //!   snapshot layer: solo versus concurrent-reader insert throughput, the
 //!   writer's throughput ratio, and snapshot queries answered per second at
@@ -53,7 +49,6 @@ pub mod clustering;
 pub mod curve;
 pub mod obs;
 pub mod pipeline;
-pub mod query;
 pub mod report;
 pub mod sharding;
 
@@ -61,11 +56,6 @@ pub use clustering::{batched_budget_sweep, BatchedClusteringQuality};
 pub use curve::{anytime_accuracy_curve, AccuracyCurve, CurveConfig};
 pub use obs::RegistryCapture;
 pub use pipeline::{pipelined_sweep, PipelinedThroughput};
-pub use query::{
-    bytes_per_scored_entry, density_budget_sweep, density_budget_sweep_for,
-    format_stored_mode_sweep, sharded_query_sweep, stored_mode_sweep, QueryBudgetQuality,
-    ShardedQueryThroughput, StoredModeQuality,
-};
 pub use report::{ascii_chart, curves_to_csv, improvement_summary, table1};
 pub use sharding::{
     classifier_shard_sweep, clustering_shard_sweep, ShardedClusteringQuality,

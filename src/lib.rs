@@ -119,10 +119,15 @@
 //!   extra dependency is involved.  The whole query engine runs on the
 //!   [`anytree::TreeView`] abstraction, so live trees and snapshots answer
 //!   through the same code; frontier selection runs on a **per-order lazy
-//!   heap** property-tested against the reference scan.  A tree's snapshot
-//!   is an [`anytree::ShardedTreeSnapshot`] of its shards (one for a plain
-//!   tree), so each tree family has one snapshot type.  On the sharded
-//!   layer,
+//!   heap** property-tested against the reference scan.  **One reader
+//!   per index:** each family is one struct generic over its shard set
+//!   ([`anytree::ShardSet`]): the live [`anytree::ShardedAnytimeTree`] or
+//!   its pinned [`anytree::ShardedTreeSnapshot`] (one shard for a plain
+//!   tree).  `BayesTree` and `BayesTreeSnapshot` are aliases of
+//!   [`bayestree::BayesIndex`], `ClusTree` and `ClusTreeSnapshot` of
+//!   [`clustree::ClusIndex`], `AnytimeClassifier` and
+//!   `ClassifierSnapshot` of [`bayestree::Classifier`], so every read
+//!   method is written once and serves both.  On the sharded layer,
 //!   [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a mini-batch
 //!   through per-shard writer threads *while* readers refine query batches
 //!   against the pre-batch [`anytree::ShardedTreeSnapshot`] —
@@ -214,8 +219,9 @@
 //! `AnytimeClassifier::train_sharded` builds the per-class trees on worker
 //! threads bit-identically to sequential training, `eval::sharding` sweeps
 //! quality and wall-clock throughput over shard counts 1/2/4/8, and the
-//! `shard_scaling` criterion bench asserts the ≥1.5× 4-shard speedup as a
-//! smoke threshold on runners with ≥4 CPUs.  The query layer is in as well:
+//! `shard_scaling` criterion bench measures the 4-shard speedup (it asserts
+//! the ≥1.5× smoke threshold only when run on a host with ≥4 CPUs; CI only
+//! compiles it, `cargo bench --no-run`).  The query layer is in as well:
 //! `bayestree` rebases its frontier (a `QueryCursor` over the
 //! `KernelQueryModel`) and `pdq` reference on the shared engine and adds budget-bracketed density queries
 //! (`BayesTree::anytime_density` / `density_batch`) plus anytime outlier
@@ -223,15 +229,14 @@
 //! micro-cluster retrieval at any tree level (`ClusTree::anytime_knn`) and
 //! the same density/outlier scores; every tree answers queries through one
 //! fold that refines per-shard frontiers in parallel and sums one global
-//! mixture;
-//! `eval::query` sweeps bound width versus budget (non-increasing, the
-//! monotone contract) and sharded query throughput at shards 1/2/4/8; and
+//! mixture; and
 //! the `anytime_query` criterion bench asserts refinement convergence plus
 //! the ≥1.5× 4-shard query-throughput smoke threshold on ≥4-CPU runners.
 //! Snapshot reads are in on every layer: `BayesTree::snapshot`,
 //! `ClusTree::snapshot` (one snapshot type per family, at any shard count)
 //! and `AnytimeClassifier::snapshot` return epoch-pinned `Send + Sync`
-//! views (answers bit-identical to pin time — `tests/snapshot_isolation.rs`),
+//! views that run the live structure's own read methods (answers
+//! bit-identical to pin time — `tests/snapshot_isolation.rs`),
 //! both trees expose `pipelined_batch` (inserts overlapped with
 //! snapshot queries), `clustree` stores an MBR alongside every
 //! micro-cluster CF for distance-aware density bounds (nested up the tree,

@@ -21,7 +21,8 @@
 //! the process-global registry.
 
 use anytime_stream_mining::anytree::{
-    refine_frontiers_over, ElementOrigin, QueryCursor, QueryElement, RefineOrder, TreeView,
+    refine_frontiers_over, ElementOrigin, QueryCursor, QueryElement, RefineOrder, ShardSet,
+    TreeView,
 };
 use anytime_stream_mining::clustree::{
     knn_over, ClusQueryModel, ClusTree, ClusTreeConfig, KnnAnswer, MicroCluster,

@@ -16,7 +16,7 @@
 
 use anytime_stream_mining::anytree::{
     AnytimeTree, CursorStep, DescentCursor, Node, NodeId, QueryAnswer, QueryModel, QueryStats,
-    RefineOrder, Summary, TreeView,
+    RefineOrder, ShardSet, Summary, TreeView,
 };
 use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{

@@ -18,7 +18,7 @@
 //! the per-root one.  Learning empties the stacked block: a classifier that
 //! classified before learning answers like one that never did.
 
-use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, TreeView};
+use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, ShardSet, TreeView};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, AnytimeTrace, BayesTree, Classification, ClassifierConfig,
     ClassifierSnapshot, DescentStrategy, KernelQueryModel, KernelSummary, RefinementScheduler,

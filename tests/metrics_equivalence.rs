@@ -32,7 +32,7 @@
 
 use anytime_stream_mining::anytree::{
     outlier_score_over, query_batch_over, with_scratch_cursors, AnytimeTree, OutlierScore,
-    OutlierVerdict, QueryAnswer, QueryCursor, QueryStats, RefineOrder, TreeView,
+    OutlierVerdict, QueryAnswer, QueryCursor, QueryStats, RefineOrder, ShardSet, TreeView,
 };
 use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{

@@ -16,7 +16,7 @@
 //!   shards — the fold checks at its entry, before any dispatch.
 
 use anytime_stream_mining::anytree::{
-    outlier_score_over, query_over, AnytimeTree, FixedPartitionRouter, RefineOrder,
+    outlier_score_over, query_over, AnytimeTree, FixedPartitionRouter, RefineOrder, ShardSet,
 };
 use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{

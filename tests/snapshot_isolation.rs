@@ -14,11 +14,21 @@
 //!   snapshot — returns exactly the answers `query_batch` gave before the
 //!   batch,
 //! * the no-reader fast path never copies a node, and dropping the last
-//!   snapshot unpins its epoch.
+//!   snapshot unpins its epoch,
+//! * **one reader**: every read the live tree and its snapshot share —
+//!   Bayes density, batched density and outlier scores (both stored modes,
+//!   1 and 3 shards), ClusTree density, batched density, k-NN, outlier
+//!   scores and micro-clusters, classifier decisions and traces — gives the
+//!   same bits on both at the same epoch, and the snapshot keeps those bits
+//!   after one more batch.
 
-use anytime_stream_mining::anytree::RefineOrder;
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy};
-use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
+use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer, RefineOrder, ShardSet};
+use anytime_stream_mining::bayestree::{
+    AnytimeClassifier, BayesIndex, BayesTree, Classification, Classifier, ClassifierConfig,
+    DescentStrategy, KernelSummary, Quantized, StoredElement,
+};
+use anytime_stream_mining::clustree::{ClusIndex, ClusTree, ClusTreeConfig, MicroCluster};
+use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::index::PageGeometry;
 use proptest::prelude::*;
 
@@ -224,4 +234,180 @@ fn clustree_counters_mirror_the_bayes_tree() {
     assert!(tree.retired_nodes() > 0);
     drop(snapshot);
     assert_eq!(tree.pinned_snapshots(), 0);
+}
+
+/// The bits of one density answer.
+fn answer_bits(a: &QueryAnswer, out: &mut Vec<u64>) {
+    out.extend([a.estimate, a.lower, a.upper].map(f64::to_bits));
+    out.push(a.nodes_read as u64);
+}
+
+/// The bits of one outlier score.
+fn score_bits(s: &OutlierScore, out: &mut Vec<u64>) {
+    answer_bits(&s.answer, out);
+    out.push(s.verdict as u64);
+}
+
+/// Every read a Bayes tree and its snapshot share, as bits: the count,
+/// one-shot and batched density at each budget, and outlier scores at two
+/// thresholds.
+fn bayes_reads<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>>(
+    index: &BayesIndex<E, C>,
+    queries: &[Vec<f64>],
+) -> Vec<u64> {
+    let mut out = vec![index.len() as u64];
+    out.extend(index.bandwidth().iter().map(|h| h.to_bits()));
+    for budget in [0, 3, 12, usize::MAX] {
+        for q in queries {
+            answer_bits(
+                &index.anytime_density(q, DescentStrategy::default(), budget),
+                &mut out,
+            );
+        }
+        let (batch, _) = index.density_batch(queries, DescentStrategy::default(), budget);
+        batch.iter().for_each(|a| answer_bits(a, &mut out));
+        for q in queries {
+            for threshold in [1e-4, 0.05] {
+                score_bits(&index.outlier_score(q, threshold, budget), &mut out);
+            }
+        }
+    }
+    out
+}
+
+/// Builds a Bayes tree of `shards` shards in mode `E`, checks that its
+/// snapshot reads the same bits as the live tree, commits one more batch
+/// and checks that the snapshot still reads them.
+fn check_bayes_parity<E: StoredElement>(points: &[Vec<f64>], extra: &[Vec<f64>], shards: usize) {
+    let mut tree: BayesTree<E> = BayesTree::sharded(3, geometry(), shards);
+    for chunk in points.chunks(16) {
+        tree.insert_batch(chunk.to_vec());
+    }
+    tree.set_bandwidth(vec![0.8, 1.1, 0.9]);
+    let queries: Vec<Vec<f64>> = points
+        .iter()
+        .take(3)
+        .cloned()
+        .chain([vec![9.0; 3]])
+        .collect();
+    let snapshot = tree.snapshot();
+    assert_eq!(snapshot.epochs(), tree.epochs());
+    assert_eq!(snapshot.dims(), tree.dims());
+    let live = bayes_reads(&tree, &queries);
+    assert_eq!(&bayes_reads(&snapshot, &queries), &live);
+    tree.insert_batch(extra.to_vec());
+    assert_eq!(&bayes_reads(&snapshot, &queries), &live);
+}
+
+/// Every read a ClusTree and its snapshot share, as bits.
+fn clustree_reads<C: ShardSet<MicroCluster, MicroCluster>>(
+    index: &ClusIndex<C>,
+    queries: &[Vec<f64>],
+) -> Vec<u64> {
+    let bandwidth = [1.3, 0.9, 1.1];
+    let mut out = vec![index.len() as u64, index.current_time().to_bits()];
+    for budget in [0, 2, 9, usize::MAX] {
+        for q in queries {
+            let density = index.anytime_density(q, &bandwidth, RefineOrder::BestFirst, budget);
+            answer_bits(&density, &mut out);
+            score_bits(&index.outlier_score(q, &bandwidth, 0.01, budget), &mut out);
+            let knn = index.anytime_knn(q, 3, budget);
+            out.push(knn.nodes_read as u64);
+            for n in &knn.neighbors {
+                out.extend(n.center.iter().map(|c| c.to_bits()));
+                out.extend([n.weight, n.radius, n.sq_dist].map(f64::to_bits));
+                out.extend([n.depth as u64, u64::from(n.refinable)]);
+            }
+        }
+        let (batch, _) = index.density_batch(queries, &bandwidth, RefineOrder::WidestBound, budget);
+        batch.iter().for_each(|a| answer_bits(a, &mut out));
+    }
+    for mc in index.micro_clusters() {
+        out.extend(mc.center().iter().map(|c| c.to_bits()));
+        out.extend([mc.weight(), mc.radius()].map(f64::to_bits));
+    }
+    out
+}
+
+/// The bits of one classification.
+fn classification_bits(c: &Classification, out: &mut Vec<u64>) {
+    out.extend([c.label as u64, c.nodes_read as u64]);
+    out.extend(c.posteriors.iter().map(|p| p.to_bits()));
+}
+
+/// Every read a classifier and its snapshot share, as bits.
+fn classifier_reads<C: ShardSet<KernelSummary, Vec<f64>>>(
+    classifier: &Classifier<BayesIndex<f64, C>>,
+    queries: &[Vec<f64>],
+) -> Vec<u64> {
+    let mut out: Vec<u64> = classifier.priors().iter().map(|p| p.to_bits()).collect();
+    out.push(classifier.num_classes() as u64);
+    for q in queries {
+        for budget in [0, 4, 20] {
+            classification_bits(&classifier.classify_with_budget(q, budget), &mut out);
+        }
+        let trace = classifier.anytime_trace(q, 20);
+        out.extend(trace.labels.iter().map(|&l| l as u64));
+        out.extend(trace.final_posteriors.iter().map(|p| p.to_bits()));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn bayes_snapshot_reads_the_live_bits(
+        points in stream_strategy(90),
+        extra in stream_strategy(40),
+    ) {
+        for shards in [1, 3] {
+            check_bayes_parity::<f64>(&points, &extra, shards);
+            check_bayes_parity::<Quantized>(&points, &extra, shards);
+        }
+    }
+
+    #[test]
+    fn clustree_snapshot_reads_the_live_bits(
+        points in stream_strategy(90),
+        extra in stream_strategy(40),
+        shards in 1usize..4,
+    ) {
+        // Decay makes the micro-clusters depend on the frozen current time.
+        let config = ClusTreeConfig { decay_lambda: 0.05, ..ClusTreeConfig::default() };
+        let mut tree: ClusTree = ClusTree::sharded(3, config, shards);
+        for (i, chunk) in points.chunks(12).enumerate() {
+            let _ = tree.insert_batch(chunk, i as f64, 3);
+        }
+        let queries: Vec<Vec<f64>> = points.iter().take(3).cloned().collect();
+        let snapshot = tree.snapshot();
+        prop_assert_eq!(snapshot.epochs(), tree.epochs());
+        prop_assert_eq!(snapshot.dims(), tree.dims());
+        let live = clustree_reads(&tree, &queries);
+        prop_assert_eq!(&clustree_reads(&snapshot, &queries), &live);
+        let _ = tree.insert_batch(&extra, 50.0, 3);
+        prop_assert_eq!(&clustree_reads(&snapshot, &queries), &live);
+    }
+}
+
+#[test]
+fn classifier_snapshot_reads_the_live_bits() {
+    let data = BlobConfig::new(3, 3)
+        .samples_per_class(60)
+        .seed(5)
+        .generate();
+    let config = ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 4)),
+        ..ClassifierConfig::default()
+    };
+    let mut classifier = AnytimeClassifier::train(&data, &config);
+    let queries: Vec<Vec<f64>> = (0..12).map(|i| data.feature(i * 13).to_vec()).collect();
+    let snapshot = classifier.snapshot();
+    assert_eq!(snapshot.dims(), classifier.dims());
+    let live = classifier_reads(&classifier, &queries);
+    assert_eq!(classifier_reads(&snapshot, &queries), live);
+    classifier.learn_batch((0..40).map(|i| (data.feature(i).to_vec(), i % 3)).collect());
+    assert_eq!(classifier_reads(&snapshot, &queries), live);
+    // The batch moved the live classifier, so the check above has teeth.
+    assert_ne!(classifier_reads(&classifier, &queries), live);
 }
