@@ -141,8 +141,8 @@ pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, Desce
 pub use model::InsertModel;
 pub use node::{Entry, Node, NodeId, NodeKind};
 pub use query::{
-    with_scratch_cursors, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor,
-    QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    frontier_sum, with_scratch_cursors, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
+    QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 pub use shard::{
     outlier_score_over, query_batch_over, query_over, refine_frontiers_over, CheapestRouter,

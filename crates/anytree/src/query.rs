@@ -402,6 +402,32 @@ impl QueryStats {
         }
     }
 
+    /// Counts the read of a root scored outside any cursor whose frontier
+    /// is never built, as [`QueryCursor::begin_scored`] counts it: one
+    /// query, its `elements` root elements, and (unless the root is empty)
+    /// one block gather when `gathered`, else one gather avoided.
+    pub fn count_scored_root(&mut self, root: NodeId, elements: usize, gathered: bool) {
+        self.queries += 1;
+        self.elements_scored += elements as u64;
+        if elements > 0 {
+            self.count_root_gather(root, gathered);
+        }
+    }
+
+    /// A root's block visit: a gather when `gathered`, else a gather
+    /// avoided.
+    fn count_root_gather(&mut self, root: NodeId, gathered: bool) {
+        if gathered {
+            self.block_gathers += 1;
+        } else {
+            self.gathers_avoided += 1;
+        }
+        bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+            node: root as u64,
+            cached: !gathered,
+        });
+    }
+
     /// Fraction of block-scored node visits served from the cache
     /// (`0.0` when no block scoring happened at all).
     #[must_use]
@@ -511,6 +537,12 @@ pub struct OutlierScore {
 /// from its frontier ([`QueryCursor::resum_cancelled`]).  Frontier terms
 /// are never negative, so a term still in the sum is at most its value:
 /// only terms taken out can leave the value far below them.
+///
+/// **Overflow.**  A Gaussian summary peaked enough overflows its term to
+/// `+inf` (200 copies of one 80-d point did).  Its compensation is then
+/// NaN, so [`Self::value`] returns a non-finite sum as it is; taking the
+/// term out again leaves `inf - inf = NaN`, which [`Self::cancelled`]
+/// reports, so the cursor re-sums from the frontier.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accumulator {
     sum: f64,
@@ -548,15 +580,32 @@ impl Accumulator {
         self.add(-value);
     }
 
+    /// The compensated sum; a non-finite sum as it is (see "Overflow").
     fn value(&self) -> f64 {
-        self.sum + self.compensation
+        if self.sum.is_finite() {
+            self.sum + self.compensation
+        } else {
+            self.sum
+        }
     }
 
     /// Whether the value fell so far below the largest term taken out that
-    /// the compensation may no longer hold it.
+    /// the compensation may no longer hold it, or is NaN (an infinite term
+    /// taken out again).  Either way only a re-sum from the frontier
+    /// recovers it.
     fn cancelled(&self) -> bool {
-        self.value().abs() < self.peak * CANCELLATION
+        let value = self.value();
+        value.is_nan() || value.abs() < self.peak * CANCELLATION
     }
+}
+
+/// The compensated sum of `terms`, added in order: bit for bit the
+/// estimate of a cursor whose frontier was admitted with these
+/// contributions ([`QueryCursor::begin_scored`]), for callers that need a
+/// root's estimate before (or without) building its frontier.
+#[must_use]
+pub fn frontier_sum(terms: impl IntoIterator<Item = f64>) -> f64 {
+    Accumulator::over(terms.into_iter()).value()
 }
 
 /// One entry of the cursor's lazy selection heap: the normalised priority
@@ -910,18 +959,9 @@ impl QueryCursor {
         for (child, origin, score) in elements {
             self.push_scored(child, &score, origin, 1);
         }
-        if self.elements.is_empty() {
-            return;
+        if !self.elements.is_empty() {
+            self.stats.count_root_gather(root, gathered);
         }
-        if gathered {
-            self.stats.block_gathers += 1;
-        } else {
-            self.stats.gathers_avoided += 1;
-        }
-        bt_obs::trace(|| bt_obs::TraceEvent::Gather {
-            node: root as u64,
-            cached: !gathered,
-        });
     }
 
     /// The cursor's reusable per-entry output lanes, lent to callers that

@@ -12,8 +12,10 @@
 //! class.  The roots are scored together: a `RootBlock` stacks every
 //! class root's entries (a leaf root's one summary) into one column block,
 //! gathered by the first classification, and each classification scores
-//! it with one estimate pass.  Each class frontier is then seeded from its
-//! own lanes ([`QueryCursor::begin_scored`]) exactly as
+//! it with one estimate pass, which yields every class's root estimate.
+//! A class frontier is built only when the refinement strategy first picks
+//! that class: it is seeded from the class's own lanes
+//! ([`bt_anytree::QueryCursor::begin_scored`]) exactly as
 //! [`TreeView::begin_query`] would have seeded it.  The block follows the
 //! node cache rule one level up: the classifier's only writers
 //! ([`AnytimeClassifier::learn_one`], [`AnytimeClassifier::learn_batch`])
@@ -27,7 +29,7 @@ use crate::query::{EstimateModel, KernelQueryModel};
 use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
 use crate::StoredSummary;
 use bt_anytree::{
-    with_scratch_cursors, ElementOrigin, NodeId, NodeKind, QueryCursor, QueryModel, QueryStats,
+    frontier_sum, with_scratch_cursors, ElementOrigin, NodeId, NodeKind, QueryModel, QueryStats,
     RefineOrder, ShardSet, TreeView,
 };
 use bt_data::Dataset;
@@ -199,12 +201,18 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
     /// refinements (node reads) actually performed.
     ///
     /// The 0-read root mixture is one pass: `roots` (gathered on first use)
-    /// holds every class root's lanes, one [`node_estimates_block`] call
-    /// scores them all, and each class cursor is seeded from its own lanes
-    /// by [`QueryCursor::begin_scored`] with the score its own model gives
-    /// — `weight / n_c * exp(log_pdf)` — so every frontier equals the one
-    /// [`TreeView::begin_query`] builds.  Each class root counts as one
-    /// block gather when this call gathered `roots`, else as one gather
+    /// holds every class root's lanes, and one [`node_estimates_block`]
+    /// call scores them all into lanes of a pooled cursor that no class
+    /// refines.  A class's root estimate is the compensated sum of its
+    /// lanes' terms — `weight / n_c * exp(log_pdf)`, the score its own
+    /// model gives — in lane order ([`frontier_sum`]), the bits a seeded
+    /// cursor would hold.  Most classes are never refined (qbk spends the
+    /// budget on the top `k`), so a class cursor is seeded from its lanes
+    /// by [`bt_anytree::QueryCursor::begin_scored`] only when the scheduler
+    /// first picks the class; every frontier then equals the one
+    /// [`TreeView::begin_query`] builds.  Seeded or not, each class counts
+    /// one query, its root elements as scored and, for a non-empty root,
+    /// one block gather when this call gathered `roots`, else one gather
     /// avoided.
     ///
     /// The loop reads each frontier's point estimate and nothing of its
@@ -240,37 +248,36 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
             gathered = true;
             RootBlock::gather(&classes)
         });
-        with_scratch_cursors(classes.len(), |cursors| {
+        // One pooled cursor per class, plus one more whose lanes hold the
+        // root pass for the whole loop: no class cursor scores into them.
+        with_scratch_cursors(classes.len() + 1, |pool| {
+            let (root_pass, cursors) = pool.split_last_mut().expect("the pool is never empty");
             // Pooled cursors keep counting across queries: the registry gets
             // the work done since `before`, summed over every class.
             let mut before = QueryStats::default();
             for cursor in cursors.iter() {
                 before.merge(cursor.stats());
             }
-            // The root pass borrows the first cursor's output lanes.
-            let mut lanes = std::mem::take(cursors[0].scratch_lanes());
-            let [log_pdf, dist, ..] = &mut lanes;
+            let [log_pdf, dist, ..] = root_pass.scratch_lanes();
             node_estimates_block(x, &roots.block, log_pdf, dist);
             let weights = roots.block.weights();
-            let mut scores = Vec::with_capacity(classes.len());
-            let mut refinable = Vec::with_capacity(classes.len());
-            for ((((_, model), (root, span)), cursor), &prior) in classes
+            let lane_score = |model: &KernelQueryModel<'_>, lane: usize| {
+                EstimateModel(*model).lane_score(weights[lane], log_pdf[lane], dist[lane])
+            };
+            let mut scores: Vec<f64> = (classes.iter().zip(&roots.spans).zip(priors))
+                .map(|(((_, model), (_, span)), &prior)| {
+                    let terms = span
+                        .clone()
+                        .map(|lane| lane_score(model, lane).contribution);
+                    class_score(prior, frontier_sum(terms))
+                })
+                .collect();
+            let mut refinable: Vec<bool> = roots
+                .spans
                 .iter()
-                .zip(&roots.spans)
-                .zip(cursors.iter_mut())
-                .zip(priors)
-            {
-                let model = EstimateModel(*model);
-                let elements = span.clone().map(|lane| {
-                    let (child, origin) = roots.lanes[lane];
-                    let score = model.lane_score(weights[lane], log_pdf[lane], dist[lane]);
-                    (child, origin, score)
-                });
-                cursor.begin_scored(x, *root, gathered, elements);
-                scores.push(class_score(prior, cursor));
-                refinable.push(cursor.can_refine());
-            }
-            *cursors[0].scratch_lanes() = lanes;
+                .map(|(_, span)| !span.is_empty())
+                .collect();
+            let mut seeded = vec![false; classes.len()];
 
             let mut scheduler = RefinementScheduler::new(self.config.refinement, classes.len());
             let mut labels = Vec::new();
@@ -286,8 +293,17 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
                 };
                 // Only the refined class's frontier moved: update its entries.
                 let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
+                if !seeded[class] {
+                    let (root, span) = &roots.spans[class];
+                    let elements = span.clone().map(|lane| {
+                        let (child, origin) = roots.lanes[lane];
+                        (child, origin, lane_score(model, lane))
+                    });
+                    cursor.begin_scored(x, *root, gathered, elements);
+                    seeded[class] = true;
+                }
                 view.refine_query(&EstimateModel(*model), order, cursor);
-                scores[class] = class_score(priors[class], cursor);
+                scores[class] = class_score(priors[class], cursor.estimate());
                 refinable[class] = cursor.can_refine();
                 nodes_read += 1;
                 if record_all {
@@ -305,6 +321,10 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
             let mut after = QueryStats::default();
             for cursor in cursors.iter() {
                 after.merge(cursor.stats());
+            }
+            // A class never refined read its root all the same.
+            for ((root, span), _) in roots.spans.iter().zip(&seeded).filter(|(_, s)| !**s) {
+                after.count_scored_root(*root, span.len(), gathered);
             }
             bt_anytree::obs::record_external_query(&after.delta_since(&before), None);
             (
@@ -471,8 +491,9 @@ impl AnytimeClassifier {
 ///
 /// The block is a pure function of the class roots, so the classifier and
 /// each snapshot keep one in a [`OnceLock`]: the first classification
-/// gathers it and every later one scores it.  The classifier's writers
-/// empty it.
+/// gathers it and every later one scores it, reading every class's root
+/// estimate from it and seeding a class's frontier from its span only when
+/// that class is first refined.  The classifier's writers empty it.
 #[derive(Debug, Clone)]
 pub(crate) struct RootBlock {
     /// The stacked columns, one lane per root element.
@@ -531,17 +552,30 @@ impl RootBlock {
     }
 }
 
-/// The unnormalised posterior `P(c) * pdq(x, E_c)` of one class frontier.
-fn class_score(prior: f64, cursor: &QueryCursor) -> f64 {
-    prior * cursor.estimate().max(0.0)
+/// The unnormalised posterior `P(c) * pdq(x, E_c)` of one class frontier
+/// whose density estimate is `estimate`.
+fn class_score(prior: f64, estimate: f64) -> f64 {
+    prior * estimate.max(0.0)
 }
 
 /// Normalises the class scores into `out` (falling back to the priors when
-/// every class density underflowed).
+/// every class density underflowed, and splitting the mass equally over
+/// the classes whose density overflowed to `+inf`).  Finite scores are a
+/// prior-weighted mean of finite densities, so only an infinite score makes
+/// the total infinite.
 fn normalise_into(scores: &[f64], priors: &[f64], out: &mut Vec<f64>) {
     out.clear();
     let total: f64 = scores.iter().sum();
-    if total > 0.0 {
+    if total == f64::INFINITY {
+        let overflowed = scores.iter().filter(|&&j| j == f64::INFINITY).count() as f64;
+        out.extend(scores.iter().map(|&j| {
+            if j == f64::INFINITY {
+                1.0 / overflowed
+            } else {
+                0.0
+            }
+        }));
+    } else if total > 0.0 {
         out.extend(scores.iter().map(|j| j / total));
     } else {
         out.extend_from_slice(priors);
@@ -564,6 +598,8 @@ fn argmax(values: &[f64]) -> usize {
 mod tests {
     use super::*;
     use bt_data::synth::blobs::BlobConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn easy_dataset() -> Dataset {
         BlobConfig::new(3, 4)
@@ -658,6 +694,33 @@ mod tests {
         for far in [[1e6; 4], [f64::INFINITY, 0.0, f64::NEG_INFINITY, 0.0]] {
             let c = clf.classify_with_budget(&far, 5);
             assert_eq!(c.posteriors, clf.priors());
+        }
+    }
+
+    #[test]
+    fn query_on_a_class_whose_density_overflows_takes_its_label() {
+        // 200 copies of one 80-d point (class `a`) beside 200 points spread
+        // over [0, 10)^80 (class `b`): at the copies, class `a`'s Gaussian
+        // overflows to `+inf`, which must win rather than read as NaN or 0.
+        const DIMS: usize = 80;
+        let mut rng = StdRng::seed_from_u64(0xF800);
+        let copy = vec![0.5; DIMS];
+        let mut data = Dataset::new("overflow", DIMS, vec!["a".into(), "b".into()]);
+        for _ in 0..200 {
+            data.push(copy.clone(), 0);
+        }
+        for _ in 0..200 {
+            data.push((0..DIMS).map(|_| 10.0 * rng.random::<f64>()).collect(), 1);
+        }
+        let config = ClassifierConfig {
+            geometry: Some(PageGeometry::from_page_size(32768, DIMS)),
+            ..ClassifierConfig::default()
+        };
+        let clf = AnytimeClassifier::train(&data, &config);
+        for budget in [0, 3, 50] {
+            let c = clf.classify_with_budget(&copy, budget);
+            assert_eq!(c.label, 0, "budget {budget}");
+            assert_eq!(c.posteriors, [1.0, 0.0], "budget {budget}");
         }
     }
 

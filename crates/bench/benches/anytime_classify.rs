@@ -4,8 +4,9 @@
 //! The `anytime_classify_letter_snapshot` group times the stream setting:
 //! 64 objects classified at budget 6 against a pinned snapshot of a
 //! 26-class, 16-d classifier (the Letter stand-in on 4 KiB pages), where
-//! every classification refines 26 per-class frontiers on the thread's
-//! pooled query cursors.  Run `cargo bench --bench anytime_classify --
+//! every classification scores all 26 class roots in one pass and builds a
+//! per-class frontier, on the thread's pooled query cursors, only for the
+//! classes it refines.  Run `cargo bench --bench anytime_classify --
 //! --test` as a smoke check.
 
 use bayestree::{AnytimeClassifier, BayesTree, BulkLoadMethod, ClassifierConfig};

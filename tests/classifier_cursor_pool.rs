@@ -10,12 +10,13 @@
 //! * the same call made while the pool is held (a nested call runs on
 //!   fresh cursors and leaves the held ones alone).
 //!
-//! The classifier scores every class root in one stacked block and seeds
-//! each class cursor from its lanes instead of calling `begin_query`.  The
-//! reference loop still runs `begin_query`, so matching it bit for bit —
-//! under every refinement and descent strategy, with a class whose root is
-//! a leaf and a class with no training objects — locks the stacked path to
-//! the per-root one.  Learning empties the stacked block: a classifier that
+//! The classifier scores every class root in one stacked block, reads each
+//! class's root estimate from its lanes, and seeds a class cursor from
+//! them (instead of calling `begin_query`) only when it first refines that
+//! class.  The reference loop still runs `begin_query` for every class, so
+//! matching it bit for bit — under every refinement and descent strategy,
+//! with a class whose root is a leaf and a class with no training objects
+//! — locks the stacked path to the per-root one.  Learning empties the stacked block: a classifier that
 //! classified before learning answers like one that never did.
 
 use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, ShardSet, TreeView};

@@ -13,8 +13,15 @@
 //! trees.  The trees hold 60–119 points uniform in `[0, 4]^16` with a
 //! narrow bandwidth `h` in every dimension, so kernels are astronomically
 //! peaked and densities range down to underflow.
+//!
+//! One more tree holds 200 copies of one 80-d point beside 200 points
+//! spread over `[0, 10)^80`.  Queried on the copies, the Gaussian of the
+//! copies' entry overflows to a `+inf` term while the exact density is
+//! about `1e-67`; the running estimate must recover once that term is
+//! refined away, on the live tree and on a snapshot.
 
-use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy};
+use anytime_stream_mining::anytree::ShardSet;
+use anytime_stream_mining::bayestree::{BayesIndex, BayesTree, DescentStrategy, KernelSummary};
 use anytime_stream_mining::index::PageGeometry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,9 +80,16 @@ fn assert_encloses(lower: f64, upper: f64, exact: f64, what: &str) {
     );
 }
 
-fn check_tree(tree: &BayesTree, queries: &[Vec<f64>], what: &str) {
+/// Checks every query against the live tree's flat kernel density, read
+/// through `tree` (the live tree itself or a snapshot of it).
+fn check_tree<C: ShardSet<KernelSummary, Vec<f64>>>(
+    tree: &BayesIndex<f64, C>,
+    live: &BayesTree,
+    queries: &[Vec<f64>],
+    what: &str,
+) {
     for (q, x) in queries.iter().enumerate() {
-        let exact = tree.full_kernel_density(x);
+        let exact = live.full_kernel_density(x);
         for budget in BUDGETS {
             let what = format!("{what}, query {q}, budget {budget}");
             let answer = tree.anytime_density(x, DescentStrategy::default(), budget);
@@ -114,6 +128,7 @@ fn check_bandwidth(h: f64, seed_base: u64) {
             assert_eq!(tree.num_shards(), shards);
             check_tree(
                 &tree,
+                &tree,
                 &queries,
                 &format!("h {h}, seed {seed}, {shards} shard(s)"),
             );
@@ -134,4 +149,37 @@ fn bounds_enclose_the_exact_density_at_h_0_05() {
 #[test]
 fn bounds_enclose_the_exact_density_at_h_0_01() {
     check_bandwidth(0.01, 0xF700);
+}
+
+#[test]
+fn bounds_enclose_the_exact_density_beside_an_overflowing_entry() {
+    const DIMS: usize = 80;
+    let mut rng = StdRng::seed_from_u64(0xF800);
+    let copy = vec![0.5; DIMS];
+    let mut points = vec![copy.clone(); 200];
+    points.extend((0..200).map(|_| (0..DIMS).map(|_| 10.0 * rng.random::<f64>()).collect()));
+    let mut tree: BayesTree = BayesTree::new(DIMS, PageGeometry::from_page_size(32768, DIMS));
+    tree.insert_batch(points);
+    tree.fit_bandwidth();
+    let snapshot = tree.snapshot();
+    // The overflowing term reads as `+inf` while it is on the frontier,
+    // never as NaN.
+    for budget in BUDGETS {
+        for estimate in [
+            tree.anytime_density(&copy, DescentStrategy::default(), budget),
+            snapshot.anytime_density(&copy, DescentStrategy::default(), budget),
+        ]
+        .map(|answer| answer.estimate)
+        {
+            assert!(!estimate.is_nan(), "budget {budget}: NaN estimate");
+        }
+    }
+    let queries = [copy];
+    check_tree(&tree, &tree, &queries, "copies beside spread points, live");
+    check_tree(
+        &snapshot,
+        &tree,
+        &queries,
+        "copies beside spread points, snapshot",
+    );
 }
