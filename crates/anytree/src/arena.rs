@@ -1,61 +1,73 @@
-//! The epoch-versioned node arena: copy-on-write **epoch pages** behind
-//! stable ids.
+//! The epoch-versioned node arena: reference-counted node versions behind
+//! stable ids, and a graveyard that recycles the versions released pins
+//! gave back.
 //!
-//! PR 5 turned the arena into a versioned store so reads and writes overlap
-//! without locks; this revision changes *where node memory lives* so that a
-//! batch's copy-on-write delta is cache-local (the `vdbesort.c`
-//! batch-contiguous idiom: allocations of one batch land back to back in one
-//! contiguous run, not scattered across the heap):
-//!
-//! * nodes live in **epoch pages** ([`PAGE_CAP`]-node contiguous
-//!   `Arc<Vec<VersionedNode>>` allocations).  All nodes created or
-//!   copy-on-written in one stretch of work share the *open page* (the last
-//!   page, while it is unshared and not full), so a batch's delta occupies a
-//!   handful of contiguous runs instead of one `Arc` allocation per node,
-//! * a [`NodeId`] is still a stable dense index; the **slot table** (chunked
-//!   `Arc`-shared arrays of `(page, index)` `SlotRef`s) maps it to the
-//!   node's current home.  Child pointers never move; only the small slot
-//!   chunk holding a rewritten id is copied (never counted as a retired
-//!   node),
-//! * every node carries a **version stamp**: the epoch of the batch that
-//!   last mutated it ([`VersionedNode::version`]),
-//! * every node carries a **block-cache slot** ([`VersionedNode::cache`])
+//! * Every node version is its own `Arc` allocation ([`VersionedNode`]:
+//!   the payload, its version stamp and its block-cache slot).  A
+//!   [`NodeId`] is a stable dense index into the **slot table**, chunks of
+//!   [`SLOT_CHUNK`] version pointers.  Child pointers never move; a write
+//!   repoints one slot.
+//! * Every version carries a **version stamp**: the epoch of the batch that
+//!   last mutated it ([`VersionedNode::version`]).
+//! * Every version carries a **block-cache slot** ([`VersionedNode::cache`])
 //!   that [`NodeArena::node_mut`] empties on *every* write — the one cache
 //!   rule: a filled slot describes the node as it is now, so readers use it
-//!   with a plain load and no stamp check ([`bt_stats::BlockCacheSlot`]),
-//! * mutation is **copy-on-write at node granularity** with page-level
-//!   sharing checks: writing a node whose page is unshared (no snapshot, no
-//!   cloned tree) mutates in place — one atomic load, zero copies.  Writing
-//!   a node on a *shared* page retires that one node: the current version is
-//!   copied to the open page, the slot is repointed, and the snapshot keeps
-//!   reading the retired copy in its pinned page,
+//!   with a plain load and no stamp check ([`bt_stats::BlockCacheSlot`]).
+//! * A snapshot ([`ArenaSpine`]) takes one `Arc`-shared copy of each
+//!   chunk: `O(chunks)` pointer copies, no payload touched.  A chunk's
+//!   shared copy is built by the first capture after a write to the chunk
+//!   (one count per slot) and reused by later captures until the next
+//!   write.  Mutation is **copy-on-write per version**: the writer's own
+//!   slots are plain vectors, so [`NodeArena::node_mut`] drops the arena's
+//!   handle on the chunk's shared copy and then writes in place when no
+//!   one else reaches the version — the no-sharer fast path, one
+//!   reference-count check.  Otherwise it **retires** the version: the
+//!   slot is repointed to a copy and the sharer keeps reading the old
+//!   one.
 //! * `finish_batch` **publishes a new root epoch** ([`NodeArena::publish`]);
 //!   [`crate::TreeSnapshot`]s pin the published epoch in a shared
 //!   [`EpochRegistry`] so writers (and tests) can observe which epochs are
-//!   still read,
-//! * **reclamation**: the arena counts, per page, how many slots still point
-//!   into it (`NodeArena::live` bookkeeping).  When the last slot leaves a
-//!   page the arena drops its reference; the page's memory is freed exactly
-//!   when the last snapshot spine ([`ArenaSpine`]) holding it is dropped —
-//!   the epoch registry records the pins, the `Arc` drop does the freeing,
-//!   and no background collector or extra dependency is needed.
+//!   still read.
+//!
+//! **Reclamation rule.**  A retired version is owned by the snapshots that
+//! still reach it and by the **graveyard** of the arena that created it;
+//! no collector runs and no `unsafe` is involved.
+//!
+//! * The arena keeps every version it retires, per node kind (leaf or
+//!   directory), unless it was created before the arena was last cloned:
+//!   such a version may be shared with the other tree for good, so the
+//!   arena only drops its reference.  Cloning starts a new *generation*
+//!   on both sides, and an arena graveyards only versions of its own
+//!   generation.
+//! * At the start of each batch ([`NodeArena::reclaim`]) the retired
+//!   versions that no snapshot reaches any more — `Arc::get_mut` is the
+//!   proof — become **spares**, up to the number of copies the previous
+//!   batch made of that kind.  Spares beyond that bound are freed.
+//!   Versions a pin still reaches stay where they are until a later batch
+//!   finds them released.
+//! * A copy-on-write copy writes into a spare with `clone_from`, which
+//!   reuses the spare's buffers, and allocates only when no spare is left.
+//!
+//! So a released pin's versions are recycled by the next batch that copies
+//! nodes.  Beyond the versions pins still reach, an arena holds its live
+//! versions plus, per node kind, at most as many retired versions as the
+//! larger of its last two batches' copy counts ([`NodeArena::census`]).
 
 use crate::node::{Node, NodeId};
 use crate::summary::Summary;
 use bt_stats::BlockCacheSlot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Nodes per epoch page: one contiguous allocation shared copy-on-write
-/// with snapshots.
-pub const PAGE_CAP: usize = 256;
+/// Slot-table entries per chunk.  The first snapshot after a write to a
+/// chunk shares this many version pointers (one count each), and dropping
+/// the shared copy gives them back; on a pinned 100k-point tree 64 halved
+/// that cost against 256 (`docs/PERF.md`, "Recycled node versions").
+pub const SLOT_CHUNK: usize = 64;
 
-/// Slot-table entries per chunk: rewriting a node copies at most one chunk
-/// of this many `(page, index)` pairs.
-pub const SLOT_CHUNK: usize = 256;
-
-/// One stored node: the payload plus the epoch of the batch that last
-/// mutated it, plus the node's block-cache slot.
+/// One stored node version: the payload plus the epoch of the batch that
+/// last mutated it, plus the node's block-cache slot.
 #[derive(Debug)]
 pub struct VersionedNode<S, L> {
     /// The epoch stamp: the (in-flight) epoch of the last mutation, i.e. the
@@ -63,56 +75,79 @@ pub struct VersionedNode<S, L> {
     pub version: u64,
     /// The node payload.
     pub node: Node<S, L>,
-    /// The node's cached column gather, stored page-side so snapshots
-    /// sharing the page share the warm block too.  Every write to the node
-    /// empties it ([`NodeArena::node_mut`]), so a filled slot always
-    /// describes this node as it is.
+    /// The version's cached column gather, shared by every snapshot that
+    /// reaches the version.  Every write to the node empties it
+    /// ([`NodeArena::node_mut`]), so a filled slot always describes this
+    /// version as it is.
     pub cache: BlockCacheSlot,
+    /// The arena generation that created this version: only that
+    /// generation may graveyard it.
+    generation: u64,
 }
 
-impl<S: Clone, L: Clone> Clone for VersionedNode<S, L> {
-    /// Cloning (the copy-on-write retire path) starts with an **empty**
-    /// cache slot: the copy is about to be written, which would empty it
-    /// anyway — the sharer keeps the warm block in the original page.
+type Version<S, L> = Arc<VersionedNode<S, L>>;
+type SharedChunk<S, L> = Arc<Vec<Version<S, L>>>;
+
+/// One chunk of the arena's slot table.
+#[derive(Debug)]
+struct Chunk<S, L> {
+    /// The arena's own slots, written without touching a shared count.
+    slots: Vec<Version<S, L>>,
+    /// The slots as snapshots share them: built by the first capture after
+    /// a write, dropped by the next write (its pointers count as sharers
+    /// while the arena holds it).
+    shared: OnceLock<SharedChunk<S, L>>,
+}
+
+impl<S, L> Chunk<S, L> {
+    fn new(slots: Vec<Version<S, L>>) -> Self {
+        Self {
+            slots,
+            shared: OnceLock::new(),
+        }
+    }
+
+    /// The chunk's shared copy, built on first use.
+    fn share(&self) -> SharedChunk<S, L> {
+        Arc::clone(self.shared.get_or_init(|| Arc::new(self.slots.clone())))
+    }
+
+    /// The slots, for a write: the arena lets go of its shared copy first.
+    fn slots_mut(&mut self) -> &mut Vec<Version<S, L>> {
+        self.shared.take();
+        &mut self.slots
+    }
+}
+
+impl<S, L> Clone for Chunk<S, L> {
     fn clone(&self) -> Self {
         Self {
-            version: self.version,
-            node: self.node.clone(),
-            cache: BlockCacheSlot::new(),
+            slots: self.slots.clone(),
+            shared: self.shared.clone(),
         }
     }
 }
 
-/// Where a node currently lives: `(page, index within page)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRef {
-    page: u32,
-    idx: u32,
+/// A process-wide unique arena generation.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-type Page<S, L> = Arc<Vec<VersionedNode<S, L>>>;
-type SlotChunkArc = Arc<Vec<SlotRef>>;
-
-/// Issues a best-effort T0 prefetch of the cache lines holding one
-/// epoch-page slot (node header, version stamp and block-cache slot).
+/// Issues a best-effort T0 prefetch of the cache lines holding one node
+/// version (node header, version stamp and block-cache slot).
 ///
-/// Computing `&page[idx]` touches only the page's `Vec` header; the slot
-/// memory itself is not demand-loaded — that is the whole point.  A pure
-/// hint: never faults, and compiles to nothing off x86-64.
+/// Reading the slot's pointer loads only the chunk entry; the version
+/// itself is not demand-loaded — that is the whole point.  A pure hint:
+/// never faults, and compiles to nothing off x86-64.
 #[inline(always)]
-fn prefetch_page_slot<S: Summary, L>(pages: &[Option<Page<S, L>>], slot: SlotRef) {
-    let Some(page) = pages.get(slot.page as usize).and_then(Option::as_ref) else {
-        return;
-    };
-    let Some(versioned) = page.get(slot.idx as usize) else {
-        return;
-    };
+fn prefetch_version<S, L>(version: &Version<S, L>) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let ptr = std::ptr::from_ref(versioned).cast::<i8>();
+        let ptr = Arc::as_ptr(version).cast::<i8>();
         // SAFETY: `_mm_prefetch` is a hint that never faults; the second
-        // line covers slots wider than one cache line (the node header
+        // line covers versions wider than one cache line (the node header
         // plus its version and cache slot).
         unsafe {
             _mm_prefetch::<_MM_HINT_T0>(ptr);
@@ -120,15 +155,15 @@ fn prefetch_page_slot<S: Summary, L>(pages: &[Option<Page<S, L>>], slot: SlotRef
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = versioned;
+    let _ = version;
 }
 
 /// The shared pin registry: which epochs are still pinned by how many
 /// snapshots.
 ///
-/// The registry does not own any node memory — retired copies are reclaimed
-/// by the snapshots' `Arc` drops (see the [module docs](crate::arena)) — but
-/// it is the single place writers can ask "is anything reading an old
+/// The registry does not own any node memory — retired versions are kept
+/// alive by the snapshots' `Arc`s (see the [module docs](crate::arena)) —
+/// but it is the single place writers can ask "is anything reading an old
 /// epoch?", which makes the copy-on-write fast path observable and testable.
 #[derive(Debug, Default)]
 pub struct EpochRegistry {
@@ -225,18 +260,18 @@ impl Drop for EpochPin {
     }
 }
 
-/// An owned view of the arena's storage at one instant: the slot-table
-/// chunks plus the epoch pages, all `Arc`-shared with the arena.
+/// An owned view of the arena's storage at one instant: the shared copies
+/// of the slot-table chunks.
 ///
-/// Taking one costs `O(chunks + pages)` pointer copies — no node payload is
+/// Taking one costs `O(chunks)` pointer copies (plus one count per slot of
+/// each chunk written since the last capture) — no node payload is
 /// touched — and works from `&self`: sharing is detected lazily at the
-/// arena's next write to each page.  This is what a
+/// arena's next write to each version.  This is what a
 /// [`crate::TreeSnapshot`] holds, and what incremental refresh diffs
 /// against the live arena ([`NodeArena::refresh_spine`]).
 #[derive(Debug, Clone)]
 pub struct ArenaSpine<S: Summary, L> {
-    chunks: Vec<SlotChunkArc>,
-    pages: Vec<Option<Page<S, L>>>,
+    chunks: Vec<SharedChunk<S, L>>,
     len: usize,
 }
 
@@ -253,56 +288,44 @@ impl<S: Summary, L> ArenaSpine<S, L> {
         self.len == 0
     }
 
-    fn slot(&self, id: NodeId) -> SlotRef {
-        self.chunks[id / SLOT_CHUNK][id % SLOT_CHUNK]
+    fn versioned(&self, id: NodeId) -> &VersionedNode<S, L> {
+        &self.chunks[id / SLOT_CHUNK][id % SLOT_CHUNK]
     }
 
     /// Read access to a node as of capture time.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &Node<S, L> {
-        let slot = self.slot(id);
-        &self.pages[slot.page as usize]
-            .as_ref()
-            .expect("spine page referenced by a slot is present")[slot.idx as usize]
-            .node
+        &self.versioned(id).node
     }
 
-    /// Best-effort prefetch of the epoch-page slot holding node `id`:
-    /// pulls the slot's cache lines toward L1 so an imminent
-    /// [`Self::node`] read does not stall on memory.  Out-of-range ids are
-    /// ignored; a pure hint on every platform.
+    /// Best-effort prefetch of the version holding node `id`: pulls its
+    /// cache lines toward L1 so an imminent [`Self::node`] read does not
+    /// stall on memory.  Out-of-range ids are ignored; a pure hint on every
+    /// platform.
     #[inline]
     pub fn prefetch(&self, id: NodeId) {
         if id < self.len {
-            prefetch_page_slot(&self.pages, self.slot(id));
+            prefetch_version(&self.chunks[id / SLOT_CHUNK][id % SLOT_CHUNK]);
         }
     }
 
     /// The version stamp of a node as of capture time.
     #[must_use]
     pub fn version(&self, id: NodeId) -> u64 {
-        let slot = self.slot(id);
-        self.pages[slot.page as usize]
-            .as_ref()
-            .expect("spine page referenced by a slot is present")[slot.idx as usize]
-            .version
+        self.versioned(id).version
     }
 
     /// The block-cache slot of a node as of capture time.
     ///
-    /// The slot lives in the (possibly shared) epoch page, so a warm block
+    /// The slot lives in the (possibly shared) version, so a warm block
     /// filled through one spine is visible to every other holder of the
-    /// page — including the live arena, as long as it has not retired the
-    /// node.  The arena never writes a node on a shared page (it retires a
-    /// copy instead), so the block stays valid for as long as the spine
-    /// holds the page.
+    /// version — including the live arena, as long as it has not retired
+    /// it.  The arena never writes a version someone else reaches (it
+    /// retires a copy instead), so the block stays valid for as long as the
+    /// spine holds the version.
     #[must_use]
     pub fn cache_slot(&self, id: NodeId) -> &BlockCacheSlot {
-        let slot = self.slot(id);
-        &self.pages[slot.page as usize]
-            .as_ref()
-            .expect("spine page referenced by a slot is present")[slot.idx as usize]
-            .cache
+        &self.versioned(id).cache
     }
 }
 
@@ -314,33 +337,124 @@ pub struct SnapshotRefresh {
     pub chunks_reused: usize,
     /// Slot-table chunks replaced because the arena rewrote them.
     pub chunks_refreshed: usize,
-    /// Epoch pages kept as-is (pointer-equal with the live arena).
-    pub pages_reused: usize,
-    /// Epoch pages replaced or newly picked up from the arena.
-    pub pages_refreshed: usize,
 }
 
-/// The epoch-versioned node arena over contiguous epoch pages.
+/// What an arena's node versions amount to at one instant
+/// ([`NodeArena::census`]); censuses of several arenas add up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArenaCensus {
+    /// Node versions the arena holds: one current version per node id,
+    /// plus every retired version it keeps for recycling.
+    pub versions_live: usize,
+    /// Retired versions the arena keeps that a snapshot still reaches, so
+    /// they cannot be recycled yet.
+    pub versions_held_by_pins: usize,
+    /// Copy-on-write copies written into a recycled version so far.
+    pub versions_recycled: u64,
+}
+
+impl std::ops::Add for ArenaCensus {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            versions_live: self.versions_live + other.versions_live,
+            versions_held_by_pins: self.versions_held_by_pins + other.versions_held_by_pins,
+            versions_recycled: self.versions_recycled + other.versions_recycled,
+        }
+    }
+}
+
+impl std::iter::Sum for ArenaCensus {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
+/// The retired versions of one node kind an arena keeps for recycling.
+#[derive(Debug)]
+struct Graveyard<S, L> {
+    /// Versions no snapshot reached at the last [`NodeArena::reclaim`]:
+    /// the next copies write into these.
+    spares: Vec<Version<S, L>>,
+    /// Versions retired since the last reclaim, or still reached by a
+    /// snapshot at it.
+    retired: Vec<Version<S, L>>,
+    /// Copies of this kind made since the last reclaim — the next
+    /// reclaim's bound on spares.
+    copies: usize,
+}
+
+impl<S, L> Default for Graveyard<S, L> {
+    fn default() -> Self {
+        Self {
+            spares: Vec::new(),
+            retired: Vec::new(),
+            copies: 0,
+        }
+    }
+}
+
+impl<S, L> Graveyard<S, L> {
+    /// Turns every retired version no snapshot reaches into a spare, keeps
+    /// at most as many spares as the last batch made copies, and frees the
+    /// rest.
+    fn reclaim(&mut self) {
+        let bound = std::mem::take(&mut self.copies);
+        self.spares.truncate(bound);
+        let mut i = 0;
+        while i < self.retired.len() {
+            if Arc::get_mut(&mut self.retired[i]).is_some() {
+                let free = self.retired.swap_remove(i);
+                if self.spares.len() < bound {
+                    self.spares.push(free);
+                }
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    fn held_by_pins(&self) -> usize {
+        self.retired
+            .iter()
+            .filter(|v| Arc::strong_count(v) > 1)
+            .count()
+    }
+
+    fn len(&self) -> usize {
+        self.spares.len() + self.retired.len()
+    }
+}
+
+/// The epoch-versioned node arena over reference-counted node versions.
 ///
-/// Nodes are batch-contiguously allocated in [`PAGE_CAP`]-node pages and
-/// addressed through a chunked slot table; mutation goes through
-/// [`NodeArena::node_mut`], which copies a node **only** when its page is
-/// shared with a snapshot or cloned tree (copy-on-write at node granularity,
-/// detected at page granularity).  Node ids are stable: a copy repoints the
-/// slot, so child pointers never need rewriting.
+/// Nodes are addressed through a chunked slot table; mutation goes through
+/// [`NodeArena::node_mut`], which copies a node **only** when a snapshot or
+/// cloned tree still reaches its current version (copy-on-write at node
+/// granularity).  Node ids are stable: a copy repoints the slot, so child
+/// pointers never need rewriting.  The copy writes into a spare version
+/// that a released pin gave back whenever one is left (see the
+/// [module docs](crate::arena)).
 #[derive(Debug)]
 pub struct NodeArena<S: Summary, L> {
-    chunks: Vec<SlotChunkArc>,
-    pages: Vec<Option<Page<S, L>>>,
-    /// Per-page count of slots still pointing into the page; the arena
-    /// drops its page reference when the count reaches zero.
-    live: Vec<u32>,
+    chunks: Vec<Chunk<S, L>>,
     len: usize,
     /// Number of published epochs (batches closed by [`NodeArena::publish`]).
     epoch: u64,
     registry: Arc<EpochRegistry>,
     /// Retired node copies created by copy-on-write so far.
     retired: u64,
+    /// Copies written into a recycled version so far.
+    recycled: u64,
+    /// This arena's generation; [`Clone`] moves both sides to a fresh one
+    /// (an atomic, because `clone` takes `&self`).
+    generation: AtomicU64,
+    /// Retired versions kept for recycling: `[directory, leaf]`.
+    graves: [Graveyard<S, L>; 2],
+    /// The census this arena last added to the process-wide gauges, so
+    /// the next report (or the arena's drop) adds only the difference.
+    reported: ArenaCensus,
 }
 
 impl<S: Summary, L> NodeArena<S, L> {
@@ -348,19 +462,23 @@ impl<S: Summary, L> NodeArena<S, L> {
     /// tree).
     #[must_use]
     pub fn new() -> Self {
-        let root = VersionedNode {
+        let generation = next_generation();
+        let root = Arc::new(VersionedNode {
             version: 0,
             node: Node::empty_leaf(),
             cache: BlockCacheSlot::new(),
-        };
+            generation,
+        });
         Self {
-            chunks: vec![Arc::new(vec![SlotRef { page: 0, idx: 0 }])],
-            pages: vec![Some(Arc::new(vec![root]))],
-            live: vec![1],
+            chunks: vec![Chunk::new(vec![root])],
             len: 1,
             epoch: 0,
             registry: Arc::new(EpochRegistry::default()),
             retired: 0,
+            recycled: 0,
+            generation: AtomicU64::new(generation),
+            graves: [Graveyard::default(), Graveyard::default()],
+            reported: ArenaCensus::default(),
         }
     }
 
@@ -378,28 +496,24 @@ impl<S: Summary, L> NodeArena<S, L> {
         self.len == 0
     }
 
-    fn slot(&self, id: NodeId) -> SlotRef {
-        self.chunks[id / SLOT_CHUNK][id % SLOT_CHUNK]
+    fn versioned(&self, id: NodeId) -> &VersionedNode<S, L> {
+        &self.chunks[id / SLOT_CHUNK].slots[id % SLOT_CHUNK]
     }
 
     /// Read access to a node.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &Node<S, L> {
-        let slot = self.slot(id);
-        &self.pages[slot.page as usize]
-            .as_ref()
-            .expect("page referenced by a live slot is present")[slot.idx as usize]
-            .node
+        &self.versioned(id).node
     }
 
-    /// Best-effort prefetch of the epoch-page slot holding node `id`:
-    /// pulls the slot's cache lines toward L1 so an imminent
-    /// [`Self::node`] read does not stall on memory.  Out-of-range ids are
-    /// ignored; a pure hint on every platform.
+    /// Best-effort prefetch of the version holding node `id`: pulls its
+    /// cache lines toward L1 so an imminent [`Self::node`] read does not
+    /// stall on memory.  Out-of-range ids are ignored; a pure hint on every
+    /// platform.
     #[inline]
     pub fn prefetch(&self, id: NodeId) {
         if id < self.len {
-            prefetch_page_slot(&self.pages, self.slot(id));
+            prefetch_version(&self.chunks[id / SLOT_CHUNK].slots[id % SLOT_CHUNK]);
         }
     }
 
@@ -407,22 +521,14 @@ impl<S: Summary, L> NodeArena<S, L> {
     /// it.
     #[must_use]
     pub fn version(&self, id: NodeId) -> u64 {
-        let slot = self.slot(id);
-        self.pages[slot.page as usize]
-            .as_ref()
-            .expect("page referenced by a live slot is present")[slot.idx as usize]
-            .version
+        self.versioned(id).version
     }
 
-    /// The block-cache slot of a node (shared with any snapshot holding the
-    /// node's page).
+    /// The block-cache slot of a node (shared with any snapshot reaching
+    /// the node's current version).
     #[must_use]
     pub fn cache_slot(&self, id: NodeId) -> &BlockCacheSlot {
-        let slot = self.slot(id);
-        &self.pages[slot.page as usize]
-            .as_ref()
-            .expect("page referenced by a live slot is present")[slot.idx as usize]
-            .cache
+        &self.versioned(id).cache
     }
 
     /// The published epoch: the number of batches closed so far.  Snapshots
@@ -434,24 +540,59 @@ impl<S: Summary, L> NodeArena<S, L> {
 
     /// Publishes the current in-flight epoch (called by `finish_batch`):
     /// every node stamped during the batch becomes part of the new published
-    /// root epoch.
+    /// root epoch.  The arena's gauges are reported here, once per batch.
     pub fn publish(&mut self) {
         self.epoch += 1;
+        if bt_obs::enabled() {
+            self.report(self.census());
+        }
+    }
+
+    /// Starts a batch's reclamation: retired versions no snapshot reaches
+    /// any more become spares for the batch's copies, up to the number of
+    /// copies the previous batch made of each node kind; the rest are
+    /// freed.  Versions a snapshot still reaches wait for a later batch.
+    pub fn reclaim(&mut self) {
+        for grave in &mut self.graves {
+            grave.reclaim();
+        }
     }
 
     /// Number of retired node copies created by copy-on-write so far.  Zero
     /// as long as no snapshot — and no [`Clone`]d tree, which shares the
-    /// pages the same way — overlaps a write: the no-sharer fast path never
-    /// copies.
+    /// versions the same way — overlaps a write: the no-sharer fast path
+    /// never copies.
     #[must_use]
     pub fn retired_nodes(&self) -> u64 {
         self.retired
     }
 
-    /// Number of epoch pages currently allocated (present entries only).
+    /// The arena's version census: versions held, retired versions a pin
+    /// still reaches, and copies recycled so far.  Costs one reference-count
+    /// load per retired version kept.
     #[must_use]
-    pub fn num_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+    pub fn census(&self) -> ArenaCensus {
+        ArenaCensus {
+            versions_live: self.len + self.graves.iter().map(Graveyard::len).sum::<usize>(),
+            versions_held_by_pins: self.graves.iter().map(Graveyard::held_by_pins).sum(),
+            versions_recycled: self.recycled,
+        }
+    }
+
+    /// Adds the difference between `census` and what this arena reported
+    /// last to the process-wide gauges.
+    fn report(&mut self, census: ArenaCensus) {
+        let m = bt_obs::tree_metrics();
+        let diff = |now: usize, then: usize| now as f64 - then as f64;
+        m.arena_versions_live
+            .add(diff(census.versions_live, self.reported.versions_live));
+        m.arena_versions_held_by_pins.add(diff(
+            census.versions_held_by_pins,
+            self.reported.versions_held_by_pins,
+        ));
+        m.arena_versions_recycled
+            .add(census.versions_recycled - self.reported.versions_recycled);
+        self.reported = census;
     }
 
     /// The shared epoch registry (snapshots pin their epoch here).
@@ -460,49 +601,34 @@ impl<S: Summary, L> NodeArena<S, L> {
         &self.registry
     }
 
-    /// Captures the storage spine for a snapshot: `O(chunks + pages)`
-    /// pointer copies, no node payload is touched.
+    /// Captures the storage spine for a snapshot: `O(chunks)` pointer
+    /// copies, plus one count per slot of each chunk written since the
+    /// last capture; no node payload is touched.
     #[must_use]
     pub fn snapshot_spine(&self) -> ArenaSpine<S, L> {
         ArenaSpine {
-            chunks: self.chunks.clone(),
-            pages: self.pages.clone(),
+            chunks: self.chunks.iter().map(Chunk::share).collect(),
             len: self.len,
         }
     }
 
     /// Incrementally refreshes `spine` to the arena's current state,
-    /// replacing **only** the slot chunks and pages the arena has touched
-    /// since the spine was captured (pointer-equality diff) and reusing the
-    /// rest as-is.
+    /// replacing **only** the slot chunks the arena has touched since the
+    /// spine was captured (pointer-equality diff) and reusing the rest
+    /// as-is.
     pub fn refresh_spine(&self, spine: &mut ArenaSpine<S, L>) -> SnapshotRefresh {
         let mut report = SnapshotRefresh::default();
         for (i, chunk) in self.chunks.iter().enumerate() {
+            let chunk = chunk.share();
             match spine.chunks.get_mut(i) {
-                Some(held) if Arc::ptr_eq(held, chunk) => report.chunks_reused += 1,
+                Some(held) if Arc::ptr_eq(held, &chunk) => report.chunks_reused += 1,
                 Some(held) => {
-                    *held = Arc::clone(chunk);
+                    *held = chunk;
                     report.chunks_refreshed += 1;
                 }
                 None => {
-                    spine.chunks.push(Arc::clone(chunk));
+                    spine.chunks.push(chunk);
                     report.chunks_refreshed += 1;
-                }
-            }
-        }
-        for (i, page) in self.pages.iter().enumerate() {
-            match spine.pages.get_mut(i) {
-                Some(held) => match (&held, page) {
-                    (Some(h), Some(p)) if Arc::ptr_eq(h, p) => report.pages_reused += 1,
-                    (None, None) => report.pages_reused += 1,
-                    _ => {
-                        *held = page.clone();
-                        report.pages_refreshed += 1;
-                    }
-                },
-                None => {
-                    spine.pages.push(page.clone());
-                    report.pages_refreshed += 1;
                 }
             }
         }
@@ -510,52 +636,21 @@ impl<S: Summary, L> NodeArena<S, L> {
         report
     }
 
-    /// Appends `node` to the open page (pushing a fresh page when the open
-    /// one is shared or full) and returns its location.
-    fn append_node(&mut self, node: VersionedNode<S, L>) -> SlotRef {
-        let open_usable = matches!(
-            self.pages.last(),
-            Some(Some(page)) if Arc::strong_count(page) == 1 && page.len() < PAGE_CAP
-        );
-        if !open_usable {
-            self.pages
-                .push(Some(Arc::new(Vec::with_capacity(PAGE_CAP))));
-            self.live.push(0);
-        }
-        let page_index = self.pages.len() - 1;
-        let page = self.pages[page_index]
-            .as_mut()
-            .expect("open page just ensured");
-        let nodes = Arc::get_mut(page).expect("open page is unshared");
-        nodes.push(node);
-        self.live[page_index] += 1;
-        SlotRef {
-            page: page_index as u32,
-            idx: (nodes.len() - 1) as u32,
-        }
-    }
-
-    /// Points `id`'s slot at `slot`, copying the covering chunk if shared
-    /// (chunk copies are bookkeeping, never counted as retired nodes).
-    fn set_slot(&mut self, id: NodeId, slot: SlotRef) {
-        let chunk = &mut self.chunks[id / SLOT_CHUNK];
-        Arc::make_mut(chunk)[id % SLOT_CHUNK] = slot;
-    }
-
     /// Adds a node stamped with the in-flight epoch and returns its id.
     pub fn push(&mut self, node: Node<S, L>) -> NodeId {
-        let slot = self.append_node(VersionedNode {
+        let version = Arc::new(VersionedNode {
             version: self.epoch + 1,
             node,
             cache: BlockCacheSlot::new(),
+            generation: *self.generation.get_mut(),
         });
         let id = self.len;
         self.len += 1;
         if id.is_multiple_of(SLOT_CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(SLOT_CHUNK)));
+            self.chunks.push(Chunk::new(Vec::with_capacity(SLOT_CHUNK)));
         }
         let chunk = self.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(chunk).push(slot);
+        chunk.slots_mut().push(version);
         id
     }
 }
@@ -563,54 +658,49 @@ impl<S: Summary, L> NodeArena<S, L> {
 impl<S: Summary + Clone, L: Clone> NodeArena<S, L> {
     /// Mutable access to a node — the copy-on-write point.
     ///
-    /// If the node's page is unshared the write happens in place (one atomic
-    /// load).  If a snapshot or cloned tree still holds the page, this one
-    /// node is retired: its current version is copied to the open page
-    /// (batch-contiguous with the rest of the in-flight delta), the slot is
-    /// repointed, and the page's live count drops — reaching zero releases
-    /// the arena's reference, leaving the page to its snapshots.  Either way
-    /// the node is stamped with the in-flight epoch (`published + 1`), and
-    /// its block-cache slot is emptied — on **every** call, which is the
-    /// whole cache rule: this is the only way to change a node, so a filled
-    /// slot always describes the node as it is now (the sharers keep their
-    /// blocks — the copy-on-write retire path leaves the shared page alone).
+    /// If no snapshot or cloned tree reaches the node's current version,
+    /// the write happens in place.  Otherwise this one node is retired: the
+    /// slot is repointed to a copy — written into a spare version when one
+    /// is left, freshly allocated when not — and the retired version goes
+    /// to the graveyard (if this arena's generation created it).  Either
+    /// way the node is stamped with the in-flight epoch (`published + 1`),
+    /// and its block-cache slot is emptied — on **every** call, which is
+    /// the whole cache rule: this is the only way to change a node, so a
+    /// filled slot always describes the node as it is now (the sharers keep
+    /// their blocks — the retire path never writes a shared version).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node<S, L> {
         &mut self.versioned_mut(id).node
     }
 
     fn versioned_mut(&mut self, id: NodeId) -> &mut VersionedNode<S, L> {
-        let mut slot = self.slot(id);
-        let mut page_index = slot.page as usize;
         let stamp = self.epoch + 1;
-        let shared = {
-            let page = self.pages[page_index]
-                .as_ref()
-                .expect("page referenced by a live slot is present");
-            Arc::strong_count(page) > 1
-        };
-        if shared {
-            // Retire this node's current version onto the open page — the
-            // sharer (snapshot or cloned tree) keeps reading the old page.
+        let generation = *self.generation.get_mut();
+        let slot = &mut self.chunks[id / SLOT_CHUNK].slots_mut()[id % SLOT_CHUNK];
+        // No weak handles exist, so a count of one is the proof that no
+        // snapshot or cloned tree reaches the version.
+        if Arc::strong_count(slot) > 1 {
             self.retired += 1;
-            let mut copy = self.pages[page_index]
-                .as_ref()
-                .expect("shared page is present")[slot.idx as usize]
-                .clone();
-            copy.version = stamp;
-            let new_slot = self.append_node(copy);
-            self.set_slot(id, new_slot);
-            self.live[page_index] -= 1;
-            if self.live[page_index] == 0 {
-                self.pages[page_index] = None;
+            let grave = &mut self.graves[usize::from(slot.node.is_leaf())];
+            grave.copies += 1;
+            let mut copy = grave.spares.pop();
+            if let Some(reused) = copy.as_mut().and_then(Arc::get_mut) {
+                reused.node.clone_from(&slot.node);
+                reused.generation = generation;
+                self.recycled += 1;
+            } else {
+                copy = Some(Arc::new(VersionedNode {
+                    version: stamp,
+                    node: slot.node.clone(),
+                    cache: BlockCacheSlot::new(),
+                    generation,
+                }));
             }
-            slot = new_slot;
-            page_index = new_slot.page as usize;
+            let old = std::mem::replace(slot, copy.expect("a copy was made"));
+            if old.generation == generation {
+                grave.retired.push(old);
+            }
         }
-        let page = self.pages[page_index]
-            .as_mut()
-            .expect("target page is present");
-        let versioned =
-            &mut Arc::get_mut(page).expect("target page is unshared")[slot.idx as usize];
+        let versioned = Arc::get_mut(slot).expect("the slot's version is unshared");
         versioned.cache.clear();
         versioned.version = stamp;
         versioned
@@ -624,20 +714,39 @@ impl<S: Summary, L> Default for NodeArena<S, L> {
 }
 
 impl<S: Summary, L> Clone for NodeArena<S, L> {
-    /// Cloning an arena shares the slot chunks and epoch pages copy-on-write
-    /// (cheap: pointer copies only) but starts a **fresh registry**:
+    /// Cloning an arena shares the versions copy-on-write (pointer copies
+    /// only, one count per node) but starts a **fresh registry**:
     /// snapshots of the clone pin the clone's registry, not the original's.
     /// Mutating either tree copies shared nodes on first write, so the two
     /// trees stay isolated.
+    ///
+    /// Both arenas move to a fresh generation: a version they share may be
+    /// held by the other tree for good, so neither graveyards it.  The
+    /// clone starts with no spares.
     fn clone(&self) -> Self {
+        self.generation.store(next_generation(), Ordering::Relaxed);
         Self {
             chunks: self.chunks.clone(),
-            pages: self.pages.clone(),
-            live: self.live.clone(),
             len: self.len,
             epoch: self.epoch,
             registry: Arc::new(EpochRegistry::default()),
             retired: 0,
+            recycled: 0,
+            generation: AtomicU64::new(next_generation()),
+            graves: [Graveyard::default(), Graveyard::default()],
+            reported: ArenaCensus::default(),
+        }
+    }
+}
+
+impl<S: Summary, L> Drop for NodeArena<S, L> {
+    /// Takes this arena's share back out of the process-wide gauges.
+    fn drop(&mut self) {
+        if bt_obs::enabled() {
+            self.report(ArenaCensus {
+                versions_recycled: self.recycled,
+                ..ArenaCensus::default()
+            });
         }
     }
 }
@@ -673,6 +782,13 @@ mod tests {
         }
     }
 
+    fn spine_items(spine: &ArenaSpine<W, u32>, id: NodeId) -> Vec<u32> {
+        match &spine.node(id).kind {
+            NodeKind::Leaf { items } => items.clone(),
+            NodeKind::Inner { .. } => panic!("expected leaf"),
+        }
+    }
+
     #[test]
     fn in_place_mutation_without_snapshots_retires_nothing() {
         let mut arena: NodeArena<W, u32> = NodeArena::new();
@@ -697,10 +813,7 @@ mod tests {
         arena.node_mut(0).items_mut().push(3);
         assert_eq!(arena.retired_nodes(), 1);
         // The pinned spine still sees the pre-snapshot state.
-        match &spine.node(0).kind {
-            NodeKind::Leaf { items } => assert_eq!(items, &[1]),
-            NodeKind::Inner { .. } => panic!("expected leaf"),
-        }
+        assert_eq!(spine_items(&spine, 0), vec![1]);
         assert_eq!(spine.version(0), 1);
         assert_eq!(leaf_items(&arena, 0), vec![1, 2, 3]);
         assert_eq!(arena.version(0), 2);
@@ -736,40 +849,129 @@ mod tests {
     }
 
     #[test]
-    fn pushes_fill_pages_contiguously() {
+    fn pushes_resolve_across_slot_chunks() {
         let mut arena: NodeArena<W, u32> = NodeArena::new();
-        // The root occupies page 0 slot 0; the next PAGE_CAP - 1 pushes
-        // share its page, the one after opens page 1.
-        for _ in 0..(PAGE_CAP - 1) {
+        // The root occupies slot 0 of chunk 0; the next SLOT_CHUNK - 1
+        // pushes fill that chunk, the one after opens chunk 1.
+        for _ in 0..(SLOT_CHUNK - 1) {
             let _ = arena.push(Node::empty_leaf());
         }
-        assert_eq!(arena.num_pages(), 1);
         let id = arena.push(Node::empty_leaf());
-        assert_eq!(arena.num_pages(), 2);
-        assert_eq!(id, PAGE_CAP);
-        assert_eq!(arena.len(), PAGE_CAP + 1);
-        // Ids keep resolving across the page boundary.
+        assert_eq!(id, SLOT_CHUNK);
+        assert_eq!(arena.len(), SLOT_CHUNK + 1);
+        assert_eq!(arena.census().versions_live, SLOT_CHUNK + 1);
+        // Ids keep resolving across the chunk boundary.
         arena.node_mut(id).items_mut().push(7);
         assert_eq!(leaf_items(&arena, id), vec![7]);
     }
 
-    #[test]
-    fn fully_retired_pages_are_released_by_the_arena() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
-        arena.node_mut(0).items_mut().push(1);
-        arena.publish();
+    /// One pinned write per round: pin, write node 0, release.
+    fn pinned_round(arena: &mut NodeArena<W, u32>, item: u32) {
+        arena.reclaim();
         let spine = arena.snapshot_spine();
-        // Retire the only node of page 0: the arena must drop the page
-        // (the spine keeps it alive), leaving one present page.
-        arena.node_mut(0).items_mut().push(2);
-        assert_eq!(arena.retired_nodes(), 1);
-        assert_eq!(arena.num_pages(), 1);
-        match &spine.node(0).kind {
-            NodeKind::Leaf { items } => assert_eq!(items, &[1]),
-            NodeKind::Inner { .. } => panic!("expected leaf"),
-        }
+        arena.node_mut(0).items_mut().push(item);
+        arena.publish();
         drop(spine);
-        assert_eq!(leaf_items(&arena, 0), vec![1, 2]);
+    }
+
+    #[test]
+    fn released_versions_are_recycled_by_the_next_copy() {
+        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        arena.node_mut(0).items_mut().push(0);
+        arena.publish();
+        pinned_round(&mut arena, 1);
+        // The retired version waits in the graveyard; no pin reaches it.
+        let census = arena.census();
+        assert_eq!(census.versions_live, 2);
+        assert_eq!(census.versions_held_by_pins, 0);
+        assert_eq!(census.versions_recycled, 0);
+        // Every later round writes its copy into the version the previous
+        // round retired: the arena never holds more than one spare.
+        for item in 2..10 {
+            pinned_round(&mut arena, item);
+            let census = arena.census();
+            assert_eq!(census.versions_live, 2);
+            assert_eq!(census.versions_recycled, u64::from(item) - 1);
+        }
+        assert_eq!(arena.retired_nodes(), 9);
+        assert_eq!(leaf_items(&arena, 0), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn versions_a_pin_reaches_are_never_recycled() {
+        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        arena.node_mut(0).items_mut().push(0);
+        arena.publish();
+        let held = arena.snapshot_spine();
+        pinned_round(&mut arena, 1);
+        assert_eq!(arena.census().versions_held_by_pins, 1);
+        for item in 2..6 {
+            pinned_round(&mut arena, item);
+        }
+        // Nothing was recycled into the version `held` reads, and it still
+        // reads the pre-pin state.
+        assert_eq!(spine_items(&held, 0), vec![0]);
+        assert_eq!(arena.census().versions_held_by_pins, 1);
+        drop(held);
+        assert_eq!(arena.census().versions_held_by_pins, 0);
+        pinned_round(&mut arena, 6);
+        assert_eq!(leaf_items(&arena, 0), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn spares_beyond_the_last_batch_copies_are_freed() {
+        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        for _ in 0..7 {
+            let _ = arena.push(Node::empty_leaf());
+        }
+        arena.publish();
+        // One batch retires all eight leaves under a pin...
+        arena.reclaim();
+        let spine = arena.snapshot_spine();
+        for id in 0..8 {
+            arena.node_mut(id).items_mut().push(1);
+        }
+        arena.publish();
+        drop(spine);
+        assert_eq!(arena.census().versions_live, 16);
+        // ...the next one copies only two: it keeps eight spares (the last
+        // batch's copies) and recycles two of them.
+        arena.reclaim();
+        let spine = arena.snapshot_spine();
+        for id in 0..2 {
+            arena.node_mut(id).items_mut().push(2);
+        }
+        arena.publish();
+        drop(spine);
+        assert_eq!(arena.census().versions_recycled, 2);
+        assert_eq!(arena.census().versions_live, 16);
+        // A batch without a pin copies nothing: the next reclaim keeps two
+        // spares, the one after none.
+        arena.reclaim();
+        assert_eq!(arena.census().versions_live, 8 + 2);
+        arena.reclaim();
+        assert_eq!(arena.census().versions_live, 8);
+    }
+
+    #[test]
+    fn cloned_arenas_graveyard_only_their_own_versions() {
+        let mut trained: NodeArena<W, u32> = NodeArena::new();
+        trained.node_mut(0).items_mut().push(0);
+        trained.publish();
+        let mut live = trained.clone();
+        // The first pinned write retires a version `trained` shares: it is
+        // dropped, not kept, so `trained` cannot block the graveyard.
+        pinned_round(&mut live, 1);
+        assert_eq!(live.retired_nodes(), 1);
+        assert_eq!(live.census().versions_live, 1);
+        // Versions `live` made itself are recycled as usual.
+        for item in 2..6 {
+            pinned_round(&mut live, item);
+        }
+        assert_eq!(live.census().versions_held_by_pins, 0);
+        assert_eq!(live.census().versions_recycled, 3);
+        assert_eq!(leaf_items(&trained, 0), vec![0]);
+        assert_eq!(leaf_items(&live, 0), (0..6).collect::<Vec<_>>());
     }
 
     fn warm(slot: &BlockCacheSlot) {
@@ -804,8 +1006,8 @@ mod tests {
         arena.publish();
         let spine = arena.snapshot_spine();
         warm(spine.cache_slot(0));
-        // The slot is page-shared: the live arena sees the warm block until
-        // it mutates the node.
+        // The slot is shared: the live arena sees the warm block until it
+        // mutates the node.
         assert!(arena.cache_slot(0).get().is_some());
         // Copy-on-write retire: the live copy starts with an empty slot, the
         // spine keeps reading its warm block.
@@ -815,9 +1017,26 @@ mod tests {
     }
 
     #[test]
+    fn recycled_versions_start_with_an_empty_block() {
+        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        arena.node_mut(0).items_mut().push(1);
+        arena.publish();
+        let spine = arena.snapshot_spine();
+        warm(spine.cache_slot(0));
+        arena.node_mut(0).items_mut().push(2);
+        arena.publish();
+        drop(spine);
+        // The next pinned write recycles the warm retired version.
+        pinned_round(&mut arena, 3);
+        assert_eq!(arena.census().versions_recycled, 1);
+        assert!(arena.cache_slot(0).get().is_none());
+        assert_eq!(leaf_items(&arena, 0), vec![1, 2, 3]);
+    }
+
+    #[test]
     fn refresh_spine_reuses_untouched_storage() {
         let mut arena: NodeArena<W, u32> = NodeArena::new();
-        for _ in 0..(2 * PAGE_CAP) {
+        for _ in 0..(2 * SLOT_CHUNK) {
             let _ = arena.push(Node::empty_leaf());
         }
         arena.publish();
@@ -825,19 +1044,12 @@ mod tests {
         // No writes: everything is pointer-equal.
         let report = arena.refresh_spine(&mut spine);
         assert_eq!(report.chunks_refreshed, 0);
-        assert_eq!(report.pages_refreshed, 0);
-        assert!(report.chunks_reused > 0 && report.pages_reused > 0);
-        // Touch one node on a shared page: exactly the rewritten chunk and
-        // the affected pages (retired-from and open) refresh.
+        assert_eq!(report.chunks_reused, 3);
+        // Touch one node: exactly the rewritten chunk refreshes.
         arena.node_mut(0).items_mut().push(9);
         let report = arena.refresh_spine(&mut spine);
         assert_eq!(report.chunks_refreshed, 1);
-        assert!(report.chunks_reused > 0);
-        assert!(report.pages_refreshed >= 1 && report.pages_refreshed <= 2);
-        assert!(report.pages_reused > 0);
-        match &spine.node(0).kind {
-            NodeKind::Leaf { items } => assert_eq!(items, &[9]),
-            NodeKind::Inner { .. } => panic!("expected leaf"),
-        }
+        assert_eq!(report.chunks_reused, 2);
+        assert_eq!(spine_items(&spine, 0), vec![9]);
     }
 }

@@ -364,8 +364,13 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
     /// Every batch must be closed with `finish_batch` before the next one
     /// begins; [`Self::insert`] and [`Self::insert_batch`] bracket the
     /// engine for the common cases.
+    ///
+    /// Opening a batch also readies the arena's spares: node versions
+    /// retired under pins that have since been released are recycled by
+    /// this batch's copies ([`NodeArena::reclaim`](crate::NodeArena::reclaim)).
     pub fn begin_batch(&mut self) {
         self.stats_mut().batches += 1;
+        self.arena_mut().reclaim();
         let num_nodes = self.arena_len();
         self.scratch_mut().begin(num_nodes);
     }

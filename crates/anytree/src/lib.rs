@@ -5,29 +5,30 @@
 //! *same* index with micro-clusters instead of kernels.  This crate owns the
 //! machinery both trees share so that it exists exactly once:
 //!
-//! * the **node arena** ([`AnytimeTree`], [`arena`]): versioned nodes laid
-//!   out in contiguous **epoch pages** (`Arc`-shared arrays of up to
-//!   [`PAGE_CAP`] nodes) behind a slot table that keeps [`NodeId`]s stable.
-//!   Every node carries the epoch of the batch that last mutated it and a
-//!   block-cache slot that every write empties (so a filled slot always
-//!   describes the node as it is — the one cache rule), and mutation is **copy-on-write at node granularity with page-granular
-//!   sharing detection**: a write mutates in place while no pinned snapshot
-//!   shares the page (one reference-count check — the no-reader fast path
-//!   never copies) and otherwise retires the old version by appending the
-//!   copy to the open page, so the nodes one batch touches land next to
-//!   each other in memory,
+//! * the **node arena** ([`AnytimeTree`], [`arena`]): every node version is
+//!   its own reference-counted allocation behind a chunked slot table that
+//!   keeps [`NodeId`]s stable.  Every version carries the epoch of the
+//!   batch that last mutated it and a block-cache slot that every write
+//!   empties (so a filled slot always describes the node as it is — the
+//!   one cache rule), and mutation is **copy-on-write per version**: a
+//!   write mutates in place while no pinned snapshot reaches the version
+//!   (one reference-count check — the no-reader fast path never copies)
+//!   and otherwise repoints the slot to a copy, leaving the old version to
+//!   its readers,
 //! * **epoch-pinned snapshots** ([`snapshot`]): `finish_batch` publishes a
-//!   new root epoch, [`AnytimeTree::snapshot`] pins it (a spine clone plus
-//!   one registry pin) and returns an owned, `Send + Sync`
+//!   new root epoch, [`AnytimeTree::snapshot`] pins it (a slot-table clone
+//!   plus one registry pin) and returns an owned, `Send + Sync`
 //!   [`TreeSnapshot`] whose query answers stay bit-identical to pin time
-//!   while later batches mutate the tree.  Retired node versions are owned
-//!   only by the snapshots that pinned them, so they are reclaimed exactly
-//!   when the last such snapshot drops ([`EpochRegistry`] records the pins,
-//!   the `Arc` drop frees the memory).  A held snapshot catches up in place
-//!   via [`TreeSnapshot::refresh`]: only the spine chunks and pages the
-//!   intervening batches actually replaced are re-pinned, everything
-//!   untouched is reused pointer-for-pointer ([`SnapshotRefresh`] reports
-//!   the reuse counters),
+//!   while later batches mutate the tree.  A retired version is kept by
+//!   the snapshots that reach it and by its arena's graveyard; once no pin
+//!   reaches it, the arena's next batch writes a copy into it (`clone_from`
+//!   reuses its buffers) or frees it beyond one batch's worth of spares
+//!   ([`ArenaCensus`] counts what is held, [`EpochRegistry`] records the
+//!   pins).  A held snapshot catches up in place via
+//!   [`TreeSnapshot::refresh`]: only the slot chunks the intervening
+//!   batches actually replaced are re-pinned, everything untouched is
+//!   reused pointer-for-pointer ([`SnapshotRefresh`] reports the reuse
+//!   counters),
 //! * **entries generic over a payload** ([`Summary`]): merge / weight /
 //!   distance / decay, plus an optional MBR hook that routes descent and
 //!   splits through `bt_index::rstar` choose-subtree and the R* topological
@@ -104,7 +105,8 @@
 //! * the **observability boundary** ([`obs`]): every batch, query and
 //!   snapshot refresh folds its [`DescentStats`] / [`QueryStats`] /
 //!   [`SnapshotRefresh`] delta into the process-global [`bt_obs`] metric
-//!   registry (latency and bound-width histograms included) and emits
+//!   registry (latency and bound-width histograms included), every publish
+//!   adds its arena's [`ArenaCensus`] change to the arena gauges, and emits
 //!   span-trace events for the refinement lifecycle — the hot loops never
 //!   touch an atomic, and disabled recording costs one relaxed load per
 //!   boundary.
@@ -132,7 +134,7 @@ pub mod summary;
 pub mod tree;
 
 pub use arena::{
-    ArenaSpine, EpochPin, EpochRegistry, NodeArena, SnapshotRefresh, VersionedNode, PAGE_CAP,
+    ArenaCensus, ArenaSpine, EpochPin, EpochRegistry, NodeArena, SnapshotRefresh, VersionedNode,
     SLOT_CHUNK,
 };
 pub use bt_obs;

@@ -15,7 +15,7 @@ pub type NodeId = usize;
 /// The entry [`Deref`](std::ops::Deref)s to its summary so instantiations
 /// whose payloads expose public fields (e.g. `mbr` / `cf`) keep their
 /// familiar field access.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Entry<S> {
     /// Aggregate of everything stored below this entry (including buffered
     /// mass parked at or below it).
@@ -26,6 +26,23 @@ pub struct Entry<S> {
     pub buffer: Option<S>,
     /// Arena index of the child node.
     pub child: NodeId,
+}
+
+impl<S: Clone> Clone for Entry<S> {
+    fn clone(&self) -> Self {
+        Self {
+            summary: self.summary.clone(),
+            buffer: self.buffer.clone(),
+            child: self.child,
+        }
+    }
+
+    /// Field-wise, so a recycled entry keeps its summary's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.summary.clone_from(&source.summary);
+        self.buffer.clone_from(&source.buffer);
+        self.child = source.child;
+    }
 }
 
 impl<S: Summary> Entry<S> {
@@ -66,7 +83,7 @@ impl<S> std::ops::DerefMut for Entry<S> {
 }
 
 /// The payload of a node: raw leaf items or directory entries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum NodeKind<S, L> {
     /// A leaf node storing the workload's leaf items (raw kernel points for
     /// the Bayes tree, micro-clusters for the clustering extension).
@@ -81,11 +98,46 @@ pub enum NodeKind<S, L> {
     },
 }
 
+impl<S: Clone, L: Clone> Clone for NodeKind<S, L> {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Leaf { items } => Self::Leaf {
+                items: items.clone(),
+            },
+            Self::Inner { entries } => Self::Inner {
+                entries: entries.clone(),
+            },
+        }
+    }
+
+    /// Reuses `self`'s buffers, element by element, when both payloads are
+    /// of the same kind — the arena recycles retired versions per kind.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Self::Leaf { items }, Self::Leaf { items: from }) => items.clone_from(from),
+            (Self::Inner { entries }, Self::Inner { entries: from }) => entries.clone_from(from),
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
 /// One node of the tree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Node<S, L> {
     /// The node's payload.
     pub kind: NodeKind<S, L>,
+}
+
+impl<S: Clone, L: Clone> Clone for Node<S, L> {
+    fn clone(&self) -> Self {
+        Self {
+            kind: self.kind.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.kind.clone_from(&source.kind);
+    }
 }
 
 impl<S, L> Node<S, L> {
@@ -183,6 +235,66 @@ impl<S, L> Node<S, L> {
         match &mut self.kind {
             NodeKind::Leaf { items } => items,
             NodeKind::Inner { .. } => panic!("items_mut() called on an inner node"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct W(Vec<f64>);
+
+    impl Summary for W {
+        type Ctx = ();
+        fn merge(&mut self, _other: &Self, _ctx: ()) {}
+        fn weight(&self) -> f64 {
+            self.0.len() as f64
+        }
+        fn sq_dist_to(&self, _point: &[f64]) -> f64 {
+            0.0
+        }
+        fn center(&self) -> Vec<f64> {
+            self.0.clone()
+        }
+    }
+
+    fn entry(summary: &[f64], buffer: Option<&[f64]>, child: NodeId) -> Entry<W> {
+        Entry {
+            summary: W(summary.to_vec()),
+            buffer: buffer.map(|b| W(b.to_vec())),
+            child,
+        }
+    }
+
+    fn shape(node: &Node<W, Vec<f64>>) -> String {
+        format!("{:?}", node.kind)
+    }
+
+    #[test]
+    fn clone_from_equals_clone_within_and_across_kinds() {
+        let nodes = [
+            Node::leaf(vec![vec![1.0, 2.0], vec![3.0]]),
+            Node::leaf(vec![vec![4.0; 5]]),
+            Node::empty_leaf(),
+            Node::inner(vec![
+                entry(&[1.0, 2.0], None, 3),
+                entry(&[5.0], Some(&[6.0, 7.0]), 9),
+            ]),
+            Node::inner(vec![entry(&[8.0], Some(&[9.0]), 1)]),
+            Node::inner(vec![
+                entry(&[1.0], Some(&[2.0]), 4),
+                entry(&[3.0; 3], None, 5),
+                entry(&[0.5], None, 6),
+            ]),
+        ];
+        for target in &nodes {
+            for source in &nodes {
+                let mut recycled = target.clone();
+                recycled.clone_from(source);
+                assert_eq!(shape(&recycled), shape(source));
+            }
         }
     }
 }

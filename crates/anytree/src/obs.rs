@@ -229,13 +229,8 @@ pub(crate) fn record_snapshot_refresh(refresh: &SnapshotRefresh) {
     m.snapshot_chunks_reused.add(refresh.chunks_reused as u64);
     m.snapshot_chunks_refreshed
         .add(refresh.chunks_refreshed as u64);
-    m.snapshot_pages_reused.add(refresh.pages_reused as u64);
-    m.snapshot_pages_refreshed
-        .add(refresh.pages_refreshed as u64);
     bt_obs::trace(|| TraceEvent::SnapshotRefresh {
         chunks_reused: refresh.chunks_reused as u64,
         chunks_refreshed: refresh.chunks_refreshed as u64,
-        pages_reused: refresh.pages_reused as u64,
-        pages_refreshed: refresh.pages_refreshed as u64,
     });
 }

@@ -62,7 +62,7 @@
 //! once.  An index family is one struct generic over its shard set, so
 //! every read it offers is written once, against this trait.
 
-use crate::arena::SnapshotRefresh;
+use crate::arena::{ArenaCensus, SnapshotRefresh};
 use crate::descent::{BatchOutcome, DepthHistogram, DescentStats};
 use crate::model::InsertModel;
 use crate::query::{
@@ -283,6 +283,12 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     #[must_use]
     pub fn retired_nodes(&self) -> u64 {
         self.shards.iter().map(AnytimeTree::retired_nodes).sum()
+    }
+
+    /// The shards' arena censuses, summed.
+    #[must_use]
+    pub fn arena_census(&self) -> ArenaCensus {
+        self.shards.iter().map(AnytimeTree::arena_census).sum()
     }
 
     /// Live snapshots pinning this tree.  A whole-tree snapshot pins every
@@ -872,8 +878,8 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
 
     /// Incrementally moves every shard's snapshot forward to `tree`'s
     /// current state ([`TreeSnapshot::refresh`]) and returns the summed
-    /// [`SnapshotRefresh`] counters: only the slot chunks and epoch pages
-    /// touched since the pins are replaced, shard by shard.
+    /// [`SnapshotRefresh`] counters: only the slot chunks touched since the
+    /// pins are replaced, shard by shard.
     ///
     /// # Panics
     ///
@@ -893,8 +899,6 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
             let report = snapshot.refresh(shard);
             total.chunks_reused += report.chunks_reused;
             total.chunks_refreshed += report.chunks_refreshed;
-            total.pages_reused += report.pages_reused;
-            total.pages_refreshed += report.pages_refreshed;
         }
         total
     }

@@ -2,40 +2,42 @@
 //!
 //! A [`TreeSnapshot`] is the read side of the epoch-versioned arena
 //! ([`crate::arena`]): taking one costs an [`ArenaSpine`] capture
-//! (`O(chunks + pages)` pointer copies — no node payload is touched) plus
-//! one pin of the published epoch in the tree's [`EpochRegistry`].  The
-//! snapshot is an owned value — it borrows nothing from the tree — so it
-//! can be sent to reader threads (`Send + Sync` whenever the payloads are)
-//! and queried through the full anytime engine ([`TreeView`]) while the
-//! writer keeps inserting batches into the live tree.
+//! (`O(chunks)` pointer copies — no node payload is touched) plus one pin
+//! of the published epoch in the tree's [`EpochRegistry`].  The snapshot is
+//! an owned value — it borrows nothing from the tree — so it can be sent to
+//! reader threads (`Send + Sync` whenever the payloads are) and queried
+//! through the full anytime engine ([`TreeView`]) while the writer keeps
+//! inserting batches into the live tree.
 //!
 //! **Isolation guarantee**: every answer computed against a snapshot is
 //! bit-identical to the answer the live tree would have given at the moment
-//! the snapshot was taken.  The writer never mutates a node the snapshot
-//! can reach — copy-on-write retires the node onto a fresh epoch page and
-//! repoints the slot table, leaving the pinned page untouched
-//! (`tests/snapshot_isolation.rs` locks this down for both tree
-//! instantiations and their sharded variants).
+//! the snapshot was taken.  The writer never mutates a node version the
+//! snapshot can reach — copy-on-write repoints the slot to a copy and
+//! leaves the reached version untouched, and a retired version is recycled
+//! only once `Arc::get_mut` proves that no snapshot reaches it
+//! (`tests/snapshot_isolation.rs` and `tests/snapshot_reclamation.rs` lock
+//! this down for both tree instantiations and their sharded variants).
 //!
-//! **Warm blocks**: a node's block-cache slot lives on its epoch page, so
-//! a snapshot shares the live tree's warm blocks for every node the
-//! writer has not touched since the pin, and keeps the blocks it fills
-//! for as long as it holds the page.  The writer never writes a node on a
-//! page a snapshot holds (it retires a copy with an empty slot), so a
+//! **Warm blocks**: a node's block-cache slot lives in its version, so a
+//! snapshot shares the live tree's warm blocks for every node the writer
+//! has not touched since the pin, and keeps the blocks it fills for as
+//! long as it holds the version.  The writer never writes a version a
+//! snapshot reaches (it retires it to a copy with an empty slot), so a
 //! filled slot always describes the pinned node.
 //!
-//! **Reclamation rule**: a retired node version lives on an epoch page
-//! owned only by the snapshot spines that reference it, so its memory is
-//! freed exactly when the last snapshot taken before the version was
-//! replaced is dropped.  The registry pin is released by the snapshot's
-//! `Drop`; no collector runs.
+//! **Reclamation rule**: a retired version is kept alive by the snapshots
+//! that reach it and by its arena's graveyard.  Dropping the last such
+//! snapshot makes it a spare, which the arena's next batch either writes a
+//! copy into or frees (see the [arena docs](crate::arena)); the drop itself
+//! frees no node memory and no collector runs.  The registry pin is
+//! released by the snapshot's `Drop`.
 //!
 //! **Incremental refresh** ([`TreeSnapshot::refresh`]): a long-lived reader
 //! that wants to move its snapshot forward does not pay a fresh capture —
 //! the spine is diffed against the live arena by pointer equality and only
-//! the slot chunks and epoch pages touched since the pin are replaced; the
-//! untouched majority is reused as-is.  The returned [`SnapshotRefresh`]
-//! counters make the reuse observable.
+//! the slot chunks touched since the pin are replaced; the untouched
+//! majority is reused as-is.  The returned [`SnapshotRefresh`] counters
+//! make the reuse observable.
 
 use crate::arena::{ArenaSpine, EpochPin, EpochRegistry, SnapshotRefresh};
 use crate::node::{Node, NodeId};
@@ -82,7 +84,7 @@ impl<S: Summary, L> TreeSnapshot<S, L> {
     }
 
     /// Moves this snapshot forward to `tree`'s current state **in place**,
-    /// replacing only the slot chunks and epoch pages the tree has touched
+    /// replacing only the slot chunks the tree has touched
     /// since this snapshot was taken (or last refreshed) and reusing the
     /// untouched rest by pointer equality.  The pin is repointed to the
     /// tree's current published epoch.
@@ -455,8 +457,7 @@ mod tests {
         // A refresh right after catching up reuses everything.
         let idle = snapshot.refresh(&tree);
         assert_eq!(idle.chunks_refreshed, 0);
-        assert_eq!(idle.pages_refreshed, 0);
-        assert!(idle.chunks_reused > 0 && idle.pages_reused > 0);
+        assert!(idle.chunks_reused > 0);
         // The first refresh reused at least as much as it replaced would
         // suggest: some storage was untouched by the 50-object batch.
         assert!(report.chunks_reused + report.chunks_refreshed >= 1);

@@ -5,7 +5,7 @@
 //! module owns the arena, the node/summary accessors and the single-object
 //! [`AnytimeTree::insert`] convenience wrapper.
 
-use crate::arena::NodeArena;
+use crate::arena::{ArenaCensus, NodeArena};
 use crate::descent::{DepthHistogram, DescentCursor, DescentScratch, DescentStats};
 use crate::model::InsertModel;
 use crate::node::{Entry, Node, NodeId, NodeKind};
@@ -143,6 +143,15 @@ impl<S: Summary, L> AnytimeTree<S, L> {
         self.arena.retired_nodes()
     }
 
+    /// The arena's version census: node versions held, retired versions a
+    /// pinned snapshot still reaches, and copy-on-write copies written into
+    /// a recycled version so far ([`crate::arena`] has the reclamation
+    /// rule).
+    #[must_use]
+    pub fn arena_census(&self) -> ArenaCensus {
+        self.arena.census()
+    }
+
     /// The oldest epoch still pinned by a live snapshot of this tree, if
     /// any.
     #[must_use]
@@ -157,7 +166,7 @@ impl<S: Summary, L> AnytimeTree<S, L> {
     }
 
     /// Takes a cheap, immutable, point-in-time snapshot of the tree: the
-    /// storage spine is captured (`O(chunks + pages)` pointer copies, no
+    /// storage spine is captured (`O(chunks)` pointer copies, no
     /// node payload is touched) and the current published epoch is pinned
     /// in the shared [`EpochRegistry`](crate::EpochRegistry).
     ///

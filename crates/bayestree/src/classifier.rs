@@ -29,8 +29,8 @@ use crate::query::{EstimateModel, KernelQueryModel};
 use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
 use crate::StoredSummary;
 use bt_anytree::{
-    frontier_sum, with_scratch_cursors, ElementOrigin, NodeId, NodeKind, QueryModel, QueryStats,
-    RefineOrder, ShardSet, TreeView,
+    frontier_sum, with_scratch_cursors, ArenaCensus, ElementOrigin, NodeId, NodeKind, QueryModel,
+    QueryStats, RefineOrder, ShardSet, TreeView,
 };
 use bt_data::Dataset;
 use bt_index::PageGeometry;
@@ -473,6 +473,14 @@ impl AnytimeClassifier {
         }
         self.roots.take();
         self.refresh_priors();
+    }
+
+    /// The per-class trees' arena censuses, summed: node versions held,
+    /// retired versions a pinned snapshot still reaches, and copies written
+    /// into a recycled version so far.
+    #[must_use]
+    pub fn arena_census(&self) -> ArenaCensus {
+        self.trees.iter().map(BayesTree::arena_census).sum()
     }
 
     /// Refreshes the priors from the per-class observation counts.

@@ -135,7 +135,7 @@ pub trait StoredElement: Send + Sync + 'static {
 
     /// Bytes per stored scalar component (MBR corner / CF component) —
     /// drives the per-mode page geometry, and with it the fanout per 4 KiB
-    /// epoch page.
+    /// page.
     const SCALAR_BYTES: usize;
 
     /// Human-readable mode name for reports and bench records.
@@ -162,12 +162,27 @@ impl StoredElement for Quantized {
 
 /// The Bayes tree's payload in the `f64` mode: the MBR and cluster feature
 /// of one subtree (Definition 1).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KernelSummary {
     /// Minimum bounding rectangle of all objects stored below.
     pub mbr: Mbr,
     /// Cluster feature `(n, LS, SS)` of all objects stored below.
     pub cf: ClusterFeature,
+}
+
+impl Clone for KernelSummary {
+    fn clone(&self) -> Self {
+        Self {
+            mbr: self.mbr.clone(),
+            cf: self.cf.clone(),
+        }
+    }
+
+    /// Field-wise, so a recycled summary keeps its four buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.mbr.clone_from(&source.mbr);
+        self.cf.clone_from(&source.cf);
+    }
 }
 
 impl KernelSummary {
@@ -327,7 +342,7 @@ thread_local! {
 /// All accumulation decodes to `f64`, updates exactly, and re-encodes; both
 /// codecs are idempotent, so already-representable state re-encodes to the
 /// same bits and repeated churn does not drift the boxes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QuantizedSummary {
     n: f64,
     ls_step: f64,
@@ -336,6 +351,28 @@ pub struct QuantizedSummary {
     cf_q: Box<[i16]>,
     /// `[lower corners (dims) | upper corners (dims)]`, `bf16` bits.
     corners: Box<[u16]>,
+}
+
+impl Clone for QuantizedSummary {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            ls_step: self.ls_step,
+            ss_step: self.ss_step,
+            cf_q: self.cf_q.clone(),
+            corners: self.corners.clone(),
+        }
+    }
+
+    /// Field-wise, so a recycled summary keeps its two buffers (equal
+    /// dimensionality: the boxed slices are copied in place).
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.ls_step = source.ls_step;
+        self.ss_step = source.ss_step;
+        self.cf_q.clone_from(&source.cf_q);
+        self.corners.clone_from(&source.corners);
+    }
 }
 
 impl QuantizedSummary {

@@ -17,7 +17,7 @@
 
 use crate::node::{node_cluster_feature, node_mbr, Entry, NodeId, StoredElement, StoredSummary};
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
+    AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
     ShardedTreeSnapshot,
 };
 use bt_index::PageGeometry;
@@ -253,6 +253,14 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     #[must_use]
     pub fn retired_nodes(&self) -> u64 {
         self.core.retired_nodes()
+    }
+
+    /// The arenas' version census over all shards: node versions held,
+    /// retired versions a pinned snapshot still reaches, and copies written
+    /// into a recycled version so far.
+    #[must_use]
+    pub fn arena_census(&self) -> ArenaCensus {
+        self.core.arena_census()
     }
 
     /// Number of live snapshots currently pinning an epoch of this tree.

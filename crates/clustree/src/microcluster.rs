@@ -21,11 +21,28 @@ use bt_stats::{ClusterFeature, DiagGaussian};
 /// (`ClusTree::validate` checks it).  The box never shrinks (decay fades
 /// weights, not extents), so it stays a conservative superset of the
 /// remaining mass.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MicroCluster {
     cf: ClusterFeature,
     last_update: f64,
     mbr: Mbr,
+}
+
+impl Clone for MicroCluster {
+    fn clone(&self) -> Self {
+        Self {
+            cf: self.cf.clone(),
+            last_update: self.last_update,
+            mbr: self.mbr.clone(),
+        }
+    }
+
+    /// Field-wise, so a recycled micro-cluster keeps its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.cf.clone_from(&source.cf);
+        self.last_update = source.last_update;
+        self.mbr.clone_from(&source.mbr);
+    }
 }
 
 impl MicroCluster {

@@ -41,8 +41,9 @@ use crate::microcluster::{DecayCtx, MicroCluster};
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 use crate::snapshot::SnapshotStore;
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, Entry, InsertModel, Node, NodeId, NodeKind,
-    PipelinedOutcome, RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree, ShardedTreeSnapshot,
+    AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, Entry, InsertModel, Node, NodeId,
+    NodeKind, PipelinedOutcome, RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree,
+    ShardedTreeSnapshot,
 };
 use bt_index::PageGeometry;
 use bt_stats::vector::sq_dist;
@@ -487,6 +488,14 @@ impl<R> ClusTree<R> {
     #[must_use]
     pub fn retired_nodes(&self) -> u64 {
         self.core.retired_nodes()
+    }
+
+    /// The arenas' version census over all shards: node versions held,
+    /// retired versions a pinned snapshot still reaches, and copies written
+    /// into a recycled version so far.
+    #[must_use]
+    pub fn arena_census(&self) -> ArenaCensus {
+        self.core.arena_census()
     }
 
     /// Number of live snapshots currently pinning an epoch of this tree.

@@ -141,7 +141,7 @@ pub fn pipelined_sweep(
 /// Formats a pipelined sweep as aligned text.  The reader-side cache and
 /// prefetch counters ride along so one table shows both what the writers
 /// paid (retired copies) and what the readers saved (cached blocks,
-/// prefetched pages); the hit rate is already guarded against the
+/// prefetched nodes); the hit rate is already guarded against the
 /// zero-gather case by [`QueryStats::gather_hit_rate`].
 #[must_use]
 pub fn format_pipelined_sweep(rows: &[PipelinedThroughput]) -> String {

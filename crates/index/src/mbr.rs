@@ -7,10 +7,25 @@
 //! paper's global-best strategy).
 
 /// An axis-aligned minimum bounding rectangle in `d` dimensions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Mbr {
     lower: Vec<f64>,
     upper: Vec<f64>,
+}
+
+impl Clone for Mbr {
+    fn clone(&self) -> Self {
+        Self {
+            lower: self.lower.clone(),
+            upper: self.upper.clone(),
+        }
+    }
+
+    /// Field-wise, so a recycled box keeps its corner buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.lower.clone_from(&source.lower);
+        self.upper.clone_from(&source.upper);
+    }
 }
 
 impl Mbr {

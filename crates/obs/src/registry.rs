@@ -98,6 +98,20 @@ impl Gauge {
         }
     }
 
+    /// Adds `delta` to the gauge (no-op while recording is disabled) —
+    /// for gauges that sum one contribution per owner, each owner adding
+    /// the change of its own share.
+    #[inline]
+    pub fn add(&self, delta: f64) {
+        if enabled() && delta != 0.0 {
+            let _ = self
+                .bits
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                    Some((f64::from_bits(bits) + delta).to_bits())
+                });
+        }
+    }
+
     /// The current value.
     #[must_use]
     pub fn get(&self) -> f64 {

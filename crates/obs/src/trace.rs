@@ -71,10 +71,6 @@ pub enum TraceEvent {
         chunks_reused: u64,
         /// Slot-table chunks that had to be re-pinned.
         chunks_refreshed: u64,
-        /// Epoch pages kept pinned unchanged.
-        pages_reused: u64,
-        /// Epoch pages replaced or newly picked up.
-        pages_refreshed: u64,
     },
 }
 

@@ -75,10 +75,17 @@ pub struct TreeMetrics {
     pub snapshot_chunks_reused: Counter,
     /// Slot-table chunks refreshes had to re-pin.
     pub snapshot_chunks_refreshed: Counter,
-    /// Epoch pages refreshes kept pinned unchanged.
-    pub snapshot_pages_reused: Counter,
-    /// Epoch pages refreshes replaced or newly picked up.
-    pub snapshot_pages_refreshed: Counter,
+
+    // Arena memory — fed by each arena at its batch boundaries; the gauges
+    // sum every arena alive in the process.
+    /// Node versions the arenas hold: current versions plus the retired
+    /// ones kept for recycling.
+    pub arena_versions_live: Gauge,
+    /// Retired versions the arenas keep that a pinned snapshot still
+    /// reaches.
+    pub arena_versions_held_by_pins: Gauge,
+    /// Copy-on-write copies written into a recycled version.
+    pub arena_versions_recycled: Counter,
 
     /// Height of the most recently batch-finished tree.
     pub tree_height: Gauge,
@@ -185,13 +192,17 @@ impl TreeMetrics {
                 "bt_snapshot_chunks_refreshed_total",
                 "Slot-table chunks snapshot refreshes had to re-pin",
             ),
-            snapshot_pages_reused: registry.counter(
-                "bt_snapshot_pages_reused_total",
-                "Epoch pages snapshot refreshes kept pinned unchanged",
+            arena_versions_live: registry.gauge(
+                "bt_arena_versions_live",
+                "Node versions the arenas hold (current plus retired spares)",
             ),
-            snapshot_pages_refreshed: registry.counter(
-                "bt_snapshot_pages_refreshed_total",
-                "Epoch pages snapshot refreshes replaced or newly picked up",
+            arena_versions_held_by_pins: registry.gauge(
+                "bt_arena_versions_held_by_pins",
+                "Retired node versions a pinned snapshot still reaches",
+            ),
+            arena_versions_recycled: registry.counter(
+                "bt_arena_versions_recycled_total",
+                "Copy-on-write copies written into a recycled node version",
             ),
             tree_height: registry.gauge(
                 "bt_tree_height",

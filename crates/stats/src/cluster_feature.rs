@@ -32,7 +32,7 @@ pub fn raw_moments(ls: f64, ss: f64, n: f64) -> (f64, f64) {
 }
 
 /// Additive sufficient statistics of a set of points.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ClusterFeature {
     /// Number of summarised objects (fractional once decay is applied).
     n: f64,
@@ -40,6 +40,23 @@ pub struct ClusterFeature {
     ls: Vec<f64>,
     /// Per-dimension sum of squares of the objects.
     ss: Vec<f64>,
+}
+
+impl Clone for ClusterFeature {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            ls: self.ls.clone(),
+            ss: self.ss.clone(),
+        }
+    }
+
+    /// Field-wise, so a recycled feature keeps its sum buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.ls.clone_from(&source.ls);
+        self.ss.clone_from(&source.ss);
+    }
 }
 
 impl ClusterFeature {

@@ -57,21 +57,33 @@ fn main() {
         answered += outcome.answers.len();
     }
     let retired = tree.retired_nodes();
+    let census = tree.arena_census();
     println!(
         "pipelined {} more points while answering {answered} snapshot queries \
-         ({retired} nodes copied-on-write for the pinned snapshot)",
-        stream.len() - 3_000
+         ({retired} nodes copied-on-write for the pinned snapshots; {} of the copies \
+         recycled a version a released pin gave back, {} retired versions still held \
+         by the long-held snapshot)",
+        stream.len() - 3_000,
+        census.versions_recycled,
+        census.versions_held_by_pins
     );
 
     // The early snapshot still answers bit-identically to its pin time.
     let (again, _) = snapshot.density_batch(&queries, DescentStrategy::default(), 12);
     assert_eq!(again, frozen, "snapshot answers drifted under writes");
     println!(
-        "snapshot isolation holds: {} frozen answers unchanged after {} live points\n",
+        "snapshot isolation holds: {} frozen answers unchanged after {} live points",
         frozen.len(),
         tree.len()
     );
     drop(snapshot);
+    let census = tree.arena_census();
+    println!(
+        "released the snapshot: {} node versions held for {} live nodes, {} held by pins\n",
+        census.versions_live,
+        tree.num_nodes(),
+        census.versions_held_by_pins
+    );
 
     // 3. Readers-vs-writers throughput at shard counts 1/2/4/8.
     println!("pipelined insert+query sweep (6000 objects, batch 256, query budget 8):");

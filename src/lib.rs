@@ -106,17 +106,23 @@
 //!   [`anytree::AnytimeTree::snapshot`] returns an owned, `Send + Sync`
 //!   [`anytree::TreeSnapshot`] — a clone of the arena's slot spine plus one
 //!   pin of the published epoch in the tree's
-//!   [`anytree::EpochRegistry`].  Writers mutate through node-granularity
-//!   **copy-on-write**: a write to a node some snapshot still references
-//!   clones that one node into a fresh slot `Arc` (the snapshot keeps the
+//!   [`anytree::EpochRegistry`].  Every node version is its own
+//!   reference-counted allocation, and writers mutate through
+//!   node-granularity **copy-on-write**: a write to a node some snapshot
+//!   still reaches repoints its slot to a copy (the snapshot keeps the
 //!   retired version), while the no-reader fast path mutates in place (one
-//!   atomic check, zero copies — asserted by tests).  The **reclamation
-//!   rule**: a retired node version is owned only by the snapshot spines
-//!   that pinned it, so its memory is freed *exactly when the last snapshot
-//!   taken before the version was replaced is dropped* — the registry
-//!   records which epochs are pinned (observability + the tests' fast-path
-//!   assertions), the `Arc` drop does the freeing, and no collector or
-//!   extra dependency is involved.  The whole query engine runs on the
+//!   reference-count check, zero copies — asserted by tests).  The
+//!   **reclamation rule**: a retired version is kept by the snapshots that
+//!   reach it and by the graveyard of the arena that created it.  Once no
+//!   pin reaches it (`Arc::get_mut` is the proof), the arena's next batch
+//!   writes a copy into it with `clone_from`, reusing its buffers, and
+//!   frees the spares beyond the previous batch's copy count — so released
+//!   pins give back what they retired, and an arena holds its live
+//!   versions plus at most two batches' worth of spares
+//!   (`tests/snapshot_reclamation.rs`; [`anytree::ArenaCensus`] and the
+//!   `bt_arena_versions_*` gauges count them).  The registry records which
+//!   epochs are pinned; no collector or extra dependency is involved.  The
+//!   whole query engine runs on the
 //!   [`anytree::TreeView`] abstraction, so live trees and snapshots answer
 //!   through the same code; frontier selection runs on a **per-order lazy
 //!   heap** property-tested against the reference scan.  **One reader
@@ -142,14 +148,14 @@
 //!   runtime-dispatched AVX2 path and the scalar loop kept as the
 //!   bit-exactness reference; `--no-default-features` on `bt-stats` turns
 //!   the whole layer off).  On top of the gather sits the **per-node
-//!   block cache** with one rule: every arena node carries a set-once
-//!   [`anytree::BlockCacheSlot`] page-side, and the arena's one write path
+//!   block cache** with one rule: every arena node version carries a
+//!   set-once [`anytree::BlockCacheSlot`], and the arena's one write path
 //!   (`node_mut`, which needs `&mut`) empties it on *every* call.  A filled
 //!   slot therefore always describes the node as it is now, so a read is a
 //!   plain load — no version stamp, no flag, no lock — and the first
 //!   reader to gather a cold node fills the slot (racing readers gathered
 //!   the same node, so either block serves).  Copy-on-write completes the
-//!   picture: the arena never writes a node on a page a snapshot holds (it
+//!   picture: the arena never writes a version a snapshot reaches (it
 //!   retires a copy with an empty slot), so pinned snapshots keep their
 //!   warm blocks while the live tree refills its own.  Scoring hits skip
 //!   the gather entirely ([`anytree::QueryStats`] counts
@@ -176,7 +182,7 @@
 //!   happens only on write: both modes gather into full-width block
 //!   columns, so each mode's block path equals its scalar reference bit
 //!   for bit.  Descent and refinement issue **software prefetches** for
-//!   the next frontier candidate's page slot (counted in
+//!   the next frontier candidate's node version (counted in
 //!   `QueryStats::prefetches` / `DescentStats::prefetches` and surfaced by
 //!   the `eval` report tables).  `docs/PERF.md` records the precision
 //!   contract and the measurements.

@@ -24,7 +24,10 @@
 //!   gather avoided,
 //! * a classification or k-NN retrieval on the pooled scratch cursors
 //!   records exactly its own work: repeating it on one thread, or running
-//!   it on a fresh thread (empty pool), records identical deltas.
+//!   it on a fresh thread (empty pool), records identical deltas,
+//! * the arena gauges read the census each arena published at its last
+//!   batch, the recycled counter adds every recycled copy, and dropping
+//!   the tree takes its share back out of the gauges.
 //!
 //! All tests in this binary serialise on one lock: they read deltas of the
 //! single process-global registry, so two concurrently recording workloads
@@ -43,7 +46,7 @@ use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
-use anytime_stream_mining::obs::{Snapshot, ValueSnapshot};
+use anytime_stream_mining::obs::{Registry, Snapshot, ValueSnapshot};
 use anytime_stream_mining::stats::KernelBandwidth;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -73,6 +76,7 @@ const TREE_COUNTERS: &[&str] = &[
     "bt_query_prefetches_total",
     "bt_queries_certified_total",
     "bt_queries_uncertain_total",
+    "bt_arena_versions_recycled_total",
 ];
 
 /// The query counters that do not depend on block-cache temperature —
@@ -657,4 +661,51 @@ fn pooled_knn_records_only_its_own_work() {
         assert_eq!(first[0], ("bt_queries_total", 1));
         assert_eq!(first[2], ("bt_query_nodes_read_total", nodes_read));
     }
+}
+
+fn gauge(name: &str) -> f64 {
+    Registry::global().snapshot().gauge(name).unwrap_or(0.0)
+}
+
+/// Pinned batches publish their arena's census: the gauges move by the
+/// census a batch leaves behind, the recycled counter by the copies
+/// written into recycled versions, and the tree's drop restores both
+/// gauges.
+#[test]
+fn arena_gauges_follow_the_census_of_pinned_batches() {
+    let _guard = registry_lock();
+    let (live_before, held_before) = (
+        gauge("bt_arena_versions_live"),
+        gauge("bt_arena_versions_held_by_pins"),
+    );
+    let capture = RegistryCapture::begin();
+    let points = blob_points(480);
+    let mut tree: BayesTree = BayesTree::new(3, geometry());
+    for chunk in points.chunks(40) {
+        let pin = tree.snapshot();
+        tree.insert_batch(chunk.to_vec());
+        drop(pin);
+    }
+    // The last batch keeps its pin, so its census has versions held.
+    let pin = tree.snapshot();
+    tree.insert_batch(points[..40].to_vec());
+    let census = tree.arena_census();
+    assert!(census.versions_recycled > 0);
+    assert!(census.versions_held_by_pins > 0);
+    assert_eq!(
+        capture.delta().counter("bt_arena_versions_recycled_total"),
+        census.versions_recycled
+    );
+    assert_eq!(
+        gauge("bt_arena_versions_live") - live_before,
+        census.versions_live as f64
+    );
+    assert_eq!(
+        gauge("bt_arena_versions_held_by_pins") - held_before,
+        census.versions_held_by_pins as f64
+    );
+    drop(pin);
+    drop(tree);
+    assert_eq!(gauge("bt_arena_versions_live"), live_before);
+    assert_eq!(gauge("bt_arena_versions_held_by_pins"), held_before);
 }
