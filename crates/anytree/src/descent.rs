@@ -213,8 +213,9 @@ pub struct DescentStats {
     /// Batches opened with [`AnytimeTree::begin_batch`] (single-object
     /// inserts count as batches of one).
     pub batches: u64,
-    /// Software prefetches issued for the routed child's epoch-page slot
-    /// (one per directory step that descends).
+    /// Software prefetches issued for the routed child's node version, the
+    /// reference-counted allocation the arena's slot points to (one per
+    /// directory step that descends).
     pub prefetches: u64,
 }
 
@@ -491,9 +492,10 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
             }
         }
         let child = entries[idx].child;
-        // The next step reads the routed child: overlap its epoch-page load
-        // with the cursor bookkeeping (and, under batched insertion, with
-        // the interleaved steps of the other in-flight cursors).
+        // The next step reads the routed child: overlap loading its node
+        // version with the cursor bookkeeping (and, under batched
+        // insertion, with the interleaved steps of the other in-flight
+        // cursors).
         arena.prefetch(child);
         scratch.mark_dirty(node_id, has_time);
         self.stats_mut().prefetches += 1;

@@ -372,7 +372,7 @@ pub struct QueryStats {
     /// unnecessary.
     pub gathers_avoided: u64,
     /// Software prefetches issued for the upcoming frontier candidate's
-    /// epoch-page slot (see [`TreeView::prefetch_node`]).
+    /// node version (see [`TreeView::prefetch_node`]).
     pub prefetches: u64,
 }
 
@@ -1207,9 +1207,10 @@ pub trait TreeView<S: Summary, L> {
     }
 
     /// Best-effort prefetch of node `id`'s backing memory — a pure hint the
-    /// query engine uses to overlap the next frontier candidate's page load
+    /// query engine uses to overlap loading the next frontier candidate
     /// with scoring the current one.  The default is a no-op; arena- and
-    /// spine-backed views forward to the epoch-page prefetch.
+    /// spine-backed views forward to the arena's prefetch, which touches
+    /// the node version's reference-counted allocation.
     fn prefetch_node(&self, id: NodeId) {
         let _ = id;
     }
@@ -1326,9 +1327,9 @@ pub trait TreeView<S: Summary, L> {
         cursor.resum_cancelled();
         cursor.nodes_read += 1;
         cursor.stats.nodes_read += 1;
-        // Overlap the next candidate's page load with the caller's work on
-        // the scores just produced: peek the element the next refinement
-        // step would select and prefetch its child's epoch-page slot.
+        // Overlap loading the next candidate with the caller's work on the
+        // scores just produced: peek the element the next refinement step
+        // would select and prefetch its child's node version.
         if let Some(next) = cursor.next_refinable_child(order) {
             self.prefetch_node(next);
             cursor.stats.prefetches += 1;

@@ -11,31 +11,43 @@
 //! Every classification starts from the 0-read root mixture of every
 //! class.  The roots are scored together: a `RootBlock` stacks every
 //! class root's entries (a leaf root's one summary) into one column block,
-//! gathered by the first classification, and each classification scores
-//! it with one estimate pass, which yields every class's root estimate.
-//! A class frontier is built only when the refinement strategy first picks
-//! that class: it is seeded from the class's own lanes
-//! ([`bt_anytree::QueryCursor::begin_scored`]) exactly as
-//! [`TreeView::begin_query`] would have seeded it.  The block follows the
-//! node cache rule one level up: the classifier's only writers
+//! gathered by the first classification with each lane's `weight / n_c`,
+//! and each classification scores it with one estimate pass that leaves
+//! every lane's mixture term in a buffer.  Every class's root estimate is
+//! summed from that buffer, and a class frontier is built only when the
+//! refinement strategy first picks that class: it is seeded from the
+//! class's own terms ([`bt_anytree::QueryCursor::begin_scored`]) exactly
+//! as [`TreeView::begin_query`] would have seeded it.  The block follows
+//! the node cache rule one level up: the classifier's only writers
 //! ([`AnytimeClassifier::learn_one`], [`AnytimeClassifier::learn_batch`])
 //! empty it, and a snapshot fills its own.
+//!
+//! [`Classifier::classify_with_budget`] and [`Classifier::anytime_trace`]
+//! are two loops over one step: pick a class, seed its frontier if this is
+//! its first pick, read one node, update its score.  A classification
+//! keeps its class frontiers on the thread's pooled scratch cursors
+//! ([`bt_anytree::with_scratch_cursors`]) and everything else — the lane
+//! buffer, class scores, flags, the scheduler and the posteriors — on one
+//! pooled per-thread scratch taken and returned the same way, so a warm
+//! classification allocates only the answer it returns
+//! (`tests/classify_allocations.rs`).
 
 use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
-use crate::query::{EstimateModel, KernelQueryModel};
+use crate::query::{estimate_score, EstimateModel};
 use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
 use crate::StoredSummary;
 use bt_anytree::{
-    frontier_sum, with_scratch_cursors, ArenaCensus, ElementOrigin, NodeId, NodeKind, QueryModel,
-    QueryStats, RefineOrder, ShardSet, TreeView,
+    frontier_sum, with_scratch_cursors, ArenaCensus, ElementOrigin, NodeId, NodeKind, QueryCursor,
+    QueryModel, QueryStats, RefineOrder, ShardSet, TreeView,
 };
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::kernel::node_estimates_block;
 use bt_stats::SummaryBlock;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -174,12 +186,15 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
     /// coordinate.
     #[must_use]
     pub fn classify_with_budget(&self, x: &[f64], budget: usize) -> Classification {
-        let (trace, nodes_read) = self.run_anytime(x, budget, false);
-        Classification {
-            label: *trace.labels.last().expect("trace is never empty"),
-            posteriors: trace.final_posteriors,
-            nodes_read,
-        }
+        self.run_anytime(x, |run| {
+            let nodes_read = (0..budget).take_while(|_| run.step()).count();
+            let posteriors = run.posteriors().to_vec();
+            Classification {
+                label: argmax(&posteriors),
+                posteriors,
+                nodes_read,
+            }
+        })
     }
 
     /// Produces the full anytime trace: the decision after every node read up
@@ -191,24 +206,38 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
     /// coordinate.
     #[must_use]
     pub fn anytime_trace(&self, x: &[f64], max_nodes: usize) -> AnytimeTrace {
-        self.run_anytime(x, max_nodes, true).0
+        self.run_anytime(x, |run| {
+            run.record_label();
+            for _ in 0..max_nodes {
+                if !run.step() {
+                    break;
+                }
+                run.record_label();
+            }
+            AnytimeTrace {
+                labels: run.scratch.labels.to_vec(),
+                final_posteriors: run.posteriors().to_vec(),
+            }
+        })
     }
 
-    /// The anytime classification loop over the per-class `(view, model)`
-    /// pairs.  Each class's frontier lives on one of this thread's pooled
-    /// scratch cursors ([`with_scratch_cursors`]), so a classification
-    /// builds no cursor of its own.  Returns the trace plus the number of
-    /// refinements (node reads) actually performed.
+    /// The anytime classification loop: begins a [`ClassifyRun`] on `x` and
+    /// hands it to `f`, which steps it and reads its decision.  Each
+    /// class's frontier lives on one of this thread's pooled scratch
+    /// cursors ([`with_scratch_cursors`]) and everything else on the
+    /// thread's pooled [`ClassifyScratch`], so after its first calls a
+    /// classification allocates only what `f` returns.
     ///
     /// The 0-read root mixture is one pass: `roots` (gathered on first use)
     /// holds every class root's lanes, and one [`node_estimates_block`]
-    /// call scores them all into lanes of a pooled cursor that no class
-    /// refines.  A class's root estimate is the compensated sum of its
-    /// lanes' terms — `weight / n_c * exp(log_pdf)`, the score its own
-    /// model gives — in lane order ([`frontier_sum`]), the bits a seeded
-    /// cursor would hold.  Most classes are never refined (qbk spends the
-    /// budget on the top `k`), so a class cursor is seeded from its lanes
-    /// by [`bt_anytree::QueryCursor::begin_scored`] only when the scheduler
+    /// call scores them all into the scratch's lane buffer, which then
+    /// holds each lane's term `weight / n_c * exp(log_pdf)` — the score its
+    /// class's model gives, computed once per lane.  A class's root
+    /// estimate is the compensated sum of its lanes' terms in lane order
+    /// ([`frontier_sum`]), the bits a seeded cursor would hold.  Most
+    /// classes are never refined (qbk spends the budget on the top `k`), so
+    /// a class cursor is seeded from its lanes' terms by
+    /// [`bt_anytree::QueryCursor::begin_scored`] only when the scheduler
     /// first picks the class; every frontier then equals the one
     /// [`TreeView::begin_query`] builds.  Seeded or not, each class counts
     /// one query, its root elements as scored and, for a non-empty root,
@@ -224,20 +253,12 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
     /// A NaN coordinate is rejected: it would score 0 in every class, so
     /// the decision would silently fall back to the priors.  ±inf is a
     /// valid far-away query.
-    fn run_anytime(&self, x: &[f64], budget: usize, record_all: bool) -> (AnytimeTrace, usize) {
+    fn run_anytime<R>(&self, x: &[f64], f: impl FnOnce(&mut ClassifyRun<'_, C>) -> R) -> R {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
         assert!(
             x.iter().all(|v| !v.is_nan()),
             "query coordinates must not be NaN"
         );
-        // `build_tree` builds every class tree with one shard, so each class
-        // refines one frontier.
-        let classes: Vec<_> = self
-            .trees
-            .iter()
-            .map(|t| (t.core().shard(0), t.query_model()))
-            .collect();
-        let priors = &self.priors;
         let order: RefineOrder = self.config.descent.into();
         debug_assert!(
             order != RefineOrder::WidestBound,
@@ -246,96 +267,200 @@ impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
         let mut gathered = false;
         let roots = self.roots.get_or_init(|| {
             gathered = true;
-            RootBlock::gather(&classes)
+            RootBlock::gather(&self.trees)
         });
-        // One pooled cursor per class, plus one more whose lanes hold the
-        // root pass for the whole loop: no class cursor scores into them.
-        with_scratch_cursors(classes.len() + 1, |pool| {
-            let (root_pass, cursors) = pool.split_last_mut().expect("the pool is never empty");
-            // Pooled cursors keep counting across queries: the registry gets
-            // the work done since `before`, summed over every class.
-            let mut before = QueryStats::default();
-            for cursor in cursors.iter() {
-                before.merge(cursor.stats());
-            }
-            let [log_pdf, dist, ..] = root_pass.scratch_lanes();
-            node_estimates_block(x, &roots.block, log_pdf, dist);
-            let weights = roots.block.weights();
-            let lane_score = |model: &KernelQueryModel<'_>, lane: usize| {
-                EstimateModel(*model).lane_score(weights[lane], log_pdf[lane], dist[lane])
-            };
-            let mut scores: Vec<f64> = (classes.iter().zip(&roots.spans).zip(priors))
-                .map(|(((_, model), (_, span)), &prior)| {
-                    let terms = span
-                        .clone()
-                        .map(|lane| lane_score(model, lane).contribution);
-                    class_score(prior, frontier_sum(terms))
-                })
-                .collect();
-            let mut refinable: Vec<bool> = roots
-                .spans
-                .iter()
-                .map(|(_, span)| !span.is_empty())
-                .collect();
-            let mut seeded = vec![false; classes.len()];
-
-            let mut scheduler = RefinementScheduler::new(self.config.refinement, classes.len());
-            let mut labels = Vec::new();
-            let mut posteriors = Vec::new();
-            if record_all {
-                normalise_into(&scores, priors, &mut posteriors);
-                labels.push(argmax(&posteriors));
-            }
-            let mut nodes_read = 0usize;
-            for _ in 0..budget {
-                let Some(class) = scheduler.next_class(&scores, &refinable) else {
-                    break;
+        with_scratch_cursors(self.trees.len(), |cursors| {
+            with_classify_scratch(|scratch| {
+                scratch.begin(x, roots, &self.priors, self.config.refinement);
+                let mut run = ClassifyRun {
+                    classifier: self,
+                    x,
+                    roots,
+                    gathered,
+                    order,
+                    cursors,
+                    scratch,
+                    before: QueryStats::default(),
                 };
-                // Only the refined class's frontier moved: update its entries.
-                let ((view, model), cursor) = (&classes[class], &mut cursors[class]);
-                if !seeded[class] {
-                    let (root, span) = &roots.spans[class];
-                    let elements = span.clone().map(|lane| {
-                        let (child, origin) = roots.lanes[lane];
-                        (child, origin, lane_score(model, lane))
-                    });
-                    cursor.begin_scored(x, *root, gathered, elements);
-                    seeded[class] = true;
-                }
-                view.refine_query(&EstimateModel(*model), order, cursor);
-                scores[class] = class_score(priors[class], cursor.estimate());
-                refinable[class] = cursor.can_refine();
-                nodes_read += 1;
-                if record_all {
-                    normalise_into(&scores, priors, &mut posteriors);
-                    labels.push(argmax(&posteriors));
-                }
-            }
-            if !record_all {
-                // Only the final decision is needed.
-                normalise_into(&scores, priors, &mut posteriors);
-                labels.push(argmax(&posteriors));
-            }
-            // One registry fold per classification.  No latency is observed,
-            // so the loop never reads the clock.
-            let mut after = QueryStats::default();
-            for cursor in cursors.iter() {
-                after.merge(cursor.stats());
-            }
-            // A class never refined read its root all the same.
-            for ((root, span), _) in roots.spans.iter().zip(&seeded).filter(|(_, s)| !**s) {
-                after.count_scored_root(*root, span.len(), gathered);
-            }
-            bt_anytree::obs::record_external_query(&after.delta_since(&before), None);
-            (
-                AnytimeTrace {
-                    labels,
-                    final_posteriors: posteriors,
-                },
-                nodes_read,
-            )
+                let result = f(&mut run);
+                run.record();
+                result
+            })
         })
     }
+}
+
+/// One classification in flight: the class frontiers on pooled cursors,
+/// the class scores and flags on the pooled [`ClassifyScratch`], and the
+/// work counters of the cursors seeded so far.
+struct ClassifyRun<'a, C> {
+    classifier: &'a Classifier<BayesIndex<f64, C>>,
+    x: &'a [f64],
+    roots: &'a RootBlock,
+    /// Whether this classification gathered `roots`.
+    gathered: bool,
+    order: RefineOrder,
+    /// One per class; a class's cursor is seeded on its first refinement.
+    cursors: &'a mut [QueryCursor],
+    scratch: &'a mut ClassifyScratch,
+    /// The seeded cursors' counters as they stood before their seeding
+    /// (pooled cursors keep counting across queries).
+    before: QueryStats,
+}
+
+impl<C: ShardSet<KernelSummary, Vec<f64>>> ClassifyRun<'_, C> {
+    /// Spends one node read on the class the scheduler picks; `false` (and
+    /// nothing read) once no class is refinable.
+    fn step(&mut self) -> bool {
+        let scratch = &mut *self.scratch;
+        let Some(class) = scratch
+            .scheduler
+            .next_class(&scratch.scores, &scratch.refinable)
+        else {
+            return false;
+        };
+        // `build_tree` builds every class tree with one shard, so each class
+        // refines one frontier.
+        let tree = &self.classifier.trees[class];
+        let cursor = &mut self.cursors[class];
+        if !scratch.seeded[class] {
+            self.before.merge(cursor.stats());
+            let (root, span) = &self.roots.spans[class];
+            let weights = self.roots.block.weights();
+            let elements = span.clone().map(|lane| {
+                let (child, origin) = self.roots.lanes[lane];
+                let score = estimate_score(weights[lane], scratch.terms[lane], scratch.dists[lane]);
+                (child, origin, score)
+            });
+            cursor.begin_scored(self.x, *root, self.gathered, elements);
+            scratch.seeded[class] = true;
+        }
+        let model = EstimateModel(tree.query_model());
+        tree.core()
+            .shard(0)
+            .refine_query(&model, self.order, cursor);
+        // Only the refined class's frontier moved: update its entries.
+        scratch.scores[class] = class_score(self.classifier.priors[class], cursor.estimate());
+        scratch.refinable[class] = cursor.can_refine();
+        true
+    }
+
+    /// The normalised posteriors of the current class scores.
+    fn posteriors(&mut self) -> &[f64] {
+        let scratch = &mut *self.scratch;
+        normalise_into(
+            &scratch.scores,
+            &self.classifier.priors,
+            &mut scratch.posteriors,
+        );
+        &scratch.posteriors
+    }
+
+    /// Appends the current decision to the scratch's label trace.
+    fn record_label(&mut self) {
+        let label = argmax(self.posteriors());
+        self.scratch.labels.push(label);
+    }
+
+    /// One registry fold per classification: the seeded cursors' work since
+    /// their seeding, and the root read of every class never seeded.  No
+    /// latency is observed, so the loop never reads the clock.
+    fn record(&self) {
+        let mut after = QueryStats::default();
+        let classes = self.cursors.iter().zip(&self.roots.spans);
+        for ((cursor, (root, span)), &seeded) in classes.zip(&self.scratch.seeded) {
+            if seeded {
+                after.merge(cursor.stats());
+            } else {
+                after.count_scored_root(*root, span.len(), self.gathered);
+            }
+        }
+        bt_anytree::obs::record_external_query(&after.delta_since(&self.before), None);
+    }
+}
+
+/// Everything a classification keeps besides its cursors, reused from one
+/// query to the next on the same thread ([`with_classify_scratch`]).
+struct ClassifyScratch {
+    /// Per root lane: the log-pdf of the root pass, then the lane's term
+    /// `weight / n_c * exp(log_pdf)`.
+    terms: Vec<f64>,
+    /// Per root lane: the squared distance to the query.
+    dists: Vec<f64>,
+    /// Per class: `P(c)` times the frontier's current estimate.
+    scores: Vec<f64>,
+    /// Per class: whether its frontier can still be refined.
+    refinable: Vec<bool>,
+    /// Per class: whether its cursor has been seeded.
+    seeded: Vec<bool>,
+    scheduler: RefinementScheduler,
+    posteriors: Vec<f64>,
+    /// The decisions recorded so far (an anytime trace).
+    labels: Vec<usize>,
+}
+
+impl Default for ClassifyScratch {
+    fn default() -> Self {
+        Self {
+            terms: Vec::new(),
+            dists: Vec::new(),
+            scores: Vec::new(),
+            refinable: Vec::new(),
+            seeded: Vec::new(),
+            scheduler: RefinementScheduler::new(RefinementStrategy::default(), 0),
+            posteriors: Vec::new(),
+            labels: Vec::new(),
+        }
+    }
+}
+
+impl ClassifyScratch {
+    /// Scores every class root on `x` in one pass over `roots` and resets
+    /// the per-class state: every class at its root estimate, refinable
+    /// unless its root is empty, and no cursor seeded.
+    fn begin(
+        &mut self,
+        x: &[f64],
+        roots: &RootBlock,
+        priors: &[f64],
+        strategy: RefinementStrategy,
+    ) {
+        node_estimates_block(x, &roots.block, &mut self.terms, &mut self.dists);
+        for (term, &scale) in self.terms.iter_mut().zip(&roots.scales) {
+            *term = scale * term.exp();
+        }
+        let terms = &self.terms;
+        self.scores.clear();
+        self.scores
+            .extend((roots.spans.iter().zip(priors)).map(|((_, span), &prior)| {
+                class_score(prior, frontier_sum(terms[span.clone()].iter().copied()))
+            }));
+        self.refinable.clear();
+        self.refinable
+            .extend(roots.spans.iter().map(|(_, span)| !span.is_empty()));
+        self.seeded.clear();
+        self.seeded.resize(priors.len(), false);
+        self.scheduler.reset(strategy, priors.len());
+        self.labels.clear();
+    }
+}
+
+/// Runs `f` on this thread's pooled [`ClassifyScratch`].  It follows the
+/// scratch cursors' rule ([`with_scratch_cursors`]): while `f` runs the
+/// scratch is taken, so a nested call — or one during thread teardown —
+/// works on a fresh one.
+fn with_classify_scratch<R>(f: impl FnOnce(&mut ClassifyScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: Cell<Option<ClassifyScratch>> = const { Cell::new(None) };
+    }
+    let mut scratch = SCRATCH
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    let result = f(&mut scratch);
+    let _ = SCRATCH.try_with(|slot| slot.set(Some(scratch)));
+    result
 }
 
 impl AnytimeClassifier {
@@ -506,6 +631,9 @@ impl AnytimeClassifier {
 pub(crate) struct RootBlock {
     /// The stacked columns, one lane per root element.
     block: SummaryBlock,
+    /// Per lane: its weight over its class's observation count, the factor
+    /// of `exp(log_pdf)` in the lane's mixture term.
+    scales: Vec<f64>,
     /// Per class: its root and its range of lanes.
     spans: Vec<(NodeId, Range<usize>)>,
     /// Per lane: the element's child and origin.
@@ -514,24 +642,27 @@ pub(crate) struct RootBlock {
 
 impl RootBlock {
     /// Gathers every class root, in class order.
-    fn gather<V: TreeView<KernelSummary, Vec<f64>>>(
-        classes: &[(&V, KernelQueryModel<'_>)],
-    ) -> Self {
-        let len = classes
+    fn gather<C: ShardSet<KernelSummary, Vec<f64>>>(trees: &[BayesIndex<f64, C>]) -> Self {
+        let len = trees
             .iter()
-            .map(|(view, _)| match &view.node(view.root()).kind {
-                NodeKind::Inner { entries } => entries.len(),
-                NodeKind::Leaf { items } => usize::from(!items.is_empty()),
+            .map(|tree| {
+                let view = tree.core().shard(0);
+                match &view.node(view.root()).kind {
+                    NodeKind::Inner { entries } => entries.len(),
+                    NodeKind::Leaf { items } => usize::from(!items.is_empty()),
+                }
             })
             .sum();
-        let dims = classes.first().map_or(0, |(view, _)| view.dims());
+        let dims = trees.first().map_or(0, |tree| tree.core().dims());
         let mut block = SummaryBlock::new();
         block.reset(dims, len);
         block.enable_vars();
         block.enable_boxes();
-        let mut spans = Vec::with_capacity(classes.len());
+        let mut scales = Vec::with_capacity(len);
+        let mut spans = Vec::with_capacity(trees.len());
         let mut lanes = Vec::with_capacity(len);
-        for (view, model) in classes {
+        for tree in trees {
+            let (view, model) = (tree.core().shard(0), tree.query_model());
             let root = view.root();
             let start = lanes.len();
             match &view.node(root).kind {
@@ -549,11 +680,14 @@ impl RootBlock {
                 }
                 NodeKind::Leaf { .. } => {}
             }
+            let weights = &block.weights()[start..lanes.len()];
+            scales.extend(weights.iter().map(|weight| weight / model.n()));
             spans.push((root, start..lanes.len()));
         }
         block.fill_log_vars();
         Self {
             block,
+            scales,
             spans,
             lanes,
         }

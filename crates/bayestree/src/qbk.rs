@@ -7,6 +7,11 @@
 //! classes; the evaluation of Section 3.2 uses `k = 2` throughout.
 //! Round-robin over all classes and always refining the single most probable
 //! class are provided as ablation baselines.
+//!
+//! A pick is one scan over the classes that keeps the best `k` in order
+//! and rejects most classes with one compare against the `k`-th score; it
+//! picks exactly what sorting every refinable class (score descending,
+//! then class index) and truncating to `k` picks.
 
 /// Strategy for choosing which class tree refines its model next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +63,9 @@ impl RefinementStrategy {
 /// A step is one pass over the classes: qbk and most-probable keep the
 /// best `k` refinable classes as they go (score descending, then class
 /// index ascending) instead of sorting all of them, and round robin walks
-/// from its turn to the next refinable class.  A step allocates nothing.
+/// from its turn to the next refinable class.  A step allocates nothing,
+/// and the classifier readies one scheduler per thread for each query
+/// instead of building a new one.
 #[derive(Debug, Clone)]
 pub struct RefinementScheduler {
     strategy: RefinementStrategy,
@@ -78,6 +85,16 @@ impl RefinementScheduler {
             turn: 0,
             candidates: Vec::with_capacity(num_classes),
         }
+    }
+
+    /// Readies the scheduler for a new query over `num_classes` classes
+    /// under `strategy`, as [`Self::new`] would, keeping the candidate
+    /// buffer's allocation.
+    pub(crate) fn reset(&mut self, strategy: RefinementStrategy, num_classes: usize) {
+        self.strategy = strategy;
+        self.num_classes = num_classes;
+        self.turn = 0;
+        self.candidates.clear();
     }
 
     /// The effective `k` used by the qbk strategy.
@@ -101,9 +118,7 @@ impl RefinementScheduler {
     pub fn next_class(&mut self, scores: &[f64], refinable: &[bool]) -> Option<usize> {
         debug_assert_eq!(scores.len(), self.num_classes);
         debug_assert_eq!(refinable.len(), self.num_classes);
-        if !refinable.iter().any(|&r| r) {
-            return None;
-        }
+        // Each strategy's one pass finds no class when none is refinable.
         let choice = match self.strategy {
             RefinementStrategy::RoundRobin => {
                 // Walk from the current turn to the next refinable class.
@@ -140,18 +155,29 @@ impl RefinementScheduler {
 /// Class scores are `prior * estimate.max(0.0)`, never NaN, so score
 /// descending then index ascending is a total order and the result equals
 /// sorting every refinable class under it and keeping the first `k`.
+///
+/// Classes arrive in index order, so a class ranks behind every kept class
+/// of equal score: once `k` are kept, a class scoring no more than the
+/// `k`-th is rejected with one compare, and any other one is appended and
+/// moved up past the kept classes that score strictly less.
 fn best_refinable(scores: &[f64], refinable: &[bool], k: usize, candidates: &mut Vec<usize>) {
     let k = k.max(1);
     candidates.clear();
-    for c in (0..scores.len()).filter(|&c| refinable[c]) {
-        // Classes arrive in index order, so `c` ranks behind every kept
-        // class of equal score.
-        let at = candidates.partition_point(|&kept| scores[kept] >= scores[c]);
-        if at < k {
-            if candidates.len() == k {
-                candidates.pop();
+    for (c, &score) in scores.iter().enumerate() {
+        if !refinable[c] {
+            continue;
+        }
+        if candidates.len() == k {
+            if score <= scores[candidates[k - 1]] {
+                continue;
             }
-            candidates.insert(at, c);
+            candidates.pop();
+        }
+        candidates.push(c);
+        let mut at = candidates.len() - 1;
+        while at > 0 && scores[candidates[at - 1]] < score {
+            candidates.swap(at - 1, at);
+            at -= 1;
         }
     }
 }
@@ -261,6 +287,74 @@ mod tests {
                     sorted_top_k(&scores, &refinable, k),
                     "scores {scores:?}, refinable {refinable:?}, k {k}"
                 );
+            }
+        }
+    }
+
+    /// The scheduler as a sort: qbk picks in turn among the sort-then-
+    /// truncate top `k` and advances its turn only on a pick.
+    struct SortingScheduler {
+        k: usize,
+        turn: usize,
+    }
+
+    impl SortingScheduler {
+        fn next_class(&mut self, scores: &[f64], refinable: &[bool]) -> Option<usize> {
+            let top = sorted_top_k(scores, refinable, self.k);
+            let pick = (!top.is_empty()).then(|| top[self.turn % top.len()]);
+            if pick.is_some() {
+                self.turn += 1;
+            }
+            pick
+        }
+    }
+
+    /// `next_class` picks what the sorting scheduler picks at every step of
+    /// random queries: each step moves one class's score (to a tie, a zero,
+    /// `+inf` or a fresh value) and toggles refinable flags, for qbk with
+    /// `k` = 1, 2, 3 and 5.  One scheduler serves every query through
+    /// `reset`, as the classifier's pooled one does.
+    #[test]
+    fn qbk_picks_equal_a_sorting_scheduler_under_random_updates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9B5);
+        let palette = [0.0, 0.0, 1e-300, 0.25, 0.25, 0.5, 3.0, f64::INFINITY];
+        let draw = |rng: &mut StdRng| {
+            if rng.random::<f64>() < 0.6 {
+                palette[rng.random_range(0..palette.len())]
+            } else {
+                rng.random::<f64>()
+            }
+        };
+        for k in [1, 2, 3, 5] {
+            let strategy = RefinementStrategy::Qbk { k: Some(k) };
+            let mut sched = RefinementScheduler::new(strategy, 0);
+            for _ in 0..300 {
+                let n = rng.random_range(1..30usize);
+                sched.reset(strategy, n);
+                let mut reference = SortingScheduler { k, turn: 0 };
+                let mut scores: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+                let mut refinable: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < 0.8).collect();
+                for step in 0..60 {
+                    let pick = sched.next_class(&scores, &refinable);
+                    assert_eq!(
+                        pick,
+                        reference.next_class(&scores, &refinable),
+                        "k {k}, step {step}, scores {scores:?}, refinable {refinable:?}"
+                    );
+                    // The refined class's score moves; now and then its
+                    // frontier runs out or another class's flag flips.
+                    let class = pick.unwrap_or_else(|| rng.random_range(0..n));
+                    scores[class] = draw(&mut rng);
+                    if rng.random::<f64>() < 0.15 {
+                        refinable[class] = false;
+                    }
+                    if rng.random::<f64>() < 0.1 {
+                        let other = rng.random_range(0..n);
+                        refinable[other] = !refinable[other];
+                    }
+                }
             }
         }
     }

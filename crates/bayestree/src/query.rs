@@ -288,21 +288,16 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EstimateModel<'a>(pub(crate) KernelQueryModel<'a>);
 
-impl EstimateModel<'_> {
-    /// The score of one lane of a [`node_estimates_block`] pass: the
-    /// mixture term `weight / n * exp(log_pdf)` as the element's estimate
-    /// and collapsed interval, and its geometric priority.  Shared by node
-    /// scoring and the classifier's stacked root block, so both admit the
-    /// same bits.
-    pub(crate) fn lane_score(&self, weight: f64, log_pdf: f64, min_dist_sq: f64) -> SummaryScore {
-        let contribution = weight / self.0.n * log_pdf.exp();
-        SummaryScore {
-            weight,
-            contribution,
-            lower: contribution,
-            upper: contribution,
-            min_dist_sq,
-        }
+/// An estimate-only element: its mixture term `contribution` as the
+/// estimate and the collapsed interval, with its weight and geometric
+/// priority.
+pub(crate) fn estimate_score(weight: f64, contribution: f64, min_dist_sq: f64) -> SummaryScore {
+    SummaryScore {
+        weight,
+        contribution,
+        lower: contribution,
+        upper: contribution,
+        min_dist_sq,
     }
 }
 
@@ -346,12 +341,17 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         let [log_pdf, dist, ..] = lanes;
         node_estimates_block(query, block, log_pdf, dist);
         out.clear();
+        // Each lane's mixture term `weight / n * exp(log_pdf)`: the
+        // classifier's stacked root block forms the same product from
+        // `weight / n` stored per lane, so both admit the same bits.
         out.extend(
             block
                 .weights()
                 .iter()
                 .zip(log_pdf.iter().zip(dist.iter()))
-                .map(|(&weight, (&log_pdf, &dist))| self.lane_score(weight, log_pdf, dist)),
+                .map(|(&weight, (&log_pdf, &dist))| {
+                    estimate_score(weight, weight / self.0.n * log_pdf.exp(), dist)
+                }),
         );
     }
 

@@ -392,7 +392,7 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
 }
 
 /// Prefetch group: the two hot loops that now issue software prefetches for
-/// the next epoch-page slot they will touch — query refinement (the next
+/// the next node version they will touch — query refinement (the next
 /// frontier candidate) and batched descent (the routed child).  There is no
 /// prefetch-off toggle to compare against (the hint is unconditional), so
 /// the group records the end-to-end throughput of both loops; the committed
