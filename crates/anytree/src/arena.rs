@@ -53,7 +53,7 @@
 //! versions plus, per node kind, at most as many retired versions as the
 //! larger of its last two batches' copy counts ([`NodeArena::census`]).
 
-use crate::node::{Node, NodeId};
+use crate::node::{LeafItems, Node, NodeId};
 use crate::summary::Summary;
 use bt_stats::BlockCacheSlot;
 use std::collections::BTreeMap;
@@ -457,7 +457,7 @@ pub struct NodeArena<S: Summary, L> {
     reported: ArenaCensus,
 }
 
-impl<S: Summary, L> NodeArena<S, L> {
+impl<S: Summary, L: LeafItems> NodeArena<S, L> {
     /// Creates an arena holding a single empty leaf (the root of a fresh
     /// tree).
     #[must_use]
@@ -481,7 +481,9 @@ impl<S: Summary, L> NodeArena<S, L> {
             reported: ArenaCensus::default(),
         }
     }
+}
 
+impl<S: Summary, L> NodeArena<S, L> {
     /// Number of node ids handed out (including nodes orphaned by bulk
     /// loading).
     #[must_use]
@@ -707,7 +709,7 @@ impl<S: Summary + Clone, L: Clone> NodeArena<S, L> {
     }
 }
 
-impl<S: Summary, L> Default for NodeArena<S, L> {
+impl<S: Summary, L: LeafItems> Default for NodeArena<S, L> {
     fn default() -> Self {
         Self::new()
     }
@@ -775,14 +777,14 @@ mod tests {
         }
     }
 
-    fn leaf_items(arena: &NodeArena<W, u32>, id: NodeId) -> Vec<u32> {
+    fn leaf_items(arena: &NodeArena<W, Vec<u32>>, id: NodeId) -> Vec<u32> {
         match &arena.node(id).kind {
             NodeKind::Leaf { items } => items.clone(),
             NodeKind::Inner { .. } => panic!("expected leaf"),
         }
     }
 
-    fn spine_items(spine: &ArenaSpine<W, u32>, id: NodeId) -> Vec<u32> {
+    fn spine_items(spine: &ArenaSpine<W, Vec<u32>>, id: NodeId) -> Vec<u32> {
         match &spine.node(id).kind {
             NodeKind::Leaf { items } => items.clone(),
             NodeKind::Inner { .. } => panic!("expected leaf"),
@@ -791,7 +793,7 @@ mod tests {
 
     #[test]
     fn in_place_mutation_without_snapshots_retires_nothing() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         for i in 0..10 {
             arena.node_mut(0).items_mut().push(i);
         }
@@ -802,7 +804,7 @@ mod tests {
 
     #[test]
     fn pinned_spine_forces_one_copy_then_writes_in_place() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         let spine = arena.snapshot_spine();
@@ -840,7 +842,7 @@ mod tests {
 
     #[test]
     fn cloned_arena_is_isolated_copy_on_write() {
-        let mut a: NodeArena<W, u32> = NodeArena::new();
+        let mut a: NodeArena<W, Vec<u32>> = NodeArena::new();
         a.node_mut(0).items_mut().push(1);
         let mut b = a.clone();
         b.node_mut(0).items_mut().push(2);
@@ -850,7 +852,7 @@ mod tests {
 
     #[test]
     fn pushes_resolve_across_slot_chunks() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         // The root occupies slot 0 of chunk 0; the next SLOT_CHUNK - 1
         // pushes fill that chunk, the one after opens chunk 1.
         for _ in 0..(SLOT_CHUNK - 1) {
@@ -866,7 +868,7 @@ mod tests {
     }
 
     /// One pinned write per round: pin, write node 0, release.
-    fn pinned_round(arena: &mut NodeArena<W, u32>, item: u32) {
+    fn pinned_round(arena: &mut NodeArena<W, Vec<u32>>, item: u32) {
         arena.reclaim();
         let spine = arena.snapshot_spine();
         arena.node_mut(0).items_mut().push(item);
@@ -876,7 +878,7 @@ mod tests {
 
     #[test]
     fn released_versions_are_recycled_by_the_next_copy() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(0);
         arena.publish();
         pinned_round(&mut arena, 1);
@@ -899,7 +901,7 @@ mod tests {
 
     #[test]
     fn versions_a_pin_reaches_are_never_recycled() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(0);
         arena.publish();
         let held = arena.snapshot_spine();
@@ -920,7 +922,7 @@ mod tests {
 
     #[test]
     fn spares_beyond_the_last_batch_copies_are_freed() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         for _ in 0..7 {
             let _ = arena.push(Node::empty_leaf());
         }
@@ -955,7 +957,7 @@ mod tests {
 
     #[test]
     fn cloned_arenas_graveyard_only_their_own_versions() {
-        let mut trained: NodeArena<W, u32> = NodeArena::new();
+        let mut trained: NodeArena<W, Vec<u32>> = NodeArena::new();
         trained.node_mut(0).items_mut().push(0);
         trained.publish();
         let mut live = trained.clone();
@@ -980,7 +982,7 @@ mod tests {
 
     #[test]
     fn restamping_a_node_drops_its_cached_block() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         warm(arena.cache_slot(0));
@@ -1001,7 +1003,7 @@ mod tests {
 
     #[test]
     fn retiring_a_node_leaves_the_snapshot_block_warm() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         let spine = arena.snapshot_spine();
@@ -1018,7 +1020,7 @@ mod tests {
 
     #[test]
     fn recycled_versions_start_with_an_empty_block() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         arena.node_mut(0).items_mut().push(1);
         arena.publish();
         let spine = arena.snapshot_spine();
@@ -1035,7 +1037,7 @@ mod tests {
 
     #[test]
     fn refresh_spine_reuses_untouched_storage() {
-        let mut arena: NodeArena<W, u32> = NodeArena::new();
+        let mut arena: NodeArena<W, Vec<u32>> = NodeArena::new();
         for _ in 0..(2 * SLOT_CHUNK) {
             let _ = arena.push(Node::empty_leaf());
         }

@@ -37,7 +37,7 @@
 //! point where structural changes are applied.
 
 use crate::model::InsertModel;
-use crate::node::{Entry, Node, NodeId, NodeKind};
+use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
 use crate::split::split_entries;
 use crate::summary::Summary;
 use crate::tree::{AnytimeTree, InsertOutcome};
@@ -357,7 +357,7 @@ impl<S: Summary> DescentScratch<S> {
     }
 }
 
-impl<S: Summary, L: Clone> AnytimeTree<S, L> {
+impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
     /// Opens a mini-batch: subsequent cursor steps refresh each visited
     /// node's summaries at most once, and structural repairs (splits,
     /// overflow fallbacks) are deferred until [`Self::finish_batch`].
@@ -393,7 +393,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         cursor: &mut DescentCursor<M::Object>,
     ) -> CursorStep
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         assert!(
             self.scratch().in_batch(),
@@ -519,7 +519,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         cursor: &mut DescentCursor<M::Object>,
     ) -> InsertOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         loop {
             if let CursorStep::Finished(outcome) = self.step_cursor(model, cursor) {
@@ -538,7 +538,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
     /// before the batch keep reading the retired node versions untouched.
     pub fn finish_batch<M>(&mut self, model: &mut M)
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         // Collect the dirty nodes in DFS pre-order; processing the list in
         // reverse visits children before parents without recursion.
@@ -640,7 +640,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         budget: usize,
     ) -> BatchOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         if objs.is_empty() {
             return BatchOutcome {
@@ -682,7 +682,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
         has_time: bool,
     ) -> Option<Vec<Entry<S>>>
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         let is_leaf = self.node(node_id).is_leaf();
         let cap = if is_leaf {
@@ -726,7 +726,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
     /// half moves to a fresh node whose id is returned.
     fn split_node<M>(&mut self, model: &M, node_id: NodeId) -> NodeId
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         self.stats_mut().splits += 1;
         bt_obs::trace(|| bt_obs::TraceEvent::Split {

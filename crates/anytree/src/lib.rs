@@ -77,7 +77,10 @@
 //!   is cached in the node's set-once [`BlockCacheSlot`] under one rule:
 //!   every write empties the slot, so a cached read is a plain load with no
 //!   stamp, flag or lock; the descent keeps its routing columns in its own
-//!   per-batch scratch,
+//!   per-batch scratch.  A leaf holds a container the model chooses
+//!   ([`LeafItems`]); a model whose container already is its scoring
+//!   block (the Bayes tree's point columns) gathers no leaf, scores it
+//!   where it lies and never caches it,
 //! * the **sharding layer** ([`shard`]): a [`ShardedAnytimeTree`] partitions
 //!   the object space into `K` independent shard trees behind a pluggable
 //!   [`ShardRouter`] and descends every shard's share of a mini-batch in
@@ -141,7 +144,7 @@ pub use bt_obs;
 pub use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, SummaryBlock};
 pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, DescentStats};
 pub use model::InsertModel;
-pub use node::{Entry, Node, NodeId, NodeKind};
+pub use node::{Entry, LeafItems, Node, NodeId, NodeKind};
 pub use query::{
     frontier_sum, with_scratch_cursors, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
     QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,

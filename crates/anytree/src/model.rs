@@ -1,5 +1,6 @@
 //! The insertion policy: the handful of decisions that differ per workload.
 
+use crate::node::LeafItems;
 use crate::summary::Summary;
 use bt_index::PageGeometry;
 
@@ -9,7 +10,8 @@ use bt_index::PageGeometry;
 /// propagation; the model supplies what genuinely differs between the Bayes
 /// tree and the clustering extension:
 ///
-/// * what descends (`Object`) and what leaves store (`LeafItem`),
+/// * what descends (`Object`) and what leaves store (`Leaf`, a container
+///   whose items the leaf hooks address by index),
 /// * how an object is absorbed into ancestor summaries,
 /// * the leaf insertion policy (append raw points vs. absorb / reuse
 ///   micro-cluster slots),
@@ -21,8 +23,8 @@ pub trait InsertModel<S: Summary> {
     /// The object descending the tree (a raw point for the Bayes tree, a
     /// one-point micro-cluster for the clustering extension).
     type Object;
-    /// What leaf nodes store.
-    type LeafItem;
+    /// What leaf nodes store: the container of one leaf's items.
+    type Leaf: LeafItems;
 
     /// Whether hitchhiker/park buffers are in use.  When `false` the budget
     /// is ignored and every insertion descends to a leaf.
@@ -49,31 +51,31 @@ pub trait InsertModel<S: Summary> {
     fn merge_buffer_into_object(&self, _obj: &mut Self::Object, _buffer: S) {}
 
     /// Brings leaf items up to date before insertion (e.g. applies decay).
-    fn refresh_leaf_items(&self, _items: &mut [Self::LeafItem]) {}
+    fn refresh_leaf_items(&self, _leaf: &mut Self::Leaf) {}
 
     /// Inserts `obj` into a leaf.  May leave the leaf over capacity; the
     /// core then splits it (or calls
     /// [`collapse_leaf_items`](InsertModel::collapse_leaf_items) when
     /// splitting is not allowed).
-    fn insert_into_leaf(&mut self, items: &mut Vec<Self::LeafItem>, obj: Self::Object);
+    fn insert_into_leaf(&mut self, leaf: &mut Self::Leaf, obj: Self::Object);
 
-    /// The summary describing a (non-empty) set of leaf items.
-    fn summarize_leaf_items(&self, items: &[Self::LeafItem]) -> S;
+    /// The summary describing a (non-empty) leaf.
+    fn summarize_leaf_items(&self, leaf: &Self::Leaf) -> S;
 
     /// Splits the items of an overfull leaf into the group that stays and
     /// the group that moves to a fresh node.
     fn split_leaf_items(
         &self,
-        items: Vec<Self::LeafItem>,
+        leaf: Self::Leaf,
         geometry: &PageGeometry,
-    ) -> (Vec<Self::LeafItem>, Vec<Self::LeafItem>);
+    ) -> (Self::Leaf, Self::Leaf);
 
     /// Brings an overfull leaf back within `cap` items when splitting is
     /// not allowed (e.g. by merging closest pairs of micro-clusters until
     /// `cap` remain).  The core calls it once per overflow, with every
     /// item the batch added to the leaf; the default does nothing, and the
     /// leaf keeps its bounded overflow.
-    fn collapse_leaf_items(&self, _items: &mut Vec<Self::LeafItem>, _cap: usize) {}
+    fn collapse_leaf_items(&self, _leaf: &mut Self::Leaf, _cap: usize) {}
 
     /// Whether an overflowing node may split right now.  `has_time` reports
     /// whether the insertion still had budget at that node.

@@ -82,14 +82,34 @@ impl<S> std::ops::DerefMut for Entry<S> {
     }
 }
 
-/// The payload of a node: raw leaf items or directory entries.
+/// What a leaf node stores: a container of leaf items chosen by the
+/// workload (a dimension-major point block for the Bayes tree, a
+/// `Vec<MicroCluster>` for the clustering extension).  The core only needs
+/// its length and an empty value; the models address one item by index.
+pub trait LeafItems: Default {
+    /// Number of items in the leaf.
+    fn len(&self) -> usize;
+
+    /// Whether the leaf holds no item.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> LeafItems for Vec<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// The payload of a node: a leaf container or directory entries.
 #[derive(Debug)]
 pub enum NodeKind<S, L> {
-    /// A leaf node storing the workload's leaf items (raw kernel points for
-    /// the Bayes tree, micro-clusters for the clustering extension).
+    /// A leaf node storing the workload's leaf container (a point block
+    /// for the Bayes tree, micro-clusters for the clustering extension).
     Leaf {
         /// The items stored in this leaf.
-        items: Vec<L>,
+        items: L,
     },
     /// An inner (directory) node storing between `m` and `M` entries.
     Inner {
@@ -110,8 +130,8 @@ impl<S: Clone, L: Clone> Clone for NodeKind<S, L> {
         }
     }
 
-    /// Reuses `self`'s buffers, element by element, when both payloads are
-    /// of the same kind — the arena recycles retired versions per kind.
+    /// Reuses `self`'s buffers when both payloads are of the same kind —
+    /// the arena recycles retired versions per kind.
     fn clone_from(&mut self, source: &Self) {
         match (self, source) {
             (Self::Leaf { items }, Self::Leaf { items: from }) => items.clone_from(from),
@@ -140,35 +160,23 @@ impl<S: Clone, L: Clone> Clone for Node<S, L> {
     }
 }
 
-impl<S, L> Node<S, L> {
+impl<S, L: LeafItems> Node<S, L> {
     /// Creates an empty leaf node.
     #[must_use]
     pub fn empty_leaf() -> Self {
         Self {
-            kind: NodeKind::Leaf { items: Vec::new() },
+            kind: NodeKind::Leaf {
+                items: L::default(),
+            },
         }
     }
 
     /// Creates a leaf node holding `items`.
     #[must_use]
-    pub fn leaf(items: Vec<L>) -> Self {
+    pub fn leaf(items: L) -> Self {
         Self {
             kind: NodeKind::Leaf { items },
         }
-    }
-
-    /// Creates an inner node holding `entries`.
-    #[must_use]
-    pub fn inner(entries: Vec<Entry<S>>) -> Self {
-        Self {
-            kind: NodeKind::Inner { entries },
-        }
-    }
-
-    /// Whether this node is a leaf.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
     }
 
     /// Number of entries (inner node) or items (leaf node).
@@ -184,6 +192,22 @@ impl<S, L> Node<S, L> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<S, L> Node<S, L> {
+    /// Creates an inner node holding `entries`.
+    #[must_use]
+    pub fn inner(entries: Vec<Entry<S>>) -> Self {
+        Self {
+            kind: NodeKind::Inner { entries },
+        }
+    }
+
+    /// Whether this node is a leaf.
+    #[must_use]
+    pub fn is_leaf(&self) -> bool {
+        matches!(self.kind, NodeKind::Leaf { .. })
     }
 
     /// The entries of an inner node.
@@ -218,7 +242,7 @@ impl<S, L> Node<S, L> {
     ///
     /// Panics if called on an inner node.
     #[must_use]
-    pub fn items(&self) -> &[L] {
+    pub fn items(&self) -> &L {
         match &self.kind {
             NodeKind::Leaf { items } => items,
             NodeKind::Inner { .. } => panic!("items() called on an inner node"),
@@ -231,7 +255,7 @@ impl<S, L> Node<S, L> {
     ///
     /// Panics if called on an inner node.
     #[must_use]
-    pub fn items_mut(&mut self) -> &mut Vec<L> {
+    pub fn items_mut(&mut self) -> &mut L {
         match &mut self.kind {
             NodeKind::Leaf { items } => items,
             NodeKind::Inner { .. } => panic!("items_mut() called on an inner node"),
@@ -268,7 +292,7 @@ mod tests {
         }
     }
 
-    fn shape(node: &Node<W, Vec<f64>>) -> String {
+    fn shape(node: &Node<W, Vec<Vec<f64>>>) -> String {
         format!("{:?}", node.kind)
     }
 

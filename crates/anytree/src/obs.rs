@@ -10,6 +10,7 @@
 //! the span-trace emissions are additionally gated on
 //! [`bt_obs::tracing`] (off by default).
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use bt_obs::{tree_metrics, HistogramId, MetricsHandle, TraceEvent};
@@ -124,16 +125,45 @@ pub fn record_external_query(delta: &QueryStats, started: Option<Instant>) {
 /// recorded at the batch's mean — the histogram's count and sum stay
 /// exact while the batched hot loop never touches the clock.
 ///
+/// The handle is the thread's: a finished batch hands it back for the
+/// next, so a warm batch allocates nothing to record.
+///
 /// [`TreeView::query_batch`]: crate::TreeView::query_batch
 pub(crate) struct QueryBatchRecorder(Option<RecorderInner>);
 
 struct RecorderInner {
+    handle: BatchHandle,
+    started: Instant,
+    answered: u64,
+}
+
+/// A handle buffering the three per-answer histograms.
+struct BatchHandle {
     handle: MetricsHandle,
     latency_ns: HistogramId,
     bound_width: HistogramId,
     budget_spent: HistogramId,
-    started: Instant,
-    answered: u64,
+}
+
+thread_local! {
+    /// The thread's batch handle between batches (flushed, so empty).
+    static BATCH_HANDLE: Cell<Option<BatchHandle>> = const { Cell::new(None) };
+}
+
+impl BatchHandle {
+    fn new() -> Self {
+        let m = tree_metrics();
+        let mut handle = MetricsHandle::new();
+        let latency_ns = handle.histogram(&m.query_latency_ns);
+        let bound_width = handle.histogram(&m.query_bound_width);
+        let budget_spent = handle.histogram(&m.refine_budget_spent);
+        Self {
+            handle,
+            latency_ns,
+            bound_width,
+            budget_spent,
+        }
+    }
 }
 
 impl QueryBatchRecorder {
@@ -141,16 +171,13 @@ impl QueryBatchRecorder {
         if !bt_obs::enabled() {
             return Self(None);
         }
-        let m = tree_metrics();
-        let mut handle = MetricsHandle::new();
-        let latency_ns = handle.histogram(&m.query_latency_ns);
-        let bound_width = handle.histogram(&m.query_bound_width);
-        let budget_spent = handle.histogram(&m.refine_budget_spent);
+        let handle = BATCH_HANDLE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_else(BatchHandle::new);
         Self(Some(RecorderInner {
             handle,
-            latency_ns,
-            bound_width,
-            budget_spent,
             started: Instant::now(),
             answered: 0,
         }))
@@ -163,28 +190,27 @@ impl QueryBatchRecorder {
             return;
         };
         inner.answered += 1;
-        inner
-            .handle
-            .observe(inner.bound_width, answer.uncertainty());
-        inner
-            .handle
-            .observe(inner.budget_spent, answer.nodes_read as f64);
+        let h = &mut inner.handle;
+        h.handle.observe(h.bound_width, answer.uncertainty());
+        h.handle.observe(h.budget_spent, answer.nodes_read as f64);
     }
 
     /// Merges the buffered observations and the batch's [`QueryStats`]
     /// delta into the registry, spreading the batch's wall-clock evenly
     /// over the answered queries.
-    pub(crate) fn finish(mut self, stats: &QueryStats) {
-        if let Some(inner) = &mut self.0 {
+    pub(crate) fn finish(self, stats: &QueryStats) {
+        if let Some(mut inner) = self.0 {
+            let h = &mut inner.handle;
             if inner.answered > 0 {
                 let total = elapsed_ns(Some(inner.started)).unwrap_or(0);
                 let mean = total as f64 / inner.answered as f64;
                 for _ in 0..inner.answered {
-                    inner.handle.observe(inner.latency_ns, mean);
+                    h.handle.observe(h.latency_ns, mean);
                 }
             }
-            inner.handle.flush();
+            h.handle.flush();
             record_query_stats(stats);
+            let _ = BATCH_HANDLE.try_with(|slot| slot.set(Some(inner.handle)));
         }
     }
 }

@@ -58,7 +58,7 @@
 //! verdict against a threshold becomes certain as soon as the interval
 //! clears it.
 
-use crate::node::{Entry, Node, NodeId, NodeKind};
+use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
 use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, ScoreLanes};
@@ -86,7 +86,8 @@ pub struct SummaryScore {
 }
 
 /// The query-side policy: how summaries and leaf items are scored against a
-/// query point.
+/// query point.  Leaf hooks take the leaf's container and, where they
+/// address one item, its index.
 ///
 /// The shared engine owns frontier bookkeeping, refinement ordering and the
 /// partial-answer fold; the model supplies what genuinely differs between
@@ -95,8 +96,8 @@ pub struct SummaryScore {
 /// across the shards of a sharded tree so that per-shard partial answers fold
 /// by plain summation.
 pub trait QueryModel<S: Summary> {
-    /// What the tree's leaves store.
-    type LeafItem;
+    /// What the tree's leaves store: the container of one leaf's items.
+    type Leaf: LeafItems;
 
     /// Point estimate of the contribution a directory summary makes to the
     /// query answer (e.g. `weight/n * gaussian(summary).pdf(query)`).
@@ -114,20 +115,21 @@ pub trait QueryModel<S: Summary> {
         summary.sq_dist_to(query)
     }
 
-    /// Exact contribution of one leaf item (its bounds collapse to a point).
-    fn leaf_contribution(&self, query: &[f64], item: &Self::LeafItem) -> f64;
+    /// Exact contribution of leaf item `index` (its bounds collapse to a
+    /// point).
+    fn leaf_contribution(&self, query: &[f64], leaf: &Self::Leaf, index: usize) -> f64;
 
-    /// Geometric priority of a leaf item.
-    fn leaf_sq_dist(&self, query: &[f64], item: &Self::LeafItem) -> f64;
+    /// Geometric priority of leaf item `index`.
+    fn leaf_sq_dist(&self, query: &[f64], leaf: &Self::Leaf, index: usize) -> f64;
 
-    /// Weight of one leaf item (`1.0` for raw points).
-    fn leaf_weight(&self, _item: &Self::LeafItem) -> f64 {
+    /// Weight of leaf item `index` (`1.0` for raw points).
+    fn leaf_weight(&self, _leaf: &Self::Leaf, _index: usize) -> f64 {
         1.0
     }
 
     /// The summary describing a whole (non-empty) leaf node — used to seed
     /// the frontier when the root itself is a leaf.
-    fn summarize_leaf_items(&self, items: &[Self::LeafItem]) -> S;
+    fn summarize_leaf_items(&self, leaf: &Self::Leaf) -> S;
 
     /// Gathers one directory node's entries into `out`'s columns and returns
     /// `true`; a model with no block representation returns `false` (the
@@ -202,11 +204,13 @@ pub trait QueryModel<S: Summary> {
     }
 
     /// Gathers one leaf node's items into `out`'s columns and returns
-    /// `true`; a model with no leaf block representation returns `false`
-    /// (the default) and leaves are scored item by item.  Cached per node
-    /// like [`QueryModel::gather_entries`].
-    fn gather_leaf_items(&self, items: &[Self::LeafItem], out: &mut GatheredBlock) -> bool {
-        let _ = (items, out);
+    /// `true`; a model that gathers no leaf returns `false` (the default)
+    /// and its leaves are scored by [`QueryModel::score_leaf_items`], with
+    /// no cache slot filled (on a view with cache slots such a read counts
+    /// as a gather avoided).  Cached per node like
+    /// [`QueryModel::gather_entries`].
+    fn gather_leaf_items(&self, leaf: &Self::Leaf, out: &mut GatheredBlock) -> bool {
+        let _ = (leaf, out);
         false
     }
 
@@ -217,12 +221,12 @@ pub trait QueryModel<S: Summary> {
     fn score_gathered_leaves(
         &self,
         query: &[f64],
-        items: &[Self::LeafItem],
+        leaf: &Self::Leaf,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
-        let _ = (query, items, gathered, lanes);
+        let _ = (query, leaf, gathered, lanes);
         out.clear();
     }
 
@@ -233,29 +237,31 @@ pub trait QueryModel<S: Summary> {
     /// The default composes [`QueryModel::gather_leaf_items`] +
     /// [`QueryModel::score_gathered_leaves`] when the model gathers leaves,
     /// and otherwise runs the per-item scalar loop — the behavioural
-    /// reference a leaf block path must reproduce.
+    /// reference a leaf block path must reproduce.  A model whose leaf
+    /// container already is its scoring layout overrides this and scores
+    /// the leaf in place.
     fn score_leaf_items(
         &self,
         query: &[f64],
-        items: &[Self::LeafItem],
+        leaf: &Self::Leaf,
         scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
         let BlockScratch { gathered, lanes } = scratch;
-        if self.gather_leaf_items(items, gathered) {
-            self.score_gathered_leaves(query, items, gathered, lanes, out);
+        if self.gather_leaf_items(leaf, gathered) {
+            self.score_gathered_leaves(query, leaf, gathered, lanes, out);
             return;
         }
         out.clear();
-        out.reserve(items.len());
-        for item in items {
-            let contribution = self.leaf_contribution(query, item);
+        out.reserve(leaf.len());
+        for index in 0..leaf.len() {
+            let contribution = self.leaf_contribution(query, leaf, index);
             out.push(SummaryScore {
-                weight: self.leaf_weight(item),
+                weight: self.leaf_weight(leaf, index),
                 contribution,
                 lower: contribution,
                 upper: contribution,
-                min_dist_sq: self.leaf_sq_dist(query, item),
+                min_dist_sq: self.leaf_sq_dist(query, leaf, index),
             });
         }
     }
@@ -368,8 +374,9 @@ pub struct QueryStats {
     /// Nodes whose columns were gathered into a block (a cache miss on the
     /// block path, or a model without a cache slot in reach).
     pub block_gathers: u64,
-    /// Nodes scored straight from a cached block — gathers the cache made
-    /// unnecessary.
+    /// Nodes a caching view scored without a gather: straight from a
+    /// cached block, or a leaf the model scored where it lies (its
+    /// container is its scoring block, so nothing was gathered).
     pub gathers_avoided: u64,
     /// Software prefetches issued for the upcoming frontier candidate's
     /// node version (see [`TreeView::prefetch_node`]).
@@ -1103,7 +1110,7 @@ impl QueryCursor {
         &mut self,
         model: &M,
         node: NodeId,
-        items: &[M::LeafItem],
+        items: &M::Leaf,
         cache: Option<&BlockCacheSlot>,
         depth: usize,
     ) where
@@ -1120,12 +1127,13 @@ impl QueryCursor {
     }
 
     /// Leaf twin of [`Self::score_node_entries`], over the model's leaf
-    /// gather/score hooks.
+    /// gather/score hooks; a model that gathers no leaf scores it through
+    /// [`QueryModel::score_leaf_items`] and leaves the slot empty.
     fn score_node_leaves<S, M>(
         &mut self,
         model: &M,
         node: NodeId,
-        items: &[M::LeafItem],
+        items: &M::Leaf,
         cache: Option<&BlockCacheSlot>,
     ) where
         S: Summary,
@@ -1158,6 +1166,13 @@ impl QueryCursor {
                 slot.fill(Box::new(std::mem::take(gathered)));
             }
             return;
+        }
+        if cache.is_some() {
+            self.stats.gathers_avoided += 1;
+            bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+                node: node as u64,
+                cached: true,
+            });
         }
         model.score_leaf_items(&self.query, items, &mut self.block, &mut self.scores);
     }
@@ -1250,7 +1265,8 @@ pub trait TreeView<S: Summary, L> {
     /// Panics if the query has the wrong dimensionality.
     fn begin_query<M>(&self, model: &M, query: &[f64], cursor: &mut QueryCursor)
     where
-        M: QueryModel<S, LeafItem = L>,
+        L: LeafItems,
+        M: QueryModel<S, Leaf = L>,
     {
         assert_eq!(query.len(), self.dims(), "query dimensionality mismatch");
         cursor.reset(query);
@@ -1279,7 +1295,8 @@ pub trait TreeView<S: Summary, L> {
     #[must_use]
     fn new_query<M>(&self, model: &M, query: &[f64]) -> QueryCursor
     where
-        M: QueryModel<S, LeafItem = L>,
+        L: LeafItems,
+        M: QueryModel<S, Leaf = L>,
     {
         let mut cursor = QueryCursor::new();
         self.begin_query(model, query, &mut cursor);
@@ -1294,7 +1311,7 @@ pub trait TreeView<S: Summary, L> {
     /// Returns `false` (and changes nothing) when no element is refinable.
     fn refine_query<M>(&self, model: &M, order: RefineOrder, cursor: &mut QueryCursor) -> bool
     where
-        M: QueryModel<S, LeafItem = L>,
+        M: QueryModel<S, Leaf = L>,
     {
         let Some(idx) = cursor.select(order) else {
             return false;
@@ -1347,7 +1364,7 @@ pub trait TreeView<S: Summary, L> {
         cursor: &mut QueryCursor,
     ) -> usize
     where
-        M: QueryModel<S, LeafItem = L>,
+        M: QueryModel<S, Leaf = L>,
     {
         let mut done = 0;
         while done < budget && self.refine_query(model, order, cursor) {
@@ -1357,9 +1374,9 @@ pub trait TreeView<S: Summary, L> {
     }
 
     /// Refines a batch of queries through **one reused cursor** (the
-    /// frontier allocation is shared scratch), each up to `budget` node
-    /// reads, and returns the per-query answers plus the batch's merged
-    /// work counters.
+    /// thread's pooled scratch cursor, [`with_scratch_cursors`]), each up
+    /// to `budget` node reads, and returns the per-query answers plus the
+    /// batch's work counters.
     ///
     /// # Panics
     ///
@@ -1373,20 +1390,25 @@ pub trait TreeView<S: Summary, L> {
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats)
     where
-        M: QueryModel<S, LeafItem = L>,
+        L: LeafItems,
+        M: QueryModel<S, Leaf = L>,
     {
         let mut recorder = crate::obs::QueryBatchRecorder::new();
-        let mut cursor = QueryCursor::new();
         let mut answers = Vec::with_capacity(queries.len());
-        for query in queries {
-            self.begin_query(model, query, &mut cursor);
-            self.refine_query_up_to(model, order, budget, &mut cursor);
-            let answer = cursor.answer();
-            recorder.record(&answer);
-            answers.push(answer);
-        }
-        recorder.finish(cursor.stats());
-        (answers, *cursor.stats())
+        let stats = with_scratch_cursors(1, |cursors| {
+            let cursor = &mut cursors[0];
+            let before = *cursor.stats();
+            for query in queries {
+                self.begin_query(model, query, cursor);
+                self.refine_query_up_to(model, order, budget, cursor);
+                let answer = cursor.answer();
+                recorder.record(&answer);
+                answers.push(answer);
+            }
+            cursor.stats().delta_since(&before)
+        });
+        recorder.finish(&stats);
+        (answers, stats)
     }
 }
 
@@ -1492,7 +1514,7 @@ mod tests {
 
     impl InsertModel<Blob> for BlobModel {
         type Object = Blob;
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         const BUFFERED: bool = true;
 
         fn ctx(&self) {}
@@ -1513,7 +1535,7 @@ mod tests {
         fn insert_into_leaf(&mut self, items: &mut Vec<Blob>, obj: Blob) {
             items.push(obj);
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -1536,23 +1558,26 @@ mod tests {
     struct BlobQueryModel;
 
     impl QueryModel<Blob> for BlobQueryModel {
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         fn summary_contribution(&self, query: &[f64], summary: &Blob) -> f64 {
             summary.weight * (-summary.sq_dist_to(query)).exp()
         }
         fn summary_bounds(&self, _query: &[f64], summary: &Blob) -> (f64, f64) {
             (0.0, summary.weight)
         }
-        fn leaf_contribution(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_contribution(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             self.summary_contribution(query, item)
         }
-        fn leaf_sq_dist(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_sq_dist(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.sq_dist_to(query)
         }
-        fn leaf_weight(&self, item: &Blob) -> f64 {
+        fn leaf_weight(&self, leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.weight
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -1577,7 +1602,7 @@ mod tests {
         }
     }
 
-    fn sample_tree(n: usize, budget: usize) -> AnytimeTree<Blob, Blob> {
+    fn sample_tree(n: usize, budget: usize) -> AnytimeTree<Blob, Vec<Blob>> {
         let mut tree = AnytimeTree::new(2, geometry());
         let mut model = BlobModel;
         for i in 0..n {
@@ -1712,7 +1737,7 @@ mod tests {
 
     #[test]
     fn empty_tree_has_an_empty_frontier() {
-        let tree: AnytimeTree<Blob, Blob> = AnytimeTree::new(2, geometry());
+        let tree: AnytimeTree<Blob, Vec<Blob>> = AnytimeTree::new(2, geometry());
         let mut cursor = tree.new_query(&BlobQueryModel, &[0.0, 0.0]);
         assert!(cursor.elements().is_empty());
         assert!(!tree.refine_query(&BlobQueryModel, RefineOrder::BestFirst, &mut cursor));

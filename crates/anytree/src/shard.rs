@@ -65,6 +65,7 @@
 use crate::arena::{ArenaCensus, SnapshotRefresh};
 use crate::descent::{BatchOutcome, DepthHistogram, DescentStats};
 use crate::model::InsertModel;
+use crate::node::LeafItems;
 use crate::query::{
     with_scratch_cursors, OutlierScore, OutlierVerdict, QueryAnswer, QueryCursor, QueryModel,
     QueryStats, RefineOrder, TreeView,
@@ -200,7 +201,7 @@ pub struct ShardedAnytimeTree<S: Summary, L, R = CheapestRouter> {
     route_scratch: Vec<f64>,
 }
 
-impl<S: Summary, L, R: Default> ShardedAnytimeTree<S, L, R> {
+impl<S: Summary, L: LeafItems, R: Default> ShardedAnytimeTree<S, L, R> {
     /// Creates `num_shards` empty shards for `dims`-dimensional data with a
     /// default-constructed router.
     ///
@@ -213,7 +214,7 @@ impl<S: Summary, L, R: Default> ShardedAnytimeTree<S, L, R> {
     }
 }
 
-impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
+impl<S: Summary, L: LeafItems, R> ShardedAnytimeTree<S, L, R> {
     /// Creates `num_shards` empty shards routed by `router`.
     ///
     /// # Panics
@@ -335,13 +336,13 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     }
 }
 
-impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
+impl<S: Summary, L: LeafItems, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// Routes one object: asks the router for a shard and folds the object
     /// into that shard's running aggregate.  A one-shard tree skips both
     /// and only counts the object.
     fn route_object<M>(&mut self, model: &M, obj: &M::Object) -> usize
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         let shard = if self.shards.len() == 1 {
             0
@@ -363,7 +364,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// router assigns it.  A batch of one on that shard — no threads.
     pub fn insert<M>(&mut self, model: &mut M, obj: M::Object, budget: usize) -> InsertOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
         L: Clone,
     {
         let shard = self.route_object(model, &obj);
@@ -393,7 +394,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         budget: usize,
     ) -> BatchOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
         M::Object: Send,
         S: Send + Sync,
         L: Send + Sync + Clone,
@@ -407,7 +408,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// keeps the batch whole.
     fn route_batch<M, F>(&mut self, make_model: &F, objs: Vec<M::Object>) -> RoutedBatch<M::Object>
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
         F: Fn() -> M + Sync,
     {
         if self.shards.len() == 1 {
@@ -441,7 +442,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         budget: usize,
     ) -> BatchOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
         M::Object: Send,
         S: Send + Sync,
         L: Send + Sync + Clone,
@@ -524,12 +525,12 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         query_budget: usize,
     ) -> PipelinedOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
         M::Object: Send,
         S: Send + Sync,
         L: Send + Sync + Clone,
         R: Send,
-        Q: QueryModel<S, LeafItem = L> + Sync,
+        Q: QueryModel<S, Leaf = L> + Sync,
         F: Fn() -> M + Sync,
     {
         let snapshot = self.snapshot();
@@ -622,8 +623,9 @@ fn with_seeded_frontiers<S, L, V, M, R>(
 ) -> (R, QueryStats)
 where
     S: Summary,
+    L: LeafItems,
     V: TreeView<S, L>,
-    M: QueryModel<S, LeafItem = L>,
+    M: QueryModel<S, Leaf = L>,
 {
     assert_query_dims(views, query);
     with_scratch_cursors(views.len(), |cursors| {
@@ -654,9 +656,9 @@ fn refine_round<S, L, V, M>(
 ) -> bool
 where
     S: Summary + Send + Sync,
-    L: Send + Sync,
+    L: LeafItems + Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L> + Sync,
+    M: QueryModel<S, Leaf = L> + Sync,
 {
     if let ([view], [cursor]) = (views, &mut *cursors) {
         return view.refine_query_up_to(model, order, step, cursor) > 0;
@@ -696,9 +698,9 @@ pub fn refine_frontiers_over<S, L, V, M, R>(
 ) -> R
 where
     S: Summary + Send + Sync,
-    L: Send + Sync,
+    L: LeafItems + Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L> + Sync,
+    M: QueryModel<S, Leaf = L> + Sync,
 {
     let started = crate::obs::boundary_timer();
     let (result, delta) = with_seeded_frontiers(views, model, query, |cursors| {
@@ -728,9 +730,9 @@ pub fn query_over<S, L, V, M>(
 ) -> QueryAnswer
 where
     S: Summary + Send + Sync,
-    L: Send + Sync,
+    L: LeafItems + Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L> + Sync,
+    M: QueryModel<S, Leaf = L> + Sync,
 {
     let answer = refine_frontiers_over(views, model, query, order, budget, fold_cursors);
     crate::obs::record_query_answer(&answer, None);
@@ -758,12 +760,15 @@ pub fn query_batch_over<S, L, V, M>(
 ) -> (Vec<QueryAnswer>, QueryStats)
 where
     S: Summary + Send + Sync,
-    L: Send + Sync,
+    L: LeafItems + Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L> + Sync,
+    M: QueryModel<S, Leaf = L> + Sync,
 {
     for query in queries {
         assert_query_dims(views, query);
+    }
+    if let [view] = views {
+        return view.query_batch(model, queries, order, budget);
     }
     let mut per_view: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
         views.iter().map(|_| None).collect();
@@ -811,9 +816,9 @@ pub fn outlier_score_over<S, L, V, M>(
 ) -> OutlierScore
 where
     S: Summary + Send + Sync,
-    L: Send + Sync,
+    L: LeafItems + Send + Sync,
     V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L> + Sync,
+    M: QueryModel<S, Leaf = L> + Sync,
 {
     let started = crate::obs::boundary_timer();
     let (score, delta) = with_seeded_frontiers(views, model, query, |cursors| {
@@ -1022,7 +1027,7 @@ mod tests {
 
     impl InsertModel<Blob> for BlobModel {
         type Object = Blob;
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         const BUFFERED: bool = true;
 
         fn ctx(&self) {}
@@ -1043,7 +1048,7 @@ mod tests {
         fn insert_into_leaf(&mut self, items: &mut Vec<Blob>, obj: Blob) {
             items.push(obj);
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -1086,7 +1091,7 @@ mod tests {
             .collect()
     }
 
-    fn tree_weight(tree: &AnytimeTree<Blob, Blob>) -> f64 {
+    fn tree_weight(tree: &AnytimeTree<Blob, Vec<Blob>>) -> f64 {
         let mut total = 0.0;
         for id in tree.reachable() {
             match &tree.node(id).kind {
@@ -1099,12 +1104,15 @@ mod tests {
         total
     }
 
-    fn sharded_weight<R>(tree: &ShardedAnytimeTree<Blob, Blob, R>) -> f64 {
+    fn sharded_weight<R>(tree: &ShardedAnytimeTree<Blob, Vec<Blob>, R>) -> f64 {
         tree.shards().iter().map(tree_weight).sum()
     }
 
     /// Objects routed to each shard since `before` was read.
-    fn size_deltas<R>(before: &[usize], tree: &ShardedAnytimeTree<Blob, Blob, R>) -> Vec<usize> {
+    fn size_deltas<R>(
+        before: &[usize],
+        tree: &ShardedAnytimeTree<Blob, Vec<Blob>, R>,
+    ) -> Vec<usize> {
         tree.shard_sizes()
             .iter()
             .zip(before)
@@ -1124,7 +1132,7 @@ mod tests {
 
     #[test]
     fn one_shard_tree_never_routes() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob, UnreachableRouter> =
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>, UnreachableRouter> =
             ShardedAnytimeTree::new(2, geometry(), 1);
         let mut model = BlobModel;
         let _ = sharded.insert(&mut model, blob(1.0, 1.0), usize::MAX);
@@ -1138,7 +1146,8 @@ mod tests {
     fn single_shard_matches_the_plain_tree() {
         let points = stream(150);
         let mut plain = AnytimeTree::new(2, geometry());
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 1);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 1);
         let mut model = BlobModel;
         for chunk in points.chunks(16) {
             let before = sharded.shard_sizes().to_vec();
@@ -1157,7 +1166,7 @@ mod tests {
 
     #[test]
     fn fixed_partition_router_deals_round_robin() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob, FixedPartitionRouter> =
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>, FixedPartitionRouter> =
             ShardedAnytimeTree::new(2, geometry(), 3);
         let result = sharded.insert_batch(&|| BlobModel, stream(31), usize::MAX);
         assert_eq!(sharded.shard_sizes(), &[11, 10, 10]);
@@ -1171,7 +1180,8 @@ mod tests {
 
     #[test]
     fn cheapest_router_seeds_every_shard_then_routes_by_distance() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 2);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 2);
         let model = BlobModel;
         // First two objects seed the two empty shards in order.
         assert_eq!(sharded.route_object(&model, &blob(0.0, 0.0)), 0);
@@ -1185,7 +1195,8 @@ mod tests {
     #[test]
     fn parallel_batches_conserve_mass_and_merge_reports() {
         let points = stream(320);
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 4);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 4);
         let mut total_stats = DescentStats::default();
         for chunk in points.chunks(64) {
             let before = sharded.shard_sizes().to_vec();
@@ -1211,7 +1222,8 @@ mod tests {
     #[test]
     fn empty_batches_are_no_ops_on_both_paths() {
         let mut plain = AnytimeTree::new(2, geometry());
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 1);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 1);
         let mut model = BlobModel;
         let a = plain.insert_batch(&mut model, Vec::new(), 3);
         let b = sharded.insert_batch(&|| BlobModel, Vec::new(), 3);
@@ -1223,7 +1235,8 @@ mod tests {
 
     #[test]
     fn zero_budget_batches_park_across_shards() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 2);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 2);
         let _ = sharded.insert_batch(&|| BlobModel, stream(60), usize::MAX);
         assert!(sharded.height() > 1);
         let result = sharded.insert_batch(&|| BlobModel, stream(8), 0);
@@ -1234,7 +1247,8 @@ mod tests {
 
     #[test]
     fn single_object_insert_routes_and_descends() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 2);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 2);
         let mut model = BlobModel;
         for p in stream(40) {
             let outcome = sharded.insert(&mut model, p, usize::MAX);
@@ -1247,11 +1261,11 @@ mod tests {
     #[test]
     fn sharded_trees_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<AnytimeTree<Blob, Blob>>();
+        assert_send::<AnytimeTree<Blob, Vec<Blob>>>();
         assert_send::<crate::DescentCursor<Blob>>();
         assert_send::<crate::QueryCursor>();
-        assert_send::<ShardedAnytimeTree<Blob, Blob, CheapestRouter>>();
-        assert_send::<ShardedAnytimeTree<Blob, Blob, FixedPartitionRouter>>();
+        assert_send::<ShardedAnytimeTree<Blob, Vec<Blob>, CheapestRouter>>();
+        assert_send::<ShardedAnytimeTree<Blob, Vec<Blob>, FixedPartitionRouter>>();
     }
 
     /// A toy density model over blobs: `w/n * exp(-d²)` with trivially
@@ -1261,23 +1275,26 @@ mod tests {
     }
 
     impl QueryModel<Blob> for BlobQueryModel {
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         fn summary_contribution(&self, query: &[f64], summary: &Blob) -> f64 {
             summary.weight / self.n * (-summary.sq_dist_to(query)).exp()
         }
         fn summary_bounds(&self, _query: &[f64], summary: &Blob) -> (f64, f64) {
             (0.0, summary.weight / self.n)
         }
-        fn leaf_contribution(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_contribution(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             self.summary_contribution(query, item)
         }
-        fn leaf_sq_dist(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_sq_dist(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.sq_dist_to(query)
         }
-        fn leaf_weight(&self, item: &Blob) -> f64 {
+        fn leaf_weight(&self, leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.weight
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -1288,7 +1305,7 @@ mod tests {
 
     #[test]
     fn shard_sizes_track_routing() {
-        let mut sharded: ShardedAnytimeTree<Blob, Blob, FixedPartitionRouter> =
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>, FixedPartitionRouter> =
             ShardedAnytimeTree::new(2, geometry(), 3);
         assert_eq!(sharded.shard_sizes(), &[0, 0, 0]);
         let _ = sharded.insert_batch(&|| BlobModel, stream(31), usize::MAX);
@@ -1301,7 +1318,8 @@ mod tests {
     fn one_shard_query_matches_the_plain_tree() {
         let points = stream(150);
         let mut plain = AnytimeTree::new(2, geometry());
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 1);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 1);
         let mut model = BlobModel;
         for chunk in points.chunks(16) {
             let _ = plain.insert_batch(&mut model, chunk.to_vec(), 3);
@@ -1322,7 +1340,8 @@ mod tests {
         // shards equals the plain tree's fully refined sum.
         let points = stream(200);
         let mut plain = AnytimeTree::new(2, geometry());
-        let mut sharded: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 4);
+        let mut sharded: ShardedAnytimeTree<Blob, Vec<Blob>> =
+            ShardedAnytimeTree::new(2, geometry(), 4);
         let mut model = BlobModel;
         for chunk in points.chunks(32) {
             let _ = plain.insert_batch(&mut model, chunk.to_vec(), usize::MAX);
@@ -1353,6 +1372,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        let _: ShardedAnytimeTree<Blob, Blob> = ShardedAnytimeTree::new(2, geometry(), 0);
+        let _: ShardedAnytimeTree<Blob, Vec<Blob>> = ShardedAnytimeTree::new(2, geometry(), 0);
     }
 }

@@ -230,7 +230,7 @@ mod tests {
 
     impl InsertModel<Blob> for BlobModel {
         type Object = Blob;
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         const BUFFERED: bool = true;
 
         fn ctx(&self) {}
@@ -251,7 +251,7 @@ mod tests {
         fn insert_into_leaf(&mut self, items: &mut Vec<Blob>, obj: Blob) {
             items.push(obj);
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -272,23 +272,26 @@ mod tests {
     struct BlobQueryModel;
 
     impl QueryModel<Blob> for BlobQueryModel {
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         fn summary_contribution(&self, query: &[f64], summary: &Blob) -> f64 {
             summary.weight * (-summary.sq_dist_to(query)).exp()
         }
         fn summary_bounds(&self, _query: &[f64], summary: &Blob) -> (f64, f64) {
             (0.0, summary.weight)
         }
-        fn leaf_contribution(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_contribution(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             self.summary_contribution(query, item)
         }
-        fn leaf_sq_dist(&self, query: &[f64], item: &Blob) -> f64 {
+        fn leaf_sq_dist(&self, query: &[f64], leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.sq_dist_to(query)
         }
-        fn leaf_weight(&self, item: &Blob) -> f64 {
+        fn leaf_weight(&self, leaf: &Vec<Blob>, index: usize) -> f64 {
+            let item = &leaf[index];
             item.weight
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -298,7 +301,7 @@ mod tests {
     }
 
     /// The one-shot density answer of `view` alone.
-    fn density<V: TreeView<Blob, Blob> + Sync>(
+    fn density<V: TreeView<Blob, Vec<Blob>> + Sync>(
         view: &V,
         query: &[f64],
         order: RefineOrder,
@@ -431,7 +434,7 @@ mod tests {
     #[test]
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<crate::TreeSnapshot<Blob, Blob>>();
+        assert_send_sync::<crate::TreeSnapshot<Blob, Vec<Blob>>>();
     }
 
     #[test]
@@ -470,7 +473,7 @@ mod tests {
         let mut model = BlobModel;
         let _ = tree.insert_batch(&mut model, stream(30), usize::MAX);
         let mut snapshot = tree.snapshot();
-        let other: AnytimeTree<Blob, Blob> = AnytimeTree::new(2, geometry());
+        let other: AnytimeTree<Blob, Vec<Blob>> = AnytimeTree::new(2, geometry());
         let _ = snapshot.refresh(&other);
     }
 

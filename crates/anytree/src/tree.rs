@@ -8,7 +8,7 @@
 use crate::arena::{ArenaCensus, NodeArena};
 use crate::descent::{DepthHistogram, DescentCursor, DescentScratch, DescentStats};
 use crate::model::InsertModel;
-use crate::node::{Entry, Node, NodeId, NodeKind};
+use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
 use crate::snapshot::TreeSnapshot;
 use crate::summary::Summary;
 use bt_index::PageGeometry;
@@ -46,7 +46,7 @@ pub struct AnytimeTree<S: Summary, L> {
     stats: DescentStats,
 }
 
-impl<S: Summary, L> AnytimeTree<S, L> {
+impl<S: Summary, L: LeafItems> AnytimeTree<S, L> {
     /// Creates an empty tree (a single empty leaf root) for
     /// `dims`-dimensional data.
     ///
@@ -66,7 +66,9 @@ impl<S: Summary, L> AnytimeTree<S, L> {
             stats: DescentStats::default(),
         }
     }
+}
 
+impl<S: Summary, L> AnytimeTree<S, L> {
     /// Dimensionality of the indexed data.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -307,7 +309,8 @@ impl<S: Summary, L> AnytimeTree<S, L> {
     #[must_use]
     pub fn summarize_node<M>(&self, model: &M, id: NodeId) -> Entry<S>
     where
-        M: InsertModel<S, LeafItem = L>,
+        L: LeafItems,
+        M: InsertModel<S, Leaf = L>,
     {
         match &self.arena.node(id).kind {
             NodeKind::Leaf { items } => {
@@ -319,7 +322,7 @@ impl<S: Summary, L> AnytimeTree<S, L> {
     }
 }
 
-impl<S: Summary, L: Clone> AnytimeTree<S, L> {
+impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
     /// Mutable access to a node — the arena's copy-on-write point: if a
     /// pinned snapshot still references the node it is cloned first (the
     /// snapshot keeps the retired copy), otherwise the write happens in
@@ -341,7 +344,7 @@ impl<S: Summary, L: Clone> AnytimeTree<S, L> {
     /// amortises summary refreshes and split handling over a mini-batch.
     pub fn insert<M>(&mut self, model: &mut M, obj: M::Object, budget: usize) -> InsertOutcome
     where
-        M: InsertModel<S, LeafItem = L>,
+        M: InsertModel<S, Leaf = L>,
     {
         let started = crate::obs::boundary_timer();
         let before = *self.stats();
@@ -409,7 +412,7 @@ mod tests {
 
     impl InsertModel<Blob> for BlobModel {
         type Object = Blob;
-        type LeafItem = Blob;
+        type Leaf = Vec<Blob>;
         const BUFFERED: bool = true;
 
         fn ctx(&self) {}
@@ -430,7 +433,7 @@ mod tests {
         fn insert_into_leaf(&mut self, items: &mut Vec<Blob>, obj: Blob) {
             items.push(obj);
         }
-        fn summarize_leaf_items(&self, items: &[Blob]) -> Blob {
+        fn summarize_leaf_items(&self, items: &Vec<Blob>) -> Blob {
             let mut s = items[0].clone();
             for i in &items[1..] {
                 s.merge(i, ());
@@ -464,7 +467,7 @@ mod tests {
         }
     }
 
-    fn total_weight(tree: &AnytimeTree<Blob, Blob>) -> f64 {
+    fn total_weight(tree: &AnytimeTree<Blob, Vec<Blob>>) -> f64 {
         let mut total = 0.0;
         for id in tree.reachable() {
             match &tree.node(id).kind {

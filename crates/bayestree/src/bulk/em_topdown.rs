@@ -11,6 +11,7 @@
 //! and observes that it is not a drawback but even improves anytime
 //! accuracy.
 
+use crate::leaf::PointColumns;
 use crate::node::{Entry, KernelSummary, NodeId};
 use crate::tree::{summarise, BayesCore, BayesTree};
 use bt_index::PageGeometry;
@@ -23,7 +24,8 @@ use rand::SeedableRng;
 ///
 /// # Panics
 ///
-/// Panics if any point has a non-finite coordinate.
+/// Panics if any point has the wrong dimensionality or a non-finite
+/// coordinate.
 #[must_use]
 pub fn build_em_topdown(
     points: &[Vec<f64>],
@@ -31,7 +33,7 @@ pub fn build_em_topdown(
     geometry: PageGeometry,
     seed: u64,
 ) -> BayesTree {
-    crate::insert::assert_finite(points);
+    crate::insert::or_panic(crate::insert::check_points(points, dims));
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;
@@ -57,7 +59,8 @@ fn build_recursive(
 ) -> (NodeId, usize) {
     let geometry = core.geometry();
     if points.len() <= geometry.max_leaf {
-        return (core.push_node(bt_anytree::Node::leaf(points)), 1);
+        let leaf = PointColumns::from_rows(core.dims(), points.iter().map(Vec::as_slice));
+        return (core.push_node(bt_anytree::Node::leaf(leaf)), 1);
     }
 
     let clusters = cluster_points(&points, &geometry, rng);

@@ -15,6 +15,7 @@
 //! merges under-full groups into their KL-closest neighbour.
 
 use crate::bulk::{finish_bottom_up, push_entry};
+use crate::leaf::PointColumns;
 use crate::node::{Entry, KernelSummary};
 use crate::tree::{BayesCore, BayesTree};
 use bt_index::{z_order_sort_order, PageGeometry};
@@ -57,7 +58,8 @@ struct Component {
 ///
 /// # Panics
 ///
-/// Panics if any point has a non-finite coordinate.
+/// Panics if any point has the wrong dimensionality or a non-finite
+/// coordinate.
 #[must_use]
 pub fn build_goldberger(
     points: &[Vec<f64>],
@@ -65,7 +67,7 @@ pub fn build_goldberger(
     geometry: PageGeometry,
     config: &GoldbergerBulkConfig,
 ) -> BayesTree {
-    crate::insert::assert_finite(points);
+    crate::insert::or_panic(crate::insert::check_points(points, dims));
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;
@@ -95,8 +97,8 @@ pub fn build_goldberger(
         .into_iter()
         .filter(|g| !g.is_empty())
         .map(|group| {
-            let leaf_points: Vec<Vec<f64>> = group.iter().map(|&i| points[i].clone()).collect();
-            push_entry(core, bt_anytree::Node::leaf(leaf_points))
+            let leaf = PointColumns::from_rows(dims, group.iter().map(|&i| points[i].as_slice()));
+            push_entry(core, bt_anytree::Node::leaf(leaf))
         })
         .collect();
 

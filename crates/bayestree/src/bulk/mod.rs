@@ -19,6 +19,7 @@ pub mod em_topdown;
 pub mod goldberger;
 pub mod spacefilling;
 
+use crate::leaf::PointColumns;
 use crate::node::{Entry, KernelSummary, Node};
 use crate::tree::{summarise, BayesCore, BayesTree};
 use bt_index::PageGeometry;
@@ -148,8 +149,8 @@ where
         .into_iter()
         .filter(|g| !g.is_empty())
         .map(|group| {
-            let leaf_points: Vec<Vec<f64>> = group.iter().map(|&i| points[i].clone()).collect();
-            push_entry(core, bt_anytree::Node::leaf(leaf_points))
+            let leaf = PointColumns::from_rows(dims, group.iter().map(|&i| points[i].as_slice()));
+            push_entry(core, bt_anytree::Node::leaf(leaf))
         })
         .collect();
 

@@ -17,10 +17,11 @@ const CURVE_BITS: u32 = 16;
 ///
 /// # Panics
 ///
-/// Panics if any point has a non-finite coordinate.
+/// Panics if any point has the wrong dimensionality or a non-finite
+/// coordinate.
 #[must_use]
 pub fn build_hilbert(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::assert_finite(points);
+    crate::insert::or_panic(crate::insert::check_points(points, dims));
     build_packed(points, dims, geometry, |pts, capacity| {
         chunk_order(&hilbert_sort_order(pts, CURVE_BITS), capacity)
     })
@@ -30,10 +31,11 @@ pub fn build_hilbert(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -
 ///
 /// # Panics
 ///
-/// Panics if any point has a non-finite coordinate.
+/// Panics if any point has the wrong dimensionality or a non-finite
+/// coordinate.
 #[must_use]
 pub fn build_zorder(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::assert_finite(points);
+    crate::insert::or_panic(crate::insert::check_points(points, dims));
     build_packed(points, dims, geometry, |pts, capacity| {
         chunk_order(&z_order_sort_order(pts, CURVE_BITS), capacity)
     })
@@ -43,10 +45,11 @@ pub fn build_zorder(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) ->
 ///
 /// # Panics
 ///
-/// Panics if any point has a non-finite coordinate.
+/// Panics if any point has the wrong dimensionality or a non-finite
+/// coordinate.
 #[must_use]
 pub fn build_str(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::assert_finite(points);
+    crate::insert::or_panic(crate::insert::check_points(points, dims));
     build_packed(points, dims, geometry, |pts, capacity| {
         str_partition(pts, capacity)
     })

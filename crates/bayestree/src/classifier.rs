@@ -34,6 +34,8 @@
 
 use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
+use crate::insert::{check_point, or_panic, InputError};
+use crate::leaf::PointColumns;
 use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::query::{estimate_score, EstimateModel};
@@ -153,7 +155,7 @@ pub type AnytimeClassifier = Classifier<BayesTree>;
 /// the live per-class trees.
 pub type ClassifierSnapshot = Classifier<BayesTreeSnapshot>;
 
-impl<C: ShardSet<KernelSummary, Vec<f64>>> Classifier<BayesIndex<f64, C>> {
+impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<f64, C>> {
     /// Number of classes.
     #[must_use]
     pub fn num_classes(&self) -> usize {
@@ -308,7 +310,7 @@ struct ClassifyRun<'a, C> {
     before: QueryStats,
 }
 
-impl<C: ShardSet<KernelSummary, Vec<f64>>> ClassifyRun<'_, C> {
+impl<C: ShardSet<KernelSummary, PointColumns>> ClassifyRun<'_, C> {
     /// Spends one node read on the class the scheduler picks; `false` (and
     /// nothing read) once no class is refinable.
     fn step(&mut self) -> bool {
@@ -559,12 +561,26 @@ impl AnytimeClassifier {
     /// # Panics
     ///
     /// Panics if the label is out of range or the point has the wrong
-    /// dimensionality or a non-finite coordinate.
+    /// dimensionality or a non-finite coordinate ([`Self::try_learn_one`]
+    /// returns the error instead).
     pub fn learn_one(&mut self, point: Vec<f64>, label: usize) {
-        assert!(label < self.trees.len(), "label out of range");
-        self.trees[label].insert(point);
+        or_panic(self.try_learn_one(point, label));
+    }
+
+    /// Learns one labelled observation, or rejects it before any state
+    /// changes.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::LabelOutOfRange`], [`InputError::Dimensionality`] or
+    /// [`InputError::NonFinite`] (index `0`); the classifier is left
+    /// untouched.
+    pub fn try_learn_one(&mut self, point: Vec<f64>, label: usize) -> Result<(), InputError> {
+        self.check_object(0, &point, label)?;
+        self.trees[label].insert_checked(point);
         self.roots.take();
         self.refresh_priors();
+        Ok(())
     }
 
     /// Incrementally learns a mini-batch of labelled observations: the batch
@@ -576,28 +592,49 @@ impl AnytimeClassifier {
     ///
     /// Panics if any label is out of range or any point has the wrong
     /// dimensionality or a non-finite coordinate — checked over the whole
-    /// batch before grouping, so no class tree is half-written.
+    /// batch before grouping, so no class tree is half-written
+    /// ([`Self::try_learn_batch`] returns the error instead).
     pub fn learn_batch(&mut self, batch: Vec<(Vec<f64>, usize)>) {
-        assert!(
-            batch.iter().all(|(_, l)| *l < self.trees.len()),
-            "label out of range"
-        );
-        assert!(
-            batch.iter().all(|(p, _)| p.len() == self.dims),
-            "point dimensionality mismatch"
-        );
-        crate::insert::assert_finite(batch.iter().map(|(p, _)| p));
+        or_panic(self.try_learn_batch(batch));
+    }
+
+    /// Learns a mini-batch as [`Self::learn_batch`] does, or rejects it:
+    /// the whole batch is checked in one pass before any state changes.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::LabelOutOfRange`], [`InputError::Dimensionality`] or
+    /// [`InputError::NonFinite`] naming the first offending object; the
+    /// classifier is left untouched.
+    pub fn try_learn_batch(&mut self, batch: Vec<(Vec<f64>, usize)>) -> Result<(), InputError> {
+        for (index, (point, label)) in batch.iter().enumerate() {
+            self.check_object(index, point, *label)?;
+        }
         let mut per_class: Vec<Vec<Vec<f64>>> = vec![Vec::new(); self.trees.len()];
         for (point, label) in batch {
             per_class[label].push(point);
         }
         for (tree, points) in self.trees.iter_mut().zip(per_class) {
             if !points.is_empty() {
-                tree.insert_batch(points);
+                tree.insert_batch_checked(points);
             }
         }
         self.roots.take();
         self.refresh_priors();
+        Ok(())
+    }
+
+    /// Checks object `index` of a write: its label, then its point.
+    fn check_object(&self, index: usize, point: &[f64], label: usize) -> Result<(), InputError> {
+        let classes = self.trees.len();
+        if label >= classes {
+            return Err(InputError::LabelOutOfRange {
+                index,
+                label,
+                classes,
+            });
+        }
+        check_point(index, point, self.dims)
     }
 
     /// The per-class trees' arena censuses, summed: node versions held,
@@ -642,7 +679,7 @@ pub(crate) struct RootBlock {
 
 impl RootBlock {
     /// Gathers every class root, in class order.
-    fn gather<C: ShardSet<KernelSummary, Vec<f64>>>(trees: &[BayesIndex<f64, C>]) -> Self {
+    fn gather<C: ShardSet<KernelSummary, PointColumns>>(trees: &[BayesIndex<f64, C>]) -> Self {
         let len = trees
             .iter()
             .map(|tree| {

@@ -11,7 +11,8 @@
 //! The descent, ancestor-summary maintenance and split propagation live in
 //! the shared [`bt_anytree`] core (an iterative cursor engine, see
 //! [`bt_anytree::descent`]); this module only supplies the kernel-specific
-//! [`InsertModel`]: raw points as leaf items, R* leaf splits over per-point
+//! [`InsertModel`]: raw points copied into each leaf's dimension-major
+//! block ([`PointColumns`]), R* leaf splits over per-point
 //! MBRs, no hitchhiker buffering (every insertion descends to a leaf, i.e.
 //! an unbounded budget).  [`BayesTree::insert_batch`] hands a mini-batch to
 //! the shared sharding layer, which drains it into the one shard of a plain
@@ -20,6 +21,7 @@
 //! across the batch.
 
 use crate::descent::DescentStrategy;
+use crate::leaf::PointColumns;
 use crate::node::{StoredElement, StoredSummary};
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
@@ -47,7 +49,7 @@ impl KernelModel {
 
 impl<S: StoredSummary> InsertModel<S> for KernelModel {
     type Object = Vec<f64>;
-    type LeafItem = Vec<f64>;
+    type Leaf = PointColumns;
 
     fn ctx(&self) {}
 
@@ -63,43 +65,137 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
         summary.absorb_point(obj);
     }
 
-    fn insert_into_leaf(&mut self, items: &mut Vec<Vec<f64>>, obj: Vec<f64>) {
-        items.push(obj);
+    /// Copies the point into the leaf's columns.
+    fn insert_into_leaf(&mut self, leaf: &mut PointColumns, obj: Vec<f64>) {
+        leaf.push(&obj);
     }
 
-    fn summarize_leaf_items(&self, items: &[Vec<f64>]) -> S {
-        S::from_points(items, self.dims).expect("cannot summarise an empty leaf")
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
+        S::from_leaf(leaf).expect("cannot summarise an empty leaf")
     }
 
+    /// The R* split over the points' degenerate boxes, read from the
+    /// columns; both halves keep room for a full page (the node overflows
+    /// at `max_leaf + 1` points).
     fn split_leaf_items(
         &self,
-        items: Vec<Vec<f64>>,
+        leaf: PointColumns,
         geometry: &PageGeometry,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let min = geometry.min_leaf.min(items.len() / 2).max(1);
+    ) -> (PointColumns, PointColumns) {
+        let min = geometry.min_leaf.min(leaf.len() / 2).max(1);
         let split = rstar_split_corners(
-            items.len(),
+            leaf.len(),
             self.dims,
-            |i, d| (items[i][d], items[i][d]),
+            |i, d| {
+                let v = leaf.get(i, d);
+                (v, v)
+            },
             min,
         );
-        bt_anytree::split::distribute(items, &split.first, &split.second)
+        leaf.split(&split.first, &split.second, geometry.max_leaf + 1)
     }
 }
 
-/// Rejects a non-finite coordinate at a write entry, before any state
-/// changes: one NaN or infinity folded into a summary voids every certified
-/// bound of its shard.
-///
-/// # Panics
-///
-/// Panics with "point coordinates must be finite" on a NaN or infinite
-/// coordinate.
-pub(crate) fn assert_finite<'a>(points: impl IntoIterator<Item = &'a Vec<f64>>) {
-    assert!(
-        points.into_iter().all(|p| p.iter().all(|v| v.is_finite())),
-        "point coordinates must be finite"
-    );
+/// A write input the Bayes tree rejects, naming the offending object by its
+/// index in the call's input (`0` for a single point).  Returned by the
+/// `try_` write entries before any state changes; the panicking entries
+/// panic with its [`Display`](std::fmt::Display) text, which starts with
+/// the check's fixed message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputError {
+    /// Point `index` has `found` coordinates where the tree stores
+    /// `expected`.
+    Dimensionality {
+        /// Index of the offending point.
+        index: usize,
+        /// The tree's dimensionality.
+        expected: usize,
+        /// The point's length.
+        found: usize,
+    },
+    /// Point `index` has a NaN or infinite coordinate (at dimension
+    /// `dim`): one non-finite value folded into a summary voids every
+    /// certified bound of its shard.
+    NonFinite {
+        /// Index of the offending point.
+        index: usize,
+        /// The first non-finite coordinate.
+        dim: usize,
+    },
+    /// Object `index` carries `label`, but the classifier has only
+    /// `classes` classes.
+    LabelOutOfRange {
+        /// Index of the offending object.
+        index: usize,
+        /// Its label.
+        label: usize,
+        /// The number of classes.
+        classes: usize,
+    },
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            InputError::Dimensionality {
+                index,
+                expected,
+                found,
+            } => write!(
+                f,
+                "point dimensionality mismatch: point {index} has {found} coordinates, \
+                 expected {expected}"
+            ),
+            InputError::NonFinite { index, dim } => write!(
+                f,
+                "point coordinates must be finite: point {index} has a non-finite \
+                 coordinate at dimension {dim}"
+            ),
+            InputError::LabelOutOfRange {
+                index,
+                label,
+                classes,
+            } => write!(
+                f,
+                "label out of range: object {index} has label {label}, there are {classes} \
+                 classes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InputError {}
+
+/// Checks point `index` of a write: its dimensionality, then its
+/// coordinates' finiteness.
+pub(crate) fn check_point(index: usize, point: &[f64], dims: usize) -> Result<(), InputError> {
+    if point.len() != dims {
+        return Err(InputError::Dimensionality {
+            index,
+            expected: dims,
+            found: point.len(),
+        });
+    }
+    match point.iter().position(|v| !v.is_finite()) {
+        Some(dim) => Err(InputError::NonFinite { index, dim }),
+        None => Ok(()),
+    }
+}
+
+/// Checks a batch of points in one pass; the first offending point wins.
+/// The bulk loaders run it at their entry too, before any state changes:
+/// one NaN or infinity folded into a summary voids every certified bound
+/// of its shard.
+pub(crate) fn check_points(points: &[Vec<f64>], dims: usize) -> Result<(), InputError> {
+    points
+        .iter()
+        .enumerate()
+        .try_for_each(|(index, point)| check_point(index, point, dims))
+}
+
+/// Unwraps a write's check, panicking with the error's message.
+pub(crate) fn or_panic<T>(checked: Result<T, InputError>) -> T {
+    checked.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
@@ -109,10 +205,25 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     /// # Panics
     ///
     /// Panics if the point has the wrong dimensionality or a non-finite
-    /// coordinate.
+    /// coordinate ([`Self::try_insert`] returns the error instead).
     pub fn insert(&mut self, point: Vec<f64>) {
-        assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
-        assert_finite([&point]);
+        or_panic(self.try_insert(point));
+    }
+
+    /// Inserts one observation, or rejects it before any state changes.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::Dimensionality`] or [`InputError::NonFinite`] (index
+    /// `0`); the tree is left untouched.
+    pub fn try_insert(&mut self, point: Vec<f64>) -> Result<(), InputError> {
+        check_point(0, &point, self.dims())?;
+        self.insert_checked(point);
+        Ok(())
+    }
+
+    /// Inserts one point that passed [`check_point`].
+    pub(crate) fn insert_checked(&mut self, point: Vec<f64>) {
         let mut model = KernelModel::new(self.dims());
         // The Bayes tree always descends to a leaf: an unbounded budget.
         let _ = self.core.insert(&mut model, point, usize::MAX);
@@ -141,17 +252,32 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     /// # Panics
     ///
     /// Panics if any point has the wrong dimensionality or a non-finite
-    /// coordinate; the tree is left untouched.
+    /// coordinate; the tree is left untouched ([`Self::try_insert_batch`]
+    /// returns the error instead).
     pub fn insert_batch(&mut self, points: Vec<Vec<f64>>) -> BatchOutcome {
-        let dims = self.dims();
-        assert!(
-            points.iter().all(|p| p.len() == dims),
-            "point dimensionality mismatch"
-        );
-        assert_finite(&points);
-        self.num_points += points.len();
-        self.core
-            .insert_batch(&|| KernelModel::new(dims), points, usize::MAX)
+        or_panic(self.try_insert_batch(points))
+    }
+
+    /// Inserts a mini-batch as [`Self::insert_batch`] does, or rejects it:
+    /// the whole batch is checked in one pass before any state changes.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::Dimensionality`] or [`InputError::NonFinite`] naming
+    /// the first offending point; the tree is left untouched.
+    pub fn try_insert_batch(&mut self, points: Vec<Vec<f64>>) -> Result<BatchOutcome, InputError> {
+        check_points(&points, self.dims())?;
+        Ok(self.insert_batch_checked(points))
+    }
+
+    /// Inserts a batch whose every point passed [`check_point`].
+    pub(crate) fn insert_batch_checked(&mut self, points: Vec<Vec<f64>>) -> BatchOutcome {
+        let (dims, count) = (self.dims(), points.len());
+        let outcome = self
+            .core
+            .insert_batch(&|| KernelModel::new(dims), points, usize::MAX);
+        self.num_points += count;
+        outcome
     }
 
     /// The pipelined mode: drains `points` through the per-shard writers
@@ -176,11 +302,7 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
         R: Send,
     {
         let dims = self.dims();
-        assert!(
-            points.iter().all(|p| p.len() == dims),
-            "point dimensionality mismatch"
-        );
-        assert_finite(&points);
+        or_panic(check_points(&points, dims));
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
         let bandwidth = std::sync::Arc::clone(&self.bandwidth);
@@ -212,10 +334,10 @@ impl<E: StoredElement> BayesTree<E> {
         dims: usize,
         geometry: bt_index::PageGeometry,
     ) -> BayesTree<E> {
-        assert_finite(points);
+        or_panic(check_points(points, dims));
         let mut tree = BayesTree::<E>::new(dims, geometry);
         for p in points {
-            tree.insert(p.clone());
+            tree.insert_checked(p.clone());
         }
         tree.fit_bandwidth();
         tree
@@ -258,8 +380,10 @@ mod tests {
             let expected =
                 bt_anytree::split::distribute(items.clone(), &reference.first, &reference.second);
             let model = KernelModel::new(16);
-            let got =
-                InsertModel::<crate::KernelSummary>::split_leaf_items(&model, items, &geometry);
+            let leaf = PointColumns::from_rows(16, items.iter().map(Vec::as_slice));
+            let (first, second) =
+                InsertModel::<crate::KernelSummary>::split_leaf_items(&model, leaf, &geometry);
+            let got = (first.rows(), second.rows());
             assert_eq!(got, expected, "n = {n}");
         }
     }

@@ -97,6 +97,7 @@ pub mod descent;
 #[cfg(test)]
 mod frontier;
 pub mod insert;
+pub mod leaf;
 pub mod node;
 pub mod pdq;
 pub mod qbk;
@@ -112,6 +113,8 @@ pub use classifier::{
     ClassifierSnapshot,
 };
 pub use descent::{DescentStrategy, PriorityMeasure};
+pub use insert::InputError;
+pub use leaf::PointColumns;
 pub use node::{
     Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
     StoredSummary,

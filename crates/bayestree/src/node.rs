@@ -47,6 +47,7 @@
 //! the stored width — only the boxes' outward-rounded slack does.
 use std::cell::RefCell;
 
+use crate::leaf::PointColumns;
 use bt_anytree::Summary;
 use bt_index::Mbr;
 use bt_stats::cluster_feature::raw_moments;
@@ -79,6 +80,10 @@ pub trait StoredSummary:
 
     /// The summary of a set of kernel centres, or `None` when empty.
     fn from_points(points: &[Vec<f64>], dims: usize) -> Option<Self>;
+
+    /// The summary of a leaf's kernel centres, or `None` when empty: bit
+    /// for bit [`Self::from_points`] over the leaf's rows in order.
+    fn from_leaf(leaf: &PointColumns) -> Option<Self>;
 
     /// Absorbs a single new point (used on the insertion path: every
     /// ancestor entry of the target leaf is updated).
@@ -203,6 +208,47 @@ impl KernelSummary {
         Some(Self { mbr, cf })
     }
 
+    /// The summary of a leaf's kernel centres, or `None` when empty.  Each
+    /// column is folded in point order from the values the per-point
+    /// updates of [`Self::from_points`] start at (the first point's
+    /// corners, zero sums), so both give the same bits.  Four columns fold
+    /// side by side, so their four dependency chains overlap.
+    #[must_use]
+    pub fn from_leaf(leaf: &PointColumns) -> Option<Self> {
+        if leaf.is_empty() {
+            return None;
+        }
+        let dims = leaf.dims();
+        let (mut lo, mut hi) = (vec![0.0; dims], vec![0.0; dims]);
+        let (mut ls, mut ss) = (vec![0.0; dims], vec![0.0; dims]);
+        for d0 in (0..dims).step_by(4) {
+            let width = (dims - d0).min(4);
+            // A group narrower than four repeats its last column.
+            let columns: [&[f64]; 4] = std::array::from_fn(|k| leaf.column(d0 + k.min(width - 1)));
+            let mut min = columns.map(|column| column[0]);
+            let mut max = min;
+            let (mut sum, mut sq) = ([0.0; 4], [0.0; 4]);
+            for i in 0..leaf.len() {
+                let point = columns.map(|column| column[i]);
+                for (k, x) in point.into_iter().enumerate() {
+                    min[k] = min[k].min(x);
+                    max[k] = max[k].max(x);
+                    sum[k] += x;
+                    sq[k] += x * x;
+                }
+            }
+            let group = d0..d0 + width;
+            lo[group.clone()].copy_from_slice(&min[..width]);
+            hi[group.clone()].copy_from_slice(&max[..width]);
+            ls[group.clone()].copy_from_slice(&sum[..width]);
+            ss[group].copy_from_slice(&sq[..width]);
+        }
+        Some(Self {
+            mbr: Mbr::new(lo, hi),
+            cf: ClusterFeature::from_parts(leaf.len() as f64, ls, ss),
+        })
+    }
+
     /// The Gaussian `N(LS/n, SS/n - (LS/n)^2)` this summary contributes to
     /// any mixture model containing it.
     #[must_use]
@@ -267,6 +313,10 @@ impl StoredSummary for KernelSummary {
 
     fn from_points(points: &[Vec<f64>], dims: usize) -> Option<Self> {
         KernelSummary::from_points(points, dims)
+    }
+
+    fn from_leaf(leaf: &PointColumns) -> Option<Self> {
+        KernelSummary::from_leaf(leaf)
     }
 
     fn absorb_point(&mut self, point: &[f64]) {
@@ -397,6 +447,18 @@ impl QuantizedSummary {
             cf_q,
             corners,
         }
+    }
+
+    /// Quantises an exact full-width summary.
+    fn encode_exact(exact: &KernelSummary) -> Self {
+        let (cf, mbr) = (&exact.cf, &exact.mbr);
+        Self::encode(
+            cf.weight(),
+            cf.linear_sum(),
+            cf.squared_sum(),
+            mbr.lower(),
+            mbr.upper(),
+        )
     }
 
     /// Number of dimensions of this summary.
@@ -563,15 +625,13 @@ impl StoredSummary for QuantizedSummary {
     }
 
     fn from_points(points: &[Vec<f64>], dims: usize) -> Option<Self> {
-        let mbr = Mbr::from_points(points.iter().map(Vec::as_slice))?;
-        let cf = ClusterFeature::from_points(points.iter().map(Vec::as_slice), dims);
-        Some(Self::encode(
-            cf.weight(),
-            cf.linear_sum(),
-            cf.squared_sum(),
-            mbr.lower(),
-            mbr.upper(),
-        ))
+        let exact = KernelSummary::from_points(points, dims)?;
+        Some(Self::encode_exact(&exact))
+    }
+
+    fn from_leaf(leaf: &PointColumns) -> Option<Self> {
+        let exact = KernelSummary::from_leaf(leaf)?;
+        Some(Self::encode_exact(&exact))
     }
 
     fn absorb_point(&mut self, point: &[f64]) {
@@ -646,10 +706,10 @@ impl StoredSummary for QuantizedSummary {
 pub type Entry<E = f64> = bt_anytree::Entry<<E as StoredElement>::Summary>;
 
 /// The payload of a node: either raw observations (leaf) or entries (inner).
-pub type NodeKind<E = f64> = bt_anytree::NodeKind<<E as StoredElement>::Summary, Vec<f64>>;
+pub type NodeKind<E = f64> = bt_anytree::NodeKind<<E as StoredElement>::Summary, PointColumns>;
 
 /// One node of the Bayes tree.
-pub type Node<E = f64> = bt_anytree::Node<<E as StoredElement>::Summary, Vec<f64>>;
+pub type Node<E = f64> = bt_anytree::Node<<E as StoredElement>::Summary, PointColumns>;
 
 /// Builds an `f64`-mode [`Entry`] from its parts (the Definition 1
 /// triple).
@@ -664,9 +724,9 @@ pub fn make_entry(mbr: Mbr, cf: ClusterFeature, child: NodeId) -> Entry {
 /// ([`Summary::owned_mbr`]) boxes of their entries, so the result is the
 /// reference box a parent entry's stored box must enclose.
 #[must_use]
-pub fn node_mbr<S: StoredSummary>(node: &bt_anytree::Node<S, Vec<f64>>) -> Option<Mbr> {
+pub fn node_mbr<S: StoredSummary>(node: &bt_anytree::Node<S, PointColumns>) -> Option<Mbr> {
     match &node.kind {
-        bt_anytree::NodeKind::Leaf { items } => Mbr::from_points(items.iter().map(Vec::as_slice)),
+        bt_anytree::NodeKind::Leaf { items } => KernelSummary::from_leaf(items).map(|s| s.mbr),
         bt_anytree::NodeKind::Inner { entries } => {
             let mut boxes = entries.iter().filter_map(|e| e.owned_mbr());
             let mut acc = boxes.next()?;
@@ -681,12 +741,12 @@ pub fn node_mbr<S: StoredSummary>(node: &bt_anytree::Node<S, Vec<f64>>) -> Optio
 /// The decoded full-width cluster feature of everything stored in `node`.
 #[must_use]
 pub fn node_cluster_feature<S: StoredSummary>(
-    node: &bt_anytree::Node<S, Vec<f64>>,
+    node: &bt_anytree::Node<S, PointColumns>,
     dims: usize,
 ) -> ClusterFeature {
     match &node.kind {
         bt_anytree::NodeKind::Leaf { items } => {
-            ClusterFeature::from_points(items.iter().map(Vec::as_slice), dims)
+            KernelSummary::from_leaf(items).map_or_else(|| ClusterFeature::empty(dims), |s| s.cf)
         }
         bt_anytree::NodeKind::Inner { entries } => {
             let mut cf = ClusterFeature::empty(dims);
@@ -702,9 +762,13 @@ pub fn node_cluster_feature<S: StoredSummary>(
 mod tests {
     use super::*;
 
+    fn leaf(dims: usize, points: &[Vec<f64>]) -> PointColumns {
+        PointColumns::from_rows(dims, points.iter().map(Vec::as_slice))
+    }
+
     #[test]
     fn leaf_accessors() {
-        let node: Node = bt_anytree::Node::leaf(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let node: Node = bt_anytree::Node::leaf(leaf(2, &[vec![1.0, 2.0], vec![3.0, 4.0]]));
         assert!(node.is_leaf());
         assert_eq!(node.len(), 2);
         assert_eq!(node.items().len(), 2);
@@ -714,8 +778,45 @@ mod tests {
     }
 
     #[test]
+    fn leaf_summary_equals_the_per_point_summary_bitwise() {
+        // Every group width (dims 1–9), short and long leaves, and blocks
+        // with unused stride slots (grown by pushes, or compacted by a
+        // split).
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for dims in 1..=9 {
+            for n in [1, 2, 3, 5, 8, 31] {
+                let points: Vec<Vec<f64>> = (0..n)
+                    .map(|i| {
+                        (0..dims)
+                            .map(|d| {
+                                ((i * 7 + d * 3) % 11) as f64 * 0.37 - 1.9
+                                    + 0.1 / (1 + i + d) as f64
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut pushed = PointColumns::default();
+                for p in &points {
+                    pushed.push(p);
+                }
+                let order: Vec<usize> = (0..n).collect();
+                let (kept, _) = pushed.clone().split(&order, &[], n + 1);
+                let expected = KernelSummary::from_points(&points, dims).unwrap();
+                for block in [leaf(dims, &points), pushed, kept] {
+                    let got = KernelSummary::from_leaf(&block).unwrap();
+                    assert_eq!(got.cf.weight(), expected.cf.weight());
+                    assert_eq!(bits(got.cf.linear_sum()), bits(expected.cf.linear_sum()));
+                    assert_eq!(bits(got.cf.squared_sum()), bits(expected.cf.squared_sum()));
+                    assert_eq!(bits(got.mbr.lower()), bits(expected.mbr.lower()));
+                    assert_eq!(bits(got.mbr.upper()), bits(expected.mbr.upper()));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn leaf_cluster_feature_matches_points() {
-        let node: Node = bt_anytree::Node::leaf(vec![vec![0.0], vec![2.0]]);
+        let node: Node = bt_anytree::Node::leaf(leaf(1, &[vec![0.0], vec![2.0]]));
         let cf = node_cluster_feature(&node, 1);
         assert_eq!(cf.weight(), 2.0);
         assert_eq!(cf.mean(), vec![1.0]);
@@ -766,7 +867,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "leaf node")]
     fn entries_on_leaf_panics() {
-        let node: Node = bt_anytree::Node::leaf(vec![]);
+        let node: Node = bt_anytree::Node::leaf(PointColumns::default());
         let _ = node.entries();
     }
 

@@ -49,6 +49,7 @@
 //! views — one for a plain tree.
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
+use crate::leaf::PointColumns;
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesIndex;
 use bt_anytree::{
@@ -56,10 +57,10 @@ use bt_anytree::{
     QueryStats, RefineOrder, ShardSet, SummaryScore,
 };
 use bt_stats::kernel::{
-    certified_bounds, cf_margin, leaf_scores_block, node_estimates_block, node_scores_block,
-    GaussianKernel, Kernel,
+    certified_bounds, cf_margin, leaf_scores_block, log_kernel_at, node_estimates_block,
+    node_scores_block,
 };
-use bt_stats::{GatheredBlock, KernelBandwidth, ScoreLanes};
+use bt_stats::{BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
 /// summary — the single place this arithmetic lives; the incremental
@@ -128,7 +129,7 @@ impl<'a> KernelQueryModel<'a> {
 }
 
 impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
-    type LeafItem = Vec<f64>;
+    type Leaf = PointColumns;
 
     fn summary_contribution(&self, query: &[f64], summary: &S) -> f64 {
         summary_mixture_term(summary, query, self.n)
@@ -150,16 +151,29 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         self.entry_bounds::<S>(summary.weight(), far, near, jensen, magnitude)
     }
 
-    fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        GaussianKernel.density(item, query, self.bandwidth) / self.n
+    /// `GaussianKernel::density` of the point against the query, over the
+    /// point's column entries.
+    fn leaf_contribution(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
+        let sq = query.iter().enumerate().map(|(d, &x)| {
+            let diff = x - leaf.get(index, d);
+            diff * diff
+        });
+        log_kernel_at(self.bandwidth, sq).exp() / self.n
     }
 
-    fn leaf_sq_dist(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        item.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum()
+    fn leaf_sq_dist(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
+        query
+            .iter()
+            .enumerate()
+            .map(|(d, &b)| {
+                let diff = leaf.get(index, d) - b;
+                diff * diff
+            })
+            .sum()
     }
 
-    fn summarize_leaf_items(&self, items: &[Vec<f64>]) -> S {
-        S::from_points(items, items[0].len()).expect("cannot summarise an empty leaf")
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
+        S::from_leaf(leaf).expect("cannot summarise an empty leaf")
     }
 
     /// Block gather: packs the node's entries into the structure-of-arrays
@@ -224,51 +238,41 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         }
     }
 
-    /// Leaf block gather: a leaf's items are raw points, so their
-    /// coordinates *are* the mean columns — nothing else is needed, and
-    /// the variance and box columns stay empty.
-    fn gather_leaf_items(&self, items: &[Vec<f64>], out: &mut GatheredBlock) -> bool {
-        let dims = self.bandwidth.len();
-        let len = items.len();
-        let block = &mut out.block;
-        block.reset(dims, len);
-        for (i, item) in items.iter().enumerate() {
-            block.set_weight(i, 1.0);
-            for (d, &v) in item.iter().take(dims).enumerate() {
-                block.set_mean(d, i, v);
-            }
-        }
-        true
-    }
-
-    /// Leaf block scoring: one [`leaf_scores_block`] pass evaluates every
-    /// item's product kernel (the exact sum [`GaussianKernel`] takes, in the
-    /// same dimension order, bit-identical) together with its geometric
-    /// priority.
-    fn score_gathered_leaves(
+    /// Scores the leaf where it lies: its block is the leaf pass's
+    /// dimension-major layout, so one strided [`leaf_scores_block`] pass
+    /// evaluates every point's product kernel (the exact sum
+    /// [`bt_stats::kernel::GaussianKernel`] takes, in the same dimension
+    /// order, bit-identical) together with its geometric priority.  No
+    /// gather runs and no cache slot is filled.
+    fn score_leaf_items(
         &self,
         query: &[f64],
-        _items: &[Vec<f64>],
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
+        leaf: &PointColumns,
+        scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
-        let block = &gathered.block;
-        let len = block.len();
-        let [logk, dist, ..] = lanes;
-        leaf_scores_block(query, self.bandwidth, block.mean(), len, logk, dist);
+        let [logk, dist, ..] = &mut scratch.lanes;
+        let len = leaf.len();
+        leaf_scores_block(
+            query,
+            self.bandwidth,
+            leaf.columns(),
+            len,
+            leaf.stride(),
+            logk,
+            dist,
+        );
         out.clear();
-        out.reserve(len);
-        for i in 0..len {
-            let contribution = logk[i].exp() / self.n;
-            out.push(SummaryScore {
+        out.extend(logk.iter().zip(dist.iter()).map(|(&logk, &dist)| {
+            let contribution = logk.exp() / self.n;
+            SummaryScore {
                 weight: 1.0,
                 contribution,
                 lower: contribution,
                 upper: contribution,
-                min_dist_sq: dist[i],
-            });
-        }
+                min_dist_sq: dist,
+            }
+        }));
     }
 }
 
@@ -302,7 +306,7 @@ pub(crate) fn estimate_score(weight: f64, contribution: f64, min_dist_sq: f64) -
 }
 
 impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
-    type LeafItem = Vec<f64>;
+    type Leaf = PointColumns;
 
     fn summary_contribution(&self, query: &[f64], summary: &S) -> f64 {
         summary_mixture_term(summary, query, self.0.n)
@@ -313,16 +317,16 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         (contribution, contribution)
     }
 
-    fn leaf_contribution(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        QueryModel::<S>::leaf_contribution(&self.0, query, item)
+    fn leaf_contribution(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
+        QueryModel::<S>::leaf_contribution(&self.0, query, leaf, index)
     }
 
-    fn leaf_sq_dist(&self, query: &[f64], item: &Vec<f64>) -> f64 {
-        QueryModel::<S>::leaf_sq_dist(&self.0, query, item)
+    fn leaf_sq_dist(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
+        QueryModel::<S>::leaf_sq_dist(&self.0, query, leaf, index)
     }
 
-    fn summarize_leaf_items(&self, items: &[Vec<f64>]) -> S {
-        self.0.summarize_leaf_items(items)
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
+        self.0.summarize_leaf_items(leaf)
     }
 
     fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
@@ -355,21 +359,16 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         );
     }
 
-    fn gather_leaf_items(&self, items: &[Vec<f64>], out: &mut GatheredBlock) -> bool {
-        QueryModel::<S>::gather_leaf_items(&self.0, items, out)
-    }
-
-    /// Leaves are exact, so the full model's leaf pass already computes
-    /// only the estimate and the priority.
-    fn score_gathered_leaves(
+    /// Leaves are exact, so the full model's in-place leaf pass already
+    /// computes only the estimate and the priority.
+    fn score_leaf_items(
         &self,
         query: &[f64],
-        items: &[Vec<f64>],
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
+        leaf: &PointColumns,
+        scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
-        QueryModel::<S>::score_gathered_leaves(&self.0, query, items, gathered, lanes, out);
+        QueryModel::<S>::score_leaf_items(&self.0, query, leaf, scratch, out);
     }
 }
 
@@ -384,7 +383,7 @@ impl From<DescentStrategy> for RefineOrder {
     }
 }
 
-impl<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>> BayesIndex<E, C> {
+impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
     /// The kernel-density query model of this tree: normalised by the
     /// **global** observation count, so per-shard partial densities fold by
     /// summation; kernels evaluated with the tree's bandwidth.

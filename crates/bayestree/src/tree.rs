@@ -9,12 +9,14 @@
 //! Structurally each shard of the tree is a thin instantiation of the
 //! shared [`bt_anytree::AnytimeTree`] core (node arena, descent, split
 //! propagation) with the [`KernelSummary`](crate::KernelSummary) payload
-//! and raw kernel centres as leaf items, and the tree owns its shards
+//! and each leaf's kernel centres in one dimension-major block
+//! ([`PointColumns`]), and the tree owns its shards
 //! through the shared sharding layer ([`bt_anytree::ShardedAnytimeTree`])
 //! — one shard for the paper's single tree.  The structure is built
 //! either incrementally ([`crate::insert`]) or by one of the bulk loaders
 //! ([`crate::bulk`]).
 
+use crate::leaf::PointColumns;
 use crate::node::{node_cluster_feature, node_mbr, Entry, NodeId, StoredElement, StoredSummary};
 use bt_anytree::{
     AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
@@ -22,13 +24,14 @@ use bt_anytree::{
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
-use bt_stats::kernel::{GaussianKernel, Kernel, KernelBandwidth};
+use bt_stats::kernel::{log_kernel_at, KernelBandwidth};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// One shard of a Bayes tree: the shared arena-tree core over the stored
-/// summaries `S` with raw kernel centres as leaf items.
-pub type BayesCore<S> = AnytimeTree<S, Vec<f64>>;
+/// summaries `S` with each leaf's kernel centres in one dimension-major
+/// block.
+pub type BayesCore<S> = AnytimeTree<S, PointColumns>;
 
 /// The Bayes tree over the shard set `C`: an R*-tree–style hierarchy of
 /// Gaussian mixture models.  Two instantiations exist, each named by an
@@ -64,7 +67,7 @@ pub struct BayesIndex<E, C> {
 
 /// The live Bayes tree: reads, writes and snapshots over its own shards.
 pub type BayesTree<E = f64, R = CheapestRouter> =
-    BayesIndex<E, ShardedAnytimeTree<<E as StoredElement>::Summary, Vec<f64>, R>>;
+    BayesIndex<E, ShardedAnytimeTree<<E as StoredElement>::Summary, PointColumns, R>>;
 
 /// An epoch-pinned, immutable view of a [`BayesTree`]: one pinned core
 /// snapshot per shard (a plain tree is one shard) plus the density-model
@@ -72,9 +75,9 @@ pub type BayesTree<E = f64, R = CheapestRouter> =
 /// time.  `Send + Sync`; it answers every read bit-identically to the
 /// live tree at snapshot time.
 pub type BayesTreeSnapshot<E = f64> =
-    BayesIndex<E, ShardedTreeSnapshot<<E as StoredElement>::Summary, Vec<f64>>>;
+    BayesIndex<E, ShardedTreeSnapshot<<E as StoredElement>::Summary, PointColumns>>;
 
-impl<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>> BayesIndex<E, C> {
+impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
     /// Dimensionality of the stored kernels.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -307,16 +310,16 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     #[must_use]
     pub fn all_points(&self) -> Vec<Vec<f64>> {
         let mut out = Vec::with_capacity(self.num_points);
-        self.for_each_point(|p| out.push(p.clone()));
+        self.for_each_leaf(|leaf| out.extend(leaf.rows()));
         out
     }
 
-    /// Calls `f` on every observation stored at leaf level, shard by shard.
-    fn for_each_point(&self, mut f: impl FnMut(&Vec<f64>)) {
+    /// Calls `f` on every leaf block, shard by shard.
+    fn for_each_leaf(&self, mut f: impl FnMut(&PointColumns)) {
         for shard in self.shards() {
             for id in shard.reachable() {
                 if let NodeKind::Leaf { items } = &shard.node(id).kind {
-                    items.iter().for_each(&mut f);
+                    f(items);
                 }
             }
         }
@@ -371,9 +374,19 @@ impl<E: StoredElement, R> BayesTree<E, R> {
         if self.num_points == 0 {
             return 0.0;
         }
-        let kernel = GaussianKernel;
+        // The per-point scalar kernel (`GaussianKernel::density`'s terms
+        // in its order), kept apart from the leaf pass the queries run, so
+        // the two check each other.
         let mut acc = 0.0;
-        self.for_each_point(|p| acc += kernel.density(p, x, &self.bandwidth));
+        self.for_each_leaf(|leaf| {
+            for i in 0..leaf.len() {
+                let sq = x.iter().enumerate().map(|(d, &v)| {
+                    let diff = v - leaf.get(i, d);
+                    diff * diff
+                });
+                acc += log_kernel_at(&self.bandwidth, sq).exp();
+            }
+        });
         acc / self.num_points as f64
     }
 
@@ -485,10 +498,10 @@ fn validate_node<S: StoredSummary>(
                     geometry.max_leaf
                 ));
             }
-            if items.iter().any(|p| p.len() != dims) {
+            if !items.is_empty() && items.dims() != dims {
                 return Err(format!("leaf {id} holds a point of wrong dimensionality"));
             }
-            if !items.iter().all(|p| all_finite(p)) {
+            if !(0..items.dims()).all(|d| all_finite(items.column(d))) {
                 return Err(format!("leaf {id} holds a non-finite coordinate"));
             }
             Ok(())
@@ -587,7 +600,7 @@ fn all_finite(values: &[f64]) -> bool {
 /// Total declared LS quantisation slack of a node's own entries (zero for
 /// leaves and for lossless-accumulation modes) — the child-side term of the
 /// validate tolerance.
-fn node_ls_slack<S: StoredSummary>(node: &bt_anytree::Node<S, Vec<f64>>) -> f64 {
+fn node_ls_slack<S: StoredSummary>(node: &bt_anytree::Node<S, PointColumns>) -> f64 {
     match &node.kind {
         bt_anytree::NodeKind::Leaf { .. } => 0.0,
         bt_anytree::NodeKind::Inner { entries } => entries.iter().map(|e| e.ls_slack()).sum(),
@@ -597,6 +610,7 @@ fn node_ls_slack<S: StoredSummary>(node: &bt_anytree::Node<S, Vec<f64>>) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bt_stats::kernel::{GaussianKernel, Kernel};
 
     fn geometry() -> PageGeometry {
         PageGeometry::from_fanout(4, 4)
@@ -647,8 +661,8 @@ mod tests {
     #[test]
     fn summarise_leaf_root() {
         let mut tree: BayesTree = BayesTree::new(1, geometry());
-        tree.shard_mut(0).node_mut(0).items_mut().push(vec![1.0]);
-        tree.shard_mut(0).node_mut(0).items_mut().push(vec![3.0]);
+        tree.shard_mut(0).node_mut(0).items_mut().push(&[1.0]);
+        tree.shard_mut(0).node_mut(0).items_mut().push(&[3.0]);
         tree.num_points = 2;
         let entries = tree.root_entries();
         assert_eq!(entries.len(), 1);
@@ -659,8 +673,8 @@ mod tests {
     #[test]
     fn full_kernel_density_averages_kernels() {
         let mut tree: BayesTree = BayesTree::new(1, geometry());
-        tree.shard_mut(0).node_mut(0).items_mut().push(vec![-1.0]);
-        tree.shard_mut(0).node_mut(0).items_mut().push(vec![1.0]);
+        tree.shard_mut(0).node_mut(0).items_mut().push(&[-1.0]);
+        tree.shard_mut(0).node_mut(0).items_mut().push(&[1.0]);
         tree.num_points = 2;
         tree.set_bandwidth(vec![1.0]);
         let d = tree.full_kernel_density(&[0.0]);
@@ -672,7 +686,7 @@ mod tests {
     #[test]
     fn validate_detects_wrong_point_count() {
         let mut tree: BayesTree = BayesTree::new(1, geometry());
-        tree.shard_mut(0).node_mut(0).items_mut().push(vec![1.0]);
+        tree.shard_mut(0).node_mut(0).items_mut().push(&[1.0]);
         // num_points deliberately not incremented.
         let err = tree.validate(true).unwrap_err();
         assert!(err.contains("reachable"));
@@ -692,7 +706,11 @@ mod tests {
             .expect("a leaf");
 
         let mut planted = tree.clone();
-        planted.shard_mut(0).node_mut(leaf).items_mut()[0][1] = f64::NAN;
+        planted
+            .shard_mut(0)
+            .node_mut(leaf)
+            .items_mut()
+            .set(0, 1, f64::NAN);
         let err = planted.validate(true).unwrap_err();
         assert!(err.contains("non-finite coordinate"), "{err}");
 

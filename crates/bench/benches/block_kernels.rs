@@ -22,8 +22,8 @@
 //! and no filter runs everything once.
 
 use bayestree::query::KernelQueryModel;
-use bayestree::KernelSummary;
-use bt_anytree::{Entry, QueryModel, Summary, SummaryScore};
+use bayestree::{KernelSummary, PointColumns};
+use bt_anytree::{Entry, LeafItems, QueryModel, Summary, SummaryScore};
 use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
 use clustree::{ClusQueryModel, MicroCluster};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -105,24 +105,20 @@ where
 
 /// The scalar leaf reference: the per-item loop the default
 /// [`QueryModel::score_leaf_items`] falls back to.
-fn score_leaf_scalar<S, M>(
-    model: &M,
-    query: &[f64],
-    items: &[M::LeafItem],
-    out: &mut Vec<SummaryScore>,
-) where
+fn score_leaf_scalar<S, M>(model: &M, query: &[f64], leaf: &M::Leaf, out: &mut Vec<SummaryScore>)
+where
     S: Summary,
     M: QueryModel<S>,
 {
     out.clear();
-    for item in items {
-        let contribution = model.leaf_contribution(query, item);
+    for index in 0..leaf.len() {
+        let contribution = model.leaf_contribution(query, leaf, index);
         out.push(SummaryScore {
-            weight: model.leaf_weight(item),
+            weight: model.leaf_weight(leaf, index),
             contribution,
             lower: contribution,
             upper: contribution,
-            min_dist_sq: model.leaf_sq_dist(query, item),
+            min_dist_sq: model.leaf_sq_dist(query, leaf, index),
         });
     }
 }
@@ -477,11 +473,12 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
 }
 
 /// Leaf-block group: the per-item scalar loop (the default
-/// [`QueryModel::score_leaf_items`] fallback) versus the gathered leaf block
-/// path, for both trees.
+/// [`QueryModel::score_leaf_items`] fallback) versus the block path — a
+/// Bayes leaf scored in place, a ClusTree leaf gathered — for both trees.
 fn leaf_block_benchmarks(c: &mut Criterion) {
     let mut rng = SplitMix(0x1eaf);
     let points: Vec<Vec<f64>> = (0..NODE_LEN).map(|i| rng.point((i % 7) as f64)).collect();
+    let points = PointColumns::from_rows(DIMS, points.iter().map(Vec::as_slice));
     let bandwidth = vec![0.75; DIMS];
     let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);

@@ -106,7 +106,7 @@ impl ClusQueryModel {
     /// Panics if the bandwidth has the wrong dimensionality or a component
     /// that is not finite and positive.
     #[must_use]
-    pub fn over<V: TreeView<MicroCluster, MicroCluster>>(
+    pub fn over<V: TreeView<MicroCluster, Vec<MicroCluster>>>(
         views: &[V],
         bandwidth: &[f64],
         lambda: f64,
@@ -184,7 +184,7 @@ impl ClusQueryModel {
 }
 
 impl QueryModel<MicroCluster> for ClusQueryModel {
-    type LeafItem = MicroCluster;
+    type Leaf = Vec<MicroCluster>;
 
     fn summary_contribution(&self, query: &[f64], summary: &MicroCluster) -> f64 {
         summary.weight() / self.total_weight * self.smoothed_log_kernel(query, summary).exp()
@@ -198,19 +198,19 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
         )
     }
 
-    fn leaf_contribution(&self, query: &[f64], item: &MicroCluster) -> f64 {
-        self.summary_contribution(query, item)
+    fn leaf_contribution(&self, query: &[f64], leaf: &Vec<MicroCluster>, index: usize) -> f64 {
+        self.summary_contribution(query, &leaf[index])
     }
 
-    fn leaf_sq_dist(&self, query: &[f64], item: &MicroCluster) -> f64 {
-        item.sq_dist_to(query)
+    fn leaf_sq_dist(&self, query: &[f64], leaf: &Vec<MicroCluster>, index: usize) -> f64 {
+        leaf[index].sq_dist_to(query)
     }
 
-    fn leaf_weight(&self, item: &MicroCluster) -> f64 {
-        item.weight()
+    fn leaf_weight(&self, leaf: &Vec<MicroCluster>, index: usize) -> f64 {
+        leaf[index].weight()
     }
 
-    fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
+    fn summarize_leaf_items(&self, items: &Vec<MicroCluster>) -> MicroCluster {
         summarize_clusters(items, self.lambda)
     }
 
@@ -254,7 +254,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     /// Leaf block gather: leaf items are micro-clusters, so the gather is
     /// the entry gather minus the box columns — leaves are exact, their
     /// bounds collapse onto the contribution and never touch a box kernel.
-    fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
+    fn gather_leaf_items(&self, items: &Vec<MicroCluster>, out: &mut GatheredBlock) -> bool {
         gather_clusters(items.iter(), false, out);
         true
     }
@@ -265,7 +265,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     fn score_gathered_leaves(
         &self,
         query: &[f64],
-        _items: &[MicroCluster],
+        _items: &Vec<MicroCluster>,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -396,7 +396,7 @@ impl DistanceModel {
 }
 
 impl QueryModel<MicroCluster> for DistanceModel {
-    type LeafItem = MicroCluster;
+    type Leaf = Vec<MicroCluster>;
 
     fn summary_contribution(&self, _query: &[f64], _summary: &MicroCluster) -> f64 {
         0.0
@@ -406,19 +406,19 @@ impl QueryModel<MicroCluster> for DistanceModel {
         (0.0, 0.0)
     }
 
-    fn leaf_contribution(&self, _query: &[f64], _item: &MicroCluster) -> f64 {
+    fn leaf_contribution(&self, _query: &[f64], _leaf: &Vec<MicroCluster>, _index: usize) -> f64 {
         0.0
     }
 
-    fn leaf_sq_dist(&self, query: &[f64], item: &MicroCluster) -> f64 {
-        item.sq_dist_to(query)
+    fn leaf_sq_dist(&self, query: &[f64], leaf: &Vec<MicroCluster>, index: usize) -> f64 {
+        leaf[index].sq_dist_to(query)
     }
 
-    fn leaf_weight(&self, item: &MicroCluster) -> f64 {
-        item.weight()
+    fn leaf_weight(&self, leaf: &Vec<MicroCluster>, index: usize) -> f64 {
+        leaf[index].weight()
     }
 
-    fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
+    fn summarize_leaf_items(&self, items: &Vec<MicroCluster>) -> MicroCluster {
         summarize_clusters(items, self.lambda)
     }
 
@@ -438,7 +438,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
         Self::score_centres(query, gathered, &mut lanes[0], out);
     }
 
-    fn gather_leaf_items(&self, items: &[MicroCluster], out: &mut GatheredBlock) -> bool {
+    fn gather_leaf_items(&self, items: &Vec<MicroCluster>, out: &mut GatheredBlock) -> bool {
         gather_clusters(items.iter(), false, out);
         true
     }
@@ -446,7 +446,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
     fn score_gathered_leaves(
         &self,
         query: &[f64],
-        _items: &[MicroCluster],
+        _items: &Vec<MicroCluster>,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -486,7 +486,7 @@ pub struct KnnAnswer {
 /// Total stored weight at root level of one core tree view (entry summaries
 /// cover their subtrees *and* their buffers, so this is everything) — live
 /// trees and pinned snapshots alike.
-fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
+fn stored_weight<V: TreeView<MicroCluster, Vec<MicroCluster>>>(core: &V) -> f64 {
     match &core.node(core.root()).kind {
         NodeKind::Inner { entries } => entries.iter().map(|e| e.summary.weight()).sum(),
         NodeKind::Leaf { items } => items.iter().map(MicroCluster::weight).sum(),
@@ -496,7 +496,7 @@ fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
 /// The micro-cluster behind a frontier element, borrowed from the view —
 /// only a root that is itself a leaf has no stored summary, and gets one
 /// merged with decay rate `lambda`.
-fn element_cluster<'v, V: TreeView<MicroCluster, MicroCluster>>(
+fn element_cluster<'v, V: TreeView<MicroCluster, Vec<MicroCluster>>>(
     core: &'v V,
     lambda: f64,
     element: &QueryElement,
@@ -535,7 +535,7 @@ fn element_cluster<'v, V: TreeView<MicroCluster, MicroCluster>>(
 ///
 /// Panics if the query has the wrong dimensionality or a NaN coordinate.
 #[must_use]
-pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+pub fn knn_over<V: TreeView<MicroCluster, Vec<MicroCluster>> + Sync>(
     views: &[V],
     model: &ClusQueryModel,
     x: &[f64],
@@ -547,7 +547,7 @@ pub fn knn_over<V: TreeView<MicroCluster, MicroCluster> + Sync>(
 
 /// [`knn_over`] for a tree's own decay rate — what `anytime_knn` runs,
 /// without building a density model.
-pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, Vec<MicroCluster>> + Sync>(
     views: &[V],
     lambda: f64,
     x: &[f64],
@@ -594,7 +594,7 @@ pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, MicroCluster> + Sync>(
     )
 }
 
-impl<C: ShardSet<MicroCluster, MicroCluster>> ClusIndex<C> {
+impl<C: ShardSet<MicroCluster, Vec<MicroCluster>>> ClusIndex<C> {
     /// The micro-cluster query model of this tree: normalised by the
     /// **global** stored weight across all shards (so per-shard partial
     /// scores fold by summation), smoothing with `bandwidth`, merging with

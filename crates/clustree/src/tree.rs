@@ -131,7 +131,7 @@ impl<'a> ClusModel<'a> {
 
 impl InsertModel<MicroCluster> for ClusModel<'_> {
     type Object = MicroCluster;
-    type LeafItem = MicroCluster;
+    type Leaf = Vec<MicroCluster>;
     const BUFFERED: bool = true;
 
     fn ctx(&self) -> DecayCtx {
@@ -158,7 +158,7 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
         obj.merge(&buffer, self.lambda());
     }
 
-    fn refresh_leaf_items(&self, items: &mut [MicroCluster]) {
+    fn refresh_leaf_items(&self, items: &mut Vec<MicroCluster>) {
         for mc in items {
             mc.decay_to(self.now, self.lambda());
         }
@@ -189,7 +189,7 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
         items.push(obj);
     }
 
-    fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
+    fn summarize_leaf_items(&self, items: &Vec<MicroCluster>) -> MicroCluster {
         let lambda = self.lambda();
         let mut summary = items[0].clone();
         for mc in &items[1..] {
@@ -286,7 +286,7 @@ fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
 }
 
 /// One shard of a ClusTree: the shared arena-tree core over micro-clusters.
-pub type ClusCore = AnytimeTree<MicroCluster, MicroCluster>;
+pub type ClusCore = AnytimeTree<MicroCluster, Vec<MicroCluster>>;
 
 /// The anytime stream-clustering index over the shard set `C`.  Two
 /// instantiations exist, each named by an alias: [`ClusTree`] reads and
@@ -306,16 +306,16 @@ pub struct ClusIndex<C> {
 /// built with [`ClusTree::sharded`] or [`ClusTree::with_router`]), routed
 /// by `R`.
 pub type ClusTree<R = CheapestRouter> =
-    ClusIndex<ShardedAnytimeTree<MicroCluster, MicroCluster, R>>;
+    ClusIndex<ShardedAnytimeTree<MicroCluster, Vec<MicroCluster>, R>>;
 
 /// An epoch-pinned, immutable view of a [`ClusTree`]: one pinned core
 /// snapshot per shard (a plain tree is one shard) plus the model parameters
 /// (decay rate, current time, insert count) frozen at snapshot time.
 /// `Send + Sync`; it answers every read bit-identically to the live tree
 /// at snapshot time.
-pub type ClusTreeSnapshot = ClusIndex<ShardedTreeSnapshot<MicroCluster, MicroCluster>>;
+pub type ClusTreeSnapshot = ClusIndex<ShardedTreeSnapshot<MicroCluster, Vec<MicroCluster>>>;
 
-impl<C: ShardSet<MicroCluster, MicroCluster>> ClusIndex<C> {
+impl<C: ShardSet<MicroCluster, Vec<MicroCluster>>> ClusIndex<C> {
     /// Dimensionality of the clustered points.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -700,7 +700,7 @@ fn boxes_nest(core: &ClusCore, entry: &Entry<MicroCluster>) -> bool {
 
 /// Gathers the raw (undecayed) micro-clusters of one core tree view: leaf
 /// items plus any non-empty hitchhiker buffers.
-fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
+fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, Vec<MicroCluster>>>(
     core: &V,
     out: &mut Vec<MicroCluster>,
 ) {
@@ -719,7 +719,7 @@ fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
 /// aggregated weights non-negative, every cluster finite and every box
 /// nested in its parent entry's.
 fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> Result<(), String> {
-    let node: &Node<MicroCluster, MicroCluster> = core.node(node_id);
+    let node: &Node<MicroCluster, Vec<MicroCluster>> = core.node(node_id);
     // Inner nodes may temporarily exceed capacity by one when a split was
     // deferred for lack of time; anything beyond that is a bug.
     let slack = usize::from(!node.is_leaf());

@@ -187,7 +187,7 @@ struct Reference<'a> {
 
 impl InsertModel<MicroCluster> for Reference<'_> {
     type Object = MicroCluster;
-    type LeafItem = MicroCluster;
+    type Leaf = Vec<MicroCluster>;
     const BUFFERED: bool = true;
 
     fn ctx(&self) -> DecayCtx {
@@ -210,7 +210,7 @@ impl InsertModel<MicroCluster> for Reference<'_> {
         self.inner.merge_buffer_into_object(obj, buffer);
     }
 
-    fn refresh_leaf_items(&self, items: &mut [MicroCluster]) {
+    fn refresh_leaf_items(&self, items: &mut Vec<MicroCluster>) {
         self.inner.refresh_leaf_items(items);
     }
 
@@ -218,7 +218,7 @@ impl InsertModel<MicroCluster> for Reference<'_> {
         self.inner.insert_into_leaf(items, obj);
     }
 
-    fn summarize_leaf_items(&self, items: &[MicroCluster]) -> MicroCluster {
+    fn summarize_leaf_items(&self, items: &Vec<MicroCluster>) -> MicroCluster {
         self.inner.summarize_leaf_items(items)
     }
 

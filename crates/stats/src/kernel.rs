@@ -561,33 +561,39 @@ pub fn certified_bounds(scale: f64, far: f64, near: f64, jensen: f64, margin: f6
     (scale * lower, scale * upper)
 }
 
-/// Scores every item of a gathered leaf in one pass: `log_kernels` gets the
-/// product log-kernel at each of the `len` mean columns and `sq_dists` the
-/// squared distance to it — per item [`GaussianKernel::log_density`] and
-/// the result of [`sq_dists_block`], bit for bit.
+/// Scores every point of a leaf block in one pass: `log_kernels` gets the
+/// product log-kernel at each of the `len` points and `sq_dists` the
+/// squared distance to it — per point [`GaussianKernel::log_density`] and
+/// the result of [`sq_dists_block`], bit for bit.  The block is
+/// dimension-major with column stride `stride >= len`: coordinate `d` of
+/// point `i` is `means[d * stride + i]` (a gathered block has `stride ==
+/// len`; a Bayes-tree leaf keeps room to append).
 ///
 /// # Panics
 ///
-/// Panics if the bandwidth's dimensionality differs from the query's.
+/// Panics if the bandwidth's dimensionality differs from the query's, or
+/// if `stride < len`.
 pub fn leaf_scores_block(
     query: &[f64],
     bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
+    stride: usize,
     log_kernels: &mut Vec<f64>,
     sq_dists: &mut Vec<f64>,
 ) {
     assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
+    assert!(stride >= len, "column stride below the block length");
     let log_kernels = prep_out(log_kernels, len);
     let sq_dists = prep_out(sq_dists, len);
-    debug_assert_eq!(means.len(), query.len() * len);
-    if crate::simd::leaf_scores(query, bandwidth, means, len, log_kernels, sq_dists) {
+    debug_assert!(len == 0 || means.len() >= query.len().saturating_sub(1) * stride + len);
+    if crate::simd::leaf_scores(query, bandwidth, means, len, stride, log_kernels, sq_dists) {
         return;
     }
     log_kernels.fill(bandwidth.log_peak());
     for (d, &q) in query.iter().enumerate() {
         let c = bandwidth.neg_half_inv_sq()[d];
-        let col = &means[d * len..(d + 1) * len];
+        let col = &means[d * stride..d * stride + len];
         for i in 0..len {
             let diff = col[i] - q;
             let s = diff * diff;

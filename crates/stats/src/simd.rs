@@ -354,7 +354,10 @@ fn node_scores_chunks<const FULL: bool, const BOUNDS: bool>(
 
 /// Fused leaf pass: the product log-kernel at each mean and the squared
 /// distance of `sq_dists_body`, entry chunks outermost and split into a
-/// `FULL` and a padded instantiation as in [`node_scores_body`].
+/// `FULL` and a padded instantiation as in [`node_scores_body`].  Column
+/// `d` starts at `d * stride` (`stride >= len`), so a leaf block with room
+/// to append is scored where it lies; only its first `len` slots per
+/// column are loaded.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
 fn leaf_scores_body(
@@ -362,13 +365,14 @@ fn leaf_scores_body(
     bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
+    stride: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) {
     if len >= LANES {
-        leaf_scores_chunks::<true>(query, bandwidth, means, len, log_kernels, sq_dists);
+        leaf_scores_chunks::<true>(query, bandwidth, means, len, stride, log_kernels, sq_dists);
     } else {
-        leaf_scores_chunks::<false>(query, bandwidth, means, len, log_kernels, sq_dists);
+        leaf_scores_chunks::<false>(query, bandwidth, means, len, stride, log_kernels, sq_dists);
     }
 }
 
@@ -380,6 +384,7 @@ fn leaf_scores_chunks<const FULL: bool>(
     bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
+    stride: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) {
@@ -389,7 +394,7 @@ fn leaf_scores_chunks<const FULL: bool>(
     for i in chunk_starts(len) {
         let (mut log_k, mut dist) = (peak, F64x4::splat(0.0));
         for (d, &q) in query.iter().enumerate() {
-            let diff = load_padded(means, d * len + i, n, 0.0).sub(F64x4::splat(q));
+            let diff = load_padded(means, d * stride + i, n, 0.0).sub(F64x4::splat(q));
             let s = diff.mul(diff);
             log_k = s.mul(F64x4::splat(neg_half_inv_sq[d])).add(log_k);
             dist = s.add(dist);
@@ -523,10 +528,11 @@ mod avx2 {
         bandwidth: &KernelBandwidth,
         means: &[f64],
         len: usize,
+        stride: usize,
         log_kernels: &mut [f64],
         sq_dists: &mut [f64],
     ) {
-        leaf_scores_body(query, bandwidth, means, len, log_kernels, sq_dists);
+        leaf_scores_body(query, bandwidth, means, len, stride, log_kernels, sq_dists);
     }
 }
 
@@ -574,6 +580,7 @@ pub(crate) fn leaf_scores(
     bandwidth: &KernelBandwidth,
     means: &[f64],
     len: usize,
+    stride: usize,
     log_kernels: &mut [f64],
     sq_dists: &mut [f64],
 ) -> bool {
@@ -581,11 +588,13 @@ pub(crate) fn leaf_scores(
     {
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            unsafe { avx2::leaf_scores(query, bandwidth, means, len, log_kernels, sq_dists) };
+            unsafe {
+                avx2::leaf_scores(query, bandwidth, means, len, stride, log_kernels, sq_dists);
+            }
             return true;
         }
     }
-    let _ = (query, bandwidth, means, len, log_kernels, sq_dists);
+    let _ = (query, bandwidth, means, len, stride, log_kernels, sq_dists);
     false
 }
 

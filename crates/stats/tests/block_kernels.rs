@@ -217,6 +217,7 @@ fn check_fused_passes(node: &Node) {
         &bandwidth,
         block.mean(),
         n,
+        n,
         &mut log_k,
         &mut sq,
     );
@@ -294,7 +295,15 @@ proptest! {
         // pass's first lane.
         let block = gather(&node);
         let (mut out, mut sq) = (Vec::new(), Vec::new());
-        leaf_scores_block(&node.query, &bandwidth, block.mean(), block.len(), &mut out, &mut sq);
+        leaf_scores_block(
+            &node.query,
+            &bandwidth,
+            block.mean(),
+            block.len(),
+            block.len(),
+            &mut out,
+            &mut sq,
+        );
         let k = GaussianKernel;
         let want: Vec<f64> = node
             .means
@@ -410,7 +419,7 @@ proptest! {
         sq_dists_block(&query, block.mean(), 0, &mut out);
         prop_assert!(out.is_empty());
         let mut sq = vec![123.0];
-        leaf_scores_block(&query, &bandwidth, block.mean(), 0, &mut out, &mut sq);
+        leaf_scores_block(&query, &bandwidth, block.mean(), 0, 0, &mut out, &mut sq);
         prop_assert!(out.is_empty() && sq.is_empty());
         block.fill_log_vars();
         let mut lanes: ScoreLanes = std::array::from_fn(|_| vec![123.0]);

@@ -165,7 +165,7 @@ fn leaf_pass(query: &[f64], bandwidth: &KernelBandwidth, points: &[Vec<f64>]) ->
         }
     }
     let (mut leaf, mut sq) = (Vec::new(), Vec::new());
-    leaf_scores_block(query, bandwidth, &means, len, &mut leaf, &mut sq);
+    leaf_scores_block(query, bandwidth, &means, len, len, &mut leaf, &mut sq);
     leaf
 }
 
@@ -218,7 +218,8 @@ fn infinite_queries_and_huge_bandwidths_give_no_nan() {
                 let mut cluster: [Vec<f64>; 4] = Default::default();
                 cluster_scores_block::<true>(&query, &bandwidth, &gathered, &mut cluster);
                 let (mut leaf, mut sq, mut dist) = (Vec::new(), Vec::new(), Vec::new());
-                leaf_scores_block(&query, &bandwidth, means, c.block.len(), &mut leaf, &mut sq);
+                let len = c.block.len();
+                leaf_scores_block(&query, &bandwidth, means, len, len, &mut leaf, &mut sq);
                 sq_dists_block(&query, means, c.block.len(), &mut dist);
                 let (mut log_pdf, mut min_sq) = (Vec::new(), Vec::new());
                 node_estimates_block(&query, &c.block, &mut log_pdf, &mut min_sq);

@@ -183,7 +183,9 @@ fn gaussian_log_terms_match_scalar_bitwise() {
         let c = case(6, len, 0xBEEF + len as u64);
         let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
         let (mut plain, mut sq) = (Vec::new(), Vec::new());
-        leaf_scores_block(&c.query, &bandwidth, &c.means, len, &mut plain, &mut sq);
+        leaf_scores_block(
+            &c.query, &bandwidth, &c.means, len, len, &mut plain, &mut sq,
+        );
         let mut lanes: [Vec<f64>; 4] = Default::default();
         let gathered = cluster_block(&c, false, len as u64);
         cluster_scores_block::<false>(&c.query, &bandwidth, &gathered, &mut lanes);
@@ -595,7 +597,15 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let (c, block) = node_case(dims, len, seed, stored);
                 let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
                 let (mut log_k, mut sq) = (Vec::new(), Vec::new());
-                leaf_scores_block(&c.query, &bandwidth, block.mean(), len, &mut log_k, &mut sq);
+                leaf_scores_block(
+                    &c.query,
+                    &bandwidth,
+                    block.mean(),
+                    len,
+                    len,
+                    &mut log_k,
+                    &mut sq,
+                );
                 let mut mean = Vec::new();
                 let want_k: Vec<f64> = (0..len)
                     .map(|i| {
@@ -611,6 +621,47 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
                 let [ref_k, ref_sq] = leaf_reference(&c.query, &bandwidth, block.mean(), len);
                 assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
                 assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
+            }
+        }
+    }
+}
+
+/// The leaf pass over a block with room to append (`stride > len`, as a
+/// Bayes-tree leaf keeps it): every point's log-kernel equals
+/// [`GaussianKernel::log_density`] over its row and its squared distance
+/// equals [`sq_dists_block`] over the compact block, bit for bit, for dims
+/// 1–17, lengths below one lane, on every tail, and strides from exact to
+/// far beyond the length.  The unused slots hold NaN, so a pass that read
+/// past a column's `len` values would show.  Under AVX2 this checks the
+/// dispatched pass, in the `--no-default-features` build the scalar loop.
+#[test]
+fn strided_leaf_pass_matches_per_point_kernels_bitwise() {
+    for dims in 1..=17 {
+        for len in [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 25, 26, 64] {
+            for stride in [len, len + 1, len + 3, 2 * len + 5] {
+                let seed = 0x5791_0000 + ((dims as u64) << 12) + ((len as u64) << 4);
+                let c = case(dims, len, seed + stride as u64);
+                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+                let mut block = vec![f64::NAN; dims * stride];
+                for d in 0..dims {
+                    block[d * stride..d * stride + len]
+                        .copy_from_slice(&c.means[d * len..(d + 1) * len]);
+                }
+                let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+                leaf_scores_block(
+                    &c.query, &bandwidth, &block, len, stride, &mut log_k, &mut sq,
+                );
+                let want_k: Vec<f64> = (0..len)
+                    .map(|i| {
+                        let row: Vec<f64> = (0..dims).map(|d| c.means[d * len + i]).collect();
+                        GaussianKernel.log_density(&row, &c.query, &bandwidth)
+                    })
+                    .collect();
+                let mut want_sq = Vec::new();
+                sq_dists_block(&c.query, &c.means, len, &mut want_sq);
+                let what = format!("dims {dims} len {len} stride {stride}");
+                assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
+                assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
             }
         }
     }

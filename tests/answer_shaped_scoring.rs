@@ -86,7 +86,7 @@ fn knn_bits(answer: &KnnAnswer) -> (Vec<NeighborBits>, usize) {
 
 /// The micro-cluster behind a frontier element (owned, as the retrieval
 /// used to materialise it).
-fn cluster_of<V: TreeView<MicroCluster, MicroCluster>>(
+fn cluster_of<V: TreeView<MicroCluster, Vec<MicroCluster>>>(
     view: &V,
     model: &ClusQueryModel,
     element: &QueryElement,
@@ -106,7 +106,7 @@ fn cluster_of<V: TreeView<MicroCluster, MicroCluster>>(
 /// The reference retrieval: frontiers refined closest-first through the
 /// full density model, ranked by `min_dist_sq` (stable, ties in frontier
 /// order), the `k` closest materialised.
-fn reference_knn<V: TreeView<MicroCluster, MicroCluster> + Sync>(
+fn reference_knn<V: TreeView<MicroCluster, Vec<MicroCluster>> + Sync>(
     views: &[V],
     lambda: f64,
     x: &[f64],

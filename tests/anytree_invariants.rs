@@ -29,8 +29,8 @@ fn assert_bayes_aggregation(tree: &BayesTree) {
                 let (child_weight, child_ls): (f64, Vec<f64>) = match &child.kind {
                     NodeKind::Leaf { items } => {
                         let mut ls = vec![0.0; tree.dims()];
-                        for p in items {
-                            for (acc, x) in ls.iter_mut().zip(p) {
+                        for p in items.rows() {
+                            for (acc, x) in ls.iter_mut().zip(&p) {
                                 *acc += x;
                             }
                         }

@@ -9,10 +9,15 @@
 //!   equals the cache-less reference bit for bit,
 //! * threads racing to fill one cold pinned snapshot's slots answer like
 //!   the cache-less reference, and every scored node is either gathered or
-//!   served from the cache,
+//!   served without a gather (from the cache, or a Bayes-tree leaf in
+//!   place),
 //! * the writer never fills a reader slot,
-//! * a cached block carries only the columns its node's pass reads: a
-//!   Bayes-tree leaf of raw points gathers no variance column.
+//! * no Bayes-tree leaf slot is ever filled: a leaf's point block is its
+//!   scoring layout and is scored where it lies,
+//! * a cached block carries only the columns its node's pass reads:
+//!   Bayes-tree directory blocks carry variance columns, and ClusTree leaf
+//!   blocks, whose micro-clusters' smoothed kernel reads variances, do
+//!   too.
 
 use anytime_stream_mining::anytree::{
     AnytimeTree, CursorStep, DescentCursor, Node, NodeId, QueryAnswer, QueryModel, QueryStats,
@@ -20,7 +25,7 @@ use anytime_stream_mining::anytree::{
 };
 use anytime_stream_mining::bayestree::insert::KernelModel;
 use anytime_stream_mining::bayestree::{
-    BayesCore, BayesTree, DescentStrategy, KernelQueryModel, KernelSummary,
+    BayesCore, BayesTree, DescentStrategy, KernelQueryModel, KernelSummary, PointColumns,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::index::PageGeometry;
@@ -90,8 +95,8 @@ fn bits(answers: &[QueryAnswer]) -> Vec<(u64, u64, u64, usize)> {
 /// pass's work counters.
 fn assert_cache_invisible<M, V>(view: &V, model: &M, queries: &[Vec<f64>]) -> QueryStats
 where
-    M: QueryModel<KernelSummary, LeafItem = Vec<f64>>,
-    V: TreeView<KernelSummary, Vec<f64>>,
+    M: QueryModel<KernelSummary, Leaf = PointColumns>,
+    V: TreeView<KernelSummary, PointColumns>,
 {
     let (cached, stats) = view.query_batch(model, queries, order(), BUDGET);
     let (reference, _) = NoCache(view).query_batch(model, queries, order(), BUDGET);
@@ -238,10 +243,10 @@ fn only_gathers_that_read_variances_carry_a_variance_column() {
     let _ = bayes.density_batch(&queries, DescentStrategy::default(), usize::MAX);
     let _ = clus.density_batch(&queries, &[0.8; DIMS], order(), usize::MAX);
 
-    // Bayes leaves score their raw points by the means alone; directory
-    // nodes read every entry's variance.
+    // Bayes leaves are scored in place and fill no slot; directory nodes
+    // read every entry's variance.
     let blocks = cached_var_columns(bayes.shard(0));
-    assert!(blocks.iter().any(|b| b.0) && blocks.iter().any(|b| !b.0));
+    assert!(!blocks.is_empty() && blocks.iter().all(|b| !b.0));
     for (leaf, len, vars) in blocks {
         assert!(len > 0);
         assert_eq!(vars, if leaf { 0 } else { DIMS * len });

@@ -22,8 +22,8 @@
 use anytime_stream_mining::anytree::{with_scratch_cursors, QueryCursor, ShardSet, TreeView};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, AnytimeTrace, BayesTree, Classification, ClassifierConfig,
-    ClassifierSnapshot, DescentStrategy, KernelQueryModel, KernelSummary, RefinementScheduler,
-    RefinementStrategy,
+    ClassifierSnapshot, DescentStrategy, KernelQueryModel, KernelSummary, PointColumns,
+    RefinementScheduler, RefinementStrategy,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ClusTreeSnapshot, KnnAnswer};
 use anytime_stream_mining::data::dataset::generic_class_names;
@@ -115,7 +115,7 @@ impl Classify for Snapshot {
 /// cursor of its own.
 type Frontier<'a, V> = (&'a V, KernelQueryModel<'a>, QueryCursor);
 
-fn fresh<'a, V: TreeView<KernelSummary, Vec<f64>>>(
+fn fresh<'a, V: TreeView<KernelSummary, PointColumns>>(
     view: &'a V,
     model: KernelQueryModel<'a>,
     x: &[f64],
@@ -132,7 +132,7 @@ fn density<V>(frontier: &Frontier<'_, V>) -> f64 {
 /// The anytime classification loop over one freshly built frontier per
 /// class, recomputing every class score and the posteriors after every
 /// node read.
-fn reference_loop<V: TreeView<KernelSummary, Vec<f64>>>(
+fn reference_loop<V: TreeView<KernelSummary, PointColumns>>(
     mut frontiers: Vec<Frontier<'_, V>>,
     priors: &[f64],
     config: &ClassifierConfig,

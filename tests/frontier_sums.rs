@@ -21,7 +21,9 @@
 //! refined away, on the live tree and on a snapshot.
 
 use anytime_stream_mining::anytree::ShardSet;
-use anytime_stream_mining::bayestree::{BayesIndex, BayesTree, DescentStrategy, KernelSummary};
+use anytime_stream_mining::bayestree::{
+    BayesIndex, BayesTree, DescentStrategy, KernelSummary, PointColumns,
+};
 use anytime_stream_mining::index::PageGeometry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,7 +84,7 @@ fn assert_encloses(lower: f64, upper: f64, exact: f64, what: &str) {
 
 /// Checks every query against the live tree's flat kernel density, read
 /// through `tree` (the live tree itself or a snapshot of it).
-fn check_tree<C: ShardSet<KernelSummary, Vec<f64>>>(
+fn check_tree<C: ShardSet<KernelSummary, PointColumns>>(
     tree: &BayesIndex<f64, C>,
     live: &BayesTree,
     queries: &[Vec<f64>],

@@ -9,6 +9,7 @@ use anytime_stream_mining::anytree::{
 };
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, BayesTreeSnapshot, ClassifierSnapshot, KernelSummary,
+    PointColumns,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeSnapshot, MicroCluster};
 use anytime_stream_mining::data::Dataset;
@@ -19,8 +20,8 @@ fn assert_sync<T: Sync>() {}
 #[test]
 fn the_shared_core_is_send() {
     // The generic core with both real payload instantiations.
-    assert_send::<AnytimeTree<KernelSummary, Vec<f64>>>();
-    assert_send::<AnytimeTree<MicroCluster, MicroCluster>>();
+    assert_send::<AnytimeTree<KernelSummary, PointColumns>>();
+    assert_send::<AnytimeTree<MicroCluster, Vec<MicroCluster>>>();
     // Cursors carry in-flight objects across steps (and, in sharded trees,
     // live on worker threads).
     assert_send::<DescentCursor<Vec<f64>>>();
@@ -32,7 +33,7 @@ fn the_shared_core_is_send() {
 
 #[test]
 fn the_sharded_trees_are_send() {
-    assert_send::<ShardedAnytimeTree<KernelSummary, Vec<f64>, CheapestRouter>>();
+    assert_send::<ShardedAnytimeTree<KernelSummary, PointColumns, CheapestRouter>>();
     assert_send::<ShardedAnytimeTree<MicroCluster, MicroCluster, FixedPartitionRouter>>();
     assert_send::<BayesTree<f64, FixedPartitionRouter>>();
     assert_send::<ClusTree<FixedPartitionRouter>>();
@@ -54,8 +55,8 @@ fn shared_read_state_is_sync() {
     assert_sync::<Dataset>();
     assert_sync::<BayesTree>();
     assert_sync::<anytime_stream_mining::clustree::ClusTreeConfig>();
-    assert_sync::<AnytimeTree<KernelSummary, Vec<f64>>>();
-    assert_sync::<AnytimeTree<MicroCluster, MicroCluster>>();
+    assert_sync::<AnytimeTree<KernelSummary, PointColumns>>();
+    assert_sync::<AnytimeTree<MicroCluster, Vec<MicroCluster>>>();
     assert_sync::<BayesTree<f64, FixedPartitionRouter>>();
     assert_sync::<ClusTree<FixedPartitionRouter>>();
 }
@@ -66,10 +67,10 @@ fn snapshots_are_send_and_sync() {
     // mode: they are sent to reader threads and shared across scoped
     // workers while the writers keep mutating the live trees.
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TreeSnapshot<KernelSummary, Vec<f64>>>();
-    assert_send_sync::<TreeSnapshot<MicroCluster, MicroCluster>>();
-    assert_send_sync::<ShardedTreeSnapshot<KernelSummary, Vec<f64>>>();
-    assert_send_sync::<ShardedTreeSnapshot<MicroCluster, MicroCluster>>();
+    assert_send_sync::<TreeSnapshot<KernelSummary, PointColumns>>();
+    assert_send_sync::<TreeSnapshot<MicroCluster, Vec<MicroCluster>>>();
+    assert_send_sync::<ShardedTreeSnapshot<KernelSummary, PointColumns>>();
+    assert_send_sync::<ShardedTreeSnapshot<MicroCluster, Vec<MicroCluster>>>();
     // One snapshot type per family covers the plain (one-shard) and the
     // sharded trees.
     assert_send_sync::<BayesTreeSnapshot>();

@@ -93,7 +93,7 @@ fn core_points(core: &BayesCore<KernelSummary>) -> Vec<Vec<f64>> {
     let mut out = Vec::new();
     for id in TreeView::reachable(core) {
         if let NodeKind::Leaf { items } = &core.node(id).kind {
-            out.extend(items.iter().cloned());
+            out.extend(items.rows());
         }
     }
     out

@@ -25,7 +25,7 @@
 use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer, RefineOrder, ShardSet};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesIndex, BayesTree, Classification, Classifier, ClassifierConfig,
-    DescentStrategy, KernelSummary, Quantized, StoredElement,
+    DescentStrategy, KernelSummary, PointColumns, Quantized, StoredElement,
 };
 use anytime_stream_mining::clustree::{ClusIndex, ClusTree, ClusTreeConfig, MicroCluster};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -251,7 +251,7 @@ fn score_bits(s: &OutlierScore, out: &mut Vec<u64>) {
 /// Every read a Bayes tree and its snapshot share, as bits: the count,
 /// one-shot and batched density at each budget, and outlier scores at two
 /// thresholds.
-fn bayes_reads<E: StoredElement, C: ShardSet<E::Summary, Vec<f64>>>(
+fn bayes_reads<E: StoredElement, C: ShardSet<E::Summary, PointColumns>>(
     index: &BayesIndex<E, C>,
     queries: &[Vec<f64>],
 ) -> Vec<u64> {
@@ -300,7 +300,7 @@ fn check_bayes_parity<E: StoredElement>(points: &[Vec<f64>], extra: &[Vec<f64>],
 }
 
 /// Every read a ClusTree and its snapshot share, as bits.
-fn clustree_reads<C: ShardSet<MicroCluster, MicroCluster>>(
+fn clustree_reads<C: ShardSet<MicroCluster, Vec<MicroCluster>>>(
     index: &ClusIndex<C>,
     queries: &[Vec<f64>],
 ) -> Vec<u64> {
@@ -336,7 +336,7 @@ fn classification_bits(c: &Classification, out: &mut Vec<u64>) {
 }
 
 /// Every read a classifier and its snapshot share, as bits.
-fn classifier_reads<C: ShardSet<KernelSummary, Vec<f64>>>(
+fn classifier_reads<C: ShardSet<KernelSummary, PointColumns>>(
     classifier: &Classifier<BayesIndex<f64, C>>,
     queries: &[Vec<f64>],
 ) -> Vec<u64> {

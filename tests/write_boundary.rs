@@ -1,0 +1,227 @@
+//! The typed write boundary: `try_insert`, `try_insert_batch`,
+//! `try_learn_one` and `try_learn_batch` return an [`InputError`] naming
+//! the offending object's index — wrong dimensionality, a non-finite
+//! coordinate, a label out of range — instead of panicking, and a rejected
+//! write changes nothing: the batch is checked in one pass before any
+//! state changes.  Covered on a plain tree, a sharded tree and a
+//! classifier, each while a snapshot pins it (so a write that slipped
+//! through would also show as copy-on-write copies in the arena census).
+
+use anytime_stream_mining::bayestree::{
+    AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, InputError,
+};
+use anytime_stream_mining::data::synth::blobs::BlobConfig;
+use anytime_stream_mining::index::PageGeometry;
+
+fn points(n: usize, phase: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| {
+            let i = i + phase;
+            vec![(i % 7) as f64 * 0.5, (i % 5) as f64 * 0.25 + (i % 3) as f64]
+        })
+        .collect()
+}
+
+/// A valid batch with one bad point planted at `index`, and the error the
+/// write boundary must report for it.
+fn planted(index: usize) -> Vec<(Vec<Vec<f64>>, InputError)> {
+    let with = |point: Vec<f64>| {
+        let mut batch = points(6, 100);
+        batch[index] = point;
+        batch
+    };
+    vec![
+        (
+            with(vec![1.0]),
+            InputError::Dimensionality {
+                index,
+                expected: 2,
+                found: 1,
+            },
+        ),
+        (
+            with(vec![1.0, 2.0, 3.0]),
+            InputError::Dimensionality {
+                index,
+                expected: 2,
+                found: 3,
+            },
+        ),
+        (
+            with(vec![1.0, f64::NAN]),
+            InputError::NonFinite { index, dim: 1 },
+        ),
+        (
+            with(vec![f64::NEG_INFINITY, 0.0]),
+            InputError::NonFinite { index, dim: 0 },
+        ),
+    ]
+}
+
+/// Everything a rejected write must leave as it was: the observation
+/// count, the node count, the arena census and a fixed query's answer
+/// bits.
+fn fingerprint(tree: &BayesTree) -> (usize, usize, String, [u64; 4]) {
+    let a = tree.anytime_density(&[1.2, 0.7], DescentStrategy::default(), 6);
+    (
+        tree.len(),
+        tree.num_nodes(),
+        format!("{:?}", tree.arena_census()),
+        [
+            a.estimate.to_bits(),
+            a.lower.to_bits(),
+            a.upper.to_bits(),
+            a.nodes_read as u64,
+        ],
+    )
+}
+
+fn check_tree(mut tree: BayesTree) {
+    tree.insert_batch(points(80, 0));
+    let pin = tree.snapshot();
+    let before = fingerprint(&tree);
+    for index in [0, 3, 5] {
+        for (batch, want) in planted(index) {
+            let bad = batch[index].clone();
+            assert_eq!(tree.try_insert_batch(batch).unwrap_err(), want);
+            let single = tree.try_insert(bad).unwrap_err();
+            assert_eq!(single, reindexed(want, 0));
+            assert_eq!(fingerprint(&tree), before, "{want}");
+        }
+    }
+    // The panicking forms say the same thing.
+    let message = InputError::NonFinite { index: 2, dim: 0 }.to_string();
+    assert!(message.starts_with("point coordinates must be finite"));
+    // A valid write still goes through, and the pin keeps its answers.
+    assert!(tree.try_insert_batch(points(10, 500)).is_ok());
+    assert!(tree.try_insert(vec![0.5, 0.5]).is_ok());
+    assert_eq!(tree.len(), before.0 + 11);
+    assert_eq!(
+        pin.anytime_density(&[1.2, 0.7], DescentStrategy::default(), 6)
+            .estimate
+            .to_bits(),
+        before.3[0]
+    );
+}
+
+fn reindexed(error: InputError, index: usize) -> InputError {
+    match error {
+        InputError::Dimensionality {
+            expected, found, ..
+        } => InputError::Dimensionality {
+            index,
+            expected,
+            found,
+        },
+        InputError::NonFinite { dim, .. } => InputError::NonFinite { index, dim },
+        InputError::LabelOutOfRange { label, classes, .. } => InputError::LabelOutOfRange {
+            index,
+            label,
+            classes,
+        },
+    }
+}
+
+#[test]
+fn a_plain_tree_rejects_bad_points_by_index_and_changes_nothing() {
+    check_tree(BayesTree::new(2, PageGeometry::from_fanout(4, 4)));
+}
+
+#[test]
+fn a_sharded_tree_rejects_bad_points_by_index_and_changes_nothing() {
+    check_tree(BayesTree::sharded(2, PageGeometry::from_fanout(4, 4), 3));
+}
+
+#[test]
+fn the_first_offending_point_of_a_batch_is_named() {
+    let mut tree: BayesTree = BayesTree::new(2, PageGeometry::from_fanout(4, 4));
+    let mut batch = points(8, 0);
+    batch[2] = vec![f64::NAN, 1.0];
+    batch[5] = vec![1.0];
+    assert_eq!(
+        tree.try_insert_batch(batch).unwrap_err(),
+        InputError::NonFinite { index: 2, dim: 0 }
+    );
+    assert!(tree.is_empty());
+}
+
+/// A classifier's observable state: per-class sizes, node counts and
+/// census, the priors' bits and a fixed classification's bits.
+fn classifier_fingerprint(clf: &AnytimeClassifier) -> String {
+    let c = clf.classify_with_budget(&[1.0, 1.0], 6);
+    let trees: Vec<(usize, usize)> = clf
+        .trees()
+        .iter()
+        .map(|t| (t.len(), t.num_nodes()))
+        .collect();
+    let priors: Vec<u64> = clf.priors().iter().map(|p| p.to_bits()).collect();
+    let posteriors: Vec<u64> = c.posteriors.iter().map(|p| p.to_bits()).collect();
+    format!(
+        "{trees:?} {:?} {priors:?} {} {posteriors:?} {}",
+        clf.arena_census(),
+        c.label,
+        c.nodes_read
+    )
+}
+
+#[test]
+fn a_classifier_rejects_bad_objects_by_index_and_changes_nothing() {
+    let data = BlobConfig::new(3, 2)
+        .samples_per_class(40)
+        .seed(3)
+        .generate();
+    let config = ClassifierConfig {
+        geometry: Some(PageGeometry::from_fanout(4, 5)),
+        ..ClassifierConfig::default()
+    };
+    let mut clf = AnytimeClassifier::train(&data, &config);
+    let pin = clf.snapshot();
+    let before = classifier_fingerprint(&clf);
+    let labelled = |batch: Vec<Vec<f64>>| -> Vec<(Vec<f64>, usize)> {
+        batch
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (p, i % 3))
+            .collect()
+    };
+    for index in [0, 4] {
+        for (batch, want) in planted(index) {
+            let batch = labelled(batch);
+            let (bad, label) = batch[index].clone();
+            assert_eq!(clf.try_learn_batch(batch).unwrap_err(), want);
+            assert_eq!(
+                clf.try_learn_one(bad, label).unwrap_err(),
+                reindexed(want, 0)
+            );
+            assert_eq!(classifier_fingerprint(&clf), before, "{want}");
+        }
+        let mut batch = labelled(points(6, 200));
+        batch[index].1 = 7;
+        let want = InputError::LabelOutOfRange {
+            index,
+            label: 7,
+            classes: 3,
+        };
+        assert_eq!(clf.try_learn_batch(batch).unwrap_err(), want);
+        assert_eq!(
+            clf.try_learn_one(vec![1.0, 1.0], 3).unwrap_err(),
+            InputError::LabelOutOfRange {
+                index: 0,
+                label: 3,
+                classes: 3
+            }
+        );
+        assert_eq!(classifier_fingerprint(&clf), before);
+    }
+    assert!(InputError::LabelOutOfRange {
+        index: 1,
+        label: 9,
+        classes: 3
+    }
+    .to_string()
+    .starts_with("label out of range"));
+    assert!(clf.try_learn_batch(labelled(points(6, 300))).is_ok());
+    assert!(clf.try_learn_one(vec![0.5, 0.5], 2).is_ok());
+    assert_ne!(classifier_fingerprint(&clf), before);
+    drop(pin);
+}
