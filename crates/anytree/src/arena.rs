@@ -53,7 +53,7 @@
 //! versions plus, per node kind, at most as many retired versions as the
 //! larger of its last two batches' copy counts ([`NodeArena::census`]).
 
-use crate::node::{LeafItems, Node, NodeId};
+use crate::node::{LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use bt_stats::BlockCacheSlot;
 use std::collections::BTreeMap;
@@ -415,6 +415,30 @@ impl<S, L> Graveyard<S, L> {
         }
     }
 
+    /// Takes the spare a copy of `source` lands in.  A directory copy
+    /// takes the shortest spare holding at least as many entries, else
+    /// the one holding the most, so it clones as few entries afresh as it
+    /// can.  A leaf copy takes the last spare: its buffer grows to the
+    /// source's when it is too small, and a longer leaf's buffer would
+    /// keep room the copy does not need.
+    fn take_spare(&mut self, source: &Node<S, L>) -> Option<Version<S, L>> {
+        let NodeKind::Inner { entries } = &source.kind else {
+            return self.spares.pop();
+        };
+        let fit = |spare: &Version<S, L>| {
+            let have = match &spare.node.kind {
+                NodeKind::Inner { entries } => entries.len(),
+                NodeKind::Leaf { .. } => 0,
+            };
+            // Spares holding enough entries first, the shortest of them;
+            // then the one holding the most.
+            let short = have < entries.len();
+            (short, if short { usize::MAX - have } else { have })
+        };
+        let pick = (0..self.spares.len()).min_by_key(|&i| fit(&self.spares[i]))?;
+        Some(self.spares.swap_remove(pick))
+    }
+
     fn held_by_pins(&self) -> usize {
         self.retired
             .iter()
@@ -684,7 +708,7 @@ impl<S: Summary + Clone, L: Clone> NodeArena<S, L> {
             self.retired += 1;
             let grave = &mut self.graves[usize::from(slot.node.is_leaf())];
             grave.copies += 1;
-            let mut copy = grave.spares.pop();
+            let mut copy = grave.take_spare(&slot.node);
             if let Some(reused) = copy.as_mut().and_then(Arc::get_mut) {
                 reused.node.clone_from(&slot.node);
                 reused.generation = generation;

@@ -126,6 +126,7 @@
 
 pub mod arena;
 pub mod descent;
+pub mod input;
 pub mod model;
 pub mod node;
 pub mod obs;
@@ -143,6 +144,7 @@ pub use arena::{
 pub use bt_obs;
 pub use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, SummaryBlock};
 pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, DescentStats};
+pub use input::{check_point, check_points, or_panic, InputError};
 pub use model::InsertModel;
 pub use node::{Entry, LeafItems, Node, NodeId, NodeKind};
 pub use query::{

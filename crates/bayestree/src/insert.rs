@@ -96,107 +96,8 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
     }
 }
 
-/// A write input the Bayes tree rejects, naming the offending object by its
-/// index in the call's input (`0` for a single point).  Returned by the
-/// `try_` write entries before any state changes; the panicking entries
-/// panic with its [`Display`](std::fmt::Display) text, which starts with
-/// the check's fixed message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputError {
-    /// Point `index` has `found` coordinates where the tree stores
-    /// `expected`.
-    Dimensionality {
-        /// Index of the offending point.
-        index: usize,
-        /// The tree's dimensionality.
-        expected: usize,
-        /// The point's length.
-        found: usize,
-    },
-    /// Point `index` has a NaN or infinite coordinate (at dimension
-    /// `dim`): one non-finite value folded into a summary voids every
-    /// certified bound of its shard.
-    NonFinite {
-        /// Index of the offending point.
-        index: usize,
-        /// The first non-finite coordinate.
-        dim: usize,
-    },
-    /// Object `index` carries `label`, but the classifier has only
-    /// `classes` classes.
-    LabelOutOfRange {
-        /// Index of the offending object.
-        index: usize,
-        /// Its label.
-        label: usize,
-        /// The number of classes.
-        classes: usize,
-    },
-}
-
-impl std::fmt::Display for InputError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            InputError::Dimensionality {
-                index,
-                expected,
-                found,
-            } => write!(
-                f,
-                "point dimensionality mismatch: point {index} has {found} coordinates, \
-                 expected {expected}"
-            ),
-            InputError::NonFinite { index, dim } => write!(
-                f,
-                "point coordinates must be finite: point {index} has a non-finite \
-                 coordinate at dimension {dim}"
-            ),
-            InputError::LabelOutOfRange {
-                index,
-                label,
-                classes,
-            } => write!(
-                f,
-                "label out of range: object {index} has label {label}, there are {classes} \
-                 classes"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InputError {}
-
-/// Checks point `index` of a write: its dimensionality, then its
-/// coordinates' finiteness.
-pub(crate) fn check_point(index: usize, point: &[f64], dims: usize) -> Result<(), InputError> {
-    if point.len() != dims {
-        return Err(InputError::Dimensionality {
-            index,
-            expected: dims,
-            found: point.len(),
-        });
-    }
-    match point.iter().position(|v| !v.is_finite()) {
-        Some(dim) => Err(InputError::NonFinite { index, dim }),
-        None => Ok(()),
-    }
-}
-
-/// Checks a batch of points in one pass; the first offending point wins.
-/// The bulk loaders run it at their entry too, before any state changes:
-/// one NaN or infinity folded into a summary voids every certified bound
-/// of its shard.
-pub(crate) fn check_points(points: &[Vec<f64>], dims: usize) -> Result<(), InputError> {
-    points
-        .iter()
-        .enumerate()
-        .try_for_each(|(index, point)| check_point(index, point, dims))
-}
-
-/// Unwraps a write's check, panicking with the error's message.
-pub(crate) fn or_panic<T>(checked: Result<T, InputError>) -> T {
-    checked.unwrap_or_else(|e| panic!("{e}"))
-}
+pub use bt_anytree::InputError;
+pub(crate) use bt_anytree::{check_point, check_points, or_panic};
 
 impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     /// Inserts one observation into the shard the router assigns it (the

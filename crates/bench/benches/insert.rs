@@ -5,7 +5,11 @@
 //! The `rstar_split` group times one split of a 16-d point leaf overflowed
 //! to 31 (one insert), 64 and 94 (a 64-point batch into a full 30-point
 //! leaf) items, and of an overflowing 8-entry directory node, on a 4 KiB
-//! page.  Run `cargo bench --bench insert -- --test` as a smoke check.
+//! page.  Splits run back to back on one thread, so after the first one
+//! each reuses the thread's split buffers and allocates only its result;
+//! a 64- or 94-point split frees them again (see `docs/PERF.md`, "R*
+//! split kernel").  Run `cargo bench --bench insert -- --test` as a smoke
+//! check.
 
 use bayestree::BayesTree;
 use bt_data::synth::Benchmark;

@@ -41,9 +41,9 @@ use crate::microcluster::{DecayCtx, MicroCluster};
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 use crate::snapshot::SnapshotStore;
 use bt_anytree::{
-    AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, Entry, InsertModel, Node, NodeId,
-    NodeKind, PipelinedOutcome, RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree,
-    ShardedTreeSnapshot,
+    check_points, or_panic, AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, Entry,
+    InputError, InsertModel, Node, NodeId, NodeKind, PipelinedOutcome, RefineOrder, ShardRouter,
+    ShardSet, ShardedAnytimeTree, ShardedTreeSnapshot,
 };
 use bt_index::PageGeometry;
 use bt_stats::vector::sq_dist;
@@ -547,21 +547,21 @@ impl<R> ClusTree<R> {
     }
 
     /// Admits `points` observed at `timestamp`: checks their
-    /// dimensionality and finiteness (before any state changes), advances
-    /// the clock and the insert count, and returns their payloads.
-    fn admit(&mut self, points: &[Vec<f64>], timestamp: f64) -> Vec<MicroCluster> {
-        let dims = self.dims();
-        assert!(
-            points.iter().all(|p| p.len() == dims),
-            "point dimensionality mismatch"
-        );
-        assert_finite(points.iter().map(Vec::as_slice), timestamp);
+    /// dimensionality and finiteness and the timestamp's (before any state
+    /// changes), advances the clock and the insert count, and returns their
+    /// payloads.
+    fn admit(
+        &mut self,
+        points: &[Vec<f64>],
+        timestamp: f64,
+    ) -> Result<Vec<MicroCluster>, InputError> {
+        check_write(points, timestamp, self.dims())?;
         self.current_time = self.current_time.max(timestamp);
         self.num_inserted += points.len();
-        points
+        Ok(points
             .iter()
             .map(|p| MicroCluster::from_point(p, timestamp))
-            .collect()
+            .collect())
     }
 }
 
@@ -574,15 +574,31 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     /// # Panics
     ///
     /// Panics if the point has the wrong dimensionality, or a coordinate or
-    /// the timestamp is not finite.
+    /// the timestamp is not finite; [`Self::try_insert`] returns the error
+    /// instead.
     pub fn insert(&mut self, point: &[f64], timestamp: f64, node_budget: usize) -> InsertOutcome {
-        assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
-        assert_finite([point], timestamp);
+        or_panic(self.try_insert(point, timestamp, node_budget))
+    }
+
+    /// [`Self::insert`], returning a rejected input as an error.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::Dimensionality`] or [`InputError::NonFinite`] (index
+    /// `0`), or [`InputError::NonFiniteTimestamp`]; the tree is left
+    /// untouched.
+    pub fn try_insert(
+        &mut self,
+        point: &[f64],
+        timestamp: f64,
+        node_budget: usize,
+    ) -> Result<InsertOutcome, InputError> {
+        check_write(&[point], timestamp, self.dims())?;
         self.current_time = self.current_time.max(timestamp);
         self.num_inserted += 1;
         let payload = MicroCluster::from_point(point, timestamp);
         let mut model = ClusModel::new(&self.config, timestamp);
-        self.core.insert(&mut model, payload, node_budget)
+        Ok(self.core.insert(&mut model, payload, node_budget))
     }
 
     /// Inserts a mini-batch of objects observed at `timestamp`, each with a
@@ -604,16 +620,35 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     ///
     /// Panics if any point has the wrong dimensionality, or a coordinate or
     /// the timestamp is not finite; the tree is left untouched.
+    /// [`Self::try_insert_batch`] returns the error instead.
     pub fn insert_batch(
         &mut self,
         points: &[Vec<f64>],
         timestamp: f64,
         node_budget: usize,
     ) -> BatchOutcome {
-        let payloads = self.admit(points, timestamp);
+        or_panic(self.try_insert_batch(points, timestamp, node_budget))
+    }
+
+    /// [`Self::insert_batch`], returning a rejected input as an error: the
+    /// whole batch is checked once, before any state changes.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::Dimensionality`] or [`InputError::NonFinite`] naming
+    /// the first offending point, or [`InputError::NonFiniteTimestamp`];
+    /// the tree is left untouched.
+    pub fn try_insert_batch(
+        &mut self,
+        points: &[Vec<f64>],
+        timestamp: f64,
+        node_budget: usize,
+    ) -> Result<BatchOutcome, InputError> {
+        let payloads = self.admit(points, timestamp)?;
         let config = &self.config;
-        self.core
-            .insert_batch(&|| ClusModel::new(config, timestamp), payloads, node_budget)
+        Ok(self
+            .core
+            .insert_batch(&|| ClusModel::new(config, timestamp), payloads, node_budget))
     }
 
     /// The pipelined mode: drains a mini-batch through the per-shard
@@ -645,7 +680,7 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch global stored weight.
         let query_model = self.query_model(bandwidth);
-        let payloads = self.admit(points, timestamp);
+        let payloads = or_panic(self.admit(points, timestamp));
         let config = &self.config;
         self.core.pipelined_batch(
             &|| ClusModel::new(config, timestamp),
@@ -659,20 +694,20 @@ impl<R: ShardRouter<MicroCluster>> ClusTree<R> {
     }
 }
 
-/// Rejects a non-finite coordinate or timestamp at a write entry, before
-/// any state changes: one NaN or infinity folded into a cluster feature
-/// voids every certified bound of its shard.
-///
-/// # Panics
-///
-/// Panics with "point coordinates must be finite" or "timestamps must be
-/// finite".
-fn assert_finite<'a>(points: impl IntoIterator<Item = &'a [f64]>, timestamp: f64) {
-    assert!(timestamp.is_finite(), "timestamps must be finite");
-    assert!(
-        points.into_iter().all(|p| p.iter().all(|v| v.is_finite())),
-        "point coordinates must be finite"
-    );
+/// Checks a write's points and then its timestamp, before any state
+/// changes: one NaN or infinity folded into a cluster feature voids every
+/// certified bound of its shard.
+fn check_write<P: AsRef<[f64]>>(
+    points: &[P],
+    timestamp: f64,
+    dims: usize,
+) -> Result<(), InputError> {
+    check_points(points, dims)?;
+    if timestamp.is_finite() {
+        Ok(())
+    } else {
+        Err(InputError::NonFiniteTimestamp)
+    }
 }
 
 /// Whether the CF (weight and sums) and MBR corners of `mc` are finite.

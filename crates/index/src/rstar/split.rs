@@ -8,22 +8,32 @@
 //! The R* split runs as a sweep: every entry's corners are gathered once,
 //! one rank table over all entry pairs yields every axis's sort order, and
 //! for each sort order one pass grows the prefix boxes (first groups) and
-//! the suffix boxes (second groups) of all distributions, each box's margin
-//! summed right after it grows.  A split of `n` entries in `d` dimensions
-//! costs `O(d · n · (d + n))`; above a small constant `n` (`RANK_CUTOFF`
-//! under AVX2, `SCALAR_RANK_CUTOFF` otherwise) each axis is sorted by key
-//! instead of ranked, for `O(d · n · (d + log n))`.  Either
-//! replaces the `O(d² · n²)` of rebuilding both groups' boxes per
+//! the suffix boxes (second groups) of all distributions, each box's
+//! margin summed right after it grows.  A split of `n` entries in `d`
+//! dimensions costs `O(d · n · (d + n))`; above a small constant `n`
+//! (`RANK_CUTOFF` under AVX2, `SCALAR_RANK_CUTOFF` otherwise) each axis
+//! is sorted by key instead of ranked, for `O(d · n · (d + log n))`.
+//! Either replaces the `O(d² · n²)` of rebuilding both groups' boxes per
 //! distribution, and picks the same partition.
+//!
+//! The corner tables, rank tables, orders and rows live in per-thread
+//! buffers that the next split reuses, so a split allocates only its
+//! result.
 //!
 //! On x86_64 the sweep runs under AVX2 codegen whenever
 //! [`bt_stats::simd::avx2_available`] holds (the CPU has AVX2 and
 //! bt-stats' `simd` feature is on): the ranking compares and the
-//! corner-wise min/max fill whole registers.  Otherwise the same code runs
-//! as plain scalar code and picks the same partition.
+//! corner-wise min/max fill whole registers.  There, at 13–16 dimensions
+//! on NaN-free corners, each group is swept with its box in registers and
+//! the margins of four consecutive rows summed side by side, one row to a
+//! lane, so the sweep is not bound by one chain of dependent additions
+//! per row; only the chosen axis's rows are written out.  Otherwise the
+//! rows are grown in memory, and without AVX2 the same code runs as plain
+//! scalar code.  Every path picks the same partition.
 
 use crate::mbr::Mbr;
 use bt_stats::simd::LANES;
+use std::cell::RefCell;
 
 /// The outcome of a split: indices of the entries assigned to each group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,38 +124,109 @@ where
         len
     );
     assert!(dims > 0, "MBR must have at least one dimension");
-    with_sweep(len, dims, corner, min_entries, |sweep| sweep.run())
+    with_sweep(len, dims, corner, min_entries, |sweep, work| {
+        sweep.run(work)
+    })
 }
 
-/// Gathers the entries' corners into a [`Sweep`] and hands it to `f`.
+/// Gathers the entries' corners into a [`Sweep`] over this thread's split
+/// buffers and hands it to `f` with the rest of the buffers.
 fn with_sweep<F, R>(
     len: usize,
     dims: usize,
     corner: F,
     min_entries: usize,
-    f: impl FnOnce(&Sweep<'_>) -> R,
+    f: impl FnOnce(&Sweep<'_>, &mut Work) -> R,
 ) -> R
 where
     F: Fn(usize, usize) -> (f64, f64),
 {
     let chunks = dims.div_ceil(LANES);
-    let mut lo = vec![[0.0; LANES]; len * chunks];
-    let mut hi = vec![[0.0; LANES]; len * chunks];
-    let rows = lo.chunks_exact_mut(chunks).zip(hi.chunks_exact_mut(chunks));
-    for (i, (lo, hi)) in rows.enumerate() {
-        let (lo, hi) = (lo.as_flattened_mut(), hi.as_flattened_mut());
-        for d in 0..dims {
-            (lo[d], hi[d]) = corner(i, d);
-        }
-    }
-    f(&Sweep {
-        dims,
-        chunks,
-        min: min_entries,
-        lo: &lo,
-        hi: &hi,
+    with_buffers(len * chunks, |buffers| {
+        let SplitBuffers { lo, hi, work } = buffers;
+        let (points, nan) = gather(len, dims, chunks, &corner, lo, hi);
+        let sweep = Sweep {
+            dims,
+            chunks,
+            min: min_entries,
+            lo,
+            hi: if points { lo } else { hi },
+            points,
+            nan,
+        };
+        f(&sweep, work)
     })
 }
+
+/// Writes every corner into the lane tables (`lo`, and `hi` once an upper
+/// corner differs from its lower one; the last lane of each row is padded
+/// with zeros).  Returns whether every upper corner equals its lower one
+/// (pure points: `hi` is left unwritten) and whether a corner is NaN.
+fn gather<F>(
+    len: usize,
+    dims: usize,
+    chunks: usize,
+    corner: &F,
+    lo: &mut Vec<Lane>,
+    hi: &mut Vec<Lane>,
+) -> (bool, bool)
+where
+    F: Fn(usize, usize) -> (f64, f64),
+{
+    lo.clear();
+    lo.resize(len * chunks, [0.0; LANES]);
+    let (mut points, mut nan) = (true, false);
+    for i in 0..len {
+        for d in 0..dims {
+            let (l, h) = corner(i, d);
+            let at = (i * chunks + d / LANES, d % LANES);
+            lo[at.0][at.1] = l;
+            nan |= l.is_nan() | h.is_nan();
+            if points && l == h {
+                continue;
+            }
+            if points {
+                // Every corner so far was a point's: its upper corner
+                // equals the lower one already written.
+                points = false;
+                hi.clone_from(lo);
+            }
+            hi[at.0][at.1] = h;
+        }
+    }
+    (points, nan)
+}
+
+/// Runs `f` on this thread's split buffers, or on fresh ones for a split
+/// of more than [`RETAINED_LANES`] corner lanes, when they are in use (a
+/// corner accessor that splits) or when they are already torn down.
+fn with_buffers<R>(lanes: usize, f: impl FnOnce(&mut SplitBuffers) -> R) -> R {
+    let mut f = Some(f);
+    if lanes <= RETAINED_LANES {
+        let pooled = BUFFERS.try_with(|buffers| {
+            let mut buffers = buffers.try_borrow_mut().ok()?;
+            Some((f.take()?)(&mut buffers))
+        });
+        if let Ok(Some(result)) = pooled {
+            return result;
+        }
+    }
+    (f.take().expect("the split has not run"))(&mut SplitBuffers::new())
+}
+
+thread_local! {
+    /// The buffers of this thread's splits.
+    static BUFFERS: RefCell<SplitBuffers> = const { RefCell::new(SplitBuffers::new()) };
+}
+
+/// The largest split, in corner lanes (entries times lanes per entry),
+/// that runs in the thread's kept buffers: a 16-d leaf overflowed by one
+/// point (31 × 4) or a directory split.  No buffer holds more lanes than
+/// the split has, so a thread keeps at most eight tables of 128 lanes
+/// (32 KiB; about 12 KiB after 31-point 16-d leaf splits).  Larger splits
+/// (a batch into a full leaf) run in buffers of their own, freed when
+/// they are done.
+const RETAINED_LANES: usize = 128;
 
 /// Under AVX2, splits of at most this many entries order every axis
 /// through one rank table over all entry pairs (`O(n² · d)`, no
@@ -155,38 +236,81 @@ where
 /// 96 covers a full 16-d leaf overflowed by a 64-point batch.
 const RANK_CUTOFF: usize = 96;
 
-/// [`RANK_CUTOFF`] without AVX2.  Baseline x86-64 has no 64-bit integer
-/// vector compare, so the table is scalar and breaks even with the sorts
-/// at about 24–31 entries.
+/// [`RANK_CUTOFF`] without AVX2, measured when the table compared 64-bit
+/// integer keys, which baseline x86-64 cannot compare in vector
+/// registers: it broke even with the sorts at about 24–31 entries.
 const SCALAR_RANK_CUTOFF: usize = 24;
+
+/// The one width, in lanes, whose sweep is compiled with the width known:
+/// 13–16 dimensions, the width of the benchmark streams and of the Letter
+/// and Pendigits data.  Each further width would add about 6 KB of code
+/// to the AVX2 region, and the split's code size shows in
+/// `rss_peak_mb` (docs/PERF.md, "R* split kernel").
+const WIDTH: usize = 4;
 
 /// Coordinates of one vector register.
 type Lane = [f64; LANES];
 
+/// The corner tables of a split and the buffers its sweep works in.
+struct SplitBuffers {
+    lo: Vec<Lane>,
+    hi: Vec<Lane>,
+    work: Work,
+}
+
+/// Everything a sweep writes: rank tables, sort keys, orders, margins and
+/// the boxes of the groups.
+struct Work {
+    /// Rank tables of the lower and the upper corners.
+    ranks: [Vec<[i64; LANES]>; 2],
+    /// Sort keys of one axis, above the rank cutoff.
+    keys: Vec<u128>,
+    /// The axis's order by lower and by upper corner.
+    orders: [Vec<usize>; 2],
+    /// One of `orders` back to front: its suffix groups are prefixes.
+    reversed: Vec<usize>,
+    /// Margins of the prefix and of the suffix groups of one order: row `j`
+    /// grows the group's first `min` entries by `j` more.
+    margins: [Vec<f64>; 2],
+    /// The boxes of the prefix and of the suffix groups, with their
+    /// margins on the sweep at run-time width.
+    rows: [Boxes; 2],
+}
+
+impl SplitBuffers {
+    const fn new() -> Self {
+        Self {
+            lo: Vec::new(),
+            hi: Vec::new(),
+            work: Work {
+                ranks: [Vec::new(), Vec::new()],
+                keys: Vec::new(),
+                orders: [Vec::new(), Vec::new()],
+                reversed: Vec::new(),
+                margins: [Vec::new(), Vec::new()],
+                rows: [Boxes::new(), Boxes::new()],
+            },
+        }
+    }
+}
+
 /// The entries' corners as item-major rows of `chunks` lanes (dimension
 /// `d` of entry `i` is `lo[i * chunks + d / LANES][d % LANES]`; the last
-/// lane is padded with zeros), plus the split parameters.
+/// lane is padded with zeros), plus the split parameters.  For pure points
+/// `hi` is `lo`.
 struct Sweep<'a> {
     dims: usize,
     chunks: usize,
     min: usize,
     lo: &'a [Lane],
     hi: &'a [Lane],
-}
-
-/// One sort order of the entries and the boxes of both groups of every
-/// allowed distribution `k`: the first group `order[..min + k]` is prefix
-/// row `k`, the second group `order[min + k..]` is suffix row
-/// `distributions - 1 - k` (suffix rows grow from the back of the order).
-#[derive(Default)]
-struct OrderSweep {
-    order: Vec<usize>,
-    prefix: Boxes,
-    suffix: Boxes,
+    /// Every upper corner equals its lower one.
+    points: bool,
+    /// Some corner is NaN.
+    nan: bool,
 }
 
 /// Row-major boxes in the entries' lane layout, with their margins.
-#[derive(Default)]
 struct Boxes {
     lo: Vec<Lane>,
     hi: Vec<Lane>,
@@ -194,6 +318,14 @@ struct Boxes {
 }
 
 impl Boxes {
+    const fn new() -> Self {
+        Self {
+            lo: Vec::new(),
+            hi: Vec::new(),
+            margin: Vec::new(),
+        }
+    }
+
     fn row(&self, j: usize, sweep: &Sweep<'_>) -> (&[f64], &[f64]) {
         let span = j * sweep.chunks..(j + 1) * sweep.chunks;
         let dims = ..sweep.dims;
@@ -202,8 +334,7 @@ impl Boxes {
     }
 
     /// Sizes the boxes to `rows` rows and makes row 0 the box of the
-    /// entries `seed` (corner-wise min/max, as [`Mbr::extend_mbr`] grows a
-    /// box), with its margin.
+    /// entries `seed`, with its margin.
     #[inline(always)]
     fn seed(&mut self, sweep: &Sweep<'_>, seed: &[usize], rows: usize) {
         let chunks = sweep.chunks;
@@ -221,7 +352,11 @@ impl Boxes {
                 row_hi[c] = lane_max(row_hi[c], hi[c]);
             }
         }
-        self.margin[0] = margin(row_lo, row_hi, sweep.dims);
+        let mut margin = Margin::new();
+        for c in 0..chunks {
+            margin.add(row_lo[c], row_hi[c], c, sweep.dims);
+        }
+        self.margin[0] = margin.0;
     }
 
     /// Makes row `j` the row before it grown by entry `i`, summing its
@@ -243,57 +378,36 @@ impl Boxes {
     }
 }
 
-/// Every entry's position in each axis's `(sort_key, index)` order, in the
-/// entries' lane layout: entry `i`'s rank counts the entries before `i`
-/// whose key is at most `i`'s plus the entries after `i` whose key is
-/// below it.  The strict total order makes each axis's ranks a
-/// permutation.
-struct Ranks {
-    rank: Vec<[i64; LANES]>,
-}
-
-impl Ranks {
-    /// Ranks the entries by every axis of `rows` (a corner table of
-    /// `sweep`) in one pass over all ordered entry pairs.
-    #[inline(always)]
-    fn of(sweep: &Sweep<'_>, rows: &[Lane]) -> Self {
-        let chunks = sweep.chunks;
-        let mut keys = vec![[0; LANES]; rows.len()];
-        for (key, x) in keys.iter_mut().zip(rows) {
-            for l in 0..LANES {
-                key[l] = rank_key(x[l]);
-            }
-        }
-        let mut rank = vec![[0; LANES]; rows.len()];
-        let own_rows = keys.chunks_exact(chunks).zip(rank.chunks_exact_mut(chunks));
-        for (i, (own, out)) in own_rows.enumerate() {
-            let (before, after) = (&keys[..i * chunks], &keys[(i + 1) * chunks..]);
-            for c in 0..chunks {
-                let own = own[c];
-                let mut acc = [0; LANES];
-                for other in before.chunks_exact(chunks) {
-                    for l in 0..LANES {
-                        acc[l] += i64::from(other[c][l] <= own[l]);
-                    }
+/// Writes the positions of the entries in ascending order of every axis of
+/// `rows` (a corner table of `sweep`, free of NaN) to `rank`, in the
+/// entries' lane layout, in one pass over all ordered entry pairs: entry
+/// `i`'s rank counts the entries before `i` whose coordinate is at most
+/// `i`'s plus the entries after `i` whose coordinate is below it.  On
+/// NaN-free input `<=` is [`sort_key`]'s order (`-0.0` and `+0.0` compare
+/// equal), so each axis's ranks are the positions in the `(sort_key,
+/// index)` order, a permutation.
+#[inline(always)]
+fn rank_table(sweep: &Sweep<'_>, rows: &[Lane], rank: &mut Vec<[i64; LANES]>) {
+    let chunks = sweep.chunks;
+    rank.clear();
+    rank.resize(rows.len(), [0; LANES]);
+    let own_rows = rows.chunks_exact(chunks).zip(rank.chunks_exact_mut(chunks));
+    for (i, (own, out)) in own_rows.enumerate() {
+        let (before, after) = (&rows[..i * chunks], &rows[(i + 1) * chunks..]);
+        for c in 0..chunks {
+            let own = own[c];
+            let mut acc = [0_i64; LANES];
+            for other in before.chunks_exact(chunks) {
+                for l in 0..LANES {
+                    acc[l] += i64::from(other[c][l] <= own[l]);
                 }
-                for other in after.chunks_exact(chunks) {
-                    for l in 0..LANES {
-                        acc[l] += i64::from(other[c][l] < own[l]);
-                    }
-                }
-                out[c] = acc;
             }
-        }
-        Ranks { rank }
-    }
-
-    /// Writes the entry indices in ascending rank along `axis` to `order`.
-    #[inline(always)]
-    fn order(&self, chunks: usize, axis: usize, order: &mut Vec<usize>) {
-        order.resize(self.rank.len() / chunks, 0);
-        let (c, l) = (axis / LANES, axis % LANES);
-        for (i, rank) in self.rank.chunks_exact(chunks).enumerate() {
-            order[rank[c][l] as usize] = i;
+            for other in after.chunks_exact(chunks) {
+                for l in 0..LANES {
+                    acc[l] += i64::from(other[c][l] < own[l]);
+                }
+            }
+            out[c] = acc;
         }
     }
 }
@@ -307,19 +421,41 @@ impl Sweep<'_> {
         self.len() - 2 * self.min + 1
     }
 
+    /// Pure points sort identically by both corners, so the upper-corner
+    /// order adds the same margins again and can never strictly improve a
+    /// distribution: one order serves as both.
+    fn orders(&self) -> usize {
+        if self.points {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// The corner table of order `o`: lower corners, then upper ones.
+    fn table(&self, o: usize) -> &[Lane] {
+        [self.lo, self.hi][o]
+    }
+
+    /// Whether the axes are ordered through rank tables: at most
+    /// `rank_cutoff` entries and no NaN corner (NaNs order only by key).
+    fn ranked(&self, rank_cutoff: usize) -> bool {
+        self.len() <= rank_cutoff && !self.nan
+    }
+
     fn corners(&self, i: usize) -> (&[Lane], &[Lane]) {
         let span = i * self.chunks..(i + 1) * self.chunks;
         (&self.lo[span.clone()], &self.hi[span])
     }
 
     /// [`Sweep::split`], compiled for AVX2 when the CPU has it.
-    fn run(&self) -> SplitResult {
+    fn run(&self, work: &mut Work) -> SplitResult {
         #[cfg(target_arch = "x86_64")]
         if bt_stats::simd::avx2_available() {
             // SAFETY: AVX2 support was just verified.
-            return unsafe { avx2::split(self) };
+            return unsafe { avx2::split(self, work) };
         }
-        self.split(SCALAR_RANK_CUTOFF)
+        self.split::<false>(SCALAR_RANK_CUTOFF, work)
     }
 
     /// Axis with minimal total margin over all distributions of both
@@ -329,82 +465,106 @@ impl Sweep<'_> {
     /// `+inf` (infinite or NaN coordinates), axis 0 and its first
     /// distribution stand in.
     #[inline(always)]
-    fn split(&self, rank_cutoff: usize) -> SplitResult {
-        // Pure points sort identically by both corners, so the upper-corner
-        // order adds the same margins again and can never strictly improve
-        // a distribution: one order serves as both.
-        let orders = if self.lo == self.hi { 1 } else { 2 };
-        let corners = [self.lo, self.hi];
-        let ranks = self.ranks(orders, rank_cutoff);
-        let distributions = self.distributions();
-        let mut keys = Vec::new();
-        let mut current: [OrderSweep; 2] = Default::default();
-        let mut chosen: [OrderSweep; 2] = Default::default();
-        let mut best_margin = f64::INFINITY;
-        for axis in 0..self.dims {
-            for (o, sweep) in current[..orders].iter_mut().enumerate() {
-                match ranks.get(o) {
-                    Some(ranks) => ranks.order(self.chunks, axis, &mut sweep.order),
-                    None => self.sort_axis(corners[o], axis, &mut keys, &mut sweep.order),
-                }
-                self.sweep(sweep);
-            }
-            let mut margin_sum = 0.0;
-            for o in 0..2 {
-                let sweep = &current[o.min(orders - 1)];
-                for k in 0..distributions {
-                    margin_sum +=
-                        sweep.prefix.margin[k] + sweep.suffix.margin[distributions - 1 - k];
-                }
-            }
-            let better = margin_sum < best_margin;
-            if better || axis == 0 {
-                std::mem::swap(&mut current, &mut chosen);
-            }
-            if better {
-                best_margin = margin_sum;
+    fn split<const WIDE: bool>(&self, rank_cutoff: usize, work: &mut Work) -> SplitResult {
+        // Plain loops rather than iterator adaptors over closures here and
+        // in the helpers of `split`: a closure that runs inside a
+        // non-inlined library function would leave the AVX2 codegen region.
+        let (orders, distributions) = (self.orders(), self.distributions());
+        let ranked = self.ranked(rank_cutoff);
+        if ranked {
+            for o in 0..orders {
+                rank_table(self, self.table(o), &mut work.ranks[o]);
             }
         }
-
+        for margins in &mut work.margins {
+            margins.resize(distributions, 0.0);
+        }
+        let mut best_axis = 0;
+        let mut best_margin = f64::INFINITY;
         let mut best = (0, 0);
         let mut best_overlap = f64::INFINITY;
         let mut best_area = f64::INFINITY;
-        for (o, sweep) in chosen.iter().take(orders).enumerate() {
-            for k in 0..distributions {
-                let (p_lo, p_hi) = sweep.prefix.row(k, self);
-                let (s_lo, s_hi) = sweep.suffix.row(distributions - 1 - k, self);
-                let overlap = overlap(p_lo, p_hi, s_lo, s_hi);
-                let area = area(p_lo, p_hi) + area(s_lo, s_hi);
-                if overlap < best_overlap || (overlap == best_overlap && area < best_area) {
-                    best_overlap = overlap;
-                    best_area = area;
-                    best = (o, k);
+        // Steps `0..dims` sum each axis's margins; step `dims` sweeps the
+        // chosen axis again, keeping its rows, and picks the distribution.
+        // One loop, so the sweep is compiled once.
+        for step in 0..=self.dims {
+            let keep = step == self.dims;
+            let axis = if keep { best_axis } else { step };
+            let mut margin_sum = 0.0;
+            for o in 0..orders {
+                self.order(work, o, axis, ranked);
+                let Work {
+                    orders: by_order,
+                    reversed,
+                    margins: [prefix, suffix],
+                    rows: [prefix_rows, suffix_rows],
+                    ..
+                } = &mut *work;
+                if WIDE && !self.nan && self.chunks == WIDTH {
+                    for suffixes in [false, true] {
+                        let (seq, out, rows) = if suffixes {
+                            (&reversed[..], &mut *suffix, &mut *suffix_rows)
+                        } else {
+                            (&by_order[o][..], &mut *prefix, &mut *prefix_rows)
+                        };
+                        self.group_in::<WIDTH>(seq, out, rows, keep);
+                    }
+                } else {
+                    let seqs = [&by_order[o][..], &reversed[..]];
+                    self.group_pair(seqs, [prefix_rows, suffix_rows], distributions);
+                    prefix.copy_from_slice(&prefix_rows.margin);
+                    suffix.copy_from_slice(&suffix_rows.margin);
                 }
+                if !keep {
+                    // A point split's one order counts for both.
+                    for _ in orders..3 {
+                        for k in 0..distributions {
+                            margin_sum += prefix[k] + suffix[distributions - 1 - k];
+                        }
+                    }
+                    continue;
+                }
+                for k in 0..distributions {
+                    let (p_lo, p_hi) = prefix_rows.row(k, self);
+                    let (s_lo, s_hi) = suffix_rows.row(distributions - 1 - k, self);
+                    let overlap = overlap_of(p_lo, p_hi, s_lo, s_hi);
+                    let area = area_of(p_lo, p_hi) + area_of(s_lo, s_hi);
+                    if overlap < best_overlap || (overlap == best_overlap && area < best_area) {
+                        best_overlap = overlap;
+                        best_area = area;
+                        best = (o, k);
+                    }
+                }
+            }
+            if margin_sum < best_margin {
+                best_margin = margin_sum;
+                best_axis = axis;
             }
         }
         let (o, k) = best;
-        let (first, second) = chosen[o].order.split_at(self.min + k);
+        let (first, second) = work.orders[o].split_at(self.min + k);
         SplitResult {
             first: first.to_vec(),
             second: second.to_vec(),
         }
     }
 
-    /// The rank tables of the first `orders` corner tables (lower, then
-    /// upper), or none above `rank_cutoff` entries, whose axes are sorted
-    /// by key instead.
+    /// Writes the entry indices in order `o` along `axis` to
+    /// `work.orders[o]`, and back to front to `work.reversed`.
     #[inline(always)]
-    fn ranks(&self, orders: usize, rank_cutoff: usize) -> Vec<Ranks> {
-        // Plain loops rather than iterator adaptors here and in the other
-        // helpers of `split`: a closure that runs inside a non-inlined
-        // library function would leave the AVX2 codegen region.
-        let mut ranks = Vec::with_capacity(orders);
-        if self.len() <= rank_cutoff {
-            for rows in &[self.lo, self.hi][..orders] {
-                ranks.push(Ranks::of(self, rows));
+    fn order(&self, work: &mut Work, o: usize, axis: usize, ranked: bool) {
+        let order = &mut work.orders[o];
+        if ranked {
+            order.resize(self.len(), 0);
+            let (c, l) = (axis / LANES, axis % LANES);
+            for (i, rank) in work.ranks[o].chunks_exact(self.chunks).enumerate() {
+                order[rank[c][l] as usize] = i;
             }
+        } else {
+            self.sort_axis(self.table(o), axis, &mut work.keys, order);
         }
-        ranks
+        work.reversed.clear();
+        work.reversed.extend(order.iter().rev());
     }
 
     /// Sorts the entry indices by their `axis` coordinate in `rows` under
@@ -421,31 +581,111 @@ impl Sweep<'_> {
         order.extend(keys.iter().map(|&key| key as u64 as usize));
     }
 
-    /// Fills the prefix and suffix boxes of every distribution of
-    /// `sweep.order` in one pass: each row grows the one before it by the
-    /// one entry that differs.  A prefix row and a suffix row are
-    /// independent, so growing them side by side overlaps their margin
-    /// sums.
+    /// Writes the margin of every prefix group `order[..min + j]` to
+    /// `margins[0][j]` and of every suffix group `reversed[..min + j]` to
+    /// `margins[1][j]`, with their boxes in the rows, each row the one
+    /// before it grown by one entry (corner-wise `f64::min`/`f64::max`, as
+    /// [`Mbr::extend_mbr`] grows a box) and its margin summed as it grows.
+    /// A prefix and a suffix row are independent, so growing them side by
+    /// side overlaps their margin sums.  The sweep at any width and on NaN
+    /// corners.
     #[inline(always)]
-    fn sweep(&self, sweep: &mut OrderSweep) {
-        let (min, n, rows) = (self.min, self.len(), self.distributions());
-        let OrderSweep {
-            order,
-            prefix,
-            suffix,
-        } = sweep;
-        prefix.seed(self, &order[..min], rows);
-        suffix.seed(self, &order[n - min..], rows);
-        for j in 1..rows {
-            prefix.grow_row(self, j, order[min + j - 1]);
-            suffix.grow_row(self, j, order[n - min - j]);
+    fn group_pair(
+        &self,
+        [order, reversed]: [&[usize]; 2],
+        [prefix, suffix]: [&mut Boxes; 2],
+        count: usize,
+    ) {
+        prefix.seed(self, &order[..self.min], count);
+        suffix.seed(self, &reversed[..self.min], count);
+        for j in 1..count {
+            prefix.grow_row(self, j, order[self.min + j - 1]);
+            suffix.grow_row(self, j, reversed[self.min + j - 1]);
         }
+    }
+
+    /// [`Sweep::group_pair`]'s margins for one group `seq[..min + j]`, on
+    /// NaN-free corners at a width known at compile time: the growing box
+    /// lives in `2 · C` registers and grows by compare and select, and
+    /// four rows' margins are summed side by side, one row to a lane, each
+    /// the edges in dimension order from the neutral element of `f64::sum`,
+    /// exactly as [`Mbr::margin`] sums them (the padding of the last lane
+    /// adds `-0.0`, the identity of `+`).  With `keep` the boxes are
+    /// written to `rows`.
+    #[inline(always)]
+    fn group_in<const C: usize>(
+        &self,
+        seq: &[usize],
+        out: &mut [f64],
+        rows: &mut Boxes,
+        keep: bool,
+    ) {
+        let count = out.len();
+        if keep {
+            rows.lo.resize(count * C, [0.0; LANES]);
+            rows.hi.resize(count * C, [0.0; LANES]);
+        }
+        let mut pad = [0; LANES];
+        for (l, pad) in pad.iter_mut().enumerate() {
+            *pad = u64::from((C - 1) * LANES + l >= self.dims) << 63;
+        }
+        let (mut box_lo, mut box_hi) = self.lanes::<C>(seq[0]);
+        for &i in &seq[1..self.min] {
+            let (lo, hi) = self.lanes::<C>(i);
+            for c in 0..C {
+                box_lo[c] = lane_lower(box_lo[c], lo[c]);
+                box_hi[c] = lane_upper(box_hi[c], hi[c]);
+            }
+        }
+        let mut next = self.min;
+        for block in (0..count).step_by(LANES) {
+            let mut edges = [[[0.0; LANES]; C]; LANES];
+            for (r, edges) in edges.iter_mut().enumerate() {
+                let row = block + r;
+                if row > 0 && row < count {
+                    let (lo, hi) = self.lanes::<C>(seq[next]);
+                    next += 1;
+                    for c in 0..C {
+                        box_lo[c] = lane_lower(box_lo[c], lo[c]);
+                        box_hi[c] = lane_upper(box_hi[c], hi[c]);
+                    }
+                }
+                if keep && row < count {
+                    rows.lo[row * C..(row + 1) * C].copy_from_slice(&box_lo);
+                    rows.hi[row * C..(row + 1) * C].copy_from_slice(&box_hi);
+                }
+                for c in 0..C {
+                    for l in 0..LANES {
+                        edges[c][l] = box_hi[c][l] - box_lo[c][l];
+                    }
+                }
+                for l in 0..LANES {
+                    edges[C - 1][l] = f64::from_bits(edges[C - 1][l].to_bits() | pad[l]);
+                }
+            }
+            let mut sums = [-0.0; LANES];
+            for d in 0..C * LANES {
+                for r in 0..LANES {
+                    sums[r] += edges[r][d / LANES][d % LANES];
+                }
+            }
+            let take = (count - block).min(LANES);
+            out[block..block + take].copy_from_slice(&sums[..take]);
+        }
+    }
+
+    /// Entry `i`'s corners as `C` lanes each.
+    #[inline(always)]
+    fn lanes<const C: usize>(&self, i: usize) -> ([Lane; C], [Lane; C]) {
+        let span = i * C..(i + 1) * C;
+        let lo = self.lo[span.clone()].try_into().expect("C lanes");
+        (lo, self.hi[span].try_into().expect("C lanes"))
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{SplitResult, Sweep};
+    use super::{SplitResult, Sweep, Work};
 
     /// [`Sweep::split`] in an AVX2 codegen region, ranking up to
     /// [`RANK_CUTOFF`](super::RANK_CUTOFF) entries: the rank compares and
@@ -454,8 +694,8 @@ mod avx2 {
     /// # Safety
     /// The executing CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn split(sweep: &Sweep<'_>) -> SplitResult {
-        sweep.split(super::RANK_CUTOFF)
+    pub(super) unsafe fn split(sweep: &Sweep<'_>, work: &mut Work) -> SplitResult {
+        sweep.split::<true>(super::RANK_CUTOFF, work)
     }
 }
 
@@ -470,13 +710,6 @@ fn sort_key(x: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-/// [`sort_key`] with its top bit flipped: the same order under signed
-/// comparison, which vector units do natively.
-#[inline(always)]
-fn rank_key(x: f64) -> i64 {
-    (sort_key(x) ^ (1 << 63)) as i64
 }
 
 /// Lane-wise `f64::min`, as [`Mbr::extend_mbr`] grows a lower corner.
@@ -495,6 +728,28 @@ fn lane_max(a: Lane, b: Lane) -> Lane {
     let mut out = a;
     for l in 0..LANES {
         out[l] = a[l].max(b[l]);
+    }
+    out
+}
+
+/// Lane-wise minimum of NaN-free lanes by compare and select, one
+/// instruction a register: [`lane_min`] up to the sign of a zero, which no
+/// margin, area or overlap comparison of the split tells apart.
+#[inline(always)]
+fn lane_lower(a: Lane, b: Lane) -> Lane {
+    let mut out = a;
+    for l in 0..LANES {
+        out[l] = if b[l] < a[l] { b[l] } else { a[l] };
+    }
+    out
+}
+
+/// [`lane_lower`]'s maximum: [`lane_max`] on NaN-free lanes.
+#[inline(always)]
+fn lane_upper(a: Lane, b: Lane) -> Lane {
+    let mut out = a;
+    for l in 0..LANES {
+        out[l] = if b[l] > a[l] { b[l] } else { a[l] };
     }
     out
 }
@@ -529,23 +784,13 @@ impl Margin {
     }
 }
 
-/// The margin of the box `(lo, hi)` over its first `dims` dimensions.
-#[inline(always)]
-fn margin(lo: &[Lane], hi: &[Lane], dims: usize) -> f64 {
-    let mut margin = Margin::new();
-    for c in 0..lo.len() {
-        margin.add(lo[c], hi[c], c, dims);
-    }
-    margin.0
-}
-
 /// [`Mbr::area`] over corner slices.
-fn area(lo: &[f64], hi: &[f64]) -> f64 {
+fn area_of(lo: &[f64], hi: &[f64]) -> f64 {
     lo.iter().zip(hi).map(|(l, u)| u - l).product()
 }
 
 /// [`Mbr::overlap`] over corner slices.
-fn overlap(a_lo: &[f64], a_hi: &[f64], b_lo: &[f64], b_hi: &[f64]) -> f64 {
+fn overlap_of(a_lo: &[f64], a_hi: &[f64], b_lo: &[f64], b_hi: &[f64]) -> f64 {
     let mut acc = 1.0;
     for d in 0..a_lo.len() {
         let lo = a_lo[d].max(b_lo[d]);
@@ -836,7 +1081,7 @@ mod tests {
             mbrs[0].dims(),
             |i, d| (mbrs[i].lower()[d], mbrs[i].upper()[d]),
             min_entries,
-            |sweep| sweep.split(SCALAR_RANK_CUTOFF),
+            |sweep, work| sweep.split::<false>(SCALAR_RANK_CUTOFF, work),
         )
     }
 
@@ -876,6 +1121,40 @@ mod tests {
             }
         }
         assert!(cases > 190);
+    }
+
+    #[test]
+    fn every_width_matches_naive_split() {
+        // Dims 13-16 run the sweep with the box in registers under AVX2,
+        // every other width (1-6 lanes, and 25 and 33 dims) and NaN points
+        // the rows in memory; the scalar body runs the rows in memory at
+        // every width.  Minimum group sizes from 1 to n / 2.
+        let mut rng = Rng(0x5eed_0004);
+        let mut cases = 0;
+        for dims in (1..=24).chain([25, 33]) {
+            for points in [true, false] {
+                let families: &[Coords] = match (points, dims % 3) {
+                    (true, 0) => &[Coords::Uniform, Coords::Nan],
+                    (_, 1) => &[Coords::Duplicates],
+                    _ => &[Coords::Uniform, Coords::SignedZeros],
+                };
+                for &coords in families {
+                    let n = 2 + rng.below(30);
+                    let mut mins = vec![1, 2, n / 4, n / 2];
+                    mins.retain(|&m| m >= 1 && 2 * m <= n);
+                    mins.dedup();
+                    for min_entries in mins {
+                        let mbrs = entries(&mut rng, coords, n, dims, points);
+                        let case = format!(
+                            "dims {dims}, {coords:?}, points {points}, n {n}, min {min_entries}"
+                        );
+                        assert_matches_oracle(&mbrs, min_entries, &case);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 250, "{cases} cases");
     }
 
     #[test]
@@ -952,8 +1231,8 @@ mod tests {
             };
             let boxes = rstar_split_corners(n, dims, corner, min_entries);
             assert_valid_partition(&boxes, n, min_entries);
-            let scalar = with_sweep(n, dims, corner, min_entries, |sweep| {
-                sweep.split(SCALAR_RANK_CUTOFF)
+            let scalar = with_sweep(n, dims, corner, min_entries, |sweep, work| {
+                sweep.split::<false>(SCALAR_RANK_CUTOFF, work)
             });
             assert_eq!(scalar, boxes, "scalar sweep: trial {trial}");
         }
@@ -965,11 +1244,20 @@ mod tests {
     fn only_splits_up_to_the_cutoff_build_rank_tables() {
         // The table costs O(n² · d): a large split (one big batch into an
         // empty leaf) must sort instead.
+        // NaN corners order only by key, at any size.
         for cutoff in [RANK_CUTOFF, SCALAR_RANK_CUTOFF] {
-            for (n, tables) in [(cutoff, 2), (cutoff + 1, 0), (4_096, 0)] {
+            for (n, ranked) in [(cutoff, true), (cutoff + 1, false), (4_096, false)] {
                 let corner = |i: usize, d: usize| (i as f64, (i + d) as f64);
-                let built = with_sweep(n, 3, corner, 1, |s| s.ranks(2, cutoff).len());
-                assert_eq!(built, tables, "cutoff {cutoff}, n {n}");
+                let built = with_sweep(n, 3, corner, 1, |s, _| s.ranked(cutoff));
+                assert_eq!(built, ranked, "cutoff {cutoff}, n {n}");
+                let nan = |i: usize, d: usize| {
+                    if i == 1 {
+                        (f64::NAN, f64::NAN)
+                    } else {
+                        corner(i, d)
+                    }
+                };
+                assert!(!with_sweep(n, 3, nan, 1, |s, _| s.ranked(cutoff)));
             }
         }
     }

@@ -311,3 +311,49 @@ fn pinned_inserts_copy_each_leaf_with_at_most_one_allocation() {
     };
     assert_eq!(bytes, std::mem::size_of_val(items.columns()));
 }
+
+#[test]
+fn pinned_inserts_on_a_three_level_tree_allocate_no_more_than_unpinned_once_recycled() {
+    // As above on a tree three levels deep: a batch copies a path of
+    // directory nodes with different entry counts, and each copy takes a
+    // spare at least as long as its source, so once the spares have grown
+    // to their nodes a batch whose copies all recycled allocates no more
+    // than its unpinned twin.
+    let build = || {
+        let mut tree: BayesTree = BayesTree::new(DIMS, PageGeometry::from_fanout(4, 40));
+        for chunk in points(240, 0).chunks(64) {
+            tree.insert_batch(chunk.to_vec());
+        }
+        tree
+    };
+    let (mut pinned, mut twin) = (build(), build());
+    assert!(pinned.height() >= 3, "a three-level tree");
+    let mut checked = 0;
+    for round in 0..12 {
+        let batch = points(4, 10_000 + round * 4);
+        let nodes = pinned.num_nodes();
+        let recycled = pinned.arena_census().versions_recycled;
+        let snapshot = pinned.snapshot();
+        let copy = batch.clone();
+        let (_, with_pin, _) = counted(|| pinned.insert_batch(copy));
+        let (_, without, _) = counted(|| twin.insert_batch(batch));
+        assert_eq!(pinned.num_nodes(), nodes, "round {round} split a node");
+        let (dirs, leaves) = copies(&pinned, &snapshot);
+        assert!(dirs > 1, "round {round} copied one directory node");
+        drop(snapshot);
+        let recycled = pinned.arena_census().versions_recycled - recycled;
+        if recycled == (dirs + leaves) as u64 {
+            // The first recycled leaf buffers are the first copies, sized
+            // to their leaves before this batch grew them: a leaf copy
+            // may grow its block once.
+            let slack = if checked == 0 { leaves } else { 0 };
+            assert!(
+                with_pin <= without + slack,
+                "round {round}: {with_pin} allocations pinned, {without} unpinned, \
+                 {leaves} leaf and {dirs} directory copies, all recycled"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 8, "{checked} rounds recycled every copy");
+}

@@ -5,11 +5,14 @@
 //! write changes nothing: the batch is checked in one pass before any
 //! state changes.  Covered on a plain tree, a sharded tree and a
 //! classifier, each while a snapshot pins it (so a write that slipped
-//! through would also show as copy-on-write copies in the arena census).
+//! through would also show as copy-on-write copies in the arena census),
+//! and on a plain and a sharded ClusTree, whose writes also reject a
+//! non-finite timestamp with the same error type.
 
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, InputError,
 };
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
 use anytime_stream_mining::index::PageGeometry;
 
@@ -114,6 +117,7 @@ fn reindexed(error: InputError, index: usize) -> InputError {
             found,
         },
         InputError::NonFinite { dim, .. } => InputError::NonFinite { index, dim },
+        InputError::NonFiniteTimestamp => InputError::NonFiniteTimestamp,
         InputError::LabelOutOfRange { label, classes, .. } => InputError::LabelOutOfRange {
             index,
             label,
@@ -224,4 +228,62 @@ fn a_classifier_rejects_bad_objects_by_index_and_changes_nothing() {
     assert!(clf.try_learn_one(vec![0.5, 0.5], 2).is_ok());
     assert_ne!(classifier_fingerprint(&clf), before);
     drop(pin);
+}
+
+/// What a rejected ClusTree write must leave as it was: the observation
+/// count, the clock, the node count, the arena census and every
+/// micro-cluster.
+fn clustree_fingerprint(tree: &ClusTree) -> (usize, u64, usize, String, String) {
+    (
+        tree.len(),
+        tree.current_time().to_bits(),
+        tree.num_nodes(),
+        format!("{:?}", tree.arena_census()),
+        format!("{:?}", tree.micro_clusters()),
+    )
+}
+
+fn check_clustree(mut tree: ClusTree) {
+    for (round, chunk) in points(80, 0).chunks(16).enumerate() {
+        tree.insert_batch(chunk, round as f64, 3);
+    }
+    let pin = tree.snapshot();
+    let before = clustree_fingerprint(&tree);
+    for index in [0, 3, 5] {
+        for (batch, want) in planted(index) {
+            let bad = batch[index].clone();
+            assert_eq!(tree.try_insert_batch(&batch, 10.0, 3).unwrap_err(), want);
+            let single = tree.try_insert(&bad, 10.0, 3).unwrap_err();
+            assert_eq!(single, reindexed(want, 0));
+            assert_eq!(clustree_fingerprint(&tree), before, "{want}");
+        }
+    }
+    for timestamp in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let batch = points(6, 100);
+        let error = tree.try_insert_batch(&batch, timestamp, 3).unwrap_err();
+        assert_eq!(error, InputError::NonFiniteTimestamp);
+        assert_eq!(tree.try_insert(&batch[0], timestamp, 3).unwrap_err(), error);
+        assert_eq!(clustree_fingerprint(&tree), before, "timestamp {timestamp}");
+    }
+    // The panicking forms say what they said before.
+    assert!(InputError::NonFiniteTimestamp
+        .to_string()
+        .starts_with("timestamps must be finite"));
+    // A valid write still goes through, and the pin keeps its state.
+    let pinned = format!("{:?}", pin.micro_clusters());
+    assert!(tree.try_insert_batch(&points(10, 500), 11.0, 3).is_ok());
+    assert!(tree.try_insert(&[0.5, 0.5], 12.0, 3).is_ok());
+    assert_eq!(tree.len(), before.0 + 11);
+    assert_eq!(format!("{:?}", pin.micro_clusters()), pinned);
+    assert_eq!(pin.len(), before.0);
+}
+
+#[test]
+fn a_plain_clustree_rejects_bad_points_and_timestamps_and_changes_nothing() {
+    check_clustree(ClusTree::new(2, ClusTreeConfig::default()));
+}
+
+#[test]
+fn a_sharded_clustree_rejects_bad_points_and_timestamps_and_changes_nothing() {
+    check_clustree(ClusTree::sharded(2, ClusTreeConfig::default(), 3));
 }
