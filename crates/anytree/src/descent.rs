@@ -42,7 +42,6 @@ use crate::split::split_entries;
 use crate::summary::Summary;
 use crate::tree::{AnytimeTree, InsertOutcome};
 use bt_index::rstar::{choose_subtree_block, choose_subtree_by};
-use bt_index::Mbr;
 use bt_stats::kernel::sq_dists_block;
 
 /// The complete state of one in-flight insertion.
@@ -778,11 +777,12 @@ fn set_route_entry<S: Summary>(
     center: &mut Vec<f64>,
 ) {
     if S::MBR_ROUTED {
+        let mbr = summary.as_mbr().expect("MBR-routed payload exposes a box");
+        let (lower, upper) = (mbr.lower(), mbr.upper());
         let dims = cols.len() / (2 * len);
         for d in 0..dims {
-            let (lo, hi) = summary.mbr_corner(d);
-            cols[d * len + i] = lo;
-            cols[(dims + d) * len + i] = hi;
+            cols[d * len + i] = lower[d];
+            cols[(dims + d) * len + i] = upper[d];
         }
     } else if S::CENTER_ROUTED {
         summary.center_into(center);
@@ -852,20 +852,18 @@ where
     }
 }
 
-/// The per-entry R* reference scan over full-width copies of the entries'
-/// boxes — the MBR block path's scalar reference.  Materialising the owned
-/// boxes keeps it precision-agnostic; it only runs inside `debug_assert`
-/// checks, so release builds never pay the allocation.
+/// The per-entry R* reference scan over the entries' boxes — the MBR block
+/// path's scalar reference.  It only runs inside `debug_assert` checks.
 fn scalar_mbr_route<S: Summary>(entries: &[Entry<S>], point: &[f64]) -> usize {
-    let boxes: Vec<Mbr> = entries
-        .iter()
-        .map(|e| {
+    choose_subtree_by(
+        entries,
+        |e| {
             e.summary
-                .owned_mbr()
+                .as_mbr()
                 .expect("MBR-routed payload exposes a box")
-        })
-        .collect();
-    choose_subtree_by(&boxes, |b| b, point)
+        },
+        point,
+    )
 }
 
 /// Index of the first minimal value (`NaN` never displaces the incumbent) —

@@ -4,8 +4,8 @@
 //! payload ([`Summary::MBR_ROUTED`]):
 //!
 //! * **R\* topological split** over the entries' MBRs (the Bayes tree), via
-//!   [`bt_index::rstar::rstar_split_corners`], reading each corner through
-//!   [`Summary::mbr_corner`] so no box is copied;
+//!   [`bt_index::rstar::rstar_split_corners`], reading each corner from
+//!   the box [`Summary::as_mbr`] lends, so no box is copied;
 //! * **polar split** (farthest-pair seeding, closer-seed assignment with
 //!   capacity caps) over the entries' centres (the clustering extension).
 //!
@@ -31,7 +31,13 @@ pub fn split_entries<S: Summary>(
         let split = rstar_split_corners(
             entries.len(),
             dims,
-            |i, d| entries[i].summary.mbr_corner(d),
+            |i, d| {
+                let mbr = entries[i]
+                    .summary
+                    .as_mbr()
+                    .expect("MBR-routed payload exposes a box");
+                (mbr.lower()[d], mbr.upper()[d])
+            },
             min,
         );
         // Distribute in original entry order (the membership sets decide,

@@ -17,21 +17,18 @@ use bt_index::Mbr;
 ///   MBR,
 /// * [`refresh`](Summary::refresh) — the temporal-decay hook (a no-op for
 ///   payloads without temporal semantics),
-/// * [`mbr_corner`](Summary::mbr_corner) / [`owned_mbr`](Summary::owned_mbr)
-///   \+ [`MBR_ROUTED`](Summary::MBR_ROUTED) — the hook into
-///   `bt_index::rstar`: when set, descent routes by least area enlargement
-///   and overflowing directory nodes split with the R* topological split
-///   instead of the distance-based split.  Both accessors produce
-///   full-width (`f64`) corners regardless of how the payload stores its
-///   box internally.
+/// * [`as_mbr`](Summary::as_mbr) \+ [`MBR_ROUTED`](Summary::MBR_ROUTED) —
+///   the hook into `bt_index::rstar`: when set, descent routes by least
+///   area enlargement and overflowing directory nodes split with the R*
+///   topological split instead of the distance-based split, both reading
+///   the box `as_mbr` lends.
 pub trait Summary: Clone {
     /// Per-operation context threaded through merges and refreshes (e.g. the
     /// current timestamp and decay rate).  `()` for payloads without one.
     type Ctx: Copy;
 
     /// Whether descent and directory splits should use the MBR machinery of
-    /// `bt_index::rstar` ([`mbr_corner`](Summary::mbr_corner) and
-    /// [`owned_mbr`](Summary::owned_mbr) must then produce a box).
+    /// `bt_index::rstar` ([`as_mbr`](Summary::as_mbr) must then lend a box).
     const MBR_ROUTED: bool = false;
 
     /// Adds `other`'s mass to this summary.
@@ -56,39 +53,10 @@ pub trait Summary: Clone {
     /// which pairs split or merge, and with them the partitions.
     fn center(&self) -> Vec<f64>;
 
-    /// The minimum bounding rectangle, for MBR-routed payloads that store
-    /// their box at full width and can lend it without conversion.
-    ///
-    /// Payloads that store their box narrower than `f64` (and so cannot
-    /// return a reference) may leave this `None` and override
-    /// [`mbr_corner`](Summary::mbr_corner) and
-    /// [`owned_mbr`](Summary::owned_mbr) instead — those two are the
-    /// accessors descent and splits actually route through.
+    /// The minimum bounding rectangle of an MBR-routed payload; `None`
+    /// for the others.
     fn as_mbr(&self) -> Option<&Mbr> {
         None
-    }
-
-    /// The low and high corner of the routing box along dimension `d`,
-    /// widened to full precision — the allocation-free per-dimension
-    /// accessor the block gather paths stream boxes through.
-    ///
-    /// Must agree bit for bit with [`owned_mbr`](Summary::owned_mbr); the
-    /// default reads [`as_mbr`](Summary::as_mbr), so payloads whose box is
-    /// already full-width need not override it.
-    fn mbr_corner(&self, d: usize) -> (f64, f64) {
-        let mbr = self.as_mbr().expect("MBR-routed payload exposes a box");
-        (mbr.lower()[d], mbr.upper()[d])
-    }
-
-    /// A full-width copy of the routing box, for the rare paths (invariant
-    /// checks, debug reference scans) that want whole rectangles.
-    ///
-    /// `None` exactly when the payload is not MBR-routed.  The default
-    /// clones [`as_mbr`](Summary::as_mbr); narrow-stored payloads override
-    /// it with an outward-rounded widening so the returned box encloses
-    /// the stored one.
-    fn owned_mbr(&self) -> Option<Mbr> {
-        self.as_mbr().cloned()
     }
 
     /// Whether [`center_into`](Summary::center_into) reproduces the exact

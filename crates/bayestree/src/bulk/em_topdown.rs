@@ -34,6 +34,17 @@ pub fn build_em_topdown(
     seed: u64,
 ) -> BayesTree {
     crate::insert::or_panic(crate::insert::check_points(points, dims));
+    build_em_topdown_checked(points, dims, geometry, seed)
+}
+
+/// The EM top-down load of a batch that passed
+/// [`check_points`](crate::insert::check_points).
+pub(crate) fn build_em_topdown_checked(
+    points: &[Vec<f64>],
+    dims: usize,
+    geometry: PageGeometry,
+    seed: u64,
+) -> BayesTree {
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;

@@ -68,6 +68,17 @@ pub fn build_goldberger(
     config: &GoldbergerBulkConfig,
 ) -> BayesTree {
     crate::insert::or_panic(crate::insert::check_points(points, dims));
+    build_goldberger_checked(points, dims, geometry, config)
+}
+
+/// The Goldberger load of a batch that passed
+/// [`check_points`](crate::insert::check_points).
+pub(crate) fn build_goldberger_checked(
+    points: &[Vec<f64>],
+    dims: usize,
+    geometry: PageGeometry,
+    config: &GoldbergerBulkConfig,
+) -> BayesTree {
     let mut tree: BayesTree = BayesTree::new(dims, geometry);
     if points.is_empty() {
         return tree;

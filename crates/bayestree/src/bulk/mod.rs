@@ -19,6 +19,7 @@ pub mod em_topdown;
 pub mod goldberger;
 pub mod spacefilling;
 
+use crate::insert::{check_points, or_panic, InputError};
 use crate::leaf::PointColumns;
 use crate::node::{Entry, KernelSummary, Node};
 use crate::tree::{summarise, BayesCore, BayesTree};
@@ -99,7 +100,7 @@ impl BulkLoadMethod {
 /// # Panics
 ///
 /// Panics if any point has a dimensionality other than `dims` or a
-/// non-finite coordinate.
+/// non-finite coordinate ([`try_build_tree`] returns the error instead).
 #[must_use]
 pub fn build_tree(
     points: &[Vec<f64>],
@@ -108,20 +109,41 @@ pub fn build_tree(
     method: BulkLoadMethod,
     seed: u64,
 ) -> BayesTree {
-    assert!(
-        points.iter().all(|p| p.len() == dims),
-        "all points must have dimensionality {dims}"
-    );
-    match method {
-        BulkLoadMethod::Iterative => BayesTree::build_iterative(points, dims, geometry),
-        BulkLoadMethod::Hilbert => spacefilling::build_hilbert(points, dims, geometry),
-        BulkLoadMethod::ZOrder => spacefilling::build_zorder(points, dims, geometry),
-        BulkLoadMethod::Str => spacefilling::build_str(points, dims, geometry),
-        BulkLoadMethod::Goldberger => {
-            goldberger::build_goldberger(points, dims, geometry, &GoldbergerBulkConfig::default())
+    or_panic(try_build_tree(points, dims, geometry, method, seed))
+}
+
+/// Builds a Bayes tree as [`build_tree`] does, or rejects the batch: every
+/// point is checked in one pass before any sorting, grouping or EM work.
+///
+/// # Errors
+///
+/// [`InputError::Dimensionality`] or [`InputError::NonFinite`] naming the
+/// first offending point.
+pub fn try_build_tree(
+    points: &[Vec<f64>],
+    dims: usize,
+    geometry: PageGeometry,
+    method: BulkLoadMethod,
+    seed: u64,
+) -> Result<BayesTree, InputError> {
+    check_points(points, dims)?;
+    Ok(match method {
+        BulkLoadMethod::Iterative => BayesTree::build_iterative_checked(points, dims, geometry),
+        BulkLoadMethod::Hilbert => {
+            build_packed(points, dims, geometry, spacefilling::hilbert_groups)
         }
-        BulkLoadMethod::EmTopDown => em_topdown::build_em_topdown(points, dims, geometry, seed),
-    }
+        BulkLoadMethod::ZOrder => build_packed(points, dims, geometry, spacefilling::zorder_groups),
+        BulkLoadMethod::Str => build_packed(points, dims, geometry, bt_index::str_partition),
+        BulkLoadMethod::Goldberger => goldberger::build_goldberger_checked(
+            points,
+            dims,
+            geometry,
+            &GoldbergerBulkConfig::default(),
+        ),
+        BulkLoadMethod::EmTopDown => {
+            em_topdown::build_em_topdown_checked(points, dims, geometry, seed)
+        }
+    })
 }
 
 /// Shared bottom-up packer: turns groups of leaf points into leaf nodes and

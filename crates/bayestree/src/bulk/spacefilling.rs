@@ -6,6 +6,7 @@
 //! vectors until a single root remains.
 
 use crate::bulk::build_packed;
+use crate::insert::{check_points, or_panic};
 use crate::tree::BayesTree;
 use bt_index::{hilbert_sort_order, str_partition, z_order_sort_order, PageGeometry};
 
@@ -21,10 +22,8 @@ const CURVE_BITS: u32 = 16;
 /// coordinate.
 #[must_use]
 pub fn build_hilbert(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::or_panic(crate::insert::check_points(points, dims));
-    build_packed(points, dims, geometry, |pts, capacity| {
-        chunk_order(&hilbert_sort_order(pts, CURVE_BITS), capacity)
-    })
+    or_panic(check_points(points, dims));
+    build_packed(points, dims, geometry, hilbert_groups)
 }
 
 /// Z-order (Morton) bulk load.
@@ -35,10 +34,8 @@ pub fn build_hilbert(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -
 /// coordinate.
 #[must_use]
 pub fn build_zorder(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::or_panic(crate::insert::check_points(points, dims));
-    build_packed(points, dims, geometry, |pts, capacity| {
-        chunk_order(&z_order_sort_order(pts, CURVE_BITS), capacity)
-    })
+    or_panic(check_points(points, dims));
+    build_packed(points, dims, geometry, zorder_groups)
 }
 
 /// Sort-tile-recursive bulk load.
@@ -49,10 +46,18 @@ pub fn build_zorder(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) ->
 /// coordinate.
 #[must_use]
 pub fn build_str(points: &[Vec<f64>], dims: usize, geometry: PageGeometry) -> BayesTree {
-    crate::insert::or_panic(crate::insert::check_points(points, dims));
-    build_packed(points, dims, geometry, |pts, capacity| {
-        str_partition(pts, capacity)
-    })
+    or_panic(check_points(points, dims));
+    build_packed(points, dims, geometry, str_partition)
+}
+
+/// Groups of at most `capacity` consecutive points along the Hilbert curve.
+pub(crate) fn hilbert_groups(points: &[Vec<f64>], capacity: usize) -> Vec<Vec<usize>> {
+    chunk_order(&hilbert_sort_order(points, CURVE_BITS), capacity)
+}
+
+/// Groups of at most `capacity` consecutive points along the Z curve.
+pub(crate) fn zorder_groups(points: &[Vec<f64>], capacity: usize) -> Vec<Vec<usize>> {
+    chunk_order(&z_order_sort_order(points, CURVE_BITS), capacity)
 }
 
 /// Cuts an ordering of indices into consecutive groups of `capacity`.

@@ -40,7 +40,6 @@ use crate::node::KernelSummary;
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::query::{estimate_score, EstimateModel};
 use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
-use crate::StoredSummary;
 use bt_anytree::{
     frontier_sum, with_scratch_cursors, ArenaCensus, ElementOrigin, NodeId, NodeKind, QueryCursor,
     QueryModel, QueryStats, RefineOrder, ShardSet, TreeView,
@@ -155,7 +154,7 @@ pub type AnytimeClassifier = Classifier<BayesTree>;
 /// the live per-class trees.
 pub type ClassifierSnapshot = Classifier<BayesTreeSnapshot>;
 
-impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<f64, C>> {
+impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<C>> {
     /// Number of classes.
     #[must_use]
     pub fn num_classes(&self) -> usize {
@@ -170,7 +169,7 @@ impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<f64, C>> {
 
     /// The per-class trees.
     #[must_use]
-    pub fn trees(&self) -> &[BayesIndex<f64, C>] {
+    pub fn trees(&self) -> &[BayesIndex<C>] {
         &self.trees
     }
 
@@ -296,7 +295,7 @@ impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<f64, C>> {
 /// the class scores and flags on the pooled [`ClassifyScratch`], and the
 /// work counters of the cursors seeded so far.
 struct ClassifyRun<'a, C> {
-    classifier: &'a Classifier<BayesIndex<f64, C>>,
+    classifier: &'a Classifier<BayesIndex<C>>,
     x: &'a [f64],
     roots: &'a RootBlock,
     /// Whether this classification gathered `roots`.
@@ -679,7 +678,7 @@ pub(crate) struct RootBlock {
 
 impl RootBlock {
     /// Gathers every class root, in class order.
-    fn gather<C: ShardSet<KernelSummary, PointColumns>>(trees: &[BayesIndex<f64, C>]) -> Self {
+    fn gather<C: ShardSet<KernelSummary, PointColumns>>(trees: &[BayesIndex<C>]) -> Self {
         let len = trees
             .iter()
             .map(|tree| {

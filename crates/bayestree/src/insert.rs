@@ -22,18 +22,17 @@
 
 use crate::descent::DescentStrategy;
 use crate::leaf::PointColumns;
-use crate::node::{StoredElement, StoredSummary};
+use crate::node::KernelSummary;
 use crate::query::KernelQueryModel;
-use crate::tree::BayesTree;
+use crate::tree::{BayesIndex, BayesTree, LiveShards};
 use bt_anytree::{BatchOutcome, InsertModel, PipelinedOutcome, ShardRouter};
 use bt_index::rstar::rstar_split_corners;
 use bt_index::PageGeometry;
 
-/// The Bayes tree's insertion policy over the shared core (one impl per
-/// stored summary representation; the split geometry always works over
-/// exact per-point `f64` boxes regardless of how the node summaries are
-/// stored).  Public so a [`bt_anytree::AnytimeTree`] can be driven
-/// directly with the Bayes tree's policy, as the equivalence tests do.
+/// The Bayes tree's insertion policy over the shared core (the leaf split
+/// works over the points' degenerate boxes).  Public so a
+/// [`bt_anytree::AnytimeTree`] can be driven directly with the Bayes
+/// tree's policy, as the equivalence tests do.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelModel {
     dims: usize,
@@ -47,7 +46,7 @@ impl KernelModel {
     }
 }
 
-impl<S: StoredSummary> InsertModel<S> for KernelModel {
+impl InsertModel<KernelSummary> for KernelModel {
     type Object = Vec<f64>;
     type Leaf = PointColumns;
 
@@ -57,11 +56,11 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
         obj
     }
 
-    fn summary_of(&self, obj: &Vec<f64>) -> S {
-        S::from_point(obj)
+    fn summary_of(&self, obj: &Vec<f64>) -> KernelSummary {
+        KernelSummary::from_point(obj)
     }
 
-    fn absorb_into(&self, summary: &mut S, obj: &Vec<f64>) {
+    fn absorb_into(&self, summary: &mut KernelSummary, obj: &Vec<f64>) {
         summary.absorb_point(obj);
     }
 
@@ -70,8 +69,8 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
         leaf.push(&obj);
     }
 
-    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
-        S::from_leaf(leaf).expect("cannot summarise an empty leaf")
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> KernelSummary {
+        KernelSummary::from_leaf(leaf).expect("cannot summarise an empty leaf")
     }
 
     /// The R* split over the points' degenerate boxes, read from the
@@ -99,7 +98,7 @@ impl<S: StoredSummary> InsertModel<S> for KernelModel {
 pub use bt_anytree::InputError;
 pub(crate) use bt_anytree::{check_point, check_points, or_panic};
 
-impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
+impl<R: ShardRouter<KernelSummary>> BayesIndex<LiveShards<R>> {
     /// Inserts one observation into the shard the router assigns it (the
     /// one shard of a plain tree).
     ///
@@ -221,7 +220,7 @@ impl<E: StoredElement, R: ShardRouter<E::Summary>> BayesTree<E, R> {
     }
 }
 
-impl<E: StoredElement> BayesTree<E> {
+impl BayesTree {
     /// Builds a one-shard tree by inserting `points` one at a time (the
     /// paper's "Iterativ" baseline).
     ///
@@ -234,9 +233,18 @@ impl<E: StoredElement> BayesTree<E> {
         points: &[Vec<f64>],
         dims: usize,
         geometry: bt_index::PageGeometry,
-    ) -> BayesTree<E> {
+    ) -> BayesTree {
         or_panic(check_points(points, dims));
-        let mut tree = BayesTree::<E>::new(dims, geometry);
+        Self::build_iterative_checked(points, dims, geometry)
+    }
+
+    /// [`Self::build_iterative`] over a batch that passed [`check_points`].
+    pub(crate) fn build_iterative_checked(
+        points: &[Vec<f64>],
+        dims: usize,
+        geometry: bt_index::PageGeometry,
+    ) -> BayesTree {
+        let mut tree = BayesTree::new(dims, geometry);
         for p in points {
             tree.insert_checked(p.clone());
         }
@@ -282,8 +290,7 @@ mod tests {
                 bt_anytree::split::distribute(items.clone(), &reference.first, &reference.second);
             let model = KernelModel::new(16);
             let leaf = PointColumns::from_rows(16, items.iter().map(Vec::as_slice));
-            let (first, second) =
-                InsertModel::<crate::KernelSummary>::split_leaf_items(&model, leaf, &geometry);
+            let (first, second) = model.split_leaf_items(leaf, &geometry);
             let got = (first.rows(), second.rows());
             assert_eq!(got, expected, "n = {n}");
         }

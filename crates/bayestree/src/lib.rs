@@ -46,23 +46,6 @@
 //! * [`bulk`] — the bulk-loading strategies of Section 3 (Hilbert, Z-curve,
 //!   STR, Goldberger, EM top-down) and the iterative baseline.
 //!
-//! ## Stored precision
-//!
-//! [`BayesTree`] and its snapshot carry a stored-precision parameter `E`
-//! defaulting to `f64`.  [`BayesTreeQuantized`] stores every directory
-//! summary at 16 bits: CF components become mantissas against a shared
-//! per-summary block exponent and MBR corners become outward-rounded
-//! 16-bit floats, roughly quadrupling the directory fanout per page
-//! relative to `f64`.  All accumulation stays `f64` and is quantised on
-//! write; MBR corners round *outward* so the stored boxes always enclose
-//! the exact ones and the certified `[lower, upper]` density intervals
-//! remain sound (leaf kernels are exact `f64` in both modes, so a fully
-//! refined answer is exact regardless of stored precision).  Gathers
-//! decode the stored values into full-width `f64` block columns, so both
-//! modes' block scoring equals their scalar reference bit for bit.  See
-//! [`node::StoredElement`] for the contract and `docs/PERF.md` for measured
-//! effects.
-//!
 //! ## Observability
 //!
 //! Every [`BayesTree`] inherits the `bt-obs` instrumentation of the shared
@@ -107,7 +90,7 @@ mod sharded;
 pub mod tree;
 pub mod view;
 
-pub use bulk::{build_tree, BulkLoadMethod};
+pub use bulk::{build_tree, try_build_tree, BulkLoadMethod};
 pub use classifier::{
     AnytimeClassifier, AnytimeTrace, Classification, Classifier, ClassifierConfig,
     ClassifierSnapshot,
@@ -115,23 +98,7 @@ pub use classifier::{
 pub use descent::{DescentStrategy, PriorityMeasure};
 pub use insert::InputError;
 pub use leaf::PointColumns;
-pub use node::{
-    Entry, KernelSummary, Node, NodeId, NodeKind, Quantized, QuantizedSummary, StoredElement,
-    StoredSummary,
-};
+pub use node::{Entry, KernelSummary, Node, NodeId, NodeKind};
 pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
 pub use tree::{BayesCore, BayesIndex, BayesTree, BayesTreeSnapshot};
-
-/// A Bayes tree whose stored summaries are block-exponent quantised: CF
-/// linear/squared sums as 16-bit mantissas against a shared per-summary
-/// power-of-two step, MBR corners as outward-rounded 16-bit floats.  A
-/// directory entry shrinks from 520 bytes (`f64`, dims = 16) to 136,
-/// roughly quadrupling fanout per 4 KiB page.  Bounds stay certified: the
-/// stored boxes enclose the exact ones and gathers decode to full-width
-/// `f64` columns, so the block kernels are untouched.  See the
-/// [crate docs](self) for the precision contract.
-pub type BayesTreeQuantized = BayesTree<Quantized>;
-
-/// The epoch-pinned snapshot of a [`BayesTreeQuantized`].
-pub type BayesTreeQuantizedSnapshot = BayesTreeSnapshot<Quantized>;

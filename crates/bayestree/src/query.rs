@@ -32,8 +32,6 @@
 //!   margin absolute in `m^2 + v` ([`bt_stats::kernel::cf_margin`]) moves
 //!   the lower bound down and the upper bound up by the rounding `ā` can
 //!   carry: `SS/n - m^2` cancels when the spread is far below the mean.
-//!   The quantised mode stores a rounded CF, which this margin does not
-//!   cover, so it keeps the box bounds ([`StoredSummary::CF_BOUNDS`]).
 //! * The point estimate is the Definition 3 mixture, a different model
 //!   from the kernel density the bounds enclose.  With CF bounds it may
 //!   lie outside `[lower, upper]`; it is not clamped, so every estimate
@@ -50,11 +48,11 @@
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::leaf::PointColumns;
-use crate::node::{StoredElement, StoredSummary};
+use crate::node::KernelSummary;
 use crate::tree::BayesIndex;
 use bt_anytree::{
     outlier_score_over, query_batch_over, query_over, Entry, OutlierScore, QueryAnswer, QueryModel,
-    QueryStats, RefineOrder, ShardSet, SummaryScore,
+    QueryStats, RefineOrder, ShardSet, Summary as _, SummaryScore,
 };
 use bt_stats::kernel::{
     certified_bounds, cf_margin, leaf_scores_block, log_kernel_at, node_estimates_block,
@@ -67,7 +65,7 @@ use bt_stats::{BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
 /// frontier and the non-incremental [`crate::pdq::pdq`] reference both call
 /// it.
 #[must_use]
-pub fn summary_mixture_term<S: StoredSummary>(summary: &S, x: &[f64], n: f64) -> f64 {
+pub fn summary_mixture_term(summary: &KernelSummary, x: &[f64], n: f64) -> f64 {
     summary.weight() / n * summary.gaussian().pdf(x)
 }
 
@@ -105,12 +103,9 @@ impl<'a> KernelQueryModel<'a> {
     }
 
     /// The certain bounds of an entry of `weight` points from its log
-    /// terms: the CF bounds ([`certified_bounds`]) when the stored mode
-    /// keeps an exact CF, else the box's `weight * K(farthest corner)` and
-    /// `weight * K(nearest point)`.  `jensen` and `magnitude` are read only
-    /// in the first case.  The block path and the scalar reference both
-    /// end here.
-    fn entry_bounds<S: StoredSummary>(
+    /// terms ([`certified_bounds`] with the [`cf_margin`] of `magnitude`).
+    /// The block path and the scalar reference both end here.
+    fn entry_bounds(
         &self,
         weight: f64,
         far: f64,
@@ -118,37 +113,27 @@ impl<'a> KernelQueryModel<'a> {
         jensen: f64,
         magnitude: f64,
     ) -> (f64, f64) {
-        let scale = weight / self.n;
-        if S::CF_BOUNDS {
-            let margin = cf_margin(weight, self.bandwidth.len(), magnitude);
-            certified_bounds(scale, far, near, jensen, margin)
-        } else {
-            (scale * far.exp(), scale * near.exp())
-        }
+        let margin = cf_margin(weight, self.bandwidth.len(), magnitude);
+        certified_bounds(weight / self.n, far, near, jensen, margin)
     }
 }
 
-impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
+impl QueryModel<KernelSummary> for KernelQueryModel<'_> {
     type Leaf = PointColumns;
 
-    fn summary_contribution(&self, query: &[f64], summary: &S) -> f64 {
+    fn summary_contribution(&self, query: &[f64], summary: &KernelSummary) -> f64 {
         summary_mixture_term(summary, query, self.n)
     }
 
-    /// Certain bounds from the summary's box and, in the `f64` mode, its
-    /// cluster feature (see the [module docs](self)).  The log terms come
-    /// from [`StoredSummary::bound_log_kernels`] and
-    /// [`StoredSummary::cf_log_terms`] — each stored representation
-    /// decodes its own corners and sums; the arithmetic that turns them
-    /// into bounds is shared with the block path.
-    fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
+    /// Certain bounds from the summary's box and its cluster feature (see
+    /// the [module docs](self)).  The log terms come from
+    /// `KernelSummary::bound_log_kernels` and `KernelSummary::cf_log_terms`;
+    /// the arithmetic that turns them into bounds is shared with the block
+    /// path.
+    fn summary_bounds(&self, query: &[f64], summary: &KernelSummary) -> (f64, f64) {
         let (far, near) = summary.bound_log_kernels(query, self.bandwidth);
-        let (jensen, magnitude) = if S::CF_BOUNDS {
-            summary.cf_log_terms(query, self.bandwidth)
-        } else {
-            (f64::NAN, f64::NAN)
-        };
-        self.entry_bounds::<S>(summary.weight(), far, near, jensen, magnitude)
+        let (jensen, magnitude) = summary.cf_log_terms(query, self.bandwidth);
+        self.entry_bounds(summary.weight(), far, near, jensen, magnitude)
     }
 
     /// `GaussianKernel::density` of the point against the query, over the
@@ -172,8 +157,8 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
             .sum()
     }
 
-    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
-        S::from_leaf(leaf).expect("cannot summarise an empty leaf")
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> KernelSummary {
+        KernelSummary::from_leaf(leaf).expect("cannot summarise an empty leaf")
     }
 
     /// Block gather: packs the node's entries into the structure-of-arrays
@@ -182,13 +167,11 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// in one fused, vectorized pass over the dimension-major columns
     /// instead of four scalar loops per entry.
     ///
-    /// The per-entry decode lives in [`StoredSummary::gather_into`]:
-    /// the `f64` mode copies and the quantised mode decodes its mantissas
-    /// (exactly, in `f64`) — each replicates
-    /// `ClusterFeature::variance` and the `DiagGaussian` variance clamp, and
-    /// the gather is a pure function of `entries`, so the engine caches it
-    /// per node keyed by the node's version stamp.
-    fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
+    /// Each entry writes its own row (`KernelSummary::gather_into`: raw
+    /// variances, which the node passes floor as the `DiagGaussian` clamp
+    /// does), and the gather is a pure function of `entries`, so the
+    /// engine caches it per node.
+    fn gather_entries(&self, entries: &[Entry<KernelSummary>], out: &mut GatheredBlock) -> bool {
         let dims = self.bandwidth.len();
         let len = entries.len();
         let block = &mut out.block;
@@ -208,12 +191,12 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
     /// Block scoring over gathered columns: mixture term, certain bounds
     /// and geometric priority for all entries in one [`node_scores_block`]
     /// pass.  The pass accumulates in the same per-dimension order as the
-    /// scalar methods, so in every stored mode the scores are bit-identical
-    /// to the per-summary reference (the frontier tests assert this).
+    /// scalar methods, so the scores are bit-identical to the per-summary
+    /// reference (the frontier tests assert this).
     fn score_gathered(
         &self,
         query: &[f64],
-        _entries: &[Entry<S>],
+        _entries: &[Entry<KernelSummary>],
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -227,7 +210,7 @@ impl<S: StoredSummary> QueryModel<S> for KernelQueryModel<'_> {
         for i in 0..len {
             let weight = block.weights()[i];
             let (lower, upper) =
-                self.entry_bounds::<S>(weight, far[i], near[i], jensen[i], magnitude[i]);
+                self.entry_bounds(weight, far[i], near[i], jensen[i], magnitude[i]);
             out.push(SummaryScore {
                 weight,
                 contribution: weight / self.n * contrib[i].exp(),
@@ -305,38 +288,38 @@ pub(crate) fn estimate_score(weight: f64, contribution: f64, min_dist_sq: f64) -
     }
 }
 
-impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
+impl QueryModel<KernelSummary> for EstimateModel<'_> {
     type Leaf = PointColumns;
 
-    fn summary_contribution(&self, query: &[f64], summary: &S) -> f64 {
+    fn summary_contribution(&self, query: &[f64], summary: &KernelSummary) -> f64 {
         summary_mixture_term(summary, query, self.0.n)
     }
 
-    fn summary_bounds(&self, query: &[f64], summary: &S) -> (f64, f64) {
+    fn summary_bounds(&self, query: &[f64], summary: &KernelSummary) -> (f64, f64) {
         let contribution = self.summary_contribution(query, summary);
         (contribution, contribution)
     }
 
     fn leaf_contribution(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
-        QueryModel::<S>::leaf_contribution(&self.0, query, leaf, index)
+        self.0.leaf_contribution(query, leaf, index)
     }
 
     fn leaf_sq_dist(&self, query: &[f64], leaf: &PointColumns, index: usize) -> f64 {
-        QueryModel::<S>::leaf_sq_dist(&self.0, query, leaf, index)
+        self.0.leaf_sq_dist(query, leaf, index)
     }
 
-    fn summarize_leaf_items(&self, leaf: &PointColumns) -> S {
+    fn summarize_leaf_items(&self, leaf: &PointColumns) -> KernelSummary {
         self.0.summarize_leaf_items(leaf)
     }
 
-    fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
+    fn gather_entries(&self, entries: &[Entry<KernelSummary>], out: &mut GatheredBlock) -> bool {
         self.0.gather_entries(entries, out)
     }
 
     fn score_gathered(
         &self,
         query: &[f64],
-        _entries: &[Entry<S>],
+        _entries: &[Entry<KernelSummary>],
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -368,7 +351,7 @@ impl<S: StoredSummary> QueryModel<S> for EstimateModel<'_> {
         scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
-        QueryModel::<S>::score_leaf_items(&self.0, query, leaf, scratch, out);
+        self.0.score_leaf_items(query, leaf, scratch, out);
     }
 }
 
@@ -383,14 +366,10 @@ impl From<DescentStrategy> for RefineOrder {
     }
 }
 
-impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
+impl<C: ShardSet<KernelSummary, PointColumns>> BayesIndex<C> {
     /// The kernel-density query model of this tree: normalised by the
     /// **global** observation count, so per-shard partial densities fold by
     /// summation; kernels evaluated with the tree's bandwidth.
-    ///
-    /// Both stored modes gather full-width columns: quantised mantissas
-    /// decode exactly in `f64`, so each mode's block path equals its scalar
-    /// reference bit for bit.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
         KernelQueryModel::new(self.num_points, &self.bandwidth)
@@ -456,7 +435,7 @@ impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
 mod tests {
     use super::*;
     use crate::BayesTree;
-    use bt_anytree::{OutlierVerdict, Summary as _, TreeView};
+    use bt_anytree::{OutlierVerdict, TreeView};
     use bt_index::PageGeometry;
     use bt_stats::BlockScratch;
     use rand::rngs::StdRng;
@@ -549,14 +528,10 @@ mod tests {
     }
 
     /// Scores every inner node of `tree` through the block path and checks
-    /// each score against the scalar `StoredSummary` reference bit for bit.
-    /// Both stored modes gather into full-width `f64` columns (the
-    /// quantised decode `q * step` is exact), so both are held to the same
-    /// contract.  The expected bounds are derived here from the summary's
-    /// log terms: through `certified_bounds` when the mode keeps an exact
-    /// CF (`f64`), as the box's `scale * exp(log kernel)` pair otherwise
-    /// (quantised).
-    fn assert_block_scores_match_the_scalar_reference<E: StoredElement>(tree: &BayesTree<E>) {
+    /// each score against the scalar per-summary reference bit for bit.
+    /// The expected bounds are derived here from the summary's log terms
+    /// through `certified_bounds`.
+    fn assert_block_scores_match_the_scalar_reference(tree: &BayesTree) {
         let model = tree.query_model();
         let bandwidth = &tree.bandwidth;
         let mut scratch = BlockScratch::new();
@@ -575,13 +550,9 @@ mod tests {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
                     let (far, near) = summary.bound_log_kernels(&query, bandwidth);
-                    let (lower, upper) = if E::Summary::CF_BOUNDS {
-                        let (jensen, magnitude) = summary.cf_log_terms(&query, bandwidth);
-                        let margin = cf_margin(summary.weight(), query.len(), magnitude);
-                        certified_bounds(scale, far, near, jensen, margin)
-                    } else {
-                        (scale * far.exp(), scale * near.exp())
-                    };
+                    let (jensen, magnitude) = summary.cf_log_terms(&query, bandwidth);
+                    let margin = cf_margin(summary.weight(), query.len(), magnitude);
+                    let (lower, upper) = certified_bounds(scale, far, near, jensen, margin);
                     let reference = model.summary_bounds(&query, summary);
                     assert_eq!(reference.0.to_bits(), lower.to_bits());
                     assert_eq!(reference.1.to_bits(), upper.to_bits());
@@ -608,16 +579,7 @@ mod tests {
 
     #[test]
     fn block_scores_match_the_scalar_reference_bitwise() {
-        const { assert!(<f64 as StoredElement>::Summary::CF_BOUNDS) };
         assert_block_scores_match_the_scalar_reference(&sample_tree(300, 6));
-    }
-
-    #[test]
-    fn quantized_block_scores_match_the_scalar_reference_bitwise() {
-        const { assert!(!<crate::node::Quantized as StoredElement>::Summary::CF_BOUNDS) };
-        let tree: BayesTree<crate::node::Quantized> =
-            BayesTree::build_iterative(&sample_points(300, 6), 2, PageGeometry::from_fanout(4, 4));
-        assert_block_scores_match_the_scalar_reference(&tree);
     }
 
     #[test]

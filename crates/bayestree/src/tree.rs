@@ -8,7 +8,7 @@
 //!
 //! Structurally each shard of the tree is a thin instantiation of the
 //! shared [`bt_anytree::AnytimeTree`] core (node arena, descent, split
-//! propagation) with the [`KernelSummary`](crate::KernelSummary) payload
+//! propagation) with the [`KernelSummary`] payload
 //! and each leaf's kernel centres in one dimension-major block
 //! ([`PointColumns`]), and the tree owns its shards
 //! through the shared sharding layer ([`bt_anytree::ShardedAnytimeTree`])
@@ -17,7 +17,7 @@
 //! ([`crate::bulk`]).
 
 use crate::leaf::PointColumns;
-use crate::node::{node_cluster_feature, node_mbr, Entry, NodeId, StoredElement, StoredSummary};
+use crate::node::{node_cluster_feature, node_mbr, Entry, KernelSummary, NodeId};
 use bt_anytree::{
     AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
     ShardedTreeSnapshot,
@@ -25,12 +25,11 @@ use bt_anytree::{
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
 use bt_stats::kernel::{log_kernel_at, KernelBandwidth};
-use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// One shard of a Bayes tree: the shared arena-tree core over the stored
-/// summaries `S` with each leaf's kernel centres in one dimension-major
-/// block.
+/// One shard of a Bayes tree: the shared arena-tree core over the summaries
+/// `S` (the tree's are [`KernelSummary`]) with each leaf's kernel centres in
+/// one dimension-major block.
 pub type BayesCore<S> = AnytimeTree<S, PointColumns>;
 
 /// The Bayes tree over the shard set `C`: an R*-tree–style hierarchy of
@@ -39,11 +38,6 @@ pub type BayesCore<S> = AnytimeTree<S, PointColumns>;
 /// [`BayesTreeSnapshot`] reads shards pinned by [`BayesTree::snapshot`]
 /// (`crate::view`).  Every read is written once, over any [`ShardSet`];
 /// the writes and `snapshot()` exist on the live tree only.
-///
-/// The stored-mode parameter `E` (default `f64`) selects how entry
-/// summaries are *stored*; see [`crate::node`] for the precision contract.
-/// [`BayesTreeQuantized`](crate::BayesTreeQuantized) is the 16-bit
-/// block-exponent alias.
 ///
 /// The tree owns `K` shards behind the shared sharding layer of
 /// [`bt_anytree::shard`]: [`BayesTree::new`] builds one, the paper's
@@ -55,29 +49,43 @@ pub type BayesCore<S> = AnytimeTree<S, PointColumns>;
 /// the shard set's views; per-node inspection goes through
 /// [`BayesTree::shard`].
 #[derive(Debug, Clone)]
-pub struct BayesIndex<E, C> {
+pub struct BayesIndex<C> {
     pub(crate) core: C,
     pub(crate) num_points: usize,
     /// The bandwidth with its cached scoring terms; shared with snapshots,
     /// replaced (never mutated) when the bandwidth changes.
     pub(crate) bandwidth: Arc<KernelBandwidth>,
-    /// The stored mode, a type-level choice: no `E` value is stored.
-    pub(crate) mode: PhantomData<E>,
 }
+
+/// The summary a [`BayesTree`] stores at element type `E`.  It exists only
+/// so that the alias keeps its `BayesTree::<f64>` spelling (perfbench
+/// writes `BayesTree::<f64>::paged_geometry(dims)`): an alias parameter
+/// must be used, and this projection uses it.  Its one impl, at `f64`,
+/// also lets an unannotated `BayesTree::new(..)` infer `E`.
+pub trait SummaryAt<E> {
+    /// [`KernelSummary`] itself.
+    type Summary;
+}
+
+impl SummaryAt<f64> for KernelSummary {
+    type Summary = KernelSummary;
+}
+
+/// The live shard set of a [`BayesTree`] routed by `R`.
+pub(crate) type LiveShards<R> = ShardedAnytimeTree<KernelSummary, PointColumns, R>;
 
 /// The live Bayes tree: reads, writes and snapshots over its own shards.
 pub type BayesTree<E = f64, R = CheapestRouter> =
-    BayesIndex<E, ShardedAnytimeTree<<E as StoredElement>::Summary, PointColumns, R>>;
+    BayesIndex<ShardedAnytimeTree<<KernelSummary as SummaryAt<E>>::Summary, PointColumns, R>>;
 
 /// An epoch-pinned, immutable view of a [`BayesTree`]: one pinned core
 /// snapshot per shard (a plain tree is one shard) plus the density-model
 /// parameters (global observation count, bandwidth) frozen at snapshot
 /// time.  `Send + Sync`; it answers every read bit-identically to the
 /// live tree at snapshot time.
-pub type BayesTreeSnapshot<E = f64> =
-    BayesIndex<E, ShardedTreeSnapshot<<E as StoredElement>::Summary, PointColumns>>;
+pub type BayesTreeSnapshot = BayesIndex<ShardedTreeSnapshot<KernelSummary, PointColumns>>;
 
-impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
+impl<C: ShardSet<KernelSummary, PointColumns>> BayesIndex<C> {
     /// Dimensionality of the stored kernels.
     #[must_use]
     pub fn dims(&self) -> usize {
@@ -119,7 +127,7 @@ impl<E: StoredElement, C: ShardSet<E::Summary, PointColumns>> BayesIndex<E, C> {
     }
 }
 
-impl<E: StoredElement> BayesTree<E> {
+impl BayesIndex<LiveShards<CheapestRouter>> {
     /// Creates an empty one-shard tree for `dims`-dimensional kernels.
     ///
     /// # Panics
@@ -130,18 +138,8 @@ impl<E: StoredElement> BayesTree<E> {
         Self::sharded(dims, geometry, 1)
     }
 
-    /// The 4 KiB-page geometry at this tree's *stored* mode: inner entries
-    /// narrow with the stored scalar width
-    /// ([`StoredElement::SCALAR_BYTES`]), so a
-    /// [`Quantized`](crate::node::Quantized) tree packs roughly four times
-    /// the fanout into the same physical page: a shallower
-    /// tree where every budgeted node read covers that much more summary
-    /// mass.  Leaves hold exact full-width observations in every mode, so
-    /// the leaf capacity is unchanged.
-    ///
-    /// Use [`bt_index::PageGeometry::default_for_dims`] instead when
-    /// multiple modes must share one geometry (e.g. structural A/B
-    /// comparisons).
+    /// The 4 KiB-page geometry, [`PageGeometry::default_for_dims`]; kept
+    /// because perfbench spells it `BayesTree::<f64>::paged_geometry`.
     ///
     /// # Panics
     ///
@@ -149,11 +147,11 @@ impl<E: StoredElement> BayesTree<E> {
     /// `dims`).
     #[must_use]
     pub fn paged_geometry(dims: usize) -> PageGeometry {
-        PageGeometry::from_page_size_for_scalar(4096, dims, E::SCALAR_BYTES)
+        PageGeometry::default_for_dims(dims)
     }
 }
 
-impl<E: StoredElement, R: Default> BayesTree<E, R> {
+impl<R: Default> BayesIndex<LiveShards<R>> {
     /// Creates an empty tree of `num_shards` shards with a
     /// default-constructed router.
     ///
@@ -166,7 +164,7 @@ impl<E: StoredElement, R: Default> BayesTree<E, R> {
     }
 }
 
-impl<E: StoredElement, R> BayesTree<E, R> {
+impl<R> BayesIndex<LiveShards<R>> {
     /// Creates an empty tree of `num_shards` shards routed by `router`.
     ///
     /// # Panics
@@ -178,7 +176,6 @@ impl<E: StoredElement, R> BayesTree<E, R> {
             core: ShardedAnytimeTree::with_router(dims, geometry, num_shards, router),
             num_points: 0,
             bandwidth: Arc::new(KernelBandwidth::new(vec![1.0; dims])),
-            mode: PhantomData,
         }
     }
 
@@ -209,19 +206,19 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// The shard trees, for per-node inspection through
     /// [`bt_anytree::TreeView`] and for the query folds.
     #[must_use]
-    pub fn shards(&self) -> &[BayesCore<E::Summary>] {
+    pub fn shards(&self) -> &[BayesCore<KernelSummary>] {
         self.core.shards()
     }
 
     /// One shard tree: its `root()`, `node(id)` and reachable set.
     #[must_use]
-    pub fn shard(&self, k: usize) -> &BayesCore<E::Summary> {
+    pub fn shard(&self, k: usize) -> &BayesCore<KernelSummary> {
         self.core.shard(k)
     }
 
     /// Write access to one shard (crate-internal: the bulk loaders assemble
     /// shard 0 node by node).
-    pub(crate) fn shard_mut(&mut self, k: usize) -> &mut BayesCore<E::Summary> {
+    pub(crate) fn shard_mut(&mut self, k: usize) -> &mut BayesCore<KernelSummary> {
         self.core.shard_mut(k)
     }
 
@@ -329,7 +326,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// shard's root entries, or a synthetic single entry summarising a
     /// non-empty leaf root.
     #[must_use]
-    pub fn root_entries(&self) -> Vec<Entry<E>> {
+    pub fn root_entries(&self) -> Vec<Entry> {
         self.shards().iter().flat_map(shard_root_entries).collect()
     }
 
@@ -340,7 +337,7 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// node; levels beyond the directory return leaf-node summaries rather
     /// than raw kernels.
     #[must_use]
-    pub fn level_entries(&self, level: usize) -> Vec<Entry<E>> {
+    pub fn level_entries(&self, level: usize) -> Vec<Entry> {
         let mut out = Vec::new();
         for shard in self.shards() {
             let mut current = shard_root_entries(shard);
@@ -425,17 +422,14 @@ impl<E: StoredElement, R> BayesTree<E, R> {
 /// # Panics
 ///
 /// Panics if `child` is empty.
-pub(crate) fn summarise<S: StoredSummary>(
-    shard: &BayesCore<S>,
-    child: NodeId,
-) -> bt_anytree::Entry<S> {
+pub(crate) fn summarise(shard: &BayesCore<KernelSummary>, child: NodeId) -> Entry {
     let model = crate::insert::KernelModel::new(shard.dims());
     shard.summarize_node(&model, child)
 }
 
 /// One shard's root entries, or a synthetic single entry summarising its
 /// root when the root is a non-empty leaf.
-fn shard_root_entries<S: StoredSummary>(shard: &BayesCore<S>) -> Vec<bt_anytree::Entry<S>> {
+fn shard_root_entries(shard: &BayesCore<KernelSummary>) -> Vec<Entry> {
     match &shard.node(shard.root()).kind {
         NodeKind::Inner { entries } => entries.clone(),
         NodeKind::Leaf { items } if items.is_empty() => Vec::new(),
@@ -445,8 +439,8 @@ fn shard_root_entries<S: StoredSummary>(shard: &BayesCore<S>) -> Vec<bt_anytree:
 
 /// Validates one shard (Definition 2 plus aggregate consistency) and
 /// returns the number of observations reachable in it.
-fn validate_shard<S: StoredSummary>(
-    shard: &BayesCore<S>,
+fn validate_shard(
+    shard: &BayesCore<KernelSummary>,
     require_balanced: bool,
 ) -> Result<usize, String> {
     let mut leaf_depths = Vec::new();
@@ -477,8 +471,8 @@ fn validate_shard<S: StoredSummary>(
     Ok(seen_points)
 }
 
-fn validate_node<S: StoredSummary>(
-    shard: &BayesCore<S>,
+fn validate_node(
+    shard: &BayesCore<KernelSummary>,
     id: NodeId,
     depth: usize,
     is_root: bool,
@@ -529,11 +523,9 @@ fn validate_node<S: StoredSummary>(
                         "entry {i} of node {id} has a hitchhiker buffer (unused here)"
                     ));
                 }
-                let entry_cf = entry.exact_cf();
-                let finite_box = entry
-                    .owned_mbr()
-                    .is_none_or(|b| all_finite(b.lower()) && all_finite(b.upper()));
-                if !(finite_box
+                let (entry_mbr, entry_cf) = (&entry.mbr, &entry.cf);
+                if !(all_finite(entry_mbr.lower())
+                    && all_finite(entry_mbr.upper())
                     && all_finite(entry_cf.linear_sum())
                     && all_finite(entry_cf.squared_sum()))
                 {
@@ -542,22 +534,14 @@ fn validate_node<S: StoredSummary>(
                     ));
                 }
                 let child = shard.node(entry.child);
-                // The decoded entry box must contain the child's decoded
-                // MBR (both at full width, so the check is representation
-                // agnostic — the outward-rounding contract of every
-                // narrowed mode makes this hold exactly).
                 if let Some(child_mbr) = node_mbr(child) {
-                    let entry_mbr = entry
-                        .owned_mbr()
-                        .ok_or_else(|| format!("entry {i} of node {id} exposes no box"))?;
                     if !entry_mbr.contains_mbr(&child_mbr) {
                         return Err(format!(
                             "entry {i} of node {id} does not contain its child's MBR"
                         ));
                     }
                 }
-                // CF weight must match the number of objects below
-                // (exact in every mode: weights are never quantised).
+                // CF weight must match the number of objects below.
                 let child_cf = node_cluster_feature(child, dims);
                 if (entry.weight() - child_cf.weight()).abs() > 1e-6 {
                     return Err(format!(
@@ -566,14 +550,12 @@ fn validate_node<S: StoredSummary>(
                         child_cf.weight()
                     ));
                 }
-                // Decoded LS must agree with the child's decoded fold up
-                // to the representations' declared quantisation slack
-                // (zero for the lossless-accumulation modes).
-                let slack = entry.ls_slack() + node_ls_slack(child);
+                // LS must agree with the child's fold up to the rounding of
+                // the two summation orders.
                 for d in 0..dims {
                     let entry_ls = entry_cf.linear_sum()[d];
                     let child_ls = child_cf.linear_sum()[d];
-                    if (entry_ls - child_ls).abs() > 1e-4 * (1.0 + child_ls.abs()) + slack {
+                    if (entry_ls - child_ls).abs() > 1e-4 * (1.0 + child_ls.abs()) {
                         return Err(format!(
                             "entry {i} of node {id}: LS[{d}] inconsistent with child"
                         ));
@@ -595,16 +577,6 @@ fn validate_node<S: StoredSummary>(
 
 fn all_finite(values: &[f64]) -> bool {
     values.iter().all(|v| v.is_finite())
-}
-
-/// Total declared LS quantisation slack of a node's own entries (zero for
-/// leaves and for lossless-accumulation modes) — the child-side term of the
-/// validate tolerance.
-fn node_ls_slack<S: StoredSummary>(node: &bt_anytree::Node<S, PointColumns>) -> f64 {
-    match &node.kind {
-        bt_anytree::NodeKind::Leaf { .. } => 0.0,
-        bt_anytree::NodeKind::Inner { entries } => entries.iter().map(|e| e.ls_slack()).sum(),
-    }
 }
 
 #[cfg(test)]

@@ -15,13 +15,11 @@
 //! structures run.  This module holds only the two constructors.
 
 use crate::classifier::{AnytimeClassifier, Classifier, ClassifierSnapshot};
-use crate::node::StoredElement;
-use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
+use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot, LiveShards};
 use bt_anytree::ShardedTreeSnapshot;
-use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
-impl<E: StoredElement, R> BayesTree<E, R> {
+impl<R> BayesIndex<LiveShards<R>> {
     /// Takes an epoch-pinned snapshot of every shard: each shard's
     /// versioned arena spine is cloned (`O(nodes)` pointer copies), its
     /// published epoch is pinned, and the density-model parameters (global
@@ -30,12 +28,11 @@ impl<E: StoredElement, R> BayesTree<E, R> {
     /// The snapshot is `Send + Sync` and keeps answering queries
     /// bit-identically to this moment while later inserts mutate the tree.
     #[must_use]
-    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
+    pub fn snapshot(&self) -> BayesTreeSnapshot {
         BayesIndex {
             core: ShardedTreeSnapshot::new(self.shards()),
             num_points: self.num_points,
             bandwidth: Arc::clone(&self.bandwidth),
-            mode: PhantomData,
         }
     }
 }

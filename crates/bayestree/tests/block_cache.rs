@@ -1,12 +1,12 @@
 //! Cache-epoch interaction properties for the per-node block cache.
 //!
-//! The block cache must be *invisible* in `f64` mode: warm slots, cold
+//! The block cache must be *invisible*: warm slots, cold
 //! slots and no slots at all produce bit-identical density answers —
 //! across the live tree, epoch-pinned snapshots and the sharded variant —
 //! and a node's block is never reused after a write changes the node
 //! (every write empties the node's slot).
 
-use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy};
+use bayestree::{BayesTree, DescentStrategy};
 use bt_anytree::{Node, NodeId, QueryAnswer, ShardSet, Summary, TreeView};
 use bt_index::PageGeometry;
 
@@ -150,39 +150,6 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
         BUDGET,
     );
     assert_eq!(bits(&reference), bits(&frozen), "and still exact");
-}
-
-#[test]
-fn quantized_decode_path_is_cache_invisible_and_matches_the_reference() {
-    // The quantised mode decodes 16-bit summaries into f64 columns at
-    // gather time, so a cached block memoises the *decode* as well as the
-    // gather.  Warm, cold and cache-less passes must still agree bit for
-    // bit — the cache may never observe a different decode.
-    let points = stream(300, 0);
-    let mut tree = BayesTreeQuantized::new(DIMS, PageGeometry::from_fanout(3, 5));
-    for chunk in points.chunks(64) {
-        tree.insert_batch(chunk.to_vec());
-    }
-    let queries = queries();
-
-    let (cold, cold_stats) = tree.density_batch(&queries, DescentStrategy::default(), BUDGET);
-    assert!(cold_stats.block_gathers > 0, "block path is exercised");
-    let (warm, warm_stats) = tree.density_batch(&queries, DescentStrategy::default(), BUDGET);
-    assert!(
-        warm_stats.gathers_avoided > 0,
-        "second pass hits the warm slots"
-    );
-    assert_eq!(bits(&cold), bits(&warm), "cached decodes change nothing");
-
-    let snapshot = tree.snapshot();
-    let (reference, ref_stats) = NoCache(snapshot.core().shard(0)).query_batch(
-        &snapshot.query_model(),
-        &queries,
-        DescentStrategy::default().into(),
-        BUDGET,
-    );
-    assert_eq!(ref_stats.gathers_avoided, 0, "no slots, no hits");
-    assert_eq!(bits(&reference), bits(&warm), "cache is invisible");
 }
 
 #[test]

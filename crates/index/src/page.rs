@@ -42,29 +42,10 @@ impl PageGeometry {
     /// two leaf observations.
     #[must_use]
     pub fn from_page_size(page_bytes: usize, dims: usize) -> Self {
-        Self::from_page_size_for_scalar(page_bytes, dims, FLOAT_BYTES)
-    }
-
-    /// Derives the geometry for a page of `page_bytes` bytes whose summary
-    /// scalars (MBR corners and CF components) are stored `scalar_bytes`
-    /// wide.
-    ///
-    /// This is where a narrowed index earns its keep: halving the scalar
-    /// width roughly doubles the inner entries a fixed physical page holds,
-    /// so the tree is shallower and every budgeted page read covers twice
-    /// the summary mass.  Leaf observations are exact full-width points in
-    /// every stored mode, so the leaf capacity does not scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is too small to hold at least two inner entries or
-    /// two leaf observations.
-    #[must_use]
-    pub fn from_page_size_for_scalar(page_bytes: usize, dims: usize, scalar_bytes: usize) -> Self {
-        // Inner entry: MBR (2d scalars) + CF (n + LS + SS = 1 + 2d scalars)
+        // Inner entry: MBR (2d floats) + CF (n + LS + SS = 1 + 2d floats)
         // + pointer.
-        let inner_entry = (4 * dims + 1) * scalar_bytes + POINTER_BYTES;
-        // Leaf observation: d full-width floats + label.
+        let inner_entry = (4 * dims + 1) * FLOAT_BYTES + POINTER_BYTES;
+        // Leaf observation: d floats + label.
         let leaf_entry = dims * FLOAT_BYTES + POINTER_BYTES;
         let max_fanout = page_bytes / inner_entry;
         let max_leaf = page_bytes / leaf_entry;
@@ -106,19 +87,6 @@ impl PageGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn half_width_scalars_roughly_double_the_fanout() {
-        let wide = PageGeometry::from_page_size_for_scalar(4096, 16, 8);
-        let narrow = PageGeometry::from_page_size_for_scalar(4096, 16, 4);
-        // Inner entry: 528 bytes wide -> 7 per page, 268 narrow -> 15.
-        assert_eq!(wide.max_fanout, 7);
-        assert_eq!(narrow.max_fanout, 15);
-        // Leaves hold exact full-width observations in both modes.
-        assert_eq!(wide.max_leaf, narrow.max_leaf);
-        // The full-width form is the plain page-size constructor.
-        assert_eq!(wide, PageGeometry::from_page_size(4096, 16));
-    }
 
     #[test]
     fn four_kib_page_sixteen_dims() {

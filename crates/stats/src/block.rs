@@ -14,12 +14,11 @@
 //! per-dimension constants (`-1 / (2 h^2)`, the kernel's peak) out of the entry
 //! loop, and accumulate all `n` results in vectorized inner loops.
 //!
-//! **Precision.**  Every column is `f64`.  Summaries stored narrower (the
-//! quantised stored mode) decode into these columns at gather time, so
-//! narrowing happens only when a summary is written and every block kernel
-//! does its arithmetic on exactly the values the scalar path reads.  The entry-major scalar path remains the property-tested
-//! reference (see `crates/stats/tests/block_kernels.rs`): the block kernels
-//! reproduce it bit for bit.
+//! **Precision.**  Every column is `f64`, copied from the summaries at
+//! gather time, so every block kernel does its arithmetic on exactly the
+//! values the scalar path reads.  The entry-major scalar path remains the
+//! property-tested reference (see `crates/stats/tests/block_kernels.rs`):
+//! the block kernels reproduce it bit for bit.
 //!
 //! A block is plain reusable scratch: gather a node with [`SummaryBlock::
 //! reset`] + the `set_*` writers, evaluate, reuse for the next node.  The

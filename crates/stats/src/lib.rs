@@ -31,7 +31,6 @@ pub mod goldberger;
 pub mod kernel;
 pub mod kl;
 pub mod mixture;
-pub mod quant;
 pub mod simd;
 pub mod summary;
 pub mod vector;
@@ -45,7 +44,6 @@ pub use goldberger::{GoldbergerConfig, GoldbergerResult};
 pub use kernel::{GaussianKernel, Kernel, KernelBandwidth};
 pub use kl::{kl_diag_gaussian, mixture_distance};
 pub use mixture::{GaussianMixture, WeightedComponent};
-pub use quant::{bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16};
 pub use summary::RunningStats;
 
 /// Smallest variance allowed anywhere in the crate.

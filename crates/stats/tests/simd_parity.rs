@@ -15,9 +15,8 @@ use bt_stats::kernel::{
     smoothed_farthest_log_kernel, sq_dists_block,
 };
 use bt_stats::{
-    bf16_ceil, bf16_decode, bf16_floor, block_step, dequantize_i16, quantize_i16, DiagGaussian,
-    GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock, LN_2PI,
-    VARIANCE_FLOOR,
+    DiagGaussian, GatheredBlock, GaussianKernel, Kernel, KernelBandwidth, ScoreLanes, SummaryBlock,
+    LN_2PI, VARIANCE_FLOOR,
 };
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
@@ -211,7 +210,7 @@ fn diag_log_pdfs_match_scalar_bitwise() {
     // substituting the stored `ln` must not move a bit against the
     // inline-`ln` scalar reference, in the full and the estimate pass.
     for &len in LENS {
-        let (c, block) = node_case(5, len, 0xD1A6 + ((len as u64) << 2), Stored::F64);
+        let (c, block) = node_case(5, len, 0xD1A6 + ((len as u64) << 2));
         let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
         let mut full: ScoreLanes = Default::default();
         node_scores_block(&c.query, &bandwidth, &block, &mut full);
@@ -239,7 +238,7 @@ fn box_kernels_match_scalar_bitwise() {
     // of the micro-cluster pass (smoothed farthest corner, nearest point).
     for &len in LENS {
         let seed = 0xB0CE5 ^ (len as u64) << 3;
-        let (c, block) = node_case(4, len, seed, Stored::F64);
+        let (c, block) = node_case(4, len, seed);
         let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
         let mut node: ScoreLanes = Default::default();
         node_scores_block(&c.query, &bandwidth, &block, &mut node);
@@ -303,32 +302,10 @@ const FUSED_DIMS: &[usize] = &[1, 2, 16, 33];
 /// on top of one and two lanes.
 const FUSED_LENS: std::ops::RangeInclusive<usize> = 1..=9;
 
-/// How a case's values reach the (always `f64`) block columns.
-#[derive(Debug, Clone, Copy)]
-enum Stored {
-    /// The values as generated.
-    F64,
-    /// Quantised-mode decodes: i16 block-exponent means and variances, bf16
-    /// outward-rounded box corners.
-    QuantisedDecode,
-}
-
-/// Round-trips every value of one entry's column group through the i16
-/// block-exponent code with the group's shared step, as the quantised
-/// summaries store them.
-fn i16_decode(values: &[f64]) -> Vec<f64> {
-    let maxabs = values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let step = block_step(maxabs);
-    values
-        .iter()
-        .map(|&v| dequantize_i16(quantize_i16(v, step), step))
-        .collect()
-}
-
 /// A gathered node of `len` entries over `dims` dimensions with its query
 /// and bandwidth: variances clamped like `DiagGaussian::new`, box and
 /// log-variance columns filled, as the Bayes-tree gather leaves them.
-fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, SummaryBlock) {
+fn node_case(dims: usize, len: usize, seed: u64) -> (Case, SummaryBlock) {
     let c = case(dims, len, seed);
     let mut block = SummaryBlock::new();
     block.reset(dims, len);
@@ -337,17 +314,8 @@ fn node_case(dims: usize, len: usize, seed: u64, stored: Stored) -> (Case, Summa
     for i in 0..len {
         block.set_weight(i, 1.0 + i as f64);
         let column = |cols: &[f64]| -> Vec<f64> { (0..dims).map(|d| cols[d * len + i]).collect() };
-        let (mut mean, mut var) = (column(&c.means), column(&c.vars));
-        let (mut lower, mut upper) = (column(&c.lower), column(&c.upper));
-        match stored {
-            Stored::F64 => {}
-            Stored::QuantisedDecode => {
-                mean = i16_decode(&mean);
-                var = i16_decode(&var);
-                lower = lower.iter().map(|&v| bf16_decode(bf16_floor(v))).collect();
-                upper = upper.iter().map(|&v| bf16_decode(bf16_ceil(v))).collect();
-            }
-        }
+        let (mean, var) = (column(&c.means), column(&c.vars));
+        let (lower, upper) = (column(&c.lower), column(&c.upper));
         for d in 0..dims {
             block.set_mean(d, i, mean[d]);
             block.set_var(d, i, var[d].max(VARIANCE_FLOOR));
@@ -459,20 +427,18 @@ const LANE_NAMES: [&str; 4] = ["log_pdf", "farthest", "nearest", "min_dist_sq"];
 fn fused_node_pass_matches_per_quantity_kernels_bitwise() {
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS {
-            for stored in [Stored::F64, Stored::QuantisedDecode] {
-                let seed = 0xF05E_D000 + ((dims as u64) << 8) + len as u64;
-                let (c, block) = node_case(dims, len, seed, stored);
-                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-                let mut fused: ScoreLanes = Default::default();
-                node_scores_block(&c.query, &bandwidth, &block, &mut fused);
-                let per_quantity = node_per_quantity(&c.query, &bandwidth, &block);
-                let want = node_reference(&c.query, &bandwidth, &block);
-                for lane in 0..4 {
-                    let what = format!("{stored:?} dims {dims} len {len} {}", LANE_NAMES[lane]);
-                    assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
-                    let what = format!("{what} vs scalar");
-                    assert_bits_eq(&fused[lane], &want[lane], &what);
-                }
+            let seed = 0xF05E_D000 + ((dims as u64) << 8) + len as u64;
+            let (c, block) = node_case(dims, len, seed);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let mut fused: ScoreLanes = Default::default();
+            node_scores_block(&c.query, &bandwidth, &block, &mut fused);
+            let per_quantity = node_per_quantity(&c.query, &bandwidth, &block);
+            let want = node_reference(&c.query, &bandwidth, &block);
+            for lane in 0..4 {
+                let what = format!("dims {dims} len {len} {}", LANE_NAMES[lane]);
+                assert_bits_eq(&fused[lane], &per_quantity[lane], &what);
+                let what = format!("{what} vs scalar");
+                assert_bits_eq(&fused[lane], &want[lane], &what);
             }
         }
     }
@@ -485,21 +451,19 @@ fn estimate_node_pass_matches_the_full_pass_bitwise() {
     // in the `--no-default-features` build the scalar loop.
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS.chain([64]) {
-            for stored in [Stored::F64, Stored::QuantisedDecode] {
-                let seed = 0xE571_0000 + ((dims as u64) << 8) + len as u64;
-                let (c, block) = node_case(dims, len, seed, stored);
-                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-                let mut full: ScoreLanes = Default::default();
-                node_scores_block(&c.query, &bandwidth, &block, &mut full);
-                let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
-                node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
-                let want = node_reference(&c.query, &bandwidth, &block);
-                let what = format!("{stored:?} dims {dims} len {len}");
-                assert_bits_eq(&log_pdf, &full[0], &format!("{what} log_pdf"));
-                assert_bits_eq(&min_sq, &full[3], &format!("{what} min_dist_sq"));
-                assert_bits_eq(&log_pdf, &want[0], &format!("{what} log_pdf vs scalar"));
-                assert_bits_eq(&min_sq, &want[3], &format!("{what} min_dist_sq vs scalar"));
-            }
+            let seed = 0xE571_0000 + ((dims as u64) << 8) + len as u64;
+            let (c, block) = node_case(dims, len, seed);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let mut full: ScoreLanes = Default::default();
+            node_scores_block(&c.query, &bandwidth, &block, &mut full);
+            let (mut log_pdf, mut min_sq) = (vec![f64::NAN; 3], Vec::new());
+            node_estimates_block(&c.query, &block, &mut log_pdf, &mut min_sq);
+            let want = node_reference(&c.query, &bandwidth, &block);
+            let what = format!("dims {dims} len {len}");
+            assert_bits_eq(&log_pdf, &full[0], &format!("{what} log_pdf"));
+            assert_bits_eq(&min_sq, &full[3], &format!("{what} min_dist_sq"));
+            assert_bits_eq(&log_pdf, &want[0], &format!("{what} log_pdf vs scalar"));
+            assert_bits_eq(&min_sq, &want[3], &format!("{what} min_dist_sq vs scalar"));
         }
     }
 }
@@ -592,36 +556,34 @@ fn fused_leaf_pass_matches_per_quantity_kernels_bitwise() {
     // scalar loop.
     for &dims in FUSED_DIMS {
         for len in FUSED_LENS.chain([25, 26, 64]) {
-            for stored in [Stored::F64, Stored::QuantisedDecode] {
-                let seed = 0x1EAF_0000 + ((dims as u64) << 8) + len as u64;
-                let (c, block) = node_case(dims, len, seed, stored);
-                let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
-                let (mut log_k, mut sq) = (Vec::new(), Vec::new());
-                leaf_scores_block(
-                    &c.query,
-                    &bandwidth,
-                    block.mean(),
-                    len,
-                    len,
-                    &mut log_k,
-                    &mut sq,
-                );
-                let mut mean = Vec::new();
-                let want_k: Vec<f64> = (0..len)
-                    .map(|i| {
-                        block.entry_mean_into(i, &mut mean);
-                        GaussianKernel.log_density(&mean, &c.query, &bandwidth)
-                    })
-                    .collect();
-                let mut want_sq = Vec::new();
-                sq_dists_block(&c.query, block.mean(), len, &mut want_sq);
-                let what = format!("{stored:?} dims {dims} len {len}");
-                assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
-                assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
-                let [ref_k, ref_sq] = leaf_reference(&c.query, &bandwidth, block.mean(), len);
-                assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
-                assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
-            }
+            let seed = 0x1EAF_0000 + ((dims as u64) << 8) + len as u64;
+            let (c, block) = node_case(dims, len, seed);
+            let bandwidth = KernelBandwidth::new(c.bandwidth.clone());
+            let (mut log_k, mut sq) = (Vec::new(), Vec::new());
+            leaf_scores_block(
+                &c.query,
+                &bandwidth,
+                block.mean(),
+                len,
+                len,
+                &mut log_k,
+                &mut sq,
+            );
+            let mut mean = Vec::new();
+            let want_k: Vec<f64> = (0..len)
+                .map(|i| {
+                    block.entry_mean_into(i, &mut mean);
+                    GaussianKernel.log_density(&mean, &c.query, &bandwidth)
+                })
+                .collect();
+            let mut want_sq = Vec::new();
+            sq_dists_block(&c.query, block.mean(), len, &mut want_sq);
+            let what = format!("dims {dims} len {len}");
+            assert_bits_eq(&log_k, &want_k, &format!("{what} log_kernel"));
+            assert_bits_eq(&sq, &want_sq, &format!("{what} sq_dist"));
+            let [ref_k, ref_sq] = leaf_reference(&c.query, &bandwidth, block.mean(), len);
+            assert_bits_eq(&log_k, &ref_k, &format!("{what} log_kernel vs scalar"));
+            assert_bits_eq(&sq, &ref_sq, &format!("{what} sq_dist vs scalar"));
         }
     }
 }

@@ -163,29 +163,23 @@
 //!   (its routing columns live in its own per-batch scratch), and leaf
 //!   nodes get the same treatment through
 //!   [`anytree::QueryModel::score_leaf_items`] — all bit-identical to the
-//!   gather-every-time scalar reference in `f64` mode
+//!   gather-every-time scalar reference
 //!   (`tests/block_cache.rs` in both tree crates,
 //!   `tests/block_cache_rule.rs`).
 //!
-//!   **The 16-bit stored mode.**  The Bayes tree's stored summaries are
-//!   parameterised by a stored mode (`bayestree::node::StoredElement`):
-//!   `f64` is the bit-exact reference mode, `Quantized` stores MBR corners
-//!   and cluster features at 16 bits — accumulating in `f64`, quantising
-//!   on write with **outward-rounded** box corners so every stored
-//!   rectangle still encloses its subtree and the certain `[lower, upper]`
-//!   density bounds stay sound (property-tested in
-//!   `tests/stored_precision.rs`).  Both modes route through the same R*
-//!   MINDIST/enlargement machinery via per-corner accessors, leaf
-//!   observations stay exact `f64` in both, and the page-size fanout
-//!   derivation (`index::PageGeometry::from_page_size_for_scalar`) converts
-//!   the narrower entries into ~4× fanout per fixed-size page.  Narrowing
-//!   happens only on write: both modes gather into full-width block
-//!   columns, so each mode's block path equals its scalar reference bit
-//!   for bit.  Descent and refinement issue **software prefetches** for
+//!   **Stored precision and page geometry.**  The Bayes tree stores one
+//!   summary type, [`bayestree::KernelSummary`]: the box and the cluster
+//!   feature at full `f64` width (Definition 1), with leaf observations
+//!   exact `f64` in one dimension-major block per leaf.  Its certified
+//!   bounds read both the box and the cluster feature.  Fanout and leaf
+//!   capacity come from a page size ([`index::PageGeometry::from_page_size`];
+//!   4 KiB by default, [`index::PageGeometry::default_for_dims`]).  A
+//!   16-bit quantised mode was measured and deleted: at equal CPU time it
+//!   certified fewer verdicts (`docs/PERF.md`, "Quantised mode removed").
+//!   Descent and refinement issue **software prefetches** for
 //!   the next frontier candidate's node version (counted in
 //!   `QueryStats::prefetches` / `DescentStats::prefetches` and surfaced by
-//!   the `eval` report tables).  `docs/PERF.md` records the precision
-//!   contract and the measurements.
+//!   the `eval` report tables).
 //!
 //!   **The observability boundary.**  Every layer reports into one
 //!   process-global [`obs`] registry without ever putting an atomic on a

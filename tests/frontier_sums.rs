@@ -85,7 +85,7 @@ fn assert_encloses(lower: f64, upper: f64, exact: f64, what: &str) {
 /// Checks every query against the live tree's flat kernel density, read
 /// through `tree` (the live tree itself or a snapshot of it).
 fn check_tree<C: ShardSet<KernelSummary, PointColumns>>(
-    tree: &BayesIndex<f64, C>,
+    tree: &BayesIndex<C>,
     live: &BayesTree,
     queries: &[Vec<f64>],
     what: &str,

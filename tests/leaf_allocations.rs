@@ -23,7 +23,7 @@
 use anytime_stream_mining::anytree::{NodeKind, ShardSet, Summary, TreeView};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesIndex, BayesTree, BayesTreeSnapshot, Classification, ClassifierConfig,
-    DescentStrategy, Node, PointColumns, StoredElement,
+    DescentStrategy, KernelSummary, Node, PointColumns,
 };
 use anytime_stream_mining::data::synth::letter;
 use anytime_stream_mining::index::PageGeometry;
@@ -143,9 +143,9 @@ fn assert_no_leaf_slot_filled<S: Summary, V: TreeView<S, PointColumns>>(shards: 
 
 /// Warm-up, then every read again, counted: `density_batch` allocates its
 /// answers `Vec` alone and `outlier_score` nothing.
-fn check_tree_reads<E: StoredElement, C: ShardSet<E::Summary, PointColumns>>(
+fn check_tree_reads<C: ShardSet<KernelSummary, PointColumns>>(
     surface: &str,
-    tree: &BayesIndex<E, C>,
+    tree: &BayesIndex<C>,
     thresholds: &[f64],
 ) {
     let queries = points(24, 5_000);

@@ -16,8 +16,7 @@
 //! * the no-reader fast path never copies a node, and dropping the last
 //!   snapshot unpins its epoch,
 //! * **one reader**: every read the live tree and its snapshot share —
-//!   Bayes density, batched density and outlier scores (both stored modes,
-//!   1 and 3 shards), ClusTree density, batched density, k-NN, outlier
+//!   Bayes density, batched density and outlier scores (1 and 3 shards), ClusTree density, batched density, k-NN, outlier
 //!   scores and micro-clusters, classifier decisions and traces — gives the
 //!   same bits on both at the same epoch, and the snapshot keeps those bits
 //!   after one more batch.
@@ -25,7 +24,7 @@
 use anytime_stream_mining::anytree::{OutlierScore, QueryAnswer, RefineOrder, ShardSet};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesIndex, BayesTree, Classification, Classifier, ClassifierConfig,
-    DescentStrategy, KernelSummary, PointColumns, Quantized, StoredElement,
+    DescentStrategy, KernelSummary, PointColumns,
 };
 use anytime_stream_mining::clustree::{ClusIndex, ClusTree, ClusTreeConfig, MicroCluster};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -251,8 +250,8 @@ fn score_bits(s: &OutlierScore, out: &mut Vec<u64>) {
 /// Every read a Bayes tree and its snapshot share, as bits: the count,
 /// one-shot and batched density at each budget, and outlier scores at two
 /// thresholds.
-fn bayes_reads<E: StoredElement, C: ShardSet<E::Summary, PointColumns>>(
-    index: &BayesIndex<E, C>,
+fn bayes_reads<C: ShardSet<KernelSummary, PointColumns>>(
+    index: &BayesIndex<C>,
     queries: &[Vec<f64>],
 ) -> Vec<u64> {
     let mut out = vec![index.len() as u64];
@@ -275,11 +274,11 @@ fn bayes_reads<E: StoredElement, C: ShardSet<E::Summary, PointColumns>>(
     out
 }
 
-/// Builds a Bayes tree of `shards` shards in mode `E`, checks that its
-/// snapshot reads the same bits as the live tree, commits one more batch
-/// and checks that the snapshot still reads them.
-fn check_bayes_parity<E: StoredElement>(points: &[Vec<f64>], extra: &[Vec<f64>], shards: usize) {
-    let mut tree: BayesTree<E> = BayesTree::sharded(3, geometry(), shards);
+/// Builds a Bayes tree of `shards` shards, checks that its snapshot reads
+/// the same bits as the live tree, commits one more batch and checks that
+/// the snapshot still reads them.
+fn check_bayes_parity(points: &[Vec<f64>], extra: &[Vec<f64>], shards: usize) {
+    let mut tree: BayesTree = BayesTree::sharded(3, geometry(), shards);
     for chunk in points.chunks(16) {
         tree.insert_batch(chunk.to_vec());
     }
@@ -337,7 +336,7 @@ fn classification_bits(c: &Classification, out: &mut Vec<u64>) {
 
 /// Every read a classifier and its snapshot share, as bits.
 fn classifier_reads<C: ShardSet<KernelSummary, PointColumns>>(
-    classifier: &Classifier<BayesIndex<f64, C>>,
+    classifier: &Classifier<BayesIndex<C>>,
     queries: &[Vec<f64>],
 ) -> Vec<u64> {
     let mut out: Vec<u64> = classifier.priors().iter().map(|p| p.to_bits()).collect();
@@ -362,8 +361,7 @@ proptest! {
         extra in stream_strategy(40),
     ) {
         for shards in [1, 3] {
-            check_bayes_parity::<f64>(&points, &extra, shards);
-            check_bayes_parity::<Quantized>(&points, &extra, shards);
+            check_bayes_parity(&points, &extra, shards);
         }
     }
 

@@ -19,14 +19,14 @@
 //!   and vice versa, and neither keeps a version the other holds,
 //! * **recycling is invisible**: a tree written under pins, whose copies
 //!   reuse spare versions, answers bit for bit like the same tree written
-//!   without pins (Bayes trees in both stored modes, ClusTree),
+//!   without pins (Bayes trees and ClusTree),
 //! * **concurrent readers**: `pipelined_batch` readers on other threads
 //!   answer the pre-batch reference while the writer recycles.
 
 use anytime_stream_mining::anytree::{ArenaCensus, RefineOrder};
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, BayesTreeSnapshot, ClassifierConfig, ClassifierSnapshot,
-    DescentStrategy, Quantized, StoredElement,
+    DescentStrategy,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, ClusTreeSnapshot};
 use anytime_stream_mining::data::stream::DriftingStream;
@@ -402,10 +402,10 @@ fn pipelined_readers_answer_the_pre_batch_reference_while_the_writer_recycles() 
     assert!(tree.arena_census().versions_recycled > 0);
 }
 
-/// Writes `stream` into a fresh `E`-mode tree in batches, each under a
-/// pin when `pinned`, and returns its snapshot's density and outlier bits.
-fn bayes_written<E: StoredElement>(stream: &[Vec<f64>], pinned: bool) -> (Vec<u64>, ArenaCensus) {
-    let mut tree: BayesTree<E> = BayesTree::new(3, PageGeometry::from_fanout(4, 4));
+/// Writes `stream` into a fresh tree in batches, each under a pin when
+/// `pinned`, and returns its snapshot's density and outlier bits.
+fn bayes_written(stream: &[Vec<f64>], pinned: bool) -> (Vec<u64>, ArenaCensus) {
+    let mut tree: BayesTree = BayesTree::new(3, PageGeometry::from_fanout(4, 4));
     for batch in stream.chunks(24) {
         let pin = pinned.then(|| tree.snapshot());
         tree.insert_batch(batch.to_vec());
@@ -427,20 +427,10 @@ fn bayes_written<E: StoredElement>(stream: &[Vec<f64>], pinned: bool) -> (Vec<u6
 #[test]
 fn recycled_writes_answer_like_unpinned_writes() {
     let stream = drifting(1_200, 3, 41);
-    for (pinned, unpinned) in [
-        (
-            bayes_written::<f64>(&stream, true),
-            bayes_written::<f64>(&stream, false),
-        ),
-        (
-            bayes_written::<Quantized>(&stream, true),
-            bayes_written::<Quantized>(&stream, false),
-        ),
-    ] {
-        assert!(pinned.1.versions_recycled > 0);
-        assert_eq!(unpinned.1.versions_recycled, 0);
-        assert_eq!(pinned.0, unpinned.0);
-    }
+    let (pinned, unpinned) = (bayes_written(&stream, true), bayes_written(&stream, false));
+    assert!(pinned.1.versions_recycled > 0);
+    assert_eq!(unpinned.1.versions_recycled, 0);
+    assert_eq!(pinned.0, unpinned.0);
 
     let clustree_written = |pinned: bool| {
         let config = ClusTreeConfig {

@@ -1,16 +1,18 @@
 //! The typed write boundary: `try_insert`, `try_insert_batch`,
-//! `try_learn_one` and `try_learn_batch` return an [`InputError`] naming
-//! the offending object's index — wrong dimensionality, a non-finite
-//! coordinate, a label out of range — instead of panicking, and a rejected
-//! write changes nothing: the batch is checked in one pass before any
-//! state changes.  Covered on a plain tree, a sharded tree and a
-//! classifier, each while a snapshot pins it (so a write that slipped
-//! through would also show as copy-on-write copies in the arena census),
-//! and on a plain and a sharded ClusTree, whose writes also reject a
-//! non-finite timestamp with the same error type.
+//! `try_learn_one`, `try_learn_batch` and the bulk loaders'
+//! `try_build_tree` return an [`InputError`] naming the offending object's
+//! index — wrong dimensionality, a non-finite coordinate, a label out of
+//! range — instead of panicking, and a rejected write changes nothing: the
+//! batch is checked in one pass before any state changes.  Covered on a
+//! plain tree, a sharded tree and a classifier, each while a snapshot pins
+//! it (so a write that slipped through would also show as copy-on-write
+//! copies in the arena census), on every bulk-load method, and on a plain
+//! and a sharded ClusTree, whose writes also reject a non-finite timestamp
+//! with the same error type.
 
 use anytime_stream_mining::bayestree::{
-    AnytimeClassifier, BayesTree, ClassifierConfig, DescentStrategy, InputError,
+    build_tree, try_build_tree, AnytimeClassifier, BayesTree, BulkLoadMethod, ClassifierConfig,
+    DescentStrategy, InputError,
 };
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig};
 use anytime_stream_mining::data::synth::blobs::BlobConfig;
@@ -147,6 +149,57 @@ fn the_first_offending_point_of_a_batch_is_named() {
         InputError::NonFinite { index: 2, dim: 0 }
     );
     assert!(tree.is_empty());
+}
+
+/// The message a panicking call panicked with.
+fn panic_message(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(run).expect_err("the call panics");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => (*payload.downcast::<&str>().expect("a text payload")).to_string(),
+    }
+}
+
+#[test]
+fn every_bulk_loader_rejects_bad_points_by_index() {
+    let geometry = PageGeometry::from_fanout(4, 4);
+    for method in BulkLoadMethod::all() {
+        for index in [0, 3, 5] {
+            for (batch, want) in planted(index) {
+                let got = try_build_tree(&batch, 2, geometry, method, 7).map(|t| t.len());
+                assert_eq!(got, Err(want), "{method:?}");
+                // The panicking form says the same thing.
+                let message = panic_message(|| drop(build_tree(&batch, 2, geometry, method, 7)));
+                assert_eq!(message, want.to_string(), "{method:?}");
+            }
+        }
+        // The first offending point of a longer batch is named.
+        let mut batch = points(40, 0);
+        batch[17] = vec![0.5, f64::NAN];
+        batch[23] = vec![0.5];
+        assert_eq!(
+            try_build_tree(&batch, 2, geometry, method, 7).map(|t| t.len()),
+            Err(InputError::NonFinite { index: 17, dim: 1 }),
+            "{method:?}"
+        );
+        // A valid batch builds the tree `build_tree` builds.
+        let good = points(40, 0);
+        let tree = try_build_tree(&good, 2, geometry, method, 7).expect("a valid batch");
+        let reference = build_tree(&good, 2, geometry, method, 7);
+        tree.validate(method.guarantees_balance())
+            .expect("a valid tree");
+        assert_eq!(
+            (tree.len(), tree.num_nodes(), tree.height()),
+            (reference.len(), reference.num_nodes(), reference.height()),
+            "{method:?}"
+        );
+        let q = [1.2, 0.7];
+        assert_eq!(
+            tree.anytime_density(&q, DescentStrategy::default(), 6),
+            reference.anytime_density(&q, DescentStrategy::default(), 6),
+            "{method:?}"
+        );
+    }
 }
 
 /// A classifier's observable state: per-class sizes, node counts and
