@@ -4,16 +4,25 @@
 //! feature's components with an exponential decay factor `2^(-lambda * dt)`
 //! the influence of old data fades, while additivity — and therefore cheap
 //! aggregation in inner nodes — is preserved.
+//!
+//! A micro-cluster is one row: its weight `n`, its timestamp and one
+//! buffer laid out `[LS | SS | lower | upper]` (the cluster feature's
+//! linear and squared sums, then the box corners), `dims` values each.
+//! Building or cloning one allocates once, and every update is one pass
+//! over that buffer.  Each element keeps the expression and order of
+//! [`ClusterFeature`](bt_stats::ClusterFeature) and
+//! [`Mbr`](bt_index::Mbr) (`crates/clustree/tests/row_oracle.rs` holds
+//! the row to their bits).
 
-use bt_index::Mbr;
-use bt_stats::{ClusterFeature, DiagGaussian};
+use bt_stats::vector::sq_norm;
+use bt_stats::{DiagGaussian, VARIANCE_FLOOR};
 
 /// A cluster feature plus the timestamp of its last update and the MBR of
 /// every point the cluster ever absorbed.
 ///
-/// The MBR exists for the query side: a bounding box yields the
-/// distance-aware `weight * K(nearest point of box)` upper density bound and
-/// the smoothing-aware farthest-corner lower bound.  Every micro-cluster is
+/// The box exists for the query side: it yields the distance-aware
+/// `weight * K(nearest point of box)` upper density bound and the
+/// smoothing-aware farthest-corner lower bound.  Every micro-cluster is
 /// built from a point ([`MicroCluster::from_point`]) and grows only by
 /// absorbing points and merging with other micro-clusters, so a cluster's
 /// box is the union of its parts and the boxes **nest** up the tree —
@@ -23,25 +32,28 @@ use bt_stats::{ClusterFeature, DiagGaussian};
 /// remaining mass.
 #[derive(Debug)]
 pub struct MicroCluster {
-    cf: ClusterFeature,
+    /// (Possibly decayed) number of summarised objects.
+    n: f64,
     last_update: f64,
-    mbr: Mbr,
+    /// `[LS | SS | lower | upper]`, `dims` values each.
+    row: Vec<f64>,
 }
 
 impl Clone for MicroCluster {
     fn clone(&self) -> Self {
         Self {
-            cf: self.cf.clone(),
+            n: self.n,
             last_update: self.last_update,
-            mbr: self.mbr.clone(),
+            row: self.row.clone(),
         }
     }
 
-    /// Field-wise, so a recycled micro-cluster keeps its buffers.
+    /// One copy into the existing row, so a recycled micro-cluster keeps
+    /// its buffer.
     fn clone_from(&mut self, source: &Self) {
-        self.cf.clone_from(&source.cf);
+        self.n = source.n;
         self.last_update = source.last_update;
-        self.mbr.clone_from(&source.mbr);
+        self.row.clone_from(&source.row);
     }
 }
 
@@ -49,24 +61,60 @@ impl MicroCluster {
     /// Creates a micro-cluster summarising a single point observed at `now`.
     #[must_use]
     pub fn from_point(point: &[f64], now: f64) -> Self {
+        let mut row = Vec::with_capacity(4 * point.len());
+        row.extend_from_slice(point);
+        row.extend(point.iter().map(|x| x * x));
+        row.extend_from_slice(point);
+        row.extend_from_slice(point);
         Self {
-            cf: ClusterFeature::from_point(point),
+            n: 1.0,
             last_update: now,
-            mbr: Mbr::from_point(point),
+            row,
         }
     }
 
-    /// The bounding box of every point this cluster ever absorbed.
-    /// Conservative under decay (never shrinks).
+    /// The linear sum `LS` of the (not yet decayed) cluster feature.
     #[must_use]
-    pub fn mbr(&self) -> &Mbr {
-        &self.mbr
+    pub fn linear_sum(&self) -> &[f64] {
+        &self.row[..self.dims()]
     }
 
-    /// The underlying (not yet decayed) cluster feature.
+    /// The squared sum `SS` of the (not yet decayed) cluster feature.
     #[must_use]
-    pub fn cf(&self) -> &ClusterFeature {
-        &self.cf
+    pub fn squared_sum(&self) -> &[f64] {
+        let d = self.dims();
+        &self.row[d..2 * d]
+    }
+
+    /// The lower corner of the box of every point this cluster ever
+    /// absorbed.  Conservative under decay (never shrinks).
+    #[must_use]
+    pub fn lower(&self) -> &[f64] {
+        let d = self.dims();
+        &self.row[2 * d..3 * d]
+    }
+
+    /// The upper corner of the box of every point this cluster ever
+    /// absorbed.  Conservative under decay (never shrinks).
+    #[must_use]
+    pub fn upper(&self) -> &[f64] {
+        &self.row[3 * self.dims()..]
+    }
+
+    /// Whether this cluster's box contains `other`'s.
+    #[must_use]
+    pub(crate) fn box_contains(&self, other: &MicroCluster) -> bool {
+        let d = self.dims();
+        let (lower, upper) = self.row[2 * d..].split_at(d);
+        let (other_lower, other_upper) = other.row[2 * d..].split_at(d);
+        lower.iter().zip(other_lower).all(|(l, o)| o >= l)
+            && upper.iter().zip(other_upper).all(|(u, o)| o <= u)
+    }
+
+    /// Whether the weight, both sums and both corners are finite.
+    #[must_use]
+    pub(crate) fn is_finite(&self) -> bool {
+        self.n.is_finite() && self.row.iter().all(|x| x.is_finite())
     }
 
     /// Timestamp of the last update.
@@ -78,13 +126,13 @@ impl MicroCluster {
     /// Dimensionality of the summarised points.
     #[must_use]
     pub fn dims(&self) -> usize {
-        self.cf.dims()
+        self.row.len() / 4
     }
 
     /// Whether the micro-cluster currently summarises (essentially) nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cf.is_empty()
+        self.n <= f64::EPSILON
     }
 
     /// Applies exponential decay up to time `now` with decay rate `lambda`
@@ -95,7 +143,12 @@ impl MicroCluster {
             return;
         }
         if let Some(factor) = self.decay_factor(now, lambda) {
-            self.cf.decay(factor);
+            debug_assert!((0.0..=1.0).contains(&factor));
+            self.n *= factor;
+            let sums = 2 * self.dims();
+            for x in &mut self.row[..sums] {
+                *x *= factor;
+            }
             self.last_update = now;
         }
     }
@@ -116,42 +169,90 @@ impl MicroCluster {
     #[must_use]
     pub fn weight_at(&self, now: f64, lambda: f64) -> f64 {
         if lambda <= 0.0 {
-            return self.cf.weight();
+            return self.n;
         }
         let dt = (now - self.last_update).max(0.0);
-        self.cf.weight() * (2.0f64).powf(-lambda * dt)
+        self.n * (2.0f64).powf(-lambda * dt)
     }
 
     /// Current (undecayed) weight.
     #[must_use]
     pub fn weight(&self) -> f64 {
-        self.cf.weight()
+        self.n
     }
 
-    /// Centre of the micro-cluster.
+    /// Centre of the micro-cluster, `ls / n` (zeros when empty).
     #[must_use]
     pub fn center(&self) -> Vec<f64> {
-        self.cf.mean()
+        let mut out = vec![0.0; self.dims()];
+        self.write_center(&mut out);
+        out
     }
 
-    /// RMS radius of the micro-cluster.
+    /// Writes [`Self::center`] into `out`, which holds `dims` values.
+    pub(crate) fn write_center(&self, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.dims());
+        if self.is_empty() {
+            out.fill(0.0);
+            return;
+        }
+        let n = self.n;
+        for (c, l) in out.iter_mut().zip(self.linear_sum()) {
+            *c = l / n;
+        }
+    }
+
+    /// RMS radius of the micro-cluster: the root of the summed
+    /// per-dimension variances `SS / n - (LS / n)^2`, each floored at
+    /// [`VARIANCE_FLOOR`]; 0 when empty.
     #[must_use]
     pub fn radius(&self) -> f64 {
-        self.cf.radius()
+        if self.is_empty() {
+            return 0.0;
+        }
+        let var_sum: f64 = self.variances().sum();
+        var_sum.max(0.0).sqrt()
+    }
+
+    /// The floored per-dimension variances of a non-empty cluster.
+    fn variances(&self) -> impl Iterator<Item = f64> + '_ {
+        let n = self.n;
+        self.linear_sum()
+            .iter()
+            .zip(self.squared_sum())
+            .map(move |(ls, ss)| {
+                let mean = ls / n;
+                (ss / n - mean * mean).max(VARIANCE_FLOOR)
+            })
     }
 
     /// The Gaussian summarising the micro-cluster.
     #[must_use]
     pub fn gaussian(&self) -> DiagGaussian {
-        self.cf.to_gaussian()
+        let variance = if self.is_empty() {
+            vec![VARIANCE_FLOOR; self.dims()]
+        } else {
+            self.variances().collect()
+        };
+        DiagGaussian::new(self.center(), variance)
     }
 
     /// Absorbs a single point observed at `now`, decaying first with
     /// `lambda`; the box extends to cover the point.
     pub fn insert(&mut self, point: &[f64], now: f64, lambda: f64) {
         self.decay_to(now, lambda);
-        self.cf.insert(point);
-        self.mbr.extend_point(point);
+        let d = self.dims();
+        debug_assert_eq!(point.len(), d);
+        self.n += 1.0;
+        let (ls, rest) = self.row.split_at_mut(d);
+        let (ss, rest) = rest.split_at_mut(d);
+        let (lower, upper) = rest.split_at_mut(d);
+        for ((((ls, ss), lo), hi), &p) in ls.iter_mut().zip(ss).zip(lower).zip(upper).zip(point) {
+            *ls += p;
+            *ss += p * p;
+            *lo = lo.min(p);
+            *hi = hi.max(p);
+        }
     }
 
     /// Merges another micro-cluster into this one; both are decayed to the
@@ -161,27 +262,64 @@ impl MicroCluster {
         let now = self.last_update.max(other.last_update);
         self.decay_to(now, lambda);
         match other.decay_factor(now, lambda) {
-            Some(factor) => {
-                let mut cf = other.cf.clone();
-                cf.decay(factor);
-                self.cf.merge(&cf);
-            }
-            None => self.cf.merge(&other.cf),
+            Some(factor) => self.absorb(other, |x| x * factor),
+            None => self.absorb(other, |x| x),
         }
-        self.mbr.extend_mbr(&other.mbr);
+    }
+
+    /// Adds `scale` of `other`'s weight and sums and grows the box over
+    /// `other`'s.
+    #[inline(always)]
+    fn absorb(&mut self, other: &MicroCluster, scale: impl Fn(f64) -> f64) {
+        let d = self.dims();
+        debug_assert_eq!(other.dims(), d);
+        self.n += scale(other.n);
+        let (sums, bounds) = self.row.split_at_mut(2 * d);
+        let (other_sums, other_bounds) = other.row.split_at(2 * d);
+        for (x, &o) in sums.iter_mut().zip(other_sums) {
+            *x += scale(o);
+        }
+        let (lower, upper) = bounds.split_at_mut(d);
+        let (other_lower, other_upper) = other_bounds.split_at(d);
+        for (lo, &o) in lower.iter_mut().zip(other_lower) {
+            *lo = lo.min(o);
+        }
+        for (hi, &o) in upper.iter_mut().zip(other_upper) {
+            *hi = hi.max(o);
+        }
     }
 
     /// Squared Euclidean distance from the centre to a point, computed
-    /// without materialising the centre vector.
+    /// without materialising the centre vector: `(ls * (1/n) - p)^2`
+    /// summed, the squared norm of the point when empty.
     #[must_use]
     pub fn sq_dist_to(&self, point: &[f64]) -> f64 {
-        self.cf.sq_dist_mean_to(point)
+        debug_assert_eq!(point.len(), self.dims());
+        if self.is_empty() {
+            return sq_norm(point);
+        }
+        let inv_n = 1.0 / self.n;
+        self.linear_sum()
+            .iter()
+            .zip(point)
+            .map(|(ls, p)| {
+                let diff = ls * inv_n - p;
+                diff * diff
+            })
+            .sum()
     }
 
-    /// Writes the centre into `out` (cleared and refilled) — the scratch
-    /// variant used on the descent hot path.
+    /// Writes the routing centre `ls * (1/n)` (zeros when empty) into
+    /// `out` (cleared and refilled) — the scratch variant used on the
+    /// descent hot path, with [`Self::sq_dist_to`]'s arithmetic.
     pub fn center_into(&self, out: &mut Vec<f64>) {
-        self.cf.mean_into(out);
+        out.clear();
+        if self.is_empty() {
+            out.resize(self.dims(), 0.0);
+            return;
+        }
+        let inv_n = 1.0 / self.n;
+        out.extend(self.linear_sum().iter().map(|x| x * inv_n));
     }
 }
 
@@ -200,8 +338,7 @@ impl bt_anytree::Summary for MicroCluster {
 
     /// Micro-clusters route by squared centre distance, and
     /// [`MicroCluster::center_into`] reproduces
-    /// [`ClusterFeature::sq_dist_mean_to`](bt_stats::ClusterFeature::sq_dist_mean_to)'s
-    /// arithmetic exactly (`ls * (1/n)`, zeros when empty), so descent may
+    /// [`MicroCluster::sq_dist_to`]'s arithmetic exactly (`ls * (1/n)`, zeros when empty), so descent may
     /// gather all entry centres into one structure-of-arrays block and pick
     /// subtrees with the vectorized distance kernel — bit-identically to
     /// the scalar scan.
@@ -300,19 +437,19 @@ mod tests {
     fn mbr_tracks_every_absorbed_point_and_unions_on_merge() {
         let mut a = MicroCluster::from_point(&[0.0, 0.0], 0.0);
         a.insert(&[2.0, -1.0], 0.0, 0.0);
-        assert_eq!(a.mbr().lower(), &[0.0, -1.0]);
-        assert_eq!(a.mbr().upper(), &[2.0, 0.0]);
+        assert_eq!(a.lower(), &[0.0, -1.0]);
+        assert_eq!(a.upper(), &[2.0, 0.0]);
 
         let b = MicroCluster::from_point(&[-3.0, 5.0], 1.0);
         let mut merged = a.clone();
         merged.merge(&b, 0.0);
-        let union = merged.mbr();
-        assert_eq!(union.lower(), &[-3.0, -1.0]);
-        assert_eq!(union.upper(), &[2.0, 5.0]);
+        assert_eq!(merged.lower(), &[-3.0, -1.0]);
+        assert_eq!(merged.upper(), &[2.0, 5.0]);
         // The merged box contains both parts — the nesting the query
         // engine's monotone upper bound relies on.
-        assert!(union.contains_mbr(a.mbr()));
-        assert!(union.contains_mbr(b.mbr()));
+        assert!(merged.box_contains(&a));
+        assert!(merged.box_contains(&b));
+        assert!(!a.box_contains(&merged));
     }
 
     #[test]
@@ -324,6 +461,7 @@ mod tests {
         mc.decay_to(10.0, 1.0);
         // Decay fades weight, never the extent: the box stays a superset.
         assert!(mc.weight() < 1e-2);
-        assert_eq!(mc.mbr().lower(), &[1.0, 2.0]);
+        assert_eq!(mc.lower(), &[1.0, 2.0]);
+        assert_eq!(mc.upper(), &[1.0, 2.0]);
     }
 }

@@ -24,12 +24,12 @@
 //!   the engine's monotonicity contract asks for.
 //!
 //! The upper bound: every micro-cluster carries an MBR alongside the CF
-//! ([`MicroCluster::mbr`]), so the upper bound is the distance-aware
-//! `weight * K(nearest point of box)` — every summarised point (and hence
-//! every child mean, by convexity) lies inside the box, the product kernel
-//! decreases with per-dimension distance, and a merged cluster's box is the
-//! union of its parts, so the boxes *nest* up the tree exactly as the
-//! monotonicity contract requires.  (A deviation-box bound from
+//! ([`MicroCluster::lower`], [`MicroCluster::upper`]), so the upper bound
+//! is the distance-aware `weight * K(nearest point of box)` — every
+//! summarised point (and hence every child mean, by convexity) lies inside
+//! the box, the product kernel decreases with per-dimension distance, and a
+//! merged cluster's box is the union of its parts, so the boxes *nest* up
+//! the tree exactly as the monotonicity contract requires.  (A deviation-box bound from
 //! `sqrt(n·var)` looks tempting but is *not* nested: a small child's box
 //! can stick out past its parent's, which would break the contract.)
 //! With the MBR bound, far-away outliers are certified after few reads
@@ -133,9 +133,8 @@ impl ClusQueryModel {
     /// methods below are the scalar reference the fused block pass
     /// reproduces bit for bit.
     fn smoothed_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
-        let cf = mc.cf();
-        let n = cf.weight().max(f64::MIN_POSITIVE);
-        let (ls, ss) = (cf.linear_sum(), cf.squared_sum());
+        let n = mc.weight().max(f64::MIN_POSITIVE);
+        let (ls, ss) = (mc.linear_sum(), mc.squared_sum());
         log_kernel_at(
             &self.bandwidth,
             (0..query.len()).map(|d| {
@@ -151,8 +150,7 @@ impl ClusQueryModel {
     /// child boxes lie inside their parent's — the shared
     /// [`nearest_point_log_kernel`] the Bayes-tree bounds also use).
     fn upper_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
-        let mbr = mc.mbr();
-        nearest_point_log_kernel(query, mbr.lower(), mbr.upper(), &self.bandwidth)
+        nearest_point_log_kernel(query, mc.lower(), mc.upper(), &self.bandwidth)
     }
 
     /// Log of the per-unit-weight lower bound: the Jensen bound
@@ -172,12 +170,11 @@ impl ClusQueryModel {
     /// a certain backstop when decay has faded weights while the box never
     /// shrinks; it costs one more lane of the fused pass.
     fn lower_log_kernel(&self, query: &[f64], mc: &MicroCluster) -> f64 {
-        let mbr = mc.mbr();
         let jensen = self.smoothed_log_kernel(query, mc);
         jensen.max(smoothed_farthest_log_kernel(
             query,
-            mbr.lower(),
-            mbr.upper(),
+            mc.lower(),
+            mc.upper(),
             &self.bandwidth,
         ))
     }
@@ -330,25 +327,23 @@ fn gather_clusters<'a>(
         block.enable_boxes();
     }
     for (i, mc) in clusters.enumerate() {
-        let cf = mc.cf();
         block.set_weight(i, mc.weight());
-        let n = cf.weight().max(f64::MIN_POSITIVE);
-        let ls = cf.linear_sum();
-        let ss = cf.squared_sum();
+        let n = mc.weight().max(f64::MIN_POSITIVE);
+        let (ls, ss) = (mc.linear_sum(), mc.squared_sum());
         for d in 0..dims {
             let mean = ls[d] / n;
             let var = (ss[d] / n - mean * mean).max(0.0);
             block.set_mean(d, i, mean);
             block.set_var(d, i, var);
         }
-        if !cf.is_empty() {
-            let inv_n = 1.0 / cf.weight();
+        if !mc.is_empty() {
+            let inv_n = 1.0 / mc.weight();
             for (d, &l) in ls.iter().enumerate() {
                 out.centers[d * len + i] = l * inv_n;
             }
         }
         if boxes {
-            let (lo, hi) = (mc.mbr().lower(), mc.mbr().upper());
+            let (lo, hi) = (mc.lower(), mc.upper());
             for d in 0..dims {
                 block.set_lower(d, i, lo[d]);
                 block.set_upper(d, i, hi[d]);
@@ -523,7 +518,8 @@ fn element_cluster<'v, V: TreeView<MicroCluster, Vec<MicroCluster>>>(
 /// directly driven core as the one-view slice): each view's frontier
 /// refines closest-first for up to `budget` node reads
 /// ([`refine_frontiers_over`]), then the frontier elements of all views
-/// are ranked together and the `k` closest clusters returned.
+/// are ranked together and the `k` closest clusters returned, ties in
+/// view and frontier order.
 ///
 /// The ranking reads nothing but centre distances, so the frontiers score
 /// through a distance-only model: of `model` only the decay rate is used
@@ -562,16 +558,16 @@ pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, Vec<MicroCluster>> + Sync
         RefineOrder::ClosestFirst,
         budget,
         |cursors| {
-            let mut ranked: Vec<(&V, &QueryElement)> = views
-                .iter()
-                .zip(cursors)
-                .flat_map(|(view, cursor)| cursor.elements().iter().map(move |e| (view, e)))
-                .collect();
-            ranked.sort_by(|a, b| {
-                let (da, db) = (a.1.min_dist_sq, b.1.min_dist_sq);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            ranked.truncate(k);
+            // At most the whole frontier, so the kept buffer is sized once.
+            let frontier = cursors.iter().map(|c| c.elements().len()).sum();
+            let ranked = nearest_k(
+                views
+                    .iter()
+                    .zip(cursors)
+                    .flat_map(|(view, cursor)| cursor.elements().iter().map(move |e| (view, e))),
+                k.min(frontier),
+                |(_, element)| element.min_dist_sq,
+            );
             let neighbors = ranked
                 .into_iter()
                 .map(|(view, element)| {
@@ -592,6 +588,39 @@ pub(crate) fn knn_with_decay<V: TreeView<MicroCluster, Vec<MicroCluster>> + Sync
             }
         },
     )
+}
+
+/// The first `k` of `items` stably sorted by ascending `key` — what
+/// collecting, `sort_by` on `partial_cmp` and `truncate(k)` return, ties
+/// in input order — kept in one insertion pass over a buffer of at most
+/// `k` items: an item goes after every kept item it does not strictly
+/// precede, and one that would land at position `k` is dropped.
+pub(crate) fn nearest_k<T>(
+    items: impl IntoIterator<Item = T>,
+    k: usize,
+    key: impl Fn(&T) -> f64,
+) -> Vec<T> {
+    // `partial_cmp(..) == Less`, the only order the sort acts on.
+    let precedes = |a: f64, b: f64| a < b;
+    let mut kept: Vec<T> = Vec::with_capacity(k);
+    if k == 0 {
+        return kept;
+    }
+    for item in items {
+        let d = key(&item);
+        if kept.len() == k && !precedes(d, key(&kept[k - 1])) {
+            continue;
+        }
+        let at = kept
+            .iter()
+            .position(|t| precedes(d, key(t)))
+            .unwrap_or(kept.len());
+        if kept.len() == k {
+            kept.pop();
+        }
+        kept.insert(at, item);
+    }
+    kept
 }
 
 impl<C: ShardSet<MicroCluster, Vec<MicroCluster>>> ClusIndex<C> {
@@ -701,6 +730,44 @@ mod tests {
             tree.insert(&[c + jitter, c - jitter], i as f64, budget);
         }
         tree
+    }
+
+    /// Sort-then-truncate, as the retrieval ranked before `nearest_k`.
+    fn sorted_prefix(keys: &[f64], k: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| {
+            keys[a]
+                .partial_cmp(&keys[b])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order.truncate(k);
+        order
+    }
+
+    #[test]
+    fn nearest_k_equals_the_stable_sorted_prefix() {
+        let mut state = 0x9E37_79B9_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        for len in 0..40 {
+            for levels in [1u64, 3, 1000] {
+                // Few levels: long runs of equal keys; `inf` ties too.
+                let keys: Vec<f64> = (0..len)
+                    .map(|_| match next() % levels {
+                        0 if levels > 1 => f64::INFINITY,
+                        v => v as f64 * 0.25,
+                    })
+                    .collect();
+                for k in [0, 1, 2, 5, len / 2, len, len + 3] {
+                    let got = nearest_k(0..len, k, |&i| keys[i]);
+                    assert_eq!(got, sorted_prefix(&keys, k), "len {len} k {k} {keys:?}");
+                }
+            }
+        }
     }
 
     #[test]

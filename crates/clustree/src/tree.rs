@@ -222,14 +222,14 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
 /// pair `(i, j > i)` in row order wins ties) until at most `cap` remain —
 /// the collapse of a leaf that may not split, one call per overflow.
 ///
-/// Centres come from [`MicroCluster::center`] (`ls / n`), as in the polar
-/// split, not from the routing [`MicroCluster::center_into`]
-/// (`ls * (1/n)`), which can differ in the last bit and then pick another
-/// pair.  They are built once into one flat row-major buffer and their
-/// pair distances once into an upper-triangular matrix.  A merge
-/// `swap_remove`s the absorbed item, so the last row moves into its slot,
-/// and the merged row is recomputed; every other distance keeps its
-/// value.  Distances are symmetric bit for bit (`x - y == -(y - x)`), so
+/// Centres are [`MicroCluster::center`]'s `ls / n`, as in the polar split,
+/// not the routing [`MicroCluster::center_into`]'s `ls * (1/n)`, which can
+/// differ in the last bit and then pick another pair.  Each is written
+/// straight into one flat row-major buffer, and their pair distances once
+/// into an upper-triangular matrix: those two buffers are all the collapse
+/// allocates.  A merge `swap_remove`s the absorbed item, so the last row
+/// moves into its slot, and the merged row is recomputed; every other
+/// distance keeps its value.  Distances are symmetric bit for bit (`x - y == -(y - x)`), so
 /// each merge picks the pair a full rescan of fresh centres would.
 fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
     // Merging stops at one item, whatever the capacity.
@@ -240,9 +240,9 @@ fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
     }
     let dims = items[0].dims();
     let stride = n;
-    let mut centers = Vec::with_capacity(n * dims);
-    for mc in items.iter() {
-        centers.extend_from_slice(&mc.center());
+    let mut centers = vec![0.0; n * dims];
+    for (mc, center) in items.iter().zip(centers.chunks_exact_mut(dims)) {
+        mc.write_center(center);
     }
     let dist_of = |centers: &[f64], i: usize, j: usize| {
         sq_dist(
@@ -278,7 +278,7 @@ fn merge_closest_pairs(items: &mut Vec<MicroCluster>, cap: usize, lambda: f64) {
             }
         }
         centers.truncate(n * dims);
-        centers[first * dims..(first + 1) * dims].copy_from_slice(&items[first].center());
+        items[first].write_center(&mut centers[first * dims..(first + 1) * dims]);
         for k in (0..n).filter(|&k| k != first) {
             dist[at(first, k)] = dist_of(&centers, first.min(k), first.max(k));
         }
@@ -710,22 +710,11 @@ fn check_write<P: AsRef<[f64]>>(
     }
 }
 
-/// Whether the CF (weight and sums) and MBR corners of `mc` are finite.
-fn finite_cluster(mc: &MicroCluster) -> bool {
-    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
-    mc.weight().is_finite()
-        && finite(mc.cf().linear_sum())
-        && finite(mc.cf().squared_sum())
-        && finite(mc.mbr().lower())
-        && finite(mc.mbr().upper())
-}
-
 /// Whether `entry`'s box contains the box of its hitchhiker buffer and of
 /// every entry or item in its child — the nesting the MBR density bounds
 /// rest on (a refined element's parts must lie inside its box).
 fn boxes_nest(core: &ClusCore, entry: &Entry<MicroCluster>) -> bool {
-    let outer = entry.summary.mbr();
-    let contained = |mc: &MicroCluster| outer.contains_mbr(mc.mbr());
+    let contained = |mc: &MicroCluster| entry.summary.box_contains(mc);
     let children = match &core.node(entry.child).kind {
         NodeKind::Leaf { items } => items.iter().all(contained),
         NodeKind::Inner { entries } => entries.iter().all(|e| contained(&e.summary)),
@@ -771,7 +760,7 @@ fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> R
                 if mc.weight() < 0.0 {
                     return Err(format!("leaf {node_id} has a negative weight"));
                 }
-                if !finite_cluster(mc) {
+                if !mc.is_finite() {
                     return Err(format!(
                         "leaf {node_id} has a non-finite CF sum or MBR corner"
                     ));
@@ -783,8 +772,8 @@ fn validate_node(core: &ClusCore, config: &ClusTreeConfig, node_id: NodeId) -> R
                 if entry.weight() < 0.0 || entry.buffered_weight() < 0.0 {
                     return Err(format!("node {node_id} has a negative weight"));
                 }
-                if !(finite_cluster(&entry.summary)
-                    && entry.buffer.as_ref().is_none_or(finite_cluster))
+                if !(entry.summary.is_finite()
+                    && entry.buffer.as_ref().is_none_or(MicroCluster::is_finite))
                 {
                     return Err(format!(
                         "node {node_id} has a non-finite CF sum or MBR corner"
@@ -1083,7 +1072,7 @@ mod tests {
         let mut planted = tree.clone();
         let root = planted.shard(0).root();
         let entry = &mut planted.core.shard_mut(0).node_mut(root).entries_mut()[0];
-        let point = entry.summary.mbr().lower().to_vec();
+        let point = entry.summary.lower().to_vec();
         entry.summary = MicroCluster::from_point(&point, 1.0);
         let err = planted.validate().unwrap_err();
         assert!(err.contains("not nested"), "{err}");

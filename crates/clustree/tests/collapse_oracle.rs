@@ -60,12 +60,11 @@ fn reference_collapse(items: &mut Vec<MicroCluster>, cap: usize, ctx: DecayCtx) 
 
 /// Every bit of a micro-cluster: timestamp, weight, CF sums, box corners.
 fn fingerprint(mc: &MicroCluster) -> Vec<u64> {
-    let cf = mc.cf();
-    let mut out = vec![mc.last_update().to_bits(), cf.weight().to_bits()];
-    out.extend(cf.linear_sum().iter().map(|x| x.to_bits()));
-    out.extend(cf.squared_sum().iter().map(|x| x.to_bits()));
-    out.extend(mc.mbr().lower().iter().map(|x| x.to_bits()));
-    out.extend(mc.mbr().upper().iter().map(|x| x.to_bits()));
+    let mut out = vec![mc.last_update().to_bits(), mc.weight().to_bits()];
+    out.extend(mc.linear_sum().iter().map(|x| x.to_bits()));
+    out.extend(mc.squared_sum().iter().map(|x| x.to_bits()));
+    out.extend(mc.lower().iter().map(|x| x.to_bits()));
+    out.extend(mc.upper().iter().map(|x| x.to_bits()));
     out
 }
 

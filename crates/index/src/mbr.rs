@@ -2,9 +2,9 @@
 //!
 //! Every Bayes-tree entry stores the MBR of the objects in its subtree
 //! (Definition 1).  The geometric measures here are the standard R*-tree
-//! ones: area, margin, overlap, enlargement needed to include a point or
-//! rectangle, and MINDIST (the geometric descent priority evaluated in the
-//! paper's global-best strategy).
+//! ones: area, margin, overlap, enlargement needed to include a point, and
+//! MINDIST (the geometric descent priority evaluated in the paper's
+//! global-best strategy).
 
 /// An axis-aligned minimum bounding rectangle in `d` dimensions.
 #[derive(Debug, PartialEq)]
@@ -158,12 +158,6 @@ impl Mbr {
         (0..self.dims()).all(|d| other.lower[d] >= self.lower[d] && other.upper[d] <= self.upper[d])
     }
 
-    /// Whether the two rectangles intersect.
-    #[must_use]
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        (0..self.dims()).all(|d| self.lower[d] <= other.upper[d] && other.lower[d] <= self.upper[d])
-    }
-
     /// Volume (area in 2-d) of the rectangle.
     #[must_use]
     pub fn area(&self) -> f64 {
@@ -201,12 +195,6 @@ impl Mbr {
         let mut grown = self.clone();
         grown.extend_point(point);
         grown.area() - self.area()
-    }
-
-    /// Increase in area needed to include `other`.
-    #[must_use]
-    pub fn enlargement_for_mbr(&self, other: &Mbr) -> f64 {
-        self.union(other).area() - self.area()
     }
 
     /// MINDIST: squared Euclidean distance from `point` to the nearest point
@@ -274,7 +262,6 @@ mod tests {
         let a = unit_square();
         let b = Mbr::new(vec![2.0, 2.0], vec![3.0, 3.0]);
         assert_eq!(a.overlap(&b), 0.0);
-        assert!(!a.intersects(&b));
     }
 
     #[test]
@@ -282,7 +269,6 @@ mod tests {
         let a = unit_square();
         let b = Mbr::new(vec![0.5, 0.0], vec![1.5, 1.0]);
         assert!((a.overlap(&b) - 0.5).abs() < 1e-12);
-        assert!(a.intersects(&b));
     }
 
     #[test]

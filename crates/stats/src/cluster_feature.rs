@@ -159,19 +159,6 @@ impl ClusterFeature {
         }
     }
 
-    /// Subtracts another cluster feature from the summary.
-    ///
-    /// Used when an entry is moved between nodes.  Values are clamped at zero
-    /// to guard against floating-point drift.
-    pub fn subtract(&mut self, other: &Self) {
-        debug_assert_eq!(other.dims(), self.dims());
-        self.n = (self.n - other.n).max(0.0);
-        for d in 0..self.ls.len() {
-            self.ls[d] -= other.ls[d];
-            self.ss[d] -= other.ss[d];
-        }
-    }
-
     /// Mean vector `LS / n` of the summarised points.
     ///
     /// Returns a zero vector for an empty feature.
@@ -320,16 +307,6 @@ mod tests {
             assert!((cf_a.linear_sum()[d] - cf_all.linear_sum()[d]).abs() < 1e-9);
             assert!((cf_a.squared_sum()[d] - cf_all.squared_sum()[d]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn subtract_inverts_merge() {
-        let mut cf: ClusterFeature = ClusterFeature::from_point(&[1.0, 1.0]);
-        let other: ClusterFeature = ClusterFeature::from_point(&[3.0, -1.0]);
-        cf.merge(&other);
-        cf.subtract(&other);
-        assert!((cf.weight() - 1.0).abs() < 1e-12);
-        assert!((cf.mean()[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

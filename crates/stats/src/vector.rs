@@ -20,35 +20,11 @@ pub fn add_assign(a: &mut [f64], b: &[f64]) {
     }
 }
 
-/// Writes the elementwise sum `a + b` into `out` (cleared and refilled), so
-/// hot paths can reuse one scratch buffer instead of allocating per call.
-pub fn add_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(x, y)| x + y));
-}
-
 /// Elementwise difference `a - b` as a new vector.
 #[must_use]
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Subtracts `b` from `a` elementwise in place.
-pub fn sub_assign(a: &mut [f64], b: &[f64]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x -= y;
-    }
-}
-
-/// Writes the elementwise difference `a - b` into `out` (cleared and
-/// refilled).
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(x, y)| x - y));
 }
 
 /// Scales every element of `a` by `s` in place.
@@ -139,27 +115,6 @@ pub fn variance(points: &[Vec<f64>], dims: usize) -> Vec<f64> {
     acc
 }
 
-/// Index of the dimension with the largest spread (`max - min`) over `points`.
-#[must_use]
-pub fn widest_dimension(points: &[Vec<f64>], dims: usize) -> usize {
-    let mut best_dim = 0;
-    let mut best_spread = f64::NEG_INFINITY;
-    for d in 0..dims {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for p in points {
-            lo = lo.min(p[d]);
-            hi = hi.max(p[d]);
-        }
-        let spread = hi - lo;
-        if spread > best_spread {
-            best_spread = spread;
-            best_dim = d;
-        }
-    }
-    best_dim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn widest_dimension_picks_largest_spread() {
-        let pts = vec![vec![0.0, 0.0], vec![1.0, 10.0]];
-        assert_eq!(widest_dimension(&pts, 2), 1);
-    }
-
-    #[test]
     fn scale_and_scale_assign_agree() {
         let a = vec![1.0, -2.0, 3.5];
         let mut b = a.clone();
@@ -215,22 +164,9 @@ mod tests {
     fn into_variants_match_allocating_ones() {
         let a = vec![1.0, 2.0, 3.0];
         let b = vec![0.5, -1.0, 4.0];
-        let mut scratch = Vec::new();
-        add_into(&a, &b, &mut scratch);
-        assert_eq!(scratch, add(&a, &b));
-        sub_into(&a, &b, &mut scratch);
-        assert_eq!(scratch, sub(&a, &b));
+        let mut scratch = b.clone();
         scale_into(&a, 2.5, &mut scratch);
         assert_eq!(scratch, scale(&a, 2.5));
-    }
-
-    #[test]
-    fn sub_assign_matches_sub() {
-        let a = vec![5.0, 7.0];
-        let b = vec![1.0, 2.0];
-        let mut c = a.clone();
-        sub_assign(&mut c, &b);
-        assert_eq!(c, sub(&a, &b));
     }
 
     #[test]
