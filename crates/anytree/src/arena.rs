@@ -53,7 +53,7 @@
 //! versions plus, per node kind, at most as many retired versions as the
 //! larger of its last two batches' copy counts ([`NodeArena::census`]).
 
-use crate::node::{LeafItems, Node, NodeId, NodeKind};
+use crate::node::{Directory, LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use bt_stats::BlockCacheSlot;
 use std::collections::BTreeMap;
@@ -69,7 +69,7 @@ pub const SLOT_CHUNK: usize = 64;
 /// One stored node version: the payload plus the epoch of the batch that
 /// last mutated it, plus the node's block-cache slot.
 #[derive(Debug)]
-pub struct VersionedNode<S, L> {
+pub struct VersionedNode<S: Summary, L> {
     /// The epoch stamp: the (in-flight) epoch of the last mutation, i.e. the
     /// publish that first covered this version of the node.
     pub version: u64,
@@ -90,7 +90,7 @@ type SharedChunk<S, L> = Arc<Vec<Version<S, L>>>;
 
 /// One chunk of the arena's slot table.
 #[derive(Debug)]
-struct Chunk<S, L> {
+struct Chunk<S: Summary, L> {
     /// The arena's own slots, written without touching a shared count.
     slots: Vec<Version<S, L>>,
     /// The slots as snapshots share them: built by the first capture after
@@ -99,7 +99,7 @@ struct Chunk<S, L> {
     shared: OnceLock<SharedChunk<S, L>>,
 }
 
-impl<S, L> Chunk<S, L> {
+impl<S: Summary, L> Chunk<S, L> {
     fn new(slots: Vec<Version<S, L>>) -> Self {
         Self {
             slots,
@@ -119,7 +119,7 @@ impl<S, L> Chunk<S, L> {
     }
 }
 
-impl<S, L> Clone for Chunk<S, L> {
+impl<S: Summary, L> Clone for Chunk<S, L> {
     fn clone(&self) -> Self {
         Self {
             slots: self.slots.clone(),
@@ -141,7 +141,7 @@ fn next_generation() -> u64 {
 /// itself is not demand-loaded — that is the whole point.  A pure hint:
 /// never faults, and compiles to nothing off x86-64.
 #[inline(always)]
-fn prefetch_version<S, L>(version: &Version<S, L>) {
+fn prefetch_version<S: Summary, L>(version: &Version<S, L>) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -373,7 +373,7 @@ impl std::iter::Sum for ArenaCensus {
 
 /// The retired versions of one node kind an arena keeps for recycling.
 #[derive(Debug)]
-struct Graveyard<S, L> {
+struct Graveyard<S: Summary, L> {
     /// Versions no snapshot reached at the last [`NodeArena::reclaim`]:
     /// the next copies write into these.
     spares: Vec<Version<S, L>>,
@@ -385,7 +385,7 @@ struct Graveyard<S, L> {
     copies: usize,
 }
 
-impl<S, L> Default for Graveyard<S, L> {
+impl<S: Summary, L> Default for Graveyard<S, L> {
     fn default() -> Self {
         Self {
             spares: Vec::new(),
@@ -395,7 +395,7 @@ impl<S, L> Default for Graveyard<S, L> {
     }
 }
 
-impl<S, L> Graveyard<S, L> {
+impl<S: Summary, L> Graveyard<S, L> {
     /// Turns every retired version no snapshot reaches into a spare, keeps
     /// at most as many spares as the last batch made copies, and frees the
     /// rest.
@@ -787,6 +787,7 @@ mod tests {
 
     impl Summary for W {
         type Ctx = ();
+        type Dir = Vec<crate::node::Entry<W>>;
         fn merge(&mut self, other: &Self, _ctx: ()) {
             self.0 += other.0;
         }

@@ -19,16 +19,19 @@
 //!   idempotent at a fixed timestamp, so this is observably equivalent to
 //!   refreshing per object),
 //! * one per-tree scratch allocation serves every routing computation
-//!   instead of a fresh `Vec` per insert, and a directory node's routing
-//!   columns (boxes or centres) are gathered once per batch, on the node's
-//!   first visit, into that scratch — never into the node's block-cache
-//!   slot, which belongs to readers — then repaired entry by entry after
-//!   each absorb and dropped by `finish_batch`,
+//!   instead of a fresh `Vec` per insert.  A directory that lends its box
+//!   columns ([`Directory::boxes`], the Bayes tree's) is routed from them
+//!   where they lie; a centre-routed one has its centres gathered once per
+//!   batch, on the node's first visit, into that scratch — never into the
+//!   node's block-cache slot, which belongs to readers — then repaired
+//!   entry by entry after each absorb and dropped by `finish_batch`,
 //! * splits and overflow handling are **deferred and resolved once per node**
 //!   after the batch drains: `finish_batch` walks the dirty (visited)
-//!   subtrees bottom-up, repeatedly splitting any node left over capacity
-//!   and propagating the replacement entries upward (growing the root when
-//!   the root itself splits).
+//!   subtrees bottom-up, installs the replacement entries of split
+//!   children, lets each written directory bring its derived state up to
+//!   date ([`Directory::finish`]), repeatedly splits any node left over
+//!   capacity and propagates the replacement entries upward (growing the
+//!   root when the root itself splits).
 //!
 //! A batch of size 1 performs exactly the steps of the historical recursive
 //! insertion, so `insert` is a thin wrapper over the engine.  The cursor is
@@ -37,11 +40,10 @@
 //! point where structural changes are applied.
 
 use crate::model::InsertModel;
-use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
-use crate::split::split_entries;
+use crate::node::{Directory, LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::{AnytimeTree, InsertOutcome};
-use bt_index::rstar::{choose_subtree_block, choose_subtree_by};
+use bt_index::rstar::choose_subtree_block;
 use bt_stats::kernel::sq_dists_block;
 
 /// The complete state of one in-flight insertion.
@@ -83,12 +85,6 @@ impl<O> DescentCursor<O> {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// Descent budget remaining at the current node.
-    #[must_use]
-    pub fn remaining_budget(&self) -> usize {
-        self.budget
     }
 
     /// The insertion's outcome, once the cursor has finished.
@@ -257,8 +253,8 @@ impl std::fmt::Display for DescentStats {
 
 /// Reusable per-tree scratch state of the descent engine: the routing-point
 /// buffer, the refresh / dirty stamps of the current batch, the routing
-/// columns of the directory nodes the batch visits, and the repair
-/// worklists.  Stamps are epoch-based so clearing a batch is a single
+/// centres of the centre-routed directory nodes the batch visits, and the
+/// repair worklists.  Stamps are epoch-based so clearing a batch is a single
 /// counter increment instead of a sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct DescentScratch<S> {
@@ -267,8 +263,9 @@ pub(crate) struct DescentScratch<S> {
     /// Where each directory node's columns start in `route_cols`; valid
     /// where `refreshed[id]` carries this batch's stamp.
     route_at: Vec<usize>,
-    /// Routing columns of the directory nodes visited this batch, back to
-    /// back ([`route_width`] columns per node), dropped by `finish_batch`.
+    /// Routing centres of the centre-routed directory nodes visited this
+    /// batch, back to back ([`route_width`] columns per node), dropped by
+    /// `finish_batch`.
     route_cols: Vec<f64>,
     dirty: Vec<u64>,
     dirty_has_time: Vec<bool>,
@@ -276,7 +273,7 @@ pub(crate) struct DescentScratch<S> {
     in_batch: bool,
     dfs: Vec<NodeId>,
     order: Vec<NodeId>,
-    pending: Vec<(NodeId, Vec<Entry<S>>)>,
+    pending: Vec<(NodeId, Vec<(S, NodeId)>)>,
 }
 
 impl<S> DescentScratch<S> {
@@ -340,18 +337,18 @@ impl<S> DescentScratch<S> {
 }
 
 impl<S: Summary> DescentScratch<S> {
-    /// Gathers directory node `id`'s routing columns for the rest of the
-    /// batch — the one gather per routing kind, run on the node's first
-    /// visit right after its refresh.
-    fn gather_route(&mut self, id: NodeId, entries: &[Entry<S>], dims: usize) {
+    /// Gathers centre-routed directory node `id`'s routing centres for the
+    /// rest of the batch, on the node's first visit right after its
+    /// refresh.
+    fn gather_route(&mut self, id: NodeId, entries: &S::Dir, dims: usize) {
         let at = self.route_cols.len();
         let len = entries.len();
         self.route_at[id] = at;
         self.route_cols
             .resize(at + route_width::<S>() * dims * len, 0.0);
         let cols = &mut self.route_cols[at..];
-        for (i, entry) in entries.iter().enumerate() {
-            set_route_entry(cols, len, i, &entry.summary, &mut self.route.center);
+        for i in 0..len {
+            set_route_entry(cols, len, i, &*entries.summary(i), &mut self.route.center);
         }
     }
 }
@@ -405,10 +402,10 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         let node_id = cursor.node;
         let ctx = model.ctx();
 
-        // Refresh this node's payload once per batch, and gather a directory
-        // node's routing columns from the refreshed summaries: later objects
-        // of the batch route off them (the repair after each absorb below
-        // keeps them exact).
+        // Refresh this node's payload once per batch, and gather a
+        // centre-routed directory node's centres from the refreshed
+        // summaries: later objects of the batch route off them (the repair
+        // after each absorb below keeps them exact).
         if self.scratch_mut().stamp_refreshed(node_id) {
             let refreshed = match &mut self.node_mut(node_id).kind {
                 NodeKind::Leaf { items } => {
@@ -416,20 +413,17 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
                     items.len() as u64
                 }
                 NodeKind::Inner { entries } => {
-                    for e in entries.iter_mut() {
-                        e.summary.refresh(ctx);
-                        if let Some(b) = &mut e.buffer {
-                            b.refresh(ctx);
-                        }
-                    }
+                    entries.refresh(ctx);
                     entries.len() as u64
                 }
             };
             self.stats_mut().summary_refreshes += refreshed;
-            let dims = self.dims();
-            let (arena, scratch) = self.arena_and_scratch_mut();
-            if let NodeKind::Inner { entries } = &arena.node(node_id).kind {
-                scratch.gather_route(node_id, entries, dims);
+            if route_width::<S>() > 0 {
+                let dims = self.dims();
+                let (arena, scratch) = self.arena_and_scratch_mut();
+                if let NodeKind::Inner { entries } = &arena.node(node_id).kind {
+                    scratch.gather_route(node_id, entries, dims);
+                }
             }
         }
 
@@ -460,20 +454,22 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         let cols = &mut scratch.route_cols[at..at + route_width::<S>() * dims * len];
         let idx = route(entries, model, obj, &mut scratch.route, cols);
         // The object ends up somewhere below this entry either way, so the
-        // aggregate absorbs it now; repairing its columns (O(dims) instead
+        // aggregate absorbs it now; repairing its centre (O(dims) instead
         // of a regather) keeps the rest of the batch routing exactly.
-        model.absorb_into(&mut entries[idx].summary, obj);
-        set_route_entry(
-            cols,
-            len,
-            idx,
-            &entries[idx].summary,
-            &mut scratch.route.center,
-        );
+        model.absorb_into_entry(entries, idx, obj);
+        if route_width::<S>() > 0 {
+            set_route_entry(
+                cols,
+                len,
+                idx,
+                &*entries.summary(idx),
+                &mut scratch.route.center,
+            );
+        }
 
         if M::BUFFERED && !has_time {
             // Out of time: park the object in the hitchhiker buffer.
-            match &mut entries[idx].buffer {
+            match entries.buffer_mut(idx) {
                 Some(b) => model.absorb_into(b, obj),
                 slot @ None => *slot = Some(model.summary_of(obj)),
             }
@@ -486,11 +482,11 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         }
         if M::BUFFERED {
             // Pick up waiting hitchhikers and carry them down.
-            if let Some(buffer) = entries[idx].buffer.take() {
+            if let Some(buffer) = entries.buffer_mut(idx).take() {
                 model.merge_buffer_into_object(obj, buffer);
             }
         }
-        let child = entries[idx].child;
+        let child = entries.child(idx);
         // The next step reads the routed child: overlap loading its node
         // version with the cursor bookkeeping (and, under batched
         // insertion, with the interleaved steps of the other in-flight
@@ -528,10 +524,12 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
     }
 
     /// Closes the current batch: walks the visited subtrees bottom-up,
-    /// resolves every overflow once per node (splitting repeatedly until all
-    /// parts fit, or applying the model's collapse fallback when splitting
-    /// is not allowed), propagates replacement entries upward, and grows a
-    /// new root when the root itself split.  Finally the batch's mutations
+    /// installs the replacement entries of split children, finishes every
+    /// written directory ([`Directory::finish`]), resolves every overflow
+    /// once per node (splitting repeatedly until all parts fit, or applying
+    /// the model's collapse fallback when splitting is not allowed),
+    /// propagates replacement entries upward, and grows a new root when the
+    /// root itself split.  Finally the batch's mutations
     /// are **published as a new root epoch**: later
     /// [`AnytimeTree::snapshot`]s pin the new epoch, while snapshots pinned
     /// before the batch keep reading the retired node versions untouched.
@@ -554,39 +552,41 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         }
         while let Some(id) = dfs.pop() {
             order.push(id);
-            if let NodeKind::Inner { entries } = &self.node(id).kind {
-                for e in entries {
-                    if self.scratch().is_dirty(e.child) {
-                        dfs.push(e.child);
-                    }
+            for child in self.node(id).children() {
+                if self.scratch().is_dirty(child) {
+                    dfs.push(child);
                 }
             }
         }
 
         for &id in order.iter().rev() {
-            // Install the replacement entries of children that split.
-            if !self.node(id).is_leaf() && !pending.is_empty() {
+            let written = match &self.node(id).kind {
+                NodeKind::Inner { entries } => !pending.is_empty() || !entries.is_finished(),
+                NodeKind::Leaf { .. } => false,
+            };
+            if written {
                 let ctx = model.ctx();
-                let mut appended: Vec<Entry<S>> = Vec::new();
                 let entries = self.node_mut(id).entries_mut();
-                for slot in entries.iter_mut() {
-                    let Some(pos) = pending.iter().position(|(c, _)| *c == slot.child) else {
-                        continue;
-                    };
-                    let (_, mut parts) = pending.swap_remove(pos);
-                    let mut first = parts.remove(0);
-                    // Preserve hitchhikers parked on the replaced entry after
-                    // the last descent through it: they stay buffered on the
-                    // first replacement entry, whose summary absorbs their
-                    // mass to keep `summary == child content + own buffer`.
-                    if let Some(buffer) = slot.buffer.take() {
-                        first.summary.merge(&buffer, ctx);
-                        first.buffer = Some(buffer);
+                // Install the replacement entries of children that split:
+                // the first part takes the split child's entry (and its
+                // buffer), the others are appended.
+                if !pending.is_empty() {
+                    let mut appended: Vec<(S, NodeId)> = Vec::new();
+                    for i in 0..entries.len() {
+                        let child = entries.child(i);
+                        let Some(pos) = pending.iter().position(|(c, _)| *c == child) else {
+                            continue;
+                        };
+                        let (_, mut parts) = pending.swap_remove(pos);
+                        let (summary, first) = parts.remove(0);
+                        entries.replace(i, summary, first, ctx);
+                        appended.extend(parts);
                     }
-                    *slot = first;
-                    appended.extend(parts);
+                    if !appended.is_empty() {
+                        entries.extend_entries(appended);
+                    }
                 }
-                entries.extend(appended);
+                entries.finish();
             }
             let has_time = self.scratch().dirty_had_time(id);
             if let Some(parts) = self.resolve_overflow(model, id, has_time) {
@@ -601,7 +601,7 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         if let Some(pos) = pending.iter().position(|(c, _)| *c == root) {
             let (_, mut parts) = pending.swap_remove(pos);
             loop {
-                let new_root = self.push_node(Node::inner(parts));
+                let new_root = self.push_node(Node::inner(S::Dir::from_entries(parts)));
                 self.set_root(new_root, self.height() + 1);
                 match self.resolve_overflow(model, new_root, true) {
                     Some(next) => parts = next,
@@ -679,7 +679,7 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         model: &M,
         node_id: NodeId,
         has_time: bool,
-    ) -> Option<Vec<Entry<S>>>
+    ) -> Option<Vec<(S, NodeId)>>
     where
         M: InsertModel<S, Leaf = L>,
     {
@@ -716,7 +716,7 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         Some(
             parts
                 .into_iter()
-                .map(|p| self.summarize_node(model, p))
+                .map(|p| (self.summarize_node(model, p), p))
                 .collect(),
         )
     }
@@ -738,7 +738,7 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
             self.push_node(Node::leaf(second))
         } else {
             let entries = std::mem::take(self.node_mut(node_id).entries_mut());
-            let (first, second) = split_entries(entries, &self.geometry(), self.dims());
+            let (first, second) = entries.split_in_two(&self.geometry(), self.dims());
             *self.node_mut(node_id).entries_mut() = first;
             self.push_node(Node::inner(second))
         }
@@ -755,20 +755,16 @@ pub(crate) struct RouteScratch {
     lane_b: Vec<f64>,
 }
 
-/// Routing columns per node and dimension: box corners (lower, upper) for
-/// MBR-routed payloads, centres for [`Summary::CENTER_ROUTED`] ones, none
-/// otherwise.
+/// Routing columns per node and dimension: the centres of a
+/// [`Summary::CENTER_ROUTED`] payload, none otherwise (a box-routed
+/// directory is routed from its own columns).
 fn route_width<S: Summary>() -> usize {
-    if S::MBR_ROUTED {
-        2
-    } else {
-        usize::from(S::CENTER_ROUTED)
-    }
+    usize::from(S::CENTER_ROUTED)
 }
 
-/// Writes entry `i`'s routing columns from its summary into one node's
+/// Writes entry `i`'s routing centre from its summary into one node's
 /// `cols` (dimension-major, flat index `dim * len + entry`, as in
-/// `bt_stats::block`; an MBR node's upper corners follow its lower ones).
+/// `bt_stats::block`).
 fn set_route_entry<S: Summary>(
     cols: &mut [f64],
     len: usize,
@@ -776,35 +772,25 @@ fn set_route_entry<S: Summary>(
     summary: &S,
     center: &mut Vec<f64>,
 ) {
-    if S::MBR_ROUTED {
-        let mbr = summary.as_mbr().expect("MBR-routed payload exposes a box");
-        let (lower, upper) = (mbr.lower(), mbr.upper());
-        let dims = cols.len() / (2 * len);
-        for d in 0..dims {
-            cols[d * len + i] = lower[d];
-            cols[(dims + d) * len + i] = upper[d];
-        }
-    } else if S::CENTER_ROUTED {
-        summary.center_into(center);
-        for (d, &c) in center.iter().enumerate() {
-            cols[d * len + i] = c;
-        }
+    summary.center_into(center);
+    for (d, &c) in center.iter().enumerate() {
+        cols[d * len + i] = c;
     }
 }
 
 /// Chooses the entry the object descends into: by R* least enlargement for
-/// MBR-routed payloads, by closest summary otherwise.
+/// a directory that lends its box columns, by closest summary otherwise.
 ///
-/// Both MBR routing and (for payloads opting into
-/// [`Summary::CENTER_ROUTED`]) distance routing run on the
-/// structure-of-arrays block path over the node's routing columns, gathered
-/// on its first visit of the batch: all children are scored in one
-/// vectorized pass ([`choose_subtree_block`] / [`sq_dists_block`]).  Both
-/// replicate the scalar arithmetic and tie-breaking exactly (first minimal
-/// wins, `NaN` never displaces the incumbent), so the chosen child is always
-/// the one the per-entry path would pick.
+/// Box routing reads the directory's own columns, and distance routing
+/// (for payloads opting into [`Summary::CENTER_ROUTED`]) the node's
+/// centres, gathered on its first visit of the batch: all children are
+/// scored in one vectorized pass ([`choose_subtree_block`] /
+/// [`sq_dists_block`]).  Both replicate the scalar arithmetic and
+/// tie-breaking exactly (first minimal wins, `NaN` never displaces the
+/// incumbent), so the chosen child is always the one the per-entry path
+/// would pick (`bt_index::rstar::choose_subtree_by` for boxes).
 pub(crate) fn route<S, M>(
-    entries: &[Entry<S>],
+    entries: &S::Dir,
     model: &M,
     obj: &M::Object,
     scratch: &mut RouteScratch,
@@ -817,53 +803,31 @@ where
     debug_assert!(!entries.is_empty(), "directory nodes are never empty");
     let len = entries.len();
     let point = model.route_point(obj, &mut scratch.point);
-    if S::MBR_ROUTED {
+    if let Some((lower, upper)) = entries.boxes() {
         if len == 1 {
             return 0;
         }
-        debug_assert_eq!(cols.len(), 2 * point.len() * len);
-        let (lower, upper) = cols.split_at(cols.len() / 2);
-        let best = choose_subtree_block(
+        choose_subtree_block(
             point,
             lower,
             upper,
             len,
             &mut scratch.lane_a,
             &mut scratch.lane_b,
-        );
-        debug_assert_eq!(
-            scalar_mbr_route(entries, point),
-            best,
-            "block routing diverged from the scalar reference"
-        );
-        best
+        )
     } else if S::CENTER_ROUTED && len > 1 {
         debug_assert_eq!(cols.len(), point.len() * len);
         sq_dists_block(point, cols, len, &mut scratch.lane_a);
         let best = argmin_first(&scratch.lane_a);
         debug_assert_eq!(
-            scalar_route(entries, point),
+            scalar_route::<S>(entries, point),
             best,
             "block routing diverged from the scalar reference"
         );
         best
     } else {
-        scalar_route(entries, point)
+        scalar_route::<S>(entries, point)
     }
-}
-
-/// The per-entry R* reference scan over the entries' boxes — the MBR block
-/// path's scalar reference.  It only runs inside `debug_assert` checks.
-fn scalar_mbr_route<S: Summary>(entries: &[Entry<S>], point: &[f64]) -> usize {
-    choose_subtree_by(
-        entries,
-        |e| {
-            e.summary
-                .as_mbr()
-                .expect("MBR-routed payload exposes a box")
-        },
-        point,
-    )
 }
 
 /// Index of the first minimal value (`NaN` never displaces the incumbent) —
@@ -879,15 +843,10 @@ fn argmin_first(dists: &[f64]) -> usize {
 }
 
 /// The per-entry distance routing scan (the block path's reference).
-fn scalar_route<S: Summary>(entries: &[Entry<S>], point: &[f64]) -> usize {
-    entries
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            let da = a.summary.sq_dist_to(point);
-            let db = b.summary.sq_dist_to(point);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+fn scalar_route<S: Summary>(entries: &S::Dir, point: &[f64]) -> usize {
+    (0..entries.len())
+        .map(|i| (i, entries.summary(i).sq_dist_to(point)))
+        .min_by(|(_, da), (_, db)| da.partial_cmp(db).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
         .expect("directory node has entries")
 }

@@ -30,9 +30,10 @@
 //!   reused pointer-for-pointer ([`SnapshotRefresh`] reports the reuse
 //!   counters),
 //! * **entries generic over a payload** ([`Summary`]): merge / weight /
-//!   distance / decay, plus an optional MBR hook that routes descent and
-//!   splits through `bt_index::rstar` choose-subtree and the R* topological
-//!   split,
+//!   distance / decay, kept in a directory container the payload chooses
+//!   ([`Directory`]); a container that lends box columns routes descent
+//!   through `bt_index::rstar` choose-subtree and splits with the R*
+//!   topological split,
 //! * **budgeted descent** with a pluggable per-level step cost
 //!   ([`InsertModel::step_cost`]), implemented as an iterative, resumable
 //!   cursor engine ([`descent`]): a [`DescentCursor`] holds one in-flight
@@ -66,21 +67,22 @@
 //! * the **structure-of-arrays scoring layout** ([`SummaryBlock`],
 //!   [`BlockScratch`], re-exported from `bt_stats::block`): the hot "score
 //!   every entry of this node" step — subtree routing in the descent engine
-//!   and frontier scoring/bounds in the query engine — gathers the node's
-//!   summaries into reusable dimension-major weight/mean/variance/box
-//!   columns and runs the batch kernels of `bt_stats::kernel` over all
-//!   entries in one autovectorizable pass ([`QueryModel::score_entries`],
-//!   [`Summary::CENTER_ROUTED`]).  The scalar per-entry path remains the
-//!   behavioural reference: columns are always `f64` (narrow stored
-//!   summaries widen into them at gather time) and block overrides are
-//!   bit-identical to the scalar path (property-tested).  A query's gather
-//!   is cached in the node's set-once [`BlockCacheSlot`] under one rule:
-//!   every write empties the slot, so a cached read is a plain load with no
-//!   stamp, flag or lock; the descent keeps its routing columns in its own
-//!   per-batch scratch.  A leaf holds a container the model chooses
-//!   ([`LeafItems`]); a model whose container already is its scoring
-//!   block (the Bayes tree's point columns) gathers no leaf, scores it
-//!   where it lies and never caches it,
+//!   and frontier scoring/bounds in the query engine — runs the batch
+//!   kernels of `bt_stats::kernel` over dimension-major
+//!   weight/mean/variance/box columns in one autovectorizable pass
+//!   ([`QueryModel::score_entries`], [`Summary::CENTER_ROUTED`]).  The
+//!   scalar per-entry path remains the behavioural reference: block
+//!   overrides are bit-identical to it (property-tested).  A directory
+//!   holds a container its payload chooses ([`Summary::Dir`],
+//!   [`Directory`]) and a leaf one its model chooses ([`LeafItems`]).  A
+//!   container that already is its scoring block (the Bayes tree's entry
+//!   and point columns) is scored where it lies, gathered never and cached
+//!   never; a box-routed directory is routed from its own box columns.
+//!   Every other node's gather is cached in its set-once
+//!   [`BlockCacheSlot`] under one rule: every write empties the slot, so a
+//!   cached read is a plain load with no stamp, flag or lock; the descent
+//!   keeps a centre-routed directory's routing centres in its own
+//!   per-batch scratch,
 //! * the **sharding layer** ([`shard`]): a [`ShardedAnytimeTree`] partitions
 //!   the object space into `K` independent shard trees behind a pluggable
 //!   [`ShardRouter`] and descends every shard's share of a mini-batch in
@@ -146,7 +148,7 @@ pub use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, SummaryBlock};
 pub use descent::{BatchOutcome, CursorStep, DepthHistogram, DescentCursor, DescentStats};
 pub use input::{check_point, check_points, or_panic, InputError};
 pub use model::InsertModel;
-pub use node::{Entry, LeafItems, Node, NodeId, NodeKind};
+pub use node::{Directory, Entry, LeafItems, Node, NodeId, NodeKind};
 pub use query::{
     frontier_sum, with_scratch_cursors, ElementOrigin, OutlierScore, OutlierVerdict, QueryAnswer,
     QueryCursor, QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,

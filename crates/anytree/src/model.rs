@@ -1,6 +1,6 @@
 //! The insertion policy: the handful of decisions that differ per workload.
 
-use crate::node::LeafItems;
+use crate::node::{Directory, LeafItems};
 use crate::summary::Summary;
 use bt_index::PageGeometry;
 
@@ -46,6 +46,20 @@ pub trait InsertModel<S: Summary> {
     /// Absorbs `obj` into an existing summary (an ancestor entry or an
     /// occupied buffer) without allocating.
     fn absorb_into(&self, summary: &mut S, obj: &Self::Object);
+
+    /// Absorbs `obj` into entry `i` of a directory node.  The default
+    /// absorbs into the entry's row ([`Directory::summary_mut`]); a model
+    /// whose directory is a block without rows writes it there.
+    ///
+    /// # Panics
+    ///
+    /// The default panics on a directory without rows.
+    fn absorb_into_entry(&self, entries: &mut S::Dir, i: usize, obj: &Self::Object) {
+        let summary = entries
+            .summary_mut(i)
+            .expect("a directory without rows absorbs through its model");
+        self.absorb_into(summary, obj);
+    }
 
     /// Merges a picked-up hitchhiker buffer into the descending object.
     fn merge_buffer_into_object(&self, _obj: &mut Self::Object, _buffer: S) {}

@@ -5,11 +5,14 @@
 //! pointer-based tree would raise and keeps nodes contiguous in memory.
 
 use crate::summary::Summary;
+use bt_index::PageGeometry;
+use std::borrow::Cow;
 
 /// Arena index of a node within its tree.
 pub type NodeId = usize;
 
-/// A directory entry: the aggregated description of one subtree, an optional
+/// A directory entry of a row directory (`Vec<Entry<S>>`, the clustering
+/// extension's): the aggregated description of one subtree, an optional
 /// hitchhiker buffer of parked objects, and the child pointer.
 ///
 /// The entry [`Deref`](std::ops::Deref)s to its summary so instantiations
@@ -21,8 +24,7 @@ pub struct Entry<S> {
     /// mass parked at or below it).
     pub summary: S,
     /// Hitchhiker buffer: objects parked here waiting to be carried down by
-    /// a later descent.  `None` when nothing is parked (and always `None`
-    /// for unbuffered workloads such as the Bayes tree).
+    /// a later descent.  `None` when nothing is parked.
     pub buffer: Option<S>,
     /// Arena index of the child node.
     pub child: NodeId,
@@ -102,23 +104,199 @@ impl<T> LeafItems for Vec<T> {
     }
 }
 
-/// The payload of a node: a leaf container or directory entries.
+/// What a directory node stores: its entries in a container chosen by the
+/// payload ([`Summary::Dir`]) — one row per entry (`Vec<Entry<S>>`, the
+/// clustering extension's) or the dimension-major block a reader scores in
+/// place (the Bayes tree's).
+///
+/// The core reads a directory through this trait only: per-entry children,
+/// summaries and buffers, routing boxes for MBR-routed containers, and the
+/// structural writes of a batch (absorb through the model, install the
+/// replacement entries of a split child, split, summarise).  Every batch
+/// calls [`Directory::finish`] on each directory it wrote before it
+/// publishes, so a container may defer derived state to it.
+pub trait Directory<S: Summary>: Clone + Default + std::fmt::Debug + Send + Sync {
+    /// A directory holding `entries` (summary, child) in order.
+    fn from_entries(entries: Vec<(S, NodeId)>) -> Self;
+
+    /// Number of entries.
+    fn len(&self) -> usize;
+
+    /// Whether the directory holds no entry.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The child node of entry `i`.
+    fn child(&self, i: usize) -> NodeId;
+
+    /// Entry `i`'s summary: borrowed from a row, materialised from a block.
+    fn summary(&self, i: usize) -> Cow<'_, S>;
+
+    /// Entry `i`'s summary for an in-place write, when the container keeps
+    /// it as a row; `None` for a block, whose model absorbs through
+    /// [`crate::InsertModel::absorb_into_entry`].
+    fn summary_mut(&mut self, i: usize) -> Option<&mut S> {
+        let _ = i;
+        None
+    }
+
+    /// Entry `i`'s hitchhiker buffer (`None` when nothing is parked, and
+    /// always for a container without buffers).
+    fn buffer(&self, i: usize) -> Option<&S> {
+        let _ = i;
+        None
+    }
+
+    /// Entry `i`'s hitchhiker buffer slot, for buffered models.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a container without buffers serves only
+    /// unbuffered models.
+    fn buffer_mut(&mut self, i: usize) -> &mut Option<S> {
+        panic!("entry {i}: this directory keeps no hitchhiker buffers")
+    }
+
+    /// The entries' boxes as dimension-major `(lower, upper)` columns
+    /// (`d * len + i`) for a container that routes by least enlargement;
+    /// `None` (the default) routes by distance.
+    fn boxes(&self) -> Option<(&[f64], &[f64])> {
+        None
+    }
+
+    /// Brings every entry (and buffer) up to date, once per batch.
+    fn refresh(&mut self, ctx: S::Ctx) {
+        let _ = ctx;
+    }
+
+    /// Replaces entry `i` by `summary` over `child` (the first replacement
+    /// entry of a split child).  A parked buffer stays on the entry, and
+    /// the new summary absorbs its mass.
+    fn replace(&mut self, i: usize, summary: S, child: NodeId, ctx: S::Ctx);
+
+    /// Appends `entries` in order.
+    fn extend_entries(&mut self, entries: Vec<(S, NodeId)>);
+
+    /// The summary of the whole node: the entries' summaries folded in
+    /// entry order and refreshed (buffers are not added: an entry's summary
+    /// already covers its own buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory is empty.
+    fn summarize(&self, ctx: S::Ctx) -> S;
+
+    /// Splits an overfull directory (over `dims`-dimensional data) into the
+    /// entries that stay and the entries that move to a fresh node.
+    #[must_use]
+    fn split_in_two(self, geometry: &PageGeometry, dims: usize) -> (Self, Self);
+
+    /// Brings state the batch's writes left behind up to date before the
+    /// node is published (the default has none).
+    fn finish(&mut self) {}
+
+    /// Whether [`Directory::finish`] has nothing left to do (always, by
+    /// default).
+    fn is_finished(&self) -> bool {
+        true
+    }
+}
+
+impl<S: Summary + std::fmt::Debug + Send + Sync> Directory<S> for Vec<Entry<S>> {
+    fn from_entries(entries: Vec<(S, NodeId)>) -> Self {
+        entries
+            .into_iter()
+            .map(|(summary, child)| Entry::new(summary, child))
+            .collect()
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn child(&self, i: usize) -> NodeId {
+        self[i].child
+    }
+
+    fn summary(&self, i: usize) -> Cow<'_, S> {
+        Cow::Borrowed(&self[i].summary)
+    }
+
+    fn summary_mut(&mut self, i: usize) -> Option<&mut S> {
+        Some(&mut self[i].summary)
+    }
+
+    fn buffer(&self, i: usize) -> Option<&S> {
+        self[i].buffer.as_ref()
+    }
+
+    fn buffer_mut(&mut self, i: usize) -> &mut Option<S> {
+        &mut self[i].buffer
+    }
+
+    fn refresh(&mut self, ctx: S::Ctx) {
+        for e in self.iter_mut() {
+            e.summary.refresh(ctx);
+            if let Some(b) = &mut e.buffer {
+                b.refresh(ctx);
+            }
+        }
+    }
+
+    /// Hitchhikers parked on the replaced entry after the last descent
+    /// through it stay buffered on the replacement, whose summary absorbs
+    /// their mass to keep `summary == child content + own buffer`.
+    fn replace(&mut self, i: usize, summary: S, child: NodeId, ctx: S::Ctx) {
+        let mut first = Entry::new(summary, child);
+        if let Some(buffer) = self[i].buffer.take() {
+            first.summary.merge(&buffer, ctx);
+            first.buffer = Some(buffer);
+        }
+        self[i] = first;
+    }
+
+    fn extend_entries(&mut self, entries: Vec<(S, NodeId)>) {
+        self.extend(
+            entries
+                .into_iter()
+                .map(|(summary, child)| Entry::new(summary, child)),
+        );
+    }
+
+    fn summarize(&self, ctx: S::Ctx) -> S {
+        assert!(!self.is_empty(), "cannot summarise an empty inner node");
+        let mut summary = self[0].summary.clone();
+        for e in &self[1..] {
+            summary.merge(&e.summary, ctx);
+        }
+        summary.refresh(ctx);
+        summary
+    }
+
+    fn split_in_two(self, geometry: &PageGeometry, dims: usize) -> (Self, Self) {
+        crate::split::split_entries(self, geometry, dims)
+    }
+}
+
+/// The payload of a node: a leaf container or a directory.
 #[derive(Debug)]
-pub enum NodeKind<S, L> {
+pub enum NodeKind<S: Summary, L> {
     /// A leaf node storing the workload's leaf container (a point block
     /// for the Bayes tree, micro-clusters for the clustering extension).
     Leaf {
         /// The items stored in this leaf.
         items: L,
     },
-    /// An inner (directory) node storing between `m` and `M` entries.
+    /// An inner (directory) node storing between `m` and `M` entries in
+    /// the payload's directory container.
     Inner {
         /// The entries of this node.
-        entries: Vec<Entry<S>>,
+        entries: S::Dir,
     },
 }
 
-impl<S: Clone, L: Clone> Clone for NodeKind<S, L> {
+impl<S: Summary, L: Clone> Clone for NodeKind<S, L> {
     fn clone(&self) -> Self {
         match self {
             Self::Leaf { items } => Self::Leaf {
@@ -143,12 +321,12 @@ impl<S: Clone, L: Clone> Clone for NodeKind<S, L> {
 
 /// One node of the tree.
 #[derive(Debug)]
-pub struct Node<S, L> {
+pub struct Node<S: Summary, L> {
     /// The node's payload.
     pub kind: NodeKind<S, L>,
 }
 
-impl<S: Clone, L: Clone> Clone for Node<S, L> {
+impl<S: Summary, L: Clone> Clone for Node<S, L> {
     fn clone(&self) -> Self {
         Self {
             kind: self.kind.clone(),
@@ -160,7 +338,7 @@ impl<S: Clone, L: Clone> Clone for Node<S, L> {
     }
 }
 
-impl<S, L: LeafItems> Node<S, L> {
+impl<S: Summary, L: LeafItems> Node<S, L> {
     /// Creates an empty leaf node.
     #[must_use]
     pub fn empty_leaf() -> Self {
@@ -195,10 +373,10 @@ impl<S, L: LeafItems> Node<S, L> {
     }
 }
 
-impl<S, L> Node<S, L> {
+impl<S: Summary, L> Node<S, L> {
     /// Creates an inner node holding `entries`.
     #[must_use]
-    pub fn inner(entries: Vec<Entry<S>>) -> Self {
+    pub fn inner(entries: S::Dir) -> Self {
         Self {
             kind: NodeKind::Inner { entries },
         }
@@ -216,7 +394,7 @@ impl<S, L> Node<S, L> {
     ///
     /// Panics if called on a leaf node.
     #[must_use]
-    pub fn entries(&self) -> &[Entry<S>] {
+    pub fn entries(&self) -> &S::Dir {
         match &self.kind {
             NodeKind::Inner { entries } => entries,
             NodeKind::Leaf { .. } => panic!("entries() called on a leaf node"),
@@ -229,13 +407,23 @@ impl<S, L> Node<S, L> {
     ///
     /// Panics if called on a leaf node.
     #[must_use]
-    pub fn entries_mut(&mut self) -> &mut Vec<Entry<S>> {
+    pub fn entries_mut(&mut self) -> &mut S::Dir {
         match &mut self.kind {
             NodeKind::Inner { entries } => entries,
             NodeKind::Leaf { .. } => panic!("entries_mut() called on a leaf node"),
         }
     }
 
+    /// The child of every entry of an inner node, in entry order (none for
+    /// a leaf).
+    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let dir = match &self.kind {
+            NodeKind::Inner { entries } => Some(entries),
+            NodeKind::Leaf { .. } => None,
+        };
+        dir.into_iter()
+            .flat_map(|d| (0..d.len()).map(move |i| d.child(i)))
+    }
     /// The items of a leaf node.
     ///
     /// # Panics
@@ -272,6 +460,7 @@ mod tests {
 
     impl Summary for W {
         type Ctx = ();
+        type Dir = Vec<Entry<W>>;
         fn merge(&mut self, _other: &Self, _ctx: ()) {}
         fn weight(&self) -> f64 {
             self.0.len() as f64

@@ -27,12 +27,16 @@
 //!   [`DescentStats`](crate::DescentStats),
 //! * [`TreeView::query_batch`] refines many queries through **one reused
 //!   cursor** — the frontier allocation is per-tree scratch, not per-query,
-//! * every node a view exposes a cache slot for ([`TreeView::block_cache`])
-//!   is scored from its cached gather when the slot is filled, and fills
-//!   the slot after gathering when it is empty.  Every write to a node
-//!   empties its slot ([`crate::arena`]), so the engine trusts a filled
-//!   slot without any check — live tree, snapshot, or a live tree read
-//!   between two cursor steps of a batch alike.
+//! * every node a model gathers ([`QueryModel::gather_entries`],
+//!   [`QueryModel::gather_leaf_items`]) on a view that exposes a cache slot
+//!   for it ([`TreeView::block_cache`]) is scored from its cached gather
+//!   when the slot is filled, and fills the slot after gathering when it
+//!   is empty.  Every write to a node empties its slot ([`crate::arena`]),
+//!   so the engine trusts a filled slot without any check — live tree,
+//!   snapshot, or a live tree read between two cursor steps of a batch
+//!   alike.  A node whose container already is its scoring layout (every
+//!   Bayes-tree node) gathers nothing and fills no slot: the model scores
+//!   it where it lies.
 //!
 //! ## The monotonicity contract
 //!
@@ -58,7 +62,7 @@
 //! verdict against a threshold becomes certain as soon as the interval
 //! clears it.
 
-use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
+use crate::node::{Directory, LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::AnytimeTree;
 use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, ScoreLanes};
@@ -132,22 +136,23 @@ pub trait QueryModel<S: Summary> {
     fn summarize_leaf_items(&self, leaf: &Self::Leaf) -> S;
 
     /// Gathers one directory node's entries into `out`'s columns and returns
-    /// `true`; a model with no block representation returns `false` (the
-    /// default) and is scored through the per-summary scalar loop.
+    /// `true`; a model that gathers no directory returns `false` (the
+    /// default), and its directories are scored by
+    /// [`QueryModel::score_entries`] with no cache slot filled.
     ///
     /// The gather must be a pure function of `entries`: the engine caches
     /// the result in the node's block-cache slot (emptied by every write to
     /// the node) and replays it through [`QueryModel::score_gathered`] on
     /// later visits.
-    fn gather_entries(&self, entries: &[Entry<S>], out: &mut GatheredBlock) -> bool {
+    fn gather_entries(&self, entries: &S::Dir, out: &mut GatheredBlock) -> bool {
         let _ = (entries, out);
         false
     }
 
     /// Scores one directory node from its gathered columns, filling `out`
     /// with one [`SummaryScore`] per entry (in entry order; `out` is cleared
-    /// first).  `entries` is the same slice the gather saw, for per-entry
-    /// fallbacks the columns cannot express.
+    /// first).  `entries` is the same directory the gather saw, for
+    /// per-entry fallbacks the columns cannot express.
     ///
     /// Must produce exactly the scores [`QueryModel::score_entries`] would:
     /// the gather/score split exists so the gather can be cached, not so the
@@ -155,7 +160,7 @@ pub trait QueryModel<S: Summary> {
     fn score_gathered(
         &self,
         query: &[f64],
-        entries: &[Entry<S>],
+        entries: &S::Dir,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -173,11 +178,12 @@ pub trait QueryModel<S: Summary> {
     /// delegates to the per-summary methods — which stay the behavioural
     /// reference: a block path may only change *how* the scores are computed
     /// (structure-of-arrays batch kernels of `bt_stats::kernel`), never
-    /// their values.
+    /// their values.  A model whose directory container already is its
+    /// scoring layout overrides this and scores the node in place.
     fn score_entries(
         &self,
         query: &[f64],
-        entries: &[Entry<S>],
+        entries: &S::Dir,
         scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
@@ -188,8 +194,8 @@ pub trait QueryModel<S: Summary> {
         }
         out.clear();
         out.reserve(entries.len());
-        for entry in entries {
-            let summary = &entry.summary;
+        for i in 0..entries.len() {
+            let summary = &*entries.summary(i);
             let contribution = self.summary_contribution(query, summary);
             let (lower, upper) = self.summary_bounds(query, summary);
             let min_dist_sq = self.summary_sq_dist(query, summary);
@@ -952,7 +958,7 @@ impl QueryCursor {
     /// This is the entry point for callers that score many roots in one
     /// block pass (the per-class classifier).  The root read counts as one
     /// block-scored visit of `root`: a gather when `gathered` (the caller
-    /// gathered the root's columns for this query), otherwise a gather
+    /// copied the root's columns for this query), otherwise a gather
     /// avoided.  An empty frontier counts nothing, as an empty root reads
     /// nothing.
     pub fn begin_scored(
@@ -969,13 +975,6 @@ impl QueryCursor {
         if !self.elements.is_empty() {
             self.stats.count_root_gather(root, gathered);
         }
-    }
-
-    /// The cursor's reusable per-entry output lanes, lent to callers that
-    /// score outside the engine (take them with `std::mem::take` and put
-    /// them back) so their scratch rides along with the pooled cursor.
-    pub fn scratch_lanes(&mut self) -> &mut ScoreLanes {
-        &mut self.block.lanes
     }
 
     fn push_summary<S, M>(
@@ -1038,7 +1037,7 @@ impl QueryCursor {
         &mut self,
         model: &M,
         node: NodeId,
-        entries: &[Entry<S>],
+        entries: &S::Dir,
         cache: Option<&BlockCacheSlot>,
         depth: usize,
     ) where
@@ -1048,9 +1047,9 @@ impl QueryCursor {
         self.score_node_entries(model, node, entries, cache);
         debug_assert_eq!(self.scores.len(), entries.len());
         let scores = std::mem::take(&mut self.scores);
-        for (index, (entry, score)) in entries.iter().zip(&scores).enumerate() {
+        for (index, score) in scores.iter().enumerate() {
             self.push_scored(
-                Some(entry.child),
+                Some(entries.child(index)),
                 score,
                 ElementOrigin::Entry { node, index },
                 depth,
@@ -1061,12 +1060,13 @@ impl QueryCursor {
 
     /// Fills `self.scores` with one score per entry: the cached block if
     /// the node's slot holds one, else gather (filling the slot), else the
-    /// scalar loop.
+    /// model's [`QueryModel::score_entries`] with the slot left empty (on a
+    /// caching view such a read counts as a gather avoided).
     fn score_node_entries<S, M>(
         &mut self,
         model: &M,
         node: NodeId,
-        entries: &[Entry<S>],
+        entries: &S::Dir,
         cache: Option<&BlockCacheSlot>,
     ) where
         S: Summary,
@@ -1099,6 +1099,13 @@ impl QueryCursor {
                 slot.fill(Box::new(std::mem::take(gathered)));
             }
             return;
+        }
+        if cache.is_some() {
+            self.stats.gathers_avoided += 1;
+            bt_obs::trace(|| bt_obs::TraceEvent::Gather {
+                node: node as u64,
+                cached: true,
+            });
         }
         model.score_entries(&self.query, entries, &mut self.block, &mut self.scores);
     }
@@ -1237,11 +1244,7 @@ pub trait TreeView<S: Summary, L> {
         let mut out = Vec::new();
         while let Some(id) = stack.pop() {
             out.push(id);
-            if let NodeKind::Inner { entries } = &self.node(id).kind {
-                for e in entries {
-                    stack.push(e.child);
-                }
-            }
+            stack.extend(self.node(id).children());
         }
         out
     }
@@ -1321,7 +1324,7 @@ pub trait TreeView<S: Summary, L> {
         // the children below only cover descended mass, so the buffer is
         // split out as an unrefinable element of its own.
         if let ElementOrigin::Entry { node, index } = element.origin {
-            if let Some(buffer) = &self.node(node).entries()[index].buffer {
+            if let Some(buffer) = self.node(node).entries().buffer(index) {
                 cursor.push_summary(
                     model,
                     None,
@@ -1489,6 +1492,7 @@ mod tests {
 
     impl Summary for Blob {
         type Ctx = ();
+        type Dir = Vec<crate::node::Entry<Blob>>;
         fn merge(&mut self, other: &Self, _ctx: ()) {
             self.weight += other.weight;
             for (a, b) in self.sum.iter_mut().zip(&other.sum) {
@@ -1547,8 +1551,12 @@ mod tests {
             items: Vec<Blob>,
             geometry: &PageGeometry,
         ) -> (Vec<Blob>, Vec<Blob>) {
-            let centers: Vec<Vec<f64>> = items.iter().map(Summary::center).collect();
-            let (a, b) = crate::split::polar_partition(&centers, geometry.max_leaf);
+            let centers: Vec<f64> = items.iter().flat_map(Summary::center).collect();
+            let (a, b) = crate::split::polar_partition(
+                &centers,
+                centers.len() / items.len(),
+                geometry.max_leaf,
+            );
             crate::split::distribute(items, &a, &b)
         }
     }

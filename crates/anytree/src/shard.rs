@@ -984,7 +984,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Entry, NodeKind};
+    use crate::node::NodeKind;
 
     /// A minimal distance-routed payload: (weight, component sums).
     #[derive(Debug, Clone, PartialEq)]
@@ -1001,6 +1001,7 @@ mod tests {
 
     impl Summary for Blob {
         type Ctx = ();
+        type Dir = Vec<crate::node::Entry<Blob>>;
         fn merge(&mut self, other: &Self, _ctx: ()) {
             self.weight += other.weight;
             for (a, b) in self.sum.iter_mut().zip(&other.sum) {
@@ -1060,8 +1061,12 @@ mod tests {
             items: Vec<Blob>,
             geometry: &PageGeometry,
         ) -> (Vec<Blob>, Vec<Blob>) {
-            let centers: Vec<Vec<f64>> = items.iter().map(Summary::center).collect();
-            let (a, b) = crate::split::polar_partition(&centers, geometry.max_leaf);
+            let centers: Vec<f64> = items.iter().flat_map(Summary::center).collect();
+            let (a, b) = crate::split::polar_partition(
+                &centers,
+                centers.len() / items.len(),
+                geometry.max_leaf,
+            );
             crate::split::distribute(items, &a, &b)
         }
     }
@@ -1097,7 +1102,10 @@ mod tests {
             match &tree.node(id).kind {
                 NodeKind::Leaf { items } => total += items.iter().map(|b| b.weight).sum::<f64>(),
                 NodeKind::Inner { entries } => {
-                    total += entries.iter().map(Entry::buffered_weight).sum::<f64>();
+                    total += entries
+                        .iter()
+                        .map(crate::node::Entry::buffered_weight)
+                        .sum::<f64>();
                 }
             }
         }

@@ -147,12 +147,6 @@ impl<S: Summary, L> TreeSnapshot<S, L> {
     pub fn node_version(&self, id: NodeId) -> u64 {
         self.spine.version(id)
     }
-
-    /// Number of arena slots captured (including orphaned nodes).
-    #[must_use]
-    pub fn num_slots(&self) -> usize {
-        self.spine.len()
-    }
 }
 
 impl<S: Summary, L> TreeView<S, L> for TreeSnapshot<S, L> {
@@ -205,6 +199,7 @@ mod tests {
 
     impl Summary for Blob {
         type Ctx = ();
+        type Dir = Vec<crate::node::Entry<Blob>>;
         fn merge(&mut self, other: &Self, _ctx: ()) {
             self.weight += other.weight;
             for (a, b) in self.sum.iter_mut().zip(&other.sum) {
@@ -263,8 +258,12 @@ mod tests {
             items: Vec<Blob>,
             geometry: &PageGeometry,
         ) -> (Vec<Blob>, Vec<Blob>) {
-            let centers: Vec<Vec<f64>> = items.iter().map(Summary::center).collect();
-            let (a, b) = crate::split::polar_partition(&centers, geometry.max_leaf);
+            let centers: Vec<f64> = items.iter().flat_map(Summary::center).collect();
+            let (a, b) = crate::split::polar_partition(
+                &centers,
+                centers.len() / items.len(),
+                geometry.max_leaf,
+            );
             crate::split::distribute(items, &a, &b)
         }
     }

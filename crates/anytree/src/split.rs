@@ -1,71 +1,35 @@
 //! Split algorithms shared by the tree instantiations.
 //!
-//! Directory nodes split in one of two ways, chosen statically by the
-//! payload ([`Summary::MBR_ROUTED`]):
-//!
-//! * **R\* topological split** over the entries' MBRs (the Bayes tree), via
-//!   [`bt_index::rstar::rstar_split_corners`], reading each corner from
-//!   the box [`Summary::as_mbr`] lends, so no box is copied;
-//! * **polar split** (farthest-pair seeding, closer-seed assignment with
-//!   capacity caps) over the entries' centres (the clustering extension).
+//! A directory container splits itself ([`crate::Directory::split_in_two`]): the
+//! Bayes tree's box-routed block with the R* topological split over its
+//! box columns, and a row directory (`Vec<Entry<S>>`, the clustering
+//! extension's) with the **polar split** (farthest-pair seeding,
+//! closer-seed assignment with capacity caps) over the entries' centres,
+//! [`split_entries`].
 //!
 //! The polar partition is exposed so models can reuse it for their leaf
 //! items as well.
 
 use crate::node::Entry;
 use crate::summary::Summary;
-use bt_index::rstar::rstar_split_corners;
 use bt_index::PageGeometry;
 
-/// Splits the entries of an overfull directory node (over `dims`-dimensional
+/// Splits the entries of an overfull row directory (over `dims`-dimensional
 /// data) into the group that stays and the group that moves to a fresh
-/// node.
+/// node: the polar split over the entries' [`Summary::center`]s, written
+/// into one row-major buffer.
 #[must_use]
 pub fn split_entries<S: Summary>(
     entries: Vec<Entry<S>>,
     geometry: &PageGeometry,
     dims: usize,
 ) -> (Vec<Entry<S>>, Vec<Entry<S>>) {
-    if S::MBR_ROUTED {
-        let min = geometry.min_fanout.min(entries.len() / 2).max(1);
-        let split = rstar_split_corners(
-            entries.len(),
-            dims,
-            |i, d| {
-                let mbr = entries[i]
-                    .summary
-                    .as_mbr()
-                    .expect("MBR-routed payload exposes a box");
-                (mbr.lower()[d], mbr.upper()[d])
-            },
-            min,
-        );
-        // Distribute in original entry order (the membership sets decide,
-        // not the sort order), matching the historical Bayes-tree split.
-        let in_first: Vec<bool> = membership(entries.len(), &split.first);
-        let mut first = Vec::with_capacity(split.first.len());
-        let mut second = Vec::with_capacity(split.second.len());
-        for (i, e) in entries.into_iter().enumerate() {
-            if in_first[i] {
-                first.push(e);
-            } else {
-                second.push(e);
-            }
-        }
-        (first, second)
-    } else {
-        let centers: Vec<Vec<f64>> = entries.iter().map(|e| e.summary.center()).collect();
-        let (ia, ib) = polar_partition(&centers, geometry.max_fanout);
-        distribute(entries, &ia, &ib)
+    let mut centers = vec![0.0; entries.len() * dims];
+    for (entry, center) in entries.iter().zip(centers.chunks_exact_mut(dims)) {
+        entry.summary.write_center(center);
     }
-}
-
-fn membership(len: usize, first: &[usize]) -> Vec<bool> {
-    let mut m = vec![false; len];
-    for &i in first {
-        m[i] = true;
-    }
-    m
+    let (ia, ib) = polar_partition(&centers, dims, geometry.max_fanout);
+    distribute(entries, &ia, &ib)
 }
 
 /// Moves `items` into two groups given index lists (each index must appear
@@ -73,39 +37,61 @@ fn membership(len: usize, first: &[usize]) -> Vec<bool> {
 /// core's directory splits and exposed for models to implement their leaf
 /// splits without cloning items.
 ///
+/// The items are permuted in place into `first ++ second` order, one cycle
+/// at a time, and the second group is split off: the two groups (the first
+/// keeps `items`' buffer) and one scratch order are all it allocates.
+///
 /// # Panics
 ///
-/// Panics if an index appears in both lists.
+/// Panics unless the two lists together name every index of `items`
+/// exactly once.
 #[must_use]
-pub fn distribute<T>(items: Vec<T>, first: &[usize], second: &[usize]) -> (Vec<T>, Vec<T>) {
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let take = |slots: &mut Vec<Option<T>>, idx: &[usize]| {
-        idx.iter()
-            .map(|&i| slots[i].take().expect("index appears once"))
-            .collect::<Vec<T>>()
-    };
-    let a = take(&mut slots, first);
-    let b = take(&mut slots, second);
-    (a, b)
+pub fn distribute<T>(mut items: Vec<T>, first: &[usize], second: &[usize]) -> (Vec<T>, Vec<T>) {
+    const DONE: usize = usize::MAX;
+    let n = items.len();
+    assert_eq!(first.len() + second.len(), n, "every index appears once");
+    // `order[k]` is the index whose item lands at position `k`.
+    let mut order: Vec<usize> = first.iter().chain(second).copied().collect();
+    for start in 0..n {
+        if order[start] == DONE {
+            continue;
+        }
+        let mut k = start;
+        loop {
+            let src = std::mem::replace(&mut order[k], DONE);
+            if src == start {
+                break;
+            }
+            assert!(src < n && order[src] != DONE, "index appears once");
+            items.swap(k, src);
+            k = src;
+        }
+    }
+    let moved = items.split_off(first.len());
+    (items, moved)
 }
 
 /// Farthest-pair split: seeds with the two centres farthest apart, assigns
 /// every centre to the closer seed (capped at `cap` per group, overflow
 /// falling back to the first group), and guarantees both groups are
-/// non-empty.  Returns the index lists of both groups in scan order.
+/// non-empty.  `centers` is row-major, `dims` values per centre.  Returns
+/// the index lists of both groups in scan order.
 ///
 /// # Panics
 ///
-/// Panics if fewer than two centres are given.
+/// Panics if fewer than two centres are given, or if `dims` is zero.
 #[must_use]
-pub fn polar_partition(centers: &[Vec<f64>], cap: usize) -> (Vec<usize>, Vec<usize>) {
-    assert!(centers.len() >= 2, "cannot split fewer than two entries");
+pub fn polar_partition(centers: &[f64], dims: usize, cap: usize) -> (Vec<usize>, Vec<usize>) {
+    assert!(dims > 0, "centres have at least one dimension");
+    let n = centers.len() / dims;
+    assert!(n >= 2, "cannot split fewer than two entries");
+    let center = |i: usize| &centers[i * dims..(i + 1) * dims];
     let mut seed_a = 0;
     let mut seed_b = 1;
     let mut best = -1.0;
-    for i in 0..centers.len() {
-        for j in (i + 1)..centers.len() {
-            let d = sq_dist(&centers[i], &centers[j]);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = sq_dist(center(i), center(j));
             if d > best {
                 best = d;
                 seed_a = i;
@@ -113,11 +99,12 @@ pub fn polar_partition(centers: &[Vec<f64>], cap: usize) -> (Vec<usize>, Vec<usi
             }
         }
     }
-    let mut group_a = Vec::new();
-    let mut group_b = Vec::new();
-    for (i, c) in centers.iter().enumerate() {
-        let da = sq_dist(c, &centers[seed_a]);
-        let db = sq_dist(c, &centers[seed_b]);
+    let mut group_a = Vec::with_capacity(n);
+    let mut group_b = Vec::with_capacity(n);
+    for i in 0..n {
+        let c = center(i);
+        let da = sq_dist(c, center(seed_a));
+        let db = sq_dist(c, center(seed_b));
         if da <= db && group_a.len() < cap {
             group_a.push(i);
         } else if group_b.len() < cap {
@@ -146,13 +133,8 @@ mod tests {
 
     #[test]
     fn polar_partition_separates_two_clusters() {
-        let centers = vec![
-            vec![0.0, 0.0],
-            vec![0.1, 0.1],
-            vec![10.0, 10.0],
-            vec![10.1, 9.9],
-        ];
-        let (a, b) = polar_partition(&centers, 4);
+        let centers = [0.0, 0.0, 0.1, 0.1, 10.0, 10.0, 10.1, 9.9];
+        let (a, b) = polar_partition(&centers, 2, 4);
         let low = if a.contains(&0) { &a } else { &b };
         let high = if a.contains(&0) { &b } else { &a };
         assert_eq!(low, &vec![0, 1]);
@@ -161,8 +143,8 @@ mod tests {
 
     #[test]
     fn polar_partition_respects_cap_and_covers_everything() {
-        let centers: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64]).collect();
-        let (a, b) = polar_partition(&centers, 6);
+        let centers: Vec<f64> = (0..7).map(f64::from).collect();
+        let (a, b) = polar_partition(&centers, 1, 6);
         assert!(a.len() <= 7 && b.len() <= 6);
         let mut all: Vec<usize> = a.iter().chain(b.iter()).copied().collect();
         all.sort_unstable();
@@ -172,8 +154,8 @@ mod tests {
 
     #[test]
     fn polar_partition_of_identical_centers_is_non_degenerate() {
-        let centers = vec![vec![1.0]; 5];
-        let (a, b) = polar_partition(&centers, 4);
+        let centers = [1.0; 5];
+        let (a, b) = polar_partition(&centers, 1, 4);
         assert!(!a.is_empty() && !b.is_empty());
         assert_eq!(a.len() + b.len(), 5);
     }

@@ -1,6 +1,6 @@
 //! The payload trait: what an entry aggregates about its subtree.
 
-use bt_index::Mbr;
+use crate::node::Directory;
 
 /// The additive summary a directory entry keeps about everything stored in
 /// its subtree.
@@ -13,23 +13,23 @@ use bt_index::Mbr;
 ///   summaries and to build parent entries after splits,
 /// * [`weight`](Summary::weight) — the (possibly decayed) object count,
 /// * [`sq_dist_to`](Summary::sq_dist_to) / [`center`](Summary::center) —
-///   the geometric routing and splitting measures for payloads without an
-///   MBR,
+///   the geometric routing and splitting measures of distance-routed
+///   directories,
 /// * [`refresh`](Summary::refresh) — the temporal-decay hook (a no-op for
 ///   payloads without temporal semantics),
-/// * [`as_mbr`](Summary::as_mbr) \+ [`MBR_ROUTED`](Summary::MBR_ROUTED) —
-///   the hook into `bt_index::rstar`: when set, descent routes by least
-///   area enlargement and overflowing directory nodes split with the R*
-///   topological split instead of the distance-based split, both reading
-///   the box `as_mbr` lends.
+/// * [`Dir`](Summary::Dir) — the container a directory node keeps its
+///   entries in.  A container that lends box columns
+///   ([`Directory::boxes`]) is routed by least area enlargement through
+///   `bt_index::rstar` and splits with its own (R*) split; the others
+///   route by distance and split with the polar split.
 pub trait Summary: Clone {
     /// Per-operation context threaded through merges and refreshes (e.g. the
     /// current timestamp and decay rate).  `()` for payloads without one.
     type Ctx: Copy;
 
-    /// Whether descent and directory splits should use the MBR machinery of
-    /// `bt_index::rstar` ([`as_mbr`](Summary::as_mbr) must then lend a box).
-    const MBR_ROUTED: bool = false;
+    /// What a directory node of this payload stores: `Vec<Entry<Self>>`
+    /// for one row per entry, or a container laid out for its reader.
+    type Dir: Directory<Self>;
 
     /// Adds `other`'s mass to this summary.
     fn merge(&mut self, other: &Self, ctx: Self::Ctx);
@@ -53,10 +53,11 @@ pub trait Summary: Clone {
     /// which pairs split or merge, and with them the partitions.
     fn center(&self) -> Vec<f64>;
 
-    /// The minimum bounding rectangle of an MBR-routed payload; `None`
-    /// for the others.
-    fn as_mbr(&self) -> Option<&Mbr> {
-        None
+    /// Writes [`center`](Summary::center)'s values into `out` (one
+    /// centre's `dims` slots of a flat buffer).  The default copies
+    /// `center`'s `Vec`; payloads override it to write in place.
+    fn write_center(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.center());
     }
 
     /// Whether [`center_into`](Summary::center_into) reproduces the exact

@@ -8,7 +8,7 @@
 use crate::arena::{ArenaCensus, NodeArena};
 use crate::descent::{DepthHistogram, DescentCursor, DescentScratch, DescentStats};
 use crate::model::InsertModel;
-use crate::node::{Entry, LeafItems, Node, NodeId, NodeKind};
+use crate::node::{Directory, LeafItems, Node, NodeId, NodeKind};
 use crate::snapshot::TreeSnapshot;
 use crate::summary::Summary;
 use bt_index::PageGeometry;
@@ -265,49 +265,28 @@ impl<S: Summary, L> AnytimeTree<S, L> {
     pub fn measure_depth(&self, node: NodeId) -> usize {
         match &self.arena.node(node).kind {
             NodeKind::Leaf { .. } => 1,
-            NodeKind::Inner { entries } => {
-                1 + entries
-                    .iter()
-                    .map(|e| self.measure_depth(e.child))
+            NodeKind::Inner { .. } => {
+                1 + self
+                    .arena
+                    .node(node)
+                    .children()
+                    .map(|child| self.measure_depth(child))
                     .max()
                     .unwrap_or(0)
             }
         }
     }
 
-    /// Builds the entry describing inner node `id` by folding its entries'
-    /// summaries, then refreshing the result.
-    ///
-    /// Buffers are deliberately *not* added: an entry's summary already
-    /// includes the mass parked in its own buffer (objects are absorbed into
-    /// the summary before being parked), so every entry satisfies
-    /// `summary == child content + own buffer` and the node's total is just
-    /// the sum of its entries' summaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a non-empty inner node.
-    #[must_use]
-    pub fn summarize_inner(&self, id: NodeId, ctx: S::Ctx) -> Entry<S> {
-        let entries = self.arena.node(id).entries();
-        assert!(!entries.is_empty(), "cannot summarise an empty inner node");
-        let mut summary = entries[0].summary.clone();
-        for e in &entries[1..] {
-            summary.merge(&e.summary, ctx);
-        }
-        summary.refresh(ctx);
-        Entry::new(summary, id)
-    }
-
-    /// Builds the entry describing any non-empty node `id`: leaf nodes are
-    /// summarised through the model's leaf policy, inner nodes by folding
-    /// their entries ([`Self::summarize_inner`]).
+    /// The summary describing any non-empty node `id` — what its parent
+    /// entry holds: leaf nodes are summarised through the model's leaf
+    /// policy, inner nodes by folding their entries
+    /// ([`Directory::summarize`]).
     ///
     /// # Panics
     ///
     /// Panics if the node is empty.
     #[must_use]
-    pub fn summarize_node<M>(&self, model: &M, id: NodeId) -> Entry<S>
+    pub fn summarize_node<M>(&self, model: &M, id: NodeId) -> S
     where
         L: LeafItems,
         M: InsertModel<S, Leaf = L>,
@@ -315,9 +294,9 @@ impl<S: Summary, L> AnytimeTree<S, L> {
         match &self.arena.node(id).kind {
             NodeKind::Leaf { items } => {
                 assert!(!items.is_empty(), "cannot summarise an empty leaf");
-                Entry::new(model.summarize_leaf_items(items), id)
+                model.summarize_leaf_items(items)
             }
-            NodeKind::Inner { .. } => self.summarize_inner(id, model.ctx()),
+            NodeKind::Inner { entries } => entries.summarize(model.ctx()),
         }
     }
 }
@@ -386,6 +365,7 @@ mod tests {
 
     impl Summary for Blob {
         type Ctx = ();
+        type Dir = Vec<crate::node::Entry<Blob>>;
         fn merge(&mut self, other: &Self, _ctx: ()) {
             self.weight += other.weight;
             for (a, b) in self.sum.iter_mut().zip(&other.sum) {
@@ -445,8 +425,12 @@ mod tests {
             items: Vec<Blob>,
             geometry: &PageGeometry,
         ) -> (Vec<Blob>, Vec<Blob>) {
-            let centers: Vec<Vec<f64>> = items.iter().map(Summary::center).collect();
-            let (a, b) = crate::split::polar_partition(&centers, geometry.max_leaf);
+            let centers: Vec<f64> = items.iter().flat_map(Summary::center).collect();
+            let (a, b) = crate::split::polar_partition(
+                &centers,
+                centers.len() / items.len(),
+                geometry.max_leaf,
+            );
             crate::split::distribute(items, &a, &b)
         }
     }
@@ -473,7 +457,10 @@ mod tests {
             match &tree.node(id).kind {
                 NodeKind::Leaf { items } => total += items.iter().map(|b| b.weight).sum::<f64>(),
                 NodeKind::Inner { entries } => {
-                    total += entries.iter().map(Entry::buffered_weight).sum::<f64>();
+                    total += entries
+                        .iter()
+                        .map(crate::node::Entry::buffered_weight)
+                        .sum::<f64>();
                 }
             }
         }
@@ -547,8 +534,12 @@ mod tests {
         }
         let root = tree.node(tree.root());
         if !root.is_leaf() {
-            let total: f64 = root.entries().iter().map(Entry::weight).sum();
-            let buffered: f64 = root.entries().iter().map(Entry::buffered_weight).sum();
+            let total: f64 = root.entries().iter().map(crate::node::Entry::weight).sum();
+            let buffered: f64 = root
+                .entries()
+                .iter()
+                .map(crate::node::Entry::buffered_weight)
+                .sum();
             assert!((total + buffered - 80.0).abs() < 1e-9 || (total - 80.0).abs() < 1e-9);
         }
     }

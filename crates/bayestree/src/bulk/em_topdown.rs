@@ -89,7 +89,9 @@ fn build_recursive(
     }
 
     (
-        core.push_node(bt_anytree::Node::inner(entries)),
+        core.push_node(bt_anytree::Node::inner(crate::node::entries_block(
+            &entries,
+        ))),
         max_child_height + 1,
     )
 }

@@ -158,7 +158,10 @@ fn build_directory_levels(
                 continue;
             }
             let node_entries: Vec<Entry> = group.iter().map(|&i| entries[i].clone()).collect();
-            next.push(push_entry(core, bt_anytree::Node::inner(node_entries)));
+            next.push(push_entry(
+                core,
+                bt_anytree::Node::inner(crate::node::entries_block(&node_entries)),
+            ));
         }
         // Guard against a degenerate partition that failed to reduce the
         // entry count (cannot normally happen, but protects against an

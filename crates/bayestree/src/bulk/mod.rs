@@ -212,7 +212,10 @@ pub(crate) fn finish_bottom_up<G>(
                     continue;
                 }
                 let node_entries: Vec<Entry> = group.iter().map(|&i| entries[i].clone()).collect();
-                next.push(push_entry(core, bt_anytree::Node::inner(node_entries)));
+                next.push(push_entry(
+                    core,
+                    bt_anytree::Node::inner(crate::node::entries_block(&node_entries)),
+                ));
             }
             // A grouping that fails to reduce the entry count would loop
             // forever; fall back to a single extra level holding everything.
@@ -222,7 +225,9 @@ pub(crate) fn finish_bottom_up<G>(
             }
             entries = next;
         }
-        let root = core.push_node(bt_anytree::Node::inner(entries));
+        let root = core.push_node(bt_anytree::Node::inner(crate::node::entries_block(
+            &entries,
+        )));
         let height = core.measure_depth(root);
         core.set_root(root, height);
     }

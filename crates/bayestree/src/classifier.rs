@@ -11,9 +11,9 @@
 //! Every classification starts from the 0-read root mixture of every
 //! class.  The roots are scored together: a `RootBlock` stacks every
 //! class root's entries (a leaf root's one summary) into one column block,
-//! gathered by the first classification with each lane's `weight / n_c`,
-//! and each classification scores it with one estimate pass that leaves
-//! every lane's mixture term in a buffer.  Every class's root estimate is
+//! copied by the first classification from the roots' own blocks with each
+//! lane's `weight / n_c`, and each classification scores it with one
+//! estimate pass that leaves every lane's mixture term in a buffer.  Every class's root estimate is
 //! summed from that buffer, and a class frontier is built only when the
 //! refinement strategy first picks that class: it is seeded from the
 //! class's own terms ([`bt_anytree::QueryCursor::begin_scored`]) exactly
@@ -36,18 +36,18 @@ use crate::bulk::{build_tree, BulkLoadMethod};
 use crate::descent::DescentStrategy;
 use crate::insert::{check_point, or_panic, InputError};
 use crate::leaf::PointColumns;
-use crate::node::KernelSummary;
+use crate::node::{EntryColumns, KernelSummary};
 use crate::qbk::{RefinementScheduler, RefinementStrategy};
 use crate::query::{estimate_score, EstimateModel};
 use crate::tree::{BayesIndex, BayesTree, BayesTreeSnapshot};
 use bt_anytree::{
-    frontier_sum, with_scratch_cursors, ArenaCensus, ElementOrigin, NodeId, NodeKind, QueryCursor,
-    QueryModel, QueryStats, RefineOrder, ShardSet, TreeView,
+    frontier_sum, with_scratch_cursors, ArenaCensus, Directory, ElementOrigin, NodeId, NodeKind,
+    QueryCursor, QueryModel, QueryStats, RefineOrder, ShardSet, TreeView,
 };
 use bt_data::Dataset;
 use bt_index::PageGeometry;
 use bt_stats::kernel::node_estimates_block;
-use bt_stats::SummaryBlock;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -138,8 +138,8 @@ pub struct Classifier<T> {
     pub(crate) class_names: Arc<[String]>,
     pub(crate) config: ClassifierConfig,
     pub(crate) dims: usize,
-    /// The class roots' stacked block, gathered by the first
-    /// classification since the last write.
+    /// The class roots' stacked block, built by the first classification
+    /// since the last write.
     pub(crate) roots: OnceLock<RootBlock>,
 }
 
@@ -229,7 +229,7 @@ impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<C>> {
     /// thread's pooled [`ClassifyScratch`], so after its first calls a
     /// classification allocates only what `f` returns.
     ///
-    /// The 0-read root mixture is one pass: `roots` (gathered on first use)
+    /// The 0-read root mixture is one pass: `roots` (stacked on first use)
     /// holds every class root's lanes, and one [`node_estimates_block`]
     /// call scores them all into the scratch's lane buffer, which then
     /// holds each lane's term `weight / n_c * exp(log_pdf)` — the score its
@@ -242,8 +242,8 @@ impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<C>> {
     /// first picks the class; every frontier then equals the one
     /// [`TreeView::begin_query`] builds.  Seeded or not, each class counts
     /// one query, its root elements as scored and, for a non-empty root,
-    /// one block gather when this call gathered `roots`, else one gather
-    /// avoided.
+    /// one block gather when this call stacked `roots` (copying the root's
+    /// published lanes), else one gather avoided.
     ///
     /// The loop reads each frontier's point estimate and nothing of its
     /// bounds, so every class scores through its model's estimate-only form
@@ -268,7 +268,7 @@ impl<C: ShardSet<KernelSummary, PointColumns>> Classifier<BayesIndex<C>> {
         let mut gathered = false;
         let roots = self.roots.get_or_init(|| {
             gathered = true;
-            RootBlock::gather(&self.trees)
+            RootBlock::stack(&self.trees)
         });
         with_scratch_cursors(self.trees.len(), |cursors| {
             with_classify_scratch(|scratch| {
@@ -298,7 +298,7 @@ struct ClassifyRun<'a, C> {
     classifier: &'a Classifier<BayesIndex<C>>,
     x: &'a [f64],
     roots: &'a RootBlock,
-    /// Whether this classification gathered `roots`.
+    /// Whether this classification stacked `roots`.
     gathered: bool,
     order: RefineOrder,
     /// One per class; a class's cursor is seeded on its first refinement.
@@ -426,7 +426,12 @@ impl ClassifyScratch {
         priors: &[f64],
         strategy: RefinementStrategy,
     ) {
-        node_estimates_block(x, &roots.block, &mut self.terms, &mut self.dists);
+        node_estimates_block(
+            x,
+            roots.block.node_columns(),
+            &mut self.terms,
+            &mut self.dists,
+        );
         for (term, &scale) in self.terms.iter_mut().zip(&roots.scales) {
             *term = scale * term.exp();
         }
@@ -660,13 +665,14 @@ impl AnytimeClassifier {
 ///
 /// The block is a pure function of the class roots, so the classifier and
 /// each snapshot keep one in a [`OnceLock`]: the first classification
-/// gathers it and every later one scores it, reading every class's root
+/// stacks it and every later one scores it, reading every class's root
 /// estimate from it and seeding a class's frontier from its span only when
 /// that class is first refined.  The classifier's writers empty it.
 #[derive(Debug, Clone)]
 pub(crate) struct RootBlock {
-    /// The stacked columns, one lane per root element.
-    block: SummaryBlock,
+    /// The stacked columns, one lane per root element: copies of each
+    /// inner root's published lanes, so stacking computes no logarithm.
+    block: EntryColumns,
     /// Per lane: its weight over its class's observation count, the factor
     /// of `exp(log_pdf)` in the lane's mixture term.
     scales: Vec<f64>,
@@ -677,50 +683,50 @@ pub(crate) struct RootBlock {
 }
 
 impl RootBlock {
-    /// Gathers every class root, in class order.
-    fn gather<C: ShardSet<KernelSummary, PointColumns>>(trees: &[BayesIndex<C>]) -> Self {
-        let len = trees
+    /// Stacks every class root, in class order.
+    fn stack<C: ShardSet<KernelSummary, PointColumns>>(trees: &[BayesIndex<C>]) -> Self {
+        let dims = trees.first().map_or(0, |tree| tree.core().dims());
+        // A leaf root's lane is its summary, written once here.
+        let roots: Vec<Cow<'_, EntryColumns>> = trees
             .iter()
             .map(|tree| {
-                let view = tree.core().shard(0);
-                match &view.node(view.root()).kind {
-                    NodeKind::Inner { entries } => entries.len(),
-                    NodeKind::Leaf { items } => usize::from(!items.is_empty()),
+                let (view, model) = (tree.core().shard(0), tree.query_model());
+                let root = view.root();
+                match &view.node(root).kind {
+                    NodeKind::Inner { entries } => Cow::Borrowed(entries),
+                    NodeKind::Leaf { items } if !items.is_empty() => {
+                        let summary: KernelSummary = model.summarize_leaf_items(items);
+                        Cow::Owned(EntryColumns::from_entries(vec![(summary, root)]))
+                    }
+                    NodeKind::Leaf { .. } => Cow::Owned(EntryColumns::default()),
                 }
             })
-            .sum();
-        let dims = trees.first().map_or(0, |tree| tree.core().dims());
-        let mut block = SummaryBlock::new();
-        block.reset(dims, len);
-        block.enable_vars();
-        block.enable_boxes();
-        let mut scales = Vec::with_capacity(len);
+            .collect();
+        let block = EntryColumns::stacked(dims, roots.iter().map(|root| &**root));
+        let mut scales = Vec::with_capacity(block.len());
         let mut spans = Vec::with_capacity(trees.len());
-        let mut lanes = Vec::with_capacity(len);
-        for tree in trees {
-            let (view, model) = (tree.core().shard(0), tree.query_model());
+        let mut lanes = Vec::with_capacity(block.len());
+        for (tree, entries) in trees.iter().zip(&roots) {
+            let view = tree.core().shard(0);
             let root = view.root();
             let start = lanes.len();
-            match &view.node(root).kind {
-                NodeKind::Inner { entries } => {
-                    for (index, entry) in entries.iter().enumerate() {
-                        entry.summary.gather_into(&mut block, lanes.len(), dims);
-                        let origin = ElementOrigin::Entry { node: root, index };
-                        lanes.push((Some(entry.child), origin));
-                    }
-                }
-                NodeKind::Leaf { items } if !items.is_empty() => {
-                    let summary: KernelSummary = model.summarize_leaf_items(items);
-                    summary.gather_into(&mut block, start, dims);
-                    lanes.push((Some(root), ElementOrigin::RootLeaf));
-                }
-                NodeKind::Leaf { .. } => {}
+            if view.node(root).is_leaf() {
+                lanes
+                    .extend((!entries.is_empty()).then_some((Some(root), ElementOrigin::RootLeaf)));
+            } else {
+                lanes.extend((0..entries.len()).map(|index| {
+                    let origin = ElementOrigin::Entry { node: root, index };
+                    (Some(entries.child(index)), origin)
+                }));
             }
-            let weights = &block.weights()[start..lanes.len()];
-            scales.extend(weights.iter().map(|weight| weight / model.n()));
+            let n = tree.query_model().n();
+            scales.extend(
+                block.weights()[start..lanes.len()]
+                    .iter()
+                    .map(|weight| weight / n),
+            );
             spans.push((root, start..lanes.len()));
         }
-        block.fill_log_vars();
         Self {
             block,
             scales,

@@ -12,8 +12,9 @@
 //! the shared [`bt_anytree`] core (an iterative cursor engine, see
 //! [`bt_anytree::descent`]); this module only supplies the kernel-specific
 //! [`InsertModel`]: raw points copied into each leaf's dimension-major
-//! block ([`PointColumns`]), R* leaf splits over per-point
-//! MBRs, no hitchhiker buffering (every insertion descends to a leaf, i.e.
+//! block ([`PointColumns`]), absorbed into each ancestor entry's columns
+//! ([`EntryColumns`]), R* leaf splits over per-point MBRs, no hitchhiker
+//! buffering (every insertion descends to a leaf, i.e.
 //! an unbounded budget).  [`BayesTree::insert_batch`] hands a mini-batch to
 //! the shared sharding layer, which drains it into the one shard of a plain
 //! tree (or routes it across `K` shards descending in parallel) through the
@@ -22,7 +23,7 @@
 
 use crate::descent::DescentStrategy;
 use crate::leaf::PointColumns;
-use crate::node::KernelSummary;
+use crate::node::{EntryColumns, KernelSummary};
 use crate::query::KernelQueryModel;
 use crate::tree::{BayesIndex, BayesTree, LiveShards};
 use bt_anytree::{BatchOutcome, InsertModel, PipelinedOutcome, ShardRouter};
@@ -62,6 +63,12 @@ impl InsertModel<KernelSummary> for KernelModel {
 
     fn absorb_into(&self, summary: &mut KernelSummary, obj: &Vec<f64>) {
         summary.absorb_point(obj);
+    }
+
+    /// Absorbs the point into the entry's columns in place; the batch
+    /// derives the entry's mean and variance lanes before it publishes.
+    fn absorb_into_entry(&self, entries: &mut EntryColumns, i: usize, obj: &Vec<f64>) {
+        entries.absorb_point(i, obj);
     }
 
     /// Copies the point into the leaf's columns.
@@ -128,13 +135,6 @@ impl<R: ShardRouter<KernelSummary>> BayesIndex<LiveShards<R>> {
         // The Bayes tree always descends to a leaf: an unbounded budget.
         let _ = self.core.insert(&mut model, point, usize::MAX);
         self.num_points += 1;
-    }
-
-    /// Inserts every observation of an iterator in order.
-    pub fn insert_all<I: IntoIterator<Item = Vec<f64>>>(&mut self, points: I) {
-        for p in points {
-            self.insert(p);
-        }
     }
 
     /// Inserts a mini-batch of observations through the core's batched

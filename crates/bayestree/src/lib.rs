@@ -77,6 +77,7 @@
 pub mod bulk;
 pub mod classifier;
 pub mod descent;
+pub mod directory;
 #[cfg(test)]
 mod frontier;
 pub mod insert;
@@ -98,7 +99,7 @@ pub use classifier::{
 pub use descent::{DescentStrategy, PriorityMeasure};
 pub use insert::InputError;
 pub use leaf::PointColumns;
-pub use node::{Entry, KernelSummary, Node, NodeId, NodeKind};
+pub use node::{Entry, EntryColumns, KernelSummary, Node, NodeId, NodeKind};
 pub use qbk::{RefinementScheduler, RefinementStrategy};
 pub use query::{summary_mixture_term, KernelQueryModel};
 pub use tree::{BayesCore, BayesIndex, BayesTree, BayesTreeSnapshot};

@@ -8,21 +8,19 @@
 //! makes every *frontier* of entries a complete Gaussian mixture model.
 //!
 //! Here that payload is [`KernelSummary`]: the box and the cluster feature
-//! in `f64`, updated as each point arrives.  The arena, entries and nodes are the generic ones of [`bt_anytree`],
-//! specialised to it.  An [`Entry`] dereferences to its summary, so the
-//! familiar `entry.mbr` / `entry.cf` field access works on entries.
-//!
-//! The anytime core reads each entry's box through [`Summary::as_mbr`]
-//! (descent routing, the R* directory split), and the query model gathers
-//! boxes, means and raw variances into full-width
-//! [`bt_stats::SummaryBlock`] columns, so the block path scores exactly the
-//! values the scalar reference reads, bit for bit.
+//! in `f64`.  The arena and nodes are the generic ones of [`bt_anytree`],
+//! specialised to it.  A directory node stores its entries in one
+//! dimension-major block ([`EntryColumns`]: the payload plus the derived
+//! mean and variance lanes the node pass reads); one entry materialises as
+//! an [`Entry`], which dereferences to its summary, so the familiar
+//! `entry.mbr` / `entry.cf` field access works on it.
 
+pub use crate::directory::EntryColumns;
 use crate::leaf::PointColumns;
-use bt_anytree::Summary;
+use bt_anytree::{Directory, Summary};
 use bt_index::Mbr;
 use bt_stats::kernel::{cf_log_terms, farthest_point_log_kernel, nearest_point_log_kernel};
-use bt_stats::{ClusterFeature, DiagGaussian, KernelBandwidth, SummaryBlock};
+use bt_stats::{ClusterFeature, DiagGaussian, KernelBandwidth};
 
 /// Arena index of a node within its tree.
 pub type NodeId = bt_anytree::NodeId;
@@ -125,25 +123,6 @@ impl KernelSummary {
         self.cf.insert(point);
     }
 
-    /// Writes this summary into row `i` of a structure-of-arrays block:
-    /// weight, mean / raw variance ([`ClusterFeature::raw_moments`]) and
-    /// MBR corner columns.  The node passes floor the variance as the
-    /// `DiagGaussian` clamp does, so the block kernels stay bit-identical
-    /// to the scalar reference.  `block` has already been reset with boxes
-    /// enabled.
-    pub(crate) fn gather_into(&self, block: &mut SummaryBlock, i: usize, dims: usize) {
-        block.set_weight(i, self.cf.weight());
-        for (d, (mean, var)) in self.cf.raw_moments().take(dims).enumerate() {
-            block.set_mean(d, i, mean);
-            block.set_var(d, i, var);
-        }
-        let (lo, hi) = (self.mbr.lower(), self.mbr.upper());
-        for d in 0..dims {
-            block.set_lower(d, i, lo[d]);
-            block.set_upper(d, i, hi[d]);
-        }
-    }
-
     /// The log product-kernel at the farthest and nearest point of this
     /// summary's box — `(farthest, nearest)`, the box sides of the certain
     /// bound interval.
@@ -171,7 +150,7 @@ impl KernelSummary {
 
 impl Summary for KernelSummary {
     type Ctx = ();
-    const MBR_ROUTED: bool = true;
+    type Dir = EntryColumns;
 
     fn merge(&mut self, other: &Self, _ctx: ()) {
         self.mbr.extend_mbr(&other.mbr);
@@ -195,28 +174,61 @@ impl Summary for KernelSummary {
     fn center_into(&self, out: &mut Vec<f64>) {
         self.cf.mean_into(out);
     }
+}
 
-    fn as_mbr(&self) -> Option<&Mbr> {
-        Some(&self.mbr)
+/// A directory entry materialised from its node's block: the aggregated
+/// description of one subtree and its child (Definition 1).  Dereferences
+/// to its summary (`entry.mbr`, `entry.cf`, `entry.gaussian()`).
+#[derive(Debug, Clone)]
+pub struct Entry {
+    /// Box and cluster feature of everything stored below.
+    pub summary: KernelSummary,
+    /// Arena index of the child node.
+    pub child: NodeId,
+}
+
+impl Entry {
+    /// Number of points summarised by this entry.
+    #[must_use]
+    pub fn weight(&self) -> f64 {
+        self.summary.weight()
     }
 }
 
-/// A directory entry: the aggregated description of one subtree
-/// (Definition 1).  Dereferences to its summary (`entry.mbr`, `entry.cf`,
-/// `entry.gaussian()`).
-pub type Entry = bt_anytree::Entry<KernelSummary>;
+impl std::ops::Deref for Entry {
+    type Target = KernelSummary;
+    fn deref(&self) -> &KernelSummary {
+        &self.summary
+    }
+}
+
+/// Every entry of a directory block, materialised in entry order.
+#[must_use]
+pub fn block_entries(entries: &EntryColumns) -> Vec<Entry> {
+    (0..entries.len())
+        .map(|i| Entry {
+            summary: entries.entry_summary(i),
+            child: entries.child(i),
+        })
+        .collect()
+}
+
+/// A directory block holding `entries` in order.
+#[must_use]
+pub fn entries_block(entries: &[Entry]) -> EntryColumns {
+    EntryColumns::from_entries(
+        entries
+            .iter()
+            .map(|e| (e.summary.clone(), e.child))
+            .collect(),
+    )
+}
 
 /// The payload of a node: either raw observations (leaf) or entries (inner).
 pub type NodeKind = bt_anytree::NodeKind<KernelSummary, PointColumns>;
 
 /// One node of the Bayes tree.
 pub type Node = bt_anytree::Node<KernelSummary, PointColumns>;
-
-/// Builds an [`Entry`] from its parts (the Definition 1 triple).
-#[must_use]
-pub fn make_entry(mbr: Mbr, cf: ClusterFeature, child: NodeId) -> Entry {
-    bt_anytree::Entry::new(KernelSummary { mbr, cf }, child)
-}
 
 /// The MBR of everything stored in `node`, or `None` when empty: leaves
 /// aggregate their points, inner nodes fold their entries' boxes, so the
@@ -226,12 +238,7 @@ pub fn node_mbr(node: &Node) -> Option<Mbr> {
     match &node.kind {
         bt_anytree::NodeKind::Leaf { items } => KernelSummary::from_leaf(items).map(|s| s.mbr),
         bt_anytree::NodeKind::Inner { entries } => {
-            let (first, rest) = entries.split_first()?;
-            let mut acc = first.mbr.clone();
-            for e in rest {
-                acc.extend_mbr(&e.mbr);
-            }
-            Some(acc)
+            (!entries.is_empty()).then(|| entries.summarize(()).mbr)
         }
     }
 }
@@ -245,8 +252,8 @@ pub fn node_cluster_feature(node: &Node, dims: usize) -> ClusterFeature {
         }
         bt_anytree::NodeKind::Inner { entries } => {
             let mut cf = ClusterFeature::empty(dims);
-            for e in entries {
-                cf.merge(&e.cf);
+            for i in 0..entries.len() {
+                cf.merge(&entries.cluster_feature(i));
             }
             cf
         }
@@ -317,19 +324,18 @@ mod tests {
         assert_eq!(cf.mean(), vec![1.0]);
     }
 
+    fn block(entries: &[(&[f64], NodeId)]) -> EntryColumns {
+        EntryColumns::from_entries(
+            entries
+                .iter()
+                .map(|&(point, child)| (KernelSummary::from_point(point), child))
+                .collect(),
+        )
+    }
+
     #[test]
     fn inner_cluster_feature_merges_entries() {
-        let e1 = make_entry(
-            Mbr::from_point(&[0.0]),
-            ClusterFeature::from_point(&[0.0]),
-            1,
-        );
-        let e2 = make_entry(
-            Mbr::from_point(&[4.0]),
-            ClusterFeature::from_point(&[4.0]),
-            2,
-        );
-        let node: Node = bt_anytree::Node::inner(vec![e1, e2]);
+        let node: Node = bt_anytree::Node::inner(block(&[(&[0.0], 1), (&[4.0], 2)]));
         assert!(!node.is_leaf());
         let cf = node_cluster_feature(&node, 1);
         assert_eq!(cf.weight(), 2.0);
@@ -338,12 +344,10 @@ mod tests {
 
     #[test]
     fn entry_absorb_point_updates_both_summaries() {
-        let mut entry: Entry = make_entry(
-            Mbr::from_point(&[1.0, 1.0]),
-            ClusterFeature::from_point(&[1.0, 1.0]),
-            0,
-        );
-        entry.absorb_point(&[3.0, 0.0]);
+        let mut entries = block(&[(&[1.0, 1.0], 0)]);
+        entries.absorb_point(0, &[3.0, 0.0]);
+        entries.finish();
+        let entry = &block_entries(&entries)[0];
         assert_eq!(entry.weight(), 2.0);
         assert!(entry.mbr.contains_point(&[3.0, 0.0]));
         assert_eq!(entry.cf.mean(), vec![2.0, 0.5]);
@@ -351,9 +355,9 @@ mod tests {
 
     #[test]
     fn entry_gaussian_comes_from_cf() {
-        let mut cf: ClusterFeature = ClusterFeature::from_point(&[0.0]);
-        cf.insert(&[2.0]);
-        let entry: Entry = make_entry(Mbr::from_point(&[0.0]), cf, 0);
+        let mut entries = block(&[(&[0.0], 0)]);
+        entries.absorb_point(0, &[2.0]);
+        let entry = &block_entries(&entries)[0];
         let g = entry.gaussian();
         assert_eq!(g.mean(), &[1.0][..]);
         assert!((g.variance()[0] - 1.0).abs() < 1e-9);
@@ -369,7 +373,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner node")]
     fn items_on_inner_panics() {
-        let node: Node = bt_anytree::Node::inner(vec![]);
+        let node: Node = bt_anytree::Node::inner(EntryColumns::default());
         let _ = node.items();
     }
 

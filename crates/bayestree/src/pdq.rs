@@ -17,7 +17,6 @@
 
 use crate::node::Entry;
 use crate::query::summary_mixture_term;
-use crate::tree::BayesTree;
 
 /// Evaluates `pdq(x, E)` for an explicit set of entries.
 ///
@@ -34,16 +33,10 @@ pub fn pdq(entries: &[Entry], x: &[f64]) -> f64 {
         .sum()
 }
 
-/// Evaluates the complete mixture model stored at tree level `level`
-/// (0 = the root's entries) for the query `x`.
-#[must_use]
-pub fn density_at_level(tree: &BayesTree, x: &[f64], level: usize) -> f64 {
-    pdq(&tree.level_entries(level), x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::BayesTree;
     use bt_index::PageGeometry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -64,7 +57,7 @@ mod tests {
     #[test]
     fn root_level_density_is_positive_near_data() {
         let tree = tree_with(200, 1);
-        let d = density_at_level(&tree, &[2.0, 2.0], 0);
+        let d = pdq(&tree.level_entries(0), &[2.0, 2.0]);
         assert!(d > 0.0);
     }
 
@@ -78,7 +71,7 @@ mod tests {
             let entries = tree.level_entries(level);
             let total: f64 = entries.iter().map(|e| e.weight()).sum();
             assert!((total - 300.0).abs() < 1e-6, "level {level}");
-            assert!(density_at_level(&tree, &[1.0, 1.0], level) >= 0.0);
+            assert!(pdq(&entries, &[1.0, 1.0]) >= 0.0);
         }
     }
 
@@ -93,8 +86,9 @@ mod tests {
     #[test]
     fn density_far_from_data_is_tiny() {
         let tree = tree_with(100, 4);
-        let near = density_at_level(&tree, &[2.0, 2.0], 1);
-        let far = density_at_level(&tree, &[1000.0, 1000.0], 1);
+        let entries = tree.level_entries(1);
+        let near = pdq(&entries, &[2.0, 2.0]);
+        let far = pdq(&entries, &[1000.0, 1000.0]);
         assert!(far < near);
     }
 }

@@ -48,17 +48,17 @@
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::leaf::PointColumns;
-use crate::node::KernelSummary;
+use crate::node::{EntryColumns, KernelSummary};
 use crate::tree::BayesIndex;
 use bt_anytree::{
-    outlier_score_over, query_batch_over, query_over, Entry, OutlierScore, QueryAnswer, QueryModel,
+    outlier_score_over, query_batch_over, query_over, OutlierScore, QueryAnswer, QueryModel,
     QueryStats, RefineOrder, ShardSet, Summary as _, SummaryScore,
 };
 use bt_stats::kernel::{
     certified_bounds, cf_margin, leaf_scores_block, log_kernel_at, node_estimates_block,
     node_scores_block,
 };
-use bt_stats::{BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
+use bt_stats::{BlockScratch, KernelBandwidth};
 
 /// The Definition 3 mixture term `(n_es / n) * g(x, mu_es, sigma_es)` of one
 /// summary — the single place this arithmetic lives; the incremental
@@ -161,64 +161,37 @@ impl QueryModel<KernelSummary> for KernelQueryModel<'_> {
         KernelSummary::from_leaf(leaf).expect("cannot summarise an empty leaf")
     }
 
-    /// Block gather: packs the node's entries into the structure-of-arrays
-    /// [`bt_stats::SummaryBlock`] (weights, Gaussian means / variances, MBR
-    /// corners) so [`QueryModel::score_gathered`] can evaluate every entry
-    /// in one fused, vectorized pass over the dimension-major columns
-    /// instead of four scalar loops per entry.
-    ///
-    /// Each entry writes its own row (`KernelSummary::gather_into`: raw
-    /// variances, which the node passes floor as the `DiagGaussian` clamp
-    /// does), and the gather is a pure function of `entries`, so the
-    /// engine caches it per node.
-    fn gather_entries(&self, entries: &[Entry<KernelSummary>], out: &mut GatheredBlock) -> bool {
-        let dims = self.bandwidth.len();
-        let len = entries.len();
-        let block = &mut out.block;
-        block.reset(dims, len);
-        block.enable_vars();
-        block.enable_boxes();
-        for (i, entry) in entries.iter().enumerate() {
-            entry.summary.gather_into(block, i, dims);
-        }
-        // Hoist the query-independent `ln(var)` out of the scoring loop:
-        // the column is cached with the block, so warm hits score the node
-        // without a single transcendental.
-        block.fill_log_vars();
-        true
-    }
-
-    /// Block scoring over gathered columns: mixture term, certain bounds
-    /// and geometric priority for all entries in one [`node_scores_block`]
-    /// pass.  The pass accumulates in the same per-dimension order as the
-    /// scalar methods, so the scores are bit-identical to the per-summary
-    /// reference (the frontier tests assert this).
-    fn score_gathered(
+    /// Scores the directory where it lies: its block is the node pass's
+    /// layout (`EntryColumns`), with the derived mean, raw-variance and
+    /// log-variance lanes written when the batch that changed the node
+    /// published, so one [`node_scores_block`] pass computes mixture term,
+    /// certain bounds and geometric priority for every entry.  The pass
+    /// accumulates in the same per-dimension order as the scalar methods,
+    /// so the scores are bit-identical to the per-summary reference (the
+    /// frontier tests assert this).  No gather runs and no cache slot is
+    /// filled.
+    fn score_entries(
         &self,
         query: &[f64],
-        _entries: &[Entry<KernelSummary>],
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
+        entries: &EntryColumns,
+        scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
-        let block = &gathered.block;
-        let len = block.len();
-        node_scores_block(query, self.bandwidth, block, lanes);
+        let lanes = &mut scratch.lanes;
+        node_scores_block(query, self.bandwidth, entries.node_columns(), lanes);
         let [contrib, far, near, dist, jensen, magnitude] = lanes;
         out.clear();
-        out.reserve(len);
-        for i in 0..len {
-            let weight = block.weights()[i];
+        out.extend(entries.weights().iter().enumerate().map(|(i, &weight)| {
             let (lower, upper) =
                 self.entry_bounds(weight, far[i], near[i], jensen[i], magnitude[i]);
-            out.push(SummaryScore {
+            SummaryScore {
                 weight,
                 contribution: weight / self.n * contrib[i].exp(),
                 lower,
                 upper,
                 min_dist_sq: dist[i],
-            });
-        }
+            }
+        }));
     }
 
     /// Scores the leaf where it lies: its block is the leaf pass's
@@ -267,11 +240,11 @@ impl QueryModel<KernelSummary> for KernelQueryModel<'_> {
 /// and refines in a [`DescentStrategy`] order, none of which reads a bound
 /// ([`RefineOrder::WidestBound`] is the only order that does, and no
 /// strategy maps to it).  So a directory node runs
-/// [`node_estimates_block`] instead of the full fused pass, skipping its
-/// four bound lanes and their `exp`s per entry, and every element's
-/// interval collapses onto its estimate.  Estimates and priorities equal
-/// the full model's bit for bit, so classifications do too.  The gathers
-/// are the full model's, so cached blocks serve both.
+/// [`node_estimates_block`] over its block instead of the full fused pass,
+/// skipping its four bound lanes and their `exp`s per entry, and every
+/// element's interval collapses onto its estimate.  Estimates and
+/// priorities equal the full model's bit for bit, so classifications do
+/// too.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EstimateModel<'a>(pub(crate) KernelQueryModel<'a>);
 
@@ -312,27 +285,21 @@ impl QueryModel<KernelSummary> for EstimateModel<'_> {
         self.0.summarize_leaf_items(leaf)
     }
 
-    fn gather_entries(&self, entries: &[Entry<KernelSummary>], out: &mut GatheredBlock) -> bool {
-        self.0.gather_entries(entries, out)
-    }
-
-    fn score_gathered(
+    fn score_entries(
         &self,
         query: &[f64],
-        _entries: &[Entry<KernelSummary>],
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
+        entries: &EntryColumns,
+        scratch: &mut BlockScratch,
         out: &mut Vec<SummaryScore>,
     ) {
-        let block = &gathered.block;
-        let [log_pdf, dist, ..] = lanes;
-        node_estimates_block(query, block, log_pdf, dist);
+        let [log_pdf, dist, ..] = &mut scratch.lanes;
+        node_estimates_block(query, entries.node_columns(), log_pdf, dist);
         out.clear();
         // Each lane's mixture term `weight / n * exp(log_pdf)`: the
         // classifier's stacked root block forms the same product from
         // `weight / n` stored per lane, so both admit the same bits.
         out.extend(
-            block
+            entries
                 .weights()
                 .iter()
                 .zip(log_pdf.iter().zip(dist.iter()))
@@ -435,7 +402,7 @@ impl<C: ShardSet<KernelSummary, PointColumns>> BayesIndex<C> {
 mod tests {
     use super::*;
     use crate::BayesTree;
-    use bt_anytree::{OutlierVerdict, TreeView};
+    use bt_anytree::{Directory, OutlierVerdict, TreeView};
     use bt_index::PageGeometry;
     use bt_stats::BlockScratch;
     use rand::rngs::StdRng;
@@ -546,7 +513,7 @@ mod tests {
                 inner_nodes += 1;
                 model.score_entries(&query, entries, &mut scratch, &mut scores);
                 assert_eq!(scores.len(), entries.len());
-                for (entry, score) in entries.iter().zip(&scores) {
+                for (entry, score) in crate::node::block_entries(entries).iter().zip(&scores) {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
                     let (far, near) = summary.bound_log_kernels(&query, bandwidth);
@@ -594,7 +561,7 @@ mod tests {
                 let bt_anytree::NodeKind::Inner { entries } = &tree.shard(0).node(id).kind else {
                     continue;
                 };
-                for entry in entries {
+                for entry in crate::node::block_entries(entries) {
                     let summary = &entry.summary;
                     let scale = summary.weight() / model.n();
                     let (far, near) = summary.bound_log_kernels(&query, &tree.bandwidth);

@@ -17,10 +17,10 @@
 //! ([`crate::bulk`]).
 
 use crate::leaf::PointColumns;
-use crate::node::{node_cluster_feature, node_mbr, Entry, KernelSummary, NodeId};
+use crate::node::{block_entries, node_cluster_feature, node_mbr, Entry, KernelSummary, NodeId};
 use bt_anytree::{
-    AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, NodeKind, ShardSet, ShardedAnytimeTree,
-    ShardedTreeSnapshot,
+    AnytimeTree, ArenaCensus, CheapestRouter, DescentStats, Directory, NodeKind, ShardSet,
+    ShardedAnytimeTree, ShardedTreeSnapshot,
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -347,7 +347,7 @@ impl<R> BayesIndex<LiveShards<R>> {
                 for e in &current {
                     match &shard.node(e.child).kind {
                         NodeKind::Inner { entries } => {
-                            next.extend(entries.iter().cloned());
+                            next.extend(block_entries(entries));
                             expanded_any = true;
                         }
                         NodeKind::Leaf { .. } => next.push(e.clone()),
@@ -424,14 +424,17 @@ impl<R> BayesIndex<LiveShards<R>> {
 /// Panics if `child` is empty.
 pub(crate) fn summarise(shard: &BayesCore<KernelSummary>, child: NodeId) -> Entry {
     let model = crate::insert::KernelModel::new(shard.dims());
-    shard.summarize_node(&model, child)
+    Entry {
+        summary: shard.summarize_node(&model, child),
+        child,
+    }
 }
 
 /// One shard's root entries, or a synthetic single entry summarising its
 /// root when the root is a non-empty leaf.
 fn shard_root_entries(shard: &BayesCore<KernelSummary>) -> Vec<Entry> {
     match &shard.node(shard.root()).kind {
-        NodeKind::Inner { entries } => entries.clone(),
+        NodeKind::Inner { entries } => block_entries(entries),
         NodeKind::Leaf { items } if items.is_empty() => Vec::new(),
         NodeKind::Leaf { .. } => vec![summarise(shard, shard.root())],
     }
@@ -517,22 +520,20 @@ fn validate_node(
                     entries.len()
                 ));
             }
-            for (i, entry) in entries.iter().enumerate() {
-                if entry.buffer.is_some() {
-                    return Err(format!(
-                        "entry {i} of node {id} has a hitchhiker buffer (unused here)"
-                    ));
-                }
-                let (entry_mbr, entry_cf) = (&entry.mbr, &entry.cf);
-                if !(all_finite(entry_mbr.lower())
-                    && all_finite(entry_mbr.upper())
-                    && all_finite(entry_cf.linear_sum())
-                    && all_finite(entry_cf.squared_sum()))
-                {
+            if !entries.is_published() {
+                return Err(format!("inner node {id} has stale derived lanes"));
+            }
+            for i in 0..entries.len() {
+                if !(0..dims).all(|d| entries.payload_finite(i, d)) {
                     return Err(format!(
                         "entry {i} of node {id} has a non-finite MBR corner or CF sum"
                     ));
                 }
+                let entry = Entry {
+                    summary: entries.entry_summary(i),
+                    child: entries.child(i),
+                };
+                let (entry_mbr, entry_cf) = (&entry.mbr, &entry.cf);
                 let child = shard.node(entry.child);
                 if let Some(child_mbr) = node_mbr(child) {
                     if !entry_mbr.contains_mbr(&child_mbr) {
@@ -690,7 +691,9 @@ mod tests {
         let mut planted = tree.clone();
         let bad =
             crate::KernelSummary::from_points(&[vec![f64::INFINITY, 0.0]], 2).expect("one point");
-        planted.shard_mut(0).node_mut(root).entries_mut()[0].summary = bad;
+        let entries = planted.shard_mut(0).node_mut(root).entries_mut();
+        let child = entries.child(0);
+        entries.replace(0, bad, child, ());
         let err = planted.validate(true).unwrap_err();
         assert!(err.contains("non-finite MBR corner or CF sum"), "{err}");
     }

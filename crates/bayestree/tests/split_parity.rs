@@ -1,9 +1,11 @@
-//! Directory splits read each entry's corners from the box
-//! `Summary::as_mbr` lends.  They must split exactly as the R* split over
-//! copies of those boxes does: same groups, entries in their original order.
+//! A directory block splits by reading each entry's corners from its box
+//! columns.  It must split exactly as the R* split over copies of those
+//! boxes does: same groups, entries in their original order.
 
+use bayestree::node::entries_block;
 use bayestree::{Entry, KernelSummary};
-use bt_anytree::split::{distribute, split_entries};
+use bt_anytree::split::distribute;
+use bt_anytree::Directory;
 use bt_index::rstar::rstar_split;
 use bt_index::{Mbr, PageGeometry};
 use rand::rngs::StdRng;
@@ -31,7 +33,7 @@ fn entries(n: usize, dims: usize, grid: bool, seed: u64) -> Vec<Entry> {
                 })
                 .collect();
             let summary = KernelSummary::from_points(&points, dims).expect("non-empty");
-            bt_anytree::Entry::new(summary, child)
+            Entry { summary, child }
         })
         .collect()
 }
@@ -61,10 +63,12 @@ fn check_splits() {
                 let entries = entries(n, dims, grid, seed);
                 let min = geometry.min_fanout.min(n / 2).max(1);
                 let expected = copied_box_split(&entries, min);
-                let (first, second) = split_entries(entries, &geometry, dims);
+                let (first, second) = entries_block(&entries).split_in_two(&geometry, dims);
                 let got = [
-                    first.iter().map(|e| e.child).collect::<Vec<_>>(),
-                    second.iter().map(|e| e.child).collect::<Vec<_>>(),
+                    (0..first.len()).map(|i| first.child(i)).collect::<Vec<_>>(),
+                    (0..second.len())
+                        .map(|i| second.child(i))
+                        .collect::<Vec<_>>(),
                 ];
                 assert_eq!(got, expected, "dims {dims}, n {n}, grid {grid}");
                 cases += 1;

@@ -4,9 +4,11 @@
 //! The hot loop of every anytime query is "score all entries of the node I
 //! just refined".  The scalar reference walks the entries one by one and
 //! rebuilds a diagonal Gaussian (two `Vec` allocations plus per-dimension
-//! `ln`/`exp`) for each; the block path gathers the node into a reusable
-//! dimension-major [`bt_stats::SummaryBlock`] and runs the batch kernels of
-//! `bt_stats::kernel` over all entries at once.
+//! `ln`/`exp`) for each; the block path runs the batch kernels of
+//! `bt_stats::kernel` over all entries at once — over a Bayes directory's
+//! own dimension-major block ([`bayestree::EntryColumns`]) where it lies,
+//! and over a ClusTree node gathered into a reusable
+//! [`bt_stats::SummaryBlock`] (or its cached gather).
 //!
 //! Besides the timed groups the bench runs two gates.  The speedup gate
 //! (`bayestree_score_node/speedup_gate`) measures the scalar-vs-block ratio
@@ -22,8 +24,8 @@
 //! and no filter runs everything once.
 
 use bayestree::query::KernelQueryModel;
-use bayestree::{KernelSummary, PointColumns};
-use bt_anytree::{Entry, LeafItems, QueryModel, Summary, SummaryScore};
+use bayestree::{EntryColumns, KernelSummary, PointColumns};
+use bt_anytree::{Directory, Entry, LeafItems, QueryModel, Summary, SummaryScore};
 use bt_stats::{BlockCacheSlot, BlockScratch, GatheredBlock, KernelBandwidth, ScoreLanes};
 use clustree::{ClusQueryModel, MicroCluster};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,15 +58,27 @@ impl SplitMix {
     }
 }
 
-fn kernel_entries() -> Vec<Entry<KernelSummary>> {
+/// A 64-entry Bayes directory: the block the reader scores in place.
+fn kernel_entries() -> EntryColumns {
     let mut rng = SplitMix(0x5eed);
-    (0..NODE_LEN)
-        .map(|i| {
-            let center = (i % 7) as f64;
-            let points: Vec<Vec<f64>> = (0..POINTS_PER_ENTRY).map(|_| rng.point(center)).collect();
-            let summary = KernelSummary::from_points(&points, DIMS).expect("non-empty point batch");
-            Entry::new(summary, i)
-        })
+    EntryColumns::from_entries(
+        (0..NODE_LEN)
+            .map(|i| {
+                let center = (i % 7) as f64;
+                let points: Vec<Vec<f64>> =
+                    (0..POINTS_PER_ENTRY).map(|_| rng.point(center)).collect();
+                let summary =
+                    KernelSummary::from_points(&points, DIMS).expect("non-empty point batch");
+                (summary, i)
+            })
+            .collect(),
+    )
+}
+
+/// Every entry's summary as its own row, for the scalar reference.
+fn rows<S: Summary>(entries: &S::Dir) -> Vec<S> {
+    (0..entries.len())
+        .map(|i| entries.summary(i).into_owned())
         .collect()
 }
 
@@ -83,15 +97,14 @@ fn clus_entries() -> Vec<Entry<MicroCluster>> {
 }
 
 /// The scalar reference: the per-summary methods the default
-/// [`QueryModel::score_entries`] delegates to, entry by entry.
-fn score_scalar<S, M>(model: &M, query: &[f64], entries: &[Entry<S>], out: &mut Vec<SummaryScore>)
+/// [`QueryModel::score_entries`] delegates to, summary by summary.
+fn score_scalar<S, M>(model: &M, query: &[f64], summaries: &[S], out: &mut Vec<SummaryScore>)
 where
     S: Summary,
     M: QueryModel<S>,
 {
     out.clear();
-    for entry in entries {
-        let summary = &entry.summary;
+    for summary in summaries {
         let (lower, upper) = model.summary_bounds(query, summary);
         out.push(SummaryScore {
             weight: summary.weight(),
@@ -138,6 +151,7 @@ const SPEEDUP_REPS: usize = 2_000;
 /// ([`report_metrics_overhead`]).
 fn report_block_speedup() {
     let entries = kernel_entries();
+    let summaries = rows::<KernelSummary>(&entries);
     let bandwidth = vec![0.75; DIMS];
     let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
@@ -158,7 +172,7 @@ fn report_block_speedup() {
                     &mut out,
                 );
             } else {
-                score_scalar(&model, black_box(&query), black_box(&entries), &mut out);
+                score_scalar(&model, black_box(&query), black_box(&summaries), &mut out);
             }
             black_box(&out);
         }
@@ -262,7 +276,7 @@ fn report_metrics_overhead() {
         }
         (thread_cpu_ns() - start) as f64
     };
-    sample(true); // warm the block caches once for both modes
+    sample(true); // warm both modes once (every Bayes node is read in place)
 
     let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS)
         .map(|pair| {
@@ -337,11 +351,12 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
     let mut out = Vec::new();
 
     let entries = kernel_entries();
+    let summaries = rows::<KernelSummary>(&entries);
     let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let mut group = c.benchmark_group("bayestree_score_node");
     group.bench_function(BenchmarkId::from_parameter("scalar"), |b| {
         b.iter(|| {
-            score_scalar(&model, black_box(&query), black_box(&entries), &mut out);
+            score_scalar(&model, black_box(&query), black_box(&summaries), &mut out);
             out.len()
         })
     });
@@ -359,12 +374,13 @@ fn block_kernel_benchmarks(c: &mut Criterion) {
     group.finish();
 
     let entries = clus_entries();
+    let summaries = rows::<MicroCluster>(&entries);
     let total: f64 = entries.iter().map(|e| e.summary.weight()).sum();
     let model = ClusQueryModel::new(total, bandwidth.clone(), 0.0);
     let mut group = c.benchmark_group("clustree_score_node");
     group.bench_function(BenchmarkId::from_parameter("scalar"), |b| {
         b.iter(|| {
-            score_scalar(&model, black_box(&query), black_box(&entries), &mut out);
+            score_scalar(&model, black_box(&query), black_box(&summaries), &mut out);
             out.len()
         })
     });
@@ -427,24 +443,40 @@ fn prefetch_benchmarks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cache-hit group: gather + score (the cold miss) versus an filled
-/// [`BlockCacheSlot`] lookup + score (the warm hit that skips the gather).
+/// Cache-hit group: a Bayes directory block scored where it lies (the read
+/// that replaced its gather and cache hit) next to a ClusTree directory's
+/// gather + score (the cold miss) and its filled [`BlockCacheSlot`] lookup
+/// + score (the warm hit that skips the gather).
 fn cache_hit_benchmarks(c: &mut Criterion) {
-    let entries = kernel_entries();
     let bandwidth = vec![0.75; DIMS];
     let kernel_bandwidth = KernelBandwidth::new(bandwidth.clone());
-    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
     let query = vec![3.25; DIMS];
     let mut scratch = BlockScratch::new();
     let mut out = Vec::new();
 
+    let entries = kernel_entries();
+    let model = KernelQueryModel::new(NODE_LEN * POINTS_PER_ENTRY, &kernel_bandwidth);
+    let mut group = c.benchmark_group("block_cache");
+    group.bench_function(BenchmarkId::from_parameter("bayes_in_place"), |b| {
+        b.iter(|| {
+            model.score_entries(
+                black_box(&query),
+                black_box(&entries),
+                &mut scratch,
+                &mut out,
+            );
+            out.len()
+        })
+    });
+
+    let entries = clus_entries();
+    let total: f64 = entries.iter().map(|e| e.summary.weight()).sum();
+    let model = ClusQueryModel::new(total, bandwidth, 0.0);
     let slot = BlockCacheSlot::new();
     let mut gathered = GatheredBlock::new();
     assert!(model.gather_entries(&entries, &mut gathered));
     slot.fill(Box::new(gathered));
-
-    let mut group = c.benchmark_group("block_cache");
-    group.bench_function(BenchmarkId::from_parameter("cold_gather"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("clustree_cold_gather"), |b| {
         b.iter(|| {
             model.score_entries(
                 black_box(&query),
@@ -456,7 +488,7 @@ fn cache_hit_benchmarks(c: &mut Criterion) {
         })
     });
     let mut lanes: ScoreLanes = Default::default();
-    group.bench_function(BenchmarkId::from_parameter("warm_hit"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("clustree_warm_hit"), |b| {
         b.iter(|| {
             let cached = slot.get().expect("warm slot hits");
             model.score_gathered(

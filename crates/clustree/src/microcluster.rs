@@ -335,6 +335,7 @@ pub struct DecayCtx {
 
 impl bt_anytree::Summary for MicroCluster {
     type Ctx = DecayCtx;
+    type Dir = Vec<bt_anytree::Entry<MicroCluster>>;
 
     /// Micro-clusters route by squared centre distance, and
     /// [`MicroCluster::center_into`] reproduces
@@ -362,6 +363,10 @@ impl bt_anytree::Summary for MicroCluster {
 
     fn center(&self) -> Vec<f64> {
         MicroCluster::center(self)
+    }
+
+    fn write_center(&self, out: &mut [f64]) {
+        MicroCluster::write_center(self, out);
     }
 
     fn center_into(&self, out: &mut Vec<f64>) {

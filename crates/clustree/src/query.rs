@@ -214,7 +214,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     /// Block gather (`gather_clusters`): weights, smoothed means and
     /// variances, routing centres and MBR corners, so
     /// [`QueryModel::score_gathered`] scores the node in one fused pass.
-    fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
+    fn gather_entries(&self, entries: &Vec<Entry<MicroCluster>>, out: &mut GatheredBlock) -> bool {
         gather_entry_clusters(entries, out);
         true
     }
@@ -226,7 +226,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     fn score_gathered(
         &self,
         query: &[f64],
-        _entries: &[Entry<MicroCluster>],
+        _entries: &Vec<Entry<MicroCluster>>,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
@@ -417,7 +417,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
         summarize_clusters(items, self.lambda)
     }
 
-    fn gather_entries(&self, entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) -> bool {
+    fn gather_entries(&self, entries: &Vec<Entry<MicroCluster>>, out: &mut GatheredBlock) -> bool {
         gather_entry_clusters(entries, out);
         true
     }
@@ -425,7 +425,7 @@ impl QueryModel<MicroCluster> for DistanceModel {
     fn score_gathered(
         &self,
         query: &[f64],
-        _entries: &[Entry<MicroCluster>],
+        _entries: &Vec<Entry<MicroCluster>>,
         gathered: &GatheredBlock,
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,

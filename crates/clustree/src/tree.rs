@@ -204,8 +204,12 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
         items: Vec<MicroCluster>,
         _geometry: &PageGeometry,
     ) -> (Vec<MicroCluster>, Vec<MicroCluster>) {
-        let centers: Vec<Vec<f64>> = items.iter().map(MicroCluster::center).collect();
-        let (first, second) = bt_anytree::polar_partition(&centers, self.config.max_entries);
+        let dims = items[0].dims();
+        let mut centers = vec![0.0; items.len() * dims];
+        for (mc, center) in items.iter().zip(centers.chunks_exact_mut(dims)) {
+            mc.write_center(center);
+        }
+        let (first, second) = bt_anytree::polar_partition(&centers, dims, self.config.max_entries);
         bt_anytree::distribute(items, &first, &second)
     }
 

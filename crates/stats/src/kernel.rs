@@ -314,16 +314,92 @@ pub fn sq_dists_block(query: &[f64], means: &[f64], len: usize, out: &mut Vec<f6
 // without the bound lanes (`BOUNDS == false`).
 // ---------------------------------------------------------------------------
 
-/// The columns one fused node pass reads: `len` entries, dimension-major.
-/// `var` holds each entry's variance as gathered, which may be below
-/// [`VARIANCE_FLOOR`] or NaN (see [`SummaryBlock::var`]).
-pub(crate) struct NodeColumns<'a> {
+/// The columns one fused node pass reads: `len` entries, dimension-major
+/// (coordinate `d` of entry `i` at `d * len + i` of every column).  `var`
+/// holds each entry's variance as stored, which may be below
+/// [`VARIANCE_FLOOR`] or NaN (see [`SummaryBlock::var`]); `log_var` holds
+/// `ln(max(var, VARIANCE_FLOOR))` of the same values.
+///
+/// A gathered [`SummaryBlock`] lends its columns through `From`; a store
+/// that keeps its entries in this layout (a Bayes-tree directory node)
+/// builds one over its own buffer with [`NodeColumns::new`] and is scored
+/// where it lies.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeColumns<'a> {
     pub(crate) len: usize,
     pub(crate) mean: &'a [f64],
     pub(crate) var: &'a [f64],
     pub(crate) log_var: &'a [f64],
     pub(crate) lower: &'a [f64],
     pub(crate) upper: &'a [f64],
+}
+
+impl<'a> NodeColumns<'a> {
+    /// The columns of `len` entries over `mean.len() / len` dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the five columns differ in length.  A pass also panics
+    /// when they hold fewer than `len` values per query dimension.
+    #[must_use]
+    pub fn new(
+        len: usize,
+        mean: &'a [f64],
+        var: &'a [f64],
+        log_var: &'a [f64],
+        lower: &'a [f64],
+        upper: &'a [f64],
+    ) -> Self {
+        let size = mean.len();
+        assert!(
+            [var, log_var, lower, upper].iter().all(|c| c.len() == size),
+            "node columns differ in length"
+        );
+        Self {
+            len,
+            mean,
+            var,
+            log_var,
+            lower,
+            upper,
+        }
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the columns hold no entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<'a> From<&'a SummaryBlock> for NodeColumns<'a> {
+    /// The block's columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block lacks its box columns or its log-variance column
+    /// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`] over
+    /// the columns [`SummaryBlock::enable_vars`] sized).
+    fn from(block: &'a SummaryBlock) -> Self {
+        assert!(block.has_boxes(), "node scoring needs the box columns");
+        let log_var = block
+            .log_vars()
+            .expect("node scoring needs the log-variance column");
+        Self {
+            len: block.len(),
+            mean: block.mean(),
+            var: block.var(),
+            log_var,
+            lower: block.lower(),
+            upper: block.upper(),
+        }
+    }
 }
 
 /// The per-entry output lanes of one fused node pass.  An estimate-only
@@ -338,28 +414,29 @@ pub(crate) struct NodeLanes<'a> {
     pub(crate) magnitude: &'a mut [f64],
 }
 
-/// Scores every entry of a gathered directory node in one pass: fills
-/// `lanes` with `[log_pdf, farthest, nearest, min_dist_sq, jensen,
-/// magnitude]` — per entry `DiagGaussian::log_pdf` (with the block's
-/// log-variance column in place of the inline `ln`),
-/// [`farthest_point_log_kernel`], [`nearest_point_log_kernel`],
-/// `Mbr::min_dist_sq` and the two [`cf_log_terms`] of the entry's mean and
-/// variance columns, bit for bit.
+/// Scores every entry of a directory node in one pass over its columns
+/// (a [`NodeColumns`], or a gathered [`SummaryBlock`]): fills `lanes` with
+/// `[log_pdf, farthest, nearest, min_dist_sq, jensen, magnitude]` — per
+/// entry `DiagGaussian::log_pdf` (with the log-variance column in place of
+/// the inline `ln`), [`farthest_point_log_kernel`],
+/// [`nearest_point_log_kernel`], `Mbr::min_dist_sq` and the two
+/// [`cf_log_terms`] of the entry's mean and variance columns, bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if the block lacks its box columns or its log-variance column
+/// Panics if a block lacks its box columns or its log-variance column
 /// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`] over
 /// the columns [`SummaryBlock::enable_vars`] sized), or if the bandwidth's
 /// dimensionality differs from the query's.
-pub fn node_scores_block(
+pub fn node_scores_block<'a>(
     query: &[f64],
     bandwidth: &KernelBandwidth,
-    block: &SummaryBlock,
+    columns: impl Into<NodeColumns<'a>>,
     lanes: &mut ScoreLanes,
 ) {
     assert_eq!(bandwidth.len(), query.len(), "bandwidth dimensionality");
-    let len = block.len();
+    let cols = columns.into();
+    let len = cols.len;
     let [log_pdf, farthest, nearest, min_sq, jensen, magnitude] = lanes;
     let out = NodeLanes {
         log_pdf: prep_out(log_pdf, len),
@@ -369,7 +446,7 @@ pub fn node_scores_block(
         jensen: prep_out(jensen, len),
         magnitude: prep_out(magnitude, len),
     };
-    node_pass::<true>(query, bandwidth, block, out);
+    node_pass::<true>(query, bandwidth, &cols, out);
 }
 
 /// The estimate half of [`node_scores_block`]: fills `log_pdfs` and
@@ -385,16 +462,17 @@ pub fn node_scores_block(
 ///
 /// # Panics
 ///
-/// Panics if the block lacks its box columns or its log-variance column
+/// Panics if a block lacks its box columns or its log-variance column
 /// ([`SummaryBlock::enable_boxes`], [`SummaryBlock::fill_log_vars`] over
 /// the columns [`SummaryBlock::enable_vars`] sized).
-pub fn node_estimates_block(
+pub fn node_estimates_block<'a>(
     query: &[f64],
-    block: &SummaryBlock,
+    columns: impl Into<NodeColumns<'a>>,
     log_pdfs: &mut Vec<f64>,
     min_sq_dists: &mut Vec<f64>,
 ) {
-    let len = block.len();
+    let cols = columns.into();
+    let len = cols.len;
     let out = NodeLanes {
         log_pdf: prep_out(log_pdfs, len),
         farthest: &mut [],
@@ -403,7 +481,7 @@ pub fn node_estimates_block(
         jensen: &mut [],
         magnitude: &mut [],
     };
-    node_pass::<false>(query, &NO_BANDWIDTH, block, out);
+    node_pass::<false>(query, &NO_BANDWIDTH, &cols, out);
 }
 
 /// The one body of both fused node passes; `BOUNDS` adds the farthest- and
@@ -412,27 +490,15 @@ pub fn node_estimates_block(
 fn node_pass<const BOUNDS: bool>(
     query: &[f64],
     bandwidth: &KernelBandwidth,
-    block: &SummaryBlock,
+    cols: &NodeColumns<'_>,
     mut out: NodeLanes<'_>,
 ) {
-    assert!(block.has_boxes(), "node scoring needs the box columns");
-    let log_var = block
-        .log_vars()
-        .expect("node scoring needs the log-variance column");
-    let cols = NodeColumns {
-        len: block.len(),
-        mean: block.mean(),
-        var: block.var(),
-        log_var,
-        lower: block.lower(),
-        upper: block.upper(),
-    };
     debug_assert_eq!(cols.mean.len(), query.len() * cols.len);
     debug_assert_eq!(cols.var.len(), query.len() * cols.len);
     debug_assert_eq!(cols.log_var.len(), query.len() * cols.len);
     debug_assert_eq!(cols.lower.len(), query.len() * cols.len);
     debug_assert_eq!(cols.upper.len(), query.len() * cols.len);
-    if crate::simd::node_scores::<BOUNDS>(query, bandwidth, &cols, &mut out) {
+    if crate::simd::node_scores::<BOUNDS>(query, bandwidth, cols, &mut out) {
         return;
     }
     if BOUNDS {

@@ -140,15 +140,21 @@
 //!   property-tested to return exactly the pre-batch answers
 //!   (`tests/snapshot_isolation.rs`).
 //!
-//!   **The block-cache layer.**  The hot "score every entry of this node"
-//!   step gathers a node's summaries into dimension-major
-//!   structure-of-arrays columns ([`anytree::SummaryBlock`]) and runs the
-//!   batch kernels of `stats` over all entries in one pass — explicitly
+//!   **The block layer and its cache.**  The hot "score every entry of
+//!   this node" step runs the batch kernels of `stats` over dimension-major
+//!   structure-of-arrays columns in one pass.  Every Bayes-tree node
+//!   already stores its payload in that layout — a leaf its points
+//!   ([`bayestree::PointColumns`]), a directory its entries with their
+//!   derived mean and variance lanes, written when the batch that changed
+//!   them publishes ([`bayestree::EntryColumns`]) — so a Bayes read scores
+//!   the node where it lies and never gathers or caches it.  A ClusTree
+//!   node is gathered into columns ([`anytree::SummaryBlock`]).  The passes
+//!   are explicitly
 //!   SIMD-vectorised (portable 4-lane `f64` kernels with a
 //!   runtime-dispatched AVX2 path and the scalar loop kept as the
 //!   bit-exactness reference; `--no-default-features` on `bt-stats` turns
-//!   the whole layer off).  On top of the gather sits the **per-node
-//!   block cache** with one rule: every arena node version carries a
+//!   the whole layer off).  On top of the ClusTree's gather sits the
+//!   **per-node block cache** with one rule: every arena node version carries a
 //!   set-once [`anytree::BlockCacheSlot`], and the arena's one write path
 //!   (`node_mut`, which needs `&mut`) empties it on *every* call.  A filled
 //!   slot therefore always describes the node as it is now, so a read is a
@@ -160,12 +166,13 @@
 //!   warm blocks while the live tree refills its own.  Scoring hits skip
 //!   the gather entirely ([`anytree::QueryStats`] counts
 //!   `gathers_avoided`); the insertion descent never fills a reader slot
-//!   (its routing columns live in its own per-batch scratch), and leaf
-//!   nodes get the same treatment through
+//!   (a box-routed directory is routed from its own columns, a
+//!   centre-routed one from centres in the descent's per-batch scratch),
+//!   and leaf nodes get the same treatment through
 //!   [`anytree::QueryModel::score_leaf_items`] — all bit-identical to the
 //!   gather-every-time scalar reference
 //!   (`tests/block_cache.rs` in both tree crates,
-//!   `tests/block_cache_rule.rs`).
+//!   `tests/block_cache_rule.rs`, `crates/bayestree/tests/directory_oracle.rs`).
 //!
 //!   **Stored precision and page geometry.**  The Bayes tree stores one
 //!   summary type, [`bayestree::KernelSummary`]: the box and the cluster

@@ -8,6 +8,7 @@
 //! insertion at any batch size.
 
 use anytime_stream_mining::anytree::{NodeId, NodeKind};
+use anytime_stream_mining::bayestree::node::block_entries;
 use anytime_stream_mining::bayestree::{BayesCore, BayesTree, KernelSummary};
 use anytime_stream_mining::clustree::{ClusTree, ClusTreeConfig, InsertOutcome, MicroCluster};
 use anytime_stream_mining::index::PageGeometry;
@@ -23,8 +24,7 @@ fn assert_bayes_aggregation(tree: &BayesTree) {
     fn visit(tree: &BayesCore<KernelSummary>, id: NodeId) {
         let node = tree.node(id);
         if let NodeKind::Inner { entries } = &node.kind {
-            for entry in entries {
-                assert!(entry.buffer.is_none(), "the Bayes tree never buffers");
+            for entry in block_entries(entries) {
                 let child = tree.node(entry.child);
                 let (child_weight, child_ls): (f64, Vec<f64>) = match &child.kind {
                     NodeKind::Leaf { items } => {
@@ -37,8 +37,9 @@ fn assert_bayes_aggregation(tree: &BayesTree) {
                         (items.len() as f64, ls)
                     }
                     NodeKind::Inner { entries } => {
+                        let entries = block_entries(entries);
                         let mut ls = vec![0.0; tree.dims()];
-                        for e in entries {
+                        for e in &entries {
                             for (acc, x) in ls.iter_mut().zip(e.cf.linear_sum()) {
                                 *acc += x;
                             }

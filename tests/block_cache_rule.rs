@@ -12,12 +12,12 @@
 //!   served without a gather (from the cache, or a Bayes-tree leaf in
 //!   place),
 //! * the writer never fills a reader slot,
-//! * no Bayes-tree leaf slot is ever filled: a leaf's point block is its
-//!   scoring layout and is scored where it lies,
+//! * no Bayes-tree slot, leaf or directory, is ever filled: a leaf's point
+//!   block and a directory's entry block are their scoring layouts and are
+//!   scored where they lie,
 //! * a cached block carries only the columns its node's pass reads:
-//!   Bayes-tree directory blocks carry variance columns, and ClusTree leaf
-//!   blocks, whose micro-clusters' smoothed kernel reads variances, do
-//!   too.
+//!   ClusTree leaf blocks, whose micro-clusters' smoothed kernel reads
+//!   variances, carry variance columns as directory blocks do.
 
 use anytime_stream_mining::anytree::{
     AnytimeTree, CursorStep, DescentCursor, Node, NodeId, QueryAnswer, QueryModel, QueryStats,
@@ -206,13 +206,15 @@ fn the_writer_never_fills_a_reader_slot() {
     assert!(!any_slot_filled(bayes.shard(0)));
     assert!(!any_slot_filled(clus.shard(0)));
 
-    // A read fills slots; the next batch's writes empty the ones it touches
-    // and fill none.
+    // A Bayes read fills no slot.  A ClusTree read fills slots; the next
+    // batch's writes empty the ones it touches and fill none.
     let _ = bayes.density_batch(&stream(8, 5), DescentStrategy::default(), BUDGET);
-    assert!(any_slot_filled(bayes.shard(0)));
-    let _ = bayes.insert_batch(stream(64, 500));
-    let root = bayes.shard(0).root();
-    assert!(bayes
+    assert!(!any_slot_filled(bayes.shard(0)));
+    let _ = clus.density_batch(&stream(8, 5), &[0.8; DIMS], order(), BUDGET);
+    assert!(any_slot_filled(clus.shard(0)));
+    let _ = clus.insert_batch(&stream(64, 500), 10.0, 8);
+    let root = clus.shard(0).root();
+    assert!(clus
         .shard(0)
         .block_cache(root)
         .is_some_and(|s| s.get().is_none()));
@@ -243,14 +245,9 @@ fn only_gathers_that_read_variances_carry_a_variance_column() {
     let _ = bayes.density_batch(&queries, DescentStrategy::default(), usize::MAX);
     let _ = clus.density_batch(&queries, &[0.8; DIMS], order(), usize::MAX);
 
-    // Bayes leaves are scored in place and fill no slot; directory nodes
-    // read every entry's variance.
-    let blocks = cached_var_columns(bayes.shard(0));
-    assert!(!blocks.is_empty() && blocks.iter().all(|b| !b.0));
-    for (leaf, len, vars) in blocks {
-        assert!(len > 0);
-        assert_eq!(vars, if leaf { 0 } else { DIMS * len });
-    }
+    // No Bayes slot, leaf or directory, is ever filled: both are scored
+    // where they lie.
+    assert!(cached_var_columns(bayes.shard(0)).is_empty());
 
     // ClusTree leaves hold micro-clusters, whose smoothed kernel reads the
     // variances too.

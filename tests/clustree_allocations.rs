@@ -8,6 +8,8 @@
 //!   buffer allocate nothing;
 //! * the collapse of a 16-d leaf of `cap + 6` items allocates at most its
 //!   two scratch buffers (centres and pair distances);
+//! * the polar split of an 8-item 16-d leaf allocates at most its centre
+//!   buffer, its two index lists and its two halves;
 //! * a warm, repeated `anytime_knn` on an unchanged tree allocates at most
 //!   `k + 2` times (its kept `k`, its answer and one centre per neighbour),
 //!   on a live tree and on a snapshot.
@@ -20,6 +22,7 @@
 
 use anytime_stream_mining::anytree::InsertModel;
 use anytime_stream_mining::clustree::{ClusModel, ClusTree, ClusTreeConfig, MicroCluster};
+use anytime_stream_mining::index::PageGeometry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -174,6 +177,28 @@ fn a_leaf_collapse_allocates_only_its_two_scratch_buffers() {
             "lambda {lambda}: the collapse allocated {allocations} times"
         );
     }
+}
+
+#[test]
+fn a_leaf_split_allocates_its_centres_index_lists_and_halves() {
+    let config = ClusTreeConfig {
+        max_entries: 7,
+        min_entries: 3,
+        ..ClusTreeConfig::default()
+    };
+    let model = ClusModel::new(&config, 20.0);
+    let geometry = PageGeometry::from_fanout(7, 7);
+    let items = || -> Vec<MicroCluster> {
+        (0..8)
+            .map(|i| cluster(i * 5, 1 + i % 3, (i % 4) as f64))
+            .collect()
+    };
+    let _ = model.split_leaf_items(items(), &geometry);
+    let leaf = items();
+    let ((first, second), allocations) = counted(|| model.split_leaf_items(leaf, &geometry));
+    assert_eq!(first.len() + second.len(), 8);
+    assert!(!first.is_empty() && !second.is_empty());
+    assert!(allocations <= 5, "the split allocated {allocations} times");
 }
 
 /// A 16-d tree of 2,048 points inserted in batches of 64 at cycling

@@ -11,7 +11,7 @@
 
 use anytime_stream_mining::anytree::{AnytimeTree, InsertModel};
 use anytime_stream_mining::bayestree::insert::KernelModel;
-use anytime_stream_mining::bayestree::{BayesTree, KernelSummary, PointColumns};
+use anytime_stream_mining::bayestree::{BayesTree, EntryColumns, KernelSummary, PointColumns};
 use anytime_stream_mining::data::stream::DriftingStream;
 use anytime_stream_mining::index::rstar::{rstar_split_corners, SplitResult};
 use anytime_stream_mining::index::{Mbr, PageGeometry};
@@ -42,6 +42,10 @@ impl InsertModel<KernelSummary> for Recording {
 
     fn absorb_into(&self, summary: &mut KernelSummary, obj: &Vec<f64>) {
         self.inner.absorb_into(summary, obj);
+    }
+
+    fn absorb_into_entry(&self, entries: &mut EntryColumns, i: usize, obj: &Vec<f64>) {
+        self.inner.absorb_into_entry(entries, i, obj);
     }
 
     fn insert_into_leaf(&mut self, leaf: &mut PointColumns, obj: Vec<f64>) {
