@@ -17,7 +17,8 @@
 //!   one node read, replacing one frontier element by its children and
 //!   updating the partial answer by subtracting the refined contribution and
 //!   adding the children's — the cost per step is one node read, and the
-//!   cursor can stop and resume anywhere,
+//!   cursor can stop and resume anywhere.  Each node read is admitted to
+//!   the frontier in one pass (see [`QueryCursor`]),
 //! * a [`RefineOrder`] decides which element refines next (the orderings the
 //!   Bayes tree's Section 2.2 evaluates, hoisted here so they exist once:
 //!   breadth-first, depth-first, closest-first, best-contribution-first,
@@ -637,6 +638,7 @@ struct HeapEntry {
 }
 
 impl PartialEq for HeapEntry {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
@@ -644,13 +646,18 @@ impl PartialEq for HeapEntry {
 
 impl Eq for HeapEntry {}
 
+// The heap's sift loops are instantiated in the caller's crate; these
+// compares are `#[inline]` so that they are inlined there instead of being
+// called once per sift step.
 impl PartialOrd for HeapEntry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for HeapEntry {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.prio
             .total_cmp(&other.prio)
@@ -673,6 +680,16 @@ impl Ord for HeapEntry {
 /// top).  [`QueryCursor::peek_next_scan`] keeps the historical linear scan
 /// as the executable specification — the heap is property-tested to pop the
 /// identical element sequence for every order.
+///
+/// Admission runs **one pass per node read**: a read's elements (a leaf's
+/// items, a directory's entries, a split-out buffer, the root's frontier)
+/// are written by one `extend` with consecutive sequence numbers, the
+/// refinable ones join the active heap in admission order, and one loop
+/// then adds them to the three compensated running sums in the same order
+/// — the same terms in the same order as admitting them one at a time, so
+/// every answer keeps its bits.  The cursor counts its refinable elements
+/// as they are admitted and removed, so [`QueryCursor::can_refine`] is
+/// `O(1)`.
 #[derive(Debug, Clone, Default)]
 pub struct QueryCursor {
     query: Vec<f64>,
@@ -682,6 +699,9 @@ pub struct QueryCursor {
     upper: Accumulator,
     nodes_read: usize,
     next_seq: u64,
+    /// How many frontier elements are refinable: admission adds, removal
+    /// subtracts, so [`Self::can_refine`] needs no scan.
+    refinable: usize,
     stats: QueryStats,
     /// Lazy selection heap for `heap_order` (empty until a refinement runs).
     heap: BinaryHeap<HeapEntry>,
@@ -743,7 +763,7 @@ impl QueryCursor {
     /// Whether at least one element can still be refined.
     #[must_use]
     pub fn can_refine(&self) -> bool {
-        self.elements.iter().any(QueryElement::is_refinable)
+        self.refinable > 0
     }
 
     /// Total weight of the frontier (equals the number of stored objects —
@@ -802,6 +822,7 @@ impl QueryCursor {
         self.upper = Accumulator::default();
         self.nodes_read = 0;
         self.next_seq = 0;
+        self.refinable = 0;
         self.stats.queries += 1;
         self.heap.clear();
         self.heap_order = None;
@@ -831,26 +852,13 @@ impl QueryCursor {
         }
     }
 
-    /// Bookkeeping after a push: record the new element's position and feed
-    /// the active heap (only refinable elements ever need selecting).
-    fn after_push(&mut self) {
-        let idx = self.elements.len() - 1;
-        debug_assert_eq!(self.elements[idx].seq as usize, self.seq_index.len());
-        self.seq_index.push(idx);
-        if let Some(order) = self.heap_order {
-            let element = &self.elements[idx];
-            if element.is_refinable() {
-                self.heap.push(Self::heap_entry(order, element));
-            }
-        }
-    }
-
     /// Removes element `idx` from the frontier (subtracting its partial
     /// contribution) while keeping the seq→index map consistent across the
     /// `swap_remove`.  The heap is cleaned lazily: the removed element's
     /// entry is discarded when it next surfaces at the top.
     fn remove_element(&mut self, idx: usize) -> QueryElement {
         let element = self.elements.swap_remove(idx);
+        self.refinable -= usize::from(element.is_refinable());
         self.seq_index[element.seq as usize] = usize::MAX;
         if let Some(moved) = self.elements.get(idx) {
             self.seq_index[moved.seq as usize] = idx;
@@ -969,9 +977,7 @@ impl QueryCursor {
         elements: impl IntoIterator<Item = (Option<NodeId>, ElementOrigin, SummaryScore)>,
     ) {
         self.reset(query);
-        for (child, origin, score) in elements {
-            self.push_scored(child, &score, origin, 1);
-        }
+        self.admit(1, elements.into_iter());
         if !self.elements.is_empty() {
             self.stats.count_root_gather(root, gathered);
         }
@@ -998,35 +1004,52 @@ impl QueryCursor {
             upper,
             min_dist_sq,
         };
-        self.push_scored(child, &score, origin, depth);
+        self.admit(depth, std::iter::once((child, origin, score)));
     }
 
-    /// Admits one pre-scored summary to the frontier (the shared tail of
-    /// [`Self::push_summary`] and the block scoring path).
-    fn push_scored(
+    /// Admits one node read's scored elements to the frontier at `depth`,
+    /// in one pass.  Each running sum must take exactly the terms, in
+    /// exactly the order, that admitting the elements one at a time gives
+    /// it: that is what keeps every answer's bits.
+    fn admit(
         &mut self,
-        child: Option<NodeId>,
-        score: &SummaryScore,
-        origin: ElementOrigin,
         depth: usize,
+        scored: impl Iterator<Item = (Option<NodeId>, ElementOrigin, SummaryScore)>,
     ) {
-        let seq = self.bump_seq();
-        self.elements.push(QueryElement {
-            origin,
-            child,
-            weight: score.weight,
-            contribution: score.contribution,
-            lower: score.lower,
-            upper: score.upper,
-            min_dist_sq: score.min_dist_sq,
-            depth,
-            seq,
-        });
-        self.after_push();
-        self.estimate.add(score.contribution);
-        self.lower.add(score.lower);
-        self.upper.add(score.upper);
-        self.stats.elements_scored += 1;
+        let first = self.elements.len();
+        let first_seq = self.next_seq;
+        let mut refinable = 0;
+        self.elements
+            .extend(scored.enumerate().map(|(i, (child, origin, score))| {
+                refinable += usize::from(child.is_some());
+                QueryElement {
+                    origin,
+                    child,
+                    weight: score.weight,
+                    contribution: score.contribution,
+                    lower: score.lower,
+                    upper: score.upper,
+                    min_dist_sq: score.min_dist_sq,
+                    depth,
+                    seq: first_seq + i as u64,
+                }
+            }));
+        let admitted = &self.elements[first..];
+        debug_assert_eq!(first_seq as usize, self.seq_index.len());
+        self.next_seq += admitted.len() as u64;
+        self.seq_index.extend(first..self.elements.len());
+        self.refinable += refinable;
+        if let Some(order) = self.heap_order.filter(|_| refinable > 0) {
+            for element in admitted.iter().filter(|e| e.is_refinable()) {
+                self.heap.push(Self::heap_entry(order, element));
+            }
+        }
+        for element in admitted {
+            self.estimate.add(element.contribution);
+            self.lower.add(element.lower);
+            self.upper.add(element.upper);
+        }
+        self.stats.elements_scored += admitted.len() as u64;
     }
 
     /// Scores all entries of directory node `node` in one block-scoring
@@ -1047,14 +1070,16 @@ impl QueryCursor {
         self.score_node_entries(model, node, entries, cache);
         debug_assert_eq!(self.scores.len(), entries.len());
         let scores = std::mem::take(&mut self.scores);
-        for (index, score) in scores.iter().enumerate() {
-            self.push_scored(
-                Some(entries.child(index)),
-                score,
-                ElementOrigin::Entry { node, index },
-                depth,
-            );
-        }
+        self.admit(
+            depth,
+            scores.iter().enumerate().map(|(index, score)| {
+                (
+                    Some(entries.child(index)),
+                    ElementOrigin::Entry { node, index },
+                    *score,
+                )
+            }),
+        );
         self.scores = scores;
     }
 
@@ -1127,9 +1152,13 @@ impl QueryCursor {
         self.score_node_leaves(model, node, items, cache);
         debug_assert_eq!(self.scores.len(), items.len());
         let scores = std::mem::take(&mut self.scores);
-        for (index, score) in scores.iter().enumerate() {
-            self.push_scored(None, score, ElementOrigin::LeafItem { node, index }, depth);
-        }
+        self.admit(
+            depth,
+            scores
+                .iter()
+                .enumerate()
+                .map(|(index, score)| (None, ElementOrigin::LeafItem { node, index }, *score)),
+        );
         self.scores = scores;
     }
 
@@ -1182,12 +1211,6 @@ impl QueryCursor {
             });
         }
         model.score_leaf_items(&self.query, items, &mut self.block, &mut self.scores);
-    }
-
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 }
 
@@ -1827,5 +1850,292 @@ mod tests {
         })
         .join()
         .expect("pool thread");
+    }
+
+    /// The per-item admission the one-pass [`QueryCursor::admit`] replaced,
+    /// kept as its reference: one element at a time, each with its own
+    /// sequence number, position, heap entry and three compensated adds.
+    fn admit_one_by_one(
+        cursor: &mut QueryCursor,
+        depth: usize,
+        scored: &[(Option<NodeId>, ElementOrigin, SummaryScore)],
+    ) {
+        for &(child, origin, score) in scored {
+            let seq = cursor.next_seq;
+            cursor.next_seq += 1;
+            cursor.elements.push(QueryElement {
+                origin,
+                child,
+                weight: score.weight,
+                contribution: score.contribution,
+                lower: score.lower,
+                upper: score.upper,
+                min_dist_sq: score.min_dist_sq,
+                depth,
+                seq,
+            });
+            let idx = cursor.elements.len() - 1;
+            cursor.seq_index.push(idx);
+            cursor.refinable += usize::from(child.is_some());
+            if let Some(order) = cursor.heap_order {
+                let element = &cursor.elements[idx];
+                if element.is_refinable() {
+                    cursor.heap.push(QueryCursor::heap_entry(order, element));
+                }
+            }
+            cursor.estimate.add(score.contribution);
+            cursor.lower.add(score.lower);
+            cursor.upper.add(score.upper);
+            cursor.stats.elements_scored += 1;
+        }
+    }
+
+    const ORDERS: [RefineOrder; 5] = [
+        RefineOrder::BreadthFirst,
+        RefineOrder::DepthFirst,
+        RefineOrder::ClosestFirst,
+        RefineOrder::BestFirst,
+        RefineOrder::WidestBound,
+    ];
+
+    /// A small deterministic generator (xorshift64*) for synthetic scores.
+    struct Scores(u64);
+
+    impl Scores {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A non-negative term: signed zeros, subnormals, 1e±300, `+inf`
+        /// and ordinary magnitudes.
+        fn term(&mut self) -> f64 {
+            match self.below(12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(1),
+                3 => f64::MIN_POSITIVE / 3.0,
+                4 => 1e-300,
+                5 => 1e300,
+                6 => f64::INFINITY,
+                7 => (self.below(1 << 20) as f64) * 1e-6,
+                _ => (self.below(1 << 40) as f64) * 1e-12,
+            }
+        }
+
+        /// A finite non-negative term.
+        fn finite(&mut self) -> f64 {
+            let t = self.term();
+            if t.is_finite() {
+                t
+            } else {
+                1e300
+            }
+        }
+
+        /// The scores of one node read: a leaf's exact items, a
+        /// directory's refinable entries, a mixed root, or one element
+        /// (a hitchhiker buffer or a leaf root).
+        fn node(&mut self, node: NodeId) -> Vec<(Option<NodeId>, ElementOrigin, SummaryScore)> {
+            let kind = self.below(5);
+            let len = match kind {
+                0 | 1 => 1 + self.below(30) as usize,
+                2 | 3 => 1 + self.below(8) as usize,
+                _ => 1,
+            };
+            (0..len)
+                .map(|index| {
+                    let refinable = match kind {
+                        0 | 1 => false,
+                        2 => true,
+                        _ => self.below(2) == 0,
+                    };
+                    let (origin, child) = match (kind, refinable) {
+                        (0 | 1, _) => (ElementOrigin::LeafItem { node, index }, None),
+                        (4, true) => (ElementOrigin::RootLeaf, Some(node + 1)),
+                        (4, false) => (ElementOrigin::Buffer { node, index }, None),
+                        (_, true) => (ElementOrigin::Entry { node, index }, Some(node + 1 + index)),
+                        (_, false) => (ElementOrigin::Buffer { node, index }, None),
+                    };
+                    let score = if matches!(kind, 0 | 1) {
+                        // Exact leaf items: collapsed bounds.
+                        let c = self.term();
+                        SummaryScore {
+                            weight: 1.0,
+                            contribution: c,
+                            lower: c,
+                            upper: c,
+                            min_dist_sq: self.term(),
+                        }
+                    } else {
+                        // lower <= contribution <= upper, lower finite so
+                        // every bound width is a number.
+                        let lower = self.finite();
+                        let contribution = lower + self.finite();
+                        let upper = contribution + self.term();
+                        SummaryScore {
+                            weight: 1.0 + self.below(100) as f64,
+                            contribution,
+                            lower,
+                            upper,
+                            min_dist_sq: self.term(),
+                        }
+                    };
+                    (child, origin, score)
+                })
+                .collect()
+        }
+    }
+
+    fn assert_same_accumulator(a: &Accumulator, b: &Accumulator, what: &str) {
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{what}: sum");
+        assert_eq!(
+            a.compensation.to_bits(),
+            b.compensation.to_bits(),
+            "{what}: compensation"
+        );
+        assert_eq!(a.peak.to_bits(), b.peak.to_bits(), "{what}: peak");
+    }
+
+    fn heap_entries(cursor: &QueryCursor) -> Vec<(u64, u64, u64)> {
+        let mut heap = cursor.heap.clone().into_sorted_vec();
+        heap.reverse();
+        heap.iter()
+            .map(|e| (e.prio.to_bits(), e.tie, e.seq))
+            .collect()
+    }
+
+    /// Requires the one-pass cursor to equal the per-item reference in
+    /// every element field, its bookkeeping and its running sums, bit for
+    /// bit, and its heap-backed selection and refinable count to equal the
+    /// reference scans.
+    fn assert_same_admission(fast: &QueryCursor, reference: &QueryCursor) {
+        assert_eq!(fast.elements.len(), reference.elements.len());
+        for (a, b) in fast.elements.iter().zip(&reference.elements) {
+            assert_eq!(a.origin, b.origin);
+            assert_eq!(a.child, b.child);
+            assert_eq!(a.depth, b.depth);
+            assert_eq!(a.seq, b.seq);
+            for (x, y) in [
+                (a.weight, b.weight),
+                (a.contribution, b.contribution),
+                (a.lower, b.lower),
+                (a.upper, b.upper),
+                (a.min_dist_sq, b.min_dist_sq),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "element {}", a.seq);
+            }
+        }
+        assert_eq!(fast.seq_index, reference.seq_index);
+        assert_eq!(fast.next_seq, reference.next_seq);
+        assert_eq!(fast.stats, reference.stats);
+        assert_same_accumulator(&fast.estimate, &reference.estimate, "estimate");
+        assert_same_accumulator(&fast.lower, &reference.lower, "lower");
+        assert_same_accumulator(&fast.upper, &reference.upper, "upper");
+        assert_eq!(fast.heap_order, reference.heap_order);
+        assert_eq!(heap_entries(fast), heap_entries(reference));
+        for order in ORDERS {
+            let picked = fast.clone().peek_next(order);
+            assert_eq!(picked, fast.peek_next_scan(order), "{order:?}");
+            assert_eq!(picked, reference.clone().peek_next(order), "{order:?}");
+        }
+        let scanned = fast.elements.iter().filter(|e| e.is_refinable()).count();
+        assert_eq!(fast.refinable, scanned);
+        assert_eq!(
+            fast.can_refine(),
+            fast.elements.iter().any(QueryElement::is_refinable)
+        );
+    }
+
+    /// One-pass admission equals the per-item reference bit for bit: the
+    /// classifier's root seeding, then node reads of every shape (leaf
+    /// items, directory entries, mixed, single buffers and leaf roots) over
+    /// signed zeros, subnormals, 1e±300 and `+inf`, interleaved with
+    /// refinements that remove an element and re-sum cancelled totals, with
+    /// the selection heap inactive and active under every order.
+    #[test]
+    fn one_pass_admission_equals_the_per_item_reference() {
+        let mut resums = 0;
+        for (case, heap) in std::iter::once(None).chain(ORDERS.map(Some)).enumerate() {
+            for seed in 1..=8u64 {
+                let mut rng = Scores(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + case as u64);
+                let mut fast = QueryCursor::new();
+                let mut reference = QueryCursor::new();
+                let root = rng.node(0);
+                fast.begin_scored(&[0.0], 0, false, root.iter().copied());
+                reference.reset(&[0.0]);
+                admit_one_by_one(&mut reference, 1, &root);
+                if !reference.elements.is_empty() {
+                    reference.stats.count_root_gather(0, false);
+                }
+                if let Some(order) = heap {
+                    assert_eq!(fast.peek_next(order), reference.peek_next(order));
+                }
+                assert_same_admission(&fast, &reference);
+                for step in 1..60 {
+                    let node = rng.node(step * 64);
+                    let depth = 1 + rng.below(6) as usize;
+                    fast.admit(depth, node.iter().copied());
+                    admit_one_by_one(&mut reference, depth, &node);
+                    assert_same_admission(&fast, &reference);
+                    // A refinement takes one element out (the selected one
+                    // when the heap is active) before the next admission.
+                    let taken = match heap {
+                        Some(order) => {
+                            let idx = fast.select(order);
+                            assert_eq!(reference.select(order), idx);
+                            idx
+                        }
+                        None if fast.elements.is_empty() => None,
+                        None => Some(rng.below(fast.elements.len() as u64) as usize),
+                    };
+                    if let Some(idx) = taken {
+                        fast.remove_element(idx);
+                        reference.remove_element(idx);
+                        if fast.estimate.cancelled()
+                            || fast.lower.cancelled()
+                            || fast.upper.cancelled()
+                        {
+                            resums += 1;
+                        }
+                        fast.resum_cancelled();
+                        reference.resum_cancelled();
+                        assert_same_admission(&fast, &reference);
+                    }
+                }
+            }
+        }
+        assert!(resums > 0, "no admission sequence cancelled a running sum");
+    }
+
+    /// `can_refine` is a count kept by admission and removal: it equals
+    /// the scan on every frontier of every refinement of a real tree, in
+    /// every order, and a reset zeroes it.
+    #[test]
+    fn can_refine_counts_what_the_scan_sees() {
+        let tree = sample_tree(150, 1);
+        for order in ORDERS {
+            let mut cursor = tree.new_query(&BlobQueryModel, &[0.5, 0.5]);
+            loop {
+                let scanned = cursor
+                    .elements()
+                    .iter()
+                    .filter(|e| e.is_refinable())
+                    .count();
+                assert_eq!(cursor.refinable, scanned, "{order:?}");
+                assert_eq!(cursor.can_refine(), scanned > 0, "{order:?}");
+                if !tree.refine_query(&BlobQueryModel, order, &mut cursor) {
+                    break;
+                }
+            }
+            cursor.reset(&[0.0, 0.0]);
+            assert!(!cursor.can_refine());
+        }
     }
 }

@@ -50,14 +50,6 @@ impl DiagGaussian {
         Self { mean, variance }
     }
 
-    /// Creates an isotropic Gaussian with the given mean and a single shared
-    /// variance for every dimension.
-    #[must_use]
-    pub fn isotropic(mean: Vec<f64>, variance: f64) -> Self {
-        let d = mean.len();
-        Self::new(mean, vec![variance; d])
-    }
-
     /// Creates a standard normal Gaussian of dimension `dims`.
     #[must_use]
     pub fn standard(dims: usize) -> Self {
@@ -110,33 +102,12 @@ impl DiagGaussian {
         self.log_pdf(x).exp()
     }
 
-    /// Squared Mahalanobis distance of `x` from the mean.
-    #[must_use]
-    pub fn sq_mahalanobis(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), self.dims());
-        x.iter()
-            .zip(&self.mean)
-            .zip(&self.variance)
-            .map(|((xi, mi), vi)| {
-                let diff = xi - mi;
-                diff * diff / vi
-            })
-            .sum()
-    }
-
     /// Draws a sample from this Gaussian using the Box–Muller transform.
     #[must_use]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         (0..self.dims())
             .map(|d| self.mean[d] + self.variance[d].sqrt() * standard_normal(rng))
             .collect()
-    }
-
-    /// The (differential) entropy of the Gaussian in nats.
-    #[must_use]
-    pub fn entropy(&self) -> f64 {
-        let d = self.dims() as f64;
-        0.5 * d * (1.0 + LN_2PI) + 0.5 * self.variance.iter().map(|v| v.ln()).sum::<f64>()
     }
 }
 
@@ -197,19 +168,6 @@ mod tests {
         }
         assert!((acc[0] / n as f64 - 3.0).abs() < 0.05);
         assert!((acc[1] / n as f64 + 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn mahalanobis_at_mean_is_zero() {
-        let g = DiagGaussian::new(vec![1.0, 2.0], vec![3.0, 4.0]);
-        assert_eq!(g.sq_mahalanobis(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn entropy_increases_with_variance() {
-        let small = DiagGaussian::new(vec![0.0], vec![1.0]);
-        let large = DiagGaussian::new(vec![0.0], vec![10.0]);
-        assert!(large.entropy() > small.entropy());
     }
 
     #[test]

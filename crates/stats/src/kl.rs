@@ -36,12 +36,6 @@ pub fn kl_diag_gaussian(p: &DiagGaussian, q: &DiagGaussian) -> f64 {
     0.5 * acc
 }
 
-/// Symmetrised KL divergence `KL(p||q) + KL(q||p)`.
-#[must_use]
-pub fn symmetric_kl(p: &DiagGaussian, q: &DiagGaussian) -> f64 {
-    kl_diag_gaussian(p, q) + kl_diag_gaussian(q, p)
-}
-
 /// The Goldberger mixture-to-mixture distance of Definition 4:
 /// `d(f, g) = sum_i alpha_i min_j KL(f_i, g_j)`.
 ///
@@ -65,28 +59,6 @@ pub fn mixture_distance(f: &GaussianMixture, g: &GaussianMixture) -> f64 {
             fc.weight * best
         })
         .sum()
-}
-
-/// For every component of `f`, the index of the closest component of `g`
-/// under `KL(f_i, g_j)` — the "regroup" mapping `pi` of the Goldberger
-/// algorithm.
-#[must_use]
-pub fn regroup_mapping(f: &GaussianMixture, g: &GaussianMixture) -> Vec<usize> {
-    f.components()
-        .iter()
-        .map(|fc| {
-            let mut best_j = 0;
-            let mut best = f64::INFINITY;
-            for (j, gc) in g.components().iter().enumerate() {
-                let kl = kl_diag_gaussian(&fc.gaussian, &gc.gaussian);
-                if kl < best {
-                    best = kl;
-                    best_j = j;
-                }
-            }
-            best_j
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -123,7 +95,6 @@ mod tests {
         let a = kl_diag_gaussian(&p, &q);
         let b = kl_diag_gaussian(&q, &p);
         assert!((a - b).abs() > 1e-6);
-        assert!((symmetric_kl(&p, &q) - (a + b)).abs() < 1e-12);
     }
 
     fn mixture_of(means: &[f64]) -> GaussianMixture {
@@ -151,13 +122,6 @@ mod tests {
         let near = mixture_of(&[0.5, 5.5]);
         let far = mixture_of(&[20.0, 30.0]);
         assert!(mixture_distance(&f, &near) < mixture_distance(&f, &far));
-    }
-
-    #[test]
-    fn regroup_assigns_to_nearest_component() {
-        let f = mixture_of(&[0.0, 4.9, 5.1, 10.0]);
-        let g = mixture_of(&[0.0, 5.0, 10.0]);
-        assert_eq!(regroup_mapping(&f, &g), vec![0, 1, 1, 2]);
     }
 
     #[test]

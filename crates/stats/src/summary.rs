@@ -59,16 +59,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
