@@ -19,12 +19,11 @@
 //!   idempotent at a fixed timestamp, so this is observably equivalent to
 //!   refreshing per object),
 //! * one per-tree scratch allocation serves every routing computation
-//!   instead of a fresh `Vec` per insert.  A directory that lends its box
-//!   columns ([`Directory::boxes`], the Bayes tree's) is routed from them
-//!   where they lie; a centre-routed one has its centres gathered once per
-//!   batch, on the node's first visit, into that scratch — never into the
-//!   node's block-cache slot, which belongs to readers — then repaired
-//!   entry by entry after each absorb and dropped by `finish_batch`,
+//!   instead of a fresh `Vec` per insert.  Every directory is routed where
+//!   it lies: one that lends its box columns ([`Directory::boxes`], the
+//!   Bayes tree's) from those columns, any other by each entry row's
+//!   [`Summary::sq_dist_to`] — nothing is gathered, and the node's
+//!   block-cache slot, which belongs to readers, is never touched,
 //! * splits and overflow handling are **deferred and resolved once per node**
 //!   after the batch drains: `finish_batch` walks the dirty (visited)
 //!   subtrees bottom-up, installs the replacement entries of split
@@ -44,7 +43,6 @@ use crate::node::{Directory, LeafItems, Node, NodeId, NodeKind};
 use crate::summary::Summary;
 use crate::tree::{AnytimeTree, InsertOutcome};
 use bt_index::rstar::choose_subtree_block;
-use bt_stats::kernel::sq_dists_block;
 
 /// The complete state of one in-flight insertion.
 ///
@@ -251,22 +249,14 @@ impl std::fmt::Display for DescentStats {
     }
 }
 
-/// Reusable per-tree scratch state of the descent engine: the routing-point
-/// buffer, the refresh / dirty stamps of the current batch, the routing
-/// centres of the centre-routed directory nodes the batch visits, and the
-/// repair worklists.  Stamps are epoch-based so clearing a batch is a single
+/// Reusable per-tree scratch state of the descent engine: the routing
+/// buffers, the refresh / dirty stamps of the current batch and the repair
+/// worklists.  Stamps are epoch-based so clearing a batch is a single
 /// counter increment instead of a sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct DescentScratch<S> {
     route: RouteScratch,
     refreshed: Vec<u64>,
-    /// Where each directory node's columns start in `route_cols`; valid
-    /// where `refreshed[id]` carries this batch's stamp.
-    route_at: Vec<usize>,
-    /// Routing centres of the centre-routed directory nodes visited this
-    /// batch, back to back ([`route_width`] columns per node), dropped by
-    /// `finish_batch`.
-    route_cols: Vec<f64>,
     dirty: Vec<u64>,
     dirty_has_time: Vec<bool>,
     epoch: u64,
@@ -281,8 +271,6 @@ impl<S> DescentScratch<S> {
         Self {
             route: RouteScratch::default(),
             refreshed: Vec::new(),
-            route_at: Vec::new(),
-            route_cols: Vec::new(),
             dirty: Vec::new(),
             dirty_has_time: Vec::new(),
             epoch: 0,
@@ -298,7 +286,6 @@ impl<S> DescentScratch<S> {
         self.in_batch = true;
         if self.refreshed.len() < num_nodes {
             self.refreshed.resize(num_nodes, 0);
-            self.route_at.resize(num_nodes, 0);
             self.dirty.resize(num_nodes, 0);
             self.dirty_has_time.resize(num_nodes, false);
         }
@@ -333,23 +320,6 @@ impl<S> DescentScratch<S> {
 
     fn in_batch(&self) -> bool {
         self.in_batch
-    }
-}
-
-impl<S: Summary> DescentScratch<S> {
-    /// Gathers centre-routed directory node `id`'s routing centres for the
-    /// rest of the batch, on the node's first visit right after its
-    /// refresh.
-    fn gather_route(&mut self, id: NodeId, entries: &S::Dir, dims: usize) {
-        let at = self.route_cols.len();
-        let len = entries.len();
-        self.route_at[id] = at;
-        self.route_cols
-            .resize(at + route_width::<S>() * dims * len, 0.0);
-        let cols = &mut self.route_cols[at..];
-        for i in 0..len {
-            set_route_entry(cols, len, i, &*entries.summary(i), &mut self.route.center);
-        }
     }
 }
 
@@ -402,10 +372,7 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         let node_id = cursor.node;
         let ctx = model.ctx();
 
-        // Refresh this node's payload once per batch, and gather a
-        // centre-routed directory node's centres from the refreshed
-        // summaries: later objects of the batch route off them (the repair
-        // after each absorb below keeps them exact).
+        // Refresh this node's payload once per batch.
         if self.scratch_mut().stamp_refreshed(node_id) {
             let refreshed = match &mut self.node_mut(node_id).kind {
                 NodeKind::Leaf { items } => {
@@ -418,13 +385,6 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
                 }
             };
             self.stats_mut().summary_refreshes += refreshed;
-            if route_width::<S>() > 0 {
-                let dims = self.dims();
-                let (arena, scratch) = self.arena_and_scratch_mut();
-                if let NodeKind::Inner { entries } = &arena.node(node_id).kind {
-                    scratch.gather_route(node_id, entries, dims);
-                }
-            }
         }
 
         let has_time = cursor.budget > 0;
@@ -443,37 +403,28 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         }
 
         // Directory node: route, absorb, then park or descend.
-        let dims = self.dims();
         let (arena, scratch) = self.arena_and_scratch_mut();
         let entries = arena.node_mut(node_id).entries_mut();
         let obj = cursor
             .obj
             .as_mut()
             .expect("unfinished cursor carries an object");
-        let (at, len) = (scratch.route_at[node_id], entries.len());
-        let cols = &mut scratch.route_cols[at..at + route_width::<S>() * dims * len];
-        let idx = route(entries, model, obj, &mut scratch.route, cols);
+        let idx = route(entries, model, obj, &mut scratch.route);
         // The object ends up somewhere below this entry either way, so the
-        // aggregate absorbs it now; repairing its centre (O(dims) instead
-        // of a regather) keeps the rest of the batch routing exactly.
+        // aggregate absorbs it now.
         model.absorb_into_entry(entries, idx, obj);
-        if route_width::<S>() > 0 {
-            set_route_entry(
-                cols,
-                len,
-                idx,
-                &*entries.summary(idx),
-                &mut scratch.route.center,
-            );
-        }
 
         if M::BUFFERED && !has_time {
-            // Out of time: park the object in the hitchhiker buffer.
+            // Out of time: park the object in the hitchhiker buffer, moving
+            // it into an empty one.
+            let obj = cursor
+                .obj
+                .take()
+                .expect("unfinished cursor carries an object");
             match entries.buffer_mut(idx) {
-                Some(b) => model.absorb_into(b, obj),
-                slot @ None => *slot = Some(model.summary_of(obj)),
+                Some(b) => model.absorb_into(b, &obj),
+                slot @ None => *slot = Some(model.park(obj)),
             }
-            cursor.obj = None;
             let outcome = InsertOutcome::Parked {
                 depth: cursor.depth,
             };
@@ -615,8 +566,6 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
         scratch.dfs = dfs;
         scratch.order = order;
         scratch.pending = pending;
-        // Free the batch's routing columns: an idle tree holds none.
-        scratch.route_cols = Vec::new();
         scratch.in_batch = false;
         self.arena_mut().publish();
     }
@@ -745,56 +694,29 @@ impl<S: Summary, L: LeafItems + Clone> AnytimeTree<S, L> {
     }
 }
 
-/// Reusable buffers of the block routing path: the routing-point buffer, a
-/// centre buffer and per-entry output lanes.
+/// Reusable buffers of the routing path: the routing-point buffer and the
+/// two per-entry lanes of the box chooser.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteScratch {
     point: Vec<f64>,
-    center: Vec<f64>,
     lane_a: Vec<f64>,
     lane_b: Vec<f64>,
-}
-
-/// Routing columns per node and dimension: the centres of a
-/// [`Summary::CENTER_ROUTED`] payload, none otherwise (a box-routed
-/// directory is routed from its own columns).
-fn route_width<S: Summary>() -> usize {
-    usize::from(S::CENTER_ROUTED)
-}
-
-/// Writes entry `i`'s routing centre from its summary into one node's
-/// `cols` (dimension-major, flat index `dim * len + entry`, as in
-/// `bt_stats::block`).
-fn set_route_entry<S: Summary>(
-    cols: &mut [f64],
-    len: usize,
-    i: usize,
-    summary: &S,
-    center: &mut Vec<f64>,
-) {
-    summary.center_into(center);
-    for (d, &c) in center.iter().enumerate() {
-        cols[d * len + i] = c;
-    }
 }
 
 /// Chooses the entry the object descends into: by R* least enlargement for
 /// a directory that lends its box columns, by closest summary otherwise.
 ///
-/// Box routing reads the directory's own columns, and distance routing
-/// (for payloads opting into [`Summary::CENTER_ROUTED`]) the node's
-/// centres, gathered on its first visit of the batch: all children are
-/// scored in one vectorized pass ([`choose_subtree_block`] /
-/// [`sq_dists_block`]).  Both replicate the scalar arithmetic and
-/// tie-breaking exactly (first minimal wins, `NaN` never displaces the
-/// incumbent), so the chosen child is always the one the per-entry path
-/// would pick (`bt_index::rstar::choose_subtree_by` for boxes).
+/// Box routing scores every child in one vectorized pass over the
+/// directory's own columns ([`choose_subtree_block`]), replicating the
+/// per-entry arithmetic and tie-breaking of
+/// `bt_index::rstar::choose_subtree_by` exactly.  Distance routing reads
+/// each entry row's [`Summary::sq_dist_to`] where it lies: the first
+/// minimal distance wins, and `NaN` never displaces the incumbent.
 pub(crate) fn route<S, M>(
     entries: &S::Dir,
     model: &M,
     obj: &M::Object,
     scratch: &mut RouteScratch,
-    cols: &[f64],
 ) -> usize
 where
     S: Summary,
@@ -802,51 +724,26 @@ where
 {
     debug_assert!(!entries.is_empty(), "directory nodes are never empty");
     let len = entries.len();
+    if len == 1 {
+        return 0;
+    }
     let point = model.route_point(obj, &mut scratch.point);
     if let Some((lower, upper)) = entries.boxes() {
-        if len == 1 {
-            return 0;
-        }
-        choose_subtree_block(
+        return choose_subtree_block(
             point,
             lower,
             upper,
             len,
             &mut scratch.lane_a,
             &mut scratch.lane_b,
-        )
-    } else if S::CENTER_ROUTED && len > 1 {
-        debug_assert_eq!(cols.len(), point.len() * len);
-        sq_dists_block(point, cols, len, &mut scratch.lane_a);
-        let best = argmin_first(&scratch.lane_a);
-        debug_assert_eq!(
-            scalar_route::<S>(entries, point),
-            best,
-            "block routing diverged from the scalar reference"
         );
-        best
-    } else {
-        scalar_route::<S>(entries, point)
     }
-}
-
-/// Index of the first minimal value (`NaN` never displaces the incumbent) —
-/// the distance-routing tie-break shared by the gathered and cached paths.
-fn argmin_first(dists: &[f64]) -> usize {
-    let mut best = 0usize;
-    for (i, &d) in dists.iter().enumerate().skip(1) {
-        if dists[best] > d {
-            best = i;
+    let mut best = (0, entries.summary(0).sq_dist_to(point));
+    for i in 1..len {
+        let d = entries.summary(i).sq_dist_to(point);
+        if best.1 > d {
+            best = (i, d);
         }
     }
-    best
-}
-
-/// The per-entry distance routing scan (the block path's reference).
-fn scalar_route<S: Summary>(entries: &S::Dir, point: &[f64]) -> usize {
-    (0..entries.len())
-        .map(|i| (i, entries.summary(i).sq_dist_to(point)))
-        .min_by(|(_, da), (_, db)| da.partial_cmp(db).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .expect("directory node has entries")
+    best.0
 }

@@ -66,23 +66,23 @@
 //!   through literally the same code,
 //! * the **structure-of-arrays scoring layout** ([`SummaryBlock`],
 //!   [`BlockScratch`], re-exported from `bt_stats::block`): the hot "score
-//!   every entry of this node" step — subtree routing in the descent engine
+//!   every entry of this node" step — box routing in the descent engine
 //!   and frontier scoring/bounds in the query engine — runs the batch
 //!   kernels of `bt_stats::kernel` over dimension-major
 //!   weight/mean/variance/box columns in one autovectorizable pass
-//!   ([`QueryModel::score_entries`], [`Summary::CENTER_ROUTED`]).  The
-//!   scalar per-entry path remains the behavioural reference: block
-//!   overrides are bit-identical to it (property-tested).  A directory
-//!   holds a container its payload chooses ([`Summary::Dir`],
-//!   [`Directory`]) and a leaf one its model chooses ([`LeafItems`]).  A
-//!   container that already is its scoring block (the Bayes tree's entry
-//!   and point columns) is scored where it lies, gathered never and cached
-//!   never; a box-routed directory is routed from its own box columns.
-//!   Every other node's gather is cached in its set-once
-//!   [`BlockCacheSlot`] under one rule: every write empties the slot, so a
-//!   cached read is a plain load with no stamp, flag or lock; the descent
-//!   keeps a centre-routed directory's routing centres in its own
-//!   per-batch scratch,
+//!   ([`QueryModel::score_entries`]).  The scalar per-entry path remains
+//!   the behavioural reference: block overrides are bit-identical to it
+//!   (property-tested).  A directory holds a container its payload
+//!   chooses ([`Summary::Dir`], [`Directory`]) and a leaf one its model
+//!   chooses ([`LeafItems`]).  A container that already is its scoring
+//!   block (the Bayes tree's entry and point columns) is scored where it
+//!   lies, gathered never and cached never; a box-routed directory is
+//!   routed from its own box columns, any other by each entry row's
+//!   distance.  A node a model gathers (the ClusTree density model's) is
+//!   cached in its set-once [`BlockCacheSlot`] under one rule: every write
+//!   empties the slot, so a cached read is a plain load with no stamp,
+//!   flag or lock; a model that gathers nothing scores its rows even when
+//!   another model's block is cached,
 //! * the **sharding layer** ([`shard`]): a [`ShardedAnytimeTree`] partitions
 //!   the object space into `K` independent shard trees behind a pluggable
 //!   [`ShardRouter`] and descends every shard's share of a mini-batch in

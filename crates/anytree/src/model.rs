@@ -39,9 +39,16 @@ pub trait InsertModel<S: Summary> {
     /// may ignore it.
     fn route_point<'a>(&self, obj: &'a Self::Object, scratch: &'a mut Vec<f64>) -> &'a [f64];
 
-    /// A standalone summary of `obj`, used to seed an empty hitchhiker
-    /// buffer when the object is parked.
+    /// A standalone summary of `obj` (e.g. a shard's first aggregate).
     fn summary_of(&self, obj: &Self::Object) -> S;
+
+    /// The summary an empty hitchhiker buffer takes when `obj` is parked
+    /// there.  The default is [`summary_of`](InsertModel::summary_of); a
+    /// model whose object already is a summary moves it in instead of
+    /// copying it.
+    fn park(&self, obj: Self::Object) -> S {
+        self.summary_of(&obj)
+    }
 
     /// Absorbs `obj` into an existing summary (an ancestor entry or an
     /// occupied buffer) without allocating.

@@ -157,7 +157,10 @@ pub trait QueryModel<S: Summary> {
     ///
     /// Must produce exactly the scores [`QueryModel::score_entries`] would:
     /// the gather/score split exists so the gather can be cached, not so the
-    /// arithmetic can change.
+    /// arithmetic can change.  The engine calls it on every node whose
+    /// cache slot is filled, whichever model filled it, so the default —
+    /// for a model that gathers nothing — ignores the block and runs the
+    /// per-summary reference loop over the rows.
     fn score_gathered(
         &self,
         query: &[f64],
@@ -166,8 +169,8 @@ pub trait QueryModel<S: Summary> {
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
-        let _ = (query, entries, gathered, lanes);
-        out.clear();
+        let _ = (gathered, lanes);
+        score_summaries(self, query, entries, out);
     }
 
     /// Scores every entry of one directory node against `query` in a single
@@ -193,21 +196,7 @@ pub trait QueryModel<S: Summary> {
             self.score_gathered(query, entries, gathered, lanes, out);
             return;
         }
-        out.clear();
-        out.reserve(entries.len());
-        for i in 0..entries.len() {
-            let summary = &*entries.summary(i);
-            let contribution = self.summary_contribution(query, summary);
-            let (lower, upper) = self.summary_bounds(query, summary);
-            let min_dist_sq = self.summary_sq_dist(query, summary);
-            out.push(SummaryScore {
-                weight: summary.weight(),
-                contribution,
-                lower,
-                upper,
-                min_dist_sq,
-            });
-        }
+        score_summaries(self, query, entries, out);
     }
 
     /// Gathers one leaf node's items into `out`'s columns and returns
@@ -224,7 +213,8 @@ pub trait QueryModel<S: Summary> {
     /// Scores one leaf node from its gathered columns — the leaf
     /// counterpart of [`QueryModel::score_gathered`].  Leaf items are exact,
     /// so each score's bounds must collapse (`lower == upper ==
-    /// contribution`).
+    /// contribution`).  The default ignores the block and runs the per-item
+    /// reference loop.
     fn score_gathered_leaves(
         &self,
         query: &[f64],
@@ -233,8 +223,8 @@ pub trait QueryModel<S: Summary> {
         lanes: &mut ScoreLanes,
         out: &mut Vec<SummaryScore>,
     ) {
-        let _ = (query, leaf, gathered, lanes);
-        out.clear();
+        let _ = (gathered, lanes);
+        score_leaf_rows(self, query, leaf, out);
     }
 
     /// Scores every item of one leaf node against `query` in a single call,
@@ -259,18 +249,54 @@ pub trait QueryModel<S: Summary> {
             self.score_gathered_leaves(query, leaf, gathered, lanes, out);
             return;
         }
-        out.clear();
-        out.reserve(leaf.len());
-        for index in 0..leaf.len() {
-            let contribution = self.leaf_contribution(query, leaf, index);
-            out.push(SummaryScore {
-                weight: self.leaf_weight(leaf, index),
-                contribution,
-                lower: contribution,
-                upper: contribution,
-                min_dist_sq: self.leaf_sq_dist(query, leaf, index),
-            });
-        }
+        score_leaf_rows(self, query, leaf, out);
+    }
+}
+
+/// The per-summary reference scoring of one directory node: each entry's
+/// weight, contribution, bounds and distance from the model's per-summary
+/// methods, read from its row (`out` is cleared first).
+fn score_summaries<S, M>(model: &M, query: &[f64], entries: &S::Dir, out: &mut Vec<SummaryScore>)
+where
+    S: Summary,
+    M: QueryModel<S> + ?Sized,
+{
+    out.clear();
+    out.reserve(entries.len());
+    for i in 0..entries.len() {
+        let summary = &*entries.summary(i);
+        let contribution = model.summary_contribution(query, summary);
+        let (lower, upper) = model.summary_bounds(query, summary);
+        let min_dist_sq = model.summary_sq_dist(query, summary);
+        out.push(SummaryScore {
+            weight: summary.weight(),
+            contribution,
+            lower,
+            upper,
+            min_dist_sq,
+        });
+    }
+}
+
+/// The per-item reference scoring of one leaf node: each item's exact
+/// contribution (collapsed bounds), weight and distance from the model's
+/// per-item methods (`out` is cleared first).
+fn score_leaf_rows<S, M>(model: &M, query: &[f64], leaf: &M::Leaf, out: &mut Vec<SummaryScore>)
+where
+    S: Summary,
+    M: QueryModel<S> + ?Sized,
+{
+    out.clear();
+    out.reserve(leaf.len());
+    for index in 0..leaf.len() {
+        let contribution = model.leaf_contribution(query, leaf, index);
+        out.push(SummaryScore {
+            weight: model.leaf_weight(leaf, index),
+            contribution,
+            lower: contribution,
+            upper: contribution,
+            min_dist_sq: model.leaf_sq_dist(query, leaf, index),
+        });
     }
 }
 

@@ -14,7 +14,7 @@ use crate::node::Directory;
 /// * [`weight`](Summary::weight) — the (possibly decayed) object count,
 /// * [`sq_dist_to`](Summary::sq_dist_to) / [`center`](Summary::center) —
 ///   the geometric routing and splitting measures of distance-routed
-///   directories,
+///   directories (routing reads each entry's row where it lies),
 /// * [`refresh`](Summary::refresh) — the temporal-decay hook (a no-op for
 ///   payloads without temporal semantics),
 /// * [`Dir`](Summary::Dir) — the container a directory node keeps its
@@ -47,10 +47,11 @@ pub trait Summary: Clone {
     /// Representative centre, used by the distance-based split and the
     /// closest-pair collapse of a leaf that may not split.
     ///
-    /// Routing reads [`center_into`](Summary::center_into) instead.  The
-    /// two may differ in the last bit (a micro-cluster computes `ls / n`
-    /// here and `ls * (1/n)` there), so swapping one for the other changes
-    /// which pairs split or merge, and with them the partitions.
+    /// Routing reads [`sq_dist_to`](Summary::sq_dist_to) instead.  The two
+    /// may differ in the last bit (a micro-cluster's centre is `ls / n`
+    /// here and `ls * (1/n)` in its distance), so swapping one for the
+    /// other changes which pairs split or merge, and with them the
+    /// partitions.
     fn center(&self) -> Vec<f64>;
 
     /// Writes [`center`](Summary::center)'s values into `out` (one
@@ -58,27 +59,5 @@ pub trait Summary: Clone {
     /// `center`'s `Vec`; payloads override it to write in place.
     fn write_center(&self, out: &mut [f64]) {
         out.copy_from_slice(&self.center());
-    }
-
-    /// Whether [`center_into`](Summary::center_into) reproduces the exact
-    /// arithmetic of [`sq_dist_to`](Summary::sq_dist_to), so descent may
-    /// route through the structure-of-arrays block path (gather all entry
-    /// centres once, compute all squared distances in one vectorized pass)
-    /// and still pick bit-identical subtrees.
-    ///
-    /// Leave `false` (the default) if `sq_dist_to` is anything other than
-    /// the plain squared Euclidean distance to `center_into`'s output.
-    const CENTER_ROUTED: bool = false;
-
-    /// Writes the representative centre into `out` (cleared and refilled)
-    /// without allocating — the gather hook for the block routing path.
-    ///
-    /// The default allocates via [`center`](Summary::center); payloads
-    /// opting into [`CENTER_ROUTED`](Summary::CENTER_ROUTED) should override
-    /// it with an allocation-free version whose per-dimension arithmetic
-    /// matches `sq_dist_to` exactly.
-    fn center_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&self.center());
     }
 }

@@ -170,10 +170,6 @@ impl Summary for KernelSummary {
     fn center(&self) -> Vec<f64> {
         self.cf.mean()
     }
-
-    fn center_into(&self, out: &mut Vec<f64>) {
-        self.cf.mean_into(out);
-    }
 }
 
 /// A directory entry materialised from its node's block: the aggregated

@@ -310,8 +310,9 @@ impl MicroCluster {
     }
 
     /// Writes the routing centre `ls * (1/n)` (zeros when empty) into
-    /// `out` (cleared and refilled) — the scratch variant used on the
-    /// descent hot path, with [`Self::sq_dist_to`]'s arithmetic.
+    /// `out` (cleared and refilled), with [`Self::sq_dist_to`]'s
+    /// arithmetic: the point a descending micro-cluster is routed by
+    /// (`ClusModel::route_point`), written without allocating.
     pub fn center_into(&self, out: &mut Vec<f64>) {
         out.clear();
         if self.is_empty() {
@@ -337,14 +338,6 @@ impl bt_anytree::Summary for MicroCluster {
     type Ctx = DecayCtx;
     type Dir = Vec<bt_anytree::Entry<MicroCluster>>;
 
-    /// Micro-clusters route by squared centre distance, and
-    /// [`MicroCluster::center_into`] reproduces
-    /// [`MicroCluster::sq_dist_to`]'s arithmetic exactly (`ls * (1/n)`, zeros when empty), so descent may
-    /// gather all entry centres into one structure-of-arrays block and pick
-    /// subtrees with the vectorized distance kernel — bit-identically to
-    /// the scalar scan.
-    const CENTER_ROUTED: bool = true;
-
     fn merge(&mut self, other: &Self, ctx: DecayCtx) {
         MicroCluster::merge(self, other, ctx.lambda);
     }
@@ -367,10 +360,6 @@ impl bt_anytree::Summary for MicroCluster {
 
     fn write_center(&self, out: &mut [f64]) {
         MicroCluster::write_center(self, out);
-    }
-
-    fn center_into(&self, out: &mut Vec<f64>) {
-        MicroCluster::center_into(self, out);
     }
 }
 

@@ -40,9 +40,11 @@
 //! walk over the gathered columns; a leaf read runs it without the box
 //! lanes.
 //!
-//! Both models gather a node into the same columns (`gather_clusters`),
-//! so the engine's per-node block cache serves density, outlier and k-NN
-//! reads alike.
+//! The density model gathers each node it reads into columns
+//! (`gather_clusters`) and the engine caches them per node, so density and
+//! outlier reads share one gather.  The k-NN's distance-only model gathers
+//! nothing: it reads each entry row's weight and centre distance where the
+//! row lies, and neither fills nor needs a cache slot.
 //!
 //! Decay caveat: summaries are scored as stored (queries never mutate the
 //! tree), so with a non-zero decay rate the bounds are exact only up to the
@@ -58,7 +60,6 @@ use bt_anytree::{
 };
 use bt_stats::kernel::{
     cluster_scores_block, log_kernel_at, nearest_point_log_kernel, smoothed_farthest_log_kernel,
-    sq_dists_block,
 };
 use bt_stats::{GatheredBlock, KernelBandwidth, ScoreLanes};
 use std::borrow::Cow;
@@ -215,7 +216,7 @@ impl QueryModel<MicroCluster> for ClusQueryModel {
     /// variances, routing centres and MBR corners, so
     /// [`QueryModel::score_gathered`] scores the node in one fused pass.
     fn gather_entries(&self, entries: &Vec<Entry<MicroCluster>>, out: &mut GatheredBlock) -> bool {
-        gather_entry_clusters(entries, out);
+        gather_clusters(entries.iter().map(|e| &e.summary), true, out);
         true
     }
 
@@ -295,16 +296,11 @@ fn summarize_clusters(items: &[MicroCluster], lambda: f64) -> MicroCluster {
     summary
 }
 
-/// Gathers a directory node's entry summaries with their box columns.
-fn gather_entry_clusters(entries: &[Entry<MicroCluster>], out: &mut GatheredBlock) {
-    gather_clusters(entries.iter().map(|e| &e.summary), true, out);
-}
-
 /// Packs micro-clusters into the structure-of-arrays block: weights,
 /// smoothed means and variances, routing centres and, with `boxes`, MBR
-/// corners — the one gather every micro-cluster model shares, so a cached
-/// block serves density, outlier and k-NN reads alike.  The block takes
-/// the clusters' own dimensionality, never a model's.
+/// corners — the gather [`ClusQueryModel`] scores, so a cached block serves
+/// density and outlier reads alike.  The block takes the clusters' own
+/// dimensionality, never a model's.
 ///
 /// The gather replicates the scalar arithmetic exactly (`ls / n` for the
 /// smoothed mean, `ls * (1/n)` for the routing centre — different
@@ -358,36 +354,14 @@ fn gather_clusters<'a>(
 /// A closest-first refinement reads no estimate and no bound, so this model
 /// skips [`ClusQueryModel`]'s Jensen kernel, both box kernels and their
 /// `exp`s — and needs no bandwidth and no weight normaliser.  Contributions
-/// and bounds are `0.0`.  Its gathers are [`ClusQueryModel`]'s, so a block
-/// cached by a density read serves a k-NN read and vice versa, and its
-/// centre distances are that model's bit for bit.
+/// and bounds are `0.0`.  It gathers nothing: the engine's per-summary
+/// reference reads each entry's or leaf item's weight and
+/// [`MicroCluster::sq_dist_to`] from its row, which are the density model's
+/// weights and centre distances bit for bit, and a block another model
+/// cached is never read.
 #[derive(Debug, Clone, Copy)]
 struct DistanceModel {
     lambda: f64,
-}
-
-impl DistanceModel {
-    /// Scores a gathered block by centre distance alone.
-    fn score_centres(
-        query: &[f64],
-        gathered: &GatheredBlock,
-        dist: &mut Vec<f64>,
-        out: &mut Vec<SummaryScore>,
-    ) {
-        let weights = gathered.block.weights();
-        sq_dists_block(query, &gathered.centers, weights.len(), dist);
-        out.clear();
-        out.extend(
-            weights
-                .iter()
-                .zip(dist.iter())
-                .map(|(&weight, &min_dist_sq)| SummaryScore {
-                    weight,
-                    min_dist_sq,
-                    ..SummaryScore::default()
-                }),
-        );
-    }
 }
 
 impl QueryModel<MicroCluster> for DistanceModel {
@@ -415,38 +389,6 @@ impl QueryModel<MicroCluster> for DistanceModel {
 
     fn summarize_leaf_items(&self, items: &Vec<MicroCluster>) -> MicroCluster {
         summarize_clusters(items, self.lambda)
-    }
-
-    fn gather_entries(&self, entries: &Vec<Entry<MicroCluster>>, out: &mut GatheredBlock) -> bool {
-        gather_entry_clusters(entries, out);
-        true
-    }
-
-    fn score_gathered(
-        &self,
-        query: &[f64],
-        _entries: &Vec<Entry<MicroCluster>>,
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
-        out: &mut Vec<SummaryScore>,
-    ) {
-        Self::score_centres(query, gathered, &mut lanes[0], out);
-    }
-
-    fn gather_leaf_items(&self, items: &Vec<MicroCluster>, out: &mut GatheredBlock) -> bool {
-        gather_clusters(items.iter(), false, out);
-        true
-    }
-
-    fn score_gathered_leaves(
-        &self,
-        query: &[f64],
-        _items: &Vec<MicroCluster>,
-        gathered: &GatheredBlock,
-        lanes: &mut ScoreLanes,
-        out: &mut Vec<SummaryScore>,
-    ) {
-        Self::score_centres(query, gathered, &mut lanes[0], out);
     }
 }
 
@@ -524,8 +466,8 @@ fn element_cluster<'v, V: TreeView<MicroCluster, Vec<MicroCluster>>>(
 /// The ranking reads nothing but centre distances, so the frontiers score
 /// through a distance-only model: of `model` only the decay rate is used
 /// (to summarise a root that is itself a leaf), and its bandwidth and
-/// normaliser do not change the answer.  The model's gathers are shared, so
-/// k-NN and density reads reuse each other's cached blocks.
+/// normaliser do not change the answer.  The frontiers read rows where
+/// they lie: no node is gathered and no cache slot filled.
 ///
 /// # Panics
 ///

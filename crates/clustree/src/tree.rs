@@ -150,6 +150,12 @@ impl InsertModel<MicroCluster> for ClusModel<'_> {
         obj.clone()
     }
 
+    /// A descending object already is a micro-cluster: an empty buffer
+    /// takes it as it is.
+    fn park(&self, obj: MicroCluster) -> MicroCluster {
+        obj
+    }
+
     fn absorb_into(&self, summary: &mut MicroCluster, obj: &MicroCluster) {
         summary.merge(obj, self.lambda());
     }

@@ -5,7 +5,6 @@
 //! live on comparable scales.  Scalers are always *fitted on the training
 //! fold only* and then applied to both folds, as in the original evaluation.
 
-use crate::dataset::Dataset;
 use bt_stats::summary::RunningStats;
 
 /// Min/max scaler mapping every feature to `[0, 1]`.
@@ -62,23 +61,6 @@ impl MinMaxScaler {
         self.transform_in_place(&mut out);
         out
     }
-
-    /// Returns a scaled copy of a whole data set.
-    #[must_use]
-    pub fn transform_dataset(&self, dataset: &Dataset) -> Dataset {
-        let features = dataset
-            .features()
-            .iter()
-            .map(|f| self.transform(f))
-            .collect();
-        Dataset::from_parts(
-            dataset.name(),
-            dataset.dims(),
-            dataset.class_names().to_vec(),
-            features,
-            dataset.labels().to_vec(),
-        )
-    }
 }
 
 /// Z-score scaler mapping every feature to zero mean and unit variance.
@@ -128,29 +110,11 @@ impl StandardScaler {
             .map(|(d, x)| (x - self.mean[d]) / self.std[d])
             .collect()
     }
-
-    /// Returns a scaled copy of a whole data set.
-    #[must_use]
-    pub fn transform_dataset(&self, dataset: &Dataset) -> Dataset {
-        let features = dataset
-            .features()
-            .iter()
-            .map(|f| self.transform(f))
-            .collect();
-        Dataset::from_parts(
-            dataset.name(),
-            dataset.dims(),
-            dataset.class_names().to_vec(),
-            features,
-            dataset.labels().to_vec(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::generic_class_names;
 
     fn features() -> Vec<Vec<f64>> {
         vec![vec![0.0, 10.0], vec![5.0, 20.0], vec![10.0, 30.0]]
@@ -183,15 +147,6 @@ mod tests {
             let mean: f64 = transformed.iter().map(|t| t[d]).sum::<f64>() / 3.0;
             assert!(mean.abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn transform_dataset_preserves_labels() {
-        let ds = Dataset::from_parts("t", 2, generic_class_names(2), features(), vec![0, 1, 0]);
-        let scaler = MinMaxScaler::fit(ds.features());
-        let scaled = scaler.transform_dataset(&ds);
-        assert_eq!(scaled.labels(), ds.labels());
-        assert_eq!(scaled.len(), ds.len());
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl PoissonStream {
             seed,
         }
     }
-
-    /// Expected node budget per object.
-    #[must_use]
-    pub fn expected_budget(&self) -> f64 {
-        1.0 / (self.rate * self.cost_per_node)
-    }
 }
 
 impl StreamSimulator for PoissonStream {

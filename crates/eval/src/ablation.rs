@@ -1,11 +1,9 @@
 //! Ablation experiments over the classifier's design choices: descent
-//! strategy, qbk parameter and page geometry (fanout).  The
-//! `ablation_descent` bin prints the first two.
+//! strategy and qbk parameter.  The `ablation_descent` bin prints both.
 
 use crate::curve::{anytime_accuracy_curve, AccuracyCurve, CurveConfig};
 use bayestree::{BulkLoadMethod, DescentStrategy, RefinementStrategy};
 use bt_data::Dataset;
-use bt_index::PageGeometry;
 
 /// Measures one accuracy curve per descent strategy (bft, dft, glo-geo, glo).
 #[must_use]
@@ -57,33 +55,11 @@ pub fn qbk_ablation(
         .collect()
 }
 
-/// Measures one accuracy curve per fanout setting (page-geometry ablation).
-#[must_use]
-pub fn fanout_ablation(
-    dataset: &Dataset,
-    method: BulkLoadMethod,
-    fanouts: &[usize],
-    config: &CurveConfig,
-) -> Vec<AccuracyCurve> {
-    fanouts
-        .iter()
-        .map(|&fanout| {
-            let geometry = PageGeometry::from_fanout(fanout, fanout * 2);
-            let cfg = CurveConfig {
-                geometry: Some(geometry),
-                ..config.clone()
-            };
-            let mut curve = anytime_accuracy_curve(dataset, method, &cfg);
-            curve.label = format!("M={fanout}");
-            curve
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bt_data::synth::blobs::BlobConfig;
+    use bt_index::PageGeometry;
 
     fn dataset() -> Dataset {
         BlobConfig::new(3, 4)
@@ -123,17 +99,5 @@ mod tests {
         );
         let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels, vec!["qb1", "qb2", "rr", "top1"]);
-    }
-
-    #[test]
-    fn fanout_ablation_produces_one_curve_per_setting() {
-        let curves = fanout_ablation(
-            &dataset(),
-            BulkLoadMethod::Iterative,
-            &[4, 8],
-            &fast_config(),
-        );
-        assert_eq!(curves.len(), 2);
-        assert_eq!(curves[0].label, "M=4");
     }
 }

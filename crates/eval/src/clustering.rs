@@ -240,34 +240,6 @@ pub fn format_sweep(rows: &[ClusteringQuality]) -> String {
     out
 }
 
-/// Formats a batched sweep as aligned text, including the parking
-/// statistics; the engine counters use [`DescentStats`]' `Display` form.
-#[must_use]
-pub fn format_batched_sweep(rows: &[BatchedClusteringQuality]) -> String {
-    let mut out = String::from(
-        "budget  batch  micro  nodes  purity  parked  mean-depth  engine\n\
-         ------  -----  -----  -----  ------  ------  ----------  ------\n",
-    );
-    for r in rows {
-        let mean_depth = r
-            .depths
-            .mean_parked_depth()
-            .map_or_else(|| "-".to_string(), |d| format!("{d:.2}"));
-        out.push_str(&format!(
-            "{:>6}  {:>5}  {:>5}  {:>5}  {:>6.3}  {:>6}  {:>10}  {}\n",
-            r.quality.node_budget,
-            r.batch_size,
-            r.quality.micro_clusters,
-            r.quality.tree_nodes,
-            r.quality.purity,
-            r.depths.parked_total(),
-            mean_depth,
-            r.stats
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,12 +338,6 @@ mod tests {
         for r in &rows {
             assert_eq!(r.depths.total(), s.len());
         }
-        let text = format_batched_sweep(&rows);
-        assert_eq!(text.lines().count(), 5);
-        assert!(
-            text.contains("refreshes="),
-            "engine column uses DescentStats Display"
-        );
     }
 
     #[test]

@@ -170,9 +170,8 @@ impl ClusterFeature {
         self.ls.iter().map(|x| x / self.n).collect()
     }
 
-    /// Writes the mean vector into `out` (cleared and refilled), so the
-    /// descent hot path can reuse one scratch buffer instead of allocating a
-    /// fresh centre per visited node.
+    /// Writes the mean vector into `out` (cleared and refilled), reusing
+    /// one scratch buffer instead of allocating a fresh centre.
     pub fn mean_into(&self, out: &mut Vec<f64>) {
         if self.is_empty() {
             out.clear();
@@ -180,9 +179,7 @@ impl ClusterFeature {
             return;
         }
         // Same expression as `vector::scale_into(ls, 1.0 / n, out)`: the
-        // routing-centre arithmetic `ls * (1/n)` must match
-        // `sq_dist_mean_to` exactly (see the `Summary::center_into`
-        // contract in `bt_anytree`).
+        // centre arithmetic `ls * (1/n)` matches `sq_dist_mean_to` exactly.
         let inv_n = 1.0 / self.n;
         out.clear();
         out.extend(self.ls.iter().map(|x| x * inv_n));

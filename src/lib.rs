@@ -148,7 +148,9 @@
 //!   derived mean and variance lanes, written when the batch that changed
 //!   them publishes ([`bayestree::EntryColumns`]) — so a Bayes read scores
 //!   the node where it lies and never gathers or caches it.  A ClusTree
-//!   node is gathered into columns ([`anytree::SummaryBlock`]).  The passes
+//!   node read by the density or outlier model is gathered into columns
+//!   ([`anytree::SummaryBlock`]); the k-NN's distance-only model reads
+//!   each micro-cluster row where it lies.  The passes
 //!   are explicitly
 //!   SIMD-vectorised (portable 4-lane `f64` kernels with a
 //!   runtime-dispatched AVX2 path and the scalar loop kept as the
@@ -166,9 +168,8 @@
 //!   warm blocks while the live tree refills its own.  Scoring hits skip
 //!   the gather entirely ([`anytree::QueryStats`] counts
 //!   `gathers_avoided`); the insertion descent never fills a reader slot
-//!   (a box-routed directory is routed from its own columns, a
-//!   centre-routed one from centres in the descent's per-batch scratch),
-//!   and leaf nodes get the same treatment through
+//!   (a box-routed directory is routed from its own columns, a ClusTree
+//!   one by each entry row's centre distance), and leaf nodes get the same treatment through
 //!   [`anytree::QueryModel::score_leaf_items`] — all bit-identical to the
 //!   gather-every-time scalar reference
 //!   (`tests/block_cache.rs` in both tree crates,

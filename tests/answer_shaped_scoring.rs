@@ -8,10 +8,12 @@
 //!   reference that ranks `refine_frontiers_over` cursors driven by the full
 //!   density model — live trees, pinned snapshots and 2-shard trees, decay
 //!   on and off, roots that are leaves, parked buffers, budgets 0 to 32,
-//! * the work the two record is identical: queries, node reads, elements
-//!   scored, block gathers and gathers avoided,
-//! * the two models share one gather, so density and k-NN reads on one tree
-//!   reuse each other's cached blocks and answer as on a cold twin.
+//! * the work the two record is identical in queries, node reads and
+//!   elements scored, and the k-NN gathers nothing: each node it reads
+//!   counts as a gather avoided,
+//! * the k-NN reads rows where they lie, so on one tree k-NN reads made
+//!   before, between and after density and outlier reads answer as on a
+//!   cold twin, gather nothing and leave every slot to the density model.
 //!
 //! The classifier's estimate-only model is locked by
 //! `tests/classifier_cursor_pool.rs` (answers equal a fresh-cursor
@@ -25,7 +27,7 @@ use anytime_stream_mining::anytree::{
     TreeView,
 };
 use anytime_stream_mining::clustree::{
-    knn_over, ClusQueryModel, ClusTree, ClusTreeConfig, KnnAnswer, MicroCluster,
+    knn_over, ClusIndex, ClusQueryModel, ClusTree, ClusTreeConfig, KnnAnswer, MicroCluster,
 };
 use anytime_stream_mining::eval::RegistryCapture;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -49,6 +51,25 @@ const WORK_COUNTERS: [&str; 5] = [
 ];
 
 type Work = Vec<(&'static str, u64)>;
+
+/// The `bt_query_block_gathers_total` and `bt_query_gathers_avoided_total`
+/// deltas of a work record.
+fn gathers(work: &Work) -> (u64, u64) {
+    (work[3].1, work[4].1)
+}
+
+/// The k-NN records the reference's queries, node reads and elements
+/// scored, gathers nothing, and counts each node the reference gathered or
+/// found cached as a gather avoided.
+fn assert_knn_work(got: &Work, want: &Work, case: &str) {
+    assert_eq!(got[..3], want[..3], "{case}: work");
+    let (want_gathers, want_avoided) = gathers(want);
+    assert_eq!(
+        gathers(got),
+        (0, want_gathers + want_avoided),
+        "{case}: gathers"
+    );
+}
 
 /// The registry work `f` records, with its result.
 fn with_work<R>(f: impl FnOnce() -> R) -> (R, Work) {
@@ -177,7 +198,7 @@ const QUERIES: [[f64; 2]; 4] = [[0.4, -0.2], [20.5, 19.0], [10.0, 10.0], [-60.0,
 /// Runs the same k-NN reads on two identically built trees — one through
 /// the tree's surface, one through the reference — and checks answers and
 /// recorded work per read.  Both trees start cold and see the same reads
-/// in the same order, so equal work means equal gathers and cache hits.
+/// in the same order.
 fn assert_knn_matches_the_reference(n: usize, lambda: f64, shards: usize) {
     let _guard = registry_lock();
     let (narrow, full) = (tree(n, lambda, shards), tree(n, lambda, shards));
@@ -191,7 +212,7 @@ fn assert_knn_matches_the_reference(n: usize, lambda: f64, shards: usize) {
                     with_work(|| reference_knn(full.shards(), lambda, &x, k, budget));
                 let case = format!("{what} live x {x:?} budget {budget} k {k}");
                 assert_eq!(got, want, "{case}");
-                assert_eq!(got_work, want_work, "{case}: work");
+                assert_knn_work(&got_work, &want_work, &case);
 
                 let (got, got_work) =
                     with_work(|| knn_bits(&narrow_pin.anytime_knn(&x, k, budget)));
@@ -199,7 +220,7 @@ fn assert_knn_matches_the_reference(n: usize, lambda: f64, shards: usize) {
                     with_work(|| reference_knn(full_pin.core().shards(), lambda, &x, k, budget));
                 let case = format!("{what} snapshot x {x:?} budget {budget} k {k}");
                 assert_eq!(got, want, "{case}");
-                assert_eq!(got_work, want_work, "{case}: work");
+                assert_knn_work(&got_work, &want_work, &case);
 
                 // `knn_over` with an arbitrary density model answers alike:
                 // only its decay rate is read.
@@ -210,7 +231,7 @@ fn assert_knn_matches_the_reference(n: usize, lambda: f64, shards: usize) {
                     with_work(|| reference_knn(full.shards(), lambda, &x, k, budget));
                 let case = format!("{what} knn_over x {x:?} budget {budget} k {k}");
                 assert_eq!(got, want, "{case}");
-                assert_eq!(got_work, want_work, "{case}: work");
+                assert_knn_work(&got_work, &want_work, &case);
             }
         }
     }
@@ -244,43 +265,69 @@ fn leaf_root_knn_matches_the_density_model_reference() {
     }
 }
 
-/// Density and k-NN reads share one gather: on one tree, whichever reads a
-/// node first gathers it and the other finds it cached — and every answer
-/// equals a cold twin's.
-#[test]
-fn density_and_knn_reuse_each_others_cached_blocks() {
-    let _guard = registry_lock();
-    let bandwidth = [1.5, 2.5];
-    let x = [0.4, -0.2];
-    let warm = tree(300, 0.0, 1);
+const BANDWIDTH: [f64; 2] = [1.5, 2.5];
+
+/// k-NN reads on `index` before, between and after full density and
+/// outlier reads: each answers as on a cold twin (`cold` builds one) and
+/// gathers nothing, and the density read that follows the first k-NN reads
+/// still gathers every node it reads.
+fn assert_knn_reads_rows<C: ShardSet<MicroCluster, Vec<MicroCluster>>>(
+    what: &str,
+    index: &ClusIndex<C>,
+    cold: impl Fn() -> ClusIndex<C>,
+) {
+    let knn_reads = |when: &str| {
+        for x in QUERIES {
+            for (k, budget) in [(1, 0), (4, 3), (4, usize::MAX), (10, 8)] {
+                let (got, work) = with_work(|| knn_bits(&index.anytime_knn(&x, k, budget)));
+                let case = format!("{what} {when} x {x:?} k {k} budget {budget}");
+                assert_eq!(got, knn_bits(&cold().anytime_knn(&x, k, budget)), "{case}");
+                assert_eq!(gathers(&work).0, 0, "{case}: gathers");
+            }
+        }
+    };
+    let x = QUERIES[0];
+    let density = || index.anytime_density(&x, &BANDWIDTH, RefineOrder::BreadthFirst, usize::MAX);
     let cold_density =
-        || tree(300, 0.0, 1).anytime_density(&x, &bandwidth, RefineOrder::BreadthFirst, usize::MAX);
-    let cold_knn = || knn_bits(&tree(300, 0.0, 1).anytime_knn(&x, 4, usize::MAX));
-    let gathers = |work: &Work| (work[3].1, work[4].1);
+        cold().anytime_density(&x, &BANDWIDTH, RefineOrder::BreadthFirst, usize::MAX);
 
-    // A full density read gathers every node once (the root included)…
-    let (density, work) =
-        with_work(|| warm.anytime_density(&x, &bandwidth, RefineOrder::BreadthFirst, usize::MAX));
-    let nodes = warm.num_nodes() as u64;
-    assert_eq!(gathers(&work), (nodes, 0), "cold density read");
-    assert_eq!(density, cold_density());
-    // …so a full k-NN read gathers nothing and hits every node…
-    let (knn, work) = with_work(|| knn_bits(&warm.anytime_knn(&x, 4, usize::MAX)));
-    assert_eq!(gathers(&work), (0, nodes), "k-NN after density");
-    assert_eq!(knn, cold_knn());
-    // …and a density read after it is still served from the same blocks.
-    let (again, work) =
-        with_work(|| warm.anytime_density(&x, &bandwidth, RefineOrder::BreadthFirst, usize::MAX));
-    assert_eq!(gathers(&work), (0, nodes), "density after k-NN");
-    assert_eq!(again, density);
+    knn_reads("before");
+    // Nothing the k-NN read left a slot filled…
+    let (answer, work) = with_work(density);
+    assert_eq!(answer, cold_density, "{what}: density");
+    let (gathered, avoided) = gathers(&work);
+    assert!(gathered > 0, "{what}: the density read gathered nothing");
+    assert_eq!(avoided, 0, "{what}: density after k-NN");
+    // …and a block the density model cached is never read by the k-NN.
+    knn_reads("between");
+    for x in QUERIES {
+        let threshold = cold_density.estimate;
+        let got = index.outlier_score(&x, &BANDWIDTH, threshold, usize::MAX);
+        let want = cold().outlier_score(&x, &BANDWIDTH, threshold, usize::MAX);
+        assert_eq!(got, want, "{what}: outlier x {x:?}");
+    }
+    knn_reads("after");
+    let (answer, work) = with_work(density);
+    assert_eq!(answer, cold_density, "{what}: density again");
+    assert_eq!(gathers(&work), (0, gathered), "{what}: density again");
+}
 
-    // The other way round: k-NN first gathers, density then hits.
-    let warm = tree(300, 0.0, 1);
-    let (knn, work) = with_work(|| knn_bits(&warm.anytime_knn(&x, 4, usize::MAX)));
-    assert_eq!(gathers(&work), (nodes, 0), "cold k-NN read");
-    assert_eq!(knn, cold_knn());
-    let (density, work) =
-        with_work(|| warm.anytime_density(&x, &bandwidth, RefineOrder::BreadthFirst, usize::MAX));
-    assert_eq!(gathers(&work), (0, nodes), "density after k-NN");
-    assert_eq!(density, cold_density());
+/// The k-NN reads micro-cluster rows where they lie, whatever the density
+/// model cached: on a live tree, a pinned snapshot and a 3-shard tree.
+#[test]
+fn knn_reads_rows_beside_density_and_outlier_reads() {
+    let _guard = registry_lock();
+    for lambda in [0.0, 0.05] {
+        let what = format!("lambda {lambda}");
+        assert_knn_reads_rows(&format!("{what} live"), &tree(300, lambda, 1), || {
+            tree(300, lambda, 1)
+        });
+        let live = tree(300, lambda, 1);
+        assert_knn_reads_rows(&format!("{what} snapshot"), &live.snapshot(), || {
+            tree(300, lambda, 1).snapshot()
+        });
+        assert_knn_reads_rows(&format!("{what} 3 shards"), &tree(300, lambda, 3), || {
+            tree(300, lambda, 3)
+        });
+    }
 }

@@ -194,8 +194,8 @@ fn any_slot_filled<S: Summary, L, V: TreeView<S, L>>(view: &V) -> bool {
 
 #[test]
 fn the_writer_never_fills_a_reader_slot() {
-    // MBR routing (Bayes tree) and centre routing (ClusTree) both keep
-    // their routing columns in the descent's own scratch.
+    // MBR routing (Bayes tree) reads the directory's own box columns and
+    // centre routing (ClusTree) each entry row: neither touches a slot.
     let mut bayes: BayesTree = BayesTree::new(DIMS, geometry());
     let mut clus = ClusTree::new(DIMS, ClusTreeConfig::default());
     for (batch, chunk) in stream(300, 0).chunks(64).enumerate() {

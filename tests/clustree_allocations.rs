@@ -12,7 +12,11 @@
 //!   buffer, its two index lists and its two halves;
 //! * a warm, repeated `anytime_knn` on an unchanged tree allocates at most
 //!   `k + 2` times (its kept `k`, its answer and one centre per neighbour),
-//!   on a live tree and on a snapshot.
+//!   on a live tree and on a snapshot;
+//! * so does a k-NN probe right after each `insert_batch`, whose reads of
+//!   the nodes the batch wrote gather nothing and fill no cache slot;
+//! * an object parked in an empty hitchhiker buffer is moved there, not
+//!   copied: a one-object budget-0 batch allocates as often either way.
 //!
 //! This binary installs a counting global allocator.  It counts only on
 //! the calling thread while a check is running, so the test harness's
@@ -253,4 +257,101 @@ fn a_warm_knn_allocates_at_most_k_plus_two_times() {
         full_answers >= 8,
         "only {full_answers} reads found k neighbours"
     );
+}
+
+#[test]
+fn a_knn_probe_right_after_each_batch_allocates_at_most_k_plus_two_times() {
+    let mut tree = tree();
+    let queries: Vec<Vec<f64>> = (0..4).map(|i| point(i * 13 + 1)).collect();
+    let k = 5;
+    // Warm-up: grows the pooled cursors.
+    for x in &queries {
+        let _ = tree.anytime_knn(x, k, usize::MAX);
+    }
+    let points: Vec<Vec<f64>> = (5000..5000 + 64 * 12).map(point).collect();
+    for (t, batch) in points.chunks(64).enumerate() {
+        let budget = [0usize, 1, 4, 2, 8][t % 5];
+        let _ = tree.insert_batch(batch, 40.0 + t as f64, budget);
+        for (q, x) in queries.iter().enumerate() {
+            let (answer, allocations) = counted(|| tree.anytime_knn(x, k, 8));
+            assert_eq!(answer.neighbors.len(), k);
+            assert!(
+                allocations <= k + 2,
+                "batch {t} (budget {budget}), query {q}: {allocations} allocations"
+            );
+        }
+    }
+}
+
+/// Hitchhiker buffers that hold parked mass, over every shard's reachable
+/// directory entries.
+fn occupied_buffers(tree: &ClusTree) -> usize {
+    tree.shards()
+        .iter()
+        .flat_map(|shard| shard.reachable().into_iter().map(move |id| shard.node(id)))
+        .filter(|node| !node.is_leaf())
+        .map(|node| node.entries().iter().filter(|e| e.buffer.is_some()).count())
+        .sum()
+}
+
+/// An object parked in an empty buffer moves into it: a one-object
+/// budget-0 batch allocates as often when its object lands in an empty
+/// buffer as when it is absorbed by an occupied one, on 1 and 3 shards.
+#[test]
+fn a_budget_zero_batch_allocates_no_copy_per_parked_object() {
+    for shards in [1, 3] {
+        let config = ClusTreeConfig {
+            max_entries: 6,
+            min_entries: 2,
+            decay_lambda: 0.01,
+            ..ClusTreeConfig::default()
+        };
+        let mut tree = ClusTree::sharded(DIMS, config, shards);
+        let points: Vec<Vec<f64>> = (0..1024).map(point).collect();
+        for (t, batch) in points.chunks(64).enumerate() {
+            let _ = tree.insert_batch(batch, t as f64, 1 + t % 4);
+        }
+        assert!(tree.height() > 2);
+        // Warm-up: the first batch after a split grows the descent's
+        // per-node scratch.
+        let _ = tree.insert_batch(&[point(2999)], 19.0, 0);
+        // `(into an empty buffer, into an occupied one)`, each as the
+        // distinct allocation counts of its batches.
+        let (mut empty, mut occupied) = (Vec::new(), Vec::new());
+        for i in 0..96 {
+            let now = 20.0 + i as f64;
+            let p = [point(3000 + 7 * i)];
+            let before = occupied_buffers(&tree);
+            let (outcome, allocations) = counted(|| tree.insert_batch(&p, now, 0));
+            assert_eq!(outcome.depths.parked_total(), 1);
+            let kind = if occupied_buffers(&tree) > before {
+                &mut empty
+            } else {
+                &mut occupied
+            };
+            if !kind.contains(&allocations) {
+                kind.push(allocations);
+            }
+            // A budget-1 descent picks up the root buffer it passes and
+            // parks one level down, so later parks find empty root buffers
+            // and no batch reaches a leaf, splits or grows the arena.
+            if i % 2 == 1 {
+                let pickup = tree.insert_batch(&[point(4000 + i)], now, 1);
+                assert_eq!(pickup.depths.parked_at_depth.get(2), Some(&1));
+            }
+        }
+        assert!(
+            !empty.is_empty() && !occupied.is_empty(),
+            "{shards} shards: parks into empty buffers {empty:?}, into occupied ones {occupied:?}"
+        );
+        assert_eq!(
+            (empty.len(), occupied.len()),
+            (1, 1),
+            "{shards} shards: allocation counts into empty buffers {empty:?}, into occupied ones {occupied:?}"
+        );
+        assert_eq!(
+            empty, occupied,
+            "{shards} shards: an object parked in an empty buffer was copied"
+        );
+    }
 }
